@@ -20,9 +20,10 @@ race:
 
 # A short benchmark smoke: three iterations of the figure benchmarks that
 # stress the search engine hardest (E3/E4 sweeps and the exploration
-# figure). Full runs: `go test -bench=. -benchmem`.
+# figure) and of the merge-heavy searches, which report merges and
+# repaired expressions per search. Full runs: `go test -bench=. -benchmem`.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench 'Fig1[234]' -benchmem -benchtime 3x .
+	$(GO) test -run 'XXX' -bench 'Fig1[234]|ExploreMerges' -benchmem -benchtime 3x .
 
 # Neutrality guards: run a feature's micro-benchmarks with the feature
 # absent ("off") and attached-but-disabled ("disabled"), and fail if the

@@ -11,6 +11,7 @@
 package prairie_test
 
 import (
+	"fmt"
 	"testing"
 
 	"prairie/internal/catalog"
@@ -33,7 +34,7 @@ type benchWorld struct {
 	preq, vreq   *core.Descriptor
 }
 
-func prepOODB(b *testing.B, e qgen.ExprKind, n int, indexed bool) *benchWorld {
+func prepOODB(b testing.TB, e qgen.ExprKind, n int, indexed bool) *benchWorld {
 	b.Helper()
 	w := &benchWorld{}
 	po := oodb.New(qgen.Catalog(n, 101, indexed))
@@ -102,6 +103,62 @@ func BenchmarkFig13_E4_2way(b *testing.B) { benchFigure(b, qgen.E4, 3) }
 func BenchmarkFig14_Exploration(b *testing.B) {
 	w := prepOODB(b, qgen.E4, 3, false)
 	benchOptimize(b, w.pvrs, w.ptree, w.preq)
+}
+
+// BenchmarkExploreMerges runs cold hand-coded-rule searches of the
+// queries whose exploration is dominated by group merges (join_assoc
+// rediscovering equivalences) and reports, beside time and allocations,
+// how many merges a search performs and how many expressions their
+// repair re-keyed — the work Memo.Rehash does, which must stay
+// proportional to the merges and not to the memo.
+func BenchmarkExploreMerges(b *testing.B) {
+	for _, q := range []struct {
+		e qgen.ExprKind
+		n int
+	}{{qgen.E2, 5}, {qgen.E4, 3}, {qgen.E4, 4}} {
+		w := prepOODB(b, q.e, q.n, false)
+		b.Run(fmt.Sprintf("%v/n%d", q.e, q.n), func(b *testing.B) {
+			b.ReportAllocs()
+			var merges, repaired int
+			for i := 0; i < b.N; i++ {
+				opt := volcano.NewOptimizer(w.vvrs)
+				if _, err := opt.Optimize(w.vtree.Clone(), w.vreq); err != nil {
+					b.Fatal(err)
+				}
+				merges, repaired = opt.Memo.Merges(), opt.Memo.Repaired()
+			}
+			b.ReportMetric(float64(merges), "merges/op")
+			b.ReportMetric(float64(repaired), "repaired-exprs/op")
+		})
+	}
+}
+
+// TestSearchAllocCeiling guards against the whole-memo rebuild coming
+// back: a cold search's allocation count repeats to a few units, and
+// re-interning the memo on every merge tripled it on these queries
+// (529 738 and 246 515 against 175 945 and 89 839). The ceilings sit
+// about 15% above the measured counts.
+func TestSearchAllocCeiling(t *testing.T) {
+	for _, q := range []struct {
+		e       qgen.ExprKind
+		n       int
+		ceiling float64
+	}{
+		{qgen.E2, 5, 202_000},
+		{qgen.E4, 3, 103_000},
+	} {
+		w := prepOODB(t, q.e, q.n, false)
+		got := testing.AllocsPerRun(3, func() {
+			opt := volcano.NewOptimizer(w.vvrs)
+			if _, err := opt.Optimize(w.vtree.Clone(), w.vreq); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%v/n%d: %.0f allocations per cold search", q.e, q.n, got)
+		if got > q.ceiling {
+			t.Errorf("%v/n%d: %.0f allocations per cold search, ceiling %.0f", q.e, q.n, got, q.ceiling)
+		}
+	}
 }
 
 // BenchmarkTable5_RuleMatch measures the rule-matching work of the most

@@ -12,6 +12,7 @@ import (
 	"prairie/internal/oodb"
 	"prairie/internal/p2v"
 	"prairie/internal/qgen"
+	"prairie/internal/server"
 	"prairie/internal/volcano"
 )
 
@@ -107,6 +108,83 @@ func checkEquivalence(t *testing.T, path string, vrs *volcano.RuleSet, tree *cor
 	}
 }
 
+// e4n4Exprs is the size of the E4/n4 transformation closure (452 groups),
+// the largest search the tests complete; goldenClosures asserts it and
+// the degraded-search test below derives its cap from it.
+const e4n4Exprs = 4328
+
+var oodbWorlds = []string{"oodb/prairie", "oodb/volcano"}
+
+// goldenClosures records, per query of the server's default worlds
+// (catalog seed 101), the closure size and winner cost measured before the
+// memo's whole-index rebuild was replaced by parent-local repair. The
+// OODB rows hold for both specifications of the optimizer.
+var goldenClosures = []struct {
+	worlds        []string
+	family, graph string
+	n             int
+	groups, exprs int
+	cost          float64
+}{
+	{oodbWorlds, "E1", "", 4, 14, 28, 14464},
+	{oodbWorlds, "E1", "", 5, 20, 50, 14848},
+	{oodbWorlds, "E1", "", 6, 27, 82, 15616},
+	{oodbWorlds, "E2", "", 3, 25, 77, 18944},
+	{oodbWorlds, "E2", "", 4, 56, 264, 15488},
+	{oodbWorlds, "E2", "", 5, 119, 787, 16256},
+	{oodbWorlds, "E3", "", 3, 25, 89, 6416.015625},
+	{oodbWorlds, "E3", "", 4, 56, 318, 6548.015655517578},
+	{oodbWorlds, "E4", "", 2, 26, 82, 4364.0625},
+	{oodbWorlds, "E4", "", 3, 111, 661, 6416.015808105469},
+	{oodbWorlds, "E4", "", 4, 452, e4n4Exprs, 6548.015656471252},
+	{oodbWorlds, "E1", "star", 4, 15, 32, 14720},
+	{oodbWorlds, "E1", "star", 5, 25, 74, 15360},
+	{oodbWorlds, "E1", "star", 6, 43, 172, 17152},
+	{oodbWorlds, "E2", "star", 3, 25, 77, 20992},
+	{oodbWorlds, "E2", "star", 4, 64, 308, 22016},
+	{oodbWorlds, "E2", "star", 5, 175, 1175, 23040},
+	{oodbWorlds, "E3", "star", 3, 25, 89, 6416.015625},
+	{oodbWorlds, "E3", "star", 4, 64, 369, 6548.015686035156},
+	{oodbWorlds, "E4", "star", 2, 26, 82, 4364.0625},
+	{oodbWorlds, "E4", "star", 3, 111, 661, 6416.0159912109375},
+	{[]string{"relational"}, "E1", "", 4, 14, 28, 88453.76183518214},
+	{[]string{"relational"}, "E1", "", 5, 20, 50, 89927.19892387632},
+	{[]string{"relational"}, "E1", "", 6, 27, 82, 92616.63880846996},
+}
+
+// TestGoldenClosures holds the search space fixed across changes to the
+// memo: group counts (Figure 14), expression counts and winner costs
+// must equal the recorded ones under both explorers.
+func TestGoldenClosures(t *testing.T) {
+	reg, err := server.DefaultRegistry(6, 101, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range goldenClosures {
+		q := server.QuerySpec{Family: g.family, N: g.n, Graph: g.graph}
+		for _, world := range g.worlds {
+			w, ok := reg.Lookup(world)
+			if !ok {
+				t.Fatalf("no world %s", world)
+			}
+			for _, kind := range []volcano.ExplorerKind{volcano.ExplorerWorklist, volcano.ExplorerPasses} {
+				if testing.Short() && g.exprs == e4n4Exprs && kind == volcano.ExplorerPasses {
+					continue // seconds per run
+				}
+				tree, want, err := w.Build(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := optimizeWith(t, w.RS, tree, want, kind)
+				if got.groups != g.groups || got.exprs != g.exprs || math.Abs(got.cost-g.cost) > 1e-9*g.cost {
+					t.Errorf("%s %s explorer %d: %d groups / %d exprs / cost %v, recorded %d / %d / %v",
+						world, q, kind, got.groups, got.exprs, got.cost, g.groups, g.exprs, g.cost)
+				}
+			}
+		}
+	}
+}
+
 // TestExplorerEquivalenceOnExhaustion checks both explorers agree that a
 // capped search space is exhausted (the series-ending condition of the
 // figure sweeps).
@@ -128,10 +206,9 @@ func TestExplorerEquivalenceOnExhaustion(t *testing.T) {
 	}
 }
 
-// TestDegradedE4ReturnsExecutablePlan is the ISSUE's acceptance case:
-// an E4 chain query at N=4 — which exhausts the search space before the
-// default expression cap on unbudgeted runs — must, under a tight
-// budget, return a valid plan marked Degraded instead of
+// TestDegradedE4ReturnsExecutablePlan: an E4 chain query at N=4, capped
+// well below its closure, must under a soft budget return a valid plan
+// marked Degraded where the same number as a hard cap gives
 // ErrSpaceExhausted, and that plan must actually execute.
 func TestDegradedE4ReturnsExecutablePlan(t *testing.T) {
 	seed := qgen.InstanceSeeds()[0]
@@ -143,15 +220,19 @@ func TestDegradedE4ReturnsExecutablePlan(t *testing.T) {
 	}
 	req := core.NewDescriptor(vo.Alg.Props)
 
+	// Half the closure (see goldenClosures): no search order can finish
+	// under it, however promptly duplicates die.
+	const budget = e4n4Exprs / 2
+
 	// Sanity: the same query with the budget as a hard cap fails.
 	hard := volcano.NewOptimizer(vo.VolcanoRules())
-	hard.Opts.MaxExprs = 5000
+	hard.Opts.MaxExprs = budget
 	if _, err := hard.Optimize(tree.Clone(), req); !errors.Is(err, volcano.ErrSpaceExhausted) {
 		t.Fatalf("hard cap: err = %v, want ErrSpaceExhausted", err)
 	}
 
 	opt := volcano.NewOptimizer(vo.VolcanoRules())
-	opt.Opts.Budget = volcano.Budget{MaxExprs: 5000}
+	opt.Opts.Budget = volcano.Budget{MaxExprs: budget}
 	plan, err := opt.Optimize(tree.Clone(), req)
 	if err != nil {
 		t.Fatalf("budgeted E4 n=4 failed instead of degrading: %v", err)

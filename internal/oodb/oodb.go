@@ -18,7 +18,8 @@ package oodb
 
 import (
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
@@ -100,14 +101,27 @@ func New(cat *catalog.Catalog) *Opt {
 // detection relies on.
 
 // canonAnd conjoins predicates with conjuncts sorted canonically.
+// The order is that of the conjuncts' renderings; each is rendered once.
 func canonAnd(ps ...*core.Pred) *core.Pred {
-	conj := core.And(ps...).Conjuncts()
-	if len(conj) == 0 {
-		return core.TruePred
+	all := core.And(ps...)
+	if all.Op != core.PredAnd {
+		return all // TRUE or a single conjunct
 	}
-	sorted := append([]*core.Pred{}, conj...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].String() < sorted[j].String() })
-	return core.And(sorted...)
+	type keyed struct {
+		s string
+		p *core.Pred
+	}
+	var buf [8]keyed
+	ks := buf[:0]
+	for _, p := range all.Kids {
+		ks = append(ks, keyed{p.String(), p})
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.s, b.s) })
+	// And built all.Kids afresh, so it can be reordered in place.
+	for i, k := range ks {
+		all.Kids[i] = k.p
+	}
+	return all
 }
 
 // splitPred splits a conjunction into the part referring only to attrs

@@ -1,6 +1,7 @@
 package oodb
 
 import (
+	"sort"
 	"testing"
 
 	"prairie/internal/catalog"
@@ -111,5 +112,42 @@ func TestCanonAndHelpers(t *testing.T) {
 	}
 	if !restConj(p1).IsTrue() {
 		t.Error("restConj of single term should be TRUE")
+	}
+	if canonAnd(p1) != p1 || canonAnd(core.TruePred, p1) != p1 {
+		t.Error("canonAnd of one conjunct should return it as is")
+	}
+	// The canonical order is that of the conjuncts' String() renderings —
+	// plan text depends on it — whatever order and nesting they arrive in.
+	ps := []*core.Pred{
+		core.EqAttr(core.A("C3", "r"), core.A("C1", "id")),
+		p1,
+		core.EqConst(core.A("C10", "b"), core.Int(7)),
+		p2,
+		core.EqAttr(core.A("C1", "r"), core.A("C2", "id")),
+		p1, // a repeated conjunct stays repeated
+	}
+	want := make([]string, len(ps))
+	for i, p := range ps {
+		want[i] = p.String()
+	}
+	sort.Strings(want)
+	nested := core.And(ps[0], ps[3], ps[1])
+	for _, got := range []*core.Pred{
+		canonAnd(ps...),
+		canonAnd(core.And(ps[4], ps[2]), ps[5], nested),
+		canonAnd(nested, ps[2], ps[4], ps[5]),
+	} {
+		conj := got.Conjuncts()
+		if len(conj) != len(want) {
+			t.Fatalf("canonAnd = %v, want %d conjuncts", got, len(want))
+		}
+		for i, c := range conj {
+			if c.String() != want[i] {
+				t.Errorf("conjunct %d = %s, want %s", i, c, want[i])
+			}
+		}
+	}
+	if k := nested.Conjuncts(); k[0] != ps[0] || k[1] != ps[3] || k[2] != ps[1] {
+		t.Error("canonAnd reordered its argument")
 	}
 }

@@ -1,0 +1,150 @@
+package volcano
+
+import (
+	"fmt"
+
+	"prairie/internal/core"
+)
+
+// This file holds the reference the memo's parent-local repair is tested
+// against, and exports it to the external test package (which may import
+// the rule-set packages this package cannot).
+
+// rebuildOracle is the whole-memo rebuild Memo.Rehash used to be, kept as
+// the test oracle: it re-interns every live expression into a fresh
+// index under a private copy of the union-find, drops duplicates, merges
+// the groups of duplicates found in different groups, and repeats until
+// a round merges nothing. It returns the group and expression counts it
+// ends with and leaves m untouched. On a repaired memo it must find
+// nothing to do.
+func rebuildOracle(m *Memo) (groups, exprs int) {
+	uf := append([]GroupID(nil), m.parent...)
+	find := func(g GroupID) GroupID {
+		for uf[g] != g {
+			g = uf[g]
+		}
+		return g
+	}
+	same := func(a, b *LExpr) bool {
+		if a.Op != b.Op || a.File != b.File || len(a.Kids) != len(b.Kids) {
+			return false
+		}
+		for i := range a.Kids {
+			if find(a.Kids[i]) != find(b.Kids[i]) {
+				return false
+			}
+		}
+		return a.Op == nil || a.D.EqualOn(b.D, m.idProps(a.Op))
+	}
+	var items []*LExpr
+	for _, g := range m.Groups() {
+		items = append(items, g.Exprs...)
+	}
+	for merged := true; merged; {
+		merged = false
+		index := make(map[uint64][]*LExpr, len(items))
+		live := items[:0:0]
+	next:
+		for _, e := range items {
+			h := e.selfHash
+			for _, k := range e.Kids {
+				h = core.HashCombine(h, uint64(find(k)))
+			}
+			for _, o := range index[h] {
+				if same(o, e) {
+					if a, b := find(o.group), find(e.group); a != b {
+						uf[b] = a
+						merged = true
+					}
+					continue next
+				}
+			}
+			index[h] = append(index[h], e)
+			live = append(live, e)
+		}
+		items = live
+	}
+	for g := range uf {
+		if find(GroupID(g)) == GroupID(g) {
+			groups++
+		}
+	}
+	return groups, len(items)
+}
+
+// CheckRepaired verifies that the memo is in the state a from-scratch
+// rebuild would leave it in: nothing pending, every live expression
+// indexed under its current key with canonical inputs, the index holding
+// nothing else, no two live expressions identical (rebuildOracle finds
+// no duplicate and no merge), the counters matching the contents, and
+// the parent lists covering exactly the live uses of each group.
+func (m *Memo) CheckRepaired() error {
+	if m.dirty || len(m.stale) != 0 {
+		return fmt.Errorf("dirty=%v with %d stale expressions queued", m.dirty, len(m.stale))
+	}
+	type use struct {
+		g GroupID
+		e *LExpr
+	}
+	uses := map[use]int{}
+	groups, exprs := 0, 0
+	for id, g := range m.groups {
+		if m.Find(GroupID(id)) != GroupID(id) {
+			if len(g.Exprs) != 0 || len(m.parents[id]) != 0 {
+				return fmt.Errorf("merged-away group %d keeps %d expressions and %d parents", id, len(g.Exprs), len(m.parents[id]))
+			}
+			continue
+		}
+		groups++
+		exprs += len(g.Exprs)
+		for _, e := range g.Exprs {
+			if e.dead {
+				return fmt.Errorf("group %d lists dead expression %s", id, e)
+			}
+			if m.Find(e.group) != g.ID {
+				return fmt.Errorf("%s is listed in group %d but belongs to %d", e, id, m.Find(e.group))
+			}
+			for _, k := range e.Kids {
+				if m.Find(k) != k {
+					return fmt.Errorf("%s in group %d has non-canonical input %d (canonical %d)", e, id, k, m.Find(k))
+				}
+				uses[use{k, e}]++
+			}
+			if h := m.exprHash(e.selfHash, e.Kids); e.key != h {
+				return fmt.Errorf("%s in group %d is keyed %x, its current key is %x", e, id, e.key, h)
+			}
+			if got := m.lookup(e.key, e.Op, e.File, e.D, e.Kids); got != e {
+				return fmt.Errorf("%s in group %d: index lookup returns %v", e, id, got)
+			}
+		}
+	}
+	indexed := 0
+	for h, e := range m.index {
+		for ; e != nil; e = e.next {
+			if e.dead || e.key != h {
+				return fmt.Errorf("index chain %x holds %s (dead=%v, key %x)", h, e, e.dead, e.key)
+			}
+			indexed++
+		}
+	}
+	if exprs != m.NumExprs() || indexed != exprs || groups != m.NumGroups() {
+		return fmt.Errorf("memo holds %d groups / %d expressions, %d indexed; counters say %d / %d",
+			groups, exprs, indexed, m.NumGroups(), m.NumExprs())
+	}
+	if og, oe := rebuildOracle(m); og != groups || oe != exprs {
+		return fmt.Errorf("from-scratch rebuild ends at %d groups / %d expressions, memo has %d / %d", og, oe, groups, exprs)
+	}
+	for id := range m.groups {
+		for _, p := range m.parents[id] {
+			if !p.dead {
+				uses[use{GroupID(id), p}]--
+			}
+		}
+	}
+	for u, n := range uses {
+		if n != 0 {
+			return fmt.Errorf("%s is listed %+d times too few as a parent of group %d", u.e, n, u.g)
+		}
+	}
+	return nil
+}

@@ -82,15 +82,17 @@ func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID) (Group
 		// trans_rules they have no effect.
 		return b.VarGroup(p.Var), false
 	}
-	kids := make([]GroupID, len(p.Kids))
+	var buf [4]GroupID
+	kids := buf[:0]
 	changed := false
-	for i, kp := range p.Kids {
+	for _, kp := range p.Kids {
 		kg, ch := m.buildRHSNode(kp, b, -1)
-		kids[i] = kg
+		kids = append(kids, kg)
 		changed = changed || ch
 	}
-	d := b.D(p.Desc).Clone()
-	g, ch := m.InsertExpr(p.Op, d, kids, target)
+	// The binding's descriptor is scratch: intern clones it only if the
+	// expression is new.
+	g, ch := m.intern(p.Op, b.D(p.Desc), kids, target, true)
 	return g, changed || ch
 }
 

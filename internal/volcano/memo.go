@@ -2,6 +2,7 @@ package volcano
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"prairie/internal/core"
@@ -34,8 +35,15 @@ type LExpr struct {
 	// name); descriptors never change after interning, so Rehash reuses
 	// it instead of re-hashing the descriptor.
 	selfHash uint64
-	// dead marks an expression dropped by Rehash as a duplicate of one
-	// in the same (merged) group; the explorer skips dead expressions.
+	// key is the full duplicate-detection key the expression is currently
+	// indexed under, and next chains the expressions sharing it. A merge
+	// leaves the keys of the loser's parents stale until Rehash repairs
+	// them.
+	key  uint64
+	next *LExpr
+	// dead marks an expression Rehash found to duplicate another after a
+	// merge: it is out of the index and of its group, and the explorer's
+	// worklist and the parent lists skip it.
 	dead bool
 	// queued marks the expression as pending in the explorer's worklist
 	// (owned by the explorer; meaningless outside exploration).
@@ -103,12 +111,11 @@ func (g *Group) Rep() *core.Descriptor { return g.rep }
 // explorer installs one to learn which expressions and groups changed
 // without rescanning the memo.
 type memoHooks interface {
-	// exprAdded fires when a genuinely new expression enters a group
-	// (insertion; not Rehash re-interning).
+	// exprAdded fires when a new expression enters a group.
 	exprAdded(e *LExpr)
 	// groupsMerged fires after two canonical groups merge; winner is the
 	// surviving canonical id.
-	groupsMerged(winner, loser GroupID)
+	groupsMerged(winner GroupID)
 }
 
 // Memo is the shared search-space store: groups, expressions, and the
@@ -119,11 +126,22 @@ type Memo struct {
 	rs     *RuleSet
 	groups []*Group
 	parent []GroupID // union-find
-	index  map[uint64][]*LExpr
-	// dirty is set when a merge may have invalidated index keys (keys
-	// embed canonical kid ids); Rehash rebuilds.
-	dirty  bool
-	merges int
+	// index maps a duplicate-detection key to the chain (LExpr.next) of
+	// live expressions indexed under it.
+	index map[uint64]*LExpr
+	// parents lists, per canonical group id, the expressions that take
+	// the group as a direct input — the back edges along which a merge's
+	// repair and the explorer's wake-ups travel. Dead entries linger
+	// until parentsOf next walks the list.
+	parents [][]*LExpr
+	// stale queues the expressions whose index key a merge invalidated
+	// (keys embed canonical kid ids): the parents of each merge's loser,
+	// in merge order. Rehash drains it.
+	stale []*LExpr
+	// dirty is set by a merge and cleared by Rehash.
+	dirty    bool
+	merges   int
+	repaired int
 	// exprCount tracks live expressions for the search-space cap.
 	exprCount int
 	// numGroups tracks live (canonical) equivalence classes so NumGroups
@@ -140,7 +158,7 @@ type Memo struct {
 
 // NewMemo returns an empty memo for the rule set.
 func NewMemo(rs *RuleSet) *Memo {
-	return &Memo{rs: rs, index: make(map[uint64][]*LExpr)}
+	return &Memo{rs: rs, index: make(map[uint64]*LExpr)}
 }
 
 // Find returns the canonical group id.
@@ -165,6 +183,9 @@ func (m *Memo) NumExprs() int { return m.exprCount }
 // Merges returns how many group merges occurred.
 func (m *Memo) Merges() int { return m.merges }
 
+// Repaired returns how many expressions Rehash re-keyed after merges.
+func (m *Memo) Repaired() int { return m.repaired }
+
 // Groups iterates the canonical groups in id order.
 func (m *Memo) Groups() []*Group {
 	var out []*Group
@@ -181,6 +202,7 @@ func (m *Memo) newGroup(rep *core.Descriptor) *Group {
 	g := &Group{ID: id, rep: rep, winners: make(map[uint64][]*winnerEntry)}
 	m.groups = append(m.groups, g)
 	m.parent = append(m.parent, id)
+	m.parents = append(m.parents, nil)
 	m.numGroups++
 	return g
 }
@@ -252,12 +274,67 @@ func (m *Memo) exprEqual(e *LExpr, op *core.Operation, file string, d *core.Desc
 // lookup returns an existing expression with the given full hash
 // identical to the described one.
 func (m *Memo) lookup(h uint64, op *core.Operation, file string, d *core.Descriptor, kids []GroupID) *LExpr {
-	for _, e := range m.index[h] {
+	for e := m.index[h]; e != nil; e = e.next {
 		if m.exprEqual(e, op, file, d, kids) {
 			return e
 		}
 	}
 	return nil
+}
+
+// addIndex indexes e under key h.
+func (m *Memo) addIndex(h uint64, e *LExpr) {
+	e.key, e.next = h, m.index[h]
+	m.index[h] = e
+}
+
+// dropIndex removes e from the chain of its current key.
+func (m *Memo) dropIndex(e *LExpr) {
+	if head := m.index[e.key]; head != e {
+		for head.next != e {
+			head = head.next
+		}
+		head.next = e.next
+	} else if e.next != nil {
+		m.index[e.key] = e.next
+	} else {
+		delete(m.index, e.key)
+	}
+	e.next = nil
+}
+
+// parentsOf returns the live expressions that take canonical group g as
+// a direct input, compacting dead ones out of the list on the way. An
+// expression using g for several inputs is listed once per use.
+func (m *Memo) parentsOf(g GroupID) []*LExpr {
+	ps := m.parents[g]
+	n := 0
+	for _, p := range ps {
+		if !p.dead {
+			ps[n] = p
+			n++
+		}
+	}
+	clear(ps[n:])
+	m.parents[g] = ps[:n]
+	return ps[:n]
+}
+
+// adopt finishes the interning of a new expression: it joins group g, the
+// index under key h, and the parent list of each of its inputs.
+func (m *Memo) adopt(e *LExpr, g *Group, h uint64) {
+	e.group, e.via = g.ID, m.curRule
+	g.Exprs = append(g.Exprs, e)
+	g.version++
+	m.stamp(e, g)
+	m.exprCount++
+	m.addIndex(h, e)
+	for _, k := range e.Kids {
+		m.parents[k] = append(m.parents[k], e)
+	}
+	if m.hooks != nil {
+		m.hooks.exprAdded(e)
+	}
 }
 
 // InsertLeaf interns a stored-file leaf and returns its group.
@@ -268,14 +345,7 @@ func (m *Memo) InsertLeaf(file string, d *core.Descriptor) GroupID {
 		return m.Find(e.group)
 	}
 	g := m.newGroup(d)
-	e := &LExpr{File: file, D: d, group: g.ID, selfHash: self, via: m.curRule}
-	g.Exprs = append(g.Exprs, e)
-	m.stamp(e, g)
-	m.exprCount++
-	m.index[h] = append(m.index[h], e)
-	if m.hooks != nil {
-		m.hooks.exprAdded(e)
-	}
+	m.adopt(&LExpr{File: file, D: d, selfHash: self}, g, h)
 	return g.ID
 }
 
@@ -287,13 +357,21 @@ func (m *Memo) InsertLeaf(file string, d *core.Descriptor) GroupID {
 // equivalent. InsertExpr reports the expression's canonical group and
 // whether the memo changed.
 func (m *Memo) InsertExpr(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID) (GroupID, bool) {
-	canonKids := make([]GroupID, len(kids))
-	for i, k := range kids {
-		canonKids[i] = m.Find(k)
+	return m.intern(op, d, kids, target, false)
+}
+
+// intern is InsertExpr; with scratch set, d stays the caller's and is
+// cloned only when the expression turns out to be new, so a duplicate —
+// most rule firings rediscover a known expression — allocates nothing.
+func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, scratch bool) (GroupID, bool) {
+	var buf [4]GroupID
+	canon := buf[:0]
+	for _, k := range kids {
+		canon = append(canon, m.Find(k))
 	}
 	self := m.selfHash(op, "", d)
-	h := m.exprHash(self, canonKids)
-	if e := m.lookup(h, op, "", d, canonKids); e != nil {
+	h := m.exprHash(self, canon)
+	if e := m.lookup(h, op, "", d, canon); e != nil {
 		eg := m.Find(e.group)
 		if target >= 0 && m.Find(target) != eg {
 			m.merge(m.Find(target), eg)
@@ -301,21 +379,16 @@ func (m *Memo) InsertExpr(op *core.Operation, d *core.Descriptor, kids []GroupID
 		}
 		return eg, false
 	}
+	if scratch {
+		d = d.Clone()
+	}
 	var g *Group
 	if target >= 0 {
 		g = m.groups[m.Find(target)]
 	} else {
 		g = m.newGroup(d)
 	}
-	e := &LExpr{Op: op, D: d, Kids: canonKids, group: g.ID, selfHash: self, via: m.curRule}
-	g.Exprs = append(g.Exprs, e)
-	g.version++
-	m.stamp(e, g)
-	m.exprCount++
-	m.index[h] = append(m.index[h], e)
-	if m.hooks != nil {
-		m.hooks.exprAdded(e)
-	}
+	m.adopt(&LExpr{Op: op, D: d, Kids: append([]GroupID(nil), canon...), selfHash: self}, g, h)
 	return g.ID, true
 }
 
@@ -348,71 +421,68 @@ func (m *Memo) merge(a, b GroupID) {
 	for k := range gb.winners {
 		delete(gb.winners, k)
 	}
+	// Only b's parents embed a no-longer-canonical id in their keys.
+	ps := m.parentsOf(b)
+	m.stale = append(m.stale, ps...)
+	m.parents[a] = append(m.parents[a], ps...)
+	m.parents[b] = nil
 	m.dirty = true
 	if m.hooks != nil {
-		m.hooks.groupsMerged(a, b)
+		m.hooks.groupsMerged(a)
 	}
 }
 
 // Dirty reports whether a merge has invalidated the duplicate index.
 func (m *Memo) Dirty() bool { return m.dirty }
 
-// Rehash rebuilds the duplicate-detection index after merges: expression
-// keys embed canonical kid ids, so merging can make previously distinct
-// expressions identical. Rehash dedupes them (merging further groups when
-// duplicates live in different groups) and loops until stable.
+// Rehash repairs the duplicate-detection index after merges. Expression
+// keys embed canonical kid ids, so a merge makes the keys of the loser's
+// parents — and only those — stale, and can make previously distinct
+// expressions identical. Rehash re-keys each queued parent; one that now
+// duplicates another expression dies, and when the two lived in different
+// groups those groups merge in turn, queueing further parents, until the
+// queue runs dry. The cost is the parents of the merges' losers, not the
+// memo; the queue is a slice, so the merge order is deterministic.
 func (m *Memo) Rehash() {
-	for m.dirty {
-		m.dirty = false
-		type item struct {
-			e      *LExpr
-			target GroupID
-		}
-		var items []item
-		for gi := range m.groups {
-			if m.Find(GroupID(gi)) != GroupID(gi) {
-				continue
-			}
-			g := m.groups[gi]
-			for _, e := range g.Exprs {
-				items = append(items, item{e, GroupID(gi)})
-			}
-			g.Exprs = nil
-		}
-		m.index = make(map[uint64][]*LExpr, len(items))
-		m.exprCount = 0
-		for _, it := range items {
-			m.reinsert(it.e, it.target)
+	for i := 0; i < len(m.stale); i++ { // repair appends while this drains
+		if e := m.stale[i]; !e.dead {
+			m.repair(e)
 		}
 	}
+	clear(m.stale)
+	m.stale, m.dirty = m.stale[:0], false
 }
 
-// reinsert re-interns an expression into (the canonical version of) its
-// group during Rehash, merging groups when the expression now duplicates
-// one elsewhere. Duplicates are marked dead so the explorer's worklist
-// and parent back-pointers skip them.
-func (m *Memo) reinsert(e *LExpr, target GroupID) {
-	target = m.Find(target)
-	for i := range e.Kids {
-		e.Kids[i] = m.Find(e.Kids[i])
+// repair re-keys e under its inputs' canonical ids. If that makes it a
+// duplicate, the older of the two (smaller insertion stamp) survives: it
+// carries the longer rule-application history, so the explorer repeats
+// the least work.
+func (m *Memo) repair(e *LExpr) {
+	m.repaired++
+	m.dropIndex(e)
+	for i, k := range e.Kids {
+		e.Kids[i] = m.Find(k)
 	}
 	h := m.exprHash(e.selfHash, e.Kids)
-	if dup := m.lookup(h, e.Op, e.File, e.D, e.Kids); dup != nil {
-		e.dead = true
-		if dg := m.Find(dup.group); dg != target {
-			m.merge(dg, target)
-		}
+	dup := m.lookup(h, e.Op, e.File, e.D, e.Kids)
+	if dup == nil {
+		m.addIndex(h, e)
 		return
 	}
-	e.group = target
-	g := m.groups[target]
-	g.Exprs = append(g.Exprs, e)
-	g.version++
-	if e.seq > g.maxSeq {
-		g.maxSeq = e.seq
+	if dup.seq > e.seq {
+		m.dropIndex(dup)
+		m.addIndex(h, e)
+		e, dup = dup, e
 	}
-	m.exprCount++
-	m.index[h] = append(m.index[h], e)
+	e.dead = true
+	g := m.groups[m.Find(e.group)]
+	i := slices.Index(g.Exprs, e)
+	g.Exprs = slices.Delete(g.Exprs, i, i+1)
+	g.version++
+	m.exprCount--
+	if dg := m.Find(dup.group); dg != g.ID {
+		m.merge(dg, g.ID)
+	}
 }
 
 // Insert interns a whole operator tree bottom-up and returns its root

@@ -231,6 +231,10 @@ type ruleIndex struct {
 	// may sort their inputs, because the rule proves both orders land in
 	// one equivalence class with the same closure and winners.
 	commut map[*core.Operation]bool
+	// idProps holds, by Operation.Index, the properties that identify an
+	// expression of the operation (see RuleSet.idProps), precomputed so
+	// the memo's duplicate lookups do not build them per call.
+	idProps [][]core.PropID
 }
 
 // index returns the operator-indexed dispatch tables, building them on
@@ -256,6 +260,18 @@ func (rs *RuleSet) index() *ruleIndex {
 				}
 				ix.commut[op] = true
 			}
+		}
+		for _, op := range rs.Algebra.Operations() {
+			ids := rs.Class.Arg
+			if len(op.Args) != 0 {
+				ids = nil
+				for _, p := range op.Args {
+					if rs.Class.IsArg(p) {
+						ids = append(ids, p)
+					}
+				}
+			}
+			ix.idProps = append(ix.idProps, ids)
 		}
 		rs.cacheID = cacheScopeCounter.Add(1)
 		rs.idx = ix
@@ -305,16 +321,7 @@ func (rs *RuleSet) CacheScope() uint64 { return rs.cacheScope() }
 // operation's declared additional parameters intersected with the
 // argument class, or the whole argument class when none are declared.
 func (rs *RuleSet) idProps(op *core.Operation) []core.PropID {
-	if len(op.Args) == 0 {
-		return rs.Class.Arg
-	}
-	var out []core.PropID
-	for _, p := range op.Args {
-		if rs.Class.IsArg(p) {
-			out = append(out, p)
-		}
-	}
-	return out
+	return rs.index().idProps[op.Index()]
 }
 
 // transFor returns the transformation rules whose LHS root is op.

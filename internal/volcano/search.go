@@ -370,9 +370,9 @@ func (o *Optimizer) flushRuleCounters() {
 
 // explorer is the dependency-driven worklist state. It implements
 // memoHooks so memo growth feeds the queue directly: a new expression is
-// enqueued itself and re-enqueues the parents of the group it joined;
-// merged groups are restamped after Rehash so cross-group bindings read
-// as new to their parents.
+// enqueued itself and re-enqueues the parents of the group it joined
+// (the memo's parent lists are the back edges along which change
+// propagates); the parents of merged groups are woken after Rehash.
 type explorer struct {
 	o *Optimizer
 	m *Memo
@@ -380,12 +380,8 @@ type explorer struct {
 	// head indexes the next entry (slice is reused, not popped).
 	queue []*LExpr
 	head  int
-	// parents maps a canonical group id to the expressions that
-	// reference it as a direct input — the back edges along which
-	// change propagates.
-	parents map[GroupID][]*LExpr
 	// merged accumulates surviving canonical group ids of merges since
-	// the last Rehash; afterRehash restamps them and wakes their parents.
+	// the last Rehash; afterRehash wakes their parents.
 	merged []GroupID
 }
 
@@ -432,45 +428,30 @@ func (x *explorer) hasWork() bool {
 	return false
 }
 
-// addParents registers e as a parent of each of its input groups.
-func (x *explorer) addParents(e *LExpr) {
-	for _, k := range e.Kids {
-		kg := x.m.Find(k)
-		x.parents[kg] = append(x.parents[kg], e)
-	}
-}
-
 // seed loads the initial memo (the inserted query tree) into the
-// worklist and parent index; hooks take over from there.
+// worklist; hooks take over from there.
 func (x *explorer) seed() {
 	for _, g := range x.m.Groups() {
 		for _, e := range g.Exprs {
-			if e.dead {
-				continue
-			}
-			x.addParents(e)
 			x.push(e)
 		}
 	}
 }
 
-// exprAdded (memoHooks) fires on genuinely new expressions: the
-// expression itself may root new bindings, and the group it joined is a
-// new input alternative for every parent expression.
+// exprAdded (memoHooks) fires on new expressions: the expression itself
+// may root new bindings, and the group it joined is a new input
+// alternative for every parent expression.
 func (x *explorer) exprAdded(e *LExpr) {
-	x.addParents(e)
 	x.push(e)
-	for _, p := range x.parents[x.m.Find(e.group)] {
+	for _, p := range x.m.parentsOf(x.m.Find(e.group)) {
 		x.push(p)
 	}
 }
 
-// groupsMerged (memoHooks) moves the loser's parent list to the winner.
-// Waking the parents is deferred to afterRehash: mid-Rehash the winner's
-// expression set is still being rebuilt.
-func (x *explorer) groupsMerged(winner, loser GroupID) {
-	x.parents[winner] = append(x.parents[winner], x.parents[loser]...)
-	delete(x.parents, loser)
+// groupsMerged (memoHooks) notes the survivor. Waking its parents is
+// deferred to afterRehash: until the repair has run, duplicates the merge
+// implies are still alive and further merges may be pending.
+func (x *explorer) groupsMerged(winner GroupID) {
 	x.merged = append(x.merged, winner)
 }
 
@@ -483,11 +464,7 @@ func (x *explorer) groupsMerged(winner, loser GroupID) {
 // incremental filters are unaffected.
 func (x *explorer) afterRehash() {
 	for _, gid := range x.merged {
-		g := x.m.Find(gid)
-		for _, p := range x.parents[g] {
-			if p.dead {
-				continue
-			}
+		for _, p := range x.m.parentsOf(x.m.Find(gid)) {
 			x.resetDeepHorizons(p)
 			x.push(p)
 		}
@@ -575,7 +552,7 @@ func (x *explorer) process(e *LExpr) error {
 // rehash round counts as a pass against MaxPasses.
 func (o *Optimizer) exploreWorklist() error {
 	m := o.Memo
-	x := &explorer{o: o, m: m, parents: make(map[GroupID][]*LExpr)}
+	x := &explorer{o: o, m: m}
 	x.seed()
 	m.hooks = x
 	defer func() { m.hooks = nil }()

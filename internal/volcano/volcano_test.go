@@ -2,6 +2,7 @@ package volcano
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -322,6 +323,96 @@ func TestMemoGroupMerge(t *testing.T) {
 	m.Rehash()
 	if m.Dirty() {
 		t.Error("Rehash left memo dirty")
+	}
+	if err := m.CheckRepaired(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestMemoCascadingMerge builds two towers over a pair of groups and then
+// merges the pair: each level's two parents become identical, so the
+// repair of one merge must discover the next one up — from the loser's
+// parents alone.
+func TestMemoCascadingMerge(t *testing.T) {
+	w := newTestWorld()
+	m := NewMemo(w.rs)
+	leaf := func(name string) GroupID {
+		return m.InsertLeaf(name, w.leaf(name, 8, core.A(name, "a")).D)
+	}
+	l1, l2 := leaf("R1"), leaf("R2")
+	d := w.alg.NewDesc()
+	dOther := w.alg.NewDesc()
+	dOther.Set(w.jp, core.EqAttr(core.A("R1", "a"), core.A("R2", "a")))
+	gA, _ := m.InsertExpr(w.join, d.Clone(), []GroupID{l1, l2}, -1)
+	gB, _ := m.InsertExpr(w.join, dOther, []GroupID{l1, l2}, -1)
+	const levels = 3
+	a, b := gA, gB
+	for i := 0; i < levels; i++ {
+		l := leaf(fmt.Sprintf("S%d", i))
+		a, _ = m.InsertExpr(w.join, d.Clone(), []GroupID{a, l}, -1)
+		b, _ = m.InsertExpr(w.join, d.Clone(), []GroupID{b, l}, -1)
+		if a == b {
+			t.Fatal("setup: the towers should be distinct until the merge")
+		}
+	}
+	// An unrelated expression over the same leaves must survive untouched.
+	side, _ := m.InsertExpr(w.join, d.Clone(), []GroupID{l2, l1}, -1)
+	groups, exprs := m.NumGroups(), m.NumExprs()
+	topA, topB := m.Group(a).Exprs[0], m.Group(b).Exprs[0]
+
+	m.InsertExpr(w.join, d.Clone(), []GroupID{l1, l2}, gB)
+	if m.Merges() != 1 || !m.Dirty() {
+		t.Fatalf("before the repair: merges = %d, dirty = %v; want 1, true", m.Merges(), m.Dirty())
+	}
+	if m.Find(a) == m.Find(b) {
+		t.Fatal("the towers merged before the repair ran")
+	}
+	m.Rehash()
+	if err := m.CheckRepaired(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Merges() != 1+levels {
+		t.Errorf("merges = %d, want %d (one per tower level above the first)", m.Merges(), 1+levels)
+	}
+	if m.Repaired() != levels {
+		t.Errorf("repaired %d expressions, want %d: only each loser's one parent was stale", m.Repaired(), levels)
+	}
+	if m.Find(a) != m.Find(b) {
+		t.Error("tower tops not merged")
+	}
+	// Each merge folds two groups into one and each level loses one of
+	// its two now-identical joins; the bottom pair stays two expressions.
+	if m.NumGroups() != groups-(1+levels) || m.NumExprs() != exprs-levels {
+		t.Errorf("groups/exprs = %d/%d, want %d/%d", m.NumGroups(), m.NumExprs(), groups-(1+levels), exprs-levels)
+	}
+	if got := m.Group(side).Exprs; len(got) != 1 || got[0].dead {
+		t.Errorf("unrelated group disturbed: %v", got)
+	}
+	// The survivor of a duplicate pair is the older expression.
+	if top := m.Group(a).Exprs; len(top) != 1 || top[0] != topA || topA.dead || !topB.dead {
+		t.Errorf("top group holds %v; want only the older join (dead: older %v, younger %v)", top, topA.dead, topB.dead)
+	}
+}
+
+// TestSearchStatsRepeat runs the same merge-heavy search twice: merge
+// order is a slice queue, never map iteration, so every counter repeats.
+func TestSearchStatsRepeat(t *testing.T) {
+	counts := func() [4]int {
+		o, _ := runWith(t, newTestWorld(), ExplorerWorklist, 2, 32, 4, 16, 8)
+		fired := 0
+		for _, n := range o.Stats.TransFired {
+			fired += n
+		}
+		return [4]int{o.Stats.Merges, fired, o.Stats.CostedPlans, o.Memo.Repaired()}
+	}
+	first := counts()
+	if first[0] == 0 {
+		t.Fatal("setup: the query should merge groups")
+	}
+	for i := 0; i < 3; i++ {
+		if again := counts(); again != first {
+			t.Fatalf("merges/firings/costed plans/repaired = %v, then %v", first, again)
+		}
 	}
 }
 
