@@ -18,12 +18,14 @@ test:
 race:
 	$(GO) test -race -timeout 600s ./...
 
-# A short benchmark smoke: three iterations of the figure benchmarks that
-# stress the search engine hardest (E3/E4 sweeps and the exploration
-# figure) and of the merge-heavy searches, which report merges and
-# repaired expressions per search. Full runs: `go test -bench=. -benchmem`.
+# A short benchmark smoke: three iterations of the figure benchmarks —
+# Fig10/11 put the Prairie-generated and the hand-coded optimizer side by
+# side (time and allocations, the paper's 5% claim), Fig12–14 stress the
+# search engine hardest (E3/E4 sweeps and the exploration figure) — and
+# of the merge-heavy searches, which report merges and repaired
+# expressions per search. Full runs: `go test -bench=. -benchmem`.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench 'Fig1[234]|ExploreMerges' -benchmem -benchtime 3x .
+	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges' -benchmem -benchtime 3x .
 
 # Neutrality guards: run a feature's micro-benchmarks with the feature
 # absent ("off") and attached-but-disabled ("disabled"), and fail if the

@@ -133,30 +133,43 @@ func BenchmarkExploreMerges(b *testing.B) {
 	}
 }
 
-// TestSearchAllocCeiling guards against the whole-memo rebuild coming
-// back: a cold search's allocation count repeats to a few units, and
-// re-interning the memo on every merge tripled it on these queries
-// (529 738 and 246 515 against 175 945 and 89 839). The ceilings sit
-// about 15% above the measured counts.
+// TestSearchAllocCeiling guards two allocation budgets of a cold search,
+// whose allocation count repeats to a few units. Absolute ceilings about
+// 15% above the measured counts keep the whole-memo rebuild from coming
+// back (re-interning the memo on every merge tripled the count) and with
+// it the per-firing costs since removed: a fresh descriptor per
+// right-hand-side name, an argument slice per helper call, an attribute
+// list per overlap test. And the paper's claim — the P2V-generated
+// optimizer costs about what the hand-coded one does, the residue being
+// "the larger number of malloc calls" — is held as a ratio: the Prairie
+// specification may allocate at most 12% more than the hand-coded rules
+// on the same query (28% before its actions were compiled).
 func TestSearchAllocCeiling(t *testing.T) {
-	for _, q := range []struct {
-		e       qgen.ExprKind
-		n       int
-		ceiling float64
-	}{
-		{qgen.E2, 5, 202_000},
-		{qgen.E4, 3, 103_000},
-	} {
-		w := prepOODB(t, q.e, q.n, false)
-		got := testing.AllocsPerRun(3, func() {
-			opt := volcano.NewOptimizer(w.vvrs)
-			if _, err := opt.Optimize(w.vtree.Clone(), w.vreq); err != nil {
+	allocs := func(rs *volcano.RuleSet, tree *core.Expr, req *core.Descriptor) float64 {
+		return testing.AllocsPerRun(3, func() {
+			if _, err := volcano.NewOptimizer(rs).Optimize(tree.Clone(), req); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%v/n%d: %.0f allocations per cold search", q.e, q.n, got)
-		if got > q.ceiling {
-			t.Errorf("%v/n%d: %.0f allocations per cold search, ceiling %.0f", q.e, q.n, got, q.ceiling)
+	}
+	for _, q := range []struct {
+		e                qgen.ExprKind
+		n                int
+		prairie, volcano float64 // ceilings
+	}{
+		{qgen.E1, 6, 7_100, 7_100},
+		{qgen.E2, 5, 121_200, 128_000},
+		{qgen.E4, 3, 67_000, 69_800},
+	} {
+		w := prepOODB(t, q.e, q.n, false)
+		p, v := allocs(w.pvrs, w.ptree, w.preq), allocs(w.vvrs, w.vtree, w.vreq)
+		t.Logf("%v/n%d: %.0f allocations per cold search with Prairie rules, %.0f hand-coded, ratio %.3f", q.e, q.n, p, v, p/v)
+		if p > q.prairie || v > q.volcano {
+			t.Errorf("%v/n%d: %.0f (Prairie) and %.0f (hand-coded) allocations per cold search, ceilings %.0f and %.0f",
+				q.e, q.n, p, v, q.prairie, q.volcano)
+		}
+		if p/v > 1.12 {
+			t.Errorf("%v/n%d: Prairie rules allocate %.3f times what the hand-coded ones do, limit 1.12", q.e, q.n, p/v)
 		}
 	}
 }

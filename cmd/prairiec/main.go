@@ -10,7 +10,9 @@
 //
 //	-check   parse and type-check only
 //	-fmt     print the canonical formatting of the specification
-//	-dump    also list the generated trans_rules/impl_rules/enforcers
+//	-dump    also list the generated trans_rules/impl_rules/enforcers, each
+//	         with its descriptor frame and the sub-expressions one firing
+//	         evaluates once and shares
 //	-verify  differentially verify every trans_rule (JSON verdict table)
 //	-time    report per-phase wall time (parse, check, compile, translate)
 //
@@ -28,7 +30,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
 	"prairie/internal/core"
@@ -129,16 +133,38 @@ func main() {
 	}
 	fmt.Print(rep.String())
 	if *dump {
-		fmt.Println("\nGenerated Volcano rule set:")
-		for _, r := range vrs.Trans {
-			fmt.Printf("  trans_rule %s\n", r)
+		dumpRules(os.Stdout, rs, vrs)
+	}
+}
+
+// dumpRules lists the generated rules and, under each, what one firing
+// of its compiled actions works in: the descriptor frame (slot order)
+// and the sub-expressions evaluated once per firing and then shared.
+func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet) {
+	frames := map[string]*core.Frame{}
+	for _, r := range rs.TRules {
+		frames[r.Name] = r.Frame
+	}
+	for _, r := range rs.IRules {
+		frames[r.Name] = r.Frame
+	}
+	rule := func(kind, name, text string) {
+		fmt.Fprintf(w, "  %s%s\n", kind, text)
+		f := frames[name]
+		fmt.Fprintf(w, "      frame [%s]\n", strings.Join(f.Names, " "))
+		for _, e := range f.Shared {
+			fmt.Fprintf(w, "      shares %s\n", e)
 		}
-		for _, r := range vrs.Impls {
-			fmt.Printf("  impl_rule  %s\n", r)
-		}
-		for _, e := range vrs.Enforcers {
-			fmt.Printf("  %s\n", e)
-		}
+	}
+	fmt.Fprintln(w, "\nGenerated Volcano rule set:")
+	for _, r := range vrs.Trans {
+		rule("trans_rule ", r.Name, r.String())
+	}
+	for _, r := range vrs.Impls {
+		rule("impl_rule  ", r.Name, r.String())
+	}
+	for _, e := range vrs.Enforcers {
+		rule("", e.Name, e.String())
 	}
 }
 

@@ -318,35 +318,65 @@ func TestDegradedCostBoundedByFullSearch(t *testing.T) {
 }
 
 // TestOptimizeBatchOODB exercises the concurrent batch API on the real
-// OODB workloads (run with -race in CI): a grid of (family, seed) jobs
-// sharing one rule set must reproduce the sequential group counts.
+// OODB workloads (run with -race in CI): a grid of (family, copy) jobs
+// sharing one rule set must reproduce the sequential group counts and
+// plans. The hand-coded rule set runs on 4 workers; the compiled Prairie
+// one on 8, four copies of every query at once — its closures are shared
+// by all workers and must keep every firing's state (descriptor frame,
+// shared sub-expression values, helper arguments, scratch descriptors)
+// in the worker's own binding.
 func TestOptimizeBatchOODB(t *testing.T) {
 	cat := qgen.Catalog(3, qgen.InstanceSeeds()[0], false)
 	vo := oodb.New(cat)
-	vrs := vo.VolcanoRules()
-	req := core.NewDescriptor(vo.Alg.Props)
-
-	var items []volcano.BatchItem
-	var want []int
-	for _, e := range []qgen.ExprKind{qgen.E1, qgen.E2, qgen.E3, qgen.E4} {
-		tree, err := qgen.Build(vo, e, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq := volcano.NewOptimizer(vrs)
-		if _, err := seq.Optimize(tree.Clone(), req); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, seq.Stats.Groups)
-		items = append(items, volcano.BatchItem{RS: vrs, Tree: tree, Req: req})
+	po := oodb.New(cat)
+	prs, err := po.PrairieRules()
+	if err != nil {
+		t.Fatal(err)
 	}
-	results := volcano.OptimizeBatch(items, 4)
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
+	pvrs, rep, err := p2v.Translate(prs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name            string
+		o               *oodb.Opt
+		rs              *volcano.RuleSet
+		copies, workers int
+	}{
+		{"oodb/volcano", vo, vo.VolcanoRules(), 1, 4},
+		{"oodb/prairie", po, pvrs, 4, 8},
+	} {
+		var items []volcano.BatchItem
+		var groups []int
+		var plans []string
+		for _, e := range []qgen.ExprKind{qgen.E1, qgen.E2, qgen.E3, qgen.E4} {
+			tree, err := qgen.Build(c.o, e, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, req, err := rep.PrepareQuery(tree, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := volcano.NewOptimizer(c.rs)
+			plan, err := seq.Optimize(tree.Clone(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < c.copies; i++ {
+				groups = append(groups, seq.Stats.Groups)
+				plans = append(plans, plan.String())
+				items = append(items, volcano.BatchItem{RS: c.rs, Tree: tree.Clone(), Req: req})
+			}
 		}
-		if r.Stats.Groups != want[i] {
-			t.Errorf("item %d: batch groups %d, sequential %d", i, r.Stats.Groups, want[i])
+		for i, r := range volcano.OptimizeBatch(items, c.workers) {
+			if r.Err != nil {
+				t.Fatalf("%s item %d: %v", c.name, i, r.Err)
+			}
+			if r.Stats.Groups != groups[i] || r.Plan.String() != plans[i] {
+				t.Errorf("%s item %d: batch %d groups, plan %s; sequential %d groups, plan %s",
+					c.name, i, r.Stats.Groups, r.Plan, groups[i], plans[i])
+			}
 		}
 	}
 }

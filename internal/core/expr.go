@@ -165,6 +165,9 @@ type PatNode struct {
 	Var  int // 1-based variable index for leaves; 0 for interior nodes
 	Desc string
 	Kids []*PatNode
+	// Slot is the node's descriptor slot in its rule's Frame; NewFrame
+	// assigns it.
+	Slot int
 }
 
 // PVar returns a variable pattern leaf ?i, optionally tagged with a
@@ -271,7 +274,7 @@ func (p *PatNode) String() string {
 
 // Clone returns a deep copy of the pattern.
 func (p *PatNode) Clone() *PatNode {
-	c := &PatNode{Op: p.Op, Var: p.Var, Desc: p.Desc}
+	c := &PatNode{Op: p.Op, Var: p.Var, Desc: p.Desc, Slot: p.Slot}
 	c.Kids = make([]*PatNode, len(p.Kids))
 	for i, k := range p.Kids {
 		c.Kids[i] = k.Clone()

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 )
 
@@ -219,7 +218,9 @@ func (p *Pred) String() string {
 		} else if p.Const != nil {
 			rhs = p.Const.String()
 		}
-		return fmt.Sprintf("%s %s %s", p.Left, p.Op, rhs)
+		// Concatenation, not fmt: canonical conjunct ordering renders
+		// every conjunct of every predicate the rules build.
+		return p.Left.Rel + "." + p.Left.Name + " " + p.Op.String() + " " + rhs
 	}
 }
 
@@ -262,7 +263,27 @@ func (p *Pred) walkAttrs(out *Attrs) {
 // RefersOnlyTo reports whether every attribute referenced by p is in set.
 // Rules use it to decide predicate pushdown applicability.
 func (p *Pred) RefersOnlyTo(set Attrs) bool {
-	return set.ContainsAll(p.Attrs())
+	return !p.refers(func(a Attr) bool { return !set.Contains(a) })
+}
+
+// RefersToAny reports whether p references at least one attribute of set.
+func (p *Pred) RefersToAny(set Attrs) bool { return p.refers(set.Contains) }
+
+// refers reports whether some attribute p references satisfies hit; it
+// walks the predicate without materializing Attrs().
+func (p *Pred) refers(hit func(Attr) bool) bool {
+	if p == nil {
+		return false
+	}
+	for _, k := range p.Kids {
+		if k.refers(hit) {
+			return true
+		}
+	}
+	if p.Op >= PredEq && p.Op <= PredGe {
+		return hit(p.Left) || p.AttrCmp && hit(p.Right)
+	}
+	return false
 }
 
 // IsEquiJoin reports whether p is a single attribute-attribute equality.

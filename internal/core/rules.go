@@ -2,85 +2,205 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
+
+// Frame is the fixed layout of the state one firing of a rule works in.
+// The Prairie-language compiler resolves every descriptor variable to its
+// slot once, so compiled actions index the binding instead of searching
+// it by name; pattern nodes carry the same slots (PatNode.Slot), so the
+// engine's matcher binds by index too.
+type Frame struct {
+	// Names lists the rule's descriptor variables by slot: the left
+	// side's in pattern order, then those the right side introduces.
+	Names []string
+	// Shared renders the sub-expressions the rule's compiled actions
+	// evaluate once per firing; Binding.Shared holds one value per entry.
+	Shared []string
+	// Args counts the helper-call argument slots of the compiled actions.
+	Args int
+}
+
+// NewFrame lays out the frame of a rule with the given pattern sides and
+// records every node's slot in place: each interior node and each named
+// variable leaf gets one (a name occurring twice shares it), a bare
+// variable leaf -1. Patterns shared between rules must be cloned first.
+func NewFrame(lhs, rhs *PatNode) *Frame {
+	f := &Frame{}
+	var walk func(n *PatNode)
+	walk = func(n *PatNode) {
+		n.Slot = -1
+		if n.Desc != "" {
+			n.Slot = slices.Index(f.Names, n.Desc)
+		}
+		if n.Slot < 0 && (n.Desc != "" || !n.IsVar()) {
+			n.Slot = len(f.Names)
+			f.Names = append(f.Names, n.Desc)
+		}
+		for _, k := range n.Kids {
+			walk(k)
+		}
+	}
+	walk(lhs)
+	walk(rhs)
+	return f
+}
 
 // Binding carries the descriptor environment a rule's actions run in:
 // every descriptor variable name appearing in the rule's patterns maps to
 // a descriptor. Left-hand-side descriptors are bound by the engine from
-// the matched expression; right-hand-side descriptors are created fresh
-// and filled by the rule's actions.
-// Bindings hold few entries (the descriptor variables of one rule), so
-// they are slice-backed: linear scans beat map overhead and halve the
-// allocations on the optimizer's hot path.
-type bindingEntry struct {
-	name string
-	d    *Descriptor
-}
-
+// the matched expression; right-hand-side descriptors come into existence
+// when the rule's actions first reference them.
+//
+// A binding is a slice of descriptors indexed by slot. Laid out by a
+// rule's Frame (Reset, Enter) the slots are the frame's; names bound
+// beyond the frame — or with no frame at all, as hand-written tests and
+// hooks do — are appended. Compiled actions use Slot, hand-written
+// closures D, a scan over the same slots: bindings hold few entries, so
+// the scan beats a map.
 type Binding struct {
-	ps      *PropertySet
-	entries []bindingEntry
+	ps    *PropertySet
+	frame *Frame
+	names []string      // the frame's names, then names bound ad hoc
+	descs []*Descriptor // by slot; nil until bound or first referenced
+	// Scratch makes the binding own the descriptors its actions create:
+	// BeginFiring takes them back and the next firing clears and reuses
+	// them. Only a caller that copies what it keeps may set it — the
+	// engine's transformation firings do (the memo clones a descriptor
+	// when it interns a new expression); implementation rules must not,
+	// because plans retain their descriptors.
+	Scratch bool
+	pool    []*Descriptor // recycled descriptors by slot
+	// Shared holds the firing's value of each Frame.Shared entry, nil
+	// until evaluated. Args are the Frame.Args helper-call argument
+	// slots: each call site of a compiled rule owns a range of them, so
+	// nested calls do not overwrite one another.
+	Shared, Args []Value
+	// inline backs descs for the one-shot bindings of implementation
+	// rules, whose frames are this small, saving their allocation.
+	inline [6]*Descriptor
 }
 
 // NewBinding returns an empty binding over a property set.
 func NewBinding(ps *PropertySet) *Binding {
-	return &Binding{ps: ps, entries: make([]bindingEntry, 0, 8)}
+	b := &Binding{ps: ps}
+	b.descs = b.inline[:0]
+	return b
 }
 
-func (b *Binding) lookup(name string) *Descriptor {
-	for i := range b.entries {
-		if b.entries[i].name == name {
-			return b.entries[i].d
+// Reset empties the binding and lays it out by f (nil for none), keeping
+// the backing storage: the engine reuses one binding across all rule
+// applications.
+func (b *Binding) Reset(f *Frame) {
+	b.frame, b.names = f, nil
+	clear(b.descs)
+	b.descs = b.descs[:0]
+	if f == nil {
+		return
+	}
+	// Capped, so a name bound ad hoc reallocates instead of growing into
+	// the frame's array.
+	b.names = f.Names[:len(f.Names):len(f.Names)]
+	b.descs = slices.Grow(b.descs, len(f.Names))[:len(f.Names)]
+	b.Shared = slices.Grow(b.Shared[:0], len(f.Shared))[:len(f.Shared)]
+	clear(b.Shared)
+	b.Args = slices.Grow(b.Args[:0], f.Args)[:f.Args]
+}
+
+// Enter is the first statement of every compiled action: it makes sure
+// the binding is laid out by the action's frame. The engine's bindings
+// already are; one built by name (a test, a hand-written hook) is
+// rearranged, keeping its descriptors.
+func (b *Binding) Enter(f *Frame) {
+	if b.frame == f {
+		return
+	}
+	names, descs := b.names, slices.Clone(b.descs)
+	b.Reset(f)
+	for i, d := range descs {
+		if d != nil {
+			b.Bind(names[i], d)
 		}
 	}
-	return nil
 }
 
-// D returns the descriptor bound to name, creating an empty one on first
+// BeginFiring starts one firing of the rule on the bound left-hand side:
+// the previous firing's shared values and names bound beyond the frame
+// are dropped, and a Scratch binding takes back the descriptors that
+// firing's actions created.
+func (b *Binding) BeginFiring() {
+	if b.frame != nil {
+		n := len(b.frame.Names)
+		b.names, b.descs = b.names[:n], b.descs[:n]
+	}
+	for i, d := range b.descs {
+		if i < len(b.pool) && d == b.pool[i] {
+			b.descs[i] = nil
+		}
+	}
+	clear(b.Shared)
+}
+
+// Slot returns the descriptor in slot i, creating an empty one on first
 // reference (right-hand-side descriptors come into existence this way).
-func (b *Binding) D(name string) *Descriptor {
-	if d := b.lookup(name); d != nil {
+func (b *Binding) Slot(i int) *Descriptor {
+	if d := b.descs[i]; d != nil {
 		return d
 	}
-	d := NewDescriptor(b.ps)
-	d.Name = name
-	b.entries = append(b.entries, bindingEntry{name, d})
+	return b.fill(i)
+}
+
+func (b *Binding) fill(i int) *Descriptor {
+	var d *Descriptor
+	if b.Scratch && i < len(b.pool) && b.pool[i] != nil {
+		d = b.pool[i]
+		clear(d.vals)
+	} else if d = NewDescriptor(b.ps); b.Scratch {
+		for len(b.pool) <= i {
+			b.pool = append(b.pool, nil)
+		}
+		b.pool[i] = d
+	}
+	d.Name = b.names[i]
+	b.descs[i] = d
 	return d
 }
 
-// Bind associates name with an existing descriptor, replacing any
-// previous binding.
-func (b *Binding) Bind(name string, d *Descriptor) {
-	for i := range b.entries {
-		if b.entries[i].name == name {
-			b.entries[i].d = d
-			return
-		}
+// BindSlot binds slot i to an existing descriptor.
+func (b *Binding) BindSlot(i int, d *Descriptor) { b.descs[i] = d }
+
+// slot returns name's slot, appending one when the name is new.
+func (b *Binding) slot(name string) int {
+	if i := slices.Index(b.names, name); i >= 0 {
+		return i
 	}
-	b.entries = append(b.entries, bindingEntry{name, d})
+	b.names = append(b.names, name)
+	b.descs = append(b.descs, nil)
+	return len(b.names) - 1
 }
 
+// D returns the descriptor bound to name, creating an empty one on first
+// reference.
+func (b *Binding) D(name string) *Descriptor { return b.Slot(b.slot(name)) }
+
+// Bind associates name with an existing descriptor, replacing any
+// previous binding.
+func (b *Binding) Bind(name string, d *Descriptor) { b.descs[b.slot(name)] = d }
+
 // Bound reports whether name is bound.
-func (b *Binding) Bound(name string) bool { return b.lookup(name) != nil }
-
-// Reset clears every binding while keeping the backing storage, so one
-// Binding can be reused across many rule applications without
-// reallocating (the optimizer's exploration hot path).
-func (b *Binding) Reset() { b.entries = b.entries[:0] }
-
-// CopyFrom replaces this binding's entries with src's. Descriptors are
-// shared, not cloned — the receiving binding sees the same descriptor
-// objects, which is exactly what a per-match private binding needs.
-func (b *Binding) CopyFrom(src *Binding) {
-	b.entries = append(b.entries[:0], src.entries...)
+func (b *Binding) Bound(name string) bool {
+	i := slices.Index(b.names, name)
+	return i >= 0 && b.descs[i] != nil
 }
 
 // Names returns the bound names, sorted.
 func (b *Binding) Names() []string {
-	out := make([]string, 0, len(b.entries))
-	for _, e := range b.entries {
-		out = append(out, e.name)
+	var out []string
+	for i, d := range b.descs {
+		if d != nil {
+			out = append(out, b.names[i])
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -127,6 +247,9 @@ type TRule struct {
 	Test     Test   // nil means TRUE
 	PostTest Action // may be nil
 	Hints    *ActionHints
+	// Frame is set on rules compiled from Prairie-language text: their
+	// actions address descriptors by its slots and LHS/RHS carry them.
+	Frame *Frame
 }
 
 // RunCond executes the rule's pre-test statements and test against the
@@ -166,6 +289,7 @@ type IRule struct {
 	PreOpt   Action // may be nil
 	PostOpt  Action // may be nil
 	Hints    *ActionHints
+	Frame    *Frame // as TRule.Frame
 }
 
 // Op returns the abstract operator on the rule's left side.

@@ -182,6 +182,75 @@ func TestBinding(t *testing.T) {
 	}
 }
 
+// TestBindingFrame covers the frame-laid binding the engine and the
+// compiled actions use: slots from NewFrame, by-name access over the
+// same slots, adoption of a binding built by name, and recycling.
+func TestBindingFrame(t *testing.T) {
+	a := miniAlgebra()
+	join := a.MustOp("JOIN")
+	nr := a.Props.MustLookup("num_records")
+	lhs := POp(join, "D5", POp(join, "D3", PVar(1, "D1"), PVar(2, "")), PVar(3, "D4"))
+	rhs := POp(join, "D7", PVar(1, ""), POp(join, "", PVar(2, ""), PVar(3, "D4")))
+	f := NewFrame(lhs, rhs)
+	if got := strings.Join(f.Names, ","); got != "D5,D3,D1,D4,D7," {
+		t.Fatalf("frame = %q", got)
+	}
+	if lhs.Slot != 0 || lhs.Kids[0].Kids[1].Slot != -1 || rhs.Slot != 4 ||
+		rhs.Kids[1].Slot != 5 || rhs.Kids[1].Kids[1].Slot != 3 || rhs.Clone().Kids[1].Slot != 5 {
+		t.Error("pattern slots wrong")
+	}
+
+	b := NewBinding(a.Props)
+	b.Scratch = true
+	b.Reset(f)
+	d5 := a.NewDesc()
+	b.BindSlot(0, d5)
+	if b.D("D5") != d5 || b.Slot(0) != d5 || !b.Bound("D5") || b.Bound("D7") {
+		t.Error("slot and name access disagree")
+	}
+	d7 := b.Slot(4)
+	d7.SetFloat(nr, 9)
+	if d7.Name != "D7" || b.D("D7") != d7 || b.D("extra") == nil || len(b.Names()) != 3 {
+		t.Errorf("created descriptors wrong: %v", b.Names())
+	}
+	// The next firing keeps what the matcher bound, drops what the
+	// actions created, and hands the same descriptor out again, empty.
+	b.BeginFiring()
+	if b.Slot(0) != d5 || b.Bound("D7") || b.Bound("extra") {
+		t.Errorf("BeginFiring kept %v", b.Names())
+	}
+	if again := b.Slot(4); again != d7 || again.Has(nr) {
+		t.Error("scratch descriptor not recycled empty")
+	}
+	// Without Scratch every firing allocates: plans keep I-rule descriptors.
+	plain := NewBinding(a.Props)
+	plain.Reset(f)
+	kept := plain.Slot(4)
+	plain.BeginFiring()
+	if !plain.Bound("D7") || plain.Slot(4) != kept {
+		t.Error("a plain binding must keep the descriptors its actions made")
+	}
+
+	// A binding built by name is rearranged on Enter, not emptied.
+	byName := NewBinding(a.Props)
+	d3 := byName.D("D3")
+	byName.Bind("D9", d5)
+	byName.Enter(f)
+	if byName.Slot(1) != d3 || byName.D("D9") != d5 || byName.Bound("D5") {
+		t.Errorf("Enter lost bindings: %v", byName.Names())
+	}
+	g := &Frame{Names: []string{"D1"}, Shared: []string{"h(D1.x)"}, Args: 3}
+	byName.Enter(g)
+	if len(byName.Shared) != 1 || len(byName.Args) != 3 || byName.D("D3") != d3 {
+		t.Error("Enter did not size the value slots of the new frame")
+	}
+	byName.Shared[0] = Int(1)
+	byName.BeginFiring()
+	if byName.Shared[0] != nil {
+		t.Error("BeginFiring kept a shared value")
+	}
+}
+
 func TestTRuleCondAndPost(t *testing.T) {
 	a := miniAlgebra()
 	nr := a.Props.MustLookup("num_records")

@@ -244,6 +244,22 @@ func TestPredAttrsAndSplit(t *testing.T) {
 	if got := TruePred.Attrs(); len(got) != 0 {
 		t.Errorf("TRUE attrs = %v", got)
 	}
+	// RefersToAny and RefersOnlyTo walk the predicate; they agree with
+	// the attribute list on every shape, nil included.
+	var none *Pred
+	for _, q := range []*Pred{p, within, rest, TruePred, none, Not(Or(EqAttr(x, y), EqConst(z, Int(3))))} {
+		for _, set := range []Attrs{nil, {x}, {y}, {z}, r1, {x, y, z}, {A("R9", "q")}} {
+			if got, want := q.RefersToAny(set), len(q.Attrs().Intersect(set)) > 0; got != want {
+				t.Errorf("%v.RefersToAny(%v) = %v, want %v", q, set, got, want)
+			}
+			if got, want := q.RefersOnlyTo(set), set.ContainsAll(q.Attrs()); got != want {
+				t.Errorf("%v.RefersOnlyTo(%v) = %v, want %v", q, set, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(10, func() { p.RefersToAny(r1); p.RefersOnlyTo(r1) }); n != 0 {
+		t.Errorf("RefersToAny and RefersOnlyTo allocate %v times", n)
+	}
 }
 
 func TestPredStrings(t *testing.T) {
@@ -255,6 +271,18 @@ func TestPredStrings(t *testing.T) {
 		"NOT R1.a = 5":               Not(EqConst(x, Int(5))),
 		"R1.a < 5":                   CmpConst(PredLt, x, Int(5)),
 		"(R1.a = 5 AND R1.a = R2.b)": And(EqConst(x, Int(5)), EqAttr(x, y)),
+		"(R1.a = 5 OR R1.a = R2.b)":  Or(EqConst(x, Int(5)), EqAttr(x, y)),
+		// Canonical conjunct order — and so every plan's text — is the
+		// order of these leaf renderings: every operator, an attribute and
+		// each constant kind on the right, and no constant at all.
+		"R1.a <> R2.b":  {Op: PredNe, Left: x, Right: y, AttrCmp: true},
+		"R1.a <= 2.5":   CmpConst(PredLe, x, Float(2.5)),
+		"R1.a > 1e+06":  CmpConst(PredGt, x, Cost(1e6)),
+		"R1.a >= x y":   CmpConst(PredGe, x, Str("x y")),
+		"R1.a = true":   EqConst(x, Bool(true)),
+		"R1.a = {R2.b}": EqConst(x, Attrs{y}),
+		"R1.a = ":       CmpConst(PredEq, x, nil),
+		". ? ":          {Op: PredOp(42)},
 	}
 	for want, p := range cases {
 		if got := p.String(); got != want {

@@ -131,6 +131,30 @@ func splitPred(p *core.Pred, attrs core.Attrs) (within, rest *core.Pred) {
 	return canonAnd(w), canonAnd(r)
 }
 
+// splitHalf is one side of splitPred: the canonical conjunction of p's
+// conjuncts that refer only to attrs (within) or of the others. The
+// Prairie specification's split_within and split_rest each need one.
+func splitHalf(p *core.Pred, attrs core.Attrs, within bool) *core.Pred {
+	var buf [8]*core.Pred
+	keep := buf[:0]
+	for _, c := range p.Conjuncts() {
+		if c.RefersOnlyTo(attrs) == within {
+			keep = append(keep, c)
+		}
+	}
+	return canonAnd(keep...)
+}
+
+// joinAssociates is the applicability test of join_assoc in both
+// specifications: JOIN(JOIN(l, m), r) with predicates lower and upper may
+// be regrouped as JOIN(l, JOIN(m, r)) when the conjuncts over m ∪ r
+// connect m with r and the remaining ones reach l — neither new join
+// becomes a cross product.
+func joinAssociates(lower, upper *core.Pred, l, m, r core.Attrs) bool {
+	inner, outer := splitPred(canonAnd(lower, upper), m.Union(r))
+	return inner.RefersToAny(m) && inner.RefersToAny(r) && outer.RefersToAny(l)
+}
+
 // firstConj returns the canonically-first conjunct; restConj the others.
 func firstConj(p *core.Pred) *core.Pred {
 	c := canonAnd(p).Conjuncts()

@@ -150,4 +150,51 @@ func TestCanonAndHelpers(t *testing.T) {
 	if k := nested.Conjuncts(); k[0] != ps[0] || k[1] != ps[3] || k[2] != ps[1] {
 		t.Error("canonAnd reordered its argument")
 	}
+	// splitHalf is either side of splitPred, rendering included.
+	for _, p := range []*core.Pred{core.TruePred, p1, nested, canonAnd(ps...)} {
+		for _, set := range []core.Attrs{nil, {core.A("C1", "b")}, {core.A("C1", "b"), core.A("C2", "b"), core.A("C3", "r"), core.A("C1", "id")}} {
+			w, r := splitPred(p, set)
+			if gw, gr := splitHalf(p, set, true), splitHalf(p, set, false); gw.String() != w.String() || gr.String() != r.String() {
+				t.Errorf("splitHalf(%v, %v) = %v | %v, splitPred %v | %v", p, set, gw, gr, w, r)
+			}
+		}
+	}
+}
+
+// TestJoinAssociates pins the one applicability test both specifications
+// of join_assoc share — JOIN(JOIN(l, m), r) => JOIN(l, JOIN(m, r)) — on
+// linear and star query graphs, against the attribute-list formula it
+// replaced, and through the Prairie specification's is_assoc helper.
+func TestJoinAssociates(t *testing.T) {
+	at := func(rel string) core.Attrs { return core.Attrs{core.A(rel, "a"), core.A(rel, "id")} }
+	eq := func(r1, r2 string) *core.Pred { return core.EqAttr(core.A(r1, "a"), core.A(r2, "a")) }
+	isAssoc := New(catalog.Generate(catalog.DefaultGen(2, 101, false))).HelperImpls()["is_assoc"]
+	for _, c := range []struct {
+		name         string
+		lower, upper *core.Pred
+		l, m, r      string
+		want         bool
+	}{
+		// Linear C1 - C2 - C3.
+		{"linear, chain order", eq("C1", "C2"), eq("C2", "C3"), "C1", "C2", "C3", true},
+		{"linear, middle class outside", eq("C2", "C1"), eq("C2", "C3"), "C2", "C1", "C3", false},
+		{"linear, selection rides along", core.And(eq("C1", "C2"), core.EqConst(core.A("C2", "id"), core.Int(1))), eq("C2", "C3"), "C1", "C2", "C3", true},
+		// Star with hub C1: C1 - C2, C1 - C3.
+		{"star, hub in the middle", eq("C1", "C2"), eq("C1", "C3"), "C2", "C1", "C3", true},
+		{"star, hub outside: cross product", eq("C1", "C2"), eq("C1", "C3"), "C1", "C2", "C3", false},
+		// Nothing connects the new outer join to l.
+		{"no predicate reaches l", core.TruePred, eq("C2", "C3"), "C1", "C2", "C3", false},
+		{"no predicates at all", core.TruePred, core.TruePred, "C1", "C2", "C3", false},
+	} {
+		l, m, r := at(c.l), at(c.m), at(c.r)
+		got := joinAssociates(c.lower, c.upper, l, m, r)
+		inner, outer := splitPred(canonAnd(c.lower, c.upper), m.Union(r))
+		old := len(inner.Attrs().Intersect(m)) > 0 && len(inner.Attrs().Intersect(r)) > 0 &&
+			len(outer.Attrs().Intersect(l)) > 0
+		viaHelper, err := isAssoc([]core.Value{c.lower, c.upper, l, m, r})
+		if got != c.want || old != c.want || err != nil || viaHelper != core.Bool(c.want) {
+			t.Errorf("%s: joinAssociates %v, attribute-list formula %v, is_assoc %v (%v), want %v",
+				c.name, got, old, viaHelper, err, c.want)
+		}
+	}
 }

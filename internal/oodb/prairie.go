@@ -29,12 +29,10 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return canonAnd(pred(a[0]), pred(a[1])), nil
 		},
 		"split_within": func(a []core.Value) (core.Value, error) {
-			w, _ := splitPred(pred(a[0]), attrs(a[1]))
-			return w, nil
+			return splitHalf(pred(a[0]), attrs(a[1]), true), nil
 		},
 		"split_rest": func(a []core.Value) (core.Value, error) {
-			_, r := splitPred(pred(a[0]), attrs(a[1]))
-			return r, nil
+			return splitHalf(pred(a[0]), attrs(a[1]), false), nil
 		},
 		"refers_only": func(a []core.Value) (core.Value, error) {
 			return core.Bool(pred(a[0]).RefersOnlyTo(attrs(a[1]))), nil
@@ -49,13 +47,7 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return restConj(pred(a[0])), nil
 		},
 		"is_assoc": func(a []core.Value) (core.Value, error) {
-			all := canonAnd(pred(a[0]), pred(a[1]))
-			l, m, r := attrs(a[2]), attrs(a[3]), attrs(a[4])
-			inner, outer := splitPred(all, m.Union(r))
-			ok := len(inner.Attrs().Intersect(m)) > 0 &&
-				len(inner.Attrs().Intersect(r)) > 0 &&
-				len(outer.Attrs().Intersect(l)) > 0
-			return core.Bool(ok), nil
+			return core.Bool(joinAssociates(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), attrs(a[4]))), nil
 		},
 		"join_card": func(a []core.Value) (core.Value, error) {
 			return core.Float(o.Cat.JoinCard(num(a[0]), num(a[1]), pred(a[2]))), nil

@@ -36,12 +36,8 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			core.PVar(1, ""),
 			core.POp(o.JOIN, "DB2", core.PVar(2, ""), core.PVar(3, ""))),
 		Cond: func(b *volcano.TBinding) bool {
-			all := canonAnd(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP))
-			m, r := b.D("D2").AttrList(o.AT), b.D("D3").AttrList(o.AT)
-			inner, outer := splitPred(all, m.Union(r))
-			return len(inner.Attrs().Intersect(m)) > 0 &&
-				len(inner.Attrs().Intersect(r)) > 0 &&
-				len(outer.Attrs().Intersect(b.D("D1").AttrList(o.AT))) > 0
+			return joinAssociates(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP),
+				b.D("D1").AttrList(o.AT), b.D("D2").AttrList(o.AT), b.D("D3").AttrList(o.AT))
 		},
 		Appl: func(b *volcano.TBinding) {
 			all := canonAnd(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP))

@@ -6,9 +6,11 @@ import (
 )
 
 // irShape caches the positional structure of an I-rule needed to build
-// engine hooks: descriptor names of both sides and the mapping from
-// right-side input positions to left-side input positions.
+// engine hooks: the rule's frame, the descriptor names of both sides and
+// the mapping from right-side input positions to left-side input
+// positions.
 type irShape struct {
+	frame   *core.Frame
 	lhsRoot string
 	rhsRoot string
 	lhsKid  []string // descriptor name of LHS input i ("" if none)
@@ -16,7 +18,11 @@ type irShape struct {
 }
 
 func shapeOf(r *core.IRule) irShape {
-	sh := irShape{lhsRoot: r.LHS.Desc, rhsRoot: r.RHS.Desc}
+	sh := irShape{frame: r.Frame, lhsRoot: r.LHS.Desc, rhsRoot: r.RHS.Desc}
+	if sh.frame == nil {
+		// A hand-written rule; its patterns may share nodes with others.
+		sh.frame = core.NewFrame(r.LHS.Clone(), r.RHS.Clone())
+	}
 	varToIdx := map[int]int{}
 	for i, k := range r.LHS.Kids {
 		sh.lhsKid = append(sh.lhsKid, k.Desc)
@@ -34,12 +40,14 @@ func shapeOf(r *core.IRule) irShape {
 // condBinding binds the left side's descriptors for the test stage:
 // the operator's descriptor (with required properties merged) and the
 // input groups' representative descriptors. The binding is cached on the
-// context so the Pre stage reuses the Cond stage's work.
+// context: it is the one binding of this alternative, which the Pre
+// stage reuses as it is and the Post stage after rebinding the inputs.
 func (sh irShape) condBinding(ps *core.PropertySet, cx *volcano.ImplCtx) *core.Binding {
 	if b, ok := cx.Scratch.(*core.Binding); ok {
 		return b
 	}
 	b := core.NewBinding(ps)
+	b.Reset(sh.frame)
 	cx.Scratch = b
 	b.Bind(sh.lhsRoot, cx.OpDesc)
 	for i, name := range sh.lhsKid {
@@ -61,8 +69,7 @@ func (sh irShape) condBinding(ps *core.PropertySet, cx *volcano.ImplCtx) *core.B
 // optimized inputs' winner descriptors stand in for the input stream
 // descriptors of both sides (their costs are now known, §2.4).
 func (sh irShape) postBinding(ps *core.PropertySet, cx *volcano.ImplCtx, algD *core.Descriptor) *core.Binding {
-	b := core.NewBinding(ps)
-	b.Bind(sh.lhsRoot, cx.OpDesc)
+	b := sh.condBinding(ps, cx)
 	b.Bind(sh.rhsRoot, algD)
 	for i := range sh.lhsKid {
 		var in *core.Descriptor

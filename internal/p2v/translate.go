@@ -127,6 +127,7 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 			Origin: rule.Origin,
 			LHS:    lhs,
 			RHS:    rhs,
+			Frame:  rule.Frame,
 			Cond:   func(b *volcano.TBinding) bool { return rule.RunCond(b.Binding) },
 			Appl:   func(b *volcano.TBinding) { rule.RunPost(b.Binding) },
 		})
@@ -156,7 +157,8 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 // deleteEnforcerNodes removes enforcer-operator nodes from a pattern,
 // splicing each node's single input in its place. When the input is a
 // bare variable, the deleted node's descriptor name moves to it so the
-// rule's required-property assignments keep a target.
+// rule's required-property assignments keep a target. Rewritten nodes
+// keep their slots: the rule's actions were compiled against its frame.
 func deleteEnforcerNodes(p *core.PatNode, isEnf func(*core.Operation) bool) *core.PatNode {
 	if p.IsVar() {
 		return p
@@ -170,14 +172,14 @@ func deleteEnforcerNodes(p *core.PatNode, isEnf func(*core.Operation) bool) *cor
 	if isEnf(p.Op) && p.Op.Arity == 1 {
 		child := kids[0]
 		if child.IsVar() && child.Desc == "" && p.Desc != "" {
-			child = &core.PatNode{Var: child.Var, Desc: p.Desc}
+			child = &core.PatNode{Var: child.Var, Desc: p.Desc, Slot: p.Slot}
 		}
 		return child
 	}
 	if !changed {
 		return p
 	}
-	return &core.PatNode{Op: p.Op, Desc: p.Desc, Kids: kids}
+	return &core.PatNode{Op: p.Op, Desc: p.Desc, Kids: kids, Slot: p.Slot}
 }
 
 // shapeEqualModuloRoot reports whether two patterns are structurally
@@ -248,5 +250,5 @@ func substAliases(p *core.PatNode, alias map[*core.Operation]*core.Operation) *c
 	if !changed {
 		return p
 	}
-	return &core.PatNode{Op: op, Desc: p.Desc, Kids: kids}
+	return &core.PatNode{Op: op, Desc: p.Desc, Kids: kids, Slot: p.Slot}
 }

@@ -80,6 +80,10 @@ type Stmt struct {
 	// for a property assignment.
 	Src string
 	RHS Expr
+	// dst and src are the descriptors' frame slots and id the assigned
+	// property, resolved during checking.
+	dst, src int
+	id       core.PropID
 }
 
 // Expr is an expression AST node. Each implementation records its
@@ -127,8 +131,9 @@ type Member struct {
 	exprBase
 	Desc string
 	Prop string
-	// ID is resolved during checking.
-	ID core.PropID
+	// ID and the descriptor's frame slot are resolved during checking.
+	ID   core.PropID
+	slot int
 }
 
 // Call is a helper-function call.

@@ -2,6 +2,7 @@ package prairielang
 
 import (
 	"fmt"
+	"slices"
 
 	"prairie/internal/core"
 )
@@ -99,14 +100,22 @@ func (c *checker) resolvePattern(p *PatAST) *core.PatNode {
 	return &core.PatNode{Op: op, Desc: p.Desc, Kids: kids}
 }
 
-// ruleScope tracks descriptor names per side for statement checking.
+// ruleScope tracks a rule's descriptor names — per side for statement
+// checking, and by frame slot for the code the compiler emits.
 type ruleScope struct {
-	lhs map[string]bool
-	rhs map[string]bool
+	frame *core.Frame
+	lhs   map[string]bool
+	rhs   map[string]bool
+	// trule marks a T-rule: its left side is matched against the memo's
+	// own descriptors, so a name the left side binds is read-only even
+	// where the right side repeats it.
+	trule bool
 }
 
-func scopeOf(lhs, rhs *core.PatNode) ruleScope {
-	s := ruleScope{lhs: map[string]bool{}, rhs: map[string]bool{}}
+// scopeOf lays out the rule's frame (recording slots in the patterns)
+// and returns its scope.
+func scopeOf(lhs, rhs *core.PatNode, trule bool) ruleScope {
+	s := ruleScope{frame: core.NewFrame(lhs, rhs), lhs: map[string]bool{}, rhs: map[string]bool{}, trule: trule}
 	for _, n := range lhs.DescNames() {
 		s.lhs[n] = true
 	}
@@ -118,6 +127,9 @@ func scopeOf(lhs, rhs *core.PatNode) ruleScope {
 
 func (s ruleScope) known(name string) bool { return s.lhs[name] || s.rhs[name] }
 
+// slot returns the frame slot of a known name.
+func (s ruleScope) slot(name string) int { return slices.Index(s.frame.Names, name) }
+
 // checkStmts validates a statement block and returns its write hints in
 // core.ActionHints format ("D.prop", "D.*").
 func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
@@ -127,13 +139,15 @@ func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
 			c.errf(st.Pos, "descriptor %q is not bound by the rule's patterns", st.Dst)
 			continue
 		}
-		if sc.lhs[st.Dst] && !sc.rhs[st.Dst] {
+		if sc.lhs[st.Dst] && (sc.trule || !sc.rhs[st.Dst]) {
 			c.errf(st.Pos, "descriptor %s is on the rule's left side; left-hand-side descriptors are never changed (§2.3)", st.Dst)
 		}
+		st.dst = sc.slot(st.Dst)
 		if st.Prop == "" {
 			if !sc.known(st.Src) {
 				c.errf(st.Pos, "descriptor %q is not bound by the rule's patterns", st.Src)
 			}
+			st.src = sc.slot(st.Src)
 			hints = append(hints, st.Dst+".*")
 			continue
 		}
@@ -142,6 +156,7 @@ func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
 			c.errf(st.Pos, "unknown property %q", st.Prop)
 			continue
 		}
+		st.id = id
 		want := c.alg.Props.At(id).Kind
 		got := c.checkExpr(st.RHS, sc, want)
 		if !kindsCompatible(got, want) {
@@ -190,7 +205,7 @@ func (c *checker) checkExpr(e Expr, sc ruleScope, expected core.Kind) core.Kind 
 			x.kind = core.KindInvalid
 			break
 		}
-		x.ID = id
+		x.ID, x.slot = id, sc.slot(x.Desc)
 		x.kind = c.alg.Props.At(id).Kind
 	case *Call:
 		decl := c.helpers[x.Name]

@@ -7,13 +7,17 @@ import (
 	"prairie/internal/core"
 )
 
-// HelperImpl is the Go implementation of a declared helper function.
+// HelperImpl is the Go implementation of a declared helper function. It
+// must be a pure function of its arguments (and of state fixed before
+// compilation, such as a catalog) and must not retain the argument
+// slice: a firing evaluates equal calls once and reuses the slice.
 type HelperImpl func(args []core.Value) (core.Value, error)
 
 // Compile parses nothing — it takes a parsed specification, checks it,
-// and builds an executable core.RuleSet whose rule actions interpret the
-// specification's statement blocks. impls supplies the Go bodies of the
-// declared helper functions (every declared helper must be present).
+// and builds an executable core.RuleSet whose rule actions are Go
+// closures compiled from the specification's statement blocks (emit.go).
+// impls supplies the Go bodies of the declared helper functions (every
+// declared helper must be present).
 //
 // The compiler attaches exact write hints (core.ActionHints) to every
 // rule, computed statically from the statement blocks, so the P2V
@@ -83,7 +87,7 @@ func Check(src string) []error {
 func (c *checker) checkTRule(d *TRuleDecl) (lhs, rhs *core.PatNode, sc ruleScope, pre, post []string) {
 	lhs = c.resolvePattern(d.LHS)
 	rhs = c.resolvePattern(d.RHS)
-	sc = scopeOf(lhs, rhs)
+	sc = scopeOf(lhs, rhs, true)
 	pre = c.checkStmts(d.PreTest, sc)
 	if d.Test != nil {
 		if got := c.checkExpr(d.Test, sc, core.KindBool); !kindsCompatible(got, core.KindBool) {
@@ -97,7 +101,7 @@ func (c *checker) checkTRule(d *TRuleDecl) (lhs, rhs *core.PatNode, sc ruleScope
 func (c *checker) checkIRule(d *IRuleDecl) (lhs, rhs *core.PatNode, sc ruleScope, pre, post []string) {
 	lhs = c.resolvePattern(d.LHS)
 	rhs = c.resolvePattern(d.RHS)
-	sc = scopeOf(lhs, rhs)
+	sc = scopeOf(lhs, rhs, false)
 	if d.Test != nil {
 		if got := c.checkExpr(d.Test, sc, core.KindBool); !kindsCompatible(got, core.KindBool) {
 			c.errf(d.Test.ExprPos(), "rule %s: test must be boolean, got %v", d.Name, got)
@@ -108,49 +112,37 @@ func (c *checker) checkIRule(d *IRuleDecl) (lhs, rhs *core.PatNode, sc ruleScope
 	return
 }
 
+// compileTRule checks a T-rule and, unless the specification has shown
+// an error so far (Compile fails then), emits its actions.
 func (c *checker) compileTRule(d *TRuleDecl, helpers *core.Helpers) *core.TRule {
-	lhs, rhs, _, preW, postW := c.checkTRule(d)
+	lhs, rhs, sc, preW, postW := c.checkTRule(d)
 	r := &core.TRule{
 		Name:   d.Name,
 		Origin: "spec:" + d.Pos.String(),
 		LHS:    lhs,
 		RHS:    rhs,
 		Hints:  &core.ActionHints{PreWrites: preW, PostWrites: postW},
+		Frame:  sc.frame,
 	}
-	if len(d.PreTest) > 0 {
-		stmts := d.PreTest
-		r.PreTest = func(b *core.Binding) { execStmts(stmts, b, helpers) }
-	}
-	if d.Test != nil {
-		test := d.Test
-		r.Test = func(b *core.Binding) bool { return evalBool(test, b, helpers) }
-	}
-	if len(d.PostTest) > 0 {
-		stmts := d.PostTest
-		r.PostTest = func(b *core.Binding) { execStmts(stmts, b, helpers) }
+	if len(c.errs) == 0 {
+		em := &emitter{helpers: helpers, frame: sc.frame, shared: shareCalls(sc.frame, d.PreTest, d.Test, d.PostTest)}
+		r.PreTest, r.Test, r.PostTest = em.action(d.PreTest), em.test(d.Test), em.action(d.PostTest)
 	}
 	return r
 }
 
 func (c *checker) compileIRule(d *IRuleDecl, helpers *core.Helpers) *core.IRule {
-	lhs, rhs, _, preW, postW := c.checkIRule(d)
+	lhs, rhs, sc, preW, postW := c.checkIRule(d)
 	r := &core.IRule{
 		Name:  d.Name,
 		LHS:   lhs,
 		RHS:   rhs,
 		Hints: &core.ActionHints{PreWrites: preW, PostWrites: postW},
+		Frame: sc.frame,
 	}
-	if d.Test != nil {
-		test := d.Test
-		r.Test = func(b *core.Binding) bool { return evalBool(test, b, helpers) }
-	}
-	if len(d.PreOpt) > 0 {
-		stmts := d.PreOpt
-		r.PreOpt = func(b *core.Binding) { execStmts(stmts, b, helpers) }
-	}
-	if len(d.PostOpt) > 0 {
-		stmts := d.PostOpt
-		r.PostOpt = func(b *core.Binding) { execStmts(stmts, b, helpers) }
+	if len(c.errs) == 0 {
+		em := &emitter{helpers: helpers, frame: sc.frame}
+		r.Test, r.PreOpt, r.PostOpt = em.test(d.Test), em.action(d.PreOpt), em.action(d.PostOpt)
 	}
 	return r
 }

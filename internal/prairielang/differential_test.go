@@ -1,0 +1,250 @@
+package prairielang_test
+
+import (
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+
+	"prairie/internal/core"
+	"prairie/internal/oodb"
+	"prairie/internal/p2v"
+	"prairie/internal/prairielang"
+	"prairie/internal/qgen"
+	"prairie/internal/rulecheck"
+	"prairie/internal/volcano"
+)
+
+// search optimizes tree with the differential rule set: every rule
+// section the engine executes is compared against the interpreter.
+func search(t *testing.T, d *prairielang.Diff, tree *core.Expr) {
+	t.Helper()
+	vrs, rep, err := p2v.Translate(d.RS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, req, err := rep.PrepareQuery(tree, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := volcano.NewOptimizer(vrs).Optimize(tree, req); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// requireAllRan gives the rules no search reaches (P2V merges some
+// away) a run on default values, then fails for every section of every
+// rule that still was never compared.
+func requireAllRan(t *testing.T, d *prairielang.Diff) {
+	t.Helper()
+	searched := 0
+	for _, n := range d.Ran {
+		searched += n
+	}
+	d.RunOnDefaults()
+	t.Logf("%d rule sections compared, %d executions inside searches", len(d.Ran), searched)
+	require := func(rule, section string, present bool) {
+		if present && d.Ran[rule+"/"+section] == 0 {
+			t.Errorf("%s/%s never compared", rule, section)
+		}
+	}
+	for _, r := range d.RS.TRules {
+		require(r.Name, "pretest", r.PreTest != nil)
+		require(r.Name, "test", r.Test != nil)
+		require(r.Name, "posttest", r.PostTest != nil)
+	}
+	for _, r := range d.RS.IRules {
+		require(r.Name, "test", r.Test != nil)
+		require(r.Name, "preopt", r.PreOpt != nil)
+		require(r.Name, "postopt", r.PostOpt != nil)
+	}
+}
+
+// TestDifferentialOODB runs the Open OODB specification's compiled
+// actions against the interpreter on every binding — fired or rejected —
+// of real searches of each query family, on linear and star graphs.
+func TestDifferentialOODB(t *testing.T) {
+	const n = 4
+	for _, indexed := range []bool{false, true} {
+		po := oodb.New(qgen.Catalog(n, 101, indexed))
+		rs, err := po.PrairieRules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := prairielang.Differential(t, rs, oodb.Spec, po.HelperImpls())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []qgen.ExprKind{qgen.E1, qgen.E2, qgen.E3, qgen.E4} {
+			for _, g := range []qgen.Graph{qgen.Linear, qgen.Star} {
+				tree, err := qgen.BuildGraph(po, e, n-1+int(e)%2, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				search(t, d, tree)
+			}
+		}
+		for _, name := range []string{"join_assoc/test", "join_assoc/posttest", "select_push_join_left/test", "mat_pull_join_left/posttest", "ret_index_sweep/test"} {
+			if d.Ran[name] == 0 {
+				t.Errorf("no search compared %s", name)
+			}
+		}
+		requireAllRan(t, d)
+	}
+}
+
+// relationalChain builds SORT(JOIN(...JOIN(RET(R1), RET(R2))..., RET(Rn)))
+// for the two small relational specifications, setting the properties
+// each of them declares.
+func relationalChain(t *testing.T, a *core.Algebra, n int) *core.Expr {
+	t.Helper()
+	ps := a.Props
+	set := func(d *core.Descriptor, name string, v core.Value) {
+		if id, ok := ps.Lookup(name); ok {
+			d.Set(id, v)
+		}
+	}
+	ret := func(i int) *core.Expr {
+		name := fmt.Sprintf("R%d", i)
+		d := core.NewDescriptor(ps)
+		set(d, "num_records", core.Float(int(1)<<uint(10-i)))
+		set(d, "attributes", core.Attrs{core.A(name, "a")})
+		return core.NewNode(a.MustOp("RET"), d.Clone(), core.NewLeaf(name, d))
+	}
+	cur := ret(1)
+	for i := 2; i <= n; i++ {
+		r := ret(i)
+		d := core.NewDescriptor(ps)
+		set(d, "num_records", core.Float(int(1)<<uint(10-i)))
+		if at, ok := ps.Lookup("attributes"); ok {
+			d.Set(at, cur.D.AttrList(at).Union(r.D.AttrList(at)))
+		}
+		set(d, "join_predicate", core.EqAttr(core.A(fmt.Sprintf("R%d", i-1), "a"), core.A(fmt.Sprintf("R%d", i), "a")))
+		cur = core.NewNode(a.MustOp("JOIN"), d, cur, r)
+	}
+	d := cur.D.Clone()
+	set(d, "tuple_order", core.OrderBy(core.A("R1", "a")))
+	return core.NewNode(a.MustOp("SORT"), d, cur)
+}
+
+// TestDifferentialRelational does the same for the example
+// specification the dsl world serves and for lang_test.go's miniSpec.
+func TestDifferentialRelational(t *testing.T) {
+	example, err := os.ReadFile("../../examples/dslrules/rules.prairie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range []struct {
+		name, src string
+		impls     map[string]prairielang.HelperImpl
+	}{
+		{"dslrules", string(example), rulecheck.DSLHelpers()},
+		{"miniSpec", prairielang.MiniSpec, prairielang.MiniImpls()},
+	} {
+		t.Run(spec.name, func(t *testing.T) {
+			rs, err := prairielang.ParseAndCompile(spec.src, spec.impls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := prairielang.Differential(t, rs, spec.src, spec.impls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for n := 2; n <= 5; n++ {
+				search(t, d, relationalChain(t, rs.Algebra, n))
+			}
+			if d.Ran["join_commute/posttest"] == 0 {
+				t.Error("no search compared join_commute/posttest")
+			}
+			requireAllRan(t, d)
+		})
+	}
+}
+
+// countingSpec is a T-rule whose post-test calls one helper four times:
+// twice on an RHS property nothing reassigns in between, then — after an
+// assignment to that property — twice more.
+const countingSpec = `
+algebra a;
+property n : float;
+property m : float;
+property cost : cost;
+operator J(2);
+algorithm A(2) implements J;
+helper tick(float) : float;
+trule r: J(?1:D1, ?2:D2):D3 => J(?2, ?1):D4
+pretest { D4.n = tick(D3.n); }
+test (tick(D3.n) >= 0 REUSE)
+posttest {
+  D4.m = tick(D4.n);
+  D4.cost = tick(D4.n) + tick(D3.n);
+  REASSIGN
+  D4.m = tick(D4.n) + tick(D4.n);
+}
+irule i: J(?1:D1, ?2:D2):D3 => A(?1, ?2):D4
+preopt { D4 = D3; }
+postopt { D4.cost = tick(D3.n) + tick(D3.n); }
+`
+
+// TestSharedCallsEvaluateOnce is the reuse-soundness golden: a helper
+// call is evaluated once per firing for as long as the properties it
+// reads keep their values, and again after one of them is reassigned.
+func TestSharedCallsEvaluateOnce(t *testing.T) {
+	for _, c := range []struct {
+		name, reuse, reassign string
+		calls                 int
+		shared                string
+	}{
+		// tick(D3.n): pre-test, test, post-test share one evaluation;
+		// tick(D4.n) is evaluated once for all four reads.
+		{"no reassignment", "", "", 2, "tick(D3.n); tick(D4.n)"},
+		// Reassigning D4.n between the reads splits tick(D4.n) in two.
+		{"reassigned", "", "D4.n = 5;", 3, "tick(D3.n); tick(D4.n); tick(D4.n)"},
+		// A whole-descriptor copy reassigns every property.
+		{"copied over", "", "D4 = D3;", 3, "tick(D3.n); tick(D4.n); tick(D4.n)"},
+		// Short-circuited away in the test, evaluated by the post-test.
+		{"short circuit", "|| tick(D3.m) > 0", "D4.cost = tick(D3.m);", 3, "tick(D3.n); tick(D4.n); tick(D3.m)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			calls := 0
+			impls := map[string]prairielang.HelperImpl{
+				"tick": func(args []core.Value) (core.Value, error) {
+					calls++
+					return core.Float(float64(args[0].(core.Float)) + 1), nil
+				},
+			}
+			src := strings.NewReplacer("REUSE", c.reuse, "REASSIGN", c.reassign).Replace(countingSpec)
+			rs, err := prairielang.ParseAndCompile(src, impls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rs.TRules[0]
+			if got := strings.Join(r.Frame.Shared, "; "); got != c.shared {
+				t.Errorf("shared sub-expressions %q, want %q", got, c.shared)
+			}
+			b := core.NewBinding(rs.Algebra.Props)
+			for firing := 1; firing <= 2; firing++ {
+				calls = 0
+				b.Reset(r.Frame)
+				b.D("D3").SetFloat(rs.Algebra.Props.MustLookup("n"), float64(firing))
+				b.BeginFiring()
+				if !r.RunCond(b) {
+					t.Fatal("test rejected")
+				}
+				r.RunPost(b)
+				if calls != c.calls {
+					t.Errorf("firing %d: %d helper evaluations, want %d", firing, calls, c.calls)
+				}
+			}
+			// I-rule sections share nothing: their inputs are rebound
+			// between sections.
+			calls = 0
+			ib := core.NewBinding(rs.Algebra.Props)
+			rs.IRules[0].PreOpt(ib)
+			rs.IRules[0].PostOpt(ib)
+			if calls != 2 || len(rs.IRules[0].Frame.Shared) != 0 {
+				t.Errorf("I-rule: %d helper evaluations sharing %v, want 2 and none", calls, rs.IRules[0].Frame.Shared)
+			}
+		})
+	}
+}

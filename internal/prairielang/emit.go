@@ -1,0 +1,380 @@
+package prairielang
+
+import (
+	"math"
+	"slices"
+	"strconv"
+	"strings"
+
+	"prairie/internal/core"
+)
+
+// This file is the code generator: it turns the checked statement blocks
+// and tests of one rule into Go closures over the rule's descriptor
+// frame. Whatever the specification decides is decided here, once —
+// descriptor slots, property ids, helper function pointers, literals,
+// which arithmetic stays unboxed, which helper calls a firing evaluates
+// only once — so a firing runs straight-line code. The closures keep no
+// state between calls (a rule set is shared by concurrent optimizers);
+// what a firing has to remember lives in its core.Binding.
+
+type (
+	valFn  func(*core.Binding) core.Value
+	numFn  func(*core.Binding) float64
+	boolFn func(*core.Binding) bool
+)
+
+// emitter generates the actions of one rule.
+type emitter struct {
+	helpers *core.Helpers
+	frame   *core.Frame
+	// shared maps a helper call to its slot in Binding.Shared; calls
+	// evaluated in place are absent.
+	shared map[*Call]int
+}
+
+// shareCalls finds the helper calls of a T-rule whose value one firing
+// can reuse and gives each set of interchangeable calls a slot in
+// f.Shared. Helpers are pure, so two calls are interchangeable when their
+// text is equal and every property they read holds the same value at both
+// points: left-hand-side descriptors never change during a firing (the
+// checker rejects the assignment), and a right-hand-side property changes
+// only through the rule's own statements, which are followed here in
+// execution order — pre-test, test, post-test. Sharing is by value, not
+// by position: a call the test short-circuits away is evaluated by
+// whichever later statement reaches it first.
+//
+// I-rules get no sharing: their sections run against different input
+// descriptors, and P2V binds both sides' input names to one descriptor.
+func shareCalls(f *core.Frame, pre []*Stmt, test Expr, post []*Stmt) map[*Call]int {
+	sh := &sharing{}
+	sh.block(pre)
+	if test != nil {
+		sh.key(test)
+	}
+	sh.block(post)
+	shared := map[*Call]int{}
+	for i, x := range sh.calls {
+		j := slices.Index(sh.keys, sh.keys[i])
+		if j == i {
+			continue
+		}
+		first := sh.calls[j]
+		if _, ok := shared[first]; !ok {
+			shared[first] = len(f.Shared)
+			f.Shared = append(f.Shared, formatExpr(first))
+		}
+		shared[x] = shared[first]
+	}
+	return shared
+}
+
+// sharing keys the helper calls of a rule, in execution order: equal keys
+// mean interchangeable calls.
+type sharing struct {
+	// writes lists the assignments executed so far as {slot, property},
+	// property -1 for a whole-descriptor copy.
+	writes [][2]int
+	calls  []*Call  // in evaluation order
+	keys   []string // parallel to calls
+	buf    []byte
+}
+
+func (sh *sharing) block(stmts []*Stmt) {
+	for _, st := range stmts {
+		prop := -1
+		if st.Prop != "" {
+			sh.key(st.RHS)
+			prop = int(st.id)
+		}
+		sh.writes = append(sh.writes, [2]int{st.dst, prop})
+	}
+}
+
+// key appends e's key to sh.buf: its text, each property read stamped
+// with the number of assignments that have reached the property so far.
+func (sh *sharing) key(e Expr) {
+	switch x := e.(type) {
+	case *Member:
+		version := 0
+		for _, w := range sh.writes {
+			if w[0] == x.slot && (w[1] == int(x.ID) || w[1] == -1) {
+				version++
+			}
+		}
+		sh.buf = strconv.AppendInt(append(sh.buf, 'D'), int64(x.slot), 10)
+		sh.buf = strconv.AppendInt(append(sh.buf, '.'), int64(x.ID), 10)
+		sh.buf = strconv.AppendInt(append(sh.buf, '@'), int64(version), 10)
+	case *Call:
+		start := len(sh.buf)
+		sh.buf = append(append(sh.buf, x.Name...), '(')
+		for _, a := range x.Args {
+			sh.key(a)
+			sh.buf = append(sh.buf, ',')
+		}
+		sh.calls = append(sh.calls, x)
+		sh.keys = append(sh.keys, string(sh.buf[start:]))
+	case *Unary:
+		sh.buf = append(sh.buf, '~') // the operand's kind tells - from !
+		sh.key(x.X)
+	case *Binary:
+		sh.buf = append(sh.buf, '(')
+		sh.key(x.L)
+		sh.buf = append(sh.buf, binOpText[x.Op]...)
+		sh.key(x.R)
+		sh.buf = append(sh.buf, ')')
+	default: // literals
+		sh.buf = append(sh.buf, formatExpr(e)...)
+	}
+}
+
+// action compiles a statement block; nil for an empty one.
+func (em *emitter) action(stmts []*Stmt) core.Action {
+	if len(stmts) == 0 {
+		return nil
+	}
+	steps := make([]core.Action, len(stmts))
+	for i, st := range stmts {
+		dst, src, id := st.dst, st.src, st.id
+		if st.Prop == "" {
+			steps[i] = func(b *core.Binding) { b.Slot(dst).CopyFrom(b.Slot(src)) }
+			continue
+		}
+		rhs := em.val(st.RHS)
+		steps[i] = func(b *core.Binding) { b.Slot(dst).Set(id, rhs(b)) }
+	}
+	f := em.frame
+	return func(b *core.Binding) {
+		b.Enter(f)
+		for _, step := range steps {
+			step(b)
+		}
+	}
+}
+
+// test compiles a rule's test; nil for none (TRUE).
+func (em *emitter) test(e Expr) core.Test {
+	if e == nil {
+		return nil
+	}
+	f, t := em.frame, em.truth(e)
+	return func(b *core.Binding) bool {
+		b.Enter(f)
+		return t(b)
+	}
+}
+
+func isNumericKind(k core.Kind) bool {
+	return k == core.KindFloat || k == core.KindCost || k == core.KindInt
+}
+
+func constant(v core.Value) valFn { return func(*core.Binding) core.Value { return v } }
+
+// val compiles e to a closure yielding a core.Value.
+func (em *emitter) val(e Expr) valFn {
+	switch x := e.(type) {
+	case *NumLit:
+		return constant(core.Float(x.Val))
+	case *StrLit:
+		return constant(core.Str(x.Val))
+	case *BoolLit:
+		return constant(core.Bool(x.Val))
+	case *DontCareLit:
+		return constant(core.DefaultValue(x.Kind()))
+	case *Member:
+		slot, id := x.slot, x.ID
+		return func(b *core.Binding) core.Value { return b.Slot(slot).Get(id) }
+	case *Call:
+		return em.call(x)
+	}
+	// Operators: arithmetic yields a float, everything else a boolean.
+	if e.Kind() == core.KindBool {
+		t := em.truth(e)
+		return func(b *core.Binding) core.Value { return core.Bool(t(b)) }
+	}
+	n := em.num(e)
+	return func(b *core.Binding) core.Value { return core.Float(n(b)) }
+}
+
+// call compiles a helper call. Its arguments are evaluated into the call
+// site's own range of Binding.Args, so a call allocates no argument
+// slice and nested calls do not overwrite one another.
+func (em *emitter) call(x *Call) valFn {
+	h, _ := em.helpers.Lookup(x.Name)
+	fn, name, pos := h.Fn, x.Name, x.Pos
+	args := make([]valFn, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = em.val(a)
+	}
+	off, end := em.frame.Args, em.frame.Args+len(args)
+	em.frame.Args = end
+	eval := func(b *core.Binding) core.Value {
+		a := b.Args[off:end:end]
+		for i, arg := range args {
+			a[i] = arg(b)
+		}
+		v, err := fn(a)
+		if err != nil {
+			evalPanic(pos, "helper %s: %v", name, err)
+		}
+		return v
+	}
+	slot, ok := em.shared[x]
+	if !ok {
+		return eval
+	}
+	return func(b *core.Binding) core.Value {
+		if b.Shared[slot] == nil {
+			b.Shared[slot] = eval(b)
+		}
+		return b.Shared[slot]
+	}
+}
+
+// num compiles a numeric expression to unboxed float arithmetic.
+func (em *emitter) num(e Expr) numFn {
+	switch x := e.(type) {
+	case *NumLit:
+		v := x.Val
+		return func(*core.Binding) float64 { return v }
+	case *Unary: // the checker admits only - on numbers
+		f := em.num(x.X)
+		return func(b *core.Binding) float64 { return -f(b) }
+	case *Binary: // the checker admits only arithmetic on numbers
+		l, r := em.num(x.L), em.num(x.R)
+		switch x.Op {
+		case TokPlus:
+			return func(b *core.Binding) float64 { return l(b) + r(b) }
+		case TokMinus:
+			return func(b *core.Binding) float64 { return l(b) - r(b) }
+		case TokStar:
+			return func(b *core.Binding) float64 { return l(b) * r(b) }
+		}
+		return func(b *core.Binding) float64 {
+			n, d := l(b), r(b)
+			if d == 0 {
+				return math.Inf(1)
+			}
+			return n / d
+		}
+	}
+	v, pos := em.val(e), e.ExprPos()
+	return func(b *core.Binding) float64 { return toFloat(v(b), pos) }
+}
+
+// truth compiles a boolean expression.
+func (em *emitter) truth(e Expr) boolFn {
+	switch x := e.(type) {
+	case *Unary: // the checker admits only ! on booleans
+		f := em.truth(x.X)
+		return func(b *core.Binding) bool { return !f(b) }
+	case *Binary:
+		if x.Op != TokAndAnd && x.Op != TokOrOr {
+			return em.compare(x)
+		}
+		l, r := em.truth(x.L), em.truth(x.R)
+		if x.Op == TokAndAnd {
+			return func(b *core.Binding) bool { return l(b) && r(b) }
+		}
+		return func(b *core.Binding) bool { return l(b) || r(b) }
+	}
+	v, pos := em.val(e), e.ExprPos()
+	return func(b *core.Binding) bool {
+		got := v(b)
+		bv, ok := got.(core.Bool)
+		if !ok {
+			evalPanic(pos, "expected a boolean, got %v", got.Kind())
+		}
+		return bool(bv)
+	}
+}
+
+// compare compiles a comparison: on unboxed floats when both sides are
+// numbers, on values otherwise.
+func (em *emitter) compare(x *Binary) boolFn {
+	op, pos := x.Op, x.Pos
+	equality, want := op == TokEq || op == TokNe, op == TokEq
+	if isNumericKind(x.L.Kind()) && isNumericKind(x.R.Kind()) {
+		l, r := em.num(x.L), em.num(x.R)
+		if equality {
+			return func(b *core.Binding) bool { return (l(b) == r(b)) == want }
+		}
+		return func(b *core.Binding) bool { return cmpOrder(op, cmpFloat(l(b), r(b))) }
+	}
+	l, r := em.val(x.L), em.val(x.R)
+	if equality {
+		return func(b *core.Binding) bool { return valuesEqual(l(b), r(b)) == want }
+	}
+	return func(b *core.Binding) bool { return orderValues(op, l(b), r(b), pos) }
+}
+
+// ---------------------------------------------------------------------------
+// Run-time support of the generated closures.
+
+// evalError marks a runtime failure inside a compiled rule action; it is
+// raised by panic because core.Action has no error channel, and a
+// failing action is a specification bug.
+type evalError struct{ err error }
+
+func evalPanic(pos Pos, format string, args ...interface{}) {
+	panic(evalError{errf(pos, format, args...)})
+}
+
+// valuesEqual compares across the numeric kinds, falling back to Value
+// equality for everything else.
+func valuesEqual(l, r core.Value) bool {
+	if isNumericKind(l.Kind()) && isNumericKind(r.Kind()) {
+		return toFloat(l, Pos{}) == toFloat(r, Pos{})
+	}
+	return l.Equal(r)
+}
+
+// orderValues orders two strings or two numbers.
+func orderValues(op TokKind, l, r core.Value, pos Pos) bool {
+	if ls, ok := l.(core.Str); ok {
+		rs, ok := r.(core.Str)
+		if !ok {
+			evalPanic(pos, "cannot order %v against %v", l.Kind(), r.Kind())
+		}
+		return cmpOrder(op, strings.Compare(string(ls), string(rs)))
+	}
+	return cmpOrder(op, cmpFloat(toFloat(l, pos), toFloat(r, pos)))
+}
+
+func toFloat(v core.Value, pos Pos) float64 {
+	switch x := v.(type) {
+	case core.Float:
+		return float64(x)
+	case core.Cost:
+		return float64(x)
+	case core.Int:
+		return float64(x)
+	}
+	evalPanic(pos, "numeric value required, got %v", v.Kind())
+	return 0
+}
+
+// cmpFloat is a three-way comparison; NaN orders as equal.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
+// cmpOrder reports whether ordering op holds for three-way result c.
+func cmpOrder(op TokKind, c int) bool {
+	switch op {
+	case TokLt:
+		return c < 0
+	case TokLe:
+		return c <= 0
+	case TokGt:
+		return c > 0
+	default:
+		return c >= 0
+	}
+}

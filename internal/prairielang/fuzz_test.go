@@ -3,12 +3,32 @@ package prairielang
 import (
 	"os"
 	"testing"
+
+	"prairie/internal/core"
 )
 
-// FuzzParse drives the whole front end — lexer, parser, formatter —
-// with arbitrary input. The invariants: Parse never panics, and for any
-// input it accepts, Format produces source that reparses and formats to
-// a fixed point (format ∘ parse is idempotent). Seeds cover every
+const checkedSeed = `algebra a;
+property cost : cost; property n : float; property o : order;
+property s : string; property k : bool; property e : bool; property i : int;
+operator J(1); algorithm A(1) implements J;
+helper h(float) : float; helper g(order) : bool;
+trule t: J(J(?1:D1):D2):D3 => J(?1):D4
+pretest { D4.n = h(D3.n) / 0; }
+test (!(D3.n > 2) || h(D3.n) == D3.i && D3.s < "x" || D3.o != DONT_CARE && g(D3.o))
+posttest { D4 = D3; D4.n = -h(D3.n) * 2 - D2.n; D4.k = D3.n <= D2.n; D4.e = h(D3.n) == D3.i + 3; D4.s = "q"; }
+irule i: J(?1:D1):D2 => A(?1:D3):D4
+test (D2.k == true && D2.s >= D2.s)
+preopt { D4 = D2; D3 = D1; D3.o = DONT_CARE; }
+postopt { D4.cost = D3.cost + h(D4.n) * 1.5; }
+`
+
+// FuzzParse drives the whole front end — lexer, parser, formatter,
+// checker, compiler — with arbitrary input. The invariants: Parse never
+// panics; for any input it accepts, Format produces source that reparses
+// and formats to a fixed point (format ∘ parse is idempotent); and for
+// any input that also passes Check and compiles (helpers stubbed to
+// their result kind's default), every rule's compiled actions agree with
+// the interpreter on a binding of empty descriptors. Seeds cover every
 // declaration form plus the shipped example specification.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
@@ -23,6 +43,9 @@ func FuzzParse(f *testing.F) {
 		"algebra a;\nirule fs:\n  RET(?1:D1):D2 => File_scan(?1):D3\npretest {\n  D3 = D2;\n}\nposttest {\n  D3.cost = 1.5;\n}\n",
 		"algebra a;\ntrule g:\n  SEL(?1:D1):D2 => SEL(?1):D3\nposttest {\n  D3.f = D2.f + 2 * nlogn(D1.n) - 1;\n  D3.b = !D2.b && (D2.n <= 3 || D2.n > 7);\n}\n",
 	}
+	// One seed that passes Check, so the compiled-versus-interpreted
+	// comparison starts from every expression form.
+	seeds = append(seeds, checkedSeed)
 	if src, err := os.ReadFile("../../examples/dslrules/rules.prairie"); err == nil {
 		seeds = append(seeds, string(src))
 	}
@@ -42,5 +65,22 @@ func FuzzParse(f *testing.F) {
 		if out2 := Format(spec2); out2 != out {
 			t.Fatalf("format is not a fixed point\n--- first\n%s\n--- second\n%s", out, out2)
 		}
+		if len(Check(src)) > 0 {
+			return
+		}
+		impls := map[string]HelperImpl{}
+		for _, h := range spec.Helpers {
+			v := core.DefaultValue(h.Result)
+			impls[h.Name] = func([]core.Value) (core.Value, error) { return v, nil }
+		}
+		rs, err := Compile(spec, impls)
+		if err != nil {
+			return // checked, but not a valid rule set (core.Validate)
+		}
+		d, err := Differential(t, rs, src, impls)
+		if err != nil {
+			t.Fatalf("compiles, but the interpreter's compilation fails: %v", err)
+		}
+		d.RunOnDefaults()
 	})
 }

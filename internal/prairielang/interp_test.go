@@ -3,18 +3,15 @@ package prairielang
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"prairie/internal/core"
 )
 
-// evalError marks a runtime failure inside an interpreted rule action; it
-// is raised by panic because core.Action has no error channel, and a
-// failing action is a specification bug.
-type evalError struct{ err error }
-
-func evalPanic(pos Pos, format string, args ...interface{}) {
-	panic(evalError{errf(pos, format, args...)})
-}
+// This file keeps the tree-walking interpreter the compiler (emit.go)
+// replaced. It evaluates a checked rule directly from its AST, by name
+// and with every value boxed, and survives as the oracle of the
+// differential tests: compiled actions must behave exactly like it.
 
 // execStmts runs a checked statement block against a binding.
 func execStmts(stmts []*Stmt, b *core.Binding, helpers *core.Helpers) {
@@ -151,55 +148,6 @@ func evalBinary(x *Binary, b *core.Binding, helpers *core.Helpers) core.Value {
 	return nil
 }
 
-// valuesEqual compares across the numeric kinds, falling back to Value
-// equality for everything else.
-func valuesEqual(l, r core.Value) bool {
-	if isNumeric(l) && isNumeric(r) {
-		return toFloat(l, Pos{}) == toFloat(r, Pos{})
-	}
-	return l.Equal(r)
-}
+func isNumeric(v core.Value) bool { return isNumericKind(v.Kind()) }
 
-func isNumeric(v core.Value) bool {
-	switch v.Kind() {
-	case core.KindFloat, core.KindCost, core.KindInt:
-		return true
-	}
-	return false
-}
-
-func toFloat(v core.Value, pos Pos) float64 {
-	switch x := v.(type) {
-	case core.Float:
-		return float64(x)
-	case core.Cost:
-		return float64(x)
-	case core.Int:
-		return float64(x)
-	}
-	evalPanic(pos, "numeric value required, got %v", v.Kind())
-	return 0
-}
-
-func strCmp(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpOrder(op TokKind, c int) bool {
-	switch op {
-	case TokLt:
-		return c < 0
-	case TokLe:
-		return c <= 0
-	case TokGt:
-		return c > 0
-	default:
-		return c >= 0
-	}
-}
+func strCmp(a, b string) int { return strings.Compare(a, b) }

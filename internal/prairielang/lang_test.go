@@ -622,3 +622,53 @@ func TestTRulePretestAndTest(t *testing.T) {
 		t.Errorf("T-rule hints = %+v", r.Hints)
 	}
 }
+
+// TestCheckedSeedCompiles keeps FuzzParse's checked seed honest: it must
+// reach the comparison against the interpreter, and pass it.
+func TestCheckedSeedCompiles(t *testing.T) {
+	if errs := Check(checkedSeed); len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	spec, err := Parse(checkedSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	impls := map[string]HelperImpl{
+		"h": func(a []core.Value) (core.Value, error) { return core.Float(float64(a[0].(core.Float)) + 3), nil },
+		"g": func(a []core.Value) (core.Value, error) { return core.Bool(!a[0].IsDontCare()), nil },
+	}
+	rs, err := Compile(spec, impls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := Differential(t, rs, checkedSeed, impls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RunOnDefaults()
+	if len(d.Ran) != 6 {
+		t.Errorf("compared %v, want all six sections", d.Ran)
+	}
+}
+
+// TestTRuleLeftSideIsReadOnly: a T-rule's left side is matched against
+// the memo's own descriptors (a variable leaf binds its group's shared
+// representative), so a name the left side binds stays read-only even
+// where the right side repeats it — the form the checker used to let
+// through. An I-rule's right-side input name that introduces a new
+// required-property descriptor stays assignable.
+func TestTRuleLeftSideIsReadOnly(t *testing.T) {
+	const decls = `algebra a; property cost : cost; property n : float;
+		operator J(2); algorithm A(2) implements J;
+	`
+	for _, stmt := range []string{"D1.n = 7;", "D1 = D3;"} {
+		errs := Check(decls + "trule r: J(?1:D1, ?2:D2):D3 => J(?2:D2, ?1:D1):D4\nposttest { " + stmt + " }")
+		if len(errs) != 1 || !strings.HasPrefix(errs[0].Error(), "4:12: ") ||
+			!strings.Contains(errs[0].Error(), "descriptor D1 is on the rule's left side") {
+			t.Errorf("%s in a T-rule: Check = %v, want one positioned left-side error", stmt, errs)
+		}
+	}
+	if errs := Check(decls + "irule i: J(?1:D1, ?2:D2):D3 => A(?1:D4, ?2):D5\npreopt { D5 = D3; D4 = D1; D4.n = 7; }"); len(errs) != 0 {
+		t.Errorf("I-rule input descriptor: Check = %v, want none", errs)
+	}
+}

@@ -5,8 +5,8 @@
 // helper-function calls). The paper's P2V front end is 4500 lines of
 // flex and bison; this package is its Go counterpart — a hand-written
 // lexer, a recursive-descent parser, a type checker against the declared
-// algebra, and an interpreter that executes rule actions over descriptor
-// bindings.
+// algebra, and a compiler that turns rule actions into Go closures over
+// a per-rule descriptor frame (emit.go).
 //
 // A specification looks like:
 //

@@ -59,9 +59,10 @@ func (rs *RuleSet) TreeMatches(r *TransRule, tree *core.Expr) []*TreeMatch {
 func (rs *RuleSet) matchTreeSite(r *TransRule, e *core.Expr) *TreeMatch {
 	m := &TreeMatch{
 		Site:    e,
-		Binding: &TBinding{Binding: core.NewBinding(rs.Algebra.Props)},
+		Binding: newTBinding(rs.Algebra.Props),
 		subs:    map[int]*core.Expr{},
 	}
+	m.Binding.Reset(r.Frame)
 	if !m.bindPat(r.LHS, e) {
 		return nil
 	}
@@ -99,6 +100,7 @@ func (m *TreeMatch) bindPat(p *core.PatNode, e *core.Expr) bool {
 // the match site. It returns the rewritten tree and whether the rule
 // fired. The original tree is never modified.
 func (rs *RuleSet) ApplyAt(r *TransRule, tree *core.Expr, m *TreeMatch) (*core.Expr, bool) {
+	m.Binding.BeginFiring()
 	if r.Cond != nil && !r.Cond(m.Binding) {
 		return nil, false
 	}

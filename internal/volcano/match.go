@@ -12,7 +12,8 @@ import (
 // incremental re-matching, and a binding is fresh when at least one
 // chosen expression was stamped at or after since (the root call passes
 // its own freshness in fresh; pass since=0 and fresh=true to enumerate
-// everything as fresh). The binding is reused across invocations, so fn
+// everything as fresh). p carries its rule's frame slots and b is laid
+// out by that frame. The binding is reused across invocations, so fn
 // must not retain it.
 func (m *Memo) forEachMatch(p *core.PatNode, e *LExpr, b *TBinding, since uint64, fresh bool, fn func(fresh bool)) {
 	if p.IsVar() {
@@ -20,8 +21,8 @@ func (m *Memo) forEachMatch(p *core.PatNode, e *LExpr, b *TBinding, since uint64
 		// pattern names a descriptor ("?1:D1"), the group's
 		// representative descriptor (read-only logical information).
 		b.SetVar(p.Var, m.Find(e.group))
-		if p.Desc != "" {
-			b.Bind(p.Desc, m.Group(e.group).Rep())
+		if p.Slot >= 0 {
+			b.BindSlot(p.Slot, m.Group(e.group).Rep())
 		}
 		fn(fresh)
 		return
@@ -29,9 +30,7 @@ func (m *Memo) forEachMatch(p *core.PatNode, e *LExpr, b *TBinding, since uint64
 	if e.IsLeaf() || e.Op != p.Op {
 		return
 	}
-	if p.Desc != "" {
-		b.Bind(p.Desc, e.D)
-	}
+	b.BindSlot(p.Slot, e.D)
 	m.matchKids(p, e, 0, b, since, fresh, fn)
 }
 
@@ -47,8 +46,8 @@ func (m *Memo) matchKids(p *core.PatNode, e *LExpr, i int, b *TBinding, since ui
 		// change when the group gains expressions, so it never makes a
 		// binding fresh on its own.
 		b.SetVar(kp.Var, kid)
-		if kp.Desc != "" {
-			b.Bind(kp.Desc, m.Group(kid).Rep())
+		if kp.Slot >= 0 {
+			b.BindSlot(kp.Slot, m.Group(kid).Rep())
 		}
 		m.matchKids(p, e, i+1, b, since, fresh, fn)
 		return
@@ -92,11 +91,15 @@ func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID) (Group
 	}
 	// The binding's descriptor is scratch: intern clones it only if the
 	// expression is new.
-	g, ch := m.intern(p.Op, b.D(p.Desc), kids, target, true)
+	g, ch := m.intern(p.Op, b.Slot(p.Slot), kids, target, true)
 	return g, changed || ch
 }
 
-// newTBinding returns a fresh transformation binding.
-func (m *Memo) newTBinding() *TBinding {
-	return &TBinding{Binding: core.NewBinding(m.rs.Algebra.Props)}
+// newTBinding returns a transformation binding. Both its users — the
+// memo's intern and the tree rewriting of ApplyAt — clone what they keep,
+// so the binding recycles the descriptors its firings create.
+func newTBinding(ps *core.PropertySet) *TBinding {
+	b := &TBinding{Binding: core.NewBinding(ps)}
+	b.Scratch = true
+	return b
 }

@@ -52,8 +52,9 @@ func containsProp(ids []core.PropID, id core.PropID) bool {
 // TBinding is the environment a transformation rule runs in: descriptor
 // variables (inherited from core.Binding) plus pattern-variable bindings
 // to memo groups. Pattern variables are small dense integers, so the
-// group bindings are slice-backed; the engine reuses TBindings across
-// matches, so rule hooks must not retain one.
+// group bindings are slice-backed; the engine reuses one TBinding — and
+// the descriptors its hooks create in it — across all firings, so rule
+// hooks must retain neither.
 type TBinding struct {
 	*core.Binding
 	vars []GroupID // indexed by pattern-variable id; groupUnbound if unset
@@ -79,19 +80,6 @@ func (b *TBinding) VarGroup(v int) GroupID {
 	return groupUnbound
 }
 
-// reset clears the binding for reuse, keeping backing storage.
-func (b *TBinding) reset() {
-	b.Binding.Reset()
-	b.vars = b.vars[:0]
-}
-
-// copyFrom replaces this binding's contents with src's (descriptors and
-// groups are shared, not cloned).
-func (b *TBinding) copyFrom(src *TBinding) {
-	b.Binding.CopyFrom(src.Binding)
-	b.vars = append(b.vars[:0], src.vars...)
-}
-
 // TransRule is a Volcano trans_rule: a directed logical-to-logical
 // rewrite. Cond is the cond_code (a Prairie T-rule's pre-test statements
 // and test); Appl is the appl_code (the post-test statements), which must
@@ -105,6 +93,11 @@ type TransRule struct {
 	LHS, RHS *core.PatNode
 	Cond     func(b *TBinding) bool // nil means TRUE
 	Appl     func(b *TBinding)      // nil means no actions
+	// Frame is the descriptor layout Cond and Appl were compiled against
+	// (P2V carries it over from the Prairie rule); LHS and RHS then hold
+	// its slots. nil — every hand-coded rule — lets the engine lay the
+	// rule out itself.
+	Frame *core.Frame
 }
 
 func (r *TransRule) String() string {
@@ -206,12 +199,15 @@ type RuleSet struct {
 var cacheScopeCounter atomic.Uint64
 
 // transEntry is one transformation rule in the operator index, carrying
-// its global position (for per-rule counters) and whether its pattern is
-// depth-1 (applied once per expression, never re-matched).
+// its global position (for per-rule counters), whether its pattern is
+// depth-1 (applied once per expression, never re-matched), and the
+// rule's frame with the slot-annotated patterns the matcher binds by.
 type transEntry struct {
-	rule    *TransRule
-	idx     int
-	shallow bool
+	rule     *TransRule
+	idx      int
+	shallow  bool
+	lhs, rhs *core.PatNode
+	frame    *core.Frame
 }
 
 // implEntry is one implementation rule in the operator index.
@@ -247,8 +243,13 @@ func (rs *RuleSet) index() *ruleIndex {
 			impls: make(map[*core.Operation][]implEntry),
 		}
 		for i, r := range rs.Trans {
-			ix.trans[r.LHS.Op] = append(ix.trans[r.LHS.Op],
-				transEntry{rule: r, idx: i, shallow: r.LHS.Depth() <= 1})
+			te := transEntry{rule: r, idx: i, shallow: r.LHS.Depth() <= 1, lhs: r.LHS, rhs: r.RHS, frame: r.Frame}
+			if te.frame == nil {
+				// Hand-coded rules share pattern nodes between rules.
+				te.lhs, te.rhs = r.LHS.Clone(), r.RHS.Clone()
+				te.frame = core.NewFrame(te.lhs, te.rhs)
+			}
+			ix.trans[r.LHS.Op] = append(ix.trans[r.LHS.Op], te)
 		}
 		for i, r := range rs.Impls {
 			ix.impls[r.Op] = append(ix.impls[r.Op], implEntry{rule: r, idx: i})

@@ -127,9 +127,12 @@ type Optimizer struct {
 	// rejected alternatives, enforcer applications, and winners.
 	OnEvent func(Event)
 
-	// scratch bindings reused across every rule application (exploration
-	// is single-threaded per optimizer); rule hooks must not retain them.
-	scratchB, scratchRB *TBinding
+	// scratchB is the binding reused across every rule application
+	// (exploration is single-threaded per optimizer); rule hooks must not
+	// retain it.
+	scratchB *TBinding
+	// noReq is the empty requirement handed to inputs no rule constrains.
+	noReq *core.Descriptor
 	// per-rule counters indexed by position in RS.Trans; flushed into the
 	// name-keyed Stats maps when exploration ends — including the
 	// ErrSpaceExhausted and budget-interrupt paths — so the hot loop
@@ -520,7 +523,7 @@ func (x *explorer) process(e *LExpr) error {
 				continue
 			}
 			e.ruleSince[i] = 1
-			o.applyTrans(te.rule, te.idx, e, 0)
+			o.applyTrans(te, e, 0)
 		} else {
 			since := e.ruleSince[i]
 			if since != 0 && e.seq < since && !x.anyKidNewer(e, since) {
@@ -530,7 +533,7 @@ func (x *explorer) process(e *LExpr) error {
 			// above the horizon, so self-induced growth is re-examined
 			// on the next visit (the insertion hook re-enqueues e).
 			horizon := m.seq + 1
-			o.applyTrans(te.rule, te.idx, e, since)
+			o.applyTrans(te, e, since)
 			e.ruleSince[i] = horizon
 		}
 		if m.NumExprs() > o.maxExprs() {
@@ -631,7 +634,9 @@ func (o *Optimizer) explorePasses() error {
 				if o.overBudget() {
 					return errBudget
 				}
-				for _, te := range o.RS.transFor(e.Op) {
+				entries := o.RS.transFor(e.Op)
+				for i := range entries {
+					te := &entries[i]
 					mark := ruleMark{e, te.idx}
 					if te.shallow && done[mark] {
 						continue
@@ -643,7 +648,7 @@ func (o *Optimizer) explorePasses() error {
 							continue
 						}
 					}
-					if o.applyTrans(te.rule, te.idx, e, 0) {
+					if o.applyTrans(te, e, 0) {
 						changed = true
 					}
 					if te.shallow {
@@ -672,32 +677,32 @@ func (o *Optimizer) explorePasses() error {
 
 // applyTrans fires one transformation rule on one expression for every
 // binding involving at least one expression stamped at or after since
-// (0 enumerates everything); it reports whether the memo changed. The
-// two scratch bindings are reused across all applications: b is the
-// match environment, rb the per-match private copy the rule's hooks run
-// in (LHS descriptors shared read-only, RHS descriptors created fresh
-// by the actions).
-func (o *Optimizer) applyTrans(rule *TransRule, ri int, e *LExpr, since uint64) bool {
-	m := o.Memo
+// (0 enumerates everything); it reports whether the memo changed. One
+// binding, laid out by the rule's frame, serves all applications: the
+// matcher overwrites its LHS slots match by match (shared read-only with
+// the memo), and each firing starts by taking back the RHS descriptors
+// the previous firing's actions created.
+func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) bool {
+	m, rule, ri := o.Memo, te.rule, te.idx
 	changed := false
 	if o.scratchB == nil {
-		o.scratchB = m.newTBinding()
-		o.scratchRB = m.newTBinding()
+		o.scratchB = newTBinding(o.RS.Algebra.Props)
 	}
 	var t0 time.Time
 	if o.timing {
 		t0 = time.Now()
 	}
 	m.curRule = rule.Name
-	b, rb := o.scratchB, o.scratchRB
-	b.reset()
-	m.forEachMatch(rule.LHS, e, b, since, e.seq >= since, func(fresh bool) {
+	b := o.scratchB
+	b.Reset(te.frame)
+	b.vars = b.vars[:0]
+	m.forEachMatch(te.lhs, e, b, since, e.seq >= since, func(fresh bool) {
 		if !fresh {
 			return
 		}
 		o.transMatchedN[ri]++
-		rb.copyFrom(b)
-		if rule.Cond != nil && !rule.Cond(rb) {
+		b.BeginFiring()
+		if rule.Cond != nil && !rule.Cond(b) {
 			return
 		}
 		o.transFiredN[ri]++
@@ -709,9 +714,9 @@ func (o *Optimizer) applyTrans(rule *TransRule, ri int, e *LExpr, since uint64) 
 			o.tr.Instant(o.tid, "trans:"+rule.Name, "rule")
 		}
 		if rule.Appl != nil {
-			rule.Appl(rb)
+			rule.Appl(b)
 		}
-		if m.buildRHS(rule.RHS, rb, m.Find(e.group)) {
+		if m.buildRHS(te.rhs, b, m.Find(e.group)) {
 			changed = true
 		}
 	})
@@ -851,9 +856,18 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor, seed *PExpr,
 			acc := 0.0
 			ok := true
 			for i, k := range e.Kids {
-				r := core.NewDescriptor(o.RS.Algebra.Props)
-				if i < len(inReq) && inReq[i] != nil {
+				var r *core.Descriptor
+				if i < len(inReq) {
 					r = inReq[i]
+				}
+				if r == nil {
+					// No requirement: one empty descriptor serves every
+					// such input (findBest clones what it keeps and
+					// nothing writes to a requirement).
+					if o.noReq == nil {
+						o.noReq = core.NewDescriptor(o.RS.Algebra.Props)
+					}
+					r = o.noReq
 				}
 				if o.timing {
 					self += time.Since(t0)
