@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-guard cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
+.PHONY: all build vet test race bench-test bench-smoke bench-guard cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
 
 all: ci
 
@@ -17,6 +17,13 @@ test:
 
 race:
 	$(GO) test -race -timeout 600s ./...
+
+# The repository benchmark (bench/, a module of its own that the root
+# module's ./... skips) imports server, wire, volcano, plancache and obs:
+# its smoke test runs every workload at a small scale and checks
+# BENCHMARK.json against the runner.
+bench-test:
+	cd bench && $(GO) test -timeout 300s ./...
 
 # A short benchmark smoke: three iterations of the figure benchmarks —
 # Fig10/11 put the Prairie-generated and the hand-coded optimizer side by
@@ -173,7 +180,7 @@ cover:
 	$(GO) test -timeout 600s -coverprofile=cover.out ./...
 	@awk -v floor=$(COVER_FLOOR) -f scripts/cover.awk cover.out
 
-ci: vet build race bench-smoke cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard fuzz-smoke cover
+ci: vet build race bench-test bench-smoke cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

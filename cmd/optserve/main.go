@@ -51,6 +51,29 @@ import (
 	"prairie/internal/server"
 )
 
+// traceRing is the tracer's ring size in events (88 bytes each).
+const traceRing = 1 << 16
+
+// HTTP edge timeouts: a client that goes silent mid-request or between
+// requests gives its connection and goroutine back. Generous enough that
+// no keep-alive client notices — request bodies are capped at 1 MB, and
+// responses are not covered (a slow search is bounded by its own
+// deadline).
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	maxN := flag.Int("max-n", 6, "catalog width: servable queries range over n=2..max-n classes")
@@ -98,9 +121,11 @@ func main() {
 	}
 	metrics := obs.NewRegistry()
 	// A long-running server wants the newest trace events, not the first
-	// MaxEvents after boot.
+	// MaxEvents after boot, and a ring whose size does not decide the
+	// process's: the default 2^20 events were 180 MB of the heap once
+	// misses had filled them with rule firings.
 	tracer := obs.NewTracer()
-	tracer.DropOldest = true
+	tracer.DropOldest, tracer.MaxEvents = true, traceRing
 	flight := obs.NewFlightRecorderObserved(obs.FlightConfig{
 		Capacity:      *flightCap,
 		SlowThreshold: *flightSlow,
@@ -142,7 +167,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := newHTTPServer(srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "optserve: serving %v on http://%s/ (budget classes via /v1/rulesets)\n",

@@ -236,3 +236,28 @@ func TestServeExposition(t *testing.T) {
 		t.Error("/debug/pprof/heap empty")
 	}
 }
+
+// TestSizedRingAllocatedOnce: a tracer given MaxEvents allocates its
+// buffer whole on the first event and never grows it — as a ring it
+// then keeps the newest events — while the default-sized tracer still
+// grows on demand.
+func TestSizedRingAllocatedOnce(t *testing.T) {
+	tr := NewTracer()
+	tr.MaxEvents, tr.DropOldest = 8, true
+	tr.Instant(1, "first", "rule")
+	if cap(tr.events) != 8 {
+		t.Fatalf("ring capacity after one event = %d, want 8", cap(tr.events))
+	}
+	ring := &tr.events[0]
+	for i := 0; i < 20; i++ {
+		tr.Instant(1, "later", "rule")
+	}
+	if &tr.events[0] != ring || tr.Len() != 8 || tr.Dropped() != 13 {
+		t.Fatalf("ring moved or miscounted: len=%d dropped=%d", tr.Len(), tr.Dropped())
+	}
+	def := NewTracer()
+	def.Instant(1, "first", "rule")
+	if cap(def.events) >= DefaultMaxEvents {
+		t.Fatalf("the default tracer allocated %d events up front", cap(def.events))
+	}
+}

@@ -31,7 +31,8 @@ const DefaultMaxEvents = 1 << 20
 // tracer, each on its own tid), and nil-safe: every method on a nil
 // *Tracer is a no-op, and spans it returns are inert.
 type Tracer struct {
-	// MaxEvents overrides DefaultMaxEvents when set before recording.
+	// MaxEvents overrides DefaultMaxEvents when set before recording; a
+	// buffer sized this way is allocated whole by the first event.
 	MaxEvents int
 	// DropOldest switches the retention policy at the cap: false — the
 	// default, right for bounded bench traces — keeps the first
@@ -65,6 +66,11 @@ func (t *Tracer) append(ev TraceEvent) {
 	}
 	switch {
 	case len(t.events) < max:
+		if t.events == nil && t.MaxEvents > 0 {
+			// A sized ring is allocated once; growing it by doubling would
+			// copy it a dozen times and leave the copies to the collector.
+			t.events = make([]TraceEvent, 0, max)
+		}
 		t.events = append(t.events, ev)
 	case t.DropOldest:
 		t.events[t.head] = ev

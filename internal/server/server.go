@@ -623,6 +623,11 @@ type OptimizeResponse struct {
 	// RequestID correlates the response with its flight record
 	// (/v1/debug/requests/{id}); present only when the recorder is on.
 	RequestID string `json:"request_id,omitempty"`
+
+	// head and plan are the cache entry's rendered `"plan_text":"…"` and
+	// (when asked for) `,"plan":{…}`: the server never fills Plan, its
+	// appendJSON splices these bytes (see render.go).
+	head, plan []byte
 }
 
 // ExecSummary is the wire rendering of an executed plan's runtime.
@@ -687,12 +692,9 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 	if rec != nil {
 		s.recordOutcome(rec, tier, opt.Stats)
 	}
-	resp := s.buildResponse(world, req.Query, plan, opt.Stats, elapsed.Microseconds())
-	if req.IncludePlan {
-		resp.Plan, err = EncodePlan(plan)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
+	resp, err := s.buildResponse(world, req, plan, opt.Rendering, opt.Stats, elapsed.Microseconds())
+	if err != nil {
+		return nil, http.StatusInternalServerError, err
 	}
 	if req.Execute {
 		sum, code, err := s.executePlan(world, plan, rec)
@@ -827,19 +829,24 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 }
 
 // buildResponse renders one optimization outcome as its wire response;
-// /v1/optimize and /v1/batch share it so the degradation and tier
-// surfaces stay consistent, and the per-outcome server metrics
-// (degraded, cache hits) are counted exactly once here.
-func (s *Server) buildResponse(world *World, q QuerySpec, plan *volcano.PExpr, st *volcano.Stats, elapsedUS int64) *OptimizeResponse {
+// /v1/optimize and /v1/batch share it so the plan rendering, the
+// degradation and tier surfaces stay consistent, and the per-outcome
+// server metrics (degraded, cache hits) are counted exactly once here.
+// slot is the rendering slot of the cache entry behind plan (nil: none).
+// The only error is an include_plan request whose plan cannot be
+// encoded.
+func (s *Server) buildResponse(world *World, req OptimizeRequest, plan *volcano.PExpr, slot *volcano.Rendering, st *volcano.Stats, elapsedUS int64) (*OptimizeResponse, error) {
 	tier := st.Tier
 	if tier == "" {
 		tier = volcano.TierFull.String()
 	}
+	pb := renderPlan(slot, plan, world.RS.Class)
 	resp := &OptimizeResponse{
 		Ruleset:     world.Name,
-		Query:       q,
-		PlanText:    plan.String(),
-		Cost:        plan.Cost(world.RS.Class),
+		Query:       req.Query,
+		PlanText:    pb.text,
+		Cost:        pb.cost,
+		head:        pb.head,
 		Degraded:    st.Degraded,
 		CacheHit:    st.CacheHits > 0 && st.CacheMisses == 0,
 		PlannerTier: tier,
@@ -869,7 +876,13 @@ func (s *Server) buildResponse(world *World, q QuerySpec, plan *volcano.PExpr, s
 	if resp.CacheHit {
 		s.mHits.Inc()
 	}
-	return resp
+	if req.IncludePlan {
+		var err error
+		if resp.plan, err = pb.planJSON(); err != nil {
+			return nil, err
+		}
+	}
+	return resp, nil
 }
 
 func sumCounts(m map[string]int) int {
@@ -903,6 +916,14 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
+// fail answers an admitted request with an error body, counted and
+// recorded.
+func (s *Server) fail(w http.ResponseWriter, rec *obs.RequestRecord, code int, err error) {
+	s.mErrors.Inc()
+	writeJSON(w, code, errorBody{Error: err.Error()})
+	s.finish(rec, code, "error", err.Error())
+}
+
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var req OptimizeRequest
 	if !s.decode(w, r, &req) {
@@ -921,15 +942,16 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	resp, code, err := s.optimizeOne(r.Context(), world, req, rec)
 	if err != nil {
-		s.mErrors.Inc()
-		writeJSON(w, code, errorBody{Error: err.Error()})
-		s.finish(rec, code, "error", err.Error())
+		s.fail(w, rec, code, err)
 		return
 	}
 	if rec != nil {
 		resp.RequestID = rec.ID
 	}
-	writeJSON(w, code, resp)
+	if err := writeAppended(w, code, resp); err != nil {
+		s.fail(w, rec, http.StatusInternalServerError, err)
+		return
+	}
 	outcome := "ok"
 	if resp.Degraded {
 		outcome = "degraded"
@@ -1039,24 +1061,26 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Workers: workers,
 	}
 	for i, res := range results {
-		if res.Err != nil {
+		var item *OptimizeResponse
+		err := res.Err
+		if err == nil {
+			item, err = s.buildResponse(worlds[i], req.Items[i], res.Plan, res.Rendering, res.Stats, res.Elapsed.Microseconds())
+		}
+		if err != nil {
 			s.mErrors.Inc()
 			resp.Errors++
-			resp.Results[i] = BatchItemResponse{Error: res.Err.Error()}
+			resp.Results[i] = BatchItemResponse{Error: err.Error()}
 			continue
 		}
-		item := s.buildResponse(worlds[i], req.Items[i].Query, res.Plan, res.Stats, res.Elapsed.Microseconds())
 		if item.Degraded {
 			resp.Degraded++
 		}
-		if req.Items[i].IncludePlan {
-			if pn, err := EncodePlan(res.Plan); err == nil {
-				item.Plan = pn
-			}
-		}
 		resp.Results[i] = BatchItemResponse{OptimizeResponse: item}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	if err := writeAppended(w, http.StatusOK, &resp); err != nil {
+		s.fail(w, rec, http.StatusInternalServerError, err)
+		return
+	}
 	outcome := "ok"
 	if resp.Degraded > 0 {
 		outcome = "degraded"

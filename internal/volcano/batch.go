@@ -46,10 +46,12 @@ func (it BatchItem) options() Options {
 // the failing run's partial work and Elapsed is the mean over the
 // attempts actually made; a panicking rule hook surfaces here as Err.
 type BatchResult struct {
-	Plan    *PExpr
-	Stats   *Stats
-	Elapsed time.Duration // mean per optimization when Repeats > 1
-	Err     error
+	Plan  *PExpr
+	Stats *Stats
+	// Rendering is the item's Optimizer.Rendering (nil on error).
+	Rendering *Rendering
+	Elapsed   time.Duration // mean per optimization when Repeats > 1
+	Err       error
 }
 
 // OptimizeBatch optimizes independent queries concurrently on a worker
@@ -292,7 +294,7 @@ func runBatchItem(ctx context.Context, it BatchItem) (res BatchResult) {
 			res = BatchResult{Stats: opt.Stats, Err: err}
 			return
 		}
-		res.Plan, res.Stats = plan, opt.Stats
+		res.Plan, res.Stats, res.Rendering = plan, opt.Stats, opt.Rendering
 	}
 	return
 }

@@ -78,6 +78,7 @@ func greedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor, stats *Stats
 // plan drives the three bottom-up phases; explore selects whether phase
 // 0 (memo expansion to the transformation fixpoint) runs at all.
 func (o *BottomUp) plan(tree *core.Expr, req *core.Descriptor, explore bool) (*PExpr, error) {
+	o.Stats.ensureMaps()
 	if req == nil {
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}

@@ -3,6 +3,8 @@ package volcano
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"prairie/internal/core"
@@ -88,11 +90,34 @@ func (pc *PlanCache) String() string {
 		s.Evictions, s.PeekHits, s.Peeks, s.FlightWaits, s.FlightShared)
 }
 
+// Rendering is a cache entry's once-filled slot for a caller-defined
+// rendering of its plan (the server keeps the plan's response bytes
+// here). It is opaque to this package — wire imports volcano, so the
+// engine cannot know the encoding. An entry is immutable and every
+// (re-)insert builds a new one through newCachedPlan, so a rendering
+// can never outlive the plan it was made from.
+type Rendering struct {
+	once sync.Once
+	v    any
+}
+
+// Do returns the entry's rendering, calling fill for the first caller
+// only; concurrent callers wait for that one fill. A nil *Rendering —
+// a plan no cache entry stands behind — calls fill every time.
+func (r *Rendering) Do(fill func() any) any {
+	if r == nil {
+		return fill()
+	}
+	r.once.Do(func() { r.v = fill() })
+	return r.v
+}
+
 // cachedPlan is one cache entry: the winner plan detached from any memo,
 // its cost, and the memo-shape statistics of the cold run that produced
 // it. Hits copy the shape counters into the run's Stats so downstream
 // accounting (the experiments' group-equality checks, batch aggregates)
-// sees the search the plan stands for.
+// sees the search the plan stands for. Entries are immutable: hits share
+// plan, they do not copy it.
 type cachedPlan struct {
 	plan      *PExpr
 	cost      float64
@@ -113,6 +138,39 @@ type cachedPlan struct {
 	// cluster shard (zero off-cluster): hits on it count as ReplicaHits
 	// so the replication tier's effect is observable.
 	replica bool
+	// render is the entry's rendering slot, handed to every run the
+	// entry answers (Optimizer.Rendering).
+	render *Rendering
+}
+
+// newCachedPlan is the one constructor of cache entries, so that every
+// entry owns a fresh rendering slot; sites that publish tiered or
+// replicated entries set those marks on the result.
+func newCachedPlan(e RemoteEntry) cachedPlan {
+	return cachedPlan{
+		plan:      e.Plan,
+		cost:      e.Cost,
+		groups:    e.Groups,
+		exprs:     e.Exprs,
+		merges:    e.Merges,
+		memoBytes: e.MemoBytes,
+		render:    new(Rendering),
+	}
+}
+
+// publishable builds the entry of this run's completed search: the plan
+// is cloned on the way in, because the run's caller owns the original.
+func (o *Optimizer) publishable(plan *PExpr) cachedPlan {
+	cp := newCachedPlan(RemoteEntry{
+		Plan:      plan.Clone(),
+		Cost:      plan.Cost(o.RS.Class),
+		Groups:    o.Stats.Groups,
+		Exprs:     o.Stats.Exprs,
+		Merges:    o.Stats.Merges,
+		MemoBytes: o.Stats.MemoBytes,
+	})
+	o.Rendering = cp.render
+	return cp
 }
 
 // cacheSeed is one warm-start candidate: a proper subtree of the query,
@@ -122,7 +180,7 @@ type cachedPlan struct {
 type cacheSeed struct {
 	gid   GroupID
 	fp    uint64
-	canon string
+	canon []byte
 }
 
 // budgetClass renders the options fields that can change which plan a
@@ -137,22 +195,26 @@ func budgetClass(opts Options) string {
 		b.Timeout, b.MaxExprs, b.MaxGroups, b.MaxRuleFirings, opts.Explorer)
 }
 
-// rootKey builds the cache key of a whole query.
+// rootKey builds the cache key of a whole query, rendering tree,
+// requirement and budget class into one buffer.
 func (o *Optimizer) rootKey(tree *core.Expr, req *core.Descriptor) plancache.Key {
-	fp, canon := o.RS.fingerprintNode(tree)
+	fp, canon := o.RS.fingerprintWalk(tree, make([]byte, 0, 512))
 	return o.finishKey(fp, canon, req)
 }
 
 // finishKey extends a tree fingerprint with the required physical
-// properties and the budget class, and stamps scope and epoch.
-func (o *Optimizer) finishKey(fp uint64, canon string, req *core.Descriptor) plancache.Key {
+// properties and the budget class, and stamps scope and epoch. It
+// appends to canon (a caller that keeps canon clips it first).
+func (o *Optimizer) finishKey(fp uint64, canon []byte, req *core.Descriptor) plancache.Key {
 	phys := o.RS.Class.Phys
 	bstr := budgetClass(o.Opts)
 	fp = core.HashCombine(fp, req.HashOn(phys))
 	fp = core.HashCombine(fp, hashLeafName(bstr))
+	canon = appendProj(append(canon, "|req:"...), req, phys)
+	canon = append(append(canon, "|b:"...), bstr...)
 	return plancache.Key{
 		Fingerprint: fp,
-		Canon:       canon + "|req:" + reqCanon(req, phys) + "|b:" + bstr,
+		Canon:       string(canon),
 		Scope:       o.RS.cacheScope(),
 		Epoch:       o.Opts.Cache.c.Epoch(),
 	}
@@ -161,7 +223,8 @@ func (o *Optimizer) finishKey(fp uint64, canon string, req *core.Descriptor) pla
 // cachedOptimize wraps one optimization in the plan cache; it is the
 // dispatch target of OptimizeContext whenever Options.Cache is enabled.
 //
-//   - Full hit: the cached plan is cloned out, no search runs.
+//   - Full hit: the entry's plan is handed out as is (read-only, see
+//     cacheHit), no search runs.
 //   - Miss (leader): the cold search runs with warm-start seeds
 //     installed; a completed (non-degraded) result is published to the
 //     cache and to every follower waiting on the same key.
@@ -232,14 +295,7 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 		o.Stats.CacheMisses++
 		plan, err := o.optimizeContext(ctx, tree, req)
 		if err == nil && plan != nil && !o.Stats.Degraded {
-			cp := cachedPlan{
-				plan:      plan.Clone(),
-				cost:      plan.Cost(o.RS.Class),
-				groups:    o.Stats.Groups,
-				exprs:     o.Stats.Exprs,
-				merges:    o.Stats.Merges,
-				memoBytes: o.Stats.MemoBytes,
-			}
+			cp := o.publishable(plan)
 			if rem := o.Opts.Remote; rem != nil {
 				// A remotely-owned entry's capacity belongs to its shard:
 				// offer it to the owner and store locally only when the
@@ -310,14 +366,7 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 		a.Complete(cachedPlan{}, false)
 		return plan, err, false
 	}
-	cp := cachedPlan{
-		plan:      plan.Clone(),
-		cost:      plan.Cost(o.RS.Class),
-		groups:    o.Stats.Groups,
-		exprs:     o.Stats.Exprs,
-		merges:    o.Stats.Merges,
-		memoBytes: o.Stats.MemoBytes,
-	}
+	cp := o.publishable(plan)
 	if rem := o.Opts.Remote; rem != nil {
 		// Share with local followers unconditionally; store locally only
 		// when the cluster layer keeps the capacity here (self-owned key
@@ -330,11 +379,15 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 	return plan, nil, false
 }
 
-// cacheHit materializes a cache entry as this run's result: the plan is
-// cloned (callers own their plans) and the cold run's memo-shape
-// counters are copied into Stats, standing in for the search that was
-// skipped.
+// cacheHit materializes a cache entry as this run's result: the cold
+// run's memo-shape counters are copied into Stats, standing in for the
+// search that was skipped, and the entry's plan and rendering slot are
+// handed out. The plan is shared by every run the entry answers and is
+// read-only: nothing in the engine, the codec or the executor writes a
+// plan (TestPlanConsumersReadOnly), and a caller that wants to must
+// Clone first.
 func (o *Optimizer) cacheHit(cp cachedPlan) *PExpr {
+	o.Rendering = cp.render
 	o.Stats.Groups = cp.groups
 	o.Stats.Exprs = cp.exprs
 	o.Stats.Merges = cp.merges
@@ -352,7 +405,7 @@ func (o *Optimizer) cacheHit(cp cachedPlan) *PExpr {
 		o.Stats.GreedyCost = cp.greedyCost
 		o.Stats.FullCost = cp.cost
 	}
-	return cp.plan.Clone()
+	return cp.plan
 }
 
 // installSeeds records every proper interior subtree of the query as a
@@ -368,7 +421,7 @@ func (o *Optimizer) installSeeds(tree *core.Expr) {
 			return
 		}
 		if !root {
-			fp, canon := o.RS.fingerprintNode(e)
+			fp, canon := o.RS.fingerprintWalk(e, nil)
 			o.seeds = append(o.seeds, cacheSeed{gid: o.Memo.Insert(e), fp: fp, canon: canon})
 		}
 		for _, k := range e.Kids {
@@ -392,9 +445,9 @@ func (o *Optimizer) lookupSeed(g GroupID, req *core.Descriptor) (*PExpr, float64
 		if o.Memo.Find(s.gid) != g {
 			continue
 		}
-		if cp, ok := pc.c.Peek(o.finishKey(s.fp, s.canon, req)); ok {
+		if cp, ok := pc.c.Peek(o.finishKey(s.fp, slices.Clip(s.canon), req)); ok {
 			o.Stats.WarmSeeds++
-			return cp.plan.Clone(), cp.cost, true
+			return cp.plan, cp.cost, true
 		}
 	}
 	return nil, 0, false

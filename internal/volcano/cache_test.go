@@ -2,6 +2,8 @@ package volcano
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"prairie/internal/core"
@@ -126,10 +128,15 @@ func TestPlanCacheHit(t *testing.T) {
 	if st := pc.Snapshot(); st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
 		t.Errorf("cache counters: %+v", st)
 	}
-	// The cached entry must be immune to caller mutation of returned
-	// plans.
-	p2.D.SetFloat(w.nr, -1)
+	// A searching run owns the plan it returns (the entry is a clone of
+	// it); plans returned by hits are the entry's own and read-only, so
+	// a caller that wants to write clones first.
+	p1.D.SetFloat(w.nr, -1)
+	p2.Clone().D.SetFloat(w.nr, -1)
 	p3, _ := optCached(t, w, q, pc)
+	if p3 != p2 {
+		t.Error("hits deep-copy the entry's plan again")
+	}
 	if p3.Format() != cold.Format() {
 		t.Error("cached plan corrupted by caller mutation")
 	}
@@ -301,5 +308,80 @@ func TestBudgetClassSeparation(t *testing.T) {
 	if o.Stats.CacheHits != 0 || o.Stats.CacheMisses != 1 {
 		t.Errorf("budgeted run reused unbudgeted entry: hits=%d misses=%d",
 			o.Stats.CacheHits, o.Stats.CacheMisses)
+	}
+}
+
+// TestRenderingOncePerEntry: every run an entry answers is handed the
+// entry's one rendering slot, the slot is filled once however many runs
+// race for it, and a re-inserted entry (here: after an invalidation)
+// starts with an empty slot of its own.
+func TestRenderingOncePerEntry(t *testing.T) {
+	w := newTestWorld()
+	q := w.chain(8, 4, 2, 6)
+	pc := NewPlanCache(64)
+	lead := NewOptimizer(w.rs)
+	lead.Opts.Cache = pc
+	if _, err := lead.Optimize(q.Clone(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if lead.Rendering == nil {
+		t.Fatal("the leader was not handed the slot of the entry it published")
+	}
+	var fills atomic.Int64
+	render := func(o *Optimizer, plan *PExpr) string {
+		return o.Rendering.Do(func() any { fills.Add(1); return plan.String() }).(string)
+	}
+	const n = 32
+	got := make([]string, n)
+	var start, wg sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o := NewOptimizer(w.rs)
+			o.Opts.Cache = pc
+			start.Wait()
+			plan, err := o.Optimize(q.Clone(), nil)
+			if err != nil || o.Stats.CacheHits != 1 {
+				t.Errorf("run %d: err=%v hits=%d", i, err, o.Stats.CacheHits)
+				return
+			}
+			if o.Rendering != lead.Rendering {
+				t.Errorf("run %d was handed another slot than the entry's", i)
+			}
+			got[i] = render(o, plan)
+		}()
+	}
+	start.Done()
+	wg.Wait()
+	if fills.Load() != 1 {
+		t.Fatalf("the entry was rendered %d times", fills.Load())
+	}
+	for i := range got {
+		if got[i] != got[0] || got[0] == "" {
+			t.Fatalf("run %d read %q, run 0 %q", i, got[i], got[0])
+		}
+	}
+	pc.Invalidate()
+	again := NewOptimizer(w.rs)
+	again.Opts.Cache = pc
+	plan, err := again.Optimize(q.Clone(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Rendering == nil || again.Rendering == lead.Rendering {
+		t.Fatal("the re-inserted entry shares the old entry's slot")
+	}
+	if render(again, plan); fills.Load() != 2 {
+		t.Fatalf("the new entry's slot was not filled afresh (%d fills)", fills.Load())
+	}
+	var none *Rendering
+	if none.Do(func() any { return 7 }) != 7 {
+		t.Fatal("a nil slot must call fill")
+	}
+	uncached := NewOptimizer(w.rs)
+	if _, err := uncached.Optimize(q.Clone(), nil); err != nil || uncached.Rendering != nil {
+		t.Fatalf("a cacheless run has a slot: %v, %v", uncached.Rendering, err)
 	}
 }

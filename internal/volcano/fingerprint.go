@@ -1,8 +1,10 @@
 package volcano
 
 import (
-	"sort"
-	"strings"
+	"bytes"
+	"cmp"
+	"slices"
+	"strconv"
 
 	"prairie/internal/core"
 )
@@ -30,9 +32,8 @@ import (
 // fingerprintNode returns the structural hash and the canonical
 // rendering of the logical tree rooted at e.
 func (rs *RuleSet) fingerprintNode(e *core.Expr) (uint64, string) {
-	var b strings.Builder
-	h := rs.fingerprintWalk(e, &b)
-	return h, b.String()
+	h, b := rs.fingerprintWalk(e, make([]byte, 0, 512))
+	return h, string(b)
 }
 
 // Fingerprint exposes the canonical fingerprint for callers outside the
@@ -50,88 +51,101 @@ func (rs *RuleSet) Commutative(op *core.Operation) bool {
 	return rs.commutative(op)
 }
 
-func (rs *RuleSet) fingerprintWalk(e *core.Expr, b *strings.Builder) uint64 {
+// fingerprintWalk appends e's canonical rendering to b — the whole tree
+// is rendered into one buffer, a subtree is never a string of its own —
+// and returns e's hash.
+func (rs *RuleSet) fingerprintWalk(e *core.Expr, b []byte) (uint64, []byte) {
 	if e.IsLeaf() {
 		// Same leaf constant as Memo.selfHash, extended with the
 		// catalog projection: the memo can key leaves by name alone
 		// because one memo sees one catalog, but the cache outlives
 		// catalog reloads within a rule set's lifetime.
 		h := core.HashCombine(0x1eaf, hashLeafName(e.File))
-		b.WriteString(e.File)
+		b = append(b, e.File...)
 		if e.D != nil && len(rs.Class.Arg) > 0 {
 			h = core.HashCombine(h, e.D.HashOn(rs.Class.Arg))
-			writeProj(b, e.D, rs.Class.Arg)
+			b = appendProj(b, e.D, rs.Class.Arg)
 		}
-		return h
+		return h, b
 	}
 	ids := rs.idProps(e.Op)
 	h := core.HashCombine(core.HashCombine(0x09, uint64(e.Op.Index())), e.D.HashOn(ids))
-	b.WriteString(e.Op.Name)
-	writeProj(b, e.D, ids)
-	b.WriteByte('(')
-	type kidFP struct {
-		h uint64
-		s string
+	b = append(b, e.Op.Name...)
+	b = appendProj(b, e.D, ids)
+	b = append(b, '(')
+	if len(e.Kids) == 2 && rs.commutative(e.Op) {
+		// Canonical input order: by hash, then by rendering. Both inputs
+		// are rendered in tree order; when that is the wrong order the
+		// two byte ranges trade places, through scratch space past the
+		// end of the buffer.
+		var h0, h1 uint64
+		first := len(b)
+		h0, b = rs.fingerprintWalk(e.Kids[0], b)
+		b = append(b, ',')
+		second := len(b)
+		h1, b = rs.fingerprintWalk(e.Kids[1], b)
+		if h1 < h0 || (h1 == h0 && bytes.Compare(b[second:], b[first:second-1]) < 0) {
+			end := len(b)
+			b = append(b, b[first:second-1]...)
+			n := copy(b[first:], b[second:end])
+			b[first+n] = ','
+			copy(b[first+n+1:], b[end:])
+			b = b[:end]
+			h0, h1 = h1, h0
+		}
+		h = core.HashCombine(core.HashCombine(h, h0), h1)
+		return h, append(b, ')')
 	}
-	kids := make([]kidFP, len(e.Kids))
 	for i, k := range e.Kids {
-		var kb strings.Builder
-		kids[i] = kidFP{rs.fingerprintWalk(k, &kb), kb.String()}
-	}
-	if len(kids) == 2 && rs.commutative(e.Op) {
-		if kids[1].h < kids[0].h || (kids[1].h == kids[0].h && kids[1].s < kids[0].s) {
-			kids[0], kids[1] = kids[1], kids[0]
-		}
-	}
-	for i, k := range kids {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(k.s)
-		h = core.HashCombine(h, k.h)
+		var hk uint64
+		hk, b = rs.fingerprintWalk(k, b)
+		h = core.HashCombine(h, hk)
 	}
-	b.WriteByte(')')
-	return h
+	return h, append(b, ')')
 }
 
-// writeProj renders the projection of d onto ids, reading unset
+// appendProj renders the projection of d onto ids, reading unset
 // properties as their defaults — exactly the equality Descriptor.EqualOn
 // applies, so the canonical string distinguishes precisely what the memo
 // distinguishes.
-func writeProj(b *strings.Builder, d *core.Descriptor, ids []core.PropID) {
-	b.WriteByte('{')
+func appendProj(b []byte, d *core.Descriptor, ids []core.PropID) []byte {
+	b = append(b, '{')
 	for i, id := range ids {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
 		switch v := d.Get(id).(type) {
 		case core.Attrs:
 			// Attrs compare as sets (order-insensitive Equal/Hash) but
 			// render in list order; sort so EqualOn-equal descriptors
 			// canonicalize identically.
-			writeSortedAttrs(b, v)
+			b = appendSortedAttrs(b, v)
+		case core.Float: // as Float.String, without the string
+			b = strconv.AppendFloat(b, float64(v), 'g', -1, 64)
 		default:
-			b.WriteString(v.String())
+			b = append(b, v.String()...)
 		}
 	}
-	b.WriteByte('}')
+	return append(b, '}')
 }
 
-func writeSortedAttrs(b *strings.Builder, v core.Attrs) {
-	sorted := make([]string, len(v))
-	for i, a := range v {
-		sorted[i] = a.String()
+// appendSortedAttrs renders v's attributes ("rel.name") in (rel, name)
+// order.
+func appendSortedAttrs(b []byte, v core.Attrs) []byte {
+	var stack [24]core.Attr
+	sorted := append(stack[:0], v...)
+	slices.SortFunc(sorted, func(x, y core.Attr) int {
+		return cmp.Or(cmp.Compare(x.Rel, y.Rel), cmp.Compare(x.Name, y.Name))
+	})
+	b = append(b, '{')
+	for i, a := range sorted {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, a.Rel...), '.'), a.Name...)
 	}
-	sort.Strings(sorted)
-	b.WriteByte('{')
-	b.WriteString(strings.Join(sorted, ","))
-	b.WriteByte('}')
-}
-
-// reqCanon renders the physical-property requirement for the cache key
-// with the same unset-reads-as-default convention as writeProj.
-func reqCanon(req *core.Descriptor, phys []core.PropID) string {
-	var b strings.Builder
-	writeProj(&b, req, phys)
-	return b.String()
+	return append(b, '}')
 }

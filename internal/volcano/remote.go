@@ -105,15 +105,9 @@ func entryOf(cp cachedPlan) RemoteEntry {
 // marks hot-key replicas of remotely-owned entries (ReplicaHits
 // accounting); the tier is always TierFull — greedy plans never travel.
 func cachedPlanOf(e RemoteEntry, replica bool) cachedPlan {
-	return cachedPlan{
-		plan:      e.Plan,
-		cost:      e.Cost,
-		groups:    e.Groups,
-		exprs:     e.Exprs,
-		merges:    e.Merges,
-		memoBytes: e.MemoBytes,
-		replica:   replica,
-	}
+	cp := newCachedPlan(e)
+	cp.replica = replica
+	return cp
 }
 
 // RemoteAcquired is the owner-side view of one peer lookup: a hit, a

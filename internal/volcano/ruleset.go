@@ -208,6 +208,9 @@ type transEntry struct {
 	shallow  bool
 	lhs, rhs *core.PatNode
 	frame    *core.Frame
+	// instant is the name of the trace instant a firing emits, built
+	// once here rather than per firing.
+	instant string
 }
 
 // implEntry is one implementation rule in the operator index.
@@ -243,7 +246,7 @@ func (rs *RuleSet) index() *ruleIndex {
 			impls: make(map[*core.Operation][]implEntry),
 		}
 		for i, r := range rs.Trans {
-			te := transEntry{rule: r, idx: i, shallow: r.LHS.Depth() <= 1, lhs: r.LHS, rhs: r.RHS, frame: r.Frame}
+			te := transEntry{rule: r, idx: i, shallow: r.LHS.Depth() <= 1, lhs: r.LHS, rhs: r.RHS, frame: r.Frame, instant: "trans:" + r.Name}
 			if te.frame == nil {
 				// Hand-coded rules share pattern nodes between rules.
 				te.lhs, te.rhs = r.LHS.Clone(), r.RHS.Clone()

@@ -126,6 +126,12 @@ type Optimizer struct {
 	// OnEvent, when set, receives a trace of rule firings, costed and
 	// rejected alternatives, enforcer applications, and winners.
 	OnEvent func(Event)
+	// Rendering is the rendering slot of the cache entry that stands
+	// behind the plan the last OptimizeContext returned — the entry a hit
+	// or a shared flight was served from, a peer filled, or this run
+	// published; nil when no entry does (no cache, a degraded or failed
+	// run). See Rendering.
+	Rendering *Rendering
 
 	// scratchB is the binding reused across every rule application
 	// (exploration is single-threaded per optimizer); rule hooks must not
@@ -161,7 +167,7 @@ type Optimizer struct {
 
 // NewOptimizer returns an optimizer over a fresh memo.
 func NewOptimizer(rs *RuleSet) *Optimizer {
-	return &Optimizer{RS: rs, Memo: NewMemo(rs), Stats: NewStats()}
+	return &Optimizer{RS: rs, Memo: NewMemo(rs), Stats: &Stats{}}
 }
 
 func (o *Optimizer) maxExprs() int {
@@ -203,10 +209,16 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 		start := time.Now()
 		sp := o.tr.Begin(o.tid, "optimize", "optimize")
 		plan, err := o.dispatchOptimize(ctx, tree, req)
-		sp.EndArgs(map[string]any{
-			"groups": o.Stats.Groups, "exprs": o.Stats.Exprs,
-			"winners": o.Stats.Winners, "degraded": o.Stats.Degraded,
-		})
+		if o.Stats.CacheHits > 0 && o.Stats.CacheMisses == 0 {
+			// A hit searched nothing: its span carries no memo shape, and
+			// costs no argument map.
+			sp.End()
+		} else {
+			sp.EndArgs(map[string]any{
+				"groups": o.Stats.Groups, "exprs": o.Stats.Exprs,
+				"winners": o.Stats.Winners, "degraded": o.Stats.Degraded,
+			})
+		}
 		recordRun(ob, o.Stats, time.Since(start), err)
 		return plan, err
 	}
@@ -219,6 +231,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 // to previous releases (TierFull with an attached Router takes exactly
 // the same path — the router is consulted only by TierAuto).
 func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+	o.Rendering = nil
 	if o.Opts.Tier != TierFull {
 		return o.tieredOptimize(ctx, tree, req)
 	}
@@ -229,6 +242,7 @@ func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *
 }
 
 func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+	o.Stats.ensureMaps()
 	if ph := o.Opts.Phases; ph != nil {
 		start := time.Now()
 		defer func() { ph.Observe(obs.PhaseFull, start, time.Since(start)) }()
@@ -711,7 +725,7 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) bool {
 			o.emit(EventTransFired, rule.Name, m.Find(e.group), e.String(), 0)
 		}
 		if o.tr != nil {
-			o.tr.Instant(o.tid, "trans:"+rule.Name, "rule")
+			o.tr.Instant(o.tid, te.instant, "rule")
 		}
 		if rule.Appl != nil {
 			rule.Appl(b)

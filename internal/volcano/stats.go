@@ -102,14 +102,24 @@ type Stats struct {
 
 // NewStats returns zeroed statistics.
 func NewStats() *Stats {
-	return &Stats{
-		TransMatched: map[string]int{},
-		TransFired:   map[string]int{},
-		ImplMatched:  map[string]int{},
-		ImplFired:    map[string]int{},
-		EnfMatched:   map[string]int{},
-		EnfFired:     map[string]int{},
+	s := &Stats{}
+	s.ensureMaps()
+	return s
+}
+
+// ensureMaps makes the per-rule counter maps writable. An Optimizer's
+// Stats start without them — a run the plan cache answers never counts a
+// rule — and the search makes them on its way in.
+func (s *Stats) ensureMaps() {
+	if s.TransMatched != nil {
+		return
 	}
+	s.TransMatched = map[string]int{}
+	s.TransFired = map[string]int{}
+	s.ImplMatched = map[string]int{}
+	s.ImplFired = map[string]int{}
+	s.EnfMatched = map[string]int{}
+	s.EnfFired = map[string]int{}
 }
 
 // DistinctTransMatched returns how many distinct trans_rules matched at

@@ -506,25 +506,11 @@ func (o *Optimizer) tieredOptimize(ctx context.Context, tree *core.Expr, req *co
 			a.Complete(cachedPlan{}, false)
 			return full, err
 		}
-		a.Complete(cachedPlan{
-			plan:      full.Clone(),
-			cost:      full.Cost(o.RS.Class),
-			groups:    o.Stats.Groups,
-			exprs:     o.Stats.Exprs,
-			merges:    o.Stats.Merges,
-			memoBytes: o.Stats.MemoBytes,
-		}, true)
+		a.Complete(o.publishable(full), true)
 		return full, nil
 	}
-	entry := cachedPlan{
-		plan:      plan.Clone(),
-		cost:      cost,
-		groups:    o.Stats.Groups,
-		exprs:     o.Stats.Exprs,
-		merges:    o.Stats.Merges,
-		memoBytes: o.Stats.MemoBytes,
-		tier:      TierGreedy,
-	}
+	entry := o.publishable(plan)
+	entry.tier = TierGreedy
 	a.Complete(entry, true)
 	refine := o.Opts.Tier == TierAuto
 	var class uint64
@@ -664,17 +650,9 @@ func (o *Optimizer) spawnRefine(key plancache.Key, class uint64, tree *core.Expr
 			out.Outcome = RefineStale
 			return
 		}
-		pc.c.Put(key, cachedPlan{
-			plan:       plan.Clone(),
-			cost:       fullCost,
-			groups:     ref.Stats.Groups,
-			exprs:      ref.Stats.Exprs,
-			merges:     ref.Stats.Merges,
-			memoBytes:  ref.Stats.MemoBytes,
-			tier:       TierFull,
-			refined:    true,
-			greedyCost: greedyCost,
-		})
+		entry := ref.publishable(plan)
+		entry.refined, entry.greedyCost = true, greedyCost
+		pc.c.Put(key, entry)
 		rt.refineDone.Inc()
 		out.Outcome = RefineSwapped
 		if fullCost < greedyCost {
