@@ -12,7 +12,10 @@
 //	-fmt     print the canonical formatting of the specification
 //	-dump    also list the generated trans_rules/impl_rules/enforcers, each
 //	         with its descriptor frame and the sub-expressions one firing
-//	         evaluates once and shares
+//	         evaluates once and shares; a trans_rule also with the cut of
+//	         its statements — which run before the test, which decide the
+//	         new nodes' identity, which are deferred until the memo keeps
+//	         a node — or the reason it was left whole
 //	-verify  differentially verify every trans_rule (JSON verdict table)
 //	-time    report per-phase wall time (parse, check, compile, translate)
 //
@@ -133,24 +136,23 @@ func main() {
 	}
 	fmt.Print(rep.String())
 	if *dump {
-		dumpRules(os.Stdout, rs, vrs)
+		dumpRules(os.Stdout, rs, vrs, rep)
 	}
 }
 
 // dumpRules lists the generated rules and, under each, what one firing
 // of its compiled actions works in: the descriptor frame (slot order)
-// and the sub-expressions evaluated once per firing and then shared.
-func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet) {
+// and the sub-expressions evaluated once per firing and then shared. A
+// trans_rule runs the cut P2V asked the compiler for, listed below its
+// frame: the statements before the test, those deciding the identity of
+// the new nodes, and those deferred until the memo keeps one.
+func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet, rep *p2v.Report) {
 	frames := map[string]*core.Frame{}
-	for _, r := range rs.TRules {
-		frames[r.Name] = r.Frame
-	}
 	for _, r := range rs.IRules {
 		frames[r.Name] = r.Frame
 	}
-	rule := func(kind, name, text string) {
+	rule := func(kind, text string, f *core.Frame) {
 		fmt.Fprintf(w, "  %s%s\n", kind, text)
-		f := frames[name]
 		fmt.Fprintf(w, "      frame [%s]\n", strings.Join(f.Names, " "))
 		for _, e := range f.Shared {
 			fmt.Fprintf(w, "      shares %s\n", e)
@@ -158,13 +160,16 @@ func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet) {
 	}
 	fmt.Fprintln(w, "\nGenerated Volcano rule set:")
 	for _, r := range vrs.Trans {
-		rule("trans_rule ", r.Name, r.String())
+		rule("trans_rule ", r.String(), r.Frame)
+		for _, line := range rep.Cuts[r.Name] {
+			fmt.Fprintf(w, "      %s\n", line)
+		}
 	}
 	for _, r := range vrs.Impls {
-		rule("impl_rule  ", r.Name, r.String())
+		rule("impl_rule  ", r.String(), frames[r.Name])
 	}
 	for _, e := range vrs.Enforcers {
-		rule("", e.Name, e.String())
+		rule("", e.String(), frames[e.Name])
 	}
 }
 

@@ -263,20 +263,20 @@ func (p *Pred) walkAttrs(out *Attrs) {
 // RefersOnlyTo reports whether every attribute referenced by p is in set.
 // Rules use it to decide predicate pushdown applicability.
 func (p *Pred) RefersOnlyTo(set Attrs) bool {
-	return !p.refers(func(a Attr) bool { return !set.Contains(a) })
+	return !p.AnyAttr(func(a Attr) bool { return !set.Contains(a) })
 }
 
 // RefersToAny reports whether p references at least one attribute of set.
-func (p *Pred) RefersToAny(set Attrs) bool { return p.refers(set.Contains) }
+func (p *Pred) RefersToAny(set Attrs) bool { return p.AnyAttr(set.Contains) }
 
-// refers reports whether some attribute p references satisfies hit; it
+// AnyAttr reports whether some attribute p references satisfies hit; it
 // walks the predicate without materializing Attrs().
-func (p *Pred) refers(hit func(Attr) bool) bool {
+func (p *Pred) AnyAttr(hit func(Attr) bool) bool {
 	if p == nil {
 		return false
 	}
 	for _, k := range p.Kids {
-		if k.refers(hit) {
+		if k.AnyAttr(hit) {
 			return true
 		}
 	}

@@ -250,6 +250,27 @@ type TRule struct {
 	// Frame is set on rules compiled from Prairie-language text: their
 	// actions address descriptors by its slots and LHS/RHS carry them.
 	Frame *Frame
+	// Slice, set on the same rules, compiles the rule's statements once
+	// more, cut for a back end that interns what a firing builds: rhs is
+	// the right side the back end will build and idProps tells which
+	// properties identify an expression of an operation.
+	Slice func(rhs *PatNode, idProps func(*Operation) []PropID) *Sliced
+}
+
+// Sliced is a T-rule cut three ways (TRule.Slice). Cond runs the pre-test
+// statements the test reads, then the test. Appl runs what decides the
+// identity properties of the right side's nodes — after it they are
+// final. Rest runs everything else and is wanted only by a back end that
+// keeps what the firing built; nil means nothing was held back. The parts
+// are laid out by their own Frame, over the rule's slots.
+type Sliced struct {
+	Frame *Frame
+	Cond  Test
+	Appl  Action // may be nil
+	Rest  Action // may be nil
+	// Doc lists the cut statement by statement, or the reason the rule was
+	// left as written, for the rule compiler's -dump.
+	Doc []string
 }
 
 // RunCond executes the rule's pre-test statements and test against the

@@ -11,6 +11,7 @@ import (
 	"prairie/internal/exec"
 	"prairie/internal/oodb"
 	"prairie/internal/p2v"
+	"prairie/internal/prairielang"
 	"prairie/internal/qgen"
 	"prairie/internal/volcano"
 )
@@ -493,4 +494,60 @@ func TestStarGraphSearchSpace(t *testing.T) {
 	if star <= linear {
 		t.Errorf("star groups (%d) should exceed linear groups (%d)", star, linear)
 	}
+}
+
+// TestJoinAssociatesOnGeneratedQueries is the property test of the
+// allocation-free is_assoc: every (lower, upper, l, m, r) the searches of
+// the query families present to it — E1–E4, linear and star graphs, every
+// width the tests search — gets the answer the construction it replaced
+// gives (oodb.JoinAssociatesByConstruction).
+func TestJoinAssociatesOnGeneratedQueries(t *testing.T) {
+	maxN := map[qgen.ExprKind]int{qgen.E1: 6, qgen.E2: 5, qgen.E3: 4, qgen.E4: 3}
+	if testing.Short() {
+		maxN = map[qgen.ExprKind]int{qgen.E1: 5, qgen.E2: 4, qgen.E3: 3, qgen.E4: 2}
+	}
+	o := oodb.New(qgen.Catalog(6, 101, false))
+	impls := o.HelperImpls()
+	isAssoc, calls, yes := impls["is_assoc"], 0, 0
+	impls["is_assoc"] = func(a []core.Value) (core.Value, error) {
+		got, err := isAssoc(a)
+		want := oodb.JoinAssociatesByConstruction(a[0].(*core.Pred), a[1].(*core.Pred), a[2].(core.Attrs), a[3].(core.Attrs), a[4].(core.Attrs))
+		if calls++; want {
+			yes++
+		}
+		if err != nil || got != core.Bool(want) {
+			t.Errorf("is_assoc(%v) = %v (%v), by construction %v", a, got, err, want)
+		}
+		return got, err
+	}
+	rs, err := prairielang.ParseAndCompile(oodb.Spec, impls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Rebind(rs.Algebra)
+	vrs, rep, err := p2v.Translate(rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e, max := range maxN {
+		for _, g := range []qgen.Graph{qgen.Linear, qgen.Star} {
+			for n := 2; n <= max; n++ {
+				tree, err := qgen.BuildGraph(o, e, n, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tree, req, err := rep.PrepareQuery(tree, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := volcano.NewOptimizer(vrs).Optimize(tree, req); err != nil {
+					t.Fatalf("%v n=%d graph %v: %v", e, n, g, err)
+				}
+			}
+		}
+	}
+	if calls < 1000 || yes == 0 || yes == calls {
+		t.Errorf("%d is_assoc calls, %d true: too few, or one-sided, to be a test", calls, yes)
+	}
+	t.Logf("%d is_assoc calls compared, %d true", calls, yes)
 }

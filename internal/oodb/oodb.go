@@ -149,10 +149,30 @@ func splitHalf(p *core.Pred, attrs core.Attrs, within bool) *core.Pred {
 // specifications: JOIN(JOIN(l, m), r) with predicates lower and upper may
 // be regrouped as JOIN(l, JOIN(m, r)) when the conjuncts over m ∪ r
 // connect m with r and the remaining ones reach l — neither new join
-// becomes a cross product.
+// becomes a cross product. Three yes/no answers are all it takes, so the
+// conjuncts of lower and upper are walked where they stand: a conjunct
+// goes inside when every attribute it names is in m or in r; no
+// conjunction, attribute union or string is built (the rule's actions
+// build them once the test has passed).
 func joinAssociates(lower, upper *core.Pred, l, m, r core.Attrs) bool {
-	inner, outer := splitPred(canonAnd(lower, upper), m.Union(r))
-	return inner.RefersToAny(m) && inner.RefersToAny(r) && outer.RefersToAny(l)
+	var innerM, innerR, outerL bool
+	for _, p := range [...]*core.Pred{lower, upper} {
+		one := [...]*core.Pred{p}
+		conjuncts := one[:]
+		if p.IsTrue() {
+			continue
+		} else if p.Op == core.PredAnd {
+			conjuncts = p.Kids
+		}
+		for _, c := range conjuncts {
+			if c.AnyAttr(func(a core.Attr) bool { return !m.Contains(a) && !r.Contains(a) }) {
+				outerL = outerL || c.RefersToAny(l)
+			} else {
+				innerM, innerR = innerM || c.RefersToAny(m), innerR || c.RefersToAny(r)
+			}
+		}
+	}
+	return innerM && innerR && outerL
 }
 
 // firstConj returns the canonically-first conjunct; restConj the others.

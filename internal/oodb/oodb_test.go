@@ -198,3 +198,66 @@ func TestJoinAssociates(t *testing.T) {
 		}
 	}
 }
+
+// JoinAssociatesByConstruction is joinAssociates as it was before it
+// stopped allocating, kept as its oracle: build the canonical conjunction
+// of both predicates, split it by the union of m and r, and ask the two
+// halves. Rebind exports rebind. Both serve the external test package,
+// which can import the query generator (TestJoinAssociatesOnGeneratedQueries).
+func JoinAssociatesByConstruction(lower, upper *core.Pred, l, m, r core.Attrs) bool {
+	inner, outer := splitPred(canonAnd(lower, upper), m.Union(r))
+	return inner.RefersToAny(m) && inner.RefersToAny(r) && outer.RefersToAny(l)
+}
+
+func (o *Opt) Rebind(a *core.Algebra) { o.rebind(a) }
+
+// TestJoinAssociatesMatchesConstruction compares joinAssociates with its
+// oracle on the shapes generated queries never present — TRUE on either
+// side, selection terms, conjunctions nested in conjuncts, disjunctions,
+// every assignment of five small attribute sets — and holds it to zero
+// allocations.
+func TestJoinAssociatesMatchesConstruction(t *testing.T) {
+	at := func(rels ...string) core.Attrs {
+		var out core.Attrs
+		for _, rel := range rels {
+			out = append(out, core.A(rel, "a"), core.A(rel, "id"))
+		}
+		return out
+	}
+	eq := func(r1, r2 string) *core.Pred { return core.EqAttr(core.A(r1, "a"), core.A(r2, "a")) }
+	sel := func(rel string) *core.Pred { return core.EqConst(core.A(rel, "id"), core.Int(1)) }
+	nested := &core.Pred{Op: core.PredAnd, Kids: []*core.Pred{eq("C1", "C2"), core.And(eq("C2", "C3"), sel("C3"))}}
+	preds := []*core.Pred{
+		core.TruePred, nil, eq("C1", "C2"), eq("C2", "C3"), eq("C1", "C3"), sel("C2"),
+		core.And(eq("C1", "C2"), eq("C2", "C3")), core.And(eq("C1", "C3"), sel("C1"), eq("C2", "C3")),
+		nested, core.And(nested, eq("C1", "C3")), core.Or(eq("C1", "C2"), eq("C2", "C3")),
+		core.And(core.Or(eq("C1", "C2"), sel("C3")), eq("C2", "C3")), core.Not(eq("C2", "C3")),
+		{Op: core.PredAnd, Kids: []*core.Pred{core.TruePred, eq("C2", "C3")}},
+	}
+	sets := []core.Attrs{nil, at("C1"), at("C2"), at("C3"), at("C1", "C2"), at("C2", "C3"), at("C1", "C2", "C3")}
+	n := 0
+	for _, lower := range preds {
+		for _, upper := range preds {
+			for _, l := range sets {
+				for _, m := range sets {
+					for _, r := range sets {
+						n++
+						if got, want := joinAssociates(lower, upper, l, m, r), JoinAssociatesByConstruction(lower, upper, l, m, r); got != want {
+							t.Fatalf("joinAssociates(%v, %v, %v, %v, %v) = %v, by construction %v", lower, upper, l, m, r, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d cases", n)
+	lower, upper := core.And(eq("C1", "C2"), sel("C2")), eq("C2", "C3")
+	l, m, r := at("C1"), at("C2"), at("C3")
+	if a := testing.AllocsPerRun(100, func() {
+		if !joinAssociates(lower, upper, l, m, r) || joinAssociates(upper, core.TruePred, l, m, r) {
+			t.Fatal("wrong answer")
+		}
+	}); a != 0 {
+		t.Errorf("joinAssociates allocates %v times per two calls, want 0", a)
+	}
+}

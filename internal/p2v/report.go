@@ -31,6 +31,9 @@ type Report struct {
 	DroppedIRules   map[string]string // I-rule -> reason
 	EnforcerIRules  []string          // I-rules that became Volcano enforcers
 	Aliases         map[string]string // introduced operator -> canonical operator
+	// Cuts lists, per trans_rule compiled from Prairie-language text, how
+	// its statements were cut for the memo (core.Sliced.Doc).
+	Cuts map[string][]string
 
 	// Rule-count arithmetic: Prairie in, Volcano out.
 	TRulesIn, IRulesIn               int
@@ -44,6 +47,7 @@ func newReport(rs *core.RuleSet) *Report {
 		DroppedTRules: map[string]string{},
 		DroppedIRules: map[string]string{},
 		Aliases:       map[string]string{},
+		Cuts:          map[string][]string{},
 	}
 }
 

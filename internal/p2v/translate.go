@@ -121,16 +121,29 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 				continue
 			}
 		}
+		// A compiled rule is cut for the memo: its test first, then what
+		// decides the identity of the nodes this right side builds, and
+		// the rest only for a firing whose result the memo keeps.
 		rule := t.rule
-		out.AddTrans(&volcano.TransRule{
+		s := &core.Sliced{Frame: rule.Frame, Cond: rule.RunCond, Appl: rule.RunPost}
+		if rule.Slice != nil {
+			s = rule.Slice(rhs, out.IDProps)
+			rep.Cuts[rule.Name] = s.Doc
+		}
+		tr := out.AddTrans(&volcano.TransRule{
 			Name:   rule.Name,
 			Origin: rule.Origin,
 			LHS:    lhs,
 			RHS:    rhs,
-			Frame:  rule.Frame,
-			Cond:   func(b *volcano.TBinding) bool { return rule.RunCond(b.Binding) },
-			Appl:   func(b *volcano.TBinding) { rule.RunPost(b.Binding) },
+			Frame:  s.Frame,
+			Cond:   func(b *volcano.TBinding) bool { return s.Cond(b.Binding) },
 		})
+		if s.Appl != nil {
+			tr.Appl = func(b *volcano.TBinding) { s.Appl(b.Binding) }
+		}
+		if s.Rest != nil {
+			tr.Rest = func(b *volcano.TBinding) { s.Rest(b.Binding) }
+		}
 	}
 
 	for _, r := range rs.IRules {

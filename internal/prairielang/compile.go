@@ -127,6 +127,9 @@ func (c *checker) compileTRule(d *TRuleDecl, helpers *core.Helpers) *core.TRule 
 	if len(c.errs) == 0 {
 		em := &emitter{helpers: helpers, frame: sc.frame, shared: shareCalls(sc.frame, d.PreTest, d.Test, d.PostTest)}
 		r.PreTest, r.Test, r.PostTest = em.action(d.PreTest), em.test(d.Test), em.action(d.PostTest)
+		r.Slice = func(rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) *core.Sliced {
+			return cutTRule(d, rhs, idProps).emit(d.Test, sc.frame.Names, helpers)
+		}
 	}
 	return r
 }

@@ -52,6 +52,8 @@ func requireAllRan(t *testing.T, d *prairielang.Diff) {
 		require(r.Name, "pretest", r.PreTest != nil)
 		require(r.Name, "test", r.Test != nil)
 		require(r.Name, "posttest", r.PostTest != nil)
+		require(r.Name, "cond", true)
+		require(r.Name, "appl", r.PostTest != nil)
 	}
 	for _, r := range d.RS.IRules {
 		require(r.Name, "test", r.Test != nil)
@@ -62,7 +64,10 @@ func requireAllRan(t *testing.T, d *prairielang.Diff) {
 
 // TestDifferentialOODB runs the Open OODB specification's compiled
 // actions against the interpreter on every binding — fired or rejected —
-// of real searches of each query family, on linear and star graphs.
+// of real searches of each query family, on linear and star graphs. The
+// searches run the T-rules as P2V has them sliced: the verdict is compared
+// after cond, the new nodes' identity properties after appl, and every
+// descriptor after rest, which only a firing the memo keeps reaches.
 func TestDifferentialOODB(t *testing.T) {
 	const n = 4
 	for _, indexed := range []bool{false, true} {
@@ -84,13 +89,120 @@ func TestDifferentialOODB(t *testing.T) {
 				search(t, d, tree)
 			}
 		}
-		for _, name := range []string{"join_assoc/test", "join_assoc/posttest", "select_push_join_left/test", "mat_pull_join_left/posttest", "ret_index_sweep/test"} {
+		for _, name := range []string{"join_assoc/cond", "join_assoc/appl", "join_assoc/rest", "select_push_join_left/cond", "mat_push_join_left/appl", "mat_pull_join_left/rest", "ret_index_sweep/test"} {
 			if d.Ran[name] == 0 {
 				t.Errorf("no search compared %s", name)
 			}
 		}
 		requireAllRan(t, d)
 	}
+}
+
+// TestApplyAtKeepsWholeDescriptors: RuleSet.ApplyAt builds trees for the
+// per-rule verifier and keeps every one, so it must run a rule's deferred
+// part too — the verifier itself would not notice, it executes trees and
+// execution reads identity properties only. Over the Open OODB query
+// shapes the verifier starts from, closed twice under rule application,
+// every property the interpreter sets on a right-side descriptor is set,
+// and equal, on the corresponding node of the tree ApplyAt returns.
+func TestApplyAtKeepsWholeDescriptors(t *testing.T) {
+	po := oodb.New(qgen.Catalog(3, 101, false))
+	rs, err := po.PrairieRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := prairielang.Differential(t, rs, oodb.Spec, po.HelperImpls())
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrs, _, err := p2v.Translate(d.RS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var level []*core.Expr
+	seed := func(tree *core.Expr, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		level = append(level, tree)
+	}
+	for _, e := range []qgen.ExprKind{qgen.E1, qgen.E2, qgen.E3, qgen.E4} {
+		for n := 2; n <= 3; n++ {
+			seed(qgen.Build(po, e, n))
+		}
+	}
+	seed(qgen.BuildGraph(po, qgen.E1, 3, qgen.Star))
+	seed(qgen.BuildRefJoin(po, 1))
+	seed(qgen.BuildUnnest(po, 1, true))
+
+	// nodesOf pairs the right side's nodes with the rewritten tree's.
+	var nodesOf func(p *core.PatNode, e *core.Expr, visit func(desc string, e *core.Expr))
+	nodesOf = func(p *core.PatNode, e *core.Expr, visit func(string, *core.Expr)) {
+		if p.IsVar() {
+			return
+		}
+		visit(p.Desc, e)
+		for i, k := range p.Kids {
+			nodesOf(k, e.Kids[i], visit)
+		}
+	}
+	var pathTo func(tree, site *core.Expr) ([]int, bool)
+	pathTo = func(tree, site *core.Expr) ([]int, bool) {
+		if tree == site {
+			return nil, true
+		}
+		for i, k := range tree.Kids {
+			if path, ok := pathTo(k, site); ok {
+				return append([]int{i}, path...), true
+			}
+		}
+		return nil, false
+	}
+	checked := map[string]int{}
+	seen := map[string]bool{}
+	for depth := 0; depth < 3; depth++ {
+		var next []*core.Expr
+		for _, tree := range level {
+			for _, r := range vrs.Trans {
+				for _, m := range vrs.TreeMatches(r, tree) {
+					rw, ok := vrs.ApplyAt(r, tree, m)
+					if !ok {
+						continue
+					}
+					if d.Want == nil {
+						t.Fatalf("%s fired at %s but the interpreter has no outcome", r.Name, tree)
+					}
+					at := rw
+					path, _ := pathTo(tree, m.Site)
+					for _, i := range path {
+						at = at.Kids[i]
+					}
+					nodesOf(r.RHS, at, func(desc string, e *core.Expr) {
+						want := d.Want.D(desc)
+						for i := 0; i < want.Props().Len(); i++ {
+							id := core.PropID(i)
+							if want.Has(id) && (!e.D.Has(id) || !e.D.Get(id).Equal(want.Get(id))) {
+								t.Errorf("%s at %s: %s.%s is %v (set %v) on the rewritten tree, the interpreter sets %v",
+									r.Name, tree, desc, want.Props().At(id).Name, e.D.Get(id), e.D.Has(id), want.Get(id))
+							}
+						}
+					})
+					checked[r.Name]++
+					if key := rw.Format(); !seen[key] && len(next) < 150 {
+						seen[key] = true
+						next = append(next, rw)
+					}
+				}
+			}
+		}
+		level = next
+	}
+	for _, r := range vrs.Trans {
+		if checked[r.Name] == 0 {
+			t.Errorf("%s never fired", r.Name)
+		}
+	}
+	t.Logf("rewrites checked per rule: %v", checked)
 }
 
 // relationalChain builds SORT(JOIN(...JOIN(RET(R1), RET(R2))..., RET(Rn)))
@@ -153,8 +265,8 @@ func TestDifferentialRelational(t *testing.T) {
 			for n := 2; n <= 5; n++ {
 				search(t, d, relationalChain(t, rs.Algebra, n))
 			}
-			if d.Ran["join_commute/posttest"] == 0 {
-				t.Error("no search compared join_commute/posttest")
+			if d.Ran["join_commute/appl"] == 0 {
+				t.Error("no search compared join_commute/appl")
 			}
 			requireAllRan(t, d)
 		})

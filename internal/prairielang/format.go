@@ -75,13 +75,16 @@ func formatBlock(b *strings.Builder, kw string, stmts []*Stmt) {
 	}
 	fmt.Fprintf(b, "%s {\n", kw)
 	for _, st := range stmts {
-		if st.Prop == "" {
-			fmt.Fprintf(b, "  %s = %s;\n", st.Dst, st.Src)
-		} else {
-			fmt.Fprintf(b, "  %s.%s = %s;\n", st.Dst, st.Prop, formatExpr(st.RHS))
-		}
+		fmt.Fprintf(b, "  %s\n", formatStmt(st))
 	}
 	b.WriteString("}\n")
+}
+
+func formatStmt(st *Stmt) string {
+	if st.Prop == "" {
+		return fmt.Sprintf("%s = %s;", st.Dst, st.Src)
+	}
+	return fmt.Sprintf("%s.%s = %s;", st.Dst, st.Prop, formatExpr(st.RHS))
 }
 
 func formatPat(p *PatAST) string {

@@ -10,12 +10,12 @@ import (
 const checkedSeed = `algebra a;
 property cost : cost; property n : float; property o : order;
 property s : string; property k : bool; property e : bool; property i : int;
-operator J(1); algorithm A(1) implements J;
+operator J(1) args(s); algorithm A(1) implements J;
 helper h(float) : float; helper g(order) : bool;
-trule t: J(J(?1:D1):D2):D3 => J(?1):D4
+trule t: J(J(?1:D1):D2):D3 => J(J(?1):D5):D4
 pretest { D4.n = h(D3.n) / 0; }
 test (!(D3.n > 2) || h(D3.n) == D3.i && D3.s < "x" || D3.o != DONT_CARE && g(D3.o))
-posttest { D4 = D3; D4.n = -h(D3.n) * 2 - D2.n; D4.k = D3.n <= D2.n; D4.e = h(D3.n) == D3.i + 3; D4.s = "q"; }
+posttest { D5 = D3; D4.n = -h(D3.n) * 2 - D2.n; D4.k = D3.n <= D2.n; D4.e = h(D3.n) == D3.i + 3; D4.s = "q"; }
 irule i: J(?1:D1):D2 => A(?1:D3):D4
 test (D2.k == true && D2.s >= D2.s)
 preopt { D4 = D2; D3 = D1; D3.o = DONT_CARE; }
@@ -27,9 +27,10 @@ postopt { D4.cost = D3.cost + h(D4.n) * 1.5; }
 // panics; for any input it accepts, Format produces source that reparses
 // and formats to a fixed point (format ∘ parse is idempotent); and for
 // any input that also passes Check and compiles (helpers stubbed to
-// their result kind's default), every rule's compiled actions agree with
-// the interpreter on a binding of empty descriptors. Seeds cover every
-// declaration form plus the shipped example specification.
+// their result kind's default), every rule's compiled actions — a
+// T-rule's both as written and sliced — agree with the interpreter on a
+// binding of empty descriptors. Seeds cover every declaration form plus
+// the shipped example specification.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",

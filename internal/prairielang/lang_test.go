@@ -646,8 +646,10 @@ func TestCheckedSeedCompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.RunOnDefaults()
-	if len(d.Ran) != 6 {
-		t.Errorf("compared %v, want all six sections", d.Ran)
+	// The T-rule as written, its three sliced parts — the pre-test
+	// statement sinks into rest — and the I-rule.
+	if len(d.Ran) != 9 || d.Ran["t/rest"] != 1 {
+		t.Errorf("compared %v, want all nine sections", d.Ran)
 	}
 }
 

@@ -1,0 +1,171 @@
+package prairielang
+
+import (
+	"fmt"
+	"slices"
+
+	"prairie/internal/core"
+)
+
+// This file cuts a checked T-rule for a back end that interns what a
+// firing builds (core.TRule.Slice). Most firings rebuild an expression
+// the back end already holds, and only the identity properties of the new
+// nodes decide that; so the statements are reordered into three parts —
+// what the test reads, what decides identity, the rest — and the back end
+// runs the last only for a firing whose result it keeps. A statement
+// moves only where moving it cannot change what any statement computes;
+// a rule in which some move could is left exactly as written.
+
+// cut is a T-rule's statements in the order the sliced rule runs them.
+type cut struct {
+	test  []*Stmt // before the test: the pre-test statements it reads
+	ident []*Stmt // after it: what decides the right side's identity
+	rest  []*Stmt // held back until a result is kept
+	sank  []*Stmt // the pre-test statements that moved behind the test
+	whole string  // why the rule was left as written; "" when it was cut
+}
+
+// cutTRule slices d for the right side rhs, whose operations' identity
+// properties idProps tells.
+func cutTRule(d *TRuleDecl, rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) cut {
+	whole := func(why string) cut { return cut{test: d.PreTest, ident: d.PostTest, whole: why} }
+	identity := map[int][]core.PropID{} // of the right side's nodes, by slot
+	var bare *core.Operation
+	var walk func(n *core.PatNode)
+	walk = func(n *core.PatNode) {
+		if n.IsVar() {
+			return
+		}
+		if len(n.Op.Args) == 0 {
+			bare = n.Op
+		}
+		identity[n.Slot] = idProps(n.Op)
+		for _, k := range n.Kids {
+			walk(k)
+		}
+	}
+	walk(rhs)
+	if bare != nil {
+		return whole(bare.Name + " declares no args(...): every property identifies it")
+	}
+	test, sank, hazard := partition(d.PreTest, func(st *Stmt) bool {
+		return d.Test != nil && exprReads(d.Test, st)
+	})
+	if hazard != "" {
+		return whole(hazard)
+	}
+	ident, rest, hazard := partition(slices.Concat(sank, d.PostTest), func(st *Stmt) bool {
+		ids, node := identity[st.dst]
+		return node && (st.Prop == "" || slices.Contains(ids, st.id))
+	})
+	if hazard != "" {
+		return whole(hazard)
+	}
+	if len(sank) == 0 && len(rest) == 0 {
+		return whole("every statement decides the test or an identity property")
+	}
+	return cut{test: test, ident: ident, rest: rest, sank: sank}
+}
+
+// partition splits stmts in two, each half in source order: first holds
+// the statements seed picks and, transitively, the earlier ones they read
+// from; second the others. Running first and then second moves a
+// statement of second behind the later ones of first, which changes
+// nothing unless one of those assigns what it reads (write after read) or
+// assigns (write after write); hazard then names the pair. A read after
+// write never crosses: the writer is in first with its reader.
+func partition(stmts []*Stmt, seed func(*Stmt) bool) (first, second []*Stmt, hazard string) {
+	in := make([]bool, len(stmts))
+	for i := len(stmts) - 1; i >= 0; i-- {
+		in[i] = seed(stmts[i])
+		for j := i + 1; j < len(stmts) && !in[i]; j++ {
+			in[i] = in[j] && stmts[j].reads(stmts[i])
+		}
+	}
+	for i, st := range stmts {
+		if in[i] {
+			first = append(first, st)
+			continue
+		}
+		second = append(second, st)
+		for j := i + 1; j < len(stmts); j++ {
+			late, what := stmts[j], ""
+			switch {
+			case !in[j]: // st stays ahead of it
+			case st.reads(late):
+				what = "reads"
+			case st.dst == late.dst && (st.Prop == "" || late.Prop == "" || st.id == late.id):
+				what = "assigns"
+			}
+			if what != "" {
+				return nil, nil, fmt.Sprintf("%q %s what the later %q assigns", formatStmt(st), what, formatStmt(late))
+			}
+		}
+	}
+	return first, second, ""
+}
+
+// reads reports whether st reads a property w assigns.
+func (st *Stmt) reads(w *Stmt) bool {
+	if st.Prop == "" {
+		return st.src == w.dst
+	}
+	return exprReads(st.RHS, w)
+}
+
+// exprReads reports whether e reads a property w assigns.
+func exprReads(e Expr, w *Stmt) bool {
+	switch x := e.(type) {
+	case *Member:
+		return x.slot == w.dst && (w.Prop == "" || x.ID == w.id)
+	case *Call:
+		return slices.ContainsFunc(x.Args, func(a Expr) bool { return exprReads(a, w) })
+	case *Unary:
+		return exprReads(x.X, w)
+	case *Binary:
+		return exprReads(x.L, w) || exprReads(x.R, w)
+	}
+	return false
+}
+
+// emit compiles the cut against a frame of its own over the rule's
+// descriptor names: helper calls are shared in the order the parts run.
+func (c cut) emit(test Expr, names []string, helpers *core.Helpers) *core.Sliced {
+	f := &core.Frame{Names: names}
+	em := &emitter{helpers: helpers, frame: f, shared: shareCalls(f, c.test, test, slices.Concat(c.ident, c.rest))}
+	pre, t := em.action(c.test), em.test(test)
+	return &core.Sliced{
+		Frame: f,
+		Cond: func(b *core.Binding) bool {
+			if pre != nil {
+				pre(b)
+			}
+			return t == nil || t(b)
+		},
+		Appl: em.action(c.ident),
+		Rest: em.action(c.rest),
+		Doc:  c.doc(),
+	}
+}
+
+// doc lists the cut for prairiec -dump: one line per statement under the
+// part it runs in, or the reason the rule stayed whole.
+func (c cut) doc() []string {
+	if c.whole != "" {
+		return []string{"whole: " + c.whole}
+	}
+	var out []string
+	part := func(name string, stmts []*Stmt) {
+		for _, st := range stmts {
+			line := name + formatStmt(st)
+			if slices.Contains(c.sank, st) {
+				line += "  // sank behind the test"
+			}
+			out = append(out, line)
+		}
+	}
+	part("test      ", c.test)
+	part("identity  ", c.ident)
+	part("deferred  ", c.rest)
+	return out
+}

@@ -26,7 +26,7 @@ type Mutant struct {
 	Rule string `json:"rule"`
 	Kind string `json:"kind"`
 	// Detail says what was corrupted (which inputs, which node).
-	Detail string `json:"detail"`
+	Detail string             `json:"detail"`
 	R      *volcano.TransRule `json:"-"`
 }
 
@@ -152,6 +152,8 @@ func mutantsOf(rs *volcano.RuleSet, r *volcano.TransRule) []Mutant {
 	// action set on a new RHS node (the classic "forgot to carry the
 	// predicate over" bug). Only nodes whose operator evaluates a
 	// predicate count — blanking a pred nothing reads corrupts nothing.
+	// A rule that defers part of its action (TransRule.Rest) may assign
+	// a predicate in either part, so both are followed by the blanking.
 	var rhsDescs []string
 	for _, n := range patInterior(r.RHS) {
 		if n.Desc != "" && predConsumers[n.Op.Name] {
@@ -166,20 +168,25 @@ func mutantsOf(rs *volcano.RuleSet, r *volcano.TransRule) []Mutant {
 		}
 	}
 	if len(rhsDescs) > 0 && len(predProps) > 0 {
-		orig := r.Appl
-		mr := *r
-		mr.Appl = func(b *volcano.TBinding) {
-			if orig != nil {
-				orig(b)
-			}
-			for _, name := range rhsDescs {
-				d := b.D(name)
-				for _, p := range predProps {
-					if d.Has(p) {
-						d.Set(p, core.TruePred)
+		blanked := func(orig func(*volcano.TBinding)) func(*volcano.TBinding) {
+			return func(b *volcano.TBinding) {
+				if orig != nil {
+					orig(b)
+				}
+				for _, name := range rhsDescs {
+					d := b.D(name)
+					for _, p := range predProps {
+						if d.Has(p) {
+							d.Set(p, core.TruePred)
+						}
 					}
 				}
 			}
+		}
+		mr := *r
+		mr.Appl = blanked(r.Appl)
+		if r.Rest != nil {
+			mr.Rest = blanked(r.Rest)
 		}
 		out = append(out, Mutant{Rule: r.Name, Kind: MutDropPred,
 			Detail: fmt.Sprintf("preds of %v := TRUE", rhsDescs), R: &mr})

@@ -96,9 +96,10 @@ func (m *TreeMatch) bindPat(p *core.PatNode, e *core.Expr) bool {
 }
 
 // ApplyAt fires r at match site m: it runs Cond, and when the rule
-// applies, runs Appl and splices the built RHS into a clone of tree at
-// the match site. It returns the rewritten tree and whether the rule
-// fired. The original tree is never modified.
+// applies, runs Appl and — the tree keeps every descriptor — Rest, and
+// splices the built RHS into a clone of tree at the match site. It
+// returns the rewritten tree and whether the rule fired. The original
+// tree is never modified.
 func (rs *RuleSet) ApplyAt(r *TransRule, tree *core.Expr, m *TreeMatch) (*core.Expr, bool) {
 	m.Binding.BeginFiring()
 	if r.Cond != nil && !r.Cond(m.Binding) {
@@ -106,6 +107,9 @@ func (rs *RuleSet) ApplyAt(r *TransRule, tree *core.Expr, m *TreeMatch) (*core.E
 	}
 	if r.Appl != nil {
 		r.Appl(m.Binding)
+	}
+	if r.Rest != nil {
+		r.Rest(m.Binding)
 	}
 	rhs := m.buildRHSTree(r.RHS)
 	if rhs == nil {

@@ -102,3 +102,43 @@ func TestApplyRuleDoesNotShareState(t *testing.T) {
 		t.Errorf("rewrites share descriptor state")
 	}
 }
+
+// TestApplyAtRunsRest: a rewritten tree keeps every descriptor the firing
+// built, so ApplyAt runs a rule's deferred actions with the others — and
+// the memo runs them exactly once for a firing it keeps something of, and
+// not at all for one that rediscovers what it holds. (The deferred action
+// writes the cost property: in this world, whose operators declare no
+// arguments, every other non-physical property is an identity property.)
+func TestApplyAtRunsRest(t *testing.T) {
+	w := newTestWorld()
+	rests := 0
+	commute := *findTrans(t, w.rs, "join_commute")
+	commute.Rest = func(b *TBinding) {
+		rests++
+		b.D("D4").Set(w.c, core.Cost(7))
+	}
+	out := w.rs.ApplyRule(&commute, w.chain(8, 4))
+	if len(out) != 1 || rests != 1 || out[0].D.Float(w.c) != 7 {
+		t.Fatalf("%d rewrites, Rest ran %d times, root %v; want 1, 1 and cost=7", len(out), rests, out[0].D)
+	}
+
+	// In the memo: JOIN(R1, R2) commutes into a new expression (Rest runs),
+	// whose commutation rediscovers the original (Rest does not).
+	rs := NewRuleSet(w.alg)
+	rs.AddTrans(&commute)
+	rests = 0
+	o := NewOptimizer(rs)
+	o.Stats.ensureMaps()
+	root := o.Memo.Insert(w.chain(8, 4))
+	if err := o.explore(); err != nil {
+		t.Fatal(err)
+	}
+	g := o.Memo.Group(root)
+	if len(g.Exprs) != 2 || o.Stats.TransFired["join_commute"] != 2 || rests != 1 {
+		t.Fatalf("%d expressions after %d firings, Rest ran %d times; want 2, 2 and 1",
+			len(g.Exprs), o.Stats.TransFired["join_commute"], rests)
+	}
+	if g.Exprs[0].D.Has(w.c) || g.Exprs[1].D.Float(w.c) != 7 {
+		t.Errorf("original %v, commuted %v: want cost=7 on the commuted expression only", g.Exprs[0].D, g.Exprs[1].D)
+	}
+}

@@ -148,3 +148,25 @@ func (m *Memo) CheckRepaired() error {
 	}
 	return nil
 }
+
+// EagerRest returns a rule set that is rs with every rule's deferred
+// actions (TransRule.Rest) folded back into its Appl: the reference a
+// normal search — which runs Rest only for a firing whose result the memo
+// keeps — must leave the same memo as, descriptor for descriptor.
+func EagerRest(rs *RuleSet) *RuleSet {
+	out := &RuleSet{Algebra: rs.Algebra, Class: rs.Class, Impls: rs.Impls, Enforcers: rs.Enforcers, MonotonicCosts: rs.MonotonicCosts}
+	for _, r := range rs.Trans {
+		c := *r
+		if appl, rest := r.Appl, r.Rest; rest != nil {
+			c.Rest = nil
+			c.Appl = func(b *TBinding) {
+				if appl != nil {
+					appl(b)
+				}
+				rest(b)
+			}
+		}
+		out.Trans = append(out.Trans, &c)
+	}
+	return out
+}

@@ -4,66 +4,122 @@ import (
 	"prairie/internal/core"
 )
 
-// forEachMatch enumerates every binding of pattern p against expression e
-// (patterns deeper than one operator bind interior pattern nodes against
-// the expressions of the corresponding input groups — Volcano's
-// cross-product pattern matching on the memo). fn is invoked once per
-// complete binding with whether the binding is fresh: since filters for
-// incremental re-matching, and a binding is fresh when at least one
-// chosen expression was stamped at or after since (the root call passes
-// its own freshness in fresh; pass since=0 and fresh=true to enumerate
-// everything as fresh). p carries its rule's frame slots and b is laid
-// out by that frame. The binding is reused across invocations, so fn
-// must not retain it.
-func (m *Memo) forEachMatch(p *core.PatNode, e *LExpr, b *TBinding, since uint64, fresh bool, fn func(fresh bool)) {
-	if p.IsVar() {
-		// A variable leaf matches any group; bind the group and, if the
-		// pattern names a descriptor ("?1:D1"), the group's
-		// representative descriptor (read-only logical information).
-		b.SetVar(p.Var, m.Find(e.group))
-		if p.Slot >= 0 {
-			b.BindSlot(p.Slot, m.Group(e.group).Rep())
-		}
-		fn(fresh)
-		return
-	}
-	if e.IsLeaf() || e.Op != p.Op {
-		return
-	}
-	b.BindSlot(p.Slot, e.D)
-	m.matchKids(p, e, 0, b, since, fresh, fn)
+// matchStep is one node of a rule's left-hand-side pattern, in pre-order:
+// step 0 is the root, and every other step names the step of its parent
+// node and its position among that node's inputs.
+type matchStep struct {
+	pat         *core.PatNode
+	parent, kid int
 }
 
-func (m *Memo) matchKids(p *core.PatNode, e *LExpr, i int, b *TBinding, since uint64, fresh bool, fn func(fresh bool)) {
-	if i == len(p.Kids) {
-		fn(fresh)
-		return
-	}
-	kp := p.Kids[i]
-	kid := m.Find(e.Kids[i])
-	if kp.IsVar() {
-		// A variable kid binds the whole group: its binding does not
-		// change when the group gains expressions, so it never makes a
-		// binding fresh on its own.
-		b.SetVar(kp.Var, kid)
-		if kp.Slot >= 0 {
-			b.BindSlot(kp.Slot, m.Group(kid).Rep())
+// matchSteps flattens a pattern for the matcher.
+func matchSteps(p *core.PatNode) []matchStep {
+	var steps []matchStep
+	var walk func(n *core.PatNode, parent, kid int)
+	walk = func(n *core.PatNode, parent, kid int) {
+		at := len(steps)
+		steps = append(steps, matchStep{n, parent, kid})
+		for i, k := range n.Kids {
+			walk(k, at, i)
 		}
-		m.matchKids(p, e, i+1, b, since, fresh, fn)
-		return
 	}
-	// Interior kid pattern: try every expression of the input group; an
-	// expression stamped at or after since makes the binding fresh.
-	g := m.groups[kid]
-	for _, ke := range g.Exprs {
-		if ke.IsLeaf() || ke.Op != kp.Op {
-			continue
+	walk(p, 0, 0)
+	return steps
+}
+
+// matcher enumerates every binding of a pattern against an expression
+// (patterns deeper than one operator bind interior pattern nodes against
+// the expressions of the corresponding input groups — Volcano's
+// cross-product pattern matching on the memo). It is an iterator over the
+// optimizer's one reused binding: start, then next until it reports
+// false. What a recursive enumeration keeps in continuations lives in one
+// frame per pattern step, so matching allocates nothing.
+type matcher struct {
+	m     *Memo
+	steps []matchStep
+	b     *TBinding
+	// since filters for incremental re-matching: a binding is fresh when
+	// its root is (start is told) or a chosen input expression became
+	// visible to the root at or after since (LExpr.vis).
+	since  uint64
+	frames []matchFrame // by step
+	j      int          // the step to bind next
+	retry  bool         // a binding was delivered: move its last choice on
+}
+
+// matchFrame is the matcher's state at one pattern step.
+type matchFrame struct {
+	e *LExpr // the expression bound to an interior step
+	// exprs are the input group's expressions as of entering the step —
+	// expressions a firing adds meanwhile belong to the next visit — and
+	// next indexes the candidate to try next.
+	exprs []*LExpr
+	next  int
+	fresh bool // the binding is fresh as far as this step
+}
+
+// start begins the enumeration of steps' pattern rooted at e, whose
+// operator is the pattern root's. steps carry their rule's frame slots
+// and b is laid out by that frame.
+func (x *matcher) start(m *Memo, steps []matchStep, e *LExpr, b *TBinding, since uint64, fresh bool) {
+	x.m, x.steps, x.b, x.since, x.j, x.retry = m, steps, b, since, 1, false
+	if len(x.frames) < len(steps) {
+		x.frames = make([]matchFrame, len(steps))
+	}
+	x.frames[0] = matchFrame{e: e, fresh: fresh}
+	b.BindSlot(steps[0].pat.Slot, e.D)
+}
+
+// next binds the next complete binding and reports whether there was
+// one; fresh then tells whether it is. The binding is overwritten by the
+// call after, so the caller must not retain it.
+func (x *matcher) next() bool {
+	m, j, retry := x.m, x.j, x.retry
+	for {
+		if retry {
+			// Back to the nearest step with a choice left to make.
+			for j--; j > 0 && x.steps[j].pat.IsVar(); j-- {
+			}
+			if j <= 0 {
+				return false
+			}
+		} else if j == len(x.steps) {
+			x.j, x.retry = j, true
+			return true
 		}
-		m.forEachMatch(kp, ke, b, since, fresh || ke.seq >= since, func(f bool) {
-			m.matchKids(p, e, i+1, b, since, f, fn)
-		})
+		st, f := &x.steps[j], &x.frames[j]
+		if !retry {
+			kid := m.Find(x.frames[st.parent].e.Kids[st.kid])
+			if st.pat.IsVar() {
+				// A variable leaf matches any group; bind the group and,
+				// if the pattern names a descriptor ("?1:D1"), the group's
+				// representative descriptor (read-only logical
+				// information). It binds the whole group: its binding does
+				// not change when the group gains expressions, so it never
+				// makes a binding fresh on its own.
+				x.b.SetVar(st.pat.Var, kid)
+				if st.pat.Slot >= 0 {
+					x.b.BindSlot(st.pat.Slot, m.groups[kid].rep)
+				}
+				f.fresh = x.frames[j-1].fresh
+				j++
+				continue
+			}
+			f.exprs, f.next = m.groups[kid].Exprs, 0
+		}
+		// Interior pattern node: try the next expression of the input group.
+		for retry = true; retry && f.next < len(f.exprs); f.next++ {
+			if ke := f.exprs[f.next]; !ke.IsLeaf() && ke.Op == st.pat.Op {
+				f.e, f.fresh = ke, x.frames[j-1].fresh || ke.vis >= x.since
+				x.b.BindSlot(st.pat.Slot, ke.D)
+				j, retry = j+1, false
+			}
+		}
 	}
 }
+
+// fresh reports whether the binding next just delivered is fresh.
+func (x *matcher) fresh() bool { return x.frames[len(x.steps)-1].fresh }
 
 // buildRHS interns the right-hand side of a fired transformation rule.
 // Variable leaves resolve to their bound groups; interior nodes take the
@@ -89,9 +145,9 @@ func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID) (Group
 		kids = append(kids, kg)
 		changed = changed || ch
 	}
-	// The binding's descriptor is scratch: intern clones it only if the
-	// expression is new.
-	g, ch := m.intern(p.Op, b.Slot(p.Slot), kids, target, true)
+	// The binding's descriptor is scratch: intern completes and clones it
+	// only if the expression is new.
+	g, ch := m.intern(p.Op, b.Slot(p.Slot), kids, target, b)
 	return g, changed || ch
 }
 

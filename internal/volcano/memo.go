@@ -25,11 +25,14 @@ type LExpr struct {
 	// group is the canonical group at insertion time; Memo.Find(group)
 	// stays correct across merges.
 	group GroupID
-	// seq is the expression's insertion stamp; the worklist explorer
-	// enumerates only rule bindings that involve at least one expression
-	// newer than its last visit. (Merges are handled by resetting the
-	// affected parents' horizons, not by restamping.)
-	seq uint64
+	// seq is the expression's insertion stamp: of two expressions a merge
+	// makes identical, the older survives (see repair). vis is the stamp
+	// the worklist explorer's matcher filters by — it enumerates only rule
+	// bindings that involve an input expression at least as new as the
+	// root's last visit. It starts as seq and is renewed when a merge moves
+	// the expression into another group, where it is new to that group's
+	// parents.
+	seq, vis uint64
 	// selfHash caches the kid-independent part of the duplicate-
 	// detection key (operator + argument-property projection, or leaf
 	// name); descriptors never change after interning, so Rehash reuses
@@ -93,7 +96,7 @@ type Group struct {
 	// (insertion, merge, rehash); the pass-based explorer uses it to
 	// skip re-matching deep patterns against unchanged inputs.
 	version uint64
-	// maxSeq is the newest insertion stamp among the group's
+	// maxSeq is the newest visibility stamp (LExpr.vis) among the group's
 	// expressions; the worklist explorer uses it to decide whether a
 	// deep rule can possibly find a new binding.
 	maxSeq uint64
@@ -114,8 +117,9 @@ type memoHooks interface {
 	// exprAdded fires when a new expression enters a group.
 	exprAdded(e *LExpr)
 	// groupsMerged fires after two canonical groups merge; winner is the
-	// surviving canonical id.
-	groupsMerged(winner GroupID)
+	// surviving canonical id and loserParents the live expressions that
+	// took the other group as an input.
+	groupsMerged(winner GroupID, loserParents []*LExpr)
 }
 
 // Memo is the shared search-space store: groups, expressions, and the
@@ -211,10 +215,7 @@ func (m *Memo) newGroup(rep *core.Descriptor) *Group {
 // group's maxSeq.
 func (m *Memo) stamp(e *LExpr, g *Group) {
 	m.seq++
-	e.seq = m.seq
-	if m.seq > g.maxSeq {
-		g.maxSeq = m.seq
-	}
+	e.seq, e.vis, g.maxSeq = m.seq, m.seq, m.seq
 }
 
 // idProps returns the properties that identify an expression of op in
@@ -357,13 +358,15 @@ func (m *Memo) InsertLeaf(file string, d *core.Descriptor) GroupID {
 // equivalent. InsertExpr reports the expression's canonical group and
 // whether the memo changed.
 func (m *Memo) InsertExpr(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID) (GroupID, bool) {
-	return m.intern(op, d, kids, target, false)
+	return m.intern(op, d, kids, target, nil)
 }
 
-// intern is InsertExpr; with scratch set, d stays the caller's and is
-// cloned only when the expression turns out to be new, so a duplicate —
-// most rule firings rediscover a known expression — allocates nothing.
-func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, scratch bool) (GroupID, bool) {
+// intern is InsertExpr; for a rule firing, b is its binding and d one of
+// the binding's scratch descriptors, complete as far as op's identity
+// goes. Only when the expression turns out to be new are the firing's
+// deferred actions run and d cloned, so a duplicate — most rule firings
+// rediscover a known expression — computes and allocates nothing.
+func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, b *TBinding) (GroupID, bool) {
 	var buf [4]GroupID
 	canon := buf[:0]
 	for _, k := range kids {
@@ -379,7 +382,8 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 		}
 		return eg, false
 	}
-	if scratch {
+	if b != nil {
+		b.finish()
 		d = d.Clone()
 	}
 	var g *Group
@@ -406,14 +410,16 @@ func (m *Memo) merge(a, b GroupID) {
 		a, b = b, a
 	}
 	m.parent[b] = a
+	// The loser's expressions are new to the winner's parents and to
+	// nobody else: under a fresh visibility stamp those parents' next visit
+	// enumerates exactly the bindings that contain one of them.
+	m.seq++
 	for _, e := range gb.Exprs {
-		e.group = a
+		e.group, e.vis = a, m.seq
 	}
 	ga.Exprs = append(ga.Exprs, gb.Exprs...)
 	ga.version += gb.version + 1
-	if gb.maxSeq > ga.maxSeq {
-		ga.maxSeq = gb.maxSeq
-	}
+	ga.maxSeq = m.seq
 	gb.Exprs = nil
 	// Winners computed before a merge would be stale; merging only
 	// happens during exploration, before any winner exists, but clear
@@ -428,7 +434,7 @@ func (m *Memo) merge(a, b GroupID) {
 	m.parents[b] = nil
 	m.dirty = true
 	if m.hooks != nil {
-		m.hooks.groupsMerged(a)
+		m.hooks.groupsMerged(a, ps)
 	}
 }
 

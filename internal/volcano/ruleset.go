@@ -58,6 +58,17 @@ func containsProp(ids []core.PropID, id core.PropID) bool {
 type TBinding struct {
 	*core.Binding
 	vars []GroupID // indexed by pattern-variable id; groupUnbound if unset
+	// rest is the current firing's TransRule.Rest while it is still owed.
+	rest func(b *TBinding)
+}
+
+// finish runs the firing's deferred actions, unless they already ran:
+// whoever is about to keep one of the firing's descriptors calls it first.
+func (b *TBinding) finish() {
+	if rest := b.rest; rest != nil {
+		b.rest = nil
+		rest(b)
+	}
 }
 
 // groupUnbound marks an unbound pattern variable.
@@ -84,6 +95,14 @@ func (b *TBinding) VarGroup(v int) GroupID {
 // rewrite. Cond is the cond_code (a Prairie T-rule's pre-test statements
 // and test); Appl is the appl_code (the post-test statements), which must
 // fill in the descriptors of all new right-hand-side nodes.
+//
+// A rule may hold back in Rest the part of its appl_code that a firing
+// needs only if the memo keeps what it built — most firings rediscover a
+// known expression. The contract: Appl must leave every identity property
+// (RuleSet.IDProps) of every right-hand-side node final; Rest may not
+// write one; the engine calls Rest at most once per firing, before it
+// keeps any of the firing's descriptors, and not at all when it keeps
+// none.
 type TransRule struct {
 	Name string
 	// Origin records where the rule came from — a source position for
@@ -93,6 +112,7 @@ type TransRule struct {
 	LHS, RHS *core.PatNode
 	Cond     func(b *TBinding) bool // nil means TRUE
 	Appl     func(b *TBinding)      // nil means no actions
+	Rest     func(b *TBinding)      // nil means Appl does everything
 	// Frame is the descriptor layout Cond and Appl were compiled against
 	// (P2V carries it over from the Prairie rule); LHS and RHS then hold
 	// its slots. nil — every hand-coded rule — lets the engine lay the
@@ -201,13 +221,15 @@ var cacheScopeCounter atomic.Uint64
 // transEntry is one transformation rule in the operator index, carrying
 // its global position (for per-rule counters), whether its pattern is
 // depth-1 (applied once per expression, never re-matched), and the
-// rule's frame with the slot-annotated patterns the matcher binds by.
+// rule's frame with the slot-annotated patterns the matcher binds by (the
+// left side flattened into the matcher's steps).
 type transEntry struct {
-	rule     *TransRule
-	idx      int
-	shallow  bool
-	lhs, rhs *core.PatNode
-	frame    *core.Frame
+	rule    *TransRule
+	idx     int
+	shallow bool
+	lhs     []matchStep
+	rhs     *core.PatNode
+	frame   *core.Frame
 	// instant is the name of the trace instant a firing emits, built
 	// once here rather than per firing.
 	instant string
@@ -246,12 +268,14 @@ func (rs *RuleSet) index() *ruleIndex {
 			impls: make(map[*core.Operation][]implEntry),
 		}
 		for i, r := range rs.Trans {
-			te := transEntry{rule: r, idx: i, shallow: r.LHS.Depth() <= 1, lhs: r.LHS, rhs: r.RHS, frame: r.Frame, instant: "trans:" + r.Name}
+			lhs := r.LHS
+			te := transEntry{rule: r, idx: i, shallow: lhs.Depth() <= 1, rhs: r.RHS, frame: r.Frame, instant: "trans:" + r.Name}
 			if te.frame == nil {
 				// Hand-coded rules share pattern nodes between rules.
-				te.lhs, te.rhs = r.LHS.Clone(), r.RHS.Clone()
-				te.frame = core.NewFrame(te.lhs, te.rhs)
+				lhs, te.rhs = lhs.Clone(), r.RHS.Clone()
+				te.frame = core.NewFrame(lhs, te.rhs)
 			}
+			te.lhs = matchSteps(lhs)
 			ix.trans[r.LHS.Op] = append(ix.trans[r.LHS.Op], te)
 		}
 		for i, r := range rs.Impls {
@@ -266,16 +290,7 @@ func (rs *RuleSet) index() *ruleIndex {
 			}
 		}
 		for _, op := range rs.Algebra.Operations() {
-			ids := rs.Class.Arg
-			if len(op.Args) != 0 {
-				ids = nil
-				for _, p := range op.Args {
-					if rs.Class.IsArg(p) {
-						ids = append(ids, p)
-					}
-				}
-			}
-			ix.idProps = append(ix.idProps, ids)
+			ix.idProps = append(ix.idProps, rs.IDProps(op))
 		}
 		rs.cacheID = cacheScopeCounter.Add(1)
 		rs.idx = ix
@@ -320,10 +335,26 @@ func (rs *RuleSet) cacheScope() uint64 { rs.index(); return rs.cacheID }
 // name and each node resolves the name to its own local scope.
 func (rs *RuleSet) CacheScope() uint64 { return rs.cacheScope() }
 
-// idProps returns the properties that identify an expression of op in
+// IDProps computes the properties that identify an expression of op in
 // duplicate detection (and in the plan-cache fingerprint): the
 // operation's declared additional parameters intersected with the
 // argument class, or the whole argument class when none are declared.
+// It reads the classification only, so a rule set under construction
+// (P2V deciding what a rule may defer) can ask before its rules are in.
+func (rs *RuleSet) IDProps(op *core.Operation) []core.PropID {
+	if len(op.Args) == 0 {
+		return rs.Class.Arg
+	}
+	var ids []core.PropID
+	for _, p := range op.Args {
+		if rs.Class.IsArg(p) {
+			ids = append(ids, p)
+		}
+	}
+	return ids
+}
+
+// idProps is IDProps, precomputed in the dispatch index.
 func (rs *RuleSet) idProps(op *core.Operation) []core.PropID {
 	return rs.index().idProps[op.Index()]
 }

@@ -135,8 +135,10 @@ type Optimizer struct {
 
 	// scratchB is the binding reused across every rule application
 	// (exploration is single-threaded per optimizer); rule hooks must not
-	// retain it.
+	// retain it. match is the matcher that fills it, reused likewise; the
+	// first rule application makes both, a cache hit neither.
 	scratchB *TBinding
+	match    *matcher
 	// noReq is the empty requirement handed to inputs no rule constrains.
 	noReq *core.Descriptor
 	// per-rule counters indexed by position in RS.Trans; flushed into the
@@ -465,24 +467,26 @@ func (x *explorer) exprAdded(e *LExpr) {
 	}
 }
 
-// groupsMerged (memoHooks) notes the survivor. Waking its parents is
-// deferred to afterRehash: until the repair has run, duplicates the merge
-// implies are still alive and further merges may be pending.
-func (x *explorer) groupsMerged(winner GroupID) {
+// groupsMerged (memoHooks): the union made each side's expressions newly
+// visible to the other side's parents. The memo restamped the loser's —
+// the smaller side — so the winner's parents re-match only the bindings
+// that contain one of them; the winner's expressions keep their stamps
+// (every other filter over them stays valid), so the loser's parents
+// re-enumerate in full instead, from horizons reset here. Waking either
+// side's parents is deferred to afterRehash: until the repair has run,
+// duplicates the merge implies are still alive and further merges may be
+// pending.
+func (x *explorer) groupsMerged(winner GroupID, loserParents []*LExpr) {
 	x.merged = append(x.merged, winner)
+	for _, p := range loserParents {
+		x.resetDeepHorizons(p)
+	}
 }
 
-// afterRehash wakes the parents of every group that survived a merge:
-// the union made each side's expressions newly visible to the other
-// side's parents, so each parent gets one full re-enumeration (its deep
-// horizons reset to zero — the same semantics as the pass-based
-// explorer's kid-version fingerprint going stale). Resetting horizons
-// instead of restamping the group keeps the merge local: other parents'
-// incremental filters are unaffected.
+// afterRehash wakes the parents of every group that survived a merge.
 func (x *explorer) afterRehash() {
 	for _, gid := range x.merged {
 		for _, p := range x.m.parentsOf(x.m.Find(gid)) {
-			x.resetDeepHorizons(p)
 			x.push(p)
 		}
 	}
@@ -504,10 +508,11 @@ func (x *explorer) resetDeepHorizons(p *LExpr) {
 }
 
 // anyKidNewer reports whether any direct input group of e gained an
-// expression at or after since — the cheap gate deciding whether a deep
-// rule can possibly find a new binding (matching the pass-based
-// explorer's direct-kid fingerprint: grand-kid growth alone never
-// retriggers, and the repository's rule patterns are depth ≤ 2).
+// expression — inserted, or moved in by a merge — at or after since: the
+// cheap gate deciding whether a deep rule can possibly find a new binding
+// (matching the pass-based explorer's direct-kid fingerprint: grand-kid
+// growth alone never retriggers, and the repository's rule patterns are
+// depth ≤ 2).
 func (x *explorer) anyKidNewer(e *LExpr, since uint64) bool {
 	for _, k := range e.Kids {
 		if x.m.Group(k).maxSeq >= since {
@@ -545,10 +550,11 @@ func (x *explorer) process(e *LExpr) error {
 			}
 			// Expressions inserted by this very application stamp at or
 			// above the horizon, so self-induced growth is re-examined
-			// on the next visit (the insertion hook re-enqueues e).
-			horizon := m.seq + 1
+			// on the next visit (the insertion hook re-enqueues e). The
+			// horizon is set first: a merge the application raises may
+			// reset it.
+			e.ruleSince[i] = m.seq + 1
 			o.applyTrans(te, e, since)
-			e.ruleSince[i] = horizon
 		}
 		if m.NumExprs() > o.maxExprs() {
 			return o.spaceExhausted(x.depth())
@@ -574,6 +580,13 @@ func (o *Optimizer) exploreWorklist() error {
 	m.hooks = x
 	defer func() { m.hooks = nil }()
 	o.Stats.Passes = 1
+	return x.run()
+}
+
+// run drains the worklist — and repairs the memo whenever a merge has
+// dirtied it — until no live expression is pending.
+func (x *explorer) run() error {
+	o, m := x.o, x.m
 	pops := 0
 	for {
 		if o.overBudget() {
@@ -700,7 +713,7 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) bool {
 	m, rule, ri := o.Memo, te.rule, te.idx
 	changed := false
 	if o.scratchB == nil {
-		o.scratchB = newTBinding(o.RS.Algebra.Props)
+		o.scratchB, o.match = newTBinding(o.RS.Algebra.Props), &matcher{}
 	}
 	var t0 time.Time
 	if o.timing {
@@ -710,14 +723,15 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) bool {
 	b := o.scratchB
 	b.Reset(te.frame)
 	b.vars = b.vars[:0]
-	m.forEachMatch(te.lhs, e, b, since, e.seq >= since, func(fresh bool) {
-		if !fresh {
-			return
+	o.match.start(m, te.lhs, e, b, since, e.seq >= since)
+	for o.match.next() {
+		if !o.match.fresh() {
+			continue
 		}
 		o.transMatchedN[ri]++
 		b.BeginFiring()
 		if rule.Cond != nil && !rule.Cond(b) {
-			return
+			continue
 		}
 		o.transFiredN[ri]++
 		o.run.fired++
@@ -730,10 +744,11 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) bool {
 		if rule.Appl != nil {
 			rule.Appl(b)
 		}
+		b.rest = rule.Rest
 		if m.buildRHS(te.rhs, b, m.Find(e.group)) {
 			changed = true
 		}
-	})
+	}
 	m.curRule = ""
 	if o.timing {
 		o.transTimeN[ri] += time.Since(t0)
