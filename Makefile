@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-test bench-smoke bench-guard cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
+.PHONY: all build vet test race figures bench-test bench-smoke bench-guard cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
 
 all: ci
 
@@ -185,6 +185,19 @@ ci: vet build race bench-test bench-smoke cache-guard tier-guard exec-guard flig
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build
 	$(GO) run ./cmd/optbench -experiment all
+
+# The tables EXPERIMENTS.md records for Table 5 and Figures 10-14, one
+# optbench run each, under a line saying where and when: E2 goes to 7
+# joins and E4 to 4, one past the paper's wall (-maxclasses counts
+# classes, one more than joins). About a minute, most of it fig13.
+figures: build
+	@echo "# $$(nproc) CPUs, $$($(GO) env GOOS)/$$($(GO) env GOARCH), $$($(GO) env GOVERSION), commit $$(git rev-parse --short HEAD), $$(date -u +%F)"
+	$(GO) run ./cmd/optbench -experiment table5
+	$(GO) run ./cmd/optbench -experiment fig10 -repeats 10
+	$(GO) run ./cmd/optbench -experiment fig11 -maxclasses 8
+	$(GO) run ./cmd/optbench -experiment fig12 -repeats 10
+	$(GO) run ./cmd/optbench -experiment fig13 -maxclasses 5
+	$(GO) run ./cmd/optbench -experiment fig14 -maxclasses 5
 
 clean:
 	$(GO) clean ./...

@@ -13,6 +13,7 @@ package catalog
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"prairie/internal/core"
@@ -43,6 +44,10 @@ type Class struct {
 	// Indexes lists the indexed attribute names. An index provides the
 	// tuples ordered by that attribute and supports equality lookup.
 	Indexes []string
+	// attrs and indexes are the symbols AttrSet and IndexSet hand out,
+	// interned once by Catalog.Add: edits to Attrs or Indexes after Add
+	// take effect when the class is added again.
+	attrs, indexes core.Attrs
 }
 
 // Attr returns the named attribute.
@@ -65,34 +70,83 @@ func (c *Class) HasIndex(name string) bool {
 	return false
 }
 
+// symbols interns the class's attributes and its indexed attributes.
+func (c *Class) symbols() (attrs, indexes core.Attrs) {
+	attrs = make(core.Attrs, len(c.Attrs))
+	for i, a := range c.Attrs {
+		attrs[i] = core.A(c.Name, a.Name)
+	}
+	indexes = make(core.Attrs, len(c.Indexes))
+	for i, name := range c.Indexes {
+		indexes[i] = core.A(c.Name, name)
+	}
+	return attrs, indexes
+}
+
 // AttrSet returns the class's attributes as a core attribute list.
 func (c *Class) AttrSet() core.Attrs {
-	out := make(core.Attrs, len(c.Attrs))
-	for i, a := range c.Attrs {
-		out[i] = core.Attr{Rel: c.Name, Name: a.Name}
+	if c.attrs == nil { // never added to a catalog
+		attrs, _ := c.symbols()
+		return attrs
 	}
-	return out
+	return slices.Clone(c.attrs)
 }
 
 // IndexSet returns the indexed attributes as a core attribute list.
 func (c *Class) IndexSet() core.Attrs {
-	out := make(core.Attrs, 0, len(c.Indexes))
-	for _, name := range c.Indexes {
-		out = append(out, core.Attr{Rel: c.Name, Name: name})
+	if c.indexes == nil {
+		_, indexes := c.symbols()
+		return indexes
 	}
-	return out
+	return slices.Clone(c.indexes)
 }
 
 // Catalog is a registry of classes.
 type Catalog struct {
 	classes map[string]*Class
+	// byAttr finds an attribute's description by its symbol.
+	byAttr map[core.Attr]*Attribute
 }
 
 // New returns an empty catalog.
-func New() *Catalog { return &Catalog{classes: make(map[string]*Class)} }
+func New() *Catalog {
+	return &Catalog{classes: make(map[string]*Class), byAttr: make(map[core.Attr]*Attribute)}
+}
 
-// Add registers a class, replacing any previous definition.
-func (c *Catalog) Add(cl *Class) *Class { c.classes[cl.Name] = cl; return cl }
+// Add registers a class, replacing any previous definition, and interns
+// its attributes.
+func (c *Catalog) Add(cl *Class) *Class {
+	if old, ok := c.classes[cl.Name]; ok {
+		for _, a := range old.attrs {
+			delete(c.byAttr, a)
+		}
+	}
+	cl.attrs, cl.indexes = cl.symbols()
+	for i := len(cl.attrs) - 1; i >= 0; i-- { // backwards: the first of a repeated name wins, as in Class.Attr
+		c.byAttr[cl.attrs[i]] = &cl.Attrs[i]
+	}
+	c.classes[cl.Name] = cl
+	return cl
+}
+
+// Sym returns the symbol of class.attr without interning when the
+// catalog describes it: query builders run on the request path.
+func (c *Catalog) Sym(class, attr string) core.Attr {
+	if cl, ok := c.classes[class]; ok {
+		for _, a := range cl.attrs {
+			if a.Name() == attr {
+				return a
+			}
+		}
+	}
+	return core.A(class, attr)
+}
+
+// Attribute returns the description of a class attribute by its symbol.
+func (c *Catalog) Attribute(a core.Attr) (*Attribute, bool) {
+	at, ok := c.byAttr[a]
+	return at, ok
+}
 
 // Class returns the named class.
 func (c *Catalog) Class(name string) (*Class, bool) {
@@ -125,10 +179,8 @@ func (c *Catalog) Len() int { return len(c.classes) }
 // Distinct returns the distinct-value count of an attribute, defaulting
 // to a small power of two for unknown attributes.
 func (c *Catalog) Distinct(a core.Attr) float64 {
-	if cl, ok := c.classes[a.Rel]; ok {
-		if at, ok := cl.Attr(a.Name); ok && at.Distinct > 0 {
-			return at.Distinct
-		}
+	if at, ok := c.byAttr[a]; ok && at.Distinct > 0 {
+		return at.Distinct
 	}
 	return 16
 }

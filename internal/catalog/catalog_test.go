@@ -207,3 +207,44 @@ func TestPow2AtMost(t *testing.T) {
 func isPow2(v float64) bool {
 	return v > 0 && math.Trunc(math.Log2(v)) == math.Log2(v)
 }
+
+// TestCatalogHandsOutSymbols: a class's symbols are fixed at Add, handed
+// out as copies, found again by name without interning, and retired when
+// the class is replaced.
+func TestCatalogHandsOutSymbols(t *testing.T) {
+	cat := sample()
+	c1 := cat.MustClass("C1")
+	as := c1.AttrSet()
+	as[0] = core.A("X", "x") // the caller's copy
+	if got := c1.AttrSet(); got[0] != core.A("C1", "a") || !got.Equal(core.Attrs{core.A("C1", "a"), core.A("C1", "b"), core.A("C1", "ref"), core.A("C1", "tags")}) {
+		t.Errorf("AttrSet = %v after a caller wrote its copy", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { _ = cat.Sym("C1", "ref"); _ = cat.Distinct(as[1]) }); got != 0 {
+		t.Errorf("Sym and Distinct of a catalog attribute allocate %v times", got)
+	}
+	if cat.Sym("C1", "ref") != core.A("C1", "ref") || cat.Sym("C1", "nope") != core.A("C1", "nope") || cat.Sym("C9", "a") != core.A("C9", "a") {
+		t.Error("Sym disagrees with core.A")
+	}
+	if at, ok := cat.Attribute(core.A("C1", "ref")); !ok || at.Ref != "C2" {
+		t.Errorf("Attribute(C1.ref) = %v, %v", at, ok)
+	}
+	if _, ok := cat.Attribute(core.A("C1", "nope")); ok {
+		t.Error("Attribute found a name the class lacks")
+	}
+	// A class never added still answers (by interning).
+	loose := &Class{Name: "L", Attrs: []Attribute{{Name: "k"}}, Indexes: []string{"k"}}
+	if got := loose.AttrSet(); len(got) != 1 || got[0] != core.A("L", "k") || loose.IndexSet()[0] != got[0] {
+		t.Errorf("AttrSet of a class outside any catalog = %v", got)
+	}
+	// Replacing a class retires the attributes the new definition drops.
+	cat.Add(&Class{Name: "C1", Card: 8, Attrs: []Attribute{{Name: "a", Distinct: 4}}})
+	if got := cat.Distinct(core.A("C1", "a")); got != 4 {
+		t.Errorf("Distinct(C1.a) = %g after the class was replaced, want 4", got)
+	}
+	if got := cat.Distinct(core.A("C1", "b")); got != 16 {
+		t.Errorf("Distinct(C1.b) = %g after the class dropped b, want the default", got)
+	}
+	if got := cat.MustClass("C1").IndexSet(); len(got) != 0 {
+		t.Errorf("IndexSet = %v after the class dropped its index", got)
+	}
+}

@@ -33,8 +33,52 @@ type Descriptor struct {
 }
 
 // NewDescriptor returns an empty descriptor over the property set.
-func NewDescriptor(ps *PropertySet) *Descriptor {
-	return &Descriptor{ps: ps, vals: make([]Value, ps.Len())}
+func NewDescriptor(ps *PropertySet) *Descriptor { return allocDescriptor(ps, ps.Len()) }
+
+// A block is a descriptor and its value slots in one heap object; S is
+// [n]Value.
+type block[S any] struct {
+	d Descriptor
+	s S
+}
+
+func blockOf[S any](slots func(*S) []Value) func() *Descriptor {
+	return func() *Descriptor {
+		b := new(block[S])
+		b.d.vals = slots(&b.s)
+		return &b.d
+	}
+}
+
+// blocks[n-1] allocates a descriptor with exactly n inline slots. A block
+// is sized to the property set, not to one generous class: 64+16n bytes
+// is an allocator size class for every n here, so a block costs the bytes
+// of the two objects it replaces.
+var blocks = [...]func() *Descriptor{
+	blockOf(func(s *[1]Value) []Value { return s[:] }),
+	blockOf(func(s *[2]Value) []Value { return s[:] }),
+	blockOf(func(s *[3]Value) []Value { return s[:] }),
+	blockOf(func(s *[4]Value) []Value { return s[:] }),
+	blockOf(func(s *[5]Value) []Value { return s[:] }),
+	blockOf(func(s *[6]Value) []Value { return s[:] }),
+	blockOf(func(s *[7]Value) []Value { return s[:] }),
+	blockOf(func(s *[8]Value) []Value { return s[:] }),
+	blockOf(func(s *[9]Value) []Value { return s[:] }),
+	blockOf(func(s *[10]Value) []Value { return s[:] }),
+	blockOf(func(s *[11]Value) []Value { return s[:] }),
+	blockOf(func(s *[12]Value) []Value { return s[:] }),
+}
+
+// allocDescriptor returns an empty descriptor with n value slots: one
+// object up to len(blocks) slots, struct and slice beyond. Set and
+// CopyFrom grow past the inline slots by append.
+func allocDescriptor(ps *PropertySet, n int) *Descriptor {
+	if n < 1 || n > len(blocks) {
+		return &Descriptor{ps: ps, vals: make([]Value, n)}
+	}
+	d := blocks[n-1]()
+	d.ps = ps
+	return d
 }
 
 // Props returns the descriptor's property set.
@@ -143,7 +187,8 @@ func (d *Descriptor) CopyFrom(src *Descriptor) {
 
 // Clone returns an independent copy (without the observer).
 func (d *Descriptor) Clone() *Descriptor {
-	c := &Descriptor{ps: d.ps, vals: make([]Value, len(d.vals)), Name: d.Name}
+	c := allocDescriptor(d.ps, len(d.vals))
+	c.Name = d.Name
 	copy(c.vals, d.vals)
 	return c
 }

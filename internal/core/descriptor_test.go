@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -265,5 +266,53 @@ func TestDescriptorCopyFromQuick(t *testing.T) {
 		return b.EqualOn(a, all) && b.HashOn(all) == a.HashOn(all)
 	}, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDescriptorOneAllocation: a descriptor and its value slots are one
+// heap object for every property-set size up to len(blocks), sized to the
+// set; reading an unset property allocates nothing (the defaults are
+// boxed once); and a descriptor outgrows its inline slots by append.
+func TestDescriptorOneAllocation(t *testing.T) {
+	for n := 0; n <= len(blocks)+2; n++ {
+		ps := NewPropertySet()
+		for i := 0; i < n; i++ {
+			ps.Define(fmt.Sprintf("p%d", i), KindOrder)
+		}
+		want := 1.0
+		if n > len(blocks) {
+			want = 2
+		}
+		var d *Descriptor
+		if got := testing.AllocsPerRun(10, func() { d = NewDescriptor(ps) }); got != want {
+			t.Errorf("NewDescriptor over %d properties: %v allocations, want %v", n, got, want)
+		}
+		if len(d.vals) != n || cap(d.vals) != n || d.ps != ps {
+			t.Errorf("%d properties: %d slots of capacity %d", n, len(d.vals), cap(d.vals))
+		}
+		if got := testing.AllocsPerRun(10, func() { _ = d.Clone() }); got != want {
+			t.Errorf("Clone over %d properties: %v allocations, want %v", n, got, want)
+		}
+		if n == 0 {
+			continue
+		}
+		if got := testing.AllocsPerRun(10, func() { _ = d.Get(0); _ = d.HashOn([]PropID{0}) }); got != 0 {
+			t.Errorf("reading an unset order property allocates %v times", got)
+		}
+		// The property set grows after the descriptor was made (P2V adds
+		// properties): Set and CopyFrom past the inline slots still work.
+		late := ps.Define("late", KindInt)
+		d.Set(late, Int(7))
+		d.Set(0, OrderBy(A("R", "a")))
+		wide := NewDescriptor(ps)
+		wide.CopyFrom(d)
+		narrow := allocDescriptor(ps, n)
+		narrow.CopyFrom(wide)
+		c := narrow.Clone()
+		for _, x := range []*Descriptor{d, wide, narrow, c} {
+			if x.Get(late) != Int(7) || !x.Get(0).Equal(OrderBy(A("R", "a"))) || len(x.vals) != n+1 {
+				t.Errorf("%d+1 properties: descriptor reads %v", n, x)
+			}
+		}
 	}
 }

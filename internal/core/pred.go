@@ -185,9 +185,11 @@ func (p *Pred) Hash() uint64 {
 		h = h*1099511628211 ^ k.Hash()
 	}
 	if p.Op >= PredEq && p.Op <= PredGe {
-		h ^= hashString(p.Left.Rel)*3 ^ hashString(p.Left.Name)
+		l := p.Left.entry()
+		h ^= l.relHash*3 ^ l.nameHash
 		if p.AttrCmp {
-			h ^= hashString(p.Right.Rel)*7 ^ hashString(p.Right.Name)
+			r := p.Right.entry()
+			h ^= r.relHash*7 ^ r.nameHash
 		} else if p.Const != nil {
 			h ^= p.Const.Hash()
 		}
@@ -220,7 +222,8 @@ func (p *Pred) String() string {
 		}
 		// Concatenation, not fmt: canonical conjunct ordering renders
 		// every conjunct of every predicate the rules build.
-		return p.Left.Rel + "." + p.Left.Name + " " + p.Op.String() + " " + rhs
+		l := p.Left.entry()
+		return l.rel + "." + l.name + " " + p.Op.String() + " " + rhs
 	}
 }
 

@@ -11,9 +11,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -86,29 +87,21 @@ type Value interface {
 	IsDontCare() bool
 }
 
+// defaults holds each kind's zero value, boxed once: converting
+// DontCareOrder to a Value allocates, and the memo's identity tests read
+// unset order properties constantly.
+var defaults = [...]Value{
+	KindInt: Int(0), KindFloat: Float(0), KindBool: Bool(false), KindString: Str(""),
+	KindOrder: DontCareOrder, KindAttrs: Attrs(nil), KindPred: TruePred, KindCost: Cost(0),
+}
+
 // DefaultValue returns the zero value for a kind. Descriptor.Get returns
 // it for unset properties so rule actions are total functions.
 func DefaultValue(k Kind) Value {
-	switch k {
-	case KindInt:
-		return Int(0)
-	case KindFloat:
-		return Float(0)
-	case KindBool:
-		return Bool(false)
-	case KindString:
-		return Str("")
-	case KindOrder:
-		return DontCareOrder
-	case KindAttrs:
-		return Attrs(nil)
-	case KindPred:
-		return TruePred
-	case KindCost:
-		return Cost(0)
-	default:
-		return nil
+	if int(k) < len(defaults) {
+		return defaults[k]
 	}
+	return nil
 }
 
 // ---------------------------------------------------------------------------
@@ -214,19 +207,28 @@ func (Cost) IsDontCare() bool { return false }
 // ---------------------------------------------------------------------------
 // Attributes
 
-// Attr names an attribute of a stored file or stream. Rel is the base
-// relation or class the attribute originates from; Name is the attribute
-// name within it.
-type Attr struct {
-	Rel  string
-	Name string
-}
+// Attr names an attribute of a stored file or stream: the base relation
+// or class it originates from and its name within it. It is a symbol —
+// an index into the process's attribute table (attr.go) — so attributes
+// compare as integers; the zero Attr is "no attribute". A symbol's number
+// depends on interning order: it is never rendered, sorted on or sent.
+type Attr struct{ sym uint32 }
+
+// Rel returns the relation or class the attribute originates from.
+func (a Attr) Rel() string { return a.entry().rel }
+
+// Name returns the attribute's name within its relation.
+func (a Attr) Name() string { return a.entry().name }
 
 // String returns "Rel.Name".
-func (a Attr) String() string { return a.Rel + "." + a.Name }
+func (a Attr) String() string { e := a.entry(); return e.rel + "." + e.name }
 
-// A returns an Attr; it is a convenience constructor for rule code.
-func A(rel, name string) Attr { return Attr{Rel: rel, Name: name} }
+// Compare orders attributes by (Rel, Name), the order every sorted
+// rendering uses.
+func (a Attr) Compare(b Attr) int {
+	x, y := a.entry(), b.entry()
+	return cmp.Or(cmp.Compare(x.rel, y.rel), cmp.Compare(x.name, y.name))
+}
 
 // Attrs is an attribute list. It is treated as a set by Equal and Hash
 // (order-insensitive), which matches how the paper's rules use attribute
@@ -248,8 +250,9 @@ func (v Attrs) Equal(o Value) bool {
 // Hash implements Value; it is order-insensitive.
 func (v Attrs) Hash() uint64 {
 	var h uint64 = 0x66
+	tab := attrEntries()
 	for _, a := range v {
-		h ^= hashString(a.Rel)*31 ^ hashString(a.Name) // commutative combine
+		h ^= tab[a.sym].relHash*31 ^ tab[a.sym].nameHash // commutative combine
 	}
 	return h
 }
@@ -322,13 +325,8 @@ func (v Attrs) Minus(w Attrs) Attrs {
 
 // Sorted returns a copy sorted lexicographically; useful for stable output.
 func (v Attrs) Sorted() Attrs {
-	out := append(Attrs(nil), v...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rel != out[j].Rel {
-			return out[i].Rel < out[j].Rel
-		}
-		return out[i].Name < out[j].Name
-	})
+	out := slices.Clone(v)
+	slices.SortFunc(out, Attr.Compare)
 	return out
 }
 
@@ -372,9 +370,10 @@ func (v Order) Hash() uint64 {
 		return 0x77
 	}
 	h := uint64(0x88)
+	tab := attrEntries()
 	for _, a := range v.By {
-		h = h*1099511628211 ^ hashString(a.Rel)
-		h = h*1099511628211 ^ hashString(a.Name)
+		h = h*1099511628211 ^ tab[a.sym].relHash
+		h = h*1099511628211 ^ tab[a.sym].nameHash
 	}
 	return h
 }

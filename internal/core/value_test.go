@@ -1,6 +1,10 @@
 package core
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -287,6 +291,335 @@ func TestPredStrings(t *testing.T) {
 	for want, p := range cases {
 		if got := p.String(); got != want {
 			t.Errorf("String = %q, want %q", got, want)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Reference model: attributes as pairs of strings, the representation
+// before they were interned, with the set operations, renderings and hash
+// formulas exactly as they stood. TestAttrsAgainstStringPairs holds the
+// symbol representation to it on random inputs — the hashes as exact
+// 64-bit values, because memo keys, fingerprints and the cluster's key
+// hashes are made of them.
+
+type refAttr struct{ Rel, Name string }
+
+func (a refAttr) String() string { return a.Rel + "." + a.Name }
+
+type refAttrs []refAttr
+
+func (v refAttrs) Contains(a refAttr) bool { return slices.Contains(v, a) }
+
+func (v refAttrs) ContainsAll(w refAttrs) bool {
+	for _, a := range w {
+		if !v.Contains(a) {
+			return false
+		}
+	}
+	return true
+}
+
+func (v refAttrs) Equal(w refAttrs) bool {
+	return len(v) == len(w) && v.ContainsAll(w) && w.ContainsAll(v)
+}
+
+func (v refAttrs) Hash() uint64 {
+	var h uint64 = 0x66
+	for _, a := range v {
+		h ^= hashString(a.Rel)*31 ^ hashString(a.Name)
+	}
+	return h
+}
+
+func (v refAttrs) String() string {
+	parts := make([]string, len(v))
+	for i, a := range v {
+		parts[i] = a.String()
+	}
+	return "{" + strings.Join(parts, ", ") + "}"
+}
+
+func (v refAttrs) Union(w refAttrs) refAttrs {
+	out := append(refAttrs{}, v...)
+	for _, a := range w {
+		if !out.Contains(a) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func (v refAttrs) Intersect(w refAttrs) refAttrs {
+	out := refAttrs{}
+	for _, a := range v {
+		if w.Contains(a) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func (v refAttrs) Minus(w refAttrs) refAttrs {
+	out := refAttrs{}
+	for _, a := range v {
+		if !w.Contains(a) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func (v refAttrs) Sorted() refAttrs {
+	out := append(refAttrs{}, v...)
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Rel != out[j].Rel {
+			return out[i].Rel < out[j].Rel
+		}
+		return out[i].Name < out[j].Name
+	})
+	return out
+}
+
+type refOrder struct {
+	dontCare bool
+	By       refAttrs
+}
+
+func (v refOrder) Hash() uint64 {
+	if v.dontCare {
+		return 0x77
+	}
+	h := uint64(0x88)
+	for _, a := range v.By {
+		h = h*1099511628211 ^ hashString(a.Rel)
+		h = h*1099511628211 ^ hashString(a.Name)
+	}
+	return h
+}
+
+func (v refOrder) Within(attrs refAttrs) bool { return v.dontCare || attrs.ContainsAll(v.By) }
+
+func (v refOrder) Satisfies(w refOrder) bool {
+	if w.dontCare {
+		return true
+	}
+	return !v.dontCare && len(v.By) >= len(w.By) && slices.Equal(v.By[:len(w.By)], w.By)
+}
+
+type refPred struct {
+	Op          PredOp
+	Kids        []*refPred
+	Left, Right refAttr
+	Const       Value
+	AttrCmp     bool
+}
+
+func (p *refPred) cmp() bool { return p.Op >= PredEq && p.Op <= PredGe }
+
+func (p *refPred) Hash() uint64 {
+	h := uint64(p.Op) * 0x9e3779b97f4a7c15
+	for _, k := range p.Kids {
+		h = h*1099511628211 ^ k.Hash()
+	}
+	if p.cmp() {
+		h ^= hashString(p.Left.Rel)*3 ^ hashString(p.Left.Name)
+		if p.AttrCmp {
+			h ^= hashString(p.Right.Rel)*7 ^ hashString(p.Right.Name)
+		} else if p.Const != nil {
+			h ^= p.Const.Hash()
+		}
+	}
+	return h
+}
+
+func (p *refPred) String() string {
+	switch p.Op {
+	case PredTrue:
+		return "TRUE"
+	case PredAnd, PredOr:
+		parts := make([]string, len(p.Kids))
+		for i, k := range p.Kids {
+			parts[i] = k.String()
+		}
+		return "(" + strings.Join(parts, " "+p.Op.String()+" ") + ")"
+	case PredNot:
+		return "NOT " + p.Kids[0].String()
+	}
+	rhs := ""
+	if p.AttrCmp {
+		rhs = p.Right.String()
+	} else if p.Const != nil {
+		rhs = p.Const.String()
+	}
+	return p.Left.Rel + "." + p.Left.Name + " " + p.Op.String() + " " + rhs
+}
+
+func (p *refPred) walk(out *refAttrs) {
+	for _, k := range p.Kids {
+		k.walk(out)
+	}
+	if p.cmp() {
+		if !out.Contains(p.Left) {
+			*out = append(*out, p.Left)
+		}
+		if p.AttrCmp && !out.Contains(p.Right) {
+			*out = append(*out, p.Right)
+		}
+	}
+}
+
+func (p *refPred) Attrs() refAttrs {
+	out := refAttrs{}
+	p.walk(&out)
+	return out
+}
+
+func (p *refPred) RefersOnlyTo(set refAttrs) bool { return set.ContainsAll(p.Attrs()) }
+
+// SplitBy returns the renderings of the two conjunctions Pred.SplitBy
+// builds: conjuncts within set, and the rest.
+func (p *refPred) SplitBy(set refAttrs) (within, rest string) {
+	var in, out []*refPred
+	switch p.Op {
+	case PredTrue:
+	case PredAnd:
+		for _, c := range p.Kids {
+			if c.RefersOnlyTo(set) {
+				in = append(in, c)
+			} else {
+				out = append(out, c)
+			}
+		}
+	default:
+		if p.RefersOnlyTo(set) {
+			in = []*refPred{p}
+		} else {
+			out = []*refPred{p}
+		}
+	}
+	and := func(ps []*refPred) string {
+		var kids []*refPred // And flattens conjunctions and drops TRUE
+		for _, c := range ps {
+			switch c.Op {
+			case PredTrue:
+			case PredAnd:
+				kids = append(kids, c.Kids...)
+			default:
+				kids = append(kids, c)
+			}
+		}
+		switch len(kids) {
+		case 0:
+			return "TRUE"
+		case 1:
+			return kids[0].String()
+		}
+		return (&refPred{Op: PredAnd, Kids: kids}).String()
+	}
+	return and(in), and(out)
+}
+
+func refOf(v Attrs) refAttrs {
+	out := make(refAttrs, len(v))
+	for i, a := range v {
+		out[i] = refAttr{a.Rel(), a.Name()}
+	}
+	return out
+}
+
+func TestAttrsAgainstStringPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	rels := []string{"", "C1", "C2", "C10", "S1", "a_long_relation_name"}
+	names := []string{"", "a", "b", "id", "ref", "C1"}
+	attr := func() (Attr, refAttr) {
+		r := refAttr{rels[rng.Intn(len(rels))], names[rng.Intn(len(names))]}
+		return A(r.Rel, r.Name), r
+	}
+	list := func() (Attrs, refAttrs) { // duplicates allowed: lists, not sets
+		n := rng.Intn(9)
+		v, r := make(Attrs, n), make(refAttrs, n)
+		for i := range v {
+			v[i], r[i] = attr()
+		}
+		return v, r
+	}
+	order := func() (Order, refOrder) {
+		if rng.Intn(5) == 0 {
+			return DontCareOrder, refOrder{dontCare: true}
+		}
+		v, r := list()
+		return OrderBy(v...), refOrder{By: r}
+	}
+	var pred func(depth int) (*Pred, *refPred)
+	pred = func(depth int) (*Pred, *refPred) {
+		switch k := rng.Intn(8); {
+		case k == 0:
+			return TruePred, &refPred{Op: PredTrue}
+		case k <= 2 && depth < 3:
+			op := []PredOp{PredAnd, PredOr, PredNot}[rng.Intn(3)]
+			n := 1
+			if op != PredNot {
+				n = 2 + rng.Intn(3)
+			}
+			p, r := &Pred{Op: op}, &refPred{Op: op}
+			for i := 0; i < n; i++ {
+				pk, rk := pred(depth + 1)
+				p.Kids, r.Kids = append(p.Kids, pk), append(r.Kids, rk)
+			}
+			return p, r
+		}
+		op := PredEq + PredOp(rng.Intn(int(PredGe-PredEq)+1))
+		l, rl := attr()
+		if rng.Intn(2) == 0 {
+			rt, rr := attr()
+			return &Pred{Op: op, Left: l, Right: rt, AttrCmp: true}, &refPred{Op: op, Left: rl, Right: rr, AttrCmp: true}
+		}
+		c := Value(Int(rng.Intn(4)))
+		if rng.Intn(4) == 0 {
+			c = Str(names[rng.Intn(len(names))])
+		}
+		return CmpConst(op, l, c), &refPred{Op: op, Left: rl, Const: c}
+	}
+	same := func(what string, got Attrs, want refAttrs) {
+		t.Helper()
+		if !slices.Equal(refOf(got), want) {
+			t.Fatalf("%s = %v, string pairs give %v", what, got, want)
+		}
+	}
+	for i := 0; i < 12000; i++ {
+		v, rv := list()
+		w, rw := list()
+		same("Union", v.Union(w), rv.Union(rw))
+		same("Intersect", v.Intersect(w), rv.Intersect(rw))
+		same("Minus", v.Minus(w), rv.Minus(rw))
+		same("Sorted", v.Sorted(), rv.Sorted())
+		a, ra := attr()
+		if v.Contains(a) != rv.Contains(ra) || v.ContainsAll(w) != rv.ContainsAll(rw) || v.Equal(w) != rv.Equal(rw) ||
+			v.Equal(v.Sorted()) != true {
+			t.Fatalf("Contains/ContainsAll/Equal disagree on %v, %v, %v", v, w, a)
+		}
+		if v.String() != rv.String() || v.Hash() != rv.Hash() {
+			t.Fatalf("%v: String %q / %q, Hash %x / %x", v, v.String(), rv.String(), v.Hash(), rv.Hash())
+		}
+		o, ro := order()
+		o2, ro2 := order()
+		if o.Hash() != ro.Hash() || o.Within(v) != ro.Within(rv) || o.Satisfies(o2) != ro.Satisfies(ro2) ||
+			!o.Satisfies(o) || o.Equal(o2) != (ro.dontCare == ro2.dontCare && slices.Equal(ro.By, ro2.By)) {
+			t.Fatalf("Order %v (against %v, within %v) disagrees with the string-pair order", o, o2, v)
+		}
+		p, rp := pred(0)
+		if p.String() != rp.String() || p.Hash() != rp.Hash() {
+			t.Fatalf("Pred %v: String %q, Hash %x; string pairs give %q, %x", p, p.String(), p.Hash(), rp.String(), rp.Hash())
+		}
+		same("Pred.Attrs", p.Attrs(), rp.Attrs())
+		if p.RefersOnlyTo(v) != rp.RefersOnlyTo(rv) || p.RefersToAny(v) != (len(rp.Attrs().Intersect(rv)) > 0) {
+			t.Fatalf("RefersOnlyTo/RefersToAny(%v) disagree on %v", v, p)
+		}
+		in, out := p.SplitBy(v)
+		rin, rout := rp.SplitBy(rv)
+		if in.String() != rin || out.String() != rout {
+			t.Fatalf("%v.SplitBy(%v) = %v | %v, string pairs give %v | %v", p, v, in, out, rin, rout)
 		}
 	}
 }

@@ -204,6 +204,17 @@ type Table struct {
 	indexes map[string]map[uint64][]int
 }
 
+// Col returns the column of the table's own attribute name. It compares
+// names, so the executor interns nothing.
+func (t *Table) Col(name string) (int, bool) {
+	for i, a := range t.Schema {
+		if a.Name() == name && a.Rel() == t.Class.Name {
+			return i, true
+		}
+	}
+	return -1, false
+}
+
 // Index returns the row ordinals whose attribute equals the datum, using
 // the hash index (which must exist; see HasIndex).
 func (t *Table) Index(attr string, d Datum) []int {
@@ -211,7 +222,7 @@ func (t *Table) Index(attr string, d Datum) []int {
 	if ix == nil {
 		return nil
 	}
-	col, ok := t.Schema.Col(core.Attr{Rel: t.Class.Name, Name: attr})
+	col, ok := t.Col(attr)
 	if !ok {
 		return nil
 	}
@@ -229,7 +240,7 @@ func (t *Table) HasIndex(attr string) bool { return t.indexes[attr] != nil }
 
 // buildIndex constructs the hash index for an attribute.
 func (t *Table) buildIndex(attr string) {
-	col, ok := t.Schema.Col(core.Attr{Rel: t.Class.Name, Name: attr})
+	col, ok := t.Col(attr)
 	if !ok {
 		return
 	}

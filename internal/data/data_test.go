@@ -189,12 +189,12 @@ func TestPopulate(t *testing.T) {
 		if len(tab.Rows) != wantRows {
 			t.Errorf("%s has %d rows, want %d", name, len(tab.Rows), wantRows)
 		}
-		idCol, ok := tab.Schema.Col(core.Attr{Rel: name, Name: "id"})
+		idCol, ok := tab.Schema.Col(core.A(name, "id"))
 		if !ok {
 			t.Fatalf("%s missing id column", name)
 		}
-		refCol, _ := tab.Schema.Col(core.Attr{Rel: name, Name: "ref"})
-		tagsCol, _ := tab.Schema.Col(core.Attr{Rel: name, Name: "tags"})
+		refCol, _ := tab.Schema.Col(core.A(name, "ref"))
+		tagsCol, _ := tab.Schema.Col(core.A(name, "tags"))
 		for i, row := range tab.Rows {
 			if row[idCol].I != int64(i) {
 				t.Errorf("%s row %d id = %v", name, i, row[idCol])

@@ -307,11 +307,11 @@ func (m *matIter) Open() error {
 	}
 	m.refCol = col
 	// Resolve the target class from the catalog metadata on the table.
-	srcTab, ok := m.c.DB.Table(m.ref.Rel)
+	srcTab, ok := m.c.DB.Table(m.ref.Rel())
 	if !ok {
-		return fmt.Errorf("exec: unknown source class %q for pointer %v", m.ref.Rel, m.ref)
+		return fmt.Errorf("exec: unknown source class %q for pointer %v", m.ref.Rel(), m.ref)
 	}
-	attr, ok := srcTab.Class.Attr(m.ref.Name)
+	attr, ok := srcTab.Class.Attr(m.ref.Name())
 	if !ok || attr.Ref == "" {
 		return fmt.Errorf("exec: %v is not a pointer attribute", m.ref)
 	}
@@ -319,7 +319,7 @@ func (m *matIter) Open() error {
 	if !ok {
 		return fmt.Errorf("exec: unknown target class %q", attr.Ref)
 	}
-	m.idCol, ok = m.target.Schema.Col(core.Attr{Rel: m.target.Class.Name, Name: "id"})
+	m.idCol, ok = m.target.Col("id")
 	if !ok {
 		return fmt.Errorf("exec: target class %s has no id attribute", m.target.Class.Name)
 	}

@@ -113,9 +113,9 @@ func (s *scanIter) Open() error {
 	s.opened = true
 	candidates := s.tab.Rows
 	if s.byIndex != (core.Attr{}) {
-		if eq, ok := indexEqTerm(s.sel, s.byIndex); ok && s.tab.HasIndex(s.byIndex.Name) {
+		if eq, ok := indexEqTerm(s.sel, s.byIndex); ok && s.tab.HasIndex(s.byIndex.Name()) {
 			candidates = nil
-			for _, r := range s.tab.Index(s.byIndex.Name, eq) {
+			for _, r := range s.tab.Index(s.byIndex.Name(), eq) {
 				candidates = append(candidates, s.tab.Rows[r])
 			}
 		}

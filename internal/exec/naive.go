@@ -144,11 +144,11 @@ func (n *Naive) materialize(in *Result, refs core.Attrs) (*Result, error) {
 		return nil, fmt.Errorf("exec: MAT needs one pointer attribute, got %v", refs)
 	}
 	ref := refs[0]
-	srcTab, ok := n.DB.Table(ref.Rel)
+	srcTab, ok := n.DB.Table(ref.Rel())
 	if !ok {
-		return nil, fmt.Errorf("exec: unknown class %q", ref.Rel)
+		return nil, fmt.Errorf("exec: unknown class %q", ref.Rel())
 	}
-	attr, ok := srcTab.Class.Attr(ref.Name)
+	attr, ok := srcTab.Class.Attr(ref.Name())
 	if !ok || attr.Ref == "" {
 		return nil, fmt.Errorf("exec: %v is not a pointer attribute", ref)
 	}
@@ -156,7 +156,7 @@ func (n *Naive) materialize(in *Result, refs core.Attrs) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: unknown target class %q", attr.Ref)
 	}
-	idCol, ok := target.Schema.Col(core.Attr{Rel: target.Class.Name, Name: "id"})
+	idCol, ok := target.Col("id")
 	if !ok {
 		return nil, fmt.Errorf("exec: %s has no id attribute", target.Class.Name)
 	}
@@ -210,11 +210,7 @@ func Canonical(r *Result) []string {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool {
-		x, y := r.Schema[idx[a]], r.Schema[idx[b]]
-		if x.Rel != y.Rel {
-			return x.Rel < y.Rel
-		}
-		return x.Name < y.Name
+		return r.Schema[idx[a]].Compare(r.Schema[idx[b]]) < 0
 	})
 	out := make([]string, len(r.Rows))
 	for i, t := range r.Rows {

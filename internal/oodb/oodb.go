@@ -207,15 +207,11 @@ func (o *Opt) refAttrOfJoin(p *core.Pred, leftAttrs, rightAttrs core.Attrs) (cor
 	if !leftAttrs.Contains(l) || !rightAttrs.Contains(r) {
 		return core.Attr{}, false
 	}
-	cl, ok := o.Cat.Class(l.Rel)
-	if !ok {
-		return core.Attr{}, false
-	}
-	at, ok := cl.Attr(l.Name)
+	at, ok := o.Cat.Attribute(l)
 	if !ok || at.Ref == "" {
 		return core.Attr{}, false
 	}
-	if r.Rel != at.Ref || r.Name != "id" {
+	if r.Rel() != at.Ref || r.Name() != "id" {
 		return core.Attr{}, false
 	}
 	return l, true
@@ -226,11 +222,7 @@ func (o *Opt) matTarget(ma core.Attrs) (*catalog.Class, bool) {
 	if len(ma) != 1 {
 		return nil, false
 	}
-	cl, ok := o.Cat.Class(ma[0].Rel)
-	if !ok {
-		return nil, false
-	}
-	at, ok := cl.Attr(ma[0].Name)
+	at, ok := o.Cat.Attribute(ma[0])
 	if !ok || at.Ref == "" {
 		return nil, false
 	}
@@ -274,10 +266,8 @@ func (o *Opt) matTargetSize(ma core.Attrs) float64 {
 // unnestCard scales a cardinality by the set attribute's average size.
 func (o *Opt) unnestCard(n float64, ua core.Attrs) float64 {
 	if len(ua) == 1 {
-		if cl, ok := o.Cat.Class(ua[0].Rel); ok {
-			if at, ok := cl.Attr(ua[0].Name); ok && at.SetValued && at.SetSize > 0 {
-				return n * at.SetSize
-			}
+		if at, ok := o.Cat.Attribute(ua[0]); ok && at.SetValued && at.SetSize > 0 {
+			return n * at.SetSize
 		}
 	}
 	return n

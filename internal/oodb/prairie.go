@@ -122,10 +122,8 @@ func (o *Opt) refAttrAnywhere(p *core.Pred, within core.Attrs) (core.Attr, bool)
 		if !within.Contains(a) {
 			continue
 		}
-		if cl, ok := o.Cat.Class(a.Rel); ok {
-			if at, ok := cl.Attr(a.Name); ok && at.Ref != "" {
-				return a, true
-			}
+		if at, ok := o.Cat.Attribute(a); ok && at.Ref != "" {
+			return a, true
 		}
 	}
 	return core.Attr{}, false

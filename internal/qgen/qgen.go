@@ -126,22 +126,22 @@ func BuildGraph(o *oodb.Opt, e ExprKind, n int, g Graph) (*core.Expr, error) {
 			from = 1 // every predicate connects to the hub C1
 		}
 		pred := core.EqAttr(
-			core.A(catalog.ClassName(from), "a"),
-			core.A(catalog.ClassName(i), "a"))
+			o.Cat.Sym(catalog.ClassName(from), "a"),
+			o.Cat.Sym(catalog.ClassName(i), "a"))
 		cur = joinOf(o, cur, next, pred)
 	}
 	if e.HasSelect() {
-		cur = selectOf(o, cur, selectionPred(n))
+		cur = selectOf(o, cur, selectionPred(o.Cat, n))
 	}
 	return cur, nil
 }
 
 // selectionPred builds the paper's root selection: the conjunction of
 // bc_i = const_i over every class, const_i arbitrarily i.
-func selectionPred(n int) *core.Pred {
+func selectionPred(cat *catalog.Catalog, n int) *core.Pred {
 	terms := make([]*core.Pred, n)
 	for i := 1; i <= n; i++ {
-		terms[i-1] = core.EqConst(core.A(catalog.ClassName(i), "b"), core.Int(int64(i)))
+		terms[i-1] = core.EqConst(cat.Sym(catalog.ClassName(i), "b"), core.Int(int64(i)))
 	}
 	return oodb.CanonAnd(terms...)
 }
@@ -167,7 +167,7 @@ func retOf(o *oodb.Opt, i int, mat bool) (*core.Expr, error) {
 	cur := core.NewNode(o.RET, retD, leaf)
 
 	if mat {
-		ref := core.Attr{Rel: name, Name: "ref"}
+		ref := o.Cat.Sym(name, "ref")
 		matD := o.Alg.NewDesc()
 		matD.Set(o.MA, core.Attrs{ref})
 		matD.Set(o.AT, retD.AttrList(o.AT).Union(o.MatTargetAttrs(core.Attrs{ref})))

@@ -152,7 +152,7 @@ func TestBuildStarGraph(t *testing.T) {
 			attrs := e.D.Pred(o.JP).Attrs()
 			found := false
 			for _, a := range attrs {
-				if a.Rel == "C1" {
+				if a.Rel() == "C1" {
 					found = true
 				}
 			}

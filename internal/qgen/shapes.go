@@ -27,8 +27,8 @@ func BuildRefJoin(o *oodb.Opt, i int) (*core.Expr, error) {
 		return nil, err
 	}
 	pred := core.EqAttr(
-		core.A(catalog.ClassName(i), "ref"),
-		core.A(catalog.SubClassName(i), "id"))
+		o.Cat.Sym(catalog.ClassName(i), "ref"),
+		o.Cat.Sym(catalog.SubClassName(i), "id"))
 	return joinOf(o, left, right, pred), nil
 }
 
@@ -49,7 +49,7 @@ func BuildUnnest(o *oodb.Opt, i int, mat bool) (*core.Expr, error) {
 	if !ok || !tags.SetValued {
 		return nil, fmt.Errorf("qgen: class %s has no set-valued tags attribute", name)
 	}
-	ua := core.Attrs{core.A(name, "tags")}
+	ua := core.Attrs{o.Cat.Sym(name, "tags")}
 	d := o.Alg.NewDesc()
 	d.Set(o.UA, ua)
 	d.Set(o.AT, in.D.AttrList(o.AT))

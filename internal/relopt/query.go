@@ -72,13 +72,13 @@ func (o *Opt) Build(q QuerySpec) (*core.Expr, error) {
 		name := q.Relations[i]
 		sel := core.TruePred
 		if q.Select {
-			sel = core.EqConst(core.A(name, "b"), core.Int(int64(i+1)))
+			sel = core.EqConst(o.Cat.Sym(name, "b"), core.Int(int64(i+1)))
 		}
 		return o.Ret(o.Leaf(name), sel)
 	}
 	cur := mk(0)
 	for i := 1; i < len(q.Relations); i++ {
-		pred := core.EqAttr(core.A(q.Relations[i-1], "a"), core.A(q.Relations[i], "a"))
+		pred := core.EqAttr(o.Cat.Sym(q.Relations[i-1], "a"), o.Cat.Sym(q.Relations[i], "a"))
 		cur = o.Join(cur, mk(i), pred)
 	}
 	return cur, nil

@@ -244,16 +244,22 @@ func DSLWorld(src string, helpers map[string]prairielang.HelperImpl, maxN int) (
 	joinOp := rs.Algebra.MustOp("JOIN")
 	sortOp := rs.Algebra.MustOp("SORT")
 	w := &World{Name: "dsl", RS: vrs, MaxN: maxN}
+	// names[i] and attrs[i] are Ri and Ri.a, interned here so that Build
+	// (the request path) does not.
+	names, attrs := make([]string, maxN+1), make(core.Attrs, maxN+1)
+	for i := 1; i <= maxN; i++ {
+		names[i] = fmt.Sprintf("R%d", i)
+		attrs[i] = core.A(names[i], "a")
+	}
 	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
 		if err := w.checkN(q.N); err != nil {
 			return nil, nil, err
 		}
 		ret := func(i int) *core.Expr {
-			name := fmt.Sprintf("R%d", i)
 			d := core.NewDescriptor(ps)
 			d.SetFloat(nr, float64(int(1)<<uint(10-i%8)))
-			d.Set(at, core.Attrs{core.A(name, "a")})
-			leaf := core.NewLeaf(name, d)
+			d.Set(at, core.Attrs{attrs[i]})
+			leaf := core.NewLeaf(names[i], d)
 			return core.NewNode(retOp, d.Clone(), leaf)
 		}
 		cur := ret(1)
@@ -262,11 +268,11 @@ func DSLWorld(src string, helpers map[string]prairielang.HelperImpl, maxN int) (
 			jd := core.NewDescriptor(ps)
 			jd.SetFloat(nr, math.Max(cur.D.Float(nr), r.D.Float(nr)))
 			jd.Set(at, cur.D.AttrList(at).Union(r.D.AttrList(at)))
-			jd.Set(jp, core.EqAttr(core.A(fmt.Sprintf("R%d", i-1), "a"), core.A(fmt.Sprintf("R%d", i), "a")))
+			jd.Set(jp, core.EqAttr(attrs[i-1], attrs[i]))
 			cur = core.NewNode(joinOp, jd, cur, r)
 		}
 		sd := cur.D.Clone()
-		sd.Set(ord, core.OrderBy(core.A("R1", "a")))
+		sd.Set(ord, core.OrderBy(attrs[1]))
 		query := core.NewNode(sortOp, sd, cur)
 		return rep.PrepareQuery(query, nil)
 	}

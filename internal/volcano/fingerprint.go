@@ -2,7 +2,6 @@ package volcano
 
 import (
 	"bytes"
-	"cmp"
 	"slices"
 	"strconv"
 
@@ -137,15 +136,13 @@ func appendProj(b []byte, d *core.Descriptor, ids []core.PropID) []byte {
 func appendSortedAttrs(b []byte, v core.Attrs) []byte {
 	var stack [24]core.Attr
 	sorted := append(stack[:0], v...)
-	slices.SortFunc(sorted, func(x, y core.Attr) int {
-		return cmp.Or(cmp.Compare(x.Rel, y.Rel), cmp.Compare(x.Name, y.Name))
-	})
+	slices.SortFunc(sorted, core.Attr.Compare)
 	b = append(b, '{')
 	for i, a := range sorted {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = append(append(append(b, a.Rel...), '.'), a.Name...)
+		b = append(append(append(b, a.Rel()...), '.'), a.Name()...)
 	}
 	return append(b, '}')
 }

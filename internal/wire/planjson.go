@@ -57,7 +57,7 @@ type Pred struct {
 	Kids  []*Pred    `json:"kids,omitempty"`
 }
 
-func attrOf(a core.Attr) Attr { return Attr{Rel: a.Rel, Name: a.Name} }
+func attrOf(a core.Attr) Attr { return Attr{Rel: a.Rel(), Name: a.Name()} }
 
 func attrsOf(as core.Attrs) []Attr {
 	out := make([]Attr, len(as))
@@ -67,14 +67,19 @@ func attrsOf(as core.Attrs) []Attr {
 	return out
 }
 
-func coreAttr(a Attr) core.Attr { return core.A(a.Rel, a.Name) }
+// coreAttr interns a name off the wire; it fails, rather than grow the
+// process's attribute table without bound, past core.MaxAttrs names.
+func coreAttr(a Attr) (core.Attr, error) { return core.Intern(a.Rel, a.Name) }
 
-func coreAttrs(as []Attr) core.Attrs {
+func coreAttrs(as []Attr) (core.Attrs, error) {
 	out := make(core.Attrs, len(as))
 	for i, a := range as {
-		out[i] = coreAttr(a)
+		var err error
+		if out[i], err = coreAttr(a); err != nil {
+			return nil, err
+		}
 	}
-	return out
+	return out, nil
 }
 
 func encodeValue(v core.Value) (PropValue, error) {
@@ -119,12 +124,13 @@ func decodeValue(v PropValue) (core.Value, error) {
 	case "string":
 		return core.Str(v.Str), nil
 	case "attrs":
-		return coreAttrs(v.Attr), nil
+		return coreAttrs(v.Attr)
 	case "order":
 		if v.Ord == nil || v.Ord.DontCare {
 			return core.DontCareOrder, nil
 		}
-		return core.OrderBy(coreAttrs(v.Ord.By)...), nil
+		by, err := coreAttrs(v.Ord.By)
+		return core.OrderBy(by...), err
 	case "pred":
 		return decodePred(v.Pred)
 	}
@@ -193,10 +199,16 @@ func decodePred(w *Pred) (*core.Pred, error) {
 	if w.Left == nil {
 		return nil, fmt.Errorf("wire: comparison %q missing left attribute", w.Op)
 	}
-	p := &core.Pred{Op: op, Left: coreAttr(*w.Left)}
+	left, err := coreAttr(*w.Left)
+	if err != nil {
+		return nil, err
+	}
+	p := &core.Pred{Op: op, Left: left}
 	switch {
 	case w.Right != nil:
-		p.Right = coreAttr(*w.Right)
+		if p.Right, err = coreAttr(*w.Right); err != nil {
+			return nil, err
+		}
 		p.AttrCmp = true
 	case w.Const != nil:
 		c, err := decodeValue(*w.Const)

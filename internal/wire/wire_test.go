@@ -3,8 +3,17 @@ package wire_test
 import (
 	"context"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/printer"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
+	"prairie/internal/core"
 	"prairie/internal/server"
 	"prairie/internal/volcano"
 	"prairie/internal/wire"
@@ -160,5 +169,70 @@ func TestEntryErrors(t *testing.T) {
 	}
 	if _, err := wire.DecodeEntry(alg, []byte(`{"plan": {"op": "NO_SUCH_ALG"}}`)); err == nil {
 		t.Error("decode entry with an undecodable plan: want error")
+	}
+}
+
+// TestNoCoreAttrReachesJSON: core.Attr is a process-local symbol with one
+// unexported field, so encoding/json would render it "{}" without a word
+// — and a number would be worse. wire.Attr is the only wire form. The
+// test reads the repository's source: no struct with a json-tagged field
+// may hold a core value that contains attributes.
+func TestNoCoreAttrReachesJSON(t *testing.T) {
+	if b, err := json.Marshal(core.A("R", "a")); err != nil || string(b) != "{}" {
+		t.Fatalf("json.Marshal(core.Attr) = %s, %v: the premise of this test moved", b, err)
+	}
+	holdsAttr := regexp.MustCompile(`\bcore\.(Attr|Attrs|Order|Pred)\b`)
+	root := filepath.Join("..", "..")
+	structs := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (strings.HasPrefix(d.Name(), ".") && path != root || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pattern := holdsAttr
+		if file.Name.Name == "core" {
+			pattern = regexp.MustCompile(`\b(Attr|Attrs|Order|Pred)\b`)
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			st, ok := n.(*ast.StructType)
+			if !ok {
+				return true
+			}
+			tagged := false
+			for _, f := range st.Fields.List {
+				tagged = tagged || f.Tag != nil && strings.Contains(f.Tag.Value, `json:"`)
+			}
+			if !tagged {
+				return true
+			}
+			structs++
+			for _, f := range st.Fields.List {
+				var typ strings.Builder
+				if err := printer.Fprint(&typ, fset, f.Type); err != nil {
+					t.Fatal(err)
+				}
+				if pattern.MatchString(typ.String()) {
+					t.Errorf("%s: a struct that reaches encoding/json has a field of type %s", fset.Position(f.Pos()), typ.String())
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if structs < 20 {
+		t.Errorf("saw only %d json-tagged structs: the walk no longer covers the repository", structs)
 	}
 }
