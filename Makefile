@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race figures bench-test bench-smoke bench-guard cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard bench-json bench-serve bench-tier bench-exec bench-cluster fuzz-smoke cover ci experiments clean
+.PHONY: all build vet test race figures bench-test bench-smoke bench-guard cache-guard flight-guard cluster-guard rulecheck-guard fuzz-smoke cover loc ci experiments clean
 
 all: ci
 
@@ -21,7 +21,8 @@ race:
 # The repository benchmark (bench/, a module of its own that the root
 # module's ./... skips) imports server, wire, volcano, plancache and obs:
 # its smoke test runs every workload at a small scale and checks
-# BENCHMARK.json against the runner.
+# BENCHMARK.json against the runner. Serving, caching and execution are
+# measured there and nowhere else (bench/README.md: `bash bench/run.sh`).
 bench-test:
 	cd bench && $(GO) test -timeout 300s ./...
 
@@ -44,119 +45,50 @@ bench-smoke:
 # repetition is a shell loop rather than `-count` on purpose: -count
 # runs all samples of one mode back to back, so slow machine-throughput
 # drift reads as systematic mode overhead; interleaving whole passes
-# puts each mode's minimum in comparable conditions.
+# puts each mode's minimum in comparable conditions. The guards time
+# only: `race` has already run every package's tests under the race
+# detector by the time `ci` reaches them.
 GUARD_PCT ?= 2
 BENCH_COUNT ?= 5
 
-# Observability overhead guard: instrumentation with every sink disabled
-# must be indistinguishable from no instrumentation at all.
+# $(call guard,<target>,<benchmark regexp>,<-benchtime>,<package>)
+define guard
+@rm -f /tmp/$(1).txt
+@for i in $$(seq $(BENCH_COUNT)); do \
+	$(GO) test -run 'XXX' -bench '$(2)' -benchtime $(3) $(4) | tee -a /tmp/$(1).txt || exit 1; \
+done
+@awk -v pct=$(GUARD_PCT) -v guard=$(1) -f scripts/guard.awk /tmp/$(1).txt
+endef
+
+# Observability: instrumentation with every sink disabled must be
+# indistinguishable from no instrumentation at all.
 bench-guard:
-	@rm -f /tmp/obsguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'ObsGuard' -benchtime 200x . | tee -a /tmp/obsguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=bench-guard -f scripts/guard.awk /tmp/obsguard.txt
+	$(call guard,bench-guard,ObsGuard,200x,.)
 
-# Plan-cache neutrality guard: a zero-capacity cache handle must be
-# indistinguishable from no cache (one Enabled() branch per optimize),
-# and the concurrent cache layers must be race-clean.
+# Plan cache: a zero-capacity cache handle must be indistinguishable
+# from no cache (one Enabled() branch per optimize).
 cache-guard:
-	$(GO) test -race -timeout 300s ./internal/plancache ./internal/volcano
-	@rm -f /tmp/cacheguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'CacheGuard' -benchtime 100x . | tee -a /tmp/cacheguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=cache-guard -f scripts/guard.awk /tmp/cacheguard.txt
+	$(call guard,cache-guard,CacheGuard,100x,.)
 
-# Tiered-planner neutrality guard: an attached-but-unused router with
-# the tier left at the default (full) must be byte- and cost-identical
-# to today's single-tier behavior — TestTierNeutral checks the bytes,
-# the TierGuard benchmark checks the cost.
-tier-guard:
-	$(GO) test -run 'TestTierNeutral' -timeout 120s ./internal/volcano
-	@rm -f /tmp/tierguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'TierGuard' -benchtime 100x . | tee -a /tmp/tierguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=tier-guard -f scripts/guard.awk /tmp/tierguard.txt
-
-# Executor neutrality guard: the Workers: 1 engine must compile the
-# exact same iterator tree as the zero-options engine (no pool, no
-# wrappers) and cost the same to run; the parallel machinery is also
-# exercised under the race detector here.
-exec-guard:
-	$(GO) test -race -timeout 300s ./internal/exec
-	@rm -f /tmp/execguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'ExecGuard' -benchtime 50x . | tee -a /tmp/execguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=exec-guard -f scripts/guard.awk /tmp/execguard.txt
-
-# Flight-recorder neutrality guard: a disabled recorder handle on the
-# serving path must be indistinguishable from no recorder at all —
-# TestFlightNeutral checks the answers are identical, the FlightGuard
-# benchmark checks the cost. The recorder's concurrent surfaces run
-# under the race detector via the server package's flight tests.
+# Flight recorder: a disabled recorder handle on the serving path must
+# be indistinguishable from no recorder at all (TestFlightNeutral checks
+# that the answers are identical).
 flight-guard:
-	$(GO) test -race -run 'TestFlight' -timeout 300s ./internal/server
-	@rm -f /tmp/flightguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'FlightGuard' -benchtime 50x ./internal/server | tee -a /tmp/flightguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=flight-guard -f scripts/guard.awk /tmp/flightguard.txt
+	$(call guard,flight-guard,FlightGuard,50x,./internal/server)
 
-# Cluster neutrality guard: a server with no peers must answer
-# byte-identically to one with no cluster layer at all (TestClusterNeutral
-# checks the bytes) and cost within GUARD_PCT on the cold-miss path — the
-# only path where the cluster hook runs (ClusterGuard checks the cost).
-# The peer protocol, epoch fan-out, and cluster singleflight run under
-# the race detector first.
+# Cluster: a server with no peers must cost within GUARD_PCT of one with
+# no cluster layer on the cold-miss path — the only path where the
+# cluster hook runs (TestClusterNeutral checks that the bytes are
+# identical).
 cluster-guard:
-	$(GO) test -race -run 'TestCluster' -timeout 300s ./internal/server ./internal/cluster
-	@rm -f /tmp/clusterguard.txt
-	@for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'ClusterGuard' -benchtime 30x ./internal/server | tee -a /tmp/clusterguard.txt || exit 1; \
-	done
-	@awk -v pct=$(GUARD_PCT) -v guard=cluster-guard -f scripts/guard.awk /tmp/clusterguard.txt
+	$(call guard,cluster-guard,ClusterGuard,30x,./internal/server)
 
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every shipped rule set a "verified" verdict (or an
 # explicit waiver), and the mutation-testing mode must kill at least 95%
-# of seeded rule corruptions (internal/rulecheck; DESIGN.md §4.17).
+# of seeded rule corruptions (internal/rulecheck; DESIGN.md §4.16).
 rulecheck-guard:
 	$(GO) test -run 'TestShippedRuleSetsVerified|TestMutationKillRate' -timeout 300s ./internal/rulecheck
-
-# Archive the repeat-workload plan-cache benchmark (cold vs warm ns/op,
-# full-hit speedup, hit rate, warm-start pruning, allocs) for diffing
-# across revisions.
-bench-json: build
-	$(GO) run ./cmd/optbench -experiment repeat -json > BENCH_plancache.json
-	@echo "bench-json: wrote BENCH_plancache.json"
-
-# Archive the service load experiment (throughput, cold vs warm latency
-# percentiles, shed count) for diffing across revisions.
-bench-serve: build
-	$(GO) run ./cmd/optbench -experiment serve -json > BENCH_serve.json
-	@echo "bench-serve: wrote BENCH_serve.json"
-
-# Archive the tiered-planner benchmark (first-plan latency per tier,
-# refinement win rate, router routing mix) for diffing across revisions.
-bench-tier: build
-	$(GO) run ./cmd/optbench -experiment tier -json > BENCH_tier.json
-	@echo "bench-tier: wrote BENCH_tier.json"
-
-# Archive the executor benchmark (naive vs serial vs parallel engines,
-# hash pre-sizing ablation, bag-verified) for diffing across revisions.
-bench-exec: build
-	$(GO) run ./cmd/optbench -experiment exec -json > BENCH_exec.json
-	@echo "bench-exec: wrote BENCH_exec.json"
-
-# Archive the multi-node cluster experiment (throughput scaling with
-# node count, cold vs peer-fill vs local-hit latency, hot-key
-# replication load reduction) for diffing across revisions.
-bench-cluster: build
-	$(GO) run ./cmd/optbench -experiment cluster -json > BENCH_cluster.json
-	@echo "bench-cluster: wrote BENCH_cluster.json"
 
 # Fuzz smoke: every fuzz target for FUZZTIME each. FuzzParse drives the
 # rule-language front end (parse -> format -> parse fixed point);
@@ -180,7 +112,15 @@ cover:
 	$(GO) test -timeout 600s -coverprofile=cover.out ./...
 	@awk -v floor=$(COVER_FLOOR) -f scripts/cover.awk cover.out
 
-ci: vet build race bench-test bench-smoke cache-guard tier-guard exec-guard flight-guard cluster-guard rulecheck-guard fuzz-smoke cover
+# Non-test Go lines by package and in total: the number ROADMAP's
+# pruning item tracks (bench/ is the benchmark's own module and is not
+# counted).
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+ci: vet build race bench-test bench-smoke bench-guard cache-guard flight-guard cluster-guard rulecheck-guard fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

@@ -17,8 +17,6 @@ import (
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
-	"prairie/internal/data"
-	"prairie/internal/exec"
 	"prairie/internal/obs"
 	"prairie/internal/oodb"
 	"prairie/internal/p2v"
@@ -349,80 +347,6 @@ func BenchmarkCacheGuard(b *testing.B) {
 	}
 }
 
-// execWorld is one executor-guard workload point: an optimized access
-// plan plus the populated database it runs over.
-type execWorld struct {
-	pe    *core.Expr
-	db    *data.DB
-	props exec.Props
-}
-
-func prepExec(b *testing.B, e qgen.ExprKind, n, rows int) *execWorld {
-	b.Helper()
-	cat := qgen.Catalog(n, 101, false)
-	vo := oodb.New(cat)
-	tree, err := qgen.Build(vo, e, n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := volcano.NewOptimizer(vo.VolcanoRules())
-	plan, err := opt.Optimize(tree.Clone(), core.NewDescriptor(vo.Alg.Props))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &execWorld{
-		pe:    plan.ToExpr(),
-		db:    data.Populate(cat, 101, rows),
-		props: exec.Props{Ord: vo.Ord, JP: vo.JP, SP: vo.SP, PA: vo.PA, MA: vo.MA, UA: vo.UA},
-	}
-}
-
-// benchExec compiles and fully drains the plan once per iteration under
-// the given engine options.
-func benchExec(b *testing.B, w *execWorld, eo exec.ExecOptions) {
-	b.Helper()
-	b.ReportAllocs()
-	comp := exec.NewCompiler(w.db, w.props)
-	comp.Opts = eo
-	var rows int
-	for i := 0; i < b.N; i++ {
-		it, err := comp.Compile(w.pe)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := exec.Run(it)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows = len(res.Rows)
-	}
-	b.ReportMetric(float64(rows), "rows")
-}
-
-// BenchmarkExecGuard backs `make exec-guard`: the same plans executed
-// with the parallel machinery absent ("off" — the zero ExecOptions),
-// configured but inert ("disabled" — Workers: 1 must compile the exact
-// same iterator tree as off, no pool, no wrappers), and enabled ("on" —
-// Workers: 4, reported informationally). The guard target fails the
-// build if disabled drifts more than ~2% from off. Workloads are the
-// larger executor points (milliseconds per op) so the 2% bar clears
-// scheduler noise.
-func BenchmarkExecGuard(b *testing.B) {
-	for _, wl := range []struct {
-		name string
-		e    qgen.ExprKind
-		n    int
-	}{
-		{"e1n6", qgen.E1, 6},
-		{"e2n3", qgen.E2, 3},
-	} {
-		w := prepExec(b, wl.e, wl.n, 4096)
-		b.Run(wl.name+"/off", func(b *testing.B) { benchExec(b, w, exec.ExecOptions{}) })
-		b.Run(wl.name+"/disabled", func(b *testing.B) { benchExec(b, w, exec.ExecOptions{Workers: 1}) })
-		b.Run(wl.name+"/on", func(b *testing.B) { benchExec(b, w, exec.ExecOptions{Workers: 4}) })
-	}
-}
-
 // BenchmarkStrategyAblation compares the two search strategies (§2.2)
 // over the same generated rule set: top-down memoizing search versus
 // System R-style bottom-up dynamic programming.
@@ -438,55 +362,4 @@ func BenchmarkStrategyAblation(b *testing.B) {
 			}
 		}
 	})
-}
-
-// benchOptimizeTier is benchOptimizeCache with a router and tier mode
-// attached — the tiered-planner guard's workhorse.
-func benchOptimizeTier(b *testing.B, w *benchWorld, pc *volcano.PlanCache, rt *volcano.Router, tier volcano.TierMode) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opt := volcano.NewOptimizer(w.pvrs)
-		opt.Opts.Cache = pc
-		opt.Opts.Router = rt
-		opt.Opts.Tier = tier
-		if _, err := opt.Optimize(w.ptree.Clone(), w.preq); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	rt.Wait() // drain background refiners before the next mode runs
-}
-
-// BenchmarkTierGuard backs `make tier-guard`: full searches with the
-// tier router absent ("off"), attached with the tier left at the
-// default full mode ("disabled" — dispatch must shortcut past the
-// tiered path, so this must be indistinguishable from off), and in
-// auto mode ("on" — router-directed planning with both costs measured,
-// reported informationally). The guard target fails the build if
-// disabled drifts more than ~2% from off. All modes run cacheless so
-// every iteration does identical deterministic work — a cached mix
-// would be dominated by its one cold miss, a single noisy sample the
-// min-of-count comparison cannot smooth (same reasoning as
-// BenchmarkCacheGuard's off mode).
-func BenchmarkTierGuard(b *testing.B) {
-	for _, wl := range []struct {
-		name string
-		e    qgen.ExprKind
-		n    int
-	}{
-		{"fig11", qgen.E2, 4},
-		{"fig13", qgen.E4, 3},
-	} {
-		w := prepOODB(b, wl.e, wl.n, false)
-		b.Run(wl.name+"/off", func(b *testing.B) {
-			benchOptimizeTier(b, w, nil, nil, volcano.TierFull)
-		})
-		b.Run(wl.name+"/disabled", func(b *testing.B) {
-			benchOptimizeTier(b, w, nil, volcano.NewRouter(volcano.RouterConfig{}), volcano.TierFull)
-		})
-		b.Run(wl.name+"/on", func(b *testing.B) {
-			benchOptimizeTier(b, w, nil, volcano.NewRouter(volcano.RouterConfig{}), volcano.TierAuto)
-		})
-	}
 }

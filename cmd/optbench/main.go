@@ -1,34 +1,21 @@
 // Command optbench regenerates the paper's evaluation (Section 4): the
 // rules-matched table (Table 5), the optimization-time figures (Figures
 // 10–13), the equivalence-class growth figure (Figure 14), the §4.2
-// rule-count comparison, and the relational-optimizer experiment of [5].
+// rule-count comparison, and the relational-optimizer experiment of [5];
+// plus the star-graph extension and the per-rule differential verifier
+// (rulecheck). Serving, caching and execution are measured by the
+// repository benchmark (bench/README.md), not here.
 //
 // Usage:
 //
 //	optbench -experiment all
 //	optbench -experiment fig10 -maxclasses 6 -repeats 10 -csv
-//	optbench -experiment fig13 -workers 8 -json > BENCH_fig13.json
+//	optbench -experiment fig13 -workers 8 -json
 //	optbench -experiment fig13 -max-exprs 5000 -degrade -timeout 50ms
 //
 // With -timeout or -degrade, over-budget points return gracefully
 // degraded plans and are marked '*' in the tables instead of ending
 // their series with 'exhausted'.
-//
-// Plan caching (see internal/plancache and DESIGN.md §4.11):
-//
-//	optbench -experiment repeat -json > BENCH_plancache.json  # zipfian repeat workload, cold vs warm
-//	optbench -experiment repeat -draws 1000 -cache-size 256
-//
-// Service load (see internal/server and cmd/optserve):
-//
-//	optbench -experiment serve -json > BENCH_serve.json  # in-process optserve under a 4-worker HTTP load
-//	optbench -experiment serve -workers 8 -draws 1000
-//
-// Tiered anytime planner (see internal/volcano tier.go and DESIGN.md §4.13):
-//
-//	optbench -experiment tier -json > BENCH_tier.json  # first-plan latency per tier, refinement win rate
-//	optbench -experiment cluster -json > BENCH_cluster.json  # distributed plan cache: scaling, peer-fill latency, hot-key replication
-//	optbench -experiment fig12 -repeats 10 -cache             # figure sweep with repeats served from the cache
 //
 // Observability (see internal/obs):
 //
@@ -41,49 +28,104 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"prairie/internal/experiments"
 	"prairie/internal/obs"
 )
 
-func main() {
-	which := flag.String("experiment", "all",
-		"one of: table5, fig10, fig11, fig12, fig13, fig14, rules, relopt, star, repeat, serve, tier, exec, cluster, rulecheck, all")
-	maxClasses := flag.Int("maxclasses", 0, "max classes per family (0 = paper's ranges)")
-	repeats := flag.Int("repeats", 0, "optimizations per timing point (0 = adaptive)")
-	maxExprs := flag.Int("maxexprs", 0, "search-space cap (0 = engine default)")
-	flag.IntVar(maxExprs, "max-exprs", 0, "alias for -maxexprs")
-	timeout := flag.Duration("timeout", 0,
-		"per-optimization wall-clock budget (0 = none); points over budget degrade and are marked '*'")
-	degrade := flag.Bool("degrade", false,
-		"treat -maxexprs as a soft budget: over-budget points return degraded plans (marked '*') and sweeps continue instead of ending the series")
-	workers := flag.Int("workers", 1,
-		"concurrent optimizations per sweep point (<=1 sequential; parallel runs distort per-query times)")
-	cache := flag.Bool("cache", false,
-		"attach a shared cross-query plan cache per sweep point: repeats after the first become cache hits")
-	cacheSize := flag.Int("cache-size", 0, "plan-cache capacity for -cache and -experiment repeat (0 = 512)")
-	draws := flag.Int("draws", 0, "zipfian draws for -experiment repeat (0 = 300)")
-	rows := flag.Int("rows", 0, "per-class row cap for -experiment exec (0 = 4096)")
-	dslPath := flag.String("dsl", "",
-		"Prairie spec for -experiment rulecheck's DSL world (default examples/dslrules/rules.prairie)")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	jsonOut := flag.Bool("json", false, "emit JSON instead of aligned tables (for BENCH_*.json archives)")
-	observe := flag.Bool("observe", false,
-		"enable per-rule timing and metrics collection (implied by -json, -httpaddr, -trace-out, -trace-jsonl)")
-	httpAddr := flag.String("httpaddr", "",
-		"serve /metrics, /vars, /trace, and /debug/pprof/ on this address (e.g. :8080 or :0)")
-	traceOut := flag.String("trace-out", "",
-		"write a Chrome trace_event file here (load in chrome://tracing or Perfetto)")
-	traceJSONL := flag.String("trace-jsonl", "", "write the span trace as JSON lines here")
-	flag.Parse()
+type experiment func(experiments.Options) (*experiments.Table, error)
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, "optbench:", err)
-		os.Exit(1)
+// experimentTable lists the experiments in the order -experiment's help
+// names them.
+var experimentTable = []struct {
+	name string
+	run  experiment
+}{
+	{"table5", func(o experiments.Options) (*experiments.Table, error) { return experiments.Table5(4, o) }},
+	{"fig10", func(o experiments.Options) (*experiments.Table, error) { return experiments.Figure(10, o) }},
+	{"fig11", func(o experiments.Options) (*experiments.Table, error) { return experiments.Figure(11, o) }},
+	{"fig12", func(o experiments.Options) (*experiments.Table, error) { return experiments.Figure(12, o) }},
+	{"fig13", func(o experiments.Options) (*experiments.Table, error) { return experiments.Figure(13, o) }},
+	{"fig14", experiments.Figure14},
+	{"rules", func(experiments.Options) (*experiments.Table, error) { return experiments.RuleCounts() }},
+	{"relopt", experiments.Relopt},
+	{"star", experiments.StarGraphs},
+	{"rulecheck", experiments.RuleCheck},
+}
+
+// allExperiments is what -experiment all runs, in order.
+var allExperiments = []string{"rules", "table5", "fig10", "fig11", "fig12", "fig13", "fig14", "relopt"}
+
+// lookup returns the named experiment, nil when there is none.
+func lookup(name string) experiment {
+	for _, e := range experimentTable {
+		if e.name == name {
+			return e.run
+		}
+	}
+	return nil
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit status (2 for a usage error, 1 for a failed experiment).
+func run(args []string, stdout, stderr io.Writer) int {
+	valid := make([]string, 0, len(experimentTable)+1)
+	for _, e := range experimentTable {
+		valid = append(valid, e.name)
+	}
+	valid = append(valid, "all")
+
+	fs := flag.NewFlagSet("optbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	which := fs.String("experiment", "all", "one of: "+strings.Join(valid, ", "))
+	maxClasses := fs.Int("maxclasses", 0, "max classes per family (0 = paper's ranges)")
+	repeats := fs.Int("repeats", 0, "optimizations per timing point (0 = adaptive)")
+	maxExprs := fs.Int("maxexprs", 0, "search-space cap (0 = engine default)")
+	fs.IntVar(maxExprs, "max-exprs", 0, "alias for -maxexprs")
+	timeout := fs.Duration("timeout", 0,
+		"per-optimization wall-clock budget (0 = none); points over budget degrade and are marked '*'")
+	degrade := fs.Bool("degrade", false,
+		"treat -maxexprs as a soft budget: over-budget points return degraded plans (marked '*') and sweeps continue instead of ending the series")
+	workers := fs.Int("workers", 1,
+		"concurrent optimizations per sweep point (<=1 sequential; parallel runs distort per-query times)")
+	dslPath := fs.String("dsl", "",
+		"Prairie spec for -experiment rulecheck's DSL world (default examples/dslrules/rules.prairie)")
+	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
+	jsonOut := fs.Bool("json", false, "emit JSON instead of aligned tables")
+	observe := fs.Bool("observe", false,
+		"enable per-rule timing and metrics collection (implied by -json, -httpaddr, -trace-out, -trace-jsonl)")
+	httpAddr := fs.String("httpaddr", "",
+		"serve /metrics, /vars, /trace, and /debug/pprof/ on this address (e.g. :8080 or :0)")
+	traceOut := fs.String("trace-out", "",
+		"write a Chrome trace_event file here (load in chrome://tracing or Perfetto)")
+	traceJSONL := fs.String("trace-jsonl", "", "write the span trace as JSON lines here")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	names := []string{*which}
+	if *which == "all" {
+		names = allExperiments
+	}
+	if lookup(names[0]) == nil {
+		fmt.Fprintf(stderr, "optbench: unknown experiment %q (valid: %s)\n", *which, strings.Join(valid, ", "))
+		return 2
+	}
+
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "optbench:", err)
+		return 1
 	}
 
 	// Observability: per-rule timing feeds the tables; the tracer is
@@ -98,35 +140,11 @@ func main() {
 	if *httpAddr != "" {
 		addr, closer, err := obs.Serve(*httpAddr, obs.NewMux(ob.Metrics, ob.Tracer, nil))
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		defer closer()
-		fmt.Fprintf(os.Stderr, "optbench: serving metrics and pprof on http://%s/\n", addr)
+		fmt.Fprintf(stderr, "optbench: serving metrics and pprof on http://%s/\n", addr)
 	}
-	defer func() {
-		if ob == nil || ob.Tracer == nil {
-			return
-		}
-		write := func(path string, fn func(io.Writer) error) {
-			if path == "" {
-				return
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				fail(err)
-			}
-			if err := fn(f); err != nil {
-				fail(err)
-			}
-			if err := f.Close(); err != nil {
-				fail(err)
-			}
-			fmt.Fprintf(os.Stderr, "optbench: wrote %d trace events to %s (%d dropped)\n",
-				ob.Tracer.Len(), path, ob.Tracer.Dropped())
-		}
-		write(*traceOut, ob.Tracer.WriteChrome)
-		write(*traceJSONL, ob.Tracer.WriteJSONL)
-	}()
 
 	opts := experiments.Options{
 		MaxClasses: *maxClasses,
@@ -136,61 +154,51 @@ func main() {
 		Timeout:    *timeout,
 		Degrade:    *degrade,
 		Obs:        ob,
-		UseCache:   *cache,
-		CacheSize:  *cacheSize,
-		Draws:      *draws,
-		Rows:       *rows,
 		DSLPath:    *dslPath,
 	}
-	emit := func(t *experiments.Table, err error) {
+	for _, name := range names {
+		t, err := lookup(name)(opts)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		switch {
 		case *jsonOut:
 			s, err := t.JSON()
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
-			fmt.Print(s)
+			fmt.Fprint(stdout, s)
 		case *csv:
-			fmt.Println(t.Title)
-			fmt.Print(t.CSV())
+			fmt.Fprintln(stdout, t.Title)
+			fmt.Fprint(stdout, t.CSV())
 		default:
-			fmt.Println(t.String())
+			fmt.Fprintln(stdout, t.String())
 		}
 	}
 
-	run := map[string]func(){
-		"table5":  func() { emit(experiments.Table5(4, opts)) },
-		"fig10":   func() { emit(experiments.Figure(10, opts)) },
-		"fig11":   func() { emit(experiments.Figure(11, opts)) },
-		"fig12":   func() { emit(experiments.Figure(12, opts)) },
-		"fig13":   func() { emit(experiments.Figure(13, opts)) },
-		"fig14":   func() { emit(experiments.Figure14(opts)) },
-		"rules":   func() { emit(experiments.RuleCounts()) },
-		"relopt":  func() { emit(experiments.Relopt(opts)) },
-		"star":    func() { emit(experiments.StarGraphs(opts)) },
-		"repeat":  func() { emit(experiments.RepeatWorkload(opts)) },
-		"serve":   func() { emit(experiments.ServeLoad(opts)) },
-		"tier":    func() { emit(experiments.TierBench(opts)) },
-		"exec":    func() { emit(experiments.ExecBench(opts)) },
-		"cluster": func() { emit(experiments.ClusterBench(opts)) },
-		"rulecheck": func() {
-			t, err := experiments.RuleCheck(opts)
-			emit(t, err)
-		},
+	if ob == nil || ob.Tracer == nil {
+		return 0
 	}
-	if *which == "all" {
-		for _, name := range []string{"rules", "table5", "fig10", "fig11", "fig12", "fig13", "fig14", "relopt"} {
-			run[name]()
+	for _, sink := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{*traceOut, ob.Tracer.WriteChrome}, {*traceJSONL, ob.Tracer.WriteJSONL}} {
+		if sink.path == "" {
+			continue
 		}
-		return
+		f, err := os.Create(sink.path)
+		if err != nil {
+			return fail(err)
+		}
+		if err := sink.write(f); err != nil {
+			f.Close()
+			return fail(err)
+		}
+		if err := f.Close(); err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stderr, "optbench: wrote %d trace events to %s (%d dropped)\n",
+			ob.Tracer.Len(), sink.path, ob.Tracer.Dropped())
 	}
-	fn, ok := run[*which]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "optbench: unknown experiment %q\n", *which)
-		os.Exit(2)
-	}
-	fn()
+	return 0
 }

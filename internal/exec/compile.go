@@ -28,15 +28,14 @@ type Compiler struct {
 	DB    *data.DB
 	P     Props
 	Build map[string]BuildFunc
-	// Opts configures the engine; the zero value is the fully serial,
-	// pre-sized executor. Set it before the first Compile: with
-	// Workers > 1 the compiler wraps join inputs in parallel subtree
-	// runners sharing one bounded worker pool.
-	Opts ExecOptions
-	sem  chan struct{}
+	// Stats, when set before Compile, makes Compile wrap every operator
+	// in a per-operator runtime-stats collector (rows, Open/Next time)
+	// for the flight recorder. nil — the default — compiles the bare
+	// iterator tree.
+	Stats *ExecStats
 	// curParent threads operator identity to child Compile frames when
-	// Opts.Stats is attached: the in-construction operator's stats id
-	// plus one (0 = compiling the root).
+	// Stats is attached: the in-construction operator's stats id plus
+	// one (0 = compiling the root).
 	curParent int
 }
 
@@ -65,12 +64,6 @@ func NewCompiler(db *data.DB, p Props) *Compiler {
 
 // Compile builds the iterator tree for a plan.
 func (c *Compiler) Compile(plan *core.Expr) (Iterator, error) {
-	if c.Opts.Workers > 1 && c.sem == nil {
-		// One slot per background subtree runner; the consuming thread
-		// is the remaining worker. Shared across every plan this
-		// compiler builds.
-		c.sem = make(chan struct{}, c.Opts.Workers-1)
-	}
 	if plan.IsLeaf() {
 		return nil, fmt.Errorf("exec: bare stored file %q; plans access files through scan algorithms", plan.File)
 	}
@@ -78,14 +71,14 @@ func (c *Compiler) Compile(plan *core.Expr) (Iterator, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: no builder for algorithm %s", plan.Op.Name)
 	}
-	if c.Opts.Stats == nil {
+	if c.Stats == nil {
 		return b(c, plan)
 	}
 	// Stats collection: register this operator before building its
 	// inputs (so parents precede children in the report), build the
 	// subtree with curParent pointing here, then interpose the counting
 	// shim. The shim forwards RowHint, so pre-sizing is unaffected.
-	si := c.Opts.Stats.register(plan.Op.Name, c.curParent)
+	si := c.Stats.register(plan.Op.Name, c.curParent)
 	saved := c.curParent
 	c.curParent = si.id + 1
 	it, err := b(c, plan)
@@ -160,37 +153,12 @@ func buildProject(c *Compiler, node *core.Expr) (Iterator, error) {
 	return &projectIter{in: in, attrs: node.D.AttrList(c.P.PA)}, nil
 }
 
-// worthBackgrounding reports whether a join input subtree carries
-// enough work to run on a background worker. Bare scans materialize
-// their rows at Open with no per-tuple compute downstream of it, so
-// shipping them through a channel is pure overhead — worker slots are
-// better spent on subtrees with real pipeline stages.
-func worthBackgrounding(kid *core.Expr) bool {
-	switch kid.Op.Name {
-	case "File_scan", "Index_scan":
-		return false
-	}
-	return true
-}
-
 func (c *Compiler) joinInputs(node *core.Expr) (l, r Iterator, pred *core.Pred, err error) {
 	if l, err = c.Compile(node.Kids[0]); err != nil {
 		return
 	}
 	if r, err = c.Compile(node.Kids[1]); err != nil {
 		return
-	}
-	if c.sem != nil {
-		// Independent join subtrees execute concurrently: both sides
-		// open in the background at once, the build side drains while
-		// the probe side pre-computes, and a chain of joins becomes a
-		// pipeline of stages across workers.
-		if worthBackgrounding(node.Kids[0]) {
-			l = &parallelIter{in: l, sem: c.sem, st: statsOf(l)}
-		}
-		if worthBackgrounding(node.Kids[1]) {
-			r = &parallelIter{in: r, sem: c.sem, st: statsOf(r)}
-		}
 	}
 	pred = c.pred(node.D, c.P.JP)
 	return
@@ -209,7 +177,7 @@ func buildHashJoin(c *Compiler, node *core.Expr) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinIter{l: l, r: r, pred: pred, preSize: !c.Opts.DisablePreSize}, nil
+	return &hashJoinIter{l: l, r: r, pred: pred}, nil
 }
 
 func buildMergeJoin(c *Compiler, node *core.Expr) (Iterator, error) {

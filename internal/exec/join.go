@@ -112,11 +112,10 @@ func (j *nlJoinIter) Close() error { return closeTwo(j.l, &j.lOpen, j.r, &j.rOpe
 // input's join attribute and probes with the left. Residual conjuncts of
 // the predicate are applied after probing. When the build input reports
 // a row-count hint the table is pre-sized, avoiding incremental rehash
-// of the bucket map (preSize is the compiler's ablation knob).
+// of the bucket map.
 type hashJoinIter struct {
 	l, r         Iterator
 	pred         *core.Pred
-	preSize      bool
 	lk, rk       core.Attr
 	out          data.Schema
 	lCol, rCol   int
@@ -155,10 +154,7 @@ func (j *hashJoinIter) Open() error {
 		return fmt.Errorf("exec: hash join key %v not in right input", j.rk)
 	}
 	j.rCol = rCol
-	size := 0
-	if j.preSize {
-		size, _ = rowHint(j.r)
-	}
+	size, _ := rowHint(j.r)
 	j.buckets = make(map[uint64][]data.Tuple, size)
 	for {
 		t, ok, err := j.r.Next()

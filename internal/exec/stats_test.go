@@ -2,7 +2,40 @@ package exec
 
 import (
 	"testing"
+
+	"prairie/internal/core"
 )
+
+// threeWayJoinPlan builds Hash_join(Hash_join(C1, C2), C3) on the "a"
+// attributes.
+func threeWayJoinPlan(tp *tinyProps) *core.Expr {
+	ops := planAlgebra()
+	scan := func(file string) *core.Expr {
+		return core.NewNode(ops["File_scan"], tp.desc(nil), core.NewLeaf(file, tp.desc(nil)))
+	}
+	jd := func(p *core.Pred) *core.Descriptor {
+		return tp.desc(func(d *core.Descriptor) { d.Set(tp.p.JP, p) })
+	}
+	inner := core.NewNode(ops["Hash_join"],
+		jd(core.EqAttr(core.A("C1", "a"), core.A("C2", "a"))),
+		scan("C1"), scan("C2"))
+	return core.NewNode(ops["Hash_join"],
+		jd(core.EqAttr(core.A("C2", "a"), core.A("C3", "a"))),
+		inner, scan("C3"))
+}
+
+func runPlan(t *testing.T, c *Compiler, plan *core.Expr) *Result {
+	t.Helper()
+	it, err := c.Compile(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(it)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
 
 // TestExecStatsSerial: the collector reports one entry per operator in
 // compile order, with parent links forming the plan tree, the root's
@@ -17,7 +50,7 @@ func TestExecStatsSerial(t *testing.T) {
 
 	c := NewCompiler(db, tp.p)
 	st := &ExecStats{}
-	c.Opts.Stats = st
+	c.Stats = st
 	got := runPlan(t, c, plan)
 	if !SameBag(got, ref) {
 		t.Fatal("stats-wrapped execution changed the result")
@@ -42,9 +75,6 @@ func TestExecStatsSerial(t *testing.T) {
 		if op.Parent == 0 {
 			rootIn += op.RowsOut
 		}
-		if op.Parallel != "" {
-			t.Fatalf("serial run stamped parallel=%q on %s", op.Parallel, op.Op)
-		}
 	}
 	if ops[0].RowsIn != rootIn {
 		t.Fatalf("root RowsIn %d != children's output %d", ops[0].RowsIn, rootIn)
@@ -60,139 +90,6 @@ func TestExecStatsSerial(t *testing.T) {
 	}
 	if scans != 3 {
 		t.Fatalf("scans = %d, want 3", scans)
-	}
-}
-
-// TestExecStatsParallel: with workers the join inputs are stamped with
-// their pool-slot outcome, background subtrees count their channel
-// handovers, and the collected totals agree with the serial reference.
-// Run under -race this also proves Report-after-Run is race-free.
-func TestExecStatsParallel(t *testing.T) {
-	db, _ := testDB()
-	tp := newTinyProps()
-	plan := threeWayJoinPlan(tp)
-
-	ref := runPlan(t, NewCompiler(db, tp.p), plan)
-
-	c := NewCompiler(db, tp.p)
-	st := &ExecStats{}
-	c.Opts = ExecOptions{Workers: 4, Stats: st}
-	got := runPlan(t, c, plan)
-	if !SameBag(got, ref) {
-		t.Fatal("parallel stats-wrapped execution changed the result")
-	}
-
-	marked, batches := 0, int64(0)
-	for _, op := range st.Report() {
-		switch op.Parallel {
-		case "":
-		case "background", "pass-through":
-			marked++
-			batches += op.Batches
-		default:
-			t.Fatalf("unknown parallel mark %q on %s", op.Parallel, op.Op)
-		}
-	}
-	// Only subtrees worth backgrounding are wrapped (bare scans are
-	// not); in this plan that is the inner join feeding the root, so at
-	// least one operator must carry its pool-slot outcome.
-	if marked == 0 {
-		t.Fatal("no operator recorded a pool-slot outcome")
-	}
-	if st.RootRows() != int64(len(ref.Rows)) {
-		t.Fatalf("root rows %d, result %d", st.RootRows(), len(ref.Rows))
-	}
-	_ = batches // background handovers are timing-dependent; counted, not asserted
-}
-
-// TestStatsIterParallelMarks: the pool-slot outcome stamp is
-// deterministic at the iterator level — a free slot marks the wrapped
-// subtree "background" and counts its channel handovers; a saturated
-// pool marks it "pass-through" with none.
-func TestStatsIterParallelMarks(t *testing.T) {
-	vals := make([]int64, 2*parBatchRows+5)
-	for i := range vals {
-		vals[i] = int64(i)
-	}
-
-	m := leftMock(vals...)
-	si := &statsIter{in: m, op: "mock"}
-	p := &parallelIter{in: si, sem: make(chan struct{}, 1), st: si}
-	res, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(vals) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(vals))
-	}
-	if si.parallel != "background" {
-		t.Fatalf("free slot marked %q, want background", si.parallel)
-	}
-	// 2*parBatchRows+5 rows cross the channel in at least three sends.
-	if si.batches < 3 {
-		t.Fatalf("batches = %d, want >= 3", si.batches)
-	}
-	if si.rows != int64(len(vals)) {
-		t.Fatalf("counted rows = %d, want %d", si.rows, len(vals))
-	}
-	checkPaired(t, m)
-
-	m2 := leftMock(vals...)
-	si2 := &statsIter{in: m2, op: "mock"}
-	sem := make(chan struct{}, 1)
-	sem <- struct{}{} // every slot busy
-	p2 := &parallelIter{in: si2, sem: sem, st: si2}
-	res2, err := Run(p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res2.Rows) != len(vals) {
-		t.Fatalf("pass-through rows = %d, want %d", len(res2.Rows), len(vals))
-	}
-	if si2.parallel != "pass-through" {
-		t.Fatalf("saturated pool marked %q, want pass-through", si2.parallel)
-	}
-	if si2.batches != 0 {
-		t.Fatalf("pass-through counted %d batches, want 0", si2.batches)
-	}
-	checkPaired(t, m2)
-}
-
-// TestExecStatsParallelRowsConsistency: across repeated Workers>1 runs,
-// every operator's RowsIn must equal the sum of its children's RowsOut
-// and the root count must match the result — whichever goroutines ran
-// the subtrees. Under -race this also exercises the handover ordering
-// the collector relies on.
-func TestExecStatsParallelRowsConsistency(t *testing.T) {
-	db, _ := testDB()
-	tp := newTinyProps()
-	plan := threeWayJoinPlan(tp)
-	ref := runPlan(t, NewCompiler(db, tp.p), plan)
-
-	for i := 0; i < 6; i++ {
-		c := NewCompiler(db, tp.p)
-		st := &ExecStats{}
-		c.Opts = ExecOptions{Workers: 2 + i%3, Stats: st}
-		got := runPlan(t, c, plan)
-		if !SameBag(got, ref) {
-			t.Fatal("parallel stats-wrapped execution changed the result")
-		}
-		ops := st.Report()
-		kidsOut := make(map[int]int64)
-		for _, op := range ops {
-			if op.Parent >= 0 {
-				kidsOut[op.Parent] += op.RowsOut
-			}
-		}
-		for _, op := range ops {
-			if op.RowsIn != kidsOut[op.ID] {
-				t.Fatalf("run %d: %s RowsIn %d != children's RowsOut %d",
-					i, op.Op, op.RowsIn, kidsOut[op.ID])
-			}
-		}
-		if st.RootRows() != int64(len(ref.Rows)) {
-			t.Fatalf("run %d: root rows %d, result %d", i, st.RootRows(), len(ref.Rows))
-		}
 	}
 }
 

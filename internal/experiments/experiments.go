@@ -45,9 +45,9 @@ type Table struct {
 	// Degradations counts budget-degraded optimizations by cause across
 	// the sweep; omitted when every search completed.
 	Degradations map[string]int `json:",omitempty"`
-	// Extra carries scalar metrics that don't fit the row grid (cache
-	// hit rates, per-op timings, alloc counts); omitted when the
-	// experiment produces none. Archived JSON sweeps diff on these.
+	// Extra carries scalar metrics that don't fit the row grid (the
+	// rulecheck experiment's verified counts and kill rates); omitted
+	// when the experiment produces none.
 	Extra map[string]float64 `json:",omitempty"`
 }
 
@@ -200,23 +200,6 @@ type Options struct {
 	// With RuleTiming enabled, the resulting tables carry per-rule time
 	// attribution (Table.RuleTimes) and degradation tallies.
 	Obs *obs.Observer
-	// UseCache attaches a shared cross-query plan cache to each figure
-	// point's batch, so repeats after the first are cache hits — the
-	// "optimize once, plan many" deployment mode. Off, the sweeps run
-	// exactly the cacheless protocol.
-	UseCache bool
-	// CacheSize is the plan-cache capacity for UseCache and for the
-	// repeat-workload experiment (0 = 512).
-	CacheSize int
-	// Draws is how many zipfian draws the repeat-workload experiment
-	// makes over its query pool (0 = 300).
-	Draws int
-	// Rows caps the per-class row count when the executor bench
-	// populates synthetic data (0 = 4096, the generator's largest
-	// class cardinality). Larger intermediates favor the parallel
-	// engine; the naive oracle is quadratic per join, so the deepest
-	// workloads skip it regardless.
-	Rows int
 	// DSLPath locates the Prairie specification the rulecheck
 	// experiment compiles for its DSL world (empty = the repo's
 	// examples/dslrules/rules.prairie, relative to the working
@@ -298,27 +281,6 @@ func (o Options) maxClasses(e qgen.ExprKind) int {
 		return 4
 	}
 	return 8
-}
-
-func (o Options) cacheSize() int {
-	if o.CacheSize > 0 {
-		return o.CacheSize
-	}
-	return 512
-}
-
-func (o Options) draws() int {
-	if o.Draws > 0 {
-		return o.Draws
-	}
-	return 300
-}
-
-func (o Options) rows() int {
-	if o.Rows > 0 {
-		return o.Rows
-	}
-	return 4096
 }
 
 func (o Options) repeats(n int) int {
@@ -437,15 +399,7 @@ func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error)
 		vreq := core.NewDescriptor(vo.Alg.Props)
 		items = append(items, volcano.BatchItem{RS: vo.VolcanoRules(), Tree: vtree, Req: vreq, Opts: vopts, Repeats: reps})
 	}
-	bo := volcano.BatchOptions{Workers: opts.workers(), Obs: opts.Obs}
-	if opts.UseCache {
-		// One cache per point: each seed's rule sets carry their own
-		// scope, so entries never cross catalogs, and repeats after the
-		// first become full hits (hits replay the cold run's memo-shape
-		// stats, so the group-equality check below still holds).
-		bo.Cache = volcano.NewPlanCache(opts.cacheSize())
-	}
-	results, report := volcano.OptimizeBatchOpts(nil, items, bo)
+	results, report := volcano.OptimizeBatchOpts(nil, items, volcano.BatchOptions{Workers: opts.workers(), Obs: opts.Obs})
 	opts.collect(report.Agg)
 	pt := point{N: n}
 	var pSum, vSum time.Duration
@@ -521,10 +475,6 @@ func Figure(num int, opts Options) (*Table, error) {
 			"'exhausted' marks search-space exhaustion (the paper's virtual-memory limit)",
 			"'*' marks a degraded point: the budget tripped and the plan came from graceful degradation",
 		},
-	}
-	if opts.UseCache {
-		t.Notes = append(t.Notes,
-			"plan cache attached (-cache): repeats after the first are full hits, so times reflect the warm path")
 	}
 	for i := 0; i < len(plain) || i < len(indexed); i++ {
 		row := make([]string, 6)

@@ -226,60 +226,3 @@ func TestStarGraphs(t *testing.T) {
 		t.Errorf("star %d < linear %d", star, lin)
 	}
 }
-
-// TestRepeatWorkload runs the plan-cache experiment with a short draw
-// stream and checks the acceptance shape: a high hit rate, a full-hit
-// speedup, and warm-start pruning at least matching the cold run (the
-// per-draw plan identity check runs inside the experiment itself).
-func TestRepeatWorkload(t *testing.T) {
-	opts := Options{Draws: 120, CacheSize: 64, Seeds: []int64{101}}
-	tab, err := RepeatWorkload(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) < 2 {
-		t.Fatalf("too few rows:\n%s", tab)
-	}
-	get := func(k string) float64 {
-		v, ok := tab.Extra[k]
-		if !ok {
-			t.Fatalf("Extra missing %q:\n%s", k, tab)
-		}
-		return v
-	}
-	if hr := get("hit_rate"); hr < 0.5 {
-		t.Errorf("hit_rate = %g, want most draws to hit", hr)
-	}
-	if sp := get("speedup_full_hit"); sp < 2 {
-		t.Errorf("speedup_full_hit = %g, want a clear win on the hit path", sp)
-	}
-	if get("warmstart_pruned") <= get("warmstart_pruned_cold") {
-		t.Errorf("warm-start did not increase pruning: %g cold vs %g seeded",
-			get("warmstart_pruned_cold"), get("warmstart_pruned"))
-	}
-	if get("warmstart_seeds") == 0 {
-		t.Error("warm-start demo installed no seeds")
-	}
-	if !strings.Contains(tab.String(), "extra:") {
-		t.Errorf("String omits extra metrics:\n%s", tab)
-	}
-}
-
-// TestFigureWithCache: a cached figure sweep must produce the same row
-// grid as a cacheless one (hits replay the cold run's memo shape, so
-// the prairie-versus-volcano group check still passes).
-func TestFigureWithCache(t *testing.T) {
-	opts := fastOpts()
-	opts.Repeats = 3
-	opts.UseCache = true
-	tab, err := Figure(10, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Errorf("rows = %d:\n%s", len(tab.Rows), tab)
-	}
-	if !strings.Contains(strings.Join(tab.Notes, "\n"), "plan cache") {
-		t.Errorf("cached sweep not noted:\n%s", tab)
-	}
-}

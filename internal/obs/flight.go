@@ -12,10 +12,10 @@ import (
 	"time"
 )
 
-// This file is the request-scoped flight recorder (DESIGN.md §4.15):
+// This file is the request-scoped flight recorder (DESIGN.md §4.14):
 // one RequestRecord per served request, capturing the full decision
-// trail — admission wait, cache lookup outcome, tier routing, search
-// phases, degradation, and per-operator executor stats — retained in a
+// trail — admission wait, cache lookup outcome, search phases,
+// degradation, and per-operator executor stats — retained in a
 // lock-free ring so the last N slow/degraded/errored requests can be
 // reconstructed after the fact from /v1/debug/requests/{id}. Normal
 // (fast, clean) traffic is reservoir-sampled instead of ring-buffered,
@@ -33,9 +33,7 @@ type Phase string
 const (
 	PhaseAdmission Phase = "admission" // queue wait before an optimize slot
 	PhaseCache     Phase = "cache"     // plan-cache acquire (+ flight wait)
-	PhaseGreedy    Phase = "greedy"    // greedy-tier bottom-up planning
 	PhaseFull      Phase = "full"      // full branch-and-bound search
-	PhaseRefine    Phase = "refine"    // background tier refinement
 	PhaseExec      Phase = "exec"      // plan compilation + execution
 )
 
@@ -48,9 +46,9 @@ type PhaseSpan struct {
 
 // PhaseClock collects a request's phase spans. The volcano engine
 // writes into it through Options.Phases behind one nil check per
-// instrumentation point; a nil *PhaseClock discards everything.
-// Concurrent writers (the request goroutine and a background refiner)
-// are safe.
+// instrumentation point; a nil *PhaseClock discards everything. Safe
+// for concurrent use: the debug endpoints read a retained record's
+// spans from their own goroutines.
 type PhaseClock struct {
 	start time.Time
 	mu    sync.Mutex
@@ -113,23 +111,6 @@ type CacheInfo struct {
 	WarmSeeds int `json:"warm_seeds,omitempty"`
 }
 
-// TierInfo is the record's tier-decision section.
-type TierInfo struct {
-	Requested string `json:"requested"`         // wire tier: full | greedy | auto
-	Served    string `json:"served"`            // tier of the returned plan
-	Refined   bool   `json:"refined,omitempty"` // plan came from a hot-swapped entry
-	// Class is the query's router shape class (hex); Routed says what the
-	// router decided for it ("refine" or "greedy", TierAuto only).
-	Class  string `json:"class,omitempty"`
-	Routed string `json:"routed,omitempty"`
-	// RouterSamples/RouterBenefit snapshot the class's EWMA state at
-	// decision time.
-	RouterSamples int     `json:"router_samples,omitempty"`
-	RouterBenefit float64 `json:"router_benefit,omitempty"`
-	GreedyCost    float64 `json:"greedy_cost,omitempty"`
-	FullCost      float64 `json:"full_cost,omitempty"`
-}
-
 // SearchInfo is the record's search-outcome section.
 type SearchInfo struct {
 	Groups       int    `json:"groups"`
@@ -150,42 +131,25 @@ type ExecOpStat struct {
 	Parent int    `json:"parent"` // -1 at the root
 	Op     string `json:"op"`
 	// RowsIn sums the children's outputs; RowsOut counts tuples this
-	// operator produced. Batches counts background channel handovers.
+	// operator produced.
 	RowsIn  int64 `json:"rows_in"`
 	RowsOut int64 `json:"rows_out"`
-	Batches int64 `json:"batches,omitempty"`
 	OpenUS  int64 `json:"open_us"`
 	NextUS  int64 `json:"next_us"`
-	// Parallel is "" for plain serial operators, "background" for a
-	// subtree that won a pool slot, "pass-through" for one that degraded
-	// to serial under slot contention.
-	Parallel string `json:"parallel,omitempty"`
 }
 
 // ExecInfo is the record's executor section.
 type ExecInfo struct {
 	Rows      int          `json:"rows"` // result cardinality
-	Workers   int          `json:"workers"`
 	ElapsedUS int64        `json:"elapsed_us"`
 	Ops       []ExecOpStat `json:"ops"`
 }
 
-// RefinementInfo links a background tier refinement back to the request
-// that spawned it.
-type RefinementInfo struct {
-	// Outcome is "swapped" (entry hot-swapped), "stale" (dropped by the
-	// epoch check), "failed" (search erred or degraded), or "panic".
-	Outcome    string  `json:"outcome"`
-	GreedyCost float64 `json:"greedy_cost,omitempty"`
-	FullCost   float64 `json:"full_cost,omitempty"`
-	ElapsedUS  int64   `json:"elapsed_us"`
-}
-
 // RequestRecord is one request's flight record. The serving goroutine
-// fills it before publication; after Complete it is immutable except
-// for AttachRefinement (mutex-guarded, like every post-publication
-// access). Every method on a nil *RequestRecord is a no-op, so handler
-// code stays branch-free when the recorder is disabled.
+// fills it before publication; after Complete it is immutable, and the
+// debug endpoints read it under the mutex. Every method on a nil
+// *RequestRecord is a no-op, so handler code stays branch-free when the
+// recorder is disabled.
 type RequestRecord struct {
 	ID      string `json:"id"`       // this request's span id (16 hex)
 	TraceID string `json:"trace_id"` // W3C trace id (32 hex)
@@ -202,13 +166,9 @@ type RequestRecord struct {
 	Error           string      `json:"error,omitempty"`
 	AdmissionWaitUS int64       `json:"admission_wait_us"`
 	Cache           *CacheInfo  `json:"cache,omitempty"`
-	Tier            *TierInfo   `json:"tier,omitempty"`
 	Search          *SearchInfo `json:"search,omitempty"`
 	Exec            *ExecInfo   `json:"exec,omitempty"`
-	// Refinement may land after the record is retained — a background
-	// refiner finishing minutes later still files under its origin.
-	Refinement *RefinementInfo `json:"refinement,omitempty"`
-	Phases     []PhaseSpan     `json:"phases"`
+	Phases          []PhaseSpan `json:"phases"`
 
 	pc *PhaseClock
 	mu sync.Mutex
@@ -258,14 +218,6 @@ func (rec *RequestRecord) SetCache(outcome string, epoch uint64, warmSeeds int) 
 	rec.Cache = &CacheInfo{Outcome: outcome, Epoch: epoch, WarmSeeds: warmSeeds}
 }
 
-// SetTier fills the tier-decision section. Nil-safe.
-func (rec *RequestRecord) SetTier(ti TierInfo) {
-	if rec == nil {
-		return
-	}
-	rec.Tier = &ti
-}
-
 // SetSearch fills the search-outcome section. Nil-safe.
 func (rec *RequestRecord) SetSearch(si SearchInfo) {
 	if rec == nil {
@@ -282,20 +234,8 @@ func (rec *RequestRecord) SetExec(ei ExecInfo) {
 	rec.Exec = &ei
 }
 
-// AttachRefinement files a background refinement outcome under this
-// record. Safe after publication (refiners outlive their request).
-func (rec *RequestRecord) AttachRefinement(ri RefinementInfo) {
-	if rec == nil {
-		return
-	}
-	rec.mu.Lock()
-	rec.Refinement = &ri
-	rec.mu.Unlock()
-}
-
 // MarshalJSON renders the record with its live phase spans, under the
-// post-publication lock so a late refinement attach cannot race the
-// debug endpoint.
+// post-publication lock.
 func (rec *RequestRecord) MarshalJSON() ([]byte, error) {
 	type alias RequestRecord // sheds methods; unexported fields are skipped
 	rec.mu.Lock()
@@ -305,30 +245,21 @@ func (rec *RequestRecord) MarshalJSON() ([]byte, error) {
 }
 
 // WriteChrome exports the record as a Chrome trace_event file: the
-// request's phases on one thread row, the linked refinement on another,
-// loadable directly in chrome://tracing or Perfetto.
+// request's phases on one thread row, loadable directly in
+// chrome://tracing or Perfetto.
 func (rec *RequestRecord) WriteChrome(w io.Writer) error {
 	rec.mu.Lock()
 	spans := rec.pc.Spans()
-	ref := rec.Refinement
 	elapsed := rec.ElapsedUS
 	rec.mu.Unlock()
 	evs := []TraceEvent{
 		{Name: "thread_name", Ph: "M", PID: 1, TID: 1, Args: map[string]any{"name": "request " + rec.ID}},
 	}
 	for _, s := range spans {
-		tid := 1
-		if s.Phase == PhaseRefine {
-			tid = 2
-		}
 		evs = append(evs, TraceEvent{
 			Name: string(s.Phase), Cat: "request", Ph: "X",
-			TS: float64(s.OffsetUS), Dur: float64(s.DurUS), PID: 1, TID: tid,
+			TS: float64(s.OffsetUS), Dur: float64(s.DurUS), PID: 1, TID: 1,
 		})
-	}
-	if ref != nil {
-		evs = append(evs, TraceEvent{Name: "thread_name", Ph: "M", PID: 1, TID: 2,
-			Args: map[string]any{"name": "refinement"}})
 	}
 	evs = append(evs, TraceEvent{
 		Name: "complete", Cat: "request", Ph: "i", TS: float64(elapsed), PID: 1, TID: 1,

@@ -33,10 +33,8 @@ func TestFlightDisabled(t *testing.T) {
 		rec.SetRequestInfo("w", "q", "b")
 		rec.SetAdmissionWait(time.Now(), time.Millisecond)
 		rec.SetCache("hit", 1, 2)
-		rec.SetTier(TierInfo{})
 		rec.SetSearch(SearchInfo{})
 		rec.SetExec(ExecInfo{})
-		rec.AttachRefinement(RefinementInfo{})
 		if rec.PhaseClock() != nil || rec.TraceParent() != "" {
 			t.Fatal("nil record leaked state")
 		}
@@ -136,10 +134,8 @@ func TestFlightRecordJSON(t *testing.T) {
 	rec.SetAdmissionWait(now, 2*time.Millisecond)
 	rec.PhaseClock().Observe(PhaseFull, now, 5*time.Millisecond)
 	rec.SetCache("miss", 3, 1)
-	rec.SetTier(TierInfo{Requested: "auto", Served: "greedy", Routed: "refine", Class: "deadbeef"})
 	rec.SetSearch(SearchInfo{Groups: 7, Exprs: 21, Degraded: true, DegradeCause: "timeout"})
-	rec.SetExec(ExecInfo{Rows: 64, Workers: 2, Ops: []ExecOpStat{{ID: 0, Parent: -1, Op: "Hash_join", RowsOut: 64}}})
-	rec.AttachRefinement(RefinementInfo{Outcome: "swapped", GreedyCost: 10, FullCost: 8})
+	rec.SetExec(ExecInfo{Rows: 64, Ops: []ExecOpStat{{ID: 0, Parent: -1, Op: "Hash_join", RowsOut: 64}}})
 	completeOK(fr, rec)
 
 	raw, err := json.Marshal(rec)
@@ -150,7 +146,7 @@ func TestFlightRecordJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"id", "trace_id", "ruleset", "admission_wait_us", "cache", "tier", "search", "exec", "refinement", "phases"} {
+	for _, key := range []string{"id", "trace_id", "ruleset", "admission_wait_us", "cache", "search", "exec", "phases"} {
 		if _, ok := got[key]; !ok {
 			t.Errorf("record JSON missing %q: %s", key, raw)
 		}

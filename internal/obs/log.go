@@ -50,10 +50,10 @@ func ParseLevel(s string) (Level, error) {
 
 // Logger is a minimal leveled structured logger: one JSON object per
 // line, `{"ts":..., "level":..., "msg":..., <fields>}`. It exists so
-// optserve can emit machine-parseable request/drain/refinement logs
-// without pulling a logging dependency into a stdlib-only module. A nil
-// *Logger discards everything (every method is nil-safe), which is how
-// the rest of the codebase keeps logging optional.
+// optserve can emit machine-parseable request/drain logs without
+// pulling a logging dependency into a stdlib-only module. A nil *Logger
+// discards everything (every method is nil-safe), which is how the rest
+// of the codebase keeps logging optional.
 type Logger struct {
 	mu  sync.Mutex
 	w   io.Writer

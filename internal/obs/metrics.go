@@ -158,37 +158,6 @@ func (h *Histogram) Sum() float64 {
 	return h.sum.Value()
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket counts,
-// interpolating linearly within the bucket that contains the target
-// rank — the same estimate Prometheus' histogram_quantile computes. The
-// +Inf bucket clamps to its lower bound. Nil-safe and empty-safe (0).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := q * float64(total)
-	var seen float64
-	for i := range h.buckets {
-		n := float64(h.buckets[i].Load())
-		if seen+n >= rank && n > 0 {
-			if i >= len(h.bounds) { // +Inf bucket: no upper bound to lerp toward
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return lo + (h.bounds[i]-lo)*(rank-seen)/n
-		}
-		seen += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Registry is a named-metric store. Lookup (get-or-create) takes a
 // mutex; recording on the returned metric is lock-free, so hot paths
 // should hold on to the metric rather than re-resolving the name.

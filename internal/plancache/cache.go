@@ -333,31 +333,19 @@ type Acquired[V any] struct {
 // misses collapse into one computation. On a disabled cache it always
 // returns a leader with nothing registered (Complete is a no-op).
 func (c *Cache[V]) Acquire(k Key) *Acquired[V] {
-	return c.AcquireIf(k, nil)
-}
-
-// AcquireIf is Acquire with a usability predicate: an entry present
-// under k counts as a hit only when usable accepts it. A rejected entry
-// stays in place — other callers may still hit it — but this caller
-// proceeds as a miss (leader or follower), and its eventual Put/shared
-// Complete overwrites the rejected value. The engine uses this for
-// tiered entries: a full-search request must not adopt a fast-path
-// greedy plan, but anytime requests keep hitting it meanwhile. A nil
-// usable accepts everything.
-func (c *Cache[V]) AcquireIf(k Key, usable func(V) bool) *Acquired[V] {
 	if !c.Enabled() {
 		return &Acquired[V]{Leader: true}
 	}
 	s := c.shardFor(k)
 	s.mu.Lock()
 	if el, ok := s.items[k]; ok {
+		// Read under the lock: a Put on an existing key overwrites the
+		// entry's value in place.
 		v := el.Value.(*entry[V]).v
-		if usable == nil || usable(v) {
-			s.lru.MoveToFront(el)
-			s.mu.Unlock()
-			c.hits.Add(1)
-			return &Acquired[V]{Value: v, Hit: true}
-		}
+		s.lru.MoveToFront(el)
+		s.mu.Unlock()
+		c.hits.Add(1)
+		return &Acquired[V]{Value: v, Hit: true}
 	}
 	if fl, ok := s.flights[k]; ok {
 		s.mu.Unlock()

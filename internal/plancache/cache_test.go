@@ -264,63 +264,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-// TestAcquireIf: the usability predicate turns an unacceptable entry
-// into a miss for this caller only — the entry stays servable to
-// predicate-free callers, and the rejecting leader's shared Complete
-// upgrades it in place.
-func TestAcquireIf(t *testing.T) {
-	c := New[int](8)
-	k := key(7, "q")
-	c.Put(k, 1)
-
-	// Accepting predicate and nil predicate both hit.
-	if a := c.AcquireIf(k, func(v int) bool { return v == 1 }); !a.Hit || a.Value != 1 {
-		t.Fatalf("accepting AcquireIf = %+v, want hit 1", a)
-	}
-	if a := c.AcquireIf(k, nil); !a.Hit {
-		t.Fatalf("nil-predicate AcquireIf = %+v, want hit", a)
-	}
-
-	// Rejecting predicate: this caller leads a miss...
-	lead := c.AcquireIf(k, func(v int) bool { return v >= 2 })
-	if lead.Hit || !lead.Leader {
-		t.Fatalf("rejecting AcquireIf = %+v, want leader", lead)
-	}
-	// ...while the entry stays in place for everyone else...
-	if v, ok := c.Get(k); !ok || v != 1 {
-		t.Fatal("rejected entry evicted from the cache")
-	}
-	// ...and a concurrent rejecting caller follows the flight.
-	follow := c.AcquireIf(k, func(v int) bool { return v >= 2 })
-	if follow.Hit || follow.Leader {
-		t.Fatalf("second rejecting AcquireIf = %+v, want follower", follow)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, ok, err := follow.Wait(context.Background())
-		if !ok || err != nil || v != 2 {
-			t.Errorf("follower Wait = %v, %v, %v; want 2, true, nil", v, ok, err)
-		}
-	}()
-	lead.Complete(2, true)
-	<-done
-
-	// The shared Complete upgraded the entry.
-	if v, ok := c.Get(k); !ok || v != 2 {
-		t.Fatalf("entry after upgrade = %v, %v; want 2, true", v, ok)
-	}
-	if a := c.AcquireIf(k, func(v int) bool { return v >= 2 }); !a.Hit || a.Value != 2 {
-		t.Fatalf("post-upgrade AcquireIf = %+v, want hit 2", a)
-	}
-
-	// Disabled cache: AcquireIf degrades to a plain leader.
-	var d *Cache[int]
-	if a := d.AcquireIf(k, func(int) bool { return true }); !a.Leader || a.Hit {
-		t.Fatalf("disabled AcquireIf = %+v, want plain leader", a)
-	}
-}
-
 // TestAdvanceTo: the epoch only moves forward — a peer's newer epoch is
 // adopted, an older one is ignored, and local Invalidate composes.
 func TestAdvanceTo(t *testing.T) {

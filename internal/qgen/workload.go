@@ -23,21 +23,3 @@ func ZipfDraws(n, count int, s float64, seed int64) []int {
 	}
 	return out
 }
-
-// RepeatRate reports the fraction of draws that re-draw an
-// already-seen index — the upper bound on a plan cache's full-hit rate
-// for the workload.
-func RepeatRate(draws []int) float64 {
-	if len(draws) == 0 {
-		return 0
-	}
-	seen := make(map[int]bool, len(draws))
-	repeats := 0
-	for _, d := range draws {
-		if seen[d] {
-			repeats++
-		}
-		seen[d] = true
-	}
-	return float64(repeats) / float64(len(draws))
-}

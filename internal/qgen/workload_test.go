@@ -41,9 +41,6 @@ func TestZipfDrawsSkew(t *testing.T) {
 				counts[0], i, counts[i])
 		}
 	}
-	if r := RepeatRate(draws); r < 0.8 {
-		t.Errorf("repeat rate %.2f below the 80%% a repeat workload needs", r)
-	}
 }
 
 func TestZipfDrawsDegenerate(t *testing.T) {

@@ -47,12 +47,6 @@ type debugRecord struct {
 		Outcome string `json:"outcome"`
 		Epoch   uint64 `json:"epoch"`
 	} `json:"cache"`
-	Tier *struct {
-		Requested string `json:"requested"`
-		Served    string `json:"served"`
-		Routed    string `json:"routed"`
-		Class     string `json:"class"`
-	} `json:"tier"`
 	Search *struct {
 		Groups       int    `json:"groups"`
 		Exprs        int    `json:"exprs"`
@@ -67,9 +61,6 @@ type debugRecord struct {
 			RowsOut int64  `json:"rows_out"`
 		} `json:"ops"`
 	} `json:"exec"`
-	Refinement *struct {
-		Outcome string `json:"outcome"`
-	} `json:"refinement"`
 	Phases []struct {
 		Phase obs.Phase `json:"phase"`
 	} `json:"phases"`
@@ -103,7 +94,7 @@ func hasPhase(rec debugRecord, p obs.Phase) bool {
 
 // TestFlightEndToEnd: one optimize request is fully reconstructable
 // from /v1/debug/requests/{id} — correlation headers out, inbound
-// traceparent joined, cache/tier/search sections and the phase timeline
+// traceparent joined, cache/search sections and the phase timeline
 // populated, and the per-phase histograms fed.
 func TestFlightEndToEnd(t *testing.T) {
 	_, base := flightServer(t, nil)
@@ -172,9 +163,6 @@ func TestFlightEndToEnd(t *testing.T) {
 	}
 	if rec.Cache == nil || rec.Cache.Outcome != "miss" {
 		t.Fatalf("cache section: %+v", rec.Cache)
-	}
-	if rec.Tier == nil || rec.Tier.Requested != "full" || rec.Tier.Served != "full" {
-		t.Fatalf("tier section: %+v", rec.Tier)
 	}
 	if rec.Search == nil || rec.Search.Groups == 0 || rec.Search.Exprs == 0 {
 		t.Fatalf("search section: %+v", rec.Search)
@@ -252,39 +240,6 @@ func TestFlightDegradedAndError(t *testing.T) {
 	if erec.Outcome != "error" || erec.Status != http.StatusBadRequest ||
 		!strings.Contains(erec.Error, "no-such-budget") {
 		t.Fatalf("error record: %+v", erec)
-	}
-}
-
-// TestFlightRefinementLink: an auto-tier miss serves greedy, spawns a
-// background refinement, and the refinement's outcome is attached to
-// the originating request's record after it lands.
-func TestFlightRefinementLink(t *testing.T) {
-	srv, base := flightServer(t, nil)
-
-	or := optimizeOK(t, base, OptimizeRequest{
-		Ruleset: "oodb/volcano",
-		Query:   QuerySpec{Family: "E3", N: 3},
-		Tier:    "auto",
-	})
-	if or.PlannerTier != "greedy" {
-		t.Fatalf("auto miss served tier %q, want greedy", or.PlannerTier)
-	}
-	srv.Router().Wait()
-
-	rec := fetchRecord(t, base, or.RequestID)
-	if rec.Tier == nil || rec.Tier.Requested != "auto" || rec.Tier.Served != "greedy" {
-		t.Fatalf("tier section: %+v", rec.Tier)
-	}
-	if rec.Tier.Routed != "refine" || len(rec.Tier.Class) != 16 {
-		t.Fatalf("router decision: %+v", rec.Tier)
-	}
-	if rec.Refinement == nil {
-		t.Fatal("refinement never linked back to the request")
-	}
-	switch rec.Refinement.Outcome {
-	case "swapped", "stale":
-	default:
-		t.Fatalf("refinement outcome %q", rec.Refinement.Outcome)
 	}
 }
 

@@ -99,15 +99,9 @@ func appendInt(b []byte, key string, v int64) []byte {
 // renders OptimizeResponse, with the entry's rendered plan_text and plan
 // in place of the PlanText and Plan fields.
 func (r *OptimizeResponse) appendJSON(b []byte) ([]byte, error) {
-	var err error
 	str := func(key, v string) {
 		if v != "" {
 			b = appendString(append(b, key...), v)
-		}
-	}
-	float := func(key string, v float64) {
-		if v != 0 && err == nil {
-			b, err = appendFloat(append(b, key...), v)
 		}
 	}
 	b = appendString(append(b, `{"ruleset":`...), r.Ruleset)
@@ -117,7 +111,8 @@ func (r *OptimizeResponse) appendJSON(b []byte) ([]byte, error) {
 	b = append(b, `},`...)
 	b = append(b, r.head...)
 	b = append(b, r.plan...)
-	if b, err = appendFloat(append(b, `,"cost":`...), r.Cost); err != nil {
+	b, err := appendFloat(append(b, `,"cost":`...), r.Cost)
+	if err != nil {
 		return b, err
 	}
 	if r.Degraded {
@@ -127,12 +122,6 @@ func (r *OptimizeResponse) appendJSON(b []byte) ([]byte, error) {
 	str(`,"degrade_path":`, r.DegradePath)
 	b = strconv.AppendBool(append(b, `,"cache_hit":`...), r.CacheHit)
 	str(`,"cache_outcome":`, r.CacheOutcome)
-	b = appendString(append(b, `,"planner_tier":`...), r.PlannerTier)
-	if r.Refined {
-		b = append(b, `,"refined":true`...)
-	}
-	float(`,"greedy_cost":`, r.GreedyCost)
-	float(`,"full_cost":`, r.FullCost)
 	b = appendInt(b, `,"elapsed_us":`, r.ElapsedUS)
 	b = appendInt(b, `,"stats":{"groups":`, int64(r.Stats.Groups))
 	b = appendInt(b, `,"exprs":`, int64(r.Stats.Exprs))
@@ -142,12 +131,11 @@ func (r *OptimizeResponse) appendJSON(b []byte) ([]byte, error) {
 	b = append(b, '}')
 	if x := r.Exec; x != nil {
 		b = appendInt(b, `,"exec":{"rows":`, int64(x.Rows))
-		b = appendInt(b, `,"workers":`, int64(x.Workers))
 		b = appendInt(b, `,"elapsed_us":`, x.ElapsedUS)
 		b = append(b, '}')
 	}
 	str(`,"request_id":`, r.RequestID)
-	return append(b, '}'), err
+	return append(b, '}'), nil
 }
 
 // appendJSON appends the batch answer as encoding/json renders

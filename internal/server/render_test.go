@@ -15,6 +15,7 @@ import (
 	"prairie/internal/core"
 	"prairie/internal/obs"
 	"prairie/internal/volcano"
+	"prairie/internal/wire"
 )
 
 // encoderBytes is the oracle of the byte-identity tests: what
@@ -49,28 +50,28 @@ func withFragments(t testing.TB, r OptimizeResponse) *OptimizeResponse {
 // zero, strings that need escapes, floats on both sides of the
 // exponent cut-offs.
 func TestAppendJSONMatchesEncoder(t *testing.T) {
-	node := &PlanNode{Op: "Merge_join", Props: map[string]PropValue{
-		"pred": {Kind: "pred", Pred: &WirePred{Op: "<", Left: &WireAttr{Rel: "C1", Name: "a<b>&c"}, Const: &PropValue{Kind: "int", Num: 3}}},
-	}, Kids: []*PlanNode{{File: "C1"}, {File: "C \"2"}}}
+	node := &wire.PlanNode{Op: "Merge_join", Props: map[string]wire.PropValue{
+		"pred": {Kind: "pred", Pred: &wire.Pred{Op: "<", Left: &wire.Attr{Rel: "C1", Name: "a<b>&c"}, Const: &wire.PropValue{Kind: "int", Num: 3}}},
+	}, Kids: []*wire.PlanNode{{File: "C1"}, {File: "C \"2"}}}
 	full := OptimizeResponse{
 		Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E2", N: 4, Graph: "star"},
 		PlanText: "Merge_join(C1, C2)", Plan: node, Cost: 1234.5,
 		Degraded: true, DegradeCause: "max_exprs", DegradePath: "memo",
-		CacheHit: true, CacheOutcome: "peer_fill", PlannerTier: "greedy", Refined: true,
-		GreedyCost: 99.25, FullCost: 98, ElapsedUS: 17,
+		CacheHit: true, CacheOutcome: "peer_fill", ElapsedUS: 17,
 		Stats:     StatsSummary{Groups: 1, Exprs: 2, TransFired: 3, ImplFired: 4, CostedPlan: 5},
-		Exec:      &ExecSummary{Rows: 7, Workers: 2, ElapsedUS: 9},
+		Exec:      &ExecSummary{Rows: 7, ElapsedUS: 9},
 		RequestID: "req-000001",
 	}
 	odd := full
 	odd.Ruleset, odd.PlanText, odd.DegradeCause = "w<orld>&\"\\", "tab\there\nnl \x01 é \xff  ", "<"
 	odd.Query = QuerySpec{Family: "Eé", N: -3}
-	odd.Cost, odd.GreedyCost, odd.FullCost = 1e21, 1e-7, -0.000001
+	odd.Cost = 1e21
 	odd.ElapsedUS, odd.Exec = math.MinInt64, &ExecSummary{}
 	big := full
-	big.Cost, big.GreedyCost, big.FullCost = 999999999999999999999, 1e-6, 123456789.125
+	big.Cost = 999999999999999999999
 	cases := map[string]OptimizeResponse{"zero": {}, "full": full, "odd": odd, "big": big,
-		"plain": {Ruleset: "relational", Query: QuerySpec{Family: "E1", N: 2}, PlanText: "File_scan(R1)", Cost: 64, PlannerTier: "full"}}
+		"plain": {Ruleset: "relational", Query: QuerySpec{Family: "E1", N: 2}, PlanText: "File_scan(R1)", Cost: 64},
+		"1e-7":  {Cost: 1e-7}, "-1e-6": {Cost: -0.000001}, "1e-6": {Cost: 1e-6}, "fraction": {Cost: 123456789.125}}
 	var items []BatchItemResponse
 	for name, c := range cases {
 		r := withFragments(t, c)
@@ -152,7 +153,7 @@ func serve(t testing.TB, srv *Server, path string, req any) *httptest.ResponseRe
 // request can legitimately be answered with.
 type refPlans struct {
 	world        *World
-	full, greedy *volcano.PExpr // greedy nil: the shape has no greedy plan
+	full         *volcano.PExpr
 	tiny         *volcano.PExpr
 	tinyDegraded bool
 	stats        *volcano.Stats // of the full search
@@ -179,8 +180,6 @@ func reference(t testing.TB, reg *Registry, rq OptimizeRequest) refPlans {
 	var st *volcano.Stats
 	ref.tiny, st = search(defaultBudgets()["tiny"])
 	ref.tinyDegraded = st.Degraded
-	tree, want, _ := w.Build(rq.Query)
-	ref.greedy, _ = volcano.GreedyPlan(w.RS, tree, want)
 	return ref
 }
 
@@ -217,7 +216,7 @@ func checkBody(t *testing.T, label string, body []byte, ref refPlans, plan *volc
 		oracle.PlanText, oracle.Cost, oracle.Plan = plan.String(), plan.Cost(ref.world.RS.Class), nil
 		if withPlan {
 			var err error
-			if oracle.Plan, err = EncodePlan(plan); err != nil {
+			if oracle.Plan, err = wire.EncodePlan(plan); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -230,9 +229,8 @@ func checkBody(t *testing.T, label string, body []byte, ref refPlans, plan *volc
 }
 
 // TestResponseBytes is the byte-identity matrix: every program of the
-// benchmark's serve pools × include_plan on/off × miss, hit, tier
-// greedy, tier auto before and after refinement, the tiny budget, with
-// observers on and off, singly and as one /v1/batch.
+// benchmark's serve pools × include_plan on/off × miss, hit, the tiny
+// budget, with observers on and off, singly and as one /v1/batch.
 func TestResponseBytes(t *testing.T) {
 	reg, err := DefaultRegistry(6, 101, "")
 	if err != nil {
@@ -293,7 +291,7 @@ func TestResponseBytes(t *testing.T) {
 				for _, with := range []bool{true, false, true} {
 					rq.IncludePlan = with
 					hit := one(label("hit"), i, rq, ref.full)
-					if !hit.CacheHit || hit.PlannerTier != "full" || hit.Stats.Exprs != ref.stats.Exprs || hit.Stats.TransFired != 0 {
+					if !hit.CacheHit || hit.Stats.Exprs != ref.stats.Exprs || hit.Stats.TransFired != 0 {
 						t.Fatalf("%s: envelope %+v", label("hit"), hit)
 					}
 				}
@@ -310,37 +308,6 @@ func TestResponseBytes(t *testing.T) {
 				}
 			}
 			srv.Cache().Invalidate()
-		}
-		// Tiers: each gets its own generation, so that its first request
-		// is the tier's own miss.
-		for i, rq := range pool {
-			ref := refs[i]
-			label := func(s string) string { return rq.Ruleset + " " + rq.Query.String() + " " + s }
-			rq.IncludePlan = i%2 == 0
-			if twin[i] {
-				continue // the greedy plan keeps the tree's own order
-			}
-			if ref.greedy != nil {
-				rq.Tier = "greedy"
-				for _, wantHit := range []bool{false, true} {
-					if g := one(label("greedy"), i, rq, ref.greedy); g.PlannerTier != "greedy" || g.CacheHit != wantHit || g.GreedyCost != g.Cost {
-						t.Fatalf("%s: envelope %+v", label("greedy"), g)
-					}
-				}
-				srv.Cache().Invalidate()
-			}
-			rq.Tier = "auto"
-			first := ref.greedy
-			if first == nil {
-				first = ref.full
-			}
-			one(label("auto"), i, rq, first)
-			srv.Router().Wait()
-			rq.IncludePlan = !rq.IncludePlan
-			again := one(label("auto again"), i, rq, ref.full)
-			if !again.CacheHit || (ref.greedy != nil && (!again.Refined || again.FullCost != again.Cost || again.GreedyCost == 0)) {
-				t.Fatalf("%s: envelope %+v", label("auto again"), again)
-			}
 		}
 		// The same items as one batch, on a fresh generation: the first
 		// occurrence of an item searches, the second hits or shares.
@@ -370,7 +337,7 @@ func TestResponseBytes(t *testing.T) {
 			plan := want[i].full
 			r.PlanText, r.Cost, r.Plan = plan.String(), plan.Cost(want[i].world.RS.Class), nil
 			if br.Items[i].IncludePlan {
-				r.Plan, _ = EncodePlan(plan)
+				r.Plan, _ = wire.EncodePlan(plan)
 			}
 			oracle.Results[i].OptimizeResponse = &r
 		}
@@ -522,7 +489,7 @@ func ask(t *testing.T, srv *Server, rq OptimizeRequest) served {
 func live(t *testing.T, reg *Registry, rq OptimizeRequest) served {
 	t.Helper()
 	ref := reference(t, reg, rq)
-	node, err := EncodePlan(ref.full)
+	node, err := wire.EncodePlan(ref.full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,43 +561,6 @@ func TestRenderingNeverStale(t *testing.T) {
 	same("hit after re-insert", ask(t, srv, rq), evicted)
 }
 
-// TestRefinedEntryRendering: when a background refinement swaps the
-// entry, hits serve the refined entry's plan, text and cost.
-func TestRefinedEntryRendering(t *testing.T) {
-	reg, err := DefaultRegistry(5, 101, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped := 0
-	for _, rq := range servePools() {
-		if rq.Ruleset != "oodb/volcano" || rq.Query.N < 3 || rq.Query.N > 4 {
-			continue // at n=2 a star is a line: one entry
-		}
-		ref := reference(t, reg, rq)
-		if ref.greedy == nil || ref.greedy.String() == ref.full.String() {
-			continue
-		}
-		rq.IncludePlan, rq.Tier = true, "auto"
-		if got := ask(t, srv, rq); got.text != ref.greedy.String() {
-			t.Fatalf("%v: first auto answer %s, want the greedy plan %s", rq.Query, got.text, ref.greedy)
-		}
-		srv.Router().Wait()
-		want := live(t, reg, rq)
-		want.hit = true
-		if got := ask(t, srv, rq); got != want {
-			t.Fatalf("%v: after refinement served %+v, the live entry is %+v", rq.Query, got, want)
-		}
-		swapped++
-	}
-	if swapped == 0 {
-		t.Fatal("no program's refinement changed its plan; the test pins nothing")
-	}
-}
-
 // TestPlanConsumersReadOnly: hits hand out the entry's own plan, which
 // is sound because nothing that consumes a plan writes it — rendering,
 // costing, explaining, encoding, converting, compiling and running it
@@ -655,7 +585,7 @@ func TestPlanConsumersReadOnly(t *testing.T) {
 	before := plan.Format()
 	ask(t, srv, rq) // String, Cost, EncodePlan, ToExpr, Compile, Run on the entry's plan
 	_, _, _ = plan.Explain(world.RS.Class), plan.Algorithms(), plan.Size()
-	if _, err := EncodePlan(plan); err != nil {
+	if _, err := wire.EncodePlan(plan); err != nil {
 		t.Fatal(err)
 	}
 	if plan.Format() != before || before != pristine.Format() {

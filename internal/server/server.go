@@ -26,6 +26,7 @@ import (
 	"prairie/internal/exec"
 	"prairie/internal/obs"
 	"prairie/internal/volcano"
+	"prairie/internal/wire"
 )
 
 // Config tunes a Server. The zero value of every field selects a
@@ -55,10 +56,6 @@ type Config struct {
 	MaxBatchItems int
 	// Budgets extends (and can override) the built-in budget classes.
 	Budgets map[string]volcano.Budget
-	// Router tunes the adaptive tier router behind `"tier": "auto"`
-	// requests (see volcano.RouterConfig); the zero value selects the
-	// engine defaults.
-	Router volcano.RouterConfig
 	// Obs attaches metrics/tracing; nil serves /metrics from an empty
 	// registry.
 	Obs *obs.Observer
@@ -67,17 +64,13 @@ type Config struct {
 	// recording and phase timing, keeping the request path byte-identical
 	// to a build without the recorder.
 	Flight *obs.FlightRecorder
-	// Log receives structured request/drain/refinement logs; nil
-	// disables logging.
+	// Log receives structured request/drain logs; nil disables logging.
 	Log *obs.Logger
 	// ExecRows sizes each generated table of a world's demo database
 	// when a request sets "execute": true; 0 = 64.
 	ExecRows int
 	// ExecSeed seeds the generated demo data; 0 = 101.
 	ExecSeed int64
-	// ExecWorkers bounds executor parallelism for executed requests;
-	// 0 = GOMAXPROCS, negative = serial.
-	ExecWorkers int
 	// Cluster joins this server to a static peer group sharing one
 	// logical plan cache (see internal/cluster): each canonical query
 	// fingerprint gets an owning node on a consistent-hash ring, local
@@ -150,16 +143,6 @@ func (c *Config) execSeed() int64 {
 	return 101
 }
 
-func (c *Config) execWorkers() int {
-	switch {
-	case c.ExecWorkers > 0:
-		return c.ExecWorkers
-	case c.ExecWorkers < 0:
-		return 0
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 func (c *Config) cacheSize() int {
 	switch {
 	case c.CacheSize > 0:
@@ -188,7 +171,6 @@ type Server struct {
 	cfg     Config
 	budgets map[string]volcano.Budget
 	cache   *volcano.PlanCache
-	router  *volcano.Router
 	sem     chan struct{}
 	waiting atomic.Int64
 	// inflightMu guards inflightN: requests past the draining gate, which
@@ -240,7 +222,6 @@ func New(cfg Config) (*Server, error) {
 		cfg:     cfg,
 		budgets: budgets,
 		cache:   volcano.NewPlanCache(cfg.cacheSize()),
-		router:  volcano.NewRouterObserved(cfg.Router, cfg.Obs.MetricsOrNil()),
 		sem:     make(chan struct{}, cfg.maxInflight()),
 	}
 	s.inflightCond = sync.NewCond(&s.inflightMu)
@@ -259,9 +240,7 @@ func New(cfg Config) (*Server, error) {
 		s.hPhase = map[obs.Phase]*obs.Histogram{
 			obs.PhaseAdmission: reg.Histogram("prairie_phase_admission_seconds", nil),
 			obs.PhaseCache:     reg.Histogram("prairie_phase_cache_seconds", nil),
-			obs.PhaseGreedy:    reg.Histogram("prairie_phase_greedy_seconds", nil),
 			obs.PhaseFull:      reg.Histogram("prairie_phase_full_seconds", nil),
-			obs.PhaseRefine:    reg.Histogram("prairie_phase_refine_seconds", nil),
 			obs.PhaseExec:      reg.Histogram("prairie_phase_exec_seconds", nil),
 		}
 	}
@@ -348,13 +327,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Cache exposes the shared plan cache (tests and the invalidate
 // endpoint).
 func (s *Server) Cache() *volcano.PlanCache { return s.cache }
-
-// Router exposes the shared tier router: tests and benches use its
-// Wait/Snapshot to synchronize with background refinements and read
-// the routing mix. In-flight refiners are deliberately not drained by
-// Drain — they only ever improve the in-memory cache, so process exit
-// may simply abandon them.
-func (s *Server) Router() *volcano.Router { return s.router }
 
 // BeginDrain gates new work off: subsequent optimize/batch requests are
 // refused with 503 and /healthz reports draining.
@@ -513,11 +485,6 @@ func (s *Server) finish(rec *obs.RequestRecord, status int, outcome, errMsg stri
 	rec.Error = errMsg
 	s.cfg.Flight.Complete(rec)
 	for _, sp := range rec.PhaseClock().Spans() {
-		if sp.Phase == obs.PhaseRefine {
-			// Refinements usually outlive the request; the refinement
-			// callback observes their histogram when they land.
-			continue
-		}
 		if h := s.hPhase[sp.Phase]; h != nil {
 			h.Observe(float64(sp.DurUS) / 1e6)
 		}
@@ -558,12 +525,6 @@ type OptimizeRequest struct {
 	Query   QuerySpec `json:"query"`
 	// Budget names a budget class ("" = "default").
 	Budget string `json:"budget,omitempty"`
-	// Tier selects the planning tier: "full" (the default) runs the
-	// complete branch-and-bound search; "greedy" answers with the
-	// sub-millisecond greedy plan and never refines; "auto" answers
-	// greedy-first and lets the adaptive router decide whether to
-	// refine the cache entry with a background full search.
-	Tier string `json:"tier,omitempty"`
 	// TimeoutMS is the per-request deadline; 0 uses the server default.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// IncludePlan asks for the full serialized plan tree in addition to
@@ -594,29 +555,20 @@ type OptimizeResponse struct {
 	// PlanText is the compact functional rendering
 	// ("Merge_sort(Nested_loops(...))"); IncludePlan adds the full
 	// descriptor-bearing tree.
-	PlanText     string    `json:"plan_text"`
-	Plan         *PlanNode `json:"plan,omitempty"`
-	Cost         float64   `json:"cost"`
-	Degraded     bool      `json:"degraded,omitempty"`
-	DegradeCause string    `json:"degrade_cause,omitempty"`
-	DegradePath  string    `json:"degrade_path,omitempty"`
-	CacheHit     bool      `json:"cache_hit"`
+	PlanText     string         `json:"plan_text"`
+	Plan         *wire.PlanNode `json:"plan,omitempty"`
+	Cost         float64        `json:"cost"`
+	Degraded     bool           `json:"degraded,omitempty"`
+	DegradeCause string         `json:"degrade_cause,omitempty"`
+	DegradePath  string         `json:"degrade_path,omitempty"`
+	CacheHit     bool           `json:"cache_hit"`
 	// CacheOutcome is set only when the cluster layer served the plan:
 	// "peer_fill" (fetched from the key's owning node) or "replica_hit"
 	// (served from a local hot-key replica of a remotely-owned entry).
 	// Always empty single-node, keeping the response byte-identical.
-	CacheOutcome string `json:"cache_outcome,omitempty"`
-	// PlannerTier reports which tier produced the plan ("full" or
-	// "greedy"); Refined marks plans served from a cache entry
-	// hot-swapped in by a background refinement. GreedyCost/FullCost
-	// carry the measured cost pair when both are known (refined entries
-	// and auto-routed synchronous runs).
-	PlannerTier string       `json:"planner_tier"`
-	Refined     bool         `json:"refined,omitempty"`
-	GreedyCost  float64      `json:"greedy_cost,omitempty"`
-	FullCost    float64      `json:"full_cost,omitempty"`
-	ElapsedUS   int64        `json:"elapsed_us"`
-	Stats       StatsSummary `json:"stats"`
+	CacheOutcome string       `json:"cache_outcome,omitempty"`
+	ElapsedUS    int64        `json:"elapsed_us"`
+	Stats        StatsSummary `json:"stats"`
 	// Exec reports the executed plan's runtime when the request set
 	// "execute": true.
 	Exec *ExecSummary `json:"exec,omitempty"`
@@ -633,7 +585,6 @@ type OptimizeResponse struct {
 // ExecSummary is the wire rendering of an executed plan's runtime.
 type ExecSummary struct {
 	Rows      int   `json:"rows"`
-	Workers   int   `json:"workers"`
 	ElapsedUS int64 `json:"elapsed_us"`
 }
 
@@ -657,10 +608,6 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 	if !ok {
 		return nil, http.StatusBadRequest, fmt.Errorf("unknown budget class %q", req.Budget)
 	}
-	tier, err := volcano.ParseTier(req.Tier)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
-	}
 	tree, want, err := world.Build(req.Query)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -673,24 +620,19 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 	opt.Opts.Budget = budget
 	opt.Opts.Obs = s.cfg.Obs
 	opt.Opts.Cache = s.cache
-	opt.Opts.Tier = tier
-	opt.Opts.Router = s.router
 	opt.Opts.Remote = s.remote(world)
 	opt.Opts.Phases = rec.PhaseClock() // nil clock when unrecorded: timing off
-	if rec != nil || s.cfg.Log != nil {
-		opt.Opts.OnRefine = s.refineHook(rec)
-	}
 	start := time.Now()
 	plan, err := opt.OptimizeContext(ctx, tree, want)
 	elapsed := time.Since(start)
 	s.hLatency.Observe(elapsed.Seconds())
 	if err != nil {
-		// ErrNoPlan / ErrSpaceExhausted / ErrGreedyNoPlan: the search
-		// failed whole; no partial plan ever leaves the server.
+		// ErrNoPlan / ErrSpaceExhausted: the search failed whole; no
+		// partial plan ever leaves the server.
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	if rec != nil {
-		s.recordOutcome(rec, tier, opt.Stats)
+		s.recordOutcome(rec, opt.Stats)
 	}
 	resp, err := s.buildResponse(world, req, plan, opt.Rendering, opt.Stats, elapsed.Microseconds())
 	if err != nil {
@@ -706,36 +648,9 @@ func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequ
 	return resp, http.StatusOK, nil
 }
 
-// refineHook builds the OnRefine callback that links a background tier
-// refinement back to the request that spawned it: the refinement
-// section lands in rec (even after the request completed), the refine
-// histogram gets its span, and the structured log notes the outcome.
-func (s *Server) refineHook(rec *obs.RequestRecord) func(volcano.RefineOutcome) {
-	return func(out volcano.RefineOutcome) {
-		if h := s.hPhase[obs.PhaseRefine]; h != nil && rec != nil {
-			h.Observe(out.Elapsed.Seconds())
-		}
-		rec.AttachRefinement(obs.RefinementInfo{
-			Outcome:    out.Outcome,
-			GreedyCost: out.GreedyCost,
-			FullCost:   out.FullCost,
-			ElapsedUS:  out.Elapsed.Microseconds(),
-		})
-		if lg := s.cfg.Log; lg != nil {
-			id := ""
-			if rec != nil {
-				id = rec.ID
-			}
-			lg.Debug("refinement", "request_id", id, "outcome", out.Outcome,
-				"greedy_cost", out.GreedyCost, "full_cost", out.FullCost,
-				"elapsed_us", out.Elapsed.Microseconds())
-		}
-	}
-}
-
-// recordOutcome copies one finished optimization's cache, tier, and
-// search outcome into its flight record.
-func (s *Server) recordOutcome(rec *obs.RequestRecord, tier volcano.TierMode, st *volcano.Stats) {
+// recordOutcome copies one finished optimization's cache and search
+// outcome into its flight record.
+func (s *Server) recordOutcome(rec *obs.RequestRecord, st *volcano.Stats) {
 	outcome := "miss"
 	switch {
 	case !s.cache.Enabled():
@@ -754,25 +669,6 @@ func (s *Server) recordOutcome(rec *obs.RequestRecord, tier volcano.TierMode, st
 		outcome = "hit"
 	}
 	rec.SetCache(outcome, s.cache.Epoch(), st.WarmSeeds)
-	served := st.Tier
-	if served == "" {
-		served = volcano.TierFull.String()
-	}
-	ti := obs.TierInfo{
-		Requested:  tier.String(),
-		Served:     served,
-		Refined:    st.Refined,
-		GreedyCost: st.GreedyCost,
-		FullCost:   st.FullCost,
-	}
-	if st.TierRouted != "" {
-		ti.Routed = st.TierRouted
-		ti.Class = fmt.Sprintf("%016x", st.TierClass)
-		if n, b, ok := s.router.ClassState(st.TierClass); ok {
-			ti.RouterSamples, ti.RouterBenefit = n, b
-		}
-	}
-	rec.SetTier(ti)
 	si := obs.SearchInfo{
 		Groups:       st.Groups,
 		Exprs:        st.Exprs,
@@ -799,11 +695,8 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 			fmt.Errorf("world %s has no catalog; cannot execute plans", world.Name)
 	}
 	comp := exec.NewCompiler(db, world.ExecProps)
-	comp.Opts = exec.ExecOptions{Workers: s.cfg.execWorkers()}
-	var st *exec.ExecStats
 	if rec != nil {
-		st = &exec.ExecStats{}
-		comp.Opts.Stats = st
+		comp.Stats = &exec.ExecStats{}
 	}
 	began := time.Now()
 	it, err := comp.Compile(plan.ToExpr())
@@ -815,45 +708,36 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, fmt.Errorf("execute: %w", err)
 	}
-	sum := &ExecSummary{Rows: len(res.Rows), Workers: comp.Opts.Workers, ElapsedUS: elapsed.Microseconds()}
+	sum := &ExecSummary{Rows: len(res.Rows), ElapsedUS: elapsed.Microseconds()}
 	if rec != nil {
 		rec.PhaseClock().Observe(obs.PhaseExec, began, elapsed)
 		rec.SetExec(obs.ExecInfo{
 			Rows:      sum.Rows,
-			Workers:   sum.Workers,
 			ElapsedUS: sum.ElapsedUS,
-			Ops:       st.Report(),
+			Ops:       comp.Stats.Report(),
 		})
 	}
 	return sum, 0, nil
 }
 
 // buildResponse renders one optimization outcome as its wire response;
-// /v1/optimize and /v1/batch share it so the plan rendering, the
-// degradation and tier surfaces stay consistent, and the per-outcome
+// /v1/optimize and /v1/batch share it so the plan rendering and the
+// degradation surface stay consistent, and the per-outcome
 // server metrics (degraded, cache hits) are counted exactly once here.
 // slot is the rendering slot of the cache entry behind plan (nil: none).
 // The only error is an include_plan request whose plan cannot be
 // encoded.
 func (s *Server) buildResponse(world *World, req OptimizeRequest, plan *volcano.PExpr, slot *volcano.Rendering, st *volcano.Stats, elapsedUS int64) (*OptimizeResponse, error) {
-	tier := st.Tier
-	if tier == "" {
-		tier = volcano.TierFull.String()
-	}
 	pb := renderPlan(slot, plan, world.RS.Class)
 	resp := &OptimizeResponse{
-		Ruleset:     world.Name,
-		Query:       req.Query,
-		PlanText:    pb.text,
-		Cost:        pb.cost,
-		head:        pb.head,
-		Degraded:    st.Degraded,
-		CacheHit:    st.CacheHits > 0 && st.CacheMisses == 0,
-		PlannerTier: tier,
-		Refined:     st.Refined,
-		GreedyCost:  st.GreedyCost,
-		FullCost:    st.FullCost,
-		ElapsedUS:   elapsedUS,
+		Ruleset:   world.Name,
+		Query:     req.Query,
+		PlanText:  pb.text,
+		Cost:      pb.cost,
+		head:      pb.head,
+		Degraded:  st.Degraded,
+		CacheHit:  st.CacheHits > 0 && st.CacheMisses == 0,
+		ElapsedUS: elapsedUS,
 		Stats: StatsSummary{
 			Groups:     st.Groups,
 			Exprs:      st.Exprs,
@@ -910,6 +794,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		// Malformed JSON and unknown fields alike: a misspelt or retired
+		// option is refused by name, never ignored.
+		s.mErrors.Inc()
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request: " + err.Error()})
 		return false
 	}
@@ -1019,12 +906,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				errorBody{Error: fmt.Sprintf("item %d: unknown budget class %q", i, it.Budget)})
 			return
 		}
-		tier, err := volcano.ParseTier(it.Tier)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: fmt.Sprintf("item %d: %v", i, err)})
-			return
-		}
 		tree, want, err := world.Build(it.Query)
 		if err != nil {
 			writeJSON(w, http.StatusBadRequest,
@@ -1036,7 +917,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			RS:      world.RS,
 			Tree:    tree,
 			Req:     want,
-			Opts:    volcano.Options{Budget: budget, Tier: tier, Remote: s.remote(world)},
+			Opts:    volcano.Options{Budget: budget, Remote: s.remote(world)},
 			Timeout: s.timeout(it.TimeoutMS),
 		}
 	}
@@ -1053,7 +934,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Workers: workers,
 		Obs:     s.cfg.Obs,
 		Cache:   s.cache,
-		Router:  s.router,
 	})
 	resp := BatchResponse{
 		Results: make([]BatchItemResponse, len(results)),

@@ -210,14 +210,6 @@ func RelationalWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 	return w, nil
 }
 
-// DSLHelpers are the helper implementations the examples/dslrules
-// specification imports; servers loading other specifications provide
-// their own map. The canonical copy lives in internal/rulecheck so the
-// per-rule verifier and the server compile the example identically.
-func DSLHelpers() map[string]prairielang.HelperImpl {
-	return rulecheck.DSLHelpers()
-}
-
 // DSLWorld compiles a textual Prairie specification (the dslrules
 // example by default) into a servable world. Queries are SORT over a
 // linear JOIN chain of N synthetic relations R1..RN with halving
@@ -333,7 +325,7 @@ func DefaultRegistry(maxN int, seed int64, dslSrc string) (*Registry, error) {
 	}
 	r.Add(rw)
 	if dslSrc != "" {
-		dw, err := DSLWorld(dslSrc, DSLHelpers(), maxN)
+		dw, err := DSLWorld(dslSrc, rulecheck.DSLHelpers(), maxN)
 		if err != nil {
 			return nil, err
 		}

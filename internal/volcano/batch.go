@@ -88,10 +88,6 @@ type BatchOptions struct {
 	// hit, and concurrent workers missing on the same fingerprint
 	// collapse into one search (singleflight).
 	Cache *PlanCache
-	// Router attaches a shared tier router to every item that doesn't
-	// set its own Opts.Router; items opting into TierAuto then share
-	// one routing table and refiner lifecycle (see tier.go).
-	Router *Router
 }
 
 // WorkerStats aggregates one pool worker's activity.
@@ -214,9 +210,6 @@ func OptimizeBatchOpts(ctx context.Context, items []BatchItem, bo BatchOptions) 
 				}
 				if it.Opts.Cache == nil {
 					it.Opts.Cache = bo.Cache
-				}
-				if it.Opts.Router == nil {
-					it.Opts.Router = bo.Router
 				}
 				results[i] = runBatchItem(ctx, it)
 				busy := time.Since(pickup)

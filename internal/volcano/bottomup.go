@@ -52,10 +52,9 @@ func (o *BottomUp) Optimize(tree *core.Expr, req *core.Descriptor) (*PExpr, erro
 	return o.plan(tree, req, true)
 }
 
-// GreedyPlan is the cheap baseline the budgeted search degrades to and
-// the fast path of the tiered anytime planner (see tier.go): it plans
-// tree without any exploration. The memo holds exactly the query's own
-// operator tree (no transformation rule ever fires), and winners are
+// GreedyPlan is the cheap baseline the budgeted search degrades to: it
+// plans tree without any exploration. The memo holds exactly the query's
+// own operator tree (no transformation rule ever fires), and winners are
 // computed bottom-up over that single shape — discovery and dynamic
 // programming as usual, minus phase 0. Cost is linear-ish in the tree
 // size, so it always terminates quickly and, whenever the original
@@ -66,6 +65,20 @@ func (o *BottomUp) Optimize(tree *core.Expr, req *core.Descriptor) (*PExpr, erro
 func GreedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
 	return greedyPlan(rs, tree, req, NewStats())
 }
+
+// ErrGreedyNoPlan is returned by GreedyPlan when no implementation rule
+// covers the original tree's shape — greedy planning never transforms,
+// so an unimplementable shape is a hard miss, not a search failure. It
+// wraps ErrNoPlan, so errors.Is matches both.
+var ErrGreedyNoPlan = errGreedyNoPlan{}
+
+type errGreedyNoPlan struct{}
+
+func (errGreedyNoPlan) Error() string {
+	return "volcano: greedy planner: no implementation rule applies to the original tree"
+}
+
+func (errGreedyNoPlan) Unwrap() error { return ErrNoPlan }
 
 // greedyPlan is GreedyPlan accumulating into the caller's Stats (the
 // degrade path merges the fallback's costing counters into the

@@ -2,6 +2,7 @@ package volcano
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -195,6 +196,37 @@ func TestGreedyPlanStandalone(t *testing.T) {
 	}
 	if plan.Cost(w.rs.Class) < best.Cost(full.rs.Class) {
 		t.Errorf("greedy %g beats full search %g", plan.Cost(w.rs.Class), best.Cost(full.rs.Class))
+	}
+}
+
+// TestGreedyNoPlanTyped: when no implementation rule covers the
+// original tree under the requirement, GreedyPlan returns the typed
+// ErrGreedyNoPlan (never a nil plan with a nil error), and errors.Is
+// matches both it and the generic ErrNoPlan.
+func TestGreedyNoPlanTyped(t *testing.T) {
+	w := newTestWorld()
+	// Remove the enforcer and merge join so no order can be produced.
+	w.rs.Enforcers = nil
+	var impls []*ImplRule
+	for _, r := range w.rs.Impls {
+		if r.Name != "join_merge_join" {
+			impls = append(impls, r)
+		}
+	}
+	w.rs.Impls = impls
+	req := w.alg.NewDesc()
+	req.Set(w.ord, core.OrderBy(core.A("R1", "a")))
+	tree := w.retOf(w.leaf("R1", 8, core.A("R1", "a")))
+
+	plan, err := GreedyPlan(w.rs, tree.Clone(), req)
+	if plan != nil {
+		t.Fatal("GreedyPlan returned a plan for an unimplementable shape")
+	}
+	if !errors.Is(err, ErrGreedyNoPlan) {
+		t.Errorf("err = %v, want ErrGreedyNoPlan", err)
+	}
+	if !errors.Is(err, ErrNoPlan) {
+		t.Errorf("err = %v does not unwrap to ErrNoPlan", err)
 	}
 }
 

@@ -125,15 +125,6 @@ type cachedPlan struct {
 	exprs     int
 	merges    int
 	memoBytes int64
-	// Tier provenance (zero values describe a classic full-search
-	// entry, so untiered callers are unaffected): tier says which
-	// planner produced the plan, refined marks entries hot-swapped in
-	// by a background refinement, and greedyCost preserves the replaced
-	// greedy plan's cost on refined entries (cost is then the full
-	// plan's), so hits can report the measured greedy-vs-full delta.
-	tier       TierMode
-	refined    bool
-	greedyCost float64
 	// replica marks a hot-key replica of an entry owned by a remote
 	// cluster shard (zero off-cluster): hits on it count as ReplicaHits
 	// so the replication tier's effect is observable.
@@ -144,8 +135,8 @@ type cachedPlan struct {
 }
 
 // newCachedPlan is the one constructor of cache entries, so that every
-// entry owns a fresh rendering slot; sites that publish tiered or
-// replicated entries set those marks on the result.
+// entry owns a fresh rendering slot; cachedPlanOf marks replicas on the
+// result.
 func newCachedPlan(e RemoteEntry) cachedPlan {
 	return cachedPlan{
 		plan:      e.Plan,
@@ -255,11 +246,7 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 		phStart = time.Now()
 	}
 	key := o.rootKey(tree, req)
-	// A full-search request must not adopt a greedy fast-path entry:
-	// the predicate turns such an entry into a miss for this caller
-	// while anytime requests keep hitting it, and the completed search
-	// below upgrades the entry in place.
-	a := pc.c.AcquireIf(key, func(cp cachedPlan) bool { return cp.tier == TierFull })
+	a := pc.c.Acquire(key)
 	if a.Hit {
 		o.Stats.CacheHits++
 		if a.Value.replica {
@@ -279,7 +266,7 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 			// behind a concurrent identical search.
 			ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
 		}
-		if err == nil && ok && cp.tier == TierFull {
+		if err == nil && ok {
 			o.Stats.FlightShared++
 			o.Stats.CacheHits++
 			if cp.replica {
@@ -287,11 +274,9 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 			}
 			return o.cacheHit(cp), nil, false
 		}
-		// Leader declined to share, shared a plan of the wrong tier (a
-		// greedy-tier leader publishing its fast-path plan), or our wait
-		// was cancelled: run an independent search (a cancelled context
-		// degrades it per OptimizeContext semantics) and publish the
-		// full-tier result ourselves.
+		// Leader declined to share or our wait was cancelled: run an
+		// independent search (a cancelled context degrades it per
+		// OptimizeContext semantics) and publish the result ourselves.
 		o.Stats.CacheMisses++
 		plan, err := o.optimizeContext(ctx, tree, req)
 		if err == nil && plan != nil && !o.Stats.Degraded {
@@ -392,19 +377,6 @@ func (o *Optimizer) cacheHit(cp cachedPlan) *PExpr {
 	o.Stats.Exprs = cp.exprs
 	o.Stats.Merges = cp.merges
 	o.Stats.MemoBytes = cp.memoBytes
-	// Tier provenance flows to the caller: a greedy entry reports its
-	// tier, a refined entry its measured greedy-vs-full costs. Classic
-	// full entries leave all of this zero, keeping untiered runs
-	// byte-identical.
-	if cp.tier == TierGreedy {
-		o.Stats.Tier = TierGreedy.String()
-		o.Stats.GreedyCost = cp.cost
-	}
-	if cp.refined {
-		o.Stats.Refined = true
-		o.Stats.GreedyCost = cp.greedyCost
-		o.Stats.FullCost = cp.cost
-	}
 	return cp.plan
 }
 

@@ -56,15 +56,6 @@ func recordRun(ob *obs.Observer, s *Stats, elapsed time.Duration, err error) {
 	reg.Counter("prairie_budget_checkpoints_total").Add(int64(s.BudgetChecks))
 	reg.Counter("prairie_costed_plans_total").Add(int64(s.CostedPlans))
 	reg.Counter("prairie_pruned_total").Add(int64(s.Pruned))
-	if s.Tier != "" || s.Refined {
-		// Tiered-planner provenance: which tier answered, and whether
-		// the plan came from a background-refined entry. Full-tier runs
-		// leave both zero, so untiered metrics are unchanged.
-		reg.Counter(obs.Label("prairie_tier_plans_total", "tier", tierOrFull(s.Tier))).Inc()
-		if s.Refined {
-			reg.Counter("prairie_tier_refined_hits_total").Inc()
-		}
-	}
 	if s.CacheHits+s.CacheMisses+s.FlightWaits > 0 {
 		reg.Counter("prairie_plancache_hits_total").Add(int64(s.CacheHits))
 		reg.Counter("prairie_plancache_misses_total").Add(int64(s.CacheMisses))

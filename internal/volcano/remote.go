@@ -44,9 +44,8 @@ const (
 )
 
 // RemoteEntry is one cache entry in engine terms: the winner plan plus
-// the cold-run shape statistics a hit reports (the same payload a local
-// cachedPlan carries, minus tier provenance — only full-tier entries
-// travel between nodes).
+// the cold-run shape statistics a hit reports (the payload of a local
+// cachedPlan).
 type RemoteEntry struct {
 	Plan      *PExpr
 	Cost      float64
@@ -74,7 +73,7 @@ type RemoteCache interface {
 	// Fetch asks the key's owning peer for the entry before this node
 	// optimizes. Implementations reconcile epochs as a side effect.
 	Fetch(ctx context.Context, key plancache.Key) RemoteResult
-	// Offer hands a freshly computed (non-degraded, full-tier) entry to
+	// Offer hands a freshly computed (non-degraded) entry to
 	// the cluster: implementations forward it to the owning peer when
 	// remote. The return value says whether the engine should also store
 	// the entry locally — true for locally-owned keys and hot-promoted
@@ -103,7 +102,7 @@ func entryOf(cp cachedPlan) RemoteEntry {
 
 // cachedPlanOf converts a fetched entry back to a cache entry. replica
 // marks hot-key replicas of remotely-owned entries (ReplicaHits
-// accounting); the tier is always TierFull — greedy plans never travel.
+// accounting).
 func cachedPlanOf(e RemoteEntry, replica bool) cachedPlan {
 	cp := newCachedPlan(e)
 	cp.replica = replica
@@ -118,7 +117,7 @@ type RemoteAcquired struct {
 	a *plancache.Acquired[cachedPlan]
 }
 
-// Hit returns the entry when the lookup hit a usable (full-tier) entry.
+// Hit returns the entry when the lookup hit.
 func (ra *RemoteAcquired) Hit() (RemoteEntry, bool) {
 	if ra.a == nil || !ra.a.Hit {
 		return RemoteEntry{}, false
@@ -131,13 +130,13 @@ func (ra *RemoteAcquired) Hit() (RemoteEntry, bool) {
 func (ra *RemoteAcquired) Leader() bool { return ra.a != nil && ra.a.Leader }
 
 // Wait parks a follower behind the in-progress flight until the leader
-// completes (sharing a full-tier entry → ok) or ctx expires.
+// completes (sharing its entry → ok) or ctx expires.
 func (ra *RemoteAcquired) Wait(ctx context.Context) (RemoteEntry, bool) {
 	if ra.a == nil {
 		return RemoteEntry{}, false
 	}
 	cp, ok, err := ra.a.Wait(ctx)
-	if err != nil || !ok || cp.tier != TierFull {
+	if err != nil || !ok {
 		return RemoteEntry{}, false
 	}
 	return entryOf(cp), true
@@ -164,14 +163,12 @@ func (ra *RemoteAcquired) Abandon() {
 	ra.a.Complete(zero, false)
 }
 
-// RemoteAcquire opens an owner-side lookup for a peer request. Like the
-// engine's own miss path it treats non-full-tier entries as misses —
-// greedy plans never travel between nodes.
+// RemoteAcquire opens an owner-side lookup for a peer request.
 func (pc *PlanCache) RemoteAcquire(k plancache.Key) *RemoteAcquired {
 	if !pc.Enabled() {
 		return &RemoteAcquired{}
 	}
-	return &RemoteAcquired{a: pc.c.AcquireIf(k, func(cp cachedPlan) bool { return cp.tier == TierFull })}
+	return &RemoteAcquired{a: pc.c.Acquire(k)}
 }
 
 // Insert stores a peer-offered entry directly (the put path of the peer
@@ -183,7 +180,7 @@ func (pc *PlanCache) Insert(k plancache.Key, e RemoteEntry) {
 	pc.c.Put(k, cachedPlanOf(e, false))
 }
 
-// Lookup returns the full-tier entry under k, if any — the owner-side
+// Lookup returns the entry under k, if any — the owner-side
 // read of a replicated or locally-stored entry, without flight
 // registration (peer gets that must not lead use RemoteAcquire).
 func (pc *PlanCache) Lookup(k plancache.Key) (RemoteEntry, bool) {
@@ -191,7 +188,7 @@ func (pc *PlanCache) Lookup(k plancache.Key) (RemoteEntry, bool) {
 		return RemoteEntry{}, false
 	}
 	cp, ok := pc.c.Get(k)
-	if !ok || cp.tier != TierFull {
+	if !ok {
 		return RemoteEntry{}, false
 	}
 	return entryOf(cp), true

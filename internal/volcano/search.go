@@ -73,35 +73,18 @@ type Options struct {
 	// subtree winners. nil — the default — leaves plans, stats, and
 	// errors byte-identical to a cacheless build.
 	Cache *PlanCache
-	// Tier selects the planning tier (see tier.go): TierFull — the zero
-	// value — is the classic complete search, byte-identical to builds
-	// without tiering; TierGreedy serves the sub-millisecond greedy
-	// plan; TierAuto serves greedy first and refines in the background
-	// per Router policy when a Cache is attached.
-	Tier TierMode
-	// Router is the shared adaptive tier policy consulted by TierAuto
-	// (nil: always refine). It also owns the background refiner
-	// lifecycle; share one Router across every optimizer of a serving
-	// surface.
-	Router *Router
 	// Phases, when set, receives coarse per-phase wall timings (cache
-	// acquire, greedy plan, full search, background refinement) for the
-	// request-scoped flight recorder. nil — the default — keeps every
-	// instrumentation point a single untaken branch, leaving plans and
-	// Stats byte-identical to an unrecorded run.
+	// acquire, full search) for the request-scoped flight recorder.
+	// nil — the default — keeps every instrumentation point a single
+	// untaken branch, leaving plans and Stats byte-identical to an
+	// unrecorded run.
 	Phases *obs.PhaseClock
-	// OnRefine, when set, is called from the background refiner
-	// goroutine when a TierAuto refinement spawned by this run finishes,
-	// so its outcome can be linked back to the originating request. The
-	// callback must be safe to invoke after the request completed.
-	OnRefine func(RefineOutcome)
 	// Remote attaches a cluster peer-fill hook consulted by cache-miss
 	// leaders before searching (see remote.go): the key's owning peer
 	// may answer from its shard, park this node behind a cluster-wide
 	// flight, or grant it the lead. nil — the default — keeps every
 	// cluster touchpoint a single untaken branch, leaving single-node
-	// runs byte-identical. Remote applies only to the full-tier cached
-	// path: the peer protocol never transports greedy plans.
+	// runs byte-identical.
 	Remote RemoteCache
 }
 
@@ -227,16 +210,11 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 	return o.dispatchOptimize(ctx, tree, req)
 }
 
-// dispatchOptimize routes tiered requests to the anytime planner and
-// cached requests through the plan cache; the cacheless full-tier path
-// is a direct call, keeping disabled-cache untiered runs byte-identical
-// to previous releases (TierFull with an attached Router takes exactly
-// the same path — the router is consulted only by TierAuto).
+// dispatchOptimize routes cached requests through the plan cache; the
+// cacheless path is a direct call, keeping disabled-cache runs
+// byte-identical to a cacheless build.
 func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
 	o.Rendering = nil
-	if o.Opts.Tier != TierFull {
-		return o.tieredOptimize(ctx, tree, req)
-	}
 	if o.Opts.Cache.Enabled() {
 		return o.cachedOptimize(ctx, tree, req)
 	}

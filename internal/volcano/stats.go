@@ -69,25 +69,6 @@ type Stats struct {
 	PeerFills   int
 	ReplicaHits int
 
-	// Tiered-planner provenance (all zero on full-tier runs, so
-	// untiered Stats render byte-identically to previous releases):
-	// Tier is the planner tier that produced this run's plan ("greedy";
-	// "" means the classic full search), Refined marks a plan served
-	// from a cache entry hot-swapped in by a background refinement, and
-	// GreedyCost/FullCost carry the measured greedy-vs-full costs when
-	// both are known (refined hits and auto-routed synchronous runs).
-	Tier       string
-	Refined    bool
-	GreedyCost float64
-	FullCost   float64
-	// TierClass and TierRouted record the router interaction of a
-	// TierAuto run for the flight recorder: the query's shape class and
-	// what the router decided for it ("refine" or "greedy"). Zero/""
-	// whenever no routing decision was made, and never rendered by
-	// String, so untiered output stays byte-identical.
-	TierClass  uint64
-	TierRouted string
-
 	// MemoBytes is a rough end-of-run estimate of the memo's heap
 	// footprint (see Memo.MemEstimate).
 	MemoBytes int64
@@ -138,15 +119,6 @@ func (s *Stats) DistinctImplMatched() int { return countNonZero(s.ImplMatched) }
 // DistinctImplFired returns how many distinct impl_rules actually applied
 // (their cond passed on at least one match).
 func (s *Stats) DistinctImplFired() int { return countNonZero(s.ImplFired) }
-
-// tierOrFull maps the Stats.Tier encoding ("" = classic full search)
-// to the wire tier name.
-func tierOrFull(t string) string {
-	if t == "" {
-		return "full"
-	}
-	return t
-}
 
 func countNonZero(m map[string]int) int {
 	n := 0
@@ -209,14 +181,6 @@ func (s *Stats) Merge(o *Stats) {
 		s.Degraded = true
 		s.DegradeCause = o.DegradeCause
 		s.DegradePath = o.DegradePath
-	}
-	// Tier provenance aggregates like degradation: the aggregate adopts
-	// the first tiered constituent's identity, and Refined is sticky.
-	if s.Tier == "" && o.Tier != "" {
-		s.Tier = o.Tier
-	}
-	if o.Refined {
-		s.Refined = true
 	}
 }
 
@@ -311,13 +275,6 @@ func (s *Stats) String() string {
 		// single-node output stays byte-identical.
 		if s.PeerFills+s.ReplicaHits > 0 {
 			fmt.Fprintf(&b, " peer_fills=%d replica_hits=%d", s.PeerFills, s.ReplicaHits)
-		}
-		b.WriteByte('\n')
-	}
-	if s.Tier != "" || s.Refined {
-		fmt.Fprintf(&b, "tier: %s refined=%v", tierOrFull(s.Tier), s.Refined)
-		if s.GreedyCost > 0 && s.FullCost > 0 {
-			fmt.Fprintf(&b, " greedy_cost=%.1f full_cost=%.1f", s.GreedyCost, s.FullCost)
 		}
 		b.WriteByte('\n')
 	}

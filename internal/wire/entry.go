@@ -11,7 +11,6 @@ import (
 // CacheEntry is the peer-protocol payload: one plan-cache entry — the
 // winner plan plus the cold-run shape statistics a hit reports — in a
 // form any node can decode against its own copy of the world's algebra.
-// Only full-tier entries travel, so no tier field is needed.
 type CacheEntry struct {
 	Plan      *PlanNode `json:"plan"`
 	Cost      float64   `json:"cost"`

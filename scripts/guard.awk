@@ -1,6 +1,5 @@
-# Neutrality-guard comparator shared by `make bench-guard`
-# (observability), `make cache-guard` (plan cache), and `make tier-guard`
-# (tiered planner). Reads `go test -bench` output for a guard benchmark
+# Neutrality-guard comparator shared by the Makefile's `guard` macro
+# (bench-guard, cache-guard, flight-guard, cluster-guard). Reads `go test -bench` output for a guard benchmark
 # shaped Benchmark<X>Guard/<workload>/<mode>-N with modes off (feature
 # absent), disabled (attached but inert) and on (fully enabled). The
 # Make targets run the whole off/disabled/on pass several times and

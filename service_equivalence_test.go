@@ -12,6 +12,8 @@ import (
 	"prairie/internal/oodb"
 	"prairie/internal/qgen"
 	"prairie/internal/server"
+	"prairie/internal/volcano"
+	"prairie/internal/wire"
 )
 
 // This file extends the differential harness of equivalence_test.go to
@@ -45,16 +47,13 @@ func svcPost(t *testing.T, url string, req server.OptimizeRequest) server.Optimi
 }
 
 // runWirePlan decodes a wire plan against the world's algebra, compiles
-// it, and executes it — once on the serial engine and once with the
-// parallel engine (workers=4), which must agree bag-for-bag. Every
-// differential suite built on this helper therefore also covers the
-// parallel executor.
+// it, and executes it.
 func runWirePlan(t *testing.T, w *server.World, db *data.DB, or server.OptimizeResponse) *exec.Result {
 	t.Helper()
 	if or.Plan == nil {
 		t.Fatalf("%s %s: response carries no plan tree", w.Name, or.Query)
 	}
-	tree, err := server.DecodePlan(w.RS.Algebra, or.Plan)
+	tree, err := wire.DecodePlan(w.RS.Algebra, or.Plan)
 	if err != nil {
 		t.Fatalf("%s %s: decode plan: %v", w.Name, or.Query, err)
 	}
@@ -65,20 +64,6 @@ func runWirePlan(t *testing.T, w *server.World, db *data.DB, or server.OptimizeR
 	got, err := exec.Run(it)
 	if err != nil {
 		t.Fatalf("%s %s: execute: %v", w.Name, or.Query, err)
-	}
-	pc := exec.NewCompiler(db, w.ExecProps)
-	pc.Opts = exec.ExecOptions{Workers: 4}
-	pit, err := pc.Compile(tree)
-	if err != nil {
-		t.Fatalf("%s %s: parallel compile: %v", w.Name, or.Query, err)
-	}
-	pgot, err := exec.Run(pit)
-	if err != nil {
-		t.Fatalf("%s %s: parallel execute: %v", w.Name, or.Query, err)
-	}
-	if !exec.SameBag(got, pgot) {
-		t.Fatalf("%s %s: parallel executor disagrees with serial (%d vs %d rows)",
-			w.Name, or.Query, len(pgot.Rows), len(got.Rows))
 	}
 	return got
 }
@@ -188,5 +173,59 @@ func TestServiceDifferentialDegraded(t *testing.T) {
 	}
 	if got := runWirePlan(t, w, db, or); !exec.SameBag(got, want) {
 		t.Error("degraded plan result differs from naive evaluation")
+	}
+}
+
+// TestGreedyPlanDifferential: volcano.GreedyPlan is what a
+// budget-exhausted search falls back to, and no other test executes its
+// plans (the benchmark only costs them). Called as a library function on
+// both OODB worlds, its plan for every expression family executes to the
+// same bag of tuples as the naive evaluator.
+func TestGreedyPlanDifferential(t *testing.T) {
+	const maxN, n, seed = 4, 3, int64(101)
+	reg, err := server.DefaultRegistry(maxN, seed, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"oodb/volcano", "oodb/prairie"} {
+		w, ok := reg.Lookup(name)
+		if !ok {
+			t.Fatalf("world %s missing", name)
+		}
+		db := data.Populate(w.Cat, seed, 32)
+		o := oodb.New(w.Cat)
+		naive := &exec.Naive{DB: db, P: exec.Props{
+			Ord: o.Ord, JP: o.JP, SP: o.SP, PA: o.PA, MA: o.MA, UA: o.UA,
+		}}
+		for _, e := range []qgen.ExprKind{qgen.E1, qgen.E2, qgen.E3, qgen.E4} {
+			logical, err := qgen.Build(o, e, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := naive.Eval(logical)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tree, req, err := w.Build(server.QuerySpec{Family: e.String(), N: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := volcano.GreedyPlan(w.RS, tree, req)
+			if err != nil {
+				t.Fatalf("%s %v: greedy plan: %v", name, e, err)
+			}
+			it, err := exec.NewCompiler(db, w.ExecProps).Compile(plan.ToExpr())
+			if err != nil {
+				t.Fatalf("%s %v: compile: %v", name, e, err)
+			}
+			got, err := exec.Run(it)
+			if err != nil {
+				t.Fatalf("%s %v: execute: %v", name, e, err)
+			}
+			if !exec.SameBag(got, want) {
+				t.Errorf("%s %v: greedy plan result differs from naive evaluation (%d vs %d rows)",
+					name, e, len(got.Rows), len(want.Rows))
+			}
+		}
 	}
 }
