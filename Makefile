@@ -7,8 +7,11 @@ all: ci
 build:
 	$(GO) build ./...
 
+# gofmt -l prints the files it would rewrite (bench/ included); any
+# output fails the target.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 # -timeout backstops regressions that hang (e.g. a wedged batch worker)
 # instead of letting CI stall until the job-level kill.
@@ -86,7 +89,7 @@ cluster-guard:
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every shipped rule set a "verified" verdict (or an
 # explicit waiver), and the mutation-testing mode must kill at least 95%
-# of seeded rule corruptions (internal/rulecheck; DESIGN.md §4.16).
+# of seeded rule corruptions (internal/rulecheck; DESIGN.md §4.15).
 rulecheck-guard:
 	$(GO) test -run 'TestShippedRuleSetsVerified|TestMutationKillRate' -timeout 300s ./internal/rulecheck
 

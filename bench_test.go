@@ -17,11 +17,14 @@ import (
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
+	"prairie/internal/data"
+	"prairie/internal/exec"
 	"prairie/internal/obs"
 	"prairie/internal/oodb"
 	"prairie/internal/p2v"
 	"prairie/internal/qgen"
 	"prairie/internal/relopt"
+	"prairie/internal/server"
 	"prairie/internal/volcano"
 )
 
@@ -153,23 +156,29 @@ func BenchmarkExploreMerges(b *testing.B) {
 // attribute list of string pairs (32 pointer-bearing bytes an element
 // where a symbol takes 4) costs E2/n5 4.51 MB a search with the Prairie
 // rules against 2.64 MB, and 7.48 against 3.01 MB hand-coded.
+// allocsPerRun is testing.AllocsPerRun (a warm-up run, then an average;
+// callers pin one processor) reading the allocated bytes beside the
+// object count.
+func allocsPerRun(f func()) (allocs, bytes float64) {
+	const runs = 3
+	var before, after runtime.MemStats
+	f()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+}
+
 func TestSearchAllocCeiling(t *testing.T) {
-	// As testing.AllocsPerRun (one processor, a warm-up run, an average),
-	// reading the allocated bytes beside the object count.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cost := func(rs *volcano.RuleSet, tree *core.Expr, req *core.Descriptor) (allocs, bytes float64) {
-		const runs = 3
-		var before, after runtime.MemStats
-		for i := 0; i <= runs; i++ {
-			if i == 1 {
-				runtime.ReadMemStats(&before)
-			}
+		return allocsPerRun(func() {
 			if _, err := volcano.NewOptimizer(rs).Optimize(tree.Clone(), req); err != nil {
 				t.Fatal(err)
 			}
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+		})
 	}
 	for _, q := range []struct {
 		e                          qgen.ExprKind
@@ -197,6 +206,101 @@ func TestSearchAllocCeiling(t *testing.T) {
 		if p/v > 1.12 {
 			t.Errorf("%v/n%d: Prairie rules allocate %.3f times what the hand-coded ones do, limit 1.12", q.e, q.n, p/v)
 		}
+	}
+}
+
+// execPlans prepares what the benchmark's exec_plans workload runs: the
+// hand-coded OODB world over eight classes, its tables at the given row
+// count, the six queries and the winning plan of each.
+func execPlans(tb testing.TB, rows int) (db *data.DB, props exec.Props, specs []server.QuerySpec, trees, plans []*core.Expr) {
+	tb.Helper()
+	w := server.OODBVolcanoWorld(qgen.Catalog(8, 101, false), 8)
+	specs = []server.QuerySpec{
+		{Family: "E1", N: 4}, {Family: "E1", N: 6}, {Family: "E1", N: 8},
+		{Family: "E2", N: 3}, {Family: "E2", N: 4}, {Family: "E4", N: 3},
+	}
+	for _, q := range specs {
+		tree, want, err := w.Build(q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		plan, err := volcano.NewOptimizer(w.RS).Optimize(tree.Clone(), want)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		trees, plans = append(trees, tree), append(plans, plan.ToExpr())
+	}
+	return data.Populate(w.Cat, 101, rows), w.ExecProps, specs, trees, plans
+}
+
+func execOnce(tb testing.TB, db *data.DB, props exec.Props, plan *core.Expr) *exec.Result {
+	it, err := exec.NewCompiler(db, props).Compile(plan)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := exec.Run(it)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// TestExecPlansMatchNaive runs the six plans on 256-row tables (as the
+// benchmark's gate does) against the naive interpreter's reading of the
+// query, twice over one database: the second run must not see the first.
+func TestExecPlansMatchNaive(t *testing.T) {
+	db, props, specs, trees, plans := execPlans(t, 256)
+	nonEmpty := 0
+	for i, q := range specs {
+		want, err := (&exec.Naive{DB: db, P: props}).Eval(trees[i])
+		if err != nil {
+			t.Fatalf("%v: naive: %v", q, err)
+		}
+		for run := 0; run < 2; run++ {
+			if got := execOnce(t, db, props, plans[i]); !exec.SameBag(got, want) {
+				t.Errorf("%v run %d: plan returns %d rows, naive %d: bags differ", q, run, len(got.Rows), len(want.Rows))
+			}
+		}
+		if len(want.Rows) > 0 {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 4 {
+		t.Errorf("only %d of %d queries return rows: the comparison is mostly vacuous", nonEmpty, len(specs))
+	}
+}
+
+// TestExecAllocCeiling guards what one compile-and-run of each
+// exec_plans plan allocates, which repeats to a few objects: a row is
+// 16-byte pointer-free cells carved from its operator's arena, so the
+// objects are chunks, hash indexes and slices of row views — not rows.
+// Ceilings about 15% above the measured counts keep a per-row allocation
+// from coming back (two slices per joined row made E1/n8 54 902 objects
+// and 83 MB).
+func TestExecAllocCeiling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	db, props, specs, _, plans := execPlans(t, 4096)
+	for i, c := range []struct{ allocs, bytes float64 }{
+		{72, 775_000}, {152, 4_870_000}, {345, 24_250_000}, {89, 1_690_000}, {117, 3_020_000}, {40, 3_800},
+	} {
+		allocs, bytes := allocsPerRun(func() { execOnce(t, db, props, plans[i]) })
+		t.Logf("%v: %.0f allocations, %.0f bytes per run", specs[i], allocs, bytes)
+		if allocs > c.allocs || bytes > c.bytes {
+			t.Errorf("%v: %.0f allocations and %.0f bytes per run, ceilings %.0f and %.0f", specs[i], allocs, bytes, c.allocs, c.bytes)
+		}
+	}
+}
+
+// BenchmarkExecPlans compiles and runs each exec_plans plan.
+func BenchmarkExecPlans(b *testing.B) {
+	db, props, specs, _, plans := execPlans(b, 4096)
+	for i, q := range specs {
+		b.Run(q.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				execOnce(b, db, props, plans[i])
+			}
+		})
 	}
 }
 

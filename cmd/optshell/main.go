@@ -190,7 +190,11 @@ func main() {
 				fmt.Println("  ...")
 				break
 			}
-			fmt.Printf("  %v\n", row)
+			cells := make([]string, len(row))
+			for c, d := range row {
+				cells[c] = db.Pool().Format(d)
+			}
+			fmt.Printf("  %v\n", cells)
 		}
 	}
 

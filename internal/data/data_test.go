@@ -1,8 +1,10 @@
 package data
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
@@ -15,6 +17,8 @@ func testDB(t *testing.T) (*DB, *catalog.Catalog) {
 }
 
 func TestDatumBasics(t *testing.T) {
+	p := NewDB().Pool()
+	StrD, SetD := p.Str, p.Set
 	if !IntD(3).Equal(IntD(3)) || IntD(3).Equal(IntD(4)) {
 		t.Error("int equality")
 	}
@@ -24,17 +28,34 @@ func TestDatumBasics(t *testing.T) {
 	if IntD(3).Equal(StrD("3")) {
 		t.Error("cross-kind equality")
 	}
-	if !StrD("a").Less(StrD("b")) || StrD("b").Less(StrD("a")) {
+	// Interned out of order: the order is the strings', not the ids'.
+	if b, a := StrD("b"), StrD("a"); !p.Less(a, b) || p.Less(b, a) {
 		t.Error("string ordering")
 	}
-	if !IntD(1).Less(IntD(2)) {
+	if !p.Less(IntD(1), IntD(2)) || !(*Pool)(nil).Less(IntD(1), IntD(2)) {
 		t.Error("int ordering")
 	}
 	if !SetD(1, 2).Equal(SetD(1, 2)) || SetD(1, 2).Equal(SetD(2, 1)) {
 		t.Error("set equality is positional")
 	}
-	if IntD(3).String() != "3" || RefD(3).String() != "@3" || StrD("x").String() != "x" {
-		t.Error("String renderings")
+	if p.Format(IntD(3)) != "3" || p.Format(RefD(3)) != "@3" || p.Format(StrD("x")) != "x" || p.Format(SetD(1, 2)) != "[1 2]" {
+		t.Error("Format renderings")
+	}
+}
+
+// TestDatumIsACell: at most 16 bytes and nothing in it the collector has
+// to follow, so a buffer of rows is allocated noscan.
+func TestDatumIsACell(t *testing.T) {
+	if size := unsafe.Sizeof(Datum{}); size > 16 {
+		t.Errorf("Datum is %d bytes, want at most 16", size)
+	}
+	typ := reflect.TypeOf(Datum{})
+	for i := 0; i < typ.NumField(); i++ {
+		switch k := typ.Field(i).Type.Kind(); k {
+		case reflect.Int64, reflect.Uint8:
+		default:
+			t.Errorf("Datum.%s is a %v: only fixed-size integers hold no pointer", typ.Field(i).Name, k)
+		}
 	}
 }
 
@@ -44,14 +65,17 @@ func TestDatumHashEqualConsistency(t *testing.T) {
 	}, nil); err != nil {
 		t.Error(err)
 	}
+	p := NewDB().Pool()
 	if err := quick.Check(func(s string) bool {
-		return StrD(s).Hash() == StrD(s).Hash()
+		return p.Str(s).Hash() == p.Str(s).Hash() && p.Str(s).Equal(p.Str(s))
 	}, nil); err != nil {
 		t.Error(err)
 	}
 }
 
 func TestDatumCompareToValue(t *testing.T) {
+	p := NewDB().Pool()
+	StrD, SetD := p.Str, p.Set
 	cases := []struct {
 		d    Datum
 		v    core.Value
@@ -68,9 +92,9 @@ func TestDatumCompareToValue(t *testing.T) {
 		{SetD(1), core.Int(1), 0, false},
 	}
 	for _, c := range cases {
-		got, ok := c.d.CompareToValue(c.v)
+		got, ok := p.Compare(c.d, c.v)
 		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("CompareToValue(%v, %v) = %d, %v; want %d, %v", c.d, c.v, got, ok, c.want, c.ok)
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d, %v", c.d, c.v, got, ok, c.want, c.ok)
 		}
 	}
 }
@@ -80,13 +104,15 @@ func TestDatumCompareToValue(t *testing.T) {
 // with everything (Less is false both ways), which sorting treats as
 // equal — never as a panic or an unstable order.
 func TestDatumSetOrdering(t *testing.T) {
-	if !SetD(1, 9).Less(SetD(2, 0)) || SetD(2, 0).Less(SetD(1, 9)) {
+	p := NewDB().Pool()
+	SetD := p.Set
+	if !p.Less(SetD(1, 9), SetD(2, 0)) || p.Less(SetD(2, 0), SetD(1, 9)) {
 		t.Error("sets must order by first element")
 	}
-	if SetD(1, 5).Less(SetD(1, 2)) || SetD(1, 2).Less(SetD(1, 5)) {
+	if p.Less(SetD(1, 5), SetD(1, 2)) || p.Less(SetD(1, 2), SetD(1, 5)) {
 		t.Error("sets sharing a first element tie")
 	}
-	if SetD().Less(SetD()) || SetD().Less(SetD(1)) || SetD(1).Less(SetD()) {
+	if p.Less(SetD(), SetD()) || p.Less(SetD(), SetD(1)) || p.Less(SetD(1), SetD()) {
 		t.Error("empty sets tie with every set")
 	}
 	if !SetD().Equal(SetD()) {
@@ -99,7 +125,7 @@ func TestDatumSetOrdering(t *testing.T) {
 	if SetD(3).Equal(IntD(3)) || IntD(3).Equal(SetD(3)) {
 		t.Error("set vs int cross-kind equality")
 	}
-	if !IntD(9).Less(SetD(1)) || SetD(1).Less(IntD(9)) {
+	if !p.Less(IntD(9), SetD(1)) || p.Less(SetD(1), IntD(9)) {
 		t.Error("cross-kind order is by kind, ints before sets")
 	}
 }
@@ -108,6 +134,8 @@ func TestDatumSetOrdering(t *testing.T) {
 // corners — int/ref cross-kind equality, positional set equality, and
 // empty values hashing without panicking.
 func TestDatumHashEdgeCases(t *testing.T) {
+	p := NewDB().Pool()
+	StrD, SetD := p.Str, p.Set
 	if IntD(7).Hash() != RefD(7).Hash() {
 		t.Error("equal int and ref must hash alike")
 	}
@@ -133,6 +161,8 @@ func TestDatumHashEdgeCases(t *testing.T) {
 // constants exactly like ints (a pointer is its target ordinal), and
 // unsupported constant kinds report incomparable instead of guessing.
 func TestDatumCompareToValueRefAndEdges(t *testing.T) {
+	p := NewDB().Pool()
+	StrD, SetD := p.Str, p.Set
 	cases := []struct {
 		d    Datum
 		v    core.Value
@@ -153,9 +183,9 @@ func TestDatumCompareToValueRefAndEdges(t *testing.T) {
 		{RefD(0), core.DontCareOrder, 0, false},
 	}
 	for _, c := range cases {
-		got, ok := c.d.CompareToValue(c.v)
+		got, ok := p.Compare(c.d, c.v)
 		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("CompareToValue(%v, %v) = %d, %v; want %d, %v", c.d, c.v, got, ok, c.want, c.ok)
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d, %v", c.d, c.v, got, ok, c.want, c.ok)
 		}
 	}
 }
@@ -202,7 +232,7 @@ func TestPopulate(t *testing.T) {
 			if row[refCol].Kind != DRef || row[refCol].I >= 64 {
 				t.Errorf("%s row %d ref out of range: %v", name, i, row[refCol])
 			}
-			if row[tagsCol].Kind != DSet || len(row[tagsCol].Set) != 4 {
+			if row[tagsCol].Kind != DSet || len(db.Pool().SetOf(row[tagsCol])) != 4 {
 				t.Errorf("%s row %d tags = %v", name, i, row[tagsCol])
 			}
 		}
@@ -259,5 +289,69 @@ func TestIndexLookup(t *testing.T) {
 	}
 	if got := tab.Index("b", IntD(1<<40)); len(got) != 0 {
 		t.Error("absent value returned hits")
+	}
+}
+
+// TestHashIndexChains: every ordinal is reachable from its hash, chains
+// run in ascending order, and an empty index answers -1.
+func TestHashIndexChains(t *testing.T) {
+	keys := []uint64{7, 3, 7, 11, 3, 7, 1 << 40}
+	ix := NewHashIndex(len(keys), func(i int) uint64 { return keys[i] })
+	for _, k := range keys {
+		var got []int
+		for i, prev := ix.First(k), -1; i >= 0; i, prev = ix.Next(i), i {
+			if i <= prev {
+				t.Fatalf("chain of %d not ascending: %d after %d", k, i, prev)
+			}
+			if keys[i] == k {
+				got = append(got, i)
+			}
+		}
+		want := 0
+		for _, x := range keys {
+			if x == k {
+				want++
+			}
+		}
+		if len(got) != want {
+			t.Errorf("hash %d reaches ordinals %v, want %d of them", k, got, want)
+		}
+	}
+	if empty := NewHashIndex(0, nil); empty.First(7) != -1 {
+		t.Error("empty index has a chain")
+	}
+}
+
+// TestRowByID: the ordinal test serves tables whose ids are their row
+// ordinals (no id index is built), the id index the others, where the
+// first row of a repeated id wins; pointers to nobody find nothing.
+func TestRowByID(t *testing.T) {
+	db, _ := testDB(t)
+	tab := db.MustTable("C1")
+	if tab.ids != nil {
+		t.Error("id index built for ordinal ids")
+	}
+	if row, ok := tab.RowByID(RefD(5)); !ok || row != 5 {
+		t.Errorf("RowByID(@5) = %d, %v", row, ok)
+	}
+	if _, ok := tab.RowByID(RefD(1 << 20)); ok {
+		t.Error("out-of-range pointer found a row")
+	}
+	cat := catalog.New()
+	cl := cat.Add(&catalog.Class{Name: "H", Card: 4, Attrs: []catalog.Attribute{{Name: "id", Distinct: 4}, {Name: "v", Distinct: 4}}})
+	hand := NewDB()
+	h := hand.AddTable(cl, []Tuple{{IntD(9), IntD(0)}, {IntD(1), IntD(1)}, {IntD(9), IntD(2)}, {IntD(0), IntD(3)}})
+	noPointer := hand.Pool().Set()
+	hand.Freeze()
+	for id, want := range map[int64]int{9: 0, 1: 1, 0: 3} {
+		if row, ok := h.RowByID(RefD(id)); !ok || row != want {
+			t.Errorf("RowByID(@%d) = %d, %v; want %d", id, row, ok, want)
+		}
+	}
+	if _, ok := h.RowByID(RefD(2)); ok {
+		t.Error("id 2 is nobody's, ordinal 2 is not a match")
+	}
+	if _, ok := h.RowByID(noPointer); ok {
+		t.Error("a set is not a pointer")
 	}
 }

@@ -62,8 +62,24 @@ func NewCompiler(db *data.DB, p Props) *Compiler {
 	return c
 }
 
+// compiled is a plan's root operator together with the pool that
+// renders its rows, which Run hands on to the Result.
+type compiled struct {
+	Iterator
+	pool *data.Pool
+}
+
 // Compile builds the iterator tree for a plan.
 func (c *Compiler) Compile(plan *core.Expr) (Iterator, error) {
+	it, err := c.compile(plan)
+	if err != nil {
+		return nil, err
+	}
+	return compiled{it, c.DB.Pool()}, nil
+}
+
+// compile builds one operator and, through its builder, its inputs.
+func (c *Compiler) compile(plan *core.Expr) (Iterator, error) {
 	if plan.IsLeaf() {
 		return nil, fmt.Errorf("exec: bare stored file %q; plans access files through scan algorithms", plan.File)
 	}
@@ -114,7 +130,7 @@ func buildFileScan(c *Compiler, node *core.Expr) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &scanIter{tab: tab, sel: c.pred(node.D, c.P.SP)}, nil
+	return &scanIter{tab: tab, pool: c.DB.Pool(), sel: c.pred(node.D, c.P.SP)}, nil
 }
 
 func buildIndexScan(c *Compiler, node *core.Expr) (Iterator, error) {
@@ -131,19 +147,19 @@ func buildIndexScan(c *Compiler, node *core.Expr) (Iterator, error) {
 	if ix == (core.Attr{}) {
 		return nil, fmt.Errorf("exec: index scan without an index order on %s", tab.Class.Name)
 	}
-	return &scanIter{tab: tab, sel: c.pred(node.D, c.P.SP), byIndex: ix}, nil
+	return &scanIter{tab: tab, pool: c.DB.Pool(), sel: c.pred(node.D, c.P.SP), byIndex: ix}, nil
 }
 
 func buildFilter(c *Compiler, node *core.Expr) (Iterator, error) {
-	in, err := c.Compile(node.Kids[0])
+	in, err := c.compile(node.Kids[0])
 	if err != nil {
 		return nil, err
 	}
-	return &filterIter{in: in, pred: c.pred(node.D, c.P.SP)}, nil
+	return &filterIter{in: in, pool: c.DB.Pool(), pred: c.pred(node.D, c.P.SP)}, nil
 }
 
 func buildProject(c *Compiler, node *core.Expr) (Iterator, error) {
-	in, err := c.Compile(node.Kids[0])
+	in, err := c.compile(node.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -154,10 +170,10 @@ func buildProject(c *Compiler, node *core.Expr) (Iterator, error) {
 }
 
 func (c *Compiler) joinInputs(node *core.Expr) (l, r Iterator, pred *core.Pred, err error) {
-	if l, err = c.Compile(node.Kids[0]); err != nil {
+	if l, err = c.compile(node.Kids[0]); err != nil {
 		return
 	}
-	if r, err = c.Compile(node.Kids[1]); err != nil {
+	if r, err = c.compile(node.Kids[1]); err != nil {
 		return
 	}
 	pred = c.pred(node.D, c.P.JP)
@@ -169,7 +185,7 @@ func buildNestedLoops(c *Compiler, node *core.Expr) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &nlJoinIter{l: l, r: r, pred: pred}, nil
+	return &nlJoinIter{l: l, r: r, pool: c.DB.Pool(), pred: pred}, nil
 }
 
 func buildHashJoin(c *Compiler, node *core.Expr) (Iterator, error) {
@@ -177,7 +193,7 @@ func buildHashJoin(c *Compiler, node *core.Expr) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinIter{l: l, r: r, pred: pred}, nil
+	return &hashJoinIter{l: l, r: r, pool: c.DB.Pool(), pred: pred}, nil
 }
 
 func buildMergeJoin(c *Compiler, node *core.Expr) (Iterator, error) {
@@ -185,11 +201,11 @@ func buildMergeJoin(c *Compiler, node *core.Expr) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &mergeJoinIter{l: l, r: r, pred: pred}, nil
+	return &mergeJoinIter{l: l, r: r, pool: c.DB.Pool(), pred: pred}, nil
 }
 
 func buildMergeSort(c *Compiler, node *core.Expr) (Iterator, error) {
-	in, err := c.Compile(node.Kids[0])
+	in, err := c.compile(node.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -200,11 +216,11 @@ func buildMergeSort(c *Compiler, node *core.Expr) (Iterator, error) {
 	if ord.IsDontCare() {
 		return nil, fmt.Errorf("exec: merge sort without a concrete order")
 	}
-	return &sortIter{in: in, by: ord.By}, nil
+	return &sortIter{in: in, pool: c.DB.Pool(), by: ord.By}, nil
 }
 
 func buildMaterialize(c *Compiler, node *core.Expr) (Iterator, error) {
-	in, err := c.Compile(node.Kids[0])
+	in, err := c.compile(node.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +235,7 @@ func buildMaterialize(c *Compiler, node *core.Expr) (Iterator, error) {
 }
 
 func buildFlatten(c *Compiler, node *core.Expr) (Iterator, error) {
-	in, err := c.Compile(node.Kids[0])
+	in, err := c.compile(node.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -230,11 +246,11 @@ func buildFlatten(c *Compiler, node *core.Expr) (Iterator, error) {
 	if len(attrs) != 1 {
 		return nil, fmt.Errorf("exec: flatten needs exactly one set attribute, got %v", attrs)
 	}
-	return &unnestIter{in: in, attr: attrs[0]}, nil
+	return &unnestIter{in: in, pool: c.DB.Pool(), attr: attrs[0]}, nil
 }
 
 func buildNull(c *Compiler, node *core.Expr) (Iterator, error) {
-	in, err := c.Compile(node.Kids[0])
+	in, err := c.compile(node.Kids[0])
 	if err != nil {
 		return nil, err
 	}
@@ -251,12 +267,8 @@ type matIter struct {
 
 	target *data.Table
 	refCol int
-	idCol  int
 	out    data.Schema
-	// byID hashes target ids to candidate row ordinals, replacing the
-	// per-tuple O(n) fallback scan with a one-time build; slices keep
-	// scan order so the first Equal row still wins.
-	byID map[uint64][]int
+	mem    arena
 }
 
 func (m *matIter) Schema() data.Schema { return m.out }
@@ -287,14 +299,8 @@ func (m *matIter) Open() error {
 	if !ok {
 		return fmt.Errorf("exec: unknown target class %q", attr.Ref)
 	}
-	m.idCol, ok = m.target.Col("id")
-	if !ok {
+	if _, ok := m.target.Col("id"); !ok {
 		return fmt.Errorf("exec: target class %s has no id attribute", m.target.Class.Name)
-	}
-	m.byID = make(map[uint64][]int, len(m.target.Rows))
-	for i, row := range m.target.Rows {
-		h := row[m.idCol].Hash()
-		m.byID[h] = append(m.byID[h], i)
 	}
 	m.out = m.in.Schema().Concat(m.target.Schema)
 	return nil
@@ -306,16 +312,8 @@ func (m *matIter) Next() (data.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		ptr := t[m.refCol]
-		// Objects are stored with id == row ordinal; fall back to the
-		// id hash if the ordinal is out of range (scaled-down tables).
-		if int(ptr.I) < len(m.target.Rows) && ptr.I >= 0 && m.target.Rows[ptr.I][m.idCol].Equal(data.IntD(ptr.I)) {
-			return append(append(data.Tuple{}, t...), m.target.Rows[ptr.I]...), true, nil
-		}
-		for _, i := range m.byID[ptr.Hash()] {
-			if m.target.Rows[i][m.idCol].Equal(ptr) {
-				return append(append(data.Tuple{}, t...), m.target.Rows[i]...), true, nil
-			}
+		if row, ok := m.target.RowByID(t[m.refCol]); ok {
+			return m.mem.concat(t, m.target.Rows[row]), true, nil
 		}
 		// Dangling pointer: drop the tuple (inner-join semantics).
 	}

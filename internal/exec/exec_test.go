@@ -228,10 +228,10 @@ func TestSortFilterProjectNull(t *testing.T) {
 		}
 		if i > 0 {
 			prev := res.Rows[i-1]
-			if row[0].Less(prev[0]) {
+			if res.Pool.Less(row[0], prev[0]) {
 				t.Error("sort order violated")
 			}
-			if row[0].Equal(prev[0]) && row[1].Less(prev[1]) {
+			if row[0].Equal(prev[0]) && res.Pool.Less(row[1], prev[1]) {
 				t.Error("secondary sort order violated")
 			}
 		}
@@ -389,6 +389,12 @@ func TestCanonicalAndSameBag(t *testing.T) {
 	}
 }
 
+// evalPred binds p to the schema and evaluates it on one row of numbers.
+func evalPred(p *core.Pred, s data.Schema, row data.Tuple) (bool, error) {
+	b := bindPred(p, s)
+	return b.eval(nil, row, nil)
+}
+
 func TestEvalPredOperators(t *testing.T) {
 	s := data.Schema{core.A("C1", "a"), core.A("C1", "b")}
 	row := data.Tuple{data.IntD(3), data.IntD(7)}
@@ -411,12 +417,12 @@ func TestEvalPredOperators(t *testing.T) {
 		{core.Not(core.EqConst(x, core.Int(3))), false},
 	}
 	for _, c := range cases {
-		got, err := EvalPred(c.p, s, row)
+		got, err := evalPred(c.p, s, row)
 		if err != nil || got != c.want {
-			t.Errorf("EvalPred(%v) = %v, %v; want %v", c.p, got, err, c.want)
+			t.Errorf("evalPred(%v) = %v, %v; want %v", c.p, got, err, c.want)
 		}
 	}
-	if _, err := EvalPred(core.EqConst(core.A("C9", "x"), core.Int(1)), s, row); err == nil {
+	if _, err := evalPred(core.EqConst(core.A("C9", "x"), core.Int(1)), s, row); err == nil {
 		t.Error("missing attribute accepted")
 	}
 }
@@ -429,7 +435,7 @@ func TestEvalPredNotPropagatesError(t *testing.T) {
 	s := data.Schema{core.A("C1", "a")}
 	row := data.Tuple{data.IntD(3)}
 	bad := core.Not(core.EqConst(core.A("C9", "zz"), core.Int(1)))
-	ok, err := EvalPred(bad, s, row)
+	ok, err := evalPred(bad, s, row)
 	if err == nil {
 		t.Fatal("NOT over a missing attribute did not error")
 	}
@@ -437,7 +443,7 @@ func TestEvalPredNotPropagatesError(t *testing.T) {
 		t.Error("NOT(<error>) evaluated to true alongside the error")
 	}
 	// Nested: NOT(NOT(<error>)) must not flip back to a silent match.
-	ok, err = EvalPred(core.Not(bad), s, row)
+	ok, err = evalPred(core.Not(bad), s, row)
 	if err == nil || ok {
 		t.Errorf("nested NOT over error: ok=%v err=%v", ok, err)
 	}
@@ -467,7 +473,7 @@ func TestNaiveProjectAndSort(t *testing.T) {
 		t.Fatalf("schema = %v", res.Schema)
 	}
 	for i := 1; i < len(res.Rows); i++ {
-		if res.Rows[i][0].Less(res.Rows[i-1][0]) {
+		if res.Pool.Less(res.Rows[i][0], res.Rows[i-1][0]) {
 			t.Fatal("naive sort order violated")
 		}
 	}
@@ -549,16 +555,21 @@ func TestHashJoinResidualPredicate(t *testing.T) {
 
 func TestScanIterIndexEqTermKinds(t *testing.T) {
 	ix := core.A("C1", "b")
-	if _, ok := indexEqTerm(core.EqConst(ix, core.Int(3)), ix); !ok {
+	pool := data.NewDB().Pool()
+	x := pool.Str("x")
+	if eq, ok := indexEqTerm(core.EqConst(ix, core.Int(3)), ix, pool); !ok || eq != data.IntD(3) {
 		t.Error("int constant not recognized")
 	}
-	if _, ok := indexEqTerm(core.EqConst(ix, core.Str("x")), ix); !ok {
+	if eq, ok := indexEqTerm(core.EqConst(ix, core.Str("x")), ix, pool); !ok || eq != x {
 		t.Error("string constant not recognized")
 	}
-	if _, ok := indexEqTerm(core.EqConst(core.A("C1", "a"), core.Int(3)), ix); ok {
+	if _, ok := indexEqTerm(core.EqConst(ix, core.Str("y")), ix, pool); ok {
+		t.Error("a string no row holds has a stored form")
+	}
+	if _, ok := indexEqTerm(core.EqConst(core.A("C1", "a"), core.Int(3)), ix, pool); ok {
 		t.Error("wrong attribute matched")
 	}
-	if _, ok := indexEqTerm(core.TruePred, ix); ok {
+	if _, ok := indexEqTerm(core.TruePred, ix, pool); ok {
 		t.Error("TRUE matched")
 	}
 }

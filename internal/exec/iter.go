@@ -51,6 +51,45 @@ func rowHint(it Iterator) (int, bool) {
 type Result struct {
 	Schema data.Schema
 	Rows   []data.Tuple
+	// Pool renders the rows' string and set cells (Canonical); nil for a
+	// stream that carries neither.
+	Pool *data.Pool
+}
+
+// arena carves an operator's output rows out of append-only chunks of
+// cells: one allocation per chunk, not per row, and nothing for the
+// collector to scan. A row handed out is never written again — a full
+// chunk is left to the rows pointing into it, across re-Opens too — so
+// consumers may hold rows past Close, as Run's Result does.
+type arena struct {
+	free []data.Datum // unused tail of the current chunk
+	size int          // cells in the current chunk
+}
+
+// Chunks double from minChunk to maxChunk cells: small streams stay
+// cheap, large ones allocate rarely.
+const (
+	minChunk = 256
+	maxChunk = 8192
+)
+
+// row returns n fresh cells.
+func (a *arena) row(n int) data.Tuple {
+	if len(a.free) < n {
+		a.size = min(max(2*a.size, minChunk), maxChunk)
+		a.free = make([]data.Datum, max(a.size, n))
+	}
+	t := a.free[:n:n]
+	a.free = a.free[n:]
+	return t
+}
+
+// concat returns l followed by r as one fresh row.
+func (a *arena) concat(l, r data.Tuple) data.Tuple {
+	t := a.row(len(l) + len(r))
+	copy(t, l)
+	copy(t[len(l):], r)
+	return t
 }
 
 // Run drains an iterator. The iterator is closed whether Open, Next, or
@@ -66,16 +105,24 @@ func Run(it Iterator) (res *Result, err error) {
 		return nil, err
 	}
 	res = &Result{Schema: it.Schema()}
+	if c, ok := it.(compiled); ok {
+		res.Pool = c.pool
+	}
+	if res.Rows, err = readAll(it, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// readAll appends the rest of an open stream to rows. Holding the rows
+// is safe: no producer overwrites a row it has returned.
+func readAll(it Iterator, rows []data.Tuple) ([]data.Tuple, error) {
 	for {
-		t, ok, nerr := it.Next()
-		if nerr != nil {
-			res, err = nil, nerr
-			return res, err
+		t, ok, err := it.Next()
+		if err != nil || !ok {
+			return rows, err
 		}
-		if !ok {
-			return res, nil
-		}
-		res.Rows = append(res.Rows, t)
+		rows = append(rows, t)
 	}
 }
 
@@ -85,9 +132,11 @@ func Run(it Iterator) (res *Result, err error) {
 // scanIter scans a table, applying a selection predicate. When byIndex
 // is set, it simulates an index scan: candidate rows come from the hash
 // index for equality selections on the indexed attribute (or all rows),
-// and tuples are delivered in index-attribute order.
+// and tuples are delivered in index-attribute order. The rows it
+// returns are the table's own.
 type scanIter struct {
 	tab     *data.Table
+	pool    *data.Pool
 	sel     *core.Pred
 	byIndex core.Attr // zero: plain file scan
 	rows    []data.Tuple
@@ -108,20 +157,26 @@ func (s *scanIter) RowHint() (int, bool) {
 }
 
 func (s *scanIter) Open() error {
-	s.rows = s.rows[:0]
 	s.pos = 0
 	s.opened = true
+	indexed := s.byIndex != (core.Attr{})
+	if !indexed && s.sel.IsTrue() {
+		s.rows = s.tab.Rows
+		return nil
+	}
+	s.rows = nil
 	candidates := s.tab.Rows
-	if s.byIndex != (core.Attr{}) {
-		if eq, ok := indexEqTerm(s.sel, s.byIndex); ok && s.tab.HasIndex(s.byIndex.Name()) {
+	if indexed && s.tab.HasIndex(s.byIndex.Name()) {
+		if eq, ok := indexEqTerm(s.sel, s.byIndex, s.pool); ok {
 			candidates = nil
 			for _, r := range s.tab.Index(s.byIndex.Name(), eq) {
 				candidates = append(candidates, s.tab.Rows[r])
 			}
 		}
 	}
+	sel := bindPred(s.sel, s.tab.Schema)
 	for _, row := range candidates {
-		ok, err := EvalPred(s.sel, s.tab.Schema, row)
+		ok, err := sel.eval(s.pool, row, nil)
 		if err != nil {
 			return err
 		}
@@ -129,12 +184,12 @@ func (s *scanIter) Open() error {
 			s.rows = append(s.rows, row)
 		}
 	}
-	if s.byIndex != (core.Attr{}) {
+	if indexed {
 		col, ok := s.tab.Schema.Col(s.byIndex)
 		if !ok {
 			return fmt.Errorf("exec: index attribute %v not in %s", s.byIndex, s.tab.Class.Name)
 		}
-		sort.SliceStable(s.rows, func(i, j int) bool { return s.rows[i][col].Less(s.rows[j][col]) })
+		sort.SliceStable(s.rows, func(i, j int) bool { return s.pool.Less(s.rows[i][col], s.rows[j][col]) })
 	}
 	return nil
 }
@@ -150,15 +205,18 @@ func (s *scanIter) Next() (data.Tuple, bool, error) {
 
 func (s *scanIter) Close() error { return nil }
 
-// indexEqTerm finds an equality term "ix = const" in the selection.
-func indexEqTerm(sel *core.Pred, ix core.Attr) (data.Datum, bool) {
+// indexEqTerm finds an equality term "ix = const" in the selection and
+// returns the constant as rows store it. A string no row holds has no
+// such form — the pool is not grown on the read path — so the scan tests
+// every row instead, and the selection rejects them all.
+func indexEqTerm(sel *core.Pred, ix core.Attr, pool *data.Pool) (data.Datum, bool) {
 	for _, t := range sel.Conjuncts() {
 		if t.Op == core.PredEq && !t.AttrCmp && t.Left == ix {
-			if c, ok := t.Const.(core.Int); ok {
+			switch c := t.Const.(type) {
+			case core.Int:
 				return data.IntD(int64(c)), true
-			}
-			if c, ok := t.Const.(core.Str); ok {
-				return data.StrD(string(c)), true
+			case core.Str:
+				return pool.LookupStr(string(c))
 			}
 		}
 	}
@@ -169,13 +227,22 @@ func indexEqTerm(sel *core.Pred, ix core.Attr) (data.Datum, bool) {
 // Filter / Project / Null
 
 type filterIter struct {
-	in   Iterator
-	pred *core.Pred
+	in    Iterator
+	pool  *data.Pool
+	pred  *core.Pred
+	bound boundPred
 }
 
 func (f *filterIter) Schema() data.Schema { return f.in.Schema() }
-func (f *filterIter) Open() error         { return f.in.Open() }
 func (f *filterIter) Close() error        { return f.in.Close() }
+
+func (f *filterIter) Open() error {
+	if err := f.in.Open(); err != nil {
+		return err
+	}
+	f.bound = bindPred(f.pred, f.in.Schema())
+	return nil
+}
 
 // RowHint passes through the input's bound: a filter only removes rows.
 func (f *filterIter) RowHint() (int, bool) { return rowHint(f.in) }
@@ -186,7 +253,7 @@ func (f *filterIter) Next() (data.Tuple, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		keep, err := EvalPred(f.pred, f.in.Schema(), t)
+		keep, err := f.bound.eval(f.pool, t, nil)
 		if err != nil {
 			return nil, false, err
 		}
@@ -201,6 +268,7 @@ type projectIter struct {
 	attrs core.Attrs
 	out   data.Schema
 	cols  []int
+	mem   arena
 }
 
 func (p *projectIter) Schema() data.Schema { return p.out }
@@ -227,7 +295,7 @@ func (p *projectIter) Next() (data.Tuple, bool, error) {
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	out := make(data.Tuple, len(p.cols))
+	out := p.mem.row(len(p.cols))
 	for i, c := range p.cols {
 		out[i] = t[c]
 	}
@@ -253,6 +321,7 @@ func (n *nullIter) RowHint() (int, bool)            { return rowHint(n.in) }
 
 type sortIter struct {
 	in     Iterator
+	pool   *data.Pool
 	by     []core.Attr
 	rows   []data.Tuple
 	pos    int
@@ -274,7 +343,6 @@ func (s *sortIter) Open() error {
 		return err
 	}
 	s.inOpen = true
-	s.rows = nil
 	s.pos = 0
 	cols := make([]int, len(s.by))
 	for i, a := range s.by {
@@ -284,15 +352,9 @@ func (s *sortIter) Open() error {
 		}
 		cols[i] = c
 	}
-	for {
-		t, ok, err := s.in.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		s.rows = append(s.rows, t)
+	var err error
+	if s.rows, err = readAll(s.in, nil); err != nil {
+		return err
 	}
 	// The sort is a pipeline breaker: the input is fully consumed, so
 	// release it now rather than holding it until Close.
@@ -302,10 +364,10 @@ func (s *sortIter) Open() error {
 	}
 	sort.SliceStable(s.rows, func(i, j int) bool {
 		for _, c := range cols {
-			if s.rows[i][c].Less(s.rows[j][c]) {
+			if s.pool.Less(s.rows[i][c], s.rows[j][c]) {
 				return true
 			}
-			if s.rows[j][c].Less(s.rows[i][c]) {
+			if s.pool.Less(s.rows[j][c], s.rows[i][c]) {
 				return false
 			}
 		}
@@ -338,10 +400,13 @@ func (s *sortIter) Close() error {
 // with the set column replaced by the element.
 type unnestIter struct {
 	in      Iterator
+	pool    *data.Pool
 	attr    core.Attr
 	col     int
 	current data.Tuple
+	elems   []int64 // of current's set, the pool's
 	idx     int
+	mem     arena
 }
 
 func (u *unnestIter) Schema() data.Schema { return u.in.Schema() }
@@ -355,17 +420,16 @@ func (u *unnestIter) Open() error {
 		return fmt.Errorf("exec: unnest attribute %v not in input", u.attr)
 	}
 	u.col = c
-	u.current = nil
-	u.idx = 0
+	u.current, u.elems, u.idx = nil, nil, 0
 	return nil
 }
 
 func (u *unnestIter) Next() (data.Tuple, bool, error) {
 	for {
-		if u.current != nil && u.idx < len(u.current[u.col].Set) {
-			out := make(data.Tuple, len(u.current))
+		if u.idx < len(u.elems) {
+			out := u.mem.row(len(u.current))
 			copy(out, u.current)
-			out[u.col] = data.IntD(u.current[u.col].Set[u.idx])
+			out[u.col] = data.IntD(u.elems[u.idx])
 			u.idx++
 			return out, true, nil
 		}
@@ -376,8 +440,7 @@ func (u *unnestIter) Next() (data.Tuple, bool, error) {
 		if t[u.col].Kind != data.DSet {
 			return nil, false, fmt.Errorf("exec: unnest of non-set column %v", u.attr)
 		}
-		u.current = t
-		u.idx = 0
+		u.current, u.elems, u.idx = t, u.pool.SetOf(t[u.col]), 0
 	}
 }
 

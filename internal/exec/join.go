@@ -7,20 +7,46 @@ import (
 	"prairie/internal/data"
 )
 
-// closeTwo closes whichever join inputs are still open, clearing the
-// flags so a second Close is a no-op; the first error wins. Every join
-// iterator routes Close through it, which is what makes the package
-// invariant hold: Close is always safe — after a partial Open, after an
-// Open that failed, after a previous Close — and releases exactly what
-// is still held.
-func closeTwo(l Iterator, lOpen *bool, r Iterator, rOpen *bool) error {
+// joinState is what the three join algorithms share: which inputs are
+// open, the predicate bound over the joined schema, and the arena their
+// output rows come from. (The inputs stay fields of each iterator.)
+type joinState struct {
+	bound        boundPred
+	out          data.Schema
+	lOpen, rOpen bool
+	mem          arena
+}
+
+// open opens both inputs — before reading schemas: some iterators
+// (Materialize) only know theirs once opened — and binds the predicate.
+func (s *joinState) open(l, r Iterator, pred *core.Pred) error {
+	if err := l.Open(); err != nil {
+		return err
+	}
+	s.lOpen = true
+	if err := r.Open(); err != nil {
+		return err
+	}
+	s.rOpen = true
+	s.out = l.Schema().Concat(r.Schema())
+	s.bound = bindPred(pred, s.out)
+	return nil
+}
+
+// close closes whichever inputs are still open, clearing the flags so a
+// second Close is a no-op; the first error wins. Every join iterator
+// routes Close through it, which is what makes the package invariant
+// hold: Close is always safe — after a partial Open, after an Open that
+// failed, after a previous Close — and releases exactly what is still
+// held.
+func (s *joinState) close(l, r Iterator) error {
 	var err error
-	if *lOpen {
-		*lOpen = false
+	if s.lOpen {
+		s.lOpen = false
 		err = l.Close()
 	}
-	if *rOpen {
-		*rOpen = false
+	if s.rOpen {
+		s.rOpen = false
 		if e := r.Close(); err == nil {
 			err = e
 		}
@@ -28,188 +54,128 @@ func closeTwo(l Iterator, lOpen *bool, r Iterator, rOpen *bool) error {
 	return err
 }
 
+// drain reads the whole right input and closes it. The rows stay where
+// their producer put them: the slice holds views, and a join's hash
+// chains or inner loop hold ordinals into it.
+func (s *joinState) drain(r Iterator) ([]data.Tuple, error) {
+	size, _ := rowHint(r)
+	rows, err := readAll(r, make([]data.Tuple, 0, size))
+	if err != nil {
+		return nil, err
+	}
+	s.rOpen = false
+	return rows, r.Close()
+}
+
+// emit tests the predicate on the pair and only then spends an output
+// row on it: one copy per side into the arena.
+func (s *joinState) emit(pool *data.Pool, l, r data.Tuple) (data.Tuple, bool, error) {
+	ok, err := s.bound.eval(pool, l, r)
+	if err != nil || !ok {
+		return nil, false, err
+	}
+	return s.mem.concat(l, r), true, nil
+}
+
 // nlJoinIter is the nested-loops join: for each outer tuple, scan the
 // (materialized) inner input.
 type nlJoinIter struct {
-	l, r         Iterator
-	pred         *core.Pred
-	out          data.Schema
-	inner        []data.Tuple
-	cur          data.Tuple
-	pos          int
-	lOpen, rOpen bool
-	done         bool
+	l, r  Iterator
+	pool  *data.Pool
+	pred  *core.Pred
+	st    joinState
+	inner []data.Tuple
+	cur   data.Tuple
+	pos   int
 }
 
-func (j *nlJoinIter) Schema() data.Schema { return j.out }
+func (j *nlJoinIter) Schema() data.Schema { return j.st.out }
+func (j *nlJoinIter) Close() error        { return j.st.close(j.l, j.r) }
 
-func (j *nlJoinIter) Open() error {
-	// Open inputs before reading schemas: some iterators (Materialize)
-	// only know their schema once opened.
-	if err := j.l.Open(); err != nil {
+func (j *nlJoinIter) Open() (err error) {
+	if err = j.st.open(j.l, j.r, j.pred); err != nil {
 		return err
 	}
-	j.lOpen = true
-	if err := j.r.Open(); err != nil {
-		return err
-	}
-	j.rOpen = true
-	j.out = j.l.Schema().Concat(j.r.Schema())
-	j.inner = nil
-	for {
-		t, ok, err := j.r.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		j.inner = append(j.inner, t)
-	}
-	j.rOpen = false
-	if err := j.r.Close(); err != nil {
-		return err
-	}
-	j.cur = nil
-	j.pos = 0
-	// Empty inner input: no tuple can join, so never pull the outer.
-	j.done = len(j.inner) == 0
-	return nil
+	j.inner, err = j.st.drain(j.r)
+	j.cur, j.pos = nil, 0
+	return err
 }
 
 func (j *nlJoinIter) Next() (data.Tuple, bool, error) {
-	if j.done {
-		return nil, false, nil
-	}
-	for {
+	// Empty inner input: no tuple can join, so the outer is never pulled.
+	for len(j.inner) > 0 {
 		if j.cur == nil {
 			t, ok, err := j.l.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
-			j.cur = t
-			j.pos = 0
+			j.cur, j.pos = t, 0
 		}
 		for j.pos < len(j.inner) {
-			inner := j.inner[j.pos]
 			j.pos++
-			joined := append(append(data.Tuple{}, j.cur...), inner...)
-			ok, err := EvalPred(j.pred, j.out, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return joined, true, nil
+			if t, ok, err := j.st.emit(j.pool, j.cur, j.inner[j.pos-1]); ok || err != nil {
+				return t, ok, err
 			}
 		}
 		j.cur = nil
 	}
+	return nil, false, nil
 }
 
-func (j *nlJoinIter) Close() error { return closeTwo(j.l, &j.lOpen, j.r, &j.rOpen) }
-
-// hashJoinIter is an equi-join: it builds a hash table on the right
-// input's join attribute and probes with the left. Residual conjuncts of
-// the predicate are applied after probing. When the build input reports
-// a row-count hint the table is pre-sized, avoiding incremental rehash
-// of the bucket map.
+// hashJoinIter is an equi-join: it indexes the right input's rows by the
+// hash of their join attribute and probes with the left. Residual
+// conjuncts of the predicate are applied after probing.
 type hashJoinIter struct {
-	l, r         Iterator
-	pred         *core.Pred
-	lk, rk       core.Attr
-	out          data.Schema
-	lCol, rCol   int
-	buckets      map[uint64][]data.Tuple
-	cur          data.Tuple
-	matches      []data.Tuple
-	matchPos     int
-	lOpen, rOpen bool
-	done         bool
+	l, r       Iterator
+	pool       *data.Pool
+	pred       *core.Pred
+	st         joinState
+	lCol, rCol int
+	build      []data.Tuple
+	index      data.HashIndex
+	cur        data.Tuple
+	match      int // next build ordinal of cur's chain; -1 at its end
 }
 
-func (j *hashJoinIter) Schema() data.Schema { return j.out }
+func (j *hashJoinIter) Schema() data.Schema { return j.st.out }
+func (j *hashJoinIter) Close() error        { return j.st.close(j.l, j.r) }
 
-func (j *hashJoinIter) Open() error {
-	if err := j.l.Open(); err != nil {
+func (j *hashJoinIter) Open() (err error) {
+	if err = j.st.open(j.l, j.r, j.pred); err != nil {
 		return err
 	}
-	j.lOpen = true
-	if err := j.r.Open(); err != nil {
+	if j.lCol, j.rCol, err = equiCols("hash", j.pred, j.l.Schema(), j.r.Schema()); err != nil {
 		return err
 	}
-	j.rOpen = true
-	j.out = j.l.Schema().Concat(j.r.Schema())
-	var err error
-	if j.lk, j.rk, err = equiKeys(j.pred, j.l.Schema()); err != nil {
+	if j.build, err = j.st.drain(j.r); err != nil {
 		return err
 	}
-	lCol, ok := j.l.Schema().Col(j.lk)
-	if !ok {
-		return fmt.Errorf("exec: hash join key %v not in left input", j.lk)
-	}
-	j.lCol = lCol
-	// Resolve and validate the right key column once; Next reuses it.
-	rCol, ok := j.r.Schema().Col(j.rk)
-	if !ok {
-		return fmt.Errorf("exec: hash join key %v not in right input", j.rk)
-	}
-	j.rCol = rCol
-	size, _ := rowHint(j.r)
-	j.buckets = make(map[uint64][]data.Tuple, size)
-	for {
-		t, ok, err := j.r.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		h := t[rCol].Hash()
-		j.buckets[h] = append(j.buckets[h], t)
-	}
-	j.rOpen = false
-	if err := j.r.Close(); err != nil {
-		return err
-	}
-	j.cur = nil
-	j.matches = nil
-	j.matchPos = 0
-	// Empty build side: no probe can match, so never pull the left.
-	j.done = len(j.buckets) == 0
+	j.index = data.NewHashIndex(len(j.build), func(i int) uint64 { return j.build[i][j.rCol].Hash() })
+	j.cur, j.match = nil, -1
 	return nil
 }
 
 func (j *hashJoinIter) Next() (data.Tuple, bool, error) {
-	if j.done {
-		return nil, false, nil
-	}
-	for {
-		for j.matchPos < len(j.matches) {
-			inner := j.matches[j.matchPos]
-			j.matchPos++
+	// Empty build side: no probe can match, so the left is never pulled.
+	for len(j.build) > 0 {
+		for j.match >= 0 {
+			inner := j.build[j.match]
+			j.match = j.index.Next(j.match)
 			if !j.cur[j.lCol].Equal(inner[j.rCol]) {
-				continue // hash collision
+				continue // another key of the same chain
 			}
-			joined := append(append(data.Tuple{}, j.cur...), inner...)
-			ok, err := EvalPred(j.pred, j.out, joined)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				return joined, true, nil
+			if t, ok, err := j.st.emit(j.pool, j.cur, inner); ok || err != nil {
+				return t, ok, err
 			}
 		}
 		t, ok, err := j.l.Next()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		j.cur = t
-		j.matches = j.buckets[t[j.lCol].Hash()]
-		j.matchPos = 0
+		j.cur, j.match = t, j.index.First(t[j.lCol].Hash())
 	}
+	return nil, false, nil
 }
-
-func (j *hashJoinIter) Close() error { return closeTwo(j.l, &j.lOpen, j.r, &j.rOpen) }
 
 // mergeJoinIter is an equi-join over inputs sorted on the join
 // attributes. It streams: only the current right-side group of equal
@@ -220,12 +186,11 @@ func (j *hashJoinIter) Close() error { return closeTwo(j.l, &j.lOpen, j.r, &j.rO
 // one side exhausts are never read, which is also the early-termination
 // path for an empty input.
 type mergeJoinIter struct {
-	l, r         Iterator
-	pred         *core.Pred
-	lk, rk       core.Attr
-	out          data.Schema
-	lCol, rCol   int
-	lOpen, rOpen bool
+	l, r       Iterator
+	pool       *data.Pool
+	pred       *core.Pred
+	st         joinState
+	lCol, rCol int
 
 	lt           data.Tuple // current left tuple; nil once the left is exhausted
 	rNext        data.Tuple // right lookahead past the buffered group; nil once exhausted
@@ -237,28 +202,15 @@ type mergeJoinIter struct {
 	done         bool
 }
 
-func (j *mergeJoinIter) Schema() data.Schema { return j.out }
+func (j *mergeJoinIter) Schema() data.Schema { return j.st.out }
+func (j *mergeJoinIter) Close() error        { return j.st.close(j.l, j.r) }
 
-func (j *mergeJoinIter) Open() error {
-	if err := j.l.Open(); err != nil {
+func (j *mergeJoinIter) Open() (err error) {
+	if err = j.st.open(j.l, j.r, j.pred); err != nil {
 		return err
 	}
-	j.lOpen = true
-	if err := j.r.Open(); err != nil {
+	if j.lCol, j.rCol, err = equiCols("merge", j.pred, j.l.Schema(), j.r.Schema()); err != nil {
 		return err
-	}
-	j.rOpen = true
-	j.out = j.l.Schema().Concat(j.r.Schema())
-	var err error
-	if j.lk, j.rk, err = equiKeys(j.pred, j.l.Schema()); err != nil {
-		return err
-	}
-	var ok bool
-	if j.lCol, ok = j.l.Schema().Col(j.lk); !ok {
-		return fmt.Errorf("exec: merge join key %v not in left input", j.lk)
-	}
-	if j.rCol, ok = j.r.Schema().Col(j.rk); !ok {
-		return fmt.Errorf("exec: merge join key %v not in right input", j.rk)
 	}
 	j.lt, j.rNext, j.lPrev, j.rPrev = nil, nil, nil, nil
 	j.group, j.haveGroup, j.gi, j.done = j.group[:0], false, 0, false
@@ -280,40 +232,28 @@ func (j *mergeJoinIter) Open() error {
 	return nil
 }
 
-// advanceLeft reads the next left tuple into lt (nil at end of stream),
-// verifying the sort order the merge depends on.
-func (j *mergeJoinIter) advanceLeft() error {
-	t, ok, err := j.l.Next()
-	if err != nil {
-		return err
+// advance reads the next tuple of one input (nil at end of stream),
+// verifying against *prev the sort order the merge depends on.
+func (j *mergeJoinIter) advance(in Iterator, col int, prev *data.Tuple, side string) (data.Tuple, error) {
+	t, ok, err := in.Next()
+	if err != nil || !ok {
+		return nil, err
 	}
-	if !ok {
-		j.lt = nil
-		return nil
+	if *prev != nil && j.pool.Less(t[col], (*prev)[col]) {
+		return nil, fmt.Errorf("exec: merge join %s input not sorted on %v", side, in.Schema()[col])
 	}
-	if j.lPrev != nil && t[j.lCol].Less(j.lPrev[j.lCol]) {
-		return fmt.Errorf("exec: merge join left input not sorted on %v", j.lk)
-	}
-	j.lPrev, j.lt = t, t
-	return nil
+	*prev = t
+	return t, nil
 }
 
-// advanceRight reads the next right tuple into rNext (nil at end of
-// stream), verifying the sort order.
-func (j *mergeJoinIter) advanceRight() error {
-	t, ok, err := j.r.Next()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		j.rNext = nil
-		return nil
-	}
-	if j.rPrev != nil && t[j.rCol].Less(j.rPrev[j.rCol]) {
-		return fmt.Errorf("exec: merge join right input not sorted on %v", j.rk)
-	}
-	j.rPrev, j.rNext = t, t
-	return nil
+func (j *mergeJoinIter) advanceLeft() (err error) {
+	j.lt, err = j.advance(j.l, j.lCol, &j.lPrev, "left")
+	return err
+}
+
+func (j *mergeJoinIter) advanceRight() (err error) {
+	j.rNext, err = j.advance(j.r, j.rCol, &j.rPrev, "right")
+	return err
 }
 
 func (j *mergeJoinIter) Next() (data.Tuple, bool, error) {
@@ -324,15 +264,9 @@ func (j *mergeJoinIter) Next() (data.Tuple, bool, error) {
 		// Pair the current left tuple with the buffered key group.
 		if j.haveGroup && j.lt != nil && j.lt[j.lCol].Equal(j.groupKey) {
 			if j.gi < len(j.group) {
-				rt := j.group[j.gi]
 				j.gi++
-				joined := append(append(data.Tuple{}, j.lt...), rt...)
-				ok, err := EvalPred(j.pred, j.out, joined)
-				if err != nil {
-					return nil, false, err
-				}
-				if ok {
-					return joined, true, nil
+				if t, ok, err := j.st.emit(j.pool, j.lt, j.group[j.gi-1]); ok || err != nil {
+					return t, ok, err
 				}
 				continue
 			}
@@ -353,11 +287,11 @@ func (j *mergeJoinIter) Next() (data.Tuple, bool, error) {
 		}
 		lv, rv := j.lt[j.lCol], j.rNext[j.rCol]
 		switch {
-		case lv.Less(rv):
+		case j.pool.Less(lv, rv):
 			if err := j.advanceLeft(); err != nil {
 				return nil, false, err
 			}
-		case rv.Less(lv):
+		case j.pool.Less(rv, lv):
 			if err := j.advanceRight(); err != nil {
 				return nil, false, err
 			}
@@ -380,11 +314,9 @@ func (j *mergeJoinIter) Next() (data.Tuple, bool, error) {
 	}
 }
 
-func (j *mergeJoinIter) Close() error { return closeTwo(j.l, &j.lOpen, j.r, &j.rOpen) }
-
-// equiKeys extracts the single equi-join term's attributes, oriented so
-// the first belongs to the left schema.
-func equiKeys(pred *core.Pred, left data.Schema) (l, r core.Attr, err error) {
+// equiCols finds the predicate's single equi-join term and returns its
+// columns, the first in the left schema and the second in the right.
+func equiCols(algo string, pred *core.Pred, left, right data.Schema) (lCol, rCol int, err error) {
 	var term *core.Pred
 	for _, t := range pred.Conjuncts() {
 		if t.IsEquiJoin() {
@@ -393,13 +325,18 @@ func equiKeys(pred *core.Pred, left data.Schema) (l, r core.Attr, err error) {
 		}
 	}
 	if term == nil {
-		return core.Attr{}, core.Attr{}, fmt.Errorf("exec: join predicate %v has no equi term", pred)
+		return 0, 0, fmt.Errorf("exec: join predicate %v has no equi term", pred)
 	}
-	if _, ok := left.Col(term.Left); ok {
-		return term.Left, term.Right, nil
+	lk, rk := term.Left, term.Right
+	lCol, ok := left.Col(lk)
+	if !ok {
+		lk, rk = rk, lk
+		if lCol, ok = left.Col(lk); !ok {
+			return 0, 0, fmt.Errorf("exec: equi term %v matches neither input", term)
+		}
 	}
-	if _, ok := left.Col(term.Right); ok {
-		return term.Right, term.Left, nil
+	if rCol, ok = right.Col(rk); !ok {
+		return 0, 0, fmt.Errorf("exec: %s join key %v not in right input", algo, rk)
 	}
-	return core.Attr{}, core.Attr{}, fmt.Errorf("exec: equi term %v matches neither input", term)
+	return lCol, rCol, nil
 }

@@ -382,34 +382,39 @@ func TestMergeJoinDetectsUnsortedMockInput(t *testing.T) {
 	checkPaired(t, l2, r2)
 }
 
-// TestHashJoinCollisionAndMissingKey: (1) colliding hash buckets must
-// be resolved by the Equal guard, never by hash identity; (2) a right
-// input that lacks the join key fails Open with a clear error and no
-// leak.
+// TestHashJoinCollisionAndMissingKey: (1) keys that share a chain of the
+// build index must be told apart by the Equal guard, never by chain
+// membership; (2) a right input that lacks the join key fails Open with
+// a clear error and no leak.
 func TestHashJoinCollisionAndMissingKey(t *testing.T) {
-	// Clean reference join.
-	ref, err := Run(joinOver("hash", leftMock(1, 2, 2), rightMock(1, 1, 2)))
+	// 100 distinct keys in a 256-slot index: some chains hold several
+	// keys. The probe of every key walks its chain; count the aliens.
+	var keys []int64
+	for k := int64(0); k < 100; k++ {
+		keys = append(keys, k)
+	}
+	ref, err := Run(joinOver("nl", leftMock(append(keys, 7, 7)...), rightMock(append(keys, 7)...)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref.Rows) != 4 {
-		t.Fatalf("reference join rows = %d, want 4", len(ref.Rows))
+	if len(ref.Rows) != 105 {
+		t.Fatalf("reference join rows = %d, want 105", len(ref.Rows))
 	}
-
-	// Simulate a full collision: every build row lands in both keys'
-	// buckets, as if Hash() mapped 1 and 2 together. The Equal guard in
-	// Next must filter the aliens out and reproduce the clean result.
-	j := &hashJoinIter{l: leftMock(1, 2, 2), r: rightMock(1, 1, 2), pred: mockJoinPred}
+	j := &hashJoinIter{l: leftMock(append(keys, 7, 7)...), r: rightMock(append(keys, 7)...), pred: mockJoinPred}
 	if err := j.Open(); err != nil {
 		t.Fatal(err)
 	}
-	var all []data.Tuple
-	for _, b := range j.buckets {
-		all = append(all, b...)
+	aliens := 0
+	for _, k := range keys {
+		for i := j.index.First(data.IntD(k).Hash()); i >= 0; i = j.index.Next(i) {
+			if j.build[i][0].I != k {
+				aliens++
+			}
+		}
 	}
-	h1, h2 := data.IntD(1).Hash(), data.IntD(2).Hash()
-	j.buckets[h1] = all
-	j.buckets[h2] = all
+	if aliens == 0 {
+		t.Fatal("no chain mixes keys: the test exercises no collision")
+	}
 	got := &Result{Schema: j.Schema()}
 	for {
 		tp, ok, err := j.Next()
@@ -425,7 +430,7 @@ func TestHashJoinCollisionAndMissingKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !SameBag(got, ref) {
-		t.Errorf("collided buckets changed the join: %d rows vs %d", len(got.Rows), len(ref.Rows))
+		t.Errorf("shared chains changed the join: %d rows vs %d", len(got.Rows), len(ref.Rows))
 	}
 
 	// Missing right key: C2.a absent from the right schema.

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -25,7 +26,7 @@ func (n *Naive) Eval(tree *core.Expr) (*Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("exec: unknown stored file %q", tree.File)
 		}
-		return &Result{Schema: tab.Schema, Rows: tab.Rows}, nil
+		return &Result{Schema: tab.Schema, Rows: tab.Rows, Pool: n.DB.Pool()}, nil
 	}
 	kids := make([]*Result, len(tree.Kids))
 	for i, k := range tree.Kids {
@@ -62,9 +63,10 @@ func (n *Naive) predOf(tree *core.Expr, id core.PropID) *core.Pred {
 }
 
 func (n *Naive) filter(in *Result, p *core.Pred) (*Result, error) {
-	out := &Result{Schema: in.Schema}
+	out := &Result{Schema: in.Schema, Pool: in.Pool}
+	bound := bindPred(p, in.Schema)
 	for _, t := range in.Rows {
-		ok, err := EvalPred(p, in.Schema, t)
+		ok, err := bound.eval(in.Pool, t, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -77,7 +79,7 @@ func (n *Naive) filter(in *Result, p *core.Pred) (*Result, error) {
 
 func (n *Naive) project(in *Result, attrs core.Attrs) (*Result, error) {
 	cols := make([]int, len(attrs))
-	out := &Result{Schema: data.Schema(attrs)}
+	out := &Result{Schema: data.Schema(attrs), Pool: in.Pool}
 	for i, a := range attrs {
 		c, ok := in.Schema.Col(a)
 		if !ok {
@@ -96,16 +98,20 @@ func (n *Naive) project(in *Result, attrs core.Attrs) (*Result, error) {
 }
 
 func (n *Naive) join(l, r *Result, p *core.Pred) (*Result, error) {
-	out := &Result{Schema: l.Schema.Concat(r.Schema)}
+	out := &Result{Schema: l.Schema.Concat(r.Schema), Pool: l.Pool}
+	bound := bindPred(p, out.Schema)
+	// The predicate reads the concatenated row (the engine reads the
+	// pair), built in one scratch row; a match gets a slice of its own.
+	var joined data.Tuple
 	for _, lt := range l.Rows {
 		for _, rt := range r.Rows {
-			joined := append(append(data.Tuple{}, lt...), rt...)
-			ok, err := EvalPred(p, out.Schema, joined)
+			joined = append(append(joined[:0], lt...), rt...)
+			ok, err := bound.eval(out.Pool, joined, nil)
 			if err != nil {
 				return nil, err
 			}
 			if ok {
-				out.Rows = append(out.Rows, joined)
+				out.Rows = append(out.Rows, slices.Clone(joined))
 			}
 		}
 	}
@@ -113,7 +119,7 @@ func (n *Naive) join(l, r *Result, p *core.Pred) (*Result, error) {
 }
 
 func (n *Naive) sort(in *Result, ord core.Order) (*Result, error) {
-	out := &Result{Schema: in.Schema, Rows: append([]data.Tuple{}, in.Rows...)}
+	out := &Result{Schema: in.Schema, Rows: append([]data.Tuple{}, in.Rows...), Pool: in.Pool}
 	if ord.IsDontCare() {
 		return out, nil
 	}
@@ -127,10 +133,10 @@ func (n *Naive) sort(in *Result, ord core.Order) (*Result, error) {
 	}
 	sort.SliceStable(out.Rows, func(i, j int) bool {
 		for _, c := range cols {
-			if out.Rows[i][c].Less(out.Rows[j][c]) {
+			if out.Pool.Less(out.Rows[i][c], out.Rows[j][c]) {
 				return true
 			}
-			if out.Rows[j][c].Less(out.Rows[i][c]) {
+			if out.Pool.Less(out.Rows[j][c], out.Rows[i][c]) {
 				return false
 			}
 		}
@@ -164,7 +170,7 @@ func (n *Naive) materialize(in *Result, refs core.Attrs) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: pointer attribute %v not in input", ref)
 	}
-	out := &Result{Schema: in.Schema.Concat(target.Schema)}
+	out := &Result{Schema: in.Schema.Concat(target.Schema), Pool: in.Pool}
 	for _, t := range in.Rows {
 		for _, row := range target.Rows {
 			if row[idCol].Equal(t[refCol]) {
@@ -184,12 +190,12 @@ func (n *Naive) unnest(in *Result, attrs core.Attrs) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("exec: set attribute %v not in input", attrs[0])
 	}
-	out := &Result{Schema: in.Schema}
+	out := &Result{Schema: in.Schema, Pool: in.Pool}
 	for _, t := range in.Rows {
 		if t[col].Kind != data.DSet {
 			return nil, fmt.Errorf("exec: UNNEST of non-set column")
 		}
-		for _, v := range t[col].Set {
+		for _, v := range in.Pool.SetOf(t[col]) {
 			row := append(data.Tuple{}, t...)
 			row[col] = data.IntD(v)
 			out.Rows = append(out.Rows, row)
@@ -216,7 +222,7 @@ func Canonical(r *Result) []string {
 	for i, t := range r.Rows {
 		parts := make([]string, len(idx))
 		for j, c := range idx {
-			parts[j] = r.Schema[c].String() + "=" + t[c].String()
+			parts[j] = r.Schema[c].String() + "=" + r.Pool.Format(t[c])
 		}
 		out[i] = strings.Join(parts, "|")
 	}

@@ -12,7 +12,7 @@ import (
 	"time"
 )
 
-// This file is the request-scoped flight recorder (DESIGN.md §4.14):
+// This file is the request-scoped flight recorder (DESIGN.md §4.13):
 // one RequestRecord per served request, capturing the full decision
 // trail — admission wait, cache lookup outcome, search phases,
 // degradation, and per-operator executor stats — retained in a

@@ -71,7 +71,7 @@ func TestFlightTraceParent(t *testing.T) {
 	for _, bad := range []string{
 		"",
 		"junk",
-		"00-" + tid + "-" + span,                            // missing flags
+		"00-" + tid + "-" + span, // missing flags
 		"00-" + strings.Repeat("0", 32) + "-" + span + "-01", // zero trace id
 		"00-" + tid + "-" + strings.Repeat("0", 16) + "-01",  // zero span id
 		"00-XY" + tid[2:] + "-" + span + "-01",               // non-hex
