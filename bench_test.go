@@ -108,11 +108,12 @@ func BenchmarkFig14_Exploration(b *testing.B) {
 }
 
 // BenchmarkExploreMerges runs cold hand-coded-rule searches of the
-// queries whose exploration is dominated by group merges (join_assoc
-// rediscovering equivalences) and reports, beside time and allocations,
-// how many merges a search performs and how many expressions their
-// repair re-keyed — the work Memo.Rehash does, which must stay
-// proportional to the merges and not to the memo.
+// queries whose breadth-first exploration was dominated by group merges
+// (join_assoc rediscovering equivalences) and reports, beside time and
+// allocations, how many merges a search performs, how many expressions
+// their repair re-keyed — the work Memo.Rehash does, which must stay
+// proportional to the merges and not to the memo — and how many
+// expressions it interned: what exceeds the closure died in a merge.
 func BenchmarkExploreMerges(b *testing.B) {
 	for _, q := range []struct {
 		e qgen.ExprKind
@@ -121,16 +122,17 @@ func BenchmarkExploreMerges(b *testing.B) {
 		w := prepOODB(b, q.e, q.n, false)
 		b.Run(fmt.Sprintf("%v/n%d", q.e, q.n), func(b *testing.B) {
 			b.ReportAllocs()
-			var merges, repaired int
+			var merges, repaired, interned int
 			for i := 0; i < b.N; i++ {
 				opt := volcano.NewOptimizer(w.vvrs)
 				if _, err := opt.Optimize(w.vtree.Clone(), w.vreq); err != nil {
 					b.Fatal(err)
 				}
-				merges, repaired = opt.Memo.Merges(), opt.Memo.Repaired()
+				merges, repaired, interned = opt.Memo.Merges(), opt.Memo.Repaired(), opt.Memo.Interned()
 			}
 			b.ReportMetric(float64(merges), "merges/op")
 			b.ReportMetric(float64(repaired), "repaired-exprs/op")
+			b.ReportMetric(float64(interned), "interned-exprs/op")
 		})
 	}
 }
@@ -155,7 +157,10 @@ func BenchmarkExploreMerges(b *testing.B) {
 // because interning attributes saved bytes and hardly any objects: an
 // attribute list of string pairs (32 pointer-bearing bytes an element
 // where a symbol takes 4) costs E2/n5 4.51 MB a search with the Prairie
-// rules against 2.64 MB, and 7.48 against 3.01 MB hand-coded.
+// rules against 2.64 MB, and 7.48 against 3.01 MB hand-coded. Both moved
+// again when the explorer began visiting inputs first: the expressions a
+// breadth-first search built on groups about to merge were a quarter of
+// E2/n5's objects (33 888 against 25 491) and 0.8 MB of its bytes.
 // allocsPerRun is testing.AllocsPerRun (a warm-up run, then an average;
 // callers pin one processor) reading the allocated bytes beside the
 // object count.
@@ -186,9 +191,9 @@ func TestSearchAllocCeiling(t *testing.T) {
 		prairie, volcano           float64 // ceilings, objects
 		prairieBytes, volcanoBytes float64 // ceilings, bytes
 	}{
-		{qgen.E1, 6, 2_800, 3_050, 181_000, 170_000},
-		{qgen.E2, 5, 39_000, 57_900, 3_030_000, 3_460_000},
-		{qgen.E4, 3, 27_000, 36_400, 2_170_000, 2_260_000},
+		{qgen.E1, 6, 2_750, 3_000, 173_000, 162_500},
+		{qgen.E2, 5, 29_300, 49_900, 2_100_000, 2_560_000},
+		{qgen.E4, 3, 20_800, 30_200, 1_585_000, 1_675_000},
 	} {
 		w := prepOODB(t, q.e, q.n, false)
 		p, pb := cost(w.pvrs, w.ptree, w.preq)

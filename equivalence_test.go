@@ -18,11 +18,12 @@ import (
 
 // exploreResult captures everything the equivalence harness compares:
 // the memo closure (groups, expressions), the winning plan's cost, and
-// how many rule firings the exploration took.
+// what the exploration took to get there: rule firings, group merges, and
+// expressions interned (the closure plus those that died in a merge).
 type exploreResult struct {
-	groups, exprs int
-	cost          float64
-	fired         int
+	groups, exprs           int
+	cost                    float64
+	fired, merges, interned int
 }
 
 func optimizeWith(t *testing.T, vrs *volcano.RuleSet, tree *core.Expr, req *core.Descriptor, kind volcano.ExplorerKind) exploreResult {
@@ -34,9 +35,11 @@ func optimizeWith(t *testing.T, vrs *volcano.RuleSet, tree *core.Expr, req *core
 		t.Fatalf("explorer %d: %v", kind, err)
 	}
 	res := exploreResult{
-		groups: opt.Stats.Groups,
-		exprs:  opt.Stats.Exprs,
-		cost:   plan.D.Float(vrs.Class.Cost),
+		groups:   opt.Stats.Groups,
+		exprs:    opt.Stats.Exprs,
+		cost:     plan.D.Float(vrs.Class.Cost),
+		merges:   opt.Stats.Merges,
+		interned: opt.Memo.Interned(),
 	}
 	for _, n := range opt.Stats.TransFired {
 		res.fired += n
@@ -124,48 +127,53 @@ var oodbWorlds = []string{"oodb/prairie", "oodb/volcano"}
 // goldenClosures records, per query of the server's default worlds
 // (catalog seed 101), the closure size and winner cost measured before the
 // memo's whole-index rebuild was replaced by parent-local repair. The
-// OODB rows hold for both specifications of the optimizer. fired is the
-// number of rule firings the worklist explorer takes to get there, held
-// as a ceiling: it is what a merge waking parents with more than the
-// merge made new to them (E2/n5: 5 479 when every parent of a survivor
-// re-enumerated in full) would raise first.
+// OODB rows hold for both specifications of the optimizer. fired and
+// merges are what the worklist explorer takes to get there, held as
+// ceilings. fired is what a merge waking parents with more than the merge
+// made new to them would raise first (E2/n5: 5 479 when every parent of a
+// survivor re-enumerated in full). merges is what visiting a parent
+// before its input is closed would raise (E2/n5: 568 breadth-first): the
+// ones left are E3's and E4's selections pushed onto a join, whose new
+// group proves equal to an old one at its own first visit.
 var goldenClosures = []struct {
 	worlds        []string
 	family, graph string
 	n             int
 	groups, exprs int
 	cost          float64
-	fired         int
+	fired, merges int
 }{
-	{oodbWorlds, "E1", "", 4, 14, 28, 14464, 30},
-	{oodbWorlds, "E1", "", 5, 20, 50, 14848, 70},
-	{oodbWorlds, "E1", "", 6, 27, 82, 15616, 140},
-	{oodbWorlds, "E2", "", 3, 25, 77, 18944, 208},
-	{oodbWorlds, "E2", "", 4, 56, 264, 15488, 1021},
-	{oodbWorlds, "E2", "", 5, 119, 787, 16256, 3926},
-	{oodbWorlds, "E3", "", 3, 25, 89, 6416.015625, 192},
-	{oodbWorlds, "E3", "", 4, 56, 318, 6548.015655517578, 1091},
-	{oodbWorlds, "E4", "", 2, 26, 82, 4364.0625, 202},
-	{oodbWorlds, "E4", "", 3, 111, 661, 6416.015808105469, 3036},
-	{oodbWorlds, "E4", "", 4, 452, e4n4Exprs, 6548.015656471252, 32526},
-	{oodbWorlds, "E1", "star", 4, 15, 32, 14720, 36},
-	{oodbWorlds, "E1", "star", 5, 25, 74, 15360, 113},
-	{oodbWorlds, "E1", "star", 6, 43, 172, 17152, 325},
-	{oodbWorlds, "E2", "star", 3, 25, 77, 20992, 208},
-	{oodbWorlds, "E2", "star", 4, 64, 308, 22016, 1194},
-	{oodbWorlds, "E2", "star", 5, 175, 1175, 23040, 5896},
-	{oodbWorlds, "E3", "star", 3, 25, 89, 6416.015625, 192},
-	{oodbWorlds, "E3", "star", 4, 64, 369, 6548.015686035156, 1290},
-	{oodbWorlds, "E4", "star", 2, 26, 82, 4364.0625, 202},
-	{oodbWorlds, "E4", "star", 3, 111, 661, 6416.0159912109375, 3005},
-	{[]string{"relational"}, "E1", "", 4, 14, 28, 88453.76183518214, 30},
-	{[]string{"relational"}, "E1", "", 5, 20, 50, 89927.19892387632, 70},
-	{[]string{"relational"}, "E1", "", 6, 27, 82, 92616.63880846996, 140},
+	{oodbWorlds, "E1", "", 4, 14, 28, 14464, 30, 0},
+	{oodbWorlds, "E1", "", 5, 20, 50, 14848, 70, 0},
+	{oodbWorlds, "E1", "", 6, 27, 82, 15616, 140, 0},
+	{oodbWorlds, "E2", "", 3, 25, 77, 18944, 208, 0},
+	{oodbWorlds, "E2", "", 4, 56, 264, 15488, 1014, 0},
+	{oodbWorlds, "E2", "", 5, 119, 787, 16256, 3900, 0},
+	{oodbWorlds, "E3", "", 3, 25, 89, 6416.015625, 192, 1},
+	{oodbWorlds, "E3", "", 4, 56, 318, 6548.015655517578, 1070, 4},
+	{oodbWorlds, "E4", "", 2, 26, 82, 4364.0625, 202, 0},
+	{oodbWorlds, "E4", "", 3, 111, 661, 6416.015808105469, 2897, 1},
+	{oodbWorlds, "E4", "", 4, 452, e4n4Exprs, 6548.015656471252, 28008, 4},
+	{oodbWorlds, "E1", "star", 4, 15, 32, 14720, 36, 0},
+	{oodbWorlds, "E1", "star", 5, 25, 74, 15360, 112, 0},
+	{oodbWorlds, "E1", "star", 6, 43, 172, 17152, 320, 0},
+	{oodbWorlds, "E2", "star", 3, 25, 77, 20992, 208, 0},
+	{oodbWorlds, "E2", "star", 4, 64, 308, 22016, 1170, 0},
+	{oodbWorlds, "E2", "star", 5, 175, 1175, 23040, 5616, 0},
+	{oodbWorlds, "E3", "star", 3, 25, 89, 6416.015625, 192, 0},
+	{oodbWorlds, "E3", "star", 4, 64, 369, 6548.015686035156, 1229, 1},
+	{oodbWorlds, "E4", "star", 2, 26, 82, 4364.0625, 202, 0},
+	{oodbWorlds, "E4", "star", 3, 111, 661, 6416.0159912109375, 2897, 0},
+	{[]string{"relational"}, "E1", "", 4, 14, 28, 88453.76183518214, 30, 0},
+	{[]string{"relational"}, "E1", "", 5, 20, 50, 89927.19892387632, 70, 0},
+	{[]string{"relational"}, "E1", "", 6, 27, 82, 92616.63880846996, 140, 0},
 }
 
 // TestGoldenClosures holds the search space fixed across changes to the
 // memo: group counts (Figure 14), expression counts and winner costs
-// must equal the recorded ones under both explorers.
+// must equal the recorded ones under both explorers. The worklist
+// explorer must also build little besides the closure: firings and merges
+// within their ceilings, and at most 2% of what it interns dying later.
 func TestGoldenClosures(t *testing.T) {
 	reg, err := server.DefaultRegistry(6, 101, "")
 	if err != nil {
@@ -191,8 +199,15 @@ func TestGoldenClosures(t *testing.T) {
 					t.Errorf("%s %s explorer %d: %d groups / %d exprs / cost %v, recorded %d / %d / %v",
 						world, q, kind, got.groups, got.exprs, got.cost, g.groups, g.exprs, g.cost)
 				}
-				if kind == volcano.ExplorerWorklist && got.fired > g.fired {
-					t.Errorf("%s %s: the worklist explorer fired %d rules, recorded ceiling %d", world, q, got.fired, g.fired)
+				if kind != volcano.ExplorerWorklist {
+					continue
+				}
+				if got.fired > g.fired || got.merges > g.merges {
+					t.Errorf("%s %s: the worklist explorer fired %d rules and merged %d times, recorded ceilings %d and %d",
+						world, q, got.fired, got.merges, g.fired, g.merges)
+				}
+				if got.interned*100 > got.exprs*102 {
+					t.Errorf("%s %s: the worklist explorer interned %d expressions to keep %d, more than 2%% over", world, q, got.interned, got.exprs)
 				}
 			}
 		}
@@ -223,7 +238,11 @@ func TestExplorerEquivalenceOnExhaustion(t *testing.T) {
 // TestDegradedE4ReturnsExecutablePlan: an E4 chain query at N=4, capped
 // well below its closure, must under a soft budget return a valid plan
 // marked Degraded where the same number as a hard cap gives
-// ErrSpaceExhausted, and that plan must actually execute.
+// ErrSpaceExhausted, and that plan must actually execute — to the rows the
+// naive interpreter reads off the query. How good the plan is, is held too:
+// an expression budget spent inputs-first buys no doomed duplicates, and
+// half the closure salvages cost 6 800 (optimum 6 548) where the
+// breadth-first order salvaged 12 880, the ceiling.
 func TestDegradedE4ReturnsExecutablePlan(t *testing.T) {
 	seed := qgen.InstanceSeeds()[0]
 	cat := qgen.Catalog(4, seed, false)
@@ -271,8 +290,23 @@ func TestDegradedE4ReturnsExecutablePlan(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded plan does not compile: %v", err)
 	}
-	if _, err := exec.Run(it); err != nil {
+	got, err := exec.Run(it)
+	if err != nil {
 		t.Fatalf("degraded plan does not execute: %v", err)
+	}
+	want, err := (&exec.Naive{DB: db, P: comp.P}).Eval(tree)
+	if err != nil {
+		t.Fatalf("naive: %v", err)
+	}
+	if !exec.SameBag(got, want) {
+		t.Errorf("degraded plan returns %d rows, naive %d: bags differ", len(got.Rows), len(want.Rows))
+	}
+	const breadthFirstCost = 12880
+	if cost := plan.D.Float(vo.C); cost > breadthFirstCost {
+		t.Errorf("degraded plan costs %v, more than the %d a breadth-first explorer salvaged from the same budget", cost, breadthFirstCost)
+	} else {
+		t.Logf("degraded plan cost %v from %d expressions (%d groups, %d merges, queue peak %d)",
+			cost, opt.Stats.Exprs, opt.Stats.Groups, opt.Stats.Merges, opt.Stats.MaxQueue)
 	}
 }
 

@@ -124,13 +124,15 @@ func (x *matcher) fresh() bool { return x.frames[len(x.steps)-1].fresh }
 // buildRHS interns the right-hand side of a fired transformation rule.
 // Variable leaves resolve to their bound groups; interior nodes take the
 // descriptors the rule's actions filled into the binding. target is the
-// group the root is inserted into. It reports whether the memo changed.
+// group the root is inserted into; a group an interior node founds lies
+// as far below target as the node nests in the pattern. It reports whether
+// the memo changed.
 func (m *Memo) buildRHS(p *core.PatNode, b *TBinding, target GroupID) bool {
-	_, changed := m.buildRHSNode(p, b, target)
+	_, changed := m.buildRHSNode(p, b, target, m.groups[target].depth)
 	return changed
 }
 
-func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID) (GroupID, bool) {
+func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID, depth int) (GroupID, bool) {
 	if p.IsVar() {
 		// Descriptor names on RHS variable leaves carry required-property
 		// information in Prairie I-rules; in the purely logical space of
@@ -141,13 +143,13 @@ func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID) (Group
 	kids := buf[:0]
 	changed := false
 	for _, kp := range p.Kids {
-		kg, ch := m.buildRHSNode(kp, b, -1)
+		kg, ch := m.buildRHSNode(kp, b, -1, depth+1)
 		kids = append(kids, kg)
 		changed = changed || ch
 	}
 	// The binding's descriptor is scratch: intern completes and clones it
 	// only if the expression is new.
-	g, ch := m.intern(p.Op, b.Slot(p.Slot), kids, target, b)
+	g, ch := m.intern(p.Op, b.Slot(p.Slot), kids, target, b, depth)
 	return g, changed || ch
 }
 

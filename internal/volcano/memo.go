@@ -103,7 +103,12 @@ type Group struct {
 	// rep is the representative descriptor: the first inserted
 	// expression's. Logical information (cardinality, attributes) is by
 	// construction identical across a group's members.
-	rep     *core.Descriptor
+	rep *core.Descriptor
+	// depth is the group's distance below the query root along the path
+	// that created it (root 0, an input one more than its parent; a merge
+	// keeps the larger). The worklist explorer visits the deepest pending
+	// group first, so an input is closed before a parent is built on it.
+	depth   int
 	winners map[uint64][]*winnerEntry
 }
 
@@ -146,8 +151,9 @@ type Memo struct {
 	dirty    bool
 	merges   int
 	repaired int
-	// exprCount tracks live expressions for the search-space cap.
-	exprCount int
+	// exprCount tracks live expressions for the search-space cap; interned
+	// counts every expression ever adopted, dead ones included.
+	exprCount, interned int
 	// numGroups tracks live (canonical) equivalence classes so NumGroups
 	// is O(1) instead of scanning the union-find on every Optimize.
 	numGroups int
@@ -190,6 +196,10 @@ func (m *Memo) Merges() int { return m.merges }
 // Repaired returns how many expressions Rehash re-keyed after merges.
 func (m *Memo) Repaired() int { return m.repaired }
 
+// Interned returns how many expressions the memo ever adopted; what
+// exceeds NumExprs was built on a group that later merged, and died.
+func (m *Memo) Interned() int { return m.interned }
+
 // Groups iterates the canonical groups in id order.
 func (m *Memo) Groups() []*Group {
 	var out []*Group
@@ -201,9 +211,9 @@ func (m *Memo) Groups() []*Group {
 	return out
 }
 
-func (m *Memo) newGroup(rep *core.Descriptor) *Group {
+func (m *Memo) newGroup(rep *core.Descriptor, depth int) *Group {
 	id := GroupID(len(m.groups))
-	g := &Group{ID: id, rep: rep, winners: make(map[uint64][]*winnerEntry)}
+	g := &Group{ID: id, rep: rep, depth: depth, winners: make(map[uint64][]*winnerEntry)}
 	m.groups = append(m.groups, g)
 	m.parent = append(m.parent, id)
 	m.parents = append(m.parents, nil)
@@ -329,6 +339,7 @@ func (m *Memo) adopt(e *LExpr, g *Group, h uint64) {
 	g.version++
 	m.stamp(e, g)
 	m.exprCount++
+	m.interned++
 	m.addIndex(h, e)
 	for _, k := range e.Kids {
 		m.parents[k] = append(m.parents[k], e)
@@ -345,7 +356,7 @@ func (m *Memo) InsertLeaf(file string, d *core.Descriptor) GroupID {
 	if e := m.lookup(h, nil, file, nil, nil); e != nil {
 		return m.Find(e.group)
 	}
-	g := m.newGroup(d)
+	g := m.newGroup(d, 0) // no rule roots at a leaf: its depth orders nothing
 	m.adopt(&LExpr{File: file, D: d, selfHash: self}, g, h)
 	return g.ID
 }
@@ -358,15 +369,16 @@ func (m *Memo) InsertLeaf(file string, d *core.Descriptor) GroupID {
 // equivalent. InsertExpr reports the expression's canonical group and
 // whether the memo changed.
 func (m *Memo) InsertExpr(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID) (GroupID, bool) {
-	return m.intern(op, d, kids, target, nil)
+	return m.intern(op, d, kids, target, nil, 0)
 }
 
 // intern is InsertExpr; for a rule firing, b is its binding and d one of
 // the binding's scratch descriptors, complete as far as op's identity
 // goes. Only when the expression turns out to be new are the firing's
 // deferred actions run and d cloned, so a duplicate — most rule firings
-// rediscover a known expression — computes and allocates nothing.
-func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, b *TBinding) (GroupID, bool) {
+// rediscover a known expression — computes and allocates nothing. depth
+// is the depth of the group a targetless new expression founds.
+func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, b *TBinding, depth int) (GroupID, bool) {
 	var buf [4]GroupID
 	canon := buf[:0]
 	for _, k := range kids {
@@ -390,7 +402,7 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 	if target >= 0 {
 		g = m.groups[m.Find(target)]
 	} else {
-		g = m.newGroup(d)
+		g = m.newGroup(d, depth)
 	}
 	m.adopt(&LExpr{Op: op, D: d, Kids: append([]GroupID(nil), canon...), selfHash: self}, g, h)
 	return g.ID, true
@@ -420,6 +432,7 @@ func (m *Memo) merge(a, b GroupID) {
 	ga.Exprs = append(ga.Exprs, gb.Exprs...)
 	ga.version += gb.version + 1
 	ga.maxSeq = m.seq
+	ga.depth = max(ga.depth, gb.depth)
 	gb.Exprs = nil
 	// Winners computed before a merge would be stale; merging only
 	// happens during exploration, before any winner exists, but clear
@@ -494,15 +507,17 @@ func (m *Memo) repair(e *LExpr) {
 // Insert interns a whole operator tree bottom-up and returns its root
 // group; this is how the initial query (an initialized operator tree,
 // §2.2) enters the memo.
-func (m *Memo) Insert(e *core.Expr) GroupID {
+func (m *Memo) Insert(e *core.Expr) GroupID { return m.insertAt(e, 0) }
+
+func (m *Memo) insertAt(e *core.Expr, depth int) GroupID {
 	if e.IsLeaf() {
 		return m.InsertLeaf(e.File, e.D)
 	}
 	kids := make([]GroupID, len(e.Kids))
 	for i, k := range e.Kids {
-		kids[i] = m.Insert(k)
+		kids[i] = m.insertAt(k, depth+1)
 	}
-	g, _ := m.InsertExpr(e.Op, e.D, kids, -1)
+	g, _ := m.intern(e.Op, e.D, kids, -1, nil, depth)
 	return g
 }
 

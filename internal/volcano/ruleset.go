@@ -218,6 +218,14 @@ type RuleSet struct {
 // cacheScopeCounter allocates process-unique RuleSet.cacheID values.
 var cacheScopeCounter atomic.Uint64
 
+// maxTransDepth bounds a transformation rule's left side to an operator
+// over operators over inputs. Both explorers re-match a rule at an
+// expression only when one of its direct input groups has grown
+// (anyKidNewer and exprAdded; explorePasses' kidFingerprint): a deeper
+// pattern would miss every binding whose grand-input arrived after the
+// root's last visit, so Validate rejects it.
+const maxTransDepth = 2
+
 // transEntry is one transformation rule in the operator index, carrying
 // its global position (for per-rule counters), whether its pattern is
 // depth-1 (applied once per expression, never re-matched), and the
@@ -415,8 +423,9 @@ func (rs *RuleSet) AddEnforcer(e *Enforcer) *Enforcer {
 }
 
 // Validate checks engine-level requirements: a cost property is set, rule
-// patterns use only operators on T-rule sides, impl rules have Pre/Post
-// hooks, enforcer property lists are physical.
+// patterns use only operators on T-rule sides and match no deeper than
+// maxTransDepth, impl rules have Pre/Post hooks, enforcer property lists
+// are physical.
 func (rs *RuleSet) Validate() []error {
 	var errs []error
 	bad := func(format string, args ...interface{}) {
@@ -429,6 +438,10 @@ func (rs *RuleSet) Validate() []error {
 		if r.LHS == nil || r.RHS == nil || r.LHS.IsVar() {
 			bad("volcano: trans_rule %s has malformed patterns", r.Name)
 			continue
+		}
+		if d := r.LHS.Depth(); d > maxTransDepth {
+			bad("volcano: trans_rule %s matches %d operators deep, limit %d: exploration re-matches a rule only when a direct input group grows",
+				r.Name, d, maxTransDepth)
 		}
 		for _, op := range append(r.LHS.Ops(), r.RHS.Ops()...) {
 			if op.Kind != core.Operator {

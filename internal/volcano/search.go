@@ -32,7 +32,8 @@ type ExplorerKind int
 const (
 	// ExplorerWorklist (the default) drives exploration from a
 	// dependency worklist: when a group gains an expression, only the
-	// expressions referencing that group as an input are revisited.
+	// expressions referencing that group as an input are revisited, the
+	// deepest pending group first.
 	ExplorerWorklist ExplorerKind = iota
 	// ExplorerPasses is the original strategy: global fixpoint passes
 	// re-scanning every (expression, rule) pair. Kept as the reference
@@ -48,7 +49,7 @@ type Options struct {
 	MaxExprs int
 	// MaxPasses caps exploration fixpoint passes (0 = default); hitting
 	// it indicates a diverging rule set. The worklist explorer counts a
-	// pass per drain-rehash cycle.
+	// pass per repair round: a Rehash after one visit's merges.
 	MaxPasses int
 	// Explorer selects the exploration strategy (default worklist).
 	Explorer ExplorerKind
@@ -366,20 +367,34 @@ func (o *Optimizer) flushRuleCounters() {
 }
 
 // explorer is the dependency-driven worklist state. It implements
-// memoHooks so memo growth feeds the queue directly: a new expression is
-// enqueued itself and re-enqueues the parents of the group it joined
+// memoHooks so memo growth feeds the worklist directly: a new expression
+// is enqueued itself and re-enqueues the parents of the group it joined
 // (the memo's parent lists are the back edges along which change
 // propagates); the parents of merged groups are woken after Rehash.
 type explorer struct {
 	o *Optimizer
 	m *Memo
-	// queue is a FIFO of expressions whose rule bindings may have grown;
-	// head indexes the next entry (slice is reused, not popped).
-	queue []*LExpr
-	head  int
+	// levels holds the pending expressions by the depth of their group
+	// when pushed, and pop takes the oldest of the deepest level: inputs
+	// first, Volcano's explore-the-input-before-matching-into-it recursion
+	// laid flat. A firing's new interior group is thus closed — and found
+	// equal to whatever the memo already held — before any parent is built
+	// on it, instead of merging under a finished tower. Depth has no bound
+	// (a rule whose right side nests can chain), so the levels grow.
+	levels []level
+	// levels[deep:] are empty; pending counts the entries of all levels,
+	// dead ones included.
+	deep, pending int
 	// merged accumulates surviving canonical group ids of merges since
 	// the last Rehash; afterRehash wakes their parents.
 	merged []GroupID
+}
+
+// level is the FIFO of one depth; head indexes the next entry (the slice
+// is reused, not popped).
+type level struct {
+	q    []*LExpr
+	head int
 }
 
 func (x *explorer) push(e *LExpr) {
@@ -387,42 +402,43 @@ func (x *explorer) push(e *LExpr) {
 		return
 	}
 	e.queued = true
-	x.queue = append(x.queue, e)
-	if depth := len(x.queue) - x.head; depth > x.o.Stats.MaxQueue {
-		x.o.Stats.MaxQueue = depth
+	d := x.m.Group(e.group).depth
+	for len(x.levels) <= d {
+		x.levels = append(x.levels, level{})
+	}
+	x.levels[d].q = append(x.levels[d].q, e)
+	x.deep = max(x.deep, d+1)
+	if x.pending++; x.pending > x.o.Stats.MaxQueue {
+		x.o.Stats.MaxQueue = x.pending
 	}
 }
 
-func (x *explorer) pop() *LExpr {
-	for x.head < len(x.queue) {
-		e := x.queue[x.head]
-		x.head++
-		e.queued = false
-		if e.dead {
-			continue
+// peek returns the expression pop would, leaving it pending; dead entries
+// in front of it are discarded.
+func (x *explorer) peek() *LExpr {
+	for ; x.deep > 0; x.deep-- {
+		l := &x.levels[x.deep-1]
+		for ; l.head < len(l.q); l.head++ {
+			e := l.q[l.head]
+			if !e.dead {
+				return e
+			}
+			e.queued = false
+			x.pending--
 		}
-		return e
+		l.q, l.head = l.q[:0], 0
 	}
-	x.queue = x.queue[:0]
-	x.head = 0
 	return nil
 }
 
-func (x *explorer) depth() int { return len(x.queue) - x.head }
-
-// hasWork reports whether a live expression is pending, discarding dead
-// entries at the front.
-func (x *explorer) hasWork() bool {
-	for x.head < len(x.queue) {
-		if !x.queue[x.head].dead {
-			return true
-		}
-		x.queue[x.head].queued = false
-		x.head++
+func (x *explorer) pop() *LExpr {
+	e := x.peek()
+	if e != nil {
+		x.levels[x.deep-1].head++
+		x.pending--
+		e.queued = false
 	}
-	x.queue = x.queue[:0]
-	x.head = 0
-	return false
+	return e
 }
 
 // seed loads the initial memo (the inserted query tree) into the
@@ -489,8 +505,8 @@ func (x *explorer) resetDeepHorizons(p *LExpr) {
 // expression — inserted, or moved in by a merge — at or after since: the
 // cheap gate deciding whether a deep rule can possibly find a new binding
 // (matching the pass-based explorer's direct-kid fingerprint: grand-kid
-// growth alone never retriggers, and the repository's rule patterns are
-// depth ≤ 2).
+// growth alone never retriggers, which is why RuleSet.Validate holds rule
+// patterns to maxTransDepth).
 func (x *explorer) anyKidNewer(e *LExpr, since uint64) bool {
 	for _, k := range e.Kids {
 		if x.m.Group(k).maxSeq >= since {
@@ -535,7 +551,7 @@ func (x *explorer) process(e *LExpr) error {
 			o.applyTrans(te, e, since)
 		}
 		if m.NumExprs() > o.maxExprs() {
-			return o.spaceExhausted(x.depth())
+			return o.spaceExhausted(x.pending)
 		}
 		if o.overBudget() {
 			return errBudget
@@ -579,7 +595,7 @@ func (x *explorer) run() error {
 				// Downsampled timeline counters: worklist depth and memo
 				// growth render as graphs in Perfetto.
 				if pops++; pops&63 == 0 {
-					o.tr.Counter(o.tid, "worklist_depth", float64(x.depth()))
+					o.tr.Counter(o.tid, "worklist_depth", float64(x.pending))
 					o.tr.Counter(o.tid, "memo_exprs", float64(m.NumExprs()))
 				}
 			}
@@ -588,11 +604,11 @@ func (x *explorer) run() error {
 			m.Rehash()
 			x.afterRehash()
 			o.Stats.Passes++
-			if o.Stats.Passes > o.maxPasses() && x.hasWork() {
+			if o.Stats.Passes > o.maxPasses() && x.peek() != nil {
 				return fmt.Errorf("volcano: exploration did not converge in %d passes", o.maxPasses())
 			}
 		}
-		if e == nil && !x.hasWork() {
+		if e == nil && x.peek() == nil {
 			return nil
 		}
 	}
