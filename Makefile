@@ -13,8 +13,9 @@ vet:
 	$(GO) vet ./...
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
-# -timeout backstops regressions that hang (e.g. a wedged batch worker)
-# instead of letting CI stall until the job-level kill.
+# -timeout backstops regressions that hang (e.g. a cache follower parked
+# behind a flight nobody completes) instead of letting CI stall until the
+# job-level kill.
 test:
 	$(GO) test -timeout 300s ./...
 
@@ -56,11 +57,11 @@ BENCH_COUNT ?= 5
 
 # $(call guard,<target>,<benchmark regexp>,<-benchtime>,<package>)
 define guard
-@rm -f /tmp/$(1).txt
-@for i in $$(seq $(BENCH_COUNT)); do \
-	$(GO) test -run 'XXX' -bench '$(2)' -benchtime $(3) $(4) | tee -a /tmp/$(1).txt || exit 1; \
-done
-@awk -v pct=$(GUARD_PCT) -v guard=$(1) -f scripts/guard.awk /tmp/$(1).txt
+@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+for i in $$(seq $(BENCH_COUNT)); do \
+	$(GO) test -run 'XXX' -bench '$(2)' -benchtime $(3) $(4) | tee -a "$$out" || exit 1; \
+done && \
+awk -v pct=$(GUARD_PCT) -v guard=$(1) -f scripts/guard.awk "$$out"
 endef
 
 # Observability: instrumentation with every sink disabled must be

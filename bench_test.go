@@ -455,20 +455,3 @@ func BenchmarkCacheGuard(b *testing.B) {
 		b.Run(wl.name+"/on", func(b *testing.B) { benchOptimizeCache(b, w, volcano.NewPlanCache(512)) })
 	}
 }
-
-// BenchmarkStrategyAblation compares the two search strategies (§2.2)
-// over the same generated rule set: top-down memoizing search versus
-// System R-style bottom-up dynamic programming.
-func BenchmarkStrategyAblation(b *testing.B) {
-	w := prepOODB(b, qgen.E2, 4, false)
-	b.Run("topdown", func(b *testing.B) { benchOptimize(b, w.pvrs, w.ptree, w.preq) })
-	b.Run("bottomup", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bu := volcano.NewBottomUp(w.pvrs)
-			if _, err := bu.Optimize(w.ptree.Clone(), w.preq); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}

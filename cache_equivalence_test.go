@@ -266,70 +266,10 @@ func TestPlanCacheHitPlansExecute(t *testing.T) {
 	}
 }
 
-// TestPlanCacheWarmStartDegradedOODB: under a budget, a degraded search
-// that warm-starts from cached subproblem winners must degrade to the
-// same plan as the cold degraded search — warm-start only tightens the
-// branch-and-bound bound, it never changes which plan wins.
-func TestPlanCacheWarmStartDegradedOODB(t *testing.T) {
-	cat := qgen.Catalog(3, qgen.InstanceSeeds()[0], false)
-	vo := oodb.New(cat)
-	vrs := vo.VolcanoRules()
-	req := core.NewDescriptor(vo.Alg.Props)
-	budget := volcano.Budget{MaxExprs: 400}
-
-	run := func(pc *volcano.PlanCache, e qgen.ExprKind, n int) (*volcano.PExpr, *volcano.Stats) {
-		tree, err := qgen.Build(vo, e, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opt := volcano.NewOptimizer(vrs)
-		opt.Opts.Budget = budget
-		opt.Opts.Cache = pc
-		plan, err := opt.Optimize(tree.Clone(), req)
-		if err != nil {
-			t.Fatalf("%v n=%d: %v", e, n, err)
-		}
-		return plan, opt.Stats
-	}
-
-	coldPlan, coldStats := run(nil, qgen.E4, 3)
-	if !coldStats.Degraded {
-		t.Skipf("E4 n=3 completed within MaxExprs=%d; budget no longer degrades it", budget.MaxExprs)
-	}
-
-	// Populate the cache with the subproblems (the E2 chains the SELECT
-	// sits on) under the SAME budget class, completing non-degraded.
-	pc := volcano.NewPlanCache(64)
-	for n := 2; n <= 3; n++ {
-		_, s := run(pc, qgen.E2, n)
-		if s.Degraded {
-			t.Fatalf("E2 n=%d degraded; pick a looser budget for the prefix fills", n)
-		}
-	}
-	warmPlan, warmStats := run(pc, qgen.E4, 3)
-	if !warmStats.Degraded {
-		t.Fatal("warm run did not degrade under the same budget")
-	}
-	if got, want := warmPlan.Format(), coldPlan.Format(); got != want {
-		t.Errorf("warm degraded plan differs from cold degraded plan:\nwarm: %s\ncold: %s", got, want)
-	}
-	costID := vrs.Class.Cost
-	if got, want := warmPlan.D.Float(costID), coldPlan.D.Float(costID); got > want {
-		t.Errorf("warm degraded plan cost %g worse than cold %g", got, want)
-	}
-	if !warmPlan.ToExpr().IsPlan() {
-		t.Errorf("warm degraded result is not an access plan: %s", warmPlan)
-	}
-	// Degraded searches are never cached: only the two E2 fills remain.
-	if pc.Len() != 2 {
-		t.Errorf("cache holds %d entries after a degraded run, want the 2 prefix fills", pc.Len())
-	}
-}
-
-// TestPlanCacheBatchShared races many batch workers through one shared
-// cache (run with -race in CI): duplicated items collapse through
-// singleflight, every plan must match the cold sequential plan, and the
-// hit/miss counters must account for every run.
+// TestPlanCacheBatchShared races eight goroutines of optimizers through
+// one shared cache (run with -race in CI): duplicated queries collapse
+// through singleflight, every plan must match the cold sequential plan,
+// and the hit/miss counters must account for every run.
 func TestPlanCacheBatchShared(t *testing.T) {
 	cat := qgen.Catalog(3, qgen.InstanceSeeds()[0], false)
 	vo := oodb.New(cat)
@@ -338,7 +278,7 @@ func TestPlanCacheBatchShared(t *testing.T) {
 
 	families := []qgen.ExprKind{qgen.E1, qgen.E2, qgen.E3, qgen.E4}
 	want := make([]string, len(families))
-	var items []volcano.BatchItem
+	trees := make([]*core.Expr, len(families))
 	const copies = 6
 	for i, e := range families {
 		tree, err := qgen.Build(vo, e, 3)
@@ -350,31 +290,35 @@ func TestPlanCacheBatchShared(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = plan.Format()
-		for c := 0; c < copies; c++ {
-			items = append(items, volcano.BatchItem{RS: vrs, Tree: tree, Req: req})
-		}
+		want[i], trees[i] = plan.Format(), tree
 	}
 	pc := volcano.NewPlanCache(64)
-	results, report := volcano.OptimizeBatchOpts(nil, items, volcano.BatchOptions{
-		Workers: 8, Cache: pc,
-	})
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
+	runs := copies * len(families)
+	stats := make([]*volcano.Stats, runs)
+	onGoroutines(runs, 8, func(i int) {
+		opt := volcano.NewOptimizer(vrs)
+		opt.Opts.Cache = pc
+		stats[i] = opt.Stats
+		plan, err := opt.Optimize(trees[i/copies].Clone(), req)
+		if err != nil {
+			t.Errorf("run %d: %v", i, err)
+			return
 		}
-		if got := r.Plan.Format(); got != want[i/copies] {
-			t.Errorf("item %d (%v): batch plan differs from sequential:\nbatch: %s\nseq:   %s",
+		if got := plan.Format(); got != want[i/copies] {
+			t.Errorf("run %d (%v): concurrent plan differs from sequential:\nconc: %s\nseq:  %s",
 				i, families[i/copies], got, want[i/copies])
 		}
+	})
+	agg := volcano.NewStats()
+	for _, s := range stats {
+		agg.Merge(s)
 	}
-	agg := report.Agg
-	if agg.CacheHits+agg.CacheMisses != len(items) {
-		t.Errorf("hits %d + misses %d != %d runs", agg.CacheHits, agg.CacheMisses, len(items))
+	if agg.CacheHits+agg.CacheMisses != runs {
+		t.Errorf("hits %d + misses %d != %d runs", agg.CacheHits, agg.CacheMisses, runs)
 	}
-	if agg.CacheHits < len(items)-2*len(families) {
-		t.Errorf("only %d hits across %d duplicated items (misses %d, flight waits %d)",
-			agg.CacheHits, len(items), agg.CacheMisses, agg.FlightWaits)
+	if agg.CacheHits < runs-2*len(families) {
+		t.Errorf("only %d hits across %d duplicated runs (misses %d, flight waits %d)",
+			agg.CacheHits, runs, agg.CacheMisses, agg.FlightWaits)
 	}
 	if s := pc.Snapshot(); s.Entries != len(families) {
 		t.Errorf("cache holds %d entries, want %d", s.Entries, len(families))

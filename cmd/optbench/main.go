@@ -10,7 +10,7 @@
 //
 //	optbench -experiment all
 //	optbench -experiment fig10 -maxclasses 6 -repeats 10 -csv
-//	optbench -experiment fig13 -workers 8 -json
+//	optbench -experiment fig13 -maxclasses 4 -json
 //	optbench -experiment fig13 -max-exprs 5000 -degrade -timeout 50ms
 //
 // With -timeout or -degrade, over-budget points return gracefully
@@ -94,8 +94,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"per-optimization wall-clock budget (0 = none); points over budget degrade and are marked '*'")
 	degrade := fs.Bool("degrade", false,
 		"treat -maxexprs as a soft budget: over-budget points return degraded plans (marked '*') and sweeps continue instead of ending the series")
-	workers := fs.Int("workers", 1,
-		"concurrent optimizations per sweep point (<=1 sequential; parallel runs distort per-query times)")
 	dslPath := fs.String("dsl", "",
 		"Prairie spec for -experiment rulecheck's DSL world (default examples/dslrules/rules.prairie)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -150,7 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		MaxClasses: *maxClasses,
 		Repeats:    *repeats,
 		MaxExprs:   *maxExprs,
-		Workers:    *workers,
 		Timeout:    *timeout,
 		Degrade:    *degrade,
 		Obs:        ob,

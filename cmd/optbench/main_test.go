@@ -31,9 +31,10 @@ func TestRemovedExperimentsExit2(t *testing.T) {
 }
 
 // TestRemovedFlagsUnknown: the flags that only fed the removed
-// experiments are usage errors, not silently accepted.
+// experiments, and -workers of the removed batch API, are usage errors,
+// not silently accepted.
 func TestRemovedFlagsUnknown(t *testing.T) {
-	for _, flag := range []string{"-cache", "-cache-size", "-draws", "-rows"} {
+	for _, flag := range []string{"-cache", "-cache-size", "-draws", "-rows", "-workers"} {
 		code, stdout, stderr := runCLI(flag, "1", "-experiment", "rules")
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
 			t.Errorf("%s: status %d, stdout %q, stderr:\n%s", flag, code, stdout, stderr)

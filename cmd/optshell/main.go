@@ -17,7 +17,7 @@
 //
 // Commands: :stats (search statistics plus per-rule wall time),
 // :explain <group> (a memo group's expressions with rule provenance
-// and its memoized winners; topdown only), :memo (every group),
+// and its memoized winners), :memo (every group),
 // :cache (plan-cache counters), :help, :quit.
 //
 // With -cache and -repeat, the query is optimized repeatedly through a
@@ -53,16 +53,15 @@ func main() {
 	execute := flag.Bool("execute", false, "run the winning plan on synthetic data")
 	maxRows := flag.Int("maxrows", 256, "rows per table when executing")
 	baseline := flag.Bool("volcano", false, "use the hand-coded Volcano rule set instead of the Prairie-generated one")
-	strategy := flag.String("strategy", "topdown", "search strategy: topdown or bottomup")
 	trace := flag.Bool("trace", false, "print a trace of rule firings and costed alternatives")
 	timeout := flag.Duration("timeout", 0,
-		"wall-clock optimization budget (topdown only, 0 = none); over budget, a degraded plan is returned")
+		"wall-clock optimization budget (0 = none); over budget, a degraded plan is returned")
 	budgetExprs := flag.Int("budget-exprs", 0,
-		"soft cap on memo expressions (topdown only, 0 = none); over budget, a degraded plan is returned")
+		"soft cap on memo expressions (0 = none); over budget, a degraded plan is returned")
 	cache := flag.Bool("cache", false,
-		"attach a cross-query plan cache (topdown only); with -repeat, runs after the first are served from it")
+		"attach a cross-query plan cache; with -repeat, runs after the first are served from it")
 	repeat := flag.Int("repeat", 1,
-		"optimize the query this many times (topdown only); pairs with -cache to show the hit path")
+		"optimize the query this many times; pairs with -cache to show the hit path")
 	interactive := flag.Bool("i", false, "after optimizing, read inspection commands (:stats, :explain ...) from stdin")
 	flag.Parse()
 	commands := flag.Args()
@@ -114,52 +113,39 @@ func main() {
 	}
 	var plan *volcano.PExpr
 	var stats *volcano.Stats
-	var topOpt *volcano.Optimizer // retained for :explain / :memo
-	var pc *volcano.PlanCache     // retained for :cache
+	var opt *volcano.Optimizer // the last run's, for :explain / :memo
+	var pc *volcano.PlanCache  // for :cache
 	inspect := *interactive || len(commands) > 0
-	switch *strategy {
-	case "topdown":
-		if *cache {
-			pc = volcano.NewPlanCache(512)
+	if *cache {
+		pc = volcano.NewPlanCache(512)
+	}
+	reps := max(*repeat, 1)
+	for i := 0; i < reps; i++ {
+		opt = volcano.NewOptimizer(vrs)
+		opt.Opts.Budget = volcano.Budget{Timeout: *timeout, MaxExprs: *budgetExprs}
+		opt.Opts.Cache = pc
+		if inspect {
+			// Inspection wants per-rule wall time attributed, so the
+			// run is observed; plans and stats are unaffected.
+			opt.Opts.Obs = &obs.Observer{RuleTiming: true}
 		}
-		reps := *repeat
-		if reps < 1 {
-			reps = 1
+		if *trace && i == 0 {
+			opt.OnEvent = func(e volcano.Event) { fmt.Println(e) }
 		}
-		for i := 0; i < reps; i++ {
-			opt := volcano.NewOptimizer(vrs)
-			topOpt = opt
-			opt.Opts.Budget = volcano.Budget{Timeout: *timeout, MaxExprs: *budgetExprs}
-			opt.Opts.Cache = pc
-			if inspect {
-				// Inspection wants per-rule wall time attributed, so the
-				// run is observed; plans and stats are unaffected.
-				opt.Opts.Obs = &obs.Observer{RuleTiming: true}
-			}
-			if *trace && i == 0 {
-				opt.OnEvent = func(e volcano.Event) { fmt.Println(e) }
-			}
-			start := time.Now()
-			plan, err = opt.Optimize(tree.Clone(), req)
-			elapsed := time.Since(start)
-			stats = opt.Stats
-			if err != nil {
-				break
-			}
-			if reps > 1 {
-				fmt.Printf("run %d/%d: %v (cache hits=%d misses=%d seeds=%d)\n",
-					i+1, reps, elapsed, stats.CacheHits, stats.CacheMisses, stats.WarmSeeds)
-			}
-		}
-		if *repeat > 1 {
-			fmt.Println()
-		}
-	case "bottomup":
-		opt := volcano.NewBottomUp(vrs)
-		plan, err = opt.Optimize(tree, req)
+		start := time.Now()
+		plan, err = opt.Optimize(tree.Clone(), req)
+		elapsed := time.Since(start)
 		stats = opt.Stats
-	default:
-		fatal(fmt.Errorf("unknown strategy %q", *strategy))
+		if err != nil {
+			break
+		}
+		if reps > 1 {
+			fmt.Printf("run %d/%d: %v (cache hits=%d misses=%d)\n",
+				i+1, reps, elapsed, stats.CacheHits, stats.CacheMisses)
+		}
+	}
+	if reps > 1 {
+		fmt.Println()
 	}
 	if err != nil {
 		fatal(err)
@@ -169,7 +155,7 @@ func main() {
 	}
 	fmt.Printf("winning plan (cost %.1f):\n  %s\n\n", plan.Cost(vrs.Class), plan)
 	fmt.Print(plan.Explain(vrs.Class))
-	fmt.Printf("\nsearch (%s): %s\n", *strategy, stats)
+	fmt.Printf("\nsearch: %s\n", stats)
 
 	if *execute {
 		db := data.Populate(cat, *seed, *maxRows)
@@ -199,7 +185,7 @@ func main() {
 	}
 
 	for _, cmd := range commands {
-		if !runCommand(cmd, stats, topOpt, pc) {
+		if !runCommand(cmd, stats, opt, pc) {
 			return
 		}
 	}
@@ -208,7 +194,7 @@ func main() {
 		fmt.Print("optshell> ")
 		for sc.Scan() {
 			line := strings.TrimSpace(sc.Text())
-			if line != "" && !runCommand(line, stats, topOpt, pc) {
+			if line != "" && !runCommand(line, stats, opt, pc) {
 				return
 			}
 			fmt.Print("optshell> ")
@@ -227,10 +213,6 @@ func runCommand(line string, stats *volcano.Stats, opt *volcano.Optimizer, pc *v
 			fmt.Print(t)
 		}
 	case ":explain":
-		if opt == nil {
-			fmt.Println("optshell: :explain requires -strategy topdown")
-			break
-		}
 		if len(fields) != 2 {
 			fmt.Println("usage: :explain <group>")
 			break
@@ -247,10 +229,6 @@ func runCommand(line string, stats *volcano.Stats, opt *volcano.Optimizer, pc *v
 		}
 		fmt.Print(out)
 	case ":memo":
-		if opt == nil {
-			fmt.Println("optshell: :memo requires -strategy topdown")
-			break
-		}
 		for g := 0; g < opt.Memo.NumGroups(); g++ {
 			out, err := opt.ExplainGroup(volcano.GroupID(g))
 			if err != nil {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"prairie/internal/core"
@@ -347,14 +348,30 @@ func TestDegradedCostBoundedByFullSearch(t *testing.T) {
 	}
 }
 
-// TestOptimizeBatchOODB exercises the concurrent batch API on the real
-// OODB workloads (run with -race in CI): a grid of (family, copy) jobs
+// onGoroutines runs job(0..n-1) on workers goroutines, each taking every
+// workers-th index, and returns when all are done.
+func onGoroutines(n, workers int, job func(i int)) {
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < n; i += workers {
+				job(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestOptimizeBatchOODB runs concurrent optimizers on the real OODB
+// workloads (run with -race in CI): a grid of (family, copy) jobs
 // sharing one rule set must reproduce the sequential group counts and
-// plans. The hand-coded rule set runs on 4 workers; the compiled Prairie
-// one on 8, four copies of every query at once — its closures are shared
-// by all workers and must keep every firing's state (descriptor frame,
-// shared sub-expression values, helper arguments, scratch descriptors)
-// in the worker's own binding.
+// plans. The hand-coded rule set runs on 4 goroutines; the compiled
+// Prairie one on 8, four copies of every query at once — its closures are
+// shared by all of them and must keep every firing's state (descriptor
+// frame, shared sub-expression values, helper arguments, scratch
+// descriptors) in the optimizer's own binding.
 func TestOptimizeBatchOODB(t *testing.T) {
 	cat := qgen.Catalog(3, qgen.InstanceSeeds()[0], false)
 	vo := oodb.New(cat)
@@ -376,9 +393,13 @@ func TestOptimizeBatchOODB(t *testing.T) {
 		{"oodb/volcano", vo, vo.VolcanoRules(), 1, 4},
 		{"oodb/prairie", po, pvrs, 4, 8},
 	} {
-		var items []volcano.BatchItem
-		var groups []int
-		var plans []string
+		type item struct {
+			tree   *core.Expr
+			req    *core.Descriptor
+			groups int
+			plan   string
+		}
+		var items []item
 		for _, e := range []qgen.ExprKind{qgen.E1, qgen.E2, qgen.E3, qgen.E4} {
 			tree, err := qgen.Build(c.o, e, 3)
 			if err != nil {
@@ -394,19 +415,21 @@ func TestOptimizeBatchOODB(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < c.copies; i++ {
-				groups = append(groups, seq.Stats.Groups)
-				plans = append(plans, plan.String())
-				items = append(items, volcano.BatchItem{RS: c.rs, Tree: tree.Clone(), Req: req})
+				items = append(items, item{tree.Clone(), req, seq.Stats.Groups, plan.String()})
 			}
 		}
-		for i, r := range volcano.OptimizeBatch(items, c.workers) {
-			if r.Err != nil {
-				t.Fatalf("%s item %d: %v", c.name, i, r.Err)
+		onGoroutines(len(items), c.workers, func(i int) {
+			it := items[i]
+			opt := volcano.NewOptimizer(c.rs)
+			plan, err := opt.Optimize(it.tree, it.req)
+			if err != nil {
+				t.Errorf("%s item %d: %v", c.name, i, err)
+				return
 			}
-			if r.Stats.Groups != groups[i] || r.Plan.String() != plans[i] {
-				t.Errorf("%s item %d: batch %d groups, plan %s; sequential %d groups, plan %s",
-					c.name, i, r.Stats.Groups, r.Plan, groups[i], plans[i])
+			if opt.Stats.Groups != it.groups || plan.String() != it.plan {
+				t.Errorf("%s item %d: concurrent %d groups, plan %s; sequential %d groups, plan %s",
+					c.name, i, opt.Stats.Groups, plan, it.groups, it.plan)
 			}
-		}
+		})
 	}
 }

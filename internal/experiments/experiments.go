@@ -179,12 +179,6 @@ type Options struct {
 	// series (the paper's virtual-memory exhaustion) — unless Degrade is
 	// set, which turns the cap into a soft budget.
 	MaxExprs int
-	// Workers spreads a point's per-seed optimizations over a worker
-	// pool (volcano.OptimizeBatch). 0 or 1 runs sequentially — the
-	// faithful §4.3 timing protocol; higher values trade per-query
-	// timing fidelity for sweep throughput (group counts are
-	// unaffected).
-	Workers int
 	// Timeout budgets each optimization's wall clock; a point that hits
 	// it reports a degraded measurement (marked '*') instead of ending
 	// the series.
@@ -257,13 +251,6 @@ func (o Options) volcanoOpts() volcano.Options {
 		vo.MaxExprs = 0
 	}
 	return vo
-}
-
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 func (o Options) seeds() []int64 {
@@ -362,19 +349,16 @@ func runFamily(e qgen.ExprKind, indexed bool, opts Options) ([]point, error) {
 	return out, nil
 }
 
-// runPoint measures one (family, N) point. Every catalog seed
-// contributes two jobs — the Prairie-generated and the hand-coded
-// Volcano rule sets — dispatched through the concurrent batch API
-// (sequentially when opts.Workers <= 1, preserving the paper's timing
-// protocol). Both paths must agree on equivalence-class counts.
+// runPoint measures one (family, N) point: every catalog seed times the
+// Prairie-generated and the hand-coded Volcano rule sets one after the
+// other (the paper's §4.3 protocol). Both paths must agree on
+// equivalence-class counts.
 func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error) {
 	seeds := opts.seeds()
 	reps := opts.repeats(n)
 	vopts := opts.volcanoOpts()
-	// Let the batch inject the observer so each pool worker gets its own
-	// trace row (per-worker TraceTID) instead of every item sharing one.
-	vopts.Obs = nil
-	items := make([]volcano.BatchItem, 0, 2*len(seeds))
+	pt := point{N: n}
+	var pSum, vSum time.Duration
 	for _, seed := range seeds {
 		cat := qgen.Catalog(n, seed, indexed)
 		po, pvrs, rep, err := buildPrairieOODB(cat)
@@ -389,43 +373,38 @@ func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error)
 		if err != nil {
 			return point{}, err
 		}
-		items = append(items, volcano.BatchItem{RS: pvrs, Tree: tree, Req: req, Opts: vopts, Repeats: reps})
-
 		vo := oodb.New(qgen.Catalog(n, seed, indexed))
 		vtree, err := qgen.Build(vo, e, n)
 		if err != nil {
 			return point{}, err
 		}
-		vreq := core.NewDescriptor(vo.Alg.Props)
-		items = append(items, volcano.BatchItem{RS: vo.VolcanoRules(), Tree: vtree, Req: vreq, Opts: vopts, Repeats: reps})
-	}
-	results, report := volcano.OptimizeBatchOpts(nil, items, volcano.BatchOptions{Workers: opts.workers(), Obs: opts.Obs})
-	opts.collect(report.Agg)
-	pt := point{N: n}
-	var pSum, vSum time.Duration
-	for i := 0; i+1 < len(results); i += 2 {
-		pr, vr := results[i], results[i+1]
-		for _, r := range [2]volcano.BatchResult{pr, vr} {
-			if errors.Is(r.Err, volcano.ErrSpaceExhausted) {
-				return point{N: n, Exhausted: true}, nil
-			}
-			if r.Err != nil {
-				return point{}, r.Err
-			}
-			if r.Stats.Degraded {
-				pt.Degraded = true
-			}
+		pd, pStats, exhausted, err := timeOptimize(pvrs, tree, req, reps, vopts)
+		if err != nil {
+			return point{}, err
 		}
+		opts.collect(pStats)
+		if exhausted {
+			return point{N: n, Exhausted: true}, nil
+		}
+		vd, vStats, exhausted, err := timeOptimize(vo.VolcanoRules(), vtree, core.NewDescriptor(vo.Alg.Props), reps, vopts)
+		if err != nil {
+			return point{}, err
+		}
+		opts.collect(vStats)
+		if exhausted {
+			return point{N: n, Exhausted: true}, nil
+		}
+		pt.Degraded = pt.Degraded || pStats.Degraded || vStats.Degraded
 		// Degraded runs explore differing fractions of the space before
 		// their budgets trip, so class counts are only comparable on
 		// complete searches.
-		if !pt.Degraded && pr.Stats.Groups != vr.Stats.Groups {
+		if !pt.Degraded && pStats.Groups != vStats.Groups {
 			return point{}, fmt.Errorf("experiments: %v n=%d seed=%d: equivalence classes differ (prairie %d, volcano %d)",
-				e, n, seeds[i/2], pr.Stats.Groups, vr.Stats.Groups)
+				e, n, seed, pStats.Groups, vStats.Groups)
 		}
-		pSum += pr.Elapsed
-		vSum += vr.Elapsed
-		pt.Groups, pt.Exprs = pr.Stats.Groups, pr.Stats.Exprs
+		pSum += pd
+		vSum += vd
+		pt.Groups, pt.Exprs = pStats.Groups, pStats.Exprs
 	}
 	k := time.Duration(len(seeds))
 	pt.Prairie, pt.Volcano = pSum/k, vSum/k

@@ -107,8 +107,6 @@ type CacheInfo struct {
 	Outcome string `json:"outcome"`
 	// Epoch is the cache generation the request ran under.
 	Epoch uint64 `json:"epoch"`
-	// WarmSeeds counts subproblems warm-started from cached incumbents.
-	WarmSeeds int `json:"warm_seeds,omitempty"`
 }
 
 // SearchInfo is the record's search-outcome section.
@@ -211,11 +209,11 @@ func (rec *RequestRecord) SetAdmissionWait(began time.Time, d time.Duration) {
 }
 
 // SetCache fills the plan-cache section. Nil-safe.
-func (rec *RequestRecord) SetCache(outcome string, epoch uint64, warmSeeds int) {
+func (rec *RequestRecord) SetCache(outcome string, epoch uint64) {
 	if rec == nil {
 		return
 	}
-	rec.Cache = &CacheInfo{Outcome: outcome, Epoch: epoch, WarmSeeds: warmSeeds}
+	rec.Cache = &CacheInfo{Outcome: outcome, Epoch: epoch}
 }
 
 // SetSearch fills the search-outcome section. Nil-safe.

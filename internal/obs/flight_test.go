@@ -32,7 +32,7 @@ func TestFlightDisabled(t *testing.T) {
 		// The full nil-record surface must be inert.
 		rec.SetRequestInfo("w", "q", "b")
 		rec.SetAdmissionWait(time.Now(), time.Millisecond)
-		rec.SetCache("hit", 1, 2)
+		rec.SetCache("hit", 1)
 		rec.SetSearch(SearchInfo{})
 		rec.SetExec(ExecInfo{})
 		if rec.PhaseClock() != nil || rec.TraceParent() != "" {
@@ -133,7 +133,7 @@ func TestFlightRecordJSON(t *testing.T) {
 	now := time.Now()
 	rec.SetAdmissionWait(now, 2*time.Millisecond)
 	rec.PhaseClock().Observe(PhaseFull, now, 5*time.Millisecond)
-	rec.SetCache("miss", 3, 1)
+	rec.SetCache("miss", 3)
 	rec.SetSearch(SearchInfo{Groups: 7, Exprs: 21, Degraded: true, DegradeCause: "timeout"})
 	rec.SetExec(ExecInfo{Rows: 64, Ops: []ExecOpStat{{ID: 0, Parent: -1, Op: "Hash_join", RowsOut: 64}}})
 	completeOK(fr, rec)

@@ -106,7 +106,7 @@ func (g *Gauge) Value() float64 {
 // Histogram is a fixed-bucket cumulative histogram. Observations land
 // in the first bucket whose upper bound is >= the value; values above
 // every bound land in the implicit +Inf bucket. All operations are
-// atomic, so concurrent observers (batch workers) need no locking.
+// atomic, so concurrent observers need no locking.
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Int64 // len(bounds)+1; last is +Inf

@@ -27,8 +27,8 @@ type TraceEvent struct {
 const DefaultMaxEvents = 1 << 20
 
 // Tracer records nested optimizer spans, instant events, and counter
-// samples. It is safe for concurrent use (batch workers share one
-// tracer, each on its own tid), and nil-safe: every method on a nil
+// samples. It is safe for concurrent use (concurrent optimizers share
+// one tracer), and nil-safe: every method on a nil
 // *Tracer is a no-op, and spans it returns are inert.
 type Tracer struct {
 	// MaxEvents overrides DefaultMaxEvents when set before recording; a

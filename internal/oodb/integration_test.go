@@ -440,36 +440,6 @@ func TestUnnestOptimizesAndExecutes(t *testing.T) {
 	}
 }
 
-// TestBottomUpStrategyOnOODB cross-checks the System R-style strategy on
-// the full OODB rule set: equal-cost winners for a mixed workload.
-func TestBottomUpStrategyOnOODB(t *testing.T) {
-	for _, e := range []qgen.ExprKind{qgen.E1, qgen.E2, qgen.E4} {
-		o, vrs, rep := prairiePath(t, 2, 101, true)
-		tree, err := qgen.Build(o, e, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, req, err := rep.PrepareQuery(tree, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		td := volcano.NewOptimizer(vrs)
-		tdPlan, err := td.Optimize(tree.Clone(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bu := volcano.NewBottomUp(vrs)
-		buPlan, err := bu.Optimize(tree.Clone(), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tdPlan.Cost(vrs.Class) != buPlan.Cost(vrs.Class) {
-			t.Errorf("%v: top-down %g vs bottom-up %g", e,
-				tdPlan.Cost(vrs.Class), buPlan.Cost(vrs.Class))
-		}
-	}
-}
-
 // TestStarGraphSearchSpace: star query graphs (the paper's future work)
 // admit more join orders than linear chains — every subset containing
 // the hub is connected — so the search space is strictly larger.

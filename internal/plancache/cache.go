@@ -6,9 +6,8 @@
 // The package is deliberately engine-agnostic (and stdlib-only): keys
 // are opaque fingerprints plus an exact canonical rendering, values are
 // a type parameter. Package internal/volcano layers plan semantics on
-// top — fingerprint computation, memo warm-start, and statistics
-// plumbing — so the cache itself stays small enough to reason about
-// under concurrency.
+// top — fingerprint computation and statistics plumbing — so the cache
+// itself stays small enough to reason about under concurrency.
 //
 // Concurrency model: every shard is guarded by one mutex held only for
 // map/list operations (never across a search). Misses on the same key
@@ -46,14 +45,13 @@ type Key struct {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits, Misses    int64 // Get/Acquire outcomes
-	Puts            int64 // entries written (Put or shared Complete)
-	Evictions       int64 // LRU evictions
-	Peeks, PeekHits int64 // warm-start probes (not counted as hit/miss)
-	FlightWaits     int64 // followers that waited behind a leader
-	FlightShared    int64 // waits resolved by adopting the leader's result
-	Entries         int   // live entries
-	Epoch           uint64
+	Hits, Misses int64 // Get/Acquire outcomes
+	Puts         int64 // entries written (Put or shared Complete)
+	Evictions    int64 // LRU evictions
+	FlightWaits  int64 // followers that waited behind a leader
+	FlightShared int64 // waits resolved by adopting the leader's result
+	Entries      int   // live entries
+	Epoch        uint64
 }
 
 type entry[V any] struct {
@@ -88,7 +86,6 @@ type Cache[V any] struct {
 	epoch       atomic.Uint64
 
 	hits, misses, puts, evictions atomic.Int64
-	peeks, peekHits               atomic.Int64
 	flightWaits, flightShared     atomic.Int64
 }
 
@@ -197,29 +194,6 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	return zero, false
 }
 
-// Peek is Get without hit/miss accounting (Peeks/PeekHits count
-// instead) — the warm-start probe: subtree lookups must not distort
-// the hit rate, but a used entry still deserves its LRU promotion.
-func (c *Cache[V]) Peek(k Key) (V, bool) {
-	var zero V
-	if !c.Enabled() {
-		return zero, false
-	}
-	c.peeks.Add(1)
-	s := c.shardFor(k)
-	s.mu.Lock()
-	el, ok := s.items[k]
-	if ok {
-		s.lru.MoveToFront(el)
-		v := el.Value.(*entry[V]).v
-		s.mu.Unlock()
-		c.peekHits.Add(1)
-		return v, true
-	}
-	s.mu.Unlock()
-	return zero, false
-}
-
 // Put writes k's value, evicting from the shard's LRU tail when over
 // budget.
 func (c *Cache[V]) Put(k Key, v V) {
@@ -300,8 +274,6 @@ func (c *Cache[V]) Snapshot() Stats {
 		Misses:       c.misses.Load(),
 		Puts:         c.puts.Load(),
 		Evictions:    c.evictions.Load(),
-		Peeks:        c.peeks.Load(),
-		PeekHits:     c.peekHits.Load(),
 		FlightWaits:  c.flightWaits.Load(),
 		FlightShared: c.flightShared.Load(),
 		Entries:      c.Len(),

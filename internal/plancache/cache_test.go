@@ -95,24 +95,6 @@ func TestScopeSeparation(t *testing.T) {
 	}
 }
 
-func TestPeekDoesNotCountHitMiss(t *testing.T) {
-	c := New[int](8)
-	c.Put(key(1, "a"), 1)
-	if _, ok := c.Peek(key(1, "a")); !ok {
-		t.Fatal("peek missed a live entry")
-	}
-	if _, ok := c.Peek(key(2, "b")); ok {
-		t.Fatal("peek hit a missing entry")
-	}
-	st := c.Snapshot()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("peeks leaked into hit/miss counters: %+v", st)
-	}
-	if st.Peeks != 2 || st.PeekHits != 1 {
-		t.Fatalf("peek counters = %+v", st)
-	}
-}
-
 func TestDisabledHandle(t *testing.T) {
 	c := New[int](0)
 	if c.Enabled() {

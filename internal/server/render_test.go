@@ -423,7 +423,15 @@ func TestRenderOnce(t *testing.T) {
 	srv, _ := testServer(t, nil)
 	world, _ := srv.cfg.Registry.Lookup("oodb/volcano")
 	rq := OptimizeRequest{Ruleset: world.Name, Query: QuerySpec{Family: "E2", N: 4}}
-	if _, _, err := srv.optimizeOne(context.Background(), world, rq, nil); err != nil {
+	one := func(rq OptimizeRequest) (*OptimizeResponse, error) {
+		p, err := srv.prepare(world, rq)
+		if err != nil {
+			return nil, err
+		}
+		r, _, err := srv.optimizeOne(context.Background(), &p, nil)
+		return r, err
+	}
+	if _, err := one(rq); err != nil {
 		t.Fatal(err) // the miss publishes the entry and renders its head
 	}
 	rq.IncludePlan = true
@@ -438,7 +446,7 @@ func TestRenderOnce(t *testing.T) {
 			start.Wait()
 			rq := rq
 			rq.Execute = k%2 == 1 // under -race: running the shared plan writes nothing
-			r, _, err := srv.optimizeOne(context.Background(), world, rq, nil)
+			r, err := one(rq)
 			if err != nil {
 				t.Error(err)
 				return
@@ -659,23 +667,21 @@ func TestBatchPlanEncodeError(t *testing.T) {
 	srv, _ := testServer(t, nil)
 	world, _ := srv.cfg.Registry.Lookup("oodb/volcano")
 	rq := OptimizeRequest{Ruleset: world.Name, Query: QuerySpec{Family: "E1", N: 2}, IncludePlan: true}
-	// Publish entries whose plan holds such a value: a library caller
+	// Publish an entry whose plan holds such a value: a library caller
 	// sharing the cache leads the search, and reaches its published clone
-	// through a second, hitting run. /v1/optimize keys its entries under
-	// the class's budget, /v1/batch folds the item's timeout in.
-	for _, b := range []volcano.Budget{{}, {Timeout: srv.timeout(0)}} {
-		for range 2 {
-			tree, req, _ := world.Build(rq.Query)
-			o := volcano.NewOptimizer(world.RS)
-			o.Opts.Cache, o.Opts.Budget = srv.Cache(), b
-			plan, err := o.OptimizeContext(context.Background(), tree, req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for id := core.PropID(0); int(id) < plan.D.Props().Len(); id++ {
-				if plan.D.Has(id) {
-					plan.D.Set(id, unencodable{plan.D.Get(id)})
-				}
+	// through a second, hitting run. Both endpoints key their entries
+	// under the class's budget.
+	for range 2 {
+		tree, req, _ := world.Build(rq.Query)
+		o := volcano.NewOptimizer(world.RS)
+		o.Opts.Cache = srv.Cache()
+		plan, err := o.OptimizeContext(context.Background(), tree, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := core.PropID(0); int(id) < plan.D.Props().Len(); id++ {
+			if plan.D.Has(id) {
+				plan.D.Set(id, unencodable{plan.D.Get(id)})
 			}
 		}
 	}

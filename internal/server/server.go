@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"prairie/internal/cluster"
+	"prairie/internal/core"
 	"prairie/internal/exec"
 	"prairie/internal/obs"
 	"prairie/internal/volcano"
@@ -396,6 +397,7 @@ func (s *Server) shed(w http.ResponseWriter, code int, msg string, retryAfter ti
 
 // guard wraps a handler with panic isolation: a panicking request is
 // answered with 500 and counted, and never takes the process down.
+// Handlers that keep a flight record complete it first (recordPanic).
 func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
@@ -506,6 +508,17 @@ func (s *Server) finish(rec *obs.RequestRecord, status int, outcome, errMsg stri
 	}
 }
 
+// recordPanic, deferred by a recording handler, completes the flight
+// record of a panicking request — the X-Request-Id the client holds must
+// resolve on /v1/debug/requests/{id}, this request above all — and hands
+// the panic on to guard.
+func (s *Server) recordPanic(rec *obs.RequestRecord) {
+	if p := recover(); p != nil {
+		s.finish(rec, http.StatusInternalServerError, "error", fmt.Sprintf("internal panic: %v", p))
+		panic(p)
+	}
+}
+
 // record begins the flight record of one request and stamps the
 // correlation headers; nil when the recorder is disabled.
 func (s *Server) record(w http.ResponseWriter, r *http.Request, endpoint string) *obs.RequestRecord {
@@ -600,30 +613,49 @@ func (s *Server) timeout(ms int64) time.Duration {
 	return d
 }
 
-// optimizeOne runs one prepared request on a fresh optimizer (the
-// optimizer is single-use; the rule set, cache and observer are the
-// shared state).
-func (s *Server) optimizeOne(ctx context.Context, world *World, req OptimizeRequest, rec *obs.RequestRecord) (*OptimizeResponse, int, error) {
+// prepared is a request resolved against its world: the budget class
+// looked up and the query built. It is what optimizeOne searches.
+type prepared struct {
+	world  *World
+	req    OptimizeRequest
+	budget volcano.Budget
+	tree   *core.Expr
+	want   *core.Descriptor
+}
+
+// prepare resolves req against world; every failure is the client's (400).
+func (s *Server) prepare(world *World, req OptimizeRequest) (prepared, error) {
 	budget, ok := s.budgets[budgetName(req.Budget)]
 	if !ok {
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown budget class %q", req.Budget)
+		return prepared{}, fmt.Errorf("unknown budget class %q", req.Budget)
 	}
 	tree, want, err := world.Build(req.Query)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return prepared{}, err
 	}
+	return prepared{world: world, req: req, budget: budget, tree: tree, want: want}, nil
+}
+
+// optimizeOne runs one prepared request on a fresh optimizer (the
+// optimizer is single-use; the rule set, cache and observer are the
+// shared state). It is the server's one way into the search:
+// /v1/optimize calls it once, /v1/batch once per item. The request's
+// timeout_ms bounds the context, never the Budget, so it is no part of
+// the cache key.
+func (s *Server) optimizeOne(ctx context.Context, p *prepared, rec *obs.RequestRecord) (*OptimizeResponse, int, error) {
+	world, req := p.world, p.req
 	rec.SetRequestInfo(world.Name, req.Query.String(), budgetName(req.Budget))
 	ctx, cancel := context.WithTimeout(ctx, s.timeout(req.TimeoutMS))
 	defer cancel()
 
 	opt := volcano.NewOptimizer(world.RS)
-	opt.Opts.Budget = budget
+	opt.Opts.Budget = p.budget
 	opt.Opts.Obs = s.cfg.Obs
 	opt.Opts.Cache = s.cache
 	opt.Opts.Remote = s.remote(world)
 	opt.Opts.Phases = rec.PhaseClock() // nil clock when unrecorded: timing off
 	start := time.Now()
-	plan, err := opt.OptimizeContext(ctx, tree, want)
+	plan, err := opt.OptimizeContext(ctx, p.tree, p.want)
 	elapsed := time.Since(start)
 	s.hLatency.Observe(elapsed.Seconds())
 	if err != nil {
@@ -668,7 +700,7 @@ func (s *Server) recordOutcome(rec *obs.RequestRecord, st *volcano.Stats) {
 	case st.CacheHits > 0 && st.CacheMisses == 0:
 		outcome = "hit"
 	}
-	rec.SetCache(outcome, s.cache.Epoch(), st.WarmSeeds)
+	rec.SetCache(outcome, s.cache.Epoch())
 	si := obs.SearchInfo{
 		Groups:       st.Groups,
 		Exprs:        st.Exprs,
@@ -721,9 +753,8 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 }
 
 // buildResponse renders one optimization outcome as its wire response;
-// /v1/optimize and /v1/batch share it so the plan rendering and the
-// degradation surface stay consistent, and the per-outcome
-// server metrics (degraded, cache hits) are counted exactly once here.
+// the per-outcome server metrics (degraded, cache hits) are counted
+// exactly once here.
 // slot is the rendering slot of the cache entry behind plan (nil: none).
 // The only error is an include_plan request whose plan cannot be
 // encoded.
@@ -822,12 +853,18 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec := s.record(w, r, "/v1/optimize")
+	defer s.recordPanic(rec)
 	release, ok := s.begin(w, r, rec)
 	if !ok {
 		return
 	}
 	defer release()
-	resp, code, err := s.optimizeOne(r.Context(), world, req, rec)
+	p, err := s.prepare(world, req)
+	if err != nil {
+		s.fail(w, rec, http.StatusBadRequest, err)
+		return
+	}
+	resp, code, err := s.optimizeOne(r.Context(), &p, rec)
 	if err != nil {
 		s.fail(w, rec, code, err)
 		return
@@ -847,8 +884,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 }
 
 // BatchRequest is the wire request of /v1/batch: many optimize items
-// answered as one admission unit, fanned over the engine's parallel
-// batch API.
+// answered as one admission unit, each run as /v1/optimize would run it
+// on at most Workers goroutines.
 type BatchRequest struct {
 	Items   []OptimizeRequest `json:"items"`
 	Workers int               `json:"workers,omitempty"`
@@ -891,8 +928,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Prepare every item before taking a slot: a malformed item fails
 	// the whole batch up front (cheap), matching the all-or-nothing
 	// admission decision.
-	items := make([]volcano.BatchItem, len(req.Items))
-	worlds := make([]*World, len(req.Items))
+	items := make([]prepared, len(req.Items))
 	for i, it := range req.Items {
 		world, ok := s.cfg.Registry.Lookup(it.Ruleset)
 		if !ok {
@@ -900,28 +936,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				errorBody{Error: fmt.Sprintf("item %d: unknown ruleset %q", i, it.Ruleset)})
 			return
 		}
-		budget, ok := s.budgets[budgetName(it.Budget)]
-		if !ok {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: fmt.Sprintf("item %d: unknown budget class %q", i, it.Budget)})
-			return
-		}
-		tree, want, err := world.Build(it.Query)
+		p, err := s.prepare(world, it)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				errorBody{Error: fmt.Sprintf("item %d: %v", i, err)})
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("item %d: %v", i, err)})
 			return
 		}
-		worlds[i] = world
-		items[i] = volcano.BatchItem{
-			RS:      world.RS,
-			Tree:    tree,
-			Req:     want,
-			Opts:    volcano.Options{Budget: budget, Remote: s.remote(world)},
-			Timeout: s.timeout(it.TimeoutMS),
-		}
+		items[i] = p
 	}
 	rec := s.record(w, r, "/v1/batch")
+	defer s.recordPanic(rec)
 	rec.SetRequestInfo("", fmt.Sprintf("batch[%d]", len(req.Items)), "")
 	release, ok := s.begin(w, r, rec)
 	if !ok {
@@ -930,32 +953,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	start := time.Now()
-	results, _ := volcano.OptimizeBatchOpts(r.Context(), items, volcano.BatchOptions{
-		Workers: workers,
-		Obs:     s.cfg.Obs,
-		Cache:   s.cache,
-	})
-	resp := BatchResponse{
-		Results: make([]BatchItemResponse, len(results)),
-		WallUS:  time.Since(start).Microseconds(),
-		Workers: workers,
+	resp := BatchResponse{Results: make([]BatchItemResponse, len(items)), Workers: workers}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, len(items)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(items)); i = next.Add(1) - 1 {
+				resp.Results[i] = s.batchItem(r.Context(), &items[i])
+			}
+		}()
 	}
-	for i, res := range results {
-		var item *OptimizeResponse
-		err := res.Err
-		if err == nil {
-			item, err = s.buildResponse(worlds[i], req.Items[i], res.Plan, res.Rendering, res.Stats, res.Elapsed.Microseconds())
-		}
-		if err != nil {
+	wg.Wait()
+	resp.WallUS = time.Since(start).Microseconds()
+	for _, res := range resp.Results {
+		switch {
+		case res.Error != "":
 			s.mErrors.Inc()
 			resp.Errors++
-			resp.Results[i] = BatchItemResponse{Error: err.Error()}
-			continue
-		}
-		if item.Degraded {
+		case res.Degraded:
 			resp.Degraded++
 		}
-		resp.Results[i] = BatchItemResponse{OptimizeResponse: item}
 	}
 	if err := writeAppended(w, http.StatusOK, &resp); err != nil {
 		s.fail(w, rec, http.StatusInternalServerError, err)
@@ -966,6 +985,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		outcome = "degraded"
 	}
 	s.finish(rec, http.StatusOK, outcome, "")
+}
+
+// batchItem answers one batch item through optimizeOne. A panicking rule
+// hook costs the item an error, never the process or its neighbours; an
+// item not yet started when the client has gone fails fast. The flight
+// record is nil: its setters are not goroutine-safe, and the batch keeps
+// the one record of the request.
+func (s *Server) batchItem(ctx context.Context, p *prepared) (res BatchItemResponse) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.mPanics.Inc()
+			res = BatchItemResponse{Error: fmt.Sprintf("internal panic: %v", r)}
+		}
+	}()
+	if err := ctx.Err(); err != nil {
+		return BatchItemResponse{Error: err.Error()}
+	}
+	resp, _, err := s.optimizeOne(ctx, p, nil)
+	if err != nil {
+		return BatchItemResponse{Error: err.Error()}
+	}
+	return BatchItemResponse{OptimizeResponse: resp}
 }
 
 // rulesetInfo describes one servable world on /v1/rulesets.

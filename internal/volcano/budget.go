@@ -10,8 +10,8 @@ import (
 // hard Options.MaxExprs cap (which fails with ErrSpaceExhausted, the
 // paper's virtual-memory wall), exceeding a Budget degrades gracefully:
 // the optimizer stops exploring, salvages the best plan it can from the
-// already-explored memo, and falls back to a greedy bottom-up plan of
-// the original tree if no complete winner exists. The plan is marked in
+// already-explored memo, and falls back to the greedy plan of the
+// original tree (GreedyPlan) if no complete winner exists. The plan is marked in
 // Stats (Degraded, DegradeCause, DegradePath) — production optimizers
 // bound search effort and always return *a* plan rather than none.
 //
@@ -78,8 +78,10 @@ const (
 	// DegradePathMemo: a complete winner was salvaged from the
 	// partially-explored memo.
 	DegradePathMemo = "memo-best"
-	// DegradePathBottomUp: no complete winner existed; the plan is the
-	// greedy bottom-up baseline over the original tree.
+	// DegradePathBottomUp: no complete winner existed; the plan is
+	// GreedyPlan's, the original tree implemented as written. (The name
+	// and the wire value predate the removal of the bottom-up strategy
+	// that used to compute it.)
 	DegradePathBottomUp = "bottom-up"
 )
 

@@ -3,7 +3,6 @@ package volcano
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -18,9 +17,9 @@ import (
 // scope, and cache epoch, with singleflight collapsing of concurrent
 // misses (see internal/plancache for the storage layer).
 //
-// One PlanCache may be shared by any number of optimizers and batch
-// workers. A nil *PlanCache — or NewPlanCache(0) — is a valid disabled
-// handle that leaves the engine byte-identical to a cacheless build.
+// One PlanCache may be shared by any number of concurrent optimizers. A
+// nil *PlanCache — or NewPlanCache(0) — is a valid disabled handle that
+// leaves the engine byte-identical to a cacheless build.
 type PlanCache struct {
 	c *plancache.Cache[cachedPlan]
 }
@@ -85,9 +84,9 @@ func (pc *PlanCache) String() string {
 	}
 	s := pc.Snapshot()
 	return fmt.Sprintf(
-		"plancache: %d/%d entries, epoch %d; hits=%d misses=%d puts=%d evictions=%d peeks=%d/%d flight waits=%d shared=%d",
+		"plancache: %d/%d entries, epoch %d; hits=%d misses=%d puts=%d evictions=%d flight waits=%d shared=%d",
 		s.Entries, pc.Capacity(), s.Epoch, s.Hits, s.Misses, s.Puts,
-		s.Evictions, s.PeekHits, s.Peeks, s.FlightWaits, s.FlightShared)
+		s.Evictions, s.FlightWaits, s.FlightShared)
 }
 
 // Rendering is a cache entry's once-filled slot for a caller-defined
@@ -115,7 +114,7 @@ func (r *Rendering) Do(fill func() any) any {
 // cachedPlan is one cache entry: the winner plan detached from any memo,
 // its cost, and the memo-shape statistics of the cold run that produced
 // it. Hits copy the shape counters into the run's Stats so downstream
-// accounting (the experiments' group-equality checks, batch aggregates)
+// accounting (the experiments' group-equality checks, merged aggregates)
 // sees the search the plan stands for. Entries are immutable: hits share
 // plan, they do not copy it.
 type cachedPlan struct {
@@ -164,16 +163,6 @@ func (o *Optimizer) publishable(plan *PExpr) cachedPlan {
 	return cp
 }
 
-// cacheSeed is one warm-start candidate: a proper subtree of the query,
-// remembered by the memo group it was interned into plus its cache
-// fingerprint. findBest consults these to seed branch-and-bound with a
-// cached incumbent (see lookupSeed).
-type cacheSeed struct {
-	gid   GroupID
-	fp    uint64
-	canon []byte
-}
-
 // budgetClass renders the options fields that can change which plan a
 // search produces; it is folded into the cache key so differently
 // bounded searches never share entries.
@@ -186,17 +175,11 @@ func budgetClass(opts Options) string {
 		b.Timeout, b.MaxExprs, b.MaxGroups, b.MaxRuleFirings, opts.Explorer)
 }
 
-// rootKey builds the cache key of a whole query, rendering tree,
-// requirement and budget class into one buffer.
+// rootKey builds the cache key of a query: the tree's fingerprint
+// extended with the required physical properties and the budget class,
+// rendered into one buffer and stamped with scope and epoch.
 func (o *Optimizer) rootKey(tree *core.Expr, req *core.Descriptor) plancache.Key {
 	fp, canon := o.RS.fingerprintWalk(tree, make([]byte, 0, 512))
-	return o.finishKey(fp, canon, req)
-}
-
-// finishKey extends a tree fingerprint with the required physical
-// properties and the budget class, and stamps scope and epoch. It
-// appends to canon (a caller that keeps canon clips it first).
-func (o *Optimizer) finishKey(fp uint64, canon []byte, req *core.Descriptor) plancache.Key {
 	phys := o.RS.Class.Phys
 	bstr := budgetClass(o.Opts)
 	fp = core.HashCombine(fp, req.HashOn(phys))
@@ -216,9 +199,9 @@ func (o *Optimizer) finishKey(fp uint64, canon []byte, req *core.Descriptor) pla
 //
 //   - Full hit: the entry's plan is handed out as is (read-only, see
 //     cacheHit), no search runs.
-//   - Miss (leader): the cold search runs with warm-start seeds
-//     installed; a completed (non-degraded) result is published to the
-//     cache and to every follower waiting on the same key.
+//   - Miss (leader): the cold search runs; a completed (non-degraded)
+//     result is published to the cache and to every follower waiting on
+//     the same key.
 //   - Miss (follower): wait for the leader; adopt its shared result, or
 //     run an independent search when the leader declined to share
 //     (degraded or failed runs are never cached).
@@ -338,9 +321,7 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 	if ph != nil {
 		ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
 	}
-	o.warm = true
 	plan, err := o.optimizeContext(ctx, tree, req)
-	o.warm = false
 	if err != nil || plan == nil || o.Stats.Degraded {
 		if remoteLead {
 			// The owner granted this node the cluster-wide lease; with
@@ -378,49 +359,4 @@ func (o *Optimizer) cacheHit(cp cachedPlan) *PExpr {
 	o.Stats.Merges = cp.merges
 	o.Stats.MemoBytes = cp.memoBytes
 	return cp.plan
-}
-
-// installSeeds records every proper interior subtree of the query as a
-// warm-start candidate. Called after the tree is interned (Insert is
-// idempotent, so re-interning subtrees only reads the memo); group ids
-// are canonicalized again at lookup time because exploration merges
-// groups.
-func (o *Optimizer) installSeeds(tree *core.Expr) {
-	o.seeds = o.seeds[:0]
-	var walk func(e *core.Expr, root bool)
-	walk = func(e *core.Expr, root bool) {
-		if e.IsLeaf() {
-			return
-		}
-		if !root {
-			fp, canon := o.RS.fingerprintWalk(e, nil)
-			o.seeds = append(o.seeds, cacheSeed{gid: o.Memo.Insert(e), fp: fp, canon: canon})
-		}
-		for _, k := range e.Kids {
-			walk(k, false)
-		}
-	}
-	walk(tree, true)
-}
-
-// lookupSeed probes the cache for a winner of group g under req: a hit
-// means some earlier query's whole search problem was exactly this
-// subproblem, so its cached winner is a valid incumbent — findBest
-// starts branch-and-bound from its real cost instead of +Inf, and any
-// strictly cheaper plan still replaces it (costs are monotonic, so a
-// plan the seed prunes could never have beaten the seed). Probes use
-// Peek, not Get: subtree lookups must not distort the hit rate.
-func (o *Optimizer) lookupSeed(g GroupID, req *core.Descriptor) (*PExpr, float64, bool) {
-	pc := o.Opts.Cache
-	for i := range o.seeds {
-		s := &o.seeds[i]
-		if o.Memo.Find(s.gid) != g {
-			continue
-		}
-		if cp, ok := pc.c.Peek(o.finishKey(s.fp, slices.Clip(s.canon), req)); ok {
-			o.Stats.WarmSeeds++
-			return cp.plan, cp.cost, true
-		}
-	}
-	return nil, 0, false
 }

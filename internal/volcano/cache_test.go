@@ -182,37 +182,6 @@ func TestPlanCacheCommutativeHit(t *testing.T) {
 	check(pBA, coldBA)
 }
 
-// TestPlanCacheWarmStart: with the prefix subqueries cached, a cold
-// search of a larger query seeds branch-and-bound from their winners —
-// WarmSeeds fires, pruning does not regress, and the plan stays
-// byte-identical to the fully cold plan.
-func TestPlanCacheWarmStart(t *testing.T) {
-	w := newTestWorld()
-	cards := []float64{8, 4, 2, 6, 3}
-	cold, coldStats := optCached(t, w, w.chain(cards...), nil)
-
-	pc := NewPlanCache(64)
-	for n := 2; n < len(cards); n++ {
-		optCached(t, w, w.chain(cards[:n]...), pc)
-	}
-	warm, warmStats := optCached(t, w, w.chain(cards...), pc)
-	if warmStats.CacheMisses != 1 {
-		t.Fatalf("full query unexpectedly hit: %+v", warmStats)
-	}
-	if warmStats.WarmSeeds == 0 {
-		t.Fatal("no warm-start seeds fired despite cached prefixes")
-	}
-	if warm.Format() != cold.Format() {
-		t.Errorf("warm-started plan differs from cold plan:\n%s\nvs\n%s",
-			warm.Format(), cold.Format())
-	}
-	if warmStats.Pruned < coldStats.Pruned {
-		t.Errorf("warm start reduced pruning: %d < %d", warmStats.Pruned, coldStats.Pruned)
-	}
-	t.Logf("warm seeds=%d pruned warm=%d cold=%d",
-		warmStats.WarmSeeds, warmStats.Pruned, coldStats.Pruned)
-}
-
 // TestPlanCacheNeutral: a nil cache and a disabled handle both leave
 // plans and rendered stats byte-identical to each other.
 func TestPlanCacheNeutral(t *testing.T) {

@@ -16,11 +16,11 @@ func (o *Optimizer) beginObs() {
 	ob := o.Opts.Obs
 	o.timing = ob.TimingEnabled()
 	o.tr = ob.TracerOrNil()
-	o.tid = o.Opts.TraceTID
-	if o.tid == 0 {
-		o.tid = 1
-	}
 }
+
+// traceTID is the Chrome-trace thread id of every optimizer's rows in an
+// attached obs.Tracer.
+const traceTID = 1
 
 // addImplTime accumulates costing self time for one impl_rule.
 func (o *Optimizer) addImplTime(rule string, d time.Duration) {
@@ -59,7 +59,6 @@ func recordRun(ob *obs.Observer, s *Stats, elapsed time.Duration, err error) {
 	if s.CacheHits+s.CacheMisses+s.FlightWaits > 0 {
 		reg.Counter("prairie_plancache_hits_total").Add(int64(s.CacheHits))
 		reg.Counter("prairie_plancache_misses_total").Add(int64(s.CacheMisses))
-		reg.Counter("prairie_plancache_warm_seeds_total").Add(int64(s.WarmSeeds))
 		reg.Counter("prairie_plancache_flight_waits_total").Add(int64(s.FlightWaits))
 		reg.Counter("prairie_plancache_flight_shared_total").Add(int64(s.FlightShared))
 	}

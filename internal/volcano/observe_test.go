@@ -113,3 +113,42 @@ func TestExplainGroup(t *testing.T) {
 		t.Error("out-of-range group id did not error")
 	}
 }
+
+// TestBatchConcurrentObservability drives one shared Observer from four
+// goroutines of optimizers at once — the race-detector target for the
+// metric registry and tracer (run under -race by make race). The shared
+// counters must record every optimization, and Stats.Merge must sum the
+// runs, per-rule timing included.
+func TestBatchConcurrentObservability(t *testing.T) {
+	w := newTestWorld()
+	tree := w.chain(8, 4, 2)
+	const n = 16
+	ob := &obs.Observer{Metrics: obs.NewRegistry(), Tracer: obs.NewTracer(), RuleTiming: true}
+	stats := make([]*Stats, n)
+	onGoroutines(n, 4, func(i int) {
+		o := NewOptimizer(w.rs)
+		o.Opts.Obs = ob
+		if _, err := o.Optimize(tree.Clone(), nil); err != nil {
+			t.Errorf("run %d: %v", i, err)
+		}
+		stats[i] = o.Stats
+	})
+
+	agg, wantExprs := NewStats(), 0
+	for _, s := range stats {
+		wantExprs += s.Exprs
+		agg.Merge(s)
+	}
+	if agg.Exprs != wantExprs {
+		t.Errorf("merged Exprs = %d, want per-run sum %d", agg.Exprs, wantExprs)
+	}
+	if len(agg.TransTime) == 0 {
+		t.Error("RuleTiming enabled but merged TransTime is empty")
+	}
+	if got, _ := ob.Metrics.Snapshot()["prairie_optimize_total"].(int64); got != n {
+		t.Errorf("prairie_optimize_total = %d, want %d", got, n)
+	}
+	if ob.Tracer.Len() == 0 {
+		t.Error("shared tracer recorded no events")
+	}
+}

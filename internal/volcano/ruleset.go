@@ -192,8 +192,7 @@ func (e *Enforcer) String() string {
 //
 // A RuleSet is immutable once the first Optimizer runs over it: the
 // operator-indexed rule dispatch tables are built exactly once (on first
-// use) and are then shared — including across the concurrent optimizers
-// of OptimizeBatch, which all read the same RuleSet.
+// use) and are then shared by every optimizer, concurrent ones included.
 type RuleSet struct {
 	Algebra   *core.Algebra
 	Class     Classification

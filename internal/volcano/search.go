@@ -62,17 +62,11 @@ type Options struct {
 	// single-branch guards, leaving plans and stats byte-identical to
 	// unobserved releases.
 	Obs *obs.Observer
-	// TraceTID labels this optimizer's rows in an attached obs.Tracer
-	// (the Chrome-trace thread id); 0 renders as tid 1. Batch workers
-	// set distinct ids so concurrent optimizations appear as separate
-	// rows in Perfetto.
-	TraceTID int
 	// Cache attaches a cross-query plan cache: structurally equivalent
 	// queries (same fingerprint, requirement, budget class, rule-set
-	// scope) skip the search entirely, concurrent misses collapse to one
-	// search, and cold searches warm-start branch-and-bound from cached
-	// subtree winners. nil — the default — leaves plans, stats, and
-	// errors byte-identical to a cacheless build.
+	// scope) skip the search entirely and concurrent misses collapse to
+	// one search. nil — the default — leaves plans, stats, and errors
+	// byte-identical to a cacheless build.
 	Cache *PlanCache
 	// Phases, when set, receives coarse per-phase wall timings (cache
 	// acquire, full search) for the request-scoped flight recorder.
@@ -101,7 +95,9 @@ const DefaultMaxPasses = 10_000
 // memoized winners and branch-and-bound pruning.
 //
 // An Optimizer is not safe for concurrent use; run one per goroutine
-// (they may share a RuleSet — see OptimizeBatch).
+// (they may share a RuleSet, a PlanCache and an Observer). OptimizeContext
+// is the engine's only entry point: concurrency, repetition and timing
+// belong to the caller.
 type Optimizer struct {
 	RS    *RuleSet
 	Memo  *Memo
@@ -139,16 +135,9 @@ type Optimizer struct {
 	// timing gates the clock reads, tr the span/counter emissions.
 	timing bool
 	tr     *obs.Tracer
-	tid    int
 	// run is the resource accounting of the current OptimizeContext call
 	// (see budget.go).
 	run budgetState
-	// warm marks a cache-miss leader run: optimizeContext installs
-	// warm-start seeds for the query's subtrees (see cache.go).
-	warm bool
-	// seeds are the current run's warm-start candidates; findBest
-	// consults them via lookupSeed.
-	seeds []cacheSeed
 }
 
 // NewOptimizer returns an optimizer over a fresh memo.
@@ -182,7 +171,7 @@ func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*PExpr, err
 // cancelled, the optimizer degrades gracefully instead of failing: it
 // salvages the best plan costable from the already-explored memo, or —
 // when no complete winner exists, or on hard cancellation — falls back
-// to the greedy bottom-up plan of the original tree. Degraded results
+// to the greedy plan of the original tree. Degraded results
 // are marked in Stats (Degraded, DegradeCause, DegradePath). With a
 // background context and a zero Budget the behaviour and results are
 // identical to Optimize in previous releases.
@@ -193,7 +182,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 		// and metric flushes bracket the run, so the engine's hot loops
 		// only ever see the cached o.timing / o.tr guards.
 		start := time.Now()
-		sp := o.tr.Begin(o.tid, "optimize", "optimize")
+		sp := o.tr.Begin(traceTID, "optimize", "optimize")
 		plan, err := o.dispatchOptimize(ctx, tree, req)
 		if o.Stats.CacheHits > 0 && o.Stats.CacheMisses == 0 {
 			// A hit searched nothing: its span carries no memo shape, and
@@ -233,11 +222,6 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
 	root := o.Memo.Insert(tree)
-	if o.warm {
-		o.installSeeds(tree)
-	} else if len(o.seeds) != 0 {
-		o.seeds = o.seeds[:0]
-	}
 	if err := o.explore(); err != nil {
 		if errors.Is(err, errBudget) {
 			return o.degrade(root, tree, req)
@@ -275,7 +259,7 @@ func (o *Optimizer) recordMemoStats() {
 // salvage pass costs the explored contents; if that yields no complete
 // winner — or the run was hard-cancelled, where salvaging the memo
 // would prolong the search the caller asked to stop — the greedy
-// bottom-up baseline over the original tree is used.
+// baseline over the original tree is used.
 func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
 	o.Stats.Degraded = true
 	o.Stats.DegradeCause = o.run.cause
@@ -318,7 +302,7 @@ func (o *Optimizer) explore() error {
 	o.initRuleCounters()
 	defer o.flushRuleCounters()
 	if o.tr != nil {
-		sp := o.tr.Begin(o.tid, "explore", "explore")
+		sp := o.tr.Begin(traceTID, "explore", "explore")
 		defer func() {
 			sp.EndArgs(map[string]any{
 				"groups": o.Memo.NumGroups(), "exprs": o.Memo.NumExprs(),
@@ -595,8 +579,8 @@ func (x *explorer) run() error {
 				// Downsampled timeline counters: worklist depth and memo
 				// growth render as graphs in Perfetto.
 				if pops++; pops&63 == 0 {
-					o.tr.Counter(o.tid, "worklist_depth", float64(x.pending))
-					o.tr.Counter(o.tid, "memo_exprs", float64(m.NumExprs()))
+					o.tr.Counter(traceTID, "worklist_depth", float64(x.pending))
+					o.tr.Counter(traceTID, "memo_exprs", float64(m.NumExprs()))
 				}
 			}
 		}
@@ -733,7 +717,7 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) bool {
 			o.emit(EventTransFired, rule.Name, m.Find(e.group), e.String(), 0)
 		}
 		if o.tr != nil {
-			o.tr.Instant(o.tid, te.instant, "rule")
+			o.tr.Instant(traceTID, te.instant, "rule")
 		}
 		if rule.Appl != nil {
 			rule.Appl(b)
@@ -773,20 +757,13 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 	grp.winners[key] = append(grp.winners[key], w)
 	o.Stats.Winners++
 
-	var seedPlan *PExpr
-	seedCost := math.Inf(1)
-	if len(o.seeds) != 0 {
-		if p, c, ok := o.lookupSeed(g, req); ok {
-			seedPlan, seedCost = p, c
-		}
-	}
 	var sp obs.Span
 	if o.tr != nil {
 		// One span per (group, requirement) winner computation; the
 		// recursion over input groups nests naturally in the trace.
-		sp = o.tr.Begin(o.tid, fmt.Sprintf("group %d [%s]", g, reqString(req, phys)), "findBest")
+		sp = o.tr.Begin(traceTID, fmt.Sprintf("group %d [%s]", g, reqString(req, phys)), "findBest")
 	}
-	best, bestCost, err := o.optimizeGroup(grp, req, seedPlan, seedCost)
+	best, bestCost, err := o.optimizeGroup(grp, req)
 	if o.tr != nil {
 		args := map[string]any{"cost": bestCost}
 		if err != nil {
@@ -815,20 +792,12 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 	return best, bestCost, nil
 }
 
-// optimizeGroup enumerates the group's physical alternatives. A
-// non-nil seed is a cached winner for exactly this (group, req, budget)
-// subproblem, used as the branch-and-bound incumbent: enumeration
-// starts from its real cost instead of +Inf, and — costs being
-// monotonic — only strictly cheaper plans replace it, so the result
-// matches a cold search's winner.
-func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor, seed *PExpr, seedCost float64) (*PExpr, float64, error) {
+// optimizeGroup enumerates the group's physical alternatives.
+func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, float64, error) {
 	phys := o.RS.Class.Phys
 	costID := o.RS.Class.Cost
-	best := seed
+	var best *PExpr
 	bestCost := math.Inf(1)
-	if seed != nil {
-		bestCost = seedCost
-	}
 
 	consider := func(plan *PExpr, cost float64) {
 		o.Stats.CostedPlans++

@@ -52,13 +52,10 @@ type Stats struct {
 	// cacheless runs render byte-identically to previous releases):
 	// CacheHits counts runs served from the cross-query plan cache
 	// (including singleflight adoptions), CacheMisses runs that searched,
-	// WarmSeeds subproblems whose branch-and-bound started from a cached
-	// incumbent, FlightWaits runs that waited behind a concurrent
-	// identical search, and FlightShared those waits that adopted the
-	// leader's result.
+	// FlightWaits runs that waited behind a concurrent identical search,
+	// and FlightShared those waits that adopted the leader's result.
 	CacheHits    int
 	CacheMisses  int
-	WarmSeeds    int
 	FlightWaits  int
 	FlightShared int
 	// Cluster accounting (zero off-cluster, keeping single-node runs
@@ -133,7 +130,7 @@ func countNonZero(m map[string]int) int {
 // Merge folds another run's statistics into s: counters and per-rule
 // maps are summed, MaxQueue takes the maximum, and degradation is
 // aggregated by cause into DegradedRuns. It is the aggregation
-// primitive behind batch reports and experiment-sweep snapshots; s
+// primitive behind experiment-sweep snapshots; s
 // keeps its own identity (Degraded/DegradeCause describe s's first
 // degraded constituent).
 func (s *Stats) Merge(o *Stats) {
@@ -152,7 +149,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.Pruned += o.Pruned
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
-	s.WarmSeeds += o.WarmSeeds
 	s.FlightWaits += o.FlightWaits
 	s.FlightShared += o.FlightShared
 	s.PeerFills += o.PeerFills
@@ -268,9 +264,9 @@ func (s *Stats) String() string {
 		fmt.Fprintf(&b, " DEGRADED(%s via %s)", s.DegradeCause, s.DegradePath)
 	}
 	b.WriteByte('\n')
-	if s.CacheHits+s.CacheMisses+s.WarmSeeds+s.FlightWaits+s.FlightShared > 0 {
-		fmt.Fprintf(&b, "cache: hits=%d misses=%d seeds=%d waits=%d shared=%d",
-			s.CacheHits, s.CacheMisses, s.WarmSeeds, s.FlightWaits, s.FlightShared)
+	if s.CacheHits+s.CacheMisses+s.FlightWaits+s.FlightShared > 0 {
+		fmt.Fprintf(&b, "cache: hits=%d misses=%d waits=%d shared=%d",
+			s.CacheHits, s.CacheMisses, s.FlightWaits, s.FlightShared)
 		// Cluster counters render only when cluster traffic happened, so
 		// single-node output stays byte-identical.
 		if s.PeerFills+s.ReplicaHits > 0 {

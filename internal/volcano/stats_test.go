@@ -88,7 +88,7 @@ func TestStatsMerge(t *testing.T) {
 }
 
 // TestStatsCacheCounters: the plan-cache counters survive Merge (so
-// BatchReport aggregates and experiment tables see them) and render in
+// experiment tables see them) and render in
 // String only when a cache was actually in play — cacheless runs stay
 // byte-identical to previous releases.
 func TestStatsCacheCounters(t *testing.T) {
@@ -98,21 +98,21 @@ func TestStatsCacheCounters(t *testing.T) {
 	}
 
 	a := NewStats()
-	a.CacheHits, a.CacheMisses, a.WarmSeeds = 3, 1, 2
+	a.CacheHits, a.CacheMisses = 3, 1
 	b := NewStats()
-	b.CacheHits, b.CacheMisses, b.WarmSeeds = 1, 2, 5
+	b.CacheHits, b.CacheMisses = 1, 2
 	b.FlightWaits, b.FlightShared = 4, 3
 	a.Merge(b)
-	if a.CacheHits != 4 || a.CacheMisses != 3 || a.WarmSeeds != 7 {
-		t.Errorf("cache counters not summed: hits=%d misses=%d seeds=%d",
-			a.CacheHits, a.CacheMisses, a.WarmSeeds)
+	if a.CacheHits != 4 || a.CacheMisses != 3 {
+		t.Errorf("cache counters not summed: hits=%d misses=%d",
+			a.CacheHits, a.CacheMisses)
 	}
 	if a.FlightWaits != 4 || a.FlightShared != 3 {
 		t.Errorf("flight counters not summed: waits=%d shared=%d",
 			a.FlightWaits, a.FlightShared)
 	}
 	s := a.String()
-	if !strings.Contains(s, "cache: hits=4 misses=3 seeds=7 waits=4 shared=3") {
+	if !strings.Contains(s, "cache: hits=4 misses=3 waits=4 shared=3") {
 		t.Errorf("String drops cache counters:\n%s", s)
 	}
 }

@@ -712,73 +712,6 @@ func TestOptimizeLeafDirectly(t *testing.T) {
 	}
 }
 
-// TestBottomUpMatchesTopDown: the System R-style strategy over the same
-// rule set produces winners of identical cost, with and without order
-// requirements.
-func TestBottomUpMatchesTopDown(t *testing.T) {
-	for _, withOrder := range []bool{false, true} {
-		w := newTestWorld()
-		req := w.alg.NewDesc()
-		if withOrder {
-			req.Set(w.ord, core.OrderBy(core.A("R1", "a")))
-		}
-		td := NewOptimizer(w.rs)
-		tdPlan, err := td.Optimize(w.chain(16, 8, 4), req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w2 := newTestWorld()
-		req2 := w2.alg.NewDesc()
-		if withOrder {
-			req2.Set(w2.ord, core.OrderBy(core.A("R1", "a")))
-		}
-		bu := NewBottomUp(w2.rs)
-		buPlan, err := bu.Optimize(w2.chain(16, 8, 4), req2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tdPlan.Cost(w.rs.Class) != buPlan.Cost(w2.rs.Class) {
-			t.Errorf("withOrder=%v: top-down %g vs bottom-up %g\n%s\n%s",
-				withOrder, tdPlan.Cost(w.rs.Class), buPlan.Cost(w2.rs.Class), tdPlan, buPlan)
-		}
-		if bu.Stats.Groups != td.Stats.Groups {
-			t.Errorf("group counts differ: %d vs %d", bu.Stats.Groups, td.Stats.Groups)
-		}
-		// Bottom-up materializes at least as many winner entries as
-		// top-down touched (it fills whole interesting-vector tables).
-		if bu.TableSize() < 1 {
-			t.Error("empty winner table")
-		}
-	}
-}
-
-func TestBottomUpInfeasible(t *testing.T) {
-	w := newTestWorld()
-	w.rs.Enforcers = nil
-	var impls []*ImplRule
-	for _, r := range w.rs.Impls {
-		if r.Name != "join_merge_join" {
-			impls = append(impls, r)
-		}
-	}
-	w.rs.Impls = impls
-	bu := NewBottomUp(w.rs)
-	req := w.alg.NewDesc()
-	req.Set(w.ord, core.OrderBy(core.A("R1", "a")))
-	if _, err := bu.Optimize(w.retOf(w.leaf("R1", 8, core.A("R1", "a"))), req); err != ErrNoPlan {
-		t.Errorf("err = %v, want ErrNoPlan", err)
-	}
-}
-
-func TestBottomUpSpaceLimit(t *testing.T) {
-	w := newTestWorld()
-	bu := NewBottomUp(w.rs)
-	bu.Opts.MaxExprs = 3
-	if _, err := bu.Optimize(w.chain(8, 4, 2), nil); !errors.Is(err, ErrSpaceExhausted) {
-		t.Errorf("err = %v", err)
-	}
-}
-
 func TestTraceEvents(t *testing.T) {
 	w := newTestWorld()
 	o := NewOptimizer(w.rs)

@@ -2,6 +2,8 @@ package volcano
 
 import (
 	"math"
+
+	"prairie/internal/core"
 	"strings"
 	"sync"
 	"testing"
@@ -84,43 +86,60 @@ func TestWorklistSpaceErrorDetail(t *testing.T) {
 	}
 }
 
+// onGoroutines runs job(0..n-1) on workers goroutines, each taking every
+// workers-th index, and returns when all are done.
+func onGoroutines(n, workers int, job func(i int)) {
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < n; i += workers {
+				job(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestOptimizeBatch runs many independent optimizations over a shared
-// rule set across a worker pool; run under -race this exercises the
-// concurrency claims of the batch API (the lazily-built rule index is
-// the only shared state).
+// rule set on four goroutines; run under -race this exercises the
+// engine's concurrency claim (the lazily-built rule index is the only
+// shared state), and every concurrent answer must equal a sequential one.
 func TestOptimizeBatch(t *testing.T) {
 	w := newTestWorld()
 	cards := [][]float64{
 		{4, 2}, {8, 4, 2}, {16, 8, 4, 2}, {2, 4}, {32, 16, 8},
 		{8, 2}, {4, 8, 2}, {2, 8, 4, 16}, {16, 2}, {8, 16, 4},
 	}
-	items := make([]BatchItem, len(cards))
+	trees := make([]*core.Expr, len(cards))
 	for i, c := range cards {
-		items[i] = BatchItem{RS: w.rs, Tree: w.chain(c...), Repeats: 2}
+		trees[i] = w.chain(c...)
 	}
-	results := OptimizeBatch(items, 4)
-	if len(results) != len(items) {
-		t.Fatalf("got %d results, want %d", len(results), len(items))
+	opts := make([]*Optimizer, len(trees))
+	plans := make([]*PExpr, len(trees))
+	onGoroutines(len(trees), 4, func(i int) {
+		opts[i] = NewOptimizer(w.rs)
+		var err error
+		if plans[i], err = opts[i].Optimize(trees[i].Clone(), nil); err != nil {
+			t.Errorf("item %d: %v", i, err)
+		}
+	})
+	if t.Failed() {
+		return
 	}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("item %d: %v", i, r.Err)
-		}
-		if r.Plan == nil || r.Stats == nil {
-			t.Fatalf("item %d: missing plan or stats", i)
-		}
-		// Cross-check against a sequential optimizer.
+	for i := range trees {
 		seq := NewOptimizer(w.rs)
-		plan, err := seq.Optimize(items[i].Tree.Clone(), nil)
+		plan, err := seq.Optimize(trees[i].Clone(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		costID := w.rs.Class.Cost
-		if got, want := r.Plan.D.Float(costID), plan.D.Float(costID); math.Abs(got-want) > 1e-9 {
-			t.Errorf("item %d: batch cost %g, sequential %g", i, got, want)
+		if got, want := plans[i].D.Float(costID), plan.D.Float(costID); math.Abs(got-want) > 1e-9 {
+			t.Errorf("item %d: concurrent cost %g, sequential %g", i, got, want)
 		}
-		if r.Stats.Groups != seq.Stats.Groups {
-			t.Errorf("item %d: batch groups %d, sequential %d", i, r.Stats.Groups, seq.Stats.Groups)
+		if opts[i].Stats.Groups != seq.Stats.Groups {
+			t.Errorf("item %d: concurrent groups %d, sequential %d", i, opts[i].Stats.Groups, seq.Stats.Groups)
 		}
 	}
 }
@@ -142,32 +161,4 @@ func TestOptimizeBatchSharedRuleSetIndex(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestOptimizeBatchEmpty covers the zero-item and zero-worker edges.
-func TestOptimizeBatchEmpty(t *testing.T) {
-	if got := OptimizeBatch(nil, 0); len(got) != 0 {
-		t.Fatalf("got %d results for empty batch", len(got))
-	}
-	w := newTestWorld()
-	res := OptimizeBatch([]BatchItem{{RS: w.rs, Tree: w.chain(4, 2)}}, 0)
-	if len(res) != 1 || res[0].Err != nil {
-		t.Fatalf("unexpected result %+v", res)
-	}
-}
-
-// TestBatchPropagatesErrors checks per-item failures stay positional.
-func TestBatchPropagatesErrors(t *testing.T) {
-	w := newTestWorld()
-	items := []BatchItem{
-		{RS: w.rs, Tree: w.chain(4, 2)},
-		{RS: w.rs, Tree: w.chain(16, 8, 4, 2), Opts: Options{MaxExprs: 3}},
-	}
-	res := OptimizeBatch(items, 2)
-	if res[0].Err != nil {
-		t.Errorf("item 0: %v", res[0].Err)
-	}
-	if res[1].Err == nil {
-		t.Error("item 1: expected space exhaustion")
-	}
 }

@@ -180,13 +180,6 @@ func Generate(rs *RuleSet) (*VolcanoRuleSet, *Report, error) {
 // Volcano rule set.
 func NewOptimizer(vrs *VolcanoRuleSet) *Optimizer { return volcano.NewOptimizer(vrs) }
 
-// BottomUpOptimizer is the System R-style bottom-up strategy over the
-// same rule sets (§2.2 of the paper).
-type BottomUpOptimizer = volcano.BottomUp
-
-// NewBottomUpOptimizer returns a bottom-up optimizer.
-func NewBottomUpOptimizer(vrs *VolcanoRuleSet) *BottomUpOptimizer { return volcano.NewBottomUp(vrs) }
-
 // Optimize is the one-call convenience path: translate the rule set,
 // prepare the query (stripping enforcer-operators at the root into
 // physical-property requirements), and return the winning access plan
