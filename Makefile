@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race figures bench-test bench-smoke bench-guard cache-guard flight-guard cluster-guard rulecheck-guard fuzz-smoke cover loc ci experiments clean
+.PHONY: all build vet test race figures bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover loc ci experiments clean
 
 all: ci
 
@@ -80,17 +80,10 @@ cache-guard:
 flight-guard:
 	$(call guard,flight-guard,FlightGuard,50x,./internal/server)
 
-# Cluster: a server with no peers must cost within GUARD_PCT of one with
-# no cluster layer on the cold-miss path — the only path where the
-# cluster hook runs (TestClusterNeutral checks that the bytes are
-# identical).
-cluster-guard:
-	$(call guard,cluster-guard,ClusterGuard,30x,./internal/server)
-
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every shipped rule set a "verified" verdict (or an
 # explicit waiver), and the mutation-testing mode must kill at least 95%
-# of seeded rule corruptions (internal/rulecheck; DESIGN.md §4.15).
+# of seeded rule corruptions (internal/rulecheck; DESIGN.md §4.14).
 rulecheck-guard:
 	$(GO) test -run 'TestShippedRuleSetsVerified|TestMutationKillRate' -timeout 300s ./internal/rulecheck
 
@@ -98,14 +91,18 @@ rulecheck-guard:
 # rule-language front end (parse -> format -> parse fixed point);
 # FuzzFingerprint property-tests the plan-cache fingerprint invariants
 # (commutative-input swaps, attrs reordering); FuzzCacheEntry hammers
-# the peer-protocol cache-entry codec (garbage rejected without panics,
-# decodables reach an encode/decode fixed point). Seed corpora live
-# under testdata/fuzz/; crashers are gitignored until promoted.
+# the cache-entry codec bench measures (garbage rejected without panics,
+# decodables reach an encode/decode fixed point); FuzzOptimizeRequest
+# drives /v1/optimize's body decoder and request preparation, the
+# server's one outside input (4xx with an error, or a servable request).
+# Seed corpora live under testdata/fuzz/; crashers are gitignored until
+# promoted.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/prairielang
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzOptimizeRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # Statement-coverage gate: one merged profile, per-package summary, and
 # a hard floor on the total (scripts/cover.awk). Baseline with the
@@ -124,7 +121,7 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-ci: vet build race bench-test bench-smoke bench-guard cache-guard flight-guard cluster-guard rulecheck-guard fuzz-smoke cover
+ci: vet build race bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

@@ -12,16 +12,6 @@
 //	optserve -addr :8080 -dsl examples/dslrules/rules.prairie
 //	optserve -addr :8080 -max-inflight 8 -max-queue 32 -queue-wait 100ms
 //
-// Clustering (see internal/cluster): a static peer list shards the plan
-// cache across nodes by consistent hashing; local misses fetch from the
-// key's owner over /v1/peer/* before optimizing, and invalidations fan
-// out to every peer. The peer endpoints are authenticated by a shared
-// secret (-cluster-secret or $PRAIRIE_CLUSTER_SECRET), identical on
-// every member:
-//
-//	optserve -addr :8080 -node-id a -peers 'a=,b=http://10.0.0.2:8080' -cluster-secret S
-//	optserve -addr :8080 -node-id b -peers 'a=http://10.0.0.1:8080,b=' -cluster-secret S
-//
 //	curl -s localhost:8080/v1/rulesets
 //	curl -s localhost:8080/v1/optimize -d '{
 //	  "ruleset": "oodb/volcano",
@@ -42,11 +32,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"prairie/internal/cluster"
 	"prairie/internal/obs"
 	"prairie/internal/server"
 )
@@ -89,11 +77,6 @@ func main() {
 	flightCap := flag.Int("flight-capacity", 512, "flight-recorder retention: interesting requests kept for /v1/debug/requests (0 disables recording)")
 	flightSlow := flag.Duration("flight-slow", 0, "latency above which a request is retained as slow (0 = 250ms)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
-	nodeID := flag.String("node-id", "", "this node's cluster member id; empty runs single-node with no cluster layer")
-	peersFlag := flag.String("peers", "", "static cluster membership as id=url,id=url,... (must include -node-id; its url may be empty)")
-	clusterSecret := flag.String("cluster-secret", os.Getenv("PRAIRIE_CLUSTER_SECRET"), "shared secret authenticating /v1/peer/* RPCs; identical on every member, required with remote -peers (defaults to $PRAIRIE_CLUSTER_SECRET)")
-	peerTimeout := flag.Duration("peer-timeout", 0, "peer RPC transport budget (0 = 250ms)")
-	hotAfter := flag.Float64("hot-after", 0, "decayed peer-fill rate that promotes a key into the replicated tier (0 = default, negative disables)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -130,22 +113,6 @@ func main() {
 		Capacity:      *flightCap,
 		SlowThreshold: *flightSlow,
 	}, metrics)
-	var clusterCfg *cluster.Config
-	if *nodeID != "" {
-		peers, err := parsePeers(*peersFlag)
-		if err != nil {
-			fail(err)
-		}
-		clusterCfg = &cluster.Config{
-			Self:        *nodeID,
-			Peers:       peers,
-			Secret:      *clusterSecret,
-			PeerTimeout: *peerTimeout,
-			HotAfter:    *hotAfter,
-		}
-	} else if *peersFlag != "" {
-		fail(fmt.Errorf("-peers requires -node-id"))
-	}
 	srv, err := server.New(server.Config{
 		Registry:       reg,
 		CacheSize:      *cacheSize,
@@ -157,7 +124,6 @@ func main() {
 		Obs:            &obs.Observer{Metrics: metrics, Tracer: tracer},
 		Flight:         flight,
 		Log:            logger,
-		Cluster:        clusterCfg,
 	})
 	if err != nil {
 		fail(err)
@@ -192,28 +158,6 @@ func main() {
 		if err := hs.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "optserve: shutdown:", err)
 		}
-		srv.Close()
 		logger.Info("stopped")
 	}
-}
-
-// parsePeers parses the -peers flag: "a=http://host1:8080,b=http://host2:8080".
-// The self entry may omit its url ("a=,..." or just "a").
-func parsePeers(s string) ([]cluster.Peer, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var peers []cluster.Peer
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		id, url, _ := strings.Cut(part, "=")
-		if id == "" {
-			return nil, fmt.Errorf("-peers: entry %q has no member id", part)
-		}
-		peers = append(peers, cluster.Peer{ID: id, URL: url})
-	}
-	return peers, nil
 }

@@ -1,12 +1,57 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 	"time"
 )
+
+// runMainEnv makes the test binary run main() instead of the tests, so
+// a test can drive optserve's real flag handling in a child process.
+const runMainEnv = "OPTSERVE_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRemovedClusterFlagsFail: the cluster layer is gone, and each of its
+// five flags is a usage error naming the flag — never silently ignored,
+// never a server started. The child listens on an ephemeral port and is
+// killed after a while, so a flag that is still accepted fails the test
+// instead of hanging it.
+func TestRemovedClusterFlagsFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"-node-id", "a"},
+		{"-peers", "a=,b=http://127.0.0.1:1"},
+		{"-cluster-secret", "s"},
+		{"-peer-timeout", "1s"},
+		{"-hot-after", "2"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		timedOut := ctx.Err() != nil
+		cancel()
+		if err == nil || timedOut {
+			t.Errorf("optserve %s: exit %v after %s; want a usage error", strings.Join(args, " "), err, out)
+			continue
+		}
+		if want := "flag provided but not defined: " + args[0]; !strings.Contains(string(out), want) {
+			t.Errorf("optserve %s: output does not say %q:\n%s", strings.Join(args, " "), want, out)
+		}
+	}
+}
 
 // TestSilentClientIsDropped: the server optserve builds has every edge
 // timeout set, and a connection that sends half a request header and

@@ -300,8 +300,8 @@ func TestPredStrings(t *testing.T) {
 // before they were interned, with the set operations, renderings and hash
 // formulas exactly as they stood. TestAttrsAgainstStringPairs holds the
 // symbol representation to it on random inputs — the hashes as exact
-// 64-bit values, because memo keys, fingerprints and the cluster's key
-// hashes are made of them.
+// 64-bit values, because memo keys and plan-cache fingerprints are made
+// of them.
 
 type refAttr struct{ Rel, Name string }
 

@@ -100,10 +100,7 @@ func (pc *PhaseClock) Total(ph Phase) time.Duration {
 // CacheInfo is the record's plan-cache section.
 type CacheInfo struct {
 	// Outcome is "hit", "miss", "flight-collapsed" (adopted a concurrent
-	// leader's result), or "bypass" (no cache attached). Clustered
-	// servers add "peer_fill" (entry fetched from the key's owning
-	// node) and "replica_hit" (served from a local hot-key replica of
-	// a remotely-owned entry).
+	// leader's result), or "bypass" (no cache attached).
 	Outcome string `json:"outcome"`
 	// Epoch is the cache generation the request ran under.
 	Epoch uint64 `json:"epoch"`

@@ -27,7 +27,6 @@ func TestNilSafety(t *testing.T) {
 	sp.End()
 	tr.Instant(1, "i", "c")
 	tr.Counter(1, "n", 1)
-	tr.SetThreadName(1, "w")
 	if tr.Len() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil tracer recorded events")
 	}
@@ -140,7 +139,7 @@ func TestConcurrentRecording(t *testing.T) {
 func TestTracerExportAndCap(t *testing.T) {
 	tr := NewTracer()
 	tr.MaxEvents = 3
-	tr.SetThreadName(1, "optimizer")
+	tr.Instant(1, "start", "optimize")
 	sp := tr.Begin(1, "optimize", "optimize")
 	time.Sleep(time.Millisecond)
 	sp.EndArgs(map[string]any{"groups": 4})

@@ -136,17 +136,6 @@ func (t *Tracer) Counter(tid int, name string, value float64) {
 	})
 }
 
-// SetThreadName labels a tid's row in the trace viewer. Nil-safe.
-func (t *Tracer) SetThreadName(tid int, name string) {
-	if t == nil {
-		return
-	}
-	t.append(TraceEvent{
-		Name: "thread_name", Ph: "M", PID: 1, TID: tid,
-		Args: map[string]any{"name": name},
-	})
-}
-
 // Len returns the number of buffered events. Nil-safe (zero).
 func (t *Tracer) Len() int {
 	if t == nil {

@@ -145,26 +145,6 @@ func (c *Cache[V]) Invalidate() uint64 {
 	return c.epoch.Add(1)
 }
 
-// AdvanceTo raises the epoch to at least e and returns the resulting
-// epoch. It never lowers the epoch: a lagging node reconciling against
-// a peer that has already invalidated adopts the newer generation,
-// while a stale peer's smaller epoch is a no-op. Concurrent local
-// Invalidates interleave safely (the result is the max either way).
-func (c *Cache[V]) AdvanceTo(e uint64) uint64 {
-	if c == nil {
-		return 0
-	}
-	for {
-		cur := c.epoch.Load()
-		if cur >= e {
-			return cur
-		}
-		if c.epoch.CompareAndSwap(cur, e) {
-			return e
-		}
-	}
-}
-
 func (c *Cache[V]) shardFor(k Key) *shard[V] {
 	h := k.Fingerprint
 	h ^= k.Scope * 0x9e3779b97f4a7c15
@@ -337,19 +317,6 @@ func (c *Cache[V]) Acquire(k Key) *Acquired[V] {
 // empty-handed to run their own searches. Idempotent; no-op for hits,
 // followers, and disabled caches.
 func (a *Acquired[V]) Complete(v V, share bool) {
-	a.complete(v, share, share)
-}
-
-// CompleteShared resolves a leader's flight by handing v to every
-// waiting follower while deciding separately whether to store it. The
-// cluster layer uses store=false for entries owned by a remote shard:
-// concurrent local misses still collapse onto the fetched value, but
-// the entry does not consume local capacity (the owner keeps it).
-func (a *Acquired[V]) CompleteShared(v V, store bool) {
-	a.complete(v, true, store)
-}
-
-func (a *Acquired[V]) complete(v V, share, store bool) {
 	if !a.Leader || a.fl == nil || a.completed {
 		return
 	}
@@ -357,7 +324,7 @@ func (a *Acquired[V]) complete(v V, share, store bool) {
 	s := a.c.shardFor(a.key)
 	s.mu.Lock()
 	delete(s.flights, a.key)
-	if store {
+	if share {
 		s.put(a.c, a.key, v)
 	}
 	a.fl.v, a.fl.shared = v, share

@@ -246,61 +246,6 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-// TestAdvanceTo: the epoch only moves forward — a peer's newer epoch is
-// adopted, an older one is ignored, and local Invalidate composes.
-func TestAdvanceTo(t *testing.T) {
-	c := New[int](8)
-	if e := c.AdvanceTo(5); e != 5 {
-		t.Fatalf("AdvanceTo(5) = %d, want 5", e)
-	}
-	if e := c.AdvanceTo(3); e != 5 {
-		t.Fatalf("AdvanceTo(3) = %d, want 5 (monotonic)", e)
-	}
-	if e := c.Invalidate(); e != 6 {
-		t.Fatalf("Invalidate after AdvanceTo = %d, want 6", e)
-	}
-	var d *Cache[int]
-	if e := d.AdvanceTo(9); e != 0 {
-		t.Fatalf("nil AdvanceTo = %d, want 0", e)
-	}
-}
-
-// TestCompleteShared: store=false hands the value to followers without
-// writing it to the cache — the remote-owned entry must not consume
-// local capacity — while store=true behaves like a shared Complete.
-func TestCompleteShared(t *testing.T) {
-	c := New[int](8)
-	k := key(11, "remote")
-
-	lead := c.Acquire(k)
-	if !lead.Leader {
-		t.Fatal("want leader")
-	}
-	follow := c.Acquire(k)
-	if follow.Leader || follow.Hit {
-		t.Fatal("want follower")
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, ok, err := follow.Wait(context.Background())
-		if !ok || err != nil || v != 42 {
-			t.Errorf("follower Wait = %v, %v, %v; want 42, true, nil", v, ok, err)
-		}
-	}()
-	lead.CompleteShared(42, false)
-	<-done
-	if _, ok := c.Get(k); ok {
-		t.Fatal("store=false CompleteShared wrote the entry")
-	}
-
-	lead2 := c.Acquire(k)
-	lead2.CompleteShared(7, true)
-	if v, ok := c.Get(k); !ok || v != 7 {
-		t.Fatalf("store=true CompleteShared: entry = %v, %v; want 7, true", v, ok)
-	}
-}
-
 // TestShards: occupancy sums to Len and evictions are attributed to the
 // shard that overflowed.
 func TestShards(t *testing.T) {

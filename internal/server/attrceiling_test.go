@@ -12,15 +12,14 @@ import (
 	"prairie/internal/wire"
 )
 
-// TestAttrCeilingLeavesServerServing plays a hostile peer against a live
-// server: cache entries whose plans name attributes nobody has heard of,
-// one fresh name each, as wire.DecodeEntry receives them from
-// /cluster/v1/put and peer fills. The process's attribute table is
-// append-only, so it must stop taking names at core.MaxAttrs — decoding
-// fails, as for any malformed payload — and the server must go on
-// decoding plans over known names and answering queries. Filling the
-// table would starve the rest of this test binary: the test re-executes
-// itself and does it in the child.
+// TestAttrCeilingLeavesServerServing feeds the cache-entry decoder
+// (wire.DecodeEntry) hostile entries beside a live server: plans that
+// name attributes nobody has heard of, one fresh name each. The
+// process's attribute table is append-only, so it must stop taking
+// names at core.MaxAttrs — decoding fails, as for any malformed payload
+// — and the server must go on decoding plans over known names and
+// answering queries. Filling the table would starve the rest of this
+// test binary: the test re-executes itself and does it in the child.
 func TestAttrCeilingLeavesServerServing(t *testing.T) {
 	const env = "PRAIRIE_TEST_FILL_ATTR_TABLE"
 	if os.Getenv(env) == "" {

@@ -121,7 +121,6 @@ func (r *OptimizeResponse) appendJSON(b []byte) ([]byte, error) {
 	str(`,"degrade_cause":`, r.DegradeCause)
 	str(`,"degrade_path":`, r.DegradePath)
 	b = strconv.AppendBool(append(b, `,"cache_hit":`...), r.CacheHit)
-	str(`,"cache_outcome":`, r.CacheOutcome)
 	b = appendInt(b, `,"elapsed_us":`, r.ElapsedUS)
 	b = appendInt(b, `,"stats":{"groups":`, int64(r.Stats.Groups))
 	b = appendInt(b, `,"exprs":`, int64(r.Stats.Exprs))

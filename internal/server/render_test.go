@@ -57,7 +57,7 @@ func TestAppendJSONMatchesEncoder(t *testing.T) {
 		Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E2", N: 4, Graph: "star"},
 		PlanText: "Merge_join(C1, C2)", Plan: node, Cost: 1234.5,
 		Degraded: true, DegradeCause: "max_exprs", DegradePath: "memo",
-		CacheHit: true, CacheOutcome: "peer_fill", ElapsedUS: 17,
+		CacheHit: true, ElapsedUS: 17,
 		Stats:     StatsSummary{Groups: 1, Exprs: 2, TransFired: 3, ImplFired: 4, CostedPlan: 5},
 		Exec:      &ExecSummary{Rows: 7, ElapsedUS: 9},
 		RequestID: "req-000001",

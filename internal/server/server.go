@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"prairie/internal/cluster"
 	"prairie/internal/core"
 	"prairie/internal/exec"
 	"prairie/internal/obs"
@@ -72,13 +71,6 @@ type Config struct {
 	ExecRows int
 	// ExecSeed seeds the generated demo data; 0 = 101.
 	ExecSeed int64
-	// Cluster joins this server to a static peer group sharing one
-	// logical plan cache (see internal/cluster): each canonical query
-	// fingerprint gets an owning node on a consistent-hash ring, local
-	// misses ask the owner before optimizing, and invalidations fan
-	// out. nil (the default) keeps the server single-node and its
-	// request path byte-identical to a build without the cluster layer.
-	Cluster *cluster.Config
 }
 
 func (c *Config) maxInflight() int {
@@ -184,12 +176,8 @@ type Server struct {
 	mux          *http.ServeMux
 	started      time.Time
 
-	// cluster is the node's membership when Config.Cluster is set (nil
-	// single-node); remotes holds the per-world RemoteCache hooks and
-	// shardGauges the per-shard exposition gauges refreshed at scrape
-	// time.
-	cluster     *cluster.Node
-	remotes     map[string]volcano.RemoteCache
+	// shardGauges are the per-shard exposition gauges, refreshed at
+	// scrape time.
 	shardGauges []shardGauge
 
 	// metrics (nil registry → nil metrics, every sink is nil-safe)
@@ -244,8 +232,6 @@ func New(cfg Config) (*Server, error) {
 			obs.PhaseFull:      reg.Histogram("prairie_phase_full_seconds", nil),
 			obs.PhaseExec:      reg.Histogram("prairie_phase_exec_seconds", nil),
 		}
-	}
-	if reg := cfg.Obs.MetricsOrNil(); reg != nil {
 		// One gauge pair per cache shard; the count is fixed at
 		// construction, the values refresh at scrape time.
 		for i := range s.cache.Shards() {
@@ -256,39 +242,18 @@ func New(cfg Config) (*Server, error) {
 			})
 		}
 	}
-	if cfg.Cluster != nil {
-		node, err := cluster.New(*cfg.Cluster, clusterBackend{s: s}, cfg.Obs.MetricsOrNil())
-		if err != nil {
-			return nil, err
-		}
-		s.cluster = node
-		s.remotes = make(map[string]volcano.RemoteCache)
-		for _, name := range cfg.Registry.Names() {
-			world, _ := cfg.Registry.Lookup(name)
-			s.remotes[name] = &remoteAdapter{node: node, world: world}
-		}
-	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/optimize", s.guard(s.handleOptimize))
 	s.mux.HandleFunc("/v1/batch", s.guard(s.handleBatch))
 	s.mux.HandleFunc("/v1/rulesets", s.guard(s.handleRulesets))
 	s.mux.HandleFunc("/v1/invalidate", s.guard(s.handleInvalidate))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	if s.cluster != nil {
-		// The peer endpoints authenticate themselves with the shared
-		// cluster secret (cluster.AuthHeader); they deliberately bypass
-		// s.guard — a peer get is bounded cache work, not an
-		// optimization, and parking it behind the admission queue would
-		// add local queue wait to every remote fill and let one
-		// saturated node stall its peers' misses.
-		s.mux.Handle(cluster.PathPrefix, s.cluster.Handler())
-	}
 	// Observability exposition: delegate to the obs mux so the service
 	// surface and the standalone exposition stay identical; the wrapper
-	// publishes the point-in-time shard/cluster gauges first.
+	// publishes the point-in-time shard gauges first.
 	om := obs.NewMux(cfg.Obs.MetricsOrNil(), cfg.Obs.TracerOrNil(), cfg.Flight)
 	oh := http.Handler(om)
-	if len(s.shardGauges) > 0 || s.cluster != nil {
+	if len(s.shardGauges) > 0 {
 		oh = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			s.refreshGauges()
 			om.ServeHTTP(w, r)
@@ -304,22 +269,24 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Close releases the server's cluster membership (outstanding leases
-// are abandoned, in-flight offers drained); call it after Drain on
-// shutdown. Safe on a single-node server.
-func (s *Server) Close() {
-	if s.cluster != nil {
-		s.cluster.Close()
-	}
+// shardGauge is one cache shard's exposition pair
+// (prairie_plancache_shard_{entries,evictions}{shard="i"}).
+type shardGauge struct {
+	entries   *obs.Gauge
+	evictions *obs.Gauge
 }
 
-// ClusterStatus snapshots the cluster membership; nil single-node.
-func (s *Server) ClusterStatus() *cluster.Status {
-	if s.cluster == nil {
-		return nil
+// refreshGauges publishes the point-in-time per-shard gauges; the
+// exposition handler calls it before every scrape (the registry is
+// pull-based with no collect hooks).
+func (s *Server) refreshGauges() {
+	for i, st := range s.cache.Shards() {
+		if i >= len(s.shardGauges) {
+			break
+		}
+		s.shardGauges[i].entries.Set(float64(st.Entries))
+		s.shardGauges[i].evictions.Set(float64(st.Evictions))
 	}
-	st := s.cluster.Status()
-	return &st
 }
 
 // Handler returns the service's HTTP handler.
@@ -575,13 +542,8 @@ type OptimizeResponse struct {
 	DegradeCause string         `json:"degrade_cause,omitempty"`
 	DegradePath  string         `json:"degrade_path,omitempty"`
 	CacheHit     bool           `json:"cache_hit"`
-	// CacheOutcome is set only when the cluster layer served the plan:
-	// "peer_fill" (fetched from the key's owning node) or "replica_hit"
-	// (served from a local hot-key replica of a remotely-owned entry).
-	// Always empty single-node, keeping the response byte-identical.
-	CacheOutcome string       `json:"cache_outcome,omitempty"`
-	ElapsedUS    int64        `json:"elapsed_us"`
-	Stats        StatsSummary `json:"stats"`
+	ElapsedUS    int64          `json:"elapsed_us"`
+	Stats        StatsSummary   `json:"stats"`
 	// Exec reports the executed plan's runtime when the request set
 	// "execute": true.
 	Exec *ExecSummary `json:"exec,omitempty"`
@@ -652,7 +614,6 @@ func (s *Server) optimizeOne(ctx context.Context, p *prepared, rec *obs.RequestR
 	opt.Opts.Budget = p.budget
 	opt.Opts.Obs = s.cfg.Obs
 	opt.Opts.Cache = s.cache
-	opt.Opts.Remote = s.remote(world)
 	opt.Opts.Phases = rec.PhaseClock() // nil clock when unrecorded: timing off
 	start := time.Now()
 	plan, err := opt.OptimizeContext(ctx, p.tree, p.want)
@@ -687,14 +648,6 @@ func (s *Server) recordOutcome(rec *obs.RequestRecord, st *volcano.Stats) {
 	switch {
 	case !s.cache.Enabled():
 		outcome = "bypass"
-	case st.ReplicaHits > 0:
-		// Before the plain-hit check: a replica hit is a local hit on a
-		// hot-key replica of a remotely-owned entry.
-		outcome = "replica_hit"
-	case st.PeerFills > 0:
-		// Before the flight-collapsed check: a cluster-collapsed fill
-		// also counts FlightShared.
-		outcome = "peer_fill"
 	case st.FlightShared > 0:
 		outcome = "flight-collapsed"
 	case st.CacheHits > 0 && st.CacheMisses == 0:
@@ -777,12 +730,6 @@ func (s *Server) buildResponse(world *World, req OptimizeRequest, plan *volcano.
 			CostedPlan: st.CostedPlans,
 		},
 	}
-	switch {
-	case st.ReplicaHits > 0:
-		resp.CacheOutcome = "replica_hit"
-	case st.PeerFills > 0:
-		resp.CacheOutcome = "peer_fill"
-	}
 	if st.Degraded {
 		resp.DegradeCause = st.DegradeCause.String()
 		resp.DegradePath = st.DegradePath
@@ -842,14 +789,21 @@ func (s *Server) fail(w http.ResponseWriter, rec *obs.RequestRecord, code int, e
 	s.finish(rec, code, "error", err.Error())
 }
 
-func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
-	var req OptimizeRequest
+// decodeOptimize reads a /v1/optimize body and resolves its world;
+// ok=false means the 4xx answer has been written.
+func (s *Server) decodeOptimize(w http.ResponseWriter, r *http.Request) (req OptimizeRequest, world *World, ok bool) {
 	if !s.decode(w, r, &req) {
-		return
+		return req, nil, false
 	}
-	world, ok := s.cfg.Registry.Lookup(req.Ruleset)
-	if !ok {
+	if world, ok = s.cfg.Registry.Lookup(req.Ruleset); !ok {
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("unknown ruleset %q", req.Ruleset)})
+	}
+	return req, world, ok
+}
+
+func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
+	req, world, ok := s.decodeOptimize(w, r)
+	if !ok {
 		return
 	}
 	rec := s.record(w, r, "/v1/optimize")
@@ -1039,17 +993,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusMethodNotAllowed, errorBody{Error: "POST required"})
 		return
 	}
-	epoch := s.cache.Invalidate()
-	if s.cluster != nil {
-		// Fan the new epoch out to every live peer; a down peer
-		// reconciles on its next exchange (epochs are monotonic, so
-		// double delivery is harmless).
-		notified := s.cluster.BroadcastEpoch(r.Context(), epoch)
-		writeJSON(w, http.StatusOK, map[string]uint64{
-			"epoch": epoch, "peers_notified": uint64(notified)})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]uint64{"epoch": epoch})
+	writeJSON(w, http.StatusOK, map[string]uint64{"epoch": s.cache.Invalidate()})
 }
 
 // healthBody is the /healthz response: liveness plus the handful of
@@ -1061,9 +1005,6 @@ type healthBody struct {
 	QueueDepth int64  `json:"queue_depth"`
 	Draining   bool   `json:"draining"`
 	CacheEpoch uint64 `json:"cache_epoch"`
-	// Cluster reports the node's membership when clustering is on:
-	// node id, peer count, currently-down peers, promoted hot keys.
-	Cluster *cluster.Status `json:"cluster,omitempty"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -1076,7 +1017,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Inflight:   inflight,
 		QueueDepth: s.waiting.Load(),
 		CacheEpoch: s.cache.Epoch(),
-		Cluster:    s.ClusterStatus(),
 	}
 	code := http.StatusOK
 	if s.draining.Load() {

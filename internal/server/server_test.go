@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -333,6 +334,76 @@ func TestMetricsExposed(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// TestShardMetrics: the per-shard gauges bench reads as
+// plancache.evictions are refreshed at scrape time and add up to the
+// cache's own counts.
+func TestShardMetrics(t *testing.T) {
+	srv, hs := testServer(t, func(c *Config) {
+		c.Obs = &obs.Observer{Metrics: obs.NewRegistry()}
+		c.CacheSize = 4
+	})
+	for _, fam := range []string{"E1", "E2", "E3"} {
+		for n := 2; n <= 4; n++ {
+			optimizeOK(t, hs.URL, OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: fam, N: n}})
+		}
+	}
+	_, text := getJSONBody(t, hs.URL+"/metrics")
+	sum := func(name string) (total float64) {
+		for _, line := range strings.Split(string(text), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+`{shard="`); ok {
+				v, err := strconv.ParseFloat(rest[strings.IndexByte(rest, ' ')+1:], 64)
+				if err != nil {
+					t.Fatalf("%q: %v", line, err)
+				}
+				total += v
+			}
+		}
+		return total
+	}
+	st := srv.Cache().Snapshot()
+	if st.Evictions == 0 {
+		t.Fatalf("nine queries through a 4-entry cache evicted nothing: %+v", st)
+	}
+	if got := sum("prairie_plancache_shard_entries"); got != float64(st.Entries) {
+		t.Errorf("shard entries sum to %g, cache holds %d", got, st.Entries)
+	}
+	if got := sum("prairie_plancache_shard_evictions"); got != float64(st.Evictions) {
+		t.Errorf("shard evictions sum to %g, cache evicted %d", got, st.Evictions)
+	}
+}
+
+// TestNoPeerEndpoints: the cluster layer is gone, so a request shaped
+// like a peer RPC — cluster key header and all — finds no endpoint, and
+// /healthz reports no cluster membership.
+func TestNoPeerEndpoints(t *testing.T) {
+	srv, hs := testServer(t, nil)
+	r, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/peer/get",
+		strings.NewReader(`{"world":"oodb/volcano","fp":1,"canon":"q","epoch":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Header.Set("X-Prairie-Cluster-Key", "test-secret")
+	resp, err := http.DefaultClient.Do(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/peer/get: status %d, want 404", resp.StatusCode)
+	}
+	if st := srv.Cache().Snapshot(); st.Hits+st.Misses != 0 {
+		t.Errorf("a peer-shaped request reached the plan cache: %+v", st)
+	}
+	_, body := getJSONBody(t, hs.URL+"/healthz")
+	var h map[string]any
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := h["cluster"]; ok {
+		t.Errorf("/healthz still reports a cluster: %s", body)
 	}
 }
 

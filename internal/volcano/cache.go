@@ -77,6 +77,15 @@ func (pc *PlanCache) Snapshot() plancache.Stats {
 	return pc.c.Snapshot()
 }
 
+// Shards exposes per-shard occupancy and eviction counts for the
+// metrics exposition.
+func (pc *PlanCache) Shards() []plancache.ShardStat {
+	if pc == nil {
+		return nil
+	}
+	return pc.c.Shards()
+}
+
 // String renders a one-line summary for interactive inspection.
 func (pc *PlanCache) String() string {
 	if !pc.Enabled() {
@@ -93,8 +102,8 @@ func (pc *PlanCache) String() string {
 // rendering of its plan (the server keeps the plan's response bytes
 // here). It is opaque to this package — wire imports volcano, so the
 // engine cannot know the encoding. An entry is immutable and every
-// (re-)insert builds a new one through newCachedPlan, so a rendering
-// can never outlive the plan it was made from.
+// (re-)insert builds a new one through publishable, so a rendering can
+// never outlive the plan it was made from.
 type Rendering struct {
 	once sync.Once
 	v    any
@@ -124,41 +133,38 @@ type cachedPlan struct {
 	exprs     int
 	merges    int
 	memoBytes int64
-	// replica marks a hot-key replica of an entry owned by a remote
-	// cluster shard (zero off-cluster): hits on it count as ReplicaHits
-	// so the replication tier's effect is observable.
-	replica bool
 	// render is the entry's rendering slot, handed to every run the
 	// entry answers (Optimizer.Rendering).
 	render *Rendering
 }
 
-// newCachedPlan is the one constructor of cache entries, so that every
-// entry owns a fresh rendering slot; cachedPlanOf marks replicas on the
-// result.
-func newCachedPlan(e RemoteEntry) cachedPlan {
-	return cachedPlan{
-		plan:      e.Plan,
-		cost:      e.Cost,
-		groups:    e.Groups,
-		exprs:     e.Exprs,
-		merges:    e.Merges,
-		memoBytes: e.MemoBytes,
-		render:    new(Rendering),
-	}
+// RemoteEntry is a cache entry's payload in exported form: the winner
+// plan plus the cold-run shape statistics a hit reports. It is what the
+// cache-entry codec (wire.EncodeEntry / DecodeEntry) carries; the engine
+// itself never builds one — the benchmark times that codec
+// (wire.entry_roundtrip_us).
+type RemoteEntry struct {
+	Plan      *PExpr
+	Cost      float64
+	Groups    int
+	Exprs     int
+	Merges    int
+	MemoBytes int64
 }
 
-// publishable builds the entry of this run's completed search: the plan
-// is cloned on the way in, because the run's caller owns the original.
+// publishable builds the entry of this run's completed search, with a
+// fresh rendering slot: the plan is cloned on the way in, because the
+// run's caller owns the original.
 func (o *Optimizer) publishable(plan *PExpr) cachedPlan {
-	cp := newCachedPlan(RemoteEntry{
-		Plan:      plan.Clone(),
-		Cost:      plan.Cost(o.RS.Class),
-		Groups:    o.Stats.Groups,
-		Exprs:     o.Stats.Exprs,
-		Merges:    o.Stats.Merges,
-		MemoBytes: o.Stats.MemoBytes,
-	})
+	cp := cachedPlan{
+		plan:      plan.Clone(),
+		cost:      plan.Cost(o.RS.Class),
+		groups:    o.Stats.Groups,
+		exprs:     o.Stats.Exprs,
+		merges:    o.Stats.Merges,
+		memoBytes: o.Stats.MemoBytes,
+		render:    new(Rendering),
+	}
 	o.Rendering = cp.render
 	return cp
 }
@@ -209,19 +215,6 @@ func (o *Optimizer) cachedOptimize(ctx context.Context, tree *core.Expr, req *co
 	if req == nil {
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
-	// A stale-epoch answer from the owning peer means the cluster layer
-	// just advanced the local epoch: rebuild the key under the new
-	// generation and retry once. The bound matters — a peer that keeps
-	// racing ahead must not starve this request, so the second attempt
-	// treats a further stale answer as a plain miss.
-	plan, err, retry := o.cachedOptimizeOnce(ctx, tree, req, true)
-	if retry {
-		plan, err, _ = o.cachedOptimizeOnce(ctx, tree, req, false)
-	}
-	return plan, err
-}
-
-func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req *core.Descriptor, allowStaleRetry bool) (*PExpr, error, bool) {
 	pc := o.Opts.Cache
 	ph := o.Opts.Phases
 	var phStart time.Time
@@ -232,14 +225,11 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 	a := pc.c.Acquire(key)
 	if a.Hit {
 		o.Stats.CacheHits++
-		if a.Value.replica {
-			o.Stats.ReplicaHits++
-		}
 		plan := o.cacheHit(a.Value)
 		if ph != nil {
 			ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
 		}
-		return plan, nil, false
+		return plan, nil
 	}
 	if !a.Leader {
 		o.Stats.FlightWaits++
@@ -252,10 +242,7 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 		if err == nil && ok {
 			o.Stats.FlightShared++
 			o.Stats.CacheHits++
-			if cp.replica {
-				o.Stats.ReplicaHits++
-			}
-			return o.cacheHit(cp), nil, false
+			return o.cacheHit(cp), nil
 		}
 		// Leader declined to share or our wait was cancelled: run an
 		// independent search (a cancelled context degrades it per
@@ -263,86 +250,25 @@ func (o *Optimizer) cachedOptimizeOnce(ctx context.Context, tree *core.Expr, req
 		o.Stats.CacheMisses++
 		plan, err := o.optimizeContext(ctx, tree, req)
 		if err == nil && plan != nil && !o.Stats.Degraded {
-			cp := o.publishable(plan)
-			if rem := o.Opts.Remote; rem != nil {
-				// A remotely-owned entry's capacity belongs to its shard:
-				// offer it to the owner and store locally only when the
-				// cluster layer says so (self-owned or hot).
-				if rem.Offer(key, entryOf(cp)) {
-					pc.c.Put(key, cp)
-				}
-			} else {
-				pc.c.Put(key, cp)
-			}
+			pc.c.Put(key, o.publishable(plan))
 		}
-		return plan, err, false
+		return plan, err
 	}
 	o.Stats.CacheMisses++
 	// A panicking rule hook must not wedge followers: the deferred
 	// no-share Complete is idempotent, so the success path below wins
-	// when it runs first. Registered before the peer fetch so a panic
-	// there cannot wedge them either.
+	// when it runs first.
 	defer a.Complete(cachedPlan{}, false)
-	remoteLead := false
-	if rem := o.Opts.Remote; rem != nil {
-		// Local miss, and this request leads the local flight: ask the
-		// key's owning peer before optimizing. The fetch happens inside
-		// the cache phase — a peer fill is cache time, not search time.
-		res := rem.Fetch(ctx, key)
-		switch res.Outcome {
-		case RemoteHit, RemoteCollapsed:
-			cp := cachedPlanOf(res.Entry, res.StoreLocal)
-			a.CompleteShared(cp, res.StoreLocal)
-			o.Stats.PeerFills++
-			if res.Outcome == RemoteCollapsed {
-				o.Stats.FlightShared++
-			}
-			plan := o.cacheHit(cp)
-			if ph != nil {
-				ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
-			}
-			return plan, nil, false
-		case RemoteStale:
-			if allowStaleRetry {
-				// The cluster layer advanced our epoch; release the dead
-				// flight and let the caller rebuild the key.
-				a.Complete(cachedPlan{}, false)
-				return nil, nil, true
-			}
-			// Out of retries: fall through and optimize under the stale
-			// key (the entry becomes unreachable garbage, never a wrong
-			// answer — keys embed their epoch).
-		}
-		// RemoteLead / RemoteMiss / RemoteError / RemoteNone: optimize
-		// locally. A lead's result is offered back to the owner below,
-		// completing the cluster-wide flight.
-		remoteLead = res.Outcome == RemoteLead
-	}
 	if ph != nil {
 		ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
 	}
 	plan, err := o.optimizeContext(ctx, tree, req)
 	if err != nil || plan == nil || o.Stats.Degraded {
-		if remoteLead {
-			// The owner granted this node the cluster-wide lease; with
-			// no result coming, release its parked followers now rather
-			// than after the lease TTL.
-			o.Opts.Remote.Abandon(key)
-		}
 		a.Complete(cachedPlan{}, false)
-		return plan, err, false
+		return plan, err
 	}
-	cp := o.publishable(plan)
-	if rem := o.Opts.Remote; rem != nil {
-		// Share with local followers unconditionally; store locally only
-		// when the cluster layer keeps the capacity here (self-owned key
-		// or hot-promoted replica). The offer also completes any lease
-		// the owner granted this node.
-		a.CompleteShared(cp, rem.Offer(key, entryOf(cp)))
-	} else {
-		a.Complete(cp, true)
-	}
-	return plan, nil, false
+	a.Complete(o.publishable(plan), true)
+	return plan, nil
 }
 
 // cacheHit materializes a cache entry as this run's result: the cold

@@ -62,8 +62,8 @@ func (p *PExpr) ToExpr() *core.Expr {
 }
 
 // PlanFromExpr rebuilds a PExpr from a core operator tree — the
-// inverse of ToExpr, sharing descriptors the same way. The wire codec
-// uses it to rehydrate peer-fetched plans into cacheable entries.
+// inverse of ToExpr, sharing descriptors the same way. The cache-entry
+// codec (wire.DecodeEntry) uses it to rehydrate decoded plans.
 func PlanFromExpr(e *core.Expr) *PExpr {
 	if e == nil {
 		return nil

@@ -333,14 +333,9 @@ func commutedOp(r *TransRule) *core.Operation {
 // commutative reports whether op has an unconditional commute rule.
 func (rs *RuleSet) commutative(op *core.Operation) bool { return rs.index().commut[op] }
 
-// cacheScope returns the rule set's process-unique plan-cache scope.
+// cacheScope returns the rule set's process-unique plan-cache scope (a
+// counter, not a content hash).
 func (rs *RuleSet) cacheScope() uint64 { rs.index(); return rs.cacheID }
-
-// CacheScope exposes the rule set's plan-cache scope. The scope is
-// process-unique (a counter, not a content hash), so it never travels
-// on the wire: the cluster peer protocol identifies rule sets by world
-// name and each node resolves the name to its own local scope.
-func (rs *RuleSet) CacheScope() uint64 { return rs.cacheScope() }
 
 // IDProps computes the properties that identify an expression of op in
 // duplicate detection (and in the plan-cache fingerprint): the

@@ -74,13 +74,6 @@ type Options struct {
 	// untaken branch, leaving plans and Stats byte-identical to an
 	// unrecorded run.
 	Phases *obs.PhaseClock
-	// Remote attaches a cluster peer-fill hook consulted by cache-miss
-	// leaders before searching (see remote.go): the key's owning peer
-	// may answer from its shard, park this node behind a cluster-wide
-	// flight, or grant it the lead. nil — the default — keeps every
-	// cluster touchpoint a single untaken branch, leaving single-node
-	// runs byte-identical.
-	Remote RemoteCache
 }
 
 // DefaultMaxExprs is the default search-space cap.
@@ -108,8 +101,7 @@ type Optimizer struct {
 	OnEvent func(Event)
 	// Rendering is the rendering slot of the cache entry that stands
 	// behind the plan the last OptimizeContext returned — the entry a hit
-	// or a shared flight was served from, a peer filled, or this run
-	// published; nil when no entry does (no cache, a degraded or failed
+	// or a shared flight was served from, or this run published; nil when no entry does (no cache, a degraded or failed
 	// run). See Rendering.
 	Rendering *Rendering
 

@@ -58,13 +58,6 @@ type Stats struct {
 	CacheMisses  int
 	FlightWaits  int
 	FlightShared int
-	// Cluster accounting (zero off-cluster, keeping single-node runs
-	// byte-identical): PeerFills counts misses answered by the key's
-	// owning peer instead of a local search (including cross-node flight
-	// collapses), ReplicaHits local hits served from a hot-key replica
-	// of a remotely-owned entry.
-	PeerFills   int
-	ReplicaHits int
 
 	// MemoBytes is a rough end-of-run estimate of the memo's heap
 	// footprint (see Memo.MemEstimate).
@@ -151,8 +144,6 @@ func (s *Stats) Merge(o *Stats) {
 	s.CacheMisses += o.CacheMisses
 	s.FlightWaits += o.FlightWaits
 	s.FlightShared += o.FlightShared
-	s.PeerFills += o.PeerFills
-	s.ReplicaHits += o.ReplicaHits
 	s.MemoBytes += o.MemoBytes
 	s.BudgetChecks += o.BudgetChecks
 	mergeCounts(&s.TransMatched, o.TransMatched)
@@ -265,14 +256,8 @@ func (s *Stats) String() string {
 	}
 	b.WriteByte('\n')
 	if s.CacheHits+s.CacheMisses+s.FlightWaits+s.FlightShared > 0 {
-		fmt.Fprintf(&b, "cache: hits=%d misses=%d waits=%d shared=%d",
+		fmt.Fprintf(&b, "cache: hits=%d misses=%d waits=%d shared=%d\n",
 			s.CacheHits, s.CacheMisses, s.FlightWaits, s.FlightShared)
-		// Cluster counters render only when cluster traffic happened, so
-		// single-node output stays byte-identical.
-		if s.PeerFills+s.ReplicaHits > 0 {
-			fmt.Fprintf(&b, " peer_fills=%d replica_hits=%d", s.PeerFills, s.ReplicaHits)
-		}
-		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "trans matched=%d fired=%d; impl matched=%d fired=%d\n",
 		s.DistinctTransMatched(), s.DistinctTransFired(),

@@ -8,9 +8,10 @@ import (
 	"prairie/internal/volcano"
 )
 
-// CacheEntry is the peer-protocol payload: one plan-cache entry — the
-// winner plan plus the cold-run shape statistics a hit reports — in a
-// form any node can decode against its own copy of the world's algebra.
+// CacheEntry is one plan-cache entry in serialized form — the winner
+// plan plus the cold-run shape statistics a hit reports — decodable
+// against any copy of the world's algebra. The service never sends one;
+// the benchmark times the round trip (wire.entry_roundtrip_us).
 type CacheEntry struct {
 	Plan      *PlanNode `json:"plan"`
 	Cost      float64   `json:"cost"`
@@ -20,7 +21,7 @@ type CacheEntry struct {
 	MemoBytes int64     `json:"memo_bytes,omitempty"`
 }
 
-// EncodeEntry serializes a cache entry for the peer protocol.
+// EncodeEntry serializes a cache entry.
 func EncodeEntry(e volcano.RemoteEntry) ([]byte, error) {
 	pn, err := EncodePlan(e.Plan)
 	if err != nil {
@@ -39,8 +40,8 @@ func EncodeEntry(e volcano.RemoteEntry) ([]byte, error) {
 	})
 }
 
-// DecodeEntry rebuilds a cache entry from a peer payload using the
-// receiving node's algebra. The decoded plan is a fresh tree with its
+// DecodeEntry rebuilds a cache entry from its encoding against alg. The
+// decoded plan is a fresh tree with its
 // own descriptors — safe to cache and clone like a locally-built one.
 func DecodeEntry(alg *core.Algebra, b []byte) (volcano.RemoteEntry, error) {
 	var ce CacheEntry

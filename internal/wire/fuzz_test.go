@@ -8,9 +8,9 @@ import (
 	"prairie/internal/wire"
 )
 
-// FuzzCacheEntry drives the peer-protocol entry codec with arbitrary
-// bytes. Garbage must come back as an error — never a panic (the codec
-// decodes payloads straight off the network) — and anything that decodes
+// FuzzCacheEntry drives the cache-entry codec bench measures with
+// arbitrary bytes. Garbage must come back as an error — never a panic —
+// and anything that decodes
 // must reach a fixed point: re-encoding the decoded entry and decoding
 // again yields the same plan and statistics.
 func FuzzCacheEntry(f *testing.F) {

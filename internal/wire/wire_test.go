@@ -115,8 +115,7 @@ func TestPlanErrors(t *testing.T) {
 }
 
 // TestEntryRoundTrip encodes a full cache entry — plan plus cold-run
-// shape statistics — and decodes it against the same algebra, as the
-// peer protocol does between nodes sharing a world definition.
+// shape statistics — and decodes it against the same algebra.
 func TestEntryRoundTrip(t *testing.T) {
 	reg, err := server.DefaultRegistry(4, 101, "")
 	if err != nil {

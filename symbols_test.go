@@ -17,8 +17,8 @@ import (
 )
 
 // An attribute's symbol number depends on the order names were interned
-// in, which differs between processes (cluster nodes decode peers'
-// entries in whatever order they arrive). Nothing a process renders,
+// in, which differs between processes (each interns names in the order
+// its requests and decoded plans bring them). Nothing a process renders,
 // hashes into a cache key or sends may depend on it. The test below runs
 // itself twice — once as is, once in a child whose TestMain has given
 // every attribute another number — and compares what the two produce.
