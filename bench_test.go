@@ -12,6 +12,8 @@ package prairie_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -151,7 +153,7 @@ func BenchmarkExploreMerges(b *testing.B) {
 // about what the hand-coded one does, the residue being "the larger
 // number of malloc calls" — is held as a ratio: the Prairie specification
 // may allocate at most 12% more than the hand-coded rules on the same
-// query (28% before its actions were compiled; it now allocates 8–33%
+// query (28% before its actions were compiled; it now allocates 7–56%
 // less, because P2V defers what a hand-coder writes eagerly). The bytes
 // have a ceiling of their own, again about 15% above the measured ones,
 // because interning attributes saved bytes and hardly any objects: an
@@ -160,7 +162,12 @@ func BenchmarkExploreMerges(b *testing.B) {
 // rules against 2.64 MB, and 7.48 against 3.01 MB hand-coded. Both moved
 // again when the explorer began visiting inputs first: the expressions a
 // breadth-first search built on groups about to merge were a quarter of
-// E2/n5's objects (33 888 against 25 491) and 0.8 MB of its bytes.
+// E2/n5's objects (33 888 against 25 491) and 0.8 MB of its bytes. And
+// again when costing began to allocate only the plans it keeps: a
+// context, its slices, a binding, descriptors and a plan node for every
+// alternative costed, most of which lose, made E2/n5 25 491 objects
+// (1.82 MB) with the Prairie rules, not 14 380 (0.97 MB), and 43 399
+// hand-coded, not 32 489.
 // allocsPerRun is testing.AllocsPerRun (a warm-up run, then an average;
 // callers pin one processor) reading the allocated bytes beside the
 // object count.
@@ -191,9 +198,9 @@ func TestSearchAllocCeiling(t *testing.T) {
 		prairie, volcano           float64 // ceilings, objects
 		prairieBytes, volcanoBytes float64 // ceilings, bytes
 	}{
-		{qgen.E1, 6, 2_750, 3_000, 173_000, 162_500},
-		{qgen.E2, 5, 29_300, 49_900, 2_100_000, 2_560_000},
-		{qgen.E4, 3, 20_800, 30_200, 1_585_000, 1_675_000},
+		{qgen.E1, 6, 1_770, 1_900, 126_000, 143_500},
+		{qgen.E2, 5, 16_550, 37_350, 1_117_000, 2_055_000},
+		{qgen.E4, 3, 12_150, 23_000, 823_500, 1_309_000},
 	} {
 		w := prepOODB(t, q.e, q.n, false)
 		p, pb := cost(w.pvrs, w.ptree, w.preq)
@@ -212,6 +219,64 @@ func TestSearchAllocCeiling(t *testing.T) {
 			t.Errorf("%v/n%d: Prairie rules allocate %.3f times what the hand-coded ones do, limit 1.12", q.e, q.n, p/v)
 		}
 	}
+}
+
+// BenchmarkSearchCold is one round of the benchmark's search_cold
+// workload (bench/workloads.go's searchPool, over the registry
+// bench/env.go builds): every program built and searched cold, cacheless
+// and unobserved, on a fresh optimizer. allocs/program is the workload's
+// allocs_per_op; `go test -bench SearchCold -memprofile mem.out` profiles
+// it.
+func BenchmarkSearchCold(b *testing.B) {
+	src, err := os.ReadFile(filepath.Join("examples", "dslrules", "rules.prairie"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reg, err := server.DefaultRegistry(6, 101, string(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	type program struct {
+		world string
+		q     server.QuerySpec
+	}
+	var pool []program
+	for _, world := range []string{"oodb/prairie", "oodb/volcano"} {
+		for _, q := range []server.QuerySpec{
+			{Family: "E1", N: 6}, {Family: "E1", N: 6, Graph: "star"}, {Family: "E2", N: 4},
+			{Family: "E3", N: 4}, {Family: "E4", N: 3}, {Family: "E2", N: 5},
+		} {
+			pool = append(pool, program{world, q})
+		}
+	}
+	pool = append(pool,
+		program{"relational", server.QuerySpec{Family: "E1", N: 6}},
+		program{"dsl", server.QuerySpec{Family: "E1", N: 6}})
+	round := func() {
+		for _, p := range pool {
+			w, _ := reg.Lookup(p.world)
+			tree, want, err := w.Build(p.q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := volcano.NewOptimizer(w.RS).Optimize(tree, want)
+			if err != nil {
+				b.Fatalf("%s %s: %v", p.world, p.q, err)
+			}
+			_ = plan.String()
+		}
+	}
+	round() // rule indexes are built on first use
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*len(pool)), "allocs/program")
 }
 
 // execPlans prepares what the benchmark's exec_plans workload runs: the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 )
 
@@ -82,23 +83,21 @@ func CmpConst(op PredOp, a Attr, c Value) *Pred {
 func EqAttr(a, b Attr) *Pred { return &Pred{Op: PredEq, Left: a, Right: b, AttrCmp: true} }
 
 // And conjoins predicates, dropping TRUE terms and flattening nested ANDs.
-// And() with no live terms returns TruePred.
+// And() with no live terms returns TruePred. The terms are counted first,
+// so a conjunction's slice is allocated once, at its size.
 func And(ps ...*Pred) *Pred {
-	var kids []*Pred
+	n, last := 0, TruePred
 	for _, p := range ps {
-		switch {
-		case p == nil || p.Op == PredTrue:
-		case p.Op == PredAnd:
-			kids = append(kids, p.Kids...)
-		default:
-			kids = append(kids, p)
+		if c := p.Conjuncts(); len(c) > 0 {
+			n, last = n+len(c), c[len(c)-1]
 		}
 	}
-	switch len(kids) {
-	case 0:
-		return TruePred
-	case 1:
-		return kids[0]
+	if n <= 1 {
+		return last
+	}
+	kids := make([]*Pred, 0, n)
+	for _, p := range ps {
+		kids = append(kids, p.Conjuncts()...)
 	}
 	return &Pred{Op: PredAnd, Kids: kids}
 }
@@ -197,34 +196,101 @@ func (p *Pred) Hash() uint64 {
 	return h
 }
 
-// String implements Value.
+// String implements Value. TRUE is a constant and the pieces of anything
+// else are measured first, so a rendering is at most one allocation: the
+// plan cache's fingerprint renders every predicate of every query it is
+// asked.
 func (p *Pred) String() string {
-	if p == nil {
+	if p.IsTrue() {
 		return "TRUE"
 	}
-	switch p.Op {
-	case PredTrue:
-		return "TRUE"
-	case PredAnd, PredOr:
-		parts := make([]string, len(p.Kids))
+	var b strings.Builder
+	n := 0
+	p.pieces(func(s string) bool { n += len(s); return true })
+	b.Grow(n)
+	p.pieces(func(s string) bool { b.WriteString(s); return true })
+	return b.String()
+}
+
+// pieces calls yield with the pieces of p's rendering in order — names,
+// operators, punctuation, constants — until yield returns false; it
+// reports whether it got to the end.
+func (p *Pred) pieces(yield func(string) bool) bool {
+	switch {
+	case p == nil || p.Op == PredTrue:
+		return yield("TRUE")
+	case p.Op == PredAnd || p.Op == PredOr:
+		if !yield("(") {
+			return false
+		}
 		for i, k := range p.Kids {
-			parts[i] = k.String()
+			if i > 0 && !yield([...]string{PredAnd: " AND ", PredOr: " OR "}[p.Op]) || !k.pieces(yield) {
+				return false
+			}
 		}
-		return "(" + strings.Join(parts, " "+p.Op.String()+" ") + ")"
-	case PredNot:
-		return "NOT " + p.Kids[0].String()
-	default:
-		rhs := ""
-		if p.AttrCmp {
-			rhs = p.Right.String()
-		} else if p.Const != nil {
-			rhs = p.Const.String()
-		}
-		// Concatenation, not fmt: canonical conjunct ordering renders
-		// every conjunct of every predicate the rules build.
-		l := p.Left.entry()
-		return l.rel + "." + l.name + " " + p.Op.String() + " " + rhs
+		return yield(")")
+	case p.Op == PredNot:
+		return yield("NOT ") && p.Kids[0].pieces(yield)
 	}
+	l, r := p.Left.entry(), p.Right.entry()
+	if !(yield(l.rel) && yield(".") && yield(l.name) && yield(" ") && yield(p.Op.String()) && yield(" ")) {
+		return false
+	}
+	if p.AttrCmp {
+		return yield(r.rel) && yield(".") && yield(r.name)
+	}
+	switch c := p.Const.(type) {
+	case nil:
+		return true
+	case Str:
+		return yield(string(c))
+	case Int:
+		return yield(strconv.FormatInt(int64(c), 10))
+	case *Pred:
+		return c.pieces(yield)
+	}
+	return yield(p.Const.String())
+}
+
+// piece returns the k-th piece of p's rendering; false past the last.
+func (p *Pred) piece(k int) (s string, ok bool) {
+	p.pieces(func(x string) bool {
+		if k--; k < 0 {
+			s, ok = x, true
+		}
+		return !ok
+	})
+	return s, ok
+}
+
+// Compare orders predicates by their renderings — it returns
+// strings.Compare(p.String(), q.String()) — without building them: p's
+// pieces are matched against q's, which are read afresh each (a
+// comparison has nine). Canonical conjunct orders sort by it.
+func (p *Pred) Compare(q *Pred) int {
+	r, k, rest := 0, 0, ""
+	more := func() bool { // the next non-empty piece of q, if any
+		for ok := true; rest == "" && ok; k++ {
+			rest, ok = q.piece(k)
+		}
+		return rest != ""
+	}
+	p.pieces(func(a string) bool {
+		for r == 0 && a != "" {
+			if !more() {
+				r = 1
+				break
+			}
+			n := min(len(a), len(rest))
+			r = strings.Compare(a[:n], rest[:n])
+			a, rest = a[n:], rest[n:]
+		}
+		return r == 0
+	})
+	if r == 0 && more() {
+		return -1
+	}
+	return r
 }
 
 // Conjuncts returns the top-level AND terms of p (p itself if it is not a
@@ -297,7 +363,8 @@ func (p *Pred) IsEquiJoin() bool {
 // SplitBy partitions the conjuncts of p into those referring only to the
 // given attribute set and the rest, returning the two conjunctions.
 func (p *Pred) SplitBy(set Attrs) (within, rest *Pred) {
-	var in, out []*Pred
+	var inBuf, outBuf [8]*Pred // And copies what it keeps
+	in, out := inBuf[:0], outBuf[:0]
 	for _, c := range p.Conjuncts() {
 		if c.RefersOnlyTo(set) {
 			in = append(in, c)

@@ -65,11 +65,10 @@ type Binding struct {
 	names []string      // the frame's names, then names bound ad hoc
 	descs []*Descriptor // by slot; nil until bound or first referenced
 	// Scratch makes the binding own the descriptors its actions create:
-	// BeginFiring takes them back and the next firing clears and reuses
-	// them. Only a caller that copies what it keeps may set it — the
-	// engine's transformation firings do (the memo clones a descriptor
-	// when it interns a new expression); implementation rules must not,
-	// because plans retain their descriptors.
+	// BeginFiring takes them back and the next firing (or Reset) clears
+	// and reuses them, slot by slot. Only a caller that copies what it
+	// keeps may set it: the memo clones a descriptor when it interns a new
+	// expression, the costing loop one that a plan keeps (see Owns).
 	Scratch bool
 	pool    []*Descriptor // recycled descriptors by slot
 	// Shared holds the firing's value of each Frame.Shared entry, nil
@@ -77,17 +76,10 @@ type Binding struct {
 	// slots: each call site of a compiled rule owns a range of them, so
 	// nested calls do not overwrite one another.
 	Shared, Args []Value
-	// inline backs descs for the one-shot bindings of implementation
-	// rules, whose frames are this small, saving their allocation.
-	inline [6]*Descriptor
 }
 
 // NewBinding returns an empty binding over a property set.
-func NewBinding(ps *PropertySet) *Binding {
-	b := &Binding{ps: ps}
-	b.descs = b.inline[:0]
-	return b
-}
+func NewBinding(ps *PropertySet) *Binding { return &Binding{ps: ps} }
 
 // Reset empties the binding and lays it out by f (nil for none), keeping
 // the backing storage: the engine reuses one binding across all rule
@@ -166,6 +158,10 @@ func (b *Binding) fill(i int) *Descriptor {
 	b.descs[i] = d
 	return d
 }
+
+// Owns reports whether d is one of the descriptors a Scratch binding
+// recycles: a caller must copy it to keep it.
+func (b *Binding) Owns(d *Descriptor) bool { return slices.Contains(b.pool, d) }
 
 // BindSlot binds slot i to an existing descriptor.
 func (b *Binding) BindSlot(i int, d *Descriptor) { b.descs[i] = d }

@@ -222,12 +222,18 @@ func TestBindingFrame(t *testing.T) {
 	if again := b.Slot(4); again != d7 || again.Has(nr) {
 		t.Error("scratch descriptor not recycled empty")
 	}
-	// Without Scratch every firing allocates: plans keep I-rule descriptors.
+	// Reset recycles too; what the binding recycles it owns, what was
+	// bound into it it does not.
+	b.Reset(f)
+	if b.Slot(4) != d7 || !b.Owns(d7) || b.Owns(d5) {
+		t.Error("Reset must recycle by slot, and Owns tell recycled from bound")
+	}
+	// Without Scratch every firing allocates, and the binding owns nothing.
 	plain := NewBinding(a.Props)
 	plain.Reset(f)
 	kept := plain.Slot(4)
 	plain.BeginFiring()
-	if !plain.Bound("D7") || plain.Slot(4) != kept {
+	if !plain.Bound("D7") || plain.Slot(4) != kept || plain.Owns(kept) {
 		t.Error("a plain binding must keep the descriptors its actions made")
 	}
 

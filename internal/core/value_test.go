@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -621,5 +622,103 @@ func TestAttrsAgainstStringPairs(t *testing.T) {
 		if in.String() != rin || out.String() != rout {
 			t.Fatalf("%v.SplitBy(%v) = %v | %v, string pairs give %v | %v", p, v, in, out, rin, rout)
 		}
+	}
+}
+
+// TestPredCompareAgainstStrings holds Pred.Compare — which orders the
+// conjuncts of every canonical conjunction without rendering them — to the
+// order of the renderings it stands for, with refPred's string building as
+// the oracle: random predicates over names that prefix one another, every
+// comparison operator and an unknown one, AND/OR/NOT to depth four, and
+// constants of every kind, several rendering alike ("1" is Int, Float,
+// Cost and Str). A sort by Compare must also permute like a sort by the
+// strings, since plan text and wire bytes follow that order.
+func TestPredCompareAgainstStrings(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	rels := []string{"", "C", "C1", "C10", "C1.a"}
+	names := []string{"", "a", "a ", "b", "id"}
+	consts := []Value{nil, Int(1), Int(-7), Int(123456789012), Float(1), Float(0.5), Float(math.Copysign(0, -1)), Float(1e21),
+		Float(math.Inf(1)), Float(math.NaN()), Cost(1), Cost(2.5e-7), Bool(true), Bool(false), Str("1"), Str(""),
+		Str("C1.a = 1"), Attrs{A("C1", "a"), A("C", "b")}, Attrs(nil), OrderBy(A("C1", "a")), DontCareOrder,
+		EqConst(A("C1", "a"), Int(1)), (*Pred)(nil)}
+	attr := func() (Attr, refAttr) {
+		r := refAttr{rels[rng.Intn(len(rels))], names[rng.Intn(len(names))]}
+		return A(r.Rel, r.Name), r
+	}
+	var pred func(depth int) (*Pred, *refPred)
+	pred = func(depth int) (*Pred, *refPred) {
+		switch k := rng.Intn(9); {
+		case k == 0:
+			return TruePred, &refPred{Op: PredTrue}
+		case k <= 3 && depth < 4:
+			op := []PredOp{PredAnd, PredOr, PredNot}[rng.Intn(3)]
+			n := 1
+			if op != PredNot {
+				n = rng.Intn(4) // (), a lone kid and longer lists
+			}
+			p, r := &Pred{Op: op}, &refPred{Op: op}
+			for i := 0; i < n; i++ {
+				pk, rk := pred(depth + 1)
+				p.Kids, r.Kids = append(p.Kids, pk), append(r.Kids, rk)
+			}
+			return p, r
+		}
+		op := PredEq + PredOp(rng.Intn(int(PredGe-PredEq)+1))
+		if rng.Intn(20) == 0 {
+			op = PredOp(42)
+		}
+		l, rl := attr()
+		rt, rr := attr() // a constant comparison keeps a Right its rendering ignores
+		if rng.Intn(2) == 0 {
+			return &Pred{Op: op, Left: l, Right: rt, AttrCmp: true}, &refPred{Op: op, Left: rl, Right: rr, AttrCmp: true}
+		}
+		c := consts[rng.Intn(len(consts))]
+		return &Pred{Op: op, Left: l, Right: rt, Const: c}, &refPred{Op: op, Left: rl, Const: c}
+	}
+	sign := func(c int) int { return min(max(c, -1), 1) }
+	for i := 0; i < 20000; i++ {
+		p, rp := pred(0)
+		q, rq := pred(0)
+		if i%5 == 0 {
+			q, rq = p, rp // equal renderings
+		}
+		if got, want := sign(p.Compare(q)), strings.Compare(rp.String(), rq.String()); got != want {
+			t.Fatalf("%q.Compare(%q) = %d, the strings compare %d", rp.String(), rq.String(), got, want)
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		var ps []*Pred
+		var refs []string
+		for n := rng.Intn(9); n > 0; n-- {
+			p, rp := pred(2)
+			ps, refs = append(ps, p), append(refs, rp.String())
+		}
+		byPred, byString := slices.Clone(ps), make([]int, len(ps))
+		for j := range byString {
+			byString[j] = j
+		}
+		slices.SortFunc(byPred, (*Pred).Compare)
+		slices.SortFunc(byString, func(a, b int) int { return strings.Compare(refs[a], refs[b]) })
+		for j, k := range byString {
+			if byPred[j] != ps[k] {
+				t.Fatalf("sorting %q by Compare permutes differently from sorting the strings", refs)
+			}
+		}
+	}
+}
+
+// TestPredCompareAllocatesNothing: ordering the conjuncts the rules build
+// — join terms and selections on integers — renders and allocates nothing.
+func TestPredCompareAllocatesNothing(t *testing.T) {
+	ps := []*Pred{EqAttr(A("C1", "a"), A("C2", "a")), EqAttr(A("C1", "a"), A("C10", "a")),
+		EqConst(A("C2", "b"), Int(2)), EqConst(A("C2", "b"), Int(12)), EqConst(A("C2", "b"), Str("x"))}
+	if n := testing.AllocsPerRun(100, func() {
+		for _, p := range ps {
+			for _, q := range ps {
+				p.Compare(q)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("comparing %d conjuncts pairwise allocates %.0f objects", len(ps), n)
 	}
 }

@@ -19,7 +19,6 @@ package oodb
 import (
 	"math"
 	"slices"
-	"strings"
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
@@ -100,26 +99,13 @@ func New(cat *catalog.Catalog) *Opt {
 // different rewrite paths compare equal, which the memo's duplicate
 // detection relies on.
 
-// canonAnd conjoins predicates with conjuncts sorted canonically.
-// The order is that of the conjuncts' renderings; each is rendered once.
+// canonAnd conjoins predicates with conjuncts sorted canonically: in the
+// order of their renderings, which Pred.Compare reads without building.
 func canonAnd(ps ...*core.Pred) *core.Pred {
 	all := core.And(ps...)
-	if all.Op != core.PredAnd {
-		return all // TRUE or a single conjunct
-	}
-	type keyed struct {
-		s string
-		p *core.Pred
-	}
-	var buf [8]keyed
-	ks := buf[:0]
-	for _, p := range all.Kids {
-		ks = append(ks, keyed{p.String(), p})
-	}
-	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.s, b.s) })
-	// And built all.Kids afresh, so it can be reordered in place.
-	for i, k := range ks {
-		all.Kids[i] = k.p
+	if all.Op == core.PredAnd {
+		// And built all.Kids afresh, so it can be reordered in place.
+		slices.SortFunc(all.Kids, (*core.Pred).Compare)
 	}
 	return all
 }

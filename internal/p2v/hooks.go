@@ -39,15 +39,14 @@ func shapeOf(r *core.IRule) irShape {
 
 // condBinding binds the left side's descriptors for the test stage:
 // the operator's descriptor (with required properties merged) and the
-// input groups' representative descriptors. The binding is cached on the
-// context: it is the one binding of this alternative, which the Pre
-// stage reuses as it is and the Post stage after rebinding the inputs.
-func (sh irShape) condBinding(ps *core.PropertySet, cx *volcano.ImplCtx) *core.Binding {
+// input groups' representative descriptors. The binding is the engine's,
+// lent for this alternative and cached on the context: the Pre stage
+// reuses it as it is and the Post stage after rebinding the inputs.
+func (sh irShape) condBinding(cx *volcano.ImplCtx) *core.Binding {
 	if b, ok := cx.Scratch.(*core.Binding); ok {
 		return b
 	}
-	b := core.NewBinding(ps)
-	b.Reset(sh.frame)
+	b := cx.Lend(sh.frame)
 	cx.Scratch = b
 	b.Bind(sh.lhsRoot, cx.OpDesc)
 	for i, name := range sh.lhsKid {
@@ -68,8 +67,8 @@ func (sh irShape) condBinding(ps *core.PropertySet, cx *volcano.ImplCtx) *core.B
 // postBinding binds both sides' descriptors for the post-opt stage: the
 // optimized inputs' winner descriptors stand in for the input stream
 // descriptors of both sides (their costs are now known, §2.4).
-func (sh irShape) postBinding(ps *core.PropertySet, cx *volcano.ImplCtx, algD *core.Descriptor) *core.Binding {
-	b := sh.condBinding(ps, cx)
+func (sh irShape) postBinding(cx *volcano.ImplCtx, algD *core.Descriptor) *core.Binding {
+	b := sh.condBinding(cx)
 	b.Bind(sh.rhsRoot, algD)
 	for i := range sh.lhsKid {
 		var in *core.Descriptor
@@ -94,8 +93,7 @@ func (sh irShape) postBinding(ps *core.PropertySet, cx *volcano.ImplCtx, algD *c
 // becomes cond_code, its pre-opt statements generate "do_any_good" and
 // "get_input_pv", its post-opt statements generate "derive_phy_prop" and
 // "cost".
-func makeImpl(rs *core.RuleSet, r *core.IRule, alias map[*core.Operation]*core.Operation) *volcano.ImplRule {
-	ps := rs.Algebra.Props
+func makeImpl(r *core.IRule, alias map[*core.Operation]*core.Operation) *volcano.ImplRule {
 	sh := shapeOf(r)
 	op := r.Op()
 	if to, ok := alias[op]; ok {
@@ -106,10 +104,10 @@ func makeImpl(rs *core.RuleSet, r *core.IRule, alias map[*core.Operation]*core.O
 		Op:   op,
 		Alg:  r.Alg(),
 		Cond: func(cx *volcano.ImplCtx) bool {
-			return r.RunTest(sh.condBinding(ps, cx))
+			return r.RunTest(sh.condBinding(cx))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			b := sh.condBinding(ps, cx)
+			b := sh.condBinding(cx)
 			if r.PreOpt != nil {
 				r.PreOpt(b)
 			}
@@ -124,7 +122,7 @@ func makeImpl(rs *core.RuleSet, r *core.IRule, alias map[*core.Operation]*core.O
 		},
 		Post: func(cx *volcano.ImplCtx, algD *core.Descriptor) {
 			if r.PostOpt != nil {
-				r.PostOpt(sh.postBinding(ps, cx, algD))
+				r.PostOpt(sh.postBinding(cx, algD))
 			}
 		},
 	}
@@ -154,10 +152,10 @@ func makeEnforcer(rs *core.RuleSet, r *core.IRule, props []core.PropID) *volcano
 			if !requested {
 				return false
 			}
-			return r.RunTest(sh.condBinding(ps, cx))
+			return r.RunTest(sh.condBinding(cx))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, *core.Descriptor) {
-			b := sh.condBinding(ps, cx)
+			b := sh.condBinding(cx)
 			if r.PreOpt != nil {
 				r.PreOpt(b)
 			}
@@ -177,7 +175,7 @@ func makeEnforcer(rs *core.RuleSet, r *core.IRule, props []core.PropID) *volcano
 		},
 		Post: func(cx *volcano.ImplCtx, algD *core.Descriptor) {
 			if r.PostOpt != nil {
-				r.PostOpt(sh.postBinding(ps, cx, algD))
+				r.PostOpt(sh.postBinding(cx, algD))
 			}
 		},
 	}

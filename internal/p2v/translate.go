@@ -156,7 +156,7 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 			rep.EnforcerIRules = append(rep.EnforcerIRules, r.Name)
 			continue
 		}
-		out.AddImpl(makeImpl(rs, r, alias))
+		out.AddImpl(makeImpl(r, alias))
 	}
 
 	rep.finish(rs, out)

@@ -170,3 +170,45 @@ func EagerRest(rs *RuleSet) *RuleSet {
 	}
 	return out
 }
+
+// ScratchOwns reports whether d is a descriptor one of the optimizer's
+// costing frames still owns: a requirement-merged OpDesc, or one the
+// binding a frame lends the rule hooks recycles.
+func (o *Optimizer) ScratchOwns(d *core.Descriptor) bool {
+	for _, f := range o.frames {
+		if d == f.merged || f.cx.lent.Owns(d) {
+			return true
+		}
+	}
+	return false
+}
+
+// ScratchKids reports whether kids shares its array with a costing
+// frame's input-plan slice.
+func (o *Optimizer) ScratchKids(kids []*PExpr) bool {
+	for _, f := range o.frames {
+		s := f.plans[:cap(f.plans)]
+		for i := range s {
+			if len(kids) > 0 && &kids[0] == &s[i] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Winners returns every plan the memo holds as a (group, requirement)
+// winner.
+func (m *Memo) Winners() []*PExpr {
+	var out []*PExpr
+	for _, g := range m.groups {
+		for _, ws := range g.winners {
+			for _, w := range ws {
+				if w.plan != nil {
+					out = append(out, w.plan)
+				}
+			}
+		}
+	}
+	return out
+}

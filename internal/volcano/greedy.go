@@ -41,6 +41,8 @@ func greedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor, stats *Stats
 		req = core.NewDescriptor(rs.Algebra.Props)
 	}
 	o := &Optimizer{RS: rs, Memo: NewMemo(rs), Stats: stats}
+	o.initRuleCounters()
+	defer o.flushRuleCounters()
 	plan, _, err := o.findBest(o.Memo.Insert(tree), req)
 	if err != nil {
 		return nil, err

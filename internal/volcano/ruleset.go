@@ -124,7 +124,12 @@ func (r *TransRule) String() string {
 	return fmt.Sprintf("%s: %s -> %s", r.Name, r.LHS, r.RHS)
 }
 
-// ImplCtx carries the state an implementation rule or enforcer sees.
+// ImplCtx carries the state an implementation rule or enforcer sees. The
+// engine builds it and reuses it, its slices and its merged OpDesc for
+// every alternative it costs at one recursion depth: hooks must not keep
+// cx, Kids, In, OpDesc or a descriptor of Lend's binding past Post, nor
+// write to OpDesc, Req or Kids. Pre may return descriptors of the lent
+// binding; the engine copies algD when a plan keeps it.
 type ImplCtx struct {
 	// OpDesc is the matched logical expression's descriptor with the
 	// required physical properties merged in; for an enforcer it is the
@@ -141,9 +146,16 @@ type ImplCtx struct {
 	In []*core.Descriptor
 	// Scratch lets a rule's hooks share state across the Cond/Pre/Post
 	// stages of one alternative (the P2V-generated hooks cache their
-	// descriptor binding here). The engine never touches it.
+	// descriptor binding here); the engine empties it between
+	// alternatives.
 	Scratch interface{}
+	lent    *core.Binding
 }
+
+// Lend returns the engine's binding, emptied and laid out by f, for this
+// alternative's hooks. It is in Binding.Scratch mode: the descriptors its
+// actions create are recycled by slot from one alternative to the next.
+func (cx *ImplCtx) Lend(f *core.Frame) *core.Binding { cx.lent.Reset(f); return cx.lent }
 
 // ImplRule is a Volcano impl_rule: it implements an operator by an
 // algorithm. The three hooks correspond to Volcano's support functions

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"prairie/internal/core"
@@ -113,12 +114,12 @@ type Optimizer struct {
 	match    *matcher
 	// noReq is the empty requirement handed to inputs no rule constrains.
 	noReq *core.Descriptor
-	// per-rule counters indexed by position in RS.Trans; flushed into the
-	// name-keyed Stats maps when exploration ends — including the
-	// ErrSpaceExhausted and budget-interrupt paths — so the hot loop
-	// never hashes rule names yet diagnostics always reflect the work
-	// actually done.
-	transMatchedN, transFiredN []int
+	// per-rule counters indexed by position in RS.Trans, RS.Impls and
+	// RS.Enforcers; flushed into the name-keyed Stats maps when
+	// exploration or costing ends — including the ErrSpaceExhausted and
+	// budget-interrupt paths — so the hot loops never hash rule names yet
+	// diagnostics always reflect the work actually done.
+	transMatchedN, transFiredN, implMatchedN, implFiredN, enfMatchedN, enfFiredN []int
 	// transTimeN accumulates per-rule match+fire wall time by rule
 	// position when per-rule timing is enabled; flushed with the
 	// counters into Stats.TransTime.
@@ -130,6 +131,10 @@ type Optimizer struct {
 	// run is the resource accounting of the current OptimizeContext call
 	// (see budget.go).
 	run budgetState
+	// frames[:depth] are the costing frames of the optimizeGroup calls in
+	// progress (see costFrame).
+	frames []*costFrame
+	depth  int
 }
 
 // NewOptimizer returns an optimizer over a fresh memo.
@@ -210,6 +215,10 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 		defer func() { ph.Observe(obs.PhaseFull, start, time.Since(start)) }()
 	}
 	o.beginRun(ctx)
+	// Costing's rule counters reach Stats on every way out (explore
+	// flushes its own).
+	o.initRuleCounters()
+	defer o.flushRuleCounters()
 	if req == nil {
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
@@ -310,27 +319,39 @@ func (o *Optimizer) explore() error {
 
 func (o *Optimizer) initRuleCounters() {
 	if o.transMatchedN == nil {
-		o.transMatchedN = make([]int, len(o.RS.Trans))
-		o.transFiredN = make([]int, len(o.RS.Trans))
+		t, i, e := len(o.RS.Trans), len(o.RS.Impls), len(o.RS.Enforcers)
+		c := make([]int, 2*(t+i+e))
+		cut := func(n int) []int { s := c[:n:n]; c = c[n:]; return s }
+		o.transMatchedN, o.transFiredN = cut(t), cut(t)
+		o.implMatchedN, o.implFiredN = cut(i), cut(i)
+		o.enfMatchedN, o.enfFiredN = cut(e), cut(e)
 	}
 	if o.timing && o.transTimeN == nil {
 		o.transTimeN = make([]time.Duration, len(o.RS.Trans))
 	}
 }
 
+// flushCounts adds the counters ns, by rule position, into m under the
+// rules' names and zeroes them.
+func flushCounts(m map[string]int, ns []int, name func(i int) string) {
+	for i, n := range ns {
+		if n != 0 {
+			m[name(i)] += n
+			ns[i] = 0
+		}
+	}
+}
+
 func (o *Optimizer) flushRuleCounters() {
-	for i, n := range o.transMatchedN {
-		if n != 0 {
-			o.Stats.TransMatched[o.RS.Trans[i].Name] += n
-			o.transMatchedN[i] = 0
-		}
-	}
-	for i, n := range o.transFiredN {
-		if n != 0 {
-			o.Stats.TransFired[o.RS.Trans[i].Name] += n
-			o.transFiredN[i] = 0
-		}
-	}
+	trans := func(i int) string { return o.RS.Trans[i].Name }
+	impl := func(i int) string { return o.RS.Impls[i].Name }
+	enf := func(i int) string { return o.RS.Enforcers[i].Name }
+	flushCounts(o.Stats.TransMatched, o.transMatchedN, trans)
+	flushCounts(o.Stats.TransFired, o.transFiredN, trans)
+	flushCounts(o.Stats.ImplMatched, o.implMatchedN, impl)
+	flushCounts(o.Stats.ImplFired, o.implFiredN, impl)
+	flushCounts(o.Stats.EnfMatched, o.enfMatchedN, enf)
+	flushCounts(o.Stats.EnfFired, o.enfFiredN, enf)
 	for i, d := range o.transTimeN {
 		if d != 0 {
 			if o.Stats.TransTime == nil {
@@ -784,32 +805,76 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 	return best, bestCost, nil
 }
 
+// costFrame is the scratch optimizeGroup costs alternatives in, one per
+// recursion depth, so the recursion into input groups, a frame down,
+// overwrites nothing an alternative still needs. Every alternative at a
+// depth reuses the context, its slices, the merged OpDesc (mergeReq) and
+// the binding the context lends; a plan keeps only copies (keep).
+type costFrame struct {
+	cx       ImplCtx
+	kids, in []*core.Descriptor // back cx.Kids and cx.In
+	plans    []*PExpr           // the alternative's input winners
+	merged   *core.Descriptor
+}
+
+// reset readies the frame's context for one alternative with n inputs.
+func (f *costFrame) reset(opDesc, req *core.Descriptor, n int) *ImplCtx {
+	if m := max(n, 1); len(f.in) < m { // an enforcer has one input
+		f.kids, f.in, f.plans = make([]*core.Descriptor, m), make([]*core.Descriptor, m), make([]*PExpr, m)
+	}
+	f.cx = ImplCtx{OpDesc: opDesc, Req: req, Kids: f.kids[:n], In: f.in[:n], lent: f.cx.lent}
+	clear(f.cx.In)
+	return &f.cx
+}
+
+// keep builds the plan node of an alternative that beats the incumbent,
+// copying the input slice and a descriptor the lent binding owns.
+func (f *costFrame) keep(alg *core.Operation, d *core.Descriptor, kids []*PExpr) *PExpr {
+	if f.cx.lent.Owns(d) {
+		d = d.Clone()
+	}
+	return &PExpr{Alg: alg, D: d, Kids: slices.Clone(kids)}
+}
+
 // optimizeGroup enumerates the group's physical alternatives.
 func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, float64, error) {
+	if o.depth == len(o.frames) {
+		ps := o.RS.Algebra.Props
+		f := &costFrame{cx: ImplCtx{lent: core.NewBinding(ps)}, merged: core.NewDescriptor(ps)}
+		f.cx.lent.Scratch = true
+		o.frames = append(o.frames, f)
+	}
+	f := o.frames[o.depth]
+	o.depth++
+	defer func() { o.depth-- }()
 	phys := o.RS.Class.Phys
 	costID := o.RS.Class.Cost
 	var best *PExpr
 	bestCost := math.Inf(1)
-
-	consider := func(plan *PExpr, cost float64) {
+	// better counts a costed alternative and reports whether it beats the
+	// incumbent; only one that does is built into a plan node.
+	better := func(cost float64) bool {
 		o.Stats.CostedPlans++
-		if cost < bestCost {
-			best, bestCost = plan, cost
-		}
+		return cost < bestCost
 	}
 
 	for _, e := range grp.Exprs {
 		if e.IsLeaf() {
 			// A stored file satisfies a requirement only as-is; RET
 			// algorithms above it decide access paths.
-			if e.D.SatisfiesOn(req, phys) {
-				consider(&PExpr{File: e.File, D: e.D}, e.D.Float(costID))
+			if c := e.D.Float(costID); e.D.SatisfiesOn(req, phys) && better(c) {
+				best, bestCost = &PExpr{File: e.File, D: e.D}, c
 			}
 			continue
 		}
+		opDesc := mergeReq(e.D, req, phys, f.merged)
+		kids := f.reset(opDesc, req, len(e.Kids)).Kids
+		for i, k := range e.Kids {
+			kids[i] = o.Memo.Group(k).Rep()
+		}
 		for _, ie := range o.RS.implsFor(e.Op) {
 			rule := ie.rule
-			o.Stats.ImplMatched[rule.Name]++
+			o.implMatchedN[ie.idx]++
 			// Per-rule costing self time: the clock pauses around the
 			// findBest recursion below, so input planning is attributed
 			// to the input groups' own rules, not this alternative.
@@ -818,15 +883,7 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 			if o.timing {
 				t0 = time.Now()
 			}
-			cx := &ImplCtx{
-				OpDesc: mergeReq(e.D, req, phys),
-				Req:    req,
-				Kids:   make([]*core.Descriptor, len(e.Kids)),
-				In:     make([]*core.Descriptor, len(e.Kids)),
-			}
-			for i, k := range e.Kids {
-				cx.Kids[i] = o.Memo.Group(k).Rep()
-			}
+			cx := f.reset(opDesc, req, len(e.Kids))
 			if rule.Cond != nil && !rule.Cond(cx) {
 				o.emit(EventImplRejected, rule.Name, grp.ID, "condition failed", 0)
 				if o.timing {
@@ -834,9 +891,8 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 				}
 				continue
 			}
-			o.Stats.ImplFired[rule.Name]++
+			o.implFiredN[ie.idx]++
 			algD, inReq := rule.Pre(cx)
-			kids := make([]*PExpr, len(e.Kids))
 			acc := 0.0
 			ok := true
 			for i, k := range e.Kids {
@@ -870,7 +926,7 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 					ok = false
 					break
 				}
-				kids[i] = plan
+				f.plans[i] = plan
 				cx.In[i] = plan.D
 				acc += cost
 				if o.RS.MonotonicCosts && acc >= bestCost {
@@ -894,10 +950,13 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 				}
 				continue
 			}
+			c := algD.Float(costID)
 			if o.OnEvent != nil {
-				o.emit(EventImplCosted, rule.Name, grp.ID, rule.Alg.Name, algD.Float(costID))
+				o.emit(EventImplCosted, rule.Name, grp.ID, rule.Alg.Name, c)
 			}
-			consider(&PExpr{Alg: rule.Alg, D: algD, Kids: kids}, algD.Float(costID))
+			if better(c) {
+				best, bestCost = f.keep(rule.Alg, algD, f.plans[:len(e.Kids)]), c
+			}
 			if o.timing {
 				o.addImplTime(rule.Name, self+time.Since(t0))
 			}
@@ -906,15 +965,13 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 
 	// Enforcers: produce a required property on top of a plan for the
 	// same group with that property relaxed.
-	for _, enf := range o.RS.Enforcers {
-		cx := &ImplCtx{
-			OpDesc: mergeReq(grp.Rep(), req, phys),
-			Req:    req,
-		}
+	opDesc := mergeReq(grp.Rep(), req, phys, f.merged)
+	for i, enf := range o.RS.Enforcers {
+		cx := f.reset(opDesc, req, 0)
 		if !o.enforcerApplies(enf, cx) {
 			continue
 		}
-		o.Stats.EnfMatched[enf.Name]++
+		o.enfMatchedN[i]++
 		algD, inReq := enf.Pre(cx)
 		if inReq.EqualOn(req, phys) {
 			// The enforcer did not relax anything; applying it would
@@ -928,16 +985,19 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 		if plan == nil {
 			continue
 		}
-		cx.In = []*core.Descriptor{plan.D}
+		cx.In, f.plans[0] = append(cx.In, plan.D), plan
 		enf.Post(cx, algD)
 		if !algD.SatisfiesOn(req, phys) {
 			continue
 		}
-		o.Stats.EnfFired[enf.Name]++
+		o.enfFiredN[i]++
+		c := algD.Float(costID)
 		if o.OnEvent != nil {
-			o.emit(EventEnforcerApplied, enf.Name, grp.ID, enf.Alg.Name, algD.Float(costID))
+			o.emit(EventEnforcerApplied, enf.Name, grp.ID, enf.Alg.Name, c)
 		}
-		consider(&PExpr{Alg: enf.Alg, D: algD, Kids: []*PExpr{plan}}, algD.Float(costID))
+		if better(c) {
+			best, bestCost = f.keep(enf.Alg, algD, f.plans[:1]), c
+		}
 	}
 
 	if best == nil {
@@ -961,23 +1021,18 @@ func (o *Optimizer) enforcerApplies(enf *Enforcer, cx *ImplCtx) bool {
 // mergeReq returns d with the explicitly-set physical properties of req
 // overriding d's — the descriptor an implementation rule sees as its
 // operator's (requirements flow top-down in Prairie by assigning input
-// descriptors' properties, §2.4). When req sets no physical property the
-// result is d itself, uncloned: rule hooks treat OpDesc as read-only,
-// so the alias is safe and saves a descriptor clone per alternative.
-func mergeReq(d, req *core.Descriptor, phys []core.PropID) *core.Descriptor {
-	overrides := false
+// descriptors' properties, §2.4). Rule hooks treat OpDesc as read-only,
+// so when req sets no physical property the result is d itself, and
+// otherwise into, overwritten: the costing frame's own descriptor.
+func mergeReq(d, req *core.Descriptor, phys []core.PropID, into *core.Descriptor) *core.Descriptor {
+	out := d
 	for _, p := range phys {
 		if req.Has(p) {
-			overrides = true
-			break
-		}
-	}
-	if !overrides {
-		return d
-	}
-	out := d.Clone()
-	for _, p := range phys {
-		if req.Has(p) {
+			if out == d {
+				out = into
+				out.CopyFrom(d)
+				out.Name = d.Name
+			}
 			out.Set(p, req.Get(p))
 		}
 	}

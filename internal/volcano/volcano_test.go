@@ -667,7 +667,14 @@ func TestMergeReqOverridesPhysical(t *testing.T) {
 	d.SetFloat(w.nr, 7)
 	req := w.alg.NewDesc()
 	req.Set(w.ord, core.OrderBy(core.A("R", "x")))
-	out := mergeReq(d, req, []core.PropID{w.ord})
+	into := w.alg.NewDesc()
+	if mergeReq(d, w.alg.NewDesc(), []core.PropID{w.ord}, into) != d {
+		t.Error("a requirement setting nothing did not return the descriptor itself")
+	}
+	out := mergeReq(d, req, []core.PropID{w.ord}, into)
+	if out != into {
+		t.Error("the merged descriptor is not the one supplied")
+	}
 	if !out.Order(w.ord).Equal(core.OrderBy(core.A("R", "x"))) {
 		t.Error("requirement not merged")
 	}
