@@ -42,18 +42,28 @@ func TestRemovedFlagsUnknown(t *testing.T) {
 	}
 }
 
-// TestRulesCSVGolden is the command's smoke test: the §4.2 rule-count
-// table is deterministic, so its CSV is pinned byte for byte.
-func TestRulesCSVGolden(t *testing.T) {
-	want, err := os.ReadFile("testdata/rules.csv.golden")
+// checkCSVGolden runs one experiment with -csv and compares its output
+// byte for byte with testdata/<experiment>.csv.golden.
+func checkCSVGolden(t *testing.T, experiment string) {
+	t.Helper()
+	want, err := os.ReadFile("testdata/" + experiment + ".csv.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := runCLI("-experiment", "rules", "-csv")
+	code, stdout, stderr := runCLI("-experiment", experiment, "-csv")
 	if code != 0 || stderr != "" {
 		t.Fatalf("status %d, stderr %q", code, stderr)
 	}
 	if stdout != string(want) {
-		t.Errorf("-experiment rules -csv:\n%s--- want\n%s", stdout, want)
+		t.Errorf("-experiment %s -csv:\n%s--- want\n%s", experiment, stdout, want)
 	}
 }
+
+// TestRulesCSVGolden is the command's smoke test: the §4.2 rule-count
+// table is deterministic, so its CSV is pinned byte for byte.
+func TestRulesCSVGolden(t *testing.T) { checkCSVGolden(t, "rules") }
+
+// TestTable5CSVGolden pins Table 5 — the distinct rules matched and fired
+// per query — byte for byte: the counts are what the explorer's closure
+// exercises, whatever order it explores in.
+func TestTable5CSVGolden(t *testing.T) { checkCSVGolden(t, "table5") }

@@ -139,17 +139,20 @@ func TestUnbudgetedRunNotDegraded(t *testing.T) {
 	if plain.Cost(w.rs.Class) != want.Cost(ref.rs.Class) {
 		t.Errorf("winner cost differs: %g vs %g", plain.Cost(w.rs.Class), want.Cost(ref.rs.Class))
 	}
+	if err := o.CheckClosed(); err != nil {
+		t.Errorf("unbudgeted run stopped short of the closure: %v", err)
+	}
 }
 
-// TestBudgetBothExplorers: degradation must work under the pass-based
-// reference explorer too.
-func TestBudgetBothExplorers(t *testing.T) {
-	for _, kind := range []ExplorerKind{ExplorerWorklist, ExplorerPasses} {
-		w := newTestWorld()
-		o := NewOptimizer(w.rs)
-		o.Opts.Explorer = kind
-		o.Opts.Budget = Budget{MaxExprs: 5}
-		degradedPlan(t, w, o, context.Background(), CauseMaxExprs)
+// TestCheckClosedCatchesPartialMemo: a search a budget interrupted left
+// rules unapplied, and the closure check must say so.
+func TestCheckClosedCatchesPartialMemo(t *testing.T) {
+	w := newTestWorld()
+	o := NewOptimizer(w.rs)
+	o.Opts.Budget = Budget{MaxRuleFirings: 1}
+	degradedPlan(t, w, o, context.Background(), CauseMaxRuleFirings)
+	if err := o.CheckClosed(); err == nil {
+		t.Errorf("CheckClosed passed on a memo of %d expressions a 1-firing budget interrupted", o.Stats.Exprs)
 	}
 }
 
@@ -157,13 +160,7 @@ func TestBudgetBothExplorers(t *testing.T) {
 // report the partial work — memo counters and per-rule maps (they feed
 // degradation diagnostics and the enriched error).
 func TestStatsFlushedOnExhaustion(t *testing.T) {
-	w := newTestWorld()
-	o := NewOptimizer(w.rs)
-	o.Opts.MaxExprs = 3
-	_, err := o.Optimize(w.chain(8, 4, 2), nil)
-	if err == nil {
-		t.Fatal("expected exhaustion")
-	}
+	o, _ := exhaustSpace(t)
 	if o.Stats.Groups == 0 || o.Stats.Exprs == 0 {
 		t.Errorf("memo stats not recorded on error: groups=%d exprs=%d", o.Stats.Groups, o.Stats.Exprs)
 	}

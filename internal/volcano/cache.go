@@ -169,16 +169,14 @@ func (o *Optimizer) publishable(plan *PExpr) cachedPlan {
 	return cp
 }
 
-// budgetClass renders the options fields that can change which plan a
-// search produces; it is folded into the cache key so differently
+// budgetClass renders the budget, the one option that can change which
+// plan a search produces; it is folded into the cache key so differently
 // bounded searches never share entries.
-func budgetClass(opts Options) string {
-	b := opts.Budget
-	if b.IsZero() && opts.Explorer == ExplorerWorklist {
+func budgetClass(b Budget) string {
+	if b.IsZero() {
 		return "0"
 	}
-	return fmt.Sprintf("t%s,e%d,g%d,f%d,x%d",
-		b.Timeout, b.MaxExprs, b.MaxGroups, b.MaxRuleFirings, opts.Explorer)
+	return fmt.Sprintf("t%s,e%d,g%d,f%d", b.Timeout, b.MaxExprs, b.MaxGroups, b.MaxRuleFirings)
 }
 
 // rootKey builds the cache key of a query: the tree's fingerprint
@@ -187,7 +185,7 @@ func budgetClass(opts Options) string {
 func (o *Optimizer) rootKey(tree *core.Expr, req *core.Descriptor) plancache.Key {
 	fp, canon := o.RS.fingerprintWalk(tree, make([]byte, 0, 512))
 	phys := o.RS.Class.Phys
-	bstr := budgetClass(o.Opts)
+	bstr := budgetClass(o.Opts.Budget)
 	fp = core.HashCombine(fp, req.HashOn(phys))
 	fp = core.HashCombine(fp, hashLeafName(bstr))
 	canon = appendProj(append(canon, "|req:"...), req, phys)

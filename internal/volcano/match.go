@@ -125,32 +125,27 @@ func (x *matcher) fresh() bool { return x.frames[len(x.steps)-1].fresh }
 // Variable leaves resolve to their bound groups; interior nodes take the
 // descriptors the rule's actions filled into the binding. target is the
 // group the root is inserted into; a group an interior node founds lies
-// as far below target as the node nests in the pattern. It reports whether
-// the memo changed.
-func (m *Memo) buildRHS(p *core.PatNode, b *TBinding, target GroupID) bool {
-	_, changed := m.buildRHSNode(p, b, target, m.groups[target].depth)
-	return changed
+// as far below target as the node nests in the pattern.
+func (m *Memo) buildRHS(p *core.PatNode, b *TBinding, target GroupID) {
+	m.buildRHSNode(p, b, target, m.groups[target].depth)
 }
 
-func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID, depth int) (GroupID, bool) {
+func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID, depth int) GroupID {
 	if p.IsVar() {
 		// Descriptor names on RHS variable leaves carry required-property
 		// information in Prairie I-rules; in the purely logical space of
 		// trans_rules they have no effect.
-		return b.VarGroup(p.Var), false
+		return b.VarGroup(p.Var)
 	}
 	var buf [4]GroupID
 	kids := buf[:0]
-	changed := false
 	for _, kp := range p.Kids {
-		kg, ch := m.buildRHSNode(kp, b, -1, depth+1)
-		kids = append(kids, kg)
-		changed = changed || ch
+		kids = append(kids, m.buildRHSNode(kp, b, -1, depth+1))
 	}
 	// The binding's descriptor is scratch: intern completes and clones it
 	// only if the expression is new.
-	g, ch := m.intern(p.Op, b.Slot(p.Slot), kids, target, b, depth)
-	return g, changed || ch
+	g, _ := m.intern(p.Op, b.Slot(p.Slot), kids, target, b, depth)
+	return g
 }
 
 // newTBinding returns a transformation binding. Both its users — the

@@ -27,10 +27,10 @@ type LExpr struct {
 	group GroupID
 	// seq is the expression's insertion stamp: of two expressions a merge
 	// makes identical, the older survives (see repair). vis is the stamp
-	// the worklist explorer's matcher filters by — it enumerates only rule
-	// bindings that involve an input expression at least as new as the
-	// root's last visit. It starts as seq and is renewed when a merge moves
-	// the expression into another group, where it is new to that group's
+	// the explorer's matcher filters by — it enumerates only rule bindings
+	// that involve an input expression at least as new as the root's last
+	// visit. It starts as seq and is renewed when a merge moves the
+	// expression into another group, where it is new to that group's
 	// parents.
 	seq, vis uint64
 	// selfHash caches the kid-independent part of the duplicate-
@@ -55,7 +55,7 @@ type LExpr struct {
 	// operator (indexed by position in RuleSet.transFor(Op)), the
 	// insertion-stamp horizon up to which bindings have been enumerated:
 	// 0 = never applied; for shallow rules any non-zero value means done
-	// (owned by the worklist explorer).
+	// (owned by the explorer).
 	ruleSince []uint64
 	// via is the name of the transformation rule whose firing inserted
 	// this expression, or "" for the initial query tree — the provenance
@@ -92,13 +92,9 @@ type winnerEntry struct {
 type Group struct {
 	ID    GroupID
 	Exprs []*LExpr
-	// version increments whenever the group's expression set changes
-	// (insertion, merge, rehash); the pass-based explorer uses it to
-	// skip re-matching deep patterns against unchanged inputs.
-	version uint64
 	// maxSeq is the newest visibility stamp (LExpr.vis) among the group's
-	// expressions; the worklist explorer uses it to decide whether a
-	// deep rule can possibly find a new binding.
+	// expressions; the explorer uses it to decide whether a deep rule can
+	// possibly find a new binding (anyKidNewer).
 	maxSeq uint64
 	// rep is the representative descriptor: the first inserted
 	// expression's. Logical information (cardinality, attributes) is by
@@ -106,7 +102,7 @@ type Group struct {
 	rep *core.Descriptor
 	// depth is the group's distance below the query root along the path
 	// that created it (root 0, an input one more than its parent; a merge
-	// keeps the larger). The worklist explorer visits the deepest pending
+	// keeps the larger). The explorer visits the deepest pending
 	// group first, so an input is closed before a parent is built on it.
 	depth   int
 	winners map[uint64][]*winnerEntry
@@ -115,9 +111,9 @@ type Group struct {
 // Rep returns the group's representative descriptor.
 func (g *Group) Rep() *core.Descriptor { return g.rep }
 
-// memoHooks observes memo growth during exploration: the worklist
-// explorer installs one to learn which expressions and groups changed
-// without rescanning the memo.
+// memoHooks observes memo growth during exploration: the explorer
+// installs one to learn which expressions and groups changed without
+// rescanning the memo.
 type memoHooks interface {
 	// exprAdded fires when a new expression enters a group.
 	exprAdded(e *LExpr)
@@ -336,7 +332,6 @@ func (m *Memo) parentsOf(g GroupID) []*LExpr {
 func (m *Memo) adopt(e *LExpr, g *Group, h uint64) {
 	e.group, e.via = g.ID, m.curRule
 	g.Exprs = append(g.Exprs, e)
-	g.version++
 	m.stamp(e, g)
 	m.exprCount++
 	m.interned++
@@ -430,7 +425,6 @@ func (m *Memo) merge(a, b GroupID) {
 		e.group, e.vis = a, m.seq
 	}
 	ga.Exprs = append(ga.Exprs, gb.Exprs...)
-	ga.version += gb.version + 1
 	ga.maxSeq = m.seq
 	ga.depth = max(ga.depth, gb.depth)
 	gb.Exprs = nil
@@ -497,7 +491,6 @@ func (m *Memo) repair(e *LExpr) {
 	g := m.groups[m.Find(e.group)]
 	i := slices.Index(g.Exprs, e)
 	g.Exprs = slices.Delete(g.Exprs, i, i+1)
-	g.version++
 	m.exprCount--
 	if dg := m.Find(dup.group); dg != g.ID {
 		m.merge(dg, g.ID)

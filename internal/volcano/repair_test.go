@@ -10,23 +10,19 @@ import (
 
 // TestRepairMatchesRebuild is the memo property test of parent-local
 // repair: over every query family, on linear and star graphs, under each
-// rule set and both explorers, the memo is compared with a from-scratch
-// rebuild (Memo.CheckRepaired, see export_test.go) after every Rehash —
-// observed at the first rule firing that follows one, since only firings
-// merge — and once more when the search ends. The worklist explorer visits
-// inputs first and merges a handful of times where the passes explorer
-// merges thousands: the test fails if no worklist run repaired anything,
-// so the few merges that remain keep exercising the repair beside the
-// passes explorer's cascades.
+// rule set, the memo is compared with a from-scratch rebuild
+// (Memo.CheckRepaired, see export_test.go) after every Rehash — observed
+// at the first rule firing that follows one, since only firings merge —
+// and once more when the search ends, where it must also be the rules'
+// fixpoint (CheckClosed). The explorer visits inputs first and merges only
+// a handful of times: the test fails if no run repaired anything, so the
+// few merges that remain keep exercising the repair.
 func TestRepairMatchesRebuild(t *testing.T) {
 	reg, err := server.DefaultRegistry(6, 101, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	maxN := map[string]int{"E1": 6, "E2": 5, "E3": 4, "E4": 3}
-	if testing.Short() {
-		maxN = map[string]int{"E1": 5, "E2": 4, "E3": 3, "E4": 3}
-	}
 	type spec struct {
 		world string
 		q     server.QuerySpec
@@ -42,50 +38,48 @@ func TestRepairMatchesRebuild(t *testing.T) {
 		}
 	}
 	add("relational", "E1", "")
-	kinds := []volcano.ExplorerKind{volcano.ExplorerWorklist, volcano.ExplorerPasses}
-	checked := map[volcano.ExplorerKind]int{}
+	checked := 0
 	for _, sp := range specs {
 		w, ok := reg.Lookup(sp.world)
 		if !ok {
 			t.Fatalf("no world %s", sp.world)
 		}
-		for _, kind := range kinds {
-			tree, want, err := w.Build(sp.q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt := volcano.NewOptimizer(w.RS)
-			opt.Opts.Explorer = kind
-			checks, merges := 0, 0
-			opt.OnEvent = func(ev volcano.Event) {
-				m := opt.Memo
-				if ev.Kind != volcano.EventTransFired || m.Dirty() || m.Merges() == merges {
-					return
-				}
-				merges = m.Merges()
-				checks++
-				if err := m.CheckRepaired(); err != nil {
-					t.Fatalf("%s %s explorer %d, after %d merges: %v", sp.world, sp.q, kind, merges, err)
-				}
-			}
-			if _, err := opt.Optimize(tree, want); err != nil {
-				t.Fatalf("%s %s explorer %d: %v", sp.world, sp.q, kind, err)
-			}
-			if err := opt.Memo.CheckRepaired(); err != nil {
-				t.Errorf("%s %s explorer %d, at the fixpoint: %v", sp.world, sp.q, kind, err)
-			}
-			if opt.Memo.Merges() > 0 && checks == 0 {
-				t.Errorf("%s %s explorer %d: %d merges but no mid-search check ran", sp.world, sp.q, kind, opt.Memo.Merges())
-			}
-			checked[kind] += checks
+		tree, want, err := w.Build(sp.q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, kind := range kinds {
-		if checked[kind] == 0 {
-			t.Errorf("explorer %d never ran Rehash in the whole suite: its repair went unchecked", kind)
+		opt := volcano.NewOptimizer(w.RS)
+		checks, merges := 0, 0
+		opt.OnEvent = func(ev volcano.Event) {
+			m := opt.Memo
+			if ev.Kind != volcano.EventTransFired || m.Dirty() || m.Merges() == merges {
+				return
+			}
+			merges = m.Merges()
+			checks++
+			if err := m.CheckRepaired(); err != nil {
+				t.Fatalf("%s %s, after %d merges: %v", sp.world, sp.q, merges, err)
+			}
 		}
+		if _, err := opt.Optimize(tree, want); err != nil {
+			t.Fatalf("%s %s: %v", sp.world, sp.q, err)
+		}
+		if err := opt.Memo.CheckRepaired(); err != nil {
+			t.Errorf("%s %s, at the fixpoint: %v", sp.world, sp.q, err)
+		}
+		opt.OnEvent = nil
+		if err := opt.CheckClosed(); err != nil {
+			t.Errorf("%s %s: not closed: %v", sp.world, sp.q, err)
+		}
+		if opt.Memo.Merges() > 0 && checks == 0 {
+			t.Errorf("%s %s: %d merges but no mid-search check ran", sp.world, sp.q, opt.Memo.Merges())
+		}
+		checked += checks
 	}
-	t.Logf("mid-search checks: worklist %d, passes %d", checked[volcano.ExplorerWorklist], checked[volcano.ExplorerPasses])
+	if checked == 0 {
+		t.Error("no search ran Rehash in the whole suite: the repair went unchecked")
+	}
+	t.Logf("mid-search checks: %d", checked)
 }
 
 // mergingSearch optimizes E3 with three joins under the hand-coded OODB
@@ -136,11 +130,12 @@ func TestSearchStatsRepeat(t *testing.T) {
 	}
 }
 
-// TestExplorationPassCap: the worklist explorer counts a pass per repair
-// round, and a search still at work past MaxPasses of them is reported as
+// TestExplorationPassCap: the explorer counts a pass per repair round,
+// and a search still at work past the bound on them is reported as
 // diverging.
 func TestExplorationPassCap(t *testing.T) {
-	_, err := mergingSearch(t, volcano.Options{MaxPasses: 1})
+	defer volcano.SetMaxRepairRounds(1)()
+	_, err := mergingSearch(t, volcano.Options{})
 	if err == nil || !strings.Contains(err.Error(), "did not converge") {
 		t.Errorf("err = %v", err)
 	}

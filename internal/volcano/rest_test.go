@@ -25,11 +25,12 @@ func sameDescriptor(got, want *core.Descriptor) (string, bool) {
 // TestMemoNeverHalfFilled: a rule's deferred actions run only for a
 // firing whose result the memo keeps, and then before the memo clones
 // anything — so no descriptor in the memo may ever lack what they
-// compute. For the benchmark's fourteen cold-search programs and E4/n4,
-// under both explorers, a normal search leaves the memo a search with the
-// deferred actions folded back into every firing leaves (EagerRest): the
-// same dump, and expression by expression, group representatives
-// included, descriptors equal on every property.
+// compute. For the benchmark's fourteen cold-search programs and E4/n4, a
+// normal search leaves the memo a search with the deferred actions folded
+// back into every firing leaves (EagerRest): the same dump, and
+// expression by expression, group representatives included, descriptors
+// equal on every property. The normal search must also end at the rules'
+// fixpoint (CheckClosed).
 func TestMemoNeverHalfFilled(t *testing.T) {
 	dsl, err := os.ReadFile("../../examples/dslrules/rules.prairie")
 	if err != nil {
@@ -54,10 +55,8 @@ func TestMemoNeverHalfFilled(t *testing.T) {
 	}
 	programs = append(programs,
 		program{"relational", server.QuerySpec{Family: "E1", N: 6}},
-		program{"dsl", server.QuerySpec{Family: "E1", N: 6}})
-	if !testing.Short() {
-		programs = append(programs, program{"oodb/prairie", server.QuerySpec{Family: "E4", N: 4}})
-	}
+		program{"dsl", server.QuerySpec{Family: "E1", N: 6}},
+		program{"oodb/prairie", server.QuerySpec{Family: "E4", N: 4}})
 	deferring := 0
 	for _, p := range programs {
 		w, ok := reg.Lookup(p.world)
@@ -70,40 +69,38 @@ func TestMemoNeverHalfFilled(t *testing.T) {
 			}
 		}
 		eager := volcano.EagerRest(w.RS)
-		for _, kind := range []volcano.ExplorerKind{volcano.ExplorerWorklist, volcano.ExplorerPasses} {
-			if kind == volcano.ExplorerPasses && p.q.Family == "E4" && p.q.N == 4 {
-				continue // seconds per run
+		search := func(rs *volcano.RuleSet) *volcano.Optimizer {
+			tree, want, err := w.Build(p.q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			search := func(rs *volcano.RuleSet) *volcano.Memo {
-				tree, want, err := w.Build(p.q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt := volcano.NewOptimizer(rs)
-				opt.Opts.Explorer = kind
-				if _, err := opt.Optimize(tree, want); err != nil {
-					t.Fatalf("%s %s explorer %d: %v", p.world, p.q, kind, err)
-				}
-				return opt.Memo
+			opt := volcano.NewOptimizer(rs)
+			if _, err := opt.Optimize(tree, want); err != nil {
+				t.Fatalf("%s %s: %v", p.world, p.q, err)
 			}
-			got, want := search(w.RS), search(eager)
-			if got.Dump() != want.Dump() {
-				t.Errorf("%s %s explorer %d: the memo's dump differs from the eager search's", p.world, p.q, kind)
-				continue
+			return opt
+		}
+		normal := search(w.RS)
+		got, want := normal.Memo, search(eager).Memo
+		if got.Dump() != want.Dump() {
+			t.Errorf("%s %s: the memo's dump differs from the eager search's", p.world, p.q)
+			continue
+		}
+		gg, wg := got.Groups(), want.Groups()
+		for i, g := range gg {
+			if prop, ok := sameDescriptor(g.Rep(), wg[i].Rep()); !ok {
+				t.Errorf("%s %s: representative of group %d differs on %s: %v, eager %v",
+					p.world, p.q, g.ID, prop, g.Rep(), wg[i].Rep())
 			}
-			gg, wg := got.Groups(), want.Groups()
-			for i, g := range gg {
-				if prop, ok := sameDescriptor(g.Rep(), wg[i].Rep()); !ok {
-					t.Errorf("%s %s explorer %d: representative of group %d differs on %s: %v, eager %v",
-						p.world, p.q, kind, g.ID, prop, g.Rep(), wg[i].Rep())
-				}
-				for j, e := range g.Exprs {
-					if prop, ok := sameDescriptor(e.D, wg[i].Exprs[j].D); !ok {
-						t.Errorf("%s %s explorer %d: %s in group %d differs on %s: %v, eager %v",
-							p.world, p.q, kind, e, g.ID, prop, e.D, wg[i].Exprs[j].D)
-					}
+			for j, e := range g.Exprs {
+				if prop, ok := sameDescriptor(e.D, wg[i].Exprs[j].D); !ok {
+					t.Errorf("%s %s: %s in group %d differs on %s: %v, eager %v",
+						p.world, p.q, e, g.ID, prop, e.D, wg[i].Exprs[j].D)
 				}
 			}
+		}
+		if err := normal.CheckClosed(); err != nil {
+			t.Errorf("%s %s: not closed: %v", p.world, p.q, err)
 		}
 	}
 	if deferring == 0 {

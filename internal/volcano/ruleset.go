@@ -230,11 +230,11 @@ type RuleSet struct {
 var cacheScopeCounter atomic.Uint64
 
 // maxTransDepth bounds a transformation rule's left side to an operator
-// over operators over inputs. Both explorers re-match a rule at an
+// over operators over inputs. The explorer re-matches a rule at an
 // expression only when one of its direct input groups has grown
-// (anyKidNewer and exprAdded; explorePasses' kidFingerprint): a deeper
-// pattern would miss every binding whose grand-input arrived after the
-// root's last visit, so Validate rejects it.
+// (anyKidNewer and exprAdded): a deeper pattern would miss every binding
+// whose grand-input arrived after the root's last visit, so Validate
+// rejects it.
 const maxTransDepth = 2
 
 // transEntry is one transformation rule in the operator index, carrying

@@ -27,33 +27,12 @@ var ErrNoPlan = errors.New("volcano: no feasible access plan")
 // OptimizeContext — the degrade path turns it into a plan.
 var errBudget = errors.New("volcano: budget interrupted")
 
-// ExplorerKind selects the exploration strategy.
-type ExplorerKind int
-
-const (
-	// ExplorerWorklist (the default) drives exploration from a
-	// dependency worklist: when a group gains an expression, only the
-	// expressions referencing that group as an input are revisited, the
-	// deepest pending group first.
-	ExplorerWorklist ExplorerKind = iota
-	// ExplorerPasses is the original strategy: global fixpoint passes
-	// re-scanning every (expression, rule) pair. Kept as the reference
-	// implementation for the equivalence harness.
-	ExplorerPasses
-)
-
 // Options tunes the optimizer.
 type Options struct {
 	// MaxExprs caps the number of logical expressions (0 = default).
 	// This is the hard cap: exceeding it fails with ErrSpaceExhausted.
 	// For a soft cap that degrades to a plan instead, see Budget.
 	MaxExprs int
-	// MaxPasses caps exploration fixpoint passes (0 = default); hitting
-	// it indicates a diverging rule set. The worklist explorer counts a
-	// pass per repair round: a Rehash after one visit's merges.
-	MaxPasses int
-	// Explorer selects the exploration strategy (default worklist).
-	Explorer ExplorerKind
 	// Budget bounds search effort softly: exceeding any dimension makes
 	// the optimizer return a degraded plan rather than an error. A zero
 	// Budget leaves behaviour identical to previous releases.
@@ -80,8 +59,9 @@ type Options struct {
 // DefaultMaxExprs is the default search-space cap.
 const DefaultMaxExprs = 4_000_000
 
-// DefaultMaxPasses is the default exploration pass cap.
-const DefaultMaxPasses = 10_000
+// maxRepairRounds bounds the explorer's repair rounds (a Rehash after
+// merges); a search still at work past it is reported as diverging.
+var maxRepairRounds = 10_000
 
 // Optimizer drives a Volcano-style top-down optimization: it expands the
 // memo to the transformation fixpoint, then computes the cheapest access
@@ -147,13 +127,6 @@ func (o *Optimizer) maxExprs() int {
 		return o.Opts.MaxExprs
 	}
 	return DefaultMaxExprs
-}
-
-func (o *Optimizer) maxPasses() int {
-	if o.Opts.MaxPasses > 0 {
-		return o.Opts.MaxPasses
-	}
-	return DefaultMaxPasses
 }
 
 // Optimize maps an initialized operator tree to its cheapest access plan
@@ -297,8 +270,15 @@ func (o *Optimizer) spaceExhausted(queue int) error {
 		o.Memo.Merges(), o.Stats.Passes, queue)
 }
 
-// explore expands the memo to the transformation fixpoint with duplicate
-// elimination — the constraint-driven expansion of the search space.
+// explore expands the memo to the transformation closure of the query
+// with duplicate elimination — the constraint-driven expansion of the
+// search space. Memo insertion is monotone, so any order of rule
+// applications reaches the same closure; the worklist touches only
+// expressions whose binding sets can actually have grown. Duplicate
+// elimination runs eagerly — as soon as a merge dirties the index — so
+// duplicates collapse before stale index lookups can cascade them into
+// further spurious groups and merges; Stats.Passes counts 1 plus the
+// repair rounds.
 func (o *Optimizer) explore() error {
 	o.initRuleCounters()
 	defer o.flushRuleCounters()
@@ -311,10 +291,13 @@ func (o *Optimizer) explore() error {
 			})
 		}()
 	}
-	if o.Opts.Explorer == ExplorerPasses {
-		return o.explorePasses()
-	}
-	return o.exploreWorklist()
+	m := o.Memo
+	x := &explorer{o: o, m: m}
+	x.seed()
+	m.hooks = x
+	defer func() { m.hooks = nil }()
+	o.Stats.Passes = 1
+	return x.run()
 }
 
 func (o *Optimizer) initRuleCounters() {
@@ -501,9 +484,8 @@ func (x *explorer) resetDeepHorizons(p *LExpr) {
 // anyKidNewer reports whether any direct input group of e gained an
 // expression — inserted, or moved in by a merge — at or after since: the
 // cheap gate deciding whether a deep rule can possibly find a new binding
-// (matching the pass-based explorer's direct-kid fingerprint: grand-kid
-// growth alone never retriggers, which is why RuleSet.Validate holds rule
-// patterns to maxTransDepth).
+// (grand-kid growth alone never retriggers, which is why RuleSet.Validate
+// holds rule patterns to maxTransDepth).
 func (x *explorer) anyKidNewer(e *LExpr, since uint64) bool {
 	for _, k := range e.Kids {
 		if x.m.Group(k).maxSeq >= since {
@@ -557,23 +539,6 @@ func (x *explorer) process(e *LExpr) error {
 	return nil
 }
 
-// exploreWorklist reaches the same fixpoint as explorePasses (memo
-// insertion is monotone, so any order of rule applications converges to
-// the same closure) but touches only expressions whose binding sets can
-// actually have grown. Duplicate elimination runs eagerly — as soon as a
-// merge dirties the index — so duplicates collapse before stale index
-// lookups can cascade them into further spurious groups and merges; each
-// rehash round counts as a pass against MaxPasses.
-func (o *Optimizer) exploreWorklist() error {
-	m := o.Memo
-	x := &explorer{o: o, m: m}
-	x.seed()
-	m.hooks = x
-	defer func() { m.hooks = nil }()
-	o.Stats.Passes = 1
-	return x.run()
-}
-
 // run drains the worklist — and repairs the memo whenever a merge has
 // dirtied it — until no live expression is pending.
 func (x *explorer) run() error {
@@ -601,8 +566,8 @@ func (x *explorer) run() error {
 			m.Rehash()
 			x.afterRehash()
 			o.Stats.Passes++
-			if o.Stats.Passes > o.maxPasses() && x.peek() != nil {
-				return fmt.Errorf("volcano: exploration did not converge in %d passes", o.maxPasses())
+			if o.Stats.Passes > maxRepairRounds && x.peek() != nil {
+				return fmt.Errorf("volcano: exploration did not converge in %d passes", maxRepairRounds)
 			}
 		}
 		if e == nil && x.peek() == nil {
@@ -611,98 +576,14 @@ func (x *explorer) run() error {
 	}
 }
 
-// explorePasses is the original strategy: global fixpoint passes over
-// every (expression × rule) pair. Deep patterns (depth > 1) are retried
-// every pass because new expressions in input groups can enable new
-// bindings; depth-1 rules are applied once per (expression, rule).
-func (o *Optimizer) explorePasses() error {
-	m := o.Memo
-	type ruleMark struct {
-		e *LExpr
-		r int
-	}
-	done := map[ruleMark]bool{}
-	// For deep patterns, remember the input-group versions at the last
-	// application: a re-match can only yield new bindings if some input
-	// group gained expressions since (Volcano's derivation tracking).
-	deepSeen := map[ruleMark]uint64{}
-	kidFingerprint := func(e *LExpr) uint64 {
-		var fp uint64 = 1469598103934665603
-		for _, k := range e.Kids {
-			fp = fp*1099511628211 + m.Group(k).version
-		}
-		return fp
-	}
-	for pass := 0; ; pass++ {
-		if pass >= o.maxPasses() {
-			return fmt.Errorf("volcano: exploration did not converge in %d passes", pass)
-		}
-		o.Stats.Passes = pass + 1
-		changed := false
-		for gi := 0; gi < len(m.groups); gi++ {
-			if m.Find(GroupID(gi)) != GroupID(gi) {
-				continue
-			}
-			g := m.groups[gi]
-			for ei := 0; ei < len(g.Exprs); ei++ {
-				e := g.Exprs[ei]
-				if e.IsLeaf() {
-					continue
-				}
-				if o.overBudget() {
-					return errBudget
-				}
-				entries := o.RS.transFor(e.Op)
-				for i := range entries {
-					te := &entries[i]
-					mark := ruleMark{e, te.idx}
-					if te.shallow && done[mark] {
-						continue
-					}
-					var fp uint64
-					if !te.shallow {
-						fp = kidFingerprint(e)
-						if last, ok := deepSeen[mark]; ok && last == fp {
-							continue
-						}
-					}
-					if o.applyTrans(te, e, 0) {
-						changed = true
-					}
-					if te.shallow {
-						done[mark] = true
-					} else {
-						// Applying the rule may itself have grown the
-						// input groups; fingerprint after application so
-						// self-induced growth is re-examined next pass.
-						deepSeen[mark] = fp
-					}
-					if m.NumExprs() > o.maxExprs() {
-						return o.spaceExhausted(0)
-					}
-				}
-			}
-		}
-		if m.Dirty() {
-			m.Rehash()
-			changed = true
-		}
-		if !changed {
-			return nil
-		}
-	}
-}
-
 // applyTrans fires one transformation rule on one expression for every
 // binding involving at least one expression stamped at or after since
-// (0 enumerates everything); it reports whether the memo changed. One
-// binding, laid out by the rule's frame, serves all applications: the
+// (0 enumerates everything). One binding, laid out by the rule's frame, serves all applications: the
 // matcher overwrites its LHS slots match by match (shared read-only with
 // the memo), and each firing starts by taking back the RHS descriptors
 // the previous firing's actions created.
-func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) bool {
+func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 	m, rule, ri := o.Memo, te.rule, te.idx
-	changed := false
 	if o.scratchB == nil {
 		o.scratchB, o.match = newTBinding(o.RS.Algebra.Props), &matcher{}
 	}
@@ -736,15 +617,12 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) bool {
 			rule.Appl(b)
 		}
 		b.rest = rule.Rest
-		if m.buildRHS(te.rhs, b, m.Find(e.group)) {
-			changed = true
-		}
+		m.buildRHS(te.rhs, b, m.Find(e.group))
 	}
 	m.curRule = ""
 	if o.timing {
 		o.transTimeN[ri] += time.Since(t0)
 	}
-	return changed
 }
 
 // findBest computes (memoized) the cheapest plan for group g that

@@ -14,8 +14,8 @@ type Stats struct {
 	Groups   int // equivalence classes after optimization
 	Exprs    int // logical expressions after optimization
 	Merges   int // group merges (rediscovered equivalences)
-	Passes   int // exploration fixpoint passes (for the worklist: one, plus one per repair round after merges)
-	MaxQueue int // peak number of pending worklist entries (0 under the pass-based explorer)
+	Passes   int // 1 + repair rounds: Rehashes after merges (one round can repair several merges)
+	MaxQueue int // peak number of pending worklist entries
 
 	TransMatched map[string]int // structural LHS matches per trans_rule
 	TransFired   map[string]int // matches whose cond_code passed

@@ -515,11 +515,23 @@ func TestOptimizeFourWayGroupCount(t *testing.T) {
 	}
 }
 
-func TestOptimizeSpaceLimit(t *testing.T) {
+// exhaustSpace runs chain(8, 4, 2) under a hard cap of three expressions,
+// the search TestOptimizeSpaceLimit, TestStatsFlushedOnExhaustion and
+// TestWorklistSpaceErrorDetail each check a side of.
+func exhaustSpace(t *testing.T) (*Optimizer, error) {
+	t.Helper()
 	w := newTestWorld()
 	o := NewOptimizer(w.rs)
 	o.Opts.MaxExprs = 3
 	_, err := o.Optimize(w.chain(8, 4, 2), nil)
+	if err == nil {
+		t.Fatal("expected exhaustion")
+	}
+	return o, err
+}
+
+func TestOptimizeSpaceLimit(t *testing.T) {
+	_, err := exhaustSpace(t)
 	if !errors.Is(err, ErrSpaceExhausted) {
 		t.Errorf("err = %v, want ErrSpaceExhausted", err)
 	}
@@ -767,26 +779,5 @@ func TestExplain(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestGroupVersionsAdvance(t *testing.T) {
-	w := newTestWorld()
-	m := NewMemo(w.rs)
-	l1 := m.InsertLeaf("R1", w.leaf("R1", 8, core.A("R1", "a")).D)
-	l2 := m.InsertLeaf("R2", w.leaf("R2", 4, core.A("R2", "a")).D)
-	g, _ := m.InsertExpr(w.join, w.alg.NewDesc(), []GroupID{l1, l2}, -1)
-	v1 := m.Group(g).version
-	// Duplicate insertion leaves the version unchanged.
-	m.InsertExpr(w.join, w.alg.NewDesc(), []GroupID{l1, l2}, g)
-	if m.Group(g).version != v1 {
-		t.Error("duplicate insertion bumped version")
-	}
-	// A genuinely new expression bumps it.
-	d := w.alg.NewDesc()
-	d.Set(w.jp, core.EqAttr(core.A("R1", "a"), core.A("R2", "a")))
-	m.InsertExpr(w.join, d, []GroupID{l1, l2}, g)
-	if m.Group(g).version <= v1 {
-		t.Error("insertion did not bump version")
 	}
 }

@@ -2,31 +2,19 @@ package volcano
 
 import (
 	"math"
-
-	"prairie/internal/core"
 	"strings"
 	"sync"
 	"testing"
+
+	"prairie/internal/core"
 )
 
-// runWith optimizes w's chain query under one explorer kind and returns
-// the optimizer (plan cost is read through findBest's memoized winner).
-func runWith(t *testing.T, w *testWorld, kind ExplorerKind, cards ...float64) (*Optimizer, float64) {
-	t.Helper()
-	o := NewOptimizer(w.rs)
-	o.Opts.Explorer = kind
-	plan, err := o.Optimize(w.chain(cards...), nil)
-	if err != nil {
-		t.Fatalf("explorer %d: %v", kind, err)
-	}
-	return o, plan.D.Float(w.rs.Class.Cost)
-}
-
-// TestWorklistMatchesPassExplorer is the in-package equivalence check:
-// both exploration strategies must reach the same memo closure (group
-// and expression counts) and the same winning plan cost on workloads
-// that exercise merging, duplicate elimination, and deep rules.
-func TestWorklistMatchesPassExplorer(t *testing.T) {
+// TestWorklistClosesChains runs the explorer on chain queries that
+// exercise duplicate elimination and deep rules: each search must end at
+// the transformation closure (CheckClosed) with a repaired memo
+// (CheckRepaired), holding one group per leaf, per RET over it and per
+// contiguous range of two or more relations.
+func TestWorklistClosesChains(t *testing.T) {
 	for _, cards := range [][]float64{
 		{4, 2},
 		{8, 4, 2},
@@ -34,51 +22,26 @@ func TestWorklistMatchesPassExplorer(t *testing.T) {
 		{32, 16, 8, 4, 2},
 		{2, 32, 4, 16, 8},
 	} {
-		wp := newTestWorld()
-		po, pCost := runWith(t, wp, ExplorerPasses, cards...)
-		ww := newTestWorld()
-		wo, wCost := runWith(t, ww, ExplorerWorklist, cards...)
-
-		if po.Stats.Groups != wo.Stats.Groups {
-			t.Errorf("cards %v: groups differ: passes %d, worklist %d", cards, po.Stats.Groups, wo.Stats.Groups)
+		w := newTestWorld()
+		o := NewOptimizer(w.rs)
+		if _, err := o.Optimize(w.chain(cards...), nil); err != nil {
+			t.Fatalf("cards %v: %v", cards, err)
 		}
-		if po.Stats.Exprs != wo.Stats.Exprs {
-			t.Errorf("cards %v: exprs differ: passes %d, worklist %d", cards, po.Stats.Exprs, wo.Stats.Exprs)
+		if n := len(cards); o.Stats.Groups != 2*n+n*(n-1)/2 {
+			t.Errorf("cards %v: %d groups, want %d", cards, o.Stats.Groups, 2*n+n*(n-1)/2)
 		}
-		if math.Abs(pCost-wCost) > 1e-9 {
-			t.Errorf("cards %v: winner cost differs: passes %g, worklist %g", cards, pCost, wCost)
+		if err := o.Memo.CheckRepaired(); err != nil {
+			t.Errorf("cards %v: %v", cards, err)
 		}
-	}
-}
-
-// TestWorklistDistinctRuleStats checks Table 5's inputs are preserved:
-// the set of rules that matched/fired must agree between explorers (the
-// raw counts may differ — the worklist skips re-enumerating old
-// bindings).
-func TestWorklistDistinctRuleStats(t *testing.T) {
-	wp := newTestWorld()
-	po, _ := runWith(t, wp, ExplorerPasses, 16, 8, 4, 2)
-	ww := newTestWorld()
-	wo, _ := runWith(t, ww, ExplorerWorklist, 16, 8, 4, 2)
-	if a, b := po.Stats.DistinctTransMatched(), wo.Stats.DistinctTransMatched(); a != b {
-		t.Errorf("distinct trans matched: passes %d, worklist %d", a, b)
-	}
-	for name, n := range po.Stats.TransFired {
-		if n > 0 && wo.Stats.TransFired[name] == 0 {
-			t.Errorf("rule %s fired under passes but not worklist", name)
+		if err := o.CheckClosed(); err != nil {
+			t.Errorf("cards %v: not closed: %v", cards, err)
 		}
 	}
 }
 
 // TestWorklistSpaceErrorDetail checks the enriched exhaustion error.
 func TestWorklistSpaceErrorDetail(t *testing.T) {
-	w := newTestWorld()
-	o := NewOptimizer(w.rs)
-	o.Opts.MaxExprs = 3
-	_, err := o.Optimize(w.chain(8, 4, 2), nil)
-	if err == nil {
-		t.Fatal("expected exhaustion")
-	}
+	_, err := exhaustSpace(t)
 	for _, want := range []string{"groups=", "exprs=", "passes=", "queue="} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)

@@ -52,10 +52,10 @@ func scrambleSymbols() {
 	}
 }
 
-// symbolDump renders, for every TestGoldenClosures program and one
-// program of the dsl world, everything that leaves the optimizer: plan
-// text, cost, wire bytes, fingerprint (hash and canonical string) and the
-// memo's dump.
+// symbolDump renders, for every program of internal/volcano's
+// TestGoldenClosures and one program of the dsl world, everything that
+// leaves the optimizer: plan text, cost, wire bytes, fingerprint (hash
+// and canonical string) and the memo's dump.
 func symbolDump(t *testing.T) []byte {
 	src, err := os.ReadFile(filepath.Join("examples", "dslrules", "rules.prairie"))
 	if err != nil {
@@ -70,9 +70,23 @@ func symbolDump(t *testing.T) []byte {
 		q     server.QuerySpec
 	}
 	programs := []program{{"dsl", server.QuerySpec{Family: "E1", N: 6}}}
-	for _, g := range goldenClosures {
-		for _, world := range g.worlds {
-			programs = append(programs, program{world, server.QuerySpec{Family: g.family, N: g.n, Graph: g.graph}})
+	for n := 4; n <= 6; n++ {
+		programs = append(programs, program{"relational", server.QuerySpec{Family: "E1", N: n}})
+	}
+	for _, world := range []string{"oodb/prairie", "oodb/volcano"} {
+		for _, graph := range []string{"", "star"} {
+			for _, f := range []struct {
+				family string
+				lo, hi int
+			}{{"E1", 4, 6}, {"E2", 3, 5}, {"E3", 3, 4}, {"E4", 2, 4}} {
+				hi := f.hi
+				if graph == "star" && f.family == "E4" {
+					hi = 3
+				}
+				for n := f.lo; n <= hi; n++ {
+					programs = append(programs, program{world, server.QuerySpec{Family: f.family, N: n, Graph: graph}})
+				}
+			}
 		}
 	}
 	var b bytes.Buffer
