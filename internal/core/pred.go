@@ -197,9 +197,7 @@ func (p *Pred) Hash() uint64 {
 }
 
 // String implements Value. TRUE is a constant and the pieces of anything
-// else are measured first, so a rendering is at most one allocation: the
-// plan cache's fingerprint renders every predicate of every query it is
-// asked.
+// else are measured first, so a rendering is at most one allocation.
 func (p *Pred) String() string {
 	if p.IsTrue() {
 		return "TRUE"
@@ -210,6 +208,14 @@ func (p *Pred) String() string {
 	b.Grow(n)
 	p.pieces(func(s string) bool { b.WriteString(s); return true })
 	return b.String()
+}
+
+// AppendTo appends p's rendering — String's bytes — to b, building no
+// string of its own (the plan cache's fingerprint renders every
+// predicate of every query it is asked).
+func (p *Pred) AppendTo(b []byte) []byte {
+	p.pieces(func(s string) bool { b = append(b, s...); return true })
+	return b
 }
 
 // pieces calls yield with the pieces of p's rendering in order — names,

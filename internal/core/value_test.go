@@ -632,7 +632,9 @@ func TestAttrsAgainstStringPairs(t *testing.T) {
 // comparison operator and an unknown one, AND/OR/NOT to depth four, and
 // constants of every kind, several rendering alike ("1" is Int, Float,
 // Cost and Str). A sort by Compare must also permute like a sort by the
-// strings, since plan text and wire bytes follow that order.
+// strings, since plan text and wire bytes follow that order; AppendTo,
+// which the plan cache's fingerprint renders with, must append String's
+// bytes.
 func TestPredCompareAgainstStrings(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	rels := []string{"", "C", "C1", "C10", "C1.a"}
@@ -684,6 +686,9 @@ func TestPredCompareAgainstStrings(t *testing.T) {
 		}
 		if got, want := sign(p.Compare(q)), strings.Compare(rp.String(), rq.String()); got != want {
 			t.Fatalf("%q.Compare(%q) = %d, the strings compare %d", rp.String(), rq.String(), got, want)
+		}
+		if got := string(p.AppendTo([]byte("<"))); got != "<"+p.String() || p.String() != rp.String() {
+			t.Fatalf("AppendTo appends %q, String is %q, the string pairs give %q", got[1:], p.String(), rp.String())
 		}
 	}
 	for i := 0; i < 2000; i++ {

@@ -14,7 +14,7 @@ import (
 // preparation, stopping short of the search. Nothing may panic, and
 // every body is either refused with a 4xx whose error is non-empty or
 // becomes a servable request: 2 <= n <= the world's MaxN under a known
-// budget class.
+// budget class, whose prepared tree is the one Build makes for it.
 func FuzzOptimizeRequest(f *testing.F) {
 	reg, err := DefaultRegistry(4, 101, "")
 	if err != nil {
@@ -40,6 +40,11 @@ func FuzzOptimizeRequest(f *testing.F) {
 	f.Add([]byte(`{"ruleset":"oodb/volcano","query":{"family":"E1","n":3},"tier":"full"}`))
 	f.Add([]byte(`{"ruleset":"relational","query":{"family":"E1","n":99},"budget":"nope"}`))
 	f.Add([]byte(`{"ruleset":"dsl","query":{"family":"E1","n":2}}`))
+	// Spellings that share a prepared-query slot, or fall in the one for
+	// whatever does not parse.
+	f.Add([]byte(`{"ruleset":"oodb/prairie","query":{"family":" e2 ","n":3,"graph":"linear"}}`))
+	f.Add([]byte(`{"ruleset":"relational","query":{"family":"E2","n":3,"graph":"LINEAR"}}`))
+	f.Add([]byte(`{"ruleset":"oodb/volcano","query":{"family":"bogus","n":3,"graph":"bogus"}}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		w := httptest.NewRecorder()
 		req, world, ok := srv.decodeOptimize(w, httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body)))
@@ -51,6 +56,9 @@ func FuzzOptimizeRequest(f *testing.F) {
 				}
 				if _, known := srv.budgets[budgetName(p.req.Budget)]; !known {
 					t.Fatalf("accepted unknown budget class %q: %s", p.req.Budget, body)
+				}
+				if tree, _, err := world.Build(p.req.Query); err != nil || tree.Format() != p.tree.Format() {
+					t.Fatalf("the prepared tree is not what Build makes (%v): %s", err, body)
 				}
 				return
 			}

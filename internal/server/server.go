@@ -576,7 +576,8 @@ func (s *Server) timeout(ms int64) time.Duration {
 }
 
 // prepared is a request resolved against its world: the budget class
-// looked up and the query built. It is what optimizeOne searches.
+// looked up and the query's prepared tree fetched (World.prepared; shared,
+// read-only). It is what optimizeOne searches.
 type prepared struct {
 	world  *World
 	req    OptimizeRequest
@@ -591,7 +592,7 @@ func (s *Server) prepare(world *World, req OptimizeRequest) (prepared, error) {
 	if !ok {
 		return prepared{}, fmt.Errorf("unknown budget class %q", req.Budget)
 	}
-	tree, want, err := world.Build(req.Query)
+	tree, want, err := world.prepared(req.Query, s.cache.Epoch())
 	if err != nil {
 		return prepared{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
@@ -27,9 +28,10 @@ import (
 type World struct {
 	Name string
 	RS   *volcano.RuleSet
-	// Build turns a wire QuerySpec into (tree, requirement). The tree is
-	// fully prepared (PrepareQuery applied for Prairie-generated rule
-	// sets), so the server hands it straight to the optimizer.
+	// Build turns a wire QuerySpec into a fresh (tree, requirement). The
+	// tree is fully prepared (PrepareQuery applied for Prairie-generated
+	// rule sets), ready for the optimizer; the server builds each query
+	// shape once per cache epoch (prepared).
 	Build func(q QuerySpec) (*core.Expr, *core.Descriptor, error)
 	// Cat is the catalog the world's queries range over (nil for the
 	// DSL example world, whose relations are synthetic).
@@ -44,6 +46,10 @@ type World struct {
 	// first time a request asks the server to execute its plan.
 	execOnce sync.Once
 	execDB   *data.DB
+	// queries is the prepared-query table behind prepared, allocated on
+	// first use.
+	queriesOnce sync.Once
+	queries     []atomic.Pointer[preparedQuery]
 }
 
 // ExecDB returns the world's demo database, generated from its catalog
@@ -89,6 +95,47 @@ func (w *World) checkN(n int) error {
 		return fmt.Errorf("n=%d out of range for world %s (want 2..%d)", n, w.Name, w.MaxN)
 	}
 	return nil
+}
+
+// preparedQuery is one slot of a world's prepared-query table: what Build
+// returned for the slot's query shape while the plan cache was at epoch.
+type preparedQuery struct {
+	epoch uint64
+	tree  *core.Expr
+	want  *core.Descriptor
+}
+
+// prepared returns Build(q), built once per query shape and cache epoch;
+// the server's requests share the tree and requirement read-only, as hits
+// share a cached plan. A slot is keyed by (family kind, n, graph): the
+// kind as qgen.ParseKind reads it (0 when it does not parse), the graph 0
+// for ""/"linear", 1 for "star" and 2 for anything else. That is sound
+// because each world either rejects a field it cannot parse or ignores
+// it, so no slot stands for two different trees, and the table's size is
+// fixed however the fields are spelt. A tree of an older epoch is built
+// again — an in-place catalog change reaches the server's searches
+// through /v1/invalidate — and an error is never stored.
+func (w *World) prepared(q QuerySpec, epoch uint64) (*core.Expr, *core.Descriptor, error) {
+	if err := w.checkN(q.N); err != nil {
+		return nil, nil, err
+	}
+	const kinds, graphs = int(qgen.E4) + 1, 3
+	w.queriesOnce.Do(func() { w.queries = make([]atomic.Pointer[preparedQuery], kinds*(w.MaxN+1)*graphs) })
+	kind, _ := qgen.ParseKind(q.Family)
+	graph := graphs - 1 // a graph parseGraph refuses
+	if g, err := parseGraph(q.Graph); err == nil {
+		graph = int(g)
+	}
+	slot := &w.queries[(int(kind)*(w.MaxN+1)+q.N)*graphs+graph]
+	if p := slot.Load(); p != nil && p.epoch == epoch {
+		return p.tree, p.want, nil
+	}
+	tree, want, err := w.Build(q)
+	if err != nil {
+		return nil, nil, err
+	}
+	slot.Store(&preparedQuery{epoch: epoch, tree: tree, want: want})
+	return tree, want, nil
 }
 
 // OODBVolcanoWorld builds the hand-coded OODB optimizer over a catalog

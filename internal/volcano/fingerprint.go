@@ -124,6 +124,8 @@ func appendProj(b []byte, d *core.Descriptor, ids []core.PropID) []byte {
 			b = appendSortedAttrs(b, v)
 		case core.Float: // as Float.String, without the string
 			b = strconv.AppendFloat(b, float64(v), 'g', -1, 64)
+		case *core.Pred:
+			b = v.AppendTo(b)
 		default:
 			b = append(b, v.String()...)
 		}
