@@ -1,10 +1,11 @@
 // Command optserve runs the optimizer as an HTTP/JSON service (see
-// internal/server): /v1/optimize and /v1/batch over a registry of
-// prepared rule sets, with per-request budget classes, a shared
-// cross-query plan cache, admission control (429/503 + Retry-After load
-// shedding), per-request timeouts, and the observability surface of
-// internal/obs (/metrics, /vars, /trace, /debug/pprof/, /healthz, and
-// the per-request flight recorder on /v1/debug/requests).
+// internal/server): /v1/optimize over a registry of prepared rule sets,
+// one admitted request per query, with per-request budget classes, a
+// shared cross-query plan cache, admission control (429/503 +
+// Retry-After load shedding), per-request timeouts, and the
+// observability surface of internal/obs (/metrics, /vars, /trace,
+// /debug/pprof/, /healthz, and the per-request flight recorder on
+// /v1/debug/requests).
 //
 // Usage:
 //

@@ -3,19 +3,17 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // This file is the request-scoped flight recorder (DESIGN.md §4.13):
 // one RequestRecord per served request, capturing the full decision
-// trail — admission wait, cache lookup outcome, search phases,
-// degradation, and per-operator executor stats — retained in a
+// trail — admission wait, optimize time and the cache outcome it was
+// spent on, degradation, and per-operator executor stats — retained in a
 // lock-free ring so the last N slow/degraded/errored requests can be
 // reconstructed after the fact from /v1/debug/requests/{id}. Normal
 // (fast, clean) traffic is reservoir-sampled instead of ring-buffered,
@@ -26,76 +24,6 @@ import (
 // *FlightRecorder — or a zero-capacity handle — returns nil records,
 // and every method on a nil *RequestRecord is a no-op, keeping the
 // serving path byte-identical to a recorder-less build.
-
-// Phase names one timed stage of a request's lifecycle.
-type Phase string
-
-const (
-	PhaseAdmission Phase = "admission" // queue wait before an optimize slot
-	PhaseCache     Phase = "cache"     // plan-cache acquire (+ flight wait)
-	PhaseFull      Phase = "full"      // full branch-and-bound search
-	PhaseExec      Phase = "exec"      // plan compilation + execution
-)
-
-// PhaseSpan is one timed phase, offset-relative to the request start.
-type PhaseSpan struct {
-	Phase    Phase `json:"phase"`
-	OffsetUS int64 `json:"offset_us"`
-	DurUS    int64 `json:"dur_us"`
-}
-
-// PhaseClock collects a request's phase spans. The volcano engine
-// writes into it through Options.Phases behind one nil check per
-// instrumentation point; a nil *PhaseClock discards everything. Safe
-// for concurrent use: the debug endpoints read a retained record's
-// spans from their own goroutines.
-type PhaseClock struct {
-	start time.Time
-	mu    sync.Mutex
-	spans []PhaseSpan
-}
-
-// NewPhaseClock starts a clock; offsets are relative to start.
-func NewPhaseClock(start time.Time) *PhaseClock { return &PhaseClock{start: start} }
-
-// Observe appends one phase measurement. Nil-safe.
-func (pc *PhaseClock) Observe(ph Phase, began time.Time, d time.Duration) {
-	if pc == nil {
-		return
-	}
-	span := PhaseSpan{Phase: ph, OffsetUS: began.Sub(pc.start).Microseconds(), DurUS: d.Microseconds()}
-	pc.mu.Lock()
-	pc.spans = append(pc.spans, span)
-	pc.mu.Unlock()
-}
-
-// Spans returns a copy of the spans observed so far. Nil-safe.
-func (pc *PhaseClock) Spans() []PhaseSpan {
-	if pc == nil {
-		return nil
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	out := make([]PhaseSpan, len(pc.spans))
-	copy(out, pc.spans)
-	return out
-}
-
-// Total sums the durations recorded for ph. Nil-safe.
-func (pc *PhaseClock) Total(ph Phase) time.Duration {
-	if pc == nil {
-		return 0
-	}
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	var us int64
-	for _, s := range pc.spans {
-		if s.Phase == ph {
-			us += s.DurUS
-		}
-	}
-	return time.Duration(us) * time.Microsecond
-}
 
 // CacheInfo is the record's plan-cache section.
 type CacheInfo struct {
@@ -141,41 +69,31 @@ type ExecInfo struct {
 }
 
 // RequestRecord is one request's flight record. The serving goroutine
-// fills it before publication; after Complete it is immutable, and the
-// debug endpoints read it under the mutex. Every method on a nil
-// *RequestRecord is a no-op, so handler code stays branch-free when the
-// recorder is disabled.
+// fills it before Complete publishes it (an atomic store); it is
+// immutable afterwards, so the debug endpoints read it without locking.
+// Every method on a nil *RequestRecord is a no-op, so handler code stays
+// branch-free when the recorder is disabled.
 type RequestRecord struct {
 	ID      string `json:"id"`       // this request's span id (16 hex)
 	TraceID string `json:"trace_id"` // W3C trace id (32 hex)
 	// ParentSpan is the inbound traceparent's span id, when one came.
-	ParentSpan      string      `json:"parent_span,omitempty"`
-	Endpoint        string      `json:"endpoint"`
-	Ruleset         string      `json:"ruleset,omitempty"`
-	Query           string      `json:"query,omitempty"`
-	Budget          string      `json:"budget,omitempty"`
-	Start           time.Time   `json:"start"`
-	ElapsedUS       int64       `json:"elapsed_us"`
-	Status          int         `json:"status"`
-	Outcome         string      `json:"outcome"` // ok | degraded | error | shed
-	Error           string      `json:"error,omitempty"`
-	AdmissionWaitUS int64       `json:"admission_wait_us"`
-	Cache           *CacheInfo  `json:"cache,omitempty"`
-	Search          *SearchInfo `json:"search,omitempty"`
-	Exec            *ExecInfo   `json:"exec,omitempty"`
-	Phases          []PhaseSpan `json:"phases"`
-
-	pc *PhaseClock
-	mu sync.Mutex
-}
-
-// PhaseClock returns the record's phase sink (nil when rec is nil, so
-// it can be handed to volcano.Options.Phases unconditionally).
-func (rec *RequestRecord) PhaseClock() *PhaseClock {
-	if rec == nil {
-		return nil
-	}
-	return rec.pc
+	ParentSpan      string    `json:"parent_span,omitempty"`
+	Endpoint        string    `json:"endpoint"`
+	Ruleset         string    `json:"ruleset,omitempty"`
+	Query           string    `json:"query,omitempty"`
+	Budget          string    `json:"budget,omitempty"`
+	Start           time.Time `json:"start"`
+	ElapsedUS       int64     `json:"elapsed_us"`
+	Status          int       `json:"status"`
+	Outcome         string    `json:"outcome"` // ok | degraded | error | shed
+	Error           string    `json:"error,omitempty"`
+	AdmissionWaitUS int64     `json:"admission_wait_us"`
+	// OptimizeUS is the optimize call's wall time, the response's
+	// elapsed_us; Cache.Outcome says what it was spent on.
+	OptimizeUS int64       `json:"optimize_us"`
+	Cache      *CacheInfo  `json:"cache,omitempty"`
+	Search     *SearchInfo `json:"search,omitempty"`
+	Exec       *ExecInfo   `json:"exec,omitempty"`
 }
 
 // TraceParent renders the outbound W3C traceparent header for this
@@ -195,14 +113,20 @@ func (rec *RequestRecord) SetRequestInfo(ruleset, query, budget string) {
 	rec.Ruleset, rec.Query, rec.Budget = ruleset, query, budget
 }
 
-// SetAdmissionWait records the admission queue wait (also observed as
-// the "admission" phase). Nil-safe.
-func (rec *RequestRecord) SetAdmissionWait(began time.Time, d time.Duration) {
+// SetAdmissionWait records the admission queue wait. Nil-safe.
+func (rec *RequestRecord) SetAdmissionWait(d time.Duration) {
 	if rec == nil {
 		return
 	}
 	rec.AdmissionWaitUS = d.Microseconds()
-	rec.pc.Observe(PhaseAdmission, began, d)
+}
+
+// SetOptimize records the optimize call's wall time. Nil-safe.
+func (rec *RequestRecord) SetOptimize(d time.Duration) {
+	if rec == nil {
+		return
+	}
+	rec.OptimizeUS = d.Microseconds()
 }
 
 // SetCache fills the plan-cache section. Nil-safe.
@@ -229,44 +153,6 @@ func (rec *RequestRecord) SetExec(ei ExecInfo) {
 	rec.Exec = &ei
 }
 
-// MarshalJSON renders the record with its live phase spans, under the
-// post-publication lock.
-func (rec *RequestRecord) MarshalJSON() ([]byte, error) {
-	type alias RequestRecord // sheds methods; unexported fields are skipped
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.Phases = rec.pc.Spans()
-	return json.Marshal((*alias)(rec))
-}
-
-// WriteChrome exports the record as a Chrome trace_event file: the
-// request's phases on one thread row, loadable directly in
-// chrome://tracing or Perfetto.
-func (rec *RequestRecord) WriteChrome(w io.Writer) error {
-	rec.mu.Lock()
-	spans := rec.pc.Spans()
-	elapsed := rec.ElapsedUS
-	rec.mu.Unlock()
-	evs := []TraceEvent{
-		{Name: "thread_name", Ph: "M", PID: 1, TID: 1, Args: map[string]any{"name": "request " + rec.ID}},
-	}
-	for _, s := range spans {
-		evs = append(evs, TraceEvent{
-			Name: string(s.Phase), Cat: "request", Ph: "X",
-			TS: float64(s.OffsetUS), Dur: float64(s.DurUS), PID: 1, TID: 1,
-		})
-	}
-	evs = append(evs, TraceEvent{
-		Name: "complete", Cat: "request", Ph: "i", TS: float64(elapsed), PID: 1, TID: 1,
-		Args: map[string]any{"outcome": rec.Outcome, "status": rec.Status},
-	})
-	type chromeTrace struct {
-		TraceEvents     []TraceEvent `json:"traceEvents"`
-		DisplayTimeUnit string       `json:"displayTimeUnit"`
-	}
-	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
-}
-
 // class buckets a completed record for retention and the kept counter:
 // non-ok outcomes keep their name, slow-but-clean requests are "slow",
 // and "" means plain normal traffic (reservoir only).
@@ -287,24 +173,14 @@ type FlightConfig struct {
 	// slow, degraded, errored, or shed requests are always retained.
 	// <= 0 disables the recorder entirely.
 	Capacity int
-	// SampleN is the reservoir size for normal traffic (uniform sample
-	// over the recorder's lifetime); 0 = Capacity/4, min 16.
-	SampleN int
 	// SlowThreshold is the latency at or above which a clean request
 	// counts as slow (ring-retained); 0 = 250ms.
 	SlowThreshold time.Duration
 }
 
-func (c FlightConfig) sampleN() int {
-	if c.SampleN > 0 {
-		return c.SampleN
-	}
-	n := c.Capacity / 4
-	if n < 16 {
-		n = 16
-	}
-	return n
-}
+// sampleN is the reservoir size for normal traffic (a uniform sample
+// over the recorder's lifetime): Capacity/4, at least 16.
+func (c FlightConfig) sampleN() int { return max(c.Capacity/4, 16) }
 
 func (c FlightConfig) slow() time.Duration {
 	if c.SlowThreshold > 0 {
@@ -336,15 +212,10 @@ type FlightRecorder struct {
 	sampled     *Counter
 }
 
-// NewFlightRecorder returns a recorder; cfg.Capacity <= 0 yields a
-// disabled handle whose Begin returns nil records.
-func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
-	return NewFlightRecorderObserved(cfg, nil)
-}
-
-// NewFlightRecorderObserved is NewFlightRecorder with the retention
-// counters registered in reg (prairie_flight_*), so sampling behaviour
-// shows up on /metrics. A nil reg falls back to standalone counters.
+// NewFlightRecorderObserved returns a recorder whose retention counters
+// are registered in reg (prairie_flight_*), so sampling behaviour shows
+// up on /metrics; a nil reg keeps standalone counters. cfg.Capacity <= 0
+// yields a disabled handle whose Begin returns nil records.
 func NewFlightRecorderObserved(cfg FlightConfig, reg *Registry) *FlightRecorder {
 	fr := &FlightRecorder{
 		cfg:         cfg,
@@ -398,11 +269,9 @@ func (fr *FlightRecorder) Begin(traceparent string) *RequestRecord {
 	if !fr.Enabled() {
 		return nil
 	}
-	now := time.Now()
 	rec := &RequestRecord{
 		ID:    fmt.Sprintf("%016x", fr.rand()),
-		Start: now,
-		pc:    NewPhaseClock(now),
+		Start: time.Now(),
 	}
 	if tid, parent, ok := parseTraceParent(traceparent); ok {
 		rec.TraceID, rec.ParentSpan = tid, parent
@@ -419,9 +288,7 @@ func (fr *FlightRecorder) Complete(rec *RequestRecord) {
 	if !fr.Enabled() || rec == nil {
 		return
 	}
-	rec.mu.Lock()
 	rec.ElapsedUS = time.Since(rec.Start).Microseconds()
-	rec.mu.Unlock()
 	fr.completed.Inc()
 	if class := rec.class(fr.slowUS); class != "" {
 		if c := fr.keptByClass[class]; c != nil {
@@ -518,24 +385,25 @@ func (fr *FlightRecorder) handleIndex(w http.ResponseWriter, r *http.Request) {
 		Requests:        make([]indexEntry, 0, len(recs)),
 	}
 	for _, rec := range recs {
-		rec.mu.Lock()
-		e := indexEntry{
+		body.Requests = append(body.Requests, indexEntry{
 			ID: rec.ID, Start: rec.Start, ElapsedUS: rec.ElapsedUS,
 			Endpoint: rec.Endpoint, Ruleset: rec.Ruleset, Query: rec.Query,
 			Outcome: rec.Outcome, Status: rec.Status, Class: rec.class(fr.slowUS),
-		}
-		rec.mu.Unlock()
-		body.Requests = append(body.Requests, e)
+		})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(body)
 }
 
-// handleGet serves GET /v1/debug/requests/{id}; ?format=trace exports
-// the record as a Chrome trace instead of the raw JSON record.
+// handleGet serves GET /v1/debug/requests/{id}: the record as JSON. The
+// endpoint takes no query parameters: one is a 400 naming it.
 func (fr *FlightRecorder) handleGet(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		return
+	}
+	for name := range r.URL.Query() {
+		http.Error(w, fmt.Sprintf("unknown query parameter %q", name), http.StatusBadRequest)
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/v1/debug/requests/")
@@ -545,10 +413,6 @@ func (fr *FlightRecorder) handleGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if r.URL.Query().Get("format") == "trace" {
-		_ = rec.WriteChrome(w)
-		return
-	}
 	_ = json.NewEncoder(w).Encode(rec)
 }
 

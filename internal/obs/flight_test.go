@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -21,7 +22,7 @@ func completeOK(fr *FlightRecorder, rec *RequestRecord) {
 // Begin yields nil records, every record method is a nil-safe no-op, and
 // the debug endpoints are not mounted.
 func TestFlightDisabled(t *testing.T) {
-	for _, fr := range []*FlightRecorder{nil, NewFlightRecorder(FlightConfig{})} {
+	for _, fr := range []*FlightRecorder{nil, NewFlightRecorderObserved(FlightConfig{}, nil)} {
 		if fr.Enabled() {
 			t.Fatal("disabled recorder reports Enabled")
 		}
@@ -31,11 +32,12 @@ func TestFlightDisabled(t *testing.T) {
 		}
 		// The full nil-record surface must be inert.
 		rec.SetRequestInfo("w", "q", "b")
-		rec.SetAdmissionWait(time.Now(), time.Millisecond)
+		rec.SetAdmissionWait(time.Millisecond)
+		rec.SetOptimize(time.Millisecond)
 		rec.SetCache("hit", 1)
 		rec.SetSearch(SearchInfo{})
 		rec.SetExec(ExecInfo{})
-		if rec.PhaseClock() != nil || rec.TraceParent() != "" {
+		if rec.TraceParent() != "" {
 			t.Fatal("nil record leaked state")
 		}
 		fr.Complete(rec)
@@ -44,7 +46,7 @@ func TestFlightDisabled(t *testing.T) {
 		}
 	}
 
-	mux := NewMux(NewRegistry(), nil, NewFlightRecorder(FlightConfig{}))
+	mux := NewMux(NewRegistry(), nil, NewFlightRecorderObserved(FlightConfig{}, nil))
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/debug/requests", nil))
 	if rr.Code != http.StatusNotFound {
@@ -56,7 +58,7 @@ func TestFlightDisabled(t *testing.T) {
 // adopted, inbound span recorded as parent); malformed or all-zero
 // headers mint a fresh trace.
 func TestFlightTraceParent(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Capacity: 4})
+	fr := NewFlightRecorderObserved(FlightConfig{Capacity: 4}, nil)
 	const tid = "0af7651916cd43dd8448eb211c80319c"
 	const span = "b7ad6b7169203331"
 	rec := fr.Begin("00-" + tid + "-" + span + "-01")
@@ -87,7 +89,7 @@ func TestFlightTraceParent(t *testing.T) {
 // ring of Capacity entries.
 func TestFlightRingRetention(t *testing.T) {
 	// A nanosecond threshold truncates to 0µs, so every request is slow.
-	fr := NewFlightRecorder(FlightConfig{Capacity: 2, SlowThreshold: time.Nanosecond})
+	fr := NewFlightRecorderObserved(FlightConfig{Capacity: 2, SlowThreshold: time.Nanosecond}, nil)
 	ids := make([]string, 3)
 	for i := range ids {
 		rec := fr.Begin("")
@@ -104,35 +106,35 @@ func TestFlightRingRetention(t *testing.T) {
 	}
 }
 
-// TestFlightReservoir: normal traffic is uniformly sampled, never
-// unbounded.
+// TestFlightReservoir: normal traffic is uniformly sampled into a
+// reservoir of Capacity/4 records, at least 16, never unbounded.
 func TestFlightReservoir(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Capacity: 4, SampleN: 8, SlowThreshold: time.Hour})
-	for i := 0; i < 100; i++ {
-		completeOK(fr, fr.Begin(""))
-	}
-	if n := len(fr.records()); n == 0 || n > 8 {
-		t.Fatalf("reservoir holds %d records, want 1..8", n)
-	}
-	if fr.completed.Value() != 100 {
-		t.Fatalf("completed = %d, want 100", fr.completed.Value())
-	}
-	if fr.sampled.Value() < 8 {
-		t.Fatalf("sampled = %d, want >= 8", fr.sampled.Value())
+	for _, c := range []struct{ capacity, sampleN int }{{4, 16}, {128, 32}} {
+		fr := NewFlightRecorderObserved(FlightConfig{Capacity: c.capacity, SlowThreshold: time.Hour}, nil)
+		for i := 0; i < 100; i++ {
+			completeOK(fr, fr.Begin(""))
+		}
+		if n := len(fr.records()); n != c.sampleN {
+			t.Fatalf("capacity %d: reservoir holds %d records, want %d", c.capacity, n, c.sampleN)
+		}
+		if fr.completed.Value() != 100 {
+			t.Fatalf("completed = %d, want 100", fr.completed.Value())
+		}
+		if fr.sampled.Value() < int64(c.sampleN) {
+			t.Fatalf("sampled = %d, want >= %d", fr.sampled.Value(), c.sampleN)
+		}
 	}
 }
 
 // TestFlightRecordJSON: a fully populated record round-trips through its
-// JSON form with every section and the phase timeline materialized, and
-// exports a well-formed per-request Chrome trace.
+// JSON form with every section materialized.
 func TestFlightRecordJSON(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Capacity: 4, SlowThreshold: time.Nanosecond})
+	fr := NewFlightRecorderObserved(FlightConfig{Capacity: 4, SlowThreshold: time.Nanosecond}, nil)
 	rec := fr.Begin("")
 	rec.Endpoint = "/v1/optimize"
 	rec.SetRequestInfo("oodb/volcano", "E2/n3", "interactive")
-	now := time.Now()
-	rec.SetAdmissionWait(now, 2*time.Millisecond)
-	rec.PhaseClock().Observe(PhaseFull, now, 5*time.Millisecond)
+	rec.SetAdmissionWait(2 * time.Millisecond)
+	rec.SetOptimize(5 * time.Millisecond)
 	rec.SetCache("miss", 3)
 	rec.SetSearch(SearchInfo{Groups: 7, Exprs: 21, Degraded: true, DegradeCause: "timeout"})
 	rec.SetExec(ExecInfo{Rows: 64, Ops: []ExecOpStat{{ID: 0, Parent: -1, Op: "Hash_join", RowsOut: 64}}})
@@ -146,35 +148,20 @@ func TestFlightRecordJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &got); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"id", "trace_id", "ruleset", "admission_wait_us", "cache", "search", "exec", "phases"} {
+	for _, key := range []string{"id", "trace_id", "ruleset", "admission_wait_us", "optimize_us", "cache", "search", "exec"} {
 		if _, ok := got[key]; !ok {
 			t.Errorf("record JSON missing %q: %s", key, raw)
 		}
 	}
-	phases, _ := got["phases"].([]any)
-	if len(phases) != 2 {
-		t.Fatalf("phases = %v, want admission + full", got["phases"])
-	}
-
-	var b bytes.Buffer
-	if err := rec.WriteChrome(&b); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []TraceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(b.Bytes(), &doc); err != nil {
-		t.Fatalf("chrome export not valid JSON: %v", err)
-	}
-	if len(doc.TraceEvents) == 0 {
-		t.Fatal("chrome export has no events")
+	if got["admission_wait_us"] != 2000.0 || got["optimize_us"] != 5000.0 {
+		t.Errorf("admission_wait_us %v, optimize_us %v; want 2000 and 5000", got["admission_wait_us"], got["optimize_us"])
 	}
 }
 
 // TestFlightHTTP drives the debug endpoints through NewMux: index shape,
-// record lookup, Chrome export, method and 404 handling.
+// record lookup, method and 404 handling.
 func TestFlightHTTP(t *testing.T) {
-	fr := NewFlightRecorder(FlightConfig{Capacity: 4, SlowThreshold: time.Nanosecond})
+	fr := NewFlightRecorderObserved(FlightConfig{Capacity: 4, SlowThreshold: time.Nanosecond}, nil)
 	rec := fr.Begin("")
 	rec.Endpoint = "/v1/optimize"
 	rec.SetRequestInfo("oodb/volcano", "E1/n3", "default")
@@ -219,10 +206,6 @@ func TestFlightHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(rec.ID)) {
 		t.Fatalf("record fetch: status %d body %s", resp.StatusCode, body)
 	}
-	resp, body = get("/v1/debug/requests/" + rec.ID + "?format=trace")
-	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("traceEvents")) {
-		t.Fatalf("trace export: status %d body %s", resp.StatusCode, body)
-	}
 	resp, _ = get("/v1/debug/requests/ffffffffffffffff")
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown id: status %d", resp.StatusCode)
@@ -242,6 +225,70 @@ func TestFlightHTTP(t *testing.T) {
 	resp, body = get("/")
 	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("/v1/debug/requests")) {
 		t.Fatalf("root index does not list the recorder: %s", body)
+	}
+}
+
+// TestRecordQueryParamsRejected: /v1/debug/requests/{id} takes no query
+// parameters. ?format=trace, the per-request Chrome export, is gone with
+// the phase timeline it drew; it and any other parameter are a 400 naming
+// it, not the plain record silently.
+func TestRecordQueryParamsRejected(t *testing.T) {
+	fr := NewFlightRecorderObserved(FlightConfig{Capacity: 4, SlowThreshold: time.Nanosecond}, nil)
+	rec := fr.Begin("")
+	completeOK(fr, rec)
+	mux := NewMux(NewRegistry(), nil, fr)
+	for _, param := range []string{"format", "pretty"} {
+		rr := httptest.NewRecorder()
+		mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/debug/requests/"+rec.ID+"?"+param+"=trace", nil))
+		if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), `"`+param+`"`) {
+			t.Errorf("?%s=trace: status %d: %s; want 400 naming %q", param, rr.Code, rr.Body, param)
+		}
+	}
+}
+
+// TestFlightReadersWhileRecording: records are read without a lock, which
+// is sound because a record is complete before Complete publishes it.
+// Writers fill and publish records while readers render the index and
+// every retained record; `make race` runs it under the race detector.
+func TestFlightReadersWhileRecording(t *testing.T) {
+	fr := NewFlightRecorderObserved(FlightConfig{Capacity: 8, SlowThreshold: time.Microsecond}, nil)
+	mux := NewMux(NewRegistry(), nil, fr)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				rec := fr.Begin("")
+				rec.Endpoint = "/v1/optimize"
+				rec.SetRequestInfo("oodb/volcano", "E1/n3", "default")
+				rec.SetAdmissionWait(time.Duration(i))
+				rec.SetOptimize(time.Duration(i) * time.Microsecond)
+				rec.SetCache("miss", 1)
+				rec.SetExec(ExecInfo{Rows: i, Ops: []ExecOpStat{{Parent: -1, Op: "File_scan"}}})
+				completeOK(fr, rec)
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				rr := httptest.NewRecorder()
+				mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/debug/requests", nil))
+				for _, rec := range fr.records() {
+					if _, err := json.Marshal(rec); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := fr.completed.Value(); got != 800 {
+		t.Fatalf("completed = %d, want 800", got)
 	}
 }
 

@@ -12,8 +12,7 @@ import (
 // /debug/pprof/, when a tracer is attached the current span buffer in
 // Chrome trace_event format at /trace, and — when an enabled flight
 // recorder is attached — the retained request records at
-// /v1/debug/requests (index) and /v1/debug/requests/{id} (full record;
-// ?format=trace exports one request as a Chrome trace).
+// /v1/debug/requests (index) and /v1/debug/requests/{id} (full record).
 func NewMux(reg *Registry, tr *Tracer, fr *FlightRecorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -33,8 +33,8 @@ func benchOptimizeHTTP(b *testing.B, srv *Server, body []byte) {
 // BenchmarkFlightGuard backs `make flight-guard`: the same serving
 // workload with the flight recorder absent ("off"), attached but
 // zero-capacity ("disabled" — one Enabled() branch, Begin returns nil,
-// every downstream hook is a nil no-op), and fully recording with the
-// per-phase histograms live ("on", informational). The guard target
+// every downstream hook is a nil no-op), and fully recording beside a
+// metrics registry ("on", informational). The guard target
 // fails the build if disabled drifts more than ~2% from off. Workloads
 // are the longest figure points so the bar clears scheduler noise.
 func BenchmarkFlightGuard(b *testing.B) {
@@ -70,7 +70,7 @@ func BenchmarkFlightGuard(b *testing.B) {
 		})
 		b.Run(wl.name+"/disabled", func(b *testing.B) {
 			benchOptimizeHTTP(b, newSrv(Config{
-				Flight: obs.NewFlightRecorder(obs.FlightConfig{}),
+				Flight: obs.NewFlightRecorderObserved(obs.FlightConfig{}, nil),
 			}), body)
 		})
 		b.Run(wl.name+"/on", func(b *testing.B) {

@@ -13,7 +13,7 @@ import (
 
 // flightServer is testServer with an always-retaining flight recorder
 // (nanosecond slow threshold: every request classifies slow) and a
-// metrics registry so the per-phase histograms exist.
+// metrics registry.
 func flightServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	t.Helper()
 	srv, hs := testServer(t, func(cfg *Config) {
@@ -43,6 +43,7 @@ type debugRecord struct {
 	Outcome         string `json:"outcome"`
 	Error           string `json:"error"`
 	AdmissionWaitUS int64  `json:"admission_wait_us"`
+	OptimizeUS      *int64 `json:"optimize_us"`
 	Cache           *struct {
 		Outcome string `json:"outcome"`
 		Epoch   uint64 `json:"epoch"`
@@ -54,16 +55,14 @@ type debugRecord struct {
 		DegradeCause string `json:"degrade_cause"`
 	} `json:"search"`
 	Exec *struct {
-		Rows int `json:"rows"`
-		Ops  []struct {
+		Rows      int   `json:"rows"`
+		ElapsedUS int64 `json:"elapsed_us"`
+		Ops       []struct {
 			Parent  int    `json:"parent"`
 			Op      string `json:"op"`
 			RowsOut int64  `json:"rows_out"`
 		} `json:"ops"`
 	} `json:"exec"`
-	Phases []struct {
-		Phase obs.Phase `json:"phase"`
-	} `json:"phases"`
 }
 
 func fetchRecord(t *testing.T, base, id string) debugRecord {
@@ -83,19 +82,9 @@ func fetchRecord(t *testing.T, base, id string) debugRecord {
 	return rec
 }
 
-func hasPhase(rec debugRecord, p obs.Phase) bool {
-	for _, sp := range rec.Phases {
-		if sp.Phase == p {
-			return true
-		}
-	}
-	return false
-}
-
 // TestFlightEndToEnd: one optimize request is fully reconstructable
 // from /v1/debug/requests/{id} — correlation headers out, inbound
-// traceparent joined, cache/search sections and the phase timeline
-// populated, and the per-phase histograms fed.
+// traceparent joined, cache/search sections populated.
 func TestFlightEndToEnd(t *testing.T) {
 	_, base := flightServer(t, nil)
 
@@ -167,30 +156,6 @@ func TestFlightEndToEnd(t *testing.T) {
 	if rec.Search == nil || rec.Search.Groups == 0 || rec.Search.Exprs == 0 {
 		t.Fatalf("search section: %+v", rec.Search)
 	}
-	if !hasPhase(rec, obs.PhaseAdmission) || !hasPhase(rec, obs.PhaseCache) || !hasPhase(rec, obs.PhaseFull) {
-		t.Fatalf("phase timeline incomplete: %+v", rec.Phases)
-	}
-
-	// Chrome export of the same record.
-	tr, err := http.Get(base + "/v1/debug/requests/" + id + "?format=trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []obs.TraceEvent `json:"traceEvents"`
-	}
-	err = json.NewDecoder(tr.Body).Decode(&doc)
-	tr.Body.Close()
-	if err != nil || len(doc.TraceEvents) == 0 {
-		t.Fatalf("trace export: err %v events %d", err, len(doc.TraceEvents))
-	}
-
-	// The per-phase histograms saw the request.
-	_, metrics := getJSONBody(t, base+"/metrics")
-	if !strings.Contains(string(metrics), "prairie_phase_full_seconds_count 1") {
-		t.Fatalf("phase histogram not fed:\n%s", metrics)
-	}
-
 	// A repeat of the same request is recorded as a cache hit.
 	or2 := optimizeOK(t, base, OptimizeRequest{
 		Ruleset: "oodb/volcano",
@@ -264,8 +229,54 @@ func TestFlightExecute(t *testing.T) {
 	if root.Parent != -1 || root.RowsOut != int64(or.Exec.Rows) {
 		t.Fatalf("root op %+v, rows %d", root, or.Exec.Rows)
 	}
-	if !hasPhase(rec, obs.PhaseExec) {
-		t.Fatal("exec phase missing from the timeline")
+}
+
+// TestRequestLayersTimedOnce: the server times each layer of a request
+// once. A record's optimize_us and exec.elapsed_us are the response's
+// elapsed_us and exec.elapsed_us, on a miss and on a hit; with the
+// recorder off or on, every request feeds prairie_optimize_seconds and
+// every executed one prairie_server_exec_seconds; and no second
+// measurement of the same layers is exported.
+func TestRequestLayersTimedOnce(t *testing.T) {
+	req := OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E2", N: 3}, Execute: true}
+	plain := OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}}
+	for _, recorded := range []bool{false, true} {
+		var base string
+		if recorded {
+			_, base = flightServer(t, nil)
+		} else {
+			_, hs := testServer(t, func(cfg *Config) { cfg.Obs = &obs.Observer{Metrics: obs.NewRegistry()} })
+			base = hs.URL
+		}
+		for i, want := range []bool{false, true} { // a miss, then a hit
+			or := optimizeOK(t, base, req)
+			if or.CacheHit != want || or.Exec == nil {
+				t.Fatalf("recorded=%v request %d: cache_hit %v, exec %+v", recorded, i, or.CacheHit, or.Exec)
+			}
+			if !recorded {
+				continue
+			}
+			rec := fetchRecord(t, base, or.RequestID)
+			if rec.OptimizeUS == nil || *rec.OptimizeUS != or.ElapsedUS {
+				t.Errorf("request %d: record optimize_us %v, response elapsed_us %d", i, rec.OptimizeUS, or.ElapsedUS)
+			}
+			if rec.Exec == nil || rec.Exec.ElapsedUS != or.Exec.ElapsedUS {
+				t.Errorf("request %d: record exec %+v, response exec.elapsed_us %d", i, rec.Exec, or.Exec.ElapsedUS)
+			}
+		}
+		optimizeOK(t, base, plain)
+
+		_, metrics := getJSONBody(t, base+"/metrics")
+		for _, want := range []string{"\nprairie_optimize_seconds_count 3\n", "\nprairie_server_exec_seconds_count 2\n"} {
+			if !strings.Contains(string(metrics), want) {
+				t.Errorf("recorded=%v: /metrics lacks %q", recorded, strings.TrimSpace(want))
+			}
+		}
+		for _, gone := range []string{"prairie_phase_", "prairie_server_optimize_seconds"} {
+			if strings.Contains(string(metrics), gone) {
+				t.Errorf("recorded=%v: /metrics still exports %s*", recorded, gone)
+			}
+		}
 	}
 }
 

@@ -48,11 +48,11 @@ func stateOf(t *testing.T, w *World, tree *core.Expr, want *core.Descriptor) tre
 
 // TestPreparedQueriesReadOnly: a world's prepared trees are shared by
 // every request of their shape, so nothing that runs on one may write it.
-// Every world × the serve_churn shapes runs, all at once, a cold miss,
-// tiny-budget degrades (one of them to the greedy plan over the tree), a
-// hit, an executed plan and a /v1/batch of the same items; afterwards every
-// tree and requirement renders and fingerprints as before. `make race`
-// runs it under the race detector.
+// Every world × the serve_churn shapes runs, all at once, concurrent
+// misses and hits, tiny-budget degrades (one of them to the greedy plan
+// over the tree) and an executed plan; afterwards every tree and
+// requirement renders and fingerprints as before. `make race` runs it
+// under the race detector.
 func TestPreparedQueriesReadOnly(t *testing.T) {
 	reg := dslRegistry(t, 6)
 	const workers = 8
@@ -90,18 +90,19 @@ func TestPreparedQueriesReadOnly(t *testing.T) {
 	// request whose client has gone degrades to the greedy plan over the
 	// tree itself (a degraded plan is never cached, so it always searches).
 	type job struct {
-		path      string
-		req       any
+		req       OptimizeRequest
 		cancelled bool
 	}
-	jobs := []job{{"/v1/batch", BatchRequest{Items: items}, false}}
+	var jobs []job
+	for _, rq := range items { // every item first, racing its own misses below
+		jobs = append(jobs, job{rq, false})
+	}
 	for _, rq := range items {
 		tiny, exec := rq, rq
 		tiny.Budget, exec.Execute = "tiny", true
-		jobs = append(jobs, job{"/v1/optimize", rq, false}, job{"/v1/optimize", tiny, false},
-			job{"/v1/optimize", tiny, true}, job{"/v1/optimize", rq, false})
+		jobs = append(jobs, job{rq, false}, job{tiny, false}, job{tiny, true}, job{rq, false})
 		if w, _ := reg.Lookup(rq.Ruleset); w.Cat != nil {
-			jobs = append(jobs, job{"/v1/optimize", exec, false})
+			jobs = append(jobs, job{exec, false})
 		}
 	}
 	gone, cancel := context.WithCancel(context.Background())
@@ -114,14 +115,14 @@ func TestPreparedQueriesReadOnly(t *testing.T) {
 			defer wg.Done()
 			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
 				body, _ := json.Marshal(jobs[i].req)
-				r := httptest.NewRequest(http.MethodPost, jobs[i].path, bytes.NewReader(body))
+				r := httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body))
 				if jobs[i].cancelled {
 					r = r.WithContext(gone)
 				}
 				w := httptest.NewRecorder()
 				srv.Handler().ServeHTTP(w, r)
-				if w.Code != http.StatusOK || bytes.Contains(w.Body.Bytes(), []byte(`"error"`)) {
-					t.Errorf("%s %s: status %d: %.300s", jobs[i].path, body, w.Code, w.Body)
+				if w.Code != http.StatusOK {
+					t.Errorf("%s: status %d: %.300s", body, w.Code, w.Body)
 				}
 				if bytes.Contains(w.Body.Bytes(), []byte(`"degrade_path":"`+volcano.DegradePathBottomUp+`"`)) {
 					greedy.Add(1)

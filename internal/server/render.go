@@ -12,14 +12,14 @@ import (
 	"prairie/internal/wire"
 )
 
-// This file writes the optimize and batch responses. A response is a
-// small per-request envelope (elapsed_us, cache_hit, stats, …) around a
-// plan that is byte-identical for every request one cache entry answers,
-// so the plan's bytes are rendered once per entry — kept in the entry's
+// This file writes the optimize response. A response is a small
+// per-request envelope (elapsed_us, cache_hit, stats, …) around a plan
+// that is byte-identical for every request one cache entry answers, so
+// the plan's bytes are rendered once per entry — kept in the entry's
 // volcano.Rendering slot — and spliced verbatim into an envelope that is
 // assembled by appending into a pooled buffer. The bytes are exactly
-// those json.NewEncoder wrote for OptimizeResponse / BatchResponse
-// (TestResponseBytes holds them to that); encoding/json itself is kept
+// those json.NewEncoder wrote for OptimizeResponse (TestResponseBytes
+// holds them to that); encoding/json itself is kept
 // off the path, json.RawMessage included: the encoder re-scans a raw
 // message byte by byte to compact it, which alone measured 16% of the
 // server's CPU on warm hits.
@@ -40,8 +40,8 @@ type planBytes struct {
 	err  error
 }
 
-// renderPlan is the one renderer behind /v1/optimize and /v1/batch. A
-// nil slot (a plan no cache entry stands behind) renders afresh.
+// renderPlan is the one renderer behind /v1/optimize. A nil slot (a
+// plan no cache entry stands behind) renders afresh.
 func renderPlan(slot *volcano.Rendering, plan *volcano.PExpr, class volcano.Classification) *planBytes {
 	return slot.Do(func() any {
 		pb := &planBytes{text: plan.String(), cost: plan.Cost(class), src: plan}
@@ -137,45 +137,19 @@ func (r *OptimizeResponse) appendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendJSON appends the batch answer as encoding/json renders
-// BatchResponse.
-func (r *BatchResponse) appendJSON(b []byte) ([]byte, error) {
-	b = append(b, `{"results":[`...)
-	for i, it := range r.Results {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		if it.OptimizeResponse == nil {
-			b = append(appendString(append(b, `{"error":`...), it.Error), '}')
-			continue
-		}
-		var err error
-		if b, err = it.appendJSON(b); err != nil {
-			return b, err
-		}
-	}
-	b = appendInt(b, `],"wall_us":`, r.WallUS)
-	b = appendInt(b, `,"workers":`, int64(r.Workers))
-	b = appendInt(b, `,"errors":`, int64(r.Errors))
-	b = appendInt(b, `,"degraded":`, int64(r.Degraded))
-	return append(b, '}'), nil
-}
-
-// bodyPool recycles response buffers; 16 KB holds every single-plan
-// response of the shipped worlds without growing.
+// bodyPool recycles response buffers; 16 KB holds every response of the
+// shipped worlds without growing.
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
 
 var jsonContentType = []string{"application/json"}
 
-// writeAppended assembles body in a pooled buffer and sends it with its
+// writeAppended assembles resp in a pooled buffer and sends it with its
 // Content-Length (so net/http does not chunk it) in one Write, the
 // encoder's trailing newline included. On an error nothing has been
 // written.
-func writeAppended(w http.ResponseWriter, code int, body interface {
-	appendJSON([]byte) ([]byte, error)
-}) error {
+func writeAppended(w http.ResponseWriter, code int, resp *OptimizeResponse) error {
 	bp := bodyPool.Get().(*[]byte)
-	b, err := body.appendJSON((*bp)[:0])
+	b, err := resp.appendJSON((*bp)[:0])
 	if err == nil {
 		b = append(b, '\n')
 		h := w.Header()
@@ -184,7 +158,7 @@ func writeAppended(w http.ResponseWriter, code int, body interface {
 		w.WriteHeader(code)
 		_, _ = w.Write(b)
 	}
-	if cap(b) <= 64<<10 { // a large batch's buffer is not worth keeping
+	if cap(b) <= 64<<10 { // an outsized plan's buffer is not worth keeping
 		*bp = b
 		bodyPool.Put(bp)
 	}

@@ -50,28 +50,24 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request timeouts; 0 = 30s.
 	MaxTimeout time.Duration
-	// MaxBatchWorkers caps the per-batch worker count; 0 = GOMAXPROCS.
-	MaxBatchWorkers int
-	// MaxBatchItems caps items per batch request; 0 = 256.
-	MaxBatchItems int
-	// Budgets extends (and can override) the built-in budget classes.
-	Budgets map[string]volcano.Budget
 	// Obs attaches metrics/tracing; nil serves /metrics from an empty
 	// registry.
 	Obs *obs.Observer
 	// Flight is the request flight recorder behind /v1/debug/requests.
 	// nil — or a zero-capacity recorder — disables all per-request
-	// recording and phase timing, keeping the request path byte-identical
-	// to a build without the recorder.
+	// recording, keeping the request path byte-identical to a build
+	// without the recorder.
 	Flight *obs.FlightRecorder
 	// Log receives structured request/drain logs; nil disables logging.
 	Log *obs.Logger
-	// ExecRows sizes each generated table of a world's demo database
-	// when a request sets "execute": true; 0 = 64.
-	ExecRows int
-	// ExecSeed seeds the generated demo data; 0 = 101.
-	ExecSeed int64
 }
+
+// The demo database a request with "execute": true runs its plan on:
+// execRows rows per generated table, drawn from execSeed.
+const (
+	execRows = 64
+	execSeed = 101
+)
 
 func (c *Config) maxInflight() int {
 	if c.MaxInflight > 0 {
@@ -106,34 +102,6 @@ func (c *Config) maxTimeout() time.Duration {
 		return c.MaxTimeout
 	}
 	return 30 * time.Second
-}
-
-func (c *Config) maxBatchWorkers() int {
-	if c.MaxBatchWorkers > 0 {
-		return c.MaxBatchWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-func (c *Config) maxBatchItems() int {
-	if c.MaxBatchItems > 0 {
-		return c.MaxBatchItems
-	}
-	return 256
-}
-
-func (c *Config) execRows() int {
-	if c.ExecRows > 0 {
-		return c.ExecRows
-	}
-	return 64
-}
-
-func (c *Config) execSeed() int64 {
-	if c.ExecSeed != 0 {
-		return c.ExecSeed
-	}
-	return 101
 }
 
 func (c *Config) cacheSize() int {
@@ -181,21 +149,19 @@ type Server struct {
 	shardGauges []shardGauge
 
 	// metrics (nil registry → nil metrics, every sink is nil-safe)
-	mRequests  *obs.Counter
-	mShed429   *obs.Counter
-	mShed503   *obs.Counter
-	mErrors    *obs.Counter
-	mPanics    *obs.Counter
-	mDegraded  *obs.Counter
-	mHits      *obs.Counter
-	mDrained   *obs.Counter
-	hLatency   *obs.Histogram
+	mRequests *obs.Counter
+	mShed429  *obs.Counter
+	mShed503  *obs.Counter
+	mErrors   *obs.Counter
+	mPanics   *obs.Counter
+	mDegraded *obs.Counter
+	mHits     *obs.Counter
+	mDrained  *obs.Counter
+	// The server times each layer of a request once, for every request,
+	// recorded or not: the queue wait here, the search in the engine's
+	// prairie_optimize_seconds, the plan's execution in hExec.
 	hQueueWait *obs.Histogram
-	// hPhase holds the per-phase latency histograms
-	// (prairie_phase_<phase>_seconds); populated only with a metrics
-	// registry, and fed only for flight-recorded requests — phase
-	// timing is off whenever the recorder is.
-	hPhase map[obs.Phase]*obs.Histogram
+	hExec      *obs.Histogram
 }
 
 // New builds a Server over cfg.Registry.
@@ -203,13 +169,9 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Registry == nil || len(cfg.Registry.Names()) == 0 {
 		return nil, errors.New("server: config needs a non-empty Registry")
 	}
-	budgets := defaultBudgets()
-	for name, b := range cfg.Budgets {
-		budgets[name] = b
-	}
 	s := &Server{
 		cfg:     cfg,
-		budgets: budgets,
+		budgets: defaultBudgets(),
 		cache:   volcano.NewPlanCache(cfg.cacheSize()),
 		sem:     make(chan struct{}, cfg.maxInflight()),
 	}
@@ -224,14 +186,8 @@ func New(cfg Config) (*Server, error) {
 		s.mDegraded = reg.Counter("prairie_server_degraded_total")
 		s.mHits = reg.Counter("prairie_server_cache_hits_total")
 		s.mDrained = reg.Counter("prairie_server_drain_refused_total")
-		s.hLatency = reg.Histogram("prairie_server_optimize_seconds", nil)
 		s.hQueueWait = reg.Histogram("prairie_server_queue_wait_seconds", nil)
-		s.hPhase = map[obs.Phase]*obs.Histogram{
-			obs.PhaseAdmission: reg.Histogram("prairie_phase_admission_seconds", nil),
-			obs.PhaseCache:     reg.Histogram("prairie_phase_cache_seconds", nil),
-			obs.PhaseFull:      reg.Histogram("prairie_phase_full_seconds", nil),
-			obs.PhaseExec:      reg.Histogram("prairie_phase_exec_seconds", nil),
-		}
+		s.hExec = reg.Histogram("prairie_server_exec_seconds", nil)
 		// One gauge pair per cache shard; the count is fixed at
 		// construction, the values refresh at scrape time.
 		for i := range s.cache.Shards() {
@@ -244,7 +200,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/optimize", s.guard(s.handleOptimize))
-	s.mux.HandleFunc("/v1/batch", s.guard(s.handleBatch))
 	s.mux.HandleFunc("/v1/rulesets", s.guard(s.handleRulesets))
 	s.mux.HandleFunc("/v1/invalidate", s.guard(s.handleInvalidate))
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -296,7 +251,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // endpoint).
 func (s *Server) Cache() *volcano.PlanCache { return s.cache }
 
-// BeginDrain gates new work off: subsequent optimize/batch requests are
+// BeginDrain gates new work off: subsequent optimize requests are
 // refused with 503 and /healthz reports draining.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
@@ -426,9 +381,8 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, rec *obs.RequestR
 		s.finish(rec, http.StatusServiceUnavailable, "shed", "server draining")
 		return nil, false
 	}
-	admitStart := time.Now()
 	rel, wait, code, err := s.admit(r.Context())
-	rec.SetAdmissionWait(admitStart, wait)
+	rec.SetAdmissionWait(wait)
 	if err != nil {
 		s.untrack()
 		s.shed(w, code, err.Error(), s.cfg.queueWait())
@@ -441,10 +395,9 @@ func (s *Server) begin(w http.ResponseWriter, r *http.Request, rec *obs.RequestR
 	}, true
 }
 
-// finish classifies and completes a flight record, feeds the per-phase
-// latency histograms, and emits the structured request log. nil-safe;
-// call it exactly once per recorded request, after the response is
-// written.
+// finish classifies and completes a flight record and emits the
+// structured request log. nil-safe; call it exactly once per recorded
+// request, after the response is written.
 func (s *Server) finish(rec *obs.RequestRecord, status int, outcome, errMsg string) {
 	if rec == nil {
 		return
@@ -453,11 +406,6 @@ func (s *Server) finish(rec *obs.RequestRecord, status int, outcome, errMsg stri
 	rec.Outcome = outcome
 	rec.Error = errMsg
 	s.cfg.Flight.Complete(rec)
-	for _, sp := range rec.PhaseClock().Spans() {
-		if h := s.hPhase[sp.Phase]; h != nil {
-			h.Observe(float64(sp.DurUS) / 1e6)
-		}
-	}
 	if lg := s.cfg.Log; lg != nil {
 		kv := []any{"request_id", rec.ID, "endpoint", rec.Endpoint,
 			"status", status, "outcome", outcome, "elapsed_us", rec.ElapsedUS}
@@ -601,10 +549,10 @@ func (s *Server) prepare(world *World, req OptimizeRequest) (prepared, error) {
 
 // optimizeOne runs one prepared request on a fresh optimizer (the
 // optimizer is single-use; the rule set, cache and observer are the
-// shared state). It is the server's one way into the search:
-// /v1/optimize calls it once, /v1/batch once per item. The request's
-// timeout_ms bounds the context, never the Budget, so it is no part of
-// the cache key.
+// shared state). It is the server's one way into the search, and its
+// one clock on it: elapsed is the response's elapsed_us and the record's
+// optimize_us. The request's timeout_ms bounds the context, never the
+// Budget, so it is no part of the cache key.
 func (s *Server) optimizeOne(ctx context.Context, p *prepared, rec *obs.RequestRecord) (*OptimizeResponse, int, error) {
 	world, req := p.world, p.req
 	rec.SetRequestInfo(world.Name, req.Query.String(), budgetName(req.Budget))
@@ -615,11 +563,10 @@ func (s *Server) optimizeOne(ctx context.Context, p *prepared, rec *obs.RequestR
 	opt.Opts.Budget = p.budget
 	opt.Opts.Obs = s.cfg.Obs
 	opt.Opts.Cache = s.cache
-	opt.Opts.Phases = rec.PhaseClock() // nil clock when unrecorded: timing off
 	start := time.Now()
 	plan, err := opt.OptimizeContext(ctx, p.tree, p.want)
 	elapsed := time.Since(start)
-	s.hLatency.Observe(elapsed.Seconds())
+	rec.SetOptimize(elapsed)
 	if err != nil {
 		// ErrNoPlan / ErrSpaceExhausted: the search failed whole; no
 		// partial plan ever leaves the server.
@@ -671,11 +618,12 @@ func (s *Server) recordOutcome(rec *obs.RequestRecord, st *volcano.Stats) {
 	rec.SetSearch(si)
 }
 
-// executePlan runs a winning plan on the world's demo database and, for
-// recorded requests, lands the per-operator runtime stats in the flight
-// record.
+// executePlan runs a winning plan on the world's demo database, times it
+// once for the response, the record and prairie_server_exec_seconds,
+// and, for recorded requests, lands the per-operator runtime stats in
+// the flight record.
 func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.RequestRecord) (*ExecSummary, int, error) {
-	db := world.ExecDB(s.cfg.execSeed(), s.cfg.execRows())
+	db := world.ExecDB(execSeed, execRows)
 	if db == nil {
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("world %s has no catalog; cannot execute plans", world.Name)
@@ -694,9 +642,9 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, fmt.Errorf("execute: %w", err)
 	}
+	s.hExec.Observe(elapsed.Seconds())
 	sum := &ExecSummary{Rows: len(res.Rows), ElapsedUS: elapsed.Microseconds()}
 	if rec != nil {
-		rec.PhaseClock().Observe(obs.PhaseExec, began, elapsed)
 		rec.SetExec(obs.ExecInfo{
 			Rows:      sum.Rows,
 			ElapsedUS: sum.ElapsedUS,
@@ -836,132 +784,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		outcome = "degraded"
 	}
 	s.finish(rec, code, outcome, "")
-}
-
-// BatchRequest is the wire request of /v1/batch: many optimize items
-// answered as one admission unit, each run as /v1/optimize would run it
-// on at most Workers goroutines.
-type BatchRequest struct {
-	Items   []OptimizeRequest `json:"items"`
-	Workers int               `json:"workers,omitempty"`
-}
-
-// BatchItemResponse is one element of a batch answer: either a response
-// or an error, index-aligned with the request items.
-type BatchItemResponse struct {
-	*OptimizeResponse
-	Error string `json:"error,omitempty"`
-}
-
-// BatchResponse is the wire response of /v1/batch.
-type BatchResponse struct {
-	Results  []BatchItemResponse `json:"results"`
-	WallUS   int64               `json:"wall_us"`
-	Workers  int                 `json:"workers"`
-	Errors   int                 `json:"errors"`
-	Degraded int                 `json:"degraded"`
-}
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if len(req.Items) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty batch"})
-		return
-	}
-	if max := s.cfg.maxBatchItems(); len(req.Items) > max {
-		writeJSON(w, http.StatusBadRequest,
-			errorBody{Error: fmt.Sprintf("batch of %d items exceeds limit %d", len(req.Items), max)})
-		return
-	}
-	workers := req.Workers
-	if workers <= 0 || workers > s.cfg.maxBatchWorkers() {
-		workers = s.cfg.maxBatchWorkers()
-	}
-	// Prepare every item before taking a slot: a malformed item fails
-	// the whole batch up front (cheap), matching the all-or-nothing
-	// admission decision.
-	items := make([]prepared, len(req.Items))
-	for i, it := range req.Items {
-		world, ok := s.cfg.Registry.Lookup(it.Ruleset)
-		if !ok {
-			writeJSON(w, http.StatusNotFound,
-				errorBody{Error: fmt.Sprintf("item %d: unknown ruleset %q", i, it.Ruleset)})
-			return
-		}
-		p, err := s.prepare(world, it)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("item %d: %v", i, err)})
-			return
-		}
-		items[i] = p
-	}
-	rec := s.record(w, r, "/v1/batch")
-	defer s.recordPanic(rec)
-	rec.SetRequestInfo("", fmt.Sprintf("batch[%d]", len(req.Items)), "")
-	release, ok := s.begin(w, r, rec)
-	if !ok {
-		return
-	}
-	defer release()
-
-	start := time.Now()
-	resp := BatchResponse{Results: make([]BatchItemResponse, len(items)), Workers: workers}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(workers, len(items)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := next.Add(1) - 1; i < int64(len(items)); i = next.Add(1) - 1 {
-				resp.Results[i] = s.batchItem(r.Context(), &items[i])
-			}
-		}()
-	}
-	wg.Wait()
-	resp.WallUS = time.Since(start).Microseconds()
-	for _, res := range resp.Results {
-		switch {
-		case res.Error != "":
-			s.mErrors.Inc()
-			resp.Errors++
-		case res.Degraded:
-			resp.Degraded++
-		}
-	}
-	if err := writeAppended(w, http.StatusOK, &resp); err != nil {
-		s.fail(w, rec, http.StatusInternalServerError, err)
-		return
-	}
-	outcome := "ok"
-	if resp.Degraded > 0 {
-		outcome = "degraded"
-	}
-	s.finish(rec, http.StatusOK, outcome, "")
-}
-
-// batchItem answers one batch item through optimizeOne. A panicking rule
-// hook costs the item an error, never the process or its neighbours; an
-// item not yet started when the client has gone fails fast. The flight
-// record is nil: its setters are not goroutine-safe, and the batch keeps
-// the one record of the request.
-func (s *Server) batchItem(ctx context.Context, p *prepared) (res BatchItemResponse) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.mPanics.Inc()
-			res = BatchItemResponse{Error: fmt.Sprintf("internal panic: %v", r)}
-		}
-	}()
-	if err := ctx.Err(); err != nil {
-		return BatchItemResponse{Error: err.Error()}
-	}
-	resp, _, err := s.optimizeOne(ctx, p, nil)
-	if err != nil {
-		return BatchItemResponse{Error: err.Error()}
-	}
-	return BatchItemResponse{OptimizeResponse: resp}
 }
 
 // rulesetInfo describes one servable world on /v1/rulesets.

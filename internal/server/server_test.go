@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -193,54 +192,6 @@ func TestOptimizeErrors(t *testing.T) {
 	}
 }
 
-// TestBatch: a mixed batch comes back index-aligned, duplicate items
-// collapse through the shared cache, and per-item failures don't fail
-// their neighbours.
-func TestBatch(t *testing.T) {
-	_, hs := testServer(t, nil)
-	items := []OptimizeRequest{
-		{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}},
-		{Ruleset: "oodb/prairie", Query: QuerySpec{Family: "E2", N: 3}},
-		{Ruleset: "relational", Query: QuerySpec{Family: "E3", N: 3}},
-		{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}}, // dup of [0]
-	}
-	resp, body := postJSON(t, hs.URL+"/v1/batch", BatchRequest{Items: items, Workers: 4})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	if len(br.Results) != len(items) {
-		t.Fatalf("got %d results for %d items", len(br.Results), len(items))
-	}
-	for i, r := range br.Results {
-		if r.Error != "" {
-			t.Fatalf("item %d: %s", i, r.Error)
-		}
-		if r.Ruleset != items[i].Ruleset {
-			t.Errorf("item %d: answered by %s, want %s", i, r.Ruleset, items[i].Ruleset)
-		}
-		if r.PlanText == "" {
-			t.Errorf("item %d: empty plan", i)
-		}
-	}
-	if br.Results[0].PlanText != br.Results[3].PlanText {
-		t.Error("duplicate items got different plans")
-	}
-	if br.Errors != 0 {
-		t.Errorf("batch reports %d errors", br.Errors)
-	}
-
-	// A malformed item fails the whole batch up front with 4xx.
-	items[1].Query.Family = "E9"
-	resp, body = postJSON(t, hs.URL+"/v1/batch", BatchRequest{Items: items})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad item: status %d: %s", resp.StatusCode, body)
-	}
-}
-
 // TestRulesetsAndHealth: discovery and liveness endpoints.
 func TestRulesetsAndHealth(t *testing.T) {
 	srv, hs := testServer(t, nil)
@@ -330,7 +281,7 @@ func TestMetricsExposed(t *testing.T) {
 	}
 	resp.Body.Close()
 	text := buf.String()
-	for _, want := range []string{"prairie_server_requests_total 1", "prairie_server_optimize_seconds"} {
+	for _, want := range []string{"prairie_server_requests_total 1", "prairie_optimize_seconds"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, text)
 		}
@@ -407,6 +358,28 @@ func TestNoPeerEndpoints(t *testing.T) {
 	}
 }
 
+// TestNoBatchEndpoint: /v1/batch is gone — every search is one
+// /v1/optimize request with its own admission and flight record — so a
+// well-formed batch body finds no endpoint and searches nothing.
+func TestNoBatchEndpoint(t *testing.T) {
+	srv, hs := testServer(t, observedConfig)
+	resp, err := http.Post(hs.URL+"/v1/batch", "application/json",
+		strings.NewReader(`{"items":[{"ruleset":"oodb/volcano","query":{"family":"E1","n":3}}],"workers":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /v1/batch: status %d, want 404", resp.StatusCode)
+	}
+	if st := srv.Cache().Snapshot(); st.Hits+st.Misses != 0 {
+		t.Errorf("a batch-shaped request reached the plan cache: %+v", st)
+	}
+	if _, metrics := getJSONBody(t, hs.URL+"/metrics"); !bytes.Contains(metrics, []byte("\nprairie_server_requests_total 0\n")) {
+		t.Errorf("a batch-shaped request was counted as a request:\n%s", metrics)
+	}
+}
+
 // TestRequestTimeoutDegrades: a tight per-request deadline makes the
 // search degrade gracefully — 200 with degraded=true, not an error, and
 // the plan is complete.
@@ -428,28 +401,35 @@ func TestRequestTimeoutDegrades(t *testing.T) {
 	}
 }
 
-// TestPanicIsolation: a panicking request is answered 500, its flight
-// record completes with the panic text — the X-Request-Id the client got
-// resolves — and the server keeps serving.
+// TestPanicIsolation: a request that panics — in its world's query
+// builder, or in a rule hook mid-search while it leads a cache flight —
+// is answered 500, its flight record completes with the panic text (the
+// X-Request-Id the client got resolves), a repeat is not parked behind
+// the dead flight, and the server keeps serving.
 func TestPanicIsolation(t *testing.T) {
 	reg, err := DefaultRegistry(4, 101, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	world, _ := reg.Lookup("oodb/volcano")
-	boom := &World{
+	reg.Add(&World{
 		Name: "boom",
 		RS:   world.RS,
 		MaxN: world.MaxN,
 		Build: func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
 			panic("synthetic build failure")
 		},
+	})
+	hook := OODBVolcanoWorld(qgen.Catalog(4, 101, false), 4)
+	hook.Name = "hook"
+	for _, r := range hook.RS.Trans {
+		r.Cond = func(*volcano.TBinding) bool { panic("injected rule-hook failure") }
 	}
-	reg.Add(boom)
+	reg.Add(hook)
 	srv, err := New(Config{
 		Registry: reg,
 		Obs:      &obs.Observer{Metrics: obs.NewRegistry()},
-		Flight:   obs.NewFlightRecorder(obs.FlightConfig{Capacity: 8, SlowThreshold: time.Nanosecond}),
+		Flight:   obs.NewFlightRecorderObserved(obs.FlightConfig{Capacity: 8, SlowThreshold: time.Nanosecond}, nil),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -457,168 +437,28 @@ func TestPanicIsolation(t *testing.T) {
 	hs := httptest.NewServer(srv.Handler())
 	defer hs.Close()
 
-	resp, body := postJSON(t, hs.URL+"/v1/optimize", OptimizeRequest{Ruleset: "boom", Query: QuerySpec{Family: "E1", N: 3}})
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking request: status %d: %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "synthetic build failure") {
-		t.Errorf("panic not surfaced: %s", body)
-	}
-	rec := fetchRecord(t, hs.URL, resp.Header.Get("X-Request-Id"))
-	if rec.Status != http.StatusInternalServerError || rec.Outcome != "error" || !strings.Contains(rec.Error, "synthetic build failure") {
-		t.Errorf("panicking request's flight record: %+v", rec)
+	q := QuerySpec{Family: "E1", N: 3}
+	for _, c := range []struct{ world, panic string }{
+		{"boom", "synthetic build failure"},
+		{"hook", "injected rule-hook failure"},
+		{"hook", "injected rule-hook failure"},
+	} {
+		resp, body := postJSON(t, hs.URL+"/v1/optimize", OptimizeRequest{Ruleset: c.world, Query: q})
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("%s: panicking request: status %d: %s", c.world, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), c.panic) {
+			t.Errorf("%s: panic not surfaced: %s", c.world, body)
+		}
+		rec := fetchRecord(t, hs.URL, resp.Header.Get("X-Request-Id"))
+		if rec.Status != http.StatusInternalServerError || rec.Outcome != "error" || !strings.Contains(rec.Error, c.panic) {
+			t.Errorf("%s: panicking request's flight record: %+v", c.world, rec)
+		}
 	}
 	// Server still serves.
-	optimizeOK(t, hs.URL, OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}})
-	if got := srv.mPanics.Value(); got != 1 {
-		t.Errorf("panic counter = %d, want 1", got)
-	}
-}
-
-// batchOK posts a batch and decodes its 200 answer.
-func batchOK(t *testing.T, base string, req BatchRequest) BatchResponse {
-	t.Helper()
-	resp, body := postJSON(t, base+"/v1/batch", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
-	}
-	var br BatchResponse
-	if err := json.Unmarshal(body, &br); err != nil {
-		t.Fatal(err)
-	}
-	return br
-}
-
-// TestBatchPanicIsolation: a batch item whose rule hook panics carries
-// the panic as its own error; its neighbours get their plans, positions
-// hold, and the server keeps serving.
-func TestBatchPanicIsolation(t *testing.T) {
-	reg, err := DefaultRegistry(4, 101, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := OODBVolcanoWorld(qgen.Catalog(4, 101, false), 4)
-	boom.Name = "boom"
-	for _, r := range boom.RS.Trans {
-		r.Cond = func(*volcano.TBinding) bool { panic("boom: injected rule-hook failure") }
-	}
-	reg.Add(boom)
-	srv, err := New(Config{Registry: reg, Obs: &obs.Observer{Metrics: obs.NewRegistry()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(srv.Handler())
-	defer hs.Close()
-
-	q := QuerySpec{Family: "E1", N: 3}
-	br := batchOK(t, hs.URL, BatchRequest{Workers: 2, Items: []OptimizeRequest{
-		{Ruleset: "oodb/volcano", Query: q},
-		{Ruleset: "boom", Query: q},
-		{Ruleset: "oodb/prairie", Query: q},
-	}})
-	for i, r := range br.Results {
-		if i == 1 {
-			if !strings.Contains(r.Error, "injected rule-hook failure") || r.OptimizeResponse != nil {
-				t.Errorf("item 1: %+v, want the surfaced panic and no plan", r)
-			}
-			continue
-		}
-		if r.Error != "" || r.PlanText == "" {
-			t.Errorf("item %d: error %q, plan %q", i, r.Error, r.PlanText)
-		}
-	}
-	if br.Errors != 1 {
-		t.Errorf("batch reports %d errors, want 1", br.Errors)
-	}
 	optimizeOK(t, hs.URL, OptimizeRequest{Ruleset: "oodb/volcano", Query: q})
-	if got := srv.mPanics.Value(); got != 1 {
-		t.Errorf("panic counter = %d, want 1", got)
-	}
-}
-
-// TestBatchSharesCacheWithOptimize: /v1/batch keys the cache exactly as
-// /v1/optimize does — a query one endpoint cached hits on the other, and
-// an item's timeout_ms is no part of the key.
-func TestBatchSharesCacheWithOptimize(t *testing.T) {
-	srv, hs := testServer(t, nil)
-	req := OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}}
-	optimizeOK(t, hs.URL, req)
-	if br := batchOK(t, hs.URL, BatchRequest{Items: []OptimizeRequest{req}}); !br.Results[0].CacheHit {
-		t.Error("a query /v1/optimize cached missed on /v1/batch")
-	}
-	if n := srv.Cache().Len(); n != 1 {
-		t.Errorf("cache holds %d entries after the batch, want 1", n)
-	}
-	req.TimeoutMS = 7000
-	if br := batchOK(t, hs.URL, BatchRequest{Items: []OptimizeRequest{req}}); !br.Results[0].CacheHit {
-		t.Error("an item's timeout_ms fragmented the cache")
-	}
-	if n := srv.Cache().Len(); n != 1 {
-		t.Errorf("cache holds %d entries after a batch with timeout_ms, want 1", n)
-	}
-}
-
-// TestBatchExecutes: a batch item's "execute": true runs the plan and
-// reports the rows /v1/optimize reports.
-func TestBatchExecutes(t *testing.T) {
-	_, hs := testServer(t, nil)
-	req := OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E2", N: 3}, Execute: true}
-	one := optimizeOK(t, hs.URL, req)
-	br := batchOK(t, hs.URL, BatchRequest{Items: []OptimizeRequest{req}})
-	if one.Exec == nil || one.Exec.Rows == 0 {
-		t.Fatalf("/v1/optimize exec: %+v", one.Exec)
-	}
-	if got := br.Results[0].Exec; got == nil || got.Rows != one.Exec.Rows {
-		t.Errorf("batch item exec %+v, /v1/optimize %+v", got, one.Exec)
-	}
-}
-
-// TestBatchPerItemTimeout: an item's timeout_ms bounds that item alone —
-// it degrades on its deadline and says so, its neighbour completes.
-func TestBatchPerItemTimeout(t *testing.T) {
-	_, hs := testServer(t, nil)
-	br := batchOK(t, hs.URL, BatchRequest{Workers: 2, Items: []OptimizeRequest{
-		{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E4", N: 4}, TimeoutMS: 1},
-		{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}},
-	}})
-	if r := br.Results[1]; r.Error != "" || r.Degraded || r.PlanText == "" {
-		t.Errorf("untimed neighbour: %+v", r)
-	}
-	r := br.Results[0]
-	if r.Error != "" {
-		t.Fatalf("timed-out item errored instead of degrading: %s", r.Error)
-	}
-	if !r.Degraded {
-		t.Skip("E4 n=4 finished within 1ms; cannot exercise the deadline path on this machine")
-	}
-	if r.PlanText == "" || r.DegradeCause != "deadline" || br.Degraded != 1 {
-		t.Errorf("want a degraded deadline plan counted once, got %+v (batch degraded=%d)", r, br.Degraded)
-	}
-}
-
-// TestBatchContextCancelled: once the client is gone, items not yet
-// started fail fast with the context's error instead of searching.
-func TestBatchContextCancelled(t *testing.T) {
-	srv, _ := testServer(t, nil)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	body, _ := json.Marshal(BatchRequest{Items: []OptimizeRequest{
-		{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}},
-		{Ruleset: "relational", Query: QuerySpec{Family: "E1", N: 2}},
-	}})
-	w := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/batch", bytes.NewReader(body)).WithContext(ctx))
-	var br BatchResponse
-	if err := json.Unmarshal(w.Body.Bytes(), &br); err != nil {
-		t.Fatalf("status %d: %v: %s", w.Code, err, w.Body)
-	}
-	for i, r := range br.Results {
-		if !strings.Contains(r.Error, context.Canceled.Error()) {
-			t.Errorf("item %d: %+v, want context canceled", i, r)
-		}
-	}
-	if br.Errors != 2 || srv.Cache().Len() != 0 {
-		t.Errorf("errors=%d cache=%d, want 2 and nothing searched", br.Errors, srv.Cache().Len())
+	if got := srv.mPanics.Value(); got != 3 {
+		t.Errorf("panic counter = %d, want 3", got)
 	}
 }
 

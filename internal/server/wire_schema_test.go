@@ -47,27 +47,26 @@ func section(b *strings.Builder, title string, set map[string]bool) {
 
 // TestWireSchemaGolden pins what the service puts on the wire: with the
 // observers on, a miss, a hit, a tiny-budget degrade, an executed
-// request and a two-item batch are driven, and the key paths of the
-// /v1/optimize and /v1/batch responses and of the flight records, plus
-// the metric names on /metrics, are compared with
-// testdata/wire_schema.golden. A field or metric that appears,
-// disappears or moves shows up as a diff of that file; the failure prints
-// the run's whole schema, which is the file's new content when the
-// change is intended.
+// request and a relational one are driven, and the key paths of the /v1/optimize responses
+// and of the flight records, plus the metric names on /metrics, are
+// compared with testdata/wire_schema.golden. A field or metric that
+// appears, disappears or moves shows up as a diff of that file; the
+// failure prints the run's whole schema, which is the file's new content
+// when the change is intended.
 func TestWireSchemaGolden(t *testing.T) {
 	_, hs := testServer(t, observedConfig)
-	optimize, batch, record := map[string]bool{}, map[string]bool{}, map[string]bool{}
-	drive := func(path string, req any, into map[string]bool) {
+	optimize, record := map[string]bool{}, map[string]bool{}
+	drive := func(req OptimizeRequest) {
 		t.Helper()
-		resp, body := postJSON(t, hs.URL+path, req)
+		resp, body := postJSON(t, hs.URL+"/v1/optimize", req)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
 		var v any
 		if err := json.Unmarshal(body, &v); err != nil {
 			t.Fatal(err)
 		}
-		keyPaths(into, "", v)
+		keyPaths(optimize, "", v)
 		_, rec := getJSONBody(t, hs.URL+"/v1/debug/requests/"+resp.Header.Get("X-Request-Id"))
 		if err := json.Unmarshal(rec, &v); err != nil {
 			t.Fatalf("flight record: %v: %s", err, rec)
@@ -75,11 +74,11 @@ func TestWireSchemaGolden(t *testing.T) {
 		keyPaths(record, "", v)
 	}
 	e2 := OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E2", N: 3, Graph: "star"}, IncludePlan: true}
-	drive("/v1/optimize", e2, optimize) // miss
-	drive("/v1/optimize", e2, optimize) // hit
-	drive("/v1/optimize", OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E4", N: 3}, Budget: "tiny"}, optimize)
-	drive("/v1/optimize", OptimizeRequest{Ruleset: "oodb/prairie", Query: QuerySpec{Family: "E1", N: 3}, Execute: true}, optimize)
-	drive("/v1/batch", BatchRequest{Items: []OptimizeRequest{e2, {Ruleset: "relational", Query: QuerySpec{Family: "E1", N: 2}}}}, batch)
+	drive(e2) // miss
+	drive(e2) // hit
+	drive(OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E4", N: 3}, Budget: "tiny"})
+	drive(OptimizeRequest{Ruleset: "oodb/prairie", Query: QuerySpec{Family: "E1", N: 3}, Execute: true})
+	drive(OptimizeRequest{Ruleset: "relational", Query: QuerySpec{Family: "E1", N: 2}}) // fires an enforcer
 
 	metrics := map[string]bool{}
 	_, text := getJSONBody(t, hs.URL+"/metrics")
@@ -92,7 +91,6 @@ func TestWireSchemaGolden(t *testing.T) {
 
 	var got strings.Builder
 	section(&got, "/v1/optimize response", optimize)
-	section(&got, "/v1/batch response", batch)
 	section(&got, "/v1/debug/requests/{id} record", record)
 	section(&got, "/metrics names", metrics)
 	const golden = "testdata/wire_schema.golden"
@@ -129,35 +127,32 @@ func lineDiff(want, got string) string {
 // TestRemovedTierFieldRejected: "tier" was a request field; now that one
 // planner serves every request it is refused like any unknown field —
 // 400 naming the field, nothing searched, one error counted per request
-// — on /v1/optimize and on any item of /v1/batch, whatever its value.
+// — on /v1/optimize, whatever its value.
 func TestRemovedTierFieldRejected(t *testing.T) {
 	srv, hs := testServer(t, observedConfig)
-	post := func(path, body string) {
-		t.Helper()
-		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var eb errorBody
-		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
-			t.Fatalf("%s %s: %v", path, body, err)
-		}
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, `"tier"`) {
-			t.Errorf("%s %s: status %d, error %q; want 400 naming \"tier\"", path, body, resp.StatusCode, eb.Error)
-		}
-	}
 	const item = `{"ruleset":"oodb/volcano","query":{"family":"E1","n":3}`
 	tiers := []string{"full", "greedy", "auto"}
 	for _, tier := range tiers {
-		post("/v1/optimize", item+`,"tier":"`+tier+`"}`)
-		post("/v1/batch", `{"items":[`+item+`},`+item+`,"tier":"`+tier+`"}]}`)
+		body := item + `,"tier":"` + tier + `"}`
+		resp, err := http.Post(hs.URL+"/v1/optimize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, `"tier"`) {
+			t.Errorf("%s: status %d, error %q; want 400 naming \"tier\"", body, resp.StatusCode, eb.Error)
+		}
 	}
 	if st := srv.Cache().Snapshot(); st.Hits+st.Misses != 0 {
 		t.Errorf("a refused request reached the plan cache: %+v", st)
 	}
 	_, metrics := getJSONBody(t, hs.URL+"/metrics")
-	if want := []byte("\nprairie_server_errors_total " + strconv.Itoa(2*len(tiers)) + "\n"); !bytes.Contains(metrics, want) {
+	if want := []byte("\nprairie_server_errors_total " + strconv.Itoa(len(tiers)) + "\n"); !bytes.Contains(metrics, want) {
 		t.Errorf("/metrics lacks %q", want)
 	}
 	if bytes.Contains(metrics, []byte("prairie_optimize_total")) {

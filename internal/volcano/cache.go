@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"prairie/internal/core"
-	"prairie/internal/obs"
 	"prairie/internal/plancache"
 )
 
@@ -214,29 +212,15 @@ func (o *Optimizer) cachedOptimize(ctx context.Context, tree *core.Expr, req *co
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
 	pc := o.Opts.Cache
-	ph := o.Opts.Phases
-	var phStart time.Time
-	if ph != nil {
-		phStart = time.Now()
-	}
 	key := o.rootKey(tree, req)
 	a := pc.c.Acquire(key)
 	if a.Hit {
 		o.Stats.CacheHits++
-		plan := o.cacheHit(a.Value)
-		if ph != nil {
-			ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
-		}
-		return plan, nil
+		return o.cacheHit(a.Value), nil
 	}
 	if !a.Leader {
 		o.Stats.FlightWaits++
 		cp, ok, err := a.Wait(ctx)
-		if ph != nil {
-			// The flight wait is cache time: the request was parked
-			// behind a concurrent identical search.
-			ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
-		}
 		if err == nil && ok {
 			o.Stats.FlightShared++
 			o.Stats.CacheHits++
@@ -257,9 +241,6 @@ func (o *Optimizer) cachedOptimize(ctx context.Context, tree *core.Expr, req *co
 	// no-share Complete is idempotent, so the success path below wins
 	// when it runs first.
 	defer a.Complete(cachedPlan{}, false)
-	if ph != nil {
-		ph.Observe(obs.PhaseCache, phStart, time.Since(phStart))
-	}
 	plan, err := o.optimizeContext(ctx, tree, req)
 	if err != nil || plan == nil || o.Stats.Degraded {
 		a.Complete(cachedPlan{}, false)

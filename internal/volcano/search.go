@@ -48,12 +48,6 @@ type Options struct {
 	// one search. nil — the default — leaves plans, stats, and errors
 	// byte-identical to a cacheless build.
 	Cache *PlanCache
-	// Phases, when set, receives coarse per-phase wall timings (cache
-	// acquire, full search) for the request-scoped flight recorder.
-	// nil — the default — keeps every instrumentation point a single
-	// untaken branch, leaving plans and Stats byte-identical to an
-	// unrecorded run.
-	Phases *obs.PhaseClock
 }
 
 // DefaultMaxExprs is the default search-space cap.
@@ -183,10 +177,6 @@ func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *
 
 func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
 	o.Stats.ensureMaps()
-	if ph := o.Opts.Phases; ph != nil {
-		start := time.Now()
-		defer func() { ph.Observe(obs.PhaseFull, start, time.Since(start)) }()
-	}
 	o.beginRun(ctx)
 	// Costing's rule counters reach Stats on every way out (explore
 	// flushes its own).
