@@ -19,12 +19,10 @@
 //
 // Observability (see internal/obs):
 //
-//	optbench -experiment fig12 -httpaddr :8080        # /metrics, /vars, /debug/pprof/
-//	optbench -experiment fig12 -trace-out run.json    # Chrome trace_event (chrome://tracing, Perfetto)
-//	optbench -experiment fig12 -trace-jsonl run.jsonl # span trace, one JSON object per line
-//	optbench -experiment fig12 -observe -json         # per-rule timing + degradation counts in JSON
+//	optbench -experiment fig12 -httpaddr :8080 # /metrics, /debug/pprof/
+//	optbench -experiment fig12 -observe -json  # per-rule timing + degradation counts in JSON
 //
-// -json, -httpaddr, -trace-out, and -trace-jsonl all imply -observe.
+// -json and -httpaddr imply -observe.
 package main
 
 import (
@@ -99,12 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of aligned tables")
 	observe := fs.Bool("observe", false,
-		"enable per-rule timing and metrics collection (implied by -json, -httpaddr, -trace-out, -trace-jsonl)")
+		"enable per-rule timing and metrics collection (implied by -json, -httpaddr)")
 	httpAddr := fs.String("httpaddr", "",
-		"serve /metrics, /vars, /trace, and /debug/pprof/ on this address (e.g. :8080 or :0)")
-	traceOut := fs.String("trace-out", "",
-		"write a Chrome trace_event file here (load in chrome://tracing or Perfetto)")
-	traceJSONL := fs.String("trace-jsonl", "", "write the span trace as JSON lines here")
+		"serve /metrics and /debug/pprof/ on this address (e.g. :8080 or :0)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -126,17 +121,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Observability: per-rule timing feeds the tables; the tracer is
-	// only attached when a trace sink (file or HTTP) can consume it.
+	// Observability: per-rule timing feeds the tables; the registry
+	// feeds /metrics.
 	var ob *obs.Observer
-	if *observe || *jsonOut || *httpAddr != "" || *traceOut != "" || *traceJSONL != "" {
+	if *observe || *jsonOut || *httpAddr != "" {
 		ob = &obs.Observer{Metrics: obs.NewRegistry(), RuleTiming: true}
-		if *traceOut != "" || *traceJSONL != "" || *httpAddr != "" {
-			ob.Tracer = obs.NewTracer()
-		}
 	}
 	if *httpAddr != "" {
-		addr, closer, err := obs.Serve(*httpAddr, obs.NewMux(ob.Metrics, ob.Tracer, nil))
+		addr, closer, err := obs.Serve(*httpAddr, obs.NewMux(ob.Metrics, nil))
 		if err != nil {
 			return fail(err)
 		}
@@ -171,31 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		default:
 			fmt.Fprintln(stdout, t.String())
 		}
-	}
-
-	if ob == nil || ob.Tracer == nil {
-		return 0
-	}
-	for _, sink := range []struct {
-		path  string
-		write func(io.Writer) error
-	}{{*traceOut, ob.Tracer.WriteChrome}, {*traceJSONL, ob.Tracer.WriteJSONL}} {
-		if sink.path == "" {
-			continue
-		}
-		f, err := os.Create(sink.path)
-		if err != nil {
-			return fail(err)
-		}
-		if err := sink.write(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "optbench: wrote %d trace events to %s (%d dropped)\n",
-			ob.Tracer.Len(), sink.path, ob.Tracer.Dropped())
 	}
 	return 0
 }

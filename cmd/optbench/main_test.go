@@ -31,10 +31,11 @@ func TestRemovedExperimentsExit2(t *testing.T) {
 }
 
 // TestRemovedFlagsUnknown: the flags that only fed the removed
-// experiments, and -workers of the removed batch API, are usage errors,
-// not silently accepted.
+// experiments, -workers of the removed batch API, and the span-trace
+// sinks of the removed search trace are usage errors, not silently
+// accepted.
 func TestRemovedFlagsUnknown(t *testing.T) {
-	for _, flag := range []string{"-cache", "-cache-size", "-draws", "-rows", "-workers"} {
+	for _, flag := range []string{"-cache", "-cache-size", "-draws", "-rows", "-workers", "-trace-out", "-trace-jsonl"} {
 		code, stdout, stderr := runCLI(flag, "1", "-experiment", "rules")
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
 			t.Errorf("%s: status %d, stdout %q, stderr:\n%s", flag, code, stdout, stderr)

@@ -3,9 +3,8 @@
 // one admitted request per query, with per-request budget classes, a
 // shared cross-query plan cache, admission control (429/503 +
 // Retry-After load shedding), per-request timeouts, and the
-// observability surface of internal/obs (/metrics, /vars, /trace,
-// /debug/pprof/, /healthz, and the per-request flight recorder on
-// /v1/debug/requests).
+// observability surface of internal/obs (/metrics, /debug/pprof/,
+// /healthz, and the per-request flight recorder on /v1/debug/requests).
 //
 // Usage:
 //
@@ -33,6 +32,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"syscall"
 	"time"
 
@@ -40,8 +40,14 @@ import (
 	"prairie/internal/server"
 )
 
-// traceRing is the tracer's ring size in events (88 bytes each).
-const traceRing = 1 << 16
+// gcPercent is the collector's target unless GOGC is set. The server's
+// live heap is small (worlds, cache entries, flight records), so at the
+// runtime's default of 100 it collects often. On 2 vCPUs, one 20 s
+// serve_churn run (seed 101) took 3 158 cycles at 100 against 847 for a
+// server whose 13 MB span ring had held the heap up, and its typical
+// latency read 191 µs against 169 µs (medians of 4 runs); at 200 it took
+// 1 274 cycles and read 164 µs.
+const gcPercent = 200
 
 // HTTP edge timeouts: a client that goes silent mid-request or between
 // requests gives its connection and goroutine back. Generous enough that
@@ -79,6 +85,9 @@ func main() {
 	flightSlow := flag.Duration("flight-slow", 0, "latency above which a request is retained as slow (0 = 250ms)")
 	logLevel := flag.String("log-level", "info", "structured log level: debug, info, warn, or error")
 	flag.Parse()
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "optserve:", err)
@@ -104,12 +113,6 @@ func main() {
 		fail(err)
 	}
 	metrics := obs.NewRegistry()
-	// A long-running server wants the newest trace events, not the first
-	// MaxEvents after boot, and a ring whose size does not decide the
-	// process's: the default 2^20 events were 180 MB of the heap once
-	// misses had filled them with rule firings.
-	tracer := obs.NewTracer()
-	tracer.DropOldest, tracer.MaxEvents = true, traceRing
 	flight := obs.NewFlightRecorderObserved(obs.FlightConfig{
 		Capacity:      *flightCap,
 		SlowThreshold: *flightSlow,
@@ -122,7 +125,7 @@ func main() {
 		QueueWait:      *queueWait,
 		DefaultTimeout: *timeout,
 		MaxTimeout:     *maxTimeout,
-		Obs:            &obs.Observer{Metrics: metrics, Tracer: tracer},
+		Obs:            &obs.Observer{Metrics: metrics},
 		Flight:         flight,
 		Log:            logger,
 	})

@@ -46,7 +46,7 @@ func TestFlightDisabled(t *testing.T) {
 		}
 	}
 
-	mux := NewMux(NewRegistry(), nil, NewFlightRecorderObserved(FlightConfig{}, nil))
+	mux := NewMux(NewRegistry(), NewFlightRecorderObserved(FlightConfig{}, nil))
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/debug/requests", nil))
 	if rr.Code != http.StatusNotFound {
@@ -167,7 +167,7 @@ func TestFlightHTTP(t *testing.T) {
 	rec.SetRequestInfo("oodb/volcano", "E1/n3", "default")
 	completeOK(fr, rec)
 
-	hs := httptest.NewServer(NewMux(NewRegistry(), NewTracer(), fr))
+	hs := httptest.NewServer(NewMux(NewRegistry(), fr))
 	defer hs.Close()
 
 	get := func(path string) (*http.Response, []byte) {
@@ -236,7 +236,7 @@ func TestRecordQueryParamsRejected(t *testing.T) {
 	fr := NewFlightRecorderObserved(FlightConfig{Capacity: 4, SlowThreshold: time.Nanosecond}, nil)
 	rec := fr.Begin("")
 	completeOK(fr, rec)
-	mux := NewMux(NewRegistry(), nil, fr)
+	mux := NewMux(NewRegistry(), fr)
 	for _, param := range []string{"format", "pretty"} {
 		rr := httptest.NewRecorder()
 		mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/debug/requests/"+rec.ID+"?"+param+"=trace", nil))
@@ -252,7 +252,7 @@ func TestRecordQueryParamsRejected(t *testing.T) {
 // every retained record; `make race` runs it under the race detector.
 func TestFlightReadersWhileRecording(t *testing.T) {
 	fr := NewFlightRecorderObserved(FlightConfig{Capacity: 8, SlowThreshold: time.Microsecond}, nil)
-	mux := NewMux(NewRegistry(), nil, fr)
+	mux := NewMux(NewRegistry(), fr)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -7,33 +7,22 @@ import (
 	"net/http/pprof"
 )
 
-// NewMux builds the exposition surface: Prometheus text at /metrics, a
-// JSON snapshot at /vars, the standard net/http/pprof handlers under
-// /debug/pprof/, when a tracer is attached the current span buffer in
-// Chrome trace_event format at /trace, and — when an enabled flight
-// recorder is attached — the retained request records at
-// /v1/debug/requests (index) and /v1/debug/requests/{id} (full record).
-func NewMux(reg *Registry, tr *Tracer, fr *FlightRecorder) *http.ServeMux {
+// NewMux builds the exposition surface: Prometheus text at /metrics,
+// the standard net/http/pprof handlers under /debug/pprof/, and — when
+// an enabled flight recorder is attached — the retained request records
+// at /v1/debug/requests (index) and /v1/debug/requests/{id} (full
+// record).
+func NewMux(reg *Registry, fr *FlightRecorder) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 		reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = reg.WriteJSON(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if tr != nil {
-		mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			_ = tr.WriteChrome(w)
-		})
-	}
 	if fr.Enabled() {
 		mux.HandleFunc("/v1/debug/requests", fr.handleIndex)
 		mux.HandleFunc("/v1/debug/requests/", fr.handleGet)
@@ -44,12 +33,8 @@ func NewMux(reg *Registry, tr *Tracer, fr *FlightRecorder) *http.ServeMux {
 			return
 		}
 		fmt.Fprintln(w, "prairie observability endpoints:")
-		for _, p := range []string{"/metrics", "/vars", "/debug/pprof/"} {
-			fmt.Fprintln(w, "  "+p)
-		}
-		if tr != nil {
-			fmt.Fprintln(w, "  /trace")
-		}
+		fmt.Fprintln(w, "  /metrics")
+		fmt.Fprintln(w, "  /debug/pprof/")
 		if fr.Enabled() {
 			fmt.Fprintln(w, "  /v1/debug/requests")
 		}

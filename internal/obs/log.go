@@ -69,18 +69,20 @@ func NewLogger(w io.Writer, min Level) *Logger {
 func (l *Logger) Enabled(lv Level) bool { return l != nil && lv >= l.min }
 
 // Debug logs at LevelDebug. kv is alternating key, value pairs.
-func (l *Logger) Debug(msg string, kv ...any) { l.log(LevelDebug, msg, kv) }
+func (l *Logger) Debug(msg string, kv ...any) { l.Log(LevelDebug, msg, kv...) }
 
 // Info logs at LevelInfo. kv is alternating key, value pairs.
-func (l *Logger) Info(msg string, kv ...any) { l.log(LevelInfo, msg, kv) }
+func (l *Logger) Info(msg string, kv ...any) { l.Log(LevelInfo, msg, kv...) }
 
 // Warn logs at LevelWarn. kv is alternating key, value pairs.
-func (l *Logger) Warn(msg string, kv ...any) { l.log(LevelWarn, msg, kv) }
+func (l *Logger) Warn(msg string, kv ...any) { l.Log(LevelWarn, msg, kv...) }
 
 // Error logs at LevelError. kv is alternating key, value pairs.
-func (l *Logger) Error(msg string, kv ...any) { l.log(LevelError, msg, kv) }
+func (l *Logger) Error(msg string, kv ...any) { l.Log(LevelError, msg, kv...) }
 
-func (l *Logger) log(lv Level, msg string, kv []any) {
+// Log logs at lv. Callers that would box fields for a record the level
+// may drop check Enabled first. Nil-safe.
+func (l *Logger) Log(lv Level, msg string, kv ...any) {
 	if !l.Enabled(lv) {
 		return
 	}

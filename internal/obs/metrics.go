@@ -1,17 +1,16 @@
 // Package obs is the optimizer observability layer: a low-overhead
 // metrics registry (atomic counters, gauges, and fixed-bucket
-// histograms), a structured span tracer exporting JSON-lines and Chrome
-// trace_event files, and an HTTP exposition surface (Prometheus text,
-// JSON snapshot, net/http/pprof).
+// histograms), the server's per-request flight recorder, a leveled
+// logger, and an HTTP exposition surface (Prometheus text,
+// net/http/pprof, flight records).
 //
 // The package is dependency-free (stdlib only) and every entry point is
-// nil-safe: calls on a nil *Registry, *Tracer, or *Observer reduce to a
-// single predictable branch, so instrumented code paths cost nothing
-// measurable when observation is disabled.
+// nil-safe: calls on a nil *Registry, *FlightRecorder, or *Observer
+// reduce to a single predictable branch, so instrumented code paths
+// cost nothing measurable when observation is disabled.
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -304,43 +303,4 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		fmt.Fprintf(w, "%s_sum %g\n", n, h.Sum())
 		fmt.Fprintf(w, "%s_count %d\n", n, h.Count())
 	})
-}
-
-// Snapshot returns all metric values as a plain map (expvar-style).
-// Histograms report count, sum, and the per-bucket cumulative counts.
-func (r *Registry) Snapshot() map[string]any {
-	out := map[string]any{}
-	if r == nil {
-		return out
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for n, c := range r.counts {
-		out[n] = c.Value()
-	}
-	for n, c := range r.floats {
-		out[n] = c.Value()
-	}
-	for n, g := range r.gauges {
-		out[n] = g.Value()
-	}
-	for n, h := range r.hists {
-		buckets := map[string]int64{}
-		cum := int64(0)
-		for i, b := range h.bounds {
-			cum += h.buckets[i].Load()
-			buckets[fmt.Sprintf("le_%g", b)] = cum
-		}
-		out[n] = map[string]any{
-			"count": h.Count(), "sum": h.Sum(), "buckets": buckets,
-		}
-	}
-	return out
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
 }

@@ -9,8 +9,7 @@ type Observer struct {
 	// Metrics, when set, receives aggregate counters, gauges, and
 	// latency histograms at the end of each run (never on hot paths).
 	Metrics *Registry
-	// Tracer, when set, receives nested spans (optimize → explore →
-	// group optimization), rule-firing instants, and counter samples.
+	// Tracer is inert (see Tracer): nothing reads it.
 	Tracer *Tracer
 	// RuleTiming enables per-rule wall-time attribution into
 	// Stats.TransTime / Stats.ImplTime (two monotonic clock reads per
@@ -26,18 +25,10 @@ func (o *Observer) MetricsOrNil() *Registry {
 	return o.Metrics
 }
 
-// TracerOrNil returns the span sink. Nil-safe.
-func (o *Observer) TracerOrNil() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer
-}
-
 // TimingEnabled reports whether per-rule timing is on. Nil-safe.
 func (o *Observer) TimingEnabled() bool { return o != nil && o.RuleTiming }
 
 // Enabled reports whether any sink is active. Nil-safe.
 func (o *Observer) Enabled() bool {
-	return o != nil && (o.Metrics != nil || o.Tracer != nil || o.RuleTiming)
+	return o != nil && (o.Metrics != nil || o.RuleTiming)
 }

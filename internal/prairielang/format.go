@@ -158,7 +158,13 @@ func formatExprPrec(e Expr, outer int) string {
 		return op + formatExprPrec(x.X, 5)
 	case *Binary:
 		p := prec(x.Op)
-		s := formatExprPrec(x.L, p) + " " + binOpText[x.Op] + " " + formatExprPrec(x.R, p+1)
+		// Comparisons do not chain (the parser reads a sum on either
+		// side), so a comparison on the left keeps its parentheses too.
+		lp := p
+		if p == prec(TokEq) {
+			lp++
+		}
+		s := formatExprPrec(x.L, lp) + " " + binOpText[x.Op] + " " + formatExprPrec(x.R, p+1)
 		if p < outer {
 			return "(" + s + ")"
 		}

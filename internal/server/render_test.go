@@ -113,9 +113,7 @@ func servePools() []OptimizeRequest {
 // observedConfig configures the observers the way cmd/optserve does.
 func observedConfig(cfg *Config) {
 	metrics := obs.NewRegistry()
-	tracer := obs.NewTracer()
-	tracer.DropOldest, tracer.MaxEvents = true, 1<<16
-	cfg.Obs = &obs.Observer{Metrics: metrics, Tracer: tracer}
+	cfg.Obs = &obs.Observer{Metrics: metrics}
 	cfg.Flight = obs.NewFlightRecorderObserved(obs.FlightConfig{Capacity: 512}, metrics)
 	cfg.Log = obs.NewLogger(io.Discard, obs.LevelInfo)
 }
@@ -687,9 +685,10 @@ func warmServer(t testing.TB) (*Server, []byte) {
 // TestWarmHitAllocCeiling holds the allocations of a warm include_plan
 // hit through the whole handler, request and recorder included: 556
 // before plans were rendered once per entry, 187 before the world kept
-// its prepared queries, 69 while the record kept a phase timeline.
+// its prepared queries, 69 while the record kept a phase timeline, 65
+// while the request log boxed its fields for a level that drops them.
 func TestWarmHitAllocCeiling(t *testing.T) {
-	const ceiling = 75 // ≈15% above the 65 measured
+	const ceiling = 71 // ≈15% above the 62 measured
 	srv, body := warmServer(t)
 	n := testing.AllocsPerRun(200, func() {
 		w := httptest.NewRecorder()

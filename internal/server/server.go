@@ -206,7 +206,7 @@ func New(cfg Config) (*Server, error) {
 	// Observability exposition: delegate to the obs mux so the service
 	// surface and the standalone exposition stay identical; the wrapper
 	// publishes the point-in-time shard gauges first.
-	om := obs.NewMux(cfg.Obs.MetricsOrNil(), cfg.Obs.TracerOrNil(), cfg.Flight)
+	om := obs.NewMux(cfg.Obs.MetricsOrNil(), cfg.Flight)
 	oh := http.Handler(om)
 	if len(s.shardGauges) > 0 {
 		oh = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -214,7 +214,7 @@ func New(cfg Config) (*Server, error) {
 			om.ServeHTTP(w, r)
 		})
 	}
-	paths := []string{"/metrics", "/vars", "/trace", "/debug/pprof/"}
+	paths := []string{"/metrics", "/debug/pprof/"}
 	if cfg.Flight.Enabled() {
 		paths = append(paths, "/v1/debug/requests", "/v1/debug/requests/")
 	}
@@ -406,20 +406,22 @@ func (s *Server) finish(rec *obs.RequestRecord, status int, outcome, errMsg stri
 	rec.Outcome = outcome
 	rec.Error = errMsg
 	s.cfg.Flight.Complete(rec)
-	if lg := s.cfg.Log; lg != nil {
+	level := obs.LevelDebug
+	switch {
+	case outcome == "error":
+		level = obs.LevelError
+	case outcome != "ok":
+		level = obs.LevelWarn
+	}
+	// At the default info level a clean request logs nothing, so its
+	// fields are not boxed either.
+	if lg := s.cfg.Log; lg.Enabled(level) {
 		kv := []any{"request_id", rec.ID, "endpoint", rec.Endpoint,
 			"status", status, "outcome", outcome, "elapsed_us", rec.ElapsedUS}
 		if errMsg != "" {
 			kv = append(kv, "error", errMsg)
 		}
-		switch {
-		case outcome == "error":
-			lg.Error("request", kv...)
-		case outcome != "ok":
-			lg.Warn("request", kv...)
-		default:
-			lg.Debug("request", kv...)
-		}
+		lg.Log(level, "request", kv...)
 	}
 }
 

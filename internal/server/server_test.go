@@ -358,6 +358,25 @@ func TestNoPeerEndpoints(t *testing.T) {
 	}
 }
 
+// TestNoTraceOrVarsEndpoint: the engine writes no span trace to export,
+// and /metrics is the registry's one rendering, so with every observer
+// attached /trace and /vars find no endpoint while /metrics still
+// answers.
+func TestNoTraceOrVarsEndpoint(t *testing.T) {
+	_, hs := testServer(t, observedConfig)
+	optimizeOK(t, hs.URL, OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}})
+	for path, want := range map[string]int{"/trace": http.StatusNotFound, "/vars": http.StatusNotFound, "/metrics": http.StatusOK} {
+		resp, err := http.Get(hs.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}
+
 // TestNoBatchEndpoint: /v1/batch is gone — every search is one
 // /v1/optimize request with its own admission and flight record — so a
 // well-formed batch body finds no endpoint and searches nothing.

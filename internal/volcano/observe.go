@@ -9,19 +9,6 @@ import (
 	"prairie/internal/obs"
 )
 
-// beginObs caches the run's observability configuration on the
-// optimizer so hot loops pay a single branch per guard (the same
-// pattern as the budget checkpoints). Called once per OptimizeContext.
-func (o *Optimizer) beginObs() {
-	ob := o.Opts.Obs
-	o.timing = ob.TimingEnabled()
-	o.tr = ob.TracerOrNil()
-}
-
-// traceTID is the Chrome-trace thread id of every optimizer's rows in an
-// attached obs.Tracer.
-const traceTID = 1
-
 // addImplTime accumulates costing self time for one impl_rule.
 func (o *Optimizer) addImplTime(rule string, d time.Duration) {
 	if o.Stats.ImplTime == nil {

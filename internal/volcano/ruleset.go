@@ -249,9 +249,6 @@ type transEntry struct {
 	lhs     []matchStep
 	rhs     *core.PatNode
 	frame   *core.Frame
-	// instant is the name of the trace instant a firing emits, built
-	// once here rather than per firing.
-	instant string
 }
 
 // implEntry is one implementation rule in the operator index.
@@ -288,7 +285,7 @@ func (rs *RuleSet) index() *ruleIndex {
 		}
 		for i, r := range rs.Trans {
 			lhs := r.LHS
-			te := transEntry{rule: r, idx: i, shallow: lhs.Depth() <= 1, rhs: r.RHS, frame: r.Frame, instant: "trans:" + r.Name}
+			te := transEntry{rule: r, idx: i, shallow: lhs.Depth() <= 1, rhs: r.RHS, frame: r.Frame}
 			if te.frame == nil {
 				// Hand-coded rules share pattern nodes between rules.
 				lhs, te.rhs = lhs.Clone(), r.RHS.Clone()

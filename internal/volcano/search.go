@@ -98,10 +98,9 @@ type Optimizer struct {
 	// position when per-rule timing is enabled; flushed with the
 	// counters into Stats.TransTime.
 	transTimeN []time.Duration
-	// cached observability state of the current run (see observe.go):
-	// timing gates the clock reads, tr the span/counter emissions.
+	// timing caches the current run's Opts.Obs.RuleTiming, so the hot
+	// loops pay one branch per clock read.
 	timing bool
-	tr     *obs.Tracer
 	// run is the resource accounting of the current OptimizeContext call
 	// (see budget.go).
 	run budgetState
@@ -140,24 +139,14 @@ func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*PExpr, err
 // background context and a zero Budget the behaviour and results are
 // identical to Optimize in previous releases.
 func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
-	o.beginObs()
-	if ob := o.Opts.Obs; ob.Enabled() {
-		// The observed wrapper lives outside the search proper: spans
-		// and metric flushes bracket the run, so the engine's hot loops
-		// only ever see the cached o.timing / o.tr guards.
+	ob := o.Opts.Obs
+	o.timing = ob.TimingEnabled()
+	if ob.Enabled() {
+		// The observed wrapper lives outside the search proper: the clock
+		// and the metric flush bracket the run, so the engine's hot loops
+		// only ever see the cached o.timing guard.
 		start := time.Now()
-		sp := o.tr.Begin(traceTID, "optimize", "optimize")
 		plan, err := o.dispatchOptimize(ctx, tree, req)
-		if o.Stats.CacheHits > 0 && o.Stats.CacheMisses == 0 {
-			// A hit searched nothing: its span carries no memo shape, and
-			// costs no argument map.
-			sp.End()
-		} else {
-			sp.EndArgs(map[string]any{
-				"groups": o.Stats.Groups, "exprs": o.Stats.Exprs,
-				"winners": o.Stats.Winners, "degraded": o.Stats.Degraded,
-			})
-		}
 		recordRun(ob, o.Stats, time.Since(start), err)
 		return plan, err
 	}
@@ -272,15 +261,6 @@ func (o *Optimizer) spaceExhausted(queue int) error {
 func (o *Optimizer) explore() error {
 	o.initRuleCounters()
 	defer o.flushRuleCounters()
-	if o.tr != nil {
-		sp := o.tr.Begin(traceTID, "explore", "explore")
-		defer func() {
-			sp.EndArgs(map[string]any{
-				"groups": o.Memo.NumGroups(), "exprs": o.Memo.NumExprs(),
-				"passes": o.Stats.Passes,
-			})
-		}()
-	}
 	m := o.Memo
 	x := &explorer{o: o, m: m}
 	x.seed()
@@ -533,7 +513,6 @@ func (x *explorer) process(e *LExpr) error {
 // dirtied it — until no live expression is pending.
 func (x *explorer) run() error {
 	o, m := x.o, x.m
-	pops := 0
 	for {
 		if o.overBudget() {
 			return errBudget
@@ -542,14 +521,6 @@ func (x *explorer) run() error {
 		if e != nil {
 			if err := x.process(e); err != nil {
 				return err
-			}
-			if o.tr != nil {
-				// Downsampled timeline counters: worklist depth and memo
-				// growth render as graphs in Perfetto.
-				if pops++; pops&63 == 0 {
-					o.tr.Counter(traceTID, "worklist_depth", float64(x.pending))
-					o.tr.Counter(traceTID, "memo_exprs", float64(m.NumExprs()))
-				}
 			}
 		}
 		if m.Dirty() {
@@ -600,9 +571,6 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 		if o.OnEvent != nil {
 			o.emit(EventTransFired, rule.Name, m.Find(e.group), e.String(), 0)
 		}
-		if o.tr != nil {
-			o.tr.Instant(traceTID, te.instant, "rule")
-		}
 		if rule.Appl != nil {
 			rule.Appl(b)
 		}
@@ -638,20 +606,7 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 	grp.winners[key] = append(grp.winners[key], w)
 	o.Stats.Winners++
 
-	var sp obs.Span
-	if o.tr != nil {
-		// One span per (group, requirement) winner computation; the
-		// recursion over input groups nests naturally in the trace.
-		sp = o.tr.Begin(traceTID, fmt.Sprintf("group %d [%s]", g, reqString(req, phys)), "findBest")
-	}
 	best, bestCost, err := o.optimizeGroup(grp, req)
-	if o.tr != nil {
-		args := map[string]any{"cost": bestCost}
-		if err != nil {
-			args["err"] = err.Error()
-		}
-		sp.EndArgs(args)
-	}
 	w.inProgress = false
 	if err != nil {
 		// Drop the half-computed entry rather than memoizing it:

@@ -71,7 +71,7 @@ func (e Event) String() string {
 	return s
 }
 
-// emit sends an event to the optimizer's tracer, if any.
+// emit sends an event to the optimizer's OnEvent listener, if any.
 func (o *Optimizer) emit(kind EventKind, rule string, g GroupID, detail string, cost float64) {
 	if o.OnEvent == nil {
 		return
