@@ -11,11 +11,14 @@
 //	optbench -experiment all
 //	optbench -experiment fig10 -maxclasses 6 -repeats 10 -csv
 //	optbench -experiment fig13 -maxclasses 4 -json
-//	optbench -experiment fig13 -max-exprs 5000 -degrade -timeout 50ms
+//	optbench -experiment fig14 -maxexprs 1000
+//	optbench -experiment fig13 -timeout 50ms
 //
-// With -timeout or -degrade, over-budget points return gracefully
-// degraded plans and are marked '*' in the tables instead of ending
-// their series with 'exhausted'.
+// Each optimization runs under one budget, -maxexprs and -timeout, and
+// running out of it degrades. A point degraded by -maxexprs (or by the
+// engine's default expression guard) ends its series as 'exhausted', the
+// paper's memory wall; a point degraded by -timeout is marked '*' and
+// the sweep continues.
 //
 // Observability (see internal/obs):
 //
@@ -86,12 +89,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	which := fs.String("experiment", "all", "one of: "+strings.Join(valid, ", "))
 	maxClasses := fs.Int("maxclasses", 0, "max classes per family (0 = paper's ranges)")
 	repeats := fs.Int("repeats", 0, "optimizations per timing point (0 = adaptive)")
-	maxExprs := fs.Int("maxexprs", 0, "search-space cap (0 = engine default)")
-	fs.IntVar(maxExprs, "max-exprs", 0, "alias for -maxexprs")
+	maxExprs := fs.Int("maxexprs", 0,
+		"per-optimization expression budget (0 = engine default); a point that reaches it ends its series as 'exhausted'")
 	timeout := fs.Duration("timeout", 0,
 		"per-optimization wall-clock budget (0 = none); points over budget degrade and are marked '*'")
-	degrade := fs.Bool("degrade", false,
-		"treat -maxexprs as a soft budget: over-budget points return degraded plans (marked '*') and sweeps continue instead of ending the series")
 	dslPath := fs.String("dsl", "",
 		"Prairie spec for -experiment rulecheck's DSL world (default examples/dslrules/rules.prairie)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -141,7 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Repeats:    *repeats,
 		MaxExprs:   *maxExprs,
 		Timeout:    *timeout,
-		Degrade:    *degrade,
 		Obs:        ob,
 		DSLPath:    *dslPath,
 	}

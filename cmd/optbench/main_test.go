@@ -31,11 +31,11 @@ func TestRemovedExperimentsExit2(t *testing.T) {
 }
 
 // TestRemovedFlagsUnknown: the flags that only fed the removed
-// experiments, -workers of the removed batch API, and the span-trace
-// sinks of the removed search trace are usage errors, not silently
-// accepted.
+// experiments, -workers of the removed batch API, the span-trace sinks of
+// the removed search trace, and -maxexprs' alias and the -degrade switch
+// of the removed hard cap are usage errors, not silently accepted.
 func TestRemovedFlagsUnknown(t *testing.T) {
-	for _, flag := range []string{"-cache", "-cache-size", "-draws", "-rows", "-workers", "-trace-out", "-trace-jsonl"} {
+	for _, flag := range []string{"-cache", "-cache-size", "-draws", "-rows", "-workers", "-trace-out", "-trace-jsonl", "-max-exprs", "-degrade"} {
 		code, stdout, stderr := runCLI(flag, "1", "-experiment", "rules")
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
 			t.Errorf("%s: status %d, stdout %q, stderr:\n%s", flag, code, stdout, stderr)
@@ -43,28 +43,38 @@ func TestRemovedFlagsUnknown(t *testing.T) {
 	}
 }
 
-// checkCSVGolden runs one experiment with -csv and compares its output
-// byte for byte with testdata/<experiment>.csv.golden.
-func checkCSVGolden(t *testing.T, experiment string) {
+// checkCSVGolden runs optbench with args and -csv and compares its output
+// byte for byte with testdata/<golden>.csv.golden.
+func checkCSVGolden(t *testing.T, golden string, args ...string) {
 	t.Helper()
-	want, err := os.ReadFile("testdata/" + experiment + ".csv.golden")
+	want, err := os.ReadFile("testdata/" + golden + ".csv.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, stdout, stderr := runCLI("-experiment", experiment, "-csv")
+	args = append(args, "-csv")
+	code, stdout, stderr := runCLI(args...)
 	if code != 0 || stderr != "" {
 		t.Fatalf("status %d, stderr %q", code, stderr)
 	}
 	if stdout != string(want) {
-		t.Errorf("-experiment %s -csv:\n%s--- want\n%s", experiment, stdout, want)
+		t.Errorf("optbench %s:\n%s--- want\n%s", strings.Join(args, " "), stdout, want)
 	}
 }
 
 // TestRulesCSVGolden is the command's smoke test: the §4.2 rule-count
 // table is deterministic, so its CSV is pinned byte for byte.
-func TestRulesCSVGolden(t *testing.T) { checkCSVGolden(t, "rules") }
+func TestRulesCSVGolden(t *testing.T) { checkCSVGolden(t, "rules", "-experiment", "rules") }
 
 // TestTable5CSVGolden pins Table 5 — the distinct rules matched and fired
 // per query — byte for byte: the counts are what the explorer's closure
 // exercises, whatever order it explores in.
-func TestTable5CSVGolden(t *testing.T) { checkCSVGolden(t, "table5") }
+func TestTable5CSVGolden(t *testing.T) { checkCSVGolden(t, "table5", "-experiment", "table5") }
+
+// TestFig14CSVGolden pins Figure 14's class counts to 4 joins and, under
+// -maxexprs 1000, the cells where a series ends: the first point that
+// reaches the expression budget reads 'exhausted' and the cells after it
+// '-'.
+func TestFig14CSVGolden(t *testing.T) {
+	checkCSVGolden(t, "fig14", "-experiment", "fig14", "-maxclasses", "5")
+	checkCSVGolden(t, "fig14_maxexprs", "-experiment", "fig14", "-maxclasses", "5", "-maxexprs", "1000")
+}

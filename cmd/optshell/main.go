@@ -57,7 +57,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0,
 		"wall-clock optimization budget (0 = none); over budget, a degraded plan is returned")
 	budgetExprs := flag.Int("budget-exprs", 0,
-		"soft cap on memo expressions (0 = none); over budget, a degraded plan is returned")
+		"cap on memo expressions (0 = engine default); over budget, a degraded plan is returned")
 	cache := flag.Bool("cache", false,
 		"attach a cross-query plan cache; with -repeat, runs after the first are served from it")
 	repeat := flag.Int("repeat", 1,

@@ -1,7 +1,6 @@
 package prairie_test
 
 import (
-	"errors"
 	"sync"
 	"testing"
 
@@ -21,10 +20,9 @@ import (
 const e4n4Exprs = 4328
 
 // TestDegradedE4ReturnsExecutablePlan: an E4 chain query at N=4, capped
-// well below its closure, must under a soft budget return a valid plan
-// marked Degraded where the same number as a hard cap gives
-// ErrSpaceExhausted, and that plan must actually execute — to the rows the
-// naive interpreter reads off the query. How good the plan is, is held too:
+// well below its closure, must return a valid plan marked Degraded, and
+// that plan must actually execute — to the rows the naive interpreter
+// reads off the query. How good the plan is, is held too:
 // an expression budget spent inputs-first buys no doomed duplicates, and
 // half the closure salvages cost 6 800 (optimum 6 548) where the
 // breadth-first order salvaged 12 880, the ceiling.
@@ -41,13 +39,6 @@ func TestDegradedE4ReturnsExecutablePlan(t *testing.T) {
 	// Half the closure (see goldenClosures): no search order can finish
 	// under it, however promptly duplicates die.
 	const budget = e4n4Exprs / 2
-
-	// Sanity: the same query with the budget as a hard cap fails.
-	hard := volcano.NewOptimizer(vo.VolcanoRules())
-	hard.Opts.MaxExprs = budget
-	if _, err := hard.Optimize(tree.Clone(), req); !errors.Is(err, volcano.ErrSpaceExhausted) {
-		t.Fatalf("hard cap: err = %v, want ErrSpaceExhausted", err)
-	}
 
 	opt := volcano.NewOptimizer(vo.VolcanoRules())
 	opt.Opts.Budget = volcano.Budget{MaxExprs: budget}
@@ -115,13 +106,13 @@ func TestDegradedCostBoundedByFullSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	deg := volcano.NewOptimizer(vrs)
-	deg.Opts.Budget = volcano.Budget{MaxRuleFirings: 1}
+	deg.Opts.Budget = volcano.Budget{MaxExprs: 20}
 	plan, err := deg.Optimize(tree.Clone(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !deg.Stats.Degraded {
-		t.Fatal("run did not degrade under a 1-firing budget")
+		t.Fatal("run did not degrade under a 20-expression budget")
 	}
 	if !plan.ToExpr().IsPlan() || len(plan.ToExpr().Leaves()) != len(tree.Leaves()) {
 		t.Errorf("degraded plan structurally invalid: %s", plan)

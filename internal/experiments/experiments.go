@@ -16,7 +16,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -175,20 +174,14 @@ type Options struct {
 	// Seeds are the per-point catalog instances (default: the paper's
 	// five).
 	Seeds []int64
-	// MaxExprs caps the search space; a point that exhausts it ends its
-	// series (the paper's virtual-memory exhaustion) — unless Degrade is
-	// set, which turns the cap into a soft budget.
+	// MaxExprs caps each optimization's search space (0 = the engine's
+	// DefaultMaxExprs guard); a point that reaches it ends its series
+	// as 'exhausted' (the paper's virtual-memory exhaustion).
 	MaxExprs int
 	// Timeout budgets each optimization's wall clock; a point that hits
 	// it reports a degraded measurement (marked '*') instead of ending
 	// the series.
 	Timeout time.Duration
-	// Degrade treats MaxExprs as a soft volcano.Budget: budget-exhausted
-	// points return degraded plans, are marked explicitly in the tables,
-	// and the sweep continues to larger N — the industrial
-	// timeout-and-fallback protocol rather than the paper's
-	// memory-exhaustion stop.
-	Degrade bool
 	// Obs attaches observability sinks to every optimization in the
 	// sweep (per-rule timing, metrics, span traces — see internal/obs).
 	// With RuleTiming enabled, the resulting tables carry per-rule time
@@ -240,17 +233,15 @@ func (o Options) attach(t *Table) {
 	}
 }
 
-// volcanoOpts translates the protocol options into engine options: a
-// Timeout always degrades; with Degrade set the expression cap does too
-// (the engine's default hard cap stays as a backstop).
+// volcanoOpts translates the protocol options into engine options.
 func (o Options) volcanoOpts() volcano.Options {
-	vo := volcano.Options{MaxExprs: o.MaxExprs, Obs: o.Obs}
-	vo.Budget.Timeout = o.Timeout
-	if o.Degrade {
-		vo.Budget.MaxExprs = o.MaxExprs
-		vo.MaxExprs = 0
-	}
-	return vo
+	return volcano.Options{Budget: volcano.Budget{Timeout: o.Timeout, MaxExprs: o.MaxExprs}, Obs: o.Obs}
+}
+
+// spaceExhausted reports whether a run degraded on its expression cap: the
+// point that ends a series. A run the clock degraded is only marked.
+func spaceExhausted(s *volcano.Stats) bool {
+	return s.Degraded && s.DegradeCause == volcano.CauseMaxExprs
 }
 
 func (o Options) seeds() []int64 {
@@ -306,12 +297,11 @@ func timeOptimize(vrs *volcano.RuleSet, tree *core.Expr, req *core.Descriptor, r
 	for i := 0; i < repeats; i++ {
 		opt := volcano.NewOptimizer(vrs)
 		opt.Opts = vopts
-		_, err := opt.Optimize(tree.Clone(), req)
-		if errors.Is(err, volcano.ErrSpaceExhausted) {
-			return 0, opt.Stats, true, nil
-		}
-		if err != nil {
+		if _, err := opt.Optimize(tree.Clone(), req); err != nil {
 			return 0, opt.Stats, false, err
+		}
+		if spaceExhausted(opt.Stats) {
+			return 0, opt.Stats, true, nil
 		}
 		stats = opt.Stats
 	}
@@ -515,11 +505,12 @@ func Figure14(opts Options) (*Table, error) {
 			}
 			opt := volcano.NewOptimizer(vrs)
 			opt.Opts = opts.volcanoOpts()
-			if _, err := opt.Optimize(tree, req); errors.Is(err, volcano.ErrSpaceExhausted) {
+			if _, err := opt.Optimize(tree, req); err != nil {
+				return nil, err
+			}
+			if spaceExhausted(opt.Stats) {
 				col = append(col, "exhausted")
 				break
-			} else if err != nil {
-				return nil, err
 			}
 			opts.collect(opt.Stats)
 			cell := fmt.Sprintf("%d", opt.Stats.Groups)

@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"prairie/internal/qgen"
 )
@@ -96,14 +97,12 @@ func TestFigureExhaustion(t *testing.T) {
 	}
 }
 
-// TestFigureDegraded: with Degrade on, the same budget that ends a
-// series with 'exhausted' instead yields '*'-marked points and the
-// sweep runs to its full length.
+// TestFigureDegraded: a point the clock degrades is marked '*' and the
+// sweep runs to its full length; only the expression cap ends a series.
 func TestFigureDegraded(t *testing.T) {
 	opts := fastOpts()
 	opts.MaxClasses = 3
-	opts.MaxExprs = 10
-	opts.Degrade = true
+	opts.Timeout = time.Nanosecond
 	tab, err := Figure(10, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -178,11 +178,14 @@ func NewRegistry() *Registry {
 	}
 }
 
+// labelEscaper escapes a label value; a Replacer is safe for concurrent
+// use, so one serves every call.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // Label renders a Prometheus-style series name with one label pair,
 // escaping backslashes, quotes, and newlines in the value.
 func Label(name, key, value string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return name + `{` + key + `="` + r.Replace(value) + `"}`
+	return name + `{` + key + `="` + labelEscaper.Replace(value) + `"}`
 }
 
 // Counter returns (creating if needed) the named counter. Nil-safe: a

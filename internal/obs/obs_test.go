@@ -79,6 +79,16 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
+var labelSink string
+
+// TestLabelAllocsOnce: a value that needs no escaping costs Label one
+// allocation, the series name itself.
+func TestLabelAllocsOnce(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { labelSink = Label("prairie_trans_fired_total", "rule", "join_commute") }); n > 1 {
+		t.Errorf("Label allocates %v times per call, want at most 1", n)
+	}
+}
+
 // TestConcurrentRecording hammers every metric kind from many
 // goroutines; under -race this verifies the lock-free recording paths
 // concurrent requests share.

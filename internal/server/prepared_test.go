@@ -124,7 +124,7 @@ func TestPreparedQueriesReadOnly(t *testing.T) {
 				if w.Code != http.StatusOK {
 					t.Errorf("%s: status %d: %.300s", body, w.Code, w.Body)
 				}
-				if bytes.Contains(w.Body.Bytes(), []byte(`"degrade_path":"`+volcano.DegradePathBottomUp+`"`)) {
+				if bytes.Contains(w.Body.Bytes(), []byte(`"degrade_path":"`+volcano.DegradePathGreedy+`"`)) {
 					greedy.Add(1)
 				}
 			}

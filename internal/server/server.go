@@ -570,8 +570,8 @@ func (s *Server) optimizeOne(ctx context.Context, p *prepared, rec *obs.RequestR
 	elapsed := time.Since(start)
 	rec.SetOptimize(elapsed)
 	if err != nil {
-		// ErrNoPlan / ErrSpaceExhausted: the search failed whole; no
-		// partial plan ever leaves the server.
+		// ErrNoPlan: no plan, not even a degraded one, satisfies the
+		// requirement; no partial plan ever leaves the server.
 		return nil, http.StatusUnprocessableEntity, err
 	}
 	if rec != nil {

@@ -1,6 +1,7 @@
 package volcano
 
 import (
+	"context"
 	"testing"
 
 	"prairie/internal/core"
@@ -129,6 +130,7 @@ func TestApplyAtRunsRest(t *testing.T) {
 	rests = 0
 	o := NewOptimizer(rs)
 	o.Stats.ensureMaps()
+	o.beginRun(context.Background())
 	root := o.Memo.Insert(w.chain(8, 4))
 	if err := o.explore(); err != nil {
 		t.Fatal(err)

@@ -6,35 +6,29 @@ import (
 	"time"
 )
 
-// Budget bounds the resources one optimization may consume. Unlike the
-// hard Options.MaxExprs cap (which fails with ErrSpaceExhausted, the
-// paper's virtual-memory wall), exceeding a Budget degrades gracefully:
-// the optimizer stops exploring, salvages the best plan it can from the
-// already-explored memo, and falls back to the greedy plan of the
-// original tree (GreedyPlan) if no complete winner exists. The plan is marked in
-// Stats (Degraded, DegradeCause, DegradePath) — production optimizers
-// bound search effort and always return *a* plan rather than none.
+// Budget bounds the effort one optimization may spend, and running out of
+// it always degrades: the optimizer stops exploring, salvages the best
+// plan it can from the already-explored memo, and falls back to the
+// greedy plan of the original tree (GreedyPlan) if no complete winner
+// exists. The plan is marked in Stats (Degraded, DegradeCause,
+// DegradePath) — production optimizers bound search effort and always
+// return *a* plan rather than none.
 //
-// Zero values disable the corresponding dimension; a zero Budget (and a
-// background context) leaves the search entirely ungoverned, with
-// results identical to an unbudgeted run.
+// A zero Budget with a background context reads no clock and evaluates
+// no checkpoint; it is still held to the DefaultMaxExprs guard, the
+// stand-in for the paper's virtual-memory wall.
 type Budget struct {
 	// Timeout is the wall-clock bound for the whole optimization
 	// (exploration plus costing); a context deadline, if earlier, wins.
 	Timeout time.Duration
-	// MaxExprs caps live logical expressions in the memo (soft; compare
-	// Options.MaxExprs, the hard error cap).
+	// MaxExprs caps live logical expressions in the memo; zero means
+	// DefaultMaxExprs.
 	MaxExprs int
-	// MaxGroups caps live equivalence classes.
-	MaxGroups int
-	// MaxRuleFirings caps transformation-rule firings (matches whose
-	// condition passed).
-	MaxRuleFirings int
 }
 
-// IsZero reports whether every dimension is disabled.
+// IsZero reports whether neither bound is set.
 func (b Budget) IsZero() bool {
-	return b.Timeout <= 0 && b.MaxExprs <= 0 && b.MaxGroups <= 0 && b.MaxRuleFirings <= 0
+	return b.Timeout <= 0 && b.MaxExprs <= 0
 }
 
 // Cause identifies which resource bound interrupted a search.
@@ -47,12 +41,9 @@ const (
 	CauseCancelled
 	// CauseDeadline: the wall-clock budget (or context deadline) passed.
 	CauseDeadline
-	// CauseMaxExprs: the expression budget was reached.
+	// CauseMaxExprs: the expression budget (or the default guard) was
+	// reached.
 	CauseMaxExprs
-	// CauseMaxGroups: the group budget was reached.
-	CauseMaxGroups
-	// CauseMaxRuleFirings: the rule-firing budget was reached.
-	CauseMaxRuleFirings
 )
 
 func (c Cause) String() string {
@@ -65,10 +56,6 @@ func (c Cause) String() string {
 		return "deadline"
 	case CauseMaxExprs:
 		return "max-exprs"
-	case CauseMaxGroups:
-		return "max-groups"
-	case CauseMaxRuleFirings:
-		return "max-rule-firings"
 	}
 	return "unknown"
 }
@@ -78,22 +65,23 @@ const (
 	// DegradePathMemo: a complete winner was salvaged from the
 	// partially-explored memo.
 	DegradePathMemo = "memo-best"
-	// DegradePathBottomUp: no complete winner existed; the plan is
-	// GreedyPlan's, the original tree implemented as written. (The name
-	// and the wire value predate the removal of the bottom-up strategy
-	// that used to compute it.)
-	DegradePathBottomUp = "bottom-up"
+	// DegradePathGreedy: no complete winner existed; the plan is
+	// GreedyPlan's, the original tree implemented as written. The wire
+	// value predates the greedy planner and is kept for compatibility.
+	DegradePathGreedy = "bottom-up"
 )
 
 // budgetState is the per-run resource accounting of one OptimizeContext
-// call. The counter caps are checked on every checkpoint (three integer
-// compares); the clock and the context — the expensive checks — only on
+// call. The expression cap is checked on every checkpoint (one integer
+// compare); the clock and the context — the expensive checks — only on
 // every 64th.
 type budgetState struct {
 	ctx      context.Context
-	budget   Budget
 	deadline time.Time
 	timed    bool
+	// maxExprs is the expression cap: the budget's, or the
+	// DefaultMaxExprs guard.
+	maxExprs int
 	// active gates all checkpoints: false for unbudgeted background
 	// runs, so the hot loops pay a single branch.
 	active bool
@@ -102,7 +90,6 @@ type budgetState struct {
 	// cancellation interrupts.
 	salvage bool
 	ticks   int
-	fired   int
 	cause   Cause
 }
 
@@ -115,8 +102,11 @@ func (o *Optimizer) beginRun(ctx context.Context) {
 		ctx = context.Background()
 	}
 	b := o.Opts.Budget
-	o.run = budgetState{ctx: ctx, budget: b}
+	o.run = budgetState{ctx: ctx, maxExprs: b.MaxExprs}
 	r := &o.run
+	if r.maxExprs <= 0 {
+		r.maxExprs = maxExprsGuard
+	}
 	if b.Timeout > 0 {
 		r.deadline = time.Now().Add(b.Timeout)
 		r.timed = true
@@ -131,6 +121,17 @@ func (o *Optimizer) beginRun(ctx context.Context) {
 	}
 }
 
+// overGuard is the explorer's check after every rule application: one
+// compare against the expression cap, made on every run, budgeted or
+// not, so a run without checkpoints stops at the guard too.
+func (o *Optimizer) overGuard() bool {
+	if o.Memo.NumExprs() > o.run.maxExprs {
+		o.run.cause = CauseMaxExprs
+		return true
+	}
+	return false
+}
+
 // overBudget is the exploration checkpoint. It reports whether the run
 // is out of budget, latching the first cause.
 func (o *Optimizer) overBudget() bool {
@@ -141,16 +142,8 @@ func (o *Optimizer) overBudget() bool {
 	if r.cause != CauseNone {
 		return true
 	}
-	b := r.budget
-	switch {
-	case b.MaxExprs > 0 && o.Memo.NumExprs() >= b.MaxExprs:
+	if o.Memo.NumExprs() >= r.maxExprs {
 		r.cause = CauseMaxExprs
-	case b.MaxGroups > 0 && o.Memo.NumGroups() >= b.MaxGroups:
-		r.cause = CauseMaxGroups
-	case b.MaxRuleFirings > 0 && r.fired >= b.MaxRuleFirings:
-		r.cause = CauseMaxRuleFirings
-	}
-	if r.cause != CauseNone {
 		return true
 	}
 	r.ticks++
@@ -161,8 +154,8 @@ func (o *Optimizer) overBudget() bool {
 }
 
 // overBudgetCosting is the costing-phase checkpoint. Only time and
-// cancellation apply — the counter caps are exploration resources — and
-// in salvage mode only cancellation does.
+// cancellation apply — the expression cap is an exploration resource —
+// and in salvage mode only cancellation does.
 func (o *Optimizer) overBudgetCosting() bool {
 	r := &o.run
 	if !r.active {

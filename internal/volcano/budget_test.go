@@ -51,20 +51,27 @@ func TestBudgetMaxExprsDegrades(t *testing.T) {
 	degradedPlan(t, w, o, context.Background(), CauseMaxExprs)
 }
 
-func TestBudgetMaxGroupsDegrades(t *testing.T) {
+// TestGuardDegradesUnbudgeted: the expression guard of a zero Budget
+// degrades like any budget — an executable plan, marked, with no clock
+// read and no checkpoint ticked — and, degraded, it is never cached.
+func TestGuardDegradesUnbudgeted(t *testing.T) {
+	defer SetMaxExprsGuard(12)()
 	w := newTestWorld()
-	o := NewOptimizer(w.rs)
-	o.Opts.Budget = Budget{MaxGroups: 3}
-	degradedPlan(t, w, o, context.Background(), CauseMaxGroups)
-}
-
-func TestBudgetMaxRuleFiringsDegrades(t *testing.T) {
-	w := newTestWorld()
-	o := NewOptimizer(w.rs)
-	o.Opts.Budget = Budget{MaxRuleFirings: 1}
-	degradedPlan(t, w, o, context.Background(), CauseMaxRuleFirings)
-	if f := o.run.fired; f < 1 {
-		t.Errorf("fired = %d before tripping a 1-firing budget", f)
+	pc := NewPlanCache(64)
+	for run := 0; run < 2; run++ {
+		o := NewOptimizer(w.rs)
+		o.Opts.Cache = pc
+		if !o.Opts.Budget.IsZero() {
+			t.Fatal("the run must be unbudgeted")
+		}
+		degradedPlan(t, w, o, context.Background(), CauseMaxExprs)
+		if o.Stats.BudgetChecks != 0 {
+			t.Errorf("unbudgeted run ticked %d checkpoints", o.Stats.BudgetChecks)
+		}
+		if pc.Len() != 0 || o.Stats.CacheHits != 0 || o.Stats.CacheMisses != 1 {
+			t.Errorf("run %d: degraded plan cached: entries=%d hits=%d misses=%d",
+				run, pc.Len(), o.Stats.CacheHits, o.Stats.CacheMisses)
+		}
 	}
 }
 
@@ -90,9 +97,9 @@ func TestCancellationDegradesToBottomUp(t *testing.T) {
 	cancel()
 	degradedPlan(t, w, o, ctx, CauseCancelled)
 	// A hard cancel skips memo salvage: the plan must come from the
-	// greedy bottom-up baseline.
-	if o.Stats.DegradePath != DegradePathBottomUp {
-		t.Errorf("DegradePath = %q, want %q", o.Stats.DegradePath, DegradePathBottomUp)
+	// greedy plan of the original tree.
+	if o.Stats.DegradePath != DegradePathGreedy {
+		t.Errorf("DegradePath = %q, want %q", o.Stats.DegradePath, DegradePathGreedy)
 	}
 }
 
@@ -149,20 +156,20 @@ func TestUnbudgetedRunNotDegraded(t *testing.T) {
 func TestCheckClosedCatchesPartialMemo(t *testing.T) {
 	w := newTestWorld()
 	o := NewOptimizer(w.rs)
-	o.Opts.Budget = Budget{MaxRuleFirings: 1}
-	degradedPlan(t, w, o, context.Background(), CauseMaxRuleFirings)
+	o.Opts.Budget = Budget{MaxExprs: 12}
+	degradedPlan(t, w, o, context.Background(), CauseMaxExprs)
 	if err := o.CheckClosed(); err == nil {
-		t.Errorf("CheckClosed passed on a memo of %d expressions a 1-firing budget interrupted", o.Stats.Exprs)
+		t.Errorf("CheckClosed passed on a memo of %d expressions a 12-expression budget interrupted", o.Stats.Exprs)
 	}
 }
 
-// TestStatsFlushedOnExhaustion: the hard-cap error path must still
-// report the partial work — memo counters and per-rule maps (they feed
-// degradation diagnostics and the enriched error).
+// TestStatsFlushedOnExhaustion: a search the expression guard stopped
+// must still report the partial work — memo counters and per-rule maps
+// (they feed degradation diagnostics).
 func TestStatsFlushedOnExhaustion(t *testing.T) {
 	o, _ := exhaustSpace(t)
 	if o.Stats.Groups == 0 || o.Stats.Exprs == 0 {
-		t.Errorf("memo stats not recorded on error: groups=%d exprs=%d", o.Stats.Groups, o.Stats.Exprs)
+		t.Errorf("memo stats not recorded on exhaustion: groups=%d exprs=%d", o.Stats.Groups, o.Stats.Exprs)
 	}
 	total := 0
 	for _, n := range o.Stats.TransMatched {

@@ -174,7 +174,7 @@ func budgetClass(b Budget) string {
 	if b.IsZero() {
 		return "0"
 	}
-	return fmt.Sprintf("t%s,e%d,g%d,f%d", b.Timeout, b.MaxExprs, b.MaxGroups, b.MaxRuleFirings)
+	return fmt.Sprintf("t%s,e%d", b.Timeout, b.MaxExprs)
 }
 
 // rootKey builds the cache key of a query: the tree's fingerprint

@@ -190,6 +190,14 @@ func SetMaxRepairRounds(n int) (restore func()) {
 	return func() { maxRepairRounds = old }
 }
 
+// SetMaxExprsGuard lowers the expression cap a zero Budget.MaxExprs
+// means and returns the function that restores it.
+func SetMaxExprsGuard(n int) (restore func()) {
+	old := maxExprsGuard
+	maxExprsGuard = n
+	return func() { maxExprsGuard = old }
+}
+
 // EagerRest returns a rule set that is rs with every rule's deferred
 // actions (TransRule.Rest) folded back into its Appl: the reference a
 // normal search — which runs Rest only for a firing whose result the memo

@@ -12,12 +12,6 @@ import (
 	"prairie/internal/obs"
 )
 
-// ErrSpaceExhausted is returned when the search space exceeds the
-// optimizer's expression limit — the analogue of the paper's experiments
-// exhausting virtual memory on large queries. The returned error wraps
-// this sentinel with memo statistics (test with errors.Is).
-var ErrSpaceExhausted = errors.New("volcano: search space exhausted (expression limit reached)")
-
 // ErrNoPlan is returned when no access plan satisfies the requested
 // physical properties.
 var ErrNoPlan = errors.New("volcano: no feasible access plan")
@@ -29,13 +23,9 @@ var errBudget = errors.New("volcano: budget interrupted")
 
 // Options tunes the optimizer.
 type Options struct {
-	// MaxExprs caps the number of logical expressions (0 = default).
-	// This is the hard cap: exceeding it fails with ErrSpaceExhausted.
-	// For a soft cap that degrades to a plan instead, see Budget.
-	MaxExprs int
-	// Budget bounds search effort softly: exceeding any dimension makes
-	// the optimizer return a degraded plan rather than an error. A zero
-	// Budget leaves behaviour identical to previous releases.
+	// Budget bounds search effort: exceeding it makes the optimizer
+	// return a degraded plan rather than an error. A zero Budget sets no
+	// clock and only the DefaultMaxExprs guard.
 	Budget Budget
 	// Obs attaches observability sinks (metrics, spans, per-rule
 	// timing); nil — the default — disables all instrumentation behind
@@ -50,8 +40,12 @@ type Options struct {
 	Cache *PlanCache
 }
 
-// DefaultMaxExprs is the default search-space cap.
+// DefaultMaxExprs is the expression cap of a Budget that sets none: the
+// reproduction's stand-in for the paper's virtual-memory wall.
 const DefaultMaxExprs = 4_000_000
+
+// maxExprsGuard is the cap a zero Budget.MaxExprs means; tests lower it.
+var maxExprsGuard = DefaultMaxExprs
 
 // maxRepairRounds bounds the explorer's repair rounds (a Rehash after
 // merges); a search still at work past it is reported as diverging.
@@ -90,8 +84,8 @@ type Optimizer struct {
 	noReq *core.Descriptor
 	// per-rule counters indexed by position in RS.Trans, RS.Impls and
 	// RS.Enforcers; flushed into the name-keyed Stats maps when
-	// exploration or costing ends — including the ErrSpaceExhausted and
-	// budget-interrupt paths — so the hot loops never hash rule names yet
+	// exploration or costing ends — including the budget-interrupt
+	// path — so the hot loops never hash rule names yet
 	// diagnostics always reflect the work actually done.
 	transMatchedN, transFiredN, implMatchedN, implFiredN, enfMatchedN, enfFiredN []int
 	// transTimeN accumulates per-rule match+fire wall time by rule
@@ -115,13 +109,6 @@ func NewOptimizer(rs *RuleSet) *Optimizer {
 	return &Optimizer{RS: rs, Memo: NewMemo(rs), Stats: &Stats{}}
 }
 
-func (o *Optimizer) maxExprs() int {
-	if o.Opts.MaxExprs > 0 {
-		return o.Opts.MaxExprs
-	}
-	return DefaultMaxExprs
-}
-
 // Optimize maps an initialized operator tree to its cheapest access plan
 // that satisfies req's physical properties (req may be nil for "no
 // requirement"). It returns the winning plan; Stats describe the search.
@@ -135,9 +122,9 @@ func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*PExpr, err
 // salvages the best plan costable from the already-explored memo, or —
 // when no complete winner exists, or on hard cancellation — falls back
 // to the greedy plan of the original tree. Degraded results
-// are marked in Stats (Degraded, DegradeCause, DegradePath). With a
-// background context and a zero Budget the behaviour and results are
-// identical to Optimize in previous releases.
+// are marked in Stats (Degraded, DegradeCause, DegradePath). A
+// background context and a zero Budget leave only the DefaultMaxExprs
+// guard, which degrades the same way.
 func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
 	ob := o.Opts.Obs
 	o.timing = ob.TimingEnabled()
@@ -236,17 +223,8 @@ func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor)
 		return nil, fmt.Errorf("volcano: degraded search (%s) found no fallback plan: %w",
 			o.run.cause, err)
 	}
-	o.Stats.DegradePath = DegradePathBottomUp
+	o.Stats.DegradePath = DegradePathGreedy
 	return plan, nil
-}
-
-// spaceExhausted wraps ErrSpaceExhausted with the memo statistics at the
-// moment the limit was hit, so E3/E4 blowups are diagnosable from the
-// error alone.
-func (o *Optimizer) spaceExhausted(queue int) error {
-	return fmt.Errorf("%w: groups=%d exprs=%d merges=%d passes=%d queue=%d",
-		ErrSpaceExhausted, o.Memo.NumGroups(), o.Memo.NumExprs(),
-		o.Memo.Merges(), o.Stats.Passes, queue)
 }
 
 // explore expands the memo to the transformation closure of the query
@@ -499,10 +477,7 @@ func (x *explorer) process(e *LExpr) error {
 			e.ruleSince[i] = m.seq + 1
 			o.applyTrans(te, e, since)
 		}
-		if m.NumExprs() > o.maxExprs() {
-			return o.spaceExhausted(x.pending)
-		}
-		if o.overBudget() {
+		if o.overGuard() || o.overBudget() {
 			return errBudget
 		}
 	}
@@ -567,7 +542,6 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 			continue
 		}
 		o.transFiredN[ri]++
-		o.run.fired++
 		if o.OnEvent != nil {
 			o.emit(EventTransFired, rule.Name, m.Find(e.group), e.String(), 0)
 		}

@@ -32,7 +32,7 @@ type Stats struct {
 	// was cancelled) and the plan came from graceful degradation rather
 	// than a completed search; DegradeCause says which bound tripped and
 	// DegradePath how the plan was produced (DegradePathMemo or
-	// DegradePathBottomUp). All other counters then describe the partial
+	// DegradePathGreedy). All other counters then describe the partial
 	// work actually done.
 	Degraded     bool
 	DegradeCause Cause

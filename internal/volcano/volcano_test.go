@@ -1,7 +1,6 @@
 package volcano
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -515,25 +514,30 @@ func TestOptimizeFourWayGroupCount(t *testing.T) {
 	}
 }
 
-// exhaustSpace runs chain(8, 4, 2) under a hard cap of three expressions,
-// the search TestOptimizeSpaceLimit, TestStatsFlushedOnExhaustion and
-// TestWorklistSpaceErrorDetail each check a side of.
-func exhaustSpace(t *testing.T) (*Optimizer, error) {
+// exhaustSpace runs chain(8, 4, 2) without a budget under an expression
+// guard of three, the search TestOptimizeSpaceLimit,
+// TestStatsFlushedOnExhaustion and TestWorklistSpaceErrorDetail each
+// check a side of. Reaching the guard degrades like any budget: the run
+// must return a plan, not an error.
+func exhaustSpace(t *testing.T) (*Optimizer, *PExpr) {
 	t.Helper()
+	defer SetMaxExprsGuard(3)()
 	w := newTestWorld()
 	o := NewOptimizer(w.rs)
-	o.Opts.MaxExprs = 3
-	_, err := o.Optimize(w.chain(8, 4, 2), nil)
-	if err == nil {
-		t.Fatal("expected exhaustion")
+	plan, err := o.Optimize(w.chain(8, 4, 2), nil)
+	if err != nil {
+		t.Fatalf("guarded search failed instead of degrading: %v", err)
 	}
-	return o, err
+	return o, plan
 }
 
 func TestOptimizeSpaceLimit(t *testing.T) {
-	_, err := exhaustSpace(t)
-	if !errors.Is(err, ErrSpaceExhausted) {
-		t.Errorf("err = %v, want ErrSpaceExhausted", err)
+	o, plan := exhaustSpace(t)
+	if !o.Stats.Degraded || o.Stats.DegradeCause != CauseMaxExprs {
+		t.Errorf("degraded=%v cause=%s, want a max-exprs degradation", o.Stats.Degraded, o.Stats.DegradeCause)
+	}
+	if e := plan.ToExpr(); !e.IsPlan() || len(e.Leaves()) != 3 {
+		t.Errorf("degraded plan is not an access plan over 3 relations: %s", plan)
 	}
 }
 

@@ -1,6 +1,7 @@
 package volcano
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -45,6 +46,7 @@ func newWakeWorld() *wakeWorld {
 		Appl: func(b *TBinding) { b.D("Dn").CopyFrom(b.D("Du")) },
 	})
 	w.o = NewOptimizer(rs)
+	w.o.beginRun(context.Background())
 	w.o.initRuleCounters()
 	w.x = &explorer{o: w.o, m: w.o.Memo}
 	w.o.Memo.hooks = w.x

@@ -1,6 +1,7 @@
 package volcano
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -39,13 +40,18 @@ func TestWorklistClosesChains(t *testing.T) {
 	}
 }
 
-// TestWorklistSpaceErrorDetail checks the enriched exhaustion error.
+// TestWorklistSpaceErrorDetail: an exhausted search reports where it
+// stopped in Stats — the memo it built, the passes it ran and the
+// worklist peak — and the counters render in Stats.String.
 func TestWorklistSpaceErrorDetail(t *testing.T) {
-	_, err := exhaustSpace(t)
-	for _, want := range []string{"groups=", "exprs=", "passes=", "queue="} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q missing %q", err, want)
-		}
+	o, _ := exhaustSpace(t)
+	s := o.Stats
+	if s.Groups == 0 || s.Exprs <= 3 || s.Passes < 1 || s.MaxQueue == 0 {
+		t.Errorf("exhaustion detail missing: groups=%d exprs=%d passes=%d queue=%d", s.Groups, s.Exprs, s.Passes, s.MaxQueue)
+	}
+	want := fmt.Sprintf("groups=%d exprs=%d merges=%d passes=%d queue=%d", s.Groups, s.Exprs, s.Merges, s.Passes, s.MaxQueue)
+	if !strings.Contains(s.String(), want) || !strings.Contains(s.String(), "DEGRADED(max-exprs") {
+		t.Errorf("Stats.String() = %q, want %q and the degradation", s, want)
 	}
 }
 
