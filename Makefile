@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race figures bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover loc ci experiments clean
+.PHONY: all build vet test race examples figures bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover loc ci experiments clean
 
 all: ci
 
@@ -23,6 +23,11 @@ test:
 
 race:
 	$(GO) test -race -timeout 600s ./...
+
+# The example programs are package main without tests: run each one, and
+# fail on the first non-zero exit.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run "./$$d" || exit 1; done
 
 # The repository benchmark (bench/, a module of its own that the root
 # module's ./... skips) imports server, wire, volcano, plancache and obs:
@@ -123,7 +128,7 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-ci: vet build race bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover
+ci: vet build examples race bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

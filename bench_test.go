@@ -391,7 +391,11 @@ func BenchmarkRelopt(b *testing.B) {
 	q := relopt.QuerySpec{Relations: names, Select: true}
 
 	po := relopt.New(cat)
-	pvrs, rep, err := p2v.Translate(po.PrairieRules())
+	prs, err := po.PrairieRules()
+	if err != nil {
+		b.Fatal(err)
+	}
+	pvrs, rep, err := p2v.Translate(prs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -82,7 +82,11 @@ func cacheWorlds(t *testing.T) []cacheWorld {
 	}
 	q := relopt.QuerySpec{Relations: names, Select: true}
 	ro := relopt.New(rcat)
-	rvrs, rrep, err := p2v.Translate(ro.PrairieRules())
+	rprs, err := ro.PrairieRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rvrs, rrep, err := p2v.Translate(rprs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
-// Quickstart: the smallest complete Prairie optimizer, built with the
-// public API. It defines a two-operator algebra (RET, JOIN), one
-// transformation rule (join commutativity) and two implementation rules,
-// then optimizes a two-way join.
+// Quickstart: the smallest complete Prairie optimizer, written in the
+// Prairie rule-specification language and compiled through the public
+// API. It declares a two-operator algebra (RET, JOIN), one transformation
+// rule (join commutativity) and two implementation rules, then optimizes
+// a two-way join.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -13,69 +14,73 @@ import (
 	"prairie"
 )
 
+// spec is the optimizer. A T-rule maps operator trees to equivalent
+// operator trees; an I-rule maps an operator to an implementing
+// algorithm. Every node carries a descriptor (D1, D2, ...) of the
+// declared properties.
+const spec = `
+algebra quickstart;
+
+property num_records : float;
+property cost : cost;
+
+operator RET(1);
+operator JOIN(2);
+algorithm File_scan(1) implements RET;
+algorithm Nested_loops(2) implements JOIN;
+
+trule join_commute:
+  JOIN(?1:D1, ?2:D2):D3 => JOIN(?2, ?1):D4
+posttest {
+  D4 = D3;
+}
+
+// Scanning costs one unit per stored tuple.
+irule ret_file_scan:
+  RET(?1:D1):D2 => File_scan(?1):D3
+preopt {
+  D3 = D2;
+}
+postopt {
+  D3.cost = D1.num_records;
+}
+
+// Figure 6 of the paper: scan the outer once, the inner per outer tuple.
+irule join_nested_loops:
+  JOIN(?1:D1, ?2:D2):D3 => Nested_loops(?1:D4, ?2):D5
+preopt {
+  D5 = D3;
+  D4 = D1;
+}
+postopt {
+  D5.cost = D4.cost + D4.num_records * D2.cost;
+}
+`
+
 func main() {
-	// 1. The algebra: operators, algorithms, and descriptor properties.
-	alg := prairie.NewAlgebra("quickstart")
-	nr := alg.Props.Define("num_records", prairie.KindFloat)
-	cost := alg.Props.Define("cost", prairie.KindCost)
-	ret := alg.Operator("RET", 1)
-	join := alg.Operator("JOIN", 2)
-	fileScan := alg.Algorithm("File_scan", 1)
-	nested := alg.Algorithm("Nested_loops", 2)
+	// 1. Compile the specification; it declares no helper functions.
+	rs, err := prairie.ParseRules(spec, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	alg := rs.Algebra
+	nr := alg.Props.MustLookup("num_records")
+	cost := alg.Props.MustLookup("cost")
 
-	// 2. The rules. A T-rule maps operator trees to equivalent operator
-	// trees; an I-rule maps an operator to an implementing algorithm.
-	rs := prairie.NewRuleSet(alg)
-	rs.AddT(&prairie.TRule{
-		Name: "join_commute",
-		LHS:  prairie.POp(join, "D3", prairie.PVar(1, "D1"), prairie.PVar(2, "D2")),
-		RHS:  prairie.POp(join, "D4", prairie.PVar(2, ""), prairie.PVar(1, "")),
-		PostTest: func(b *prairie.Binding) {
-			b.D("D4").CopyFrom(b.D("D3"))
-		},
-	})
-	rs.AddI(&prairie.IRule{
-		Name: "ret_file_scan",
-		LHS:  prairie.POp(ret, "D2", prairie.PVar(1, "D1")),
-		RHS:  prairie.POp(fileScan, "D3", prairie.PVar(1, "")),
-		PreOpt: func(b *prairie.Binding) {
-			b.D("D3").CopyFrom(b.D("D2"))
-		},
-		PostOpt: func(b *prairie.Binding) {
-			// Scanning costs one unit per stored tuple.
-			b.D("D3").SetFloat(cost, b.D("D1").Float(nr))
-		},
-	})
-	rs.AddI(&prairie.IRule{
-		Name: "join_nested_loops",
-		LHS:  prairie.POp(join, "D3", prairie.PVar(1, "D1"), prairie.PVar(2, "D2")),
-		RHS:  prairie.POp(nested, "D5", prairie.PVar(1, "D4"), prairie.PVar(2, "")),
-		PreOpt: func(b *prairie.Binding) {
-			b.D("D5").CopyFrom(b.D("D3"))
-			b.D("D4").CopyFrom(b.D("D1"))
-		},
-		PostOpt: func(b *prairie.Binding) {
-			// Figure 6 of the paper: scan the outer once, the inner per
-			// outer tuple.
-			d4, d2 := b.D("D4"), b.D("D2")
-			b.D("D5").SetFloat(cost, d4.Float(cost)+d4.Float(nr)*d2.Float(cost))
-		},
-	})
-
-	// 3. An initialized operator tree: JOIN(RET(emp), RET(dept)).
+	// 2. An initialized operator tree: JOIN(RET(emp), RET(dept)).
 	leaf := func(name string, card float64) *prairie.Expr {
 		d := prairie.NewDescriptor(alg.Props)
 		d.SetFloat(nr, card)
 		return prairie.NewLeaf(name, d)
 	}
 	retOf := func(l *prairie.Expr) *prairie.Expr {
-		return prairie.NewNode(ret, l.D.Clone(), l)
+		return prairie.NewNode(alg.MustOp("RET"), l.D.Clone(), l)
 	}
 	jd := prairie.NewDescriptor(alg.Props)
 	jd.SetFloat(nr, 10000*64)
-	query := prairie.NewNode(join, jd, retOf(leaf("emp", 10000)), retOf(leaf("dept", 64)))
+	query := prairie.NewNode(alg.MustOp("JOIN"), jd, retOf(leaf("emp", 10000)), retOf(leaf("dept", 64)))
 
-	// 4. Translate with P2V and optimize.
+	// 3. Translate with P2V and optimize.
 	plan, stats, err := prairie.Optimize(rs, query, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,10 @@ func main() {
 	})
 
 	o := relopt.New(cat)
-	rs := o.PrairieRules()
+	rs, err := o.PrairieRules()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("Prairie specification: %d T-rules, %d I-rules\n\n", len(rs.TRules), len(rs.IRules))
 	for _, r := range rs.TRules {
 		fmt.Println("  T-rule", r)

@@ -4,16 +4,6 @@ import (
 	"strings"
 )
 
-// Observer receives property read/write notifications from an
-// instrumented descriptor. The P2V pre-processor uses observers to trace
-// which properties closure-based rule actions read and assign (its
-// automatic property classification); see internal/p2v.
-type Observer interface {
-	ObserveGet(d *Descriptor, id PropID)
-	ObserveSet(d *Descriptor, id PropID)
-	ObserveCopy(dst, src *Descriptor)
-}
-
 // Descriptor is a list of annotations — ⟨property, value⟩ pairs —
 // describing one node of an operator tree (§2.1). Every node has its own
 // descriptor. Prairie's central simplification is that this single
@@ -24,9 +14,8 @@ type Observer interface {
 // nil. Descriptors are cheap to copy; rule actions like "D5 = D3" map to
 // CopyFrom.
 type Descriptor struct {
-	ps       *PropertySet
-	vals     []Value
-	observer Observer
+	ps   *PropertySet
+	vals []Value
 	// Name tags the descriptor with its rule-variable name (e.g. "D3")
 	// while rule actions run; it exists for tracing and error messages.
 	Name string
@@ -51,9 +40,9 @@ func blockOf[S any](slots func(*S) []Value) func() *Descriptor {
 }
 
 // blocks[n-1] allocates a descriptor with exactly n inline slots. A block
-// is sized to the property set, not to one generous class: 64+16n bytes
-// is an allocator size class for every n here, so a block costs the bytes
-// of the two objects it replaces.
+// is sized to the property set, not to one generous class: 48+16n bytes
+// is an allocator size class for every n here (n ≤ 12), so a block costs
+// the bytes of the two objects it replaces.
 var blocks = [...]func() *Descriptor{
 	blockOf(func(s *[1]Value) []Value { return s[:] }),
 	blockOf(func(s *[2]Value) []Value { return s[:] }),
@@ -84,14 +73,8 @@ func allocDescriptor(ps *PropertySet, n int) *Descriptor {
 // Props returns the descriptor's property set.
 func (d *Descriptor) Props() *PropertySet { return d.ps }
 
-// SetObserver installs (or clears, with nil) an access observer.
-func (d *Descriptor) SetObserver(o Observer) { d.observer = o }
-
 // Get returns the value of a property, or the kind's default if unset.
 func (d *Descriptor) Get(id PropID) Value {
-	if d.observer != nil {
-		d.observer.ObserveGet(d, id)
-	}
 	if int(id) < len(d.vals) && d.vals[id] != nil {
 		return d.vals[id]
 	}
@@ -115,9 +98,6 @@ func (d *Descriptor) Set(id PropID, v Value) {
 			panic("core: property " + d.ps.At(id).Name + " has kind " + want.String() + ", not " + got.String())
 		}
 		v = coerce(v, want)
-	}
-	if d.observer != nil {
-		d.observer.ObserveSet(d, id)
 	}
 	for int(id) >= len(d.vals) {
 		d.vals = append(d.vals, nil)
@@ -167,12 +147,6 @@ func (d *Descriptor) Unset(id PropID) {
 // CopyFrom overwrites this descriptor with src's annotations — the
 // paper's whole-descriptor assignment "D5 = D3".
 func (d *Descriptor) CopyFrom(src *Descriptor) {
-	if d.observer != nil {
-		d.observer.ObserveCopy(d, src)
-	}
-	if src.observer != nil && src.observer != d.observer {
-		src.observer.ObserveCopy(d, src)
-	}
 	for len(d.vals) < len(src.vals) {
 		d.vals = append(d.vals, nil)
 	}
@@ -185,7 +159,7 @@ func (d *Descriptor) CopyFrom(src *Descriptor) {
 	}
 }
 
-// Clone returns an independent copy (without the observer).
+// Clone returns an independent copy.
 func (d *Descriptor) Clone() *Descriptor {
 	c := allocDescriptor(d.ps, len(d.vals))
 	c.Name = d.Name

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func testProps() (*PropertySet, PropID, PropID, PropID, PropID) {
@@ -223,35 +224,6 @@ func TestDescriptorString(t *testing.T) {
 	}
 }
 
-type recordingObserver struct {
-	gets, sets int
-	copies     int
-}
-
-func (r *recordingObserver) ObserveGet(*Descriptor, PropID) { r.gets++ }
-func (r *recordingObserver) ObserveSet(*Descriptor, PropID) { r.sets++ }
-func (r *recordingObserver) ObserveCopy(_, _ *Descriptor)   { r.copies++ }
-
-func TestDescriptorObserver(t *testing.T) {
-	ps, ord, nr, _, _ := testProps()
-	d := NewDescriptor(ps)
-	obs := &recordingObserver{}
-	d.SetObserver(obs)
-	d.Set(ord, DontCareOrder)
-	_ = d.Get(ord)
-	_ = d.Float(nr)
-	src := NewDescriptor(ps)
-	d.CopyFrom(src)
-	if obs.sets != 1 || obs.gets != 2 || obs.copies != 1 {
-		t.Errorf("observer counts: sets=%d gets=%d copies=%d", obs.sets, obs.gets, obs.copies)
-	}
-	d.SetObserver(nil)
-	d.Set(ord, DontCareOrder)
-	if obs.sets != 1 {
-		t.Error("cleared observer still notified")
-	}
-}
-
 func TestDescriptorCopyFromQuick(t *testing.T) {
 	ps, _, nr, _, cost := testProps()
 	// Property: after CopyFrom, the two descriptors are projection-equal
@@ -274,6 +246,10 @@ func TestDescriptorCopyFromQuick(t *testing.T) {
 // set; reading an unset property allocates nothing (the defaults are
 // boxed once); and a descriptor outgrows its inline slots by append.
 func TestDescriptorOneAllocation(t *testing.T) {
+	// 48+16n bytes is an allocator size class for every n ≤ len(blocks).
+	if got := unsafe.Sizeof(Descriptor{}); got != 48 {
+		t.Errorf("Descriptor is %d bytes, want 48", got)
+	}
 	for n := 0; n <= len(blocks)+2; n++ {
 		ps := NewPropertySet()
 		for i := 0; i < n; i++ {

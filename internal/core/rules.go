@@ -55,10 +55,10 @@ func NewFrame(lhs, rhs *PatNode) *Frame {
 //
 // A binding is a slice of descriptors indexed by slot. Laid out by a
 // rule's Frame (Reset, Enter) the slots are the frame's; names bound
-// beyond the frame — or with no frame at all, as hand-written tests and
-// hooks do — are appended. Compiled actions use Slot, hand-written
-// closures D, a scan over the same slots: bindings hold few entries, so
-// the scan beats a map.
+// beyond the frame — or with no frame at all, as hand-coded Volcano rules
+// and tests do — are appended. Compiled actions and P2V's hooks use
+// slots, hand-coded rules D, a scan over the same slots: bindings hold
+// few entries, so the scan beats a map.
 type Binding struct {
 	ps    *PropertySet
 	frame *Frame
@@ -102,8 +102,8 @@ func (b *Binding) Reset(f *Frame) {
 
 // Enter is the first statement of every compiled action: it makes sure
 // the binding is laid out by the action's frame. The engine's bindings
-// already are; one built by name (a test, a hand-written hook) is
-// rearranged, keeping its descriptors.
+// already are; one built by name (a test) is rearranged, keeping its
+// descriptors.
 func (b *Binding) Enter(f *Frame) {
 	if b.frame == f {
 		return
@@ -166,6 +166,9 @@ func (b *Binding) Owns(d *Descriptor) bool { return slices.Contains(b.pool, d) }
 // BindSlot binds slot i to an existing descriptor.
 func (b *Binding) BindSlot(i int, d *Descriptor) { b.descs[i] = d }
 
+// BoundSlot reports whether slot i is bound.
+func (b *Binding) BoundSlot(i int) bool { return b.descs[i] != nil }
+
 // slot returns name's slot, appending one when the name is new.
 func (b *Binding) slot(name string) int {
 	if i := slices.Index(b.names, name); i >= 0 {
@@ -202,22 +205,21 @@ func (b *Binding) Names() []string {
 	return out
 }
 
-// Action is a group of descriptor assignment statements. Left-hand sides
-// refer to right-hand-side descriptors of the rule; right-hand sides may
-// read any descriptor in the binding and call helper functions. An action
-// must not modify left-hand-side descriptors (Validate and the P2V taint
-// tracer enforce this).
+// Action is a group of descriptor assignment statements, compiled from a
+// rule's statement block. Left-hand sides refer to right-hand-side
+// descriptors of the rule; right-hand sides may read any descriptor in the
+// binding and call helper functions. An action must not modify
+// left-hand-side descriptors (the Prairie-language checker enforces this).
 type Action func(b *Binding)
 
 // Test is a rule applicability check: a boolean expression over the
 // binding, possibly calling helper functions.
 type Test func(b *Binding) bool
 
-// ActionHints optionally declares which (descriptor name, property) pairs
-// an action assigns. The paper (footnote 3) notes that non-assignment
-// actions need such hints for P2V to classify properties; closure-based
-// rules whose behaviour the taint tracer cannot see may declare them
-// here.
+// ActionHints declares which (descriptor name, property) pairs an action
+// assigns — the hints the paper's footnote 3 asks of actions P2V cannot
+// read. The Prairie-language compiler derives them exactly from each
+// statement block, and P2V classifies properties by them alone.
 type ActionHints struct {
 	// Writes lists assignments as "Dname.prop" strings; "Dname.*" marks
 	// a whole-descriptor copy target.
@@ -233,23 +235,22 @@ type ActionHints struct {
 //	{{ pre-test }}  test  {{ post-test }}
 type TRule struct {
 	Name string
-	// Origin records where the rule was declared (a "file:line" source
-	// position for rules compiled from Prairie-language text, empty for
-	// rules built in Go). Back ends carry it through to per-rule
-	// diagnostics and verification verdicts.
+	// Origin records where the rule was declared ("spec:" and its source
+	// position). Back ends carry it through to per-rule diagnostics and
+	// verification verdicts.
 	Origin   string
 	LHS, RHS *PatNode
 	PreTest  Action // may be nil
 	Test     Test   // nil means TRUE
 	PostTest Action // may be nil
 	Hints    *ActionHints
-	// Frame is set on rules compiled from Prairie-language text: their
-	// actions address descriptors by its slots and LHS/RHS carry them.
+	// Frame lays out the descriptors the compiled actions address by slot;
+	// LHS/RHS carry the same slots.
 	Frame *Frame
-	// Slice, set on the same rules, compiles the rule's statements once
-	// more, cut for a back end that interns what a firing builds: rhs is
-	// the right side the back end will build and idProps tells which
-	// properties identify an expression of an operation.
+	// Slice compiles the rule's statements once more, cut for a back end
+	// that interns what a firing builds: rhs is the right side the back
+	// end will build and idProps tells which properties identify an
+	// expression of an operation.
 	Slice func(rhs *PatNode, idProps func(*Operation) []PropID) *Sliced
 }
 
@@ -267,25 +268,6 @@ type Sliced struct {
 	// Doc lists the cut statement by statement, or the reason the rule was
 	// left as written, for the rule compiler's -dump.
 	Doc []string
-}
-
-// RunCond executes the rule's pre-test statements and test against the
-// binding; it reports whether the rule applies.
-func (r *TRule) RunCond(b *Binding) bool {
-	if r.PreTest != nil {
-		r.PreTest(b)
-	}
-	if r.Test != nil {
-		return r.Test(b)
-	}
-	return true
-}
-
-// RunPost executes the post-test statements.
-func (r *TRule) RunPost(b *Binding) {
-	if r.PostTest != nil {
-		r.PostTest(b)
-	}
 }
 
 // String renders the rule header in the paper's notation.

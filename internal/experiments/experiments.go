@@ -626,7 +626,10 @@ func RuleCounts() (*Table, error) {
 	// Relational optimizer (the [5] experiment).
 	rcat := catalog.Generate(catalog.DefaultGen(4, 101, true))
 	ro := relopt.New(rcat)
-	rrs := ro.PrairieRules()
+	rrs, err := ro.PrairieRules()
+	if err != nil {
+		return nil, err
+	}
 	rvrs, rrep, err := p2v.Translate(rrs)
 	if err != nil {
 		return nil, err
@@ -669,7 +672,11 @@ func Relopt(opts Options) (*Table, error) {
 			q := relopt.QuerySpec{Relations: names, Select: true}
 
 			po := relopt.New(cat)
-			pvrs, rep, err := p2v.Translate(po.PrairieRules())
+			prs, err := po.PrairieRules()
+			if err != nil {
+				return nil, err
+			}
+			pvrs, rep, err := p2v.Translate(prs)
 			if err != nil {
 				return nil, err
 			}

@@ -11,8 +11,8 @@ import (
 func TestHelperImplsTotal(t *testing.T) {
 	o := New(catalog.Generate(catalog.DefaultGen(2, 101, true)))
 	impls := o.HelperImpls()
-	// Every helper must tolerate default values (P2V taint tracing runs
-	// actions over defaults).
+	// Every helper must tolerate default values: a rule may read an unset
+	// property, which reads as its kind's default.
 	defaults := map[string][]core.Value{
 		"union":           {core.Attrs(nil), core.Attrs(nil)},
 		"contains_all":    {core.Attrs(nil), core.Attrs(nil)},

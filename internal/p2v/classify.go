@@ -14,6 +14,12 @@
 //  3. Rule rewriting and merging — enforcer-operators are deleted from
 //     T-rule patterns; rules that become idempotent are dropped and their
 //     operator aliases substituted, producing a compact Volcano rule set.
+//
+// It translates only rule sets the Prairie-language compiler
+// (internal/prairielang) built: classification reads the write hints the
+// compiler derives from each rule's statements, the generated hooks bind
+// descriptors by the rule's frame slots, and each T-rule is cut for the
+// memo by its compiled Slice.
 package p2v
 
 import (
@@ -24,106 +30,46 @@ import (
 )
 
 // writeSet records, per descriptor variable name, the properties an
-// action assigns ("Dname.prop") and whether the whole descriptor was the
-// target of a copy ("Dname = Dother").
-type writeSet struct {
-	props  map[string]map[core.PropID]bool
-	copies map[string]bool
-}
+// action assigns ("Dname.prop"). Whole-descriptor copies ("Dname =
+// Dother") are descriptor initialization, not property requests, and are
+// not recorded.
+type writeSet map[string]map[core.PropID]bool
 
-func newWriteSet() *writeSet {
-	return &writeSet{props: map[string]map[core.PropID]bool{}, copies: map[string]bool{}}
-}
-
-func (w *writeSet) addProp(desc string, id core.PropID) {
-	m := w.props[desc]
-	if m == nil {
-		m = map[core.PropID]bool{}
-		w.props[desc] = m
+// actionWrites reads the write-set of an action from the write hints the
+// Prairie-language compiler attaches to every rule (the paper's footnote
+// 3 hints, computed statically from the statement blocks).
+func actionWrites(ps *core.PropertySet, hints []string) writeSet {
+	ws := writeSet{}
+	for _, h := range hints {
+		desc, prop, ok := strings.Cut(h, ".")
+		if !ok {
+			continue
+		}
+		if id, ok := ps.Lookup(prop); ok {
+			if ws[desc] == nil {
+				ws[desc] = map[core.PropID]bool{}
+			}
+			ws[desc][id] = true
+		}
 	}
-	m[id] = true
+	return ws
 }
 
 // propsOf returns the property ids assigned on desc, sorted.
-func (w *writeSet) propsOf(desc string) []core.PropID {
+func (ws writeSet) propsOf(desc string) []core.PropID {
 	var out []core.PropID
-	for id := range w.props[desc] {
+	for id := range ws[desc] {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// tracer is a core.Observer that records per-property writes during a
-// taint-tracing run of a closure-based action (the paper's footnote 3
-// hints, computed dynamically). Whole-descriptor copies are recorded
-// separately: they are descriptor initialization, not property requests.
-type tracer struct {
-	ws    *writeSet
-	names map[*core.Descriptor]string
-}
-
-func (t *tracer) ObserveGet(*core.Descriptor, core.PropID) {}
-
-func (t *tracer) ObserveSet(d *core.Descriptor, id core.PropID) {
-	if name, ok := t.names[d]; ok {
-		t.ws.addProp(name, id)
-	}
-}
-
-func (t *tracer) ObserveCopy(dst, src *core.Descriptor) {
-	if name, ok := t.names[dst]; ok {
-		t.ws.copies[name] = true
-	}
-}
-
-// actionWrites determines the write-set of an action over the given
-// binding names. It prefers explicit hints (exact, supplied by the rule
-// author or by the Prairie language compiler) and falls back to running
-// the action once against instrumented descriptors populated with
-// default values.
-func actionWrites(ps *core.PropertySet, act core.Action, hints []string, names []string) *writeSet {
-	ws := newWriteSet()
-	if hints != nil {
-		for _, h := range hints {
-			dot := strings.IndexByte(h, '.')
-			if dot < 0 {
-				continue
-			}
-			desc, prop := h[:dot], h[dot+1:]
-			if prop == "*" {
-				ws.copies[desc] = true
-				continue
-			}
-			if id, ok := ps.Lookup(prop); ok {
-				ws.addProp(desc, id)
-			}
-		}
-		return ws
-	}
-	if act == nil {
-		return ws
-	}
-	tr := &tracer{ws: ws, names: map[*core.Descriptor]string{}}
-	b := core.NewBinding(ps)
-	for _, n := range names {
-		d := core.NewDescriptor(ps)
-		d.Name = n
-		d.SetObserver(tr)
-		tr.names[d] = n
-		b.Bind(n, d)
-	}
-	// The trace run sees default values only; actions are expected to be
-	// total over defaults (core.Descriptor.Get guarantees non-nil reads).
-	act(b)
-	return ws
-}
-
 // Classification analysis (§3.1): a property with kind COST is the cost
 // property; a property assigned per-property on a right-hand-side input
 // stream's descriptor in any I-rule pre-opt section is physical;
 // everything else is an operator/algorithm argument.
-func classify(rs *core.RuleSet) (costID core.PropID, phys []core.PropID, perRule map[*core.IRule]*writeSet) {
+func classify(rs *core.RuleSet) (costID core.PropID, phys []core.PropID, perRule map[*core.IRule]writeSet) {
 	ps := rs.Algebra.Props
 	costs := ps.CostProps()
 	costID = core.NoProp
@@ -131,17 +77,12 @@ func classify(rs *core.RuleSet) (costID core.PropID, phys []core.PropID, perRule
 		costID = costs[0]
 	}
 	physSet := map[core.PropID]bool{}
-	perRule = make(map[*core.IRule]*writeSet, len(rs.IRules))
+	perRule = make(map[*core.IRule]writeSet, len(rs.IRules))
 	for _, r := range rs.IRules {
-		var hints []string
-		if r.Hints != nil {
-			hints = r.Hints.PreWrites
-		}
-		names := bindingNames(r.LHS, r.RHS)
-		ws := actionWrites(ps, r.PreOpt, hints, names)
+		ws := actionWrites(ps, r.Hints.PreWrites)
 		perRule[r] = ws
 		for _, leafDesc := range rhsInputDescNames(r.RHS) {
-			for id := range ws.props[leafDesc] {
+			for id := range ws[leafDesc] {
 				if id != costID {
 					physSet[id] = true
 				}
@@ -153,11 +94,6 @@ func classify(rs *core.RuleSet) (costID core.PropID, phys []core.PropID, perRule
 	}
 	sort.Slice(phys, func(i, j int) bool { return phys[i] < phys[j] })
 	return costID, phys, perRule
-}
-
-// bindingNames returns every descriptor variable name of a rule.
-func bindingNames(lhs, rhs *core.PatNode) []string {
-	return append(lhs.DescNames(), rhs.DescNames()...)
 }
 
 // rhsInputDescNames returns the descriptor names attached to variable

@@ -6,32 +6,29 @@ import (
 )
 
 // irShape caches the positional structure of an I-rule needed to build
-// engine hooks: the rule's frame, the descriptor names of both sides and
-// the mapping from right-side input positions to left-side input
-// positions.
+// engine hooks: the rule's frame and the frame slots (PatNode.Slot) of
+// both sides' descriptors, with the mapping from right-side input
+// positions to left-side input positions. A slot is -1 where the pattern
+// names no descriptor.
 type irShape struct {
 	frame   *core.Frame
-	lhsRoot string
-	rhsRoot string
-	lhsKid  []string // descriptor name of LHS input i ("" if none)
-	rhsKid  []string // descriptor name, indexed by LHS input position
+	lhsRoot int
+	rhsRoot int
+	lhsKid  []int // slot of LHS input i's descriptor
+	rhsKid  []int // slot of the RHS input's descriptor, indexed by LHS input position
 }
 
 func shapeOf(r *core.IRule) irShape {
-	sh := irShape{frame: r.Frame, lhsRoot: r.LHS.Desc, rhsRoot: r.RHS.Desc}
-	if sh.frame == nil {
-		// A hand-written rule; its patterns may share nodes with others.
-		sh.frame = core.NewFrame(r.LHS.Clone(), r.RHS.Clone())
-	}
+	sh := irShape{frame: r.Frame, lhsRoot: r.LHS.Slot, rhsRoot: r.RHS.Slot}
 	varToIdx := map[int]int{}
 	for i, k := range r.LHS.Kids {
-		sh.lhsKid = append(sh.lhsKid, k.Desc)
+		sh.lhsKid = append(sh.lhsKid, k.Slot)
+		sh.rhsKid = append(sh.rhsKid, -1)
 		varToIdx[k.Var] = i
 	}
-	sh.rhsKid = make([]string, len(r.LHS.Kids))
 	for _, k := range r.RHS.Kids {
 		if idx, ok := varToIdx[k.Var]; ok {
-			sh.rhsKid[idx] = k.Desc
+			sh.rhsKid[idx] = k.Slot
 		}
 	}
 	return sh
@@ -48,17 +45,17 @@ func (sh irShape) condBinding(cx *volcano.ImplCtx) *core.Binding {
 	}
 	b := cx.Lend(sh.frame)
 	cx.Scratch = b
-	b.Bind(sh.lhsRoot, cx.OpDesc)
-	for i, name := range sh.lhsKid {
-		if name == "" {
+	b.BindSlot(sh.lhsRoot, cx.OpDesc)
+	for i, slot := range sh.lhsKid {
+		if slot < 0 {
 			continue
 		}
 		if i < len(cx.Kids) && cx.Kids[i] != nil {
-			b.Bind(name, cx.Kids[i])
+			b.BindSlot(slot, cx.Kids[i])
 		} else {
 			// Enforcer context: the input is the same equivalence
 			// class; its logical descriptor is the operator's.
-			b.Bind(name, cx.OpDesc)
+			b.BindSlot(slot, cx.OpDesc)
 		}
 	}
 	return b
@@ -69,7 +66,7 @@ func (sh irShape) condBinding(cx *volcano.ImplCtx) *core.Binding {
 // descriptors of both sides (their costs are now known, §2.4).
 func (sh irShape) postBinding(cx *volcano.ImplCtx, algD *core.Descriptor) *core.Binding {
 	b := sh.condBinding(cx)
-	b.Bind(sh.rhsRoot, algD)
+	b.BindSlot(sh.rhsRoot, algD)
 	for i := range sh.lhsKid {
 		var in *core.Descriptor
 		if i < len(cx.In) {
@@ -78,11 +75,11 @@ func (sh irShape) postBinding(cx *volcano.ImplCtx, algD *core.Descriptor) *core.
 		if in == nil {
 			continue
 		}
-		if sh.lhsKid[i] != "" {
-			b.Bind(sh.lhsKid[i], in)
+		if sh.lhsKid[i] >= 0 {
+			b.BindSlot(sh.lhsKid[i], in)
 		}
-		if sh.rhsKid[i] != "" {
-			b.Bind(sh.rhsKid[i], in)
+		if sh.rhsKid[i] >= 0 {
+			b.BindSlot(sh.rhsKid[i], in)
 		}
 	}
 	return b
@@ -111,11 +108,11 @@ func makeImpl(r *core.IRule, alias map[*core.Operation]*core.Operation) *volcano
 			if r.PreOpt != nil {
 				r.PreOpt(b)
 			}
-			algD := b.D(sh.rhsRoot)
+			algD := b.Slot(sh.rhsRoot)
 			inReq := make([]*core.Descriptor, len(sh.rhsKid))
-			for i, name := range sh.rhsKid {
-				if name != "" && b.Bound(name) {
-					inReq[i] = b.D(name)
+			for i, slot := range sh.rhsKid {
+				if slot >= 0 && b.BoundSlot(slot) {
+					inReq[i] = b.Slot(slot)
 				}
 			}
 			return algD, inReq
@@ -159,10 +156,10 @@ func makeEnforcer(rs *core.RuleSet, r *core.IRule, props []core.PropID) *volcano
 			if r.PreOpt != nil {
 				r.PreOpt(b)
 			}
-			algD := b.D(sh.rhsRoot)
+			algD := b.Slot(sh.rhsRoot)
 			var inReq *core.Descriptor
-			if len(sh.rhsKid) == 1 && sh.rhsKid[0] != "" && b.Bound(sh.rhsKid[0]) {
-				inReq = b.D(sh.rhsKid[0])
+			if len(sh.rhsKid) == 1 && sh.rhsKid[0] >= 0 && b.BoundSlot(sh.rhsKid[0]) {
+				inReq = b.Slot(sh.rhsKid[0])
 				// Relax the enforced properties: the input may arrive in
 				// any state of the property this algorithm establishes.
 				for _, p := range props {

@@ -5,13 +5,59 @@ import (
 	"testing"
 
 	"prairie/internal/core"
+	"prairie/internal/prairielang"
 	"prairie/internal/volcano"
 )
 
-// specWorld builds a compact Prairie rule set exercising every P2V
+// specSrc is a compact Prairie specification exercising every P2V
 // feature: an enforcer-operator (SORT) with a Null rule, an
 // enforcer-introduction T-rule that merges away (JOIN => JOPR), and
 // physical-property assignments in pre-opt sections.
+const specSrc = `
+algebra spec;
+property tuple_order : order;
+property num_records : float;
+property cost : cost;
+operator RET(1);
+operator JOIN(2);
+operator JOPR(2);
+operator SORT(1);
+algorithm File_scan(1);
+algorithm Nested_loops(2);
+algorithm Merge_sort(1);
+algorithm Null(1);
+
+trule join_to_jopr:
+  JOIN(?1:D1, ?2:D2):D3 => JOPR(SORT(?1):D4, SORT(?2):D5):D6
+posttest { D6 = D3; }
+
+trule join_commute:
+  JOIN(?1:D1, ?2:D2):D3 => JOIN(?2, ?1):D4
+posttest { D4 = D3; }
+
+irule ret_file_scan:
+  RET(?1:D1):D2 => File_scan(?1):D3
+preopt { D3 = D2; D3.tuple_order = DONT_CARE; }
+postopt { D3.cost = D1.num_records; }
+
+irule jopr_nested_loops:
+  JOPR(?1:D1, ?2:D2):D3 => Nested_loops(?1:D4, ?2):D5
+preopt { D5 = D3; D4 = D1; D4.tuple_order = D3.tuple_order; }
+postopt { D5.cost = D4.cost + D4.num_records * D2.cost; }
+
+irule sort_merge_sort:
+  SORT(?1:D1):D2 => Merge_sort(?1):D3
+test (D2.tuple_order != DONT_CARE)
+preopt { D3 = D2; }
+postopt { D3.cost = D1.cost + D3.num_records; }
+
+irule sort_null:
+  SORT(?1:D1):D2 => Null(?1:D3):D4
+preopt { D4 = D2; D3 = D1; D3.tuple_order = D2.tuple_order; }
+postopt { D4.cost = D3.cost; }
+`
+
+// specWorld is specSrc compiled, with handles on its algebra.
 type specWorld struct {
 	alg        *core.Algebra
 	rs         *core.RuleSet
@@ -19,98 +65,25 @@ type specWorld struct {
 	join, jopr *core.Operation
 	sort, ret  *core.Operation
 	nl, ms, fs *core.Operation
-	nullAlg    *core.Operation
 }
 
-func newSpecWorld() *specWorld {
-	w := &specWorld{}
-	a := core.NewAlgebra("spec")
-	w.alg = a
-	w.ord = a.Props.Define("tuple_order", core.KindOrder)
-	w.nr = a.Props.Define("num_records", core.KindFloat)
-	w.c = a.Props.Define("cost", core.KindCost)
-	w.ret = a.Operator("RET", 1)
-	w.join = a.Operator("JOIN", 2)
-	w.jopr = a.Operator("JOPR", 2)
-	w.sort = a.Operator("SORT", 1)
-	w.fs = a.Algorithm("File_scan", 1)
-	w.nl = a.Algorithm("Nested_loops", 2)
-	w.ms = a.Algorithm("Merge_sort", 1)
-	w.nullAlg = a.Null()
-
-	rs := core.NewRuleSet(a)
-	w.rs = rs
-	rs.AddT(&core.TRule{
-		Name: "join_to_jopr",
-		LHS:  core.POp(w.join, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
-		RHS: core.POp(w.jopr, "D6",
-			core.POp(w.sort, "D4", core.PVar(1, "")),
-			core.POp(w.sort, "D5", core.PVar(2, ""))),
-		PostTest: func(b *core.Binding) { b.D("D6").CopyFrom(b.D("D3")) },
-	})
-	rs.AddT(&core.TRule{
-		Name:     "join_commute",
-		LHS:      core.POp(w.join, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
-		RHS:      core.POp(w.join, "D4", core.PVar(2, ""), core.PVar(1, "")),
-		PostTest: func(b *core.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
-	})
-	rs.AddI(&core.IRule{
-		Name: "ret_file_scan",
-		LHS:  core.POp(w.ret, "D2", core.PVar(1, "D1")),
-		RHS:  core.POp(w.fs, "D3", core.PVar(1, "")),
-		PreOpt: func(b *core.Binding) {
-			d := b.D("D3")
-			d.CopyFrom(b.D("D2"))
-			d.Set(w.ord, core.DontCareOrder)
-		},
-		PostOpt: func(b *core.Binding) {
-			b.D("D3").Set(w.c, core.Cost(b.D("D1").Float(w.nr)))
-		},
-	})
-	rs.AddI(&core.IRule{
-		Name: "jopr_nested_loops",
-		LHS:  core.POp(w.jopr, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
-		RHS:  core.POp(w.nl, "D5", core.PVar(1, "D4"), core.PVar(2, "")),
-		PreOpt: func(b *core.Binding) {
-			b.D("D5").CopyFrom(b.D("D3"))
-			b.D("D4").CopyFrom(b.D("D1"))
-			b.D("D4").Set(w.ord, b.D("D3").Order(w.ord))
-		},
-		PostOpt: func(b *core.Binding) {
-			b.D("D5").Set(w.c, core.Cost(
-				b.D("D4").Float(w.c)+b.D("D4").Float(w.nr)*b.D("D2").Float(w.c)))
-		},
-	})
-	rs.AddI(&core.IRule{
-		Name: "sort_merge_sort",
-		LHS:  core.POp(w.sort, "D2", core.PVar(1, "D1")),
-		RHS:  core.POp(w.ms, "D3", core.PVar(1, "")),
-		Test: func(b *core.Binding) bool { return !b.D("D2").Order(w.ord).IsDontCare() },
-		PreOpt: func(b *core.Binding) {
-			b.D("D3").CopyFrom(b.D("D2"))
-		},
-		PostOpt: func(b *core.Binding) {
-			b.D("D3").Set(w.c, core.Cost(b.D("D1").Float(w.c)+b.D("D3").Float(w.nr)))
-		},
-	})
-	rs.AddI(&core.IRule{
-		Name: "sort_null",
-		LHS:  core.POp(w.sort, "D2", core.PVar(1, "D1")),
-		RHS:  core.POp(w.nullAlg, "D4", core.PVar(1, "D3")),
-		PreOpt: func(b *core.Binding) {
-			b.D("D4").CopyFrom(b.D("D2"))
-			b.D("D3").CopyFrom(b.D("D1"))
-			b.D("D3").Set(w.ord, b.D("D2").Order(w.ord))
-		},
-		PostOpt: func(b *core.Binding) {
-			b.D("D4").Set(w.c, core.Cost(b.D("D3").Float(w.c)))
-		},
-	})
-	return w
+func newSpecWorld(t *testing.T) *specWorld {
+	t.Helper()
+	rs, err := prairielang.ParseAndCompile(specSrc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := rs.Algebra
+	return &specWorld{
+		alg: a, rs: rs,
+		ord: a.Props.MustLookup("tuple_order"), nr: a.Props.MustLookup("num_records"), c: a.Props.MustLookup("cost"),
+		join: a.MustOp("JOIN"), jopr: a.MustOp("JOPR"), sort: a.MustOp("SORT"), ret: a.MustOp("RET"),
+		nl: a.MustOp("Nested_loops"), ms: a.MustOp("Merge_sort"), fs: a.MustOp("File_scan"),
+	}
 }
 
 func TestTranslateSpecWorld(t *testing.T) {
-	w := newSpecWorld()
+	w := newSpecWorld(t)
 	vrs, rep, err := Translate(w.rs)
 	if err != nil {
 		t.Fatal(err)
@@ -159,49 +132,46 @@ func TestTranslateRejectsInvalidRuleSet(t *testing.T) {
 
 func TestTranslateRequiresCost(t *testing.T) {
 	a := core.NewAlgebra("nocost")
-	a.Operator("RET", 1)
-	fs := a.Algorithm("File_scan", 1)
-	rs := core.NewRuleSet(a)
-	rs.AddI(&core.IRule{
-		Name: "r",
-		LHS:  core.POp(a.MustOp("RET"), "D2", core.PVar(1, "D1")),
-		RHS:  core.POp(fs, "D3", core.PVar(1, "")),
-	})
-	if _, _, err := Translate(rs); err == nil || !strings.Contains(err.Error(), "COST") {
+	a.Props.Define("num_records", core.KindFloat)
+	if _, _, err := Translate(core.NewRuleSet(a)); err == nil || !strings.Contains(err.Error(), "COST") {
 		t.Errorf("err = %v", err)
 	}
 }
 
-func TestActionHintsOverrideTracing(t *testing.T) {
-	w := newSpecWorld()
-	// Replace the nested-loops rule with one whose pre-opt is opaque
-	// (e.g. a non-assignment statement) but declares hints, the paper's
-	// footnote 3 mechanism.
-	for _, r := range w.rs.IRules {
-		if r.Name == "jopr_nested_loops" {
-			r.Hints = &core.ActionHints{PreWrites: []string{"D5.*", "D4.*", "D4.tuple_order"}}
-			r.PreOpt = func(b *core.Binding) {
-				// Same effect, but tracing is bypassed by the hints.
-				b.D("D5").CopyFrom(b.D("D3"))
-				b.D("D4").CopyFrom(b.D("D1"))
-				b.D("D4").Set(w.ord, b.D("D3").Order(w.ord))
-			}
+// TestTranslateRejectsHandBuiltRules: P2V reads what the Prairie-language
+// compiler derives from a rule — its frame, write hints and slice — so a
+// rule built from Go closures is refused by name, not translated.
+func TestTranslateRejectsHandBuiltRules(t *testing.T) {
+	w := newSpecWorld(t)
+	w.rs.AddT(&core.TRule{
+		Name:     "hand_commute",
+		LHS:      core.POp(w.join, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
+		RHS:      core.POp(w.join, "D4", core.PVar(2, ""), core.PVar(1, "")),
+		PostTest: func(b *core.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
+	})
+	w.rs.AddI(&core.IRule{
+		Name:    "hand_scan",
+		LHS:     core.POp(w.ret, "D2", core.PVar(1, "D1")),
+		RHS:     core.POp(w.fs, "D3", core.PVar(1, "")),
+		PreOpt:  func(b *core.Binding) { b.D("D3").CopyFrom(b.D("D2")) },
+		PostOpt: func(b *core.Binding) { b.D("D3").Set(w.c, core.Cost(1)) },
+	})
+	_, _, err := Translate(w.rs)
+	if err == nil {
+		t.Fatal("hand-built rules translated")
+	}
+	for _, name := range []string{"hand_commute", "hand_scan"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error does not name %s: %v", name, err)
 		}
 	}
-	vrs, _, err := Translate(w.rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vrs.Class.IsPhys(w.ord) {
-		t.Error("hinted physical property lost")
+	if strings.Contains(err.Error(), "join_commute") {
+		t.Errorf("error names a compiled rule: %v", err)
 	}
 }
 
 func TestWriteSetHelpers(t *testing.T) {
-	ws := newWriteSet()
-	ws.addProp("D4", 3)
-	ws.addProp("D4", 1)
-	ws.addProp("D5", 2)
+	ws := writeSet{"D4": {3: true, 1: true}, "D5": {2: true}}
 	if got := ws.propsOf("D4"); len(got) != 2 || got[0] != 1 || got[1] != 3 {
 		t.Errorf("propsOf = %v", got)
 	}
@@ -213,44 +183,17 @@ func TestWriteSetHelpers(t *testing.T) {
 func TestActionWritesFromHints(t *testing.T) {
 	ps := core.NewPropertySet()
 	ord := ps.Define("tuple_order", core.KindOrder)
-	ws := actionWrites(ps, nil, []string{"D4.tuple_order", "D5.*", "bogus", "D6.missing"}, nil)
+	ws := actionWrites(ps, []string{"D4.tuple_order", "D5.*", "bogus", "D6.missing"})
 	if got := ws.propsOf("D4"); len(got) != 1 || got[0] != ord {
 		t.Errorf("hinted props = %v", got)
 	}
-	if !ws.copies["D5"] {
-		t.Error("copy hint lost")
-	}
-	if len(ws.propsOf("D6")) != 0 {
-		t.Error("unknown property accepted")
-	}
-}
-
-func TestActionWritesTracing(t *testing.T) {
-	ps := core.NewPropertySet()
-	ord := ps.Define("tuple_order", core.KindOrder)
-	nr := ps.Define("num_records", core.KindFloat)
-	act := func(b *core.Binding) {
-		b.D("D3").CopyFrom(b.D("D1"))
-		b.D("D3").Set(ord, core.DontCareOrder)
-		b.D("D9").SetFloat(nr, b.D("D1").Float(nr)) // unknown name: ignored
-	}
-	ws := actionWrites(ps, act, nil, []string{"D1", "D3"})
-	if got := ws.propsOf("D3"); len(got) != 1 || got[0] != ord {
-		t.Errorf("traced props = %v", got)
-	}
-	if !ws.copies["D3"] {
-		t.Error("copy not traced")
-	}
-	if len(ws.propsOf("D9")) != 0 {
-		t.Error("write to unbound descriptor traced")
-	}
-	if len(ws.propsOf("D1")) != 0 {
-		t.Error("reads misrecorded as writes")
+	if len(ws) != 1 {
+		t.Errorf("write-set = %v; a copy or an unknown property is no property write", ws)
 	}
 }
 
 func TestDeleteEnforcerNodes(t *testing.T) {
-	w := newSpecWorld()
+	w := newSpecWorld(t)
 	isEnf := func(op *core.Operation) bool { return op == w.sort }
 	// JOPR(SORT(?1):D4, SORT(?2):D5):D6 -> JOPR(?1:D4, ?2:D5):D6
 	p := core.POp(w.jopr, "D6",
@@ -278,7 +221,7 @@ func TestDeleteEnforcerNodes(t *testing.T) {
 }
 
 func TestShapeEqualModuloRoot(t *testing.T) {
-	w := newSpecWorld()
+	w := newSpecWorld(t)
 	a := core.POp(w.join, "DA", core.PVar(1, ""), core.PVar(2, ""))
 	b := core.POp(w.jopr, "DB", core.PVar(1, ""), core.PVar(2, ""))
 	same, differ := shapeEqualModuloRoot(a, b)
@@ -302,7 +245,7 @@ func TestShapeEqualModuloRoot(t *testing.T) {
 }
 
 func TestResolveAliasChains(t *testing.T) {
-	w := newSpecWorld()
+	w := newSpecWorld(t)
 	x := w.alg.Operator("X", 2)
 	alias := map[*core.Operation]*core.Operation{
 		w.jopr: x,
@@ -315,7 +258,7 @@ func TestResolveAliasChains(t *testing.T) {
 }
 
 func TestSubstAliases(t *testing.T) {
-	w := newSpecWorld()
+	w := newSpecWorld(t)
 	alias := map[*core.Operation]*core.Operation{w.jopr: w.join}
 	p := core.POp(w.jopr, "D6",
 		core.POp(w.jopr, "D4", core.PVar(1, ""), core.PVar(2, "")),
@@ -344,7 +287,7 @@ func TestPrepareQueryNilTree(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	w := newSpecWorld()
+	w := newSpecWorld(t)
 	_, rep, err := Translate(w.rs)
 	if err != nil {
 		t.Fatal(err)
@@ -365,18 +308,17 @@ func TestReportString(t *testing.T) {
 }
 
 func TestReportNoEnforcers(t *testing.T) {
-	a := core.NewAlgebra("plain")
-	a.Props.Define("cost", core.KindCost)
-	ret := a.Operator("RET", 1)
-	fs := a.Algorithm("File_scan", 1)
-	rs := core.NewRuleSet(a)
-	rs.AddI(&core.IRule{
-		Name:    "fs",
-		LHS:     core.POp(ret, "D2", core.PVar(1, "D1")),
-		RHS:     core.POp(fs, "D3", core.PVar(1, "")),
-		PreOpt:  func(b *core.Binding) { b.D("D3").CopyFrom(b.D("D2")) },
-		PostOpt: func(b *core.Binding) { b.D("D3").Set(core.PropID(0), core.Cost(1)) },
-	})
+	rs, err := prairielang.ParseAndCompile(`
+		algebra plain;
+		property cost : cost;
+		operator RET(1);
+		algorithm File_scan(1);
+		irule fs: RET(?1:D1):D2 => File_scan(?1):D3
+		preopt { D3 = D2; }
+		postopt { D3.cost = 1; }`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, rep, err := Translate(rs)
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +335,7 @@ func TestReportNoEnforcers(t *testing.T) {
 // through an actual optimization, exercising the Cond/Pre/Post hooks and
 // the enforcer end to end within this package.
 func TestGeneratedHooksOptimize(t *testing.T) {
-	w := newSpecWorld()
+	w := newSpecWorld(t)
 	vrs, rep, err := Translate(w.rs)
 	if err != nil {
 		t.Fatal(err)
@@ -464,7 +406,7 @@ func TestGeneratedHooksOptimize(t *testing.T) {
 }
 
 func TestPrepareQueryInteriorEnforcerRejected(t *testing.T) {
-	w := newSpecWorld()
+	w := newSpecWorld(t)
 	_, rep, err := Translate(w.rs)
 	if err != nil {
 		t.Fatal(err)

@@ -13,6 +13,9 @@ import (
 // rewriting/merging (Section 3 of the paper). The returned Report
 // documents every decision the pre-processor took.
 func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
+	if err := compiled(rs); err != nil {
+		return nil, nil, err
+	}
 	if errs := rs.Validate(); len(errs) > 0 {
 		msgs := make([]error, 0, len(errs))
 		msgs = append(msgs, errors.New("p2v: invalid Prairie rule set"))
@@ -23,10 +26,7 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 	ps := rs.Algebra.Props
 
 	// --- Property classification (§3.1). --------------------------------
-	costID, phys, preWrites := classify(rs)
-	if costID == core.NoProp {
-		return nil, nil, errors.New("p2v: no COST-kind property")
-	}
+	costID, phys, preWrites := classify(rs) // Validate found one cost property
 	rep.setClassification(ps, costID, phys)
 
 	// --- Enforcer deduction (§2.5, §3.1). --------------------------------
@@ -121,15 +121,12 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 				continue
 			}
 		}
-		// A compiled rule is cut for the memo: its test first, then what
-		// decides the identity of the nodes this right side builds, and
-		// the rest only for a firing whose result the memo keeps.
+		// The rule is cut for the memo: its test first, then what decides
+		// the identity of the nodes this right side builds, and the rest
+		// only for a firing whose result the memo keeps.
 		rule := t.rule
-		s := &core.Sliced{Frame: rule.Frame, Cond: rule.RunCond, Appl: rule.RunPost}
-		if rule.Slice != nil {
-			s = rule.Slice(rhs, out.IDProps)
-			rep.Cuts[rule.Name] = s.Doc
-		}
+		s := rule.Slice(rhs, out.IDProps)
+		rep.Cuts[rule.Name] = s.Doc
 		tr := out.AddTrans(&volcano.TransRule{
 			Name:   rule.Name,
 			Origin: rule.Origin,
@@ -165,6 +162,24 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 		return nil, nil, errors.Join(msgs...)
 	}
 	return out, rep, nil
+}
+
+// compiled rejects a rule set with rules the Prairie-language compiler did
+// not build: a T-rule needs the compiler's frame and slice, an I-rule its
+// frame and write hints.
+func compiled(rs *core.RuleSet) error {
+	var errs []error
+	for _, r := range rs.TRules {
+		if r.Frame == nil || r.Slice == nil {
+			errs = append(errs, fmt.Errorf("p2v: T-rule %s was not compiled from a Prairie specification (no frame or slice)", r.Name))
+		}
+	}
+	for _, r := range rs.IRules {
+		if r.Frame == nil || r.Hints == nil {
+			errs = append(errs, fmt.Errorf("p2v: I-rule %s was not compiled from a Prairie specification (no frame or hints)", r.Name))
+		}
+	}
+	return errors.Join(errs...)
 }
 
 // deleteEnforcerNodes removes enforcer-operator nodes from a pattern,

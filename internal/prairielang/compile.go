@@ -3,6 +3,7 @@ package prairielang
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"prairie/internal/core"
 )
@@ -20,8 +21,9 @@ type HelperImpl func(args []core.Value) (core.Value, error)
 // declared helper must be present).
 //
 // The compiler attaches exact write hints (core.ActionHints) to every
-// rule, computed statically from the statement blocks, so the P2V
-// pre-processor classifies properties without taint tracing.
+// rule, computed statically from the statement blocks: the P2V
+// pre-processor classifies properties by them, and accepts only rule sets
+// this compiler built.
 func Compile(spec *Spec, impls map[string]HelperImpl) (*core.RuleSet, error) {
 	c := newChecker(spec)
 	c.declare()
@@ -109,6 +111,14 @@ func (c *checker) checkIRule(d *IRuleDecl) (lhs, rhs *core.PatNode, sc ruleScope
 	}
 	pre = c.checkStmts(d.PreOpt, sc)
 	post = c.checkStmts(d.PostOpt, sc)
+	// The post-opt section computes the algorithm's cost (§2.4); the
+	// search compares alternatives by nothing else.
+	if costs := c.alg.Props.CostProps(); len(costs) == 1 && rhs.Desc != "" {
+		cost := c.alg.Props.At(costs[0]).Name
+		if !slices.ContainsFunc(d.PostOpt, func(st *Stmt) bool { return st.Dst == rhs.Desc && st.Prop == cost }) {
+			c.errf(d.Pos, "rule %s: post-opt must assign %s.%s, the cost of its algorithm", d.Name, rhs.Desc, cost)
+		}
+	}
 	return
 }
 
@@ -155,14 +165,15 @@ func (c *checker) compileIRule(d *IRuleDecl, helpers *core.Helpers) *core.IRule 
 // source typically declares the algebra; later modules contribute
 // additional operations, helpers, and rules (they reference earlier
 // declarations by name and must not re-declare them). Algebra names, when
-// given, must agree.
+// given, must agree. Positions from the second module on carry their
+// module's number, in error messages and rule origins alike.
 func ParseAndCompileAll(srcs []string, impls map[string]HelperImpl) (*core.RuleSet, error) {
 	if len(srcs) == 0 {
 		return nil, errors.New("prairielang: no sources")
 	}
 	merged := &Spec{}
 	for i, src := range srcs {
-		spec, err := Parse(src)
+		spec, err := parse(src, i+1)
 		if err != nil {
 			return nil, fmt.Errorf("prairielang: module %d: %w", i+1, err)
 		}

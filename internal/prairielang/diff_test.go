@@ -166,9 +166,7 @@ func (d *Diff) sliced(r, o *core.TRule) {
 			// The interpreter runs the post-test statements whatever the
 			// verdict: RunOnDefaults runs every part of a rejected rule too.
 			ok, panicked := run(func(b *core.Binding) any {
-				ok := o.RunCond(b)
-				o.RunPost(b)
-				return ok
+				return RunWhole(o, b)
 			}, want)
 			if panicked != nil {
 				want = nil
@@ -302,10 +300,7 @@ func (d *Diff) RunOnDefaults() {
 		sections(b)
 	}
 	for _, r := range d.RS.TRules {
-		run(r.LHS, func(b *core.Binding) {
-			r.RunCond(b)
-			r.RunPost(b)
-		})
+		run(r.LHS, func(b *core.Binding) { RunWhole(r, b) })
 		if r.Slice == nil {
 			continue
 		}

@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"prairie/internal/catalog"
 	"prairie/internal/core"
 	"prairie/internal/oodb"
 	"prairie/internal/p2v"
 	"prairie/internal/prairielang"
 	"prairie/internal/qgen"
+	"prairie/internal/relopt"
 	"prairie/internal/rulecheck"
 	"prairie/internal/volcano"
 )
@@ -239,9 +241,40 @@ func relationalChain(t *testing.T, a *core.Algebra, n int) *core.Expr {
 	return core.NewNode(a.MustOp("SORT"), d, cur)
 }
 
-// TestDifferentialRelational does the same for the example
-// specification the dsl world serves and for lang_test.go's miniSpec.
+// TestDifferentialRelational does the same for the relational
+// optimizer's specification on its own queries — selective, over indexed
+// relations, sorted at the root so the Merge_sort enforcer runs — and for
+// the example specification the dsl world serves and lang_test.go's
+// miniSpec on chains of R1..Rn.
 func TestDifferentialRelational(t *testing.T) {
+	t.Run("relopt", func(t *testing.T) {
+		o := relopt.New(catalog.Generate(catalog.DefaultGen(5, 101, true)))
+		rs, err := o.PrairieRules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := prairielang.Differential(t, rs, relopt.Spec, o.HelperImpls())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 2; n <= 5; n++ {
+			q := relopt.QuerySpec{Select: true}
+			for i := 1; i <= n; i++ {
+				q.Relations = append(q.Relations, catalog.ClassName(i))
+			}
+			tree, err := o.Build(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			search(t, d, o.Sort(tree, o.Cat.Sym(catalog.ClassName(1), "a")))
+		}
+		for _, name := range []string{"join_assoc/cond", "join_assoc/appl", "ret_index_scan/test", "sort_merge_sort/postopt"} {
+			if d.Ran[name] == 0 {
+				t.Errorf("no search compared %s", name)
+			}
+		}
+		requireAllRan(t, d)
+	})
 	example, err := os.ReadFile("../../examples/dslrules/rules.prairie")
 	if err != nil {
 		t.Fatal(err)
@@ -340,10 +373,9 @@ func TestSharedCallsEvaluateOnce(t *testing.T) {
 				b.Reset(r.Frame)
 				b.D("D3").SetFloat(rs.Algebra.Props.MustLookup("n"), float64(firing))
 				b.BeginFiring()
-				if !r.RunCond(b) {
+				if !prairielang.RunWhole(r, b) {
 					t.Fatal("test rejected")
 				}
-				r.RunPost(b)
 				if calls != c.calls {
 					t.Errorf("firing %d: %d helper evaluations, want %d", firing, calls, c.calls)
 				}

@@ -522,6 +522,75 @@ func TestParseAndCompileAllModules(t *testing.T) {
 	if _, err := ParseAndCompileAll([]string{"bogus"}, nil); err == nil {
 		t.Error("unparseable module accepted")
 	}
+	// A rule name defined by two modules, and a helper declared by two.
+	again := `
+		irule r_scan:
+		  R(?1:D1):D2 => Scan(?1):D3
+		preopt { D3 = D2; }
+		postopt { D3.cost = 1; }`
+	if _, err := ParseAndCompileAll([]string{base, again}, nil); err == nil || !strings.Contains(err.Error(), "duplicate rule name") {
+		t.Errorf("duplicate rule name across modules: err = %v", err)
+	}
+	withHelper := base + "\nhelper h(float) : float;"
+	impl := map[string]HelperImpl{"h": func(a []core.Value) (core.Value, error) { return a[0], nil }}
+	if _, err := ParseAndCompileAll([]string{withHelper, "helper h(attrs) : attrs;"}, impl); err == nil ||
+		!strings.Contains(err.Error(), `module2:1:1: helper "h" declared twice`) {
+		t.Errorf("helper re-declared by a module: err = %v", err)
+	}
+}
+
+// TestModulePositions: every module's positions restart at 1:1, so from
+// the second module on they carry the module's number — in error
+// messages and in rule origins — while the first module's read as they
+// do when it is compiled alone.
+func TestModulePositions(t *testing.T) {
+	base := `algebra m; property cost : cost;
+operator R(1); algorithm S(1) implements R;
+trule r_same: R(?1:D1):D2 => R(?1):D3
+posttest { D3 = D2; }
+irule r_s: R(?1:D1):D2 => S(?1):D3
+preopt { D3 = D2; }
+postopt { D3.cost = 1; }`
+	ext := `trule r_again: R(?1:D1):D2 => R(?1):D3
+posttest { D3 = D2; }`
+	rs, err := ParseAndCompileAll([]string{base, ext}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := []string{rs.TRules[0].Origin, rs.TRules[1].Origin}; got[0] != "spec:3:1" || got[1] != "spec:module2:1:1" {
+		t.Errorf("origins = %v, want [spec:3:1 spec:module2:1:1]", got)
+	}
+	bad := strings.Replace(ext, "D3 = D2", "D3.wibble = 1", 1)
+	_, err = ParseAndCompileAll([]string{base, bad}, nil)
+	if err == nil || !strings.Contains(err.Error(), `module2:2:12: unknown property "wibble"`) {
+		t.Errorf("error in module 2 = %v, want it positioned in module 2", err)
+	}
+	_, err = ParseAndCompileAll([]string{strings.Replace(base, "posttest { D3 = D2; }", "posttest { D3.wibble = 1; }", 1), ext}, nil)
+	if err == nil || !strings.Contains(err.Error(), `4:12: unknown property "wibble"`) || strings.Contains(err.Error(), "module") {
+		t.Errorf("error in module 1 = %v, want it positioned as today", err)
+	}
+}
+
+// TestIRuleMustAssignCost: an I-rule whose post-opt leaves its
+// algorithm's cost unassigned is a positioned specification error, from
+// Check and Compile alike; a copy into the descriptor does not count.
+func TestIRuleMustAssignCost(t *testing.T) {
+	src := `algebra c; property cost : cost; property n : float;
+operator R(1); algorithm S(1) implements R;
+irule r_s: R(?1:D1):D2 => S(?1):D3
+preopt { D3 = D2; }
+postopt { D3 = D2; }`
+	want := `3:1: rule r_s: post-opt must assign D3.cost, the cost of its algorithm`
+	if errs := Check(src); len(errs) != 1 || errs[0].Error() != want {
+		t.Errorf("Check = %v, want [%s]", errs, want)
+	}
+	if _, err := ParseAndCompile(src, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Compile err = %v, want %s", err, want)
+	}
+	fixed := strings.Replace(src, "postopt { D3 = D2; }", "postopt { D3.cost = D1.n; }", 1)
+	if errs := Check(fixed); len(errs) != 0 {
+		t.Errorf("Check(assigned cost) = %v", errs)
+	}
 }
 
 // TestInterpOperators drives every expression operator of the action
@@ -608,16 +677,15 @@ func TestTRulePretestAndTest(t *testing.T) {
 	b := core.NewBinding(ps)
 	b.D("D1").SetFloat(nr, 3)
 	b.D("D2").SetFloat(nr, 4)
-	if r.RunCond(b) {
+	if RunWhole(r, b) {
 		t.Error("7 > 10 should fail")
 	}
 	b2 := core.NewBinding(ps)
 	b2.D("D1").SetFloat(nr, 30)
 	b2.D("D2").SetFloat(nr, 4)
-	if !r.RunCond(b2) {
+	if !RunWhole(r, b2) {
 		t.Error("34 > 10 should pass")
 	}
-	r.RunPost(b2)
 	if r.Hints == nil || len(r.Hints.PreWrites) != 1 || r.Hints.PreWrites[0] != "D4.num_records" {
 		t.Errorf("T-rule hints = %+v", r.Hints)
 	}
@@ -670,7 +738,21 @@ func TestTRuleLeftSideIsReadOnly(t *testing.T) {
 			t.Errorf("%s in a T-rule: Check = %v, want one positioned left-side error", stmt, errs)
 		}
 	}
-	if errs := Check(decls + "irule i: J(?1:D1, ?2:D2):D3 => A(?1:D4, ?2):D5\npreopt { D5 = D3; D4 = D1; D4.n = 7; }"); len(errs) != 0 {
+	if errs := Check(decls + "irule i: J(?1:D1, ?2:D2):D3 => A(?1:D4, ?2):D5\npreopt { D5 = D3; D4 = D1; D4.n = 7; }\npostopt { D5.cost = 1; }"); len(errs) != 0 {
 		t.Errorf("I-rule input descriptor: Check = %v, want none", errs)
 	}
+}
+
+// RunWhole runs a compiled T-rule as written — its pre-test statements,
+// its test, and its post-test statements whatever the test's verdict —
+// and returns the verdict.
+func RunWhole(r *core.TRule, b *core.Binding) bool {
+	if r.PreTest != nil {
+		r.PreTest(b)
+	}
+	ok := r.Test == nil || r.Test(b)
+	if r.PostTest != nil {
+		r.PostTest(b)
+	}
+	return ok
 }

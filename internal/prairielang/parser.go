@@ -11,10 +11,16 @@ type parser struct {
 }
 
 // Parse parses a Prairie specification source into its AST.
-func Parse(src string) (*Spec, error) {
+func Parse(src string) (*Spec, error) { return parse(src, 0) }
+
+// parse parses the source of the given module (Pos.Module).
+func parse(src string, module int) (*Spec, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
+	}
+	for i := range toks {
+		toks[i].Pos.Module = module
 	}
 	p := &parser{toks: toks}
 	return p.spec()

@@ -189,10 +189,9 @@ func TestSlicedRuleRuns(t *testing.T) {
 	}
 	s.Rest(b)
 	whole := lhs()
-	if !r.RunCond(whole) {
+	if !RunWhole(r, whole) {
 		t.Fatal("rule as written rejected")
 	}
-	r.RunPost(whole)
 	for _, name := range []string{"D6", "D7"} {
 		if diff := descDiff(b.D(name), whole.D(name)); diff != "" {
 			t.Errorf("after Rest %s = %v, as written %v: %s", name, b.D(name), whole.D(name), diff)

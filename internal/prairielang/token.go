@@ -87,12 +87,19 @@ func (k TokKind) String() string {
 	return fmt.Sprintf("token(%d)", k)
 }
 
-// Pos is a source position.
+// Pos is a source position. Module numbers the source among the modules
+// ParseAndCompileAll composes; positions in the first module, or in a
+// source compiled alone, render without it.
 type Pos struct {
-	Line, Col int
+	Module, Line, Col int
 }
 
-func (p Pos) String() string { return fmt.Sprintf("%d:%d", p.Line, p.Col) }
+func (p Pos) String() string {
+	if p.Module > 1 {
+		return fmt.Sprintf("module%d:%d:%d", p.Module, p.Line, p.Col)
+	}
+	return fmt.Sprintf("%d:%d", p.Line, p.Col)
+}
 
 // Token is one lexical token.
 type Token struct {

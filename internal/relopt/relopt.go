@@ -3,16 +3,17 @@
 // algorithms File_scan, Index_scan, Nested_loops, Merge_join, Merge_sort
 // and Null. It provides the optimizer twice:
 //
-//   - PrairieRules: the Prairie specification — including the JOPR
-//     enforcer-introduction T-rule of footnote 5 and the Null SORT rule of
-//     §2.5 — which the P2V pre-processor merges into a compact Volcano
-//     rule set.
+//   - PrairieRules: the Prairie-language specification (see Spec) —
+//     including the JOPR enforcer-introduction T-rule of footnote 5 and
+//     the Null SORT rule of §2.5 — compiled by internal/prairielang and
+//     merged by the P2V pre-processor into a compact Volcano rule set;
 //   - VolcanoRules: the same optimizer hand-coded directly in the Volcano
 //     format (explicit property classification and per-algorithm support
 //     functions), the baseline of the experiment reported in [5].
 //
-// Both use the same cost model, so measured differences between them are
-// attributable to the specification path alone.
+// Both use the same cost model — the specification's helper functions
+// call the functions the hand-coded rules call — so measured differences
+// between them are attributable to the specification path alone.
 package relopt
 
 import (
@@ -44,28 +45,14 @@ type Opt struct {
 	Null                                               *core.Operation
 }
 
-// New builds the relational algebra over a catalog.
+// New builds the relational algebra over a catalog — the one Spec
+// declares, so the hand-coded rules and the specification's share their
+// property and operation ids.
 func New(cat *catalog.Catalog) *Opt {
-	a := core.NewAlgebra("relational")
-	o := &Opt{Alg: a, Cat: cat}
-	o.Ord = a.Props.Define("tuple_order", core.KindOrder)
-	o.JP = a.Props.Define("join_predicate", core.KindPred)
-	o.SP = a.Props.Define("selection_predicate", core.KindPred)
-	o.AT = a.Props.Define("attributes", core.KindAttrs)
-	o.NR = a.Props.Define("num_records", core.KindFloat)
-	o.TS = a.Props.Define("tuple_size", core.KindFloat)
-	o.IX = a.Props.Define("indexes", core.KindAttrs)
-	o.C = a.Props.Define("cost", core.KindCost)
-	o.RET = a.Operator("RET", 1)
-	o.JOIN = a.Operator("JOIN", 2)
-	o.JOPR = a.Operator("JOPR", 2)
-	o.SORT = a.Operator("SORT", 1)
-	o.FileScan = a.Algorithm("File_scan", 1)
-	o.IndexScan = a.Algorithm("Index_scan", 1)
-	o.NestedLoops = a.Algorithm("Nested_loops", 2)
-	o.MergeJoin = a.Algorithm("Merge_join", 2)
-	o.Merge = a.Algorithm("Merge_sort", 1)
-	o.Null = a.Null()
+	o := &Opt{Cat: cat}
+	if _, err := o.PrairieRules(); err != nil {
+		panic(err) // Spec is a constant: only a bug in it fails to compile
+	}
 	return o
 }
 
@@ -157,32 +144,4 @@ func indexUsableForSelection(ix core.Attr, sel *core.Pred) bool {
 		}
 	}
 	return false
-}
-
-// HashJoinExtension is a Prairie module extending the relational algebra
-// with a hash join — a demonstration of the modular rule-set composition
-// the paper's conclusion proposes. Merge it with PrairieRules via
-// core.MergeRuleSets and re-run P2V; no existing rule changes.
-func (o *Opt) HashJoinExtension() *core.RuleSet {
-	hash := o.Alg.Algorithm("Hash_join", 2)
-	rs := core.NewRuleSet(o.Alg)
-	rs.AddI(&core.IRule{
-		Name: "join_hash_join",
-		LHS:  core.POp(o.JOIN, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
-		RHS:  core.POp(hash, "D4", core.PVar(1, ""), core.PVar(2, "")),
-		Test: func(b *core.Binding) bool {
-			return b.D("D3").Pred(o.JP).IsEquiJoin()
-		},
-		PreOpt: func(b *core.Binding) {
-			d4 := b.D("D4")
-			d4.CopyFrom(b.D("D3"))
-			d4.Set(o.Ord, core.DontCareOrder) // hashing destroys order
-		},
-		PostOpt: func(b *core.Binding) {
-			d1, d2 := b.D("D1"), b.D("D2")
-			b.D("D4").Set(o.C, core.Cost(
-				d1.Float(o.C)+d2.Float(o.C)+d1.Float(o.NR)+2*d2.Float(o.NR)))
-		},
-	})
-	return rs
 }

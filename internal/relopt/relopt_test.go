@@ -9,6 +9,7 @@ import (
 	"prairie/internal/catalog"
 	"prairie/internal/core"
 	"prairie/internal/p2v"
+	"prairie/internal/prairielang"
 	"prairie/internal/volcano"
 )
 
@@ -44,7 +45,11 @@ func rels(n int) []string {
 func prairieOptimizer(t *testing.T, cat *catalog.Catalog) (*Opt, *volcano.RuleSet, *p2v.Report) {
 	t.Helper()
 	o := New(cat)
-	vrs, rep, err := p2v.Translate(o.PrairieRules())
+	rs, err := o.PrairieRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vrs, rep, err := p2v.Translate(rs)
 	if err != nil {
 		t.Fatalf("p2v.Translate: %v", err)
 	}
@@ -53,7 +58,10 @@ func prairieOptimizer(t *testing.T, cat *catalog.Catalog) (*Opt, *volcano.RuleSe
 
 func TestPrairieRuleSetValid(t *testing.T) {
 	o := New(testCatalog(false))
-	rs := o.PrairieRules()
+	rs, err := o.PrairieRules()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if errs := rs.Validate(); len(errs) != 0 {
 		t.Fatalf("Prairie rule set invalid: %v", errs)
 	}
@@ -64,8 +72,57 @@ func TestPrairieRuleSetValid(t *testing.T) {
 	if len(enf) != 1 || enf[0] != o.SORT {
 		t.Errorf("EnforcerOperators = %v", enf)
 	}
-	if got := rs.Helpers.Names(); len(got) != 2 {
-		t.Errorf("helpers = %v", got)
+	for _, r := range rs.TRules {
+		if !strings.HasPrefix(r.Origin, "spec:") {
+			t.Errorf("T-rule %s origin = %q, want a spec position", r.Name, r.Origin)
+		}
+	}
+}
+
+// TestHelperImplsTotal checks that every helper the specification
+// declares has a default-values case here, and that there are no extras:
+// a rule may read an unset property, which reads as its kind's default.
+func TestHelperImplsTotal(t *testing.T) {
+	o := New(testCatalog(false))
+	rs, err := o.PrairieRules()
+	if err != nil {
+		t.Fatal(err)
+	}
+	impls := o.HelperImpls()
+	none, dc, tru := core.Attrs(nil), core.DontCareOrder, core.TruePred
+	defaults := map[string][]core.Value{
+		"union":             {none, none},
+		"cardinality":       {core.Float(0), core.Float(0), tru},
+		"and_pred":          {tru, tru},
+		"is_associative":    {tru, none, none, none},
+		"split_within":      {tru, none},
+		"split_rest":        {tru, none},
+		"is_equi_join":      {tru, none},
+		"left_order":        {tru, none},
+		"right_order":       {tru, none},
+		"has_index":         {none},
+		"index_order":       {none, dc, tru},
+		"index_usable":      {none, dc, tru},
+		"order_within":      {dc, none},
+		"file_scan_cost":    {core.Float(0)},
+		"index_scan_cost":   {core.Float(0), core.Float(0), core.Bool(false)},
+		"nested_loops_cost": {core.Cost(0), core.Float(0), core.Cost(0)},
+		"merge_join_cost":   {core.Cost(0), core.Cost(0), core.Float(0), core.Float(0)},
+		"merge_sort_cost":   {core.Cost(0), core.Float(0)},
+	}
+	for _, name := range rs.Helpers.Names() {
+		args, ok := defaults[name]
+		if !ok {
+			t.Errorf("helper %s missing from totality test", name)
+			continue
+		}
+		if _, err := impls[name](args); err != nil {
+			t.Errorf("helper %s failed on defaults: %v", name, err)
+		}
+	}
+	if len(defaults) != len(rs.Helpers.Names()) || len(impls) != len(defaults) {
+		t.Errorf("%d default cases, %d declared helpers, %d implementations",
+			len(defaults), len(rs.Helpers.Names()), len(impls))
 	}
 }
 
@@ -428,7 +485,11 @@ func TestPrairieVolcanoEquivalenceQuick(t *testing.T) {
 		q := QuerySpec{Relations: []string{"C1", "C2", "C3"}, Select: withSel}
 
 		po := New(cat)
-		pvrs, rep, err := p2v.Translate(po.PrairieRules())
+		prs, err := po.PrairieRules()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pvrs, rep, err := p2v.Translate(prs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,16 +529,17 @@ func TestPrairieVolcanoEquivalenceQuick(t *testing.T) {
 }
 
 // TestHashJoinExtensionModule exercises the modular composition the
-// paper's conclusion proposes: the base Prairie specification merged
+// paper's conclusion proposes: the base Prairie specification compiled
 // with an extension module contributing Hash_join. P2V generates one
 // optimizer, and the new algorithm wins where it is cheapest.
 func TestHashJoinExtensionModule(t *testing.T) {
 	cat := testCatalog(false)
 	o := New(cat)
-	merged, err := core.MergeRuleSets(o.PrairieRules(), o.HashJoinExtension())
+	merged, err := prairielang.ParseAndCompileAll([]string{Spec, HashJoinSpec}, o.HelperImpls())
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.rebind(merged.Algebra)
 	if errs := merged.Validate(); len(errs) != 0 {
 		t.Fatalf("merged rule set invalid: %v", errs)
 	}
@@ -513,29 +575,5 @@ func TestHashJoinExtensionModule(t *testing.T) {
 	}
 	if !plan2.D.Order(o.Ord).Satisfies(core.OrderBy(core.A("C1", "a"))) {
 		t.Errorf("order requirement lost: %s", plan2)
-	}
-}
-
-// TestMergeRuleSetErrors covers the module-composition error paths.
-func TestMergeRuleSetErrors(t *testing.T) {
-	o := New(testCatalog(false))
-	base := o.PrairieRules()
-	if _, err := core.MergeRuleSets(); err == nil {
-		t.Error("empty merge accepted")
-	}
-	if _, err := core.MergeRuleSets(base, base); err == nil {
-		t.Error("duplicate rule names accepted")
-	}
-	other := New(testCatalog(false)) // different algebra instance
-	if _, err := core.MergeRuleSets(base, other.HashJoinExtension()); err == nil {
-		t.Error("cross-algebra merge accepted")
-	}
-	// Helper signature conflict.
-	ext := core.NewRuleSet(o.Alg)
-	ext.Helpers.Define("union", []core.Kind{core.KindFloat}, core.KindFloat,
-		func(args []core.Value) (core.Value, error) { return args[0], nil })
-	ext.AddI(o.HashJoinExtension().IRules[0])
-	if _, err := core.MergeRuleSets(base, ext); err == nil {
-		t.Error("helper signature conflict accepted")
 	}
 }

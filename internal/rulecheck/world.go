@@ -145,7 +145,11 @@ func addOODBSeeds(w *World, o *oodb.Opt) error {
 func RelationalWorld(seed int64) (*World, error) {
 	cat := verifyCatalog(seed, true)
 	o := relopt.New(cat)
-	vrs, _, err := p2v.Translate(o.PrairieRules())
+	prs, err := o.PrairieRules()
+	if err != nil {
+		return nil, err
+	}
+	vrs, _, err := p2v.Translate(prs)
 	if err != nil {
 		return nil, err
 	}

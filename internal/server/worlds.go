@@ -221,7 +221,11 @@ func OODBPrairieWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 // applied (E3/E4 add one, mirroring qgen's families).
 func RelationalWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 	o := relopt.New(cat)
-	vrs, rep, err := p2v.Translate(o.PrairieRules())
+	prs, err := o.PrairieRules()
+	if err != nil {
+		return nil, err
+	}
+	vrs, rep, err := p2v.Translate(prs)
 	if err != nil {
 		return nil, err
 	}

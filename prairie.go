@@ -6,10 +6,11 @@
 //
 // A user builds an optimizer in four steps:
 //
-//  1. define an algebra (operators, algorithms, descriptor properties) —
-//     either through the Go API (NewAlgebra, RuleSet) or in the Prairie
-//     rule-specification language (ParseRules);
-//  2. write T-rules and I-rules over uniform descriptors;
+//  1. declare an algebra (operators, algorithms, descriptor properties)
+//     and helper signatures in the Prairie rule-specification language;
+//  2. write T-rules and I-rules over uniform descriptors in the same
+//     text, and compile it with ParseRules (or ParseRulesAll for a base
+//     module plus extensions), supplying the helpers' Go bodies;
 //  3. call Generate, which runs the P2V pre-processor: it deduces
 //     enforcers, classifies properties, merges rules, and emits a
 //     Volcano rule set plus a translation report;
@@ -45,15 +46,7 @@ type (
 	Kind = core.Kind
 	// Expr is an operator tree / access plan node.
 	Expr = core.Expr
-	// PatNode is a rule pattern node.
-	PatNode = core.PatNode
-	// Binding is the descriptor environment rule actions run in.
-	Binding = core.Binding
-	// TRule is a transformation rule.
-	TRule = core.TRule
-	// IRule is an implementation rule.
-	IRule = core.IRule
-	// RuleSet is a complete Prairie specification.
+	// RuleSet is a compiled Prairie specification.
 	RuleSet = core.RuleSet
 	// Attr names an attribute of a class or stream.
 	Attr = core.Attr
@@ -125,18 +118,9 @@ var (
 	TruePred = core.TruePred
 )
 
-// NewAlgebra returns an empty algebra.
-func NewAlgebra(name string) *Algebra { return core.NewAlgebra(name) }
-
-// NewRuleSet returns an empty Prairie rule set over an algebra.
-func NewRuleSet(a *Algebra) *RuleSet { return core.NewRuleSet(a) }
-
-// MergeRuleSets combines rule-set modules over one algebra — the modular
-// composition the paper's conclusion proposes.
-func MergeRuleSets(sets ...*RuleSet) (*RuleSet, error) { return core.MergeRuleSets(sets...) }
-
 // ParseRulesAll compiles several specification sources (a base module
-// plus extensions) into one rule set.
+// plus extensions) into one rule set — the modular composition the
+// paper's conclusion proposes.
 func ParseRulesAll(srcs []string, impls map[string]HelperImpl) (*RuleSet, error) {
 	return prairielang.ParseAndCompileAll(srcs, impls)
 }
@@ -144,13 +128,8 @@ func ParseRulesAll(srcs []string, impls map[string]HelperImpl) (*RuleSet, error)
 // NewDescriptor returns an empty descriptor over a property set.
 func NewDescriptor(ps *PropertySet) *Descriptor { return core.NewDescriptor(ps) }
 
-// Pattern constructors.
+// Operator-tree constructors.
 var (
-	// PVar builds a variable pattern leaf (?i), optionally naming the
-	// input's descriptor.
-	PVar = core.PVar
-	// POp builds an interior pattern node.
-	POp = core.POp
 	// NewLeaf builds a stored-file leaf of an operator tree.
 	NewLeaf = core.NewLeaf
 	// NewNode builds an interior operator-tree node.

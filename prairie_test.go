@@ -8,45 +8,34 @@ import (
 )
 
 // TestFacadeEndToEnd drives the public API exactly as the quickstart
-// example does: define an algebra and rules, translate, optimize.
+// example does: declare an algebra and rules, compile, translate,
+// optimize.
 func TestFacadeEndToEnd(t *testing.T) {
-	alg := prairie.NewAlgebra("facade")
-	nr := alg.Props.Define("num_records", prairie.KindFloat)
-	cost := alg.Props.Define("cost", prairie.KindCost)
-	ret := alg.Operator("RET", 1)
-	join := alg.Operator("JOIN", 2)
-	fs := alg.Algorithm("File_scan", 1)
-	nl := alg.Algorithm("Nested_loops", 2)
-
-	rs := prairie.NewRuleSet(alg)
-	rs.AddT(&prairie.TRule{
-		Name:     "join_commute",
-		LHS:      prairie.POp(join, "D3", prairie.PVar(1, "D1"), prairie.PVar(2, "D2")),
-		RHS:      prairie.POp(join, "D4", prairie.PVar(2, ""), prairie.PVar(1, "")),
-		PostTest: func(b *prairie.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
-	})
-	rs.AddI(&prairie.IRule{
-		Name:   "ret_file_scan",
-		LHS:    prairie.POp(ret, "D2", prairie.PVar(1, "D1")),
-		RHS:    prairie.POp(fs, "D3", prairie.PVar(1, "")),
-		PreOpt: func(b *prairie.Binding) { b.D("D3").CopyFrom(b.D("D2")) },
-		PostOpt: func(b *prairie.Binding) {
-			b.D("D3").SetFloat(cost, b.D("D1").Float(nr))
-		},
-	})
-	rs.AddI(&prairie.IRule{
-		Name: "join_nested_loops",
-		LHS:  prairie.POp(join, "D3", prairie.PVar(1, "D1"), prairie.PVar(2, "D2")),
-		RHS:  prairie.POp(nl, "D5", prairie.PVar(1, "D4"), prairie.PVar(2, "")),
-		PreOpt: func(b *prairie.Binding) {
-			b.D("D5").CopyFrom(b.D("D3"))
-			b.D("D4").CopyFrom(b.D("D1"))
-		},
-		PostOpt: func(b *prairie.Binding) {
-			d4 := b.D("D4")
-			b.D("D5").SetFloat(cost, d4.Float(cost)+d4.Float(nr)*b.D("D2").Float(cost))
-		},
-	})
+	rs, err := prairie.ParseRules(`
+		algebra facade;
+		property num_records : float;
+		property cost : cost;
+		operator RET(1);
+		operator JOIN(2);
+		algorithm File_scan(1) implements RET;
+		algorithm Nested_loops(2) implements JOIN;
+		trule join_commute:
+		  JOIN(?1:D1, ?2:D2):D3 => JOIN(?2, ?1):D4
+		posttest { D4 = D3; }
+		irule ret_file_scan:
+		  RET(?1:D1):D2 => File_scan(?1):D3
+		preopt { D3 = D2; }
+		postopt { D3.cost = D1.num_records; }
+		irule join_nested_loops:
+		  JOIN(?1:D1, ?2:D2):D3 => Nested_loops(?1:D4, ?2):D5
+		preopt { D5 = D3; D4 = D1; }
+		postopt { D5.cost = D4.cost + D4.num_records * D2.cost; }`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alg := rs.Algebra
+	nr, cost := alg.Props.MustLookup("num_records"), alg.Props.MustLookup("cost")
+	ret, join := alg.MustOp("RET"), alg.MustOp("JOIN")
 
 	leaf := func(name string, card float64) *prairie.Expr {
 		d := prairie.NewDescriptor(alg.Props)
