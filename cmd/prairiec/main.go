@@ -8,7 +8,7 @@
 //
 //	prairiec [-check] [-fmt] [-dump] [-verify] [-time] file.prairie
 //
-//	-check   parse and type-check only
+//	-check   run every check a compile runs, without helper bodies
 //	-fmt     print the canonical formatting of the specification
 //	-dump    also list the generated trans_rules/impl_rules/enforcers, each
 //	         with its descriptor frame and the sub-expressions one firing
@@ -17,7 +17,7 @@
 //	         new nodes' identity, which are deferred until the memo keeps
 //	         a node — or the reason it was left whole
 //	-verify  differentially verify every trans_rule (JSON verdict table)
-//	-time    report per-phase wall time (parse, check, compile, translate)
+//	-time    report per-phase wall time (parse, compile, translate)
 //
 // Helper functions declared by the specification are bound to stub
 // implementations (returning their result kind's default value): the
@@ -45,20 +45,37 @@ import (
 	"prairie/internal/volcano"
 )
 
-func main() {
-	checkOnly := flag.Bool("check", false, "parse and type-check only")
-	format := flag.Bool("fmt", false, "print canonical formatting")
-	dump := flag.Bool("dump", false, "list generated Volcano rules")
-	verify := flag.Bool("verify", false, "differentially verify every trans_rule; emit a JSON verdict table")
-	timed := flag.Bool("time", false, "report per-phase wall time on stderr")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: prairiec [-check] [-fmt] [-dump] [-verify] file.prairie")
-		os.Exit(2)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command with its arguments and output streams; it returns
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("prairiec", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	checkOnly := fs.Bool("check", false, "run every check a compile runs, without helper bodies")
+	format := fs.Bool("fmt", false, "print canonical formatting")
+	dump := fs.Bool("dump", false, "list generated Volcano rules")
+	verify := fs.Bool("verify", false, "differentially verify every trans_rule; emit a JSON verdict table")
+	timed := fs.Bool("time", false, "report per-phase wall time on stderr")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	src, err := os.ReadFile(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: prairiec [-check] [-fmt] [-dump] [-verify] [-time] file.prairie")
+		return 2
+	}
+	file := fs.Arg(0)
+	// Every error is reported against the file, a specification's one
+	// error to a line, at its position.
+	fail := func(err error) int {
+		for _, line := range strings.Split(err.Error(), "\n") {
+			fmt.Fprintf(stderr, "%s: %s\n", file, line)
+		}
+		return 1
+	}
+	src, err := os.ReadFile(file)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	// phase wraps one compiler stage with optional wall-clock reporting.
@@ -66,36 +83,17 @@ func main() {
 		start := time.Now()
 		fn()
 		if *timed {
-			fmt.Fprintf(os.Stderr, "prairiec: %-9s %v\n", name, time.Since(start).Round(time.Microsecond))
+			fmt.Fprintf(stderr, "prairiec: %-9s %v\n", name, time.Since(start).Round(time.Microsecond))
 		}
 	}
-
-	if *format {
-		var spec *prairielang.Spec
-		phase("parse", func() { spec, err = prairielang.Parse(string(src)) })
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Print(prairielang.Format(spec))
-		return
-	}
-	var errs []error
-	phase("check", func() { errs = prairielang.Check(string(src)) })
-	if len(errs) > 0 {
-		for _, e := range errs {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", flag.Arg(0), e)
-		}
-		os.Exit(1)
-	}
-	if *checkOnly {
-		fmt.Printf("%s: specification OK\n", flag.Arg(0))
-		return
-	}
-
 	var spec *prairielang.Spec
 	phase("parse", func() { spec, err = prairielang.Parse(string(src)) })
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	if *format {
+		fmt.Fprint(stdout, prairielang.Format(spec))
+		return 0
 	}
 	impls := stubHelpers(spec)
 	if *verify {
@@ -106,38 +104,45 @@ func main() {
 				impls[name] = fn
 			}
 		}
+	}
+	var rs *core.RuleSet
+	phase("compile", func() { rs, err = prairielang.Compile(spec, impls) })
+	if err != nil {
+		return fail(err)
+	}
+	if *checkOnly {
+		fmt.Fprintf(stdout, "%s: specification OK\n", file)
+		return 0
+	}
+	if *verify {
 		var w *rulecheck.World
-		phase("world", func() { w, err = rulecheck.DSLWorld(string(src), impls) })
+		phase("world", func() { w, err = rulecheck.DSLWorld(rs) })
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		var rep *rulecheck.Report
 		phase("verify", func() { rep = rulecheck.Verify(w, rulecheck.Options{}) })
 		js, err := rep.JSON()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Print(js)
+		fmt.Fprint(stdout, js)
 		if !rep.Ok() {
-			os.Exit(1)
+			return 1
 		}
-		return
-	}
-	var rs *core.RuleSet
-	phase("compile", func() { rs, err = prairielang.Compile(spec, impls) })
-	if err != nil {
-		fatal(err)
+		return 0
 	}
 	var vrs *volcano.RuleSet
 	var rep *p2v.Report
 	phase("translate", func() { vrs, rep, err = p2v.Translate(rs) })
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Print(rep.String())
+	fmt.Fprint(stdout, rep.String())
 	if *dump {
-		dumpRules(os.Stdout, rs, vrs, rep)
+		dumpRules(stdout, rs, vrs, rep)
 	}
+	return 0
 }
 
 // dumpRules lists the generated rules and, under each, what one firing
@@ -183,9 +188,4 @@ func stubHelpers(spec *prairielang.Spec) map[string]prairielang.HelperImpl {
 		}
 	}
 	return impls
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "prairiec:", err)
-	os.Exit(1)
 }

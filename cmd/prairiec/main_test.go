@@ -88,3 +88,24 @@ func TestDumpSaysWhyARuleStaysWhole(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckRunsEveryCompileCheck: -check runs exactly the checks a
+// compile runs, so a specification the compiler rejects fails -check too,
+// with every error at its position; one it accepts passes.
+func TestCheckRunsEveryCompileCheck(t *testing.T) {
+	const file = "../../internal/prairielang/testdata/check_agrees.prairie"
+	var out, errb strings.Builder
+	code := run([]string{"-check", file}, &out, &errb)
+	want := file + ": 13:1: rule swap: duplicate rule name\n" +
+		file + ": 13:41: rule swap: variable ?7 on right side is unbound\n" +
+		file + ": 8:1: operator U has no I-rule and no T-rule rewriting it to an implementable operator\n"
+	if code != 1 || out.String() != "" || errb.String() != want {
+		t.Errorf("-check: status %d, stdout %q, stderr\n%s--- want status 1, stderr\n%s", code, out.String(), errb.String(), want)
+	}
+	const ok = "../../examples/dslrules/rules.prairie"
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-check", ok}, &out, &errb); code != 0 || out.String() != ok+": specification OK\n" || errb.String() != "" {
+		t.Errorf("-check %s: status %d, stdout %q, stderr %q", ok, code, out.String(), errb.String())
+	}
+}

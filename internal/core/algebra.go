@@ -45,12 +45,8 @@ type Operation struct {
 	// intersected with the argument property class — as the operation's
 	// identity in duplicate detection. Empty means "all argument
 	// properties are identity", which is safe but coarse.
-	Args []PropID
-	// Implements records, for an algorithm, the operators it has been
-	// used to implement by I-rules; it is filled by RuleSet.Validate
-	// and is informational.
-	Implements []*Operation
-	index      int
+	Args  []PropID
+	index int
 }
 
 // IsNull reports whether the operation is the Null algorithm.
@@ -111,12 +107,6 @@ func (a *Algebra) Null() *Operation {
 		a.null = a.Algorithm(NullName, 1)
 	}
 	return a.null
-}
-
-// SetArgs declares an operation's additional parameters (identity
-// properties for duplicate detection).
-func (a *Algebra) SetArgs(op *Operation, props ...PropID) {
-	op.Args = append([]PropID(nil), props...)
 }
 
 // Op looks up an operation by name.

@@ -185,24 +185,6 @@ func POp(op *Operation, desc string, kids ...*PatNode) *PatNode {
 // IsVar reports whether the node is a variable leaf.
 func (p *PatNode) IsVar() bool { return p.Op == nil }
 
-// Vars appends the variable indices appearing in the pattern, in
-// left-to-right order.
-func (p *PatNode) Vars() []int {
-	var out []int
-	var walk func(*PatNode)
-	walk = func(n *PatNode) {
-		if n.IsVar() {
-			out = append(out, n.Var)
-			return
-		}
-		for _, k := range n.Kids {
-			walk(k)
-		}
-	}
-	walk(p)
-	return out
-}
-
 // DescNames appends every descriptor variable name in the pattern
 // (interior nodes and tagged variable leaves), in pre-order.
 func (p *PatNode) DescNames() []string {

@@ -386,17 +386,6 @@ func (rs *RuleSet) AddT(r *TRule) *TRule { rs.TRules = append(rs.TRules, r); ret
 // AddI appends an I-rule.
 func (rs *RuleSet) AddI(r *IRule) *IRule { rs.IRules = append(rs.IRules, r); return r }
 
-// IRulesFor returns the I-rules whose left side is op.
-func (rs *RuleSet) IRulesFor(op *Operation) []*IRule {
-	var out []*IRule
-	for _, r := range rs.IRules {
-		if r.Op() == op {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // EnforcerOperators returns the operators that have a Null implementation
 // (§2.5, §3.1): P2V classifies these as enforcer-operators.
 func (rs *RuleSet) EnforcerOperators() []*Operation {

@@ -133,9 +133,6 @@ func TestPatternBasics(t *testing.T) {
 	if got := p.String(); got != "JOIN(JOIN(?1:D1, ?2:D2):D3, ?3:D4):D5" {
 		t.Errorf("String = %q", got)
 	}
-	if got := p.Vars(); len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Errorf("Vars = %v", got)
-	}
 	if got := p.DescNames(); len(got) != 5 || got[0] != "D5" {
 		t.Errorf("DescNames = %v", got)
 	}
@@ -357,11 +354,5 @@ func TestRuleSetEnforcerOperators(t *testing.T) {
 	enf := rs.EnforcerOperators()
 	if len(enf) != 1 || enf[0] != sortOp {
 		t.Errorf("EnforcerOperators = %v", enf)
-	}
-	if got := rs.IRulesFor(sortOp); len(got) != 2 {
-		t.Errorf("IRulesFor(SORT) = %d rules", len(got))
-	}
-	if got := rs.IRulesFor(a.MustOp("RET")); len(got) != 0 {
-		t.Errorf("IRulesFor(RET) = %d rules", len(got))
 	}
 }

@@ -2,11 +2,11 @@
 // optimizer used in the paper's evaluation (Section 4): the
 // object-oriented algebra SELECT, PROJECT, JOIN, RET, UNNEST and MAT
 // (plus the SORT enforcer-operator), eight algorithms, and two complete
-// specifications of the same optimizer:
+// specifications of the same optimizer over the one algebra Spec declares:
 //
-//   - PrairieRules: a Prairie-language specification (see Spec) with 22
-//     T-rules and 11 I-rules, compiled by internal/prairielang and
-//     translated by internal/p2v;
+//   - PrairieRules: the Prairie-language specification (Spec) with 22
+//     T-rules and 11 I-rules, compiled by internal/prairielang once per
+//     Opt (New) and translated by internal/p2v;
 //   - VolcanoRules: a hand-coded Volcano rule set with 17 trans_rules,
 //     9 impl_rules and 1 enforcer — the same counts the paper reports.
 //
@@ -22,12 +22,14 @@ import (
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
+	"prairie/internal/prairielang"
 )
 
 // Opt bundles the OODB algebra, property handles, and catalog.
 type Opt struct {
-	Alg *core.Algebra
-	Cat *catalog.Catalog
+	Alg   *core.Algebra
+	Cat   *catalog.Catalog
+	rules *core.RuleSet // Spec, compiled by New
 
 	Ord core.PropID // tuple_order
 	JP  core.PropID // join_predicate
@@ -46,50 +48,17 @@ type Opt struct {
 	Materialize, Flatten, MergeSort, Null                    *core.Operation
 }
 
-// New builds the OODB algebra over a catalog.
+// New builds the OODB optimizer over a catalog: it compiles Spec, whose
+// declarations are the algebra both specifications share, keeps the rule
+// set for PrairieRules, and binds the handles to the compiled algebra.
 func New(cat *catalog.Catalog) *Opt {
-	a := core.NewAlgebra("oodb")
-	o := &Opt{Alg: a, Cat: cat}
-	o.Ord = a.Props.Define("tuple_order", core.KindOrder)
-	o.JP = a.Props.Define("join_predicate", core.KindPred)
-	o.SP = a.Props.Define("selection_predicate", core.KindPred)
-	o.PA = a.Props.Define("projected_attributes", core.KindAttrs)
-	o.MA = a.Props.Define("mat_attribute", core.KindAttrs)
-	o.UA = a.Props.Define("unnest_attribute", core.KindAttrs)
-	o.AT = a.Props.Define("attributes", core.KindAttrs)
-	o.NR = a.Props.Define("num_records", core.KindFloat)
-	o.TS = a.Props.Define("tuple_size", core.KindFloat)
-	o.IX = a.Props.Define("indexes", core.KindAttrs)
-	o.C = a.Props.Define("cost", core.KindCost)
-	o.RET = a.Operator("RET", 1)
-	o.JOIN = a.Operator("JOIN", 2)
-	o.JOPR = a.Operator("JOPR", 2)
-	o.SELECT = a.Operator("SELECT", 1)
-	o.PROJECT = a.Operator("PROJECT", 1)
-	o.MAT = a.Operator("MAT", 1)
-	o.UNNEST = a.Operator("UNNEST", 1)
-	o.SORT = a.Operator("SORT", 1)
-	o.FileScan = a.Algorithm("File_scan", 1)
-	o.IndexScan = a.Algorithm("Index_scan", 1)
-	o.Filter = a.Algorithm("Filter", 1)
-	o.Proj = a.Algorithm("Project", 1)
-	o.HashJoin = a.Algorithm("Hash_join", 2)
-	o.PointerJoin = a.Algorithm("Pointer_join", 1)
-	o.Materialize = a.Algorithm("Materialize", 1)
-	o.Flatten = a.Algorithm("Flatten", 1)
-	o.MergeSort = a.Algorithm("Merge_sort", 1)
-	o.Null = a.Null()
-	// Additional parameters per operator (Table 1): the identity
-	// properties used in duplicate detection. The Prairie-language path
-	// declares the same sets via args(...) clauses.
-	a.SetArgs(o.RET, o.SP, o.PA)
-	a.SetArgs(o.JOIN, o.JP)
-	a.SetArgs(o.JOPR, o.JP)
-	a.SetArgs(o.SELECT, o.SP)
-	a.SetArgs(o.PROJECT, o.PA)
-	a.SetArgs(o.MAT, o.MA)
-	a.SetArgs(o.UNNEST, o.UA)
-	a.SetArgs(o.SORT, o.Ord)
+	o := &Opt{Cat: cat}
+	rs, err := prairielang.ParseAndCompile(Spec, o.HelperImpls())
+	if err != nil {
+		panic(err) // Spec is a constant: only a bug in it fails to compile
+	}
+	o.rules = rs
+	o.rebind(rs.Algebra)
 	return o
 }
 

@@ -1,7 +1,6 @@
 package oodb
 
 import (
-	"fmt"
 	"math"
 
 	"prairie/internal/core"
@@ -129,19 +128,10 @@ func (o *Opt) refAttrAnywhere(p *core.Pred, within core.Attrs) (core.Attr, bool)
 	return core.Attr{}, false
 }
 
-// PrairieRules compiles the Prairie-language specification (Spec) into a
-// core rule set over this optimizer's catalog.
-func (o *Opt) PrairieRules() (*core.RuleSet, error) {
-	rs, err := prairielang.ParseAndCompile(Spec, o.HelperImpls())
-	if err != nil {
-		return nil, fmt.Errorf("oodb: compiling Prairie specification: %w", err)
-	}
-	// The compiled specification defines its own algebra instance;
-	// rebind this Opt's handles to it so that query construction and
-	// the rule set agree on operation and property identities.
-	o.rebind(rs.Algebra)
-	return rs, nil
-}
+// PrairieRules returns the core rule set New compiled from the
+// Prairie-language specification (Spec) over this optimizer's catalog.
+// The error is always nil.
+func (o *Opt) PrairieRules() (*core.RuleSet, error) { return o.rules, nil }
 
 // rebind points the Opt's handles at the given algebra's instances.
 func (o *Opt) rebind(a *core.Algebra) {

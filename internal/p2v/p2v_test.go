@@ -120,24 +120,6 @@ func TestTranslateSpecWorld(t *testing.T) {
 	}
 }
 
-func TestTranslateRejectsInvalidRuleSet(t *testing.T) {
-	a := core.NewAlgebra("bad")
-	a.Props.Define("cost", core.KindCost)
-	a.Operator("RET", 1) // no I-rule
-	rs := core.NewRuleSet(a)
-	if _, _, err := Translate(rs); err == nil {
-		t.Error("invalid rule set accepted")
-	}
-}
-
-func TestTranslateRequiresCost(t *testing.T) {
-	a := core.NewAlgebra("nocost")
-	a.Props.Define("num_records", core.KindFloat)
-	if _, _, err := Translate(core.NewRuleSet(a)); err == nil || !strings.Contains(err.Error(), "COST") {
-		t.Errorf("err = %v", err)
-	}
-}
-
 // TestTranslateRejectsHandBuiltRules: P2V reads what the Prairie-language
 // compiler derives from a rule — its frame, write hints and slice — so a
 // rule built from Go closures is refused by name, not translated.

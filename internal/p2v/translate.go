@@ -8,25 +8,19 @@ import (
 	"prairie/internal/volcano"
 )
 
-// Translate maps a Prairie rule set into a Volcano rule set, performing
-// enforcer deduction, automatic property classification, and rule
-// rewriting/merging (Section 3 of the paper). The returned Report
-// documents every decision the pre-processor took.
+// Translate maps a rule set prairielang compiled, and so checked, into a
+// Volcano rule set, performing enforcer deduction, automatic property
+// classification, and rule rewriting/merging (Section 3 of the paper).
+// The returned Report documents every decision the pre-processor took.
 func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 	if err := compiled(rs); err != nil {
 		return nil, nil, err
-	}
-	if errs := rs.Validate(); len(errs) > 0 {
-		msgs := make([]error, 0, len(errs))
-		msgs = append(msgs, errors.New("p2v: invalid Prairie rule set"))
-		msgs = append(msgs, errs...)
-		return nil, nil, errors.Join(msgs...)
 	}
 	rep := newReport(rs)
 	ps := rs.Algebra.Props
 
 	// --- Property classification (§3.1). --------------------------------
-	costID, phys, preWrites := classify(rs) // Validate found one cost property
+	costID, phys, preWrites := classify(rs) // the checker found one cost property
 	rep.setClassification(ps, costID, phys)
 
 	// --- Enforcer deduction (§2.5, §3.1). --------------------------------

@@ -1,6 +1,7 @@
 package prairielang
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -8,23 +9,42 @@ import (
 )
 
 // checker resolves a parsed specification against its declared algebra
-// and type-checks every rule: patterns (operation names, arities,
-// descriptor scoping), statements (only right-hand-side descriptors may
-// be assigned, §2.3), and expressions (property kinds, helper
-// signatures).
+// and checks it: the one gate a specification passes, Check and Compile
+// alike, every error at a source position. It checks the declarations
+// (no name twice, exactly one cost property), each rule's shape (§2.3,
+// §2.4, §2.5), variables and descriptor names, its statements and
+// expressions (types, helper signatures, left-hand-side descriptors never
+// assigned), and that every operator is implementable.
 type checker struct {
 	spec    *Spec
 	alg     *core.Algebra
 	helpers map[string]*HelperDecl
+	rules   map[string]bool
 	errs    []error
+	// trules and irules hold each rule as resolved, by declaration order.
+	trules, irules []resolved
 }
 
-func newChecker(spec *Spec) *checker {
-	name := spec.Name
-	if name == "" {
-		name = "prairie"
+// resolved is a rule as the checker resolved it: its patterns, laid out
+// in its frame, and the write hints of its two statement sections.
+type resolved struct {
+	lhs, rhs  *core.PatNode
+	sc        ruleScope
+	pre, post []string
+}
+
+// check runs every check on spec.
+func check(spec *Spec) *checker {
+	c := &checker{spec: spec, alg: core.NewAlgebra(cmp.Or(spec.Name, "prairie")), helpers: map[string]*HelperDecl{}, rules: map[string]bool{}}
+	c.declare()
+	for _, d := range spec.TRules {
+		c.trules = append(c.trules, c.checkTRule(d))
 	}
-	return &checker{spec: spec, alg: core.NewAlgebra(name), helpers: map[string]*HelperDecl{}}
+	for _, d := range spec.IRules {
+		c.irules = append(c.irules, c.checkIRule(d))
+	}
+	c.checkImplementable()
+	return c
 }
 
 func (c *checker) errf(pos Pos, format string, args ...interface{}) {
@@ -39,7 +59,13 @@ func (c *checker) declare() {
 			continue
 		}
 		seen["p:"+p.Name] = true
+		if p.Kind == core.KindCost && len(c.alg.Props.CostProps()) > 0 {
+			c.errf(p.Pos, "property %q is a second cost property; a specification declares exactly one", p.Name)
+		}
 		c.alg.Props.Define(p.Name, p.Kind)
+	}
+	if len(c.alg.Props.CostProps()) == 0 {
+		c.errf(Pos{Line: 1, Col: 1}, "the specification declares no cost property")
 	}
 	for _, o := range c.spec.Ops {
 		if seen["o:"+o.Name] {
@@ -100,22 +126,165 @@ func (c *checker) resolvePattern(p *PatAST) *core.PatNode {
 	return &core.PatNode{Op: op, Desc: p.Desc, Kids: kids}
 }
 
+// sides checks that a rule's name is new, resolves its patterns, lays out
+// its frame, and checks the bindings: the left side's variables are
+// distinct and bind the right side's, each descriptor name is bound once,
+// and both roots are named. ok reports whether every operation resolved,
+// as declared.
+func (c *checker) sides(pos Pos, rule string, l, r *PatAST) (lhs, rhs *core.PatNode, sc ruleScope, ok bool) {
+	if c.rules[rule] {
+		c.errf(pos, "rule %s: duplicate rule name", rule)
+	}
+	c.rules[rule] = true
+	n := len(c.errs)
+	lhs, rhs = c.resolvePattern(l), c.resolvePattern(r)
+	ok = len(c.errs) == n
+	vars, descs := map[int]bool{}, map[string]bool{}
+	var walk func(p *PatAST, left bool)
+	walk = func(p *PatAST, left bool) {
+		if descs[p.Desc] {
+			c.errf(p.Pos, "rule %s: descriptor %s bound more than once", rule, p.Desc)
+		}
+		descs[p.Desc] = p.Desc != ""
+		for _, k := range p.Kids {
+			walk(k, left)
+		}
+		if p.Op != "" {
+			return
+		}
+		switch {
+		case !left:
+			if !vars[p.Var] {
+				c.errf(p.Pos, "rule %s: variable ?%d on right side is unbound", rule, p.Var)
+			}
+		case p.Var <= 0:
+			c.errf(p.Pos, "rule %s: variable ?%d must be positive", rule, p.Var)
+		case vars[p.Var]:
+			c.errf(p.Pos, "rule %s: variable ?%d repeated on left side", rule, p.Var)
+		}
+		vars[p.Var] = vars[p.Var] || left
+	}
+	walk(l, true)
+	walk(r, false)
+	if l.Desc == "" {
+		c.errf(l.Pos, "rule %s: left-side root needs a descriptor name", rule)
+	}
+	if r.Op != "" && r.Desc == "" {
+		c.errf(r.Pos, "rule %s: right-side root needs a descriptor name", rule)
+	}
+	return lhs, rhs, scopeOf(lhs, rhs), ok
+}
+
+// operatorsOnly reports every algorithm in a T-rule pattern.
+func (c *checker) operatorsOnly(rule string, p *PatAST) {
+	if op, ok := c.alg.Op(p.Op); ok && op.Kind != core.Operator {
+		c.errf(p.Pos, "rule %s: T-rule mentions algorithm %s; T-rule sides involve only abstract operators", rule, op.Name)
+	}
+	for _, k := range p.Kids {
+		c.operatorsOnly(rule, k)
+	}
+}
+
+func (c *checker) checkTRule(d *TRuleDecl) resolved {
+	lhs, rhs, sc, _ := c.sides(d.Pos, d.Name, d.LHS, d.RHS)
+	if d.LHS.Op == "" {
+		c.errf(d.LHS.Pos, "rule %s: left side must be an operator expression", d.Name)
+	}
+	c.operatorsOnly(d.Name, d.LHS)
+	c.operatorsOnly(d.Name, d.RHS)
+	pre := c.checkStmts(d.PreTest, sc)
+	c.checkTest(d.Name, d.Test, sc)
+	post := c.checkStmts(d.PostTest, sc)
+	c.checkReads(d, sc)
+	return resolved{lhs, rhs, sc, pre, post}
+}
+
+func (c *checker) checkIRule(d *IRuleDecl) resolved {
+	lhs, rhs, sc, ok := c.sides(d.Pos, d.Name, d.LHS, d.RHS)
+	if ok {
+		c.checkIRuleShape(d, lhs, rhs)
+	}
+	c.checkTest(d.Name, d.Test, sc)
+	pre := c.checkStmts(d.PreOpt, sc)
+	post := c.checkStmts(d.PostOpt, sc)
+	// The post-opt section computes the algorithm's cost (§2.4); the
+	// search compares alternatives by nothing else.
+	if costs := c.alg.Props.CostProps(); len(costs) == 1 && rhs.Desc != "" {
+		cost := c.alg.Props.At(costs[0]).Name
+		if !slices.ContainsFunc(d.PostOpt, func(st *Stmt) bool { return st.Dst == rhs.Desc && st.Prop == cost }) {
+			c.errf(d.Pos, "rule %s: post-opt must assign %s.%s, the cost of its algorithm", d.Name, rhs.Desc, cost)
+		}
+	}
+	return resolved{lhs, rhs, sc, pre, post}
+}
+
+// checkIRuleShape checks that an I-rule maps one operator over inputs to
+// one algorithm over as many inputs — or, a Null rule, a single-input
+// operator to Null over an input with a fresh descriptor, the one its
+// pre-opt propagates the enforced properties to (§2.5).
+func (c *checker) checkIRuleShape(d *IRuleDecl, lhs, rhs *core.PatNode) {
+	bad := func(p *PatAST, format string, args ...interface{}) {
+		c.errf(p.Pos, "rule %s: "+format, append([]interface{}{d.Name}, args...)...)
+	}
+	if lhs.IsVar() || rhs.IsVar() {
+		bad(d.LHS, "I-rule sides must be operation expressions")
+		return
+	}
+	op, alg := lhs.Op, rhs.Op
+	switch {
+	case op.Kind != core.Operator:
+		bad(d.LHS, "I-rule left side %s is not an abstract operator", op.Name)
+	case lhs.Depth() != 1:
+		bad(d.LHS, "I-rule left side must be a single operator over inputs")
+	}
+	switch {
+	case alg.Kind != core.Algorithm:
+		bad(d.RHS, "I-rule right side %s is not an algorithm", alg.Name)
+	case rhs.Depth() != 1:
+		bad(d.RHS, "I-rule right side must be a single algorithm over inputs")
+	case alg.IsNull() && op.Arity != 1:
+		bad(d.RHS, "Null rules require a single-input operator (got arity %d)", op.Arity)
+	case alg.IsNull() && len(rhs.Kids) == 1 && rhs.Kids[0].Desc == "":
+		bad(d.RHS, "Null rule input needs a fresh descriptor to propagate properties (§2.5)")
+	case !alg.IsNull() && alg.Arity != op.Arity:
+		bad(d.RHS, "algorithm %s arity %d != operator %s arity %d", alg.Name, alg.Arity, op.Name, op.Arity)
+	}
+}
+
+// checkImplementable reports every operator no I-rule implements and no
+// T-rule rewrites into an implementable operator, at its declaration.
+func (c *checker) checkImplementable() {
+	impl := map[*core.Operation]bool{}
+	for _, r := range c.irules {
+		impl[r.lhs.Op] = true
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, r := range c.trules {
+			if !r.lhs.IsVar() && !impl[r.lhs.Op] && (r.rhs.IsVar() || impl[r.rhs.Op]) {
+				impl[r.lhs.Op], changed = true, true
+			}
+		}
+	}
+	for _, o := range c.spec.Ops {
+		if op, _ := c.alg.Op(o.Name); op.Kind == core.Operator && !impl[op] {
+			c.errf(o.Pos, "operator %s has no I-rule and no T-rule rewriting it to an implementable operator", o.Name)
+			impl[op] = true // reported once, if declared twice
+		}
+	}
+}
+
 // ruleScope tracks a rule's descriptor names — per side for statement
 // checking, and by frame slot for the code the compiler emits.
 type ruleScope struct {
-	frame *core.Frame
-	lhs   map[string]bool
-	rhs   map[string]bool
-	// trule marks a T-rule: its left side is matched against the memo's
-	// own descriptors, so a name the left side binds is read-only even
-	// where the right side repeats it.
-	trule bool
+	frame    *core.Frame
+	lhs, rhs map[string]bool
 }
 
 // scopeOf lays out the rule's frame (recording slots in the patterns)
 // and returns its scope.
-func scopeOf(lhs, rhs *core.PatNode, trule bool) ruleScope {
-	s := ruleScope{frame: core.NewFrame(lhs, rhs), lhs: map[string]bool{}, rhs: map[string]bool{}, trule: trule}
+func scopeOf(lhs, rhs *core.PatNode) ruleScope {
+	s := ruleScope{frame: core.NewFrame(lhs, rhs), lhs: map[string]bool{}, rhs: map[string]bool{}}
 	for _, n := range lhs.DescNames() {
 		s.lhs[n] = true
 	}
@@ -139,7 +308,7 @@ func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
 			c.errf(st.Pos, "descriptor %q is not bound by the rule's patterns", st.Dst)
 			continue
 		}
-		if sc.lhs[st.Dst] && (sc.trule || !sc.rhs[st.Dst]) {
+		if sc.lhs[st.Dst] {
 			c.errf(st.Pos, "descriptor %s is on the rule's left side; left-hand-side descriptors are never changed (§2.3)", st.Dst)
 		}
 		st.dst = sc.slot(st.Dst)
@@ -165,6 +334,53 @@ func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
 		hints = append(hints, st.Dst+"."+st.Prop)
 	}
 	return hints
+}
+
+func (c *checker) checkTest(rule string, test Expr, sc ruleScope) {
+	if test == nil {
+		return
+	}
+	if got := c.checkExpr(test, sc, core.KindBool); !kindsCompatible(got, core.KindBool) {
+		c.errf(test.ExprPos(), "rule %s: test must be boolean, got %v", rule, got)
+	}
+}
+
+// checkReads reports a T-rule reading a property of a right-side
+// descriptor before any of its statements — pre-test, test, post-test,
+// in that order — assigns it: the read would see the property's default,
+// whatever the rewritten expression is meant to carry. A whole-descriptor
+// copy assigns every property, and reads every property of its source.
+func (c *checker) checkReads(d *TRuleDecl, sc ruleScope) {
+	set := map[string]bool{} // "D" once copied into, "D.p" once assigned
+	unset := func(desc, prop string) bool {
+		return sc.rhs[desc] && !sc.lhs[desc] && !set[desc] && (prop == "" || !set[desc+"."+prop])
+	}
+	reads := func(e Expr) {
+		anyMember(e, func(x *Member) bool {
+			if unset(x.Desc, x.Prop) {
+				c.errf(x.Pos, "rule %s: %s.%s is read before any statement assigns it", d.Name, x.Desc, x.Prop)
+			}
+			return false
+		})
+	}
+	block := func(stmts []*Stmt) {
+		for _, st := range stmts {
+			if st.Prop != "" {
+				reads(st.RHS)
+				set[st.Dst+"."+st.Prop] = true
+				continue
+			}
+			if unset(st.Src, "") {
+				c.errf(st.Pos, "rule %s: %s is copied before a statement assigns all of it", d.Name, st.Src)
+			}
+			set[st.Dst] = true
+		}
+	}
+	block(d.PreTest)
+	if d.Test != nil {
+		reads(d.Test)
+	}
+	block(d.PostTest)
 }
 
 func kindsCompatible(got, want core.Kind) bool {

@@ -3,7 +3,6 @@ package prairielang
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"prairie/internal/core"
 )
@@ -14,22 +13,20 @@ import (
 // slice: a firing evaluates equal calls once and reuses the slice.
 type HelperImpl func(args []core.Value) (core.Value, error)
 
-// Compile parses nothing — it takes a parsed specification, checks it,
-// and builds an executable core.RuleSet whose rule actions are Go
-// closures compiled from the specification's statement blocks (emit.go).
-// impls supplies the Go bodies of the declared helper functions (every
-// declared helper must be present).
+// Compile parses nothing — it takes a parsed specification, checks it
+// exactly as Check does, and builds an executable core.RuleSet whose rule
+// actions are Go closures compiled from the specification's statement
+// blocks (emit.go). impls supplies the Go bodies of the declared helper
+// functions (every declared helper must be present).
 //
 // The compiler attaches exact write hints (core.ActionHints) to every
 // rule, computed statically from the statement blocks: the P2V
 // pre-processor classifies properties by them, and accepts only rule sets
 // this compiler built.
 func Compile(spec *Spec, impls map[string]HelperImpl) (*core.RuleSet, error) {
-	c := newChecker(spec)
-	c.declare()
-
+	c := check(spec)
 	rs := core.NewRuleSet(c.alg)
-	for _, h := range c.spec.Helpers {
+	for _, h := range spec.Helpers {
 		impl, ok := impls[h.Name]
 		if !ok {
 			c.errf(h.Pos, "helper %q has no Go implementation", h.Name)
@@ -42,18 +39,41 @@ func Compile(spec *Spec, impls map[string]HelperImpl) (*core.RuleSet, error) {
 			c.errs = append(c.errs, fmt.Errorf("prairielang: implementation for undeclared helper %q", name))
 		}
 	}
-
-	for _, d := range spec.TRules {
-		rs.AddT(c.compileTRule(d, rs.Helpers))
-	}
-	for _, d := range spec.IRules {
-		rs.AddI(c.compileIRule(d, rs.Helpers))
-	}
 	if len(c.errs) > 0 {
 		return nil, errors.Join(c.errs...)
 	}
-	if errs := rs.Validate(); len(errs) > 0 {
-		return nil, errors.Join(errs...)
+	// The rules passed: emit their actions.
+	for i, d := range spec.TRules {
+		r, f := c.trules[i], c.trules[i].sc.frame
+		em := &emitter{helpers: rs.Helpers, frame: f, shared: shareCalls(f, d.PreTest, d.Test, d.PostTest)}
+		rs.AddT(&core.TRule{
+			Name:     d.Name,
+			Origin:   "spec:" + d.Pos.String(),
+			LHS:      r.lhs,
+			RHS:      r.rhs,
+			PreTest:  em.action(d.PreTest),
+			Test:     em.test(d.Test),
+			PostTest: em.action(d.PostTest),
+			Hints:    &core.ActionHints{PreWrites: r.pre, PostWrites: r.post},
+			Frame:    f,
+			Slice: func(rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) *core.Sliced {
+				return cutTRule(d, rhs, idProps).emit(d.Test, f.Names, rs.Helpers)
+			},
+		})
+	}
+	for i, d := range spec.IRules {
+		r := c.irules[i]
+		em := &emitter{helpers: rs.Helpers, frame: r.sc.frame}
+		rs.AddI(&core.IRule{
+			Name:    d.Name,
+			LHS:     r.lhs,
+			RHS:     r.rhs,
+			Test:    em.test(d.Test),
+			PreOpt:  em.action(d.PreOpt),
+			PostOpt: em.action(d.PostOpt),
+			Hints:   &core.ActionHints{PreWrites: r.pre, PostWrites: r.post},
+			Frame:   r.sc.frame,
+		})
 	}
 	return rs, nil
 }
@@ -68,96 +88,14 @@ func ParseAndCompile(src string, impls map[string]HelperImpl) (*core.RuleSet, er
 }
 
 // Check parses and checks a specification without requiring helper
-// implementations; it returns every problem found. Used by prairiec's
-// -check mode.
+// implementations; it returns every problem found — what Compile reports
+// for the same source, helper bindings apart.
 func Check(src string) []error {
 	spec, err := Parse(src)
 	if err != nil {
 		return []error{err}
 	}
-	c := newChecker(spec)
-	c.declare()
-	for _, d := range spec.TRules {
-		c.checkTRule(d)
-	}
-	for _, d := range spec.IRules {
-		c.checkIRule(d)
-	}
-	return c.errs
-}
-
-func (c *checker) checkTRule(d *TRuleDecl) (lhs, rhs *core.PatNode, sc ruleScope, pre, post []string) {
-	lhs = c.resolvePattern(d.LHS)
-	rhs = c.resolvePattern(d.RHS)
-	sc = scopeOf(lhs, rhs, true)
-	pre = c.checkStmts(d.PreTest, sc)
-	if d.Test != nil {
-		if got := c.checkExpr(d.Test, sc, core.KindBool); !kindsCompatible(got, core.KindBool) {
-			c.errf(d.Test.ExprPos(), "rule %s: test must be boolean, got %v", d.Name, got)
-		}
-	}
-	post = c.checkStmts(d.PostTest, sc)
-	return
-}
-
-func (c *checker) checkIRule(d *IRuleDecl) (lhs, rhs *core.PatNode, sc ruleScope, pre, post []string) {
-	lhs = c.resolvePattern(d.LHS)
-	rhs = c.resolvePattern(d.RHS)
-	sc = scopeOf(lhs, rhs, false)
-	if d.Test != nil {
-		if got := c.checkExpr(d.Test, sc, core.KindBool); !kindsCompatible(got, core.KindBool) {
-			c.errf(d.Test.ExprPos(), "rule %s: test must be boolean, got %v", d.Name, got)
-		}
-	}
-	pre = c.checkStmts(d.PreOpt, sc)
-	post = c.checkStmts(d.PostOpt, sc)
-	// The post-opt section computes the algorithm's cost (§2.4); the
-	// search compares alternatives by nothing else.
-	if costs := c.alg.Props.CostProps(); len(costs) == 1 && rhs.Desc != "" {
-		cost := c.alg.Props.At(costs[0]).Name
-		if !slices.ContainsFunc(d.PostOpt, func(st *Stmt) bool { return st.Dst == rhs.Desc && st.Prop == cost }) {
-			c.errf(d.Pos, "rule %s: post-opt must assign %s.%s, the cost of its algorithm", d.Name, rhs.Desc, cost)
-		}
-	}
-	return
-}
-
-// compileTRule checks a T-rule and, unless the specification has shown
-// an error so far (Compile fails then), emits its actions.
-func (c *checker) compileTRule(d *TRuleDecl, helpers *core.Helpers) *core.TRule {
-	lhs, rhs, sc, preW, postW := c.checkTRule(d)
-	r := &core.TRule{
-		Name:   d.Name,
-		Origin: "spec:" + d.Pos.String(),
-		LHS:    lhs,
-		RHS:    rhs,
-		Hints:  &core.ActionHints{PreWrites: preW, PostWrites: postW},
-		Frame:  sc.frame,
-	}
-	if len(c.errs) == 0 {
-		em := &emitter{helpers: helpers, frame: sc.frame, shared: shareCalls(sc.frame, d.PreTest, d.Test, d.PostTest)}
-		r.PreTest, r.Test, r.PostTest = em.action(d.PreTest), em.test(d.Test), em.action(d.PostTest)
-		r.Slice = func(rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) *core.Sliced {
-			return cutTRule(d, rhs, idProps).emit(d.Test, sc.frame.Names, helpers)
-		}
-	}
-	return r
-}
-
-func (c *checker) compileIRule(d *IRuleDecl, helpers *core.Helpers) *core.IRule {
-	lhs, rhs, sc, preW, postW := c.checkIRule(d)
-	r := &core.IRule{
-		Name:  d.Name,
-		LHS:   lhs,
-		RHS:   rhs,
-		Hints: &core.ActionHints{PreWrites: preW, PostWrites: postW},
-		Frame: sc.frame,
-	}
-	if len(c.errs) == 0 {
-		em := &emitter{helpers: helpers, frame: sc.frame}
-		r.Test, r.PreOpt, r.PostOpt = em.test(d.Test), em.action(d.PreOpt), em.action(d.PostOpt)
-	}
-	return r
+	return check(spec).errs
 }
 
 // ParseAndCompileAll compiles several specification sources as one rule

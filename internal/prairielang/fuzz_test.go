@@ -1,6 +1,7 @@
 package prairielang
 
 import (
+	"errors"
 	"os"
 	"testing"
 
@@ -25,12 +26,14 @@ postopt { D4.cost = D3.cost + h(D4.n) * 1.5; }
 // FuzzParse drives the whole front end — lexer, parser, formatter,
 // checker, compiler — with arbitrary input. The invariants: Parse never
 // panics; for any input it accepts, Format produces source that reparses
-// and formats to a fixed point (format ∘ parse is idempotent); and for
-// any input that also passes Check and compiles (helpers stubbed to
-// their result kind's default), every rule's compiled actions — a
-// T-rule's both as written and sliced — agree with the interpreter on a
-// binding of empty descriptors. Seeds cover every declaration form plus
-// the shipped example specification.
+// and formats to a fixed point (format ∘ parse is idempotent); Check and
+// Compile (helpers stubbed to their result kind's default) agree — Check
+// reports exactly the errors Compile fails with, and a specification
+// Check accepts compiles; and every rule's compiled actions — a T-rule's
+// both as written and sliced — agree with the interpreter on a binding
+// of empty descriptors. Seeds cover every declaration form plus the
+// shipped example specification and one the compiler used to reject
+// after Check had accepted it.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -47,8 +50,10 @@ func FuzzParse(f *testing.F) {
 	// One seed that passes Check, so the compiled-versus-interpreted
 	// comparison starts from every expression form.
 	seeds = append(seeds, checkedSeed)
-	if src, err := os.ReadFile("../../examples/dslrules/rules.prairie"); err == nil {
-		seeds = append(seeds, string(src))
+	for _, file := range []string{"../../examples/dslrules/rules.prairie", "testdata/check_agrees.prairie"} {
+		if src, err := os.ReadFile(file); err == nil {
+			seeds = append(seeds, string(src))
+		}
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -66,17 +71,21 @@ func FuzzParse(f *testing.F) {
 		if out2 := Format(spec2); out2 != out {
 			t.Fatalf("format is not a fixed point\n--- first\n%s\n--- second\n%s", out, out2)
 		}
-		if len(Check(src)) > 0 {
-			return
-		}
+		errs := Check(src)
 		impls := map[string]HelperImpl{}
 		for _, h := range spec.Helpers {
 			v := core.DefaultValue(h.Result)
 			impls[h.Name] = func([]core.Value) (core.Value, error) { return v, nil }
 		}
 		rs, err := Compile(spec, impls)
+		if len(errs) > 0 {
+			if err == nil || err.Error() != errors.Join(errs...).Error() {
+				t.Fatalf("Check reports\n%v\nbut Compile fails with\n%v", errors.Join(errs...), err)
+			}
+			return
+		}
 		if err != nil {
-			return // checked, but not a valid rule set (core.Validate)
+			t.Fatalf("passes Check, but does not compile: %v", err)
 		}
 		d, err := Differential(t, rs, src, impls)
 		if err != nil {

@@ -723,22 +723,25 @@ func TestCheckedSeedCompiles(t *testing.T) {
 
 // TestTRuleLeftSideIsReadOnly: a T-rule's left side is matched against
 // the memo's own descriptors (a variable leaf binds its group's shared
-// representative), so a name the left side binds stays read-only even
-// where the right side repeats it — the form the checker used to let
-// through. An I-rule's right-side input name that introduces a new
-// required-property descriptor stays assignable.
+// representative), so a name the left side binds stays read-only; the
+// right side cannot repeat it, a rule binding each name once. An
+// I-rule's right-side input name that introduces a new required-property
+// descriptor stays assignable.
 func TestTRuleLeftSideIsReadOnly(t *testing.T) {
 	const decls = `algebra a; property cost : cost; property n : float;
 		operator J(2); algorithm A(2) implements J;
+		irule i: J(?1:D1, ?2:D2):D3 => A(?1:D4, ?2):D5
+		preopt { D5 = D3; D4 = D1; D4.n = 7; }
+		postopt { D5.cost = 1; }
 	`
 	for _, stmt := range []string{"D1.n = 7;", "D1 = D3;"} {
-		errs := Check(decls + "trule r: J(?1:D1, ?2:D2):D3 => J(?2:D2, ?1:D1):D4\nposttest { " + stmt + " }")
-		if len(errs) != 1 || !strings.HasPrefix(errs[0].Error(), "4:12: ") ||
+		errs := Check(decls + "trule r: J(?1:D1, ?2:D2):D3 => J(?2, ?1):D4\nposttest { " + stmt + " }")
+		if len(errs) != 1 || !strings.HasPrefix(errs[0].Error(), "7:12: ") ||
 			!strings.Contains(errs[0].Error(), "descriptor D1 is on the rule's left side") {
 			t.Errorf("%s in a T-rule: Check = %v, want one positioned left-side error", stmt, errs)
 		}
 	}
-	if errs := Check(decls + "irule i: J(?1:D1, ?2:D2):D3 => A(?1:D4, ?2):D5\npreopt { D5 = D3; D4 = D1; D4.n = 7; }\npostopt { D5.cost = 1; }"); len(errs) != 0 {
+	if errs := Check(decls); len(errs) != 0 {
 		t.Errorf("I-rule input descriptor: Check = %v, want none", errs)
 	}
 }

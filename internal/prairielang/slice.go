@@ -115,15 +115,21 @@ func (st *Stmt) reads(w *Stmt) bool {
 
 // exprReads reports whether e reads a property w assigns.
 func exprReads(e Expr, w *Stmt) bool {
+	return anyMember(e, func(x *Member) bool { return x.slot == w.dst && (w.Prop == "" || x.ID == w.id) })
+}
+
+// anyMember reports whether f holds for a property read of e, visiting
+// them in evaluation order until one does.
+func anyMember(e Expr, f func(*Member) bool) bool {
 	switch x := e.(type) {
 	case *Member:
-		return x.slot == w.dst && (w.Prop == "" || x.ID == w.id)
+		return f(x)
 	case *Call:
-		return slices.ContainsFunc(x.Args, func(a Expr) bool { return exprReads(a, w) })
+		return slices.ContainsFunc(x.Args, func(a Expr) bool { return anyMember(a, f) })
 	case *Unary:
-		return exprReads(x.X, w)
+		return anyMember(x.X, f)
 	case *Binary:
-		return exprReads(x.L, w) || exprReads(x.R, w)
+		return anyMember(x.L, f) || anyMember(x.R, f)
 	}
 	return false
 }

@@ -100,13 +100,13 @@ func TestSliceParts(t *testing.T) {
 		{
 			name: "write after read across the cut",
 			rule: `trule r: J(J(?1:D1, ?2:D2):D3, ?3:D4):D5 => J(?1, J(?2, ?3):D6):D7
-				posttest { D6.x = D7.p; D7.p = D5.p + 1; }`,
+				posttest { D7.p = D5.p; D6.x = D7.p; D7.p = D5.p + 1; }`,
 			why: `"D6.x = D7.p;" reads what the later "D7.p = D5.p + 1;" assigns`,
 		},
 		{
 			name: "write after read through a whole-descriptor copy",
 			rule: `trule r: J(J(?1:D1, ?2:D2):D3, ?3:D4):D5 => J(?1, J(?2, ?3):D6):D7
-				posttest { D7.x = D6.x; D6 = D3; }`,
+				posttest { D6 = D4; D7.x = D6.x; D6 = D3; }`,
 			why: `"D7.x = D6.x;" reads what the later "D6 = D3;" assigns`,
 		},
 		{

@@ -1,8 +1,6 @@
 package relopt
 
 import (
-	"fmt"
-
 	"prairie/internal/core"
 	"prairie/internal/prairielang"
 )
@@ -93,18 +91,10 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 	}
 }
 
-// PrairieRules compiles the Prairie specification (Spec) into a core rule
-// set over this optimizer's catalog, and rebinds this Opt's handles to the
-// compiled algebra so that query construction and the rule set agree on
-// operation and property identities.
-func (o *Opt) PrairieRules() (*core.RuleSet, error) {
-	rs, err := prairielang.ParseAndCompile(Spec, o.HelperImpls())
-	if err != nil {
-		return nil, fmt.Errorf("relopt: compiling Prairie specification: %w", err)
-	}
-	o.rebind(rs.Algebra)
-	return rs, nil
-}
+// PrairieRules returns the core rule set New compiled from the Prairie
+// specification (Spec) over this optimizer's catalog. The error is always
+// nil.
+func (o *Opt) PrairieRules() (*core.RuleSet, error) { return o.rules, nil }
 
 // rebind points the Opt's handles at the given algebra's instances.
 func (o *Opt) rebind(a *core.Algebra) {

@@ -21,13 +21,15 @@ import (
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
+	"prairie/internal/prairielang"
 )
 
 // Opt bundles the relational algebra, its property handles, and the
 // catalog the cost model consults.
 type Opt struct {
-	Alg *core.Algebra
-	Cat *catalog.Catalog
+	Alg   *core.Algebra
+	Cat   *catalog.Catalog
+	rules *core.RuleSet // Spec, compiled by New
 
 	// Property ids (Table 2 of the paper, plus "indexes" carrying the
 	// catalog's index metadata on stored-file descriptors).
@@ -45,14 +47,18 @@ type Opt struct {
 	Null                                               *core.Operation
 }
 
-// New builds the relational algebra over a catalog — the one Spec
-// declares, so the hand-coded rules and the specification's share their
-// property and operation ids.
+// New builds the relational optimizer over a catalog: it compiles Spec,
+// whose declarations are the algebra the hand-coded rules and the
+// specification's share, keeps the rule set for PrairieRules, and binds
+// the handles to the compiled algebra.
 func New(cat *catalog.Catalog) *Opt {
 	o := &Opt{Cat: cat}
-	if _, err := o.PrairieRules(); err != nil {
+	rs, err := prairielang.ParseAndCompile(Spec, o.HelperImpls())
+	if err != nil {
 		panic(err) // Spec is a constant: only a bug in it fails to compile
 	}
+	o.rules = rs
+	o.rebind(rs.Algebra)
 	return o
 }
 

