@@ -42,12 +42,9 @@ func prepOODB(b testing.TB, e qgen.ExprKind, n int, indexed bool) *benchWorld {
 	b.Helper()
 	w := &benchWorld{}
 	po := oodb.New(qgen.Catalog(n, 101, indexed))
-	rs, err := po.PrairieRules()
-	if err != nil {
-		b.Fatal(err)
-	}
 	var rep *p2v.Report
-	w.pvrs, rep, err = p2v.Translate(rs)
+	var err error
+	w.pvrs, rep, err = p2v.Translate(po.PrairieRules())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -391,11 +388,7 @@ func BenchmarkRelopt(b *testing.B) {
 	q := relopt.QuerySpec{Relations: names, Select: true}
 
 	po := relopt.New(cat)
-	prs, err := po.PrairieRules()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pvrs, rep, err := p2v.Translate(prs)
+	pvrs, rep, err := p2v.Translate(po.PrairieRules())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -423,10 +416,7 @@ func BenchmarkRelopt(b *testing.B) {
 // OODB specification (22 T-rules, 11 I-rules).
 func BenchmarkP2VTranslate(b *testing.B) {
 	o := oodb.New(qgen.Catalog(2, 101, false))
-	rs, err := o.PrairieRules()
-	if err != nil {
-		b.Fatal(err)
-	}
+	rs := o.PrairieRules()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := p2v.Translate(rs); err != nil {
@@ -441,9 +431,7 @@ func BenchmarkDSLCompile(b *testing.B) {
 	o := oodb.New(qgen.Catalog(2, 101, false))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := oodb.New(o.Cat).PrairieRules(); err != nil {
-			b.Fatal(err)
-		}
+		oodb.New(o.Cat)
 	}
 }
 

@@ -47,11 +47,7 @@ func cacheWorlds(t *testing.T) []cacheWorld {
 	}{{qgen.E1, 4}, {qgen.E2, 3}, {qgen.E3, 3}} {
 		cat := qgen.Catalog(fam.n, qgen.InstanceSeeds()[0], false)
 		po := oodb.New(cat)
-		prs, err := po.PrairieRules()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pvrs, rep, err := p2v.Translate(prs)
+		pvrs, rep, err := p2v.Translate(po.PrairieRules())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,11 +78,7 @@ func cacheWorlds(t *testing.T) []cacheWorld {
 	}
 	q := relopt.QuerySpec{Relations: names, Select: true}
 	ro := relopt.New(rcat)
-	rprs, err := ro.PrairieRules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rvrs, rrep, err := p2v.Translate(rprs)
+	rvrs, rrep, err := p2v.Translate(ro.PrairieRules())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,16 +305,16 @@ func TestPlanCacheBatchShared(t *testing.T) {
 				i, families[i/copies], got, want[i/copies])
 		}
 	})
-	agg := volcano.NewStats()
+	var hits, misses, waits int
 	for _, s := range stats {
-		agg.Merge(s)
+		hits, misses, waits = hits+s.CacheHits, misses+s.CacheMisses, waits+s.FlightWaits
 	}
-	if agg.CacheHits+agg.CacheMisses != runs {
-		t.Errorf("hits %d + misses %d != %d runs", agg.CacheHits, agg.CacheMisses, runs)
+	if hits+misses != runs {
+		t.Errorf("hits %d + misses %d != %d runs", hits, misses, runs)
 	}
-	if agg.CacheHits < runs-2*len(families) {
+	if hits < runs-2*len(families) {
 		t.Errorf("only %d hits across %d duplicated runs (misses %d, flight waits %d)",
-			agg.CacheHits, runs, agg.CacheMisses, agg.FlightWaits)
+			hits, runs, misses, waits)
 	}
 	if s := pc.Snapshot(); s.Entries != len(families) {
 		t.Errorf("cache holds %d entries, want %d", s.Entries, len(families))

@@ -20,12 +20,9 @@
 // paper's memory wall; a point degraded by -timeout is marked '*' and
 // the sweep continues.
 //
-// Observability (see internal/obs):
-//
-//	optbench -experiment fig12 -httpaddr :8080 # /metrics, /debug/pprof/
-//	optbench -experiment fig12 -observe -json  # per-rule timing + degradation counts in JSON
-//
-// -json and -httpaddr imply -observe.
+// The searches run unobserved, so the times are the paper's measurement;
+// -csv and -json only choose the encoding of the same table. Per-rule
+// timing of one query is optshell's :stats.
 package main
 
 import (
@@ -37,7 +34,6 @@ import (
 	"strings"
 
 	"prairie/internal/experiments"
-	"prairie/internal/obs"
 )
 
 type experiment func(experiments.Options) (*experiments.Table, error)
@@ -97,10 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"Prairie spec for -experiment rulecheck's DSL world (default examples/dslrules/rules.prairie)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of aligned tables")
-	observe := fs.Bool("observe", false,
-		"enable per-rule timing and metrics collection (implied by -json, -httpaddr)")
-	httpAddr := fs.String("httpaddr", "",
-		"serve /metrics and /debug/pprof/ on this address (e.g. :8080 or :0)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -122,27 +114,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Observability: per-rule timing feeds the tables; the registry
-	// feeds /metrics.
-	var ob *obs.Observer
-	if *observe || *jsonOut || *httpAddr != "" {
-		ob = &obs.Observer{Metrics: obs.NewRegistry(), RuleTiming: true}
-	}
-	if *httpAddr != "" {
-		addr, closer, err := obs.Serve(*httpAddr, obs.NewMux(ob.Metrics, nil))
-		if err != nil {
-			return fail(err)
-		}
-		defer closer()
-		fmt.Fprintf(stderr, "optbench: serving metrics and pprof on http://%s/\n", addr)
-	}
-
 	opts := experiments.Options{
 		MaxClasses: *maxClasses,
 		Repeats:    *repeats,
 		MaxExprs:   *maxExprs,
 		Timeout:    *timeout,
-		Obs:        ob,
 		DSLPath:    *dslPath,
 	}
 	for _, name := range names {

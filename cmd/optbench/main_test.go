@@ -2,7 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"os"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -32,10 +36,11 @@ func TestRemovedExperimentsExit2(t *testing.T) {
 
 // TestRemovedFlagsUnknown: the flags that only fed the removed
 // experiments, -workers of the removed batch API, the span-trace sinks of
-// the removed search trace, and -maxexprs' alias and the -degrade switch
-// of the removed hard cap are usage errors, not silently accepted.
+// the removed search trace, -maxexprs' alias and the -degrade switch of
+// the removed hard cap, and the sweep observer's -observe and -httpaddr
+// are usage errors, not silently accepted.
 func TestRemovedFlagsUnknown(t *testing.T) {
-	for _, flag := range []string{"-cache", "-cache-size", "-draws", "-rows", "-workers", "-trace-out", "-trace-jsonl", "-max-exprs", "-degrade"} {
+	for _, flag := range []string{"-cache", "-cache-size", "-draws", "-rows", "-workers", "-trace-out", "-trace-jsonl", "-max-exprs", "-degrade", "-observe", "-httpaddr"} {
 		code, stdout, stderr := runCLI(flag, "1", "-experiment", "rules")
 		if code != 2 || stdout != "" || !strings.Contains(stderr, "flag provided but not defined: "+flag) {
 			t.Errorf("%s: status %d, stdout %q, stderr:\n%s", flag, code, stdout, stderr)
@@ -77,4 +82,44 @@ func TestTable5CSVGolden(t *testing.T) { checkCSVGolden(t, "table5", "-experimen
 func TestFig14CSVGolden(t *testing.T) {
 	checkCSVGolden(t, "fig14", "-experiment", "fig14", "-maxclasses", "5")
 	checkCSVGolden(t, "fig14_maxexprs", "-experiment", "fig14", "-maxclasses", "5", "-maxexprs", "1000")
+}
+
+// TestJSONIsOnlyAnEncoding: -json carries the table -csv prints and no
+// other field.
+func TestJSONIsOnlyAnEncoding(t *testing.T) {
+	code, stdout, stderr := runCLI("-experiment", "table5", "-json")
+	if code != 0 || stderr != "" {
+		t.Fatalf("status %d, stderr %q", code, stderr)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(stdout), &fields); err != nil {
+		t.Fatalf("decode: %v\n%s", err, stdout)
+	}
+	keys := make([]string, 0, len(fields))
+	for k := range fields {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"Header", "Notes", "Rows", "Title"}; !reflect.DeepEqual(keys, want) {
+		t.Errorf("keys = %v, want %v", keys, want)
+	}
+	var got struct {
+		Header []string
+		Rows   [][]string
+	}
+	if err := json.Unmarshal([]byte(stdout), &got); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/table5.csv.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(string(golden), "\n") // the title line
+	want, err := csv.NewReader(strings.NewReader(body)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Header, want[0]) || !reflect.DeepEqual(got.Rows, want[1:]) {
+		t.Errorf("-json table differs from table5.csv.golden:\nheader %v\nrows %v", got.Header, got.Rows)
+	}
 }

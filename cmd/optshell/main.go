@@ -88,14 +88,10 @@ func main() {
 	if *baseline {
 		vrs = o.VolcanoRules()
 	} else {
-		rs, err := o.PrairieRules()
+		var err error
+		vrs, rep, err = p2v.Translate(o.PrairieRules())
 		if err != nil {
 			fatal(err)
-		}
-		var err2 error
-		vrs, rep, err2 = p2v.Translate(rs)
-		if err2 != nil {
-			fatal(err2)
 		}
 	}
 

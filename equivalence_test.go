@@ -151,11 +151,7 @@ func TestOptimizeBatchOODB(t *testing.T) {
 	cat := qgen.Catalog(3, qgen.InstanceSeeds()[0], false)
 	vo := oodb.New(cat)
 	po := oodb.New(cat)
-	prs, err := po.PrairieRules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pvrs, rep, err := p2v.Translate(prs)
+	pvrs, rep, err := p2v.Translate(po.PrairieRules())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,11 +32,7 @@ func main() {
 
 	// Prairie path: DSL -> rule set -> P2V -> Volcano rule set.
 	po := oodb.New(cat)
-	prs, err := po.PrairieRules()
-	if err != nil {
-		log.Fatal(err)
-	}
-	pvrs, rep, err := p2v.Translate(prs)
+	pvrs, rep, err := p2v.Translate(po.PrairieRules())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -39,10 +39,7 @@ func main() {
 	})
 
 	o := relopt.New(cat)
-	rs, err := o.PrairieRules()
-	if err != nil {
-		log.Fatal(err)
-	}
+	rs := o.PrairieRules()
 	fmt.Printf("Prairie specification: %d T-rules, %d I-rules\n\n", len(rs.TRules), len(rs.IRules))
 	for _, r := range rs.TRules {
 		fmt.Println("  T-rule", r)

@@ -46,11 +46,7 @@ func fpWorlds(f *testing.F) []fpWorld {
 	}
 
 	po := oodb.New(qgen.Catalog(maxN, seed, true))
-	prs, err := po.PrairieRules()
-	if err != nil {
-		f.Fatal(err)
-	}
-	pvrs, rep, err := p2v.Translate(prs)
+	pvrs, rep, err := p2v.Translate(po.PrairieRules())
 	if err != nil {
 		f.Fatal(err)
 	}

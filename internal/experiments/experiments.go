@@ -11,7 +11,8 @@
 //
 // Following §4.3's protocol, every point averages five catalog instances
 // with varied cardinalities, and per-query optimization time is measured
-// by optimizing in a loop and dividing.
+// by optimizing in a loop and dividing. The searches run unobserved:
+// per-rule timing or metrics would be part of the time measured.
 package experiments
 
 import (
@@ -23,7 +24,6 @@ import (
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
-	"prairie/internal/obs"
 	"prairie/internal/oodb"
 	"prairie/internal/p2v"
 	"prairie/internal/qgen"
@@ -37,13 +37,6 @@ type Table struct {
 	Header []string
 	Rows   [][]string
 	Notes  []string
-	// RuleTimes attributes the sweep's wall time to individual rules
-	// (milliseconds, keys prefixed trans/ or impl/) when the run was
-	// observed with per-rule timing (Options.Obs); omitted otherwise.
-	RuleTimes map[string]float64 `json:",omitempty"`
-	// Degradations counts budget-degraded optimizations by cause across
-	// the sweep; omitted when every search completed.
-	Degradations map[string]int `json:",omitempty"`
 	// Extra carries scalar metrics that don't fit the row grid (the
 	// rulecheck experiment's verified counts and kill rates); omitted
 	// when the experiment produces none.
@@ -100,42 +93,6 @@ func (t *Table) String() string {
 		}
 		b.WriteByte('\n')
 	}
-	if len(t.Degradations) > 0 {
-		causes := make([]string, 0, len(t.Degradations))
-		for c := range t.Degradations {
-			causes = append(causes, c)
-		}
-		sort.Strings(causes)
-		b.WriteString("degradations:")
-		for _, c := range causes {
-			fmt.Fprintf(&b, " %s=%d", c, t.Degradations[c])
-		}
-		b.WriteByte('\n')
-	}
-	if len(t.RuleTimes) > 0 {
-		type rt struct {
-			rule string
-			ms   float64
-		}
-		rows := make([]rt, 0, len(t.RuleTimes))
-		for r, ms := range t.RuleTimes {
-			rows = append(rows, rt{r, ms})
-		}
-		sort.Slice(rows, func(i, j int) bool {
-			if rows[i].ms != rows[j].ms {
-				return rows[i].ms > rows[j].ms
-			}
-			return rows[i].rule < rows[j].rule
-		})
-		if len(rows) > 8 {
-			rows = rows[:8]
-		}
-		b.WriteString("top rule times (ms):")
-		for _, r := range rows {
-			fmt.Fprintf(&b, " %s=%.3f", r.rule, r.ms)
-		}
-		b.WriteByte('\n')
-	}
 	return b.String()
 }
 
@@ -182,60 +139,16 @@ type Options struct {
 	// it reports a degraded measurement (marked '*') instead of ending
 	// the series.
 	Timeout time.Duration
-	// Obs attaches observability sinks to every optimization in the
-	// sweep (per-rule timing, metrics, span traces — see internal/obs).
-	// With RuleTiming enabled, the resulting tables carry per-rule time
-	// attribution (Table.RuleTimes) and degradation tallies.
-	Obs *obs.Observer
 	// DSLPath locates the Prairie specification the rulecheck
 	// experiment compiles for its DSL world (empty = the repo's
 	// examples/dslrules/rules.prairie, relative to the working
 	// directory).
 	DSLPath string
-
-	// agg accumulates the sweep's merged statistics; table functions
-	// initialize it and fold every run in (see observe/attach).
-	agg *volcano.Stats
-}
-
-// observe returns a copy of o with a fresh aggregate, ready to collect
-// a sweep's statistics.
-func (o Options) observe() Options {
-	o.agg = volcano.NewStats()
-	return o
-}
-
-// collect folds one run's statistics into the sweep aggregate.
-func (o Options) collect(s *volcano.Stats) {
-	if o.agg != nil {
-		o.agg.Merge(s)
-	}
-}
-
-// attach decorates a finished table with the sweep's observability
-// aggregates: per-rule wall time (when Obs enabled rule timing) and
-// degradation counts by cause.
-func (o Options) attach(t *Table) {
-	if o.agg == nil {
-		return
-	}
-	if len(o.agg.TransTime) > 0 || len(o.agg.ImplTime) > 0 {
-		t.RuleTimes = map[string]float64{}
-		for r, d := range o.agg.TransTime {
-			t.RuleTimes["trans/"+r] += float64(d.Microseconds()) / 1000
-		}
-		for r, d := range o.agg.ImplTime {
-			t.RuleTimes["impl/"+r] += float64(d.Microseconds()) / 1000
-		}
-	}
-	if len(o.agg.DegradedRuns) > 0 {
-		t.Degradations = o.agg.DegradedRuns
-	}
 }
 
 // volcanoOpts translates the protocol options into engine options.
 func (o Options) volcanoOpts() volcano.Options {
-	return volcano.Options{Budget: volcano.Budget{Timeout: o.Timeout, MaxExprs: o.MaxExprs}, Obs: o.Obs}
+	return volcano.Options{Budget: volcano.Budget{Timeout: o.Timeout, MaxExprs: o.MaxExprs}}
 }
 
 // spaceExhausted reports whether a run degraded on its expression cap: the
@@ -273,19 +186,36 @@ func (o Options) repeats(n int) int {
 	return r
 }
 
-// buildPrairieOODB compiles the Prairie specification over a catalog and
-// translates it with P2V.
-func buildPrairieOODB(cat *catalog.Catalog) (*oodb.Opt, *volcano.RuleSet, *p2v.Report, error) {
-	o := oodb.New(cat)
-	rs, err := o.PrairieRules()
+// prairieQuery builds one OODB point the Prairie way: the spec compiled
+// over the point's generated catalog and translated by P2V, and the
+// family's query over graph g prepared for the translated rule set.
+func prairieQuery(e qgen.ExprKind, n int, seed int64, indexed bool, g qgen.Graph) (*volcano.RuleSet, *core.Expr, *core.Descriptor, error) {
+	o := oodb.New(qgen.Catalog(n, seed, indexed))
+	vrs, rep, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	vrs, rep, err := p2v.Translate(rs)
+	tree, err := qgen.BuildGraph(o, e, n, g)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return o, vrs, rep, nil
+	tree, req, err := rep.PrepareQuery(tree, nil)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return vrs, tree, req, nil
+}
+
+// sameSearch fails when the Prairie-generated and the hand-coded search
+// of one point both completed but explored different spaces. Degraded
+// searches stop at differing fractions of the space, so they are not
+// compared.
+func sameSearch(point string, p, v *volcano.Stats) error {
+	if p.Degraded || v.Degraded || (p.Groups == v.Groups && p.Exprs == v.Exprs) {
+		return nil
+	}
+	return fmt.Errorf("experiments: %s: searches differ (prairie %d groups, %d exprs; volcano %d groups, %d exprs)",
+		point, p.Groups, p.Exprs, v.Groups, v.Exprs)
 }
 
 // timeOptimize measures average per-query optimization time. It returns
@@ -341,8 +271,8 @@ func runFamily(e qgen.ExprKind, indexed bool, opts Options) ([]point, error) {
 
 // runPoint measures one (family, N) point: every catalog seed times the
 // Prairie-generated and the hand-coded Volcano rule sets one after the
-// other (the paper's §4.3 protocol). Both paths must agree on
-// equivalence-class counts.
+// other (the paper's §4.3 protocol). Both paths must explore the same
+// space (sameSearch).
 func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error) {
 	seeds := opts.seeds()
 	reps := opts.repeats(n)
@@ -350,16 +280,7 @@ func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error)
 	pt := point{N: n}
 	var pSum, vSum time.Duration
 	for _, seed := range seeds {
-		cat := qgen.Catalog(n, seed, indexed)
-		po, pvrs, rep, err := buildPrairieOODB(cat)
-		if err != nil {
-			return point{}, err
-		}
-		tree, err := qgen.Build(po, e, n)
-		if err != nil {
-			return point{}, err
-		}
-		tree, req, err := rep.PrepareQuery(tree, nil)
+		pvrs, tree, req, err := prairieQuery(e, n, seed, indexed, qgen.Linear)
 		if err != nil {
 			return point{}, err
 		}
@@ -372,7 +293,6 @@ func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error)
 		if err != nil {
 			return point{}, err
 		}
-		opts.collect(pStats)
 		if exhausted {
 			return point{N: n, Exhausted: true}, nil
 		}
@@ -380,18 +300,13 @@ func runPoint(e qgen.ExprKind, indexed bool, n int, opts Options) (point, error)
 		if err != nil {
 			return point{}, err
 		}
-		opts.collect(vStats)
 		if exhausted {
 			return point{N: n, Exhausted: true}, nil
 		}
-		pt.Degraded = pt.Degraded || pStats.Degraded || vStats.Degraded
-		// Degraded runs explore differing fractions of the space before
-		// their budgets trip, so class counts are only comparable on
-		// complete searches.
-		if !pt.Degraded && pStats.Groups != vStats.Groups {
-			return point{}, fmt.Errorf("experiments: %v n=%d seed=%d: equivalence classes differ (prairie %d, volcano %d)",
-				e, n, seed, pStats.Groups, vStats.Groups)
+		if err := sameSearch(fmt.Sprintf("%v n=%d seed=%d", e, n, seed), pStats, vStats); err != nil {
+			return point{}, err
 		}
+		pt.Degraded = pt.Degraded || pStats.Degraded || vStats.Degraded
 		pSum += pd
 		vSum += vd
 		pt.Groups, pt.Exprs = pStats.Groups, pStats.Exprs
@@ -424,7 +339,6 @@ func Figure(num int, opts Options) (*Table, error) {
 	}
 	q := (num - 10) * 2
 	names := [2]string{fmt.Sprintf("Q%d", q+1), fmt.Sprintf("Q%d", q+2)}
-	opts = opts.observe()
 	plain, err := runFamily(e, false, opts)
 	if err != nil {
 		return nil, err
@@ -471,14 +385,12 @@ func Figure(num int, opts Options) (*Table, error) {
 		fill(3, indexed)
 		t.Rows = append(t.Rows, row)
 	}
-	opts.attach(t)
 	return t, nil
 }
 
 // Figure14 counts equivalence classes versus number of joins for every
 // expression family.
 func Figure14(opts Options) (*Table, error) {
-	opts = opts.observe()
 	t := &Table{
 		Title:  "Figure 14: equivalence classes vs joins (identical for Prairie and Volcano)",
 		Header: []string{"joins", "E1", "E2", "E3", "E4"},
@@ -490,16 +402,7 @@ func Figure14(opts Options) (*Table, error) {
 	for _, e := range families {
 		var col []string
 		for n := 1; n <= opts.maxClasses(e); n++ {
-			cat := qgen.Catalog(n, opts.seeds()[0], false)
-			o, vrs, rep, err := buildPrairieOODB(cat)
-			if err != nil {
-				return nil, err
-			}
-			tree, err := qgen.Build(o, e, n)
-			if err != nil {
-				return nil, err
-			}
-			tree, req, err := rep.PrepareQuery(tree, nil)
+			vrs, tree, req, err := prairieQuery(e, n, opts.seeds()[0], false, qgen.Linear)
 			if err != nil {
 				return nil, err
 			}
@@ -512,7 +415,6 @@ func Figure14(opts Options) (*Table, error) {
 				col = append(col, "exhausted")
 				break
 			}
-			opts.collect(opt.Stats)
 			cell := fmt.Sprintf("%d", opt.Stats.Groups)
 			if opt.Stats.Degraded {
 				cell += "*" // partial closure: the budget tripped
@@ -535,7 +437,6 @@ func Figure14(opts Options) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, row)
 	}
-	opts.attach(t)
 	return t, nil
 }
 
@@ -544,7 +445,6 @@ func Figure14(opts Options) (*Table, error) {
 // sub-expression structurally; fired counts those whose condition also
 // passed (the paper's matched-versus-applicable distinction, §4.3).
 func Table5(n int, opts Options) (*Table, error) {
-	opts = opts.observe()
 	t := &Table{
 		Title: fmt.Sprintf("Table 5: rules matched per query (N=%d classes)", n),
 		Header: []string{"query", "indices", "expr",
@@ -558,16 +458,7 @@ func Table5(n int, opts Options) (*Table, error) {
 		if q.Expr.HasSelect() && nn > 3 {
 			nn = 3 // keep the SELECT families tractable
 		}
-		cat := qgen.Catalog(nn, opts.seeds()[0], q.Indexed)
-		o, vrs, rep, err := buildPrairieOODB(cat)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := qgen.Build(o, q.Expr, nn)
-		if err != nil {
-			return nil, err
-		}
-		tree, req, err := rep.PrepareQuery(tree, nil)
+		vrs, tree, req, err := prairieQuery(q.Expr, nn, opts.seeds()[0], q.Indexed, qgen.Linear)
 		if err != nil {
 			return nil, err
 		}
@@ -577,7 +468,6 @@ func Table5(n int, opts Options) (*Table, error) {
 			return nil, err
 		}
 		s := opt.Stats
-		opts.collect(s)
 		yes := "No"
 		if q.Indexed {
 			yes = "Yes"
@@ -590,7 +480,6 @@ func Table5(n int, opts Options) (*Table, error) {
 			fmt.Sprintf("%d", s.DistinctImplFired()),
 		})
 	}
-	opts.attach(t)
 	return t, nil
 }
 
@@ -607,8 +496,7 @@ func RuleCounts() (*Table, error) {
 		},
 	}
 	// OODB optimizer.
-	cat := qgen.Catalog(2, 101, false)
-	o, vrs, rep, err := buildPrairieOODB(cat)
+	_, rep, err := p2v.Translate(oodb.New(qgen.Catalog(2, 101, false)).PrairieRules())
 	if err != nil {
 		return nil, err
 	}
@@ -616,8 +504,6 @@ func RuleCounts() (*Table, error) {
 		fmt.Sprintf("%d", rep.TRulesIn), fmt.Sprintf("%d", rep.IRulesIn),
 		fmt.Sprintf("%d", rep.TransOut), fmt.Sprintf("%d", rep.ImplsOut),
 		fmt.Sprintf("%d", rep.EnforcersOut)})
-	_ = o
-	_ = vrs
 	hand := oodb.New(qgen.Catalog(2, 101, false)).VolcanoRules()
 	t.Rows = append(t.Rows, []string{"oodb", "hand-coded", "-", "-",
 		fmt.Sprintf("%d", len(hand.Trans)), fmt.Sprintf("%d", len(hand.Impls)),
@@ -625,12 +511,7 @@ func RuleCounts() (*Table, error) {
 
 	// Relational optimizer (the [5] experiment).
 	rcat := catalog.Generate(catalog.DefaultGen(4, 101, true))
-	ro := relopt.New(rcat)
-	rrs, err := ro.PrairieRules()
-	if err != nil {
-		return nil, err
-	}
-	rvrs, rrep, err := p2v.Translate(rrs)
+	_, rrep, err := p2v.Translate(relopt.New(rcat).PrairieRules())
 	if err != nil {
 		return nil, err
 	}
@@ -642,14 +523,12 @@ func RuleCounts() (*Table, error) {
 	t.Rows = append(t.Rows, []string{"relational", "hand-coded", "-", "-",
 		fmt.Sprintf("%d", len(rhand.Trans)), fmt.Sprintf("%d", len(rhand.Impls)),
 		fmt.Sprintf("%d", len(rhand.Enforcers))})
-	_ = rvrs
 	return t, nil
 }
 
 // Relopt runs the [5] experiment: the centralized relational optimizer,
 // Prairie-generated versus hand-coded, on N-way join queries.
 func Relopt(opts Options) (*Table, error) {
-	opts = opts.observe()
 	t := &Table{
 		Title:  "Experiment [5]: relational optimizer, optimization time (ms/query) vs joins",
 		Header: []string{"joins", "prairie", "volcano", "groups"},
@@ -672,11 +551,7 @@ func Relopt(opts Options) (*Table, error) {
 			q := relopt.QuerySpec{Relations: names, Select: true}
 
 			po := relopt.New(cat)
-			prs, err := po.PrairieRules()
-			if err != nil {
-				return nil, err
-			}
-			pvrs, rep, err := p2v.Translate(prs)
+			pvrs, rep, err := p2v.Translate(po.PrairieRules())
 			if err != nil {
 				return nil, err
 			}
@@ -692,15 +567,17 @@ func Relopt(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opts.collect(pStats)
 
 			vo := relopt.New(cat)
 			vtree, err := vo.Build(q)
 			if err != nil {
 				return nil, err
 			}
-			vd, _, _, err := timeOptimize(vo.VolcanoRules(), vtree, vo.Requirement(q), reps, opts.volcanoOpts())
+			vd, vStats, _, err := timeOptimize(vo.VolcanoRules(), vtree, vo.Requirement(q), reps, opts.volcanoOpts())
 			if err != nil {
+				return nil, err
+			}
+			if err := sameSearch(fmt.Sprintf("relational n=%d seed=%d", n, seed), pStats, vStats); err != nil {
 				return nil, err
 			}
 			pSum += pd
@@ -711,14 +588,12 @@ func Relopt(opts Options) (*Table, error) {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", n-1), durMS(pSum / k), durMS(vSum / k), fmt.Sprintf("%d", groups)})
 	}
-	opts.attach(t)
 	return t, nil
 }
 
 // StarGraphs compares linear and star query graphs (the paper's stated
 // future work) on E1: equivalence classes and optimization time per N.
 func StarGraphs(opts Options) (*Table, error) {
-	opts = opts.observe()
 	t := &Table{
 		Title:  "Future work: linear vs star query graphs (E1)",
 		Header: []string{"joins", "linear_groups", "star_groups", "linear_ms", "star_ms"},
@@ -732,16 +607,7 @@ func StarGraphs(opts Options) (*Table, error) {
 		row := []string{fmt.Sprintf("%d", n-1)}
 		var cells [2][2]string
 		for gi, g := range []qgen.Graph{qgen.Linear, qgen.Star} {
-			cat := qgen.Catalog(n, opts.seeds()[0], false)
-			o, vrs, rep, err := buildPrairieOODB(cat)
-			if err != nil {
-				return nil, err
-			}
-			tree, err := qgen.BuildGraph(o, qgen.E1, n, g)
-			if err != nil {
-				return nil, err
-			}
-			tree, req, err := rep.PrepareQuery(tree, nil)
+			vrs, tree, req, err := prairieQuery(qgen.E1, n, opts.seeds()[0], false, g)
 			if err != nil {
 				return nil, err
 			}
@@ -749,7 +615,6 @@ func StarGraphs(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			opts.collect(stats)
 			if exhausted {
 				cells[gi] = [2]string{"exhausted", "exhausted"}
 				continue
@@ -763,6 +628,5 @@ func StarGraphs(opts Options) (*Table, error) {
 		row = append(row, cells[0][0], cells[1][0], cells[0][1], cells[1][1])
 		t.Rows = append(t.Rows, row)
 	}
-	opts.attach(t)
 	return t, nil
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"prairie/internal/qgen"
+	"prairie/internal/volcano"
 )
 
 // fastOpts keeps experiment tests quick: one instance, one repetition,
@@ -52,6 +53,23 @@ func TestOptionsDefaults(t *testing.T) {
 	o.Repeats = 7
 	if o.repeats(5) != 7 {
 		t.Error("Repeats override ignored")
+	}
+}
+
+// TestSameSearch: complete Prairie and hand-coded searches of one point
+// must agree on classes and expressions; degraded ones are not compared.
+func TestSameSearch(t *testing.T) {
+	p := &volcano.Stats{Groups: 20, Exprs: 50}
+	if err := sameSearch("pt", p, &volcano.Stats{Groups: 20, Exprs: 50}); err != nil {
+		t.Errorf("equal searches: %v", err)
+	}
+	for _, v := range []*volcano.Stats{{Groups: 21, Exprs: 50}, {Groups: 20, Exprs: 49}} {
+		if err := sameSearch("pt", p, v); err == nil || !strings.Contains(err.Error(), "pt: searches differ") {
+			t.Errorf("prairie %+v, volcano %+v: err = %v", *p, *v, err)
+		}
+	}
+	if err := sameSearch("pt", p, &volcano.Stats{Groups: 3, Degraded: true}); err != nil {
+		t.Errorf("degraded search compared: %v", err)
 	}
 }
 

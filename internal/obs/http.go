@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 )
@@ -40,17 +39,4 @@ func NewMux(reg *Registry, fr *FlightRecorder) *http.ServeMux {
 		}
 	})
 	return mux
-}
-
-// Serve starts an HTTP server for h on addr (":0" picks a free port)
-// and returns the bound address plus a closer. The server runs until
-// closed; serve errors after Close are discarded.
-func Serve(addr string, h http.Handler) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: h}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -127,14 +128,11 @@ func TestConcurrentRecording(t *testing.T) {
 func TestServeExposition(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("prairie_optimize_total").Add(2)
-	addr, closeFn, err := Serve("127.0.0.1:0", NewMux(reg, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = closeFn() }()
+	srv := httptest.NewServer(NewMux(reg, nil))
+	defer srv.Close()
 
 	get := func(path string, want int) string {
-		resp, err := http.Get("http://" + addr + path)
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}

@@ -19,11 +19,7 @@ import (
 func prairiePath(t *testing.T, n int, seed int64, indexed bool) (*oodb.Opt, *volcano.RuleSet, *p2v.Report) {
 	t.Helper()
 	o := oodb.New(qgen.Catalog(n, seed, indexed))
-	rs, err := o.PrairieRules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vrs, rep, err := p2v.Translate(rs)
+	vrs, rep, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,11 +200,7 @@ func TestJoinToMatFires(t *testing.T) {
 	// An explicit join on a pointer attribute (C1.ref = S1.id) collapses
 	// to MAT via join_to_mat, enabling pointer-based plans.
 	o := oodb.New(qgen.Catalog(1, 101, false))
-	rs, err := o.PrairieRules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vrs, rep, err := p2v.Translate(rs)
+	vrs, rep, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,11 +325,7 @@ func TestPlansExecuteCorrectly(t *testing.T) {
 		n := 2
 		t.Run(q.Name, func(t *testing.T) {
 			po := oodb.New(smallCat(q.Indexed))
-			prs, err := po.PrairieRules()
-			if err != nil {
-				t.Fatal(err)
-			}
-			pvrs, rep, err := p2v.Translate(prs)
+			pvrs, rep, err := p2v.Translate(po.PrairieRules())
 			if err != nil {
 				t.Fatal(err)
 			}

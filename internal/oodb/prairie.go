@@ -130,8 +130,7 @@ func (o *Opt) refAttrAnywhere(p *core.Pred, within core.Attrs) (core.Attr, bool)
 
 // PrairieRules returns the core rule set New compiled from the
 // Prairie-language specification (Spec) over this optimizer's catalog.
-// The error is always nil.
-func (o *Opt) PrairieRules() (*core.RuleSet, error) { return o.rules, nil }
+func (o *Opt) PrairieRules() *core.RuleSet { return o.rules }
 
 // rebind points the Opt's handles at the given algebra's instances.
 func (o *Opt) rebind(a *core.Algebra) {

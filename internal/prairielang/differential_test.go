@@ -74,10 +74,7 @@ func TestDifferentialOODB(t *testing.T) {
 	const n = 4
 	for _, indexed := range []bool{false, true} {
 		po := oodb.New(qgen.Catalog(n, 101, indexed))
-		rs, err := po.PrairieRules()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := po.PrairieRules()
 		d, err := prairielang.Differential(t, rs, oodb.Spec, po.HelperImpls())
 		if err != nil {
 			t.Fatal(err)
@@ -109,10 +106,7 @@ func TestDifferentialOODB(t *testing.T) {
 // and equal, on the corresponding node of the tree ApplyAt returns.
 func TestApplyAtKeepsWholeDescriptors(t *testing.T) {
 	po := oodb.New(qgen.Catalog(3, 101, false))
-	rs, err := po.PrairieRules()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := po.PrairieRules()
 	d, err := prairielang.Differential(t, rs, oodb.Spec, po.HelperImpls())
 	if err != nil {
 		t.Fatal(err)
@@ -249,10 +243,7 @@ func relationalChain(t *testing.T, a *core.Algebra, n int) *core.Expr {
 func TestDifferentialRelational(t *testing.T) {
 	t.Run("relopt", func(t *testing.T) {
 		o := relopt.New(catalog.Generate(catalog.DefaultGen(5, 101, true)))
-		rs, err := o.PrairieRules()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := o.PrairieRules()
 		d, err := prairielang.Differential(t, rs, relopt.Spec, o.HelperImpls())
 		if err != nil {
 			t.Fatal(err)

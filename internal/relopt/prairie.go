@@ -92,9 +92,8 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 }
 
 // PrairieRules returns the core rule set New compiled from the Prairie
-// specification (Spec) over this optimizer's catalog. The error is always
-// nil.
-func (o *Opt) PrairieRules() (*core.RuleSet, error) { return o.rules, nil }
+// specification (Spec) over this optimizer's catalog.
+func (o *Opt) PrairieRules() *core.RuleSet { return o.rules }
 
 // rebind points the Opt's handles at the given algebra's instances.
 func (o *Opt) rebind(a *core.Algebra) {

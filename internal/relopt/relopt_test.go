@@ -45,11 +45,7 @@ func rels(n int) []string {
 func prairieOptimizer(t *testing.T, cat *catalog.Catalog) (*Opt, *volcano.RuleSet, *p2v.Report) {
 	t.Helper()
 	o := New(cat)
-	rs, err := o.PrairieRules()
-	if err != nil {
-		t.Fatal(err)
-	}
-	vrs, rep, err := p2v.Translate(rs)
+	vrs, rep, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		t.Fatalf("p2v.Translate: %v", err)
 	}
@@ -58,10 +54,7 @@ func prairieOptimizer(t *testing.T, cat *catalog.Catalog) (*Opt, *volcano.RuleSe
 
 func TestPrairieRuleSetValid(t *testing.T) {
 	o := New(testCatalog(false))
-	rs, err := o.PrairieRules()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := o.PrairieRules()
 	if len(rs.TRules) != 3 || len(rs.IRules) != 6 {
 		t.Errorf("rule counts = %d T, %d I; want 3 T, 6 I", len(rs.TRules), len(rs.IRules))
 	}
@@ -81,10 +74,7 @@ func TestPrairieRuleSetValid(t *testing.T) {
 // a rule may read an unset property, which reads as its kind's default.
 func TestHelperImplsTotal(t *testing.T) {
 	o := New(testCatalog(false))
-	rs, err := o.PrairieRules()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs := o.PrairieRules()
 	impls := o.HelperImpls()
 	none, dc, tru := core.Attrs(nil), core.DontCareOrder, core.TruePred
 	defaults := map[string][]core.Value{
@@ -482,11 +472,7 @@ func TestPrairieVolcanoEquivalenceQuick(t *testing.T) {
 		q := QuerySpec{Relations: []string{"C1", "C2", "C3"}, Select: withSel}
 
 		po := New(cat)
-		prs, err := po.PrairieRules()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pvrs, rep, err := p2v.Translate(prs)
+		pvrs, rep, err := p2v.Translate(po.PrairieRules())
 		if err != nil {
 			t.Fatal(err)
 		}

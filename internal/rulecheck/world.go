@@ -84,11 +84,7 @@ func OODBVolcanoWorld(seed int64) (*World, error) {
 func OODBPrairieWorld(seed int64) (*World, error) {
 	cat := verifyCatalog(seed, false)
 	o := oodb.New(cat)
-	prs, err := o.PrairieRules()
-	if err != nil {
-		return nil, err
-	}
-	vrs, _, err := p2v.Translate(prs)
+	vrs, _, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		return nil, err
 	}
@@ -145,11 +141,7 @@ func addOODBSeeds(w *World, o *oodb.Opt) error {
 func RelationalWorld(seed int64) (*World, error) {
 	cat := verifyCatalog(seed, true)
 	o := relopt.New(cat)
-	prs, err := o.PrairieRules()
-	if err != nil {
-		return nil, err
-	}
-	vrs, _, err := p2v.Translate(prs)
+	vrs, _, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		return nil, err
 	}

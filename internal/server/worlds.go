@@ -177,11 +177,7 @@ func OODBVolcanoWorld(cat *catalog.Catalog, maxN int) *World {
 // maxN classes.
 func OODBPrairieWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 	o := oodb.New(cat)
-	prs, err := o.PrairieRules()
-	if err != nil {
-		return nil, err
-	}
-	vrs, rep, err := p2v.Translate(prs)
+	vrs, rep, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		return nil, err
 	}
@@ -221,11 +217,7 @@ func OODBPrairieWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 // applied (E3/E4 add one, mirroring qgen's families).
 func RelationalWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 	o := relopt.New(cat)
-	prs, err := o.PrairieRules()
-	if err != nil {
-		return nil, err
-	}
-	vrs, rep, err := p2v.Translate(prs)
+	vrs, rep, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		return nil, err
 	}

@@ -74,11 +74,7 @@ func TestWorklistReachesClosure(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					// Prairie-generated path.
 					po := oodb.New(qgen.Catalog(fam.n, seed, indexed))
-					prs, err := po.PrairieRules()
-					if err != nil {
-						t.Fatal(err)
-					}
-					pvrs, rep, err := p2v.Translate(prs)
+					pvrs, rep, err := p2v.Translate(po.PrairieRules())
 					if err != nil {
 						t.Fatal(err)
 					}

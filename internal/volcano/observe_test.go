@@ -113,8 +113,8 @@ func TestExplainGroup(t *testing.T) {
 // TestBatchConcurrentObservability drives one shared Observer from four
 // goroutines of optimizers at once — the race-detector target for the
 // metric registry (run under -race by make race). The shared
-// counters must record every optimization, and Stats.Merge must sum the
-// runs, per-rule timing included.
+// counters must record every optimization, and each run its own
+// per-rule timing.
 func TestBatchConcurrentObservability(t *testing.T) {
 	w := newTestWorld()
 	tree := w.chain(8, 4, 2)
@@ -130,16 +130,10 @@ func TestBatchConcurrentObservability(t *testing.T) {
 		stats[i] = o.Stats
 	})
 
-	agg, wantExprs := NewStats(), 0
-	for _, s := range stats {
-		wantExprs += s.Exprs
-		agg.Merge(s)
-	}
-	if agg.Exprs != wantExprs {
-		t.Errorf("merged Exprs = %d, want per-run sum %d", agg.Exprs, wantExprs)
-	}
-	if len(agg.TransTime) == 0 {
-		t.Error("RuleTiming enabled but merged TransTime is empty")
+	for i, s := range stats {
+		if len(s.TransTime) == 0 {
+			t.Errorf("run %d: RuleTiming enabled but TransTime is empty", i)
+		}
 	}
 	if got := ob.Metrics.Counter("prairie_optimize_total").Value(); got != n {
 		t.Errorf("prairie_optimize_total = %d, want %d", got, n)

@@ -65,10 +65,6 @@ type Stats struct {
 	// BudgetChecks counts budget checkpoints evaluated during the run
 	// (zero for unbudgeted runs — the checkpoints are gated off).
 	BudgetChecks int
-	// DegradedRuns counts degraded optimizations by cause when this
-	// Stats aggregates several runs (see Merge); a single run reports
-	// Degraded/DegradeCause instead.
-	DegradedRuns map[string]int
 }
 
 // NewStats returns zeroed statistics.
@@ -118,81 +114,6 @@ func countNonZero(m map[string]int) int {
 		}
 	}
 	return n
-}
-
-// Merge folds another run's statistics into s: counters and per-rule
-// maps are summed, MaxQueue takes the maximum, and degradation is
-// aggregated by cause into DegradedRuns. It is the aggregation
-// primitive behind experiment-sweep snapshots; s
-// keeps its own identity (Degraded/DegradeCause describe s's first
-// degraded constituent).
-func (s *Stats) Merge(o *Stats) {
-	if o == nil {
-		return
-	}
-	s.Groups += o.Groups
-	s.Exprs += o.Exprs
-	s.Merges += o.Merges
-	s.Passes += o.Passes
-	if o.MaxQueue > s.MaxQueue {
-		s.MaxQueue = o.MaxQueue
-	}
-	s.Winners += o.Winners
-	s.CostedPlans += o.CostedPlans
-	s.Pruned += o.Pruned
-	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
-	s.FlightWaits += o.FlightWaits
-	s.FlightShared += o.FlightShared
-	s.MemoBytes += o.MemoBytes
-	s.BudgetChecks += o.BudgetChecks
-	mergeCounts(&s.TransMatched, o.TransMatched)
-	mergeCounts(&s.TransFired, o.TransFired)
-	mergeCounts(&s.ImplMatched, o.ImplMatched)
-	mergeCounts(&s.ImplFired, o.ImplFired)
-	mergeCounts(&s.EnfMatched, o.EnfMatched)
-	mergeCounts(&s.EnfFired, o.EnfFired)
-	mergeDurations(&s.TransTime, o.TransTime)
-	mergeDurations(&s.ImplTime, o.ImplTime)
-	if len(o.DegradedRuns) > 0 {
-		// o is itself an aggregate: fold its tally, don't double count
-		// its Degraded flag.
-		mergeCounts(&s.DegradedRuns, o.DegradedRuns)
-	} else if o.Degraded {
-		if s.DegradedRuns == nil {
-			s.DegradedRuns = map[string]int{}
-		}
-		s.DegradedRuns[o.DegradeCause.String()]++
-	}
-	if o.Degraded && !s.Degraded {
-		s.Degraded = true
-		s.DegradeCause = o.DegradeCause
-		s.DegradePath = o.DegradePath
-	}
-}
-
-func mergeCounts(dst *map[string]int, src map[string]int) {
-	if len(src) == 0 {
-		return
-	}
-	if *dst == nil {
-		*dst = make(map[string]int, len(src))
-	}
-	for k, v := range src {
-		(*dst)[k] += v
-	}
-}
-
-func mergeDurations(dst *map[string]time.Duration, src map[string]time.Duration) {
-	if len(src) == 0 {
-		return
-	}
-	if *dst == nil {
-		*dst = make(map[string]time.Duration, len(src))
-	}
-	for k, v := range src {
-		(*dst)[k] += v
-	}
 }
 
 // RuleTimeTable renders the per-rule wall-time attribution collected
