@@ -8,8 +8,11 @@ import (
 // VolcanoRules builds the hand-coded Volcano specification of the Open
 // OODB optimizer: 17 trans_rules, 9 impl_rules and one enforcer, with
 // the property classification stated explicitly and per-algorithm
-// support functions computing properties in place. It is the baseline
-// the Prairie-generated optimizer is measured against (§4.3).
+// support functions. It is the baseline the Prairie-generated optimizer
+// is measured against (§4.3), and it uses the engine as the generated
+// code does: trans_rules defer what only a new expression needs
+// (TransRule.Rest) and costing hooks borrow their descriptors
+// (ImplCtx.Lend).
 func (o *Opt) VolcanoRules() *volcano.RuleSet {
 	rs := volcano.NewRuleSet(o.Alg)
 	rs.SetPhys(o.Ord)
@@ -20,6 +23,12 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 
 func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 	v1, v2, v3 := core.PVar(1, "D1"), core.PVar(2, "D2"), core.PVar(3, "D3")
+
+	// Each rule's Appl leaves the identity properties of the nodes it
+	// builds final — the whole-descriptor copies and the join_predicate,
+	// selection_predicate, mat_attribute and unnest_attribute assignments
+	// — and its Rest computes the attributes, num_records and tuple_size
+	// that only an expression the memo keeps needs (TransRule.Rest).
 
 	// --- JOIN space (2 rules). ------------------------------------------
 	rs.AddTrans(&volcano.TransRule{
@@ -41,27 +50,26 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		},
 		Appl: func(b *volcano.TBinding) {
 			all := canonAnd(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP))
-			m, r := b.D("D2").AttrList(o.AT), b.D("D3").AttrList(o.AT)
-			inner, outer := splitPred(all, m.Union(r))
-			db2, dt2 := b.D("DB2"), b.D("DT2")
-			db2.Set(o.AT, m.Union(r))
-			db2.Set(o.JP, inner)
-			db2.SetFloat(o.NR, o.Cat.JoinCard(b.D("D2").Float(o.NR), b.D("D3").Float(o.NR), inner))
-			db2.SetFloat(o.TS, b.D("D2").Float(o.TS)+b.D("D3").Float(o.TS))
+			inner, outer := splitPred(all, b.D("D2").AttrList(o.AT).Union(b.D("D3").AttrList(o.AT)))
+			dt2 := b.D("DT2")
+			b.D("DB2").Set(o.JP, inner)
 			dt2.CopyFrom(b.D("DT"))
 			dt2.Set(o.JP, outer)
+		},
+		Rest: func(b *volcano.TBinding) {
+			m, r, db2 := b.D("D2"), b.D("D3"), b.D("DB2")
+			db2.Set(o.AT, m.AttrList(o.AT).Union(r.AttrList(o.AT)))
+			db2.SetFloat(o.NR, o.Cat.JoinCard(m.Float(o.NR), r.Float(o.NR), db2.Pred(o.JP)))
+			db2.SetFloat(o.TS, m.Float(o.TS)+r.Float(o.TS))
 		},
 	})
 
 	// --- SELECT space (7 rules + mat_pull_select). ------------------------
 	pushJoin := func(name string, left bool) {
-		side, other := "D1", "D2"
-		if !left {
-			side, other = "D2", "D1"
-		}
-		_ = other
+		side := "D1"
 		rhsKids := []*core.PatNode{core.POp(o.SELECT, "DS", core.PVar(1, "")), core.PVar(2, "")}
 		if !left {
+			side = "D2"
 			rhsKids = []*core.PatNode{core.PVar(1, ""), core.POp(o.SELECT, "DS", core.PVar(2, ""))}
 		}
 		rs.AddTrans(&volcano.TransRule{
@@ -72,12 +80,14 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				return b.D("DSEL").Pred(o.SP).RefersOnlyTo(b.D(side).AttrList(o.AT))
 			},
 			Appl: func(b *volcano.TBinding) {
-				ds, dj2 := b.D("DS"), b.D("DJ2")
+				ds := b.D("DS")
 				ds.CopyFrom(b.D(side))
 				ds.Set(o.SP, b.D("DSEL").Pred(o.SP))
-				ds.SetFloat(o.NR, o.Cat.SelectCard(b.D(side).Float(o.NR), b.D("DSEL").Pred(o.SP)))
-				dj2.CopyFrom(b.D("DJ"))
-				dj2.SetFloat(o.NR, b.D("DSEL").Float(o.NR))
+				b.D("DJ2").CopyFrom(b.D("DJ"))
+			},
+			Rest: func(b *volcano.TBinding) {
+				b.D("DS").SetFloat(o.NR, o.Cat.SelectCard(b.D(side).Float(o.NR), b.D("DSEL").Pred(o.SP)))
+				b.D("DJ2").SetFloat(o.NR, b.D("DSEL").Float(o.NR))
 			},
 		})
 	}
@@ -96,9 +106,12 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			di, do := b.D("DI"), b.D("DO")
 			di.CopyFrom(b.D("DS"))
 			di.Set(o.SP, restConj(p))
-			di.SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), restConj(p)))
 			do.CopyFrom(b.D("DS"))
 			do.Set(o.SP, firstConj(p))
+		},
+		Rest: func(b *volcano.TBinding) {
+			di := b.D("DI")
+			di.SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), di.Pred(o.SP)))
 		},
 	})
 	rs.AddTrans(&volcano.TransRule{
@@ -119,9 +132,11 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			di2, do2 := b.D("DI2"), b.D("DO2")
 			di2.CopyFrom(b.D("DI"))
 			di2.Set(o.SP, b.D("DO").Pred(o.SP))
-			di2.SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), b.D("DO").Pred(o.SP)))
 			do2.CopyFrom(b.D("DO"))
 			do2.Set(o.SP, b.D("DI").Pred(o.SP))
+		},
+		Rest: func(b *volcano.TBinding) {
+			b.D("DI2").SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), b.D("DO").Pred(o.SP)))
 		},
 	})
 	rs.AddTrans(&volcano.TransRule{
@@ -132,8 +147,8 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			dr2 := b.D("DR2")
 			dr2.CopyFrom(b.D("DR"))
 			dr2.Set(o.SP, canonAnd(b.D("DR").Pred(o.SP), b.D("DS").Pred(o.SP)))
-			dr2.SetFloat(o.NR, b.D("DS").Float(o.NR))
 		},
+		Rest: func(b *volcano.TBinding) { b.D("DR2").SetFloat(o.NR, b.D("DS").Float(o.NR)) },
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "select_push_mat",
@@ -143,12 +158,14 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			return b.D("DS").Pred(o.SP).RefersOnlyTo(b.D("D1").AttrList(o.AT))
 		},
 		Appl: func(b *volcano.TBinding) {
-			ds2, dm2 := b.D("DS2"), b.D("DM2")
+			ds2 := b.D("DS2")
 			ds2.CopyFrom(b.D("D1"))
 			ds2.Set(o.SP, b.D("DS").Pred(o.SP))
-			ds2.SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), b.D("DS").Pred(o.SP)))
-			dm2.CopyFrom(b.D("DM"))
-			dm2.SetFloat(o.NR, b.D("DS").Float(o.NR))
+			b.D("DM2").CopyFrom(b.D("DM"))
+		},
+		Rest: func(b *volcano.TBinding) {
+			b.D("DS2").SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), b.D("DS").Pred(o.SP)))
+			b.D("DM2").SetFloat(o.NR, b.D("DS").Float(o.NR))
 		},
 	})
 	rs.AddTrans(&volcano.TransRule{
@@ -156,12 +173,15 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		LHS:  core.POp(o.MAT, "DM", core.POp(o.SELECT, "DS", v1)),
 		RHS:  core.POp(o.SELECT, "DS2", core.POp(o.MAT, "DM2", core.PVar(1, ""))),
 		Appl: func(b *volcano.TBinding) {
-			dm2, ds2 := b.D("DM2"), b.D("DS2")
-			dm2.CopyFrom(b.D("DM"))
-			dm2.Set(o.AT, b.D("D1").AttrList(o.AT).Union(o.matTargetAttrs(b.D("DM").AttrList(o.MA))))
-			dm2.SetFloat(o.NR, b.D("D1").Float(o.NR))
+			ds2 := b.D("DS2")
+			b.D("DM2").CopyFrom(b.D("DM"))
 			ds2.CopyFrom(b.D("DM"))
 			ds2.Set(o.SP, b.D("DS").Pred(o.SP))
+		},
+		Rest: func(b *volcano.TBinding) {
+			dm2, d1 := b.D("DM2"), b.D("D1")
+			dm2.Set(o.AT, d1.AttrList(o.AT).Union(o.matTargetAttrs(b.D("DM").AttrList(o.MA))))
+			dm2.SetFloat(o.NR, d1.Float(o.NR))
 		},
 	})
 
@@ -181,13 +201,15 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				return b.D(side).AttrList(o.AT).ContainsAll(b.D("DM").AttrList(o.MA))
 			},
 			Appl: func(b *volcano.TBinding) {
+				b.D("DM2").CopyFrom(b.D("DM"))
+				b.D("DJ2").CopyFrom(b.D("DJ"))
+			},
+			Rest: func(b *volcano.TBinding) {
 				ma := b.D("DM").AttrList(o.MA)
-				dm2, dj2 := b.D("DM2"), b.D("DJ2")
-				dm2.CopyFrom(b.D("DM"))
-				dm2.Set(o.AT, b.D(side).AttrList(o.AT).Union(o.matTargetAttrs(ma)))
-				dm2.SetFloat(o.NR, b.D(side).Float(o.NR))
-				dm2.SetFloat(o.TS, b.D(side).Float(o.TS)+o.matTargetSize(ma))
-				dj2.CopyFrom(b.D("DJ"))
+				dm2, dj2, in := b.D("DM2"), b.D("DJ2"), b.D(side)
+				dm2.Set(o.AT, in.AttrList(o.AT).Union(o.matTargetAttrs(ma)))
+				dm2.SetFloat(o.NR, in.Float(o.NR))
+				dm2.SetFloat(o.TS, in.Float(o.TS)+o.matTargetSize(ma))
 				dj2.Set(o.AT, b.D("DM").AttrList(o.AT))
 				dj2.SetFloat(o.TS, b.D("DJ").Float(o.TS)+o.matTargetSize(ma))
 			},
@@ -219,14 +241,16 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				return b.D("DJ").Pred(o.JP).RefersOnlyTo(inAttrs(b))
 			},
 			Appl: func(b *volcano.TBinding) {
-				dj2, dm2 := b.D("DJ2"), b.D("DM2")
-				dj2.CopyFrom(b.D("DJ"))
+				b.D("DJ2").CopyFrom(b.D("DJ"))
+				b.D("DM2").CopyFrom(b.D("DM"))
+			},
+			Rest: func(b *volcano.TBinding) {
+				dj, dj2, dm2 := b.D("DJ"), b.D("DJ2"), b.D("DM2")
 				dj2.Set(o.AT, inAttrs(b))
-				dj2.SetFloat(o.TS, b.D("DJ").Float(o.TS)-o.matTargetSize(b.D("DM").AttrList(o.MA)))
-				dm2.CopyFrom(b.D("DM"))
-				dm2.Set(o.AT, b.D("DJ").AttrList(o.AT))
-				dm2.SetFloat(o.NR, b.D("DJ").Float(o.NR))
-				dm2.SetFloat(o.TS, b.D("DJ").Float(o.TS))
+				dj2.SetFloat(o.TS, dj.Float(o.TS)-o.matTargetSize(b.D("DM").AttrList(o.MA)))
+				dm2.Set(o.AT, dj.AttrList(o.AT))
+				dm2.SetFloat(o.NR, dj.Float(o.NR))
+				dm2.SetFloat(o.TS, dj.Float(o.TS))
 			},
 		})
 	}
@@ -243,13 +267,16 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		},
 		Appl: func(b *volcano.TBinding) {
 			di2, do2 := b.D("DI2"), b.D("DO2")
-			outerMA := b.D("DO").AttrList(o.MA)
 			di2.CopyFrom(b.D("DI"))
-			di2.Set(o.MA, outerMA)
-			di2.Set(o.AT, b.D("D1").AttrList(o.AT).Union(o.matTargetAttrs(outerMA)))
-			di2.SetFloat(o.TS, b.D("D1").Float(o.TS)+o.matTargetSize(outerMA))
+			di2.Set(o.MA, b.D("DO").AttrList(o.MA))
 			do2.CopyFrom(b.D("DO"))
 			do2.Set(o.MA, b.D("DI").AttrList(o.MA))
+		},
+		Rest: func(b *volcano.TBinding) {
+			di2, d1 := b.D("DI2"), b.D("D1")
+			outerMA := di2.AttrList(o.MA)
+			di2.Set(o.AT, d1.AttrList(o.AT).Union(o.matTargetAttrs(outerMA)))
+			di2.SetFloat(o.TS, d1.Float(o.TS)+o.matTargetSize(outerMA))
 		},
 	})
 	rs.AddTrans(&volcano.TransRule{
@@ -268,8 +295,8 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			dm := b.D("DM")
 			dm.CopyFrom(b.D("DJ"))
 			dm.Set(o.MA, core.Attrs{ref})
-			dm.SetFloat(o.NR, b.D("D1").Float(o.NR))
 		},
+		Rest: func(b *volcano.TBinding) { b.D("DM").SetFloat(o.NR, b.D("D1").Float(o.NR)) },
 	})
 
 	// --- UNNEST space (exactly 1 rule). -----------------------------------
@@ -281,38 +308,52 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			return b.D("D1").AttrList(o.AT).ContainsAll(b.D("DU").AttrList(o.UA))
 		},
 		Appl: func(b *volcano.TBinding) {
-			du2, dm2 := b.D("DU2"), b.D("DM2")
-			du2.CopyFrom(b.D("DU"))
-			du2.Set(o.AT, b.D("D1").AttrList(o.AT))
-			du2.SetFloat(o.NR, o.unnestCard(b.D("D1").Float(o.NR), b.D("DU").AttrList(o.UA)))
-			du2.SetFloat(o.TS, b.D("D1").Float(o.TS))
-			dm2.CopyFrom(b.D("DM"))
-			dm2.Set(o.AT, b.D("DU").AttrList(o.AT))
-			dm2.SetFloat(o.NR, b.D("DU").Float(o.NR))
+			b.D("DU2").CopyFrom(b.D("DU"))
+			b.D("DM2").CopyFrom(b.D("DM"))
+		},
+		Rest: func(b *volcano.TBinding) {
+			du, du2, dm2, d1 := b.D("DU"), b.D("DU2"), b.D("DM2"), b.D("D1")
+			du2.Set(o.AT, d1.AttrList(o.AT))
+			du2.SetFloat(o.NR, o.unnestCard(d1.Float(o.NR), du.AttrList(o.UA)))
+			du2.SetFloat(o.TS, d1.Float(o.TS))
+			dm2.Set(o.AT, du.AttrList(o.AT))
+			dm2.SetFloat(o.NR, du.Float(o.NR))
 		},
 	})
 }
 
 func (o *Opt) addImplRules(rs *volcano.RuleSet) {
-	ps := o.Alg.Props
-	reqWith := func(ord core.Order) *core.Descriptor {
-		d := core.NewDescriptor(ps)
+	// The costing hooks return descriptors of the binding the engine
+	// lends them (ImplCtx.Lend), laid out by costing: the algorithm's
+	// provisional descriptor, a copy of the operator's, and an input
+	// requirement. A nil requirement asks nothing of its input.
+	costing := &core.Frame{Names: []string{"alg", "req"}}
+	lend := func(cx *volcano.ImplCtx) (*core.Binding, *core.Descriptor) {
+		b := cx.Lend(costing)
+		d := b.Slot(0)
+		d.CopyFrom(cx.OpDesc)
+		return b, d
+	}
+	// algD is the provisional descriptor of an algorithm that delivers
+	// ord and requires nothing of its inputs.
+	algD := func(cx *volcano.ImplCtx, ord core.Order) (*core.Descriptor, []*core.Descriptor) {
+		_, d := lend(cx)
 		d.Set(o.Ord, ord)
-		return d
+		return d, nil
 	}
 	// Order-preserving unary algorithms propagate the requirement to
 	// their input; this helper builds their Pre hook.
 	passThroughPre := func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-		d := cx.OpDesc.Clone()
-		return d, []*core.Descriptor{reqWith(cx.OpDesc.Order(o.Ord))}
+		b, d := lend(cx)
+		cx.InReq[0] = b.Slot(1)
+		cx.InReq[0].Set(o.Ord, cx.OpDesc.Order(o.Ord))
+		return d, cx.InReq
 	}
 
 	rs.AddImpl(&volcano.ImplRule{
 		Name: "ret_file_scan", Op: o.RET, Alg: o.FileScan,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			d := cx.OpDesc.Clone()
-			d.Set(o.Ord, core.DontCareOrder)
-			return d, []*core.Descriptor{nil}
+			return algD(cx, core.DontCareOrder)
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(fileScanCost(cx.In[0].Float(o.NR))))
@@ -325,10 +366,8 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			return ok && indexUsable(ix, cx.OpDesc.Pred(o.SP))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			d := cx.OpDesc.Clone()
 			ix, _ := pickIndexAttr(cx.Kids[0].AttrList(o.IX), core.DontCareOrder, cx.OpDesc.Pred(o.SP))
-			d.Set(o.Ord, core.OrderBy(ix))
-			return d, []*core.Descriptor{nil}
+			return algD(cx, core.OrderBy(ix))
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(indexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), true)))
@@ -340,10 +379,8 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			return len(cx.Kids[0].AttrList(o.IX)) > 0
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			d := cx.OpDesc.Clone()
 			ix, _ := pickIndexAttr(cx.Kids[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), core.TruePred)
-			d.Set(o.Ord, core.OrderBy(ix))
-			return d, []*core.Descriptor{nil}
+			return algD(cx, core.OrderBy(ix))
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(indexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), false)))
@@ -381,9 +418,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			return len(cx.OpDesc.Pred(o.JP).Conjuncts()) >= 1
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			d := cx.OpDesc.Clone()
-			d.Set(o.Ord, core.DontCareOrder)
-			return d, []*core.Descriptor{nil, nil}
+			return algD(cx, core.DontCareOrder)
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(hashJoinCost(
@@ -394,9 +429,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 	rs.AddImpl(&volcano.ImplRule{
 		Name: "mat_pointer_join", Op: o.MAT, Alg: o.PointerJoin,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			d := cx.OpDesc.Clone()
-			d.Set(o.Ord, core.DontCareOrder)
-			return d, []*core.Descriptor{nil}
+			return algD(cx, core.DontCareOrder)
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(pointerJoinCost(
@@ -413,9 +446,8 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 				ord.Within(cx.OpDesc.AttrList(o.AT))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, *core.Descriptor) {
-			d := cx.OpDesc.Clone()
-			d.Set(o.Ord, cx.Req.Order(o.Ord))
-			return d, core.NewDescriptor(ps)
+			d, _ := algD(cx, cx.Req.Order(o.Ord))
+			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(mergeSortCost(cx.In[0].Float(o.C), d.Float(o.NR))))

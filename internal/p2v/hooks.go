@@ -108,14 +108,12 @@ func makeImpl(r *core.IRule, alias map[*core.Operation]*core.Operation) *volcano
 			if r.PreOpt != nil {
 				r.PreOpt(b)
 			}
-			algD := b.Slot(sh.rhsRoot)
-			inReq := make([]*core.Descriptor, len(sh.rhsKid))
 			for i, slot := range sh.rhsKid {
 				if slot >= 0 && b.BoundSlot(slot) {
-					inReq[i] = b.Slot(slot)
+					cx.InReq[i] = b.Slot(slot)
 				}
 			}
-			return algD, inReq
+			return b.Slot(sh.rhsRoot), cx.InReq
 		},
 		Post: func(cx *volcano.ImplCtx, algD *core.Descriptor) {
 			if r.PostOpt != nil {
@@ -156,8 +154,7 @@ func makeEnforcer(rs *core.RuleSet, r *core.IRule, props []core.PropID) *volcano
 			if r.PreOpt != nil {
 				r.PreOpt(b)
 			}
-			algD := b.Slot(sh.rhsRoot)
-			var inReq *core.Descriptor
+			var inReq *core.Descriptor // nil: the input is free
 			if len(sh.rhsKid) == 1 && sh.rhsKid[0] >= 0 && b.BoundSlot(sh.rhsKid[0]) {
 				inReq = b.Slot(sh.rhsKid[0])
 				// Relax the enforced properties: the input may arrive in
@@ -165,10 +162,8 @@ func makeEnforcer(rs *core.RuleSet, r *core.IRule, props []core.PropID) *volcano
 				for _, p := range props {
 					inReq.Set(p, core.DefaultValue(ps.At(p).Kind))
 				}
-			} else {
-				inReq = core.NewDescriptor(ps)
 			}
-			return algD, inReq
+			return b.Slot(sh.rhsRoot), inReq
 		},
 		Post: func(cx *volcano.ImplCtx, algD *core.Descriptor) {
 			if r.PostOpt != nil {

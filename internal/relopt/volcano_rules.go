@@ -9,11 +9,25 @@ import (
 // optimizer: the property classification is stated explicitly (the user
 // must decide that tuple_order is physical and cost is cost, §3.1), the
 // JOPR/SORT machinery is absent (Volcano's enforcer concept replaces it),
-// and the per-algorithm support functions compute properties in place.
-// This is the baseline the Prairie-generated optimizer is compared with.
+// and the per-algorithm support functions cost an alternative in
+// descriptors the engine lends them (ImplCtx.Lend), as P2V's generated
+// hooks do. This is the baseline the Prairie-generated optimizer is
+// compared with. No operator of the algebra declares args(...), so every
+// property a trans_rule assigns identifies the expression it builds:
+// join_assoc, like its generated counterpart, defers nothing
+// (TransRule.Rest).
 func (o *Opt) VolcanoRules() *volcano.RuleSet {
 	rs := volcano.NewRuleSet(o.Alg)
 	rs.SetPhys(o.Ord)
+	// The costing hooks' descriptors: the algorithm's, a copy of the
+	// operator's, and the inputs' requirements; nil requires nothing.
+	costing := &core.Frame{Names: []string{"alg", "left", "right"}}
+	lend := func(cx *volcano.ImplCtx) (*core.Binding, *core.Descriptor) {
+		b := cx.Lend(costing)
+		d := b.Slot(0)
+		d.CopyFrom(cx.OpDesc)
+		return b, d
+	}
 
 	rs.AddTrans(&volcano.TransRule{
 		Name: "join_commute",
@@ -54,9 +68,9 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 	rs.AddImpl(&volcano.ImplRule{
 		Name: "ret_file_scan", Op: o.RET, Alg: o.FileScan,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			d := cx.OpDesc.Clone()
+			_, d := lend(cx)
 			d.Set(o.Ord, core.DontCareOrder)
-			return d, []*core.Descriptor{nil}
+			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(fileScanCost(cx.In[0].Float(o.NR))))
@@ -70,14 +84,14 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 			return len(cx.Kids[0].AttrList(o.IX)) > 0
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			d := cx.OpDesc.Clone()
+			_, d := lend(cx)
 			ix, ok := pickIndexAttr(cx.Kids[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), cx.OpDesc.Pred(o.SP))
 			if ok {
 				d.Set(o.Ord, core.OrderBy(ix))
 			} else {
 				d.Set(o.Ord, core.DontCareOrder)
 			}
-			return d, []*core.Descriptor{nil}
+			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			ix, _ := pickIndexAttr(cx.In[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), cx.OpDesc.Pred(o.SP))
@@ -90,10 +104,10 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 	rs.AddImpl(&volcano.ImplRule{
 		Name: "join_nested_loops", Op: o.JOIN, Alg: o.NestedLoops,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			d := cx.OpDesc
-			outer := core.NewDescriptor(o.Alg.Props)
-			outer.Set(o.Ord, d.Order(o.Ord))
-			return d.Clone(), []*core.Descriptor{outer, nil}
+			b, d := lend(cx)
+			cx.InReq[0] = b.Slot(1)
+			cx.InReq[0].Set(o.Ord, cx.OpDesc.Order(o.Ord))
+			return d, cx.InReq
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.Ord, cx.In[0].Order(o.Ord))
@@ -111,13 +125,12 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			l, r, _ := orientEqui(cx.OpDesc.Pred(o.JP), cx.Kids[0].AttrList(o.AT))
-			d := cx.OpDesc.Clone()
+			b, d := lend(cx)
 			d.Set(o.Ord, core.OrderBy(l))
-			lr := core.NewDescriptor(o.Alg.Props)
-			lr.Set(o.Ord, core.OrderBy(l))
-			rr := core.NewDescriptor(o.Alg.Props)
-			rr.Set(o.Ord, core.OrderBy(r))
-			return d, []*core.Descriptor{lr, rr}
+			cx.InReq[0], cx.InReq[1] = b.Slot(1), b.Slot(2)
+			cx.InReq[0].Set(o.Ord, core.OrderBy(l))
+			cx.InReq[1].Set(o.Ord, core.OrderBy(r))
+			return d, cx.InReq
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(mergeJoinCost(
@@ -135,9 +148,9 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 				ord.Within(cx.OpDesc.AttrList(o.AT))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, *core.Descriptor) {
-			d := cx.OpDesc.Clone()
+			_, d := lend(cx)
 			d.Set(o.Ord, cx.Req.Order(o.Ord))
-			return d, core.NewDescriptor(o.Alg.Props)
+			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(mergeSortCost(cx.In[0].Float(o.C), d.Float(o.NR))))

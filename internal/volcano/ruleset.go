@@ -127,9 +127,10 @@ func (r *TransRule) String() string {
 // ImplCtx carries the state an implementation rule or enforcer sees. The
 // engine builds it and reuses it, its slices and its merged OpDesc for
 // every alternative it costs at one recursion depth: hooks must not keep
-// cx, Kids, In, OpDesc or a descriptor of Lend's binding past Post, nor
-// write to OpDesc, Req or Kids. Pre may return descriptors of the lent
-// binding; the engine copies algD when a plan keeps it.
+// cx, Kids, In, InReq, OpDesc or a descriptor of Lend's binding past
+// Post, nor write to OpDesc, Req or Kids. Pre may return descriptors of
+// the lent binding and InReq as its requirement slice; the engine copies
+// algD when a plan keeps it.
 type ImplCtx struct {
 	// OpDesc is the matched logical expression's descriptor with the
 	// required physical properties merged in; for an enforcer it is the
@@ -144,6 +145,9 @@ type ImplCtx struct {
 	// In holds the optimized inputs' winner descriptors; it is only
 	// populated when Post runs.
 	In []*core.Descriptor
+	// InReq is a requirement slice as long as Kids, all nil, for an
+	// implementation rule's Pre to fill and return.
+	InReq []*core.Descriptor
 	// Scratch lets a rule's hooks share state across the Cond/Pre/Post
 	// stages of one alternative (the P2V-generated hooks cache their
 	// descriptor binding here); the engine empties it between
@@ -161,7 +165,8 @@ func (cx *ImplCtx) Lend(f *core.Frame) *core.Binding { cx.lent.Reset(f); return 
 // algorithm. The three hooks correspond to Volcano's support functions
 // (Table 4(b) of the paper): Cond is the cond_code plus "do_any_good";
 // Pre is "get_input_pv" (it yields the algorithm's provisional output
-// descriptor and each input's required physical properties); Post is
+// descriptor and each input's required physical properties, nil for an
+// input it does not constrain); Post is
 // "derive_phy_prop" plus "cost" (it finalizes algD, in particular its
 // cost property).
 type ImplRule struct {
@@ -190,7 +195,8 @@ type Enforcer struct {
 	Props []core.PropID
 	Cond  func(cx *ImplCtx) bool // nil: applies iff some Prop in Req is set and not DONT_CARE
 	// Pre yields the enforcer node's provisional descriptor and the
-	// relaxed requirement for its input (same group).
+	// relaxed requirement for its input (same group), nil when it
+	// requires nothing.
 	Pre  func(cx *ImplCtx) (algD *core.Descriptor, inReq *core.Descriptor)
 	Post func(cx *ImplCtx, algD *core.Descriptor)
 }

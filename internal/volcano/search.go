@@ -608,19 +608,21 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 // depth reuses the context, its slices, the merged OpDesc (mergeReq) and
 // the binding the context lends; a plan keeps only copies (keep).
 type costFrame struct {
-	cx       ImplCtx
-	kids, in []*core.Descriptor // back cx.Kids and cx.In
-	plans    []*PExpr           // the alternative's input winners
-	merged   *core.Descriptor
+	cx              ImplCtx
+	kids, in, inReq []*core.Descriptor // back cx.Kids, cx.In and cx.InReq
+	plans           []*PExpr           // the alternative's input winners
+	merged          *core.Descriptor
 }
 
 // reset readies the frame's context for one alternative with n inputs.
 func (f *costFrame) reset(opDesc, req *core.Descriptor, n int) *ImplCtx {
 	if m := max(n, 1); len(f.in) < m { // an enforcer has one input
-		f.kids, f.in, f.plans = make([]*core.Descriptor, m), make([]*core.Descriptor, m), make([]*PExpr, m)
+		f.kids, f.in, f.inReq = make([]*core.Descriptor, m), make([]*core.Descriptor, m), make([]*core.Descriptor, m)
+		f.plans = make([]*PExpr, m)
 	}
-	f.cx = ImplCtx{OpDesc: opDesc, Req: req, Kids: f.kids[:n], In: f.in[:n], lent: f.cx.lent}
+	f.cx = ImplCtx{OpDesc: opDesc, Req: req, Kids: f.kids[:n], In: f.in[:n], InReq: f.inReq[:n], lent: f.cx.lent}
 	clear(f.cx.In)
+	clear(f.cx.InReq)
 	return &f.cx
 }
 
@@ -698,13 +700,7 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 					r = inReq[i]
 				}
 				if r == nil {
-					// No requirement: one empty descriptor serves every
-					// such input (findBest clones what it keeps and
-					// nothing writes to a requirement).
-					if o.noReq == nil {
-						o.noReq = core.NewDescriptor(o.RS.Algebra.Props)
-					}
-					r = o.noReq
+					r = o.emptyReq()
 				}
 				if o.timing {
 					self += time.Since(t0)
@@ -774,6 +770,9 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 		}
 		o.enfMatchedN[i]++
 		algD, inReq := enf.Pre(cx)
+		if inReq == nil {
+			inReq = o.emptyReq()
+		}
 		if inReq.EqualOn(req, phys) {
 			// The enforcer did not relax anything; applying it would
 			// recurse forever.
@@ -805,6 +804,16 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 		return nil, math.Inf(1), nil
 	}
 	return best, bestCost, nil
+}
+
+// emptyReq is the requirement of an input no rule constrains: one empty
+// descriptor serves every such input (findBest clones what it keeps and
+// nothing writes to a requirement).
+func (o *Optimizer) emptyReq() *core.Descriptor {
+	if o.noReq == nil {
+		o.noReq = core.NewDescriptor(o.RS.Algebra.Props)
+	}
+	return o.noReq
 }
 
 func (o *Optimizer) enforcerApplies(enf *Enforcer, cx *ImplCtx) bool {
