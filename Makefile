@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race examples figures bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover loc ci experiments clean
+.PHONY: all build vet test race examples figures bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover loc ci experiments samebytes clean
 
 all: ci
 
@@ -21,10 +21,11 @@ vet:
 test:
 	$(GO) test -timeout 300s ./...
 
-# One run of the suite under the race detector also writes the coverage
-# profile `cover` checks.
+# The suite under the race detector. Coverage is `cover`'s own run:
+# instrumenting for both at once made internal/volcano's tests five
+# times slower.
 race:
-	$(GO) test -race -timeout 600s -coverprofile=cover.out ./...
+	$(GO) test -race -timeout 600s ./...
 
 # The example programs are package main without tests: run each one, and
 # fail on the first non-zero exit.
@@ -115,13 +116,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimizeRequest$$' -fuzztime $(FUZZTIME) ./internal/server
 
-# Statement-coverage gate over the profile `race` writes (run it first,
-# as `ci` does): per-package summary and a hard floor on the total
+# Statement-coverage gate: one run of the suite writes the profile, then
+# a per-package summary and a hard floor on the total
 # (scripts/cover.awk). Baseline with the rulecheck package landed: 76.0%;
 # the floor leaves headroom for unexercised glue in new code, not for
 # regressions.
 COVER_FLOOR ?= 75.5
 cover:
+	$(GO) test -timeout 600s -coverprofile=cover.out ./...
 	@awk -v floor=$(COVER_FLOOR) -f scripts/cover.awk cover.out
 
 # Non-test Go lines by package and in total: the number ROADMAP's
@@ -152,6 +154,20 @@ figures: build
 	$(GO) run ./cmd/optbench -experiment fig12 -repeats 10
 	$(GO) run ./cmd/optbench -experiment fig13 -maxclasses 5
 	$(GO) run ./cmd/optbench -experiment fig14 -maxclasses 6
+
+# Same answers at two commits: `optbench -experiment plandump` (every
+# program of the benchmark's four workload pools, searched cold: digests
+# of plan text, wire plan and memo dump, cost, counters) here and at
+# BASE, checked out in a temporary git worktree, diffed. BASE must have
+# the experiment; cmd/optbench/testdata/plandump.csv.golden holds the
+# same table between commits.
+BASE ?= HEAD
+samebytes:
+	@dir=$$(mktemp -d) && trap 'git worktree remove --force "$$dir/base"; rm -rf "$$dir"' EXIT && \
+	git worktree add --detach --quiet "$$dir/base" $(BASE) && \
+	(cd "$$dir/base" && $(GO) run ./cmd/optbench -experiment plandump -csv) > "$$dir/base.csv" && \
+	$(GO) run ./cmd/optbench -experiment plandump -csv > "$$dir/head.csv" && \
+	diff "$$dir/base.csv" "$$dir/head.csv" && echo "samebytes: the working tree searches as $(BASE) does"
 
 clean:
 	$(GO) clean ./...

@@ -2,9 +2,11 @@
 // rules-matched table (Table 5), the optimization-time figures (Figures
 // 10–13), the equivalence-class growth figure (Figure 14), the §4.2
 // rule-count comparison, and the relational-optimizer experiment of [5];
-// plus the star-graph extension and the per-rule differential verifier
-// (rulecheck). Serving, caching and execution are measured by the
-// repository benchmark (bench/README.md), not here.
+// plus the star-graph extension, the per-rule differential verifier
+// (rulecheck) and the plan dump of the benchmark's workload pools
+// (plandump, which `make samebytes` diffs across commits). Serving,
+// caching and execution are measured by the repository benchmark
+// (bench/README.md), not here.
 //
 // Usage:
 //
@@ -13,6 +15,7 @@
 //	optbench -experiment fig13 -maxclasses 4 -json
 //	optbench -experiment fig14 -maxexprs 1000
 //	optbench -experiment fig13 -timeout 50ms
+//	optbench -experiment plandump -csv
 //
 // Each optimization runs under one budget, -maxexprs and -timeout, and
 // running out of it degrades. A point degraded by -maxexprs (or by the
@@ -54,6 +57,7 @@ var experimentTable = []struct {
 	{"relopt", experiments.Relopt},
 	{"star", experiments.StarGraphs},
 	{"rulecheck", experiments.RuleCheck},
+	{"plandump", experiments.PlanDump},
 }
 
 // allExperiments is what -experiment all runs, in order.
@@ -90,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	timeout := fs.Duration("timeout", 0,
 		"per-optimization wall-clock budget (0 = none); points over budget degrade and are marked '*'")
 	dslPath := fs.String("dsl", "",
-		"Prairie spec for -experiment rulecheck's DSL world (default examples/dslrules/rules.prairie)")
+		"Prairie spec for the DSL world of -experiment rulecheck and plandump (default examples/dslrules/rules.prairie)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := fs.Bool("json", false, "emit JSON instead of aligned tables")
 	if err := fs.Parse(args); err != nil {

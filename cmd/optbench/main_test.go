@@ -26,7 +26,7 @@ func TestRemovedExperimentsExit2(t *testing.T) {
 		if code != 2 || stdout != "" {
 			t.Errorf("-experiment %s: status %d, stdout %q; want 2 and nothing", name, code, stdout)
 		}
-		for _, want := range []string{`"` + name + `"`, "table5, fig10, fig11, fig12, fig13, fig14, rules, relopt, star, rulecheck, all"} {
+		for _, want := range []string{`"` + name + `"`, "table5, fig10, fig11, fig12, fig13, fig14, rules, relopt, star, rulecheck, plandump, all"} {
 			if !strings.Contains(stderr, want) {
 				t.Errorf("-experiment %s: stderr lacks %q:\n%s", name, want, stderr)
 			}
@@ -74,6 +74,14 @@ func TestRulesCSVGolden(t *testing.T) { checkCSVGolden(t, "rules", "-experiment"
 // per query — byte for byte: the counts are what the explorer's closure
 // exercises, whatever order it explores in.
 func TestTable5CSVGolden(t *testing.T) { checkCSVGolden(t, "table5", "-experiment", "table5") }
+
+// TestPlanDumpCSVGolden holds the answers of every program of the
+// benchmark's workload pools between commits: plan, wire plan and memo
+// digests, costs and search counters. A change that alters a search
+// must regenerate this file and say so in its diff.
+func TestPlanDumpCSVGolden(t *testing.T) {
+	checkCSVGolden(t, "plandump", "-experiment", "plandump", "-dsl", "../../examples/dslrules/rules.prairie")
+}
 
 // TestFig14CSVGolden pins Figure 14's class counts to 4 joins and, under
 // -maxexprs 1000, the cells where a series ends: the first point that

@@ -167,6 +167,46 @@ func (d *Descriptor) Clone() *Descriptor {
 	return c
 }
 
+// DescArena carves descriptors and their value slots from fixed-size
+// chunks: the descriptors a search's memo owns all die with it, so they
+// are allocated by the chunk rather than one block each. A descriptor it
+// returns has exactly as many slots as it was given (cap = len), so a
+// Set past them reallocates instead of writing into a neighbour's.
+type DescArena struct {
+	ds   []Descriptor
+	vals []Value
+}
+
+// Chunk lengths of a DescArena: 1.5 KB of descriptors, 4 KB of slots.
+const (
+	descChunk  = 32
+	valueChunk = 256
+)
+
+// Clone returns a copy of d carved from the arena.
+func (a *DescArena) Clone(d *Descriptor) *Descriptor {
+	c := &Take(&a.ds, 1, descChunk)[0]
+	c.ps, c.Name = d.ps, d.Name
+	c.vals = Take(&a.vals, len(d.vals), valueChunk)
+	copy(c.vals, d.vals)
+	return c
+}
+
+// Take carves n zero values from *chunk and returns them with capacity
+// n; when the chunk has fewer than n left it starts a new one of
+// max(n, size) elements, leaving the old one to the values carved from
+// it. size bounds every chunk, so an arena wastes at most one chunk's
+// tail.
+func Take[T any](chunk *[]T, n, size int) []T {
+	c := *chunk
+	if cap(c)-len(c) < n {
+		c = make([]T, 0, max(n, size))
+	}
+	s := c[len(c) : len(c)+n : len(c)+n]
+	*chunk = c[:len(c)+n]
+	return s
+}
+
 // Merge sets every property that is explicitly set in src onto d,
 // leaving d's other properties intact.
 func (d *Descriptor) Merge(src *Descriptor) {

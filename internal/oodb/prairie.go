@@ -132,6 +132,16 @@ func (o *Opt) refAttrAnywhere(p *core.Pred, within core.Attrs) (core.Attr, bool)
 // Prairie-language specification (Spec) over this optimizer's catalog.
 func (o *Opt) PrairieRules() *core.RuleSet { return o.rules }
 
+// WithoutSpec returns a copy of o that drops the compiled specification
+// (its PrairieRules is nil) and keeps the rest: the algebra, the catalog
+// and the handles are all the hand-coded rules read, so a long-lived
+// holder of VolcanoRules need not keep the rule set New compiled alive.
+func (o *Opt) WithoutSpec() *Opt {
+	c := *o
+	c.rules = nil
+	return &c
+}
+
 // rebind points the Opt's handles at the given algebra's instances.
 func (o *Opt) rebind(a *core.Algebra) {
 	o.Alg = a

@@ -80,10 +80,11 @@ type Stmt struct {
 	// for a property assignment.
 	Src string
 	RHS Expr
-	// dst and src are the descriptors' frame slots and id the assigned
-	// property, resolved during checking.
+	// dst and src are the descriptors' frame slots, id the assigned
+	// property and kind its kind, resolved during checking.
 	dst, src int
 	id       core.PropID
+	kind     core.Kind
 }
 
 // Expr is an expression AST node. Each implementation records its

@@ -325,8 +325,8 @@ func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
 			c.errf(st.Pos, "unknown property %q", st.Prop)
 			continue
 		}
-		st.id = id
 		want := c.alg.Props.At(id).Kind
+		st.id, st.kind = id, want
 		got := c.checkExpr(st.RHS, sc, want)
 		if !kindsCompatible(got, want) {
 			c.errf(st.Pos, "cannot assign %v to %s.%s (%v)", got, st.Dst, st.Prop, want)

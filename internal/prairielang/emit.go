@@ -140,7 +140,7 @@ func (em *emitter) action(stmts []*Stmt) core.Action {
 			steps[i] = func(b *core.Binding) { b.Slot(dst).CopyFrom(b.Slot(src)) }
 			continue
 		}
-		rhs := em.val(st.RHS)
+		rhs := em.assigned(st.RHS, st.kind)
 		steps[i] = func(b *core.Binding) { b.Slot(dst).Set(id, rhs(b)) }
 	}
 	f := em.frame
@@ -194,6 +194,30 @@ func (em *emitter) val(e Expr) valFn {
 	}
 	n := em.num(e)
 	return func(b *core.Binding) core.Value { return core.Float(n(b)) }
+}
+
+// assigned compiles the right side of an assignment to a property of
+// kind k. A number or arithmetic assigned to a cost or an int is boxed
+// once, as k, where val would box a float that Set coerces and boxes
+// again.
+func (em *emitter) assigned(e Expr, k core.Kind) valFn {
+	if k != core.KindCost && k != core.KindInt {
+		return em.val(e)
+	}
+	box := func(f float64) core.Value {
+		if k == core.KindCost {
+			return core.Cost(f)
+		}
+		return core.Int(f)
+	}
+	switch x := e.(type) {
+	case *NumLit:
+		return constant(box(x.Val))
+	case *Unary, *Binary: // arithmetic: the checker admits nothing else here
+		n := em.num(e)
+		return func(b *core.Binding) core.Value { return box(n(b)) }
+	}
+	return em.val(e)
 }
 
 // call compiles a helper call. Its arguments are evaluated into the call

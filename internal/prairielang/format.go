@@ -129,12 +129,28 @@ func prec(op TokKind) int {
 
 func formatExpr(e Expr) string { return formatExprPrec(e, 0) }
 
+// quote renders s as the lexer reads a string literal: a backslash makes
+// the next byte literal, so only a quote, a backslash and a newline (which
+// would end the line) take one, and every other byte is written as is.
+func quote(s string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '"' || c == '\\' || c == '\n' {
+			b.WriteByte('\\')
+		}
+		b.WriteByte(s[i])
+	}
+	b.WriteByte('"')
+	return b.String()
+}
+
 func formatExprPrec(e Expr, outer int) string {
 	switch x := e.(type) {
 	case *NumLit:
 		return strconv.FormatFloat(x.Val, 'g', -1, 64)
 	case *StrLit:
-		return strconv.Quote(x.Val)
+		return quote(x.Val)
 	case *BoolLit:
 		if x.Val {
 			return "true"

@@ -141,7 +141,14 @@ func (w *World) prepared(q QuerySpec, epoch uint64) (*core.Expr, *core.Descripto
 // OODBVolcanoWorld builds the hand-coded OODB optimizer over a catalog
 // of maxN classes.
 func OODBVolcanoWorld(cat *catalog.Catalog, maxN int) *World {
-	o := oodb.New(cat)
+	return oodbVolcanoWorld(oodb.New(cat), maxN)
+}
+
+// oodbVolcanoWorld builds the world on o's algebra alone: its rules and
+// Build close over a copy of o without the compiled specification, which
+// they never read.
+func oodbVolcanoWorld(o *oodb.Opt, maxN int) *World {
+	o, cat := o.WithoutSpec(), o.Cat
 	w := &World{
 		Name: "oodb/volcano",
 		RS:   o.VolcanoRules(),

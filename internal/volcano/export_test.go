@@ -2,6 +2,8 @@ package volcano
 
 import (
 	"fmt"
+	"reflect"
+	"weak"
 
 	"prairie/internal/core"
 )
@@ -161,7 +163,7 @@ func (m *Memo) CheckRepaired() error {
 func (o *Optimizer) CheckClosed() error {
 	m := o.Memo
 	o.initRuleCounters()
-	defer func() { clear(o.transMatchedN); clear(o.transFiredN); clear(o.transTimeN) }()
+	defer func() { clear(o.transMatchedN); clear(o.transFiredN); clear(o.transNewN); clear(o.transTimeN) }()
 	interned, merges := m.Interned(), m.Merges()
 	for _, g := range m.Groups() {
 		for _, e := range g.Exprs {
@@ -221,11 +223,12 @@ func EagerRest(rs *RuleSet) *RuleSet {
 }
 
 // ScratchOwns reports whether d is a descriptor one of the optimizer's
-// costing frames still owns: a requirement-merged OpDesc, or one the
-// binding a frame lends the rule hooks recycles.
+// costing frames still owns: a requirement-merged OpDesc, the copy of
+// an incumbent's, or one the binding a frame lends the rule hooks
+// recycles.
 func (o *Optimizer) ScratchOwns(d *core.Descriptor) bool {
 	for _, f := range o.frames {
-		if d == f.merged || f.cx.lent.Owns(d) {
+		if d == f.merged || d == f.bestD || f.cx.lent.Owns(d) {
 			return true
 		}
 	}
@@ -233,13 +236,14 @@ func (o *Optimizer) ScratchOwns(d *core.Descriptor) bool {
 }
 
 // ScratchKids reports whether kids shares its array with a costing
-// frame's input-plan slice.
+// frame's input-plan slice or its copy of an incumbent's.
 func (o *Optimizer) ScratchKids(kids []*PExpr) bool {
 	for _, f := range o.frames {
-		s := f.plans[:cap(f.plans)]
-		for i := range s {
-			if len(kids) > 0 && &kids[0] == &s[i] {
-				return true
+		for _, s := range [][]*PExpr{f.plans[:cap(f.plans)], f.best.Kids[:cap(f.best.Kids)]} {
+			for i := range s {
+				if len(kids) > 0 && &kids[0] == &s[i] {
+					return true
+				}
 			}
 		}
 	}
@@ -251,11 +255,54 @@ func (o *Optimizer) ScratchKids(kids []*PExpr) bool {
 func (m *Memo) Winners() []*PExpr {
 	var out []*PExpr
 	for _, g := range m.groups {
-		for _, ws := range g.winners {
-			for _, w := range ws {
-				if w.plan != nil {
-					out = append(out, w.plan)
-				}
+		for w := g.winners; w != nil; w = w.next {
+			if w.plan != nil {
+				out = append(out, w.plan)
+			}
+		}
+	}
+	return out
+}
+
+// ArenaObjects returns, per arena kind, one probe for every object the
+// memo carved from it: the probe reports whether the object is still
+// reachable. Each probe holds only a weak pointer, and a weak pointer
+// into a chunk reads nil only once the whole chunk is unreachable, so
+// the probes together watch every chunk the memo allocated. Leaves'
+// descriptors are the query tree's, not the memo's, and are left out.
+func (m *Memo) ArenaObjects() map[string][]func() bool {
+	out := map[string][]func() bool{}
+	probe := func(kind string, alive func() bool) { out[kind] = append(out[kind], alive) }
+	desc := func(d *core.Descriptor) {
+		wd := weak.Make(d)
+		probe("descriptor", func() bool { return wd.Value() != nil })
+		// The value slots are unexported; reflect reads where they start.
+		if vals := reflect.ValueOf(d).Elem().FieldByName("vals"); vals.Len() > 0 {
+			wv := weak.Make((*core.Value)(vals.UnsafePointer()))
+			probe("value slots", func() bool { return wv.Value() != nil })
+		}
+	}
+	for _, g := range m.groups {
+		wg := weak.Make(g)
+		probe("group", func() bool { return wg.Value() != nil })
+		for w := g.winners; w != nil; w = w.next {
+			ww := weak.Make(w)
+			probe("winner", func() bool { return ww.Value() != nil })
+			desc(w.req)
+		}
+		for _, e := range g.Exprs {
+			we := weak.Make(e)
+			probe("expression", func() bool { return we.Value() != nil })
+			if len(e.Kids) > 0 {
+				wk := weak.Make(&e.Kids[0])
+				probe("kid ids", func() bool { return wk.Value() != nil })
+			}
+			if len(e.ruleSince) > 0 {
+				wh := weak.Make(&e.ruleSince[0])
+				probe("horizons", func() bool { return wh.Value() != nil })
+			}
+			if !e.IsLeaf() {
+				desc(e.D)
 			}
 		}
 	}

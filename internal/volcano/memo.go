@@ -21,6 +21,8 @@ type LExpr struct {
 	Op   *core.Operation // nil for a stored-file leaf
 	File string          // leaf only
 	D    *core.Descriptor
+	// Kids is carved from the memo's kid-id arena with cap = len, so
+	// repair's in-place rewrite never reaches a neighbour's ids.
 	Kids []GroupID
 	// group is the canonical group at insertion time; Memo.Find(group)
 	// stays correct across merges.
@@ -79,12 +81,15 @@ func (e *LExpr) String() string {
 }
 
 // winnerEntry memoizes the best plan found for one required
-// physical-property vector.
+// physical-property vector; key is the requirement's hash on the
+// physical properties, next the group's following entry.
 type winnerEntry struct {
 	req        *core.Descriptor
 	plan       *PExpr // nil: no feasible plan
 	cost       float64
+	key        uint64
 	inProgress bool
+	next       *winnerEntry
 }
 
 // Group is an equivalence class: a set of logically equivalent
@@ -104,8 +109,11 @@ type Group struct {
 	// that created it (root 0, an input one more than its parent; a merge
 	// keeps the larger). The explorer visits the deepest pending
 	// group first, so an input is closed before a parent is built on it.
-	depth   int
-	winners map[uint64][]*winnerEntry
+	depth int
+	// winners lists the memoized winners, one per requirement costed: a
+	// group is asked for a handful at most, so findBest searches the
+	// list by requirement hash and EqualOn.
+	winners *winnerEntry
 }
 
 // Rep returns the group's representative descriptor.
@@ -160,7 +168,30 @@ type Memo struct {
 	// applyTrans around buildRHS); insertions stamp it onto new
 	// expressions as provenance. "" outside rule application.
 	curRule string
+
+	// The arenas: the expressions, kid ids, rule horizons, groups,
+	// winner entries and descriptors the memo owns are carved from
+	// chunks (core.Take) and die with the memo. What a search returns
+	// never points into them: plans are heap objects of their own (see
+	// costFrame.plan), and a leaf's descriptor is the query tree's.
+	exprArena    []LExpr
+	kidArena     []GroupID
+	horizonArena []uint64
+	groupArena   []Group
+	winnerArena  []winnerEntry
+	descs        core.DescArena
 }
+
+// Arena chunk lengths, 2–5 KB each. They stay fixed as the memo grows:
+// the unused tail of the last chunk is waste, and chunks that doubled
+// cost a large search more bytes than allocating object by object.
+const (
+	exprChunk    = 32
+	kidChunk     = 256
+	horizonChunk = 256
+	groupChunk   = 32
+	winnerChunk  = 32
+)
 
 // NewMemo returns an empty memo for the rule set.
 func NewMemo(rs *RuleSet) *Memo {
@@ -209,7 +240,8 @@ func (m *Memo) Groups() []*Group {
 
 func (m *Memo) newGroup(rep *core.Descriptor, depth int) *Group {
 	id := GroupID(len(m.groups))
-	g := &Group{ID: id, rep: rep, depth: depth, winners: make(map[uint64][]*winnerEntry)}
+	g := &core.Take(&m.groupArena, 1, groupChunk)[0]
+	g.ID, g.rep, g.depth = id, rep, depth
 	m.groups = append(m.groups, g)
 	m.parent = append(m.parent, id)
 	m.parents = append(m.parents, nil)
@@ -352,9 +384,14 @@ func (m *Memo) InsertLeaf(file string, d *core.Descriptor) GroupID {
 		return m.Find(e.group)
 	}
 	g := m.newGroup(d, 0) // no rule roots at a leaf: its depth orders nothing
-	m.adopt(&LExpr{File: file, D: d, selfHash: self}, g, h)
+	e := m.newExpr()
+	e.File, e.D, e.selfHash = file, d, self
+	m.adopt(e, g, h)
 	return g.ID
 }
+
+// newExpr returns a zero expression carved from the memo's arena.
+func (m *Memo) newExpr() *LExpr { return &core.Take(&m.exprArena, 1, exprChunk)[0] }
 
 // InsertExpr interns an operator expression. target is the group the
 // expression is asserted to belong to (a transformation inserts its
@@ -391,7 +428,7 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 	}
 	if b != nil {
 		b.finish()
-		d = d.Clone()
+		d = m.descs.Clone(d)
 	}
 	var g *Group
 	if target >= 0 {
@@ -399,7 +436,11 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 	} else {
 		g = m.newGroup(d, depth)
 	}
-	m.adopt(&LExpr{Op: op, D: d, Kids: append([]GroupID(nil), canon...), selfHash: self}, g, h)
+	e := m.newExpr()
+	e.Op, e.D, e.selfHash = op, d, self
+	e.Kids = core.Take(&m.kidArena, len(canon), kidChunk)
+	copy(e.Kids, canon)
+	m.adopt(e, g, h)
 	return g.ID, true
 }
 
@@ -431,9 +472,7 @@ func (m *Memo) merge(a, b GroupID) {
 	// Winners computed before a merge would be stale; merging only
 	// happens during exploration, before any winner exists, but clear
 	// defensively.
-	for k := range gb.winners {
-		delete(gb.winners, k)
-	}
+	gb.winners = nil
 	// Only b's parents embed a no-longer-canonical id in their keys.
 	ps := m.parentsOf(b)
 	m.stale = append(m.stale, ps...)
@@ -516,7 +555,7 @@ func (m *Memo) insertAt(e *core.Expr, depth int) GroupID {
 
 // Rough per-object heap sizes for MemEstimate: an LExpr with its kid
 // slice, horizon slice, and index entry; a Group with its slice headers
-// and winner map.
+// and winners.
 const (
 	exprBytesEstimate  = 176
 	groupBytesEstimate = 144

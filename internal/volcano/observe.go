@@ -102,14 +102,12 @@ func (o *Optimizer) ExplainGroup(id GroupID) (string, error) {
 	type wrow struct{ req, plan string }
 	var rows []wrow
 	phys := o.RS.Class.Phys
-	for _, ws := range g.winners {
-		for _, w := range ws {
-			plan := "(no feasible plan)"
-			if w.plan != nil {
-				plan = fmt.Sprintf("%s (cost %.1f)", w.plan, w.cost)
-			}
-			rows = append(rows, wrow{reqString(w.req, phys), plan})
+	for w := g.winners; w != nil; w = w.next {
+		plan := "(no feasible plan)"
+		if w.plan != nil {
+			plan = fmt.Sprintf("%s (cost %.1f)", w.plan, w.cost)
 		}
+		rows = append(rows, wrow{reqString(w.req, phys), plan})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].req < rows[j].req })
 	for _, r := range rows {

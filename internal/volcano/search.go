@@ -87,7 +87,7 @@ type Optimizer struct {
 	// exploration or costing ends — including the budget-interrupt
 	// path — so the hot loops never hash rule names yet
 	// diagnostics always reflect the work actually done.
-	transMatchedN, transFiredN, implMatchedN, implFiredN, enfMatchedN, enfFiredN []int
+	transMatchedN, transFiredN, transNewN, implMatchedN, implFiredN, enfMatchedN, enfFiredN []int
 	// transTimeN accumulates per-rule match+fire wall time by rule
 	// position when per-rule timing is enabled; flushed with the
 	// counters into Stats.TransTime.
@@ -251,9 +251,9 @@ func (o *Optimizer) explore() error {
 func (o *Optimizer) initRuleCounters() {
 	if o.transMatchedN == nil {
 		t, i, e := len(o.RS.Trans), len(o.RS.Impls), len(o.RS.Enforcers)
-		c := make([]int, 2*(t+i+e))
+		c := make([]int, 3*t+2*(i+e))
 		cut := func(n int) []int { s := c[:n:n]; c = c[n:]; return s }
-		o.transMatchedN, o.transFiredN = cut(t), cut(t)
+		o.transMatchedN, o.transFiredN, o.transNewN = cut(t), cut(t), cut(t)
 		o.implMatchedN, o.implFiredN = cut(i), cut(i)
 		o.enfMatchedN, o.enfFiredN = cut(e), cut(e)
 	}
@@ -279,6 +279,7 @@ func (o *Optimizer) flushRuleCounters() {
 	enf := func(i int) string { return o.RS.Enforcers[i].Name }
 	flushCounts(o.Stats.TransMatched, o.transMatchedN, trans)
 	flushCounts(o.Stats.TransFired, o.transFiredN, trans)
+	flushCounts(o.Stats.TransNew, o.transNewN, trans)
 	flushCounts(o.Stats.ImplMatched, o.implMatchedN, impl)
 	flushCounts(o.Stats.ImplFired, o.implFiredN, impl)
 	flushCounts(o.Stats.EnfMatched, o.enfMatchedN, enf)
@@ -452,7 +453,7 @@ func (x *explorer) process(e *LExpr) error {
 		return nil
 	}
 	if e.ruleSince == nil {
-		e.ruleSince = make([]uint64, len(entries))
+		e.ruleSince = core.Take(&m.horizonArena, len(entries), horizonChunk)
 	}
 	for i := range entries {
 		te := &entries[i]
@@ -549,7 +550,11 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 			rule.Appl(b)
 		}
 		b.rest = rule.Rest
+		interned, merges := m.interned, m.merges
 		m.buildRHS(te.rhs, b, m.Find(e.group))
+		if m.interned != interned || m.merges != merges {
+			o.transNewN[ri]++
+		}
 	}
 	m.curRule = ""
 	if o.timing {
@@ -568,16 +573,17 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 	grp := m.groups[g]
 	phys := o.RS.Class.Phys
 	key := req.HashOn(phys)
-	for _, w := range grp.winners[key] {
-		if w.req.EqualOn(req, phys) {
+	for w := grp.winners; w != nil; w = w.next {
+		if w.key == key && w.req.EqualOn(req, phys) {
 			if w.inProgress {
 				return nil, 0, fmt.Errorf("volcano: cyclic optimization of group %d", g)
 			}
 			return w.plan, w.cost, nil
 		}
 	}
-	w := &winnerEntry{req: req.Clone(), inProgress: true, cost: math.Inf(1)}
-	grp.winners[key] = append(grp.winners[key], w)
+	w := &core.Take(&m.winnerArena, 1, winnerChunk)[0]
+	w.req, w.key, w.inProgress, w.cost = m.descs.Clone(req), key, true, math.Inf(1)
+	w.next, grp.winners = grp.winners, w
 	o.Stats.Winners++
 
 	best, bestCost, err := o.optimizeGroup(grp, req)
@@ -586,10 +592,9 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 		// Drop the half-computed entry rather than memoizing it:
 		// recording "no plan" for a budget-interrupted computation would
 		// poison the salvage pass that costs this memo next.
-		entries := grp.winners[key]
-		for i, x := range entries {
-			if x == w {
-				grp.winners[key] = append(entries[:i], entries[i+1:]...)
+		for p := &grp.winners; *p != nil; p = &(*p).next {
+			if *p == w {
+				*p = w.next
 				break
 			}
 		}
@@ -606,12 +611,20 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 // recursion depth, so the recursion into input groups, a frame down,
 // overwrites nothing an alternative still needs. Every alternative at a
 // depth reuses the context, its slices, the merged OpDesc (mergeReq) and
-// the binding the context lends; a plan keeps only copies (keep).
+// the binding the context lends. An alternative that beats the incumbent
+// is copied into the frame (keep); the group's winner is built from the
+// last one kept, once, when the group is done (plan).
 type costFrame struct {
 	cx              ImplCtx
 	kids, in, inReq []*core.Descriptor // back cx.Kids, cx.In and cx.InReq
 	plans           []*PExpr           // the alternative's input winners
 	merged          *core.Descriptor
+
+	// best is the incumbent, copied in: an algorithm's descriptor is
+	// bestD, the frame's own, a stored file's the leaf's; Kids is the
+	// frame's copy of its input winners.
+	best  PExpr
+	bestD *core.Descriptor
 }
 
 // reset readies the frame's context for one alternative with n inputs.
@@ -626,20 +639,33 @@ func (f *costFrame) reset(opDesc, req *core.Descriptor, n int) *ImplCtx {
 	return &f.cx
 }
 
-// keep builds the plan node of an alternative that beats the incumbent,
-// copying the input slice and a descriptor the lent binding owns.
-func (f *costFrame) keep(alg *core.Operation, d *core.Descriptor, kids []*PExpr) *PExpr {
-	if f.cx.lent.Owns(d) {
-		d = d.Clone()
+// keep makes an alternative that beats the incumbent the new incumbent,
+// copying its descriptor and input winners into the frame.
+func (f *costFrame) keep(alg *core.Operation, d *core.Descriptor, kids []*PExpr) {
+	f.bestD.CopyFrom(d)
+	f.bestD.Name = d.Name
+	f.best = PExpr{Alg: alg, D: f.bestD, Kids: append(f.best.Kids[:0], kids...)}
+}
+
+// keepLeaf makes a stored file the incumbent.
+func (f *costFrame) keepLeaf(e *LExpr) {
+	f.best = PExpr{File: e.File, D: e.D, Kids: f.best.Kids[:0]}
+}
+
+// plan builds the incumbent's plan node. The node owns its descriptor and
+// input slice, so nothing it holds points into the frame or the memo.
+func (f *costFrame) plan() *PExpr {
+	if f.best.IsLeaf() {
+		return &PExpr{File: f.best.File, D: f.best.D}
 	}
-	return &PExpr{Alg: alg, D: d, Kids: slices.Clone(kids)}
+	return &PExpr{Alg: f.best.Alg, D: f.bestD.Clone(), Kids: slices.Clone(f.best.Kids)}
 }
 
 // optimizeGroup enumerates the group's physical alternatives.
 func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, float64, error) {
 	if o.depth == len(o.frames) {
 		ps := o.RS.Algebra.Props
-		f := &costFrame{cx: ImplCtx{lent: core.NewBinding(ps)}, merged: core.NewDescriptor(ps)}
+		f := &costFrame{cx: ImplCtx{lent: core.NewBinding(ps)}, merged: core.NewDescriptor(ps), bestD: core.NewDescriptor(ps)}
 		f.cx.lent.Scratch = true
 		o.frames = append(o.frames, f)
 	}
@@ -648,7 +674,6 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 	defer func() { o.depth-- }()
 	phys := o.RS.Class.Phys
 	costID := o.RS.Class.Cost
-	var best *PExpr
 	bestCost := math.Inf(1)
 	// better counts a costed alternative and reports whether it beats the
 	// incumbent; only one that does is built into a plan node.
@@ -662,7 +687,8 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 			// A stored file satisfies a requirement only as-is; RET
 			// algorithms above it decide access paths.
 			if c := e.D.Float(costID); e.D.SatisfiesOn(req, phys) && better(c) {
-				best, bestCost = &PExpr{File: e.File, D: e.D}, c
+				f.keepLeaf(e)
+				bestCost = c
 			}
 			continue
 		}
@@ -752,7 +778,8 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 				o.emit(EventImplCosted, rule.Name, grp.ID, rule.Alg.Name, c)
 			}
 			if better(c) {
-				best, bestCost = f.keep(rule.Alg, algD, f.plans[:len(e.Kids)]), c
+				f.keep(rule.Alg, algD, f.plans[:len(e.Kids)])
+				bestCost = c
 			}
 			if o.timing {
 				o.addImplTime(rule.Name, self+time.Since(t0))
@@ -796,14 +823,15 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, flo
 			o.emit(EventEnforcerApplied, enf.Name, grp.ID, enf.Alg.Name, c)
 		}
 		if better(c) {
-			best, bestCost = f.keep(enf.Alg, algD, f.plans[:1]), c
+			f.keep(enf.Alg, algD, f.plans[:1])
+			bestCost = c
 		}
 	}
 
-	if best == nil {
-		return nil, math.Inf(1), nil
+	if math.IsInf(bestCost, 1) { // nothing kept
+		return nil, bestCost, nil
 	}
-	return best, bestCost, nil
+	return f.plan(), bestCost, nil
 }
 
 // emptyReq is the requirement of an input no rule constrains: one empty

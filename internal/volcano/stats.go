@@ -19,6 +19,7 @@ type Stats struct {
 
 	TransMatched map[string]int // structural LHS matches per trans_rule
 	TransFired   map[string]int // matches whose cond_code passed
+	TransNew     map[string]int // firings that interned or merged anything
 	ImplMatched  map[string]int // operator matches per impl_rule
 	ImplFired    map[string]int // matches whose cond passed
 	EnfMatched   map[string]int // enforcer considerations
@@ -83,6 +84,7 @@ func (s *Stats) ensureMaps() {
 	}
 	s.TransMatched = map[string]int{}
 	s.TransFired = map[string]int{}
+	s.TransNew = map[string]int{}
 	s.ImplMatched = map[string]int{}
 	s.ImplFired = map[string]int{}
 	s.EnfMatched = map[string]int{}
@@ -119,8 +121,9 @@ func countNonZero(m map[string]int) int {
 // RuleTimeTable renders the per-rule wall-time attribution collected
 // under obs.Observer.RuleTiming as an aligned table, most expensive
 // rule first; it returns "" when timing was not enabled. Trans rows
-// report match+fire time and match/fire counts; impl rows report
-// costing self time (input recursion excluded) and matched/fired
+// report match+fire time, match/fire counts and, as new, the firings
+// that changed the memo (the rest rediscovered what it held); impl rows
+// report costing self time (input recursion excluded) and matched/fired
 // counts.
 func (s *Stats) RuleTimeTable() string {
 	if len(s.TransTime) == 0 && len(s.ImplTime) == 0 {
@@ -130,13 +133,14 @@ func (s *Stats) RuleTimeTable() string {
 		kind, rule       string
 		t                time.Duration
 		matched, applied int
+		new              string
 	}
 	var rows []row
 	for r, d := range s.TransTime {
-		rows = append(rows, row{"trans", r, d, s.TransMatched[r], s.TransFired[r]})
+		rows = append(rows, row{"trans", r, d, s.TransMatched[r], s.TransFired[r], fmt.Sprint(s.TransNew[r])})
 	}
 	for r, d := range s.ImplTime {
-		rows = append(rows, row{"impl", r, d, s.ImplMatched[r], s.ImplFired[r]})
+		rows = append(rows, row{"impl", r, d, s.ImplMatched[r], s.ImplFired[r], "-"})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].t != rows[j].t {
@@ -153,14 +157,14 @@ func (s *Stats) RuleTimeTable() string {
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-*s  kind   time(ms)   %%      matched  fired\n", width, "rule")
+	fmt.Fprintf(&b, "%-*s  kind   time(ms)   %%      matched  fired    new\n", width, "rule")
 	for _, r := range rows {
 		pct := 0.0
 		if total > 0 {
 			pct = 100 * float64(r.t) / float64(total)
 		}
-		fmt.Fprintf(&b, "%-*s  %-6s %9.3f  %5.1f  %7d  %5d\n",
-			width, r.rule, r.kind, float64(r.t.Microseconds())/1000, pct, r.matched, r.applied)
+		fmt.Fprintf(&b, "%-*s  %-6s %9.3f  %5.1f  %7d  %5d  %5s\n",
+			width, r.rule, r.kind, float64(r.t.Microseconds())/1000, pct, r.matched, r.applied, r.new)
 	}
 	fmt.Fprintf(&b, "total attributed: %.3fms over %d rules\n",
 		float64(total.Microseconds())/1000, len(rows))
