@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race examples figures bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover loc ci experiments samebytes clean
+.PHONY: all build vet test race examples figures bench-test bench-smoke bench-guard flight-guard rulecheck-guard fuzz-smoke cover loc ci experiments samebytes clean
 
 all: ci
 
@@ -81,11 +81,6 @@ endef
 bench-guard:
 	$(call guard,bench-guard,ObsGuard,200x,.)
 
-# Plan cache: a zero-capacity cache handle must be indistinguishable
-# from no cache (one Enabled() branch per optimize).
-cache-guard:
-	$(call guard,cache-guard,CacheGuard,100x,.)
-
 # Flight recorder: a disabled recorder handle on the serving path must
 # be indistinguishable from no recorder at all (TestFlightNeutral checks
 # that the answers are identical).
@@ -134,7 +129,7 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-ci: vet build examples race bench-test bench-smoke bench-guard cache-guard flight-guard rulecheck-guard fuzz-smoke cover
+ci: vet build examples race bench-test bench-smoke bench-guard flight-guard rulecheck-guard fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

@@ -528,42 +528,3 @@ func BenchmarkObsGuard(b *testing.B) {
 		})
 	}
 }
-
-// benchOptimizeCache is benchOptimize with an explicit plan cache
-// attached to every run (nil = the cacheless baseline).
-func benchOptimizeCache(b *testing.B, w *benchWorld, pc *volcano.PlanCache) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		opt := volcano.NewOptimizer(w.pvrs)
-		opt.Opts.Cache = pc
-		if _, err := opt.Optimize(w.ptree.Clone(), w.preq); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCacheGuard backs `make cache-guard`: the same workload with
-// the plan cache absent ("off"), attached but zero-capacity ("disabled"
-// — the single Enabled() branch must make this indistinguishable from
-// off), and enabled with capacity ("on" — after the first iteration
-// every run is a full hit, so this reports the hit path
-// informationally). The guard target fails the build if disabled
-// drifts more than ~2% from off. Workloads are the longest-running
-// figure points (milliseconds per op) so the 2% bar clears scheduler
-// noise.
-func BenchmarkCacheGuard(b *testing.B) {
-	for _, wl := range []struct {
-		name string
-		e    qgen.ExprKind
-		n    int
-	}{
-		{"fig11", qgen.E2, 4},
-		{"fig13", qgen.E4, 3},
-	} {
-		w := prepOODB(b, wl.e, wl.n, false)
-		b.Run(wl.name+"/off", func(b *testing.B) { benchOptimizeCache(b, w, nil) })
-		b.Run(wl.name+"/disabled", func(b *testing.B) { benchOptimizeCache(b, w, volcano.NewPlanCache(0)) })
-		b.Run(wl.name+"/on", func(b *testing.B) { benchOptimizeCache(b, w, volcano.NewPlanCache(512)) })
-	}
-}

@@ -204,8 +204,13 @@ func TestPlanCacheEquivalence(t *testing.T) {
 					hitStats.Groups, hitStats.Exprs, coldStats.Groups, coldStats.Exprs)
 			}
 
-			// Disabled handle: engine byte-identical to cacheless.
-			offPlan, offStats := cacheRun(t, w, volcano.NewPlanCache(0))
+			// Disabled handle: a capacity <= 0 is no cache at all, and
+			// the engine reads byte-identical to cacheless.
+			off := volcano.NewPlanCache(0)
+			if off != nil || volcano.NewPlanCache(-1) != nil {
+				t.Fatal("NewPlanCache(0) or NewPlanCache(-1) built a cache")
+			}
+			offPlan, offStats := cacheRun(t, w, off)
 			if got := offPlan.Format(); got != cold {
 				t.Errorf("disabled-cache plan differs from cold:\noff:  %s\ncold: %s", got, cold)
 			}

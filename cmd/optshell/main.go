@@ -66,18 +66,9 @@ func main() {
 	flag.Parse()
 	commands := flag.Args()
 
-	var family qgen.ExprKind
-	switch *expr {
-	case "E1":
-		family = qgen.E1
-	case "E2":
-		family = qgen.E2
-	case "E3":
-		family = qgen.E3
-	case "E4":
-		family = qgen.E4
-	default:
-		fmt.Fprintf(os.Stderr, "optshell: unknown expression %q\n", *expr)
+	family, err := qgen.ParseKind(*expr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "optshell:", err)
 		os.Exit(2)
 	}
 

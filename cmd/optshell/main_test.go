@@ -28,3 +28,15 @@ func TestRemovedStrategyFlag(t *testing.T) {
 		t.Errorf("optshell -strategy bottomup: err %v, output:\n%s", err, out)
 	}
 }
+
+// TestUnknownExprFamily: -expr takes qgen's family names; any other is
+// a usage error that exits 2 and names the bad value.
+func TestUnknownExprFamily(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-expr", "E9")
+	cmd.Env = append(os.Environ(), "OPTSHELL_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 ||
+		!strings.Contains(string(out), `unknown expression family "E9"`) {
+		t.Errorf("optshell -expr E9: err %v, output:\n%s", err, out)
+	}
+}

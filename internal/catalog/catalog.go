@@ -12,6 +12,7 @@ package catalog
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -243,6 +244,61 @@ func (c *Catalog) JoinCard(left, right float64, pred *core.Pred) float64 {
 // SelectCard estimates the cardinality after applying a selection.
 func (c *Catalog) SelectCard(card float64, pred *core.Pred) float64 {
 	return card * c.Selectivity(pred)
+}
+
+// ---------------------------------------------------------------------------
+// Access-path cost model, shared by the OODB and relational optimizers
+// and by both specification paths of each. Costs are abstract work
+// units (tuples touched).
+
+// FileScanCost reads every tuple of a stored file.
+func FileScanCost(fileCard float64) float64 { return fileCard }
+
+// IndexScanCost charges an index probe plus the matching tuples when the
+// selection is an equality on the indexed attribute (usable), or a full
+// sweep in index order otherwise.
+func IndexScanCost(fileCard, outCard float64, usable bool) float64 {
+	if usable {
+		return 8 + 2*outCard
+	}
+	return 8 + fileCard
+}
+
+// MergeSortCost sorts card tuples produced at inCost; the cardinality
+// is clamped to 1.
+func MergeSortCost(inCost, card float64) float64 {
+	n := math.Max(card, 1)
+	return inCost + n*math.Log2(n+1)
+}
+
+// PickIndexAttr chooses the index an Index_scan uses: the requested
+// order's leading attribute if indexed, else the attribute of an
+// equality selection term if indexed, else the first index. It reports
+// false when there is no index.
+func PickIndexAttr(indexes core.Attrs, want core.Order, sel *core.Pred) (core.Attr, bool) {
+	if len(indexes) == 0 {
+		return core.Attr{}, false
+	}
+	if !want.IsDontCare() && len(want.By) > 0 && indexes.Contains(want.By[0]) {
+		return want.By[0], true
+	}
+	for _, t := range sel.Conjuncts() {
+		if t.Op == core.PredEq && !t.AttrCmp && indexes.Contains(t.Left) {
+			return t.Left, true
+		}
+	}
+	return indexes[0], true
+}
+
+// IndexUsable reports whether the index attribute ix is the target of
+// an equality selection term, which makes the scan a cheap probe.
+func IndexUsable(ix core.Attr, sel *core.Pred) bool {
+	for _, t := range sel.Conjuncts() {
+		if t.Op == core.PredEq && !t.AttrCmp && t.Left == ix {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------

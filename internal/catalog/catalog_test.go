@@ -179,6 +179,49 @@ func TestGenerate(t *testing.T) {
 	}
 }
 
+// TestAccessPathCosts: the scan and sort costs both optimizers charge,
+// and the index an Index_scan picks.
+func TestAccessPathCosts(t *testing.T) {
+	if FileScanCost(100) != 100 {
+		t.Error("FileScanCost")
+	}
+	if got := IndexScanCost(100, 10, true); got != 28 {
+		t.Errorf("IndexScanCost probe = %g, want 28", got)
+	}
+	if got := IndexScanCost(100, 10, false); got != 108 {
+		t.Errorf("IndexScanCost sweep = %g, want 108", got)
+	}
+	// The cardinality is clamped to 1: 1*log2(2) = 1.
+	if got := MergeSortCost(0, 0); got != 1 {
+		t.Errorf("MergeSortCost(0,0) = %g, want 1", got)
+	}
+	if got := MergeSortCost(10, 0); got != 11 {
+		t.Errorf("MergeSortCost(10,0) = %g, want 11", got)
+	}
+
+	b, c := core.A("C1", "b"), core.A("C1", "c")
+	eqB := core.EqConst(b, core.Int(1))
+	ix := core.Attrs{c, b}
+	if got, ok := PickIndexAttr(ix, core.DontCareOrder, eqB); !ok || got != b {
+		t.Errorf("PickIndexAttr(equality on b) = %v %v, want b", got, ok)
+	}
+	if got, _ := PickIndexAttr(ix, core.OrderBy(c), eqB); got != c {
+		t.Errorf("PickIndexAttr(order on c) = %v, want c: the order wins", got)
+	}
+	if got, _ := PickIndexAttr(ix, core.DontCareOrder, core.TruePred); got != c {
+		t.Errorf("PickIndexAttr(no hint) = %v, want the first index", got)
+	}
+	if _, ok := PickIndexAttr(nil, core.DontCareOrder, core.TruePred); ok {
+		t.Error("PickIndexAttr with no indexes")
+	}
+	if !IndexUsable(b, eqB) {
+		t.Error("usable index not detected")
+	}
+	if IndexUsable(b, core.TruePred) || IndexUsable(c, eqB) {
+		t.Error("index without an equality on it considered usable")
+	}
+}
+
 func TestSelectivityQuickBounds(t *testing.T) {
 	cat := sample()
 	// Property: selectivity is always in (0, 1] for conjunctions of

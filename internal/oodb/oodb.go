@@ -17,7 +17,6 @@
 package oodb
 
 import (
-	"math"
 	"slices"
 
 	"prairie/internal/catalog"
@@ -228,46 +227,12 @@ func (o *Opt) unnestCard(n float64, ua core.Attrs) float64 {
 	return n
 }
 
-// pickIndexAttr chooses the index an Index_scan uses: the requested
-// order's leading attribute if indexed, else an equality selection's
-// attribute if indexed, else the first index.
-func pickIndexAttr(indexes core.Attrs, want core.Order, sel *core.Pred) (core.Attr, bool) {
-	if len(indexes) == 0 {
-		return core.Attr{}, false
-	}
-	if !want.IsDontCare() && len(want.By) > 0 && indexes.Contains(want.By[0]) {
-		return want.By[0], true
-	}
-	for _, t := range sel.Conjuncts() {
-		if t.Op == core.PredEq && !t.AttrCmp && indexes.Contains(t.Left) {
-			return t.Left, true
-		}
-	}
-	return indexes[0], true
-}
-
-func indexUsable(ix core.Attr, sel *core.Pred) bool {
-	for _, t := range sel.Conjuncts() {
-		if t.Op == core.PredEq && !t.AttrCmp && t.Left == ix {
-			return true
-		}
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Cost model (work units: tuples touched). Both specifications use
 // exactly these formulas, so measured differences between them reflect
-// the specification path only.
-
-func fileScanCost(fileCard float64) float64 { return fileCard }
-
-func indexScanCost(fileCard, outCard float64, usable bool) float64 {
-	if usable {
-		return 8 + 2*outCard
-	}
-	return 8 + fileCard
-}
+// the specification path only. Scans and sorts are costed by the
+// access-path model package catalog shares with the relational
+// optimizer.
 
 func filterCost(inCost, inCard float64) float64 { return inCost + inCard }
 
@@ -292,8 +257,3 @@ func materializeCost(inCost, inCard float64) float64 {
 }
 
 func flattenCost(inCost, outCard float64) float64 { return inCost + outCard }
-
-func mergeSortCost(inCost, card float64) float64 {
-	n := math.Max(card, 1)
-	return inCost + n*math.Log2(n+1)
-}

@@ -59,15 +59,6 @@ func TestHelperImplsTotal(t *testing.T) {
 }
 
 func TestCostFunctions(t *testing.T) {
-	if fileScanCost(64) != 64 {
-		t.Error("fileScanCost")
-	}
-	if indexScanCost(64, 4, true) != 16 {
-		t.Errorf("indexScanCost probe = %g", indexScanCost(64, 4, true))
-	}
-	if indexScanCost(64, 4, false) != 72 {
-		t.Errorf("indexScanCost sweep = %g", indexScanCost(64, 4, false))
-	}
 	if filterCost(10, 5) != 15 || projectCost(10, 5) != 15 {
 		t.Error("filter/project cost")
 	}

@@ -3,6 +3,7 @@ package oodb
 import (
 	"math"
 
+	"prairie/internal/catalog"
 	"prairie/internal/core"
 	"prairie/internal/prairielang"
 )
@@ -85,11 +86,11 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return core.Bool(len(attrs(a[0])) > 0), nil
 		},
 		"has_probe_index": func(a []core.Value) (core.Value, error) {
-			ix, ok := pickIndexAttr(attrs(a[0]), core.DontCareOrder, pred(a[1]))
-			return core.Bool(ok && indexUsable(ix, pred(a[1]))), nil
+			ix, ok := catalog.PickIndexAttr(attrs(a[0]), core.DontCareOrder, pred(a[1]))
+			return core.Bool(ok && catalog.IndexUsable(ix, pred(a[1]))), nil
 		},
 		"probe_order": func(a []core.Value) (core.Value, error) {
-			ix, ok := pickIndexAttr(attrs(a[0]), core.DontCareOrder, pred(a[1]))
+			ix, ok := catalog.PickIndexAttr(attrs(a[0]), core.DontCareOrder, pred(a[1]))
 			if !ok {
 				return core.DontCareOrder, nil
 			}
@@ -97,7 +98,7 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 		},
 		"sweep_order": func(a []core.Value) (core.Value, error) {
 			want, _ := a[1].(core.Order)
-			ix, ok := pickIndexAttr(attrs(a[0]), want, core.TruePred)
+			ix, ok := catalog.PickIndexAttr(attrs(a[0]), want, core.TruePred)
 			if !ok {
 				return core.DontCareOrder, nil
 			}

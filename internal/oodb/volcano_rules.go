@@ -1,6 +1,7 @@
 package oodb
 
 import (
+	"prairie/internal/catalog"
 	"prairie/internal/core"
 	"prairie/internal/volcano"
 )
@@ -356,21 +357,21 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			return algD(cx, core.DontCareOrder)
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-			d.Set(o.C, core.Cost(fileScanCost(cx.In[0].Float(o.NR))))
+			d.Set(o.C, core.Cost(catalog.FileScanCost(cx.In[0].Float(o.NR))))
 		},
 	})
 	rs.AddImpl(&volcano.ImplRule{
 		Name: "ret_index_probe", Op: o.RET, Alg: o.IndexScan,
 		Cond: func(cx *volcano.ImplCtx) bool {
-			ix, ok := pickIndexAttr(cx.Kids[0].AttrList(o.IX), core.DontCareOrder, cx.OpDesc.Pred(o.SP))
-			return ok && indexUsable(ix, cx.OpDesc.Pred(o.SP))
+			ix, ok := catalog.PickIndexAttr(cx.Kids[0].AttrList(o.IX), core.DontCareOrder, cx.OpDesc.Pred(o.SP))
+			return ok && catalog.IndexUsable(ix, cx.OpDesc.Pred(o.SP))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			ix, _ := pickIndexAttr(cx.Kids[0].AttrList(o.IX), core.DontCareOrder, cx.OpDesc.Pred(o.SP))
+			ix, _ := catalog.PickIndexAttr(cx.Kids[0].AttrList(o.IX), core.DontCareOrder, cx.OpDesc.Pred(o.SP))
 			return algD(cx, core.OrderBy(ix))
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-			d.Set(o.C, core.Cost(indexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), true)))
+			d.Set(o.C, core.Cost(catalog.IndexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), true)))
 		},
 	})
 	rs.AddImpl(&volcano.ImplRule{
@@ -379,11 +380,11 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			return len(cx.Kids[0].AttrList(o.IX)) > 0
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			ix, _ := pickIndexAttr(cx.Kids[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), core.TruePred)
+			ix, _ := catalog.PickIndexAttr(cx.Kids[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), core.TruePred)
 			return algD(cx, core.OrderBy(ix))
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-			d.Set(o.C, core.Cost(indexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), false)))
+			d.Set(o.C, core.Cost(catalog.IndexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), false)))
 		},
 	})
 	orderPreserving := func(name string, op, alg *core.Operation, cost func(cx *volcano.ImplCtx, d *core.Descriptor) float64) {
@@ -450,7 +451,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-			d.Set(o.C, core.Cost(mergeSortCost(cx.In[0].Float(o.C), d.Float(o.NR))))
+			d.Set(o.C, core.Cost(catalog.MergeSortCost(cx.In[0].Float(o.C), d.Float(o.NR))))
 		},
 	})
 }

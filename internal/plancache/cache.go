@@ -1,7 +1,6 @@
 // Package plancache implements the storage layer of the cross-query
-// plan cache: a sharded, lock-striped LRU keyed by canonical query
-// fingerprints, with epoch-based invalidation and singleflight miss
-// collapsing.
+// plan cache: one exact LRU keyed by canonical query fingerprints, with
+// epoch-based invalidation and singleflight miss collapsing.
 //
 // The package is deliberately engine-agnostic (and stdlib-only): keys
 // are opaque fingerprints plus an exact canonical rendering, values are
@@ -9,17 +8,18 @@
 // top — fingerprint computation and statistics plumbing — so the cache
 // itself stays small enough to reason about under concurrency.
 //
-// Concurrency model: every shard is guarded by one mutex held only for
-// map/list operations (never across a search). Misses on the same key
-// collapse through a per-key flight: the first Acquire becomes the
-// leader and runs the search; concurrent Acquires become followers and
-// Wait for the leader's Complete. Statistics are atomic counters,
-// readable without stopping the world.
+// Concurrency model: one mutex guards the entries and the flights,
+// held only for map/list operations (never across a search). Misses on
+// the same key collapse through a per-key flight: the first Acquire
+// becomes the leader and runs the search; concurrent Acquires become
+// followers and Wait for the leader's Complete. Statistics are atomic
+// counters, readable without stopping the world.
 package plancache
 
 import (
 	"container/list"
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -27,8 +27,7 @@ import (
 // Key identifies one cached value. Two keys are equal iff every field
 // is equal — the Canon string makes fingerprint collisions harmless.
 type Key struct {
-	// Fingerprint is the structural hash; it selects the shard and
-	// provides fast map hashing.
+	// Fingerprint is the structural hash of the query Canon renders.
 	Fingerprint uint64
 	// Canon is the exact canonical rendering the fingerprint digests
 	// (tree shape, descriptor projections, requirement, budget class).
@@ -67,55 +66,35 @@ type flight[V any] struct {
 	shared bool
 }
 
-type shard[V any] struct {
-	mu        sync.Mutex
-	items     map[Key]*list.Element // of entry[V]
-	lru       *list.List            // front = most recently used
-	flights   map[Key]*flight[V]
-	evictions int64 // under mu; feeds ShardStat
-}
-
-// Cache is a sharded LRU with singleflight. The zero value is not
-// usable; call New. A Cache with capacity <= 0 is a valid disabled
-// handle: every operation is a cheap no-op and Enabled reports false.
+// Cache is an LRU with singleflight: one map of entries, one map of
+// flights and one mutex over both. The zero value is not usable; call
+// New. A nil *Cache is the disabled cache: every operation is a cheap
+// no-op.
 type Cache[V any] struct {
-	shards      []shard[V]
-	mask        uint64
-	capPerShard int
-	capacity    int
-	epoch       atomic.Uint64
+	mu       sync.Mutex
+	items    map[Key]*list.Element // of entry[V]
+	lru      *list.List            // front = most recently used
+	flights  map[Key]*flight[V]
+	capacity int
+	epoch    atomic.Uint64
 
 	hits, misses, puts, evictions atomic.Int64
 	flightWaits, flightShared     atomic.Int64
 }
 
-// New returns a cache holding up to capacity entries (approximately:
-// the budget is split evenly across shards). capacity <= 0 returns a
-// disabled handle.
+// New returns a cache holding up to capacity entries. It panics on a
+// capacity <= 0: the disabled cache is nil.
 func New[V any](capacity int) *Cache[V] {
-	c := &Cache[V]{capacity: capacity}
 	if capacity <= 0 {
-		return c
+		panic(fmt.Sprintf("plancache: capacity %d <= 0 (a disabled cache is nil)", capacity))
 	}
-	n := 16
-	for n > 1 && n*2 > capacity {
-		n /= 2
+	return &Cache[V]{
+		items:    make(map[Key]*list.Element),
+		lru:      list.New(),
+		flights:  make(map[Key]*flight[V]),
+		capacity: capacity,
 	}
-	c.shards = make([]shard[V], n)
-	c.mask = uint64(n - 1)
-	c.capPerShard = (capacity + n - 1) / n
-	for i := range c.shards {
-		c.shards[i] = shard[V]{
-			items:   make(map[Key]*list.Element),
-			lru:     list.New(),
-			flights: make(map[Key]*flight[V]),
-		}
-	}
-	return c
 }
-
-// Enabled reports whether the cache stores anything.
-func (c *Cache[V]) Enabled() bool { return c != nil && c.capacity > 0 }
 
 // Capacity returns the configured entry budget (0 when disabled).
 func (c *Cache[V]) Capacity() int {
@@ -145,103 +124,62 @@ func (c *Cache[V]) Invalidate() uint64 {
 	return c.epoch.Add(1)
 }
 
-func (c *Cache[V]) shardFor(k Key) *shard[V] {
-	h := k.Fingerprint
-	h ^= k.Scope * 0x9e3779b97f4a7c15
-	h ^= k.Epoch * 0xff51afd7ed558ccd
-	return &c.shards[(h^h>>32)&c.mask]
-}
-
 // Get returns the cached value for k, counting a hit or miss and
 // promoting the entry on hit.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	var zero V
-	if !c.Enabled() {
+	if c == nil {
 		return zero, false
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	el, ok := s.items[k]
+	c.mu.Lock()
+	el, ok := c.items[k]
 	if ok {
-		s.lru.MoveToFront(el)
+		c.lru.MoveToFront(el)
 		v := el.Value.(*entry[V]).v
-		s.mu.Unlock()
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return v, true
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	c.misses.Add(1)
 	return zero, false
 }
 
-// Put writes k's value, evicting from the shard's LRU tail when over
-// budget.
+// Put writes k's value, evicting from the LRU tail when over budget.
 func (c *Cache[V]) Put(k Key, v V) {
-	if !c.Enabled() {
+	if c == nil {
 		return
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	s.put(c, k, v)
-	s.mu.Unlock()
+	c.mu.Lock()
+	c.put(k, v)
+	c.mu.Unlock()
 }
 
-// put writes under the shard lock.
-func (s *shard[V]) put(c *Cache[V], k Key, v V) {
-	if el, ok := s.items[k]; ok {
-		el.Value.(*entry[V]).v = v
-		s.lru.MoveToFront(el)
-		c.puts.Add(1)
-		return
-	}
-	s.items[k] = s.lru.PushFront(&entry[V]{k: k, v: v})
+// put writes under c.mu.
+func (c *Cache[V]) put(k Key, v V) {
 	c.puts.Add(1)
-	for s.lru.Len() > c.capPerShard {
-		tail := s.lru.Back()
-		e := tail.Value.(*entry[V])
-		s.lru.Remove(tail)
-		delete(s.items, e.k)
+	if el, ok := c.items[k]; ok {
+		el.Value.(*entry[V]).v = v
+		c.lru.MoveToFront(el)
+		return
+	}
+	c.items[k] = c.lru.PushFront(&entry[V]{k: k, v: v})
+	for c.lru.Len() > c.capacity {
+		tail := c.lru.Back()
+		c.lru.Remove(tail)
+		delete(c.items, tail.Value.(*entry[V]).k)
 		c.evictions.Add(1)
-		s.evictions++
 	}
-}
-
-// ShardStat is one shard's occupancy and lifetime eviction count, for
-// the per-shard metrics exposition (shard imbalance under a skewed
-// keyspace shows up here before it shows up as a hit-rate regression).
-type ShardStat struct {
-	Entries   int
-	Evictions int64
-}
-
-// Shards returns a per-shard snapshot; nil when the cache is disabled.
-func (c *Cache[V]) Shards() []ShardStat {
-	if !c.Enabled() {
-		return nil
-	}
-	out := make([]ShardStat, len(c.shards))
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		out[i] = ShardStat{Entries: s.lru.Len(), Evictions: s.evictions}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 // Len returns the number of live entries.
 func (c *Cache[V]) Len() int {
-	if !c.Enabled() {
+	if c == nil {
 		return 0
 	}
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += s.lru.Len()
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lru.Len()
 }
 
 // Snapshot returns the current counters.
@@ -282,31 +220,30 @@ type Acquired[V any] struct {
 }
 
 // Acquire looks up k, registering a flight on miss so concurrent
-// misses collapse into one computation. On a disabled cache it always
+// misses collapse into one computation. On a nil cache it always
 // returns a leader with nothing registered (Complete is a no-op).
 func (c *Cache[V]) Acquire(k Key) *Acquired[V] {
-	if !c.Enabled() {
+	if c == nil {
 		return &Acquired[V]{Leader: true}
 	}
-	s := c.shardFor(k)
-	s.mu.Lock()
-	if el, ok := s.items[k]; ok {
+	c.mu.Lock()
+	if el, ok := c.items[k]; ok {
 		// Read under the lock: a Put on an existing key overwrites the
 		// entry's value in place.
 		v := el.Value.(*entry[V]).v
-		s.lru.MoveToFront(el)
-		s.mu.Unlock()
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
 		c.hits.Add(1)
 		return &Acquired[V]{Value: v, Hit: true}
 	}
-	if fl, ok := s.flights[k]; ok {
-		s.mu.Unlock()
+	if fl, ok := c.flights[k]; ok {
+		c.mu.Unlock()
 		c.flightWaits.Add(1)
 		return &Acquired[V]{c: c, key: k, fl: fl}
 	}
 	fl := &flight[V]{done: make(chan struct{})}
-	s.flights[k] = fl
-	s.mu.Unlock()
+	c.flights[k] = fl
+	c.mu.Unlock()
 	c.misses.Add(1)
 	return &Acquired[V]{Leader: true, c: c, key: k, fl: fl}
 }
@@ -315,20 +252,20 @@ func (c *Cache[V]) Acquire(k Key) *Acquired[V] {
 // published to the cache and handed to every waiting follower; with
 // share false (degraded or failed computations) followers are released
 // empty-handed to run their own searches. Idempotent; no-op for hits,
-// followers, and disabled caches.
+// followers, and a nil cache.
 func (a *Acquired[V]) Complete(v V, share bool) {
 	if !a.Leader || a.fl == nil || a.completed {
 		return
 	}
 	a.completed = true
-	s := a.c.shardFor(a.key)
-	s.mu.Lock()
-	delete(s.flights, a.key)
+	c := a.c
+	c.mu.Lock()
+	delete(c.flights, a.key)
 	if share {
-		s.put(a.c, a.key, v)
+		c.put(a.key, v)
 	}
 	a.fl.v, a.fl.shared = v, share
-	s.mu.Unlock()
+	c.mu.Unlock()
 	close(a.fl.done)
 }
 

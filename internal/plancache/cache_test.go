@@ -15,9 +15,6 @@ func key(fp uint64, canon string) Key {
 
 func TestGetPut(t *testing.T) {
 	c := New[string](8)
-	if !c.Enabled() {
-		t.Fatal("cache with capacity 8 reports disabled")
-	}
 	if _, ok := c.Get(key(1, "a")); ok {
 		t.Fatal("hit on empty cache")
 	}
@@ -37,7 +34,6 @@ func TestGetPut(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	// Capacity 1 forces a single shard of size 1.
 	c := New[int](1)
 	c.Put(key(1, "a"), 1)
 	c.Put(key(2, "b"), 2)
@@ -48,12 +44,9 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestLRUPromotion(t *testing.T) {
-	// Two entries in one shard of capacity 2: touching the older one
+	// Two entries in a cache of capacity 2: touching the older one
 	// must make the other the eviction victim.
 	c := New[int](2)
-	if len(c.shards) != 1 {
-		t.Fatalf("capacity 2 should collapse to one shard, got %d", len(c.shards))
-	}
 	c.Put(key(1, "a"), 1)
 	c.Put(key(2, "b"), 2)
 	if _, ok := c.Get(key(1, "a")); !ok {
@@ -95,29 +88,39 @@ func TestScopeSeparation(t *testing.T) {
 	}
 }
 
+// TestDisabledHandle: the nil cache is the disabled one — every
+// operation is a no-op and Acquire hands out a plain leader — and New
+// refuses a capacity that would store nothing.
 func TestDisabledHandle(t *testing.T) {
-	c := New[int](0)
-	if c.Enabled() {
-		t.Fatal("capacity-0 cache reports enabled")
-	}
+	var c *Cache[int]
 	c.Put(key(1, "a"), 1) // must not panic
 	if _, ok := c.Get(key(1, "a")); ok {
-		t.Fatal("disabled cache stored an entry")
+		t.Fatal("nil cache stored an entry")
 	}
 	a := c.Acquire(key(1, "a"))
 	if !a.Leader || a.Hit {
-		t.Fatalf("disabled Acquire = %+v, want plain leader", a)
+		t.Fatalf("nil-cache Acquire = %+v, want plain leader", a)
 	}
 	a.Complete(1, true) // no-op, must not panic
-	if c.Len() != 0 {
-		t.Fatal("disabled cache has entries")
+	if v, ok, err := a.Wait(context.Background()); v != 0 || ok || err != nil {
+		t.Fatalf("nil-cache leader Wait = %d, %v, %v", v, ok, err)
 	}
-	var nilCache *Cache[int]
-	if nilCache.Enabled() || nilCache.Epoch() != 0 || nilCache.Capacity() != 0 {
+	if c.Len() != 0 || c.Epoch() != 0 || c.Capacity() != 0 || c.Invalidate() != 0 {
 		t.Fatal("nil cache accessors not nil-safe")
 	}
-	nilCache.Invalidate()
-	_ = nilCache.Snapshot()
+	if st := c.Snapshot(); st != (Stats{}) {
+		t.Fatalf("nil cache Snapshot = %+v", st)
+	}
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d) did not panic", n)
+				}
+			}()
+			New[int](n)
+		}()
+	}
 }
 
 func TestSingleflightCollapse(t *testing.T) {
@@ -246,33 +249,32 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-// TestShards: occupancy sums to Len and evictions are attributed to the
-// shard that overflowed.
-func TestShards(t *testing.T) {
-	c := New[int](8)
-	for i := 0; i < 50; i++ {
-		c.Put(key(uint64(i)*0x9e3779b97f4a7c15, "q"), i)
+// TestExactLRU: the capacity is one budget over every key, whatever
+// the keys' fingerprints. 32 keys sharing one fingerprint all fit a
+// 32-entry cache, and the 33rd Put evicts the least recently used of
+// them: the oldest key was just read, so the second-oldest goes.
+func TestExactLRU(t *testing.T) {
+	const capacity = 32
+	c := New[int](capacity)
+	k := func(i int) Key { return key(0xfeed, fmt.Sprintf("q%d", i)) }
+	for i := 0; i < capacity; i++ {
+		c.Put(k(i), i)
 	}
-	stats := c.Shards()
-	if len(stats) == 0 {
-		t.Fatal("no shard stats on an enabled cache")
+	if st := c.Snapshot(); st.Entries != capacity || st.Evictions != 0 {
+		t.Fatalf("after %d puts of one fingerprint: %d entries, %d evictions; want %d, 0",
+			capacity, st.Entries, st.Evictions, capacity)
 	}
-	entries, evictions := 0, int64(0)
-	for _, st := range stats {
-		entries += st.Entries
-		evictions += st.Evictions
+	if _, ok := c.Get(k(0)); !ok {
+		t.Fatal("oldest key missing before overflow")
 	}
-	if entries != c.Len() {
-		t.Fatalf("shard entries sum %d != Len %d", entries, c.Len())
+	c.Put(k(capacity), capacity)
+	if st := c.Snapshot(); st.Entries != capacity || st.Evictions != 1 {
+		t.Fatalf("after the overflowing put: %d entries, %d evictions; want %d, 1",
+			st.Entries, st.Evictions, capacity)
 	}
-	if evictions != c.Snapshot().Evictions {
-		t.Fatalf("shard evictions sum %d != total %d", evictions, c.Snapshot().Evictions)
-	}
-	if evictions == 0 {
-		t.Fatal("expected evictions after overfilling an 8-entry cache")
-	}
-	var d *Cache[int]
-	if d.Shards() != nil {
-		t.Fatal("nil cache Shards() should be nil")
+	for i := 0; i <= capacity; i++ {
+		if _, ok := c.Get(k(i)); ok != (i != 1) {
+			t.Errorf("key %d cached = %v; only key 1 (the least recently used) should be gone", i, ok)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package relopt
 
 import (
+	"prairie/internal/catalog"
 	"prairie/internal/core"
 	"prairie/internal/prairielang"
 )
@@ -60,24 +61,24 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return core.Bool(len(attrs(a[0])) > 0), nil
 		},
 		"index_order": func(a []core.Value) (core.Value, error) {
-			ix, ok := pickIndexAttr(attrs(a[0]), order(a[1]), pred(a[2]))
+			ix, ok := catalog.PickIndexAttr(attrs(a[0]), order(a[1]), pred(a[2]))
 			if !ok {
 				return core.DontCareOrder, nil
 			}
 			return core.OrderBy(ix), nil
 		},
 		"index_usable": func(a []core.Value) (core.Value, error) {
-			ix, _ := pickIndexAttr(attrs(a[0]), order(a[1]), pred(a[2]))
-			return core.Bool(indexUsableForSelection(ix, pred(a[2]))), nil
+			ix, _ := catalog.PickIndexAttr(attrs(a[0]), order(a[1]), pred(a[2]))
+			return core.Bool(catalog.IndexUsable(ix, pred(a[2]))), nil
 		},
 		"order_within": func(a []core.Value) (core.Value, error) {
 			return core.Bool(order(a[0]).Within(attrs(a[1]))), nil
 		},
 		"file_scan_cost": func(a []core.Value) (core.Value, error) {
-			return core.Cost(fileScanCost(num(a[0]))), nil
+			return core.Cost(catalog.FileScanCost(num(a[0]))), nil
 		},
 		"index_scan_cost": func(a []core.Value) (core.Value, error) {
-			return core.Cost(indexScanCost(num(a[0]), num(a[1]), bool(a[2].(core.Bool)))), nil
+			return core.Cost(catalog.IndexScanCost(num(a[0]), num(a[1]), bool(a[2].(core.Bool)))), nil
 		},
 		"nested_loops_cost": func(a []core.Value) (core.Value, error) {
 			return core.Cost(nestedLoopsCost(num(a[0]), num(a[1]), num(a[2]))), nil
@@ -86,7 +87,7 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return core.Cost(mergeJoinCost(num(a[0]), num(a[1]), num(a[2]), num(a[3]))), nil
 		},
 		"merge_sort_cost": func(a []core.Value) (core.Value, error) {
-			return core.Cost(mergeSortCost(num(a[0]), num(a[1]))), nil
+			return core.Cost(catalog.MergeSortCost(num(a[0]), num(a[1]))), nil
 		},
 	}
 }

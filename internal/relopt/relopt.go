@@ -17,8 +17,6 @@
 package relopt
 
 import (
-	"math"
-
 	"prairie/internal/catalog"
 	"prairie/internal/core"
 	"prairie/internal/prairielang"
@@ -64,19 +62,9 @@ func New(cat *catalog.Catalog) *Opt {
 
 // ---------------------------------------------------------------------------
 // Shared cost model. Costs are abstract work units (tuples touched);
-// both specification paths call exactly these functions.
-
-func fileScanCost(fileCard float64) float64 { return fileCard }
-
-// indexScanCost charges an index probe plus the matching tuples when the
-// selection is an equality on the indexed attribute, or a full sweep in
-// index order otherwise.
-func indexScanCost(fileCard, outCard float64, usable bool) float64 {
-	if usable {
-		return 8 + 2*outCard
-	}
-	return 8 + fileCard
-}
+// both specification paths call exactly these functions. Scans and
+// sorts are costed by the access-path model package catalog shares with
+// the OODB optimizer.
 
 func nestedLoopsCost(outerCost, outerCard, innerCost float64) float64 {
 	return outerCost + outerCard*innerCost
@@ -84,11 +72,6 @@ func nestedLoopsCost(outerCost, outerCard, innerCost float64) float64 {
 
 func mergeJoinCost(lCost, rCost, lCard, rCard float64) float64 {
 	return lCost + rCost + lCard + rCard
-}
-
-func mergeSortCost(inCost, card float64) float64 {
-	n := math.Max(card, 1)
-	return inCost + n*math.Log2(n+1)
 }
 
 // isAssociative is the paper's "is_associative" helper (Figure 3): it
@@ -121,33 +104,4 @@ func orientEqui(p *core.Pred, leftAttrs core.Attrs) (l, r core.Attr, ok bool) {
 		return p.Right, p.Left, true
 	}
 	return core.Attr{}, core.Attr{}, false
-}
-
-// pickIndexAttr chooses the index to use for an Index_scan: the
-// requested order's leading attribute if indexed, else the attribute of
-// an equality selection term if indexed, else the first index.
-func pickIndexAttr(indexes core.Attrs, want core.Order, sel *core.Pred) (core.Attr, bool) {
-	if len(indexes) == 0 {
-		return core.Attr{}, false
-	}
-	if !want.IsDontCare() && len(want.By) > 0 && indexes.Contains(want.By[0]) {
-		return want.By[0], true
-	}
-	for _, t := range sel.Conjuncts() {
-		if t.Op == core.PredEq && !t.AttrCmp && indexes.Contains(t.Left) {
-			return t.Left, true
-		}
-	}
-	return indexes[0], true
-}
-
-// indexUsableForSelection reports whether the chosen index attribute is
-// the target of an equality selection term (enabling a cheap probe).
-func indexUsableForSelection(ix core.Attr, sel *core.Pred) bool {
-	for _, t := range sel.Conjuncts() {
-		if t.Op == core.PredEq && !t.AttrCmp && t.Left == ix {
-			return true
-		}
-	}
-	return false
 }

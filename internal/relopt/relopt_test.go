@@ -406,45 +406,14 @@ func TestHelperFunctions(t *testing.T) {
 	if _, _, ok := orientEqui(core.TruePred, core.Attrs{attrs[0]}); ok {
 		t.Error("non-equi predicate oriented")
 	}
-
-	ix := core.Attrs{core.A("C1", "b")}
-	got, ok := pickIndexAttr(ix, core.DontCareOrder, core.EqConst(core.A("C1", "b"), core.Int(1)))
-	if !ok || got != core.A("C1", "b") {
-		t.Errorf("pickIndexAttr = %v %v", got, ok)
-	}
-	if _, ok := pickIndexAttr(nil, core.DontCareOrder, core.TruePred); ok {
-		t.Error("pickIndexAttr with no indexes")
-	}
-	if !indexUsableForSelection(core.A("C1", "b"), core.EqConst(core.A("C1", "b"), core.Int(1))) {
-		t.Error("usable index not detected")
-	}
-	if indexUsableForSelection(core.A("C1", "b"), core.TruePred) {
-		t.Error("TRUE selection considered usable")
-	}
 }
 
 func TestCostModel(t *testing.T) {
-	if fileScanCost(100) != 100 {
-		t.Error("fileScanCost")
-	}
-	if indexScanCost(100, 10, true) != 28 {
-		t.Errorf("indexScanCost usable = %g", indexScanCost(100, 10, true))
-	}
-	if indexScanCost(100, 10, false) != 108 {
-		t.Errorf("indexScanCost sweep = %g", indexScanCost(100, 10, false))
-	}
 	if nestedLoopsCost(10, 5, 3) != 25 {
 		t.Error("nestedLoopsCost")
 	}
 	if mergeJoinCost(1, 2, 3, 4) != 10 {
 		t.Error("mergeJoinCost")
-	}
-	// The cardinality is clamped to 1: 1*log2(2) = 1.
-	if got := mergeSortCost(0, 0); got != 1 {
-		t.Errorf("mergeSortCost(0,0) = %g, want 1", got)
-	}
-	if got := mergeSortCost(10, 0); got != 11 {
-		t.Errorf("mergeSortCost(10,0) = %g, want 11", got)
 	}
 }
 

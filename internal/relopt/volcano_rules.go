@@ -1,6 +1,7 @@
 package relopt
 
 import (
+	"prairie/internal/catalog"
 	"prairie/internal/core"
 	"prairie/internal/volcano"
 )
@@ -73,7 +74,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-			d.Set(o.C, core.Cost(fileScanCost(cx.In[0].Float(o.NR))))
+			d.Set(o.C, core.Cost(catalog.FileScanCost(cx.In[0].Float(o.NR))))
 		},
 	})
 
@@ -85,7 +86,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			_, d := lend(cx)
-			ix, ok := pickIndexAttr(cx.Kids[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), cx.OpDesc.Pred(o.SP))
+			ix, ok := catalog.PickIndexAttr(cx.Kids[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), cx.OpDesc.Pred(o.SP))
 			if ok {
 				d.Set(o.Ord, core.OrderBy(ix))
 			} else {
@@ -94,9 +95,9 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-			ix, _ := pickIndexAttr(cx.In[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), cx.OpDesc.Pred(o.SP))
-			usable := indexUsableForSelection(ix, cx.OpDesc.Pred(o.SP))
-			d.Set(o.C, core.Cost(indexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), usable)))
+			ix, _ := catalog.PickIndexAttr(cx.In[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), cx.OpDesc.Pred(o.SP))
+			usable := catalog.IndexUsable(ix, cx.OpDesc.Pred(o.SP))
+			d.Set(o.C, core.Cost(catalog.IndexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), usable)))
 		},
 	})
 
@@ -153,7 +154,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-			d.Set(o.C, core.Cost(mergeSortCost(cx.In[0].Float(o.C), d.Float(o.NR))))
+			d.Set(o.C, core.Cost(catalog.MergeSortCost(cx.In[0].Float(o.C), d.Float(o.NR))))
 		},
 	})
 

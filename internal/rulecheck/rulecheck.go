@@ -286,15 +286,6 @@ func Verify(w *World, opts Options) *Report {
 	return rep
 }
 
-// VerifyAll verifies every world and returns the reports in order.
-func VerifyAll(worlds []*World, opts Options) []*Report {
-	out := make([]*Report, len(worlds))
-	for i, w := range worlds {
-		out[i] = Verify(w, opts)
-	}
-	return out
-}
-
 // Summary renders a one-line result per rule, for the CLI surfaces.
 func (r *Report) Summary() string {
 	s := fmt.Sprintf("world %s: %d rules over %d generated trees\n", r.World, r.Rules, r.Pool)

@@ -144,9 +144,9 @@ type Server struct {
 	mux          *http.ServeMux
 	started      time.Time
 
-	// shardGauges are the per-shard exposition gauges, refreshed at
-	// scrape time.
-	shardGauges []shardGauge
+	// gEntries and gEvictions expose the cache's occupancy and lifetime
+	// evictions, set from its Snapshot at scrape time.
+	gEntries, gEvictions *obs.Gauge
 
 	// metrics (nil registry → nil metrics, every sink is nil-safe)
 	mRequests *obs.Counter
@@ -188,14 +188,11 @@ func New(cfg Config) (*Server, error) {
 		s.mDrained = reg.Counter("prairie_server_drain_refused_total")
 		s.hQueueWait = reg.Histogram("prairie_server_queue_wait_seconds", nil)
 		s.hExec = reg.Histogram("prairie_server_exec_seconds", nil)
-		// One gauge pair per cache shard; the count is fixed at
-		// construction, the values refresh at scrape time.
-		for i := range s.cache.Shards() {
-			shard := fmt.Sprintf("%d", i)
-			s.shardGauges = append(s.shardGauges, shardGauge{
-				entries:   reg.Gauge(obs.Label("prairie_plancache_shard_entries", "shard", shard)),
-				evictions: reg.Gauge(obs.Label("prairie_plancache_shard_evictions", "shard", shard)),
-			})
+		if s.cache != nil {
+			// One series per family, under the name and label that
+			// bench/layers.go reads plancache.evictions from.
+			s.gEntries = reg.Gauge(obs.Label("prairie_plancache_shard_entries", "shard", "0"))
+			s.gEvictions = reg.Gauge(obs.Label("prairie_plancache_shard_evictions", "shard", "0"))
 		}
 	}
 	s.mux = http.NewServeMux()
@@ -205,12 +202,15 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	// Observability exposition: delegate to the obs mux so the service
 	// surface and the standalone exposition stay identical; the wrapper
-	// publishes the point-in-time shard gauges first.
+	// publishes the point-in-time cache gauges first (the registry is
+	// pull-based with no collect hooks).
 	om := obs.NewMux(cfg.Obs.MetricsOrNil(), cfg.Flight)
 	oh := http.Handler(om)
-	if len(s.shardGauges) > 0 {
+	if s.gEntries != nil {
 		oh = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			s.refreshGauges()
+			st := s.cache.Snapshot()
+			s.gEntries.Set(float64(st.Entries))
+			s.gEvictions.Set(float64(st.Evictions))
 			om.ServeHTTP(w, r)
 		})
 	}
@@ -222,26 +222,6 @@ func New(cfg Config) (*Server, error) {
 		s.mux.Handle(p, oh)
 	}
 	return s, nil
-}
-
-// shardGauge is one cache shard's exposition pair
-// (prairie_plancache_shard_{entries,evictions}{shard="i"}).
-type shardGauge struct {
-	entries   *obs.Gauge
-	evictions *obs.Gauge
-}
-
-// refreshGauges publishes the point-in-time per-shard gauges; the
-// exposition handler calls it before every scrape (the registry is
-// pull-based with no collect hooks).
-func (s *Server) refreshGauges() {
-	for i, st := range s.cache.Shards() {
-		if i >= len(s.shardGauges) {
-			break
-		}
-		s.shardGauges[i].entries.Set(float64(st.Entries))
-		s.shardGauges[i].evictions.Set(float64(st.Evictions))
-	}
 }
 
 // Handler returns the service's HTTP handler.
@@ -596,7 +576,7 @@ func (s *Server) optimizeOne(ctx context.Context, p *prepared, rec *obs.RequestR
 func (s *Server) recordOutcome(rec *obs.RequestRecord, st *volcano.Stats) {
 	outcome := "miss"
 	switch {
-	case !s.cache.Enabled():
+	case s.cache == nil:
 		outcome = "bypass"
 	case st.FlightShared > 0:
 		outcome = "flight-collapsed"

@@ -10,26 +10,26 @@ import (
 )
 
 // PlanCache is the engine-facing handle of the cross-query plan cache:
-// a sharded LRU of extracted winner plans keyed by canonical query
+// an LRU of extracted winner plans keyed by canonical query
 // fingerprint, required physical properties, budget class, rule-set
 // scope, and cache epoch, with singleflight collapsing of concurrent
 // misses (see internal/plancache for the storage layer).
 //
 // One PlanCache may be shared by any number of concurrent optimizers. A
-// nil *PlanCache — or NewPlanCache(0) — is a valid disabled handle that
-// leaves the engine byte-identical to a cacheless build.
+// nil *PlanCache is the disabled cache: it leaves the engine
+// byte-identical to a cacheless build.
 type PlanCache struct {
 	c *plancache.Cache[cachedPlan]
 }
 
-// NewPlanCache returns a cache holding up to capacity plans;
-// capacity <= 0 yields a disabled handle.
+// NewPlanCache returns a cache holding up to capacity plans, or nil —
+// no cache — when capacity <= 0.
 func NewPlanCache(capacity int) *PlanCache {
+	if capacity <= 0 {
+		return nil
+	}
 	return &PlanCache{c: plancache.New[cachedPlan](capacity)}
 }
-
-// Enabled reports whether the cache stores anything.
-func (pc *PlanCache) Enabled() bool { return pc != nil && pc.c.Enabled() }
 
 // Capacity returns the configured plan budget (0 when disabled).
 func (pc *PlanCache) Capacity() int {
@@ -75,18 +75,9 @@ func (pc *PlanCache) Snapshot() plancache.Stats {
 	return pc.c.Snapshot()
 }
 
-// Shards exposes per-shard occupancy and eviction counts for the
-// metrics exposition.
-func (pc *PlanCache) Shards() []plancache.ShardStat {
-	if pc == nil {
-		return nil
-	}
-	return pc.c.Shards()
-}
-
 // String renders a one-line summary for interactive inspection.
 func (pc *PlanCache) String() string {
-	if !pc.Enabled() {
+	if pc == nil {
 		return "plancache: disabled"
 	}
 	s := pc.Snapshot()
@@ -197,7 +188,7 @@ func (o *Optimizer) rootKey(tree *core.Expr, req *core.Descriptor) plancache.Key
 }
 
 // cachedOptimize wraps one optimization in the plan cache; it is the
-// dispatch target of OptimizeContext whenever Options.Cache is enabled.
+// dispatch target of OptimizeContext whenever Options.Cache is set.
 //
 //   - Full hit: the entry's plan is handed out as is (read-only, see
 //     cacheHit), no search runs.

@@ -182,9 +182,15 @@ func TestPlanCacheCommutativeHit(t *testing.T) {
 	check(pBA, coldBA)
 }
 
-// TestPlanCacheNeutral: a nil cache and a disabled handle both leave
-// plans and rendered stats byte-identical to each other.
+// TestPlanCacheNeutral: a capacity <= 0 builds no cache (nil), and a
+// search with it reads as one with no cache attached: the same plan,
+// and no cache line in the rendered stats.
 func TestPlanCacheNeutral(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if pc := NewPlanCache(n); pc != nil {
+			t.Fatalf("NewPlanCache(%d) = %v, want nil", n, pc)
+		}
+	}
 	w := newTestWorld()
 	q := w.chain(8, 4, 2, 6)
 	pNil, sNil := optCached(t, w, q, nil)

@@ -141,11 +141,10 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 }
 
 // dispatchOptimize routes cached requests through the plan cache; the
-// cacheless path is a direct call, keeping disabled-cache runs
-// byte-identical to a cacheless build.
+// cacheless path is a direct call.
 func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
 	o.Rendering = nil
-	if o.Opts.Cache.Enabled() {
+	if o.Opts.Cache != nil {
 		return o.cachedOptimize(ctx, tree, req)
 	}
 	return o.optimizeContext(ctx, tree, req)

@@ -1,5 +1,5 @@
 # Neutrality-guard comparator shared by the Makefile's `guard` macro
-# (bench-guard, cache-guard, flight-guard). Reads `go test -bench` output for a guard benchmark
+# (bench-guard, flight-guard). Reads `go test -bench` output for a guard benchmark
 # shaped Benchmark<X>Guard/<workload>/<mode>-N with modes off (feature
 # absent), disabled (attached but inert) and on (fully enabled). The
 # Make targets run the whole off/disabled/on pass several times and
