@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race examples figures bench-test bench-smoke bench-guard flight-guard rulecheck-guard fuzz-smoke cover loc ci experiments samebytes clean
+.PHONY: all build vet test race examples figures bench-test bench-smoke bench-guard rulecheck-guard fuzz-smoke cover loc ci experiments samebytes clean
 
 all: ci
 
@@ -51,45 +51,32 @@ bench-test:
 bench-smoke:
 	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges|SearchCold' -benchmem -benchtime 3x .
 
-# Neutrality guards: run a feature's micro-benchmarks with the feature
-# absent ("off") and attached-but-disabled ("disabled"), and fail if the
-# disabled path costs more than GUARD_PCT percent — the feature must be
-# free when nobody is using it. The fully enabled path ("on") is
-# reported informationally. The whole off/disabled/on pass is repeated
-# BENCH_COUNT times and the minimum ns/op per mode compared (the
-# comparison lives in scripts/guard.awk, shared by all guards). The
-# repetition is a shell loop rather than `-count` on purpose: -count
-# runs all samples of one mode back to back, so slow machine-throughput
-# drift reads as systematic mode overhead; interleaving whole passes
-# puts each mode's minimum in comparable conditions. The guards time
-# only: `race` has already run every package's tests under the race
-# detector by the time `ci` reaches them.
+# Neutrality guard: observability instrumentation with every sink
+# disabled must be indistinguishable from no instrumentation at all. It
+# runs the ObsGuard micro-benchmarks with the instrumentation absent
+# ("off") and attached-but-disabled ("disabled"), and fails if the
+# disabled path costs more than GUARD_PCT percent. The fully enabled
+# path ("on") is reported informationally. The whole off/disabled/on
+# pass is repeated BENCH_COUNT times (the comparison lives in
+# scripts/guard.awk). The repetition is a shell loop rather than
+# `-count` on purpose: -count runs all samples of one mode back to back,
+# so slow machine-throughput drift reads as systematic mode overhead;
+# interleaving whole passes puts each mode's samples in comparable
+# conditions. The guard times only: `race` has already run every
+# package's tests under the race detector by the time `ci` reaches it.
 GUARD_PCT ?= 2
 BENCH_COUNT ?= 5
 
-# $(call guard,<target>,<benchmark regexp>,<-benchtime>,<package>)
-define guard
-@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-for i in $$(seq $(BENCH_COUNT)); do \
-	$(GO) test -run 'XXX' -bench '$(2)' -benchtime $(3) $(4) | tee -a "$$out" || exit 1; \
-done && \
-awk -v pct=$(GUARD_PCT) -v guard=$(1) -f scripts/guard.awk "$$out"
-endef
-
-# Observability: instrumentation with every sink disabled must be
-# indistinguishable from no instrumentation at all.
 bench-guard:
-	$(call guard,bench-guard,ObsGuard,200x,.)
-
-# Flight recorder: a disabled recorder handle on the serving path must
-# be indistinguishable from no recorder at all (TestFlightNeutral checks
-# that the answers are identical).
-flight-guard:
-	$(call guard,flight-guard,FlightGuard,50x,./internal/server)
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	for i in $$(seq $(BENCH_COUNT)); do \
+		$(GO) test -run 'XXX' -bench 'ObsGuard' -benchtime 200x . | tee -a "$$out" || exit 1; \
+	done && \
+	awk -v pct=$(GUARD_PCT) -v guard=bench-guard -f scripts/guard.awk "$$out"
 
 # Rule-correctness guard: the per-rule differential verifier must give
-# every trans_rule of every shipped rule set a "verified" verdict (or an
-# explicit waiver), and the mutation-testing mode must kill at least 95%
+# every trans_rule of every served rule set a "verified" verdict, and
+# the mutation-testing mode must kill at least 95%
 # of seeded rule corruptions (internal/rulecheck; DESIGN.md §4.14).
 rulecheck-guard:
 	$(GO) test -run 'TestShippedRuleSetsVerified|TestMutationKillRate' -timeout 300s ./internal/rulecheck
@@ -129,7 +116,7 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-ci: vet build examples race bench-test bench-smoke bench-guard flight-guard rulecheck-guard fuzz-smoke cover
+ci: vet build examples race bench-test bench-smoke bench-guard rulecheck-guard fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

@@ -337,7 +337,7 @@ func BenchmarkSearchCold(b *testing.B) {
 // count, the six queries and the winning plan of each.
 func execPlans(tb testing.TB, rows int) (db *data.DB, props exec.Props, specs []server.QuerySpec, trees, plans []*core.Expr) {
 	tb.Helper()
-	w := server.OODBVolcanoWorld(qgen.Catalog(8, 101, false), 8)
+	w := server.OODBVolcanoWorld(oodb.New(qgen.Catalog(8, 101, false)), 8)
 	specs = []server.QuerySpec{
 		{Family: "E1", N: 4}, {Family: "E1", N: 6}, {Family: "E1", N: 8},
 		{Family: "E2", N: 3}, {Family: "E2", N: 4}, {Family: "E4", N: 3},

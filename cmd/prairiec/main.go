@@ -42,6 +42,7 @@ import (
 	"prairie/internal/p2v"
 	"prairie/internal/prairielang"
 	"prairie/internal/rulecheck"
+	"prairie/internal/server"
 	"prairie/internal/volcano"
 )
 
@@ -99,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *verify {
 		// Real implementations where the spec declares the example
 		// helpers; the stubs stay for anything else.
-		for name, fn := range rulecheck.DSLHelpers() {
+		for name, fn := range server.DSLHelpers() {
 			if _, ok := impls[name]; ok {
 				impls[name] = fn
 			}
@@ -121,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		var rep *rulecheck.Report
-		phase("verify", func() { rep = rulecheck.Verify(w, rulecheck.Options{}) })
+		phase("verify", func() { rep = rulecheck.Verify(w) })
 		js, err := rep.JSON()
 		if err != nil {
 			return fail(err)

@@ -37,14 +37,10 @@ func RuleCheck(opts Options) (*Table, error) {
 		Extra:  map[string]float64{},
 	}
 	for _, w := range worlds {
-		rep := rulecheck.Verify(w, rulecheck.Options{})
+		rep := rulecheck.Verify(w)
 		for _, v := range rep.Verdicts {
-			status := v.Status
-			if v.Waiver != "" {
-				status += " (waived)"
-			}
 			t.Rows = append(t.Rows, []string{
-				w.Name, v.Rule, v.Origin, status,
+				w.Name, v.Rule, v.Origin, v.Status,
 				strconv.Itoa(v.Sites), strconv.Itoa(v.Checks),
 			})
 		}
@@ -57,7 +53,7 @@ func RuleCheck(opts Options) (*Table, error) {
 			t.Extra["counterexamples/"+w.Name] = float64(counterexamples)
 		}
 
-		mrep := rulecheck.MutationTest(w, rulecheck.Options{})
+		mrep := rulecheck.MutationTest(w)
 		notes = append(notes, fmt.Sprintf(
 			"%s: %d rules over %d trees; mutation: %d/%d killed (%d dropped), kill rate %.2f",
 			w.Name, rep.Rules, rep.Pool, mrep.Killed, mrep.Mutants-mrep.Dropped,

@@ -72,7 +72,7 @@ type ExecInfo struct {
 // fills it before Complete publishes it (an atomic store); it is
 // immutable afterwards, so the debug endpoints read it without locking.
 // Every method on a nil *RequestRecord is a no-op, so handler code stays
-// branch-free when the recorder is disabled.
+// branch-free when there is no recorder.
 type RequestRecord struct {
 	ID      string `json:"id"`       // this request's span id (16 hex)
 	TraceID string `json:"trace_id"` // W3C trace id (32 hex)
@@ -166,12 +166,12 @@ func (rec *RequestRecord) class(slowUS int64) string {
 	return ""
 }
 
-// FlightConfig tunes a FlightRecorder. The zero value is a valid
-// disabled handle (Capacity <= 0 records nothing).
+// FlightConfig tunes a FlightRecorder. A Capacity <= 0 makes no recorder
+// (NewFlightRecorderObserved returns nil).
 type FlightConfig struct {
 	// Capacity is the interesting-request ring size: the last Capacity
 	// slow, degraded, errored, or shed requests are always retained.
-	// <= 0 disables the recorder entirely.
+	// <= 0 means no recorder.
 	Capacity int
 	// SlowThreshold is the latency at or above which a clean request
 	// counts as slow (ring-retained); 0 = 250ms.
@@ -215,11 +215,16 @@ type FlightRecorder struct {
 // NewFlightRecorderObserved returns a recorder whose retention counters
 // are registered in reg (prairie_flight_*), so sampling behaviour shows
 // up on /metrics; a nil reg keeps standalone counters. cfg.Capacity <= 0
-// yields a disabled handle whose Begin returns nil records.
+// returns nil, the recorder that records nothing.
 func NewFlightRecorderObserved(cfg FlightConfig, reg *Registry) *FlightRecorder {
+	if cfg.Capacity <= 0 {
+		return nil
+	}
 	fr := &FlightRecorder{
 		cfg:         cfg,
 		slowUS:      cfg.slow().Microseconds(),
+		ring:        make([]atomic.Pointer[RequestRecord], cfg.Capacity),
+		res:         make([]atomic.Pointer[RequestRecord], cfg.sampleN()),
 		seed:        uint64(time.Now().UnixNano()) | 1,
 		completed:   &Counter{},
 		sampled:     &Counter{},
@@ -227,10 +232,6 @@ func NewFlightRecorderObserved(cfg FlightConfig, reg *Registry) *FlightRecorder 
 	}
 	for _, class := range []string{"slow", "degraded", "error", "shed"} {
 		fr.keptByClass[class] = &Counter{}
-	}
-	if cfg.Capacity > 0 {
-		fr.ring = make([]atomic.Pointer[RequestRecord], cfg.Capacity)
-		fr.res = make([]atomic.Pointer[RequestRecord], cfg.sampleN())
 	}
 	if reg != nil {
 		fr.completed = reg.Counter("prairie_flight_completed_total")
@@ -241,9 +242,6 @@ func NewFlightRecorderObserved(cfg FlightConfig, reg *Registry) *FlightRecorder 
 	}
 	return fr
 }
-
-// Enabled reports whether the recorder retains anything. Nil-safe.
-func (fr *FlightRecorder) Enabled() bool { return fr != nil && fr.cfg.Capacity > 0 }
 
 // splitmix64 is the id/reservoir PRNG step (SplitMix64's finalizer) —
 // deterministic mixing over an atomic counter needs no locked state.
@@ -263,10 +261,10 @@ func (fr *FlightRecorder) rand() uint64 {
 
 // Begin opens a record for one request, honoring an inbound W3C
 // traceparent header (the caller joins that trace; otherwise a fresh
-// trace id is minted). Returns nil — a fully inert record — when the
-// recorder is disabled.
+// trace id is minted). Returns nil — a fully inert record — on the nil
+// recorder.
 func (fr *FlightRecorder) Begin(traceparent string) *RequestRecord {
-	if !fr.Enabled() {
+	if fr == nil {
 		return nil
 	}
 	rec := &RequestRecord{
@@ -285,7 +283,7 @@ func (fr *FlightRecorder) Begin(traceparent string) *RequestRecord {
 // degraded, errored, shed) go to the ring, normal ones through the
 // reservoir. Nil-safe in both arguments' senses.
 func (fr *FlightRecorder) Complete(rec *RequestRecord) {
-	if !fr.Enabled() || rec == nil {
+	if fr == nil || rec == nil {
 		return
 	}
 	rec.ElapsedUS = time.Since(rec.Start).Microseconds()
@@ -316,7 +314,7 @@ func (fr *FlightRecorder) Complete(rec *RequestRecord) {
 
 // Get returns the retained record with the given id.
 func (fr *FlightRecorder) Get(id string) (*RequestRecord, bool) {
-	if !fr.Enabled() {
+	if fr == nil {
 		return nil, false
 	}
 	for _, slots := range [2][]atomic.Pointer[RequestRecord]{fr.ring, fr.res} {

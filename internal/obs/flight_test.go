@@ -18,39 +18,40 @@ func completeOK(fr *FlightRecorder, rec *RequestRecord) {
 	fr.Complete(rec)
 }
 
-// TestFlightDisabled: a zero-capacity recorder is a valid inert handle —
-// Begin yields nil records, every record method is a nil-safe no-op, and
-// the debug endpoints are not mounted.
+// TestFlightDisabled: a recorder of capacity <= 0 is nil, the only
+// recorder that is off — Begin yields nil records, every record method
+// is a nil-safe no-op, and the debug endpoints are not mounted.
 func TestFlightDisabled(t *testing.T) {
-	for _, fr := range []*FlightRecorder{nil, NewFlightRecorderObserved(FlightConfig{}, nil)} {
-		if fr.Enabled() {
-			t.Fatal("disabled recorder reports Enabled")
-		}
-		rec := fr.Begin("")
-		if rec != nil {
-			t.Fatal("disabled Begin returned a record")
-		}
-		// The full nil-record surface must be inert.
-		rec.SetRequestInfo("w", "q", "b")
-		rec.SetAdmissionWait(time.Millisecond)
-		rec.SetOptimize(time.Millisecond)
-		rec.SetCache("hit", 1)
-		rec.SetSearch(SearchInfo{})
-		rec.SetExec(ExecInfo{})
-		if rec.TraceParent() != "" {
-			t.Fatal("nil record leaked state")
-		}
-		fr.Complete(rec)
-		if _, ok := fr.Get("anything"); ok {
-			t.Fatal("disabled recorder retained a record")
+	for _, capacity := range []int{0, -1} {
+		if fr := NewFlightRecorderObserved(FlightConfig{Capacity: capacity}, NewRegistry()); fr != nil {
+			t.Fatalf("capacity %d made a recorder", capacity)
 		}
 	}
+	var fr *FlightRecorder
+	rec := fr.Begin("")
+	if rec != nil {
+		t.Fatal("the nil recorder's Begin returned a record")
+	}
+	// The full nil-record surface must be inert.
+	rec.SetRequestInfo("w", "q", "b")
+	rec.SetAdmissionWait(time.Millisecond)
+	rec.SetOptimize(time.Millisecond)
+	rec.SetCache("hit", 1)
+	rec.SetSearch(SearchInfo{})
+	rec.SetExec(ExecInfo{})
+	if rec.TraceParent() != "" {
+		t.Fatal("nil record leaked state")
+	}
+	fr.Complete(rec)
+	if _, ok := fr.Get("anything"); ok {
+		t.Fatal("the nil recorder retained a record")
+	}
 
-	mux := NewMux(NewRegistry(), NewFlightRecorderObserved(FlightConfig{}, nil))
+	mux := NewMux(NewRegistry(), nil)
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/debug/requests", nil))
 	if rr.Code != http.StatusNotFound {
-		t.Fatalf("disabled recorder mounted /v1/debug/requests: status %d", rr.Code)
+		t.Fatalf("no recorder, yet /v1/debug/requests is mounted: status %d", rr.Code)
 	}
 }
 

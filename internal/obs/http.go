@@ -8,7 +8,7 @@ import (
 
 // NewMux builds the exposition surface: Prometheus text at /metrics,
 // the standard net/http/pprof handlers under /debug/pprof/, and — when
-// an enabled flight recorder is attached — the retained request records
+// fr is not nil — the retained request records
 // at /v1/debug/requests (index) and /v1/debug/requests/{id} (full
 // record).
 func NewMux(reg *Registry, fr *FlightRecorder) *http.ServeMux {
@@ -22,7 +22,7 @@ func NewMux(reg *Registry, fr *FlightRecorder) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if fr.Enabled() {
+	if fr != nil {
 		mux.HandleFunc("/v1/debug/requests", fr.handleIndex)
 		mux.HandleFunc("/v1/debug/requests/", fr.handleGet)
 	}
@@ -34,7 +34,7 @@ func NewMux(reg *Registry, fr *FlightRecorder) *http.ServeMux {
 		fmt.Fprintln(w, "prairie observability endpoints:")
 		fmt.Fprintln(w, "  /metrics")
 		fmt.Fprintln(w, "  /debug/pprof/")
-		if fr.Enabled() {
+		if fr != nil {
 			fmt.Fprintln(w, "  /v1/debug/requests")
 		}
 	})

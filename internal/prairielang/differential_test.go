@@ -13,7 +13,7 @@ import (
 	"prairie/internal/prairielang"
 	"prairie/internal/qgen"
 	"prairie/internal/relopt"
-	"prairie/internal/rulecheck"
+	"prairie/internal/server"
 	"prairie/internal/volcano"
 )
 
@@ -274,7 +274,7 @@ func TestDifferentialRelational(t *testing.T) {
 		name, src string
 		impls     map[string]prairielang.HelperImpl
 	}{
-		{"dslrules", string(example), rulecheck.DSLHelpers()},
+		{"dslrules", string(example), server.DSLHelpers()},
 		{"miniSpec", prairielang.MiniSpec, prairielang.MiniImpls()},
 	} {
 		t.Run(spec.name, func(t *testing.T) {

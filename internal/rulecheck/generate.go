@@ -14,39 +14,25 @@ import (
 // bounded depth, so each rule is verified against everything the search
 // engine could actually feed it.
 
-// poolLimits bounds derivation: levels beyond the seeds, new trees kept
-// per level, and total pool size. The defaults close the shipped rule
-// sets (every rule exercised) while keeping oracle runs cheap.
-type poolLimits struct {
-	Depth    int
-	PerLevel int
-	Total    int
-}
-
-func (l poolLimits) withDefaults() poolLimits {
-	if l.Depth == 0 {
-		l.Depth = 2
-	}
-	if l.PerLevel == 0 {
-		l.PerLevel = 200
-	}
-	if l.Total == 0 {
-		l.Total = 500
-	}
-	return l
-}
+// Derivation bounds: levels beyond the seeds, new trees kept per level,
+// and total pool size. They close the shipped rule sets (every rule
+// exercised) while keeping oracle runs cheap.
+const (
+	poolDepth    = 2
+	poolPerLevel = 200
+	poolTotal    = 500
+)
 
 // derivePool returns the seeds closed under trans-rule application up to
-// the limits, deduplicated structurally (operators, files, and
+// the bounds, deduplicated structurally (operators, files, and
 // descriptor contents — String() alone would merge trees that differ
 // only in predicates) and sorted smallest-first, so verification finds
 // minimal counterexamples before larger ones.
-func derivePool(w *World, limits poolLimits) []*core.Expr {
-	limits = limits.withDefaults()
+func derivePool(w *World) []*core.Expr {
 	seen := map[string]bool{}
 	var pool []*core.Expr
 	add := func(t *core.Expr) bool {
-		if len(pool) >= limits.Total {
+		if len(pool) >= poolTotal {
 			return false
 		}
 		key := t.Format()
@@ -61,12 +47,12 @@ func derivePool(w *World, limits poolLimits) []*core.Expr {
 		add(s)
 	}
 	level := append([]*core.Expr{}, pool...)
-	for d := 0; d < limits.Depth && len(level) > 0; d++ {
+	for d := 0; d < poolDepth && len(level) > 0; d++ {
 		var next []*core.Expr
 		for _, t := range level {
 			for _, r := range w.RS.Trans {
 				for _, rw := range w.RS.ApplyRule(r, t) {
-					if len(next) >= limits.PerLevel {
+					if len(next) >= poolPerLevel {
 						break
 					}
 					if add(rw) {

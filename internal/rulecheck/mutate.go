@@ -254,7 +254,7 @@ func (v *verifier) runMutant(pristine *volcano.TransRule, mu Mutant) MutantResul
 				res.Counter = ce
 				return res
 			}
-			if sites >= v.opts.MaxSites {
+			if sites >= maxSites {
 				res.Sites = sites
 				res.Status = MutantSurvived
 				return res
@@ -274,8 +274,8 @@ func (v *verifier) runMutant(pristine *volcano.TransRule, mu Mutant) MutantResul
 // deterministic ways and reports how many corruptions the verifier
 // kills. Degenerate mutants (corruptions that never change a rewrite)
 // are dropped from the rate's denominator.
-func MutationTest(w *World, opts Options) *MutationReport {
-	v := newVerifier(w, opts)
+func MutationTest(w *World) *MutationReport {
+	v := newVerifier(w)
 	rep := &MutationReport{World: w.Name}
 	for _, r := range w.RS.Trans {
 		for _, mu := range mutantsOf(w.RS, r) {

@@ -10,37 +10,17 @@ import (
 	"prairie/internal/volcano"
 )
 
-// Options tunes a verification run. The zero value is a full run with
-// the defaults below.
-type Options struct {
-	// Rows caps generated rows per table (default 16). Verification
-	// catalogs are generated small (card 16..32) so joins and
-	// selections produce non-empty results the oracle can distinguish.
-	Rows int
-	// DataSeeds are the database instances each exercised site is
-	// executed over (default 101, 202).
-	DataSeeds []int64
-	// MaxSites caps the exercised application sites checked per rule
-	// (default 8); sites are visited smallest-tree-first.
-	MaxSites int
-	// Waivers documents rules that are accepted without a verified
-	// verdict (rule name -> reason). A waived rule still reports its
-	// factual status; Report.Ok treats it as acceptable.
-	Waivers map[string]string
-}
+// A verification run executes each exercised application site over the
+// databases dataSeeds generate, at most maxRows rows per table, and
+// checks at most maxSites sites per rule, visited smallest tree first.
+// Verification catalogs are generated small (card 16..32) so joins and
+// selections produce non-empty results the oracle can distinguish.
+const (
+	maxRows  = 16
+	maxSites = 8
+)
 
-func (o Options) withDefaults() Options {
-	if o.Rows == 0 {
-		o.Rows = 16
-	}
-	if len(o.DataSeeds) == 0 {
-		o.DataSeeds = []int64{101, 202}
-	}
-	if o.MaxSites == 0 {
-		o.MaxSites = 8
-	}
-	return o
-}
+var dataSeeds = [...]int64{101, 202}
 
 // Verdict statuses.
 const (
@@ -56,10 +36,8 @@ type Verdict struct {
 	Status string `json:"status"`
 	// Sites counts application sites where the rule's condition held;
 	// Checks counts executed differential comparisons.
-	Sites  int `json:"sites"`
-	Checks int `json:"checks"`
-	// Waiver carries the documented reason when the rule is waived.
-	Waiver  string          `json:"waiver,omitempty"`
+	Sites   int             `json:"sites"`
+	Checks  int             `json:"checks"`
 	Counter *Counterexample `json:"counterexample,omitempty"`
 }
 
@@ -89,7 +67,7 @@ type Report struct {
 }
 
 // Counts returns the number of verified / unexercised / counterexample
-// verdicts (waived rules count under their factual status).
+// verdicts.
 func (r *Report) Counts() (verified, unexercised, counterexamples int) {
 	for _, v := range r.Verdicts {
 		switch v.Status {
@@ -104,10 +82,10 @@ func (r *Report) Counts() (verified, unexercised, counterexamples int) {
 	return
 }
 
-// Ok reports whether every rule is verified or explicitly waived.
+// Ok reports whether every rule is verified.
 func (r *Report) Ok() bool {
 	for _, v := range r.Verdicts {
-		if v.Status != StatusVerified && v.Waiver == "" {
+		if v.Status != StatusVerified {
 			return false
 		}
 	}
@@ -126,7 +104,6 @@ func (r *Report) JSON() (string, error) {
 // verifier carries one run's derived pool and database cache.
 type verifier struct {
 	w    *World
-	opts Options
 	pool []*core.Expr
 	dbs  map[dbKey]*data.DB
 }
@@ -136,13 +113,8 @@ type dbKey struct {
 	rows int
 }
 
-func newVerifier(w *World, opts Options) *verifier {
-	return &verifier{
-		w:    w,
-		opts: opts.withDefaults(),
-		pool: derivePool(w, poolLimits{}),
-		dbs:  map[dbKey]*data.DB{},
-	}
+func newVerifier(w *World) *verifier {
+	return &verifier{w: w, pool: derivePool(w), dbs: map[dbKey]*data.DB{}}
 }
 
 func (v *verifier) db(seed int64, rows int) *data.DB {
@@ -156,7 +128,7 @@ func (v *verifier) db(seed int64, rows int) *data.DB {
 }
 
 func (v *verifier) eval(tree *core.Expr, seed int64, rows int) (*exec.Result, error) {
-	n := &exec.Naive{DB: v.db(seed, rows), P: v.w.Props}
+	n := &exec.Naive{DB: v.db(seed, rows), P: v.w.ExecProps}
 	return n.Eval(tree)
 }
 
@@ -165,15 +137,15 @@ func (v *verifier) eval(tree *core.Expr, seed int64, rows int) (*exec.Result, er
 // when the bags agree everywhere) and how many comparisons ran.
 func (v *verifier) checkSite(tree, rewritten *core.Expr) (*Counterexample, int) {
 	checks := 0
-	for _, seed := range v.opts.DataSeeds {
-		orig, err := v.eval(tree, seed, v.opts.Rows)
+	for _, seed := range dataSeeds {
+		orig, err := v.eval(tree, seed, maxRows)
 		if err != nil {
 			// The original tree must execute; a pool tree that cannot
 			// is a generation bug, not a rule bug — skip it.
 			continue
 		}
 		checks++
-		rw, err := v.eval(rewritten, seed, v.opts.Rows)
+		rw, err := v.eval(rewritten, seed, maxRows)
 		if err != nil || !exec.SameBag(orig, rw) {
 			return v.minimize(tree, rewritten, seed), checks
 		}
@@ -183,15 +155,10 @@ func (v *verifier) checkSite(tree, rewritten *core.Expr) (*Counterexample, int) 
 
 // minimize shrinks a failing instance: it walks the row-cap ladder from
 // the smallest database up and reports the first divergence (the
-// original failure at Options.Rows guarantees the ladder ends in one).
+// original failure at maxRows guarantees the ladder ends in one).
 func (v *verifier) minimize(tree, rewritten *core.Expr, seed int64) *Counterexample {
 	const diffCap = 6
-	ladder := []int{2, 3, 4, 6, 8, 12}
-	ladder = append(ladder, v.opts.Rows)
-	for _, rows := range ladder {
-		if rows > v.opts.Rows {
-			continue
-		}
+	for _, rows := range [...]int{2, 3, 4, 6, 8, 12, maxRows} {
 		orig, err := v.eval(tree, seed, rows)
 		if err != nil {
 			continue
@@ -220,7 +187,7 @@ func (v *verifier) minimize(tree, rewritten *core.Expr, seed int64) *Counterexam
 		Query:     tree.String(),
 		Rewritten: rewritten.String(),
 		DataSeed:  seed,
-		Rows:      v.opts.Rows,
+		Rows:      maxRows,
 		Err:       "divergence did not reproduce during minimization",
 	}
 }
@@ -248,7 +215,7 @@ func (v *verifier) checkRule(r *volcano.TransRule) (sites, checks int, counter *
 			if ce != nil {
 				return sites, checks, ce
 			}
-			if sites >= v.opts.MaxSites {
+			if sites >= maxSites {
 				return sites, checks, nil
 			}
 		}
@@ -258,8 +225,8 @@ func (v *verifier) checkRule(r *volcano.TransRule) (sites, checks int, counter *
 
 // Verify runs the per-rule differential verifier over every trans_rule
 // of the world's rule set and returns the verdict table.
-func Verify(w *World, opts Options) *Report {
-	v := newVerifier(w, opts)
+func Verify(w *World) *Report {
+	v := newVerifier(w)
 	rep := &Report{World: w.Name, Rules: len(w.RS.Trans), Pool: len(v.pool)}
 	for _, r := range w.RS.Trans {
 		sites, checks, ce := v.checkRule(r)
@@ -278,9 +245,6 @@ func Verify(w *World, opts Options) *Report {
 		default:
 			vd.Status = StatusVerified
 		}
-		if reason, ok := v.opts.Waivers[r.Name]; ok {
-			vd.Waiver = reason
-		}
 		rep.Verdicts = append(rep.Verdicts, vd)
 	}
 	return rep
@@ -291,9 +255,6 @@ func (r *Report) Summary() string {
 	s := fmt.Sprintf("world %s: %d rules over %d generated trees\n", r.World, r.Rules, r.Pool)
 	for _, v := range r.Verdicts {
 		s += fmt.Sprintf("  %-24s %-15s sites=%d checks=%d", v.Rule, v.Status, v.Sites, v.Checks)
-		if v.Waiver != "" {
-			s += " (waived: " + v.Waiver + ")"
-		}
 		if v.Counter != nil {
 			s += "\n    counterexample: " + v.Counter.Query + "  =>  " + v.Counter.Rewritten
 		}

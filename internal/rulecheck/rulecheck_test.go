@@ -2,8 +2,12 @@ package rulecheck
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
+
+	"prairie/internal/server"
+	"prairie/internal/volcano"
 )
 
 func dslSource(t *testing.T) string {
@@ -31,7 +35,7 @@ func TestShippedRuleSetsVerified(t *testing.T) {
 	for _, w := range shippedWorlds(t) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			rep := Verify(w, Options{})
+			rep := Verify(w)
 			if !rep.Ok() {
 				t.Errorf("world %s not fully verified:\n%s", w.Name, rep.Summary())
 			}
@@ -42,11 +46,44 @@ func TestShippedRuleSetsVerified(t *testing.T) {
 	}
 }
 
+// TestEveryServedWorldIsVerified: the verifier checks one world per
+// world the server serves, and each carries the served world's
+// trans_rules — names and origins, in order.
+func TestEveryServedWorldIsVerified(t *testing.T) {
+	src := dslSource(t)
+	reg, err := server.DefaultRegistry(worldN, 7, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := shippedWorlds(t)
+	var names []string
+	for _, w := range worlds {
+		names = append(names, w.Name)
+	}
+	slices.Sort(names)
+	if !slices.Equal(names, reg.Names()) {
+		t.Fatalf("verified worlds %v, served worlds %v", names, reg.Names())
+	}
+	rules := func(rs *volcano.RuleSet) []string {
+		var out []string
+		for _, r := range rs.Trans {
+			out = append(out, r.Name+" "+r.Origin)
+		}
+		return out
+	}
+	for _, w := range worlds {
+		served, _ := reg.Lookup(w.Name)
+		if got, want := rules(w.RS), rules(served.RS); !slices.Equal(got, want) {
+			t.Errorf("%s: verified trans_rules %q, served %q", w.Name, got, want)
+		}
+	}
+}
+
 // TestVerifyReportShape checks the JSON verdict table renders and carries
 // the fields downstream tooling reads.
 func TestVerifyReportShape(t *testing.T) {
 	worlds := shippedWorlds(t)
-	rep := Verify(worlds[0], Options{})
+	rep := Verify(worlds[0])
 	js, err := rep.JSON()
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
@@ -69,7 +106,7 @@ func TestOriginPropagates(t *testing.T) {
 		if w.Name != "dsl" {
 			continue
 		}
-		rep := Verify(w, Options{MaxSites: 1, DataSeeds: []int64{101}})
+		rep := Verify(w)
 		for _, v := range rep.Verdicts {
 			if !strings.HasPrefix(v.Origin, "spec:") {
 				t.Errorf("rule %s: origin %q, want spec:<pos>", v.Rule, v.Origin)
@@ -86,7 +123,7 @@ func TestOriginPropagates(t *testing.T) {
 func TestMutationKillRate(t *testing.T) {
 	var mutants, killed, dropped int
 	for _, w := range shippedWorlds(t) {
-		rep := MutationTest(w, Options{})
+		rep := MutationTest(w)
 		mutants += rep.Mutants
 		killed += rep.Killed
 		dropped += rep.Dropped

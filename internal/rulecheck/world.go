@@ -22,20 +22,16 @@ import (
 	"prairie/internal/exec"
 	"prairie/internal/oodb"
 	"prairie/internal/p2v"
-	"prairie/internal/prairielang"
 	"prairie/internal/qgen"
 	"prairie/internal/relopt"
-	"prairie/internal/volcano"
+	"prairie/internal/server"
 )
 
-// World is one rule set under verification: the compiled rules, the
-// catalog its queries range over, the exec-property mapping the oracle
-// needs, and the seed trees pattern-directed generation starts from.
+// World is one served world under verification — the rule set, catalog
+// and exec-property mapping the server builds (internal/server) — with
+// the seed trees pattern-directed generation starts from.
 type World struct {
-	Name  string
-	RS    *volcano.RuleSet
-	Cat   *catalog.Catalog
-	Props exec.Props
+	*server.World
 	Seeds []*core.Expr
 }
 
@@ -61,52 +57,31 @@ func verifyCatalog(seed int64, indexed bool) *catalog.Catalog {
 	})
 }
 
-// OODBVolcanoWorld builds the hand-coded OODB optimizer world.
+// OODBVolcanoWorld builds the server's hand-coded OODB optimizer world
+// over a verification catalog.
 func OODBVolcanoWorld(seed int64) (*World, error) {
-	cat := verifyCatalog(seed, false)
-	o := oodb.New(cat)
-	w := &World{
-		Name: "oodb/volcano",
-		RS:   o.VolcanoRules(),
-		Cat:  cat,
-		Props: exec.Props{
-			Ord: o.Ord, JP: o.JP, SP: o.SP, PA: o.PA, MA: o.MA, UA: o.UA,
-		},
-	}
-	if err := addOODBSeeds(w, o); err != nil {
-		return nil, err
-	}
-	return w, nil
+	o := oodb.New(verifyCatalog(seed, false))
+	return oodbSeeds(server.OODBVolcanoWorld(o, worldN), o)
 }
 
-// OODBPrairieWorld builds the Prairie-specified OODB optimizer world
-// (compiled by prairielang, translated by P2V).
+// OODBPrairieWorld builds the server's Prairie-specified OODB optimizer
+// world (compiled by prairielang, translated by P2V) over a verification
+// catalog.
 func OODBPrairieWorld(seed int64) (*World, error) {
-	cat := verifyCatalog(seed, false)
-	o := oodb.New(cat)
-	vrs, _, err := p2v.Translate(o.PrairieRules())
+	o := oodb.New(verifyCatalog(seed, false))
+	sw, err := server.OODBPrairieWorld(o, worldN)
 	if err != nil {
 		return nil, err
 	}
-	w := &World{
-		Name: "oodb/prairie",
-		RS:   vrs,
-		Cat:  cat,
-		Props: exec.Props{
-			Ord: o.Ord, JP: o.JP, SP: o.SP, PA: o.PA, MA: o.MA, UA: o.UA,
-		},
-	}
-	if err := addOODBSeeds(w, o); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return oodbSeeds(sw, o)
 }
 
-// addOODBSeeds fills the world with the paper's E1–E4 families at widths
+// oodbSeeds seeds sw with the paper's E1–E4 families over o at widths
 // 1..3 plus the pattern-directed shapes the families never produce: the
 // pointer-equality join (join_to_mat) and the UNNEST shapes
 // (unnest_mat_commute).
-func addOODBSeeds(w *World, o *oodb.Opt) error {
+func oodbSeeds(sw *server.World, o *oodb.Opt) (*World, error) {
+	w := &World{World: sw}
 	add := func(tree *core.Expr, err error) error {
 		if err != nil {
 			return err
@@ -120,40 +95,35 @@ func addOODBSeeds(w *World, o *oodb.Opt) error {
 				continue // E1 n=1 is a bare RET; nothing matches it
 			}
 			if err := add(qgen.Build(o, e, n)); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 	if err := add(qgen.BuildGraph(o, qgen.E1, worldN, qgen.Star)); err != nil {
-		return err
+		return nil, err
 	}
 	if err := add(qgen.BuildRefJoin(o, 1)); err != nil {
-		return err
+		return nil, err
 	}
 	if err := add(qgen.BuildUnnest(o, 1, true)); err != nil {
-		return err
+		return nil, err
 	}
-	return add(qgen.BuildUnnest(o, 1, false))
+	if err := add(qgen.BuildUnnest(o, 1, false)); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
-// RelationalWorld builds the paper's running-example relational
-// optimizer world (Prairie-specified, P2V-translated).
+// RelationalWorld builds the server's running-example relational
+// optimizer world (Prairie-specified, P2V-translated) over a verification
+// catalog.
 func RelationalWorld(seed int64) (*World, error) {
-	cat := verifyCatalog(seed, true)
-	o := relopt.New(cat)
-	vrs, _, err := p2v.Translate(o.PrairieRules())
+	o := relopt.New(verifyCatalog(seed, true))
+	sw, err := server.RelationalWorld(o, worldN)
 	if err != nil {
 		return nil, err
 	}
-	w := &World{
-		Name: "relational",
-		RS:   vrs,
-		Cat:  cat,
-		Props: exec.Props{
-			Ord: o.Ord, JP: o.JP, SP: o.SP,
-			PA: core.NoProp, MA: core.NoProp, UA: core.NoProp,
-		},
-	}
+	w := &World{World: sw}
 	for n := 2; n <= worldN; n++ {
 		for _, sel := range []bool{false, true} {
 			names := make([]string, n)
@@ -170,27 +140,11 @@ func RelationalWorld(seed int64) (*World, error) {
 	return w, nil
 }
 
-// DSLHelpers are the helper implementations the examples/dslrules
-// specification imports. This is the canonical copy; the server's world
-// registry uses the same map.
-func DSLHelpers() map[string]prairielang.HelperImpl {
-	return map[string]prairielang.HelperImpl{
-		"nlogn": func(args []core.Value) (core.Value, error) {
-			n := math.Max(float64(args[0].(core.Float)), 1)
-			return core.Float(n * math.Log2(n+1)), nil
-		},
-		"order_within": func(args []core.Value) (core.Value, error) {
-			ord := args[0].(core.Order)
-			return core.Bool(ord.Within(args[1].(core.Attrs))), nil
-		},
-	}
-}
-
 // DSLWorld makes a verification world of a rule set compiled from a
 // textual Prairie specification. The synthetic relations R1..Rn carry a
 // single join attribute "a", mirroring the server's DSL world, but here
 // backed by a real catalog so the oracle can execute against generated
-// rows.
+// rows — which the server's world has not, so this world is built here.
 func DSLWorld(rs *core.RuleSet) (*World, error) {
 	vrs, _, err := p2v.Translate(rs)
 	if err != nil {
@@ -215,16 +169,16 @@ func DSLWorld(rs *core.RuleSet) (*World, error) {
 	if !okNR || !okAT || !okJP {
 		return nil, fmt.Errorf("rulecheck: DSL verification needs num_records, attributes, and join_predicate properties")
 	}
-	w := &World{
+	w := &World{World: &server.World{
 		Name: "dsl",
 		RS:   vrs,
 		Cat:  cat,
-		Props: exec.Props{
+		ExecProps: exec.Props{
 			Ord: lookupOrNo(ps, "tuple_order"), JP: jp,
 			SP: lookupOrNo(ps, "selection_predicate"),
 			PA: core.NoProp, MA: core.NoProp, UA: core.NoProp,
 		},
-	}
+	}}
 	ret := func(i int) *core.Expr {
 		name := fmt.Sprintf("R%d", i)
 		cl := cat.MustClass(name)
@@ -257,9 +211,9 @@ func lookupOrNo(ps *core.PropertySet, name string) core.PropID {
 	return core.NoProp
 }
 
-// ShippedWorlds builds the verification worlds for every shipped rule
-// set: both OODB flavors, the relational optimizer, and the DSL example
-// (from its embedded source).
+// ShippedWorlds builds the verification worlds for every world the
+// server serves: both OODB flavors, the relational optimizer, and — when
+// dslSrc is non-empty — the DSL world, compiled as the server compiles it.
 func ShippedWorlds(seed int64, dslSrc string) ([]*World, error) {
 	ov, err := OODBVolcanoWorld(seed)
 	if err != nil {
@@ -275,7 +229,7 @@ func ShippedWorlds(seed int64, dslSrc string) ([]*World, error) {
 	}
 	worlds := []*World{ov, op, rel}
 	if dslSrc != "" {
-		rs, err := prairielang.ParseAndCompile(dslSrc, DSLHelpers())
+		rs, err := server.CompileDSL(dslSrc)
 		if err != nil {
 			return nil, err
 		}

@@ -54,9 +54,9 @@ type Config struct {
 	// registry.
 	Obs *obs.Observer
 	// Flight is the request flight recorder behind /v1/debug/requests.
-	// nil — or a zero-capacity recorder — disables all per-request
-	// recording, keeping the request path byte-identical to a build
-	// without the recorder.
+	// nil is the only off: it disables all per-request recording,
+	// keeping the request path byte-identical to a build without the
+	// recorder.
 	Flight *obs.FlightRecorder
 	// Log receives structured request/drain logs; nil disables logging.
 	Log *obs.Logger
@@ -215,7 +215,7 @@ func New(cfg Config) (*Server, error) {
 		})
 	}
 	paths := []string{"/metrics", "/debug/pprof/"}
-	if cfg.Flight.Enabled() {
+	if cfg.Flight != nil {
 		paths = append(paths, "/v1/debug/requests", "/v1/debug/requests/")
 	}
 	for _, p := range paths {
@@ -417,7 +417,7 @@ func (s *Server) recordPanic(rec *obs.RequestRecord) {
 }
 
 // record begins the flight record of one request and stamps the
-// correlation headers; nil when the recorder is disabled.
+// correlation headers; nil when there is no recorder.
 func (s *Server) record(w http.ResponseWriter, r *http.Request, endpoint string) *obs.RequestRecord {
 	rec := s.cfg.Flight.Begin(r.Header.Get("traceparent"))
 	if rec == nil {

@@ -12,6 +12,7 @@ import (
 
 	"prairie/internal/core"
 	"prairie/internal/obs"
+	"prairie/internal/oodb"
 	"prairie/internal/qgen"
 	"prairie/internal/volcano"
 )
@@ -439,7 +440,7 @@ func TestPanicIsolation(t *testing.T) {
 			panic("synthetic build failure")
 		},
 	})
-	hook := OODBVolcanoWorld(qgen.Catalog(4, 101, false), 4)
+	hook := OODBVolcanoWorld(oodb.New(qgen.Catalog(4, 101, false)), 4)
 	hook.Name = "hook"
 	for _, r := range hook.RS.Trans {
 		r.Cond = func(*volcano.TBinding) bool { panic("injected rule-hook failure") }

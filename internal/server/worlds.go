@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -16,7 +17,6 @@ import (
 	"prairie/internal/prairielang"
 	"prairie/internal/qgen"
 	"prairie/internal/relopt"
-	"prairie/internal/rulecheck"
 	"prairie/internal/volcano"
 )
 
@@ -138,60 +138,33 @@ func (w *World) prepared(q QuerySpec, epoch uint64) (*core.Expr, *core.Descripto
 	return tree, want, nil
 }
 
-// OODBVolcanoWorld builds the hand-coded OODB optimizer over a catalog
-// of maxN classes.
-func OODBVolcanoWorld(cat *catalog.Catalog, maxN int) *World {
-	return oodbVolcanoWorld(oodb.New(cat), maxN)
-}
-
-// oodbVolcanoWorld builds the world on o's algebra alone: its rules and
-// Build close over a copy of o without the compiled specification, which
-// they never read.
-func oodbVolcanoWorld(o *oodb.Opt, maxN int) *World {
-	o, cat := o.WithoutSpec(), o.Cat
-	w := &World{
-		Name: "oodb/volcano",
-		RS:   o.VolcanoRules(),
-		Cat:  cat,
-		ExecProps: exec.Props{
-			Ord: o.Ord, JP: o.JP, SP: o.SP, PA: o.PA, MA: o.MA, UA: o.UA,
-		},
-		MaxN: maxN,
-	}
-	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
-		if err := w.checkN(q.N); err != nil {
-			return nil, nil, err
-		}
-		e, err := qgen.ParseKind(q.Family)
-		if err != nil {
-			return nil, nil, err
-		}
-		g, err := parseGraph(q.Graph)
-		if err != nil {
-			return nil, nil, err
-		}
-		tree, err := qgen.BuildGraph(o, e, q.N, g)
-		if err != nil {
-			return nil, nil, err
-		}
-		return tree, core.NewDescriptor(o.Alg.Props), nil
-	}
-	return w
+// OODBVolcanoWorld builds the hand-coded OODB optimizer, serving queries
+// of up to maxN classes of o's catalog. Its rules and Build close over a
+// copy of o without the compiled specification, which they never read.
+func OODBVolcanoWorld(o *oodb.Opt, maxN int) *World {
+	o = o.WithoutSpec()
+	return oodbWorld("oodb/volcano", o, o.VolcanoRules(), nil, maxN)
 }
 
 // OODBPrairieWorld builds the Prairie-generated OODB optimizer (the
-// specification of Section 4 compiled through p2v) over a catalog of
-// maxN classes.
-func OODBPrairieWorld(cat *catalog.Catalog, maxN int) (*World, error) {
-	o := oodb.New(cat)
+// specification of Section 4 compiled through p2v), serving queries of
+// up to maxN classes of o's catalog.
+func OODBPrairieWorld(o *oodb.Opt, maxN int) (*World, error) {
 	vrs, rep, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		return nil, err
 	}
+	return oodbWorld("oodb/prairie", o, vrs, rep, maxN), nil
+}
+
+// oodbWorld serves rs over o: queries are qgen's families, and a
+// P2V-generated rule set (rep non-nil) gets each tree through
+// rep.PrepareQuery.
+func oodbWorld(name string, o *oodb.Opt, rs *volcano.RuleSet, rep *p2v.Report, maxN int) *World {
 	w := &World{
-		Name: "oodb/prairie",
-		RS:   vrs,
-		Cat:  cat,
+		Name: name,
+		RS:   rs,
+		Cat:  o.Cat,
 		ExecProps: exec.Props{
 			Ord: o.Ord, JP: o.JP, SP: o.SP, PA: o.PA, MA: o.MA, UA: o.UA,
 		},
@@ -213,17 +186,19 @@ func OODBPrairieWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if rep == nil {
+			return tree, core.NewDescriptor(o.Alg.Props), nil
+		}
 		return rep.PrepareQuery(tree, nil)
 	}
-	return w, nil
+	return w
 }
 
 // RelationalWorld builds the Prairie-generated centralized relational
-// optimizer (the paper's [5] reconstruction) over a catalog of maxN
-// relations. The query spec's family selects whether a selection is
-// applied (E3/E4 add one, mirroring qgen's families).
-func RelationalWorld(cat *catalog.Catalog, maxN int) (*World, error) {
-	o := relopt.New(cat)
+// optimizer (the paper's [5] reconstruction), serving queries of up to
+// maxN relations of o's catalog. The query spec's family selects whether a selection
+// is applied (E3/E4 add one, mirroring qgen's families).
+func RelationalWorld(o *relopt.Opt, maxN int) (*World, error) {
 	vrs, rep, err := p2v.Translate(o.PrairieRules())
 	if err != nil {
 		return nil, err
@@ -231,7 +206,7 @@ func RelationalWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 	w := &World{
 		Name: "relational",
 		RS:   vrs,
-		Cat:  cat,
+		Cat:  o.Cat,
 		ExecProps: exec.Props{
 			Ord: o.Ord, JP: o.JP, SP: o.SP,
 			PA: core.NoProp, MA: core.NoProp, UA: core.NoProp,
@@ -260,16 +235,48 @@ func RelationalWorld(cat *catalog.Catalog, maxN int) (*World, error) {
 	return w, nil
 }
 
-// DSLWorld compiles a textual Prairie specification (the dslrules
-// example by default) into a servable world. Queries are SORT over a
-// linear JOIN chain of N synthetic relations R1..RN with halving
-// cardinalities — the example's query generalized by width.
-func DSLWorld(src string, helpers map[string]prairielang.HelperImpl, maxN int) (*World, error) {
+// DSLHelpers are the Go implementations of the helpers the
+// examples/dslrules specification declares. A DSL specification is
+// compiled with those of them it declares (CompileDSL).
+func DSLHelpers() map[string]prairielang.HelperImpl {
+	return map[string]prairielang.HelperImpl{
+		"nlogn": func(args []core.Value) (core.Value, error) {
+			n := math.Max(float64(args[0].(core.Float)), 1)
+			return core.Float(n * math.Log2(n+1)), nil
+		},
+		"order_within": func(args []core.Value) (core.Value, error) {
+			ord := args[0].(core.Order)
+			return core.Bool(ord.Within(args[1].(core.Attrs))), nil
+		},
+	}
+}
+
+// CompileDSL compiles a textual Prairie specification, binding each
+// helper it declares to DSLHelpers' implementation of that name; a
+// declared helper DSLHelpers lacks is the compiler's positioned error.
+func CompileDSL(src string) (*core.RuleSet, error) {
 	spec, err := prairielang.Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := prairielang.Compile(spec, helpers)
+	all := DSLHelpers()
+	impls := make(map[string]prairielang.HelperImpl, len(spec.Helpers))
+	for _, h := range spec.Helpers {
+		if fn, ok := all[h.Name]; ok {
+			impls[h.Name] = fn
+		}
+	}
+	return prairielang.Compile(spec, impls)
+}
+
+// DSLWorld compiles a textual Prairie specification (the dslrules
+// example by default) into a servable world. Queries are SORT over a
+// linear JOIN chain of N synthetic relations R1..RN with halving
+// cardinalities — the example's query generalized by width — so the
+// specification must declare the operators RET, JOIN and SORT and the
+// properties num_records, attributes, join_predicate and tuple_order.
+func DSLWorld(src string, maxN int) (*World, error) {
+	rs, err := CompileDSL(src)
 	if err != nil {
 		return nil, err
 	}
@@ -277,14 +284,27 @@ func DSLWorld(src string, helpers map[string]prairielang.HelperImpl, maxN int) (
 	if err != nil {
 		return nil, err
 	}
+	var missing []string
+	op := func(name string) *core.Operation {
+		o, ok := rs.Algebra.Op(name)
+		if !ok {
+			missing = append(missing, "operator "+name)
+		}
+		return o
+	}
 	ps := rs.Algebra.Props
-	nr := ps.MustLookup("num_records")
-	at := ps.MustLookup("attributes")
-	jp := ps.MustLookup("join_predicate")
-	ord := ps.MustLookup("tuple_order")
-	retOp := rs.Algebra.MustOp("RET")
-	joinOp := rs.Algebra.MustOp("JOIN")
-	sortOp := rs.Algebra.MustOp("SORT")
+	prop := func(name string) core.PropID {
+		id, ok := ps.Lookup(name)
+		if !ok {
+			missing = append(missing, "property "+name)
+		}
+		return id
+	}
+	retOp, joinOp, sortOp := op("RET"), op("JOIN"), op("SORT")
+	nr, at, jp, ord := prop("num_records"), prop("attributes"), prop("join_predicate"), prop("tuple_order")
+	if len(missing) > 0 {
+		return nil, fmt.Errorf("dsl world: the specification declares no %s", strings.Join(missing, ", "))
+	}
 	w := &World{Name: "dsl", RS: vrs, MaxN: maxN}
 	// names[i] and attrs[i] are Ri and Ri.a, interned here so that Build
 	// (the request path) does not.
@@ -363,19 +383,19 @@ func DefaultRegistry(maxN int, seed int64, dslSrc string) (*Registry, error) {
 		maxN = 6
 	}
 	r := NewRegistry()
-	r.Add(OODBVolcanoWorld(qgen.Catalog(maxN, seed, false), maxN))
-	pw, err := OODBPrairieWorld(qgen.Catalog(maxN, seed, false), maxN)
+	r.Add(OODBVolcanoWorld(oodb.New(qgen.Catalog(maxN, seed, false)), maxN))
+	pw, err := OODBPrairieWorld(oodb.New(qgen.Catalog(maxN, seed, false)), maxN)
 	if err != nil {
 		return nil, err
 	}
 	r.Add(pw)
-	rw, err := RelationalWorld(catalog.Generate(catalog.DefaultGen(maxN, seed, true)), maxN)
+	rw, err := RelationalWorld(relopt.New(catalog.Generate(catalog.DefaultGen(maxN, seed, true))), maxN)
 	if err != nil {
 		return nil, err
 	}
 	r.Add(rw)
 	if dslSrc != "" {
-		dw, err := DSLWorld(dslSrc, rulecheck.DSLHelpers(), maxN)
+		dw, err := DSLWorld(dslSrc, maxN)
 		if err != nil {
 			return nil, err
 		}

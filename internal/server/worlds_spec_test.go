@@ -20,7 +20,7 @@ func TestVolcanoWorldDropsTheSpec(t *testing.T) {
 	if spec.Value() == nil {
 		t.Fatal("oodb.New kept no compiled rule set to watch")
 	}
-	w := oodbVolcanoWorld(o, 6)
+	w := OODBVolcanoWorld(o, 6)
 	o = nil
 	runtime.GC()
 	if spec.Value() != nil {

@@ -1,9 +1,9 @@
-# Neutrality-guard comparator shared by the Makefile's `guard` macro
-# (bench-guard, flight-guard). Reads `go test -bench` output for a guard benchmark
-# shaped Benchmark<X>Guard/<workload>/<mode>-N with modes off (feature
-# absent), disabled (attached but inert) and on (fully enabled). The
-# Make targets run the whole off/disabled/on pass several times and
-# concatenate the output; this script pairs the i-th off sample with the
+# Neutrality-guard comparator of the Makefile's bench-guard. Reads
+# `go test -bench` output for a guard benchmark shaped
+# Benchmark<X>Guard/<workload>/<mode>-N with modes off (feature absent),
+# disabled (attached but inert) and on (fully enabled). The Make target
+# runs the whole off/disabled/on pass several times and
+# concatenates the output; this script pairs the i-th off sample with the
 # i-th disabled sample (same pass, seconds apart, comparable machine
 # conditions), computes the per-pass overhead ratio, and judges the BEST
 # pass: an inert feature must be free, so at least one pass must show
