@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race examples figures bench-test bench-smoke bench-guard rulecheck-guard fuzz-smoke cover loc ci experiments samebytes clean
+.PHONY: all build vet test race examples figures bench-test bench-smoke rulecheck-guard fuzz-smoke cover loc ci experiments samebytes clean
 
 all: ci
 
@@ -51,29 +51,6 @@ bench-test:
 bench-smoke:
 	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges|SearchCold' -benchmem -benchtime 3x .
 
-# Neutrality guard: observability instrumentation with every sink
-# disabled must be indistinguishable from no instrumentation at all. It
-# runs the ObsGuard micro-benchmarks with the instrumentation absent
-# ("off") and attached-but-disabled ("disabled"), and fails if the
-# disabled path costs more than GUARD_PCT percent. The fully enabled
-# path ("on") is reported informationally. The whole off/disabled/on
-# pass is repeated BENCH_COUNT times (the comparison lives in
-# scripts/guard.awk). The repetition is a shell loop rather than
-# `-count` on purpose: -count runs all samples of one mode back to back,
-# so slow machine-throughput drift reads as systematic mode overhead;
-# interleaving whole passes puts each mode's samples in comparable
-# conditions. The guard times only: `race` has already run every
-# package's tests under the race detector by the time `ci` reaches it.
-GUARD_PCT ?= 2
-BENCH_COUNT ?= 5
-
-bench-guard:
-	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	for i in $$(seq $(BENCH_COUNT)); do \
-		$(GO) test -run 'XXX' -bench 'ObsGuard' -benchtime 200x . | tee -a "$$out" || exit 1; \
-	done && \
-	awk -v pct=$(GUARD_PCT) -v guard=bench-guard -f scripts/guard.awk "$$out"
-
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every served rule set a "verified" verdict, and
 # the mutation-testing mode must kill at least 95%
@@ -116,7 +93,7 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		     END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-ci: vet build examples race bench-test bench-smoke bench-guard rulecheck-guard fuzz-smoke cover
+ci: vet build examples race bench-test bench-smoke rulecheck-guard fuzz-smoke cover
 
 # Regenerate every paper table/figure (sequential, paper-faithful timing).
 experiments: build

@@ -152,7 +152,7 @@ func main() {
 		fail(err)
 	case sig := <-sigc:
 		fmt.Fprintf(os.Stderr, "optserve: %v, draining (max %s)\n", sig, *drainWait)
-		logger.Info("draining", "signal", sig.String(), "max_wait", *drainWait)
+		logger.Info("draining", "signal", sig.String(), "max_wait", drainWait.String())
 		ctx, cancel := context.WithTimeout(context.Background(), *drainWait)
 		defer cancel()
 		if err := srv.Drain(ctx); err != nil {

@@ -216,23 +216,15 @@ type Action func(b *Binding)
 // binding, possibly calling helper functions.
 type Test func(b *Binding) bool
 
-// ActionHints declares which (descriptor name, property) pairs an action
-// assigns — the hints the paper's footnote 3 asks of actions P2V cannot
-// read. The Prairie-language compiler derives them exactly from each
-// statement block, and P2V classifies properties by them alone.
-type ActionHints struct {
-	// Writes lists assignments as "Dname.prop" strings; "Dname.*" marks
-	// a whole-descriptor copy target.
-	PreWrites  []string // pre-test (T-rule) or pre-opt (I-rule) section
-	PostWrites []string // post-test or post-opt section
-}
-
 // TRule is a transformation rule (§2.3): an equivalence between two
 // expressions of abstract operators, with actions split into pre-test
 // statements, a test, and post-test statements.
 //
 //	E(x1..xn):D1  ==>  E'(x1..xn):D2
 //	{{ pre-test }}  test  {{ post-test }}
+//
+// The rule's statements are compiled once, cut for the back end that
+// runs them (Slice).
 type TRule struct {
 	Name string
 	// Origin records where the rule was declared ("spec:" and its source
@@ -240,16 +232,12 @@ type TRule struct {
 	// verification verdicts.
 	Origin   string
 	LHS, RHS *PatNode
-	PreTest  Action // may be nil
-	Test     Test   // nil means TRUE
-	PostTest Action // may be nil
-	Hints    *ActionHints
-	// Frame lays out the descriptors the compiled actions address by slot;
-	// LHS/RHS carry the same slots.
+	// Frame lays out the rule's descriptor variables by slot; LHS/RHS
+	// carry the same slots.
 	Frame *Frame
-	// Slice compiles the rule's statements once more, cut for a back end
-	// that interns what a firing builds: rhs is the right side the back
-	// end will build and idProps tells which properties identify an
+	// Slice compiles the rule's statements, cut for a back end that
+	// interns what a firing builds: rhs is the right side the back end
+	// will build and idProps tells which properties identify an
 	// expression of an operation.
 	Slice func(rhs *PatNode, idProps func(*Operation) []PropID) *Sliced
 }
@@ -287,8 +275,18 @@ type IRule struct {
 	Test     Test   // nil means TRUE
 	PreOpt   Action // may be nil
 	PostOpt  Action // may be nil
-	Hints    *ActionHints
-	Frame    *Frame // as TRule.Frame
+	Frame    *Frame // lays out the compiled actions' descriptors by slot
+	// PreWrites lists the properties the pre-opt statements assign, one
+	// per assignment, whole-descriptor copies apart: the write hints of
+	// the paper's footnote 3, by which P2V classifies properties.
+	PreWrites []PropWrite
+}
+
+// PropWrite names a property a statement assigns on a descriptor
+// variable.
+type PropWrite struct {
+	Desc string
+	Prop PropID
 }
 
 // Op returns the abstract operator on the rule's left side.
@@ -314,70 +312,20 @@ func (r *IRule) String() string {
 	return fmt.Sprintf("%s: %s ==> %s", r.Name, r.LHS, r.RHS)
 }
 
-// Helper is a user-supplied support function callable from rule actions
-// and tests (the paper's "helper functions": is_associative, cardinality,
-// union, ...).
-type Helper struct {
-	Name   string
-	Params []Kind
-	Result Kind
-	Fn     func(args []Value) (Value, error)
-}
-
-// Helpers is the registry of helper functions for a rule set.
-type Helpers struct {
-	byName map[string]*Helper
-}
-
-// NewHelpers returns an empty helper registry.
-func NewHelpers() *Helpers { return &Helpers{byName: make(map[string]*Helper)} }
-
-// Define registers a helper function. Re-registering a name replaces it.
-func (h *Helpers) Define(name string, params []Kind, result Kind, fn func(args []Value) (Value, error)) *Helper {
-	hp := &Helper{Name: name, Params: params, Result: result, Fn: fn}
-	h.byName[name] = hp
-	return hp
-}
-
-// Lookup returns the named helper.
-func (h *Helpers) Lookup(name string) (*Helper, bool) {
-	hp, ok := h.byName[name]
-	return hp, ok
-}
-
-// Call invokes a helper by name.
-func (h *Helpers) Call(name string, args ...Value) (Value, error) {
-	hp, ok := h.byName[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown helper %q", name)
-	}
-	return hp.Fn(args)
-}
-
-// Names returns registered helper names, sorted.
-func (h *Helpers) Names() []string {
-	out := make([]string, 0, len(h.byName))
-	for n := range h.byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // RuleSet is a complete Prairie specification: an algebra (operations and
-// properties), T-rules, I-rules, and helper functions. It defines a
-// search space and cost model but no search strategy; a back-end engine
-// (internal/volcano, via internal/p2v) supplies that.
+// properties), T-rules and I-rules, whose helper calls the compiler has
+// bound. It defines a search space and cost model but no search
+// strategy; a back-end engine (internal/volcano, via internal/p2v)
+// supplies that.
 type RuleSet struct {
 	Algebra *Algebra
 	TRules  []*TRule
 	IRules  []*IRule
-	Helpers *Helpers
 }
 
 // NewRuleSet returns an empty rule set over the algebra.
 func NewRuleSet(a *Algebra) *RuleSet {
-	return &RuleSet{Algebra: a, Helpers: NewHelpers()}
+	return &RuleSet{Algebra: a}
 }
 
 // AddT appends a T-rule.
@@ -385,18 +333,3 @@ func (rs *RuleSet) AddT(r *TRule) *TRule { rs.TRules = append(rs.TRules, r); ret
 
 // AddI appends an I-rule.
 func (rs *RuleSet) AddI(r *IRule) *IRule { rs.IRules = append(rs.IRules, r); return r }
-
-// EnforcerOperators returns the operators that have a Null implementation
-// (§2.5, §3.1): P2V classifies these as enforcer-operators.
-func (rs *RuleSet) EnforcerOperators() []*Operation {
-	var out []*Operation
-	seen := map[*Operation]bool{}
-	for _, r := range rs.IRules {
-		if r.IsNullRule() && !seen[r.Op()] {
-			seen[r.Op()] = true
-			out = append(out, r.Op())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}

@@ -254,43 +254,6 @@ func TestBindingFrame(t *testing.T) {
 	}
 }
 
-func TestTRuleCondAndPost(t *testing.T) {
-	a := miniAlgebra()
-	nr := a.Props.MustLookup("num_records")
-	join := a.MustOp("JOIN")
-	var postRan bool
-	r := &TRule{
-		Name: "commute",
-		LHS:  POp(join, "D3", PVar(1, "D1"), PVar(2, "D2")),
-		RHS:  POp(join, "D4", PVar(2, ""), PVar(1, "")),
-		PreTest: func(b *Binding) {
-			b.D("D4").SetFloat(nr, b.D("D3").Float(nr))
-		},
-		Test:     func(b *Binding) bool { return b.D("D4").Float(nr) > 10 },
-		PostTest: func(b *Binding) { postRan = true },
-	}
-	// The sections run in order against one binding: pre-test, test,
-	// then post-test.
-	cond := func(b *Binding) bool { r.PreTest(b); return r.Test(b) }
-	b := NewBinding(a.Props)
-	b.D("D3").SetFloat(nr, 5)
-	if cond(b) {
-		t.Error("test should fail for 5")
-	}
-	b2 := NewBinding(a.Props)
-	b2.D("D3").SetFloat(nr, 50)
-	if !cond(b2) {
-		t.Error("test should pass for 50")
-	}
-	r.PostTest(b2)
-	if !postRan {
-		t.Error("post-test did not run")
-	}
-	if !strings.Contains(r.String(), "==>") {
-		t.Errorf("String = %q", r.String())
-	}
-}
-
 func TestIRuleAccessors(t *testing.T) {
 	a := miniAlgebra()
 	join := a.MustOp("JOIN")
@@ -314,45 +277,5 @@ func TestIRuleAccessors(t *testing.T) {
 	}
 	if !nullRule.IsNullRule() {
 		t.Error("Null rule not detected")
-	}
-}
-
-func TestHelpers(t *testing.T) {
-	h := NewHelpers()
-	h.Define("twice", []Kind{KindFloat}, KindFloat, func(args []Value) (Value, error) {
-		return Float(2 * float64(args[0].(Float))), nil
-	})
-	v, err := h.Call("twice", Float(21))
-	if err != nil || !v.Equal(Float(42)) {
-		t.Errorf("Call = %v, %v", v, err)
-	}
-	if _, err := h.Call("missing"); err == nil {
-		t.Error("missing helper should error")
-	}
-	if hp, ok := h.Lookup("twice"); !ok || hp.Result != KindFloat {
-		t.Error("Lookup failed")
-	}
-	if got := h.Names(); len(got) != 1 || got[0] != "twice" {
-		t.Errorf("Names = %v", got)
-	}
-}
-
-func TestRuleSetEnforcerOperators(t *testing.T) {
-	a := miniAlgebra()
-	rs := NewRuleSet(a)
-	sortOp := a.MustOp("SORT")
-	join := a.MustOp("JOIN")
-	rs.AddI(&IRule{Name: "null_sort",
-		LHS: POp(sortOp, "D2", PVar(1, "D1")),
-		RHS: POp(a.Null(), "D4", PVar(1, "D3"))})
-	rs.AddI(&IRule{Name: "merge_sort",
-		LHS: POp(sortOp, "D2", PVar(1, "D1")),
-		RHS: POp(a.MustOp("Merge_sort"), "D3", PVar(1, ""))})
-	rs.AddI(&IRule{Name: "nl",
-		LHS: POp(join, "D3", PVar(1, "D1"), PVar(2, "D2")),
-		RHS: POp(a.MustOp("Nested_loops"), "D5", PVar(1, "D4"), PVar(2, ""))})
-	enf := rs.EnforcerOperators()
-	if len(enf) != 1 || enf[0] != sortOp {
-		t.Errorf("EnforcerOperators = %v", enf)
 	}
 }

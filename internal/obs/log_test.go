@@ -2,8 +2,10 @@ package obs
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"strings"
 	"testing"
 	"time"
@@ -28,39 +30,23 @@ func TestLoggerLevelsAndShape(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[1]), &errRec); err != nil {
 		t.Fatalf("error line not JSON: %v", err)
 	}
-	if warn["level"] != "warn" || warn["msg"] != "queued" || warn["depth"] != float64(7) {
+	if warn["level"] != "WARN" || warn["msg"] != "queued" || warn["depth"] != float64(7) {
 		t.Fatalf("warn = %v", warn)
 	}
-	if _, err := time.Parse(time.RFC3339Nano, warn["ts"].(string)); err != nil {
-		t.Fatalf("ts not RFC3339Nano: %v", err)
+	if _, err := time.Parse(time.RFC3339Nano, warn["time"].(string)); err != nil {
+		t.Fatalf("time not RFC3339Nano: %v", err)
 	}
-	// Errors and durations render as strings.
-	if errRec["err"] != "bad" || errRec["took"] != "1.5ms" {
+	// An error renders as its message, a duration in nanoseconds.
+	if errRec["level"] != "ERROR" || errRec["err"] != "bad" || errRec["took"] != float64(1_500_000) {
 		t.Fatalf("error = %v", errRec)
 	}
-}
-
-func TestLoggerBadKeyAndNil(t *testing.T) {
-	var b bytes.Buffer
-	lg := NewLogger(&b, LevelDebug)
-	lg.Info("odd", "dangling")
-	var rec map[string]any
-	if err := json.Unmarshal(bytes.TrimSpace(b.Bytes()), &rec); err != nil {
-		t.Fatalf("odd-kv line not JSON: %v\n%s", err, b.String())
-	}
-	if rec["!BADKEY"] != "dangling" {
-		t.Fatalf("odd trailing key not flagged: %v", rec)
-	}
-
-	var nilLogger *Logger
-	nilLogger.Info("ignored", "k", "v") // must not panic
-	if nilLogger.Enabled(LevelError) {
-		t.Fatal("nil logger claims enabled")
+	if ctx := context.Background(); !lg.Enabled(ctx, LevelError) || lg.Enabled(ctx, LevelInfo) {
+		t.Error("Enabled does not follow the minimum level")
 	}
 }
 
 func TestParseLevel(t *testing.T) {
-	for in, want := range map[string]Level{
+	for in, want := range map[string]slog.Level{
 		"": LevelInfo, "info": LevelInfo, "debug": LevelDebug,
 		"warn": LevelWarn, "warning": LevelWarn, "error": LevelError,
 		"ERROR": LevelError,

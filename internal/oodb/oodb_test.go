@@ -6,6 +6,7 @@ import (
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
+	"prairie/internal/prairielang"
 )
 
 func TestHelperImplsTotal(t *testing.T) {
@@ -41,20 +42,23 @@ func TestHelperImplsTotal(t *testing.T) {
 		"nlogn":           {core.Float(0)},
 		"order_within":    {core.DontCareOrder, core.Attrs(nil)},
 	}
-	for name, fn := range impls {
-		args, ok := defaults[name]
+	spec, err := prairielang.Parse(Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range spec.Helpers {
+		args, ok := defaults[h.Name]
 		if !ok {
-			t.Errorf("helper %s missing from totality test", name)
+			t.Errorf("helper %s missing from totality test", h.Name)
 			continue
 		}
-		if _, err := fn(args); err != nil {
-			t.Errorf("helper %s failed on defaults: %v", name, err)
+		if _, err := impls[h.Name](args); err != nil {
+			t.Errorf("helper %s failed on defaults: %v", h.Name, err)
 		}
 	}
-	for name := range defaults {
-		if _, ok := impls[name]; !ok {
-			t.Errorf("helper %s not implemented", name)
-		}
+	if len(defaults) != len(spec.Helpers) || len(impls) != len(defaults) {
+		t.Errorf("%d default cases, %d declared helpers, %d implementations",
+			len(defaults), len(spec.Helpers), len(impls))
 	}
 }
 

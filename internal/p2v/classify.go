@@ -17,83 +17,53 @@
 //
 // It translates only rule sets the Prairie-language compiler
 // (internal/prairielang) built: classification reads the write hints the
-// compiler derives from each rule's statements, the generated hooks bind
-// descriptors by the rule's frame slots, and each T-rule is cut for the
-// memo by its compiled Slice.
+// compiler derives from each I-rule's pre-opt statements, the generated
+// hooks bind descriptors by the rule's frame slots, and each T-rule is
+// cut for the memo by its compiled Slice.
 package p2v
 
 import (
-	"sort"
-	"strings"
+	"slices"
 
 	"prairie/internal/core"
 )
-
-// writeSet records, per descriptor variable name, the properties an
-// action assigns ("Dname.prop"). Whole-descriptor copies ("Dname =
-// Dother") are descriptor initialization, not property requests, and are
-// not recorded.
-type writeSet map[string]map[core.PropID]bool
-
-// actionWrites reads the write-set of an action from the write hints the
-// Prairie-language compiler attaches to every rule (the paper's footnote
-// 3 hints, computed statically from the statement blocks).
-func actionWrites(ps *core.PropertySet, hints []string) writeSet {
-	ws := writeSet{}
-	for _, h := range hints {
-		desc, prop, ok := strings.Cut(h, ".")
-		if !ok {
-			continue
-		}
-		if id, ok := ps.Lookup(prop); ok {
-			if ws[desc] == nil {
-				ws[desc] = map[core.PropID]bool{}
-			}
-			ws[desc][id] = true
-		}
-	}
-	return ws
-}
-
-// propsOf returns the property ids assigned on desc, sorted.
-func (ws writeSet) propsOf(desc string) []core.PropID {
-	var out []core.PropID
-	for id := range ws[desc] {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Classification analysis (§3.1): a property with kind COST is the cost
 // property; a property assigned per-property on a right-hand-side input
 // stream's descriptor in any I-rule pre-opt section is physical;
 // everything else is an operator/algorithm argument.
-func classify(rs *core.RuleSet) (costID core.PropID, phys []core.PropID, perRule map[*core.IRule]writeSet) {
-	ps := rs.Algebra.Props
-	costs := ps.CostProps()
+func classify(rs *core.RuleSet) (costID core.PropID, phys []core.PropID) {
 	costID = core.NoProp
-	if len(costs) == 1 {
+	if costs := rs.Algebra.Props.CostProps(); len(costs) == 1 {
 		costID = costs[0]
 	}
-	physSet := map[core.PropID]bool{}
-	perRule = make(map[*core.IRule]writeSet, len(rs.IRules))
 	for _, r := range rs.IRules {
-		ws := actionWrites(ps, r.Hints.PreWrites)
-		perRule[r] = ws
-		for _, leafDesc := range rhsInputDescNames(r.RHS) {
-			for id := range ws[leafDesc] {
-				if id != costID {
-					physSet[id] = true
-				}
+		for _, id := range inputWrites(r, costID) {
+			if !slices.Contains(phys, id) {
+				phys = append(phys, id)
 			}
 		}
 	}
-	for id := range physSet {
-		phys = append(phys, id)
+	slices.Sort(phys)
+	return costID, phys
+}
+
+// inputWrites returns the properties other than costID that r's pre-opt
+// statements assign on its right side's input stream descriptors, sorted.
+// It reads them off the write hints the Prairie-language compiler
+// attaches to every I-rule (the paper's footnote 3 hints); a
+// whole-descriptor copy ("D4 = D1") initializes a descriptor and requests
+// no property, so the compiler lists none for it.
+func inputWrites(r *core.IRule, costID core.PropID) []core.PropID {
+	inputs := rhsInputDescNames(r.RHS)
+	var out []core.PropID
+	for _, w := range r.PreWrites {
+		if w.Prop != costID && slices.Contains(inputs, w.Desc) && !slices.Contains(out, w.Prop) {
+			out = append(out, w.Prop)
+		}
 	}
-	sort.Slice(phys, func(i, j int) bool { return phys[i] < phys[j] })
-	return costID, phys, perRule
+	slices.Sort(out)
+	return out
 }
 
 // rhsInputDescNames returns the descriptor names attached to variable

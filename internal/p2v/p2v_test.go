@@ -1,6 +1,7 @@
 package p2v
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -121,15 +122,14 @@ func TestTranslateSpecWorld(t *testing.T) {
 }
 
 // TestTranslateRejectsHandBuiltRules: P2V reads what the Prairie-language
-// compiler derives from a rule — its frame, write hints and slice — so a
-// rule built from Go closures is refused by name, not translated.
+// compiler derives from a rule — its frame, and a T-rule's slice — so a
+// rule built by hand is refused by name, not translated.
 func TestTranslateRejectsHandBuiltRules(t *testing.T) {
 	w := newSpecWorld(t)
 	w.rs.AddT(&core.TRule{
-		Name:     "hand_commute",
-		LHS:      core.POp(w.join, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
-		RHS:      core.POp(w.join, "D4", core.PVar(2, ""), core.PVar(1, "")),
-		PostTest: func(b *core.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
+		Name: "hand_commute",
+		LHS:  core.POp(w.join, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
+		RHS:  core.POp(w.join, "D4", core.PVar(2, ""), core.PVar(1, "")),
 	})
 	w.rs.AddI(&core.IRule{
 		Name:    "hand_scan",
@@ -152,25 +152,53 @@ func TestTranslateRejectsHandBuiltRules(t *testing.T) {
 	}
 }
 
+// TestWriteSetHelpers: the properties an I-rule requires of its inputs
+// are read off its typed pre-opt writes, each once, sorted, the cost
+// property apart.
 func TestWriteSetHelpers(t *testing.T) {
-	ws := writeSet{"D4": {3: true, 1: true}, "D5": {2: true}}
-	if got := ws.propsOf("D4"); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Errorf("propsOf = %v", got)
+	w := newSpecWorld(t)
+	r := &core.IRule{
+		Name: "nl",
+		LHS:  core.POp(w.join, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
+		RHS:  core.POp(w.nl, "D5", core.PVar(1, "D4"), core.PVar(2, "D6")),
+		PreWrites: []core.PropWrite{
+			{Desc: "D4", Prop: 3}, {Desc: "D6", Prop: 1}, {Desc: "D4", Prop: 3}, {Desc: "D4", Prop: 2}, {Desc: "D6", Prop: 0},
+		},
 	}
-	if got := ws.propsOf("DX"); len(got) != 0 {
-		t.Errorf("propsOf missing = %v", got)
+	if got := inputWrites(r, 2); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 3 {
+		t.Errorf("inputWrites = %v, want [0 1 3]", got)
+	}
+	r.PreWrites = nil
+	if got := inputWrites(r, 2); len(got) != 0 {
+		t.Errorf("inputWrites without writes = %v", got)
 	}
 }
 
+// TestActionWritesFromHints: the compiler hints every per-property
+// pre-opt assignment and no whole-descriptor copy, and only those on an
+// input stream's descriptor mark a property physical.
 func TestActionWritesFromHints(t *testing.T) {
-	ps := core.NewPropertySet()
-	ord := ps.Define("tuple_order", core.KindOrder)
-	ws := actionWrites(ps, []string{"D4.tuple_order", "D5.*", "bogus", "D6.missing"})
-	if got := ws.propsOf("D4"); len(got) != 1 || got[0] != ord {
-		t.Errorf("hinted props = %v", got)
+	w := newSpecWorld(t)
+	for _, r := range w.rs.IRules {
+		var want []core.PropWrite
+		switch r.Name {
+		case "ret_file_scan":
+			want = []core.PropWrite{{Desc: "D3", Prop: w.ord}}
+		case "jopr_nested_loops":
+			want = []core.PropWrite{{Desc: "D4", Prop: w.ord}}
+		case "sort_null":
+			want = []core.PropWrite{{Desc: "D3", Prop: w.ord}}
+		}
+		if fmt.Sprint(r.PreWrites) != fmt.Sprint(want) {
+			t.Errorf("%s: pre-opt writes %v, want %v", r.Name, r.PreWrites, want)
+		}
+		got := inputWrites(r, w.c)
+		if inputs := r.Name == "jopr_nested_loops" || r.Name == "sort_null"; inputs != (len(got) == 1 && got[0] == w.ord) {
+			t.Errorf("%s: input writes %v", r.Name, got)
+		}
 	}
-	if len(ws) != 1 {
-		t.Errorf("write-set = %v; a copy or an unknown property is no property write", ws)
+	if _, phys := classify(w.rs); len(phys) != 1 || phys[0] != w.ord {
+		t.Errorf("physical properties %v, want tuple_order alone", phys)
 	}
 }
 

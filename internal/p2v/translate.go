@@ -20,7 +20,7 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 	ps := rs.Algebra.Props
 
 	// --- Property classification (§3.1). --------------------------------
-	costID, phys, preWrites := classify(rs) // the checker found one cost property
+	costID, phys := classify(rs) // the checker found one cost property
 	rep.setClassification(ps, costID, phys)
 
 	// --- Enforcer deduction (§2.5, §3.1). --------------------------------
@@ -32,15 +32,7 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 		// The Null rule's pre-opt copies the operator's controlled
 		// properties onto the input stream's descriptor (Figure 7);
 		// those are the properties the operator's algorithms enforce.
-		ws := preWrites[r]
-		var props []core.PropID
-		for _, name := range rhsInputDescNames(r.RHS) {
-			for _, id := range ws.propsOf(name) {
-				if id != costID {
-					props = append(props, id)
-				}
-			}
-		}
+		props := inputWrites(r, costID)
 		enfOps[r.Op()] = props
 		rep.addEnforcerOp(r.Op(), ps, props)
 	}
@@ -160,7 +152,7 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 
 // compiled rejects a rule set with rules the Prairie-language compiler did
 // not build: a T-rule needs the compiler's frame and slice, an I-rule its
-// frame and write hints.
+// frame.
 func compiled(rs *core.RuleSet) error {
 	var errs []error
 	for _, r := range rs.TRules {
@@ -169,8 +161,8 @@ func compiled(rs *core.RuleSet) error {
 		}
 	}
 	for _, r := range rs.IRules {
-		if r.Frame == nil || r.Hints == nil {
-			errs = append(errs, fmt.Errorf("p2v: I-rule %s was not compiled from a Prairie specification (no frame or hints)", r.Name))
+		if r.Frame == nil {
+			errs = append(errs, fmt.Errorf("p2v: I-rule %s was not compiled from a Prairie specification (no frame)", r.Name))
 		}
 	}
 	return errors.Join(errs...)

@@ -26,11 +26,10 @@ type checker struct {
 }
 
 // resolved is a rule as the checker resolved it: its patterns, laid out
-// in its frame, and the write hints of its two statement sections.
+// in its frame.
 type resolved struct {
-	lhs, rhs  *core.PatNode
-	sc        ruleScope
-	pre, post []string
+	lhs, rhs *core.PatNode
+	sc       ruleScope
 }
 
 // check runs every check on spec.
@@ -192,11 +191,11 @@ func (c *checker) checkTRule(d *TRuleDecl) resolved {
 	}
 	c.operatorsOnly(d.Name, d.LHS)
 	c.operatorsOnly(d.Name, d.RHS)
-	pre := c.checkStmts(d.PreTest, sc)
+	c.checkStmts(d.PreTest, sc)
 	c.checkTest(d.Name, d.Test, sc)
-	post := c.checkStmts(d.PostTest, sc)
+	c.checkStmts(d.PostTest, sc)
 	c.checkReads(d, sc)
-	return resolved{lhs, rhs, sc, pre, post}
+	return resolved{lhs, rhs, sc}
 }
 
 func (c *checker) checkIRule(d *IRuleDecl) resolved {
@@ -205,8 +204,8 @@ func (c *checker) checkIRule(d *IRuleDecl) resolved {
 		c.checkIRuleShape(d, lhs, rhs)
 	}
 	c.checkTest(d.Name, d.Test, sc)
-	pre := c.checkStmts(d.PreOpt, sc)
-	post := c.checkStmts(d.PostOpt, sc)
+	c.checkStmts(d.PreOpt, sc)
+	c.checkStmts(d.PostOpt, sc)
 	// The post-opt section computes the algorithm's cost (§2.4); the
 	// search compares alternatives by nothing else.
 	if costs := c.alg.Props.CostProps(); len(costs) == 1 && rhs.Desc != "" {
@@ -215,7 +214,7 @@ func (c *checker) checkIRule(d *IRuleDecl) resolved {
 			c.errf(d.Pos, "rule %s: post-opt must assign %s.%s, the cost of its algorithm", d.Name, rhs.Desc, cost)
 		}
 	}
-	return resolved{lhs, rhs, sc, pre, post}
+	return resolved{lhs, rhs, sc}
 }
 
 // checkIRuleShape checks that an I-rule maps one operator over inputs to
@@ -299,10 +298,9 @@ func (s ruleScope) known(name string) bool { return s.lhs[name] || s.rhs[name] }
 // slot returns the frame slot of a known name.
 func (s ruleScope) slot(name string) int { return slices.Index(s.frame.Names, name) }
 
-// checkStmts validates a statement block and returns its write hints in
-// core.ActionHints format ("D.prop", "D.*").
-func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
-	hints := make([]string, 0, len(stmts))
+// checkStmts validates a statement block and resolves its descriptor
+// slots and property ids.
+func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) {
 	for _, st := range stmts {
 		if !sc.known(st.Dst) {
 			c.errf(st.Pos, "descriptor %q is not bound by the rule's patterns", st.Dst)
@@ -317,7 +315,6 @@ func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
 				c.errf(st.Pos, "descriptor %q is not bound by the rule's patterns", st.Src)
 			}
 			st.src = sc.slot(st.Src)
-			hints = append(hints, st.Dst+".*")
 			continue
 		}
 		id, ok := c.alg.Props.Lookup(st.Prop)
@@ -331,9 +328,7 @@ func (c *checker) checkStmts(stmts []*Stmt, sc ruleScope) []string {
 		if !kindsCompatible(got, want) {
 			c.errf(st.Pos, "cannot assign %v to %s.%s (%v)", got, st.Dst, st.Prop, want)
 		}
-		hints = append(hints, st.Dst+"."+st.Prop)
 	}
-	return hints
 }
 
 func (c *checker) checkTest(rule string, test Expr, sc ruleScope) {

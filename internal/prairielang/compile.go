@@ -17,22 +17,24 @@ type HelperImpl func(args []core.Value) (core.Value, error)
 // exactly as Check does, and builds an executable core.RuleSet whose rule
 // actions are Go closures compiled from the specification's statement
 // blocks (emit.go). impls supplies the Go bodies of the declared helper
-// functions (every declared helper must be present).
+// functions (every declared helper must be present); the emitted code
+// calls them directly.
 //
-// The compiler attaches exact write hints (core.ActionHints) to every
-// rule, computed statically from the statement blocks: the P2V
-// pre-processor classifies properties by them, and accepts only rule sets
+// Each rule carries what its readers read. A T-rule's statements are
+// compiled when a back end asks for its cut (core.TRule.Slice, slice.go),
+// and only then. An I-rule carries its pre-opt writes, the hints by which
+// the P2V pre-processor classifies properties; P2V accepts only rule sets
 // this compiler built.
 func Compile(spec *Spec, impls map[string]HelperImpl) (*core.RuleSet, error) {
 	c := check(spec)
-	rs := core.NewRuleSet(c.alg)
+	bound := make(map[string]HelperImpl, len(spec.Helpers))
 	for _, h := range spec.Helpers {
 		impl, ok := impls[h.Name]
 		if !ok {
 			c.errf(h.Pos, "helper %q has no Go implementation", h.Name)
 			continue
 		}
-		rs.Helpers.Define(h.Name, h.Params, h.Result, impl)
+		bound[h.Name] = impl
 	}
 	for name := range impls {
 		if c.helpers[name] == nil {
@@ -43,36 +45,39 @@ func Compile(spec *Spec, impls map[string]HelperImpl) (*core.RuleSet, error) {
 		return nil, errors.Join(c.errs...)
 	}
 	// The rules passed: emit their actions.
+	rs := core.NewRuleSet(c.alg)
 	for i, d := range spec.TRules {
-		r, f := c.trules[i], c.trules[i].sc.frame
-		em := &emitter{helpers: rs.Helpers, frame: f, shared: shareCalls(f, d.PreTest, d.Test, d.PostTest)}
+		r := c.trules[i]
+		names := r.sc.frame.Names
 		rs.AddT(&core.TRule{
-			Name:     d.Name,
-			Origin:   "spec:" + d.Pos.String(),
-			LHS:      r.lhs,
-			RHS:      r.rhs,
-			PreTest:  em.action(d.PreTest),
-			Test:     em.test(d.Test),
-			PostTest: em.action(d.PostTest),
-			Hints:    &core.ActionHints{PreWrites: r.pre, PostWrites: r.post},
-			Frame:    f,
+			Name:   d.Name,
+			Origin: "spec:" + d.Pos.String(),
+			LHS:    r.lhs,
+			RHS:    r.rhs,
+			Frame:  r.sc.frame,
 			Slice: func(rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) *core.Sliced {
-				return cutTRule(d, rhs, idProps).emit(d.Test, f.Names, rs.Helpers)
+				return cutTRule(d, rhs, idProps).emit(d.Test, names, bound)
 			},
 		})
 	}
 	for i, d := range spec.IRules {
 		r := c.irules[i]
-		em := &emitter{helpers: rs.Helpers, frame: r.sc.frame}
+		em := &emitter{helpers: bound, frame: r.sc.frame}
+		var writes []core.PropWrite
+		for _, st := range d.PreOpt {
+			if st.Prop != "" {
+				writes = append(writes, core.PropWrite{Desc: st.Dst, Prop: st.id})
+			}
+		}
 		rs.AddI(&core.IRule{
-			Name:    d.Name,
-			LHS:     r.lhs,
-			RHS:     r.rhs,
-			Test:    em.test(d.Test),
-			PreOpt:  em.action(d.PreOpt),
-			PostOpt: em.action(d.PostOpt),
-			Hints:   &core.ActionHints{PreWrites: r.pre, PostWrites: r.post},
-			Frame:   r.sc.frame,
+			Name:      d.Name,
+			LHS:       r.lhs,
+			RHS:       r.rhs,
+			Test:      em.test(d.Test),
+			PreOpt:    em.action(d.PreOpt),
+			PostOpt:   em.action(d.PostOpt),
+			Frame:     r.sc.frame,
+			PreWrites: writes,
 		})
 	}
 	return rs, nil

@@ -1,6 +1,7 @@
 package prairielang
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -13,44 +14,23 @@ import (
 // the search engine on a real memo, by a test on a hand-made binding —
 // also runs the interpreter on a copy of the binding and compares the two
 // outcomes: equal test results, equal panics, and afterwards the same
-// names bound to descriptors that agree property for property. A T-rule
-// as written is compared section by section; its sliced form runs the
-// statements in another order, so it is compared where that order must
-// not show (Diff.sliced).
+// names bound to descriptors that agree property for property. An I-rule
+// is compared section by section. A T-rule is compiled only as its cut,
+// which runs the statements in another order than the interpreter's rule
+// as written, so it is compared where that order must not show
+// (Diff.sliced).
 
-// interpreted compiles src into a rule set whose actions interpret the
-// checked statement blocks: Compile as it was before the compiler.
-func interpreted(src string, impls map[string]HelperImpl) (*core.RuleSet, error) {
+// interpreted parses and checks src, resolving the ASTs the interpreter
+// runs.
+func interpreted(src string) (*Spec, error) {
 	spec, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := Compile(spec, impls) // checks spec and resolves its ASTs
-	if err != nil {
-		return nil, err
+	if errs := check(spec).errs; len(errs) > 0 {
+		return nil, errors.Join(errs...)
 	}
-	h := rs.Helpers
-	stmts := func(ss []*Stmt) core.Action {
-		if len(ss) == 0 {
-			return nil
-		}
-		return func(b *core.Binding) { execStmts(ss, b, h) }
-	}
-	test := func(e Expr) core.Test {
-		if e == nil {
-			return nil
-		}
-		return func(b *core.Binding) bool { return evalBool(e, b, h) }
-	}
-	for i, d := range spec.TRules {
-		r := rs.TRules[i]
-		r.PreTest, r.Test, r.PostTest = stmts(d.PreTest), test(d.Test), stmts(d.PostTest)
-	}
-	for i, d := range spec.IRules {
-		r := rs.IRules[i]
-		r.Test, r.PreOpt, r.PostOpt = test(d.Test), stmts(d.PreOpt), stmts(d.PostOpt)
-	}
-	return rs, nil
+	return spec, nil
 }
 
 // MiniSpec and MiniImpls hand lang_test.go's specification to the
@@ -59,9 +39,12 @@ var MiniSpec, MiniImpls = miniSpec, miniImpls
 
 // Diff is a compiled rule set under differential test.
 type Diff struct {
-	t  testing.TB
-	RS *core.RuleSet
-	// Ran counts the compared executions per "rule/section".
+	t     testing.TB
+	RS    *core.RuleSet
+	impls map[string]HelperImpl
+	// Ran counts the compared executions per "rule/section": an I-rule's
+	// test, preopt and postopt, a T-rule's cond, appl and rest. A section
+	// compiled but never run counts 0.
 	Ran map[string]int
 	// Want is the binding the interpreter left the latest firing of a
 	// sliced T-rule in — its final descriptors — or nil if it panicked.
@@ -70,27 +53,40 @@ type Diff struct {
 
 // Differential wraps every action of rs, which was compiled from src
 // with impls, to compare itself against the interpreter's execution of
-// the same section.
+// the same rule.
 func Differential(t testing.TB, rs *core.RuleSet, src string, impls map[string]HelperImpl) (*Diff, error) {
-	oracle, err := interpreted(src, impls)
+	spec, err := interpreted(src)
 	if err != nil {
 		return nil, err
 	}
-	d := &Diff{t: t, RS: rs, Ran: map[string]int{}}
+	d := &Diff{t: t, RS: rs, impls: impls, Ran: map[string]int{}}
 	for i, r := range rs.TRules {
-		o := oracle.TRules[i]
-		r.PreTest = d.action(r.Name+"/pretest", r.PreTest, o.PreTest)
-		r.Test = d.test(r.Name+"/test", r.Test, o.Test)
-		r.PostTest = d.action(r.Name+"/posttest", r.PostTest, o.PostTest)
-		d.sliced(r, o)
+		d.sliced(r, spec.TRules[i])
+	}
+	stmts := func(ss []*Stmt) core.Action {
+		if len(ss) == 0 {
+			return nil
+		}
+		return func(b *core.Binding) { execStmts(ss, b, impls) }
 	}
 	for i, r := range rs.IRules {
-		o := oracle.IRules[i]
-		r.Test = d.test(r.Name+"/test", r.Test, o.Test)
-		r.PreOpt = d.action(r.Name+"/preopt", r.PreOpt, o.PreOpt)
-		r.PostOpt = d.action(r.Name+"/postopt", r.PostOpt, o.PostOpt)
+		o := spec.IRules[i]
+		var test core.Test
+		if o.Test != nil {
+			test = func(b *core.Binding) bool { return evalBool(o.Test, b, impls) }
+		}
+		r.Test = d.test(r.Name+"/test", r.Test, test)
+		r.PreOpt = d.action(r.Name+"/preopt", r.PreOpt, stmts(o.PreOpt))
+		r.PostOpt = d.action(r.Name+"/postopt", r.PostOpt, stmts(o.PostOpt))
 	}
 	return d, nil
+}
+
+// compiled records a compiled section, not yet compared.
+func (d *Diff) compiled(what string) {
+	if _, ok := d.Ran[what]; !ok {
+		d.Ran[what] = 0
+	}
 }
 
 func (d *Diff) action(what string, compiled, oracle core.Action) core.Action {
@@ -100,6 +96,7 @@ func (d *Diff) action(what string, compiled, oracle core.Action) core.Action {
 		}
 		return nil
 	}
+	d.compiled(what)
 	return func(b *core.Binding) {
 		d.compare(what, b,
 			func(b *core.Binding) any { compiled(b); return nil },
@@ -114,6 +111,7 @@ func (d *Diff) test(what string, compiled, oracle core.Test) core.Test {
 		}
 		return nil
 	}
+	d.compiled(what)
 	return func(b *core.Binding) bool {
 		return d.compare(what, b,
 			func(b *core.Binding) any { return compiled(b) },
@@ -122,21 +120,19 @@ func (d *Diff) test(what string, compiled, oracle core.Test) core.Test {
 }
 
 // sliced wraps r.Slice so that the cut rule it hands a back end compares
-// itself against the interpreter o at the three points where the order of
-// the statements must not show: after Cond the verdict is the
-// interpreter's; after Appl the identity properties of every right-side
-// node already hold the values the interpreter ends with; after Rest —
-// after Appl, for a rule with nothing deferred — every descriptor equals
-// the interpreter's, property by property. A firing the interpreter
-// panics in is not compared; a panic of the compiled parts alone is an
-// error.
-func (d *Diff) sliced(r, o *core.TRule) {
+// itself against the interpreter's rule o as written at the three points
+// where the order of the statements must not show: after Cond the verdict
+// is the interpreter's; after Appl the identity properties of every
+// right-side node already hold the values the interpreter ends with;
+// after Rest — after Appl, for a rule with nothing deferred — every
+// descriptor equals the interpreter's, property by property. A firing
+// the interpreter panics in is not compared; a panic of the compiled
+// parts alone is an error.
+func (d *Diff) sliced(r *core.TRule, o *TRuleDecl) {
 	slice := r.Slice
-	if slice == nil {
-		return
-	}
 	r.Slice = func(rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) *core.Sliced {
 		s := slice(rhs, idProps)
+		d.compiled(r.Name + "/cond")
 		identity := map[string][]core.PropID{} // of the right side's nodes
 		var walk func(n *core.PatNode)
 		walk = func(n *core.PatNode) {
@@ -166,7 +162,7 @@ func (d *Diff) sliced(r, o *core.TRule) {
 			// The interpreter runs the post-test statements whatever the
 			// verdict: RunOnDefaults runs every part of a rejected rule too.
 			ok, panicked := run(func(b *core.Binding) any {
-				return RunWhole(o, b)
+				return RunWhole(o, d.impls, b)
 			}, want)
 			if panicked != nil {
 				want = nil
@@ -180,6 +176,7 @@ func (d *Diff) sliced(r, o *core.TRule) {
 			return got
 		}
 		if appl != nil {
+			d.compiled(r.Name + "/appl")
 			s.Appl = func(b *core.Binding) {
 				defer guard("/appl")
 				if appl(b); want == nil {
@@ -208,6 +205,7 @@ func (d *Diff) sliced(r, o *core.TRule) {
 			}
 		}
 		if rest != nil {
+			d.compiled(r.Name + "/rest")
 			s.Rest = func(b *core.Binding) {
 				defer guard("/rest")
 				if rest(b); want != nil {
@@ -285,11 +283,10 @@ func descDiff(got, want *core.Descriptor) string {
 
 // RunOnDefaults executes every section of every rule once on a binding
 // of empty descriptors, so rules no search reaches (P2V merges some
-// away) are compared at least on default values — a T-rule both as
-// written and sliced for its own right side, the declared args(...) of
-// an operation standing for its identity properties. A section that
-// panics — the comparison has checked that the interpreter panics too —
-// ends its rule.
+// away) are compared at least on default values — a T-rule cut for its
+// own right side, the declared args(...) of an operation standing for
+// its identity properties. A section that panics — the comparison has
+// checked that the interpreter panics too — ends its rule.
 func (d *Diff) RunOnDefaults() {
 	run := func(lhs *core.PatNode, sections func(b *core.Binding)) {
 		defer func() { _ = recover() }()
@@ -300,10 +297,6 @@ func (d *Diff) RunOnDefaults() {
 		sections(b)
 	}
 	for _, r := range d.RS.TRules {
-		run(r.LHS, func(b *core.Binding) { RunWhole(r, b) })
-		if r.Slice == nil {
-			continue
-		}
 		s := r.Slice(r.RHS, func(op *core.Operation) []core.PropID { return op.Args })
 		run(r.LHS, func(b *core.Binding) {
 			s.Cond(b)

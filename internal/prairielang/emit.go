@@ -26,33 +26,34 @@ type (
 
 // emitter generates the actions of one rule.
 type emitter struct {
-	helpers *core.Helpers
+	helpers map[string]HelperImpl
 	frame   *core.Frame
 	// shared maps a helper call to its slot in Binding.Shared; calls
 	// evaluated in place are absent.
 	shared map[*Call]int
 }
 
-// shareCalls finds the helper calls of a T-rule whose value one firing
-// can reuse and gives each set of interchangeable calls a slot in
+// shareCalls finds the helper calls of a cut T-rule whose value one
+// firing can reuse and gives each set of interchangeable calls a slot in
 // f.Shared. Helpers are pure, so two calls are interchangeable when their
 // text is equal and every property they read holds the same value at both
 // points: left-hand-side descriptors never change during a firing (the
 // checker rejects the assignment), and a right-hand-side property changes
-// only through the rule's own statements, which are followed here in
-// execution order — pre-test, test, post-test. Sharing is by value, not
-// by position: a call the test short-circuits away is evaluated by
-// whichever later statement reaches it first.
+// only through the rule's own statements, which are followed here in the
+// order the cut runs them — the statements before the test, the test,
+// the rest. Sharing is by value, not by position: a call the test
+// short-circuits away is evaluated by whichever later statement reaches
+// it first.
 //
 // I-rules get no sharing: their sections run against different input
 // descriptors, and P2V binds both sides' input names to one descriptor.
-func shareCalls(f *core.Frame, pre []*Stmt, test Expr, post []*Stmt) map[*Call]int {
+func shareCalls(f *core.Frame, before []*Stmt, test Expr, after []*Stmt) map[*Call]int {
 	sh := &sharing{}
-	sh.block(pre)
+	sh.block(before)
 	if test != nil {
 		sh.key(test)
 	}
-	sh.block(post)
+	sh.block(after)
 	shared := map[*Call]int{}
 	for i, x := range sh.calls {
 		j := slices.Index(sh.keys, sh.keys[i])
@@ -224,8 +225,7 @@ func (em *emitter) assigned(e Expr, k core.Kind) valFn {
 // site's own range of Binding.Args, so a call allocates no argument
 // slice and nested calls do not overwrite one another.
 func (em *emitter) call(x *Call) valFn {
-	h, _ := em.helpers.Lookup(x.Name)
-	fn, name, pos := h.Fn, x.Name, x.Pos
+	fn, name, pos := em.helpers[x.Name], x.Name, x.Pos
 	args := make([]valFn, len(x.Args))
 	for i, a := range x.Args {
 		args[i] = em.val(a)

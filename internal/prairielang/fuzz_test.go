@@ -30,8 +30,7 @@ postopt { D4.cost = D3.cost + h(D4.n) * 1.5; }
 // Compile (helpers stubbed to their result kind's default) agree — Check
 // reports exactly the errors Compile fails with, and a specification
 // Check accepts compiles; and every rule's compiled actions — a T-rule's
-// both as written and sliced — agree with the interpreter on a binding
-// of empty descriptors. Seeds cover every declaration form plus the
+// cut — agree with the interpreter on a binding of empty descriptors. Seeds cover every declaration form plus the
 // shipped example specification and one the compiler used to reject
 // after Check had accepted it.
 func FuzzParse(f *testing.F) {

@@ -11,10 +11,21 @@ import (
 // This file keeps the tree-walking interpreter the compiler (emit.go)
 // replaced. It evaluates a checked rule directly from its AST, by name
 // and with every value boxed, and survives as the oracle of the
-// differential tests: compiled actions must behave exactly like it.
+// differential tests: compiled actions must behave exactly like it. It
+// alone runs a T-rule as written; the compiler builds only its cut.
+
+// RunWhole runs a checked T-rule as written — its pre-test statements,
+// its test, and its post-test statements whatever the test's verdict —
+// and returns the verdict.
+func RunWhole(d *TRuleDecl, impls map[string]HelperImpl, b *core.Binding) bool {
+	execStmts(d.PreTest, b, impls)
+	ok := d.Test == nil || evalBool(d.Test, b, impls)
+	execStmts(d.PostTest, b, impls)
+	return ok
+}
 
 // execStmts runs a checked statement block against a binding.
-func execStmts(stmts []*Stmt, b *core.Binding, helpers *core.Helpers) {
+func execStmts(stmts []*Stmt, b *core.Binding, impls map[string]HelperImpl) {
 	for _, st := range stmts {
 		if st.Prop == "" {
 			b.D(st.Dst).CopyFrom(b.D(st.Src))
@@ -24,14 +35,14 @@ func execStmts(stmts []*Stmt, b *core.Binding, helpers *core.Helpers) {
 		if !ok {
 			evalPanic(st.Pos, "unknown property %q", st.Prop)
 		}
-		v := evalExpr(st.RHS, b, helpers)
+		v := evalExpr(st.RHS, b, impls)
 		b.D(st.Dst).Set(id, v)
 	}
 }
 
 // evalBool evaluates a checked test expression.
-func evalBool(e Expr, b *core.Binding, helpers *core.Helpers) bool {
-	v := evalExpr(e, b, helpers)
+func evalBool(e Expr, b *core.Binding, impls map[string]HelperImpl) bool {
+	v := evalExpr(e, b, impls)
 	bv, ok := v.(core.Bool)
 	if !ok {
 		evalPanic(e.ExprPos(), "test did not evaluate to a boolean (got %v)", v.Kind())
@@ -40,7 +51,7 @@ func evalBool(e Expr, b *core.Binding, helpers *core.Helpers) bool {
 }
 
 // evalExpr evaluates a checked expression against a binding.
-func evalExpr(e Expr, b *core.Binding, helpers *core.Helpers) core.Value {
+func evalExpr(e Expr, b *core.Binding, impls map[string]HelperImpl) core.Value {
 	switch x := e.(type) {
 	case *NumLit:
 		return core.Float(x.Val)
@@ -55,15 +66,15 @@ func evalExpr(e Expr, b *core.Binding, helpers *core.Helpers) core.Value {
 	case *Call:
 		args := make([]core.Value, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = evalExpr(a, b, helpers)
+			args[i] = evalExpr(a, b, impls)
 		}
-		v, err := helpers.Call(x.Name, args...)
+		v, err := impls[x.Name](args)
 		if err != nil {
 			evalPanic(x.Pos, "helper %s: %v", x.Name, err)
 		}
 		return v
 	case *Unary:
-		v := evalExpr(x.X, b, helpers)
+		v := evalExpr(x.X, b, impls)
 		if x.Op == TokBang {
 			bv, ok := v.(core.Bool)
 			if !ok {
@@ -73,42 +84,42 @@ func evalExpr(e Expr, b *core.Binding, helpers *core.Helpers) core.Value {
 		}
 		return core.Float(-toFloat(v, x.Pos))
 	case *Binary:
-		return evalBinary(x, b, helpers)
+		return evalBinary(x, b, impls)
 	}
 	panic(evalError{fmt.Errorf("prairielang: unknown expression %T", e)})
 }
 
-func evalBinary(x *Binary, b *core.Binding, helpers *core.Helpers) core.Value {
+func evalBinary(x *Binary, b *core.Binding, impls map[string]HelperImpl) core.Value {
 	switch x.Op {
 	case TokAndAnd:
-		l, ok := evalExpr(x.L, b, helpers).(core.Bool)
+		l, ok := evalExpr(x.L, b, impls).(core.Bool)
 		if !ok {
 			evalPanic(x.Pos, "'&&' on non-boolean")
 		}
 		if !l {
 			return core.Bool(false)
 		}
-		r, ok := evalExpr(x.R, b, helpers).(core.Bool)
+		r, ok := evalExpr(x.R, b, impls).(core.Bool)
 		if !ok {
 			evalPanic(x.Pos, "'&&' on non-boolean")
 		}
 		return r
 	case TokOrOr:
-		l, ok := evalExpr(x.L, b, helpers).(core.Bool)
+		l, ok := evalExpr(x.L, b, impls).(core.Bool)
 		if !ok {
 			evalPanic(x.Pos, "'||' on non-boolean")
 		}
 		if l {
 			return core.Bool(true)
 		}
-		r, ok := evalExpr(x.R, b, helpers).(core.Bool)
+		r, ok := evalExpr(x.R, b, impls).(core.Bool)
 		if !ok {
 			evalPanic(x.Pos, "'||' on non-boolean")
 		}
 		return r
 	}
-	l := evalExpr(x.L, b, helpers)
-	r := evalExpr(x.R, b, helpers)
+	l := evalExpr(x.L, b, impls)
+	r := evalExpr(x.R, b, impls)
 	switch x.Op {
 	case TokEq:
 		return core.Bool(valuesEqual(l, r))

@@ -209,25 +209,20 @@ func TestCompileMiniSpec(t *testing.T) {
 	if len(rs.TRules) != 1 || len(rs.IRules) != 4 {
 		t.Fatalf("compiled rules = %d T, %d I", len(rs.TRules), len(rs.IRules))
 	}
-	// Hints are exact, from the statement ASTs.
+	// The pre-opt write hints are exact, from the statement ASTs: one per
+	// property assignment, none for a whole-descriptor copy.
 	var nl *core.IRule
 	for _, r := range rs.IRules {
 		if r.Name == "join_nested_loops" {
 			nl = r
 		}
 	}
-	if nl == nil || nl.Hints == nil {
-		t.Fatal("missing rule or hints")
+	if nl == nil {
+		t.Fatal("missing rule")
 	}
-	wantPre := []string{"D5.*", "D4.*", "D4.tuple_order"}
-	if strings.Join(nl.Hints.PreWrites, ",") != strings.Join(wantPre, ",") {
-		t.Errorf("PreWrites = %v", nl.Hints.PreWrites)
-	}
-	if len(nl.Hints.PostWrites) != 1 || nl.Hints.PostWrites[0] != "D5.cost" {
-		t.Errorf("PostWrites = %v", nl.Hints.PostWrites)
-	}
-	if enf := rs.EnforcerOperators(); len(enf) != 1 || enf[0].Name != "SORT" {
-		t.Errorf("enforcer operators = %v", enf)
+	ord := rs.Algebra.Props.MustLookup("tuple_order")
+	if len(nl.PreWrites) != 1 || nl.PreWrites[0] != (core.PropWrite{Desc: "D4", Prop: ord}) {
+		t.Errorf("PreWrites = %v", nl.PreWrites)
 	}
 }
 
@@ -654,7 +649,8 @@ func TestInterpOperators(t *testing.T) {
 	}
 }
 
-// TestTRulePretestAndTest covers compiled T-rule pre-test sections.
+// TestTRulePretestAndTest covers a compiled T-rule's pre-test statements:
+// the test reads what they assign, so its cut runs them before it.
 func TestTRulePretestAndTest(t *testing.T) {
 	src := `
 		algebra tr; property cost : cost; property num_records : float;
@@ -672,22 +668,23 @@ func TestTRulePretestAndTest(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := rs.TRules[0]
+	s := r.Slice(r.RHS, declaredArgs)
 	ps := rs.Algebra.Props
 	nr := ps.MustLookup("num_records")
 	b := core.NewBinding(ps)
 	b.D("D1").SetFloat(nr, 3)
 	b.D("D2").SetFloat(nr, 4)
-	if RunWhole(r, b) {
+	if s.Cond(b) {
 		t.Error("7 > 10 should fail")
 	}
 	b2 := core.NewBinding(ps)
 	b2.D("D1").SetFloat(nr, 30)
 	b2.D("D2").SetFloat(nr, 4)
-	if !RunWhole(r, b2) {
+	if !s.Cond(b2) {
 		t.Error("34 > 10 should pass")
 	}
-	if r.Hints == nil || len(r.Hints.PreWrites) != 1 || r.Hints.PreWrites[0] != "D4.num_records" {
-		t.Errorf("T-rule hints = %+v", r.Hints)
+	if got := b2.D("D4").Float(nr); got != 34 {
+		t.Errorf("pre-test left D4.num_records = %v, want 34", got)
 	}
 }
 
@@ -714,10 +711,15 @@ func TestCheckedSeedCompiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.RunOnDefaults()
-	// The T-rule as written, its three sliced parts — the pre-test
-	// statement sinks into rest — and the I-rule.
-	if len(d.Ran) != 9 || d.Ran["t/rest"] != 1 {
-		t.Errorf("compared %v, want all nine sections", d.Ran)
+	// The T-rule's three cut parts — the pre-test statement sinks into
+	// rest — and the I-rule's three sections, each compared once.
+	if len(d.Ran) != 6 || d.Ran["t/rest"] != 1 {
+		t.Errorf("compared %v, want all six sections", d.Ran)
+	}
+	for section, n := range d.Ran {
+		if n != 1 {
+			t.Errorf("%s compared %d times, want once", section, n)
+		}
 	}
 }
 
@@ -744,18 +746,4 @@ func TestTRuleLeftSideIsReadOnly(t *testing.T) {
 	if errs := Check(decls); len(errs) != 0 {
 		t.Errorf("I-rule input descriptor: Check = %v, want none", errs)
 	}
-}
-
-// RunWhole runs a compiled T-rule as written — its pre-test statements,
-// its test, and its post-test statements whatever the test's verdict —
-// and returns the verdict.
-func RunWhole(r *core.TRule, b *core.Binding) bool {
-	if r.PreTest != nil {
-		r.PreTest(b)
-	}
-	ok := r.Test == nil || r.Test(b)
-	if r.PostTest != nil {
-		r.PostTest(b)
-	}
-	return ok
 }

@@ -136,7 +136,7 @@ func anyMember(e Expr, f func(*Member) bool) bool {
 
 // emit compiles the cut against a frame of its own over the rule's
 // descriptor names: helper calls are shared in the order the parts run.
-func (c cut) emit(test Expr, names []string, helpers *core.Helpers) *core.Sliced {
+func (c cut) emit(test Expr, names []string, helpers map[string]HelperImpl) *core.Sliced {
 	f := &core.Frame{Names: names}
 	em := &emitter{helpers: helpers, frame: f, shared: shareCalls(f, c.test, test, slices.Concat(c.ident, c.rest))}
 	pre, t := em.action(c.test), em.test(test)

@@ -18,22 +18,26 @@ irule i: J(?1:D1, ?2:D2):D3 => A(?1, ?2):D4 preopt { D4 = D3; } postopt { D4.cos
 irule u: U(?1:D1):D2 => B(?1):D3 preopt { D3 = D2; } postopt { D3.cost = 1; }
 `
 
+// sliceImpls implements sliceDecls' helper.
+var sliceImpls = map[string]HelperImpl{
+	"h": func(a []core.Value) (core.Value, error) { return a[0].(core.Float) + 1, nil },
+}
+
 // cutOf compiles sliceDecls plus one T-rule and cuts the rule for its own
-// right side, the declared args(...) standing for the identity properties.
-func cutOf(t *testing.T, trule string) (cut, *core.TRule, *core.PropertySet) {
+// right side, the declared args(...) standing for the identity
+// properties; it also returns the rule as compiled and as declared.
+func cutOf(t *testing.T, trule string) (cut, *core.TRule, *TRuleDecl, *core.PropertySet) {
 	t.Helper()
 	spec, err := Parse(sliceDecls + trule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := Compile(spec, map[string]HelperImpl{
-		"h": func(a []core.Value) (core.Value, error) { return a[0].(core.Float) + 1, nil },
-	})
+	rs, err := Compile(spec, sliceImpls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := rs.TRules[0]
-	return cutTRule(spec.TRules[0], r.RHS, declaredArgs), r, rs.Algebra.Props
+	r, d := rs.TRules[0], spec.TRules[0]
+	return cutTRule(d, r.RHS, declaredArgs), r, d, rs.Algebra.Props
 }
 
 func declaredArgs(op *core.Operation) []core.PropID { return op.Args }
@@ -135,7 +139,7 @@ func TestSliceParts(t *testing.T) {
 		},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			got, r, _ := cutOf(t, c.rule)
+			got, r, _, _ := cutOf(t, c.rule)
 			if c.why != "" {
 				// Left as written, and said why.
 				d := r.Slice(r.RHS, declaredArgs)
@@ -157,10 +161,10 @@ func TestSliceParts(t *testing.T) {
 // TestSlicedRuleRuns fires a sliced rule part by part: Cond leaves the
 // sunk pre-test statement alone; after Appl the identity property is
 // final and the copy has happened, the deferred assignments have not;
-// Rest completes the descriptors to what the rule as written produces,
-// the override landing on top of the copy.
+// Rest completes the descriptors to what the rule as written produces in
+// the interpreter, the override landing on top of the copy.
 func TestSlicedRuleRuns(t *testing.T) {
-	_, r, ps := cutOf(t, `trule r: J(J(?1:D1, ?2:D2):D3, ?3:D4):D5 => J(?1, J(?2, ?3):D6):D7
+	_, r, decl, ps := cutOf(t, `trule r: J(J(?1:D1, ?2:D2):D3, ?3:D4):D5 => J(?1, J(?2, ?3):D6):D7
 		pretest { D6.y = h(D1.x); }
 		test (D5.x > 0)
 		posttest { D7 = D5; D7.x = h(D5.x); D7.p = D5.p + 1; }`)
@@ -189,7 +193,7 @@ func TestSlicedRuleRuns(t *testing.T) {
 	}
 	s.Rest(b)
 	whole := lhs()
-	if !RunWhole(r, whole) {
+	if !RunWhole(decl, sliceImpls, whole) {
 		t.Fatal("rule as written rejected")
 	}
 	for _, name := range []string{"D6", "D7"} {

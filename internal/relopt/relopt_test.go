@@ -58,10 +58,6 @@ func TestPrairieRuleSetValid(t *testing.T) {
 	if len(rs.TRules) != 3 || len(rs.IRules) != 6 {
 		t.Errorf("rule counts = %d T, %d I; want 3 T, 6 I", len(rs.TRules), len(rs.IRules))
 	}
-	enf := rs.EnforcerOperators()
-	if len(enf) != 1 || enf[0] != o.SORT {
-		t.Errorf("EnforcerOperators = %v", enf)
-	}
 	for _, r := range rs.TRules {
 		if !strings.HasPrefix(r.Origin, "spec:") {
 			t.Errorf("T-rule %s origin = %q, want a spec position", r.Name, r.Origin)
@@ -74,7 +70,10 @@ func TestPrairieRuleSetValid(t *testing.T) {
 // a rule may read an unset property, which reads as its kind's default.
 func TestHelperImplsTotal(t *testing.T) {
 	o := New(testCatalog(false))
-	rs := o.PrairieRules()
+	spec, err := prairielang.Parse(Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	impls := o.HelperImpls()
 	none, dc, tru := core.Attrs(nil), core.DontCareOrder, core.TruePred
 	defaults := map[string][]core.Value{
@@ -97,7 +96,8 @@ func TestHelperImplsTotal(t *testing.T) {
 		"merge_join_cost":   {core.Cost(0), core.Cost(0), core.Float(0), core.Float(0)},
 		"merge_sort_cost":   {core.Cost(0), core.Float(0)},
 	}
-	for _, name := range rs.Helpers.Names() {
+	for _, h := range spec.Helpers {
+		name := h.Name
 		args, ok := defaults[name]
 		if !ok {
 			t.Errorf("helper %s missing from totality test", name)
@@ -107,9 +107,9 @@ func TestHelperImplsTotal(t *testing.T) {
 			t.Errorf("helper %s failed on defaults: %v", name, err)
 		}
 	}
-	if len(defaults) != len(rs.Helpers.Names()) || len(impls) != len(defaults) {
+	if len(defaults) != len(spec.Helpers) || len(impls) != len(defaults) {
 		t.Errorf("%d default cases, %d declared helpers, %d implementations",
-			len(defaults), len(rs.Helpers.Names()), len(impls))
+			len(defaults), len(spec.Helpers), len(impls))
 	}
 }
 

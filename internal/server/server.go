@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"runtime"
 	"sort"
@@ -59,7 +60,7 @@ type Config struct {
 	// recorder.
 	Flight *obs.FlightRecorder
 	// Log receives structured request/drain logs; nil disables logging.
-	Log *obs.Logger
+	Log *slog.Logger
 }
 
 // The demo database a request with "execute": true runs its plan on:
@@ -395,13 +396,13 @@ func (s *Server) finish(rec *obs.RequestRecord, status int, outcome, errMsg stri
 	}
 	// At the default info level a clean request logs nothing, so its
 	// fields are not boxed either.
-	if lg := s.cfg.Log; lg.Enabled(level) {
+	if lg, ctx := s.cfg.Log, context.Background(); lg != nil && lg.Enabled(ctx, level) {
 		kv := []any{"request_id", rec.ID, "endpoint", rec.Endpoint,
 			"status", status, "outcome", outcome, "elapsed_us", rec.ElapsedUS}
 		if errMsg != "" {
 			kv = append(kv, "error", errMsg)
 		}
-		lg.Log(level, "request", kv...)
+		lg.Log(ctx, level, "request", kv...)
 	}
 }
 
