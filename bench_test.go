@@ -178,7 +178,12 @@ func BenchmarkExploreMerges(b *testing.B) {
 // 1.113 on E1/n6 (1.125 under the race detector); the Prairie rules also
 // stopped boxing each computed cost twice — as a float, then as the cost
 // Set coerces it to — which the hand-coded rules never did: E2/n5 went
-// from 13 405 objects to 8 679 with them, E1/n6 reads 1.058.
+// from 13 405 objects to 8 679 with them, E1/n6 reads 1.058. And again
+// when the memo began carving its growing lists — group members, parent
+// lists, the explorer's FIFOs — from an arena, and a conjunction and a
+// plan node each became one object: E2/n5 went from 8 679 objects to
+// 6 984 with the Prairie rules and from 9 187 to 7 492 hand-coded, at
+// 1% more bytes; E1/n6 reads 1.081.
 // allocsPerRun is testing.AllocsPerRun (a warm-up run, then an average;
 // callers pin one processor) reading the allocated bytes beside the
 // object count.
@@ -209,9 +214,9 @@ func TestSearchAllocCeiling(t *testing.T) {
 		prairie, volcano           float64 // ceilings, objects
 		prairieBytes, volcanoBytes float64 // ceilings, bytes
 	}{
-		{qgen.E1, 6, 1_100, 1_035, 125_250, 124_500},
-		{qgen.E2, 5, 10_000, 10_575, 1_105_000, 1_168_500},
-		{qgen.E4, 3, 6_150, 6_725, 815_000, 835_500},
+		{qgen.E1, 6, 800, 740, 125_250, 124_500},
+		{qgen.E2, 5, 8_030, 8_615, 1_105_000, 1_168_500},
+		{qgen.E4, 3, 4_535, 5_130, 815_000, 835_500},
 	} {
 		w := prepOODB(t, q.e, q.n, false)
 		p, pb := cost(w.pvrs, w.ptree, w.preq)
@@ -297,29 +302,36 @@ func TestSearchColdRediscoveries(t *testing.T) {
 	}
 }
 
-// BenchmarkSearchCold is one round of the benchmark's search_cold
+// searchColdRound returns one round of the benchmark's search_cold
 // workload (bench/workloads.go's searchPool, over the registry
 // bench/env.go builds): every program built and searched cold, cacheless
-// and unobserved, on a fresh optimizer. allocs/program is the workload's
-// allocs_per_op; `go test -bench SearchCold -memprofile mem.out` profiles
-// it.
-func BenchmarkSearchCold(b *testing.B) {
-	reg, pool := searchColdPool(b)
-	round := func() {
+// and unobserved, on a fresh optimizer, and its plan rendered. It runs
+// the round once, since rule indexes are built on first use.
+func searchColdRound(tb testing.TB) (round func(), programs int) {
+	reg, pool := searchColdPool(tb)
+	round = func() {
 		for _, p := range pool {
 			w, _ := reg.Lookup(p.world)
 			tree, want, err := w.Build(p.q)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			plan, err := volcano.NewOptimizer(w.RS).Optimize(tree, want)
 			if err != nil {
-				b.Fatalf("%s %s: %v", p.world, p.q, err)
+				tb.Fatalf("%s %s: %v", p.world, p.q, err)
 			}
 			_ = plan.String()
 		}
 	}
-	round() // rule indexes are built on first use
+	round()
+	return round, len(pool)
+}
+
+// BenchmarkSearchCold is one round of the search_cold workload per op.
+// allocs/program is the workload's allocs_per_op; `go test -bench
+// SearchCold -memprofile mem.out` profiles it.
+func BenchmarkSearchCold(b *testing.B) {
+	round, programs := searchColdRound(b)
 	b.ReportAllocs()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -329,7 +341,23 @@ func BenchmarkSearchCold(b *testing.B) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
-	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*len(pool)), "allocs/program")
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/float64(b.N*programs), "allocs/program")
+}
+
+// TestSearchColdAllocs pins BenchmarkSearchCold's allocs/program — the
+// search_cold workload's allocs_per_op — 3% above the 2 848 it reads on
+// one processor (2 869 under the race detector). It read 3 642 before
+// the memo carved its growing lists from an arena and a conjunction and
+// a plan node became one object each.
+func TestSearchColdAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	round, programs := searchColdRound(t)
+	allocs, _ := allocsPerRun(round)
+	perProgram := allocs / float64(programs)
+	t.Logf("search_cold: %.1f allocations per program", perProgram)
+	if perProgram > 2_935 {
+		t.Errorf("search_cold: %.1f allocations per program, ceiling 2 935", perProgram)
+	}
 }
 
 // execPlans prepares what the benchmark's exec_plans workload runs: the

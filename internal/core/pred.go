@@ -84,7 +84,9 @@ func EqAttr(a, b Attr) *Pred { return &Pred{Op: PredEq, Left: a, Right: b, AttrC
 
 // And conjoins predicates, dropping TRUE terms and flattening nested ANDs.
 // And() with no live terms returns TruePred. The terms are counted first,
-// so a conjunction's slice is allocated once, at its size.
+// so a conjunction is allocated once, at its size: up to eight
+// conjuncts, node and kids are one object. Its kids are its own, so a
+// caller may reorder them before the conjunction is shared.
 func And(ps ...*Pred) *Pred {
 	n, last := 0, TruePred
 	for _, p := range ps {
@@ -95,11 +97,44 @@ func And(ps ...*Pred) *Pred {
 	if n <= 1 {
 		return last
 	}
-	kids := make([]*Pred, 0, n)
-	for _, p := range ps {
-		kids = append(kids, p.Conjuncts()...)
+	var and *Pred
+	if n-2 < len(conjs) {
+		and = conjs[n-2]()
+	} else {
+		and = &Pred{Op: PredAnd, Kids: make([]*Pred, 0, n)}
 	}
-	return &Pred{Op: PredAnd, Kids: kids}
+	for _, p := range ps {
+		and.Kids = append(and.Kids, p.Conjuncts()...)
+	}
+	return and
+}
+
+// A conj is a conjunction and its kids in one heap object; S is [n]*Pred.
+type conj[S any] struct {
+	p Pred
+	s S
+}
+
+func conjOf[S any](kids func(*S) []*Pred) func() *Pred {
+	return func() *Pred {
+		c := new(conj[S])
+		c.p.Op, c.p.Kids = PredAnd, kids(&c.s)[:0]
+		return &c.p
+	}
+}
+
+// conjs[n-2] allocates an empty conjunction with room for exactly n
+// kids. A Pred is 64 bytes, so the object, 64+8n bytes rounded up to a
+// size class, costs what the node and slice it replaces cost, or 8
+// bytes more (n = 3).
+var conjs = [...]func() *Pred{
+	conjOf(func(s *[2]*Pred) []*Pred { return s[:] }),
+	conjOf(func(s *[3]*Pred) []*Pred { return s[:] }),
+	conjOf(func(s *[4]*Pred) []*Pred { return s[:] }),
+	conjOf(func(s *[5]*Pred) []*Pred { return s[:] }),
+	conjOf(func(s *[6]*Pred) []*Pred { return s[:] }),
+	conjOf(func(s *[7]*Pred) []*Pred { return s[:] }),
+	conjOf(func(s *[8]*Pred) []*Pred { return s[:] }),
 }
 
 // Or disjoins predicates. Or() of nothing returns TruePred for symmetry

@@ -203,6 +203,35 @@ func TestPredConstruction(t *testing.T) {
 	}
 }
 
+// TestAndIsOneObject: a conjunction of up to eight terms is one heap
+// object, node and kids together, whether its terms come flat or nested;
+// past eight it is two. Its kids are its own, at exactly their number,
+// so sorting them in place (as canonical conjunctions do) changes no
+// input.
+func TestAndIsOneObject(t *testing.T) {
+	for _, c := range []struct{ n, want int }{{2, 1}, {3, 1}, {4, 1}, {8, 1}, {9, 2}} {
+		terms := make([]*Pred, c.n)
+		for i := range terms {
+			terms[i] = EqConst(A("R", "a"), Int(c.n-i))
+		}
+		nested, rest := And(terms[:c.n/2]...), And(terms[c.n/2:]...)
+		var p *Pred
+		if got := testing.AllocsPerRun(10, func() { p = And(terms...) }); got != float64(c.want) {
+			t.Errorf("And of %d terms: %v allocations, want %d", c.n, got, c.want)
+		}
+		if got := testing.AllocsPerRun(10, func() { p = And(nested, TruePred, rest) }); got != float64(c.want) {
+			t.Errorf("And of %d nested terms: %v allocations, want %d", c.n, got, c.want)
+		}
+		if p.Op != PredAnd || !slices.Equal(p.Kids, terms) || cap(p.Kids) != c.n {
+			t.Fatalf("And of %d terms: %v with %d kids of capacity %d", c.n, p, len(p.Kids), cap(p.Kids))
+		}
+		slices.SortFunc(p.Kids, (*Pred).Compare)
+		if nested.Kids != nil && !slices.Equal(nested.Kids, terms[:c.n/2]) || !slices.IsSortedFunc(p.Kids, (*Pred).Compare) {
+			t.Errorf("sorting a conjunction of %d terms in place reached its input %v", c.n, nested)
+		}
+	}
+}
+
 func TestPredEqualityAndHash(t *testing.T) {
 	x, y := A("R1", "a"), A("R2", "b")
 	p1 := And(EqAttr(x, y), EqConst(x, Int(1)))

@@ -14,9 +14,10 @@ import (
 // entry made from it, point into none of them. Each world searches a
 // query through a plan cache on an optimizer that is then dropped;
 // after a collection every arena chunk — expressions, kid ids, rule
-// horizons, groups, winner entries, descriptors and their value slots —
-// must be unreachable, while the plan still renders as it did and a
-// fresh optimizer is served the same plan from the cache.
+// horizons, groups, winner entries, descriptors and their value slots,
+// expression lists — must be unreachable, while the plan still renders
+// as it did and a fresh optimizer is served the same plan from the
+// cache.
 func TestReturnedPlansOwnNothingInTheMemo(t *testing.T) {
 	dsl, err := os.ReadFile("../../examples/dslrules/rules.prairie")
 	if err != nil {
@@ -26,7 +27,7 @@ func TestReturnedPlansOwnNothingInTheMemo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := []string{"expression", "kid ids", "horizons", "group", "winner", "descriptor", "value slots"}
+	kinds := []string{"expression", "kid ids", "horizons", "group", "winner", "descriptor", "value slots", "lists"}
 	for _, c := range []struct {
 		world string
 		q     server.QuerySpec

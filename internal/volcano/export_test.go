@@ -270,9 +270,22 @@ func (m *Memo) Winners() []*PExpr {
 // into a chunk reads nil only once the whole chunk is unreachable, so
 // the probes together watch every chunk the memo allocated. Leaves'
 // descriptors are the query tree's, not the memo's, and are left out.
+// The list arena is probed at its current chunk and at every group's
+// and parent list's run; a chunk that holds only runs full lists left
+// behind, or the explorer's FIFOs, goes unwatched.
 func (m *Memo) ArenaObjects() map[string][]func() bool {
 	out := map[string][]func() bool{}
 	probe := func(kind string, alive func() bool) { out[kind] = append(out[kind], alive) }
+	list := func(l []*LExpr) {
+		if cap(l) > 0 {
+			wl := weak.Make(&l[:1][0])
+			probe("lists", func() bool { return wl.Value() != nil })
+		}
+	}
+	list(m.listArena)
+	for _, ps := range m.parents {
+		list(ps)
+	}
 	desc := func(d *core.Descriptor) {
 		wd := weak.Make(d)
 		probe("descriptor", func() bool { return wd.Value() != nil })
@@ -285,6 +298,7 @@ func (m *Memo) ArenaObjects() map[string][]func() bool {
 	for _, g := range m.groups {
 		wg := weak.Make(g)
 		probe("group", func() bool { return wg.Value() != nil })
+		list(g.Exprs)
 		for w := g.winners; w != nil; w = w.next {
 			ww := weak.Make(w)
 			probe("winner", func() bool { return ww.Value() != nil })

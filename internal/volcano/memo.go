@@ -171,14 +171,17 @@ type Memo struct {
 
 	// The arenas: the expressions, kid ids, rule horizons, groups,
 	// winner entries and descriptors the memo owns are carved from
-	// chunks (core.Take) and die with the memo. What a search returns
-	// never points into them: plans are heap objects of their own (see
-	// costFrame.plan), and a leaf's descriptor is the query tree's.
+	// chunks (core.Take) and die with the memo, and so are the growing
+	// expression lists — group members, parent lists and the explorer's
+	// FIFOs (see appendList). What a search returns never points into
+	// them: plans are heap objects of their own (see costFrame.plan), and
+	// a leaf's descriptor is the query tree's.
 	exprArena    []LExpr
 	kidArena     []GroupID
 	horizonArena []uint64
 	groupArena   []Group
 	winnerArena  []winnerEntry
+	listArena    []*LExpr
 	descs        core.DescArena
 }
 
@@ -191,6 +194,7 @@ const (
 	horizonChunk = 256
 	groupChunk   = 32
 	winnerChunk  = 32
+	listChunk    = 512
 )
 
 // NewMemo returns an empty memo for the rule set.
@@ -359,17 +363,30 @@ func (m *Memo) parentsOf(g GroupID) []*LExpr {
 	return ps[:n]
 }
 
+// appendList appends es to list, a list carved from the memo's list
+// arena. A list that is full moves to a run of the arena twice its
+// length, and the run it leaves stays as it was: a slice taken of the
+// list before (the matcher's snapshot of a group) reads what it read,
+// exactly as after an append on the heap.
+func (m *Memo) appendList(list []*LExpr, es ...*LExpr) []*LExpr {
+	if n := len(list) + len(es); n > cap(list) {
+		run := core.Take(&m.listArena, max(n, 2*cap(list)), listChunk)
+		list = run[:copy(run, list)]
+	}
+	return append(list, es...)
+}
+
 // adopt finishes the interning of a new expression: it joins group g, the
 // index under key h, and the parent list of each of its inputs.
 func (m *Memo) adopt(e *LExpr, g *Group, h uint64) {
 	e.group, e.via = g.ID, m.curRule
-	g.Exprs = append(g.Exprs, e)
+	g.Exprs = m.appendList(g.Exprs, e)
 	m.stamp(e, g)
 	m.exprCount++
 	m.interned++
 	m.addIndex(h, e)
 	for _, k := range e.Kids {
-		m.parents[k] = append(m.parents[k], e)
+		m.parents[k] = m.appendList(m.parents[k], e)
 	}
 	if m.hooks != nil {
 		m.hooks.exprAdded(e)
@@ -465,7 +482,7 @@ func (m *Memo) merge(a, b GroupID) {
 	for _, e := range gb.Exprs {
 		e.group, e.vis = a, m.seq
 	}
-	ga.Exprs = append(ga.Exprs, gb.Exprs...)
+	ga.Exprs = m.appendList(ga.Exprs, gb.Exprs...)
 	ga.maxSeq = m.seq
 	ga.depth = max(ga.depth, gb.depth)
 	gb.Exprs = nil
@@ -476,7 +493,7 @@ func (m *Memo) merge(a, b GroupID) {
 	// Only b's parents embed a no-longer-canonical id in their keys.
 	ps := m.parentsOf(b)
 	m.stale = append(m.stale, ps...)
-	m.parents[a] = append(m.parents[a], ps...)
+	m.parents[a] = m.appendList(m.parents[a], ps...)
 	m.parents[b] = nil
 	m.dirty = true
 	if m.hooks != nil {

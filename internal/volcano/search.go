@@ -334,7 +334,7 @@ func (x *explorer) push(e *LExpr) {
 	for len(x.levels) <= d {
 		x.levels = append(x.levels, level{})
 	}
-	x.levels[d].q = append(x.levels[d].q, e)
+	x.levels[d].q = x.m.appendList(x.levels[d].q, e)
 	x.deep = max(x.deep, d+1)
 	if x.pending++; x.pending > x.o.Stats.MaxQueue {
 		x.o.Stats.MaxQueue = x.pending
@@ -652,12 +652,25 @@ func (f *costFrame) keepLeaf(e *LExpr) {
 }
 
 // plan builds the incumbent's plan node. The node owns its descriptor and
-// input slice, so nothing it holds points into the frame or the memo.
+// input slice, so nothing it holds points into the frame or the memo; up
+// to two inputs, node and input slice are one heap object.
 func (f *costFrame) plan() *PExpr {
 	if f.best.IsLeaf() {
 		return &PExpr{File: f.best.File, D: f.best.D}
 	}
-	return &PExpr{Alg: f.best.Alg, D: f.bestD.Clone(), Kids: slices.Clone(f.best.Kids)}
+	var p *PExpr
+	if kids := f.best.Kids; len(kids) <= 2 {
+		b := new(struct {
+			p PExpr
+			s [2]*PExpr
+		})
+		b.p.Kids = b.s[:copy(b.s[:], kids)]
+		p = &b.p
+	} else {
+		p = &PExpr{Kids: slices.Clone(kids)}
+	}
+	p.Alg, p.D = f.best.Alg, f.bestD.Clone()
+	return p
 }
 
 // optimizeGroup enumerates the group's physical alternatives.
