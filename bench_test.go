@@ -379,7 +379,7 @@ func execPlans(tb testing.TB, rows int) (db *data.DB, props exec.Props, specs []
 		if err != nil {
 			tb.Fatal(err)
 		}
-		trees, plans = append(trees, tree), append(plans, plan.ToExpr())
+		trees, plans = append(trees, tree), append(plans, plan)
 	}
 	return data.Populate(w.Cat, 101, rows), w.ExecProps, specs, trees, plans
 }
@@ -432,7 +432,7 @@ func TestExecAllocCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	db, props, specs, _, plans := execPlans(t, 4096)
 	for i, c := range []struct{ allocs, bytes float64 }{
-		{72, 775_000}, {152, 4_870_000}, {345, 24_250_000}, {89, 1_690_000}, {117, 3_020_000}, {40, 3_800},
+		{67, 775_000}, {146, 4_870_000}, {342, 24_250_000}, {83, 1_690_000}, {111, 3_020_000}, {34, 3_800},
 	} {
 		allocs, bytes := allocsPerRun(func() { execOnce(t, db, props, plans[i]) })
 		t.Logf("%v: %.0f allocations, %.0f bytes per run", specs[i], allocs, bytes)

@@ -162,7 +162,7 @@ func dslWorld(t *testing.T) cacheWorld {
 }
 
 // cacheRun optimizes one world with the given cache attached.
-func cacheRun(t *testing.T, w cacheWorld, pc *volcano.PlanCache) (*volcano.PExpr, *volcano.Stats) {
+func cacheRun(t *testing.T, w cacheWorld, pc *volcano.PlanCache) (*core.Expr, *volcano.Stats) {
 	t.Helper()
 	opt := volcano.NewOptimizer(w.vrs)
 	opt.Opts.Cache = pc
@@ -251,7 +251,7 @@ func TestPlanCacheHitPlansExecute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			it, err := exec.NewCompiler(db, props).Compile(hitPlan.ToExpr())
+			it, err := exec.NewCompiler(db, props).Compile(hitPlan)
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}

@@ -36,6 +36,7 @@ import (
 	"strings"
 	"time"
 
+	"prairie/internal/core"
 	"prairie/internal/data"
 	"prairie/internal/exec"
 	"prairie/internal/obs"
@@ -98,7 +99,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	var plan *volcano.PExpr
+	var plan *core.Expr
 	var stats *volcano.Stats
 	var opt *volcano.Optimizer // the last run's, for :explain / :memo
 	var pc *volcano.PlanCache  // for :cache
@@ -149,7 +150,7 @@ func main() {
 		comp := exec.NewCompiler(db, exec.Props{
 			Ord: o.Ord, JP: o.JP, SP: o.SP, PA: o.PA, MA: o.MA, UA: o.UA,
 		})
-		it, err := comp.Compile(plan.ToExpr())
+		it, err := comp.Compile(plan)
 		if err != nil {
 			fatal(err)
 		}

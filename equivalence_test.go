@@ -49,11 +49,10 @@ func TestDegradedE4ReturnsExecutablePlan(t *testing.T) {
 	if !opt.Stats.Degraded || opt.Stats.DegradeCause != volcano.CauseMaxExprs {
 		t.Errorf("not marked degraded: %+v", opt.Stats)
 	}
-	pe := plan.ToExpr()
-	if !pe.IsPlan() {
+	if !plan.IsPlan() {
 		t.Fatalf("degraded result is not an access plan: %s", plan)
 	}
-	if got, want := len(pe.Leaves()), len(tree.Leaves()); got != want {
+	if got, want := len(plan.Leaves()), len(tree.Leaves()); got != want {
 		t.Fatalf("degraded plan covers %d stored files, want %d", got, want)
 	}
 	// Executable, not just well-formed: compile and run it on synthetic
@@ -62,7 +61,7 @@ func TestDegradedE4ReturnsExecutablePlan(t *testing.T) {
 	comp := exec.NewCompiler(db, exec.Props{
 		Ord: vo.Ord, JP: vo.JP, SP: vo.SP, PA: vo.PA, MA: vo.MA, UA: vo.UA,
 	})
-	it, err := comp.Compile(pe)
+	it, err := comp.Compile(plan)
 	if err != nil {
 		t.Fatalf("degraded plan does not compile: %v", err)
 	}
@@ -114,7 +113,7 @@ func TestDegradedCostBoundedByFullSearch(t *testing.T) {
 	if !deg.Stats.Degraded {
 		t.Fatal("run did not degrade under a 20-expression budget")
 	}
-	if !plan.ToExpr().IsPlan() || len(plan.ToExpr().Leaves()) != len(tree.Leaves()) {
+	if !plan.IsPlan() || len(plan.Leaves()) != len(tree.Leaves()) {
 		t.Errorf("degraded plan structurally invalid: %s", plan)
 	}
 	costID := vrs.Class.Cost

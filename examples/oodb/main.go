@@ -82,7 +82,7 @@ func main() {
 	comp := exec.NewCompiler(db, exec.Props{
 		Ord: po.Ord, JP: po.JP, SP: po.SP, PA: po.PA, MA: po.MA, UA: po.UA,
 	})
-	it, err := comp.Compile(pplan.ToExpr())
+	it, err := comp.Compile(pplan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -99,6 +100,39 @@ func (e *Expr) Leaves() []string {
 	return out
 }
 
+// Algorithms returns the distinct operation names used by the tree, in
+// pre-order.
+func (e *Expr) Algorithms() []string {
+	var out []string
+	var walk func(*Expr)
+	walk = func(x *Expr) {
+		if !x.IsLeaf() && !slices.Contains(out, x.Op.Name) {
+			out = append(out, x.Op.Name)
+		}
+		for _, k := range x.Kids {
+			walk(k)
+		}
+	}
+	walk(e)
+	return out
+}
+
+// Cost returns the estimated cost of the plan rooted at e: its
+// descriptor's value of the classification's cost property (0 without a
+// descriptor).
+func (e *Expr) Cost(class Classification) float64 {
+	if e.D == nil {
+		return 0
+	}
+	return e.D.Float(class.Cost)
+}
+
+// A plan is already an operator tree, so this identity method returns e.
+// It survives only because the benchmark module (bench/layers.go,
+// bench/library.go) still calls it; delete it together with those calls
+// (ROADMAP 7(a)).
+func (e *Expr) ToExpr() *Expr { return e }
+
 // Clone returns a deep copy of the tree (descriptors cloned too).
 func (e *Expr) Clone() *Expr {
 	c := &Expr{Op: e.Op, File: e.File}
@@ -147,6 +181,35 @@ func (e *Expr) format(b *strings.Builder, depth int) {
 	b.WriteByte('\n')
 	for _, k := range e.Kids {
 		k.format(b, depth+1)
+	}
+}
+
+// Explain renders a plan as an indented tree with each node's estimated
+// cost and physical properties under the classification — the per-node
+// view a rule writer debugs cost formulas with.
+func (e *Expr) Explain(class Classification) string {
+	var b strings.Builder
+	e.explain(&b, class, 0)
+	return b.String()
+}
+
+func (e *Expr) explain(b *strings.Builder, class Classification, depth int) {
+	b.WriteString(strings.Repeat("  ", depth))
+	if e.IsLeaf() {
+		fmt.Fprintf(b, "%s (stored file)\n", e.File)
+		return
+	}
+	fmt.Fprintf(b, "%s  cost=%.1f", e.Op.Name, e.Cost(class))
+	if e.D != nil {
+		for _, id := range class.Phys {
+			if e.D.Has(id) && !e.D.Get(id).IsDontCare() {
+				fmt.Fprintf(b, "  %s=%s", e.D.Props().At(id).Name, e.D.Get(id))
+			}
+		}
+	}
+	b.WriteByte('\n')
+	for _, k := range e.Kids {
+		k.explain(b, class, depth+1)
 	}
 }
 

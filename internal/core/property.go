@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -31,6 +32,28 @@ type PropertySet struct {
 	props  []Property
 	byName map[string]PropID
 }
+
+// Classification partitions one Prairie descriptor into Volcano's three
+// property classes (§3.1 of the paper). Volcano makes the user supply
+// this; P2V computes it automatically.
+type Classification struct {
+	// Arg lists the operator/algorithm argument properties: they are
+	// part of a logical expression's identity in the memo (two JOINs
+	// with different join predicates are different expressions).
+	Arg []PropID
+	// Phys lists the physical properties: properties that can be
+	// requested from below (e.g. tuple_order). Winners are memoized per
+	// physical-property vector.
+	Phys []PropID
+	// Cost is the single cost property.
+	Cost PropID
+}
+
+// IsArg reports whether id is classified as an argument property.
+func (c Classification) IsArg(id PropID) bool { return slices.Contains(c.Arg, id) }
+
+// IsPhys reports whether id is classified as a physical property.
+func (c Classification) IsPhys(id PropID) bool { return slices.Contains(c.Phys, id) }
 
 // NewPropertySet returns an empty property registry.
 func NewPropertySet() *PropertySet {

@@ -18,16 +18,11 @@ type Props struct {
 	UA  core.PropID // unnest_attribute
 }
 
-// BuildFunc constructs the iterator for one plan node; it compiles the
-// node's inputs through the Compiler as needed.
-type BuildFunc func(c *Compiler, node *core.Expr) (Iterator, error)
-
 // Compiler turns access plans (core operator trees whose interior nodes
 // are algorithms) into iterator trees over a database.
 type Compiler struct {
-	DB    *data.DB
-	P     Props
-	Build map[string]BuildFunc
+	DB *data.DB
+	P  Props
 	// Stats, when set before Compile, makes Compile wrap every operator
 	// in a per-operator runtime-stats collector (rows, Open/Next time)
 	// for the flight recorder. nil — the default — compiles the bare
@@ -39,27 +34,42 @@ type Compiler struct {
 	curParent int
 }
 
-// NewCompiler returns a compiler with the standard algorithm builders
-// registered (File_scan, Index_scan, Filter, Project, Nested_loops,
-// Hash_join, Merge_join, Pointer_join, Merge_sort, Materialize, Flatten,
-// Null).
+// NewCompiler returns a compiler for plans over db.
 func NewCompiler(db *data.DB, p Props) *Compiler {
-	c := &Compiler{DB: db, P: p, Build: map[string]BuildFunc{}}
-	c.Build["File_scan"] = buildFileScan
-	c.Build["Index_scan"] = buildIndexScan
-	c.Build["Filter"] = buildFilter
-	c.Build["Project"] = buildProject
-	c.Build["Nested_loops"] = buildNestedLoops
-	c.Build["Hash_join"] = buildHashJoin
-	c.Build["Merge_join"] = buildMergeJoin
-	// Pointer_join is the batched pointer-dereference MAT algorithm:
-	// same semantics as Materialize, different cost model.
-	c.Build["Pointer_join"] = buildMaterialize
-	c.Build["Merge_sort"] = buildMergeSort
-	c.Build["Materialize"] = buildMaterialize
-	c.Build["Flatten"] = buildFlatten
-	c.Build[core.NullName] = buildNull
-	return c
+	return &Compiler{DB: db, P: p}
+}
+
+// build constructs the iterator for one plan node by its algorithm,
+// compiling the node's inputs through c.
+func (c *Compiler) build(node *core.Expr) (Iterator, error) {
+	switch node.Op.Name {
+	case "File_scan":
+		return buildFileScan(c, node)
+	case "Index_scan":
+		return buildIndexScan(c, node)
+	case "Filter":
+		return buildFilter(c, node)
+	case "Project":
+		return buildProject(c, node)
+	case "Nested_loops":
+		return buildNestedLoops(c, node)
+	case "Hash_join":
+		return buildHashJoin(c, node)
+	case "Merge_join":
+		return buildMergeJoin(c, node)
+	case "Pointer_join", "Materialize":
+		// Pointer_join is the batched pointer-dereference MAT
+		// algorithm: same semantics as Materialize, different cost
+		// model.
+		return buildMaterialize(c, node)
+	case "Merge_sort":
+		return buildMergeSort(c, node)
+	case "Flatten":
+		return buildFlatten(c, node)
+	case core.NullName:
+		return buildNull(c, node)
+	}
+	return nil, fmt.Errorf("exec: no builder for algorithm %s", node.Op.Name)
 }
 
 // compiled is a plan's root operator together with the pool that
@@ -83,12 +93,8 @@ func (c *Compiler) compile(plan *core.Expr) (Iterator, error) {
 	if plan.IsLeaf() {
 		return nil, fmt.Errorf("exec: bare stored file %q; plans access files through scan algorithms", plan.File)
 	}
-	b, ok := c.Build[plan.Op.Name]
-	if !ok {
-		return nil, fmt.Errorf("exec: no builder for algorithm %s", plan.Op.Name)
-	}
 	if c.Stats == nil {
-		return b(c, plan)
+		return c.build(plan)
 	}
 	// Stats collection: register this operator before building its
 	// inputs (so parents precede children in the report), build the
@@ -97,7 +103,7 @@ func (c *Compiler) compile(plan *core.Expr) (Iterator, error) {
 	si := c.Stats.register(plan.Op.Name, c.curParent)
 	saved := c.curParent
 	c.curParent = si.id + 1
-	it, err := b(c, plan)
+	it, err := c.build(plan)
 	c.curParent = saved
 	if err != nil {
 		return nil, err

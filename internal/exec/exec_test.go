@@ -357,9 +357,20 @@ func TestCompileErrors(t *testing.T) {
 		t.Error("bare leaf accepted")
 	}
 	unknown := &core.Operation{Name: "Mystery", Kind: core.Algorithm, Arity: 1}
-	if _, err := c.Compile(core.NewNode(unknown, tp.desc(nil), core.NewLeaf("C1", tp.desc(nil)))); err == nil {
-		t.Error("unknown algorithm accepted")
+	mystery := core.NewNode(unknown, tp.desc(nil), core.NewLeaf("C1", tp.desc(nil)))
+	for _, stats := range []*ExecStats{nil, {}} {
+		c.Stats = stats
+		_, err := c.Compile(mystery)
+		if want := "exec: no builder for algorithm Mystery"; err == nil || err.Error() != want {
+			t.Errorf("unknown algorithm (stats %v): error %v, want %q", stats != nil, err, want)
+		}
+		// An unknown algorithm below a known one fails the whole plan.
+		_, err = c.Compile(core.NewNode(ops["Filter"], tp.desc(nil), mystery))
+		if err == nil || !strings.Contains(err.Error(), "no builder for algorithm Mystery") {
+			t.Errorf("unknown input algorithm (stats %v): error %v", stats != nil, err)
+		}
 	}
+	c.Stats = nil
 	bad := core.NewNode(ops["File_scan"], tp.desc(nil), core.NewLeaf("NOPE", tp.desc(nil)))
 	if _, err := c.Compile(bad); err == nil {
 		t.Error("unknown table accepted")

@@ -1,5 +1,5 @@
-// Package exec executes access plans: it compiles physical expressions
-// produced by the optimizer into Volcano-style demand-driven iterators
+// Package exec executes access plans: it compiles the operator trees the
+// optimizer returns into Volcano-style demand-driven iterators
 // over the in-memory tables of package data. The Open OODB transformed
 // winning plans into C++ programs; this executor is the repository's
 // substitute, and it lets the test suite verify that every plan in a

@@ -20,10 +20,10 @@ import (
 // so a healthy head of zipfian hits cannot evict the one request you
 // need to debug.
 //
-// Like every obs sink, the recorder is free when off: a nil
-// *FlightRecorder — or a zero-capacity handle — returns nil records,
-// and every method on a nil *RequestRecord is a no-op, keeping the
-// serving path byte-identical to a recorder-less build.
+// Like every obs sink, the recorder is free when off: nil is the only
+// off recorder (a capacity ≤ 0 makes it), a nil *FlightRecorder returns
+// nil records, and every method on a nil *RequestRecord is a no-op,
+// keeping the serving path byte-identical to a recorder-less build.
 
 // CacheInfo is the record's plan-cache section.
 type CacheInfo struct {

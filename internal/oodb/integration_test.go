@@ -116,7 +116,7 @@ func TestSpecCounts(t *testing.T) {
 	}
 }
 
-func optimizeWith(t *testing.T, o *oodb.Opt, vrs *volcano.RuleSet, rep *p2v.Report, e qgen.ExprKind, n int) (*volcano.PExpr, *volcano.Optimizer) {
+func optimizeWith(t *testing.T, o *oodb.Opt, vrs *volcano.RuleSet, rep *p2v.Report, e qgen.ExprKind, n int) (*core.Expr, *volcano.Optimizer) {
 	t.Helper()
 	tree, err := qgen.Build(o, e, n)
 	if err != nil {
@@ -345,12 +345,12 @@ func TestPlansExecuteCorrectly(t *testing.T) {
 				t.Fatal("workload produced an empty result; tests need data flowing")
 			}
 
-			run := func(o *oodb.Opt, plan *volcano.PExpr) *exec.Result {
+			run := func(o *oodb.Opt, plan *core.Expr) *exec.Result {
 				t.Helper()
 				comp := exec.NewCompiler(db, exec.Props{
 					Ord: o.Ord, JP: o.JP, SP: o.SP, PA: o.PA, MA: o.MA, UA: o.UA,
 				})
-				it, err := comp.Compile(plan.ToExpr())
+				it, err := comp.Compile(plan)
 				if err != nil {
 					t.Fatalf("compile %s: %v", plan, err)
 				}
@@ -415,7 +415,7 @@ func TestUnnestOptimizesAndExecutes(t *testing.T) {
 		t.Fatal(err)
 	}
 	comp := exec.NewCompiler(db, props)
-	it, err := comp.Compile(plan.ToExpr())
+	it, err := comp.Compile(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,9 +461,6 @@ func TestStarGraphSearchSpace(t *testing.T) {
 // gives (oodb.JoinAssociatesByConstruction).
 func TestJoinAssociatesOnGeneratedQueries(t *testing.T) {
 	maxN := map[qgen.ExprKind]int{qgen.E1: 6, qgen.E2: 5, qgen.E3: 4, qgen.E4: 3}
-	if testing.Short() {
-		maxN = map[qgen.ExprKind]int{qgen.E1: 5, qgen.E2: 4, qgen.E3: 3, qgen.E4: 2}
-	}
 	o := oodb.New(qgen.Catalog(6, 101, false))
 	impls := o.HelperImpls()
 	isAssoc, calls, yes := impls["is_assoc"], 0, 0

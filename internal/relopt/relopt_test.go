@@ -187,7 +187,7 @@ func TestP2VClassification(t *testing.T) {
 
 // optimizeBoth runs the same query through the Prairie-generated and the
 // hand-coded optimizer and returns both plans.
-func optimizeBoth(t *testing.T, indexed bool, q QuerySpec) (p, v *volcano.PExpr, po, vo *volcano.Optimizer) {
+func optimizeBoth(t *testing.T, indexed bool, q QuerySpec) (p, v *core.Expr, po, vo *volcano.Optimizer) {
 	t.Helper()
 	cat := testCatalog(indexed)
 
@@ -268,7 +268,7 @@ func TestIndexScanChosenForSelectiveQuery(t *testing.T) {
 	// prefer Index_scan for at least one retrieval.
 	q := QuerySpec{Relations: rels(3), Select: true}
 	p, v, _, _ := optimizeBoth(t, true, q)
-	for name, plan := range map[string]*volcano.PExpr{"prairie": p, "volcano": v} {
+	for name, plan := range map[string]*core.Expr{"prairie": p, "volcano": v} {
 		if !strings.Contains(strings.Join(plan.Algorithms(), ","), "Index_scan") {
 			t.Errorf("%s plan uses no index scan: %s", name, plan)
 		}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"unicode/utf8"
 
+	"prairie/internal/core"
 	"prairie/internal/volcano"
 	"prairie/internal/wire"
 )
@@ -35,14 +36,14 @@ type planBytes struct {
 	// by the first request that asks for include_plan, so a miss that
 	// does not ask never encodes.
 	once sync.Once
-	src  *volcano.PExpr
+	src  *core.Expr
 	plan []byte
 	err  error
 }
 
 // renderPlan is the one renderer behind /v1/optimize. A nil slot (a
 // plan no cache entry stands behind) renders afresh.
-func renderPlan(slot *volcano.Rendering, plan *volcano.PExpr, class volcano.Classification) *planBytes {
+func renderPlan(slot *volcano.Rendering, plan *core.Expr, class core.Classification) *planBytes {
 	return slot.Do(func() any {
 		pb := &planBytes{text: plan.String(), cost: plan.Cost(class), src: plan}
 		pb.head = appendString(append(make([]byte, 0, len(pb.text)+16), `"plan_text":`...), pb.text)

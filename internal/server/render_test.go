@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"prairie/internal/core"
+	"prairie/internal/exec"
 	"prairie/internal/obs"
 	"prairie/internal/volcano"
 	"prairie/internal/wire"
@@ -140,8 +142,8 @@ func serve(t testing.TB, srv *Server, path string, req any) *httptest.ResponseRe
 // request can legitimately be answered with.
 type refPlans struct {
 	world        *World
-	full         *volcano.PExpr
-	tiny         *volcano.PExpr
+	full         *core.Expr
+	tiny         *core.Expr
 	tinyDegraded bool
 	stats        *volcano.Stats // of the full search
 }
@@ -149,7 +151,7 @@ type refPlans struct {
 func reference(t testing.TB, reg *Registry, rq OptimizeRequest) refPlans {
 	t.Helper()
 	w, _ := reg.Lookup(rq.Ruleset)
-	search := func(b volcano.Budget) (*volcano.PExpr, *volcano.Stats) {
+	search := func(b volcano.Budget) (*core.Expr, *volcano.Stats) {
 		tree, want, err := w.Build(rq.Query)
 		if err != nil {
 			t.Fatal(err)
@@ -190,7 +192,7 @@ func sameBytes(t *testing.T, label string, served, want []byte) {
 // the body carries and plan's own text, tree and cost. A nil plan (the
 // answer depends on what the cache held: a degraded search warm-started
 // from cached subplans) checks the body against its own decoded plan.
-func checkBody(t *testing.T, label string, body []byte, ref refPlans, plan *volcano.PExpr, withPlan bool) OptimizeResponse {
+func checkBody(t *testing.T, label string, body []byte, ref refPlans, plan *core.Expr, withPlan bool) OptimizeResponse {
 	t.Helper()
 	var got OptimizeResponse
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -224,9 +226,6 @@ func TestResponseBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := servePools()
-	if testing.Short() {
-		pool = pool[len(pool)-12:]
-	}
 	// Two programs can be one search problem (at n=2 a star is a line,
 	// commuted): the second is then answered from the first's entry, with
 	// the first's plan.
@@ -255,7 +254,7 @@ func TestResponseBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		one := func(label string, i int, rq OptimizeRequest, plan *volcano.PExpr) OptimizeResponse {
+		one := func(label string, i int, rq OptimizeRequest, plan *core.Expr) OptimizeResponse {
 			w := serve(t, srv, "/v1/optimize", rq)
 			got := checkBody(t, label, w.Body.Bytes(), refs[i], plan, rq.IncludePlan)
 			if (got.RequestID != "") != observed || got.RequestID != w.Header().Get("X-Request-Id") {
@@ -306,7 +305,7 @@ func TestServedPredicateEscapes(t *testing.T) {
 	srv, _ := testServer(t, nil)
 	world, _ := srv.cfg.Registry.Lookup("oodb/volcano")
 	rq := OptimizeRequest{Ruleset: world.Name, Query: QuerySpec{Family: "E3", N: 3}, IncludePlan: true}
-	var plan *volcano.PExpr
+	var plan *core.Expr
 	for range 2 { // a library miss publishes the entry, the hit returns its plan
 		tree, req, err := world.Build(rq.Query)
 		if err != nil {
@@ -537,9 +536,10 @@ func TestRenderingNeverStale(t *testing.T) {
 
 // TestPlanConsumersReadOnly: hits hand out the entry's own plan, which
 // is sound because nothing that consumes a plan writes it — rendering,
-// costing, explaining, encoding, converting, compiling and running it
-// leave every node and descriptor as they were. (TestRenderOnce runs the
-// same consumers concurrently for the race detector.)
+// costing, explaining, encoding, compiling and running it leave every
+// node and descriptor as they were. The executor compiles the entry's
+// nodes themselves, so two executions of one hit's plan run here at
+// once (TestRenderOnce runs the renderers concurrently).
 func TestPlanConsumersReadOnly(t *testing.T) {
 	srv, _ := testServer(t, nil)
 	world, _ := srv.cfg.Registry.Lookup("oodb/volcano")
@@ -557,10 +557,47 @@ func TestPlanConsumersReadOnly(t *testing.T) {
 	}
 	pristine := plan.Clone()
 	before := plan.Format()
-	ask(t, srv, rq) // String, Cost, EncodePlan, ToExpr, Compile, Run on the entry's plan
+	ask(t, srv, rq) // String, Cost, EncodePlan, Compile, Run on the entry's plan
 	_, _, _ = plan.Explain(world.RS.Class), plan.Algorithms(), plan.Size()
 	if _, err := wire.EncodePlan(plan); err != nil {
 		t.Fatal(err)
+	}
+	// The entry's plan executed twice at once: by the server, whose hit
+	// compiles the entry's own nodes, and by exec directly. Under the
+	// race detector a write to a shared node is a report.
+	var wg sync.WaitGroup
+	var rows [2]int
+	var errs [2]error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		body, _ := json.Marshal(rq)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body)))
+		var v struct {
+			CacheHit bool         `json:"cache_hit"`
+			Exec     *ExecSummary `json:"exec"`
+		}
+		if errs[0] = json.Unmarshal(w.Body.Bytes(), &v); errs[0] == nil && (!v.CacheHit || v.Exec == nil) {
+			errs[0] = fmt.Errorf("status %d, not an executed hit: %s", w.Code, w.Body)
+		}
+		if v.Exec != nil {
+			rows[0] = v.Exec.Rows
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		it, err := exec.NewCompiler(world.ExecDB(execSeed, execRows), world.ExecProps).Compile(plan)
+		if errs[1] = err; err == nil {
+			var res *exec.Result
+			if res, errs[1] = exec.Run(it); errs[1] == nil {
+				rows[1] = len(res.Rows)
+			}
+		}
+	}()
+	wg.Wait()
+	if errs[0] != nil || errs[1] != nil || rows[0] != rows[1] {
+		t.Fatalf("concurrent executions of the shared plan: server %d rows (%v), exec %d rows (%v)", rows[0], errs[0], rows[1], errs[1])
 	}
 	if plan.Format() != before || before != pristine.Format() {
 		t.Fatalf("a consumer wrote the shared plan:\n%s\nwas\n%s", plan.Format(), before)
@@ -591,8 +628,8 @@ func TestHitPlanScribbleHarmless(t *testing.T) {
 	if err != nil || o.Stats.CacheHits != 1 {
 		t.Fatalf("library hit: %v, hits=%d", err, o.Stats.CacheHits)
 	}
-	var scribble func(p *volcano.PExpr)
-	scribble = func(p *volcano.PExpr) {
+	var scribble func(p *core.Expr)
+	scribble = func(p *core.Expr) {
 		if p.D != nil {
 			p.D.SetFloat(world.RS.Class.Cost, -1)
 		}

@@ -605,7 +605,7 @@ func (s *Server) recordOutcome(rec *obs.RequestRecord, st *volcano.Stats) {
 // once for the response, the record and prairie_server_exec_seconds,
 // and, for recorded requests, lands the per-operator runtime stats in
 // the flight record.
-func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.RequestRecord) (*ExecSummary, int, error) {
+func (s *Server) executePlan(world *World, plan *core.Expr, rec *obs.RequestRecord) (*ExecSummary, int, error) {
 	db := world.ExecDB(execSeed, execRows)
 	if db == nil {
 		return nil, http.StatusBadRequest,
@@ -616,7 +616,7 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 		comp.Stats = &exec.ExecStats{}
 	}
 	began := time.Now()
-	it, err := comp.Compile(plan.ToExpr())
+	it, err := comp.Compile(plan)
 	if err != nil {
 		return nil, http.StatusUnprocessableEntity, fmt.Errorf("execute: %w", err)
 	}
@@ -643,7 +643,7 @@ func (s *Server) executePlan(world *World, plan *volcano.PExpr, rec *obs.Request
 // slot is the rendering slot of the cache entry behind plan (nil: none).
 // The only error is an include_plan request whose plan cannot be
 // encoded.
-func (s *Server) buildResponse(world *World, req OptimizeRequest, plan *volcano.PExpr, slot *volcano.Rendering, st *volcano.Stats, elapsedUS int64) (*OptimizeResponse, error) {
+func (s *Server) buildResponse(world *World, req OptimizeRequest, plan *core.Expr, slot *volcano.Rendering, st *volcano.Stats, elapsedUS int64) (*OptimizeResponse, error) {
 	pb := renderPlan(slot, plan, world.RS.Class)
 	resp := &OptimizeResponse{
 		Ruleset:   world.Name,

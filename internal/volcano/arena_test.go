@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"prairie/internal/core"
 	"prairie/internal/server"
 	"prairie/internal/volcano"
 )
@@ -79,7 +80,7 @@ func TestReturnedPlansOwnNothingInTheMemo(t *testing.T) {
 // searchAndDrop searches q through pc on an optimizer it does not
 // return, and returns the plan, its rendering and the probes of the
 // memo's arena objects.
-func searchAndDrop(t *testing.T, w *server.World, q server.QuerySpec, pc *volcano.PlanCache) (*volcano.PExpr, string, map[string][]func() bool) {
+func searchAndDrop(t *testing.T, w *server.World, q server.QuerySpec, pc *volcano.PlanCache) (*core.Expr, string, map[string][]func() bool) {
 	t.Helper()
 	tree, want, err := w.Build(q)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 // degradedPlan runs a budgeted optimization that must degrade and
 // checks the invariants every degraded result shares: no error, a
 // structurally valid plan over all relations, and a marked Stats.
-func degradedPlan(t *testing.T, w *testWorld, o *Optimizer, ctx context.Context, wantCause Cause) *PExpr {
+func degradedPlan(t *testing.T, w *testWorld, o *Optimizer, ctx context.Context, wantCause Cause) *core.Expr {
 	t.Helper()
 	tree := w.chain(16, 8, 4, 2)
 	plan, err := o.OptimizeContext(ctx, tree, nil)
@@ -22,11 +22,10 @@ func degradedPlan(t *testing.T, w *testWorld, o *Optimizer, ctx context.Context,
 	if plan == nil {
 		t.Fatal("nil plan without error")
 	}
-	e := plan.ToExpr()
-	if !e.IsPlan() {
+	if !plan.IsPlan() {
 		t.Errorf("degraded result is not an access plan: %s", plan)
 	}
-	if got := len(e.Leaves()); got != 4 {
+	if got := len(plan.Leaves()); got != 4 {
 		t.Errorf("degraded plan covers %d relations, want 4", got)
 	}
 	if !o.Stats.Degraded {
@@ -188,7 +187,7 @@ func TestGreedyPlanStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plan.ToExpr().IsPlan() || len(plan.ToExpr().Leaves()) != 3 {
+	if !plan.IsPlan() || len(plan.Leaves()) != 3 {
 		t.Errorf("greedy plan invalid: %s", plan)
 	}
 	// Compare: the full search can only match or beat the greedy cost.

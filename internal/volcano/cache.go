@@ -116,7 +116,7 @@ func (r *Rendering) Do(fill func() any) any {
 // sees the search the plan stands for. Entries are immutable: hits share
 // plan, they do not copy it.
 type cachedPlan struct {
-	plan      *PExpr
+	plan      *core.Expr
 	cost      float64
 	groups    int
 	exprs     int
@@ -133,7 +133,7 @@ type cachedPlan struct {
 // itself never builds one — the benchmark times that codec
 // (wire.entry_roundtrip_us).
 type RemoteEntry struct {
-	Plan      *PExpr
+	Plan      *core.Expr
 	Cost      float64
 	Groups    int
 	Exprs     int
@@ -144,7 +144,7 @@ type RemoteEntry struct {
 // publishable builds the entry of this run's completed search, with a
 // fresh rendering slot: the plan is cloned on the way in, because the
 // run's caller owns the original.
-func (o *Optimizer) publishable(plan *PExpr) cachedPlan {
+func (o *Optimizer) publishable(plan *core.Expr) cachedPlan {
 	cp := cachedPlan{
 		plan:      plan.Clone(),
 		cost:      plan.Cost(o.RS.Class),
@@ -198,7 +198,7 @@ func (o *Optimizer) rootKey(tree *core.Expr, req *core.Descriptor) plancache.Key
 //   - Miss (follower): wait for the leader; adopt its shared result, or
 //     run an independent search when the leader declined to share
 //     (degraded or failed runs are never cached).
-func (o *Optimizer) cachedOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func (o *Optimizer) cachedOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	if req == nil {
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
@@ -248,7 +248,7 @@ func (o *Optimizer) cachedOptimize(ctx context.Context, tree *core.Expr, req *co
 // read-only: nothing in the engine, the codec or the executor writes a
 // plan (TestPlanConsumersReadOnly), and a caller that wants to must
 // Clone first.
-func (o *Optimizer) cacheHit(cp cachedPlan) *PExpr {
+func (o *Optimizer) cacheHit(cp cachedPlan) *core.Expr {
 	o.Rendering = cp.render
 	o.Stats.Groups = cp.groups
 	o.Stats.Exprs = cp.exprs

@@ -11,7 +11,7 @@ import (
 
 // optCached runs one optimization on a fresh optimizer with the given
 // cache (nil for a cold run) and returns the plan and stats.
-func optCached(t *testing.T, w *testWorld, tree *core.Expr, pc *PlanCache) (*PExpr, *Stats) {
+func optCached(t *testing.T, w *testWorld, tree *core.Expr, pc *PlanCache) (*core.Expr, *Stats) {
 	t.Helper()
 	o := NewOptimizer(w.rs)
 	o.Opts.Cache = pc
@@ -170,8 +170,8 @@ func TestPlanCacheCommutativeHit(t *testing.T) {
 	if got, want := pBA.Cost(w.rs.Class), coldBA.Cost(w.rs.Class); got != want {
 		t.Errorf("commuted hit plan cost %v, want %v", got, want)
 	}
-	var check func(a, b *PExpr)
-	check = func(a, b *PExpr) {
+	var check func(a, b *core.Expr)
+	check = func(a, b *core.Expr) {
 		if !a.D.EqualOn(b.D, []core.PropID{w.ord, w.jp, w.at, w.nr, w.c}) {
 			t.Errorf("descriptors differ: %s vs %s", a.D, b.D)
 		}
@@ -303,7 +303,7 @@ func TestRenderingOncePerEntry(t *testing.T) {
 		t.Fatal("the leader was not handed the slot of the entry it published")
 	}
 	var fills atomic.Int64
-	render := func(o *Optimizer, plan *PExpr) string {
+	render := func(o *Optimizer, plan *core.Expr) string {
 		return o.Rendering.Do(func() any { fills.Add(1); return plan.String() }).(string)
 	}
 	const n = 32

@@ -237,9 +237,9 @@ func (o *Optimizer) ScratchOwns(d *core.Descriptor) bool {
 
 // ScratchKids reports whether kids shares its array with a costing
 // frame's input-plan slice or its copy of an incumbent's.
-func (o *Optimizer) ScratchKids(kids []*PExpr) bool {
+func (o *Optimizer) ScratchKids(kids []*core.Expr) bool {
 	for _, f := range o.frames {
-		for _, s := range [][]*PExpr{f.plans[:cap(f.plans)], f.best.Kids[:cap(f.best.Kids)]} {
+		for _, s := range [][]*core.Expr{f.plans[:cap(f.plans)], f.best.Kids[:cap(f.best.Kids)]} {
 			for i := range s {
 				if len(kids) > 0 && &kids[0] == &s[i] {
 					return true
@@ -252,8 +252,8 @@ func (o *Optimizer) ScratchKids(kids []*PExpr) bool {
 
 // Winners returns every plan the memo holds as a (group, requirement)
 // winner.
-func (m *Memo) Winners() []*PExpr {
-	var out []*PExpr
+func (m *Memo) Winners() []*core.Expr {
+	var out []*core.Expr
 	for _, g := range m.groups {
 		for w := g.winners; w != nil; w = w.next {
 			if w.plan != nil {

@@ -4,6 +4,7 @@ import (
 	"os"
 	"testing"
 
+	"prairie/internal/core"
 	"prairie/internal/server"
 	"prairie/internal/volcano"
 )
@@ -33,7 +34,7 @@ func TestCostingScratchNeverEscapes(t *testing.T) {
 	for _, g := range []string{"", "star"} {
 		for fam, ns := range map[string][]int{"E1": {4, 5, 6}, "E2": {3, 4, 5}, "E3": {3, 4}, "E4": {2, 3, 4}} {
 			for _, n := range ns {
-				if n == 4 && fam == "E4" && (g == "star" || testing.Short()) {
+				if n == 4 && fam == "E4" && g == "star" {
 					continue
 				}
 				programs = append(programs, program{oodb, server.QuerySpec{Family: fam, N: n, Graph: g}})
@@ -59,8 +60,8 @@ func TestCostingScratchNeverEscapes(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", world, p.q, err)
 			}
-			var walk func(n *volcano.PExpr)
-			walk = func(n *volcano.PExpr) {
+			var walk func(n *core.Expr)
+			walk = func(n *core.Expr) {
 				if opt.ScratchOwns(n.D) {
 					t.Errorf("%s %s: a plan node keeps a descriptor a costing frame still owns", world, p.q)
 				}

@@ -13,7 +13,7 @@ import (
 // typed ErrGreedyNoPlan is returned (never a nil plan with a nil error),
 // so callers can distinguish "greedy cannot cover this shape" from a
 // failed search.
-func GreedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func GreedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	return greedyPlan(rs, tree, req, NewStats())
 }
 
@@ -35,7 +35,7 @@ func (errGreedyNoPlan) Unwrap() error { return ErrNoPlan }
 // degrade path merges the fallback's costing counters into the
 // interrupted run's diagnostics). The optimizer is fresh and unbudgeted:
 // the fallback of an interrupted run must itself run to the end.
-func greedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor, stats *Stats) (*PExpr, error) {
+func greedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor, stats *Stats) (*core.Expr, error) {
 	stats.ensureMaps()
 	if req == nil {
 		req = core.NewDescriptor(rs.Algebra.Props)

@@ -85,7 +85,7 @@ func (e *LExpr) String() string {
 // physical properties, next the group's following entry.
 type winnerEntry struct {
 	req        *core.Descriptor
-	plan       *PExpr // nil: no feasible plan
+	plan       *core.Expr // nil: no feasible plan
 	cost       float64
 	key        uint64
 	inProgress bool

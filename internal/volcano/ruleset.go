@@ -18,37 +18,6 @@ import (
 	"prairie/internal/core"
 )
 
-// Classification partitions one Prairie descriptor into Volcano's three
-// property classes (§3.1 of the paper). Volcano makes the user supply
-// this; P2V computes it automatically.
-type Classification struct {
-	// Arg lists the operator/algorithm argument properties: they are
-	// part of a logical expression's identity in the memo (two JOINs
-	// with different join predicates are different expressions).
-	Arg []core.PropID
-	// Phys lists the physical properties: properties that can be
-	// requested from below (e.g. tuple_order). Winners are memoized per
-	// physical-property vector.
-	Phys []core.PropID
-	// Cost is the single cost property.
-	Cost core.PropID
-}
-
-// IsArg reports whether id is classified as an argument property.
-func (c Classification) IsArg(id core.PropID) bool { return containsProp(c.Arg, id) }
-
-// IsPhys reports whether id is classified as a physical property.
-func (c Classification) IsPhys(id core.PropID) bool { return containsProp(c.Phys, id) }
-
-func containsProp(ids []core.PropID, id core.PropID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // TBinding is the environment a transformation rule runs in: descriptor
 // variables (inherited from core.Binding) plus pattern-variable bindings
 // to memo groups. Pattern variables are small dense integers, so the
@@ -213,7 +182,7 @@ func (e *Enforcer) String() string {
 // use) and are then shared by every optimizer, concurrent ones included.
 type RuleSet struct {
 	Algebra   *core.Algebra
-	Class     Classification
+	Class     core.Classification
 	Trans     []*TransRule
 	Impls     []*ImplRule
 	Enforcers []*Enforcer

@@ -112,7 +112,7 @@ func NewOptimizer(rs *RuleSet) *Optimizer {
 // Optimize maps an initialized operator tree to its cheapest access plan
 // that satisfies req's physical properties (req may be nil for "no
 // requirement"). It returns the winning plan; Stats describe the search.
-func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	return o.OptimizeContext(context.Background(), tree, req)
 }
 
@@ -125,7 +125,7 @@ func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*PExpr, err
 // are marked in Stats (Degraded, DegradeCause, DegradePath). A
 // background context and a zero Budget leave only the DefaultMaxExprs
 // guard, which degrades the same way.
-func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	ob := o.Opts.Obs
 	o.timing = ob.TimingEnabled()
 	if ob.Enabled() {
@@ -142,7 +142,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 
 // dispatchOptimize routes cached requests through the plan cache; the
 // cacheless path is a direct call.
-func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	o.Rendering = nil
 	if o.Opts.Cache != nil {
 		return o.cachedOptimize(ctx, tree, req)
@@ -150,7 +150,7 @@ func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *
 	return o.optimizeContext(ctx, tree, req)
 }
 
-func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	o.Stats.ensureMaps()
 	o.beginRun(ctx)
 	// Costing's rule counters reach Stats on every way out (explore
@@ -199,7 +199,7 @@ func (o *Optimizer) recordMemoStats() {
 // winner — or the run was hard-cancelled, where salvaging the memo
 // would prolong the search the caller asked to stop — the greedy
 // baseline over the original tree is used.
-func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor) (*PExpr, error) {
+func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	o.Stats.Degraded = true
 	o.Stats.DegradeCause = o.run.cause
 	o.run.salvage = true
@@ -563,7 +563,7 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 
 // findBest computes (memoized) the cheapest plan for group g that
 // satisfies the required physical properties.
-func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, error) {
+func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*core.Expr, float64, error) {
 	if o.overBudgetCosting() {
 		return nil, 0, errBudget
 	}
@@ -616,13 +616,13 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*PExpr, float64, 
 type costFrame struct {
 	cx              ImplCtx
 	kids, in, inReq []*core.Descriptor // back cx.Kids, cx.In and cx.InReq
-	plans           []*PExpr           // the alternative's input winners
+	plans           []*core.Expr       // the alternative's input winners
 	merged          *core.Descriptor
 
 	// best is the incumbent, copied in: an algorithm's descriptor is
 	// bestD, the frame's own, a stored file's the leaf's; Kids is the
 	// frame's copy of its input winners.
-	best  PExpr
+	best  core.Expr
 	bestD *core.Descriptor
 }
 
@@ -630,7 +630,7 @@ type costFrame struct {
 func (f *costFrame) reset(opDesc, req *core.Descriptor, n int) *ImplCtx {
 	if m := max(n, 1); len(f.in) < m { // an enforcer has one input
 		f.kids, f.in, f.inReq = make([]*core.Descriptor, m), make([]*core.Descriptor, m), make([]*core.Descriptor, m)
-		f.plans = make([]*PExpr, m)
+		f.plans = make([]*core.Expr, m)
 	}
 	f.cx = ImplCtx{OpDesc: opDesc, Req: req, Kids: f.kids[:n], In: f.in[:n], InReq: f.inReq[:n], lent: f.cx.lent}
 	clear(f.cx.In)
@@ -640,41 +640,41 @@ func (f *costFrame) reset(opDesc, req *core.Descriptor, n int) *ImplCtx {
 
 // keep makes an alternative that beats the incumbent the new incumbent,
 // copying its descriptor and input winners into the frame.
-func (f *costFrame) keep(alg *core.Operation, d *core.Descriptor, kids []*PExpr) {
+func (f *costFrame) keep(alg *core.Operation, d *core.Descriptor, kids []*core.Expr) {
 	f.bestD.CopyFrom(d)
 	f.bestD.Name = d.Name
-	f.best = PExpr{Alg: alg, D: f.bestD, Kids: append(f.best.Kids[:0], kids...)}
+	f.best = core.Expr{Op: alg, D: f.bestD, Kids: append(f.best.Kids[:0], kids...)}
 }
 
 // keepLeaf makes a stored file the incumbent.
 func (f *costFrame) keepLeaf(e *LExpr) {
-	f.best = PExpr{File: e.File, D: e.D, Kids: f.best.Kids[:0]}
+	f.best = core.Expr{File: e.File, D: e.D, Kids: f.best.Kids[:0]}
 }
 
 // plan builds the incumbent's plan node. The node owns its descriptor and
 // input slice, so nothing it holds points into the frame or the memo; up
 // to two inputs, node and input slice are one heap object.
-func (f *costFrame) plan() *PExpr {
+func (f *costFrame) plan() *core.Expr {
 	if f.best.IsLeaf() {
-		return &PExpr{File: f.best.File, D: f.best.D}
+		return &core.Expr{File: f.best.File, D: f.best.D}
 	}
-	var p *PExpr
+	var p *core.Expr
 	if kids := f.best.Kids; len(kids) <= 2 {
 		b := new(struct {
-			p PExpr
-			s [2]*PExpr
+			p core.Expr
+			s [2]*core.Expr
 		})
 		b.p.Kids = b.s[:copy(b.s[:], kids)]
 		p = &b.p
 	} else {
-		p = &PExpr{Kids: slices.Clone(kids)}
+		p = &core.Expr{Kids: slices.Clone(kids)}
 	}
-	p.Alg, p.D = f.best.Alg, f.bestD.Clone()
+	p.Op, p.D = f.best.Op, f.bestD.Clone()
 	return p
 }
 
 // optimizeGroup enumerates the group's physical alternatives.
-func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*PExpr, float64, error) {
+func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr, float64, error) {
 	if o.depth == len(o.frames) {
 		ps := o.RS.Algebra.Props
 		f := &costFrame{cx: ImplCtx{lent: core.NewBinding(ps)}, merged: core.NewDescriptor(ps), bestD: core.NewDescriptor(ps)}

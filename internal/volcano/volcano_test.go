@@ -494,8 +494,8 @@ func TestOptimizeThreeWayAssociativity(t *testing.T) {
 		t.Error("bad winner")
 	}
 	// The winner must join all three relations.
-	if len(plan.ToExpr().Leaves()) != 3 {
-		t.Errorf("winner covers %v", plan.ToExpr().Leaves())
+	if len(plan.Leaves()) != 3 {
+		t.Errorf("winner covers %v", plan.Leaves())
 	}
 }
 
@@ -519,7 +519,7 @@ func TestOptimizeFourWayGroupCount(t *testing.T) {
 // TestStatsFlushedOnExhaustion and TestWorklistSpaceErrorDetail each
 // check a side of. Reaching the guard degrades like any budget: the run
 // must return a plan, not an error.
-func exhaustSpace(t *testing.T) (*Optimizer, *PExpr) {
+func exhaustSpace(t *testing.T) (*Optimizer, *core.Expr) {
 	t.Helper()
 	defer SetMaxExprsGuard(3)()
 	w := newTestWorld()
@@ -536,7 +536,7 @@ func TestOptimizeSpaceLimit(t *testing.T) {
 	if !o.Stats.Degraded || o.Stats.DegradeCause != CauseMaxExprs {
 		t.Errorf("degraded=%v cause=%s, want a max-exprs degradation", o.Stats.Degraded, o.Stats.DegradeCause)
 	}
-	if e := plan.ToExpr(); !e.IsPlan() || len(e.Leaves()) != 3 {
+	if !plan.IsPlan() || len(plan.Leaves()) != 3 {
 		t.Errorf("degraded plan is not an access plan over 3 relations: %s", plan)
 	}
 }
@@ -586,9 +586,8 @@ func TestPlanHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := plan.ToExpr()
-	if !e.IsPlan() {
-		t.Error("ToExpr should produce an access plan")
+	if !plan.IsPlan() {
+		t.Error("the search should return an access plan")
 	}
 	if plan.Size() != 5 {
 		t.Errorf("Size = %d", plan.Size())
@@ -600,7 +599,7 @@ func TestPlanHelpers(t *testing.T) {
 	if !strings.Contains(plan.Format(), "Nested_loops") {
 		t.Error("Format missing algorithm")
 	}
-	if (&PExpr{File: "R1"}).Cost(w.rs.Class) != 0 {
+	if (&core.Expr{File: "R1"}).Cost(w.rs.Class) != 0 {
 		t.Error("leaf cost should be 0")
 	}
 }

@@ -86,7 +86,7 @@ func TestOptimizeBatch(t *testing.T) {
 		trees[i] = w.chain(c...)
 	}
 	opts := make([]*Optimizer, len(trees))
-	plans := make([]*PExpr, len(trees))
+	plans := make([]*core.Expr, len(trees))
 	onGoroutines(len(trees), 4, func(i int) {
 		opts[i] = NewOptimizer(w.rs)
 		var err error

@@ -56,7 +56,7 @@ func DecodeEntry(alg *core.Algebra, b []byte) (volcano.RemoteEntry, error) {
 		return volcano.RemoteEntry{}, err
 	}
 	return volcano.RemoteEntry{
-		Plan:      volcano.PlanFromExpr(tree),
+		Plan:      tree,
 		Cost:      ce.Cost,
 		Groups:    ce.Groups,
 		Exprs:     ce.Exprs,

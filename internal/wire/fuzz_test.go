@@ -59,7 +59,7 @@ func FuzzCacheEntry(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded entry failed to decode: %v", err)
 		}
-		if g1, g2 := e1.Plan.ToExpr().Format(), e2.Plan.ToExpr().Format(); g1 != g2 {
+		if g1, g2 := e1.Plan.Format(), e2.Plan.Format(); g1 != g2 {
 			t.Fatalf("plan not a fixed point\n--- first decode\n%s\n--- second decode\n%s", g1, g2)
 		}
 		if e1.Cost != e2.Cost || e1.Groups != e2.Groups || e1.Exprs != e2.Exprs ||

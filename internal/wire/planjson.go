@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"prairie/internal/core"
-	"prairie/internal/volcano"
 )
 
 // This file is the wire codec for access plans. The core value algebra
@@ -271,8 +270,8 @@ func numericWireKinds(a, b core.Kind) bool {
 	return num(a) && num(b)
 }
 
-// EncodePlan serializes an access plan.
-func EncodePlan(p *volcano.PExpr) (*PlanNode, error) {
+// EncodePlan serializes an access plan; DecodePlan is its inverse.
+func EncodePlan(p *core.Expr) (*PlanNode, error) {
 	if p == nil {
 		return nil, nil
 	}
@@ -282,7 +281,7 @@ func EncodePlan(p *volcano.PExpr) (*PlanNode, error) {
 	}
 	n := &PlanNode{File: p.File, Props: props}
 	if !p.IsLeaf() {
-		n.Op = p.Alg.Name
+		n.Op = p.Op.Name
 	}
 	for _, k := range p.Kids {
 		kn, err := EncodePlan(k)

@@ -21,7 +21,7 @@ import (
 
 // optimizeWorld runs a query through a world's optimizer directly and
 // returns the winning access plan.
-func optimizeWorld(t *testing.T, w *server.World, q server.QuerySpec) *volcano.PExpr {
+func optimizeWorld(t *testing.T, w *server.World, q server.QuerySpec) *core.Expr {
 	t.Helper()
 	tree, want, err := w.Build(q)
 	if err != nil {
@@ -56,7 +56,7 @@ func TestPlanRoundTrip(t *testing.T) {
 		w, _ := reg.Lookup(name)
 		for _, q := range cases {
 			plan := optimizeWorld(t, w, q)
-			ref := plan.ToExpr().Format()
+			ref := plan.Format()
 
 			node, err := wire.EncodePlan(plan)
 			if err != nil {
@@ -139,7 +139,7 @@ func TestEntryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := out.Plan.ToExpr().Format(), plan.ToExpr().Format(); got != want {
+	if got, want := out.Plan.Format(), plan.Format(); got != want {
 		t.Errorf("entry plan round-trip mismatch\n--- original\n%s\n--- decoded\n%s", want, got)
 	}
 	if out.Cost != in.Cost || out.Groups != in.Groups || out.Exprs != in.Exprs ||

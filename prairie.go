@@ -76,8 +76,9 @@ type (
 	VolcanoRuleSet = volcano.RuleSet
 	// Optimizer runs top-down branch-and-bound optimization.
 	Optimizer = volcano.Optimizer
-	// Plan is a physical expression (an access plan).
-	Plan = volcano.PExpr
+	// Plan is an access plan: an operator tree whose interior nodes are
+	// algorithms.
+	Plan = core.Expr
 	// Stats describes one optimization's search.
 	Stats = volcano.Stats
 	// Report documents a P2V translation.

@@ -214,7 +214,7 @@ func TestGreedyPlanDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %v: greedy plan: %v", name, e, err)
 			}
-			it, err := exec.NewCompiler(db, w.ExecProps).Compile(plan.ToExpr())
+			it, err := exec.NewCompiler(db, w.ExecProps).Compile(plan)
 			if err != nil {
 				t.Fatalf("%s %v: compile: %v", name, e, err)
 			}
