@@ -15,7 +15,9 @@
 //	         evaluates once and shares; a trans_rule also with the cut of
 //	         its statements — which run before the test, which decide the
 //	         new nodes' identity, which are deferred until the memo keeps
-//	         a node — or the reason it was left whole
+//	         a node, which root properties a firing that keeps the root
+//	         alone inherits from its group — or the reason it was left
+//	         whole
 //	-verify  differentially verify every trans_rule (JSON verdict table)
 //	-time    report per-phase wall time (parse, compile, translate)
 //
@@ -151,7 +153,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // and the sub-expressions evaluated once per firing and then shared. A
 // trans_rule runs the cut P2V asked the compiler for, listed below its
 // frame: the statements before the test, those deciding the identity of
-// the new nodes, and those deferred until the memo keeps one.
+// the new nodes, and those deferred until the memo keeps one. The root
+// properties deferred statements assign follow as inherited: a firing
+// whose only new node is the root takes them from its group instead.
 func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet, rep *p2v.Report) {
 	frames := map[string]*core.Frame{}
 	for _, r := range rs.IRules {
@@ -165,10 +169,14 @@ func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet, rep *p2v.Rep
 		}
 	}
 	fmt.Fprintln(w, "\nGenerated Volcano rule set:")
+	props := vrs.Algebra.Props
 	for _, r := range vrs.Trans {
 		rule("trans_rule ", r.String(), r.Frame)
 		for _, line := range rep.Cuts[r.Name] {
 			fmt.Fprintf(w, "      %s\n", line)
+		}
+		for _, id := range r.RestRoot {
+			fmt.Fprintf(w, "      inherited %s.%s\n", r.RHS.Desc, props.At(id).Name)
 		}
 	}
 	for _, r := range vrs.Impls {

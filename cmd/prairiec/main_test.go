@@ -37,7 +37,9 @@ func dump(t *testing.T, src string) string {
 // is cut so that the attribute union its pre-test computes — the test
 // never reads it — runs only for bindings the test lets through, and the
 // cardinality and width of the new inner join only for a firing the memo
-// keeps. A rule with nothing to move says so.
+// keeps. A rule with nothing to move says so. A deferred statement
+// that assigns the root is followed by the property the root inherits
+// from its group when it is the firing's only new node.
 func TestDumpShowsFrameAndSharing(t *testing.T) {
 	out := dump(t, oodb.Spec)
 	for _, want := range []string{
@@ -55,6 +57,8 @@ func TestDumpShowsFrameAndSharing(t *testing.T) {
 			"      whole: every statement decides the test or an identity property\n",
 		"  impl_rule  select_filter: SELECT -> Filter\n      frame [D2 D1 D4 D3]\n",
 		"  enforcer sort_merge_sort (Merge_sort)\n      frame [D2 D1 D3]\n",
+		"      deferred  D6.num_records = D4.num_records;\n      inherited D6.num_records\n" +
+			"  trans_rule select_push_join_right: ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-dump output lacks\n%s--- got\n%s", want, out)

@@ -159,6 +159,18 @@ func (d *Descriptor) CopyFrom(src *Descriptor) {
 	}
 }
 
+// CopyOn overwrites the properties ids with src's annotations, unsetting
+// those src leaves unset; d's other properties stay as they are.
+func (d *Descriptor) CopyOn(src *Descriptor, ids []PropID) {
+	for _, id := range ids {
+		if src.Has(id) {
+			d.Set(id, src.vals[id])
+		} else {
+			d.Unset(id)
+		}
+	}
+}
+
 // Clone returns an independent copy.
 func (d *Descriptor) Clone() *Descriptor {
 	c := allocDescriptor(d.ps, len(d.vals))

@@ -149,8 +149,8 @@ func (b *Binding) fill(i int) *Descriptor {
 		d = b.pool[i]
 		clear(d.vals)
 	} else if d = NewDescriptor(b.ps); b.Scratch {
-		for len(b.pool) <= i {
-			b.pool = append(b.pool, nil)
+		if len(b.pool) <= i { // room for every slot at once
+			b.pool = append(b.pool, make([]*Descriptor, len(b.descs)-len(b.pool))...)
 		}
 		b.pool[i] = d
 	}
@@ -253,6 +253,9 @@ type Sliced struct {
 	Cond  Test
 	Appl  Action // may be nil
 	Rest  Action // may be nil
+	// RestRoot lists the properties Rest assigns on the right side's
+	// root, each once, in the order Rest first assigns them.
+	RestRoot []PropID
 	// Doc lists the cut statement by statement, or the reason the rule was
 	// left as written, for the rule compiler's -dump.
 	Doc []string

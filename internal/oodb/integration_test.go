@@ -2,6 +2,7 @@ package oodb_test
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +114,42 @@ func TestSpecCounts(t *testing.T) {
 	}
 	if len(algs) != 8 {
 		t.Errorf("impl rules use %d algorithms, want 8: %v", len(algs), algs)
+	}
+}
+
+// TestRestRootsAgree: every trans_rule the hand-coded rule set shares by
+// name with the P2V-generated one names the same root properties its
+// deferred actions write (TransRule.RestRoot) — declared by hand on the
+// one side, read off the rule's cut on the other — so a firing whose only
+// new node is the root takes the same properties from its group in both.
+func TestRestRootsAgree(t *testing.T) {
+	_, pvrs, _ := prairiePath(t, 2, 101, false)
+	_, vvrs := volcanoPath(t, 2, 101, false)
+	restRoot := func(rs *volcano.RuleSet, r *volcano.TransRule) []string {
+		var names []string
+		for _, id := range r.RestRoot {
+			names = append(names, rs.Algebra.Props.At(id).Name)
+		}
+		slices.Sort(names)
+		return names
+	}
+	hand := map[string]*volcano.TransRule{}
+	for _, r := range vvrs.Trans {
+		hand[r.Name] = r
+	}
+	shared := 0
+	for _, r := range pvrs.Trans {
+		h, ok := hand[r.Name]
+		if !ok {
+			continue
+		}
+		shared++
+		if got, want := restRoot(pvrs, r), restRoot(vvrs, h); !slices.Equal(got, want) {
+			t.Errorf("%s: P2V derives root writes %v, the hand-coded rule declares %v", r.Name, got, want)
+		}
+	}
+	if shared != 17 {
+		t.Errorf("%d trans_rules in both rule sets, want 17", shared)
 	}
 }
 

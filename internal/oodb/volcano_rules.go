@@ -29,7 +29,9 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 	// builds final — the whole-descriptor copies and the join_predicate,
 	// selection_predicate, mat_attribute and unnest_attribute assignments
 	// — and its Rest computes the attributes, num_records and tuple_size
-	// that only an expression the memo keeps needs (TransRule.Rest).
+	// that only an expression the memo keeps needs (TransRule.Rest). Its
+	// RestRoot names those Rest writes on the right side's root, as P2V
+	// names them for the Prairie rule of the same name.
 
 	// --- JOIN space (2 rules). ------------------------------------------
 	rs.AddTrans(&volcano.TransRule{
@@ -90,6 +92,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				b.D("DS").SetFloat(o.NR, o.Cat.SelectCard(b.D(side).Float(o.NR), b.D("DSEL").Pred(o.SP)))
 				b.D("DJ2").SetFloat(o.NR, b.D("DSEL").Float(o.NR))
 			},
+			RestRoot: []core.PropID{o.NR},
 		})
 	}
 	pushJoin("select_push_join_left", true)
@@ -149,7 +152,8 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			dr2.CopyFrom(b.D("DR"))
 			dr2.Set(o.SP, canonAnd(b.D("DR").Pred(o.SP), b.D("DS").Pred(o.SP)))
 		},
-		Rest: func(b *volcano.TBinding) { b.D("DR2").SetFloat(o.NR, b.D("DS").Float(o.NR)) },
+		Rest:     func(b *volcano.TBinding) { b.D("DR2").SetFloat(o.NR, b.D("DS").Float(o.NR)) },
+		RestRoot: []core.PropID{o.NR},
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "select_push_mat",
@@ -168,6 +172,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			b.D("DS2").SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), b.D("DS").Pred(o.SP)))
 			b.D("DM2").SetFloat(o.NR, b.D("DS").Float(o.NR))
 		},
+		RestRoot: []core.PropID{o.NR},
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "mat_pull_select",
@@ -214,6 +219,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				dj2.Set(o.AT, b.D("DM").AttrList(o.AT))
 				dj2.SetFloat(o.TS, b.D("DJ").Float(o.TS)+o.matTargetSize(ma))
 			},
+			RestRoot: []core.PropID{o.AT, o.TS},
 		})
 	}
 	matPushJoin("mat_push_join_left", true)
@@ -253,6 +259,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				dm2.SetFloat(o.NR, dj.Float(o.NR))
 				dm2.SetFloat(o.TS, dj.Float(o.TS))
 			},
+			RestRoot: []core.PropID{o.AT, o.NR, o.TS},
 		})
 	}
 	matPullJoin("mat_pull_join_left", true)
@@ -278,7 +285,13 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			outerMA := di2.AttrList(o.MA)
 			di2.Set(o.AT, d1.AttrList(o.AT).Union(o.matTargetAttrs(outerMA)))
 			di2.SetFloat(o.TS, d1.Float(o.TS)+o.matTargetSize(outerMA))
+			// As in the Prairie rule, the outer MAT restates the
+			// attributes and width it produces — what its group holds.
+			do2, do := b.D("DO2"), b.D("DO")
+			do2.Set(o.AT, do.Get(o.AT))
+			do2.Set(o.TS, do.Get(o.TS))
 		},
+		RestRoot: []core.PropID{o.AT, o.TS},
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "join_to_mat",
@@ -297,7 +310,8 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			dm.CopyFrom(b.D("DJ"))
 			dm.Set(o.MA, core.Attrs{ref})
 		},
-		Rest: func(b *volcano.TBinding) { b.D("DM").SetFloat(o.NR, b.D("D1").Float(o.NR)) },
+		Rest:     func(b *volcano.TBinding) { b.D("DM").SetFloat(o.NR, b.D("D1").Float(o.NR)) },
+		RestRoot: []core.PropID{o.NR},
 	})
 
 	// --- UNNEST space (exactly 1 rule). -----------------------------------
@@ -320,6 +334,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			dm2.Set(o.AT, du.AttrList(o.AT))
 			dm2.SetFloat(o.NR, du.Float(o.NR))
 		},
+		RestRoot: []core.PropID{o.AT, o.NR},
 	})
 }
 

@@ -126,6 +126,7 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 		}
 		if s.Rest != nil {
 			tr.Rest = func(b *volcano.TBinding) { s.Rest(b.Binding) }
+			tr.RestRoot = s.RestRoot
 		}
 	}
 

@@ -23,6 +23,7 @@ type cut struct {
 	rest  []*Stmt // held back until a result is kept
 	sank  []*Stmt // the pre-test statements that moved behind the test
 	whole string  // why the rule was left as written; "" when it was cut
+	root  int     // the right side's root slot
 }
 
 // cutTRule slices d for the right side rhs, whose operations' identity
@@ -64,7 +65,7 @@ func cutTRule(d *TRuleDecl, rhs *core.PatNode, idProps func(*core.Operation) []c
 	if len(sank) == 0 && len(rest) == 0 {
 		return whole("every statement decides the test or an identity property")
 	}
-	return cut{test: test, ident: ident, rest: rest, sank: sank}
+	return cut{test: test, ident: ident, rest: rest, sank: sank, root: rhs.Slot}
 }
 
 // partition splits stmts in two, each half in source order: first holds
@@ -148,10 +149,26 @@ func (c cut) emit(test Expr, names []string, helpers map[string]HelperImpl) *cor
 			}
 			return t == nil || t(b)
 		},
-		Appl: em.action(c.ident),
-		Rest: em.action(c.rest),
-		Doc:  c.doc(),
+		Appl:     em.action(c.ident),
+		Rest:     em.action(c.rest),
+		RestRoot: c.restRoot(),
+		Doc:      c.doc(),
 	}
+}
+
+// restRoot lists the properties the rest assigns on the right side's
+// root: a back end that finds the root alone new takes them from the
+// root's group instead of running the rest. A whole-descriptor copy into
+// a right-side node always decides its identity (cutTRule), so every
+// such assignment names its property.
+func (c cut) restRoot() []core.PropID {
+	var ids []core.PropID
+	for _, st := range c.rest {
+		if st.dst == c.root && !slices.Contains(ids, st.id) {
+			ids = append(ids, st.id)
+		}
+	}
+	return ids
 }
 
 // doc lists the cut for prairiec -dump: one line per statement under the

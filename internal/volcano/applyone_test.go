@@ -106,10 +106,12 @@ func TestApplyRuleDoesNotShareState(t *testing.T) {
 
 // TestApplyAtRunsRest: a rewritten tree keeps every descriptor the firing
 // built, so ApplyAt runs a rule's deferred actions with the others — and
-// the memo runs them exactly once for a firing it keeps something of, and
-// not at all for one that rediscovers what it holds. (The deferred action
-// writes the cost property: in this world, whose operators declare no
-// arguments, every other non-physical property is an identity property.)
+// the memo runs them exactly once for a firing that keeps a node below the
+// right side's root, and not at all for one that rediscovers what it holds
+// or keeps the root alone: that root takes what Rest writes on it
+// (RestRoot) from its group. (The deferred action writes the cost
+// property: in this world, whose operators declare no arguments, every
+// other non-physical property is an identity property.)
 func TestApplyAtRunsRest(t *testing.T) {
 	w := newTestWorld()
 	rests := 0
@@ -118,29 +120,49 @@ func TestApplyAtRunsRest(t *testing.T) {
 		rests++
 		b.D("D4").Set(w.c, core.Cost(7))
 	}
+	commute.RestRoot = []core.PropID{w.c}
 	out := w.rs.ApplyRule(&commute, w.chain(8, 4))
 	if len(out) != 1 || rests != 1 || out[0].D.Float(w.c) != 7 {
 		t.Fatalf("%d rewrites, Rest ran %d times, root %v; want 1, 1 and cost=7", len(out), rests, out[0].D)
 	}
 
-	// In the memo: JOIN(R1, R2) commutes into a new expression (Rest runs),
-	// whose commutation rediscovers the original (Rest does not).
-	rs := NewRuleSet(w.alg)
-	rs.AddTrans(&commute)
-	rests = 0
-	o := NewOptimizer(rs)
-	o.Stats.ensureMaps()
-	o.beginRun(context.Background())
-	root := o.Memo.Insert(w.chain(8, 4))
-	if err := o.explore(); err != nil {
-		t.Fatal(err)
+	explore := func(r *TransRule, tree *core.Expr) (g *Group, fired int) {
+		t.Helper()
+		rs := NewRuleSet(w.alg)
+		rs.AddTrans(r)
+		rests = 0
+		o := NewOptimizer(rs)
+		o.Stats.ensureMaps()
+		o.beginRun(context.Background())
+		root := o.Memo.Insert(tree)
+		if err := o.explore(); err != nil {
+			t.Fatal(err)
+		}
+		return o.Memo.Group(root), o.Stats.TransFired[r.Name]
 	}
-	g := o.Memo.Group(root)
-	if len(g.Exprs) != 2 || o.Stats.TransFired["join_commute"] != 2 || rests != 1 {
-		t.Fatalf("%d expressions after %d firings, Rest ran %d times; want 2, 2 and 1",
-			len(g.Exprs), o.Stats.TransFired["join_commute"], rests)
+	// In the memo: JOIN(R1, R2), whose group holds cost=7, commutes into a
+	// new root alone (Rest does not run; the group supplies the cost),
+	// whose commutation rediscovers the original (Rest does not run).
+	tree := w.chain(8, 4)
+	tree.D.Set(w.c, core.Cost(7))
+	g, fired := explore(&commute, tree)
+	if len(g.Exprs) != 2 || fired != 2 || rests != 0 {
+		t.Fatalf("%d expressions after %d firings, Rest ran %d times; want 2, 2 and 0", len(g.Exprs), fired, rests)
 	}
-	if g.Exprs[0].D.Has(w.c) || g.Exprs[1].D.Float(w.c) != 7 {
-		t.Errorf("original %v, commuted %v: want cost=7 on the commuted expression only", g.Exprs[0].D, g.Exprs[1].D)
+	if g.Exprs[1].D.Float(w.c) != 7 {
+		t.Errorf("commuted %v: want the group's cost=7", g.Exprs[1].D)
+	}
+	// JOIN(JOIN(R1, R2), R3) associates into JOIN(R1, JOIN(R2, R3)), whose
+	// inner join is new: Rest runs once, and the root's cost is its own.
+	assoc := *findTrans(t, w.rs, "join_assoc")
+	assoc.Rest = func(b *TBinding) {
+		rests++
+		b.D("D7").Set(w.c, core.Cost(7))
+	}
+	assoc.RestRoot = []core.PropID{w.c}
+	g, fired = explore(&assoc, w.chain(8, 4, 2))
+	if len(g.Exprs) != 2 || fired != 1 || rests != 1 || g.Exprs[0].D.Has(w.c) || g.Exprs[1].D.Float(w.c) != 7 {
+		t.Errorf("%d expressions after %d firings, Rest ran %d times, original %v, associated %v; want 2, 1, 1 and cost=7 on the associated one only",
+			len(g.Exprs), fired, rests, g.Exprs[0].D, g.Exprs[1].D)
 	}
 }

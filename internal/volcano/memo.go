@@ -102,8 +102,12 @@ type Group struct {
 	// possibly find a new binding (anyKidNewer).
 	maxSeq uint64
 	// rep is the representative descriptor: the first inserted
-	// expression's. Logical information (cardinality, attributes) is by
-	// construction identical across a group's members.
+	// expression's. The logical properties (attributes, cardinality,
+	// width) agree across a group's members, and a firing whose only new
+	// node joins the group takes those its deferred actions would compute
+	// from rep (TransRule.RestRoot); TestMemoNeverHalfFilled checks that
+	// the two agree. Other properties copied along with whole descriptors
+	// may differ from member to member.
 	rep *core.Descriptor
 	// depth is the group's distance below the query root along the path
 	// that created it (root 0, an input one more than its parent; a merge
@@ -423,10 +427,13 @@ func (m *Memo) InsertExpr(op *core.Operation, d *core.Descriptor, kids []GroupID
 
 // intern is InsertExpr; for a rule firing, b is its binding and d one of
 // the binding's scratch descriptors, complete as far as op's identity
-// goes. Only when the expression turns out to be new are the firing's
-// deferred actions run and d cloned, so a duplicate — most rule firings
-// rediscover a known expression — computes and allocates nothing. depth
-// is the depth of the group a targetless new expression founds.
+// goes. Only when the expression turns out to be new is d cloned and
+// completed, so a duplicate — most rule firings rediscover a known
+// expression — computes and allocates nothing. A new right-side root
+// whose deferred actions are still owed (no node below it was new) joins
+// target, whose representative holds what those actions would write on
+// it (TransRule.RestRoot); any other new node runs them. depth is the
+// depth of the group a targetless new expression founds.
 func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, b *TBinding, depth int) (GroupID, bool) {
 	var buf [4]GroupID
 	canon := buf[:0]
@@ -443,14 +450,21 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 		}
 		return eg, false
 	}
-	if b != nil {
-		b.finish()
-		d = m.descs.Clone(d)
-	}
 	var g *Group
 	if target >= 0 {
 		g = m.groups[m.Find(target)]
-	} else {
+	}
+	if b != nil {
+		if g != nil && b.rest != nil { // the root alone is new
+			b.rest = nil
+			d = m.descs.Clone(d)
+			d.CopyOn(g.rep, b.restRoot)
+		} else {
+			b.finish()
+			d = m.descs.Clone(d)
+		}
+	}
+	if g == nil {
 		g = m.newGroup(d, depth)
 	}
 	e := m.newExpr()

@@ -27,8 +27,10 @@ import (
 type TBinding struct {
 	*core.Binding
 	vars []GroupID // indexed by pattern-variable id; groupUnbound if unset
-	// rest is the current firing's TransRule.Rest while it is still owed.
-	rest func(b *TBinding)
+	// rest is the current firing's TransRule.Rest while it is still owed,
+	// restRoot its TransRule.RestRoot.
+	rest     func(b *TBinding)
+	restRoot []core.PropID
 }
 
 // finish runs the firing's deferred actions, unless they already ran:
@@ -69,9 +71,13 @@ func (b *TBinding) VarGroup(v int) GroupID {
 // needs only if the memo keeps what it built — most firings rediscover a
 // known expression. The contract: Appl must leave every identity property
 // (RuleSet.IDProps) of every right-hand-side node final; Rest may not
-// write one; the engine calls Rest at most once per firing, before it
-// keeps any of the firing's descriptors, and not at all when it keeps
-// none.
+// write one; RestRoot lists exactly the properties Rest writes on the
+// right side's root, and Rest must write there what the matched
+// expression's group already holds. The engine calls Rest at most once
+// per firing, before it keeps any of the firing's descriptors, and not at
+// all when it keeps none — or only the root, which joins the matched
+// expression's group: the root then takes RestRoot from the group's
+// representative, as logical properties are kept once per group.
 type TransRule struct {
 	Name string
 	// Origin records where the rule came from — a source position for
@@ -82,6 +88,7 @@ type TransRule struct {
 	Cond     func(b *TBinding) bool // nil means TRUE
 	Appl     func(b *TBinding)      // nil means no actions
 	Rest     func(b *TBinding)      // nil means Appl does everything
+	RestRoot []core.PropID          // what Rest writes on the RHS root
 	// Frame is the descriptor layout Cond and Appl were compiled against
 	// (P2V carries it over from the Prairie rule); LHS and RHS then hold
 	// its slots. nil — every hand-coded rule — lets the engine lay the

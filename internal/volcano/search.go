@@ -548,7 +548,7 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 		if rule.Appl != nil {
 			rule.Appl(b)
 		}
-		b.rest = rule.Rest
+		b.rest, b.restRoot = rule.Rest, rule.RestRoot
 		interned, merges := m.interned, m.merges
 		m.buildRHS(te.rhs, b, m.Find(e.group))
 		if m.interned != interned || m.merges != merges {
@@ -760,10 +760,11 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 				f.plans[i] = plan
 				cx.In[i] = plan.D
 				acc += cost
-				// Branch and bound, on an assumption nothing checks yet:
-				// an algorithm's cost is at least the sum of its inputs'
-				// costs, so once they reach the best plan's cost no
-				// completion of this one can beat it.
+				// Branch and bound, on an assumption the repository's
+				// TestCostsCoverInputs checks: an algorithm's cost is at
+				// least the sum of its inputs' costs, so once they reach
+				// the best plan's cost no completion of this one can beat
+				// it.
 				if acc >= bestCost {
 					o.Stats.Pruned++
 					ok = false
