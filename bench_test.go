@@ -324,7 +324,7 @@ func TestSearchColdRestRuns(t *testing.T) {
 		for _, r := range w.RS.Trans {
 			c := *r
 			if rest := r.Rest; rest != nil {
-				c.Rest = func(b *volcano.TBinding) { runs++; rest(b) }
+				c.Rest = func(b *core.Binding) { runs++; rest(b) }
 			}
 			rs.Trans = append(rs.Trans, &c)
 		}

@@ -81,6 +81,16 @@ type Binding struct {
 // NewBinding returns an empty binding over a property set.
 func NewBinding(ps *PropertySet) *Binding { return &Binding{ps: ps} }
 
+// Reserve sizes the binding, in two arrays, for any frame of at most
+// names slots, shared Shared and args Args entries: laying it out by one
+// (Reset) then allocates nothing.
+func (b *Binding) Reserve(names, shared, args int) {
+	ds := make([]*Descriptor, 2*names)
+	b.descs, b.pool = ds[:0:names], ds[names:names]
+	vs := make([]Value, shared+args)
+	b.Shared, b.Args = vs[:0:shared], vs[shared:shared]
+}
+
 // Reset empties the binding and lays it out by f (nil for none), keeping
 // the backing storage: the engine reuses one binding across all rule
 // applications.
@@ -243,7 +253,8 @@ type TRule struct {
 }
 
 // Sliced is a T-rule cut three ways (TRule.Slice). Cond runs the pre-test
-// statements the test reads, then the test. Appl runs what decides the
+// statements the test reads, then the test; it is nil when the rule has
+// neither. Appl runs what decides the
 // identity properties of the right side's nodes — after it they are
 // final. Rest runs everything else and is wanted only by a back end that
 // keeps what the firing built; nil means nothing was held back. The parts

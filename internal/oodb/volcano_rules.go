@@ -10,10 +10,10 @@ import (
 // OODB optimizer: 17 trans_rules, 9 impl_rules and one enforcer, with
 // the property classification stated explicitly and per-algorithm
 // support functions. It is the baseline the Prairie-generated optimizer
-// is measured against (§4.3), and it uses the engine as the generated
-// code does: trans_rules defer what only a new expression needs
-// (TransRule.Rest) and costing hooks borrow their descriptors
-// (ImplCtx.Lend).
+// is measured against (§4.3), using the engine as generated code does:
+// trans_rules are core actions deferring what only a new expression needs
+// (TransRule.Rest), costing hooks borrow a binding laid out by their
+// rule's Frame (ImplCtx.Lend), and the engine gates the enforcer.
 func (o *Opt) VolcanoRules() *volcano.RuleSet {
 	rs := volcano.NewRuleSet(o.Alg)
 	rs.SetPhys(o.Ord)
@@ -38,7 +38,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Name: "join_commute",
 		LHS:  core.POp(o.JOIN, "DL", v1, v2),
 		RHS:  core.POp(o.JOIN, "DR", core.PVar(2, ""), core.PVar(1, "")),
-		Appl: func(b *volcano.TBinding) { b.D("DR").CopyFrom(b.D("DL")) },
+		Appl: func(b *core.Binding) { b.D("DR").CopyFrom(b.D("DL")) },
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "join_assoc",
@@ -47,11 +47,11 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		RHS: core.POp(o.JOIN, "DT2",
 			core.PVar(1, ""),
 			core.POp(o.JOIN, "DB2", core.PVar(2, ""), core.PVar(3, ""))),
-		Cond: func(b *volcano.TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			return joinAssociates(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP),
 				b.D("D1").AttrList(o.AT), b.D("D2").AttrList(o.AT), b.D("D3").AttrList(o.AT))
 		},
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			all := canonAnd(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP))
 			inner, outer := splitPred(all, b.D("D2").AttrList(o.AT).Union(b.D("D3").AttrList(o.AT)))
 			dt2 := b.D("DT2")
@@ -59,7 +59,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			dt2.CopyFrom(b.D("DT"))
 			dt2.Set(o.JP, outer)
 		},
-		Rest: func(b *volcano.TBinding) {
+		Rest: func(b *core.Binding) {
 			m, r, db2 := b.D("D2"), b.D("D3"), b.D("DB2")
 			db2.Set(o.AT, m.AttrList(o.AT).Union(r.AttrList(o.AT)))
 			db2.SetFloat(o.NR, o.Cat.JoinCard(m.Float(o.NR), r.Float(o.NR), db2.Pred(o.JP)))
@@ -79,16 +79,16 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			Name: name,
 			LHS:  core.POp(o.SELECT, "DSEL", core.POp(o.JOIN, "DJ", v1, v2)),
 			RHS:  core.POp(o.JOIN, "DJ2", rhsKids...),
-			Cond: func(b *volcano.TBinding) bool {
+			Cond: func(b *core.Binding) bool {
 				return b.D("DSEL").Pred(o.SP).RefersOnlyTo(b.D(side).AttrList(o.AT))
 			},
-			Appl: func(b *volcano.TBinding) {
+			Appl: func(b *core.Binding) {
 				ds := b.D("DS")
 				ds.CopyFrom(b.D(side))
 				ds.Set(o.SP, b.D("DSEL").Pred(o.SP))
 				b.D("DJ2").CopyFrom(b.D("DJ"))
 			},
-			Rest: func(b *volcano.TBinding) {
+			Rest: func(b *core.Binding) {
 				b.D("DS").SetFloat(o.NR, o.Cat.SelectCard(b.D(side).Float(o.NR), b.D("DSEL").Pred(o.SP)))
 				b.D("DJ2").SetFloat(o.NR, b.D("DSEL").Float(o.NR))
 			},
@@ -102,10 +102,10 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Name: "select_split",
 		LHS:  core.POp(o.SELECT, "DS", v1),
 		RHS:  core.POp(o.SELECT, "DO", core.POp(o.SELECT, "DI", core.PVar(1, ""))),
-		Cond: func(b *volcano.TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			return len(b.D("DS").Pred(o.SP).Conjuncts()) >= 2
 		},
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			p := b.D("DS").Pred(o.SP)
 			di, do := b.D("DI"), b.D("DO")
 			di.CopyFrom(b.D("DS"))
@@ -113,7 +113,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			do.CopyFrom(b.D("DS"))
 			do.Set(o.SP, firstConj(p))
 		},
-		Rest: func(b *volcano.TBinding) {
+		Rest: func(b *core.Binding) {
 			di := b.D("DI")
 			di.SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), di.Pred(o.SP)))
 		},
@@ -122,7 +122,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Name: "select_merge",
 		LHS:  core.POp(o.SELECT, "DO", core.POp(o.SELECT, "DI", v1)),
 		RHS:  core.POp(o.SELECT, "DM", core.PVar(1, "")),
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			dm := b.D("DM")
 			dm.CopyFrom(b.D("DO"))
 			dm.Set(o.SP, canonAnd(b.D("DO").Pred(o.SP), b.D("DI").Pred(o.SP)))
@@ -132,14 +132,14 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Name: "select_commute",
 		LHS:  core.POp(o.SELECT, "DO", core.POp(o.SELECT, "DI", v1)),
 		RHS:  core.POp(o.SELECT, "DO2", core.POp(o.SELECT, "DI2", core.PVar(1, ""))),
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			di2, do2 := b.D("DI2"), b.D("DO2")
 			di2.CopyFrom(b.D("DI"))
 			di2.Set(o.SP, b.D("DO").Pred(o.SP))
 			do2.CopyFrom(b.D("DO"))
 			do2.Set(o.SP, b.D("DI").Pred(o.SP))
 		},
-		Rest: func(b *volcano.TBinding) {
+		Rest: func(b *core.Binding) {
 			b.D("DI2").SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), b.D("DO").Pred(o.SP)))
 		},
 	})
@@ -147,28 +147,28 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Name: "select_into_ret",
 		LHS:  core.POp(o.SELECT, "DS", core.POp(o.RET, "DR", v1)),
 		RHS:  core.POp(o.RET, "DR2", core.PVar(1, "")),
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			dr2 := b.D("DR2")
 			dr2.CopyFrom(b.D("DR"))
 			dr2.Set(o.SP, canonAnd(b.D("DR").Pred(o.SP), b.D("DS").Pred(o.SP)))
 		},
-		Rest:     func(b *volcano.TBinding) { b.D("DR2").SetFloat(o.NR, b.D("DS").Float(o.NR)) },
+		Rest:     func(b *core.Binding) { b.D("DR2").SetFloat(o.NR, b.D("DS").Float(o.NR)) },
 		RestRoot: []core.PropID{o.NR},
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "select_push_mat",
 		LHS:  core.POp(o.SELECT, "DS", core.POp(o.MAT, "DM", v1)),
 		RHS:  core.POp(o.MAT, "DM2", core.POp(o.SELECT, "DS2", core.PVar(1, ""))),
-		Cond: func(b *volcano.TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			return b.D("DS").Pred(o.SP).RefersOnlyTo(b.D("D1").AttrList(o.AT))
 		},
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			ds2 := b.D("DS2")
 			ds2.CopyFrom(b.D("D1"))
 			ds2.Set(o.SP, b.D("DS").Pred(o.SP))
 			b.D("DM2").CopyFrom(b.D("DM"))
 		},
-		Rest: func(b *volcano.TBinding) {
+		Rest: func(b *core.Binding) {
 			b.D("DS2").SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), b.D("DS").Pred(o.SP)))
 			b.D("DM2").SetFloat(o.NR, b.D("DS").Float(o.NR))
 		},
@@ -178,13 +178,13 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Name: "mat_pull_select",
 		LHS:  core.POp(o.MAT, "DM", core.POp(o.SELECT, "DS", v1)),
 		RHS:  core.POp(o.SELECT, "DS2", core.POp(o.MAT, "DM2", core.PVar(1, ""))),
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			ds2 := b.D("DS2")
 			b.D("DM2").CopyFrom(b.D("DM"))
 			ds2.CopyFrom(b.D("DM"))
 			ds2.Set(o.SP, b.D("DS").Pred(o.SP))
 		},
-		Rest: func(b *volcano.TBinding) {
+		Rest: func(b *core.Binding) {
 			dm2, d1 := b.D("DM2"), b.D("D1")
 			dm2.Set(o.AT, d1.AttrList(o.AT).Union(o.matTargetAttrs(b.D("DM").AttrList(o.MA))))
 			dm2.SetFloat(o.NR, d1.Float(o.NR))
@@ -203,14 +203,14 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			Name: name,
 			LHS:  core.POp(o.MAT, "DM", core.POp(o.JOIN, "DJ", v1, v2)),
 			RHS:  core.POp(o.JOIN, "DJ2", rhsKids...),
-			Cond: func(b *volcano.TBinding) bool {
+			Cond: func(b *core.Binding) bool {
 				return b.D(side).AttrList(o.AT).ContainsAll(b.D("DM").AttrList(o.MA))
 			},
-			Appl: func(b *volcano.TBinding) {
+			Appl: func(b *core.Binding) {
 				b.D("DM2").CopyFrom(b.D("DM"))
 				b.D("DJ2").CopyFrom(b.D("DJ"))
 			},
-			Rest: func(b *volcano.TBinding) {
+			Rest: func(b *core.Binding) {
 				ma := b.D("DM").AttrList(o.MA)
 				dm2, dj2, in := b.D("DM2"), b.D("DJ2"), b.D(side)
 				dm2.Set(o.AT, in.AttrList(o.AT).Union(o.matTargetAttrs(ma)))
@@ -227,12 +227,12 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 
 	matPullJoin := func(name string, left bool) {
 		lhsKids := []*core.PatNode{core.POp(o.MAT, "DM", v1), v3}
-		inAttrs := func(b *volcano.TBinding) core.Attrs {
+		inAttrs := func(b *core.Binding) core.Attrs {
 			return b.D("D1").AttrList(o.AT).Union(b.D("D3").AttrList(o.AT))
 		}
 		if !left {
 			lhsKids = []*core.PatNode{v1, core.POp(o.MAT, "DM", v2)}
-			inAttrs = func(b *volcano.TBinding) core.Attrs {
+			inAttrs = func(b *core.Binding) core.Attrs {
 				return b.D("D1").AttrList(o.AT).Union(b.D("D2").AttrList(o.AT))
 			}
 		}
@@ -244,14 +244,14 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			Name: name,
 			LHS:  core.POp(o.JOIN, "DJ", lhsKids...),
 			RHS:  core.POp(o.MAT, "DM2", core.POp(o.JOIN, "DJ2", rhsKids...)),
-			Cond: func(b *volcano.TBinding) bool {
+			Cond: func(b *core.Binding) bool {
 				return b.D("DJ").Pred(o.JP).RefersOnlyTo(inAttrs(b))
 			},
-			Appl: func(b *volcano.TBinding) {
+			Appl: func(b *core.Binding) {
 				b.D("DJ2").CopyFrom(b.D("DJ"))
 				b.D("DM2").CopyFrom(b.D("DM"))
 			},
-			Rest: func(b *volcano.TBinding) {
+			Rest: func(b *core.Binding) {
 				dj, dj2, dm2 := b.D("DJ"), b.D("DJ2"), b.D("DM2")
 				dj2.Set(o.AT, inAttrs(b))
 				dj2.SetFloat(o.TS, dj.Float(o.TS)-o.matTargetSize(b.D("DM").AttrList(o.MA)))
@@ -269,18 +269,18 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Name: "mat_commute_mat",
 		LHS:  core.POp(o.MAT, "DO", core.POp(o.MAT, "DI", v1)),
 		RHS:  core.POp(o.MAT, "DO2", core.POp(o.MAT, "DI2", core.PVar(1, ""))),
-		Cond: func(b *volcano.TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			return !b.D("DI").AttrList(o.MA).Equal(b.D("DO").AttrList(o.MA)) &&
 				b.D("D1").AttrList(o.AT).ContainsAll(b.D("DO").AttrList(o.MA))
 		},
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			di2, do2 := b.D("DI2"), b.D("DO2")
 			di2.CopyFrom(b.D("DI"))
 			di2.Set(o.MA, b.D("DO").AttrList(o.MA))
 			do2.CopyFrom(b.D("DO"))
 			do2.Set(o.MA, b.D("DI").AttrList(o.MA))
 		},
-		Rest: func(b *volcano.TBinding) {
+		Rest: func(b *core.Binding) {
 			di2, d1 := b.D("DI2"), b.D("D1")
 			outerMA := di2.AttrList(o.MA)
 			di2.Set(o.AT, d1.AttrList(o.AT).Union(o.matTargetAttrs(outerMA)))
@@ -298,19 +298,19 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		LHS: core.POp(o.JOIN, "DJ",
 			v1, core.POp(o.RET, "DR", core.PVar(2, ""))),
 		RHS: core.POp(o.MAT, "DM", core.PVar(1, "")),
-		Cond: func(b *volcano.TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			_, ok := o.refAttrOfJoin(b.D("DJ").Pred(o.JP),
 				b.D("D1").AttrList(o.AT), b.D("DR").AttrList(o.AT))
 			return ok && b.D("DR").Pred(o.SP).IsTrue()
 		},
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			ref, _ := o.refAttrOfJoin(b.D("DJ").Pred(o.JP),
 				b.D("D1").AttrList(o.AT), b.D("DR").AttrList(o.AT))
 			dm := b.D("DM")
 			dm.CopyFrom(b.D("DJ"))
 			dm.Set(o.MA, core.Attrs{ref})
 		},
-		Rest:     func(b *volcano.TBinding) { b.D("DM").SetFloat(o.NR, b.D("D1").Float(o.NR)) },
+		Rest:     func(b *core.Binding) { b.D("DM").SetFloat(o.NR, b.D("D1").Float(o.NR)) },
 		RestRoot: []core.PropID{o.NR},
 	})
 
@@ -319,14 +319,14 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Name: "unnest_mat_commute",
 		LHS:  core.POp(o.UNNEST, "DU", core.POp(o.MAT, "DM", v1)),
 		RHS:  core.POp(o.MAT, "DM2", core.POp(o.UNNEST, "DU2", core.PVar(1, ""))),
-		Cond: func(b *volcano.TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			return b.D("D1").AttrList(o.AT).ContainsAll(b.D("DU").AttrList(o.UA))
 		},
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			b.D("DU2").CopyFrom(b.D("DU"))
 			b.D("DM2").CopyFrom(b.D("DM"))
 		},
-		Rest: func(b *volcano.TBinding) {
+		Rest: func(b *core.Binding) {
 			du, du2, dm2, d1 := b.D("DU"), b.D("DU2"), b.D("DM2"), b.D("D1")
 			du2.Set(o.AT, d1.AttrList(o.AT))
 			du2.SetFloat(o.NR, o.unnestCard(d1.Float(o.NR), du.AttrList(o.UA)))
@@ -340,12 +340,12 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 
 func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 	// The costing hooks return descriptors of the binding the engine
-	// lends them (ImplCtx.Lend), laid out by costing: the algorithm's
-	// provisional descriptor, a copy of the operator's, and an input
+	// lends them (ImplCtx.Lend), laid out by every rule's Frame, costing:
+	// the algorithm's descriptor, a copy of the operator's, and an input
 	// requirement. A nil requirement asks nothing of its input.
 	costing := &core.Frame{Names: []string{"alg", "req"}}
 	lend := func(cx *volcano.ImplCtx) (*core.Binding, *core.Descriptor) {
-		b := cx.Lend(costing)
+		b := cx.Lend()
 		d := b.Slot(0)
 		d.CopyFrom(cx.OpDesc)
 		return b, d
@@ -367,7 +367,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 	}
 
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "ret_file_scan", Op: o.RET, Alg: o.FileScan,
+		Name: "ret_file_scan", Op: o.RET, Alg: o.FileScan, Frame: costing,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			return algD(cx, core.DontCareOrder)
 		},
@@ -376,7 +376,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 		},
 	})
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "ret_index_probe", Op: o.RET, Alg: o.IndexScan,
+		Name: "ret_index_probe", Op: o.RET, Alg: o.IndexScan, Frame: costing,
 		Cond: func(cx *volcano.ImplCtx) bool {
 			ix, ok := catalog.PickIndexAttr(cx.Kids[0].AttrList(o.IX), core.DontCareOrder, cx.OpDesc.Pred(o.SP))
 			return ok && catalog.IndexUsable(ix, cx.OpDesc.Pred(o.SP))
@@ -390,7 +390,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 		},
 	})
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "ret_index_sweep", Op: o.RET, Alg: o.IndexScan,
+		Name: "ret_index_sweep", Op: o.RET, Alg: o.IndexScan, Frame: costing,
 		Cond: func(cx *volcano.ImplCtx) bool {
 			return len(cx.Kids[0].AttrList(o.IX)) > 0
 		},
@@ -404,7 +404,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 	})
 	orderPreserving := func(name string, op, alg *core.Operation, cost func(cx *volcano.ImplCtx, d *core.Descriptor) float64) {
 		rs.AddImpl(&volcano.ImplRule{
-			Name: name, Op: op, Alg: alg,
+			Name: name, Op: op, Alg: alg, Frame: costing,
 			Pre: passThroughPre,
 			Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 				d.Set(o.Ord, cx.In[0].Order(o.Ord))
@@ -429,7 +429,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			return flattenCost(cx.In[0].Float(o.C), d.Float(o.NR))
 		})
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "join_hash_join", Op: o.JOIN, Alg: o.HashJoin,
+		Name: "join_hash_join", Op: o.JOIN, Alg: o.HashJoin, Frame: costing,
 		Cond: func(cx *volcano.ImplCtx) bool {
 			return len(cx.OpDesc.Pred(o.JP).Conjuncts()) >= 1
 		},
@@ -443,7 +443,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 		},
 	})
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "mat_pointer_join", Op: o.MAT, Alg: o.PointerJoin,
+		Name: "mat_pointer_join", Op: o.MAT, Alg: o.PointerJoin, Frame: costing,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			return algD(cx, core.DontCareOrder)
 		},
@@ -455,11 +455,9 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 	})
 
 	rs.AddEnforcer(&volcano.Enforcer{
-		Name: "sort_merge_sort", Alg: o.MergeSort, Props: []core.PropID{o.Ord},
+		Name: "sort_merge_sort", Alg: o.MergeSort, Props: []core.PropID{o.Ord}, Frame: costing,
 		Cond: func(cx *volcano.ImplCtx) bool {
-			ord := cx.Req.Order(o.Ord)
-			return cx.Req.Has(o.Ord) && !ord.IsDontCare() &&
-				ord.Within(cx.OpDesc.AttrList(o.AT))
+			return cx.Req.Order(o.Ord).Within(cx.OpDesc.AttrList(o.AT))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, *core.Descriptor) {
 			d, _ := algD(cx, cx.Req.Order(o.Ord))

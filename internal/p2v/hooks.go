@@ -6,12 +6,11 @@ import (
 )
 
 // irShape caches the positional structure of an I-rule needed to build
-// engine hooks: the rule's frame and the frame slots (PatNode.Slot) of
-// both sides' descriptors, with the mapping from right-side input
-// positions to left-side input positions. A slot is -1 where the pattern
-// names no descriptor.
+// engine hooks: the frame slots (PatNode.Slot) of both sides'
+// descriptors, with the mapping from right-side input positions to
+// left-side input positions. A slot is -1 where the pattern names no
+// descriptor.
 type irShape struct {
-	frame   *core.Frame
 	lhsRoot int
 	rhsRoot int
 	lhsKid  []int // slot of LHS input i's descriptor
@@ -19,7 +18,7 @@ type irShape struct {
 }
 
 func shapeOf(r *core.IRule) irShape {
-	sh := irShape{frame: r.Frame, lhsRoot: r.LHS.Slot, rhsRoot: r.RHS.Slot}
+	sh := irShape{lhsRoot: r.LHS.Slot, rhsRoot: r.RHS.Slot}
 	varToIdx := map[int]int{}
 	for i, k := range r.LHS.Kids {
 		sh.lhsKid = append(sh.lhsKid, k.Slot)
@@ -36,15 +35,15 @@ func shapeOf(r *core.IRule) irShape {
 
 // condBinding binds the left side's descriptors for the test stage:
 // the operator's descriptor (with required properties merged) and the
-// input groups' representative descriptors. The binding is the engine's,
-// lent for this alternative and cached on the context: the Pre stage
-// reuses it as it is and the Post stage after rebinding the inputs.
+// input groups' representative descriptors. The binding is the one the
+// engine lends this alternative, laid out by the rule's frame: the first
+// stage binds it, the Pre stage reuses it as it is and the Post stage
+// after rebinding the inputs.
 func (sh irShape) condBinding(cx *volcano.ImplCtx) *core.Binding {
-	if b, ok := cx.Scratch.(*core.Binding); ok {
+	b := cx.Lend()
+	if b.BoundSlot(sh.lhsRoot) {
 		return b
 	}
-	b := cx.Lend(sh.frame)
-	cx.Scratch = b
 	b.BindSlot(sh.lhsRoot, cx.OpDesc)
 	for i, slot := range sh.lhsKid {
 		if slot < 0 {
@@ -97,9 +96,10 @@ func makeImpl(r *core.IRule, alias map[*core.Operation]*core.Operation) *volcano
 		op = to
 	}
 	return &volcano.ImplRule{
-		Name: r.Name,
-		Op:   op,
-		Alg:  r.Alg(),
+		Name:  r.Name,
+		Op:    op,
+		Alg:   r.Alg(),
+		Frame: r.Frame,
 		Cond: func(cx *volcano.ImplCtx) bool {
 			return r.RunTest(sh.condBinding(cx))
 		},
@@ -125,7 +125,10 @@ func makeImpl(r *core.IRule, alias map[*core.Operation]*core.Operation) *volcano
 
 // makeEnforcer generates a Volcano enforcer from a Prairie I-rule on an
 // enforcer-operator. props are the physical properties the operator's
-// Null rule propagates — the properties this enforcer establishes.
+// Null rule propagates — the properties this enforcer establishes. The
+// engine applies it only where one of them is requested; its Cond is
+// the I-rule's own test (e.g. Merge_sort's "tuple_order != DONT_CARE",
+// Figure 5).
 func makeEnforcer(rs *core.RuleSet, r *core.IRule, props []core.PropID) *volcano.Enforcer {
 	ps := rs.Algebra.Props
 	sh := shapeOf(r)
@@ -133,20 +136,8 @@ func makeEnforcer(rs *core.RuleSet, r *core.IRule, props []core.PropID) *volcano
 		Name:  r.Name,
 		Alg:   r.Alg(),
 		Props: props,
+		Frame: r.Frame,
 		Cond: func(cx *volcano.ImplCtx) bool {
-			// Applicable only when some enforced property is actually
-			// requested, and the I-rule's own test passes (e.g.
-			// Merge_sort's "tuple_order != DONT_CARE", Figure 5).
-			requested := false
-			for _, p := range props {
-				if cx.Req.Has(p) && !cx.Req.Get(p).IsDontCare() {
-					requested = true
-					break
-				}
-			}
-			if !requested {
-				return false
-			}
 			return r.RunTest(sh.condBinding(cx))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, *core.Descriptor) {

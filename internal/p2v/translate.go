@@ -113,21 +113,17 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 		rule := t.rule
 		s := rule.Slice(rhs, out.IDProps)
 		rep.Cuts[rule.Name] = s.Doc
-		tr := out.AddTrans(&volcano.TransRule{
-			Name:   rule.Name,
-			Origin: rule.Origin,
-			LHS:    lhs,
-			RHS:    rhs,
-			Frame:  s.Frame,
-			Cond:   func(b *volcano.TBinding) bool { return s.Cond(b.Binding) },
+		out.AddTrans(&volcano.TransRule{
+			Name:     rule.Name,
+			Origin:   rule.Origin,
+			LHS:      lhs,
+			RHS:      rhs,
+			Frame:    s.Frame,
+			Cond:     s.Cond,
+			Appl:     s.Appl,
+			Rest:     s.Rest,
+			RestRoot: s.RestRoot,
 		})
-		if s.Appl != nil {
-			tr.Appl = func(b *volcano.TBinding) { s.Appl(b.Binding) }
-		}
-		if s.Rest != nil {
-			tr.Rest = func(b *volcano.TBinding) { s.Rest(b.Binding) }
-			tr.RestRoot = s.RestRoot
-		}
 	}
 
 	for _, r := range rs.IRules {

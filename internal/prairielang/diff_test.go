@@ -169,7 +169,7 @@ func (d *Diff) sliced(r *core.TRule, o *TRuleDecl) {
 			}
 			d.Want = want
 			defer guard("/cond")
-			got := cond(b)
+			got := cond == nil || cond(b)
 			if want != nil && got != ok {
 				d.t.Errorf("%s/cond: compiled yields %v, interpreter %v", r.Name, got, ok)
 			}

@@ -140,15 +140,18 @@ func anyMember(e Expr, f func(*Member) bool) bool {
 func (c cut) emit(test Expr, names []string, helpers map[string]HelperImpl) *core.Sliced {
 	f := &core.Frame{Names: names}
 	em := &emitter{helpers: helpers, frame: f, shared: shareCalls(f, c.test, test, slices.Concat(c.ident, c.rest))}
-	pre, t := em.action(c.test), em.test(test)
-	return &core.Sliced{
-		Frame: f,
-		Cond: func(b *core.Binding) bool {
-			if pre != nil {
-				pre(b)
-			}
+	// A rule with neither a test nor a statement before it has no
+	// condition: Cond stays nil, which a back end reads as TRUE.
+	pre, cond := em.action(c.test), em.test(test)
+	if t := cond; pre != nil {
+		cond = func(b *core.Binding) bool {
+			pre(b)
 			return t == nil || t(b)
-		},
+		}
+	}
+	return &core.Sliced{
+		Frame:    f,
+		Cond:     cond,
 		Appl:     em.action(c.ident),
 		Rest:     em.action(c.rest),
 		RestRoot: c.restRoot(),

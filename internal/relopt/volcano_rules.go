@@ -9,22 +9,22 @@ import (
 // VolcanoRules builds the hand-coded Volcano specification of the same
 // optimizer: the property classification is stated explicitly (the user
 // must decide that tuple_order is physical and cost is cost, §3.1), the
-// JOPR/SORT machinery is absent (Volcano's enforcer concept replaces it),
-// and the per-algorithm support functions cost an alternative in
-// descriptors the engine lends them (ImplCtx.Lend), as P2V's generated
-// hooks do. This is the baseline the Prairie-generated optimizer is
-// compared with. No operator of the algebra declares args(...), so every
-// property a trans_rule assigns identifies the expression it builds:
-// join_assoc, like its generated counterpart, defers nothing
-// (TransRule.Rest).
+// JOPR/SORT machinery is absent (Volcano's enforcer concept, gated by the
+// engine, replaces it), and trans_rules are core actions and support
+// functions cost in a binding the engine lends (ImplCtx.Lend), as P2V's
+// generated hooks do. This is the baseline the Prairie-generated
+// optimizer is compared with. No operator of the
+// algebra declares args(...), so every property a trans_rule assigns
+// identifies the expression it builds: join_assoc, like its generated
+// counterpart, defers nothing (TransRule.Rest).
 func (o *Opt) VolcanoRules() *volcano.RuleSet {
 	rs := volcano.NewRuleSet(o.Alg)
 	rs.SetPhys(o.Ord)
-	// The costing hooks' descriptors: the algorithm's, a copy of the
-	// operator's, and the inputs' requirements; nil requires nothing.
+	// Every costing rule's Frame: the algorithm's descriptor, a copy of
+	// the operator's, and the inputs' requirements; nil requires nothing.
 	costing := &core.Frame{Names: []string{"alg", "left", "right"}}
 	lend := func(cx *volcano.ImplCtx) (*core.Binding, *core.Descriptor) {
-		b := cx.Lend(costing)
+		b := cx.Lend()
 		d := b.Slot(0)
 		d.CopyFrom(cx.OpDesc)
 		return b, d
@@ -34,7 +34,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		Name: "join_commute",
 		LHS:  core.POp(o.JOIN, "D3", core.PVar(1, ""), core.PVar(2, "")),
 		RHS:  core.POp(o.JOIN, "D4", core.PVar(2, ""), core.PVar(1, "")),
-		Appl: func(b *volcano.TBinding) { b.D("D4").CopyFrom(b.D("D3")) },
+		Appl: func(b *core.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
 	})
 
 	rs.AddTrans(&volcano.TransRule{
@@ -45,13 +45,13 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		RHS: core.POp(o.JOIN, "D7",
 			core.PVar(1, ""),
 			core.POp(o.JOIN, "D6", core.PVar(2, ""), core.PVar(3, ""))),
-		Cond: func(b *volcano.TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			all := core.And(b.D("D3").Pred(o.JP), b.D("D5").Pred(o.JP))
 			_, _, ok := isAssociative(all,
 				b.D("D1").AttrList(o.AT), b.D("D2").AttrList(o.AT), b.D("D4").AttrList(o.AT))
 			return ok
 		},
-		Appl: func(b *volcano.TBinding) {
+		Appl: func(b *core.Binding) {
 			all := core.And(b.D("D3").Pred(o.JP), b.D("D5").Pred(o.JP))
 			inner, outer, _ := isAssociative(all,
 				b.D("D1").AttrList(o.AT), b.D("D2").AttrList(o.AT), b.D("D4").AttrList(o.AT))
@@ -67,7 +67,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 
 	// RET -> File_scan.
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "ret_file_scan", Op: o.RET, Alg: o.FileScan,
+		Name: "ret_file_scan", Op: o.RET, Alg: o.FileScan, Frame: costing,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			_, d := lend(cx)
 			d.Set(o.Ord, core.DontCareOrder)
@@ -80,7 +80,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 
 	// RET -> Index_scan.
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "ret_index_scan", Op: o.RET, Alg: o.IndexScan,
+		Name: "ret_index_scan", Op: o.RET, Alg: o.IndexScan, Frame: costing,
 		Cond: func(cx *volcano.ImplCtx) bool {
 			return len(cx.Kids[0].AttrList(o.IX)) > 0
 		},
@@ -103,7 +103,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 
 	// JOIN -> Nested_loops.
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "join_nested_loops", Op: o.JOIN, Alg: o.NestedLoops,
+		Name: "join_nested_loops", Op: o.JOIN, Alg: o.NestedLoops, Frame: costing,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			b, d := lend(cx)
 			cx.InReq[0] = b.Slot(1)
@@ -119,7 +119,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 
 	// JOIN -> Merge_join.
 	rs.AddImpl(&volcano.ImplRule{
-		Name: "join_merge_join", Op: o.JOIN, Alg: o.MergeJoin,
+		Name: "join_merge_join", Op: o.JOIN, Alg: o.MergeJoin, Frame: costing,
 		Cond: func(cx *volcano.ImplCtx) bool {
 			_, _, ok := orientEqui(cx.OpDesc.Pred(o.JP), cx.Kids[0].AttrList(o.AT))
 			return ok
@@ -142,11 +142,9 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 
 	// Merge_sort enforcer.
 	rs.AddEnforcer(&volcano.Enforcer{
-		Name: "sort_merge_sort", Alg: o.Merge, Props: []core.PropID{o.Ord},
+		Name: "sort_merge_sort", Alg: o.Merge, Props: []core.PropID{o.Ord}, Frame: costing,
 		Cond: func(cx *volcano.ImplCtx) bool {
-			ord := cx.Req.Order(o.Ord)
-			return cx.Req.Has(o.Ord) && !ord.IsDontCare() &&
-				ord.Within(cx.OpDesc.AttrList(o.AT))
+			return cx.Req.Order(o.Ord).Within(cx.OpDesc.AttrList(o.AT))
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, *core.Descriptor) {
 			_, d := lend(cx)

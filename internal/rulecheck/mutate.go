@@ -168,8 +168,8 @@ func mutantsOf(rs *volcano.RuleSet, r *volcano.TransRule) []Mutant {
 		}
 	}
 	if len(rhsDescs) > 0 && len(predProps) > 0 {
-		blanked := func(orig func(*volcano.TBinding)) func(*volcano.TBinding) {
-			return func(b *volcano.TBinding) {
+		blanked := func(orig core.Action) core.Action {
+			return func(b *core.Binding) {
 				if orig != nil {
 					orig(b)
 				}

@@ -15,7 +15,6 @@ package rulecheck
 
 import (
 	"fmt"
-	"math"
 
 	"prairie/internal/catalog"
 	"prairie/internal/core"
@@ -141,65 +140,40 @@ func RelationalWorld(seed int64) (*World, error) {
 }
 
 // DSLWorld makes a verification world of a rule set compiled from a
-// textual Prairie specification. The synthetic relations R1..Rn carry a
-// single join attribute "a", mirroring the server's DSL world, but here
-// backed by a real catalog so the oracle can execute against generated
-// rows — which the server's world has not, so this world is built here.
+// textual Prairie specification. Its seeds are the server's dsl chain
+// (server.DSLChain) over two and three relations, but here backed by a
+// real catalog so the oracle can execute against generated rows — which
+// the server's world has not, so this world is built here.
 func DSLWorld(rs *core.RuleSet) (*World, error) {
 	vrs, _, err := p2v.Translate(rs)
 	if err != nil {
 		return nil, err
 	}
+	chain, err := server.NewDSLChain(rs, worldN, false)
+	if err != nil {
+		return nil, err
+	}
+	const card = 8
 	cat := catalog.New()
 	for i := 1; i <= worldN; i++ {
 		cat.Add(&catalog.Class{
-			Name: fmt.Sprintf("R%d", i), Card: 8, TupleSize: 8,
+			Name: fmt.Sprintf("R%d", i), Card: card, TupleSize: 8,
 			Attrs: []catalog.Attribute{{Name: "a", Distinct: 4}},
 		})
 	}
-	retOp, okRet := rs.Algebra.Op("RET")
-	joinOp, okJoin := rs.Algebra.Op("JOIN")
-	if !okRet || !okJoin {
-		return nil, fmt.Errorf("rulecheck: DSL verification needs RET and JOIN operators in the specification's algebra")
-	}
 	ps := rs.Algebra.Props
-	nr, okNR := ps.Lookup("num_records")
-	at, okAT := ps.Lookup("attributes")
-	jp, okJP := ps.Lookup("join_predicate")
-	if !okNR || !okAT || !okJP {
-		return nil, fmt.Errorf("rulecheck: DSL verification needs num_records, attributes, and join_predicate properties")
-	}
 	w := &World{World: &server.World{
 		Name: "dsl",
 		RS:   vrs,
 		Cat:  cat,
 		ExecProps: exec.Props{
-			Ord: lookupOrNo(ps, "tuple_order"), JP: jp,
+			Ord: lookupOrNo(ps, "tuple_order"), JP: chain.JP,
 			SP: lookupOrNo(ps, "selection_predicate"),
 			PA: core.NoProp, MA: core.NoProp, UA: core.NoProp,
 		},
 	}}
-	ret := func(i int) *core.Expr {
-		name := fmt.Sprintf("R%d", i)
-		cl := cat.MustClass(name)
-		d := core.NewDescriptor(ps)
-		d.SetFloat(nr, cl.Card)
-		d.Set(at, cl.AttrSet())
-		leaf := core.NewLeaf(name, d)
-		return core.NewNode(retOp, d.Clone(), leaf)
-	}
 	for n := 2; n <= worldN; n++ {
-		cur := ret(1)
-		for i := 2; i <= n; i++ {
-			r := ret(i)
-			jd := core.NewDescriptor(ps)
-			jd.SetFloat(nr, math.Max(cur.D.Float(nr), r.D.Float(nr)))
-			jd.Set(at, cur.D.AttrList(at).Union(r.D.AttrList(at)))
-			jd.Set(jp, core.EqAttr(
-				core.A(fmt.Sprintf("R%d", i-1), "a"), core.A(fmt.Sprintf("R%d", i), "a")))
-			cur = core.NewNode(joinOp, jd, cur, r)
-		}
-		w.Seeds = append(w.Seeds, cur)
+		w.Seeds = append(w.Seeds, chain.Build(n, func(int) float64 { return card }))
 	}
 	return w, nil
 }

@@ -14,7 +14,6 @@ import (
 	"prairie/internal/obs"
 	"prairie/internal/oodb"
 	"prairie/internal/qgen"
-	"prairie/internal/volcano"
 )
 
 // testServer stands up a service over the default worlds on a small
@@ -443,7 +442,7 @@ func TestPanicIsolation(t *testing.T) {
 	hook := OODBVolcanoWorld(oodb.New(qgen.Catalog(4, 101, false)), 4)
 	hook.Name = "hook"
 	for _, r := range hook.RS.Trans {
-		r.Cond = func(*volcano.TBinding) bool { panic("injected rule-hook failure") }
+		r.Cond = func(*core.Binding) bool { panic("injected rule-hook failure") }
 	}
 	reg.Add(hook)
 	srv, err := New(Config{

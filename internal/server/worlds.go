@@ -269,21 +269,21 @@ func CompileDSL(src string) (*core.RuleSet, error) {
 	return prairielang.Compile(spec, impls)
 }
 
-// DSLWorld compiles a textual Prairie specification (the dslrules
-// example by default) into a servable world. Queries are SORT over a
-// linear JOIN chain of N synthetic relations R1..RN with halving
-// cardinalities — the example's query generalized by width — so the
-// specification must declare the operators RET, JOIN and SORT and the
-// properties num_records, attributes, join_predicate and tuple_order.
-func DSLWorld(src string, maxN int) (*World, error) {
-	rs, err := CompileDSL(src)
-	if err != nil {
-		return nil, err
-	}
-	vrs, rep, err := p2v.Translate(rs)
-	if err != nil {
-		return nil, err
-	}
+// DSLChain is the dsl world's recipe for its queries, shared with the
+// per-rule verifier (internal/rulecheck): the synthetic relations R1..Rn,
+// each a RET over a stored file with the one join attribute Ri.a, joined
+// left to right on R(i-1).a = Ri.a, and, when sorted, a SORT on R1.a.
+type DSLChain struct {
+	RET, JOIN, SORT *core.Operation
+	NR, AT, JP, Ord core.PropID // num_records, attributes, join_predicate, tuple_order
+	ps              *core.PropertySet
+	names           []string   // Ri, interned once: a request interns nothing
+	attrs           core.Attrs // Ri.a
+}
+
+// NewDSLChain looks up what the chain takes from a specification's
+// algebra, naming in one error every operator and property it lacks.
+func NewDSLChain(rs *core.RuleSet, maxN int, sorted bool) (*DSLChain, error) {
 	var missing []string
 	op := func(name string) *core.Operation {
 		o, ok := rs.Algebra.Op(name)
@@ -300,42 +300,73 @@ func DSLWorld(src string, maxN int) (*World, error) {
 		}
 		return id
 	}
-	retOp, joinOp, sortOp := op("RET"), op("JOIN"), op("SORT")
-	nr, at, jp, ord := prop("num_records"), prop("attributes"), prop("join_predicate"), prop("tuple_order")
+	c := &DSLChain{RET: op("RET"), JOIN: op("JOIN"), Ord: core.NoProp, ps: ps}
+	c.NR, c.AT, c.JP = prop("num_records"), prop("attributes"), prop("join_predicate")
+	if sorted {
+		c.SORT, c.Ord = op("SORT"), prop("tuple_order")
+	}
 	if len(missing) > 0 {
 		return nil, fmt.Errorf("dsl world: the specification declares no %s", strings.Join(missing, ", "))
 	}
-	w := &World{Name: "dsl", RS: vrs, MaxN: maxN}
-	// names[i] and attrs[i] are Ri and Ri.a, interned here so that Build
-	// (the request path) does not.
-	names, attrs := make([]string, maxN+1), make(core.Attrs, maxN+1)
+	c.names, c.attrs = make([]string, maxN+1), make(core.Attrs, maxN+1)
 	for i := 1; i <= maxN; i++ {
-		names[i] = fmt.Sprintf("R%d", i)
-		attrs[i] = core.A(names[i], "a")
+		c.names[i] = fmt.Sprintf("R%d", i)
+		c.attrs[i] = core.A(c.names[i], "a")
 	}
+	return c, nil
+}
+
+// Build returns the chain over R1..Rn, Ri holding card(i) records. A
+// join holds as many records as the larger of its inputs.
+func (c *DSLChain) Build(n int, card func(i int) float64) *core.Expr {
+	ret := func(i int) *core.Expr {
+		d := core.NewDescriptor(c.ps)
+		d.SetFloat(c.NR, card(i))
+		d.Set(c.AT, core.Attrs{c.attrs[i]})
+		leaf := core.NewLeaf(c.names[i], d)
+		return core.NewNode(c.RET, d.Clone(), leaf)
+	}
+	cur := ret(1)
+	for i := 2; i <= n; i++ {
+		r := ret(i)
+		jd := core.NewDescriptor(c.ps)
+		jd.SetFloat(c.NR, math.Max(cur.D.Float(c.NR), r.D.Float(c.NR)))
+		jd.Set(c.AT, cur.D.AttrList(c.AT).Union(r.D.AttrList(c.AT)))
+		jd.Set(c.JP, core.EqAttr(c.attrs[i-1], c.attrs[i]))
+		cur = core.NewNode(c.JOIN, jd, cur, r)
+	}
+	return cur
+}
+
+// DSLWorld compiles a textual Prairie specification (the dslrules
+// example by default) into a servable world. Queries are SORT over the
+// dsl chain (DSLChain) of N relations with halving cardinalities — the
+// example's query generalized by width — so the specification must
+// declare the operators RET, JOIN and SORT and the properties
+// num_records, attributes, join_predicate and tuple_order.
+func DSLWorld(src string, maxN int) (*World, error) {
+	rs, err := CompileDSL(src)
+	if err != nil {
+		return nil, err
+	}
+	vrs, rep, err := p2v.Translate(rs)
+	if err != nil {
+		return nil, err
+	}
+	chain, err := NewDSLChain(rs, maxN, true)
+	if err != nil {
+		return nil, err
+	}
+	w := &World{Name: "dsl", RS: vrs, MaxN: maxN}
+	card := func(i int) float64 { return float64(int(1) << uint(10-i%8)) }
 	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
 		if err := w.checkN(q.N); err != nil {
 			return nil, nil, err
 		}
-		ret := func(i int) *core.Expr {
-			d := core.NewDescriptor(ps)
-			d.SetFloat(nr, float64(int(1)<<uint(10-i%8)))
-			d.Set(at, core.Attrs{attrs[i]})
-			leaf := core.NewLeaf(names[i], d)
-			return core.NewNode(retOp, d.Clone(), leaf)
-		}
-		cur := ret(1)
-		for i := 2; i <= q.N; i++ {
-			r := ret(i)
-			jd := core.NewDescriptor(ps)
-			jd.SetFloat(nr, math.Max(cur.D.Float(nr), r.D.Float(nr)))
-			jd.Set(at, cur.D.AttrList(at).Union(r.D.AttrList(at)))
-			jd.Set(jp, core.EqAttr(attrs[i-1], attrs[i]))
-			cur = core.NewNode(joinOp, jd, cur, r)
-		}
+		cur := chain.Build(q.N, card)
 		sd := cur.D.Clone()
-		sd.Set(ord, core.OrderBy(attrs[1]))
-		query := core.NewNode(sortOp, sd, cur)
+		sd.Set(chain.Ord, core.OrderBy(chain.attrs[1]))
+		query := core.NewNode(chain.SORT, sd, cur)
 		return rep.PrepareQuery(query, nil)
 	}
 	return w, nil

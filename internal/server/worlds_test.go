@@ -90,3 +90,21 @@ func TestDSLWorldBindsDeclaredHelpers(t *testing.T) {
 		t.Fatalf("a declared helper without an implementation: %v", err)
 	}
 }
+
+// TestServedWorldsCommuteJoin: every served world proves JOIN
+// commutative — its join_commute has no condition, whether Prairie
+// generated the rule or it was written by hand — so the plan cache keys
+// JOIN inputs in canonical order in each of them.
+func TestServedWorldsCommuteJoin(t *testing.T) {
+	reg := dslRegistry(t, 4)
+	for _, name := range reg.Names() {
+		w, _ := reg.Lookup(name)
+		join, ok := w.RS.Algebra.Op("JOIN")
+		if !ok {
+			t.Fatalf("%s: the algebra has no JOIN", name)
+		}
+		if !w.RS.Commutative(join) {
+			t.Errorf("%s: JOIN is not commutative", name)
+		}
+	}
+}

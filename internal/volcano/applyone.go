@@ -21,9 +21,9 @@ import (
 type TreeMatch struct {
 	// Site is the matched subtree's root within the original tree.
 	Site *core.Expr
-	// Binding carries the descriptor environment; pattern-variable
-	// groups are not bound (there is no memo).
-	Binding *TBinding
+	// Binding carries the descriptor environment; pattern variables
+	// bind subtrees (VarSubtree), as there are no memo groups.
+	Binding *core.Binding
 	// subs maps pattern-variable id to the bound subtree.
 	subs map[int]*core.Expr
 }
@@ -59,9 +59,10 @@ func (rs *RuleSet) TreeMatches(r *TransRule, tree *core.Expr) []*TreeMatch {
 func (rs *RuleSet) matchTreeSite(r *TransRule, e *core.Expr) *TreeMatch {
 	m := &TreeMatch{
 		Site:    e,
-		Binding: newTBinding(rs.Algebra.Props),
+		Binding: core.NewBinding(rs.Algebra.Props),
 		subs:    map[int]*core.Expr{},
 	}
+	m.Binding.Scratch = true // the rewrite clones what it keeps
 	m.Binding.Reset(r.Frame)
 	if !m.bindPat(r.LHS, e) {
 		return nil

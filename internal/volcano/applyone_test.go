@@ -116,7 +116,7 @@ func TestApplyAtRunsRest(t *testing.T) {
 	w := newTestWorld()
 	rests := 0
 	commute := *findTrans(t, w.rs, "join_commute")
-	commute.Rest = func(b *TBinding) {
+	commute.Rest = func(b *core.Binding) {
 		rests++
 		b.D("D4").Set(w.c, core.Cost(7))
 	}
@@ -155,7 +155,7 @@ func TestApplyAtRunsRest(t *testing.T) {
 	// JOIN(JOIN(R1, R2), R3) associates into JOIN(R1, JOIN(R2, R3)), whose
 	// inner join is new: Rest runs once, and the root's cost is its own.
 	assoc := *findTrans(t, w.rs, "join_assoc")
-	assoc.Rest = func(b *TBinding) {
+	assoc.Rest = func(b *core.Binding) {
 		rests++
 		b.D("D7").Set(w.c, core.Cost(7))
 	}

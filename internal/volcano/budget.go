@@ -72,9 +72,9 @@ const (
 )
 
 // budgetState is the per-run resource accounting of one OptimizeContext
-// call. The expression cap is checked on every checkpoint (one integer
-// compare); the clock and the context — the expensive checks — only on
-// every 64th.
+// call. The expression cap is checked after every rule application (one
+// integer compare); the clock and the context — the expensive checks —
+// only on every 64th checkpoint.
 type budgetState struct {
 	ctx      context.Context
 	deadline time.Time
@@ -121,29 +121,26 @@ func (o *Optimizer) beginRun(ctx context.Context) {
 	}
 }
 
-// overGuard is the explorer's check after every rule application: one
-// compare against the expression cap, made on every run, budgeted or
-// not, so a run without checkpoints stops at the guard too.
-func (o *Optimizer) overGuard() bool {
-	if o.Memo.NumExprs() > o.run.maxExprs {
+// overExprs is the expression cap's one check, made after every rule
+// application on every run, budgeted or not: a run stops once the memo
+// holds maxExprs expressions, whether the cap is a Budget's or the
+// DefaultMaxExprs guard.
+func (o *Optimizer) overExprs() bool {
+	if o.Memo.NumExprs() >= o.run.maxExprs {
 		o.run.cause = CauseMaxExprs
 		return true
 	}
 	return false
 }
 
-// overBudget is the exploration checkpoint. It reports whether the run
-// is out of budget, latching the first cause.
+// overBudget is the exploration checkpoint for time and cancellation. It
+// reports whether the run is out of budget, latching the first cause.
 func (o *Optimizer) overBudget() bool {
 	r := &o.run
 	if !r.active {
 		return false
 	}
 	if r.cause != CauseNone {
-		return true
-	}
-	if o.Memo.NumExprs() >= r.maxExprs {
-		r.cause = CauseMaxExprs
 		return true
 	}
 	r.ticks++

@@ -74,6 +74,23 @@ func TestGuardDegradesUnbudgeted(t *testing.T) {
 	}
 }
 
+// TestOneExpressionCap: a cap of N expressions stops a search at the
+// same memo whether a Budget sets it or it is the guard a zero Budget
+// means: the explorer compares the count with the cap in one place.
+func TestOneExpressionCap(t *testing.T) {
+	const maxExprs = 12
+	w := newTestWorld()
+	budgeted := NewOptimizer(w.rs)
+	budgeted.Opts.Budget = Budget{MaxExprs: maxExprs}
+	degradedPlan(t, w, budgeted, context.Background(), CauseMaxExprs)
+	defer SetMaxExprsGuard(maxExprs)()
+	guarded := NewOptimizer(w.rs)
+	degradedPlan(t, w, guarded, context.Background(), CauseMaxExprs)
+	if b, g := budgeted.Stats.Exprs, guarded.Stats.Exprs; b != g || b != maxExprs {
+		t.Errorf("a cap of %d stopped a budgeted search at %d expressions and a guarded one at %d", maxExprs, b, g)
+	}
+}
+
 func TestBudgetDeadlineDegrades(t *testing.T) {
 	w := newTestWorld()
 	o := NewOptimizer(w.rs)

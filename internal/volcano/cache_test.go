@@ -71,10 +71,10 @@ func TestFingerprintCommutative(t *testing.T) {
 
 func TestCommutedOpDetection(t *testing.T) {
 	w := newTestWorld()
-	if !w.rs.commutative(w.join) {
+	if !w.rs.Commutative(w.join) {
 		t.Error("join_commute not detected as unconditional commute")
 	}
-	if w.rs.commutative(w.ret) {
+	if w.rs.Commutative(w.ret) {
 		t.Error("RET misdetected as commutative")
 	}
 	// A conditional commute must NOT enable input sorting: the condition
@@ -83,7 +83,7 @@ func TestCommutedOpDetection(t *testing.T) {
 		Name: "guarded_commute",
 		LHS:  core.POp(w.join, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
 		RHS:  core.POp(w.join, "D4", core.PVar(2, ""), core.PVar(1, "")),
-		Cond: func(b *TBinding) bool { return false },
+		Cond: func(b *core.Binding) bool { return false },
 	}
 	if commutedOp(guarded) != nil {
 		t.Error("conditional rule detected as commute")

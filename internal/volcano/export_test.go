@@ -210,7 +210,7 @@ func EagerRest(rs *RuleSet) *RuleSet {
 		c := *r
 		if appl, rest := r.Appl, r.Rest; rest != nil {
 			c.Rest = nil
-			c.Appl = func(b *TBinding) {
+			c.Appl = func(b *core.Binding) {
 				if appl != nil {
 					appl(b)
 				}

@@ -47,7 +47,7 @@ func (rs *RuleSet) Fingerprint(e *core.Expr) (uint64, string) {
 // fingerprint, i.e. whether the rule set carries an unconditional
 // commute rule for op.
 func (rs *RuleSet) Commutative(op *core.Operation) bool {
-	return rs.commutative(op)
+	return rs.index().commut[op]
 }
 
 // fingerprintWalk appends e's canonical rendering to b — the whole tree
@@ -72,7 +72,7 @@ func (rs *RuleSet) fingerprintWalk(e *core.Expr, b []byte) (uint64, []byte) {
 	b = append(b, e.Op.Name...)
 	b = appendProj(b, e.D, ids)
 	b = append(b, '(')
-	if len(e.Kids) == 2 && rs.commutative(e.Op) {
+	if len(e.Kids) == 2 && rs.Commutative(e.Op) {
 		// Canonical input order: by hash, then by rendering. Both inputs
 		// are rendered in tree order; when that is the wrong order the
 		// two byte ranges trade places, through scratch space past the

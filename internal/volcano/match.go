@@ -4,6 +4,20 @@ import (
 	"prairie/internal/core"
 )
 
+// firing is the state one transformation firing runs in, reused across
+// all firings: the binding the rule's hooks see, the groups bound to the
+// pattern variables (groupUnbound if unset), and the rule's Rest while
+// the firing still owes it, with its RestRoot.
+type firing struct {
+	b        *core.Binding
+	vars     []GroupID
+	rest     core.Action
+	restRoot []core.PropID
+}
+
+// groupUnbound marks an unbound pattern variable.
+const groupUnbound = GroupID(-1)
+
 // matchStep is one node of a rule's left-hand-side pattern, in pre-order:
 // step 0 is the root, and every other step names the step of its parent
 // node and its position among that node's inputs.
@@ -37,7 +51,7 @@ func matchSteps(p *core.PatNode) []matchStep {
 type matcher struct {
 	m     *Memo
 	steps []matchStep
-	b     *TBinding
+	f     *firing
 	// since filters for incremental re-matching: a binding is fresh when
 	// its root is (start is told) or a chosen input expression became
 	// visible to the root at or after since (LExpr.vis).
@@ -60,14 +74,14 @@ type matchFrame struct {
 
 // start begins the enumeration of steps' pattern rooted at e, whose
 // operator is the pattern root's. steps carry their rule's frame slots
-// and b is laid out by that frame.
-func (x *matcher) start(m *Memo, steps []matchStep, e *LExpr, b *TBinding, since uint64, fresh bool) {
-	x.m, x.steps, x.b, x.since, x.j, x.retry = m, steps, b, since, 1, false
+// and f's binding is laid out by that frame.
+func (x *matcher) start(m *Memo, steps []matchStep, e *LExpr, f *firing, since uint64, fresh bool) {
+	x.m, x.steps, x.f, x.since, x.j, x.retry = m, steps, f, since, 1, false
 	if len(x.frames) < len(steps) {
 		x.frames = make([]matchFrame, len(steps))
 	}
 	x.frames[0] = matchFrame{e: e, fresh: fresh}
-	b.BindSlot(steps[0].pat.Slot, e.D)
+	f.b.BindSlot(steps[0].pat.Slot, e.D)
 }
 
 // next binds the next complete binding and reports whether there was
@@ -97,9 +111,12 @@ func (x *matcher) next() bool {
 				// information). It binds the whole group: its binding does
 				// not change when the group gains expressions, so it never
 				// makes a binding fresh on its own.
-				x.b.SetVar(st.pat.Var, kid)
+				for len(x.f.vars) <= st.pat.Var {
+					x.f.vars = append(x.f.vars, groupUnbound)
+				}
+				x.f.vars[st.pat.Var] = kid
 				if st.pat.Slot >= 0 {
-					x.b.BindSlot(st.pat.Slot, m.groups[kid].rep)
+					x.f.b.BindSlot(st.pat.Slot, m.groups[kid].rep)
 				}
 				f.fresh = x.frames[j-1].fresh
 				j++
@@ -111,7 +128,7 @@ func (x *matcher) next() bool {
 		for retry = true; retry && f.next < len(f.exprs); f.next++ {
 			if ke := f.exprs[f.next]; !ke.IsLeaf() && ke.Op == st.pat.Op {
 				f.e, f.fresh = ke, x.frames[j-1].fresh || ke.vis >= x.since
-				x.b.BindSlot(st.pat.Slot, ke.D)
+				x.f.b.BindSlot(st.pat.Slot, ke.D)
 				j, retry = j+1, false
 			}
 		}
@@ -126,33 +143,24 @@ func (x *matcher) fresh() bool { return x.frames[len(x.steps)-1].fresh }
 // descriptors the rule's actions filled into the binding. target is the
 // group the root is inserted into; a group an interior node founds lies
 // as far below target as the node nests in the pattern.
-func (m *Memo) buildRHS(p *core.PatNode, b *TBinding, target GroupID) {
-	m.buildRHSNode(p, b, target, m.groups[target].depth)
+func (m *Memo) buildRHS(p *core.PatNode, f *firing, target GroupID) {
+	m.buildRHSNode(p, f, target, m.groups[target].depth)
 }
 
-func (m *Memo) buildRHSNode(p *core.PatNode, b *TBinding, target GroupID, depth int) GroupID {
+func (m *Memo) buildRHSNode(p *core.PatNode, f *firing, target GroupID, depth int) GroupID {
 	if p.IsVar() {
 		// Descriptor names on RHS variable leaves carry required-property
 		// information in Prairie I-rules; in the purely logical space of
 		// trans_rules they have no effect.
-		return b.VarGroup(p.Var)
+		return f.vars[p.Var]
 	}
 	var buf [4]GroupID
 	kids := buf[:0]
 	for _, kp := range p.Kids {
-		kids = append(kids, m.buildRHSNode(kp, b, -1, depth+1))
+		kids = append(kids, m.buildRHSNode(kp, f, -1, depth+1))
 	}
 	// The binding's descriptor is scratch: intern completes and clones it
 	// only if the expression is new.
-	g, _ := m.intern(p.Op, b.Slot(p.Slot), kids, target, b, depth)
+	g, _ := m.intern(p.Op, f.b.Slot(p.Slot), kids, target, f, depth)
 	return g
-}
-
-// newTBinding returns a transformation binding. Both its users — the
-// memo's intern and the tree rewriting of ApplyAt — clone what they keep,
-// so the binding recycles the descriptors its firings create.
-func newTBinding(ps *core.PropertySet) *TBinding {
-	b := &TBinding{Binding: core.NewBinding(ps)}
-	b.Scratch = true
-	return b
 }

@@ -425,8 +425,8 @@ func (m *Memo) InsertExpr(op *core.Operation, d *core.Descriptor, kids []GroupID
 	return m.intern(op, d, kids, target, nil, 0)
 }
 
-// intern is InsertExpr; for a rule firing, b is its binding and d one of
-// the binding's scratch descriptors, complete as far as op's identity
+// intern is InsertExpr; for a rule firing, f is its state and d one of
+// its binding's scratch descriptors, complete as far as op's identity
 // goes. Only when the expression turns out to be new is d cloned and
 // completed, so a duplicate — most rule firings rediscover a known
 // expression — computes and allocates nothing. A new right-side root
@@ -434,7 +434,7 @@ func (m *Memo) InsertExpr(op *core.Operation, d *core.Descriptor, kids []GroupID
 // target, whose representative holds what those actions would write on
 // it (TransRule.RestRoot); any other new node runs them. depth is the
 // depth of the group a targetless new expression founds.
-func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, b *TBinding, depth int) (GroupID, bool) {
+func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, f *firing, depth int) (GroupID, bool) {
 	var buf [4]GroupID
 	canon := buf[:0]
 	for _, k := range kids {
@@ -454,13 +454,16 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 	if target >= 0 {
 		g = m.groups[m.Find(target)]
 	}
-	if b != nil {
-		if g != nil && b.rest != nil { // the root alone is new
-			b.rest = nil
+	if f != nil {
+		rest := f.rest
+		f.rest = nil
+		if g != nil && rest != nil { // the root alone is new
 			d = m.descs.Clone(d)
-			d.CopyOn(g.rep, b.restRoot)
+			d.CopyOn(g.rep, f.restRoot)
 		} else {
-			b.finish()
+			if rest != nil {
+				rest(f.b)
+			}
 			d = m.descs.Clone(d)
 		}
 	}

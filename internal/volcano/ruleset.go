@@ -18,54 +18,13 @@ import (
 	"prairie/internal/core"
 )
 
-// TBinding is the environment a transformation rule runs in: descriptor
-// variables (inherited from core.Binding) plus pattern-variable bindings
-// to memo groups. Pattern variables are small dense integers, so the
-// group bindings are slice-backed; the engine reuses one TBinding — and
-// the descriptors its hooks create in it — across all firings, so rule
-// hooks must retain neither.
-type TBinding struct {
-	*core.Binding
-	vars []GroupID // indexed by pattern-variable id; groupUnbound if unset
-	// rest is the current firing's TransRule.Rest while it is still owed,
-	// restRoot its TransRule.RestRoot.
-	rest     func(b *TBinding)
-	restRoot []core.PropID
-}
-
-// finish runs the firing's deferred actions, unless they already ran:
-// whoever is about to keep one of the firing's descriptors calls it first.
-func (b *TBinding) finish() {
-	if rest := b.rest; rest != nil {
-		b.rest = nil
-		rest(b)
-	}
-}
-
-// groupUnbound marks an unbound pattern variable.
-const groupUnbound = GroupID(-1)
-
-// SetVar binds pattern variable v to group g.
-func (b *TBinding) SetVar(v int, g GroupID) {
-	for len(b.vars) <= v {
-		b.vars = append(b.vars, groupUnbound)
-	}
-	b.vars[v] = g
-}
-
-// VarGroup returns the group bound to pattern variable v (groupUnbound
-// if the variable is not bound).
-func (b *TBinding) VarGroup(v int) GroupID {
-	if v < len(b.vars) {
-		return b.vars[v]
-	}
-	return groupUnbound
-}
-
 // TransRule is a Volcano trans_rule: a directed logical-to-logical
 // rewrite. Cond is the cond_code (a Prairie T-rule's pre-test statements
 // and test); Appl is the appl_code (the post-test statements), which must
-// fill in the descriptors of all new right-hand-side nodes.
+// fill in the descriptors of all new right-hand-side nodes. The hooks are
+// the rule compiler's types and run in one core.Binding, laid out by
+// Frame, which the engine reuses — with the descriptors the hooks create
+// in it — across all firings: a hook must retain neither.
 //
 // A rule may hold back in Rest the part of its appl_code that a firing
 // needs only if the memo keeps what it built — most firings rediscover a
@@ -85,14 +44,15 @@ type TransRule struct {
 	// verifier (internal/rulecheck) reports it with each verdict.
 	Origin   string
 	LHS, RHS *core.PatNode
-	Cond     func(b *TBinding) bool // nil means TRUE
-	Appl     func(b *TBinding)      // nil means no actions
-	Rest     func(b *TBinding)      // nil means Appl does everything
-	RestRoot []core.PropID          // what Rest writes on the RHS root
-	// Frame is the descriptor layout Cond and Appl were compiled against
-	// (P2V carries it over from the Prairie rule); LHS and RHS then hold
-	// its slots. nil — every hand-coded rule — lets the engine lay the
-	// rule out itself.
+	Cond     core.Test     // nil means TRUE
+	Appl     core.Action   // nil means no actions
+	Rest     core.Action   // nil means Appl does everything
+	RestRoot []core.PropID // what Rest writes on the RHS root
+	// Frame is the descriptor layout the hooks were compiled against
+	// (P2V carries it over from the Prairie rule's cut); LHS and RHS then
+	// hold its slots. nil — every hand-coded rule — lets the engine lay
+	// the rule out itself, and the hooks find their descriptors by name
+	// (core.Binding.D).
 	Frame *core.Frame
 }
 
@@ -124,18 +84,15 @@ type ImplCtx struct {
 	// InReq is a requirement slice as long as Kids, all nil, for an
 	// implementation rule's Pre to fill and return.
 	InReq []*core.Descriptor
-	// Scratch lets a rule's hooks share state across the Cond/Pre/Post
-	// stages of one alternative (the P2V-generated hooks cache their
-	// descriptor binding here); the engine empties it between
-	// alternatives.
-	Scratch interface{}
-	lent    *core.Binding
+	lent  *core.Binding
 }
 
-// Lend returns the engine's binding, emptied and laid out by f, for this
-// alternative's hooks. It is in Binding.Scratch mode: the descriptors its
-// actions create are recycled by slot from one alternative to the next.
-func (cx *ImplCtx) Lend(f *core.Frame) *core.Binding { cx.lent.Reset(f); return cx.lent }
+// Lend returns the engine's binding for this alternative's hooks, laid
+// out by the rule's Frame: empty when the alternative begins, and then as
+// the earlier hooks left it, so the Cond, Pre and Post stages share one
+// binding. It is in Binding.Scratch mode: the descriptors its actions
+// create are recycled by slot from one alternative to the next.
+func (cx *ImplCtx) Lend() *core.Binding { return cx.lent }
 
 // ImplRule is a Volcano impl_rule: it implements an operator by an
 // algorithm. The three hooks correspond to Volcano's support functions
@@ -152,6 +109,9 @@ type ImplRule struct {
 	Cond func(cx *ImplCtx) bool // nil means TRUE
 	Pre  func(cx *ImplCtx) (algD *core.Descriptor, inReq []*core.Descriptor)
 	Post func(cx *ImplCtx, algD *core.Descriptor)
+	// Frame lays out the binding the hooks borrow (ImplCtx.Lend); nil
+	// leaves it unlaid, for hooks that bind by name or borrow nothing.
+	Frame *core.Frame
 }
 
 func (r *ImplRule) String() string {
@@ -161,20 +121,24 @@ func (r *ImplRule) String() string {
 // Enforcer is a Volcano enforcer: an algorithm that produces a physical
 // property (e.g. Merge_sort produces a tuple order) on top of an
 // arbitrary plan for the same equivalence class. The engine applies an
-// enforcer when a required property is not DONT_CARE, optimizing the same
-// group with that property relaxed. In Prairie, enforcers are ordinary
-// I-rules on an enforcer-operator; P2V generates these structures.
+// enforcer only when some property in Props is required and not
+// DONT_CARE — that gate is the engine's, for every enforcer — and then
+// when Cond holds, optimizing the same group with the property relaxed.
+// In Prairie, enforcers are ordinary I-rules on an enforcer-operator;
+// P2V generates these structures.
 type Enforcer struct {
 	Name string
 	Alg  *core.Operation
 	// Props are the physical properties this enforcer can produce.
 	Props []core.PropID
-	Cond  func(cx *ImplCtx) bool // nil: applies iff some Prop in Req is set and not DONT_CARE
+	Cond  func(cx *ImplCtx) bool // the enforcer's own test; nil means TRUE
 	// Pre yields the enforcer node's provisional descriptor and the
 	// relaxed requirement for its input (same group), nil when it
 	// requires nothing.
 	Pre  func(cx *ImplCtx) (algD *core.Descriptor, inReq *core.Descriptor)
 	Post func(cx *ImplCtx, algD *core.Descriptor)
+	// Frame lays out the binding the hooks borrow, as ImplRule.Frame.
+	Frame *core.Frame
 }
 
 func (e *Enforcer) String() string {
@@ -250,6 +214,17 @@ type ruleIndex struct {
 	// expression of the operation (see RuleSet.idProps), precomputed so
 	// the memo's duplicate lookups do not build them per call.
 	idProps [][]core.PropID
+	// names, shared and args are the most slots, Shared and Args entries
+	// of any rule's frame: the size every binding the engine lends a
+	// rule's hooks is reserved at (RuleSet.newBinding).
+	names, shared, args int
+}
+
+// fit widens the index's binding size to cover f (nil covers nothing).
+func (ix *ruleIndex) fit(f *core.Frame) {
+	if f != nil {
+		ix.names, ix.shared, ix.args = max(ix.names, len(f.Names)), max(ix.shared, len(f.Shared)), max(ix.args, f.Args)
+	}
 }
 
 // index returns the operator-indexed dispatch tables, building them on
@@ -258,8 +233,9 @@ type ruleIndex struct {
 func (rs *RuleSet) index() *ruleIndex {
 	rs.indexOnce.Do(func() {
 		ix := &ruleIndex{
-			trans: make(map[*core.Operation][]transEntry),
-			impls: make(map[*core.Operation][]implEntry),
+			trans:  make(map[*core.Operation][]transEntry),
+			impls:  make(map[*core.Operation][]implEntry),
+			commut: make(map[*core.Operation]bool),
 		}
 		for i, r := range rs.Trans {
 			lhs := r.LHS
@@ -271,17 +247,17 @@ func (rs *RuleSet) index() *ruleIndex {
 			}
 			te.lhs = matchSteps(lhs)
 			ix.trans[r.LHS.Op] = append(ix.trans[r.LHS.Op], te)
+			ix.fit(te.frame)
+			if op := commutedOp(r); op != nil {
+				ix.commut[op] = true
+			}
 		}
 		for i, r := range rs.Impls {
 			ix.impls[r.Op] = append(ix.impls[r.Op], implEntry{rule: r, idx: i})
+			ix.fit(r.Frame)
 		}
-		for _, r := range rs.Trans {
-			if op := commutedOp(r); op != nil {
-				if ix.commut == nil {
-					ix.commut = make(map[*core.Operation]bool)
-				}
-				ix.commut[op] = true
-			}
+		for _, e := range rs.Enforcers {
+			ix.fit(e.Frame)
 		}
 		for _, op := range rs.Algebra.Operations() {
 			ix.idProps = append(ix.idProps, rs.IDProps(op))
@@ -317,8 +293,15 @@ func commutedOp(r *TransRule) *core.Operation {
 	return l.Op
 }
 
-// commutative reports whether op has an unconditional commute rule.
-func (rs *RuleSet) commutative(op *core.Operation) bool { return rs.index().commut[op] }
+// newBinding returns a Scratch binding reserved for the largest frame of
+// the rule set: laying it out by any rule's frame allocates nothing.
+func (rs *RuleSet) newBinding() *core.Binding {
+	ix := rs.index()
+	b := core.NewBinding(rs.Algebra.Props)
+	b.Scratch = true
+	b.Reserve(ix.names, ix.shared, ix.args)
+	return b
+}
 
 // cacheScope returns the rule set's process-unique plan-cache scope (a
 // counter, not a content hash).

@@ -31,7 +31,7 @@ func TestScratchDescriptorsNeverEscape(t *testing.T) {
 		scratch := map[*core.Descriptor]bool{}
 		for _, r := range w.RS.Trans {
 			appl, names := r.Appl, r.RHS.DescNames()
-			r.Appl = func(b *volcano.TBinding) {
+			r.Appl = func(b *core.Binding) {
 				if appl != nil {
 					appl(b)
 				}

@@ -74,12 +74,11 @@ type Optimizer struct {
 	// run). See Rendering.
 	Rendering *Rendering
 
-	// scratchB is the binding reused across every rule application
-	// (exploration is single-threaded per optimizer); rule hooks must not
-	// retain it. match is the matcher that fills it, reused likewise; the
-	// first rule application makes both, a cache hit neither.
-	scratchB *TBinding
-	match    *matcher
+	// fire is the firing state reused by every rule application, and
+	// match the matcher that fills it (exploration is single-threaded);
+	// the first rule application makes both, a cache hit neither.
+	fire  *firing
+	match *matcher
 	// noReq is the empty requirement handed to inputs no rule constrains.
 	noReq *core.Descriptor
 	// per-rule counters indexed by position in RS.Trans, RS.Impls and
@@ -477,7 +476,7 @@ func (x *explorer) process(e *LExpr) error {
 			e.ruleSince[i] = m.seq + 1
 			o.applyTrans(te, e, since)
 		}
-		if o.overGuard() || o.overBudget() {
+		if o.overExprs() || o.overBudget() {
 			return errBudget
 		}
 	}
@@ -520,18 +519,18 @@ func (x *explorer) run() error {
 // the previous firing's actions created.
 func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 	m, rule, ri := o.Memo, te.rule, te.idx
-	if o.scratchB == nil {
-		o.scratchB, o.match = newTBinding(o.RS.Algebra.Props), &matcher{}
+	if o.fire == nil {
+		o.fire, o.match = &firing{b: o.RS.newBinding()}, &matcher{}
 	}
 	var t0 time.Time
 	if o.timing {
 		t0 = time.Now()
 	}
 	m.curRule = rule.Name
-	b := o.scratchB
+	f, b := o.fire, o.fire.b
 	b.Reset(te.frame)
-	b.vars = b.vars[:0]
-	o.match.start(m, te.lhs, e, b, since, e.seq >= since)
+	f.vars = f.vars[:0]
+	o.match.start(m, te.lhs, e, f, since, e.seq >= since)
 	for o.match.next() {
 		if !o.match.fresh() {
 			continue
@@ -548,9 +547,9 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 		if rule.Appl != nil {
 			rule.Appl(b)
 		}
-		b.rest, b.restRoot = rule.Rest, rule.RestRoot
+		f.rest, f.restRoot = rule.Rest, rule.RestRoot
 		interned, merges := m.interned, m.merges
-		m.buildRHS(te.rhs, b, m.Find(e.group))
+		m.buildRHS(te.rhs, f, m.Find(e.group))
 		if m.interned != interned || m.merges != merges {
 			o.transNewN[ri]++
 		}
@@ -626,12 +625,14 @@ type costFrame struct {
 	bestD *core.Descriptor
 }
 
-// reset readies the frame's context for one alternative with n inputs.
-func (f *costFrame) reset(opDesc, req *core.Descriptor, n int) *ImplCtx {
+// reset readies the frame's context for one alternative with n inputs,
+// whose hooks borrow a binding laid out by frame.
+func (f *costFrame) reset(opDesc, req *core.Descriptor, n int, frame *core.Frame) *ImplCtx {
 	if m := max(n, 1); len(f.in) < m { // an enforcer has one input
 		f.kids, f.in, f.inReq = make([]*core.Descriptor, m), make([]*core.Descriptor, m), make([]*core.Descriptor, m)
 		f.plans = make([]*core.Expr, m)
 	}
+	f.cx.lent.Reset(frame)
 	f.cx = ImplCtx{OpDesc: opDesc, Req: req, Kids: f.kids[:n], In: f.in[:n], InReq: f.inReq[:n], lent: f.cx.lent}
 	clear(f.cx.In)
 	clear(f.cx.InReq)
@@ -677,8 +678,7 @@ func (f *costFrame) plan() *core.Expr {
 func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr, float64, error) {
 	if o.depth == len(o.frames) {
 		ps := o.RS.Algebra.Props
-		f := &costFrame{cx: ImplCtx{lent: core.NewBinding(ps)}, merged: core.NewDescriptor(ps), bestD: core.NewDescriptor(ps)}
-		f.cx.lent.Scratch = true
+		f := &costFrame{cx: ImplCtx{lent: o.RS.newBinding()}, merged: core.NewDescriptor(ps), bestD: core.NewDescriptor(ps)}
 		o.frames = append(o.frames, f)
 	}
 	f := o.frames[o.depth]
@@ -705,7 +705,7 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 			continue
 		}
 		opDesc := mergeReq(e.D, req, phys, f.merged)
-		kids := f.reset(opDesc, req, len(e.Kids)).Kids
+		kids := f.reset(opDesc, req, len(e.Kids), nil).Kids
 		for i, k := range e.Kids {
 			kids[i] = o.Memo.Group(k).Rep()
 		}
@@ -720,7 +720,7 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 			if o.timing {
 				t0 = time.Now()
 			}
-			cx := f.reset(opDesc, req, len(e.Kids))
+			cx := f.reset(opDesc, req, len(e.Kids), rule.Frame)
 			if rule.Cond != nil && !rule.Cond(cx) {
 				o.emit(EventImplRejected, rule.Name, grp.ID, "condition failed", 0)
 				if o.timing {
@@ -804,7 +804,7 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 	// same group with that property relaxed.
 	opDesc := mergeReq(grp.Rep(), req, phys, f.merged)
 	for i, enf := range o.RS.Enforcers {
-		cx := f.reset(opDesc, req, 0)
+		cx := f.reset(opDesc, req, 0, enf.Frame)
 		if !o.enforcerApplies(enf, cx) {
 			continue
 		}
@@ -857,16 +857,14 @@ func (o *Optimizer) emptyReq() *core.Descriptor {
 	return o.noReq
 }
 
+// enforcerApplies is the one gate in front of every enforcer: some
+// property it enforces is required and not DONT_CARE, and its own Cond
+// holds.
 func (o *Optimizer) enforcerApplies(enf *Enforcer, cx *ImplCtx) bool {
-	if enf.Cond != nil {
-		return enf.Cond(cx)
-	}
-	for _, p := range enf.Props {
-		if cx.Req.Has(p) && !cx.Req.Get(p).IsDontCare() {
-			return true
-		}
-	}
-	return false
+	requested := slices.ContainsFunc(enf.Props, func(p core.PropID) bool {
+		return cx.Req.Has(p) && !cx.Req.Get(p).IsDontCare()
+	})
+	return requested && (enf.Cond == nil || enf.Cond(cx))
 }
 
 // mergeReq returns d with the explicitly-set physical properties of req

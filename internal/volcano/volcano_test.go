@@ -51,7 +51,7 @@ func newTestWorld() *testWorld {
 		Name: "join_commute",
 		LHS:  core.POp(w.join, "D3", core.PVar(1, "D1"), core.PVar(2, "D2")),
 		RHS:  core.POp(w.join, "D4", core.PVar(2, ""), core.PVar(1, "")),
-		Appl: func(b *TBinding) { b.D("D4").CopyFrom(b.D("D3")) },
+		Appl: func(b *core.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
 	})
 	// Join associativity with predicate redistribution; the cond code
 	// plays the paper's "is_associative" helper: reject rewrites that
@@ -64,7 +64,7 @@ func newTestWorld() *testWorld {
 		RHS: core.POp(w.join, "D7",
 			core.PVar(1, ""),
 			core.POp(w.join, "D6", core.PVar(2, ""), core.PVar(3, ""))),
-		Cond: func(b *TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			a23 := b.D("D2").AttrList(w.at).Union(b.D("D4").AttrList(w.at))
 			all := core.And(b.D("D3").Pred(w.jp), b.D("D5").Pred(w.jp))
 			inner, outer := all.SplitBy(a23)
@@ -82,7 +82,7 @@ func newTestWorld() *testWorld {
 			d6.SetFloat(w.nr, b.D("D2").Float(w.nr)*b.D("D4").Float(w.nr)*selOf(inner))
 			return true
 		},
-		Appl: func(b *TBinding) {
+		Appl: func(b *core.Binding) {
 			d7 := b.D("D7")
 			d7.CopyFrom(b.D("D5"))
 			d7.Set(w.jp, outerOf(b, w))
@@ -144,9 +144,7 @@ func newTestWorld() *testWorld {
 	rs.AddEnforcer(&Enforcer{
 		Name: "merge_sort", Alg: ms, Props: []core.PropID{w.ord},
 		Cond: func(cx *ImplCtx) bool {
-			ord := cx.Req.Order(w.ord)
-			return cx.Req.Has(w.ord) && !ord.IsDontCare() &&
-				ord.Within(cx.OpDesc.AttrList(w.at))
+			return cx.Req.Order(w.ord).Within(cx.OpDesc.AttrList(w.at))
 		},
 		Pre: func(cx *ImplCtx) (*core.Descriptor, *core.Descriptor) {
 			d := cx.OpDesc.Clone()
@@ -169,7 +167,7 @@ func touches(p *core.Pred, set core.Attrs) bool {
 
 func selOf(p *core.Pred) float64 { return math.Pow(0.5, float64(len(p.Conjuncts()))) }
 
-func outerOf(b *TBinding, w *testWorld) *core.Pred {
+func outerOf(b *core.Binding, w *testWorld) *core.Pred {
 	a23 := b.D("D2").AttrList(w.at).Union(b.D("D4").AttrList(w.at))
 	all := core.And(b.D("D3").Pred(w.jp), b.D("D5").Pred(w.jp))
 	_, outer := all.SplitBy(a23)

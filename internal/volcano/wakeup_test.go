@@ -37,12 +37,12 @@ func newWakeWorld() *wakeWorld {
 		Name: "p_noop",
 		LHS:  core.POp(w.p, "Dp", core.POp(w.u, "Du", core.PVar(1, ""))),
 		RHS:  core.POp(w.u, "Dn", core.PVar(1, "")),
-		Cond: func(b *TBinding) bool {
+		Cond: func(b *core.Binding) bool {
 			s := fmt.Sprintf("P%v/U%v", b.D("Dp").Float(w.k), b.D("Du").Float(w.k))
 			w.seen = append(w.seen, s)
 			return w.fire != nil && w.fire(s)
 		},
-		Appl: func(b *TBinding) { b.D("Dn").CopyFrom(b.D("Du")) },
+		Appl: func(b *core.Binding) { b.D("Dn").CopyFrom(b.D("Du")) },
 	})
 	w.o = NewOptimizer(rs)
 	w.o.beginRun(context.Background())
