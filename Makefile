@@ -46,10 +46,12 @@ bench-test:
 # search engine hardest (E3/E4 sweeps and the exploration figure) — of
 # the merge-heavy searches, which report merges and repaired expressions
 # per search, and of SearchCold, one round of the benchmark's search_cold
-# programs: its allocs/program is that workload's allocs_per_op. Full
-# runs: `go test -bench=. -benchmem`.
+# programs: its allocs/program is that workload's allocs_per_op, and of
+# ObsGuard, the same searches unobserved (off) and with metrics plus
+# per-rule timing (on): the on/off ratio is the price of the observer and
+# its stopwatch. Full runs: `go test -bench=. -benchmem`.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges|SearchCold' -benchmem -benchtime 3x .
+	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges|SearchCold|ObsGuard' -benchmem -benchtime 3x .
 
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every served rule set a "verified" verdict, and

@@ -17,7 +17,9 @@
 //
 // Commands: :stats (search statistics plus per-rule wall time),
 // :explain <group> (a memo group's expressions with rule provenance
-// and its memoized winners), :memo (every group),
+// and its memoized winners; a merged id names the group it joined),
+// :memo (every live group, by id: ids run past the group count once
+// groups merge),
 // :cache (plan-cache counters), :help, :quit.
 //
 // With -cache and -repeat, the query is optimized repeatedly through a
@@ -217,8 +219,8 @@ func runCommand(line string, stats *volcano.Stats, opt *volcano.Optimizer, pc *v
 		}
 		fmt.Print(out)
 	case ":memo":
-		for g := 0; g < opt.Memo.NumGroups(); g++ {
-			out, err := opt.ExplainGroup(volcano.GroupID(g))
+		for _, g := range opt.Memo.Groups() {
+			out, err := opt.ExplainGroup(g.ID)
 			if err != nil {
 				fmt.Println("optshell:", err)
 				break

@@ -132,12 +132,12 @@ func TestApplyAtRunsRest(t *testing.T) {
 		rs.AddTrans(r)
 		rests = 0
 		o := NewOptimizer(rs)
-		o.Stats.ensureMaps()
 		o.beginRun(context.Background())
 		root := o.Memo.Insert(tree)
 		if err := o.explore(); err != nil {
 			t.Fatal(err)
 		}
+		o.endRun()
 		return o.Memo.Group(root), o.Stats.TransFired[r.Name]
 	}
 	// In the memo: JOIN(R1, R2), whose group holds cost=7, commutes into a

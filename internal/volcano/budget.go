@@ -85,40 +85,8 @@ type budgetState struct {
 	// active gates all checkpoints: false for unbudgeted background
 	// runs, so the hot loops pay a single branch.
 	active bool
-	// salvage marks degraded-mode costing: the soft deadline no longer
-	// applies (the salvage pass is allowed to finish), only hard
-	// cancellation interrupts.
-	salvage bool
-	ticks   int
-	cause   Cause
-}
-
-// beginRun initializes budget accounting for one optimization and
-// performs one immediate clock/context check, so a context that is
-// already cancelled (or a deadline already passed) is seen even by
-// searches too small to reach a periodic checkpoint.
-func (o *Optimizer) beginRun(ctx context.Context) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	b := o.Opts.Budget
-	o.run = budgetState{ctx: ctx, maxExprs: b.MaxExprs}
-	r := &o.run
-	if r.maxExprs <= 0 {
-		r.maxExprs = maxExprsGuard
-	}
-	if b.Timeout > 0 {
-		r.deadline = time.Now().Add(b.Timeout)
-		r.timed = true
-	}
-	if d, ok := ctx.Deadline(); ok && (!r.timed || d.Before(r.deadline)) {
-		r.deadline = d
-		r.timed = true
-	}
-	r.active = r.timed || ctx.Done() != nil || !b.IsZero()
-	if r.active {
-		o.overTime()
-	}
+	ticks  int
+	cause  Cause
 }
 
 // overExprs is the expression cap's one check, made after every rule
@@ -133,45 +101,15 @@ func (o *Optimizer) overExprs() bool {
 	return false
 }
 
-// overBudget is the exploration checkpoint for time and cancellation. It
-// reports whether the run is out of budget, latching the first cause.
+// overBudget is the one checkpoint for time and cancellation, made
+// between rule applications and at every costing step. It reports
+// whether the run is out of budget, latching the first cause; the clock
+// and the context are read on every 64th tick only. An unbudgeted run is
+// inactive and ticks nothing.
 func (o *Optimizer) overBudget() bool {
 	r := &o.run
 	if !r.active {
 		return false
-	}
-	if r.cause != CauseNone {
-		return true
-	}
-	r.ticks++
-	if r.ticks&63 != 0 {
-		return false
-	}
-	return o.overTime()
-}
-
-// overBudgetCosting is the costing-phase checkpoint. Only time and
-// cancellation apply — the expression cap is an exploration resource —
-// and in salvage mode only cancellation does.
-func (o *Optimizer) overBudgetCosting() bool {
-	r := &o.run
-	if !r.active {
-		return false
-	}
-	if r.salvage {
-		if r.ctx.Done() == nil {
-			return false
-		}
-		r.ticks++
-		if r.ticks&63 != 0 {
-			return false
-		}
-		select {
-		case <-r.ctx.Done():
-			return true
-		default:
-			return false
-		}
 	}
 	if r.cause != CauseNone {
 		return true

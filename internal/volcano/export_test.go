@@ -1,6 +1,7 @@
 package volcano
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"weak"
@@ -162,8 +163,7 @@ func (m *Memo) CheckRepaired() error {
 // leaves changed; its firings are not counted in Stats.
 func (o *Optimizer) CheckClosed() error {
 	m := o.Memo
-	o.initRuleCounters()
-	defer func() { clear(o.transMatchedN); clear(o.transFiredN); clear(o.transNewN); clear(o.transTimeN) }()
+	o.beginRun(context.Background()) // a ledger no endRun closes
 	interned, merges := m.Interned(), m.Merges()
 	for _, g := range m.Groups() {
 		for _, e := range g.Exprs {

@@ -1,6 +1,8 @@
 package volcano
 
 import (
+	"context"
+
 	"prairie/internal/core"
 )
 
@@ -14,7 +16,9 @@ import (
 // so callers can distinguish "greedy cannot cover this shape" from a
 // failed search.
 func GreedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
-	return greedyPlan(rs, tree, req, NewStats())
+	o := &Optimizer{RS: rs, Stats: &Stats{}}
+	o.beginRun(context.Background())
+	return o.greedyPlan(tree, req)
 }
 
 // ErrGreedyNoPlan is returned by GreedyPlan when no implementation rule
@@ -31,19 +35,18 @@ func (errGreedyNoPlan) Error() string {
 
 func (errGreedyNoPlan) Unwrap() error { return ErrNoPlan }
 
-// greedyPlan is GreedyPlan accumulating into the caller's Stats (the
-// degrade path merges the fallback's costing counters into the
-// interrupted run's diagnostics). The optimizer is fresh and unbudgeted:
-// the fallback of an interrupted run must itself run to the end.
-func greedyPlan(rs *RuleSet, tree *core.Expr, req *core.Descriptor, stats *Stats) (*core.Expr, error) {
-	stats.ensureMaps()
+// greedyPlan is GreedyPlan inside o's run: it plans tree on a memo of
+// its own, with an optimizer that shares o's Stats, trace and tally, so
+// the degrade path's fallback is counted and traced with the run it
+// ends (its events name the fallback memo's groups) and the run's one
+// endRun reports the interrupted memo. The planner is unbudgeted: the
+// fallback of an interrupted run must itself run to the end.
+func (o *Optimizer) greedyPlan(tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	if req == nil {
-		req = core.NewDescriptor(rs.Algebra.Props)
+		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
-	o := &Optimizer{RS: rs, Memo: NewMemo(rs), Stats: stats}
-	o.initRuleCounters()
-	defer o.flushRuleCounters()
-	plan, _, err := o.findBest(o.Memo.Insert(tree), req)
+	g := &Optimizer{RS: o.RS, Memo: NewMemo(o.RS), Stats: o.Stats, OnEvent: o.OnEvent, tally: o.tally}
+	plan, _, err := g.findBest(g.Memo.Insert(tree), req)
 	if err != nil {
 		return nil, err
 	}

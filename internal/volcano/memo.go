@@ -123,18 +123,6 @@ type Group struct {
 // Rep returns the group's representative descriptor.
 func (g *Group) Rep() *core.Descriptor { return g.rep }
 
-// memoHooks observes memo growth during exploration: the explorer
-// installs one to learn which expressions and groups changed without
-// rescanning the memo.
-type memoHooks interface {
-	// exprAdded fires when a new expression enters a group.
-	exprAdded(e *LExpr)
-	// groupsMerged fires after two canonical groups merge; winner is the
-	// surviving canonical id and loserParents the live expressions that
-	// took the other group as an input.
-	groupsMerged(winner GroupID, loserParents []*LExpr)
-}
-
 // Memo is the shared search-space store: groups, expressions, and the
 // duplicate-detection index. It implements group merging with union-find
 // so that rediscovered equivalences collapse equivalence classes, which
@@ -166,8 +154,11 @@ type Memo struct {
 	// is O(1) instead of scanning the union-find on every Optimize.
 	numGroups int
 	// seq is the monotone insertion-stamp counter (see LExpr.seq).
-	seq   uint64
-	hooks memoHooks
+	seq uint64
+	// explorer, installed while exploration runs and nil otherwise, is
+	// told of every new expression and every merge, so it learns what
+	// changed without rescanning the memo.
+	explorer *explorer
 	// curRule names the transformation rule currently firing (set by
 	// applyTrans around buildRHS); insertions stamp it onto new
 	// expressions as provenance. "" outside rule application.
@@ -392,8 +383,8 @@ func (m *Memo) adopt(e *LExpr, g *Group, h uint64) {
 	for _, k := range e.Kids {
 		m.parents[k] = m.appendList(m.parents[k], e)
 	}
-	if m.hooks != nil {
-		m.hooks.exprAdded(e)
+	if m.explorer != nil {
+		m.explorer.exprAdded(e)
 	}
 }
 
@@ -513,8 +504,8 @@ func (m *Memo) merge(a, b GroupID) {
 	m.parents[a] = m.appendList(m.parents[a], ps...)
 	m.parents[b] = nil
 	m.dirty = true
-	if m.hooks != nil {
-		m.hooks.groupsMerged(a, ps)
+	if m.explorer != nil {
+		m.explorer.groupsMerged(a, ps)
 	}
 }
 

@@ -9,14 +9,6 @@ import (
 	"prairie/internal/obs"
 )
 
-// addImplTime accumulates costing self time for one impl_rule.
-func (o *Optimizer) addImplTime(rule string, d time.Duration) {
-	if o.Stats.ImplTime == nil {
-		o.Stats.ImplTime = map[string]time.Duration{}
-	}
-	o.Stats.ImplTime[rule] += d
-}
-
 // recordRun flushes one finished optimization into the metrics
 // registry. It runs only at run end — never on hot paths — so per-rule
 // counters cost one map walk per optimization, not one atomic per

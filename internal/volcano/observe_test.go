@@ -3,7 +3,9 @@ package volcano
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"prairie/internal/core"
 	"prairie/internal/obs"
 )
 
@@ -50,7 +52,30 @@ func TestObserverNeutral(t *testing.T) {
 // TestRuleTimingAttribution: with RuleTiming on, every fired trans rule
 // and every matched impl rule gets wall time attributed, and the table
 // renders; with timing off the maps stay nil (the byte-identical path).
+// The stopwatch charges one rule at a time, an impl rule its self time
+// only, so the attributed times sum to no more than the call's wall time.
 func TestRuleTimingAttribution(t *testing.T) {
+	w := newTestWorld()
+	timed := NewOptimizer(w.rs)
+	timed.Opts.Obs = &obs.Observer{RuleTiming: true}
+	req := w.alg.NewDesc()
+	req.Set(w.ord, core.OrderBy(core.A("R1", "a")))
+	begin := time.Now()
+	if _, err := timed.Optimize(w.chain(64, 32, 16, 8, 4, 2), req); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(begin)
+	var sum time.Duration
+	for _, d := range timed.Stats.TransTime {
+		sum += d
+	}
+	for _, d := range timed.Stats.ImplTime {
+		sum += d
+	}
+	if sum > wall {
+		t.Errorf("rules were charged %v in a call of %v: some time was charged twice", sum, wall)
+	}
+
 	_, _, opt := optimizeWith(t, &obs.Observer{RuleTiming: true})
 	s := opt.Stats
 	for r, n := range s.TransFired {

@@ -180,23 +180,24 @@ var cacheScopeCounter atomic.Uint64
 const maxTransDepth = 2
 
 // transEntry is one transformation rule in the operator index, carrying
-// its global position (for per-rule counters), whether its pattern is
+// its position in RS.Trans (its ledger row), whether its pattern is
 // depth-1 (applied once per expression, never re-matched), and the
 // rule's frame with the slot-annotated patterns the matcher binds by (the
 // left side flattened into the matcher's steps).
 type transEntry struct {
 	rule    *TransRule
-	idx     int
+	row     int
 	shallow bool
 	lhs     []matchStep
 	rhs     *core.PatNode
 	frame   *core.Frame
 }
 
-// implEntry is one implementation rule in the operator index.
+// implEntry is one implementation rule in the operator index, with its
+// ledger row (len(RS.Trans) plus its position in RS.Impls).
 type implEntry struct {
 	rule *ImplRule
-	idx  int
+	row  int
 }
 
 // ruleIndex maps a root operator to the rules that can possibly match an
@@ -216,8 +217,10 @@ type ruleIndex struct {
 	idProps [][]core.PropID
 	// names, shared and args are the most slots, Shared and Args entries
 	// of any rule's frame: the size every binding the engine lends a
-	// rule's hooks is reserved at (RuleSet.newBinding).
-	names, shared, args int
+	// rule's hooks is reserved at (RuleSet.newBinding); arity is the
+	// most inputs of any operation, the size of a costing frame's slices
+	// (RuleSet.newCostFrame).
+	names, shared, args, arity int
 }
 
 // fit widens the index's binding size to cover f (nil covers nothing).
@@ -239,7 +242,7 @@ func (rs *RuleSet) index() *ruleIndex {
 		}
 		for i, r := range rs.Trans {
 			lhs := r.LHS
-			te := transEntry{rule: r, idx: i, shallow: lhs.Depth() <= 1, rhs: r.RHS, frame: r.Frame}
+			te := transEntry{rule: r, row: i, shallow: lhs.Depth() <= 1, rhs: r.RHS, frame: r.Frame}
 			if te.frame == nil {
 				// Hand-coded rules share pattern nodes between rules.
 				lhs, te.rhs = lhs.Clone(), r.RHS.Clone()
@@ -253,7 +256,7 @@ func (rs *RuleSet) index() *ruleIndex {
 			}
 		}
 		for i, r := range rs.Impls {
-			ix.impls[r.Op] = append(ix.impls[r.Op], implEntry{rule: r, idx: i})
+			ix.impls[r.Op] = append(ix.impls[r.Op], implEntry{rule: r, row: len(rs.Trans) + i})
 			ix.fit(r.Frame)
 		}
 		for _, e := range rs.Enforcers {
@@ -261,6 +264,7 @@ func (rs *RuleSet) index() *ruleIndex {
 		}
 		for _, op := range rs.Algebra.Operations() {
 			ix.idProps = append(ix.idProps, rs.IDProps(op))
+			ix.arity = max(ix.arity, op.Arity)
 		}
 		rs.cacheID = cacheScopeCounter.Add(1)
 		rs.idx = ix

@@ -81,22 +81,13 @@ type Optimizer struct {
 	match *matcher
 	// noReq is the empty requirement handed to inputs no rule constrains.
 	noReq *core.Descriptor
-	// per-rule counters indexed by position in RS.Trans, RS.Impls and
-	// RS.Enforcers; flushed into the name-keyed Stats maps when
-	// exploration or costing ends — including the budget-interrupt
-	// path — so the hot loops never hash rule names yet
-	// diagnostics always reflect the work actually done.
-	transMatchedN, transFiredN, transNewN, implMatchedN, implFiredN, enfMatchedN, enfFiredN []int
-	// transTimeN accumulates per-rule match+fire wall time by rule
-	// position when per-rule timing is enabled; flushed with the
-	// counters into Stats.TransTime.
-	transTimeN []time.Duration
-	// timing caches the current run's Opts.Obs.RuleTiming, so the hot
-	// loops pay one branch per clock read.
-	timing bool
-	// run is the resource accounting of the current OptimizeContext call
-	// (see budget.go).
-	run budgetState
+	// tally, clock and run are the current search's ledger (ledger.go):
+	// the per-rule counts and times by rule position, which the hot loops
+	// bump without hashing a rule name, the stopwatch that charges the
+	// times, and the budget accounting (budget.go).
+	tally []ruleTally
+	clock stopwatch
+	run   budgetState
 	// frames[:depth] are the costing frames of the optimizeGroup calls in
 	// progress (see costFrame).
 	frames []*costFrame
@@ -125,12 +116,9 @@ func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*core.Expr,
 // background context and a zero Budget leave only the DefaultMaxExprs
 // guard, which degrades the same way.
 func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
-	ob := o.Opts.Obs
-	o.timing = ob.TimingEnabled()
-	if ob.Enabled() {
+	if ob := o.Opts.Obs; ob.Enabled() {
 		// The observed wrapper lives outside the search proper: the clock
-		// and the metric flush bracket the run, so the engine's hot loops
-		// only ever see the cached o.timing guard.
+		// and the metric flush bracket the run.
 		start := time.Now()
 		plan, err := o.dispatchOptimize(ctx, tree, req)
 		recordRun(ob, o.Stats, time.Since(start), err)
@@ -150,12 +138,8 @@ func (o *Optimizer) dispatchOptimize(ctx context.Context, tree *core.Expr, req *
 }
 
 func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
-	o.Stats.ensureMaps()
 	o.beginRun(ctx)
-	// Costing's rule counters reach Stats on every way out (explore
-	// flushes its own).
-	o.initRuleCounters()
-	defer o.flushRuleCounters()
+	defer o.endRun()
 	if req == nil {
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
@@ -164,11 +148,9 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 		if errors.Is(err, errBudget) {
 			return o.degrade(root, tree, req)
 		}
-		o.recordMemoStats()
 		return nil, err
 	}
 	plan, _, err := o.findBest(root, req)
-	o.recordMemoStats()
 	if err != nil {
 		if errors.Is(err, errBudget) {
 			return o.degrade(root, tree, req)
@@ -181,17 +163,6 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 	return plan, nil
 }
 
-// recordMemoStats snapshots the memo counters into Stats; it runs on
-// every exit path (success, degradation, and errors) so partial searches
-// report the work actually done.
-func (o *Optimizer) recordMemoStats() {
-	o.Stats.Groups = o.Memo.NumGroups()
-	o.Stats.Exprs = o.Memo.NumExprs()
-	o.Stats.Merges = o.Memo.Merges()
-	o.Stats.MemoBytes = o.Memo.MemEstimate()
-	o.Stats.BudgetChecks = o.run.ticks
-}
-
 // degrade turns a budget interrupt into a plan. The memo is first
 // brought to a consistent state (eager dedup may be pending), then the
 // salvage pass costs the explored contents; if that yields no complete
@@ -201,12 +172,14 @@ func (o *Optimizer) recordMemoStats() {
 func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
 	o.Stats.Degraded = true
 	o.Stats.DegradeCause = o.run.cause
-	o.run.salvage = true
-	defer o.recordMemoStats()
 	if o.Memo.Dirty() {
 		o.Memo.Rehash()
 	}
 	if o.run.cause != CauseCancelled {
+		// Salvage is held to the context alone: the bound that tripped
+		// no longer applies.
+		r := &o.run
+		r.cause, r.timed, r.active = CauseNone, false, r.ctx.Done() != nil
 		plan, _, err := o.findBest(root, req)
 		if err != nil && !errors.Is(err, errBudget) {
 			return nil, err
@@ -216,10 +189,10 @@ func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor)
 			return plan, nil
 		}
 	}
-	plan, err := greedyPlan(o.RS, tree, req, o.Stats)
+	plan, err := o.greedyPlan(tree, req)
 	if err != nil {
 		return nil, fmt.Errorf("volcano: degraded search (%s) found no fallback plan: %w",
-			o.run.cause, err)
+			o.Stats.DegradeCause, err)
 	}
 	o.Stats.DegradePath = DegradePathGreedy
 	return plan, nil
@@ -235,69 +208,24 @@ func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor)
 // further spurious groups and merges; Stats.Passes counts 1 plus the
 // repair rounds.
 func (o *Optimizer) explore() error {
-	o.initRuleCounters()
-	defer o.flushRuleCounters()
 	m := o.Memo
 	x := &explorer{o: o, m: m}
 	x.seed()
-	m.hooks = x
-	defer func() { m.hooks = nil }()
+	m.explorer = x
+	defer func() {
+		m.explorer = nil
+		o.charge(idle) // the last rule's time ends with exploration
+	}()
 	o.Stats.Passes = 1
 	return x.run()
 }
 
-func (o *Optimizer) initRuleCounters() {
-	if o.transMatchedN == nil {
-		t, i, e := len(o.RS.Trans), len(o.RS.Impls), len(o.RS.Enforcers)
-		c := make([]int, 3*t+2*(i+e))
-		cut := func(n int) []int { s := c[:n:n]; c = c[n:]; return s }
-		o.transMatchedN, o.transFiredN, o.transNewN = cut(t), cut(t), cut(t)
-		o.implMatchedN, o.implFiredN = cut(i), cut(i)
-		o.enfMatchedN, o.enfFiredN = cut(e), cut(e)
-	}
-	if o.timing && o.transTimeN == nil {
-		o.transTimeN = make([]time.Duration, len(o.RS.Trans))
-	}
-}
-
-// flushCounts adds the counters ns, by rule position, into m under the
-// rules' names and zeroes them.
-func flushCounts(m map[string]int, ns []int, name func(i int) string) {
-	for i, n := range ns {
-		if n != 0 {
-			m[name(i)] += n
-			ns[i] = 0
-		}
-	}
-}
-
-func (o *Optimizer) flushRuleCounters() {
-	trans := func(i int) string { return o.RS.Trans[i].Name }
-	impl := func(i int) string { return o.RS.Impls[i].Name }
-	enf := func(i int) string { return o.RS.Enforcers[i].Name }
-	flushCounts(o.Stats.TransMatched, o.transMatchedN, trans)
-	flushCounts(o.Stats.TransFired, o.transFiredN, trans)
-	flushCounts(o.Stats.TransNew, o.transNewN, trans)
-	flushCounts(o.Stats.ImplMatched, o.implMatchedN, impl)
-	flushCounts(o.Stats.ImplFired, o.implFiredN, impl)
-	flushCounts(o.Stats.EnfMatched, o.enfMatchedN, enf)
-	flushCounts(o.Stats.EnfFired, o.enfFiredN, enf)
-	for i, d := range o.transTimeN {
-		if d != 0 {
-			if o.Stats.TransTime == nil {
-				o.Stats.TransTime = map[string]time.Duration{}
-			}
-			o.Stats.TransTime[o.RS.Trans[i].Name] += d
-			o.transTimeN[i] = 0
-		}
-	}
-}
-
-// explorer is the dependency-driven worklist state. It implements
-// memoHooks so memo growth feeds the worklist directly: a new expression
-// is enqueued itself and re-enqueues the parents of the group it joined
-// (the memo's parent lists are the back edges along which change
-// propagates); the parents of merged groups are woken after Rehash.
+// explorer is the dependency-driven worklist state. The memo calls it
+// while exploration runs, so memo growth feeds the worklist directly: a
+// new expression is enqueued itself and re-enqueues the parents of the
+// group it joined (the memo's parent lists are the back edges along
+// which change propagates); the parents of merged groups are woken
+// after Rehash.
 type explorer struct {
 	o *Optimizer
 	m *Memo
@@ -369,7 +297,7 @@ func (x *explorer) pop() *LExpr {
 }
 
 // seed loads the initial memo (the inserted query tree) into the
-// worklist; hooks take over from there.
+// worklist; the memo's calls take over from there.
 func (x *explorer) seed() {
 	for _, g := range x.m.Groups() {
 		for _, e := range g.Exprs {
@@ -378,7 +306,7 @@ func (x *explorer) seed() {
 	}
 }
 
-// exprAdded (memoHooks) fires on new expressions: the expression itself
+// exprAdded fires on new expressions: the expression itself
 // may root new bindings, and the group it joined is a new input
 // alternative for every parent expression.
 func (x *explorer) exprAdded(e *LExpr) {
@@ -388,15 +316,15 @@ func (x *explorer) exprAdded(e *LExpr) {
 	}
 }
 
-// groupsMerged (memoHooks): the union made each side's expressions newly
-// visible to the other side's parents. The memo restamped the loser's —
-// the smaller side — so the winner's parents re-match only the bindings
-// that contain one of them; the winner's expressions keep their stamps
-// (every other filter over them stays valid), so the loser's parents
-// re-enumerate in full instead, from horizons reset here. Waking either
-// side's parents is deferred to afterRehash: until the repair has run,
-// duplicates the merge implies are still alive and further merges may be
-// pending.
+// groupsMerged fires after a merge: the union made each side's
+// expressions newly visible to the other side's parents. The memo
+// restamped the loser's — the smaller side — so the winner's parents
+// re-match only the bindings that contain one of them; the winner's
+// expressions keep their stamps (every other filter over them stays
+// valid), so the loser's parents re-enumerate in full instead, from
+// horizons reset here. Waking either side's parents is deferred to
+// afterRehash: until the repair has run, duplicates the merge implies
+// are still alive and further merges may be pending.
 func (x *explorer) groupsMerged(winner GroupID, loserParents []*LExpr) {
 	x.merged = append(x.merged, winner)
 	for _, p := range loserParents {
@@ -516,16 +444,15 @@ func (x *explorer) run() error {
 // (0 enumerates everything). One binding, laid out by the rule's frame, serves all applications: the
 // matcher overwrites its LHS slots match by match (shared read-only with
 // the memo), and each firing starts by taking back the RHS descriptors
-// the previous firing's actions created.
+// the previous firing's actions created. The rule's tally row counts the
+// matches and firings, and the stopwatch runs for it until the next rule
+// starts.
 func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
-	m, rule, ri := o.Memo, te.rule, te.idx
+	m, rule := o.Memo, te.rule
 	if o.fire == nil {
 		o.fire, o.match = &firing{b: o.RS.newBinding()}, &matcher{}
 	}
-	var t0 time.Time
-	if o.timing {
-		t0 = time.Now()
-	}
+	t := o.start(te.row)
 	m.curRule = rule.Name
 	f, b := o.fire, o.fire.b
 	b.Reset(te.frame)
@@ -535,12 +462,12 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 		if !o.match.fresh() {
 			continue
 		}
-		o.transMatchedN[ri]++
+		t.matched++
 		b.BeginFiring()
 		if rule.Cond != nil && !rule.Cond(b) {
 			continue
 		}
-		o.transFiredN[ri]++
+		t.fired++
 		if o.OnEvent != nil {
 			o.emit(EventTransFired, rule.Name, m.Find(e.group), e.String(), 0)
 		}
@@ -551,19 +478,16 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 		interned, merges := m.interned, m.merges
 		m.buildRHS(te.rhs, f, m.Find(e.group))
 		if m.interned != interned || m.merges != merges {
-			o.transNewN[ri]++
+			t.new++
 		}
 	}
 	m.curRule = ""
-	if o.timing {
-		o.transTimeN[ri] += time.Since(t0)
-	}
 }
 
 // findBest computes (memoized) the cheapest plan for group g that
 // satisfies the required physical properties.
 func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*core.Expr, float64, error) {
-	if o.overBudgetCosting() {
+	if o.overBudget() {
 		return nil, 0, errBudget
 	}
 	m := o.Memo
@@ -584,7 +508,12 @@ func (o *Optimizer) findBest(g GroupID, req *core.Descriptor) (*core.Expr, float
 	w.next, grp.winners = grp.winners, w
 	o.Stats.Winners++
 
+	// The group's alternatives charge the stopwatch to their rules; it
+	// goes back to the caller's on return, so an impl rule's time is its
+	// own, its inputs' excluded.
+	caller := o.clock.row
 	best, bestCost, err := o.optimizeGroup(grp, req)
+	o.charge(caller)
 	w.inProgress = false
 	if err != nil {
 		// Drop the half-computed entry rather than memoizing it:
@@ -625,13 +554,23 @@ type costFrame struct {
 	bestD *core.Descriptor
 }
 
+// newCostFrame makes a frame whose slices hold the rule set's widest
+// alternative: an operator of the largest arity, or an enforcer's one
+// input.
+func (rs *RuleSet) newCostFrame() *costFrame {
+	n, ps := max(rs.index().arity, 1), rs.Algebra.Props
+	ds := make([]*core.Descriptor, 3*n)
+	return &costFrame{
+		cx:   ImplCtx{lent: rs.newBinding()},
+		kids: ds[:n:n], in: ds[n : 2*n : 2*n], inReq: ds[2*n:],
+		plans:  make([]*core.Expr, n),
+		merged: core.NewDescriptor(ps), bestD: core.NewDescriptor(ps),
+	}
+}
+
 // reset readies the frame's context for one alternative with n inputs,
 // whose hooks borrow a binding laid out by frame.
 func (f *costFrame) reset(opDesc, req *core.Descriptor, n int, frame *core.Frame) *ImplCtx {
-	if m := max(n, 1); len(f.in) < m { // an enforcer has one input
-		f.kids, f.in, f.inReq = make([]*core.Descriptor, m), make([]*core.Descriptor, m), make([]*core.Descriptor, m)
-		f.plans = make([]*core.Expr, m)
-	}
 	f.cx.lent.Reset(frame)
 	f.cx = ImplCtx{OpDesc: opDesc, Req: req, Kids: f.kids[:n], In: f.in[:n], InReq: f.inReq[:n], lent: f.cx.lent}
 	clear(f.cx.In)
@@ -677,9 +616,7 @@ func (f *costFrame) plan() *core.Expr {
 // optimizeGroup enumerates the group's physical alternatives.
 func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr, float64, error) {
 	if o.depth == len(o.frames) {
-		ps := o.RS.Algebra.Props
-		f := &costFrame{cx: ImplCtx{lent: o.RS.newBinding()}, merged: core.NewDescriptor(ps), bestD: core.NewDescriptor(ps)}
-		o.frames = append(o.frames, f)
+		o.frames = append(o.frames, o.RS.newCostFrame())
 	}
 	f := o.frames[o.depth]
 	o.depth++
@@ -710,25 +647,14 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 			kids[i] = o.Memo.Group(k).Rep()
 		}
 		for _, ie := range o.RS.implsFor(e.Op) {
-			rule := ie.rule
-			o.implMatchedN[ie.idx]++
-			// Per-rule costing self time: the clock pauses around the
-			// findBest recursion below, so input planning is attributed
-			// to the input groups' own rules, not this alternative.
-			var t0 time.Time
-			var self time.Duration
-			if o.timing {
-				t0 = time.Now()
-			}
+			rule, t := ie.rule, o.start(ie.row)
+			t.matched++
 			cx := f.reset(opDesc, req, len(e.Kids), rule.Frame)
 			if rule.Cond != nil && !rule.Cond(cx) {
 				o.emit(EventImplRejected, rule.Name, grp.ID, "condition failed", 0)
-				if o.timing {
-					o.addImplTime(rule.Name, self+time.Since(t0))
-				}
 				continue
 			}
-			o.implFiredN[ie.idx]++
+			t.fired++
 			algD, inReq := rule.Pre(cx)
 			acc := 0.0
 			ok := true
@@ -740,17 +666,8 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 				if r == nil {
 					r = o.emptyReq()
 				}
-				if o.timing {
-					self += time.Since(t0)
-				}
 				plan, cost, err := o.findBest(k, r)
-				if o.timing {
-					t0 = time.Now()
-				}
 				if err != nil {
-					if o.timing {
-						o.addImplTime(rule.Name, self+time.Since(t0))
-					}
 					return nil, 0, err
 				}
 				if plan == nil {
@@ -773,17 +690,11 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 			}
 			if !ok {
 				o.emit(EventImplRejected, rule.Name, grp.ID, "infeasible or pruned input", 0)
-				if o.timing {
-					o.addImplTime(rule.Name, self+time.Since(t0))
-				}
 				continue
 			}
 			rule.Post(cx, algD)
 			if !algD.SatisfiesOn(req, phys) {
 				o.emit(EventImplRejected, rule.Name, grp.ID, "required properties unsatisfied", 0)
-				if o.timing {
-					o.addImplTime(rule.Name, self+time.Since(t0))
-				}
 				continue
 			}
 			c := algD.Float(costID)
@@ -794,21 +705,20 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 				f.keep(rule.Alg, algD, f.plans[:len(e.Kids)])
 				bestCost = c
 			}
-			if o.timing {
-				o.addImplTime(rule.Name, self+time.Since(t0))
-			}
 		}
 	}
 
 	// Enforcers: produce a required property on top of a plan for the
 	// same group with that property relaxed.
 	opDesc := mergeReq(grp.Rep(), req, phys, f.merged)
+	enf0 := len(o.RS.Trans) + len(o.RS.Impls)
 	for i, enf := range o.RS.Enforcers {
 		cx := f.reset(opDesc, req, 0, enf.Frame)
 		if !o.enforcerApplies(enf, cx) {
 			continue
 		}
-		o.enfMatchedN[i]++
+		t := o.start(enf0 + i)
+		t.matched++
 		algD, inReq := enf.Pre(cx)
 		if inReq == nil {
 			inReq = o.emptyReq()
@@ -830,7 +740,7 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 		if !algD.SatisfiesOn(req, phys) {
 			continue
 		}
-		o.enfFiredN[i]++
+		t.fired++
 		c := algD.Float(costID)
 		if o.OnEvent != nil {
 			o.emit(EventEnforcerApplied, enf.Name, grp.ID, enf.Alg.Name, c)

@@ -41,9 +41,11 @@ type Stats struct {
 
 	// TransTime and ImplTime attribute wall time to individual rules
 	// when per-rule timing is enabled (obs.Observer.RuleTiming):
-	// TransTime is the time spent matching and firing each trans_rule,
-	// ImplTime the self time spent costing each impl_rule's
-	// alternatives (input recursion excluded). Both stay nil on
+	// TransTime is the time spent matching and firing each trans_rule
+	// (with the worklist work up to the next application), ImplTime the
+	// self time spent costing each impl_rule's alternatives (input
+	// recursion excluded). A stopwatch charges one rule at a time, so
+	// their sum stays within the search's wall time. Both stay nil on
 	// unobserved runs so Stats render byte-identically to previous
 	// releases.
 	TransTime map[string]time.Duration

@@ -46,9 +46,8 @@ func newWakeWorld() *wakeWorld {
 	})
 	w.o = NewOptimizer(rs)
 	w.o.beginRun(context.Background())
-	w.o.initRuleCounters()
 	w.x = &explorer{o: w.o, m: w.o.Memo}
-	w.o.Memo.hooks = w.x
+	w.o.Memo.explorer = w.x
 	return w
 }
 
