@@ -17,7 +17,8 @@
 //	         new nodes' identity, which are deferred until the memo keeps
 //	         a node, which root properties a firing that keeps the root
 //	         alone inherits from its group — or the reason it was left
-//	         whole
+//	         whole; and whether it normalizes the query or is an
+//	         involution
 //	-verify  differentially verify every trans_rule (JSON verdict table)
 //	-time    report per-phase wall time (parse, compile, translate)
 //
@@ -156,6 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // the new nodes, and those deferred until the memo keeps one. The root
 // properties deferred statements assign follow as inherited: a firing
 // whose only new node is the root takes them from its group instead.
+// Last come a rule's flags: declared normalizing, derived an involution.
 func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet, rep *p2v.Report) {
 	frames := map[string]*core.Frame{}
 	for _, r := range rs.IRules {
@@ -177,6 +179,12 @@ func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet, rep *p2v.Rep
 		}
 		for _, id := range r.RestRoot {
 			fmt.Fprintf(w, "      inherited %s.%s\n", r.RHS.Desc, props.At(id).Name)
+		}
+		if r.Normalize {
+			fmt.Fprintln(w, "      normalize: rewrites the query before the search, which never explores it")
+		}
+		if r.Involution {
+			fmt.Fprintln(w, "      involution: its own inverse, never fired on an expression it built")
 		}
 	}
 	for _, r := range vrs.Impls {

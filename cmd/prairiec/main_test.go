@@ -39,7 +39,9 @@ func dump(t *testing.T, src string) string {
 // cardinality and width of the new inner join only for a firing the memo
 // keeps. A rule with nothing to move says so. A deferred statement
 // that assigns the root is followed by the property the root inherits
-// from its group when it is the firing's only new node.
+// from its group when it is the firing's only new node. The MAT push
+// rules say they normalize the query, join_commute that it is an
+// involution, and no other rule either.
 func TestDumpShowsFrameAndSharing(t *testing.T) {
 	out := dump(t, oodb.Spec)
 	for _, want := range []string{
@@ -59,10 +61,18 @@ func TestDumpShowsFrameAndSharing(t *testing.T) {
 		"  enforcer sort_merge_sort (Merge_sort)\n      frame [D2 D1 D3]\n",
 		"      deferred  D6.num_records = D4.num_records;\n      inherited D6.num_records\n" +
 			"  trans_rule select_push_join_right: ",
+		"  trans_rule join_commute: JOIN(?1:D1, ?2:D2):D3 -> JOIN(?2, ?1):D4\n      frame [D3 D1 D2 D4]\n" +
+			"      whole: every statement decides the test or an identity property\n" +
+			"      involution: its own inverse, never fired on an expression it built\n",
+		"      inherited D6.tuple_size\n      normalize: rewrites the query before the search, which never explores it\n" +
+			"  trans_rule mat_push_join_right: ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-dump output lacks\n%s--- got\n%s", want, out)
 		}
+	}
+	if strings.Count(out, "\n      normalize: ") != 2 || strings.Count(out, "\n      involution: ") != 1 {
+		t.Errorf("-dump marks %d rules normalizing and %d involutions, want 2 and 1", strings.Count(out, "\n      normalize: "), strings.Count(out, "\n      involution: "))
 	}
 	if n := strings.Count(out, "\n      deferred  "); n != 43 || strings.Count(out, "\n      whole: ") != 2 {
 		t.Errorf("-dump lists %d deferred statements and %d whole rules, want 43 in 15 rules and 2\n%s", n, strings.Count(out, "\n      whole: "), out)

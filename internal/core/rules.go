@@ -250,6 +250,14 @@ type TRule struct {
 	// will build and idProps tells which properties identify an
 	// expression of an operation.
 	Slice func(rhs *PatNode, idProps func(*Operation) []PropID) *Sliced
+	// Normalize marks a rule the specification declares normalizing
+	// ("normalize name;"): a back end rewrites the query with it to a
+	// fixpoint before the search, and does not explore it.
+	Normalize bool
+	// RootCopy reports that the rule has no test and no pre-test, and
+	// that its one statement copies the left root's descriptor whole into
+	// the right root's ("D4 = D3;").
+	RootCopy bool
 }
 
 // Sliced is a T-rule cut three ways (TRule.Slice). Cond runs the pre-test

@@ -188,6 +188,42 @@ func TestTable5(t *testing.T) {
 	}
 }
 
+// TestTable5CountsTheSearchSpace: Table 5's trans_rule columns come from
+// the closure pass over the finished memo, and for a rule set that
+// explores every rule in full — no normalizing rule, no involution —
+// that pass counts exactly the distinct rules the search itself matched
+// and fired, on every row of the table.
+func TestTable5CountsTheSearchSpace(t *testing.T) {
+	for _, q := range qgen.Queries() {
+		n := 4
+		if q.Expr.HasSelect() {
+			n = 3
+		}
+		vrs, tree, req, err := prairieQuery(q.Expr, n, 101, q.Indexed, qgen.Linear)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &volcano.RuleSet{Algebra: vrs.Algebra, Class: vrs.Class, Impls: vrs.Impls, Enforcers: vrs.Enforcers}
+		for _, r := range vrs.Trans {
+			c := *r
+			c.Normalize, c.Involution = false, false
+			ref.Trans = append(ref.Trans, &c)
+		}
+		opt := volcano.NewOptimizer(ref)
+		if _, err := opt.Optimize(tree, req); err != nil {
+			t.Fatal(err)
+		}
+		matched, fired := opt.Stats.DistinctTransMatched(), opt.Stats.DistinctTransFired()
+		c, err := opt.Closure()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Matched) != matched || len(c.Fired) != fired {
+			t.Errorf("%s: the closure pass counts %d/%d distinct trans_rules, the search %d/%d", q.Name, len(c.Matched), len(c.Fired), matched, fired)
+		}
+	}
+}
+
 func TestRuleCounts(t *testing.T) {
 	tab, err := RuleCounts()
 	if err != nil {

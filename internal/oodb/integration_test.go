@@ -153,6 +153,49 @@ func TestRestRootsAgree(t *testing.T) {
 	}
 }
 
+// TestRuleFlagsAgree: the flags P2V puts on the generated trans_rules —
+// normalizing as the specification declares, an involution as derived
+// from the rule — are the hand-coded rule set's declarations, rule by
+// rule: the MAT push rules normalize, join_commute is an involution.
+func TestRuleFlagsAgree(t *testing.T) {
+	_, pvrs, _ := prairiePath(t, 2, 101, false)
+	_, vvrs := volcanoPath(t, 2, 101, false)
+	hand := map[string]*volcano.TransRule{}
+	for _, r := range vvrs.Trans {
+		hand[r.Name] = r
+	}
+	var normalize, involution []string
+	for _, r := range pvrs.Trans {
+		h := hand[r.Name]
+		if h == nil || h.Normalize != r.Normalize || h.Involution != r.Involution {
+			t.Errorf("%s: P2V gives normalize=%v involution=%v, the hand-coded rule %+v", r.Name, r.Normalize, r.Involution, h)
+		}
+		if r.Normalize {
+			normalize = append(normalize, r.Name)
+		}
+		if r.Involution {
+			involution = append(involution, r.Name)
+		}
+	}
+	if !slices.Equal(normalize, []string{"mat_push_join_left", "mat_push_join_right"}) || !slices.Equal(involution, []string{"join_commute"}) {
+		t.Errorf("normalizing %v, involutions %v", normalize, involution)
+	}
+}
+
+// TestNormalizingInvolutionRejected: a rule that is its own inverse has
+// no fixpoint to normalize to, so a specification declaring join_commute
+// normalizing is refused, by an error naming the rule.
+func TestNormalizingInvolutionRejected(t *testing.T) {
+	o := oodb.New(qgen.Catalog(2, 101, false))
+	rs, err := prairielang.ParseAndCompileAll([]string{oodb.Spec, "normalize join_commute;"}, o.HelperImpls())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p2v.Translate(rs); err == nil || !strings.Contains(err.Error(), "trans_rule join_commute is normalizing and its own inverse") {
+		t.Errorf("Translate: %v", err)
+	}
+}
+
 func optimizeWith(t *testing.T, o *oodb.Opt, vrs *volcano.RuleSet, rep *p2v.Report, e qgen.ExprKind, n int) (*core.Expr, *volcano.Optimizer) {
 	t.Helper()
 	tree, err := qgen.Build(o, e, n)

@@ -8,6 +8,13 @@ package oodb
 // Five T-rules mention the SORT enforcer-operator and are merged away
 // (join_to_jopr additionally aliases JOPR to JOIN); the SORT Null rule
 // and the Merge_sort rule account for the two extra I-rules.
+//
+// The spec declares the two MAT push rules normalizing: the optimizer
+// pushes every MAT it can below its join before the search, which never
+// explores them, since the pull rules rebuild from the pushed-down tree
+// all the push rules would build. P2V derives join_commute an involution
+// (its own inverse), which exploration never fires on its own results.
+// The hand-coded rule set declares both the same way.
 const Spec = `
 algebra oodb;
 
@@ -206,6 +213,11 @@ posttest {
   D6.attributes = D4.attributes;
   D6.tuple_size = D3.tuple_size + mat_size(D4.mat_attribute);
 }
+
+// The pull rules below rebuild from a tree with its MATs pushed down
+// everything the push rules build: the push rules normalize the query
+// before the search, which never explores them.
+normalize mat_push_join_left, mat_push_join_right;
 
 trule mat_pull_join_left:
   JOIN(MAT(?1:D1):D2, ?3:D3):D4 => MAT(JOIN(?1, ?3):D5):D6

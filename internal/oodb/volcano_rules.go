@@ -39,6 +39,8 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		LHS:  core.POp(o.JOIN, "DL", v1, v2),
 		RHS:  core.POp(o.JOIN, "DR", core.PVar(2, ""), core.PVar(1, "")),
 		Appl: func(b *core.Binding) { b.D("DR").CopyFrom(b.D("DL")) },
+		// Commuting a commuted join gives back the join.
+		Involution: true,
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "join_assoc",
@@ -220,6 +222,9 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				dj2.SetFloat(o.TS, b.D("DJ").Float(o.TS)+o.matTargetSize(ma))
 			},
 			RestRoot: []core.PropID{o.AT, o.TS},
+			// The pull rules rebuild from a pushed-down tree everything
+			// a push would: the push rules rewrite the query instead.
+			Normalize: true,
 		})
 	}
 	matPushJoin("mat_push_join_left", true)

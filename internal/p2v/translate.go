@@ -3,6 +3,7 @@ package p2v
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"prairie/internal/core"
 	"prairie/internal/volcano"
@@ -123,6 +124,10 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 			Appl:     s.Appl,
 			Rest:     s.Rest,
 			RestRoot: s.RestRoot,
+			// A normalizing rule keeps its declaration; whether a rule is
+			// its own inverse the translation derives.
+			Normalize:  rule.Normalize,
+			Involution: involution(rule, lhs, rhs),
 		})
 	}
 
@@ -145,6 +150,33 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 		return nil, nil, errors.Join(msgs...)
 	}
 	return out, rep, nil
+}
+
+// involution reports whether a trans_rule, over the given sides, is its
+// own inverse: both sides one operator over variables, the right side
+// the left side's operator over the left side's variables permuted by
+// an involution, and a firing that does nothing but copy the left root's
+// descriptor into the right root's (core.TRule.RootCopy). Applied to its
+// own result, such a rule rebuilds the expression it was applied to.
+func involution(r *core.TRule, lhs, rhs *core.PatNode) bool {
+	if !r.RootCopy || lhs.Depth() != 1 || rhs.Depth() != 1 || lhs.Op != rhs.Op {
+		return false
+	}
+	// perm[i] is the left-side position of the variable at right-side
+	// position i.
+	perm := make([]int, len(rhs.Kids))
+	for i, k := range rhs.Kids {
+		perm[i] = slices.IndexFunc(lhs.Kids, func(l *core.PatNode) bool { return l.Var == k.Var })
+		if perm[i] < 0 {
+			return false
+		}
+	}
+	for i, j := range perm {
+		if perm[j] != i {
+			return false
+		}
+	}
+	return true
 }
 
 // compiled rejects a rule set with rules the Prairie-language compiler did

@@ -10,6 +10,16 @@ type Spec struct {
 	Helpers []*HelperDecl
 	TRules  []*TRuleDecl
 	IRules  []*IRuleDecl
+	// Normalize names the T-rules the specification declares normalizing
+	// ("normalize r1, r2;"): a back end rewrites the query with them to a
+	// fixpoint before its search, and does not explore them.
+	Normalize []*RuleRef
+}
+
+// RuleRef is a rule named in a declaration, at the name's position.
+type RuleRef struct {
+	Pos  Pos
+	Name string
 }
 
 // PropDecl declares a descriptor property.

@@ -14,7 +14,8 @@ import (
 // (no name twice, exactly one cost property), each rule's shape (§2.3,
 // §2.4, §2.5), variables and descriptor names, its statements and
 // expressions (types, helper signatures, left-hand-side descriptors never
-// assigned), and that every operator is implementable.
+// assigned), that every rule declared normalizing is a T-rule, and that
+// every operator is implementable.
 type checker struct {
 	spec    *Spec
 	alg     *core.Algebra
@@ -41,6 +42,11 @@ func check(spec *Spec) *checker {
 	}
 	for _, d := range spec.IRules {
 		c.irules = append(c.irules, c.checkIRule(d))
+	}
+	for _, r := range spec.Normalize {
+		if !slices.ContainsFunc(spec.TRules, func(d *TRuleDecl) bool { return d.Name == r.Name }) {
+			c.errf(r.Pos, "normalize: %s is not a T-rule of the specification", r.Name)
+		}
 	}
 	c.checkImplementable()
 	return c

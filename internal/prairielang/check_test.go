@@ -95,6 +95,9 @@ func TestCheckRejects(t *testing.T) {
 		{"there is one cost property",
 			rejectBase + "property c2 : cost;",
 			`8:1: property "c2" is a second cost property; a specification declares exactly one`},
+		{"only a T-rule normalizes",
+			rejectBase + "trule t: S(?1:D1):D2 => S(?1):D3 posttest { D3 = D2; }\nnormalize t, r_scan;",
+			"9:14: normalize: r_scan is not a T-rule of the specification"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if errs := prairielang.Check(c.spec); len(errs) != 1 || errs[0].Error() != c.want {

@@ -3,6 +3,7 @@ package prairielang
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"prairie/internal/core"
 )
@@ -58,6 +59,9 @@ func Compile(spec *Spec, impls map[string]HelperImpl) (*core.RuleSet, error) {
 			Slice: func(rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) *core.Sliced {
 				return cutTRule(d, rhs, idProps).emit(d.Test, names, bound)
 			},
+			Normalize: slices.ContainsFunc(spec.Normalize, func(n *RuleRef) bool { return n.Name == d.Name }),
+			RootCopy: d.Test == nil && len(d.PreTest) == 0 && len(d.PostTest) == 1 &&
+				d.PostTest[0].Prop == "" && d.PostTest[0].Dst == d.RHS.Desc && d.PostTest[0].Src == d.LHS.Desc,
 		})
 	}
 	for i, d := range spec.IRules {
@@ -132,6 +136,7 @@ func ParseAndCompileAll(srcs []string, impls map[string]HelperImpl) (*core.RuleS
 		merged.Helpers = append(merged.Helpers, spec.Helpers...)
 		merged.TRules = append(merged.TRules, spec.TRules...)
 		merged.IRules = append(merged.IRules, spec.IRules...)
+		merged.Normalize = append(merged.Normalize, spec.Normalize...)
 	}
 	return Compile(merged, impls)
 }

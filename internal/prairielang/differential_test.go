@@ -18,8 +18,11 @@ import (
 	"prairie/internal/volcano"
 )
 
-// search optimizes tree with the differential rule set: every rule
-// section the engine executes is compared against the interpreter.
+// search optimizes tree with the differential rule set and runs the
+// closure pass over the memo it leaves: every rule section the engine
+// executes is compared against the interpreter — the pass's included,
+// which fire the rules exploration leaves out (the normalizing ones) on
+// every expression of the search space.
 func search(t *testing.T, d *prairielang.Diff, tree *core.Expr) {
 	t.Helper()
 	vrs, rep, err := p2v.Translate(d.RS)
@@ -30,7 +33,11 @@ func search(t *testing.T, d *prairielang.Diff, tree *core.Expr) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := volcano.NewOptimizer(vrs).Optimize(tree, req); err != nil {
+	opt := volcano.NewOptimizer(vrs)
+	if _, err := opt.Optimize(tree, req); err != nil {
+		t.Fatal(err)
+	}
+	if err := opt.CheckClosed(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -57,6 +57,13 @@ func Format(s *Spec) string {
 		formatBlock(&b, "posttest", r.PostTest)
 		b.WriteByte('\n')
 	}
+	if len(s.Normalize) > 0 {
+		names := make([]string, len(s.Normalize))
+		for i, r := range s.Normalize {
+			names[i] = r.Name
+		}
+		fmt.Fprintf(&b, "normalize %s;\n\n", strings.Join(names, ", "))
+	}
 	for _, r := range s.IRules {
 		fmt.Fprintf(&b, "irule %s:\n  %s => %s\n", r.Name, formatPat(r.LHS), formatPat(r.RHS))
 		if r.Test != nil {

@@ -43,6 +43,7 @@ func FuzzParse(f *testing.F) {
 		"algebra a;\nalgorithm File_scan(1) implements RET;\nalgorithm Null(1);\n",
 		"algebra a;\nhelper nlogn(float) : float;\nhelper ow(order, attrs) : bool;\n",
 		"algebra a;\ntrule c:\n  JOIN(?1:D1, ?2:D2):D3 => JOIN(?2, ?1):D4\nposttest {\n  D4 = D3;\n}\n",
+		"algebra a;\ntrule p:\n  M(J(?1:D1, ?2:D2):D3):D4 => J(M(?1):D5, ?2):D6\nposttest {\n  D5 = D4;\n  D6 = D3;\n}\n\nnormalize p, q;\n",
 		"algebra a;\nirule fs:\n  RET(?1:D1):D2 => File_scan(?1):D3\npretest {\n  D3 = D2;\n}\nposttest {\n  D3.cost = 1.5;\n}\n",
 		"algebra a;\ntrule g:\n  SEL(?1:D1):D2 => SEL(?1):D3\nposttest {\n  D3.f = D2.f + 2 * nlogn(D1.n) - 1;\n  D3.b = !D2.b && (D2.n <= 3 || D2.n > 7);\n}\n",
 	}

@@ -82,6 +82,8 @@ func (p *parser) spec() (*Spec, error) {
 			err = p.trule(s)
 		case "irule":
 			err = p.irule(s)
+		case "normalize":
+			err = p.normalizeDecl(s)
 		default:
 			err = errf(p.cur().Pos, "unknown declaration %q", p.cur().Text)
 		}
@@ -90,6 +92,24 @@ func (p *parser) spec() (*Spec, error) {
 		}
 	}
 	return s, nil
+}
+
+// normalizeDecl parses "normalize r1, r2;".
+func (p *parser) normalizeDecl(s *Spec) error {
+	p.adv() // "normalize"
+	for {
+		name, err := p.ident()
+		if err != nil {
+			return err
+		}
+		s.Normalize = append(s.Normalize, &RuleRef{Pos: name.Pos, Name: name.Text})
+		if !p.at(TokComma) {
+			break
+		}
+		p.adv()
+	}
+	_, err := p.expect(TokSemi)
+	return err
 }
 
 func (p *parser) typeName() (core.Kind, error) {

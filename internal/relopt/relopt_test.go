@@ -158,6 +158,20 @@ func TestP2VMergeArithmetic(t *testing.T) {
 	}
 }
 
+// TestRuleFlagsAgree: P2V derives join_commute an involution and
+// join_assoc none, as the hand-coded rules declare; nothing normalizes.
+func TestRuleFlagsAgree(t *testing.T) {
+	_, vrs, _ := prairieOptimizer(t, testCatalog(false))
+	hand := New(testCatalog(false)).VolcanoRules()
+	for i, r := range vrs.Trans {
+		h := hand.Trans[i]
+		if r.Name != h.Name || r.Involution != h.Involution || r.Normalize || h.Normalize || r.Involution != (r.Name == "join_commute") {
+			t.Errorf("%s: P2V gives normalize=%v involution=%v; hand-coded %s: %v, %v",
+				r.Name, r.Normalize, r.Involution, h.Name, h.Normalize, h.Involution)
+		}
+	}
+}
+
 // TestP2VClassification checks the automatic property classification
 // (§3.1): cost by kind, tuple_order physical (assigned on input stream
 // descriptors in pre-opt sections), all else arguments.

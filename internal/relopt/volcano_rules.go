@@ -35,6 +35,8 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		LHS:  core.POp(o.JOIN, "D3", core.PVar(1, ""), core.PVar(2, "")),
 		RHS:  core.POp(o.JOIN, "D4", core.PVar(2, ""), core.PVar(1, "")),
 		Appl: func(b *core.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
+		// Commuting a commuted join gives back the join.
+		Involution: true,
 	})
 
 	rs.AddTrans(&volcano.TransRule{

@@ -77,6 +77,9 @@ func TestPreparedQueriesReadOnly(t *testing.T) {
 	for _, name := range reg.Names() {
 		w, _ := reg.Lookup(name)
 		for q := range shapes {
+			if q.Graph == "star" && (name == "relational" || name == "dsl") {
+				continue // a 400: these worlds build linear chains only
+			}
 			tree, want, err := w.prepared(q, epoch)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, q, err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -189,6 +190,29 @@ func TestOptimizeErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET optimize: status %d", resp.StatusCode)
+	}
+}
+
+// TestLinearOnlyWorldsRefuseOtherGraphs: the relational and dsl worlds
+// build linear chains only, so a star — or any graph but "" and "linear"
+// — is a 400 naming the world, never a chain planned in its place.
+func TestLinearOnlyWorldsRefuseOtherGraphs(t *testing.T) {
+	src, err := os.ReadFile("../../examples/dslrules/rules.prairie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := DefaultRegistry(4, 101, string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := testServer(t, func(c *Config) { c.Registry = reg })
+	for _, world := range []string{"relational", "dsl"} {
+		for graph, want := range map[string]int{"": http.StatusOK, "linear": http.StatusOK, "star": http.StatusBadRequest, "mesh": http.StatusBadRequest} {
+			resp, body := postJSON(t, hs.URL+"/v1/optimize", OptimizeRequest{Ruleset: world, Query: QuerySpec{Family: "E1", N: 3, Graph: graph}})
+			if resp.StatusCode != want || want != http.StatusOK && !strings.Contains(string(body), "world "+world+" plans linear join graphs only") {
+				t.Errorf("%s graph %q: status %d, want %d: %s", world, graph, resp.StatusCode, want, body)
+			}
+		}
 	}
 }
 

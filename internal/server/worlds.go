@@ -65,7 +65,8 @@ func (w *World) ExecDB(seed int64, rows int) *data.DB {
 
 // QuerySpec names a generated query on the wire: an expression family
 // (E1..E4 for OODB worlds; relational and DSL worlds read N and ignore
-// the materialize step), a width, and a join-graph shape.
+// the materialize step), a width, and a join-graph shape (linear or star
+// for OODB worlds; relational and DSL worlds build linear chains only).
 type QuerySpec struct {
 	Family string `json:"family"`
 	N      int    `json:"n"`
@@ -97,6 +98,15 @@ func (w *World) checkN(n int) error {
 	return nil
 }
 
+// checkLinear refuses a join graph other than a linear chain, for the
+// worlds that build nothing else.
+func (w *World) checkLinear(q QuerySpec) error {
+	if g, err := parseGraph(q.Graph); err != nil || g != qgen.Linear {
+		return fmt.Errorf("world %s plans linear join graphs only, not %q", w.Name, q.Graph)
+	}
+	return nil
+}
+
 // preparedQuery is one slot of a world's prepared-query table: what Build
 // returned for the slot's query shape while the plan cache was at epoch.
 type preparedQuery struct {
@@ -110,8 +120,9 @@ type preparedQuery struct {
 // share a cached plan. A slot is keyed by (family kind, n, graph): the
 // kind as qgen.ParseKind reads it (0 when it does not parse), the graph 0
 // for ""/"linear", 1 for "star" and 2 for anything else. That is sound
-// because each world either rejects a field it cannot parse or ignores
-// it, so no slot stands for two different trees, and the table's size is
+// because a world rejects every graph it does not build, and a family it
+// cannot parse unless it ignores the family, so no slot stands for two
+// different trees, and the table's size is
 // fixed however the fields are spelt. A tree of an older epoch is built
 // again — an in-place catalog change reaches the server's searches
 // through /v1/invalidate — and an error is never stored.
@@ -215,6 +226,9 @@ func RelationalWorld(o *relopt.Opt, maxN int) (*World, error) {
 	}
 	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
 		if err := w.checkN(q.N); err != nil {
+			return nil, nil, err
+		}
+		if err := w.checkLinear(q); err != nil {
 			return nil, nil, err
 		}
 		e, err := qgen.ParseKind(q.Family)
@@ -361,6 +375,9 @@ func DSLWorld(src string, maxN int) (*World, error) {
 	card := func(i int) float64 { return float64(int(1) << uint(10-i%8)) }
 	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
 		if err := w.checkN(q.N); err != nil {
+			return nil, nil, err
+		}
+		if err := w.checkLinear(q); err != nil {
 			return nil, nil, err
 		}
 		cur := chain.Build(q.N, card)

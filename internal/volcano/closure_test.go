@@ -189,3 +189,95 @@ func TestGoldenClosures(t *testing.T) {
 		}
 	}
 }
+
+// explored returns rs with every trans_rule explored as written: no rule
+// normalizes the query (TransRule.Normalize) and none skips its own
+// results (TransRule.Involution). It is the full-exploration reference
+// those two flags must not change the answers of.
+func explored(rs *volcano.RuleSet) *volcano.RuleSet {
+	out := &volcano.RuleSet{Algebra: rs.Algebra, Class: rs.Class, Impls: rs.Impls, Enforcers: rs.Enforcers}
+	for _, r := range rs.Trans {
+		c := *r
+		c.Normalize, c.Involution = false, false
+		out.Trans = append(out.Trans, &c)
+	}
+	return out
+}
+
+// TestNormalizeKeepsClosures: normalizing the query with the MAT push
+// rules instead of exploring them, and never commuting a commuted join
+// back, change no answer. Over both OODB worlds, qgen's four families on
+// linear and star graphs (n ≤ 4, E4 ≤ 3), each query as written, every
+// one-step rewrite of it by a trans_rule and — unless -short — every
+// two-step rewrite for E1–E3, the search must reach the closure
+// (CheckClosed applies the normalizing rules too) with the groups,
+// expressions and winner cost of the reference that explores every rule
+// in full. Plans may differ only on a rewritten input, as a tie between
+// plans of equal cost found in another order.
+func TestNormalizeKeepsClosures(t *testing.T) {
+	reg, err := server.DefaultRegistry(4, 101, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs, ties := 0, 0
+	for _, world := range oodbWorlds {
+		w, _ := reg.Lookup(world)
+		ref := explored(w.RS)
+		for _, family := range []string{"E1", "E2", "E3", "E4"} {
+			for _, graph := range []string{"", "star"} {
+				for n := 2; n <= 4 && (family != "E4" || n <= 3); n++ {
+					q := server.QuerySpec{Family: family, N: n, Graph: graph}
+					tree, want, err := w.Build(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					steps := 1
+					if !testing.Short() && family != "E4" {
+						steps = 2
+					}
+					level, all := []*core.Expr{tree}, []*core.Expr{tree}
+					for ; steps > 0; steps-- {
+						var next []*core.Expr
+						for _, in := range level {
+							for _, r := range w.RS.Trans {
+								next = append(next, w.RS.ApplyRule(r, in)...)
+							}
+						}
+						all, level = append(all, next...), next
+					}
+					for i, in := range all {
+						inputs++
+						name := fmt.Sprintf("%s %s input %d", world, q, i)
+						got, gotPlan := closedPlan(t, name, w.RS, in, want)
+						exp, expPlan := closedPlan(t, name+" (reference)", ref, in, want)
+						if got.groups != exp.groups || got.exprs != exp.exprs || math.Abs(got.cost-exp.cost) > 1e-9*exp.cost {
+							t.Errorf("%s: %d groups / %d exprs / cost %v, full exploration %d / %d / %v",
+								name, got.groups, got.exprs, got.cost, exp.groups, exp.exprs, exp.cost)
+						}
+						if gotPlan != expPlan {
+							if i == 0 {
+								t.Errorf("%s (as written): plan %s, full exploration %s", name, gotPlan, expPlan)
+							}
+							ties++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d inputs, %d equal-cost ties", inputs, ties)
+}
+
+// closedPlan is closedSearch, also returning the winning plan's text.
+func closedPlan(t *testing.T, name string, vrs *volcano.RuleSet, tree *core.Expr, req *core.Descriptor) (exploreResult, string) {
+	t.Helper()
+	opt := volcano.NewOptimizer(vrs)
+	plan, err := opt.Optimize(tree, req)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if err := opt.CheckClosed(); err != nil {
+		t.Errorf("%s: the search stopped short of the closure: %v", name, err)
+	}
+	return exploreResult{groups: opt.Stats.Groups, exprs: opt.Stats.Exprs, cost: plan.D.Float(vrs.Class.Cost)}, plan.String()
+}

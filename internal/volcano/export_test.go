@@ -1,7 +1,6 @@
 package volcano
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"weak"
@@ -9,10 +8,11 @@ import (
 	"prairie/internal/core"
 )
 
-// This file holds the checks the memo is tested against — a from-scratch
-// rebuild for the parent-local repair, a rule fixpoint for the explorer's
-// closure — and exports them to the external test package (which may
-// import the rule-set packages this package cannot).
+// This file holds the check the memo is tested against — a from-scratch
+// rebuild for the parent-local repair; the explorer's closure has its
+// own pass, Optimizer.Closure — and exports test hooks to the external
+// test package (which may import the rule-set packages this package
+// cannot).
 
 // rebuildOracle is the whole-memo rebuild Memo.Rehash used to be, kept as
 // the test oracle: it re-interns every live expression into a fresh
@@ -148,37 +148,6 @@ func (m *Memo) CheckRepaired() error {
 	for u, n := range uses {
 		if n != 0 {
 			return fmt.Errorf("%s is listed %+d times too few as a parent of group %d", u.e, n, u.g)
-		}
-	}
-	return nil
-}
-
-// CheckClosed verifies that the memo is a fixpoint of the transformation
-// rules: every rule, re-applied to every live expression from horizon 0,
-// finds only expressions the memo already holds, each in the group it
-// would be asserted into — it interns nothing and merges nothing. Rules
-// only add to the memo, so a fixpoint reached from the query is the
-// query's transformation closure, whichever order reached it. The check
-// stops at the first rule application that changes the memo, which it
-// leaves changed; its firings are not counted in Stats.
-func (o *Optimizer) CheckClosed() error {
-	m := o.Memo
-	o.beginRun(context.Background()) // a ledger no endRun closes
-	interned, merges := m.Interned(), m.Merges()
-	for _, g := range m.Groups() {
-		for _, e := range g.Exprs {
-			if e.IsLeaf() {
-				continue
-			}
-			entries := o.RS.transFor(e.Op)
-			for i := range entries {
-				te := &entries[i]
-				o.applyTrans(te, e, 0)
-				if m.Interned() != interned || m.Merges() != merges {
-					return fmt.Errorf("%s on %s in group %d: interned %d -> %d, merges %d -> %d",
-						te.rule.Name, e, g.ID, interned, m.Interned(), merges, m.Merges())
-				}
-			}
 		}
 	}
 	return nil

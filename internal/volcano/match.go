@@ -7,12 +7,23 @@ import (
 // firing is the state one transformation firing runs in, reused across
 // all firings: the binding the rule's hooks see, the groups bound to the
 // pattern variables (groupUnbound if unset), and the rule's Rest while
-// the firing still owes it, with its RestRoot.
+// the firing still owes it, with its RestRoot. A firing on a tree (the
+// tree phase, normalize.go) binds nodes instead of groups, by match step.
 type firing struct {
 	b        *core.Binding
 	vars     []GroupID
 	rest     core.Action
 	restRoot []core.PropID
+	nodes    []*core.Expr
+}
+
+// firing returns the optimizer's firing state, making it and the matcher
+// on first use.
+func (o *Optimizer) firing() *firing {
+	if o.fire == nil {
+		o.fire, o.match = &firing{b: o.RS.newBinding()}, &matcher{}
+	}
+	return o.fire
 }
 
 // groupUnbound marks an unbound pattern variable.

@@ -11,9 +11,9 @@ import (
 
 // recordRun flushes one finished optimization into the metrics
 // registry. It runs only at run end — never on hot paths — so per-rule
-// counters cost one map walk per optimization, not one atomic per
-// firing.
-func recordRun(ob *obs.Observer, s *Stats, elapsed time.Duration, err error) {
+// counters cost one lookup per rule and optimization, not one atomic per
+// firing, under series names the rule set built once (ruleIndex.series).
+func recordRun(ob *obs.Observer, rs *RuleSet, s *Stats, elapsed time.Duration, err error) {
 	reg := ob.MetricsOrNil()
 	if reg == nil {
 		return
@@ -43,22 +43,39 @@ func recordRun(ob *obs.Observer, s *Stats, elapsed time.Duration, err error) {
 	}
 	reg.Gauge("prairie_memo_bytes_estimate").Set(float64(s.MemoBytes))
 	reg.Gauge("prairie_worklist_depth_max").Max(float64(s.MaxQueue))
-	flushCounts := func(name string, m map[string]int) {
-		for r, n := range m {
-			reg.Counter(obs.Label(name, "rule", r)).Add(int64(n))
+	series := rs.index().series
+	flush := func(row int, matched, fired int, d time.Duration) {
+		if matched != 0 {
+			reg.Counter(series[row].matched).Add(int64(matched))
+		}
+		if fired != 0 {
+			reg.Counter(series[row].fired).Add(int64(fired))
+		}
+		if d != 0 {
+			reg.FloatCounter(series[row].seconds).Add(d.Seconds())
 		}
 	}
-	flushCounts("prairie_trans_matched_total", s.TransMatched)
-	flushCounts("prairie_trans_fired_total", s.TransFired)
-	flushCounts("prairie_impl_matched_total", s.ImplMatched)
-	flushCounts("prairie_impl_fired_total", s.ImplFired)
-	flushCounts("prairie_enforcer_fired_total", s.EnfFired)
-	for r, d := range s.TransTime {
-		reg.FloatCounter(obs.Label("prairie_trans_seconds_total", "rule", r)).Add(d.Seconds())
+	for i, r := range rs.Trans {
+		flush(i, s.TransMatched[r.Name], s.TransFired[r.Name], s.TransTime[r.Name])
 	}
-	for r, d := range s.ImplTime {
-		reg.FloatCounter(obs.Label("prairie_impl_seconds_total", "rule", r)).Add(d.Seconds())
+	row := len(rs.Trans)
+	for i, r := range rs.Impls {
+		flush(row+i, s.ImplMatched[r.Name], s.ImplFired[r.Name], s.ImplTime[r.Name])
 	}
+	row += len(rs.Impls)
+	for i, e := range rs.Enforcers {
+		flush(row+i, 0, s.EnfFired[e.Name], 0)
+	}
+}
+
+// ruleSeries names the metric series of one rule's ledger row.
+type ruleSeries struct{ matched, fired, seconds string }
+
+// newRuleSeries labels the series of a rule of the given kind ("trans",
+// "impl" or "enforcer"; an enforcer's matches and time are not flushed).
+func newRuleSeries(kind, name string) ruleSeries {
+	label := func(series string) string { return obs.Label("prairie_"+kind+"_"+series, "rule", name) }
+	return ruleSeries{matched: label("matched_total"), fired: label("fired_total"), seconds: label("seconds_total")}
 }
 
 // ExplainGroup renders one memo group's provenance for debugging: its

@@ -54,6 +54,18 @@ type TransRule struct {
 	// the rule out itself, and the hooks find their descriptors by name
 	// (core.Binding.D).
 	Frame *core.Frame
+	// Normalize makes the rule a rewrite of the query rather than a
+	// direction to explore: the optimizer applies it to the tree as
+	// written until it no longer matches, before the memo sees the tree,
+	// and exploration never tries it. A rule may be so marked when
+	// exploration reaches everything it would build from the normalized
+	// tree anyway — as the MAT pull rules rebuild what the push rules
+	// pushed down.
+	Normalize bool
+	// Involution marks a depth-1 rule that is its own inverse: applied to
+	// an expression it built, it rebuilds the expression it was applied
+	// to, which the memo holds. Exploration skips it there.
+	Involution bool
 }
 
 func (r *TransRule) String() string {
@@ -204,8 +216,12 @@ type implEntry struct {
 // expression with that operator, replacing the engine's linear
 // rule-list scans. It is built once per RuleSet and read-only afterwards.
 type ruleIndex struct {
-	trans map[*core.Operation][]transEntry
-	impls map[*core.Operation][]implEntry
+	// trans holds the rules exploration tries, norm the normalizing ones
+	// (TransRule.Normalize), and rows every trans_rule by position in
+	// RS.Trans.
+	trans, norm map[*core.Operation][]transEntry
+	rows        []transEntry
+	impls       map[*core.Operation][]implEntry
 	// commut marks operators with an unconditional commute rule
 	// (OP(?a,?b) -> OP(?b,?a), no cond_code): the plan-cache fingerprint
 	// may sort their inputs, because the rule proves both orders land in
@@ -221,6 +237,9 @@ type ruleIndex struct {
 	// most inputs of any operation, the size of a costing frame's slices
 	// (RuleSet.newCostFrame).
 	names, shared, args, arity int
+	// series holds, by ledger row, the metric series names recordRun
+	// flushes the row's counts under, built here once per rule set.
+	series []ruleSeries
 }
 
 // fit widens the index's binding size to cover f (nil covers nothing).
@@ -237,6 +256,7 @@ func (rs *RuleSet) index() *ruleIndex {
 	rs.indexOnce.Do(func() {
 		ix := &ruleIndex{
 			trans:  make(map[*core.Operation][]transEntry),
+			norm:   make(map[*core.Operation][]transEntry),
 			impls:  make(map[*core.Operation][]implEntry),
 			commut: make(map[*core.Operation]bool),
 		}
@@ -249,18 +269,26 @@ func (rs *RuleSet) index() *ruleIndex {
 				te.frame = core.NewFrame(lhs, te.rhs)
 			}
 			te.lhs = matchSteps(lhs)
-			ix.trans[r.LHS.Op] = append(ix.trans[r.LHS.Op], te)
+			ix.rows = append(ix.rows, te)
+			if r.Normalize {
+				ix.norm[r.LHS.Op] = append(ix.norm[r.LHS.Op], te)
+			} else {
+				ix.trans[r.LHS.Op] = append(ix.trans[r.LHS.Op], te)
+			}
 			ix.fit(te.frame)
 			if op := commutedOp(r); op != nil {
 				ix.commut[op] = true
 			}
+			ix.series = append(ix.series, newRuleSeries("trans", r.Name))
 		}
 		for i, r := range rs.Impls {
 			ix.impls[r.Op] = append(ix.impls[r.Op], implEntry{rule: r, row: len(rs.Trans) + i})
 			ix.fit(r.Frame)
+			ix.series = append(ix.series, newRuleSeries("impl", r.Name))
 		}
 		for _, e := range rs.Enforcers {
 			ix.fit(e.Frame)
+			ix.series = append(ix.series, newRuleSeries("enforcer", e.Name))
 		}
 		for _, op := range rs.Algebra.Operations() {
 			ix.idProps = append(ix.idProps, rs.IDProps(op))
@@ -335,8 +363,13 @@ func (rs *RuleSet) idProps(op *core.Operation) []core.PropID {
 	return rs.index().idProps[op.Index()]
 }
 
-// transFor returns the transformation rules whose LHS root is op.
+// transFor returns the transformation rules exploration tries on an
+// expression of op: those whose LHS root is op, normalizing ones left
+// out.
 func (rs *RuleSet) transFor(op *core.Operation) []transEntry { return rs.index().trans[op] }
+
+// normFor returns the normalizing rules whose LHS root is op.
+func (rs *RuleSet) normFor(op *core.Operation) []transEntry { return rs.index().norm[op] }
 
 // implsFor returns the implementation rules for op.
 func (rs *RuleSet) implsFor(op *core.Operation) []implEntry { return rs.index().impls[op] }
@@ -392,7 +425,7 @@ func (rs *RuleSet) AddEnforcer(e *Enforcer) *Enforcer {
 
 // Validate checks engine-level requirements: a cost property is set, rule
 // patterns use only operators on T-rule sides and match no deeper than
-// maxTransDepth, impl rules have Pre/Post hooks, enforcer property lists
+// maxTransDepth (an involution one operator deep, and never normalizing), impl rules have Pre/Post hooks, enforcer property lists
 // are physical.
 func (rs *RuleSet) Validate() []error {
 	var errs []error
@@ -410,6 +443,12 @@ func (rs *RuleSet) Validate() []error {
 		if d := r.LHS.Depth(); d > maxTransDepth {
 			bad("volcano: trans_rule %s matches %d operators deep, limit %d: exploration re-matches a rule only when a direct input group grows",
 				r.Name, d, maxTransDepth)
+		}
+		if r.Involution && r.LHS.Depth() != 1 {
+			bad("volcano: trans_rule %s is an involution but matches deeper than one operator", r.Name)
+		}
+		if r.Involution && r.Normalize {
+			bad("volcano: trans_rule %s is normalizing and its own inverse: rewriting with it never reaches a fixpoint", r.Name)
 		}
 		for _, op := range append(r.LHS.Ops(), r.RHS.Ops()...) {
 			if op.Kind != core.Operator {

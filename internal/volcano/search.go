@@ -121,7 +121,7 @@ func (o *Optimizer) OptimizeContext(ctx context.Context, tree *core.Expr, req *c
 		// and the metric flush bracket the run.
 		start := time.Now()
 		plan, err := o.dispatchOptimize(ctx, tree, req)
-		recordRun(ob, o.Stats, time.Since(start), err)
+		recordRun(ob, o.RS, o.Stats, time.Since(start), err)
 		return plan, err
 	}
 	return o.dispatchOptimize(ctx, tree, req)
@@ -143,7 +143,14 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 	if req == nil {
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
-	root := o.Memo.Insert(tree)
+	// The memo starts from the normalized tree; the degraded paths'
+	// greedy plan, like the plan cache's fingerprint, reads the tree as
+	// written.
+	norm, err := o.normalize(tree)
+	if err != nil {
+		return nil, err
+	}
+	root := o.Memo.Insert(norm)
 	if err := o.explore(); err != nil {
 		if errors.Is(err, errBudget) {
 			return o.degrade(root, tree, req)
@@ -390,6 +397,11 @@ func (x *explorer) process(e *LExpr) error {
 				continue
 			}
 			e.ruleSince[i] = 1
+			if te.rule.Involution && e.via == te.rule.Name {
+				// Applied to its own result, the rule rebuilds the
+				// expression it was applied to.
+				continue
+			}
 			o.applyTrans(te, e, 0)
 		} else {
 			since := e.ruleSince[i]
@@ -448,13 +460,10 @@ func (x *explorer) run() error {
 // matches and firings, and the stopwatch runs for it until the next rule
 // starts.
 func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
-	m, rule := o.Memo, te.rule
-	if o.fire == nil {
-		o.fire, o.match = &firing{b: o.RS.newBinding()}, &matcher{}
-	}
+	m, rule, f := o.Memo, te.rule, o.firing()
 	t := o.start(te.row)
 	m.curRule = rule.Name
-	f, b := o.fire, o.fire.b
+	b := f.b
 	b.Reset(te.frame)
 	f.vars = f.vars[:0]
 	o.match.start(m, te.lhs, e, f, since, e.seq >= since)
