@@ -24,18 +24,18 @@ func (o *Optimizer) normalize(tree *core.Expr) (*core.Expr, error) {
 	if len(o.RS.index().norm) == 0 {
 		return tree, nil
 	}
-	n := normalizer{o: o, root: tree, left: -1}
+	n := normalizer{o: o, root: tree}
 	out, err := n.walk(tree)
 	o.charge(idle)
 	return out, err
 }
 
-// normalizer is one tree phase: the input's root, and the rewrites left
-// before the bound, -1 until the first firing sets it.
+// normalizer is one tree phase: the input's root, its node count once
+// a rule fires (0 before), and the rewrites so far.
 type normalizer struct {
-	o    *Optimizer
-	root *core.Expr
-	left int
+	o           *Optimizer
+	root        *core.Expr
+	size, fired int
 }
 
 // walk normalizes e's inputs, then fires the first normalizing rule
@@ -64,12 +64,12 @@ func (n *normalizer) walk(e *core.Expr) (*core.Expr, error) {
 		if r == nil {
 			continue
 		}
-		if n.left < 0 {
-			n.left = n.root.Size() * n.root.Size()
+		if n.size == 0 {
+			n.size = n.root.Size()
 		}
-		if n.left--; n.left < 0 {
+		if n.fired++; n.fired > n.size*n.size {
 			return nil, fmt.Errorf("volcano: normalizing rule %s still rewrites after %d rewrites of a %d-node query",
-				te.rule.Name, n.root.Size()*n.root.Size(), n.root.Size())
+				te.rule.Name, n.size*n.size, n.size)
 		}
 		return n.walk(r)
 	}

@@ -425,8 +425,8 @@ func (rs *RuleSet) AddEnforcer(e *Enforcer) *Enforcer {
 
 // Validate checks engine-level requirements: a cost property is set, rule
 // patterns use only operators on T-rule sides and match no deeper than
-// maxTransDepth (an involution one operator deep, and never normalizing), impl rules have Pre/Post hooks, enforcer property lists
-// are physical.
+// maxTransDepth (an involution one operator deep, and never normalizing),
+// impl rules have Pre/Post hooks, enforcer property lists are physical.
 func (rs *RuleSet) Validate() []error {
 	var errs []error
 	bad := func(format string, args ...interface{}) {

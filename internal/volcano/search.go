@@ -377,8 +377,9 @@ func (x *explorer) anyKidNewer(e *LExpr, since uint64) bool {
 	return false
 }
 
-// process applies every transformation rule rooted at e's operator,
-// enumerating only bindings not seen at the previous visit.
+// process applies every transformation rule exploration tries at e's
+// operator, enumerating only bindings not seen at the previous visit; an
+// involution is not applied to an expression it built.
 func (x *explorer) process(e *LExpr) error {
 	o, m := x.o, x.m
 	entries := o.RS.transFor(e.Op)
@@ -398,9 +399,7 @@ func (x *explorer) process(e *LExpr) error {
 			}
 			e.ruleSince[i] = 1
 			if te.rule.Involution && e.via == te.rule.Name {
-				// Applied to its own result, the rule rebuilds the
-				// expression it was applied to.
-				continue
+				continue // it would rebuild the expression it was applied to
 			}
 			o.applyTrans(te, e, 0)
 		} else {
