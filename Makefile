@@ -67,7 +67,10 @@ rulecheck-guard:
 # the cache-entry codec bench measures (garbage rejected without panics,
 # decodables reach an encode/decode fixed point); FuzzOptimizeRequest
 # drives /v1/optimize's body decoder and request preparation, the
-# server's one outside input (4xx with an error, or a servable request).
+# server's one outside input (4xx with an error, or a servable request);
+# FuzzAttrKernels holds the join rules' attribute and predicate kernels
+# (linear Union, two-set tests, two-predicate splits, the associativity
+# test) to the code they replaced, seeded with Union's aliasing symbols.
 # Seed corpora live under testdata/fuzz/; crashers are gitignored until
 # promoted.
 FUZZTIME ?= 30s
@@ -76,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzOptimizeRequest$$' -fuzztime $(FUZZTIME) ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzAttrKernels$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # Statement-coverage gate: one run of the suite writes the profile, then
 # a per-package summary and a hard floor on the total

@@ -12,7 +12,8 @@ import (
 // index into it. Inserts take the mutex; readers load an immutable
 // snapshot and never lock. Each entry keeps the FNV hashes of its two
 // names, so Attrs.Hash, Order.Hash and Pred.Hash return what they
-// returned when they hashed the strings.
+// returned when they hashed the strings, and the attribute's
+// one-attribute order, boxed once (OrderOn).
 
 // MaxAttrs is the ceiling on distinct attributes a process interns and
 // maxAttrName the longest Rel+Name it accepts: names arriving off the
@@ -28,6 +29,7 @@ var ErrAttrTableFull = errors.New("core: attribute table full")
 type attrEntry struct {
 	rel, name         string
 	relHash, nameHash uint64
+	order             Value // Order{By: []Attr{a}}; nothing writes its By
 }
 
 var attrTable struct {
@@ -38,7 +40,7 @@ var attrTable struct {
 
 func init() {
 	attrTable.syms = map[[2]string]Attr{{}: {}}
-	attrTable.snap.Store(&[]attrEntry{{relHash: fnvOffset, nameHash: fnvOffset}})
+	attrTable.snap.Store(&[]attrEntry{{relHash: fnvOffset, nameHash: fnvOffset, order: OrderBy(Attr{})}})
 }
 
 func attrEntries() []attrEntry { return *attrTable.snap.Load() }
@@ -65,12 +67,18 @@ func Intern(rel, name string) (Attr, error) {
 	rel, name = strings.Clone(rel), strings.Clone(name)
 	// append writes past every published length or into a fresh array:
 	// no reader of an older snapshot sees the slot.
-	tab = append(tab, attrEntry{rel, name, hashString(rel), hashString(name)})
+	a := Attr{uint32(len(tab))}
+	tab = append(tab, attrEntry{rel, name, hashString(rel), hashString(name), OrderBy(a)})
 	t.snap.Store(&tab)
-	a := Attr{uint32(len(tab) - 1)}
 	t.syms[[2]string{rel, name}] = a
 	return a, nil
 }
+
+// OrderOn returns the order sorted on a alone, OrderBy(a), boxed as a
+// Value when a was interned: rules that sort on one attribute — a merge
+// join's inputs, an index scan's output — set it on every firing and
+// costing without allocating. Its By is shared: nothing may write it.
+func OrderOn(a Attr) Value { return a.entry().order }
 
 // A returns the attribute rel.name, interning it on first use. It is for
 // catalogs, rule code and tests — set-up, not the request path — and

@@ -376,6 +376,12 @@ func (p *Pred) RefersOnlyTo(set Attrs) bool {
 	return !p.AnyAttr(func(a Attr) bool { return !set.Contains(a) })
 }
 
+// RefersOnlyToEither reports whether every attribute referenced by p is
+// in a or in b: RefersOnlyTo(a.Union(b)), without building the union.
+func (p *Pred) RefersOnlyToEither(a, b Attrs) bool {
+	return !p.AnyAttr(func(x Attr) bool { return !a.Contains(x) && !b.Contains(x) })
+}
+
 // RefersToAny reports whether p references at least one attribute of set.
 func (p *Pred) RefersToAny(set Attrs) bool { return p.AnyAttr(set.Contains) }
 
@@ -404,14 +410,44 @@ func (p *Pred) IsEquiJoin() bool {
 // SplitBy partitions the conjuncts of p into those referring only to the
 // given attribute set and the rest, returning the two conjunctions.
 func (p *Pred) SplitBy(set Attrs) (within, rest *Pred) {
-	var inBuf, outBuf [8]*Pred // And copies what it keeps
-	in, out := inBuf[:0], outBuf[:0]
-	for _, c := range p.Conjuncts() {
-		if c.RefersOnlyTo(set) {
-			in = append(in, c)
-		} else {
-			out = append(out, c)
+	return SplitHalf(p, nil, set, true), SplitHalf(p, nil, set, false)
+}
+
+// SplitHalf returns one half of And(p, q).SplitBy(set) without building
+// And(p, q): the conjunction of the conjuncts of p, then those of q, that
+// refer only to set (within) or of the others (!within), in that order.
+// A half of at most one conjunct allocates nothing.
+func SplitHalf(p, q *Pred, set Attrs, within bool) *Pred {
+	var buf [8]*Pred // And copies what it keeps
+	keep := buf[:0]
+	for _, x := range [...]*Pred{p, q} {
+		for _, c := range x.Conjuncts() {
+			if c.RefersOnlyTo(set) == within {
+				keep = append(keep, c)
+			}
 		}
 	}
-	return And(in...), And(out...)
+	return And(keep...)
+}
+
+// JoinAssociates is the applicability test of join_assoc — the paper's
+// is_associative — shared by every rule set that regroups joins:
+// JOIN(JOIN(l, m), r) with predicates lower and upper may be regrouped as
+// JOIN(l, JOIN(m, r)) when the conjuncts over m ∪ r connect m with r and
+// the remaining ones reach l, so neither new join is a cross product. The
+// conjuncts of lower and upper are walked where they stand: one goes
+// inside when every attribute it names is in m or in r. It builds no
+// conjunction, attribute union or split, and allocates nothing.
+func JoinAssociates(lower, upper *Pred, l, m, r Attrs) bool {
+	var innerM, innerR, outerL bool
+	for _, p := range [...]*Pred{lower, upper} {
+		for _, c := range p.Conjuncts() {
+			if c.RefersOnlyToEither(m, r) {
+				innerM, innerR = innerM || c.RefersToAny(m), innerR || c.RefersToAny(r)
+			} else {
+				outerL = outerL || c.RefersToAny(l)
+			}
+		}
+	}
+	return innerM && innerR && outerL
 }

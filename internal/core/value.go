@@ -289,14 +289,25 @@ func (v Attrs) ContainsAll(w Attrs) bool {
 	return true
 }
 
-// Union returns the set union of v and w, preserving v's order first.
+// Union returns the set union of v and w: v in its order, then each
+// attribute of w not already present, in w's order. It is one
+// allocation and takes linear time: a 256-bit signature of the symbols
+// appended so far (bit sym&255) answers "absent" for most attributes of
+// w, and only a set bit — a symbol present, or one aliasing it — scans.
 func (v Attrs) Union(w Attrs) Attrs {
 	out := make(Attrs, 0, len(v)+len(w))
 	out = append(out, v...)
+	var sig [4]uint64
+	for _, a := range v {
+		sig[a.sym>>6&3] |= 1 << (a.sym & 63)
+	}
 	for _, a := range w {
-		if !out.Contains(a) {
-			out = append(out, a)
+		word, bit := a.sym>>6&3, uint64(1)<<(a.sym&63)
+		if sig[word]&bit != 0 && out.Contains(a) {
+			continue
 		}
+		sig[word] |= bit
+		out = append(out, a)
 	}
 	return out
 }
