@@ -33,7 +33,8 @@ func dump(t *testing.T, src string) string {
 // TestDumpShowsFrameAndSharing pins what -dump tells a specification's
 // author about one firing: the OODB specification's join_assoc works in
 // a seven-slot frame (left side in pattern order, then the two new
-// nodes), evaluates the conjunction its post-test writes twice once, and
+// nodes), shares no helper call — its split helpers take the two
+// predicates as they stand, so no conjunction is built to be split — and
 // is cut so that the attribute union its pre-test computes — the test
 // never reads it — runs only for bindings the test lets through, and the
 // cardinality and width of the new inner join only for a firing the memo
@@ -47,11 +48,10 @@ func TestDumpShowsFrameAndSharing(t *testing.T) {
 	for _, want := range []string{
 		"  trans_rule join_assoc: JOIN(JOIN(?1:D1, ?2:D2):D3, ?3:D4):D5 -> JOIN(?1, JOIN(?2, ?3):D6):D7\n" +
 			"      frame [D5 D3 D1 D2 D4 D7 D6]\n" +
-			"      shares and_pred(D3.join_predicate, D5.join_predicate)\n" +
 			"      identity  D6.attributes = union(D2.attributes, D4.attributes);  // sank behind the test\n" +
-			"      identity  D6.join_predicate = split_within(and_pred(D3.join_predicate, D5.join_predicate), D6.attributes);\n" +
+			"      identity  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D6.attributes);\n" +
 			"      identity  D7 = D5;\n" +
-			"      identity  D7.join_predicate = split_rest(and_pred(D3.join_predicate, D5.join_predicate), D6.attributes);\n" +
+			"      identity  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D6.attributes);\n" +
 			"      deferred  D6.num_records = join_card(D2.num_records, D4.num_records, D6.join_predicate);\n" +
 			"      deferred  D6.tuple_size = D2.tuple_size + D4.tuple_size;\n",
 		"      shares mat_size(D4.mat_attribute)\n      identity  D5 = D4;\n      identity  D6 = D3;\n      deferred  D5.attributes = ",

@@ -69,64 +69,23 @@ func New(cat *catalog.Catalog) *Opt {
 
 // canonAnd conjoins predicates with conjuncts sorted canonically: in the
 // order of their renderings, which Pred.Compare reads without building.
-func canonAnd(ps ...*core.Pred) *core.Pred {
-	all := core.And(ps...)
-	if all.Op == core.PredAnd {
-		// And built all.Kids afresh, so it can be reordered in place.
-		slices.SortFunc(all.Kids, (*core.Pred).Compare)
+func canonAnd(ps ...*core.Pred) *core.Pred { return canonical(core.And(ps...)) }
+
+// canonical sorts the conjuncts of a conjunction core.And or
+// core.SplitHalf has just built — its kids are its own — in place.
+func canonical(p *core.Pred) *core.Pred {
+	if p.Op == core.PredAnd {
+		slices.SortFunc(p.Kids, (*core.Pred).Compare)
 	}
-	return all
+	return p
 }
 
-// splitPred splits a conjunction into the part referring only to attrs
-// and the rest, both canonicalized.
-func splitPred(p *core.Pred, attrs core.Attrs) (within, rest *core.Pred) {
-	w, r := p.SplitBy(attrs)
-	return canonAnd(w), canonAnd(r)
-}
-
-// splitHalf is one side of splitPred: the canonical conjunction of p's
-// conjuncts that refer only to attrs (within) or of the others. The
+// splitHalf is one half of the canonical split of canonAnd(p, q) by
+// attrs, built without it: the canonical conjunction of the conjuncts of
+// p and q that refer only to attrs (within) or of the others. The
 // Prairie specification's split_within and split_rest each need one.
-func splitHalf(p *core.Pred, attrs core.Attrs, within bool) *core.Pred {
-	var buf [8]*core.Pred
-	keep := buf[:0]
-	for _, c := range p.Conjuncts() {
-		if c.RefersOnlyTo(attrs) == within {
-			keep = append(keep, c)
-		}
-	}
-	return canonAnd(keep...)
-}
-
-// joinAssociates is the applicability test of join_assoc in both
-// specifications: JOIN(JOIN(l, m), r) with predicates lower and upper may
-// be regrouped as JOIN(l, JOIN(m, r)) when the conjuncts over m ∪ r
-// connect m with r and the remaining ones reach l — neither new join
-// becomes a cross product. Three yes/no answers are all it takes, so the
-// conjuncts of lower and upper are walked where they stand: a conjunct
-// goes inside when every attribute it names is in m or in r; no
-// conjunction, attribute union or string is built (the rule's actions
-// build them once the test has passed).
-func joinAssociates(lower, upper *core.Pred, l, m, r core.Attrs) bool {
-	var innerM, innerR, outerL bool
-	for _, p := range [...]*core.Pred{lower, upper} {
-		one := [...]*core.Pred{p}
-		conjuncts := one[:]
-		if p.IsTrue() {
-			continue
-		} else if p.Op == core.PredAnd {
-			conjuncts = p.Kids
-		}
-		for _, c := range conjuncts {
-			if c.AnyAttr(func(a core.Attr) bool { return !m.Contains(a) && !r.Contains(a) }) {
-				outerL = outerL || c.RefersToAny(l)
-			} else {
-				innerM, innerR = innerM || c.RefersToAny(m), innerR || c.RefersToAny(r)
-			}
-		}
-	}
-	return innerM && innerR && outerL
+func splitHalf(p, q *core.Pred, attrs core.Attrs, within bool) *core.Pred {
+	return canonical(core.SplitHalf(p, q, attrs, within))
 }
 
 // firstConj returns the canonically-first conjunct; restConj the others.

@@ -15,32 +15,33 @@ func TestHelperImplsTotal(t *testing.T) {
 	// Every helper must tolerate default values: a rule may read an unset
 	// property, which reads as its kind's default.
 	defaults := map[string][]core.Value{
-		"union":           {core.Attrs(nil), core.Attrs(nil)},
-		"contains_all":    {core.Attrs(nil), core.Attrs(nil)},
-		"attrs_eq":        {core.Attrs(nil), core.Attrs(nil)},
-		"and_pred":        {core.TruePred, core.TruePred},
-		"split_within":    {core.TruePred, core.Attrs(nil)},
-		"split_rest":      {core.TruePred, core.Attrs(nil)},
-		"refers_only":     {core.TruePred, core.Attrs(nil)},
-		"conj_count":      {core.TruePred},
-		"first_conj":      {core.TruePred},
-		"rest_conj":       {core.TruePred},
-		"is_assoc":        {core.TruePred, core.TruePred, core.Attrs(nil), core.Attrs(nil), core.Attrs(nil)},
-		"join_card":       {core.Float(0), core.Float(0), core.TruePred},
-		"sel_card":        {core.Float(0), core.TruePred},
-		"is_ref_join":     {core.TruePred, core.Attrs(nil), core.Attrs(nil)},
-		"ref_of":          {core.TruePred, core.Attrs(nil)},
-		"is_true_pred":    {core.TruePred},
-		"mat_attrs":       {core.Attrs(nil)},
-		"mat_card":        {core.Attrs(nil)},
-		"mat_size":        {core.Attrs(nil)},
-		"unnest_card":     {core.Float(0), core.Attrs(nil)},
-		"has_index":       {core.Attrs(nil)},
-		"has_probe_index": {core.Attrs(nil), core.TruePred},
-		"probe_order":     {core.Attrs(nil), core.TruePred},
-		"sweep_order":     {core.Attrs(nil), core.DontCareOrder},
-		"nlogn":           {core.Float(0)},
-		"order_within":    {core.DontCareOrder, core.Attrs(nil)},
+		"union":              {core.Attrs(nil), core.Attrs(nil)},
+		"contains_all":       {core.Attrs(nil), core.Attrs(nil)},
+		"attrs_eq":           {core.Attrs(nil), core.Attrs(nil)},
+		"and_pred":           {core.TruePred, core.TruePred},
+		"split_within":       {core.TruePred, core.TruePred, core.Attrs(nil)},
+		"split_rest":         {core.TruePred, core.TruePred, core.Attrs(nil)},
+		"refers_only":        {core.TruePred, core.Attrs(nil)},
+		"refers_only_either": {core.TruePred, core.Attrs(nil), core.Attrs(nil)},
+		"conj_count":         {core.TruePred},
+		"first_conj":         {core.TruePred},
+		"rest_conj":          {core.TruePred},
+		"is_assoc":           {core.TruePred, core.TruePred, core.Attrs(nil), core.Attrs(nil), core.Attrs(nil)},
+		"join_card":          {core.Float(0), core.Float(0), core.TruePred},
+		"sel_card":           {core.Float(0), core.TruePred},
+		"is_ref_join":        {core.TruePred, core.Attrs(nil), core.Attrs(nil)},
+		"ref_of":             {core.TruePred, core.Attrs(nil)},
+		"is_true_pred":       {core.TruePred},
+		"mat_attrs":          {core.Attrs(nil)},
+		"mat_card":           {core.Attrs(nil)},
+		"mat_size":           {core.Attrs(nil)},
+		"unnest_card":        {core.Float(0), core.Attrs(nil)},
+		"has_index":          {core.Attrs(nil)},
+		"has_probe_index":    {core.Attrs(nil), core.TruePred},
+		"probe_order":        {core.Attrs(nil), core.TruePred},
+		"sweep_order":        {core.Attrs(nil), core.DontCareOrder},
+		"nlogn":              {core.Float(0)},
+		"order_within":       {core.DontCareOrder, core.Attrs(nil)},
 	}
 	spec, err := prairielang.Parse(Spec)
 	if err != nil {
@@ -145,15 +146,41 @@ func TestCanonAndHelpers(t *testing.T) {
 	if k := nested.Conjuncts(); k[0] != ps[0] || k[1] != ps[3] || k[2] != ps[1] {
 		t.Error("canonAnd reordered its argument")
 	}
-	// splitHalf is either side of splitPred, rendering included.
-	for _, p := range []*core.Pred{core.TruePred, p1, nested, canonAnd(ps...)} {
-		for _, set := range []core.Attrs{nil, {core.A("C1", "b")}, {core.A("C1", "b"), core.A("C2", "b"), core.A("C3", "r"), core.A("C1", "id")}} {
-			w, r := splitPred(p, set)
-			if gw, gr := splitHalf(p, set, true), splitHalf(p, set, false); gw.String() != w.String() || gr.String() != r.String() {
-				t.Errorf("splitHalf(%v, %v) = %v | %v, splitPred %v | %v", p, set, gw, gr, w, r)
+	// splitHalf of two predicates is either side of splitPred of their
+	// canonical conjunction, rendering included, and builds the
+	// conjunction only for a side of two conjuncts or more.
+	two := []*core.Pred{core.TruePred, nil, p1, p2, nested, canonAnd(ps...), core.And(ps[4], ps[0]),
+		&core.Pred{Op: core.PredAnd, Kids: []*core.Pred{core.TruePred, ps[2]}}}
+	for _, p := range two {
+		for _, q := range two {
+			for _, set := range []core.Attrs{nil, {core.A("C1", "b")}, {core.A("C1", "b"), core.A("C2", "b"), core.A("C3", "r"), core.A("C1", "id")}} {
+				w, r := splitPred(canonAnd(p, q), set)
+				gw, gr := splitHalf(p, q, set, true), splitHalf(p, q, set, false)
+				if !gw.Equal(w) || !gr.Equal(r) || gw.String() != w.String() || gr.String() != r.String() {
+					t.Errorf("splitHalf(%v, %v, %v) = %v | %v, splitPred of their conjunction %v | %v", p, q, set, gw, gr, w, r)
+				}
 			}
 		}
 	}
+	if k := nested.Conjuncts(); k[0] != ps[0] || k[1] != ps[3] || k[2] != ps[1] {
+		t.Error("splitHalf reordered an argument")
+	}
+	within := core.Attrs{core.A("C2", "b"), core.A("C1", "b")}
+	if a := testing.AllocsPerRun(100, func() {
+		if splitHalf(p1, p2, within, false) != core.TruePred || splitHalf(p1, ps[0], within, true) != p1 {
+			t.Fatal("wrong split")
+		}
+	}); a != 0 {
+		t.Errorf("splits keeping at most one conjunct allocate %v objects, want 0", a)
+	}
+}
+
+// splitPred is join_assoc's split as it was before it took the two
+// predicates as they stand: both canonical halves of one conjunction, by
+// SplitBy. It is the oracle of splitHalf and of the associativity test.
+func splitPred(p *core.Pred, attrs core.Attrs) (within, rest *core.Pred) {
+	w, r := p.SplitBy(attrs)
+	return canonAnd(w), canonAnd(r)
 }
 
 // TestJoinAssociates pins the one applicability test both specifications
@@ -182,19 +209,19 @@ func TestJoinAssociates(t *testing.T) {
 		{"no predicates at all", core.TruePred, core.TruePred, "C1", "C2", "C3", false},
 	} {
 		l, m, r := at(c.l), at(c.m), at(c.r)
-		got := joinAssociates(c.lower, c.upper, l, m, r)
+		got := core.JoinAssociates(c.lower, c.upper, l, m, r)
 		inner, outer := splitPred(canonAnd(c.lower, c.upper), m.Union(r))
 		old := len(inner.Attrs().Intersect(m)) > 0 && len(inner.Attrs().Intersect(r)) > 0 &&
 			len(outer.Attrs().Intersect(l)) > 0
 		viaHelper, err := isAssoc([]core.Value{c.lower, c.upper, l, m, r})
 		if got != c.want || old != c.want || err != nil || viaHelper != core.Bool(c.want) {
-			t.Errorf("%s: joinAssociates %v, attribute-list formula %v, is_assoc %v (%v), want %v",
+			t.Errorf("%s: JoinAssociates %v, attribute-list formula %v, is_assoc %v (%v), want %v",
 				c.name, got, old, viaHelper, err, c.want)
 		}
 	}
 }
 
-// JoinAssociatesByConstruction is joinAssociates as it was before it
+// JoinAssociatesByConstruction is core.JoinAssociates as it was before it
 // stopped allocating, kept as its oracle: build the canonical conjunction
 // of both predicates, split it by the union of m and r, and ask the two
 // halves. Rebind exports rebind. Both serve the external test package,
@@ -206,7 +233,7 @@ func JoinAssociatesByConstruction(lower, upper *core.Pred, l, m, r core.Attrs) b
 
 func (o *Opt) Rebind(a *core.Algebra) { o.rebind(a) }
 
-// TestJoinAssociatesMatchesConstruction compares joinAssociates with its
+// TestJoinAssociatesMatchesConstruction compares core.JoinAssociates with its
 // oracle on the shapes generated queries never present — TRUE on either
 // side, selection terms, conjunctions nested in conjuncts, disjunctions,
 // every assignment of five small attribute sets — and holds it to zero
@@ -237,8 +264,8 @@ func TestJoinAssociatesMatchesConstruction(t *testing.T) {
 				for _, m := range sets {
 					for _, r := range sets {
 						n++
-						if got, want := joinAssociates(lower, upper, l, m, r), JoinAssociatesByConstruction(lower, upper, l, m, r); got != want {
-							t.Fatalf("joinAssociates(%v, %v, %v, %v, %v) = %v, by construction %v", lower, upper, l, m, r, got, want)
+						if got, want := core.JoinAssociates(lower, upper, l, m, r), JoinAssociatesByConstruction(lower, upper, l, m, r); got != want {
+							t.Fatalf("JoinAssociates(%v, %v, %v, %v, %v) = %v, by construction %v", lower, upper, l, m, r, got, want)
 						}
 					}
 				}
@@ -249,10 +276,10 @@ func TestJoinAssociatesMatchesConstruction(t *testing.T) {
 	lower, upper := core.And(eq("C1", "C2"), sel("C2")), eq("C2", "C3")
 	l, m, r := at("C1"), at("C2"), at("C3")
 	if a := testing.AllocsPerRun(100, func() {
-		if !joinAssociates(lower, upper, l, m, r) || joinAssociates(upper, core.TruePred, l, m, r) {
+		if !core.JoinAssociates(lower, upper, l, m, r) || core.JoinAssociates(upper, core.TruePred, l, m, r) {
 			t.Fatal("wrong answer")
 		}
 	}); a != 0 {
-		t.Errorf("joinAssociates allocates %v times per two calls, want 0", a)
+		t.Errorf("JoinAssociates allocates %v times per two calls, want 0", a)
 	}
 }

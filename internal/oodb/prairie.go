@@ -29,13 +29,16 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return canonAnd(pred(a[0]), pred(a[1])), nil
 		},
 		"split_within": func(a []core.Value) (core.Value, error) {
-			return splitHalf(pred(a[0]), attrs(a[1]), true), nil
+			return splitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), true), nil
 		},
 		"split_rest": func(a []core.Value) (core.Value, error) {
-			return splitHalf(pred(a[0]), attrs(a[1]), false), nil
+			return splitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), false), nil
 		},
 		"refers_only": func(a []core.Value) (core.Value, error) {
 			return core.Bool(pred(a[0]).RefersOnlyTo(attrs(a[1]))), nil
+		},
+		"refers_only_either": func(a []core.Value) (core.Value, error) {
+			return core.Bool(pred(a[0]).RefersOnlyToEither(attrs(a[1]), attrs(a[2]))), nil
 		},
 		"conj_count": func(a []core.Value) (core.Value, error) {
 			return core.Float(len(pred(a[0]).Conjuncts())), nil
@@ -47,7 +50,7 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return restConj(pred(a[0])), nil
 		},
 		"is_assoc": func(a []core.Value) (core.Value, error) {
-			return core.Bool(joinAssociates(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), attrs(a[4]))), nil
+			return core.Bool(core.JoinAssociates(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), attrs(a[4]))), nil
 		},
 		"join_card": func(a []core.Value) (core.Value, error) {
 			return core.Float(o.Cat.JoinCard(num(a[0]), num(a[1]), pred(a[2]))), nil
@@ -94,7 +97,7 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			if !ok {
 				return core.DontCareOrder, nil
 			}
-			return core.OrderBy(ix), nil
+			return core.OrderOn(ix), nil
 		},
 		"sweep_order": func(a []core.Value) (core.Value, error) {
 			want, _ := a[1].(core.Order)
@@ -102,7 +105,7 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			if !ok {
 				return core.DontCareOrder, nil
 			}
-			return core.OrderBy(ix), nil
+			return core.OrderOn(ix), nil
 		},
 		"order_within": func(a []core.Value) (core.Value, error) {
 			ord, _ := a[0].(core.Order)

@@ -15,6 +15,12 @@ package oodb
 // all the push rules would build. P2V derives join_commute an involution
 // (its own inverse), which exploration never fires on its own results.
 // The hand-coded rule set declares both the same way.
+//
+// The join rules build nothing they only test or split: split_within and
+// split_rest take join_assoc's two predicates (pred, pred, attrs) and
+// split them as their conjunction would split, and the MAT pull rules
+// test the join predicate against their two inputs' attribute sets with
+// refers_only_either(pred, attrs, attrs) rather than against a union.
 const Spec = `
 algebra oodb;
 
@@ -54,9 +60,10 @@ helper union(attrs, attrs) : attrs;
 helper contains_all(attrs, attrs) : bool;
 helper attrs_eq(attrs, attrs) : bool;
 helper and_pred(pred, pred) : pred;
-helper split_within(pred, attrs) : pred;
-helper split_rest(pred, attrs) : pred;
+helper split_within(pred, pred, attrs) : pred;
+helper split_rest(pred, pred, attrs) : pred;
 helper refers_only(pred, attrs) : bool;
+helper refers_only_either(pred, attrs, attrs) : bool;
 helper conj_count(pred) : float;
 helper first_conj(pred) : pred;
 helper rest_conj(pred) : pred;
@@ -94,11 +101,11 @@ pretest {
 }
 test (is_assoc(D3.join_predicate, D5.join_predicate, D1.attributes, D2.attributes, D4.attributes))
 posttest {
-  D6.join_predicate = split_within(and_pred(D3.join_predicate, D5.join_predicate), D6.attributes);
+  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D6.attributes);
   D6.num_records = join_card(D2.num_records, D4.num_records, D6.join_predicate);
   D6.tuple_size = D2.tuple_size + D4.tuple_size;
   D7 = D5;
-  D7.join_predicate = split_rest(and_pred(D3.join_predicate, D5.join_predicate), D6.attributes);
+  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D6.attributes);
 }
 
 // ======================================================================
@@ -221,7 +228,7 @@ normalize mat_push_join_left, mat_push_join_right;
 
 trule mat_pull_join_left:
   JOIN(MAT(?1:D1):D2, ?3:D3):D4 => MAT(JOIN(?1, ?3):D5):D6
-test (refers_only(D4.join_predicate, union(D1.attributes, D3.attributes)))
+test (refers_only_either(D4.join_predicate, D1.attributes, D3.attributes))
 posttest {
   D5 = D4;
   D5.attributes = union(D1.attributes, D3.attributes);
@@ -234,7 +241,7 @@ posttest {
 
 trule mat_pull_join_right:
   JOIN(?1:D1, MAT(?2:D2):D3):D4 => MAT(JOIN(?1, ?2):D5):D6
-test (refers_only(D4.join_predicate, union(D1.attributes, D2.attributes)))
+test (refers_only_either(D4.join_predicate, D1.attributes, D2.attributes))
 posttest {
   D5 = D4;
   D5.attributes = union(D1.attributes, D2.attributes);

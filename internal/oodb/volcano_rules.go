@@ -50,16 +50,16 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			core.PVar(1, ""),
 			core.POp(o.JOIN, "DB2", core.PVar(2, ""), core.PVar(3, ""))),
 		Cond: func(b *core.Binding) bool {
-			return joinAssociates(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP),
+			return core.JoinAssociates(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP),
 				b.D("D1").AttrList(o.AT), b.D("D2").AttrList(o.AT), b.D("D3").AttrList(o.AT))
 		},
 		Appl: func(b *core.Binding) {
-			all := canonAnd(b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP))
-			inner, outer := splitPred(all, b.D("D2").AttrList(o.AT).Union(b.D("D3").AttrList(o.AT)))
+			lower, upper := b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP)
+			mr := b.D("D2").AttrList(o.AT).Union(b.D("D3").AttrList(o.AT))
 			dt2 := b.D("DT2")
-			b.D("DB2").Set(o.JP, inner)
+			b.D("DB2").Set(o.JP, splitHalf(lower, upper, mr, true))
 			dt2.CopyFrom(b.D("DT"))
-			dt2.Set(o.JP, outer)
+			dt2.Set(o.JP, splitHalf(lower, upper, mr, false))
 		},
 		Rest: func(b *core.Binding) {
 			m, r, db2 := b.D("D2"), b.D("D3"), b.D("DB2")
@@ -231,15 +231,9 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 	matPushJoin("mat_push_join_right", false)
 
 	matPullJoin := func(name string, left bool) {
-		lhsKids := []*core.PatNode{core.POp(o.MAT, "DM", v1), v3}
-		inAttrs := func(b *core.Binding) core.Attrs {
-			return b.D("D1").AttrList(o.AT).Union(b.D("D3").AttrList(o.AT))
-		}
+		lhsKids, other := []*core.PatNode{core.POp(o.MAT, "DM", v1), v3}, "D3"
 		if !left {
-			lhsKids = []*core.PatNode{v1, core.POp(o.MAT, "DM", v2)}
-			inAttrs = func(b *core.Binding) core.Attrs {
-				return b.D("D1").AttrList(o.AT).Union(b.D("D2").AttrList(o.AT))
-			}
+			lhsKids, other = []*core.PatNode{v1, core.POp(o.MAT, "DM", v2)}, "D2"
 		}
 		rhsKids := []*core.PatNode{core.PVar(1, ""), core.PVar(3, "")}
 		if !left {
@@ -250,7 +244,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			LHS:  core.POp(o.JOIN, "DJ", lhsKids...),
 			RHS:  core.POp(o.MAT, "DM2", core.POp(o.JOIN, "DJ2", rhsKids...)),
 			Cond: func(b *core.Binding) bool {
-				return b.D("DJ").Pred(o.JP).RefersOnlyTo(inAttrs(b))
+				return b.D("DJ").Pred(o.JP).RefersOnlyToEither(b.D("D1").AttrList(o.AT), b.D(other).AttrList(o.AT))
 			},
 			Appl: func(b *core.Binding) {
 				b.D("DJ2").CopyFrom(b.D("DJ"))
@@ -258,7 +252,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			},
 			Rest: func(b *core.Binding) {
 				dj, dj2, dm2 := b.D("DJ"), b.D("DJ2"), b.D("DM2")
-				dj2.Set(o.AT, inAttrs(b))
+				dj2.Set(o.AT, b.D("D1").AttrList(o.AT).Union(b.D(other).AttrList(o.AT)))
 				dj2.SetFloat(o.TS, dj.Float(o.TS)-o.matTargetSize(b.D("DM").AttrList(o.MA)))
 				dm2.Set(o.AT, dj.AttrList(o.AT))
 				dm2.SetFloat(o.NR, dj.Float(o.NR))
@@ -357,7 +351,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 	}
 	// algD is the provisional descriptor of an algorithm that delivers
 	// ord and requires nothing of its inputs.
-	algD := func(cx *volcano.ImplCtx, ord core.Order) (*core.Descriptor, []*core.Descriptor) {
+	algD := func(cx *volcano.ImplCtx, ord core.Value) (*core.Descriptor, []*core.Descriptor) {
 		_, d := lend(cx)
 		d.Set(o.Ord, ord)
 		return d, nil
@@ -388,7 +382,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			ix, _ := catalog.PickIndexAttr(cx.Kids[0].AttrList(o.IX), core.DontCareOrder, cx.OpDesc.Pred(o.SP))
-			return algD(cx, core.OrderBy(ix))
+			return algD(cx, core.OrderOn(ix))
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(catalog.IndexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), true)))
@@ -401,7 +395,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			ix, _ := catalog.PickIndexAttr(cx.Kids[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), core.TruePred)
-			return algD(cx, core.OrderBy(ix))
+			return algD(cx, core.OrderOn(ix))
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(catalog.IndexScanCost(cx.In[0].Float(o.NR), d.Float(o.NR), false)))

@@ -25,9 +25,9 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 		case !ok:
 			return core.DontCareOrder, nil
 		case right:
-			return core.OrderBy(r), nil
+			return core.OrderOn(r), nil
 		}
-		return core.OrderBy(l), nil
+		return core.OrderOn(l), nil
 	}
 	return map[string]prairielang.HelperImpl{
 		"union": func(a []core.Value) (core.Value, error) {
@@ -40,16 +40,13 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return core.And(pred(a[0]), pred(a[1])), nil
 		},
 		"is_associative": func(a []core.Value) (core.Value, error) {
-			_, _, ok := isAssociative(pred(a[0]), attrs(a[1]), attrs(a[2]), attrs(a[3]))
-			return core.Bool(ok), nil
+			return core.Bool(core.JoinAssociates(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), attrs(a[4]))), nil
 		},
 		"split_within": func(a []core.Value) (core.Value, error) {
-			within, _ := pred(a[0]).SplitBy(attrs(a[1]))
-			return within, nil
+			return core.SplitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), true), nil
 		},
 		"split_rest": func(a []core.Value) (core.Value, error) {
-			_, rest := pred(a[0]).SplitBy(attrs(a[1]))
-			return rest, nil
+			return core.SplitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), false), nil
 		},
 		"is_equi_join": func(a []core.Value) (core.Value, error) {
 			_, _, ok := orientEqui(pred(a[0]), attrs(a[1]))
@@ -65,7 +62,7 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			if !ok {
 				return core.DontCareOrder, nil
 			}
-			return core.OrderBy(ix), nil
+			return core.OrderOn(ix), nil
 		},
 		"index_usable": func(a []core.Value) (core.Value, error) {
 			ix, _ := catalog.PickIndexAttr(attrs(a[0]), order(a[1]), pred(a[2]))

@@ -74,22 +74,6 @@ func mergeJoinCost(lCost, rCost, lCard, rCard float64) float64 {
 	return lCost + rCost + lCard + rCard
 }
 
-// isAssociative is the paper's "is_associative" helper (Figure 3): it
-// checks that redistributing the predicates of two adjacent joins does
-// not introduce a cross product. It returns the redistributed inner and
-// outer predicates along with the verdict.
-func isAssociative(all *core.Pred, leftAttrs, midAttrs, rightAttrs core.Attrs) (inner, outer *core.Pred, ok bool) {
-	innerAttrs := midAttrs.Union(rightAttrs)
-	inner, outer = all.SplitBy(innerAttrs)
-	if len(inner.Attrs().Intersect(midAttrs)) == 0 || len(inner.Attrs().Intersect(rightAttrs)) == 0 {
-		return nil, nil, false
-	}
-	if len(outer.Attrs().Intersect(leftAttrs)) == 0 {
-		return nil, nil, false
-	}
-	return inner, outer, true
-}
-
 // orientEqui orients an equi-join term so the first attribute belongs to
 // the side whose attribute set is leftAttrs. It reports failure for
 // non-equi predicates or terms that do not span the two inputs.

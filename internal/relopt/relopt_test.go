@@ -80,9 +80,9 @@ func TestHelperImplsTotal(t *testing.T) {
 		"union":             {none, none},
 		"cardinality":       {core.Float(0), core.Float(0), tru},
 		"and_pred":          {tru, tru},
-		"is_associative":    {tru, none, none, none},
-		"split_within":      {tru, none},
-		"split_rest":        {tru, none},
+		"is_associative":    {tru, tru, none, none, none},
+		"split_within":      {tru, tru, none},
+		"split_rest":        {tru, tru, none},
 		"is_equi_join":      {tru, none},
 		"left_order":        {tru, none},
 		"right_order":       {tru, none},
@@ -391,25 +391,29 @@ func TestPrepareQueryRejectsInteriorSort(t *testing.T) {
 
 func TestHelperFunctions(t *testing.T) {
 	attrs := core.Attrs{core.A("C1", "a"), core.A("C2", "a"), core.A("C3", "a")}
-	all := core.And(
-		core.EqAttr(core.A("C1", "a"), core.A("C2", "a")),
-		core.EqAttr(core.A("C2", "a"), core.A("C3", "a")))
-	inner, outer, ok := isAssociative(all,
-		core.Attrs{attrs[0]}, core.Attrs{attrs[1]}, core.Attrs{attrs[2]})
-	if !ok {
+	impls := New(testCatalog(false)).HelperImpls()
+	call := func(name string, args ...core.Value) core.Value {
+		v, err := impls[name](args)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return v
+	}
+	lower := core.EqAttr(core.A("C1", "a"), core.A("C2", "a"))
+	upper := core.EqAttr(core.A("C2", "a"), core.A("C3", "a"))
+	left, mid, right := core.Attrs{attrs[0]}, core.Attrs{attrs[1]}, core.Attrs{attrs[2]}
+	if call("is_associative", lower, upper, left, mid, right) != core.Bool(true) {
 		t.Fatal("linear chain should be associative")
 	}
-	if !inner.Equal(core.EqAttr(core.A("C2", "a"), core.A("C3", "a"))) {
+	if inner := call("split_within", lower, upper, mid.Union(right)); inner != upper {
 		t.Errorf("inner = %v", inner)
 	}
-	if !outer.Equal(core.EqAttr(core.A("C1", "a"), core.A("C2", "a"))) {
+	if outer := call("split_rest", lower, upper, mid.Union(right)); outer != lower {
 		t.Errorf("outer = %v", outer)
 	}
-	// Cross product: C1 joins C3 only; regrouping (C2, C3) is fine but
-	// regrouping with C2 unconnected must fail.
-	cross := core.EqAttr(core.A("C1", "a"), core.A("C2", "a"))
-	if _, _, ok := isAssociative(cross,
-		core.Attrs{attrs[0]}, core.Attrs{attrs[1]}, core.Attrs{attrs[2]}); ok {
+	// Cross product: C1 joins C2 only; regrouping with C2 and C3
+	// unconnected must fail.
+	if call("is_associative", lower, core.TruePred, left, mid, right) != core.Bool(false) {
 		t.Error("cross-product rewrite accepted")
 	}
 
@@ -419,6 +423,65 @@ func TestHelperFunctions(t *testing.T) {
 	}
 	if _, _, ok := orientEqui(core.TruePred, core.Attrs{attrs[0]}); ok {
 		t.Error("non-equi predicate oriented")
+	}
+}
+
+// TestJoinAssocHelpersMatchTheConjunction holds join_assoc's helpers,
+// which take its two predicates as they stand, to what the rule computed
+// from their conjunction before: split_within and split_rest to
+// core.And + SplitBy, conjunct order included, and is_associative to the
+// attribute-list formula the relational optimizer used — split the
+// conjunction by m ∪ r, and intersect each half's attributes with the
+// sets it must reach — over every pair of a dozen predicate shapes and
+// every assignment of five attribute sets.
+func TestJoinAssocHelpersMatchTheConjunction(t *testing.T) {
+	impls := New(testCatalog(false)).HelperImpls()
+	at := func(rels ...string) core.Attrs {
+		var out core.Attrs
+		for _, rel := range rels {
+			out = append(out, core.A(rel, "a"), core.A(rel, "b"))
+		}
+		return out
+	}
+	eq := func(r1, r2 string) *core.Pred { return core.EqAttr(core.A(r1, "a"), core.A(r2, "a")) }
+	sel := func(rel string) *core.Pred { return core.EqConst(core.A(rel, "b"), core.Int(1)) }
+	preds := []*core.Pred{
+		core.TruePred, eq("C1", "C2"), eq("C2", "C3"), sel("C2"),
+		core.And(eq("C2", "C3"), eq("C1", "C2")), core.And(sel("C3"), eq("C1", "C3"), eq("C2", "C3")),
+		core.And(eq("C1", "C2"), sel("C1")), core.Or(eq("C1", "C2"), sel("C3")), core.Not(eq("C2", "C3")),
+		{Op: core.PredAnd, Kids: []*core.Pred{core.TruePred, eq("C2", "C3")}},
+	}
+	sets := []core.Attrs{nil, at("C1"), at("C2"), at("C3"), at("C2", "C3"), at("C3", "C1", "C2")}
+	call := func(name string, args ...core.Value) core.Value {
+		v, err := impls[name](args)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return v
+	}
+	for _, lower := range preds {
+		for _, upper := range preds {
+			all := core.And(lower, upper)
+			for _, set := range sets {
+				within, rest := all.SplitBy(set)
+				gw, gr := call("split_within", lower, upper, set), call("split_rest", lower, upper, set)
+				if !gw.Equal(within) || !gr.Equal(rest) || gw.String() != within.String() || gr.String() != rest.String() {
+					t.Fatalf("split_within/split_rest(%v, %v, %v) = %v | %v, the conjunction splits %v | %v", lower, upper, set, gw, gr, within, rest)
+				}
+			}
+			for _, l := range sets {
+				for _, m := range sets {
+					for _, r := range sets {
+						inner, outer := all.SplitBy(m.Union(r))
+						want := len(inner.Attrs().Intersect(m)) > 0 && len(inner.Attrs().Intersect(r)) > 0 &&
+							len(outer.Attrs().Intersect(l)) > 0
+						if got := call("is_associative", lower, upper, l, m, r); got != core.Bool(want) {
+							t.Fatalf("is_associative(%v, %v, %v, %v, %v) = %v, the attribute-list formula %v", lower, upper, l, m, r, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -40,9 +40,9 @@ algorithm Null(1);
 helper union(attrs, attrs) : attrs;
 helper cardinality(float, float, pred) : float;
 helper and_pred(pred, pred) : pred;
-helper is_associative(pred, attrs, attrs, attrs) : bool;
-helper split_within(pred, attrs) : pred;
-helper split_rest(pred, attrs) : pred;
+helper is_associative(pred, pred, attrs, attrs, attrs) : bool;
+helper split_within(pred, pred, attrs) : pred;
+helper split_rest(pred, pred, attrs) : pred;
 helper is_equi_join(pred, attrs) : bool;
 helper left_order(pred, attrs) : order;
 helper right_order(pred, attrs) : order;
@@ -64,20 +64,23 @@ posttest {
 
 // The pre-test computes the new inner join's attributes, the test is the
 // paper's is_associative, and the post-test splits the two joins'
-// predicates between the new nodes.
+// predicates between the new nodes. Both take the two predicates as they
+// stand — is_associative(pred, pred, attrs, attrs, attrs), split_within
+// and split_rest (pred, pred, attrs) — so no firing builds their
+// conjunction; and_pred stays declared for modules extending Spec.
 trule join_assoc:
   JOIN(JOIN(?1:D1, ?2:D2):D3, ?3:D4):D5 => JOIN(?1, JOIN(?2, ?3):D6):D7
 pretest {
   D6.attributes = union(D2.attributes, D4.attributes);
 }
-test (is_associative(and_pred(D3.join_predicate, D5.join_predicate), D1.attributes, D2.attributes, D4.attributes))
+test (is_associative(D3.join_predicate, D5.join_predicate, D1.attributes, D2.attributes, D4.attributes))
 posttest {
-  D6.join_predicate = split_within(and_pred(D3.join_predicate, D5.join_predicate), D6.attributes);
+  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D6.attributes);
   D6.num_records = cardinality(D2.num_records, D4.num_records, D6.join_predicate);
   D6.tuple_size = D2.tuple_size + D4.tuple_size;
   D6.tuple_order = DONT_CARE;
   D7 = D5;
-  D7.join_predicate = split_rest(and_pred(D3.join_predicate, D5.join_predicate), D6.attributes);
+  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D6.attributes);
 }
 
 // A JOIN can be computed as a JOPR over inputs sorted on the join

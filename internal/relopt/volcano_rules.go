@@ -48,17 +48,15 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 			core.PVar(1, ""),
 			core.POp(o.JOIN, "D6", core.PVar(2, ""), core.PVar(3, ""))),
 		Cond: func(b *core.Binding) bool {
-			all := core.And(b.D("D3").Pred(o.JP), b.D("D5").Pred(o.JP))
-			_, _, ok := isAssociative(all,
+			return core.JoinAssociates(b.D("D3").Pred(o.JP), b.D("D5").Pred(o.JP),
 				b.D("D1").AttrList(o.AT), b.D("D2").AttrList(o.AT), b.D("D4").AttrList(o.AT))
-			return ok
 		},
 		Appl: func(b *core.Binding) {
-			all := core.And(b.D("D3").Pred(o.JP), b.D("D5").Pred(o.JP))
-			inner, outer, _ := isAssociative(all,
-				b.D("D1").AttrList(o.AT), b.D("D2").AttrList(o.AT), b.D("D4").AttrList(o.AT))
+			lower, upper := b.D("D3").Pred(o.JP), b.D("D5").Pred(o.JP)
 			d6, d7 := b.D("D6"), b.D("D7")
-			d6.Set(o.AT, b.D("D2").AttrList(o.AT).Union(b.D("D4").AttrList(o.AT)))
+			at := b.D("D2").AttrList(o.AT).Union(b.D("D4").AttrList(o.AT))
+			inner, outer := core.SplitHalf(lower, upper, at, true), core.SplitHalf(lower, upper, at, false)
+			d6.Set(o.AT, at)
 			d6.Set(o.JP, inner)
 			d6.SetFloat(o.NR, o.Cat.JoinCard(b.D("D2").Float(o.NR), b.D("D4").Float(o.NR), inner))
 			d6.SetFloat(o.TS, b.D("D2").Float(o.TS)+b.D("D4").Float(o.TS))
@@ -90,7 +88,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 			_, d := lend(cx)
 			ix, ok := catalog.PickIndexAttr(cx.Kids[0].AttrList(o.IX), cx.OpDesc.Order(o.Ord), cx.OpDesc.Pred(o.SP))
 			if ok {
-				d.Set(o.Ord, core.OrderBy(ix))
+				d.Set(o.Ord, core.OrderOn(ix))
 			} else {
 				d.Set(o.Ord, core.DontCareOrder)
 			}
@@ -129,10 +127,10 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			l, r, _ := orientEqui(cx.OpDesc.Pred(o.JP), cx.Kids[0].AttrList(o.AT))
 			b, d := lend(cx)
-			d.Set(o.Ord, core.OrderBy(l))
+			d.Set(o.Ord, core.OrderOn(l))
 			cx.InReq[0], cx.InReq[1] = b.Slot(1), b.Slot(2)
-			cx.InReq[0].Set(o.Ord, core.OrderBy(l))
-			cx.InReq[1].Set(o.Ord, core.OrderBy(r))
+			cx.InReq[0].Set(o.Ord, core.OrderOn(l))
+			cx.InReq[1].Set(o.Ord, core.OrderOn(r))
 			return d, cx.InReq
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
