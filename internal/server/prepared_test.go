@@ -80,6 +80,9 @@ func TestPreparedQueriesReadOnly(t *testing.T) {
 			if q.Graph == "star" && (name == "relational" || name == "dsl") {
 				continue // a 400: these worlds build linear chains only
 			}
+			if name == "dsl" && q.Family != "E1" {
+				continue // a 400: the dsl world builds family E1 only
+			}
 			tree, want, err := w.prepared(q, epoch)
 			if err != nil {
 				t.Fatalf("%s %v: %v", name, q, err)

@@ -216,6 +216,36 @@ func TestLinearOnlyWorldsRefuseOtherGraphs(t *testing.T) {
 	}
 }
 
+// TestDSLWorldRefusesOtherFamilies: the dsl world plans its chain for
+// family E1 alone. An unknown family is the 400 the relational world
+// answers it with, word for word, and another of E1..E4 a 400 naming
+// the world — never the chain planned in its place.
+func TestDSLWorldRefusesOtherFamilies(t *testing.T) {
+	src, err := os.ReadFile("../../examples/dslrules/rules.prairie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := DefaultRegistry(4, 101, string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, hs := testServer(t, func(c *Config) { c.Registry = reg })
+	optimize := func(world, family string) (int, string) {
+		resp, body := postJSON(t, hs.URL+"/v1/optimize", OptimizeRequest{Ruleset: world, Query: QuerySpec{Family: family, N: 3}})
+		return resp.StatusCode, string(body)
+	}
+	relStatus, relBody := optimize("relational", "banana")
+	if status, body := optimize("dsl", "banana"); status != http.StatusBadRequest || status != relStatus || body != relBody {
+		t.Errorf("dsl family banana: status %d %s; the relational world answers %d %s", status, body, relStatus, relBody)
+	}
+	for family, want := range map[string]int{"E1": http.StatusOK, " e1 ": http.StatusOK, "E2": http.StatusBadRequest, "E4": http.StatusBadRequest, "": http.StatusBadRequest} {
+		status, body := optimize("dsl", family)
+		if status != want || want != http.StatusOK && family != "" && !strings.Contains(body, "world dsl plans family E1 only") {
+			t.Errorf("dsl family %q: status %d, want %d: %s", family, status, want, body)
+		}
+	}
+}
+
 // TestRulesetsAndHealth: discovery and liveness endpoints.
 func TestRulesetsAndHealth(t *testing.T) {
 	srv, hs := testServer(t, nil)

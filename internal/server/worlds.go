@@ -64,9 +64,10 @@ func (w *World) ExecDB(seed int64, rows int) *data.DB {
 }
 
 // QuerySpec names a generated query on the wire: an expression family
-// (E1..E4 for OODB worlds; relational and DSL worlds read N and ignore
-// the materialize step), a width, and a join-graph shape (linear or star
-// for OODB worlds; relational and DSL worlds build linear chains only).
+// (E1..E4 for OODB and relational worlds, the relational world ignoring
+// the materialize step; E1 alone for the DSL world, whose chain has
+// neither), a width, and a join-graph shape (linear or star for OODB
+// worlds; relational and DSL worlds build linear chains only).
 type QuerySpec struct {
 	Family string `json:"family"`
 	N      int    `json:"n"`
@@ -120,10 +121,9 @@ type preparedQuery struct {
 // share a cached plan. A slot is keyed by (family kind, n, graph): the
 // kind as qgen.ParseKind reads it (0 when it does not parse), the graph 0
 // for ""/"linear", 1 for "star" and 2 for anything else. That is sound
-// because a world rejects every graph it does not build, and a family it
-// cannot parse unless it ignores the family, so no slot stands for two
-// different trees, and the table's size is
-// fixed however the fields are spelt. A tree of an older epoch is built
+// because a world rejects every graph it does not build and every family
+// it cannot parse, so no slot stands for two different trees, and the
+// table's size is fixed however the fields are spelt. A tree of an older epoch is built
 // again — an in-place catalog change reaches the server's searches
 // through /v1/invalidate — and an error is never stored.
 func (w *World) prepared(q QuerySpec, epoch uint64) (*core.Expr, *core.Descriptor, error) {
@@ -355,7 +355,9 @@ func (c *DSLChain) Build(n int, card func(i int) float64) *core.Expr {
 // DSLWorld compiles a textual Prairie specification (the dslrules
 // example by default) into a servable world. Queries are SORT over the
 // dsl chain (DSLChain) of N relations with halving cardinalities — the
-// example's query generalized by width — so the specification must
+// example's query generalized by width, family E1: any other family is
+// refused, as the other worlds refuse one they do not know — so the
+// specification must
 // declare the operators RET, JOIN and SORT and the properties
 // num_records, attributes, join_predicate and tuple_order.
 func DSLWorld(src string, maxN int) (*World, error) {
@@ -379,6 +381,11 @@ func DSLWorld(src string, maxN int) (*World, error) {
 		}
 		if err := w.checkLinear(q); err != nil {
 			return nil, nil, err
+		}
+		if e, err := qgen.ParseKind(q.Family); err != nil {
+			return nil, nil, err
+		} else if e != qgen.E1 {
+			return nil, nil, fmt.Errorf("world %s plans family E1 only, not %q", w.Name, q.Family)
 		}
 		cur := chain.Build(q.N, card)
 		sd := cur.D.Clone()
