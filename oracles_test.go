@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"prairie/internal/core"
+	"prairie/internal/exec"
 	"prairie/internal/server"
 	"prairie/internal/volcano"
 )
@@ -120,4 +122,84 @@ func TestRewrittenQueriesSearchAlike(t *testing.T) {
 	if rewrites != 110 {
 		t.Errorf("the search_cold pool has %d one-step rewrites, want 110", rewrites)
 	}
+}
+
+// TestInterruptedSearchNeverWorseThanGreedy: a search cut short by its
+// expression budget is never worse than not searching. Every search_cold
+// program runs under Budget{MaxExprs: k} for a sweep of k below the full
+// search's expression count (eight values under -short, about sixty-four
+// otherwise), and the plan it returns — salvaged from the partial memo,
+// or GreedyPlan's when the memo holds no complete winner — must cost no
+// less than the full search's winner and no more than GreedyPlan's. On a
+// sample of the cuts the plan runs on 16-row tables, and its rows must
+// bag-equal the naive evaluation of the query.
+func TestInterruptedSearchNeverWorseThanGreedy(t *testing.T) {
+	reg, pool := searchColdPool(t)
+	spread := 64
+	if testing.Short() {
+		spread = 8
+	}
+	runs, salvaged, executed := 0, 0, 0
+	for _, p := range pool {
+		w, _ := reg.Lookup(p.world)
+		tree, want, err := w.Build(p.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := volcano.NewOptimizer(w.RS)
+		best, err := full.Optimize(tree, want)
+		if err != nil {
+			t.Fatalf("%s %s: %v", p.world, p.q, err)
+		}
+		greedy, err := volcano.GreedyPlan(w.RS, tree, want)
+		if err != nil {
+			t.Fatalf("%s %s: greedy: %v", p.world, p.q, err)
+		}
+		costOf := func(plan *core.Expr) float64 { return plan.D.Float(w.RS.Class.Cost) }
+		lo, hi := costOf(best), costOf(greedy)
+		var naive *exec.Result
+		db := w.ExecDB(101, 16)
+		if db != nil {
+			if naive, err = (&exec.Naive{DB: db, P: w.ExecProps}).Eval(tree); err != nil {
+				t.Fatalf("%s %s: naive: %v", p.world, p.q, err)
+			}
+		}
+		step := max(1, full.Stats.Exprs/spread)
+		for i, k := 0, 1; k < full.Stats.Exprs; i, k = i+1, k+step {
+			runs++
+			opt := volcano.NewOptimizer(w.RS)
+			opt.Opts.Budget = volcano.Budget{MaxExprs: k}
+			plan, err := opt.Optimize(tree, want)
+			if err != nil {
+				t.Fatalf("%s %s, MaxExprs %d: %v", p.world, p.q, k, err)
+			}
+			if !opt.Stats.Degraded {
+				t.Errorf("%s %s, MaxExprs %d of %d: the search was not interrupted", p.world, p.q, k, full.Stats.Exprs)
+			}
+			if opt.Stats.DegradePath == volcano.DegradePathMemo {
+				salvaged++
+			}
+			if c := costOf(plan); c < lo*(1-1e-9) || c > hi*(1+1e-9) {
+				t.Errorf("%s %s, MaxExprs %d (%s): cost %v outside [full search %v, greedy %v]",
+					p.world, p.q, k, opt.Stats.DegradePath, c, lo, hi)
+			}
+			if naive == nil || i%8 != 0 {
+				continue
+			}
+			executed++
+			it, err := exec.NewCompiler(db, w.ExecProps).Compile(plan)
+			if err != nil {
+				t.Fatalf("%s %s, MaxExprs %d: compile: %v", p.world, p.q, k, err)
+			}
+			got, err := exec.Run(it)
+			if err != nil {
+				t.Fatalf("%s %s, MaxExprs %d: run: %v", p.world, p.q, k, err)
+			}
+			if !exec.SameBag(got, naive) {
+				t.Errorf("%s %s, MaxExprs %d: the plan returns %d rows, the naive evaluation %d: bags differ",
+					p.world, p.q, k, len(got.Rows), len(naive.Rows))
+			}
+		}
+	}
+	t.Logf("%d interrupted searches, %d salvaged from the memo, %d executed", runs, salvaged, executed)
 }
