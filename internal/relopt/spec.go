@@ -67,7 +67,7 @@ posttest {
 // predicates between the new nodes. Both take the two predicates as they
 // stand — is_associative(pred, pred, attrs, attrs, attrs), split_within
 // and split_rest (pred, pred, attrs) — so no firing builds their
-// conjunction; and_pred stays declared for modules extending Spec.
+// conjunction.
 trule join_assoc:
   JOIN(JOIN(?1:D1, ?2:D2):D3, ?3:D4):D5 => JOIN(?1, JOIN(?2, ?3):D6):D7
 pretest {
