@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"regexp"
@@ -66,5 +67,26 @@ func TestMemoListsLiveGroups(t *testing.T) {
 	}
 	if strings.Contains(string(out), "merged into") {
 		t.Error(":memo printed a merged group")
+	}
+}
+
+// TestMemoHoldsTheDegradedPlan: a search degraded by its budget plans on
+// its one memo, so :memo lists the returned plan as a group's winner.
+func TestMemoHoldsTheDegradedPlan(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-expr", "E4", "-n", "4", "-timeout", "1ns", ":memo")
+	cmd.Env = append(os.Environ(), "OPTSHELL_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("optshell -timeout 1ns :memo: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "plan degraded via memo-best") {
+		t.Fatalf("a 1ns budget did not degrade the search by salvage:\n%s", out)
+	}
+	m := regexp.MustCompile(`(?m)^winning plan \(cost ([0-9.]+)\):\n  (.+)$`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no winning plan in:\n%s", out)
+	}
+	if winner := fmt.Sprintf("= %s (cost %s)", m[2], m[1]); !strings.Contains(string(out), winner) {
+		t.Errorf(":memo lists no winner %q:\n%s", winner, out)
 	}
 }

@@ -8,11 +8,11 @@ import (
 
 // Budget bounds the effort one optimization may spend, and running out of
 // it always degrades: the optimizer stops exploring, salvages the best
-// plan it can from the already-explored memo, and falls back to the
-// greedy plan of the original tree (GreedyPlan) if no complete winner
-// exists. The plan is marked in Stats (Degraded, DegradeCause,
-// DegradePath) — production optimizers bound search effort and always
-// return *a* plan rather than none.
+// plan it can from the already-explored memo, and, if no complete winner
+// exists, plans the query's seed — the expressions Memo.Insert built
+// before any rule fired — in that same memo. The plan is marked in Stats
+// (Degraded, DegradeCause, DegradePath) — production optimizers bound
+// search effort and always return *a* plan rather than none.
 //
 // A zero Budget with a background context reads no clock and evaluates
 // no checkpoint; it is still held to the DefaultMaxExprs guard, the
@@ -65,9 +65,11 @@ const (
 	// DegradePathMemo: a complete winner was salvaged from the
 	// partially-explored memo.
 	DegradePathMemo = "memo-best"
-	// DegradePathGreedy: no complete winner existed; the plan is
-	// GreedyPlan's, the original tree implemented as written. The wire
-	// value predates the greedy planner and is kept for compatibility.
+	// DegradePathGreedy: no complete winner existed, or the context was
+	// cancelled; the plan is the seed's, costed in the run's memo
+	// reusing any winner the interrupted costing completed — GreedyPlan's
+	// plan, or a cheaper one. The wire value predates the greedy planner
+	// and is kept for compatibility.
 	DegradePathGreedy = "bottom-up"
 )
 

@@ -3,6 +3,8 @@ package volcano
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,7 +115,7 @@ func TestCancellationDegradesToBottomUp(t *testing.T) {
 	cancel()
 	degradedPlan(t, w, o, ctx, CauseCancelled)
 	// A hard cancel skips memo salvage: the plan must come from the
-	// greedy plan of the original tree.
+	// seed, planned in the run's memo.
 	if o.Stats.DegradePath != DegradePathGreedy {
 		t.Errorf("DegradePath = %q, want %q", o.Stats.DegradePath, DegradePathGreedy)
 	}
@@ -220,9 +222,9 @@ func TestGreedyPlanStandalone(t *testing.T) {
 }
 
 // TestGreedyNoPlanTyped: when no implementation rule covers the
-// original tree under the requirement, GreedyPlan returns the typed
-// ErrGreedyNoPlan (never a nil plan with a nil error), and errors.Is
-// matches both it and the generic ErrNoPlan.
+// original tree under the requirement, GreedyPlan fails as a search
+// does: never a nil plan with a nil error, and errors.Is matches
+// ErrNoPlan.
 func TestGreedyNoPlanTyped(t *testing.T) {
 	w := newTestWorld()
 	// Remove the enforcer and merge join so no order can be produced.
@@ -241,9 +243,6 @@ func TestGreedyNoPlanTyped(t *testing.T) {
 	plan, err := GreedyPlan(w.rs, tree.Clone(), req)
 	if plan != nil {
 		t.Fatal("GreedyPlan returned a plan for an unimplementable shape")
-	}
-	if !errors.Is(err, ErrGreedyNoPlan) {
-		t.Errorf("err = %v, want ErrGreedyNoPlan", err)
 	}
 	if !errors.Is(err, ErrNoPlan) {
 		t.Errorf("err = %v does not unwrap to ErrNoPlan", err)
@@ -269,5 +268,77 @@ func TestBudgetInfeasibleRequirement(t *testing.T) {
 	req.Set(w.ord, core.OrderBy(core.A("R1", "a")))
 	if _, err := o.Optimize(w.retOf(w.leaf("R1", 8, core.A("R1", "a"))), req); err == nil {
 		t.Error("expected an error for an unsatisfiable degraded search")
+	}
+}
+
+// TestDegradedPlanIsTheMemosWinner: a degraded search plans on its one
+// memo, so the plan it returns is the root group's winner for the
+// requirement, and ExplainGroup lists it — by either degrade path: a
+// salvage of the explored memo, and the seed's plan after a cancel
+// before exploring, during it, or during costing.
+func TestDegradedPlanIsTheMemosWinner(t *testing.T) {
+	for _, tc := range []struct {
+		name, path string
+		budget     Budget
+		cancelled  bool      // the context is cancelled before the search
+		cancelAt   EventKind // or at the first event of this kind
+	}{
+		{name: "memo-best", path: DegradePathMemo, budget: Budget{MaxExprs: 12}},
+		{name: "cancelled", path: DegradePathGreedy, cancelled: true},
+		{name: "cancelled exploring", path: DegradePathGreedy, cancelAt: EventTransFired},
+		{name: "cancelled costing", path: DegradePathGreedy, cancelAt: EventImplCosted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newTestWorld()
+			o := NewOptimizer(w.rs)
+			o.Opts.Budget = tc.budget
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelled {
+				cancel()
+			} else if tc.budget.IsZero() {
+				o.OnEvent = func(e Event) {
+					if e.Kind == tc.cancelAt {
+						cancel()
+					}
+				}
+			}
+			req := w.alg.NewDesc()
+			req.Set(w.ord, core.OrderBy(core.A("R1", "a")))
+			plan, err := o.OptimizeContext(ctx, w.chain(16, 8, 4, 2, 8, 4, 16), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Stats.DegradePath != tc.path {
+				t.Fatalf("DegradePath = %q, want %q", o.Stats.DegradePath, tc.path)
+			}
+			var roots []*Group
+			for _, g := range o.Memo.Groups() {
+				if len(o.Memo.parentsOf(g.ID)) == 0 {
+					roots = append(roots, g)
+				}
+			}
+			if len(roots) != 1 {
+				t.Fatalf("%d groups take no parent, want the root alone", len(roots))
+			}
+			root := roots[0]
+			var won *winnerEntry
+			for e := root.winners; e != nil; e = e.next {
+				if e.req.EqualOn(req, w.rs.Class.Phys) {
+					won = e
+				}
+			}
+			if won == nil || won.plan != plan {
+				t.Fatalf("the root group's winner for %s is %v, the search returned %s",
+					reqString(req, w.rs.Class.Phys), won, plan)
+			}
+			out, err := o.ExplainGroup(root.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if line := fmt.Sprintf("= %s (cost %.1f)", plan, won.cost); !strings.Contains(out, line) {
+				t.Errorf("ExplainGroup(%d) does not list the returned plan %q:\n%s", root.ID, line, out)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package volcano
 
 import (
 	"context"
+	"math"
 	"time"
 )
 
@@ -34,8 +35,8 @@ type stopwatch struct {
 }
 
 // beginRun opens the ledger of one search: the tally is zeroed, the
-// stopwatch set by the observer's RuleTiming, and the budget's clock and
-// caps armed. It makes one immediate clock/context check, so a context
+// stopwatch set by the observer's RuleTiming, costing opened to every
+// memo member, and the budget's clock and caps armed. It makes one immediate clock/context check, so a context
 // that is already cancelled (or a deadline already passed) is seen even
 // by searches too small to reach a periodic checkpoint.
 func (o *Optimizer) beginRun(ctx context.Context) {
@@ -46,6 +47,7 @@ func (o *Optimizer) beginRun(ctx context.Context) {
 		clear(o.tally)
 	}
 	o.clock = stopwatch{on: o.Opts.Obs.TimingEnabled(), row: idle}
+	o.costUpTo = math.MaxUint64
 	if ctx == nil {
 		ctx = context.Background()
 	}

@@ -92,6 +92,10 @@ type Optimizer struct {
 	// progress (see costFrame).
 	frames []*costFrame
 	depth  int
+	// costUpTo is the newest insertion stamp optimizeGroup costs: every
+	// member (beginRun sets it to the largest stamp), or, while the
+	// fallback runs, the seed's (see planSeed).
+	costUpTo uint64
 }
 
 // NewOptimizer returns an optimizer over a fresh memo.
@@ -110,8 +114,8 @@ func (o *Optimizer) Optimize(tree *core.Expr, req *core.Descriptor) (*core.Expr,
 // options' Budget. When the search exceeds the budget or ctx is
 // cancelled, the optimizer degrades gracefully instead of failing: it
 // salvages the best plan costable from the already-explored memo, or —
-// when no complete winner exists, or on hard cancellation — falls back
-// to the greedy plan of the original tree. Degraded results
+// when no complete winner exists, or on hard cancellation — plans the
+// query's seed in the same memo (planSeed). Degraded results
 // are marked in Stats (Degraded, DegradeCause, DegradePath). A
 // background context and a zero Budget leave only the DefaultMaxExprs
 // guard, which degrades the same way.
@@ -143,24 +147,24 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 	if req == nil {
 		req = core.NewDescriptor(o.RS.Algebra.Props)
 	}
-	// The memo starts from the normalized tree; the degraded paths'
-	// greedy plan, like the plan cache's fingerprint, reads the tree as
-	// written.
+	// The memo starts from the normalized tree: the seed, the
+	// expressions stamped up to the memo's stamp after Insert.
 	norm, err := o.normalize(tree)
 	if err != nil {
 		return nil, err
 	}
 	root := o.Memo.Insert(norm)
+	seed := o.Memo.seq
 	if err := o.explore(); err != nil {
 		if errors.Is(err, errBudget) {
-			return o.degrade(root, tree, req)
+			return o.degrade(root, seed, req)
 		}
 		return nil, err
 	}
 	plan, _, err := o.findBest(root, req)
 	if err != nil {
 		if errors.Is(err, errBudget) {
-			return o.degrade(root, tree, req)
+			return o.degrade(root, seed, req)
 		}
 		return nil, err
 	}
@@ -174,9 +178,9 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 // brought to a consistent state (eager dedup may be pending), then the
 // salvage pass costs the explored contents; if that yields no complete
 // winner — or the run was hard-cancelled, where salvaging the memo
-// would prolong the search the caller asked to stop — the greedy
-// baseline over the original tree is used.
-func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor) (*core.Expr, error) {
+// would prolong the search the caller asked to stop — the seed (the
+// expressions up to stamp seed) is planned in the same memo.
+func (o *Optimizer) degrade(root GroupID, seed uint64, req *core.Descriptor) (*core.Expr, error) {
 	o.Stats.Degraded = true
 	o.Stats.DegradeCause = o.run.cause
 	if o.Memo.Dirty() {
@@ -196,7 +200,7 @@ func (o *Optimizer) degrade(root GroupID, tree *core.Expr, req *core.Descriptor)
 			return plan, nil
 		}
 	}
-	plan, err := o.greedyPlan(tree, req)
+	plan, err := o.planSeed(root, seed, req)
 	if err != nil {
 		return nil, fmt.Errorf("volcano: degraded search (%s) found no fallback plan: %w",
 			o.Stats.DegradeCause, err)
@@ -640,6 +644,9 @@ func (o *Optimizer) optimizeGroup(grp *Group, req *core.Descriptor) (*core.Expr,
 	}
 
 	for _, e := range grp.Exprs {
+		if e.seq > o.costUpTo {
+			continue
+		}
 		if e.IsLeaf() {
 			// A stored file satisfies a requirement only as-is; RET
 			// algorithms above it decide access paths.

@@ -33,8 +33,9 @@ type Stats struct {
 	// was cancelled) and the plan came from graceful degradation rather
 	// than a completed search; DegradeCause says which bound tripped and
 	// DegradePath how the plan was produced (DegradePathMemo or
-	// DegradePathGreedy). All other counters then describe the partial
-	// work actually done.
+	// DegradePathGreedy). All other counters then describe the work
+	// actually done on the run's one memo, the fallback's costing
+	// included.
 	Degraded     bool
 	DegradeCause Cause
 	DegradePath  string
