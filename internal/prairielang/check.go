@@ -14,8 +14,9 @@ import (
 // (no name twice, exactly one cost property), each rule's shape (§2.3,
 // §2.4, §2.5), variables and descriptor names, its statements and
 // expressions (types, helper signatures, left-hand-side descriptors never
-// assigned), that every rule declared normalizing is a T-rule, and that
-// every operator is implementable.
+// assigned), that no T-rule's right side contains its left, that every
+// rule declared normalizing is a T-rule, and that every operator is
+// implementable.
 type checker struct {
 	spec    *Spec
 	alg     *core.Algebra
@@ -197,11 +198,68 @@ func (c *checker) checkTRule(d *TRuleDecl) resolved {
 	}
 	c.operatorsOnly(d.Name, d.LHS)
 	c.operatorsOnly(d.Name, d.RHS)
+	if d.LHS.Op != "" && c.embeds(d, d.RHS) {
+		c.errf(d.Pos, "rule %s: the right side contains the whole left side, so the group the rule rewrites would become its own input", d.Name)
+	}
 	c.checkStmts(d.PreTest, sc)
 	c.checkTest(d.Name, d.Test, sc)
 	c.checkStmts(d.PostTest, sc)
 	c.checkReads(d, sc)
 	return resolved{lhs, rhs, sc}
+}
+
+// embeds reports whether a proper sub-pattern of p is d's whole left
+// side, and so the expression the rule matched: the same operators over
+// the same variables, where an operator with argument properties
+// (args(...)) carries its left-side node's (see copiesArgs).
+func (c *checker) embeds(d *TRuleDecl, p *PatAST) bool {
+	for _, k := range p.Kids {
+		if c.same(d, k, d.LHS) || c.embeds(d, k) {
+			return true
+		}
+	}
+	return false
+}
+
+// same reports whether right-side pattern r is left-side pattern l.
+func (c *checker) same(d *TRuleDecl, r, l *PatAST) bool {
+	if r.Op != l.Op || r.Var != l.Var || len(r.Kids) != len(l.Kids) {
+		return false
+	}
+	for i := range r.Kids {
+		if !c.same(d, r.Kids[i], l.Kids[i]) {
+			return false
+		}
+	}
+	op, ok := c.alg.Op(r.Op)
+	return !ok || len(op.Args) == 0 || r.Desc != "" && c.copiesArgs(d, r.Desc, l.Desc, op)
+}
+
+// copiesArgs reports whether d's statements copy descriptor l whole into
+// r, once, and assign none of op's arguments on r. select_split's inner
+// SELECT, whose predicate is reassigned, is another expression than the
+// SELECT it matched.
+func (c *checker) copiesArgs(d *TRuleDecl, r, l string, op *core.Operation) bool {
+	copies := 0
+	for _, stmts := range [2][]*Stmt{d.PreTest, d.PostTest} {
+		for _, st := range stmts {
+			if st.Dst != r {
+				continue
+			}
+			if st.Prop == "" {
+				if st.Src != l {
+					return false
+				}
+				copies++
+			}
+			for _, id := range op.Args {
+				if c.alg.Props.At(id).Name == st.Prop {
+					return false
+				}
+			}
+		}
+	}
+	return copies == 1
 }
 
 func (c *checker) checkIRule(d *IRuleDecl) resolved {

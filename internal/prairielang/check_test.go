@@ -95,6 +95,9 @@ func TestCheckRejects(t *testing.T) {
 		{"there is one cost property",
 			rejectBase + "property c2 : cost;",
 			`8:1: property "c2" is a second cost property; a specification declares exactly one`},
+		{"a T-rule's right side does not contain its left",
+			rejectBase + "trule t: S(?1:D1):D2 => S(S(?1):D3):D4 posttest { D3 = D2; D4 = D2; }",
+			"8:1: rule t: the right side contains the whole left side, so the group the rule rewrites would become its own input"},
 		{"only a T-rule normalizes",
 			rejectBase + "trule t: S(?1:D1):D2 => S(?1):D3 posttest { D3 = D2; }\nnormalize t, r_scan;",
 			"9:14: normalize: r_scan is not a T-rule of the specification"},
@@ -152,5 +155,20 @@ func TestShippedSpecsCheck(t *testing.T) {
 	o := relopt.New(catalog.New())
 	if _, err := prairielang.ParseAndCompileAll([]string{relopt.Spec, relopt.HashJoinSpec}, o.HelperImpls()); err != nil {
 		t.Errorf("relopt with hash join: %v", err)
+	}
+}
+
+// TestSelfEmbeddingTRuleRejected: the rule-language example with
+// join_commute's right side replaced by JOIN(JOIN(?1, ?2), ?2) used to
+// pass the checker and fail the search with "cyclic optimization of
+// group 4", naming no rule. The checker now rejects it at the rule.
+func TestSelfEmbeddingTRuleRejected(t *testing.T) {
+	src, err := os.ReadFile("testdata/self_embedding_trule.prairie")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "30:1: rule join_commute: the right side contains the whole left side, so the group the rule rewrites would become its own input"
+	if errs := prairielang.Check(string(src)); len(errs) != 1 || errs[0].Error() != want {
+		t.Errorf("Check = %v, want [%s]", errs, want)
 	}
 }
