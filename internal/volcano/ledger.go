@@ -36,9 +36,10 @@ type stopwatch struct {
 
 // beginRun opens the ledger of one search: the tally is zeroed, the
 // stopwatch set by the observer's RuleTiming, costing opened to every
-// memo member, and the budget's clock and caps armed. It makes one immediate clock/context check, so a context
-// that is already cancelled (or a deadline already passed) is seen even
-// by searches too small to reach a periodic checkpoint.
+// memo member, and the budget's clock and caps armed. It makes one
+// immediate clock/context check, so a context that is already cancelled
+// (or a deadline already passed) is seen even by searches too small to
+// reach a periodic checkpoint.
 func (o *Optimizer) beginRun(ctx context.Context) {
 	rs := o.RS
 	if n := len(rs.Trans) + len(rs.Impls) + len(rs.Enforcers); len(o.tally) != n {
