@@ -123,6 +123,17 @@ func (o *Optimizer) overBudget() bool {
 	return o.overTime()
 }
 
+// ctxDone reports whether the run's context is done or past its
+// deadline: the clock check can see a context's deadline pass before
+// the context's own timer has fired.
+func (r *budgetState) ctxDone() bool {
+	if r.ctx.Err() != nil {
+		return true
+	}
+	d, ok := r.ctx.Deadline()
+	return ok && !time.Now().Before(d)
+}
+
 // overTime runs the expensive checks: context cancellation, then the
 // wall clock.
 func (o *Optimizer) overTime() bool {

@@ -177,16 +177,17 @@ func (o *Optimizer) optimizeContext(ctx context.Context, tree *core.Expr, req *c
 // degrade turns a budget interrupt into a plan. The memo is first
 // brought to a consistent state (eager dedup may be pending), then the
 // salvage pass costs the explored contents; if that yields no complete
-// winner — or the run was hard-cancelled, where salvaging the memo
-// would prolong the search the caller asked to stop — the seed (the
-// expressions up to stamp seed) is planned in the same memo.
+// winner — or the run's context is already done, cancelled or past its
+// deadline, where salvage would only run on to the next clock check —
+// the seed (the expressions up to stamp seed) is planned in the same
+// memo.
 func (o *Optimizer) degrade(root GroupID, seed uint64, req *core.Descriptor) (*core.Expr, error) {
 	o.Stats.Degraded = true
 	o.Stats.DegradeCause = o.run.cause
 	if o.Memo.Dirty() {
 		o.Memo.Rehash()
 	}
-	if o.run.cause != CauseCancelled {
+	if !o.run.ctxDone() {
 		// Salvage is held to the context alone: the bound that tripped
 		// no longer applies.
 		r := &o.run

@@ -292,6 +292,83 @@ func TestInterruptedSearchNeverWorseThanGreedy(t *testing.T) {
 		runs, salvaged, cancelled, executed)
 }
 
+// expiringCtx is a context whose deadline passes when expire is called:
+// from then on it is done and reports DeadlineExceeded, as a request's
+// timeout_ms context does once its timer has fired. It reports no
+// deadline, so only the context, not the budget's clock, sees it pass.
+type expiringCtx struct {
+	context.Context
+	done    chan struct{}
+	expired bool
+}
+
+func (c *expiringCtx) Done() <-chan struct{} { return c.done }
+
+func (c *expiringCtx) Err() error {
+	if c.expired {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+func (c *expiringCtx) expire() {
+	if !c.expired {
+		c.expired = true
+		close(c.done)
+	}
+}
+
+// TestExpiredDeadlinePlansTheSeed: a search whose context's deadline
+// has passed when it degrades plans the seed at once, as a cancel does,
+// instead of salvaging the memo until the next clock check stops it
+// 0–63 costings later (so that identical requests read memo-best or
+// bottom-up at different costs). On oodb/volcano E1/n6 and E3/n4 the
+// deadline passes at the k-th trace event, for every k: each search it
+// cuts must read bottom-up. Salvaging, 58 and 73 of the cuts read
+// memo-best.
+func TestExpiredDeadlinePlansTheSeed(t *testing.T) {
+	reg, _ := searchColdPool(t)
+	w, _ := reg.Lookup("oodb/volcano")
+	for _, q := range []server.QuerySpec{{Family: "E1", N: 6}, {Family: "E3", N: 4}} {
+		tree, want, err := w.Build(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := volcano.NewOptimizer(w.RS)
+		events := 0
+		full.OnEvent = func(volcano.Event) { events++ }
+		if _, err := full.Optimize(tree, want); err != nil {
+			t.Fatal(err)
+		}
+		degraded := 0
+		for k := 1; k <= events; k++ {
+			ctx := &expiringCtx{Context: context.Background(), done: make(chan struct{})}
+			o := volcano.NewOptimizer(w.RS)
+			n := 0
+			o.OnEvent = func(volcano.Event) {
+				if n++; n == k {
+					ctx.expire()
+				}
+			}
+			if _, err := o.OptimizeContext(ctx, tree, want); err != nil {
+				t.Fatalf("%v, deadline at event %d: %v", q, k, err)
+			}
+			if !o.Stats.Degraded {
+				continue // the search finished before its next checkpoint
+			}
+			degraded++
+			if s := o.Stats; s.DegradeCause != volcano.CauseDeadline || s.DegradePath != volcano.DegradePathGreedy {
+				t.Errorf("%v, deadline at event %d of %d: degraded by %s via %s, want %s via %s",
+					q, k, events, s.DegradeCause, s.DegradePath, volcano.CauseDeadline, volcano.DegradePathGreedy)
+			}
+		}
+		if degraded < events/2 {
+			t.Errorf("%v: only %d of %d cuts degraded the search", q, degraded, events)
+		}
+		t.Logf("%v: %d of %d cuts degraded the search", q, degraded, events)
+	}
+}
+
 // TestCancelledSearchIsGreedyPlan: a search whose context is cancelled
 // before it starts plans the query as written. For every shape the
 // default registry builds (each world, E1–E4, n = 2…6, each join graph
