@@ -8,6 +8,16 @@ import (
 	"prairie/internal/prairielang"
 )
 
+// smallCounts are conjunct counts boxed once: the rules compare
+// conj_count with 1 or 2 on every firing, and a float boxed per call
+// would be an allocation each time.
+var smallCounts = func() (vs [8]core.Value) {
+	for i := range vs {
+		vs[i] = core.Float(i)
+	}
+	return vs
+}()
+
 // HelperImpls returns the Go implementations of the helper functions the
 // Prairie specification declares. Helpers capture the catalog, exactly
 // as the Open OODB's support functions consult its catalogs.
@@ -41,7 +51,11 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return core.Bool(pred(a[0]).RefersOnlyToEither(attrs(a[1]), attrs(a[2]))), nil
 		},
 		"conj_count": func(a []core.Value) (core.Value, error) {
-			return core.Float(len(pred(a[0]).Conjuncts())), nil
+			n := len(pred(a[0]).Conjuncts())
+			if n < len(smallCounts) {
+				return smallCounts[n], nil
+			}
+			return core.Float(n), nil
 		},
 		"first_conj": func(a []core.Value) (core.Value, error) {
 			return firstConj(pred(a[0])), nil
