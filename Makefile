@@ -49,9 +49,11 @@ bench-test:
 # programs: its allocs/program is that workload's allocs_per_op, and of
 # ObsGuard, the same searches unobserved (off) and with metrics plus
 # per-rule timing (on): the on/off ratio is the price of the observer and
-# its stopwatch. Full runs: `go test -bench=. -benchmem`.
+# its stopwatch, and of ExecPlans, the exec_plans workload's six plans
+# compiled and run on 4096-row tables: the executor's time, bytes and
+# objects per run. Full runs: `go test -bench=. -benchmem`.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges|SearchCold|ObsGuard' -benchmem -benchtime 3x .
+	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges|SearchCold|ObsGuard|ExecPlans' -benchmem -benchtime 3x .
 
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every served rule set a "verified" verdict, and
