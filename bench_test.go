@@ -198,7 +198,14 @@ func BenchmarkExploreMerges(b *testing.B) {
 // (1.108 under the race detector). And once more when conj_count stopped
 // boxing the small counts it returns: with the Prairie rules E1/n6 went
 // from 565 objects to 495, E2/n5 from 3 636 to 3 060 and E4/n3 from
-// 2 481 to 1 965; E1/n6 reads 0.972.
+// 2 481 to 1 965; E1/n6 reads 0.972. And again when a firing whose right
+// side only keeps left-side identities began looking it up before any
+// action runs (TransRule.Keeps), join_assoc stopped building its union
+// for firings the memo does not keep, and the hand-coded costing hooks
+// stopped boxing the orders they pass on: E1/n6 went from 495 objects to
+// 375 with the Prairie rules and from 509 to 363 hand-coded, E2/n5 from
+// 3 060 to 1 824 and from 4 305 to 1 896, E4/n3 from 1 964 to 1 717 and
+// from 3 026 to 1 654; the ratios read 1.033, 0.962 and 1.038.
 // allocsPerRun is testing.AllocsPerRun (a warm-up run, then an average;
 // callers pin one processor) reading the allocated bytes beside the
 // object count.
@@ -229,9 +236,9 @@ func TestSearchAllocCeiling(t *testing.T) {
 		prairie, volcano           float64 // ceilings, objects
 		prairieBytes, volcanoBytes float64 // ceilings, bytes
 	}{
-		{qgen.E1, 6, 570, 585, 122_300, 120_600},
-		{qgen.E2, 5, 3_520, 4_950, 797_800, 841_000},
-		{qgen.E4, 3, 2_260, 3_480, 655_500, 694_000},
+		{qgen.E1, 6, 432, 418, 115_300, 111_400},
+		{qgen.E2, 5, 2_100, 2_182, 712_500, 711_800},
+		{qgen.E4, 3, 1_976, 1_904, 643_300, 640_500},
 	} {
 		w := prepOODB(t, q.e, q.n, false)
 		p, pb := cost(w.pvrs, w.ptree, w.preq)
@@ -396,8 +403,10 @@ func BenchmarkSearchCold(b *testing.B) {
 }
 
 // TestSearchColdAllocs pins BenchmarkSearchCold's allocs/program — the
-// search_cold workload's allocs_per_op — 3% above the 1 653 it reads on
-// one processor (1 668 under the race detector). It read 1 783 before
+// search_cold workload's allocs_per_op — 3% above the 1 087 it reads on
+// one processor (1 103 under the race detector). It read 1 653 before a
+// firing that only rediscovers the memo stopped running actions and
+// join_assoc stopped building its union for every firing, 1 783 before
 // conj_count stopped boxing its result, 2 509 before
 // the join rules stopped building what they only test or split, 2 848
 // before a firing whose only new expression is the right side's root
@@ -410,8 +419,8 @@ func TestSearchColdAllocs(t *testing.T) {
 	allocs, _ := allocsPerRun(round)
 	perProgram := allocs / float64(programs)
 	t.Logf("search_cold: %.1f allocations per program", perProgram)
-	if perProgram > 1_703 {
-		t.Errorf("search_cold: %.1f allocations per program, ceiling 1 703", perProgram)
+	if perProgram > 1_120 {
+		t.Errorf("search_cold: %.1f allocations per program, ceiling 1 120", perProgram)
 	}
 }
 

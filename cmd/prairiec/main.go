@@ -157,7 +157,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // the new nodes, and those deferred until the memo keeps one. The root
 // properties deferred statements assign follow as inherited: a firing
 // whose only new node is the root takes them from its group instead.
-// Last come a rule's flags: declared normalizing, derived an involution.
+// Then the right-side nodes that keep the identity of a left-side node
+// of their operator ("keeps: D6 <- D3"): when every node does, a firing
+// first looks its right side up in the memo and, finding it there, runs
+// no action. Last come a rule's flags: declared normalizing, derived an
+// involution.
 func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet, rep *p2v.Report) {
 	frames := map[string]*core.Frame{}
 	for _, r := range rs.IRules {
@@ -179,6 +183,13 @@ func dumpRules(w io.Writer, rs *core.RuleSet, vrs *volcano.RuleSet, rep *p2v.Rep
 		}
 		for _, id := range r.RestRoot {
 			fmt.Fprintf(w, "      inherited %s.%s\n", r.RHS.Desc, props.At(id).Name)
+		}
+		if len(r.Keeps) > 0 {
+			keeps := make([]string, len(r.Keeps))
+			for i, k := range r.Keeps {
+				keeps[i] = k.RHS + " <- " + k.LHS
+			}
+			fmt.Fprintf(w, "      keeps: %s\n", strings.Join(keeps, ", "))
 		}
 		if r.Normalize {
 			fmt.Fprintln(w, "      normalize: rewrites the query before the search, which never explores it")

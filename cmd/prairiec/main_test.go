@@ -34,38 +34,44 @@ func dump(t *testing.T, src string) string {
 // author about one firing: the OODB specification's join_assoc works in
 // a seven-slot frame (left side in pattern order, then the two new
 // nodes), shares no helper call — its split helpers take the two
-// predicates as they stand, so no conjunction is built to be split — and
-// is cut so that the attribute union its pre-test computes — the test
-// never reads it — runs only for bindings the test lets through, and the
-// cardinality and width of the new inner join only for a firing the memo
-// keeps. A rule with nothing to move says so. A deferred statement
-// that assigns the root is followed by the property the root inherits
-// from its group when it is the firing's only new node. The MAT push
-// rules say they normalize the query, join_commute that it is an
-// involution, and no other rule either.
+// predicates and the two attribute sets as they stand, so no conjunction
+// or union is built to be split by — and is cut so that the new inner
+// join's attribute union, cardinality and width run only for a firing
+// the memo keeps. A rule with nothing to move says so. A deferred
+// statement that assigns the root is followed by the property the root
+// inherits from its group when it is the firing's only new node. Twelve
+// rules keep left-side identities on every right-side node, join_commute
+// its root's; join_assoc, which computes both new join predicates, keeps
+// none. The MAT push rules say they normalize the query, join_commute
+// that it is an involution, and no other rule either.
 func TestDumpShowsFrameAndSharing(t *testing.T) {
 	out := dump(t, oodb.Spec)
 	for _, want := range []string{
 		"  trans_rule join_assoc: JOIN(JOIN(?1:D1, ?2:D2):D3, ?3:D4):D5 -> JOIN(?1, JOIN(?2, ?3):D6):D7\n" +
 			"      frame [D5 D3 D1 D2 D4 D7 D6]\n" +
-			"      identity  D6.attributes = union(D2.attributes, D4.attributes);  // sank behind the test\n" +
-			"      identity  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D6.attributes);\n" +
+			"      identity  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D2.attributes, D4.attributes);\n" +
 			"      identity  D7 = D5;\n" +
-			"      identity  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D6.attributes);\n" +
+			"      identity  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D2.attributes, D4.attributes);\n" +
+			"      deferred  D6.attributes = union(D2.attributes, D4.attributes);\n" +
 			"      deferred  D6.num_records = join_card(D2.num_records, D4.num_records, D6.join_predicate);\n" +
-			"      deferred  D6.tuple_size = D2.tuple_size + D4.tuple_size;\n",
+			"      deferred  D6.tuple_size = D2.tuple_size + D4.tuple_size;\n" +
+			"  trans_rule select_push_join_left: ",
 		"      shares mat_size(D4.mat_attribute)\n      identity  D5 = D4;\n      identity  D6 = D3;\n      deferred  D5.attributes = ",
 		"  trans_rule select_merge: SELECT(SELECT(?1:D1):D2):D3 -> SELECT(?1):D4\n      frame [D3 D2 D1 D4]\n" +
 			"      whole: every statement decides the test or an identity property\n",
 		"  impl_rule  select_filter: SELECT -> Filter\n      frame [D2 D1 D4 D3]\n",
 		"  enforcer sort_merge_sort (Merge_sort)\n      frame [D2 D1 D3]\n",
 		"      deferred  D6.num_records = D4.num_records;\n      inherited D6.num_records\n" +
-			"  trans_rule select_push_join_right: ",
+			"      keeps: D6 <- D3, D5 <- D4\n  trans_rule select_push_join_right: ",
 		"  trans_rule join_commute: JOIN(?1:D1, ?2:D2):D3 -> JOIN(?2, ?1):D4\n      frame [D3 D1 D2 D4]\n" +
 			"      whole: every statement decides the test or an identity property\n" +
+			"      keeps: D4 <- D3\n" +
 			"      involution: its own inverse, never fired on an expression it built\n",
-		"      inherited D6.tuple_size\n      normalize: rewrites the query before the search, which never explores it\n" +
+		"      inherited D6.tuple_size\n      keeps: D6 <- D3, D5 <- D4\n" +
+			"      normalize: rewrites the query before the search, which never explores it\n" +
 			"  trans_rule mat_push_join_right: ",
+		"  trans_rule select_push_mat: SELECT(MAT(?1:D1):D2):D3 -> MAT(SELECT(?1):D4):D5\n",
+		"      inherited D5.num_records\n      keeps: D5 <- D2, D4 <- D3\n  trans_rule mat_pull_select: ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-dump output lacks\n%s--- got\n%s", want, out)
@@ -74,8 +80,11 @@ func TestDumpShowsFrameAndSharing(t *testing.T) {
 	if strings.Count(out, "\n      normalize: ") != 2 || strings.Count(out, "\n      involution: ") != 1 {
 		t.Errorf("-dump marks %d rules normalizing and %d involutions, want 2 and 1", strings.Count(out, "\n      normalize: "), strings.Count(out, "\n      involution: "))
 	}
-	if n := strings.Count(out, "\n      deferred  "); n != 43 || strings.Count(out, "\n      whole: ") != 2 {
-		t.Errorf("-dump lists %d deferred statements and %d whole rules, want 43 in 15 rules and 2\n%s", n, strings.Count(out, "\n      whole: "), out)
+	if n := strings.Count(out, "\n      deferred  "); n != 44 || strings.Count(out, "\n      whole: ") != 2 {
+		t.Errorf("-dump lists %d deferred statements and %d whole rules, want 44 in 15 rules and 2\n%s", n, strings.Count(out, "\n      whole: "), out)
+	}
+	if n := strings.Count(out, "\n      keeps: "); n != 12 || strings.Count(out, "\n      keeps: D4 <- D3\n") != 1 {
+		t.Errorf("-dump lists %d rules keeping left-side identities, want 12, one of them join_commute's one node", n)
 	}
 }
 

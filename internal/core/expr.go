@@ -265,6 +265,20 @@ func (p *PatNode) DescNames() []string {
 	return out
 }
 
+// Find returns the pattern's first node named desc, in pre-order, or nil
+// (always for "").
+func (p *PatNode) Find(desc string) *PatNode {
+	if desc != "" && p.Desc == desc {
+		return p
+	}
+	for _, k := range p.Kids {
+		if n := k.Find(desc); n != nil {
+			return n
+		}
+	}
+	return nil
+}
+
 // Depth returns the pattern's operator nesting depth (a single operator
 // over variables has depth 1; variables have depth 0).
 func (p *PatNode) Depth() int {

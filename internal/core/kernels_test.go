@@ -138,10 +138,12 @@ func checkKernels(t *testing.T, c kernelCase) {
 			t.Fatalf("%v.RefersOnlyToEither(%v, %v) = %v, RefersOnlyTo the union %v", p, c.m, c.r, got, want)
 		}
 	}
-	win, wout := splitOfConjunction(And(c.lower, c.upper), c.l)
-	if in, out := SplitHalf(c.lower, c.upper, c.l, true), SplitHalf(c.lower, c.upper, c.l, false); !in.Equal(win) || !out.Equal(wout) ||
-		in.String() != win.String() || out.String() != wout.String() {
-		t.Fatalf("SplitHalf(%v, %v, %v) = %v | %v, the split of their conjunction %v | %v", c.lower, c.upper, c.l, in, out, win, wout)
+	for _, mr := range [][2]Attrs{{c.m, c.r}, {c.l, nil}, {nil, c.l}, {c.r, c.l}} {
+		win, wout := splitOfConjunction(And(c.lower, c.upper), mr[0].Union(mr[1]))
+		if in, out := SplitHalf(c.lower, c.upper, mr[0], mr[1], true), SplitHalf(c.lower, c.upper, mr[0], mr[1], false); !in.Equal(win) || !out.Equal(wout) ||
+			in.String() != win.String() || out.String() != wout.String() {
+			t.Fatalf("SplitHalf(%v, %v, %v, %v) = %v | %v, the split of their conjunction by the union %v | %v", c.lower, c.upper, mr[0], mr[1], in, out, win, wout)
+		}
 	}
 	in, out := c.lower.SplitBy(c.l)
 	if win, wout := splitOfConjunction(c.lower, c.l); in.String() != win.String() || out.String() != wout.String() {
@@ -154,12 +156,14 @@ func checkKernels(t *testing.T, c kernelCase) {
 
 // aliasingSeeds are byte strings whose lists put symbols 256 apart side
 // by side: in v and w, twice in w, and in the sets a predicate is
-// tested against.
+// tested against; the last joins an attribute of m to one of r, a
+// conjunct neither list holds alone.
 var aliasingSeeds = [][]byte{
 	{3, 3, 0, 1, 2, 2, 0, 1, 4, 6, 6, 6, 3, 9, 1},
 	{4, 0, 1, 3, 4, 5, 1, 4, 2, 0, 2, 3, 6, 0, 1, 6, 4, 3, 9, 10, 11, 2, 3, 5},
 	{6, 1, 2, 1, 2, 4, 5, 2, 7, 8, 0, 3, 6, 9, 10, 9, 10, 5, 6, 1, 4, 3, 0, 7, 10},
 	{2, 0, 3, 2, 6, 9, 6, 0, 1, 2, 3, 4, 5, 4, 7, 0, 3, 1, 6, 5, 7, 3, 6, 2},
+	{2, 0, 1, 1, 3, 1, 6, 2, 4, 3, 6, 1, 0, 2, 4, 6, 9},
 }
 
 // TestAttrKernelsMatchTheirOracles runs the kernel checks on the
@@ -214,7 +218,7 @@ func TestKernelAllocations(t *testing.T) {
 	l, m, r := Attrs{a}, Attrs{b, A("KB", "id")}, Attrs{c}
 	lower := And(EqAttr(a, b), EqConst(A("KB", "id"), Int(1)))
 	upper := EqAttr(b, c)
-	bc := Attrs{b, c}
+	mb := Attrs{b}
 	for _, k := range []struct {
 		name string
 		want float64
@@ -224,14 +228,14 @@ func TestKernelAllocations(t *testing.T) {
 		{"RefersOnlyToEither", 0, func() { _ = upper.RefersOnlyToEither(m, r) }},
 		{"JoinAssociates", 0, func() { _ = JoinAssociates(lower, upper, l, m, r) }},
 		{"OrderOn", 0, func() { _ = OrderOn(a) }},
-		{"SplitHalf keeping one conjunct", 0, func() { _ = SplitHalf(lower, upper, bc, true) }},
-		{"SplitHalf keeping none", 0, func() { _ = SplitHalf(upper, TruePred, l, true) }},
+		{"SplitHalf keeping one conjunct", 0, func() { _ = SplitHalf(lower, upper, mb, r, true) }},
+		{"SplitHalf keeping none", 0, func() { _ = SplitHalf(upper, TruePred, l, nil, true) }},
 	} {
 		if got := testing.AllocsPerRun(100, k.f); got != k.want {
 			t.Errorf("%s allocates %v objects, want %v", k.name, got, k.want)
 		}
 	}
-	if !JoinAssociates(lower, upper, l, m, r) || SplitHalf(lower, upper, bc, true) != upper {
+	if !JoinAssociates(lower, upper, l, m, r) || SplitHalf(lower, upper, mb, r, true) != upper {
 		t.Error("the pinned calls answer wrongly")
 	}
 }

@@ -410,19 +410,20 @@ func (p *Pred) IsEquiJoin() bool {
 // SplitBy partitions the conjuncts of p into those referring only to the
 // given attribute set and the rest, returning the two conjunctions.
 func (p *Pred) SplitBy(set Attrs) (within, rest *Pred) {
-	return SplitHalf(p, nil, set, true), SplitHalf(p, nil, set, false)
+	return SplitHalf(p, nil, set, nil, true), SplitHalf(p, nil, set, nil, false)
 }
 
-// SplitHalf returns one half of And(p, q).SplitBy(set) without building
-// And(p, q): the conjunction of the conjuncts of p, then those of q, that
-// refer only to set (within) or of the others (!within), in that order.
-// A half of at most one conjunct allocates nothing.
-func SplitHalf(p, q *Pred, set Attrs, within bool) *Pred {
+// SplitHalf returns one half of And(p, q).SplitBy(m.Union(r)) without
+// building the conjunction or the union: the conjunction of the
+// conjuncts of p, then those of q, that refer only to attributes of m or
+// r (within) or of the others (!within), in that order. A half of at
+// most one conjunct allocates nothing.
+func SplitHalf(p, q *Pred, m, r Attrs, within bool) *Pred {
 	var buf [8]*Pred // And copies what it keeps
 	keep := buf[:0]
 	for _, x := range [...]*Pred{p, q} {
 		for _, c := range x.Conjuncts() {
-			if c.RefersOnlyTo(set) == within {
+			if c.RefersOnlyToEither(m, r) == within {
 				keep = append(keep, c)
 			}
 		}

@@ -275,10 +275,20 @@ type Sliced struct {
 	// RestRoot lists the properties Rest assigns on the right side's
 	// root, each once, in the order Rest first assigns them.
 	RestRoot []PropID
+	// Keeps lists the right-side nodes whose identity properties, once
+	// the rule's statements have run, are copies of one descriptor of
+	// the left side's: a whole copy or a copy of the same property, with
+	// no later statement computing one. Whether that descriptor is a node
+	// of the same operator is the back end's to tell.
+	Keeps []Keep
 	// Doc lists the cut statement by statement, or the reason the rule was
 	// left as written, for the rule compiler's -dump.
 	Doc []string
 }
+
+// Keep names a right-side node, by its descriptor variable, that keeps
+// the identity properties of the left-side descriptor LHS.
+type Keep struct{ RHS, LHS string }
 
 // String renders the rule header in the paper's notation.
 func (r *TRule) String() string {

@@ -1,6 +1,7 @@
 package oodb_test
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -153,10 +154,51 @@ func TestRestRootsAgree(t *testing.T) {
 	}
 }
 
+// keepsAt renders a trans_rule's Keeps by pattern position — each entry
+// as the right-side node's pre-order index, then the left-side node's —
+// so rule sets that name their descriptors differently compare.
+func keepsAt(r *volcano.TransRule) []string {
+	at := func(p *core.PatNode, desc string) int {
+		i, found := 0, -1
+		var walk func(n *core.PatNode)
+		walk = func(n *core.PatNode) {
+			if n.Desc == desc && found < 0 {
+				found = i
+			}
+			i++
+			for _, k := range n.Kids {
+				walk(k)
+			}
+		}
+		walk(p)
+		return found
+	}
+	var out []string
+	for _, k := range r.Keeps {
+		out = append(out, fmt.Sprintf("%d<-%d", at(r.RHS, k.RHS), at(r.LHS, k.LHS)))
+	}
+	return out
+}
+
+// operators counts a pattern's operator nodes.
+func operators(p *core.PatNode) int {
+	if p.IsVar() {
+		return 0
+	}
+	n := 1
+	for _, k := range p.Kids {
+		n += operators(k)
+	}
+	return n
+}
+
 // TestRuleFlagsAgree: the flags P2V puts on the generated trans_rules —
 // normalizing as the specification declares, an involution as derived
-// from the rule — are the hand-coded rule set's declarations, rule by
-// rule: the MAT push rules normalize, join_commute is an involution.
+// from the rule — and the right-side nodes it derives keep left-side
+// identities are the hand-coded rule set's declarations, rule by rule:
+// the MAT push rules normalize, join_commute is an involution, and every
+// rule but join_assoc, select_split, select_merge, select_into_ret and
+// join_to_mat keeps an identity on every right-side node.
 func TestRuleFlagsAgree(t *testing.T) {
 	_, pvrs, _ := prairiePath(t, 2, 101, false)
 	_, vvrs := volcanoPath(t, 2, 101, false)
@@ -164,11 +206,20 @@ func TestRuleFlagsAgree(t *testing.T) {
 	for _, r := range vvrs.Trans {
 		hand[r.Name] = r
 	}
-	var normalize, involution []string
+	var normalize, involution, keepNone []string
 	for _, r := range pvrs.Trans {
 		h := hand[r.Name]
 		if h == nil || h.Normalize != r.Normalize || h.Involution != r.Involution {
 			t.Errorf("%s: P2V gives normalize=%v involution=%v, the hand-coded rule %+v", r.Name, r.Normalize, r.Involution, h)
+			continue
+		}
+		if p, v := keepsAt(r), keepsAt(h); !slices.Equal(p, v) {
+			t.Errorf("%s: P2V derives keeps %v (%v), the hand-coded rule declares %v (%v)", r.Name, r.Keeps, p, h.Keeps, v)
+		}
+		if len(r.Keeps) == 0 {
+			keepNone = append(keepNone, r.Name)
+		} else if len(r.Keeps) != operators(r.RHS) {
+			t.Errorf("%s keeps %v, not every right-side node", r.Name, r.Keeps)
 		}
 		if r.Normalize {
 			normalize = append(normalize, r.Name)
@@ -179,6 +230,9 @@ func TestRuleFlagsAgree(t *testing.T) {
 	}
 	if !slices.Equal(normalize, []string{"mat_push_join_left", "mat_push_join_right"}) || !slices.Equal(involution, []string{"join_commute"}) {
 		t.Errorf("normalizing %v, involutions %v", normalize, involution)
+	}
+	if !slices.Equal(keepNone, []string{"join_assoc", "select_split", "select_merge", "select_into_ret", "join_to_mat"}) {
+		t.Errorf("rules keeping no identity: %v", keepNone)
 	}
 }
 

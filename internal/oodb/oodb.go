@@ -81,11 +81,12 @@ func canonical(p *core.Pred) *core.Pred {
 }
 
 // splitHalf is one half of the canonical split of canonAnd(p, q) by
-// attrs, built without it: the canonical conjunction of the conjuncts of
-// p and q that refer only to attrs (within) or of the others. The
-// Prairie specification's split_within and split_rest each need one.
-func splitHalf(p, q *core.Pred, attrs core.Attrs, within bool) *core.Pred {
-	return canonical(core.SplitHalf(p, q, attrs, within))
+// m.Union(r), built without either: the canonical conjunction of the
+// conjuncts of p and q that refer only to attributes of m or r (within)
+// or of the others. The Prairie specification's split_within and
+// split_rest each need one.
+func splitHalf(p, q *core.Pred, m, r core.Attrs, within bool) *core.Pred {
+	return canonical(core.SplitHalf(p, q, m, r, within))
 }
 
 // firstConj returns the canonically-first conjunct; restConj the others.

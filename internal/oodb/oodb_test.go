@@ -19,8 +19,8 @@ func TestHelperImplsTotal(t *testing.T) {
 		"contains_all":       {core.Attrs(nil), core.Attrs(nil)},
 		"attrs_eq":           {core.Attrs(nil), core.Attrs(nil)},
 		"and_pred":           {core.TruePred, core.TruePred},
-		"split_within":       {core.TruePred, core.TruePred, core.Attrs(nil)},
-		"split_rest":         {core.TruePred, core.TruePred, core.Attrs(nil)},
+		"split_within":       {core.TruePred, core.TruePred, core.Attrs(nil), core.Attrs(nil)},
+		"split_rest":         {core.TruePred, core.TruePred, core.Attrs(nil), core.Attrs(nil)},
 		"refers_only":        {core.TruePred, core.Attrs(nil)},
 		"refers_only_either": {core.TruePred, core.Attrs(nil), core.Attrs(nil)},
 		"conj_count":         {core.TruePred},
@@ -146,18 +146,20 @@ func TestCanonAndHelpers(t *testing.T) {
 	if k := nested.Conjuncts(); k[0] != ps[0] || k[1] != ps[3] || k[2] != ps[1] {
 		t.Error("canonAnd reordered its argument")
 	}
-	// splitHalf of two predicates is either side of splitPred of their
-	// canonical conjunction, rendering included, and builds the
-	// conjunction only for a side of two conjuncts or more.
+	// splitHalf of two predicates by two attribute sets is either side of
+	// splitPred of their canonical conjunction by the sets' union,
+	// rendering included, and builds the conjunction only for a side of
+	// two conjuncts or more.
 	two := []*core.Pred{core.TruePred, nil, p1, p2, nested, canonAnd(ps...), core.And(ps[4], ps[0]),
 		&core.Pred{Op: core.PredAnd, Kids: []*core.Pred{core.TruePred, ps[2]}}}
 	for _, p := range two {
 		for _, q := range two {
 			for _, set := range []core.Attrs{nil, {core.A("C1", "b")}, {core.A("C1", "b"), core.A("C2", "b"), core.A("C3", "r"), core.A("C1", "id")}} {
-				w, r := splitPred(canonAnd(p, q), set)
-				gw, gr := splitHalf(p, q, set, true), splitHalf(p, q, set, false)
+				m, rs := set[:len(set)/2], set[len(set)/2:]
+				w, r := splitPred(canonAnd(p, q), m.Union(rs))
+				gw, gr := splitHalf(p, q, m, rs, true), splitHalf(p, q, m, rs, false)
 				if !gw.Equal(w) || !gr.Equal(r) || gw.String() != w.String() || gr.String() != r.String() {
-					t.Errorf("splitHalf(%v, %v, %v) = %v | %v, splitPred of their conjunction %v | %v", p, q, set, gw, gr, w, r)
+					t.Errorf("splitHalf(%v, %v, %v, %v) = %v | %v, splitPred of their conjunction %v | %v", p, q, m, rs, gw, gr, w, r)
 				}
 			}
 		}
@@ -165,9 +167,9 @@ func TestCanonAndHelpers(t *testing.T) {
 	if k := nested.Conjuncts(); k[0] != ps[0] || k[1] != ps[3] || k[2] != ps[1] {
 		t.Error("splitHalf reordered an argument")
 	}
-	within := core.Attrs{core.A("C2", "b"), core.A("C1", "b")}
+	b2, b1 := core.Attrs{core.A("C2", "b")}, core.Attrs{core.A("C1", "b")}
 	if a := testing.AllocsPerRun(100, func() {
-		if splitHalf(p1, p2, within, false) != core.TruePred || splitHalf(p1, ps[0], within, true) != p1 {
+		if splitHalf(p1, p2, b2, b1, false) != core.TruePred || splitHalf(p1, ps[0], b2, b1, true) != p1 {
 			t.Fatal("wrong split")
 		}
 	}); a != 0 {

@@ -39,10 +39,10 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return canonAnd(pred(a[0]), pred(a[1])), nil
 		},
 		"split_within": func(a []core.Value) (core.Value, error) {
-			return splitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), true), nil
+			return splitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), true), nil
 		},
 		"split_rest": func(a []core.Value) (core.Value, error) {
-			return splitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), false), nil
+			return splitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), false), nil
 		},
 		"refers_only": func(a []core.Value) (core.Value, error) {
 			return core.Bool(pred(a[0]).RefersOnlyTo(attrs(a[1]))), nil

@@ -17,10 +17,14 @@ package oodb
 // The hand-coded rule set declares both the same way.
 //
 // The join rules build nothing they only test or split: split_within and
-// split_rest take join_assoc's two predicates (pred, pred, attrs) and
-// split them as their conjunction would split, and the MAT pull rules
-// test the join predicate against their two inputs' attribute sets with
-// refers_only_either(pred, attrs, attrs) rather than against a union.
+// split_rest take join_assoc's two predicates and the two attribute sets
+// of the new inner join's inputs (pred, pred, attrs, attrs) and split
+// them as their conjunction would split by the sets' union, and the MAT
+// pull rules test the join predicate against their two inputs' attribute
+// sets with refers_only_either(pred, attrs, attrs) rather than against a
+// union. join_assoc's one union, the new inner join's attributes, is
+// then read by no statement deciding identity: only a firing whose inner
+// join the memo keeps computes it.
 const Spec = `
 algebra oodb;
 
@@ -60,8 +64,8 @@ helper union(attrs, attrs) : attrs;
 helper contains_all(attrs, attrs) : bool;
 helper attrs_eq(attrs, attrs) : bool;
 helper and_pred(pred, pred) : pred;
-helper split_within(pred, pred, attrs) : pred;
-helper split_rest(pred, pred, attrs) : pred;
+helper split_within(pred, pred, attrs, attrs) : pred;
+helper split_rest(pred, pred, attrs, attrs) : pred;
 helper refers_only(pred, attrs) : bool;
 helper refers_only_either(pred, attrs, attrs) : bool;
 helper conj_count(pred) : float;
@@ -96,16 +100,14 @@ posttest {
 
 trule join_assoc:
   JOIN(JOIN(?1:D1, ?2:D2):D3, ?3:D4):D5 => JOIN(?1, JOIN(?2, ?3):D6):D7
-pretest {
-  D6.attributes = union(D2.attributes, D4.attributes);
-}
 test (is_assoc(D3.join_predicate, D5.join_predicate, D1.attributes, D2.attributes, D4.attributes))
 posttest {
-  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D6.attributes);
+  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D2.attributes, D4.attributes);
+  D6.attributes = union(D2.attributes, D4.attributes);
   D6.num_records = join_card(D2.num_records, D4.num_records, D6.join_predicate);
   D6.tuple_size = D2.tuple_size + D4.tuple_size;
   D7 = D5;
-  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D6.attributes);
+  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D2.attributes, D4.attributes);
 }
 
 // ======================================================================

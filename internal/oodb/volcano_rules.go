@@ -30,15 +30,18 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 	// selection_predicate, mat_attribute and unnest_attribute assignments
 	// — and its Rest computes the attributes, num_records and tuple_size
 	// that only an expression the memo keeps needs (TransRule.Rest). Its
-	// RestRoot names those Rest writes on the right side's root, as P2V
-	// names them for the Prairie rule of the same name.
+	// RestRoot names those Rest writes on the right side's root, and its
+	// Keeps the nodes whose identity Appl copies from a left-side node of
+	// the same operator, as P2V names them for the Prairie rule of the
+	// same name.
 
 	// --- JOIN space (2 rules). ------------------------------------------
 	rs.AddTrans(&volcano.TransRule{
-		Name: "join_commute",
-		LHS:  core.POp(o.JOIN, "DL", v1, v2),
-		RHS:  core.POp(o.JOIN, "DR", core.PVar(2, ""), core.PVar(1, "")),
-		Appl: func(b *core.Binding) { b.D("DR").CopyFrom(b.D("DL")) },
+		Name:  "join_commute",
+		LHS:   core.POp(o.JOIN, "DL", v1, v2),
+		RHS:   core.POp(o.JOIN, "DR", core.PVar(2, ""), core.PVar(1, "")),
+		Appl:  func(b *core.Binding) { b.D("DR").CopyFrom(b.D("DL")) },
+		Keeps: []core.Keep{{RHS: "DR", LHS: "DL"}},
 		// Commuting a commuted join gives back the join.
 		Involution: true,
 	})
@@ -55,11 +58,11 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		},
 		Appl: func(b *core.Binding) {
 			lower, upper := b.D("DB").Pred(o.JP), b.D("DT").Pred(o.JP)
-			mr := b.D("D2").AttrList(o.AT).Union(b.D("D3").AttrList(o.AT))
+			m, r := b.D("D2").AttrList(o.AT), b.D("D3").AttrList(o.AT)
 			dt2 := b.D("DT2")
-			b.D("DB2").Set(o.JP, splitHalf(lower, upper, mr, true))
+			b.D("DB2").Set(o.JP, splitHalf(lower, upper, m, r, true))
 			dt2.CopyFrom(b.D("DT"))
-			dt2.Set(o.JP, splitHalf(lower, upper, mr, false))
+			dt2.Set(o.JP, splitHalf(lower, upper, m, r, false))
 		},
 		Rest: func(b *core.Binding) {
 			m, r, db2 := b.D("D2"), b.D("D3"), b.D("DB2")
@@ -95,6 +98,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				b.D("DJ2").SetFloat(o.NR, b.D("DSEL").Float(o.NR))
 			},
 			RestRoot: []core.PropID{o.NR},
+			Keeps:    []core.Keep{{RHS: "DJ2", LHS: "DJ"}, {RHS: "DS", LHS: "DSEL"}},
 		})
 	}
 	pushJoin("select_push_join_left", true)
@@ -144,6 +148,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Rest: func(b *core.Binding) {
 			b.D("DI2").SetFloat(o.NR, o.Cat.SelectCard(b.D("D1").Float(o.NR), b.D("DO").Pred(o.SP)))
 		},
+		Keeps: []core.Keep{{RHS: "DO2", LHS: "DI"}, {RHS: "DI2", LHS: "DO"}},
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "select_into_ret",
@@ -175,6 +180,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			b.D("DM2").SetFloat(o.NR, b.D("DS").Float(o.NR))
 		},
 		RestRoot: []core.PropID{o.NR},
+		Keeps:    []core.Keep{{RHS: "DM2", LHS: "DM"}, {RHS: "DS2", LHS: "DS"}},
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "mat_pull_select",
@@ -191,6 +197,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			dm2.Set(o.AT, d1.AttrList(o.AT).Union(o.matTargetAttrs(b.D("DM").AttrList(o.MA))))
 			dm2.SetFloat(o.NR, d1.Float(o.NR))
 		},
+		Keeps: []core.Keep{{RHS: "DS2", LHS: "DS"}, {RHS: "DM2", LHS: "DM"}},
 	})
 
 	// --- MAT space (6 rules). ---------------------------------------------
@@ -222,6 +229,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				dj2.SetFloat(o.TS, b.D("DJ").Float(o.TS)+o.matTargetSize(ma))
 			},
 			RestRoot: []core.PropID{o.AT, o.TS},
+			Keeps:    []core.Keep{{RHS: "DJ2", LHS: "DJ"}, {RHS: "DM2", LHS: "DM"}},
 			// The pull rules rebuild from a pushed-down tree everything
 			// a push would: the push rules rewrite the query instead.
 			Normalize: true,
@@ -259,6 +267,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 				dm2.SetFloat(o.TS, dj.Float(o.TS))
 			},
 			RestRoot: []core.PropID{o.AT, o.NR, o.TS},
+			Keeps:    []core.Keep{{RHS: "DM2", LHS: "DM"}, {RHS: "DJ2", LHS: "DJ"}},
 		})
 	}
 	matPullJoin("mat_pull_join_left", true)
@@ -275,9 +284,9 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 		Appl: func(b *core.Binding) {
 			di2, do2 := b.D("DI2"), b.D("DO2")
 			di2.CopyFrom(b.D("DI"))
-			di2.Set(o.MA, b.D("DO").AttrList(o.MA))
+			di2.Set(o.MA, b.D("DO").Get(o.MA))
 			do2.CopyFrom(b.D("DO"))
-			do2.Set(o.MA, b.D("DI").AttrList(o.MA))
+			do2.Set(o.MA, b.D("DI").Get(o.MA))
 		},
 		Rest: func(b *core.Binding) {
 			di2, d1 := b.D("DI2"), b.D("D1")
@@ -291,6 +300,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			do2.Set(o.TS, do.Get(o.TS))
 		},
 		RestRoot: []core.PropID{o.AT, o.TS},
+		Keeps:    []core.Keep{{RHS: "DO2", LHS: "DI"}, {RHS: "DI2", LHS: "DO"}},
 	})
 	rs.AddTrans(&volcano.TransRule{
 		Name: "join_to_mat",
@@ -334,6 +344,7 @@ func (o *Opt) addTransRules(rs *volcano.RuleSet) {
 			dm2.SetFloat(o.NR, du.Float(o.NR))
 		},
 		RestRoot: []core.PropID{o.AT, o.NR},
+		Keeps:    []core.Keep{{RHS: "DM2", LHS: "DM"}, {RHS: "DU2", LHS: "DU"}},
 	})
 }
 
@@ -349,6 +360,9 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 		d.CopyFrom(cx.OpDesc)
 		return b, d
 	}
+	// The hooks pass on the order values they read and DONT_CARE boxed
+	// once: an Order converted to a Value is an allocation per costing.
+	dontCare := core.DefaultValue(core.KindOrder)
 	// algD is the provisional descriptor of an algorithm that delivers
 	// ord and requires nothing of its inputs.
 	algD := func(cx *volcano.ImplCtx, ord core.Value) (*core.Descriptor, []*core.Descriptor) {
@@ -361,14 +375,14 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 	passThroughPre := func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 		b, d := lend(cx)
 		cx.InReq[0] = b.Slot(1)
-		cx.InReq[0].Set(o.Ord, cx.OpDesc.Order(o.Ord))
+		cx.InReq[0].Set(o.Ord, cx.OpDesc.Get(o.Ord))
 		return d, cx.InReq
 	}
 
 	rs.AddImpl(&volcano.ImplRule{
 		Name: "ret_file_scan", Op: o.RET, Alg: o.FileScan, Frame: costing,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			return algD(cx, core.DontCareOrder)
+			return algD(cx, dontCare)
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(catalog.FileScanCost(cx.In[0].Float(o.NR))))
@@ -406,7 +420,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			Name: name, Op: op, Alg: alg, Frame: costing,
 			Pre: passThroughPre,
 			Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-				d.Set(o.Ord, cx.In[0].Order(o.Ord))
+				d.Set(o.Ord, cx.In[0].Get(o.Ord))
 				d.Set(o.C, core.Cost(cost(cx, d)))
 			},
 		})
@@ -433,7 +447,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 			return len(cx.OpDesc.Pred(o.JP).Conjuncts()) >= 1
 		},
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			return algD(cx, core.DontCareOrder)
+			return algD(cx, dontCare)
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(hashJoinCost(
@@ -444,7 +458,7 @@ func (o *Opt) addImplRules(rs *volcano.RuleSet) {
 	rs.AddImpl(&volcano.ImplRule{
 		Name: "mat_pointer_join", Op: o.MAT, Alg: o.PointerJoin, Frame: costing,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
-			return algD(cx, core.DontCareOrder)
+			return algD(cx, dontCare)
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
 			d.Set(o.C, core.Cost(pointerJoinCost(

@@ -124,6 +124,7 @@ func Translate(rs *core.RuleSet) (*volcano.RuleSet, *Report, error) {
 			Appl:     s.Appl,
 			Rest:     s.Rest,
 			RestRoot: s.RestRoot,
+			Keeps:    keeps(s.Keeps, lhs, rhs),
 			// A normalizing rule keeps its declaration; whether a rule is
 			// its own inverse the translation derives.
 			Normalize:  rule.Normalize,
@@ -177,6 +178,21 @@ func involution(r *core.TRule, lhs, rhs *core.PatNode) bool {
 		}
 	}
 	return true
+}
+
+// keeps selects, of the cut's right-side nodes that keep a left-side
+// descriptor's identity properties, those whose source is a node of the
+// left side with the node's own operator: the engine looks such a node
+// up by the source expression's identity before a firing builds it.
+func keeps(all []core.Keep, lhs, rhs *core.PatNode) []core.Keep {
+	var out []core.Keep
+	for _, k := range all {
+		l, r := lhs.Find(k.LHS), rhs.Find(k.RHS)
+		if l != nil && r != nil && !l.IsVar() && !r.IsVar() && l.Op == r.Op {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 // compiled rejects a rule set with rules the Prairie-language compiler did

@@ -57,7 +57,7 @@ func Compile(spec *Spec, impls map[string]HelperImpl) (*core.RuleSet, error) {
 			RHS:    r.rhs,
 			Frame:  r.sc.frame,
 			Slice: func(rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) *core.Sliced {
-				return cutTRule(d, rhs, idProps).emit(d.Test, names, bound)
+				return cutTRule(d, rhs, idProps, names).emit(d.Test, names, bound)
 			},
 			Normalize: slices.ContainsFunc(spec.Normalize, func(n *RuleRef) bool { return n.Name == d.Name }),
 			RootCopy: d.Test == nil && len(d.PreTest) == 0 && len(d.PostTest) == 1 &&

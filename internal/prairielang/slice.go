@@ -24,12 +24,12 @@ type cut struct {
 	sank  []*Stmt // the pre-test statements that moved behind the test
 	whole string  // why the rule was left as written; "" when it was cut
 	root  int     // the right side's root slot
+	keeps []core.Keep
 }
 
 // cutTRule slices d for the right side rhs, whose operations' identity
 // properties idProps tells.
-func cutTRule(d *TRuleDecl, rhs *core.PatNode, idProps func(*core.Operation) []core.PropID) cut {
-	whole := func(why string) cut { return cut{test: d.PreTest, ident: d.PostTest, whole: why} }
+func cutTRule(d *TRuleDecl, rhs *core.PatNode, idProps func(*core.Operation) []core.PropID, names []string) cut {
 	identity := map[int][]core.PropID{} // of the right side's nodes, by slot
 	var bare *core.Operation
 	var walk func(n *core.PatNode)
@@ -46,6 +46,10 @@ func cutTRule(d *TRuleDecl, rhs *core.PatNode, idProps func(*core.Operation) []c
 		}
 	}
 	walk(rhs)
+	// A cut only reorders statements where that changes nothing they
+	// compute, so what each node keeps is read off the rule as written.
+	keeps := keepsOf(slices.Concat(d.PreTest, d.PostTest), identity, names)
+	whole := func(why string) cut { return cut{test: d.PreTest, ident: d.PostTest, whole: why, keeps: keeps} }
 	if bare != nil {
 		return whole(bare.Name + " declares no args(...): every property identifies it")
 	}
@@ -65,7 +69,61 @@ func cutTRule(d *TRuleDecl, rhs *core.PatNode, idProps func(*core.Operation) []c
 	if len(sank) == 0 && len(rest) == 0 {
 		return whole("every statement decides the test or an identity property")
 	}
-	return cut{test: test, ident: ident, rest: rest, sank: sank, root: rhs.Slot}
+	return cut{test: test, ident: ident, rest: rest, sank: sank, root: rhs.Slot, keeps: keeps}
+}
+
+// keepsOf lists, by slot, the right-side nodes whose identity properties
+// stmts leave holding copies of one left-side descriptor's: each was last
+// assigned by a whole copy of that descriptor or a copy of the same
+// property of it. A left-side descriptor is one no statement assigns.
+func keepsOf(stmts []*Stmt, identity map[int][]core.PropID, names []string) []core.Keep {
+	assigned := map[int]bool{}
+	for _, st := range stmts {
+		assigned[st.dst] = true
+	}
+	left := func(slot int) int {
+		if _, node := identity[slot]; node || assigned[slot] {
+			return -1
+		}
+		return slot
+	}
+	from := map[int]map[core.PropID]int{} // node -> identity property -> source slot, -1 computed
+	for _, st := range stmts {
+		ids, node := identity[st.dst]
+		if !node {
+			continue
+		}
+		if from[st.dst] == nil {
+			from[st.dst] = map[core.PropID]int{}
+		}
+		if st.Prop == "" {
+			for _, id := range ids {
+				from[st.dst][id] = left(st.src)
+			}
+		} else if slices.Contains(ids, st.id) {
+			src := -1
+			if m, ok := st.RHS.(*Member); ok && m.ID == st.id {
+				src = left(m.slot)
+			}
+			from[st.dst][st.id] = src
+		}
+	}
+	var keeps []core.Keep
+	for slot := range names {
+		src := -1
+		for i, id := range identity[slot] {
+			s, set := from[slot][id]
+			if !set || s < 0 || i > 0 && s != src {
+				src = -1
+				break
+			}
+			src = s
+		}
+		if src >= 0 {
+			keeps = append(keeps, core.Keep{RHS: names[slot], LHS: names[src]})
+		}
+	}
+	return keeps
 }
 
 // partition splits stmts in two, each half in source order: first holds
@@ -155,6 +213,7 @@ func (c cut) emit(test Expr, names []string, helpers map[string]HelperImpl) *cor
 		Appl:     em.action(c.ident),
 		Rest:     em.action(c.rest),
 		RestRoot: c.restRoot(),
+		Keeps:    c.keeps,
 		Doc:      c.doc(),
 	}
 }

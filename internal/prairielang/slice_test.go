@@ -37,7 +37,7 @@ func cutOf(t *testing.T, trule string) (cut, *core.TRule, *TRuleDecl, *core.Prop
 		t.Fatal(err)
 	}
 	r, d := rs.TRules[0], spec.TRules[0]
-	return cutTRule(d, r.RHS, declaredArgs), r, d, rs.Algebra.Props
+	return cutTRule(d, r.RHS, declaredArgs, r.Frame.Names), r, d, rs.Algebra.Props
 }
 
 func declaredArgs(op *core.Operation) []core.PropID { return op.Args }

@@ -43,10 +43,10 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 			return core.Bool(core.JoinAssociates(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), attrs(a[4]))), nil
 		},
 		"split_within": func(a []core.Value) (core.Value, error) {
-			return core.SplitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), true), nil
+			return core.SplitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), true), nil
 		},
 		"split_rest": func(a []core.Value) (core.Value, error) {
-			return core.SplitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), false), nil
+			return core.SplitHalf(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), false), nil
 		},
 		"is_equi_join": func(a []core.Value) (core.Value, error) {
 			_, _, ok := orientEqui(pred(a[0]), attrs(a[1]))

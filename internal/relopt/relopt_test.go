@@ -2,6 +2,7 @@ package relopt
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -81,8 +82,8 @@ func TestHelperImplsTotal(t *testing.T) {
 		"cardinality":       {core.Float(0), core.Float(0), tru},
 		"and_pred":          {tru, tru},
 		"is_associative":    {tru, tru, none, none, none},
-		"split_within":      {tru, tru, none},
-		"split_rest":        {tru, tru, none},
+		"split_within":      {tru, tru, none, none},
+		"split_rest":        {tru, tru, none, none},
 		"is_equi_join":      {tru, none},
 		"left_order":        {tru, none},
 		"right_order":       {tru, none},
@@ -160,6 +161,9 @@ func TestP2VMergeArithmetic(t *testing.T) {
 
 // TestRuleFlagsAgree: P2V derives join_commute an involution and
 // join_assoc none, as the hand-coded rules declare; nothing normalizes.
+// It derives that join_commute's right side keeps its left side's
+// identity, D4 <- D3, and that join_assoc's keeps none, as the
+// hand-coded rules declare too.
 func TestRuleFlagsAgree(t *testing.T) {
 	_, vrs, _ := prairieOptimizer(t, testCatalog(false))
 	hand := New(testCatalog(false)).VolcanoRules()
@@ -168,6 +172,13 @@ func TestRuleFlagsAgree(t *testing.T) {
 		if r.Name != h.Name || r.Involution != h.Involution || r.Normalize || h.Normalize || r.Involution != (r.Name == "join_commute") {
 			t.Errorf("%s: P2V gives normalize=%v involution=%v; hand-coded %s: %v, %v",
 				r.Name, r.Normalize, r.Involution, h.Name, h.Normalize, h.Involution)
+		}
+		want := []core.Keep(nil)
+		if r.Name == "join_commute" {
+			want = []core.Keep{{RHS: "D4", LHS: "D3"}}
+		}
+		if !slices.Equal(r.Keeps, want) || !slices.Equal(h.Keeps, want) {
+			t.Errorf("%s: P2V derives keeps %v, the hand-coded rule declares %v; want %v", r.Name, r.Keeps, h.Keeps, want)
 		}
 	}
 }
@@ -405,10 +416,10 @@ func TestHelperFunctions(t *testing.T) {
 	if call("is_associative", lower, upper, left, mid, right) != core.Bool(true) {
 		t.Fatal("linear chain should be associative")
 	}
-	if inner := call("split_within", lower, upper, mid.Union(right)); inner != upper {
+	if inner := call("split_within", lower, upper, mid, right); inner != upper {
 		t.Errorf("inner = %v", inner)
 	}
-	if outer := call("split_rest", lower, upper, mid.Union(right)); outer != lower {
+	if outer := call("split_rest", lower, upper, mid, right); outer != lower {
 		t.Errorf("outer = %v", outer)
 	}
 	// Cross product: C1 joins C2 only; regrouping with C2 and C3
@@ -429,7 +440,8 @@ func TestHelperFunctions(t *testing.T) {
 // TestJoinAssocHelpersMatchTheConjunction holds join_assoc's helpers,
 // which take its two predicates as they stand, to what the rule computed
 // from their conjunction before: split_within and split_rest to
-// core.And + SplitBy, conjunct order included, and is_associative to the
+// core.And + SplitBy by the union of their two attribute sets, conjunct
+// order included, and is_associative to the
 // attribute-list formula the relational optimizer used — split the
 // conjunction by m ∪ r, and intersect each half's attributes with the
 // sets it must reach — over every pair of a dozen predicate shapes and
@@ -462,11 +474,13 @@ func TestJoinAssocHelpersMatchTheConjunction(t *testing.T) {
 	for _, lower := range preds {
 		for _, upper := range preds {
 			all := core.And(lower, upper)
-			for _, set := range sets {
-				within, rest := all.SplitBy(set)
-				gw, gr := call("split_within", lower, upper, set), call("split_rest", lower, upper, set)
-				if !gw.Equal(within) || !gr.Equal(rest) || gw.String() != within.String() || gr.String() != rest.String() {
-					t.Fatalf("split_within/split_rest(%v, %v, %v) = %v | %v, the conjunction splits %v | %v", lower, upper, set, gw, gr, within, rest)
+			for _, m := range sets {
+				for _, r := range sets {
+					within, rest := all.SplitBy(m.Union(r))
+					gw, gr := call("split_within", lower, upper, m, r), call("split_rest", lower, upper, m, r)
+					if !gw.Equal(within) || !gr.Equal(rest) || gw.String() != within.String() || gr.String() != rest.String() {
+						t.Fatalf("split_within/split_rest(%v, %v, %v, %v) = %v | %v, the conjunction splits %v | %v", lower, upper, m, r, gw, gr, within, rest)
+					}
 				}
 			}
 			for _, l := range sets {

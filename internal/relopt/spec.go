@@ -41,8 +41,8 @@ helper union(attrs, attrs) : attrs;
 helper cardinality(float, float, pred) : float;
 helper and_pred(pred, pred) : pred;
 helper is_associative(pred, pred, attrs, attrs, attrs) : bool;
-helper split_within(pred, pred, attrs) : pred;
-helper split_rest(pred, pred, attrs) : pred;
+helper split_within(pred, pred, attrs, attrs) : pred;
+helper split_rest(pred, pred, attrs, attrs) : pred;
 helper is_equi_join(pred, attrs) : bool;
 helper left_order(pred, attrs) : order;
 helper right_order(pred, attrs) : order;
@@ -62,25 +62,24 @@ posttest {
   D4 = D3;
 }
 
-// The pre-test computes the new inner join's attributes, the test is the
-// paper's is_associative, and the post-test splits the two joins'
-// predicates between the new nodes. Both take the two predicates as they
-// stand — is_associative(pred, pred, attrs, attrs, attrs), split_within
-// and split_rest (pred, pred, attrs) — so no firing builds their
-// conjunction.
+// The test is the paper's is_associative, and the post-test splits the
+// two joins' predicates between the new nodes and computes the new inner
+// join's attributes. Both take the two predicates as they stand and the
+// attribute sets separately — is_associative(pred, pred, attrs, attrs,
+// attrs), split_within and split_rest (pred, pred, attrs, attrs) — so no
+// firing builds their conjunction, and only one the test lets through
+// builds the union.
 trule join_assoc:
   JOIN(JOIN(?1:D1, ?2:D2):D3, ?3:D4):D5 => JOIN(?1, JOIN(?2, ?3):D6):D7
-pretest {
-  D6.attributes = union(D2.attributes, D4.attributes);
-}
 test (is_associative(D3.join_predicate, D5.join_predicate, D1.attributes, D2.attributes, D4.attributes))
 posttest {
-  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D6.attributes);
+  D6.join_predicate = split_within(D3.join_predicate, D5.join_predicate, D2.attributes, D4.attributes);
+  D6.attributes = union(D2.attributes, D4.attributes);
   D6.num_records = cardinality(D2.num_records, D4.num_records, D6.join_predicate);
   D6.tuple_size = D2.tuple_size + D4.tuple_size;
   D6.tuple_order = DONT_CARE;
   D7 = D5;
-  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D6.attributes);
+  D7.join_predicate = split_rest(D3.join_predicate, D5.join_predicate, D2.attributes, D4.attributes);
 }
 
 // A JOIN can be computed as a JOPR over inputs sorted on the join

@@ -16,13 +16,17 @@ import (
 // optimizer is compared with. No operator of the
 // algebra declares args(...), so every property a trans_rule assigns
 // identifies the expression it builds: join_assoc, like its generated
-// counterpart, defers nothing (TransRule.Rest).
+// counterpart, defers nothing (TransRule.Rest), its attribute union
+// included.
 func (o *Opt) VolcanoRules() *volcano.RuleSet {
 	rs := volcano.NewRuleSet(o.Alg)
 	rs.SetPhys(o.Ord)
 	// Every costing rule's Frame: the algorithm's descriptor, a copy of
 	// the operator's, and the inputs' requirements; nil requires nothing.
 	costing := &core.Frame{Names: []string{"alg", "left", "right"}}
+	// The hooks pass on the order values they read and DONT_CARE boxed
+	// once: an Order converted to a Value is an allocation per costing.
+	dontCare := core.DefaultValue(core.KindOrder)
 	lend := func(cx *volcano.ImplCtx) (*core.Binding, *core.Descriptor) {
 		b := cx.Lend()
 		d := b.Slot(0)
@@ -31,10 +35,11 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 	}
 
 	rs.AddTrans(&volcano.TransRule{
-		Name: "join_commute",
-		LHS:  core.POp(o.JOIN, "D3", core.PVar(1, ""), core.PVar(2, "")),
-		RHS:  core.POp(o.JOIN, "D4", core.PVar(2, ""), core.PVar(1, "")),
-		Appl: func(b *core.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
+		Name:  "join_commute",
+		LHS:   core.POp(o.JOIN, "D3", core.PVar(1, ""), core.PVar(2, "")),
+		RHS:   core.POp(o.JOIN, "D4", core.PVar(2, ""), core.PVar(1, "")),
+		Appl:  func(b *core.Binding) { b.D("D4").CopyFrom(b.D("D3")) },
+		Keeps: []core.Keep{{RHS: "D4", LHS: "D3"}},
 		// Commuting a commuted join gives back the join.
 		Involution: true,
 	})
@@ -54,9 +59,9 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		Appl: func(b *core.Binding) {
 			lower, upper := b.D("D3").Pred(o.JP), b.D("D5").Pred(o.JP)
 			d6, d7 := b.D("D6"), b.D("D7")
-			at := b.D("D2").AttrList(o.AT).Union(b.D("D4").AttrList(o.AT))
-			inner, outer := core.SplitHalf(lower, upper, at, true), core.SplitHalf(lower, upper, at, false)
-			d6.Set(o.AT, at)
+			m, r := b.D("D2").AttrList(o.AT), b.D("D4").AttrList(o.AT)
+			inner, outer := core.SplitHalf(lower, upper, m, r, true), core.SplitHalf(lower, upper, m, r, false)
+			d6.Set(o.AT, m.Union(r))
 			d6.Set(o.JP, inner)
 			d6.SetFloat(o.NR, o.Cat.JoinCard(b.D("D2").Float(o.NR), b.D("D4").Float(o.NR), inner))
 			d6.SetFloat(o.TS, b.D("D2").Float(o.TS)+b.D("D4").Float(o.TS))
@@ -70,7 +75,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		Name: "ret_file_scan", Op: o.RET, Alg: o.FileScan, Frame: costing,
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			_, d := lend(cx)
-			d.Set(o.Ord, core.DontCareOrder)
+			d.Set(o.Ord, dontCare)
 			return d, nil
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
@@ -90,7 +95,7 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 			if ok {
 				d.Set(o.Ord, core.OrderOn(ix))
 			} else {
-				d.Set(o.Ord, core.DontCareOrder)
+				d.Set(o.Ord, dontCare)
 			}
 			return d, nil
 		},
@@ -107,11 +112,11 @@ func (o *Opt) VolcanoRules() *volcano.RuleSet {
 		Pre: func(cx *volcano.ImplCtx) (*core.Descriptor, []*core.Descriptor) {
 			b, d := lend(cx)
 			cx.InReq[0] = b.Slot(1)
-			cx.InReq[0].Set(o.Ord, cx.OpDesc.Order(o.Ord))
+			cx.InReq[0].Set(o.Ord, cx.OpDesc.Get(o.Ord))
 			return d, cx.InReq
 		},
 		Post: func(cx *volcano.ImplCtx, d *core.Descriptor) {
-			d.Set(o.Ord, cx.In[0].Order(o.Ord))
+			d.Set(o.Ord, cx.In[0].Get(o.Ord))
 			d.Set(o.C, core.Cost(nestedLoopsCost(
 				cx.In[0].Float(o.C), cx.In[0].Float(o.NR), cx.In[1].Float(o.C))))
 		},

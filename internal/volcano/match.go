@@ -149,6 +149,39 @@ func (x *matcher) next() bool {
 // fresh reports whether the binding next just delivered is fresh.
 func (x *matcher) fresh() bool { return x.frames[len(x.steps)-1].fresh }
 
+// holds reports whether the memo already holds the right side te's
+// firing would build on the matcher's binding, its root in group target.
+// Every right-side node keeps the identity properties of a left-side
+// node of its operator (transEntry.keeps), so each is looked up, inputs
+// first, under the matched expression's cached self hash and by its
+// descriptor, before any action runs. A node it does not find, or a root
+// in another group (a merge), leaves the firing to Appl and buildRHS.
+func (m *Memo) holds(te *transEntry, x *matcher, f *firing, target GroupID) bool {
+	g, ok := m.holdsNode(te.rhs, te.keeps, x, f)
+	return ok && g == target
+}
+
+func (m *Memo) holdsNode(p *core.PatNode, keeps []int, x *matcher, f *firing) (GroupID, bool) {
+	if p.IsVar() {
+		return f.vars[p.Var], true
+	}
+	var buf [4]GroupID
+	kids := buf[:0]
+	for _, kp := range p.Kids {
+		g, ok := m.holdsNode(kp, keeps, x, f)
+		if !ok {
+			return 0, false
+		}
+		kids = append(kids, m.Find(g))
+	}
+	src := x.frames[keeps[p.Slot]].e
+	e := m.lookup(m.exprHash(src.selfHash, kids), p.Op, "", src.D, kids)
+	if e == nil {
+		return 0, false
+	}
+	return m.Find(e.group), true
+}
+
 // buildRHS interns the right-hand side of a fired transformation rule.
 // Variable leaves resolve to their bound groups; interior nodes take the
 // descriptors the rule's actions filled into the binding. target is the

@@ -12,6 +12,7 @@ package volcano
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +38,14 @@ import (
 // all when it keeps none — or only the root, which joins the matched
 // expression's group: the root then takes RestRoot from the group's
 // representative, as logical properties are kept once per group.
+//
+// Keeps may name, for a right-hand-side node, the left-hand-side node of
+// the same operator whose identity properties Appl copies into it. When
+// every node of the right side has an entry, the engine looks the right
+// side up bottom-up by the matched expressions' identities before Appl
+// runs, and a firing that finds its root in the matched expression's
+// group — a firing that would change nothing — runs neither Appl nor
+// the interning.
 type TransRule struct {
 	Name string
 	// Origin records where the rule came from — a source position for
@@ -48,6 +57,7 @@ type TransRule struct {
 	Appl     core.Action   // nil means no actions
 	Rest     core.Action   // nil means Appl does everything
 	RestRoot []core.PropID // what Rest writes on the RHS root
+	Keeps    []core.Keep   // RHS nodes that keep an LHS node's identity
 	// Frame is the descriptor layout the hooks were compiled against
 	// (P2V carries it over from the Prairie rule's cut); LHS and RHS then
 	// hold its slots. nil — every hand-coded rule — lets the engine lay
@@ -195,7 +205,10 @@ const maxTransDepth = 2
 // its position in RS.Trans (its ledger row), whether its pattern is
 // depth-1 (applied once per expression, never re-matched), and the
 // rule's frame with the slot-annotated patterns the matcher binds by (the
-// left side flattened into the matcher's steps).
+// left side flattened into the matcher's steps). keeps maps a right-side
+// node's slot to the matcher step of the left-side node it keeps the
+// identity of (TransRule.Keeps); it is nil unless every right-side node
+// has one, and the firing then probes the memo first (Memo.holds).
 type transEntry struct {
 	rule    *TransRule
 	row     int
@@ -203,6 +216,7 @@ type transEntry struct {
 	lhs     []matchStep
 	rhs     *core.PatNode
 	frame   *core.Frame
+	keeps   []int
 }
 
 // implEntry is one implementation rule in the operator index, with its
@@ -269,6 +283,7 @@ func (rs *RuleSet) index() *ruleIndex {
 				te.frame = core.NewFrame(lhs, te.rhs)
 			}
 			te.lhs = matchSteps(lhs)
+			te.keeps = keepSteps(r.Keeps, te.lhs, te.rhs, len(te.frame.Names))
 			ix.rows = append(ix.rows, te)
 			if r.Normalize {
 				ix.norm[r.LHS.Op] = append(ix.norm[r.LHS.Op], te)
@@ -298,6 +313,35 @@ func (rs *RuleSet) index() *ruleIndex {
 		rs.idx = ix
 	})
 	return rs.idx
+}
+
+// keepSteps maps each right-side node's slot to the matcher step of the
+// left-side node of its operator it keeps the identity of, or returns
+// nil when some right-side node keeps none.
+func keepSteps(keeps []core.Keep, lhs []matchStep, rhs *core.PatNode, slots int) []int {
+	steps := make([]int, slots)
+	complete := true
+	var walk func(n *core.PatNode)
+	walk = func(n *core.PatNode) {
+		if n.IsVar() {
+			return
+		}
+		i := slices.IndexFunc(keeps, func(k core.Keep) bool { return k.RHS == n.Desc })
+		j := -1
+		if i >= 0 {
+			j = slices.IndexFunc(lhs, func(st matchStep) bool { return st.pat.Op == n.Op && st.pat.Desc == keeps[i].LHS })
+		}
+		complete = complete && j >= 0
+		steps[n.Slot] = j
+		for _, k := range n.Kids {
+			walk(k)
+		}
+	}
+	walk(rhs)
+	if !complete {
+		return nil
+	}
+	return steps
 }
 
 // commutedOp reports the operator an unconditional binary commute rule
@@ -453,6 +497,15 @@ func (rs *RuleSet) Validate() []error {
 		for _, op := range append(r.LHS.Ops(), r.RHS.Ops()...) {
 			if op.Kind != core.Operator {
 				bad("volcano: trans_rule %s mentions non-operator %s", r.Name, op.Name)
+			}
+		}
+		for _, k := range r.Keeps {
+			l, rn := r.LHS.Find(k.LHS), r.RHS.Find(k.RHS)
+			switch {
+			case l == nil || rn == nil || l.IsVar() || rn.IsVar():
+				bad("volcano: trans_rule %s keeps %s from %s: each must name an operator node of its side", r.Name, k.RHS, k.LHS)
+			case l.Op != rn.Op:
+				bad("volcano: trans_rule %s keeps %s (%s) from %s (%s): the operators differ", r.Name, k.RHS, rn.Op.Name, k.LHS, l.Op.Name)
 			}
 		}
 	}

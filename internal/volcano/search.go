@@ -462,7 +462,10 @@ func (x *explorer) run() error {
 // the memo), and each firing starts by taking back the RHS descriptors
 // the previous firing's actions created. The rule's tally row counts the
 // matches and firings, and the stopwatch runs for it until the next rule
-// starts.
+// starts. A firing of a rule whose right side keeps left-side identities
+// (TransRule.Keeps) that finds its right side in the memo already, the
+// root in the matched expression's group, stops there: Appl and
+// buildRHS would change nothing.
 func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 	m, rule, f := o.Memo, te.rule, o.firing()
 	t := o.start(te.row)
@@ -484,12 +487,16 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 		if o.OnEvent != nil {
 			o.emit(EventTransFired, rule.Name, m.Find(e.group), e.String(), 0)
 		}
+		target := m.Find(e.group)
+		if te.keeps != nil && m.holds(te, o.match, f, target) {
+			continue
+		}
 		if rule.Appl != nil {
 			rule.Appl(b)
 		}
 		f.rest, f.restRoot = rule.Rest, rule.RestRoot
 		interned, merges := m.interned, m.merges
-		m.buildRHS(te.rhs, f, m.Find(e.group))
+		m.buildRHS(te.rhs, f, target)
 		if m.interned != interned || m.merges != merges {
 			t.new++
 		}
