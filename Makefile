@@ -58,9 +58,11 @@ bench-smoke:
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every served rule set a "verified" verdict, and
 # the mutation-testing mode must kill at least 95%
-# of seeded rule corruptions (internal/rulecheck; DESIGN.md §4.14).
+# of seeded rule corruptions, and every rule's sites, checks and mutant
+# verdicts must read as testdata/verdicts.golden pins them
+# (internal/rulecheck; DESIGN.md §4.14).
 rulecheck-guard:
-	$(GO) test -run 'TestShippedRuleSetsVerified|TestMutationKillRate' -timeout 300s ./internal/rulecheck
+	$(GO) test -run 'TestShippedRuleSetsVerified|TestMutationKillRate|TestVerdictsGolden' -timeout 300s ./internal/rulecheck
 
 # Fuzz smoke: every fuzz target for FUZZTIME each. FuzzParse drives the
 # rule-language front end (parse -> format -> parse fixed point);

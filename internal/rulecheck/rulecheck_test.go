@@ -1,6 +1,8 @@
 package rulecheck
 
 import (
+	"cmp"
+	"fmt"
 	"os"
 	"slices"
 	"strings"
@@ -149,5 +151,32 @@ func TestMutationKillRate(t *testing.T) {
 	rate := float64(killed) / float64(live)
 	if rate < 0.95 {
 		t.Errorf("mutation kill rate %.2f (%d/%d), want >= 0.95", rate, killed, live)
+	}
+}
+
+// TestVerdictsGolden pins what the verifier and the mutation mode read on
+// every shipped world, rule by rule: a verdict row per trans_rule (world,
+// rule, origin, status, sites, checks) and a row per mutant (world, rule,
+// kind, detail, status, sites), against testdata/verdicts.golden. The
+// guards above check only "all verified" and the kill rate; this one
+// also fails when a change to how rules fire on trees moves a site count.
+func TestVerdictsGolden(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("# verdict\tworld\trule\torigin\tstatus\tsites\tchecks\n# mutant\tworld\trule\tkind\tdetail\tstatus\tsites\n")
+	for _, w := range shippedWorlds(t) {
+		for _, v := range Verify(w).Verdicts {
+			fmt.Fprintf(&b, "verdict\t%s\t%s\t%s\t%s\t%d\t%d\n", w.Name, v.Rule, cmp.Or(v.Origin, "-"), v.Status, v.Sites, v.Checks)
+		}
+		for _, r := range MutationTest(w).Results {
+			fmt.Fprintf(&b, "mutant\t%s\t%s\t%s\t%s\t%s\t%d\n", w.Name, r.Rule, r.Kind, r.Detail, r.Status, r.Sites)
+		}
+	}
+	const golden = "testdata/verdicts.golden"
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != string(want) {
+		t.Errorf("verdicts differ from %s; the table now reads:\n%s", golden, got)
 	}
 }

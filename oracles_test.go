@@ -94,10 +94,15 @@ func TestJoinClosedForms(t *testing.T) {
 // rewrites: three seeded random chains of two steps and three of three
 // per program (each step one of all the one-step rewrites of the tree
 // before it) must search to a winner no cheaper than the as-written
-// query's. The test logs how many also reach the same groups,
-// expressions and cost, and each chain that does not: one of the 84, a
-// three-step chain on oodb/volcano E4/n3, closes at 101 groups and 492
-// expressions instead of 111 and 661, at the same cost.
+// query's, and must reach the same groups, expressions and cost — all 84
+// of them but one, which the test holds to what it reads: the three-step
+// chain mat_pull_join_right, join_commute, select_push_mat on
+// oodb/volcano E4/n3 closes at 101 groups and 492 expressions instead of
+// 111 and 661, at the same cost (the tree phase's closure depends on how
+// the query is written: ROADMAP item 23, whose fix deletes the
+// exemption). The chains are drawn from the rewrites in the order the
+// rule set's rules and their sites in pre-order give them, so a change
+// to either draws other chains.
 func TestRewrittenQueriesSearchAlike(t *testing.T) {
 	reg, pool := searchColdPool(t)
 	rewrites := 0
@@ -172,15 +177,25 @@ func TestRewrittenQueriesSearchAlike(t *testing.T) {
 			if c < cost*(1-1e-9) {
 				t.Errorf("%s %s after%s: cost %v beats the as-written search's %v", p.world, p.q, via, c, cost)
 			}
+			got := fmt.Sprintf("%d groups / %d exprs / cost %v, as written %d / %d / %v",
+				opt.Stats.Groups, opt.Stats.Exprs, c, groups, exprs, cost)
+			if p.world == "oodb/volcano" && p.q.String() == "E4/n3" && via == " mat_pull_join_right join_commute select_push_mat" {
+				if want := fmt.Sprintf("101 groups / 492 exprs / cost %v, as written 111 / 661 / %v", cost, cost); got != want {
+					t.Errorf("%s %s after%s: %s, want %s; if it now searches alike, the fix for ROADMAP item 23 must delete this exemption",
+						p.world, p.q, via, got, want)
+				}
+				continue
+			}
 			if opt.Stats.Groups == groups && opt.Stats.Exprs == exprs && math.Abs(c-cost) <= 1e-9*cost {
 				alike++
 			} else {
-				t.Logf("%s %s after%s: %d groups / %d exprs / cost %v, as written %d / %d / %v",
-					p.world, p.q, via, opt.Stats.Groups, opt.Stats.Exprs, c, groups, exprs, cost)
+				t.Errorf("%s %s after%s: %s", p.world, p.q, via, got)
 			}
 		}
 	}
-	t.Logf("%d of %d rewrite chains search alike to the letter", alike, chains)
+	if chains != 84 || alike != 83 {
+		t.Errorf("%d of %d rewrite chains search alike to the letter, want 83 of 84", alike, chains)
+	}
 }
 
 // TestInterruptedSearchNeverWorseThanGreedy: a search cut short is never
