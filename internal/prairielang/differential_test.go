@@ -194,8 +194,8 @@ func TestApplyAtKeepsWholeDescriptors(t *testing.T) {
 		var next []*core.Expr
 		for _, tree := range level {
 			for _, r := range vrs.Trans {
-				for _, m := range vrs.TreeMatches(r, tree) {
-					rw, ok := vrs.ApplyAt(r, tree, m)
+				for _, site := range vrs.Sites(r, tree) {
+					rw, ok := vrs.ApplyAt(r, tree, site)
 					if !ok {
 						continue
 					}
@@ -203,7 +203,7 @@ func TestApplyAtKeepsWholeDescriptors(t *testing.T) {
 						t.Fatalf("%s fired at %s but the interpreter has no outcome", r.Name, tree)
 					}
 					at := rw
-					path, _ := pathTo(tree, m.Site)
+					path, _ := pathTo(tree, site)
 					for _, i := range path {
 						at = at.Kids[i]
 					}

@@ -232,14 +232,9 @@ func (v *verifier) runMutant(pristine *volcano.TransRule, mu Mutant) MutantResul
 	res := MutantResult{Mutant: mu}
 	sites, exercised := 0, 0
 	for _, tree := range v.pool {
-		mp := v.w.RS.TreeMatches(pristine, tree)
-		mm := v.w.RS.TreeMatches(mu.R, tree)
-		if len(mp) != len(mm) {
-			continue // same LHS, so this cannot happen; skip defensively
-		}
-		for i := range mm {
-			prw, okP := v.w.RS.ApplyAt(pristine, tree, mp[i])
-			mrw, okM := v.w.RS.ApplyAt(mu.R, tree, mm[i])
+		for _, site := range v.w.RS.Sites(pristine, tree) {
+			prw, okP := v.w.RS.ApplyAt(pristine, tree, site)
+			mrw, okM := v.w.RS.ApplyAt(mu.R, tree, site)
 			if !okP || !okM {
 				continue
 			}

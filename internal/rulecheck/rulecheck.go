@@ -204,8 +204,8 @@ func capStrings(s []string, n int) []string {
 // or a counterexample is found.
 func (v *verifier) checkRule(r *volcano.TransRule) (sites, checks int, counter *Counterexample) {
 	for _, tree := range v.pool {
-		for _, m := range v.w.RS.TreeMatches(r, tree) {
-			rewritten, ok := v.w.RS.ApplyAt(r, tree, m)
+		for _, site := range v.w.RS.Sites(r, tree) {
+			rewritten, ok := v.w.RS.ApplyAt(r, tree, site)
 			if !ok {
 				continue
 			}

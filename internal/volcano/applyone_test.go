@@ -19,23 +19,29 @@ func findTrans(t *testing.T, rs *RuleSet, name string) *TransRule {
 	return nil
 }
 
-func TestTreeMatchesEnumeratesSites(t *testing.T) {
+// TestSitesInPreOrder: Sites names the tree's own nodes a rule matches
+// at, in pre-order, and ApplyAt builds the right side over copies of the
+// subtrees the left side bound there.
+func TestSitesInPreOrder(t *testing.T) {
 	w := newTestWorld()
 	tree := w.chain(8, 4, 2) // JOIN(JOIN(RET(R1), RET(R2)), RET(R3))
 	commute := findTrans(t, w.rs, "join_commute")
-	ms := w.rs.TreeMatches(commute, tree)
-	if len(ms) != 2 {
-		t.Fatalf("join_commute should match both JOINs, got %d sites", len(ms))
+	if sites := w.rs.Sites(commute, tree); len(sites) != 2 || sites[0] != tree || sites[1] != tree.Kids[0] {
+		t.Fatalf("join_commute should match both JOINs, the root first, got %d sites", len(sites))
 	}
 	// The deep pattern matches only at the root.
 	assoc := findTrans(t, w.rs, "join_assoc")
-	if ms := w.rs.TreeMatches(assoc, tree); len(ms) != 1 {
-		t.Fatalf("join_assoc should match once, got %d sites", len(ms))
+	sites := w.rs.Sites(assoc, tree)
+	if len(sites) != 1 || sites[0] != tree {
+		t.Fatalf("join_assoc should match once, at the root, got %d sites", len(sites))
 	}
-	// Bound subtrees are the real nodes of the original tree.
-	m := w.rs.TreeMatches(assoc, tree)[0]
-	if m.VarSubtree(3) != tree.Kids[1] {
-		t.Errorf("?3 should bind the root's right input")
+	// ?3 binds the root's right input: the rewrite holds a copy of it.
+	rw, ok := w.rs.ApplyAt(assoc, tree, sites[0])
+	if !ok {
+		t.Fatal("join_assoc did not fire at the root")
+	}
+	if got := rw.Kids[1].Kids[1]; got == tree.Kids[1] || got.Format() != tree.Kids[1].Format() {
+		t.Errorf("?3 should bind the root's right input, and the rewrite hold a copy of it")
 	}
 }
 
@@ -105,7 +111,9 @@ func TestApplyRuleDoesNotShareState(t *testing.T) {
 }
 
 // TestApplyAtRunsRest: a rewritten tree keeps every descriptor the firing
-// built, so ApplyAt runs a rule's deferred actions with the others — and
+// built, so ApplyAt runs a rule's deferred actions with the others — also
+// for a rule that is a copy of one of the rule set's, compiled on the
+// spot — and
 // the memo runs them exactly once for a firing that keeps a node below the
 // right side's root, and not at all for one that rediscovers what it holds
 // or keeps the root alone: that root takes what Rest writes on it

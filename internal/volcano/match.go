@@ -8,7 +8,8 @@ import (
 // all firings: the binding the rule's hooks see, the groups bound to the
 // pattern variables (groupUnbound if unset), and the rule's Rest while
 // the firing still owes it, with its RestRoot. A firing on a tree (the
-// tree phase, normalize.go) binds nodes instead of groups, by match step.
+// tree phase and single-rule application, normalize.go) binds nodes
+// instead of groups, by match step.
 type firing struct {
 	b        *core.Binding
 	vars     []GroupID

@@ -76,25 +76,56 @@ func (n *normalizer) walk(e *core.Expr) (*core.Expr, error) {
 	return out, nil
 }
 
-// fireOnTree fires te at tree node e: it binds the rule's left side as
-// the matcher binds it at a memo expression — a variable's descriptor is
-// its subtree's root's, where the memo binds its group's representative
-// — in the optimizer's one firing binding, runs the rule's actions, Rest
-// included, and returns the right side built over the bound subtrees, or
-// nil when the pattern does not match or the condition fails.
+// fireOnTree fires te at tree node e in the optimizer's one firing,
+// counting the match and the firing in the rule's ledger row, and returns
+// the right side built over e's subtrees, or nil when the pattern does
+// not match or the condition fails.
 func (o *Optimizer) fireOnTree(te *transEntry, e *core.Expr) *core.Expr {
 	f := o.firing()
+	if !f.matchTree(te, e) {
+		return nil
+	}
+	t := o.start(te.row)
+	t.matched++
+	if !f.testTree(te) {
+		return nil
+	}
+	t.fired++
+	if o.OnEvent != nil {
+		o.emit(EventTransFired, te.rule.Name, -1, e.String(), 0)
+	}
+	return f.applyTree(te)
+}
+
+// Firing a trans_rule on a tree is three steps, shared by the tree phase
+// and the single-rule application the verifier runs (applyone.go):
+// matchTree binds the left side's nodes by match step, testTree binds
+// their descriptors as the memo's matcher binds them and runs the
+// condition, and applyTree runs the actions and builds the right side.
+
+// matchTree reports whether te's left side matches at tree node e, its
+// root operator included, binding the matched nodes by match step.
+func (f *firing) matchTree(te *transEntry, e *core.Expr) bool {
+	if e.IsLeaf() || e.Op != te.lhs[0].pat.Op {
+		return false
+	}
 	f.nodes = append(f.nodes[:0], e)
 	for _, st := range te.lhs[1:] {
 		k := f.nodes[st.parent].Kids[st.kid]
 		if !st.pat.IsVar() && (k.IsLeaf() || k.Op != st.pat.Op) {
-			return nil
+			return false
 		}
 		f.nodes = append(f.nodes, k)
 	}
-	rule, b := te.rule, f.b
-	t := o.start(te.row)
-	t.matched++
+	return true
+}
+
+// testTree binds the matched nodes' descriptors in f's binding, laid out
+// by the rule's frame — a variable's descriptor is its subtree's root's,
+// where the memo binds its group's representative — and runs the rule's
+// condition.
+func (f *firing) testTree(te *transEntry) bool {
+	b := f.b
 	b.Reset(te.frame)
 	for j, st := range te.lhs {
 		if st.pat.Slot >= 0 {
@@ -102,25 +133,25 @@ func (o *Optimizer) fireOnTree(te *transEntry, e *core.Expr) *core.Expr {
 		}
 	}
 	b.BeginFiring()
-	if rule.Cond != nil && !rule.Cond(b) {
-		return nil
+	return te.rule.Cond == nil || te.rule.Cond(b)
+}
+
+// applyTree runs the rule's actions, Rest included — a tree keeps every
+// node the firing builds — and returns the right side.
+func (f *firing) applyTree(te *transEntry) *core.Expr {
+	if te.rule.Appl != nil {
+		te.rule.Appl(f.b)
 	}
-	t.fired++
-	if o.OnEvent != nil {
-		o.emit(EventTransFired, rule.Name, -1, e.String(), 0)
-	}
-	if rule.Appl != nil {
-		rule.Appl(b)
-	}
-	if rule.Rest != nil {
-		rule.Rest(b)
+	if te.rule.Rest != nil {
+		te.rule.Rest(f.b)
 	}
 	return f.buildTree(te, te.rhs)
 }
 
 // buildTree builds the right-side node p of a firing on a tree: a
-// variable is the subtree its left-side step bound, an operator node a
-// new node with a copy of the descriptor the actions filled in.
+// variable is the subtree its left-side step bound (twice, where the
+// right side names it twice), an operator node a new node with a copy of
+// the descriptor the actions filled in.
 func (f *firing) buildTree(te *transEntry, p *core.PatNode) *core.Expr {
 	if p.IsVar() {
 		j := slices.IndexFunc(te.lhs, func(st matchStep) bool { return st.pat.IsVar() && st.pat.Var == p.Var })

@@ -275,15 +275,7 @@ func (rs *RuleSet) index() *ruleIndex {
 			commut: make(map[*core.Operation]bool),
 		}
 		for i, r := range rs.Trans {
-			lhs := r.LHS
-			te := transEntry{rule: r, row: i, shallow: lhs.Depth() <= 1, rhs: r.RHS, frame: r.Frame}
-			if te.frame == nil {
-				// Hand-coded rules share pattern nodes between rules.
-				lhs, te.rhs = lhs.Clone(), r.RHS.Clone()
-				te.frame = core.NewFrame(lhs, te.rhs)
-			}
-			te.lhs = matchSteps(lhs)
-			te.keeps = keepSteps(r.Keeps, te.lhs, te.rhs, len(te.frame.Names))
+			te := newTransEntry(r, i)
 			ix.rows = append(ix.rows, te)
 			if r.Normalize {
 				ix.norm[r.LHS.Op] = append(ix.norm[r.LHS.Op], te)
@@ -313,6 +305,32 @@ func (rs *RuleSet) index() *ruleIndex {
 		rs.idx = ix
 	})
 	return rs.idx
+}
+
+// newTransEntry compiles r for the matcher, as the rule set's trans_rule
+// in ledger row row.
+func newTransEntry(r *TransRule, row int) transEntry {
+	lhs := r.LHS
+	te := transEntry{rule: r, row: row, shallow: lhs.Depth() <= 1, rhs: r.RHS, frame: r.Frame}
+	if te.frame == nil {
+		// Hand-coded rules share pattern nodes between rules.
+		lhs, te.rhs = lhs.Clone(), r.RHS.Clone()
+		te.frame = core.NewFrame(lhs, te.rhs)
+	}
+	te.lhs = matchSteps(lhs)
+	te.keeps = keepSteps(r.Keeps, te.lhs, te.rhs, len(te.frame.Names))
+	return te
+}
+
+// entry returns r's compiled entry: its index row when r is one of the
+// rule set's trans_rules, or else one compiled on the spot, with no
+// ledger row — a copy of a rule, as the verifier's mutants are.
+func (rs *RuleSet) entry(r *TransRule) *transEntry {
+	if i := slices.Index(rs.Trans, r); i >= 0 {
+		return &rs.index().rows[i]
+	}
+	te := newTransEntry(r, -1)
+	return &te
 }
 
 // keepSteps maps each right-side node's slot to the matcher step of the

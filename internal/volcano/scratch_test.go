@@ -49,8 +49,8 @@ func TestScratchDescriptorsNeverEscape(t *testing.T) {
 
 			var rewrites []*core.Expr
 			for _, r := range w.RS.Trans {
-				for _, m := range w.RS.TreeMatches(r, tree) {
-					if rw, ok := w.RS.ApplyAt(r, tree, m); ok {
+				for _, site := range w.RS.Sites(r, tree) {
+					if rw, ok := w.RS.ApplyAt(r, tree, site); ok {
 						rewrites = append(rewrites, rw)
 					}
 				}
