@@ -36,9 +36,6 @@ func (o *Opt) HelperImpls() map[string]prairielang.HelperImpl {
 		"cardinality": func(a []core.Value) (core.Value, error) {
 			return core.Float(o.Cat.JoinCard(num(a[0]), num(a[1]), pred(a[2]))), nil
 		},
-		"and_pred": func(a []core.Value) (core.Value, error) {
-			return core.And(pred(a[0]), pred(a[1])), nil
-		},
 		"is_associative": func(a []core.Value) (core.Value, error) {
 			return core.Bool(core.JoinAssociates(pred(a[0]), pred(a[1]), attrs(a[2]), attrs(a[3]), attrs(a[4]))), nil
 		},

@@ -80,7 +80,6 @@ func TestHelperImplsTotal(t *testing.T) {
 	defaults := map[string][]core.Value{
 		"union":             {none, none},
 		"cardinality":       {core.Float(0), core.Float(0), tru},
-		"and_pred":          {tru, tru},
 		"is_associative":    {tru, tru, none, none, none},
 		"split_within":      {tru, tru, none, none},
 		"split_rest":        {tru, tru, none, none},

@@ -39,7 +39,6 @@ algorithm Null(1);
 
 helper union(attrs, attrs) : attrs;
 helper cardinality(float, float, pred) : float;
-helper and_pred(pred, pred) : pred;
 helper is_associative(pred, pred, attrs, attrs, attrs) : bool;
 helper split_within(pred, pred, attrs, attrs) : pred;
 helper split_rest(pred, pred, attrs, attrs) : pred;
