@@ -207,3 +207,33 @@ func TestPreparedMatchesBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestCachelessServerRebuildsTrees: a server without a plan cache has no
+// epoch to tell an old prepared tree by, so each request builds its own,
+// and a catalog change made before /v1/invalidate reaches the next
+// request's search.
+func TestCachelessServerRebuildsTrees(t *testing.T) {
+	reg, err := DefaultRegistry(3, 101, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Registry: reg, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _ := reg.Lookup("oodb/prairie")
+	build := w.Build
+	var trees []*core.Expr
+	w.Build = func(q QuerySpec) (*core.Expr, *core.Descriptor, error) {
+		tree, want, err := build(q)
+		trees = append(trees, tree)
+		return tree, want, err
+	}
+	req := OptimizeRequest{Ruleset: "oodb/prairie", Query: QuerySpec{Family: "E2", N: 3}}
+	serve(t, srv, "/v1/optimize", req)
+	serve(t, srv, "/v1/invalidate", struct{}{})
+	serve(t, srv, "/v1/optimize", req)
+	if len(trees) != 2 || trees[0] == trees[1] {
+		t.Fatalf("a cacheless server built %d trees for two requests around /v1/invalidate, want two different ones", len(trees))
+	}
+}
