@@ -30,21 +30,18 @@ func dump(t *testing.T, src string) string {
 	return out.String()
 }
 
-// TestDumpShowsFrameAndSharing pins what -dump tells a specification's
+// TestDumpShowsFrameAndCut pins what -dump tells a specification's
 // author about one firing: the OODB specification's join_assoc works in
 // a seven-slot frame (left side in pattern order, then the two new
-// nodes), shares no helper call — its split helpers take the two
-// predicates and the two attribute sets as they stand, so no conjunction
-// or union is built to be split by — and is cut so that the new inner
-// join's attribute union, cardinality and width run only for a firing
-// the memo keeps. A rule with nothing to move says so. A deferred
+// nodes) and is cut so that the new inner join's attribute union,
+// cardinality and width run only for a firing the memo keeps. A rule with nothing to move says so. A deferred
 // statement that assigns the root is followed by the property the root
 // inherits from its group when it is the firing's only new node. Twelve
 // rules keep left-side identities on every right-side node, join_commute
 // its root's; join_assoc, which computes both new join predicates, keeps
 // none. The MAT push rules say they normalize the query, join_commute
 // that it is an involution, and no other rule either.
-func TestDumpShowsFrameAndSharing(t *testing.T) {
+func TestDumpShowsFrameAndCut(t *testing.T) {
 	out := dump(t, oodb.Spec)
 	for _, want := range []string{
 		"  trans_rule join_assoc: JOIN(JOIN(?1:D1, ?2:D2):D3, ?3:D4):D5 -> JOIN(?1, JOIN(?2, ?3):D6):D7\n" +
@@ -56,15 +53,15 @@ func TestDumpShowsFrameAndSharing(t *testing.T) {
 			"      deferred  D6.num_records = join_card(D2.num_records, D4.num_records, D6.join_predicate);\n" +
 			"      deferred  D6.tuple_size = D2.tuple_size + D4.tuple_size;\n" +
 			"  trans_rule select_push_join_left: ",
-		"      shares mat_size(D4.mat_attribute)\n      identity  D5 = D4;\n      identity  D6 = D3;\n      deferred  D5.attributes = ",
+		"      frame [D4 D3 D1 D2 D6 D5]\n      identity  D5 = D4;\n      identity  D6 = D3;\n      deferred  D5.attributes = ",
 		"  trans_rule select_merge: SELECT(SELECT(?1:D1):D2):D3 -> SELECT(?1):D4\n      frame [D3 D2 D1 D4]\n" +
-			"      whole: every statement decides the test or an identity property\n",
+			"      whole: every post-test statement decides an identity property\n",
 		"  impl_rule  select_filter: SELECT -> Filter\n      frame [D2 D1 D4 D3]\n",
 		"  enforcer sort_merge_sort (Merge_sort)\n      frame [D2 D1 D3]\n",
 		"      deferred  D6.num_records = D4.num_records;\n      inherited D6.num_records\n" +
 			"      keeps: D6 <- D3, D5 <- D4\n  trans_rule select_push_join_right: ",
 		"  trans_rule join_commute: JOIN(?1:D1, ?2:D2):D3 -> JOIN(?2, ?1):D4\n      frame [D3 D1 D2 D4]\n" +
-			"      whole: every statement decides the test or an identity property\n" +
+			"      whole: every post-test statement decides an identity property\n" +
 			"      keeps: D4 <- D3\n" +
 			"      involution: its own inverse, never fired on an expression it built\n",
 		"      inherited D6.tuple_size\n      keeps: D6 <- D3, D5 <- D4\n" +

@@ -242,15 +242,10 @@ func TestBindingFrame(t *testing.T) {
 	if byName.Slot(1) != d3 || byName.D("D9") != d5 || byName.Bound("D5") {
 		t.Errorf("Enter lost bindings: %v", byName.Names())
 	}
-	g := &Frame{Names: []string{"D1"}, Shared: []string{"h(D1.x)"}, Args: 3}
+	g := &Frame{Names: []string{"D1"}, Args: 3}
 	byName.Enter(g)
-	if len(byName.Shared) != 1 || len(byName.Args) != 3 || byName.D("D3") != d3 {
-		t.Error("Enter did not size the value slots of the new frame")
-	}
-	byName.Shared[0] = Int(1)
-	byName.BeginFiring()
-	if byName.Shared[0] != nil {
-		t.Error("BeginFiring kept a shared value")
+	if len(byName.Args) != 3 || byName.D("D3") != d3 {
+		t.Error("Enter did not size the argument slots of the new frame")
 	}
 }
 

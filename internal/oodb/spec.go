@@ -142,7 +142,7 @@ test (conj_count(D2.selection_predicate) >= 2)
 posttest {
   D3 = D2;
   D3.selection_predicate = rest_conj(D2.selection_predicate);
-  D3.num_records = sel_card(D1.num_records, rest_conj(D2.selection_predicate));
+  D3.num_records = sel_card(D1.num_records, D3.selection_predicate);
   D4 = D2;
   D4.selection_predicate = first_conj(D2.selection_predicate);
 }

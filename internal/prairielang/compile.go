@@ -11,7 +11,7 @@ import (
 // HelperImpl is the Go implementation of a declared helper function. It
 // must be a pure function of its arguments (and of state fixed before
 // compilation, such as a catalog) and must not retain the argument
-// slice: a firing evaluates equal calls once and reuses the slice.
+// slice: its call site reuses the slice on every evaluation.
 type HelperImpl func(args []core.Value) (core.Value, error)
 
 // Compile parses nothing — it takes a parsed specification, checks it

@@ -5,7 +5,6 @@ import (
 	"os"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"prairie/internal/catalog"
@@ -327,96 +326,6 @@ func TestDifferentialRelational(t *testing.T) {
 				t.Error("no search compared join_commute/appl")
 			}
 			requireAllRan(t, d)
-		})
-	}
-}
-
-// countingSpec is a T-rule whose post-test calls one helper four times:
-// twice on an RHS property nothing reassigns in between, then — after an
-// assignment to that property — twice more.
-const countingSpec = `
-algebra a;
-property n : float;
-property m : float;
-property cost : cost;
-operator J(2);
-algorithm A(2) implements J;
-helper tick(float) : float;
-trule r: J(?1:D1, ?2:D2):D3 => J(?2, ?1):D4
-pretest { D4.n = tick(D3.n); }
-test (tick(D3.n) >= 0 REUSE)
-posttest {
-  D4.m = tick(D4.n);
-  D4.cost = tick(D4.n) + tick(D3.n);
-  REASSIGN
-  D4.m = tick(D4.n) + tick(D4.n);
-}
-irule i: J(?1:D1, ?2:D2):D3 => A(?1, ?2):D4
-preopt { D4 = D3; }
-postopt { D4.cost = tick(D3.n) + tick(D3.n); }
-`
-
-// TestSharedCallsEvaluateOnce is the reuse-soundness golden: a helper
-// call is evaluated once per firing for as long as the properties it
-// reads keep their values, and again after one of them is reassigned.
-func TestSharedCallsEvaluateOnce(t *testing.T) {
-	for _, c := range []struct {
-		name, reuse, reassign string
-		calls                 int
-		shared                string
-	}{
-		// tick(D3.n): pre-test, test, post-test share one evaluation;
-		// tick(D4.n) is evaluated once for all four reads.
-		{"no reassignment", "", "", 2, "tick(D3.n); tick(D4.n)"},
-		// Reassigning D4.n between the reads splits tick(D4.n) in two.
-		{"reassigned", "", "D4.n = 5;", 3, "tick(D3.n); tick(D4.n); tick(D4.n)"},
-		// A whole-descriptor copy reassigns every property.
-		{"copied over", "", "D4 = D3;", 3, "tick(D3.n); tick(D4.n); tick(D4.n)"},
-		// Short-circuited away in the test, evaluated by the post-test.
-		{"short circuit", "|| tick(D3.m) > 0", "D4.cost = tick(D3.m);", 3, "tick(D3.n); tick(D4.n); tick(D3.m)"},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			calls := 0
-			impls := map[string]prairielang.HelperImpl{
-				"tick": func(args []core.Value) (core.Value, error) {
-					calls++
-					return core.Float(float64(args[0].(core.Float)) + 1), nil
-				},
-			}
-			src := strings.NewReplacer("REUSE", c.reuse, "REASSIGN", c.reassign).Replace(countingSpec)
-			rs, err := prairielang.ParseAndCompile(src, impls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// J declares no args(...), so the cut keeps the rule whole.
-			r := rs.TRules[0]
-			s := r.Slice(r.RHS, func(op *core.Operation) []core.PropID { return op.Args })
-			if got := strings.Join(s.Frame.Shared, "; "); got != c.shared {
-				t.Errorf("shared sub-expressions %q, want %q", got, c.shared)
-			}
-			b := core.NewBinding(rs.Algebra.Props)
-			for firing := 1; firing <= 2; firing++ {
-				calls = 0
-				b.Reset(s.Frame)
-				b.D("D3").SetFloat(rs.Algebra.Props.MustLookup("n"), float64(firing))
-				b.BeginFiring()
-				if !s.Cond(b) {
-					t.Fatal("test rejected")
-				}
-				s.Appl(b)
-				if calls != c.calls {
-					t.Errorf("firing %d: %d helper evaluations, want %d", firing, calls, c.calls)
-				}
-			}
-			// I-rule sections share nothing: their inputs are rebound
-			// between sections.
-			calls = 0
-			ib := core.NewBinding(rs.Algebra.Props)
-			rs.IRules[0].PreOpt(ib)
-			rs.IRules[0].PostOpt(ib)
-			if calls != 2 || len(rs.IRules[0].Frame.Shared) != 0 {
-				t.Errorf("I-rule: %d helper evaluations sharing %v, want 2 and none", calls, rs.IRules[0].Frame.Shared)
-			}
 		})
 	}
 }

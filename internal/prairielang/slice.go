@@ -10,18 +10,18 @@ import (
 // This file cuts a checked T-rule for a back end that interns what a
 // firing builds (core.TRule.Slice). Most firings rebuild an expression
 // the back end already holds, and only the identity properties of the new
-// nodes decide that; so the statements are reordered into three parts —
-// what the test reads, what decides identity, the rest — and the back end
-// runs the last only for a firing whose result it keeps. A statement
-// moves only where moving it cannot change what any statement computes;
-// a rule in which some move could is left exactly as written.
+// nodes decide that; so the rule runs in three parts — the pre-test
+// statements and the test, as written; the post-test statements that
+// decide identity; the rest — and the back end runs the last only for a
+// firing whose result it keeps. A post-test statement moves only where
+// moving it cannot change what any statement computes; a rule in which
+// some move could is left exactly as written.
 
 // cut is a T-rule's statements in the order the sliced rule runs them.
 type cut struct {
-	test  []*Stmt // before the test: the pre-test statements it reads
+	test  []*Stmt // before the test: the pre-test statements
 	ident []*Stmt // after it: what decides the right side's identity
 	rest  []*Stmt // held back until a result is kept
-	sank  []*Stmt // the pre-test statements that moved behind the test
 	whole string  // why the rule was left as written; "" when it was cut
 	root  int     // the right side's root slot
 	keeps []core.Keep
@@ -53,23 +53,17 @@ func cutTRule(d *TRuleDecl, rhs *core.PatNode, idProps func(*core.Operation) []c
 	if bare != nil {
 		return whole(bare.Name + " declares no args(...): every property identifies it")
 	}
-	test, sank, hazard := partition(d.PreTest, func(st *Stmt) bool {
-		return d.Test != nil && exprReads(d.Test, st)
-	})
-	if hazard != "" {
-		return whole(hazard)
-	}
-	ident, rest, hazard := partition(slices.Concat(sank, d.PostTest), func(st *Stmt) bool {
+	ident, rest, hazard := partition(d.PostTest, func(st *Stmt) bool {
 		ids, node := identity[st.dst]
 		return node && (st.Prop == "" || slices.Contains(ids, st.id))
 	})
 	if hazard != "" {
 		return whole(hazard)
 	}
-	if len(sank) == 0 && len(rest) == 0 {
-		return whole("every statement decides the test or an identity property")
+	if len(rest) == 0 {
+		return whole("every post-test statement decides an identity property")
 	}
-	return cut{test: test, ident: ident, rest: rest, sank: sank, root: rhs.Slot, keeps: keeps}
+	return cut{test: d.PreTest, ident: ident, rest: rest, root: rhs.Slot, keeps: keeps}
 }
 
 // keepsOf lists, by slot, the right-side nodes whose identity properties
@@ -169,12 +163,7 @@ func (st *Stmt) reads(w *Stmt) bool {
 	if st.Prop == "" {
 		return st.src == w.dst
 	}
-	return exprReads(st.RHS, w)
-}
-
-// exprReads reports whether e reads a property w assigns.
-func exprReads(e Expr, w *Stmt) bool {
-	return anyMember(e, func(x *Member) bool { return x.slot == w.dst && (w.Prop == "" || x.ID == w.id) })
+	return anyMember(st.RHS, func(x *Member) bool { return x.slot == w.dst && (w.Prop == "" || x.ID == w.id) })
 }
 
 // anyMember reports whether f holds for a property read of e, visiting
@@ -194,10 +183,10 @@ func anyMember(e Expr, f func(*Member) bool) bool {
 }
 
 // emit compiles the cut against a frame of its own over the rule's
-// descriptor names: helper calls are shared in the order the parts run.
+// descriptor names.
 func (c cut) emit(test Expr, names []string, helpers map[string]HelperImpl) *core.Sliced {
 	f := &core.Frame{Names: names}
-	em := &emitter{helpers: helpers, frame: f, shared: shareCalls(f, c.test, test, slices.Concat(c.ident, c.rest))}
+	em := &emitter{helpers: helpers, frame: f}
 	// A rule with neither a test nor a statement before it has no
 	// condition: Cond stays nil, which a back end reads as TRUE.
 	pre, cond := em.action(c.test), em.test(test)
@@ -242,11 +231,7 @@ func (c cut) doc() []string {
 	var out []string
 	part := func(name string, stmts []*Stmt) {
 		for _, st := range stmts {
-			line := name + formatStmt(st)
-			if slices.Contains(c.sank, st) {
-				line += "  // sank behind the test"
-			}
-			out = append(out, line)
+			out = append(out, name+formatStmt(st))
 		}
 	}
 	part("test      ", c.test)

@@ -51,14 +51,14 @@ func stmtsText(stmts []*Stmt) string {
 }
 
 // TestSliceParts pins where each statement of a rule lands: before the
-// test only what the test reads, directly or through another pre-test
-// statement; in the identity part the writes of args(...) properties, the
+// test every pre-test statement, as written; of the post-test statements,
+// in the identity part the writes of args(...) properties, the
 // whole-descriptor copies into right-side nodes and what those read; in
 // the deferred part the rest, each part in source order.
 func TestSliceParts(t *testing.T) {
 	for _, c := range []struct {
-		name, rule                   string
-		test, ident, rest, sank, why string
+		name, rule             string
+		test, ident, rest, why string
 	}{
 		{
 			name: "write after write across the cut: a deferred assignment would land on top of the copy",
@@ -74,25 +74,24 @@ func TestSliceParts(t *testing.T) {
 			rest:  "D4.y = h(D3.y); D4.x = D3.x * 2;",
 		},
 		{
-			name: "what the test reads stays, directly or through a pre-test statement; the rest sinks",
+			name: "what the test reads stays, directly or through a pre-test statement, and so does what it does not read",
 			rule: `trule r: J(?1:D1, ?2:D2):D3 => J(?2, ?1):D4
 				pretest { D4.x = h(D1.x); D4.y = D4.x + 1; D4.cost = h(D2.x); }
 				test (D4.y > 0)
 				posttest { D4.p = D3.p; }`,
-			test:  "D4.x = h(D1.x); D4.y = D4.x + 1;",
+			test:  "D4.x = h(D1.x); D4.y = D4.x + 1; D4.cost = h(D2.x);",
 			ident: "D4.p = D3.p;",
-			rest:  "D4.cost = h(D2.x);",
-			sank:  "D4.cost = h(D2.x);",
+			why:   "every post-test statement decides an identity property",
 		},
 		{
-			name: "a sunk statement an identity statement reads goes with its reader",
+			name: "a cut keeps every pre-test statement before the test",
 			rule: `trule r: J(?1:D1, ?2:D2):D3 => J(?2, ?1):D4
 				pretest { D4.x = h(D1.x); D4.y = h(D2.y); }
 				test (D3.x > 0)
-				posttest { D4.p = D4.x + 1; }`,
-			ident: "D4.x = h(D1.x); D4.p = D4.x + 1;",
-			rest:  "D4.y = h(D2.y);",
-			sank:  "D4.x = h(D1.x); D4.y = h(D2.y);",
+				posttest { D4.p = D4.x + 1; D4.cost = D4.y; }`,
+			test:  "D4.x = h(D1.x); D4.y = h(D2.y);",
+			ident: "D4.p = D4.x + 1;",
+			rest:  "D4.cost = D4.y;",
 		},
 		{
 			name: "read after write, two statements deep: both writers join the identity part",
@@ -121,15 +120,18 @@ func TestSliceParts(t *testing.T) {
 				posttest { D4.p = D3.p; }`,
 			test:  "D4 = D3; D4.x = h(D1.x);",
 			ident: "D4.p = D3.p;",
-			why:   "every statement decides the test or an identity property",
+			why:   "every post-test statement decides an identity property",
 		},
 		{
+			// Pre-test statements never move, so their order is no hazard.
 			name: "write after write across the test",
 			rule: `trule r: J(?1:D1, ?2:D2):D3 => J(?2, ?1):D4
 				pretest { D4.y = 1; D4 = D3; }
 				test (D4.x > 0)
 				posttest { D4.p = D3.p; }`,
-			why: `"D4.y = 1;" assigns what the later "D4 = D3;" assigns`,
+			test:  "D4.y = 1; D4 = D3;",
+			ident: "D4.p = D3.p;",
+			why:   "every post-test statement decides an identity property",
 		},
 		{
 			name: "a right-side operator without args(...) is identified by every property",
@@ -150,19 +152,19 @@ func TestSliceParts(t *testing.T) {
 					return
 				}
 			}
-			if stmtsText(got.test) != c.test || stmtsText(got.ident) != c.ident || stmtsText(got.rest) != c.rest || stmtsText(got.sank) != c.sank {
-				t.Errorf("cut\n  test  %s\n  ident %s\n  rest  %s\n  sank  %s\nwant\n  test  %s\n  ident %s\n  rest  %s\n  sank  %s",
-					stmtsText(got.test), stmtsText(got.ident), stmtsText(got.rest), stmtsText(got.sank), c.test, c.ident, c.rest, c.sank)
+			if stmtsText(got.test) != c.test || stmtsText(got.ident) != c.ident || stmtsText(got.rest) != c.rest {
+				t.Errorf("cut\n  test  %s\n  ident %s\n  rest  %s\nwant\n  test  %s\n  ident %s\n  rest  %s",
+					stmtsText(got.test), stmtsText(got.ident), stmtsText(got.rest), c.test, c.ident, c.rest)
 			}
 		})
 	}
 }
 
-// TestSlicedRuleRuns fires a sliced rule part by part: Cond leaves the
-// sunk pre-test statement alone; after Appl the identity property is
-// final and the copy has happened, the deferred assignments have not;
-// Rest completes the descriptors to what the rule as written produces in
-// the interpreter, the override landing on top of the copy.
+// TestSlicedRuleRuns fires a sliced rule part by part: Cond runs the
+// pre-test statement the test does not read; after Appl the identity
+// property is final and the copy has happened, the deferred assignments
+// have not; Rest completes the descriptors to what the rule as written
+// produces in the interpreter, the override landing on top of the copy.
 func TestSlicedRuleRuns(t *testing.T) {
 	_, r, decl, ps := cutOf(t, `trule r: J(J(?1:D1, ?2:D2):D3, ?3:D4):D5 => J(?1, J(?2, ?3):D6):D7
 		pretest { D6.y = h(D1.x); }
@@ -179,17 +181,17 @@ func TestSlicedRuleRuns(t *testing.T) {
 		return b
 	}
 	s := r.Slice(r.RHS, declaredArgs)
-	if got := strings.Join(s.Doc, "\n"); got != "identity  D7 = D5;\nidentity  D7.p = D5.p + 1;\n"+
-		"deferred  D6.y = h(D1.x);  // sank behind the test\ndeferred  D7.x = h(D5.x);" {
+	if got := strings.Join(s.Doc, "\n"); got != "test      D6.y = h(D1.x);\nidentity  D7 = D5;\n"+
+		"identity  D7.p = D5.p + 1;\ndeferred  D7.x = h(D5.x);" {
 		t.Errorf("doc:\n%s", got)
 	}
 	b := lhs()
-	if !s.Cond(b) || b.Bound("D6") {
-		t.Fatalf("Cond rejected, or ran the sunk pre-test statement (D6 bound: %v)", b.Bound("D6"))
+	if !s.Cond(b) || !b.Bound("D6") || b.D("D6").Float(y) != 1 {
+		t.Fatalf("Cond rejected, or left the pre-test statement unrun (D6 bound: %v)", b.Bound("D6"))
 	}
 	s.Appl(b)
-	if d := b.D("D7"); d.Float(p) != 8 || d.Float(x) != 5 || b.Bound("D6") {
-		t.Errorf("after Appl D7 = %v, want p=8 final and x=5 copied; D6 bound: %v", d, b.Bound("D6"))
+	if d := b.D("D7"); d.Float(p) != 8 || d.Float(x) != 5 {
+		t.Errorf("after Appl D7 = %v, want p=8 final and x=5 copied", d)
 	}
 	s.Rest(b)
 	whole := lhs()

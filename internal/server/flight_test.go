@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -235,8 +236,9 @@ func TestFlightExecute(t *testing.T) {
 // once. A record's optimize_us and exec.elapsed_us are the response's
 // elapsed_us and exec.elapsed_us, on a miss and on a hit; with the
 // recorder off or on, every request feeds prairie_optimize_seconds and
-// every executed one prairie_server_exec_seconds; and no second
-// measurement of the same layers is exported.
+// every executed one prairie_server_exec_seconds, and each cache_hit
+// response prairie_plancache_hits_total; and no second measurement of
+// the same layers or outcomes is exported.
 func TestRequestLayersTimedOnce(t *testing.T) {
 	req := OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E2", N: 3}, Execute: true}
 	plain := OptimizeRequest{Ruleset: "oodb/volcano", Query: QuerySpec{Family: "E1", N: 3}}
@@ -248,8 +250,12 @@ func TestRequestLayersTimedOnce(t *testing.T) {
 			_, hs := testServer(t, func(cfg *Config) { cfg.Obs = &obs.Observer{Metrics: obs.NewRegistry()} })
 			base = hs.URL
 		}
+		hits := 0
 		for i, want := range []bool{false, true} { // a miss, then a hit
 			or := optimizeOK(t, base, req)
+			if or.CacheHit {
+				hits++
+			}
 			if or.CacheHit != want || or.Exec == nil {
 				t.Fatalf("recorded=%v request %d: cache_hit %v, exec %+v", recorded, i, or.CacheHit, or.Exec)
 			}
@@ -264,15 +270,18 @@ func TestRequestLayersTimedOnce(t *testing.T) {
 				t.Errorf("request %d: record exec %+v, response exec.elapsed_us %d", i, rec.Exec, or.Exec.ElapsedUS)
 			}
 		}
-		optimizeOK(t, base, plain)
+		if optimizeOK(t, base, plain).CacheHit {
+			hits++
+		}
 
 		_, metrics := getJSONBody(t, base+"/metrics")
-		for _, want := range []string{"\nprairie_optimize_seconds_count 3\n", "\nprairie_server_exec_seconds_count 2\n"} {
+		for _, want := range []string{"\nprairie_optimize_seconds_count 3\n", "\nprairie_server_exec_seconds_count 2\n",
+			fmt.Sprintf("\nprairie_plancache_hits_total %d\n", hits)} {
 			if !strings.Contains(string(metrics), want) {
 				t.Errorf("recorded=%v: /metrics lacks %q", recorded, strings.TrimSpace(want))
 			}
 		}
-		for _, gone := range []string{"prairie_phase_", "prairie_server_optimize_seconds"} {
+		for _, gone := range []string{"prairie_phase_", "prairie_server_optimize_seconds", "prairie_server_cache_hits_total", "prairie_server_degraded_total"} {
 			if strings.Contains(string(metrics), gone) {
 				t.Errorf("recorded=%v: /metrics still exports %s*", recorded, gone)
 			}

@@ -155,8 +155,6 @@ type Server struct {
 	mShed503  *obs.Counter
 	mErrors   *obs.Counter
 	mPanics   *obs.Counter
-	mDegraded *obs.Counter
-	mHits     *obs.Counter
 	mDrained  *obs.Counter
 	// The server times each layer of a request once, for every request,
 	// recorded or not: the queue wait here, the search in the engine's
@@ -184,8 +182,6 @@ func New(cfg Config) (*Server, error) {
 		s.mShed503 = reg.Counter("prairie_server_shed_queue_wait_total")
 		s.mErrors = reg.Counter("prairie_server_errors_total")
 		s.mPanics = reg.Counter("prairie_server_panics_total")
-		s.mDegraded = reg.Counter("prairie_server_degraded_total")
-		s.mHits = reg.Counter("prairie_server_cache_hits_total")
 		s.mDrained = reg.Counter("prairie_server_drain_refused_total")
 		s.hQueueWait = reg.Histogram("prairie_server_queue_wait_seconds", nil)
 		s.hExec = reg.Histogram("prairie_server_exec_seconds", nil)
@@ -508,7 +504,8 @@ func (s *Server) timeout(ms int64) time.Duration {
 
 // prepared is a request resolved against its world: the budget class
 // looked up and the query's prepared tree fetched (World.prepared; shared,
-// read-only). It is what optimizeOne searches.
+// read-only), or built for the request alone when the server has no plan
+// cache. It is what optimizeOne searches.
 type prepared struct {
 	world  *World
 	req    OptimizeRequest
@@ -523,7 +520,16 @@ func (s *Server) prepare(world *World, req OptimizeRequest) (prepared, error) {
 	if !ok {
 		return prepared{}, fmt.Errorf("unknown budget class %q", req.Budget)
 	}
-	tree, want, err := world.prepared(req.Query, s.cache.Epoch())
+	// With no plan cache there is no epoch to tell an old tree by, so
+	// every request builds its own.
+	var tree *core.Expr
+	var want *core.Descriptor
+	var err error
+	if s.cache == nil {
+		tree, want, err = world.Build(req.Query)
+	} else {
+		tree, want, err = world.prepared(req.Query, s.cache.Epoch())
+	}
 	if err != nil {
 		return prepared{}, err
 	}
@@ -558,7 +564,7 @@ func (s *Server) optimizeOne(ctx context.Context, p *prepared, rec *obs.RequestR
 	if rec != nil {
 		s.recordOutcome(rec, opt.Stats)
 	}
-	resp, err := s.buildResponse(world, req, plan, opt.Rendering, opt.Stats, elapsed.Microseconds())
+	resp, err := buildResponse(world, req, plan, opt.Rendering, opt.Stats, elapsed.Microseconds())
 	if err != nil {
 		return nil, http.StatusInternalServerError, err
 	}
@@ -637,13 +643,11 @@ func (s *Server) executePlan(world *World, plan *core.Expr, rec *obs.RequestReco
 	return sum, 0, nil
 }
 
-// buildResponse renders one optimization outcome as its wire response;
-// the per-outcome server metrics (degraded, cache hits) are counted
-// exactly once here.
+// buildResponse renders one optimization outcome as its wire response.
 // slot is the rendering slot of the cache entry behind plan (nil: none).
 // The only error is an include_plan request whose plan cannot be
 // encoded.
-func (s *Server) buildResponse(world *World, req OptimizeRequest, plan *core.Expr, slot *volcano.Rendering, st *volcano.Stats, elapsedUS int64) (*OptimizeResponse, error) {
+func buildResponse(world *World, req OptimizeRequest, plan *core.Expr, slot *volcano.Rendering, st *volcano.Stats, elapsedUS int64) (*OptimizeResponse, error) {
 	pb := renderPlan(slot, plan, world.RS.Class)
 	resp := &OptimizeResponse{
 		Ruleset:   world.Name,
@@ -665,10 +669,6 @@ func (s *Server) buildResponse(world *World, req OptimizeRequest, plan *core.Exp
 	if st.Degraded {
 		resp.DegradeCause = st.DegradeCause.String()
 		resp.DegradePath = st.DegradePath
-		s.mDegraded.Inc()
-	}
-	if resp.CacheHit {
-		s.mHits.Inc()
 	}
 	if req.IncludePlan {
 		var err error

@@ -123,9 +123,10 @@ type preparedQuery struct {
 // for ""/"linear", 1 for "star" and 2 for anything else. That is sound
 // because a world rejects every graph it does not build and every family
 // it cannot parse, so no slot stands for two different trees, and the
-// table's size is fixed however the fields are spelt. A tree of an older epoch is built
-// again — an in-place catalog change reaches the server's searches
-// through /v1/invalidate — and an error is never stored.
+// table's size is fixed however the fields are spelt. A tree of an older
+// epoch is built again — an in-place catalog change reaches the server's
+// searches through /v1/invalidate — and an error is never stored. A
+// server without a plan cache has no epoch and calls Build instead.
 func (w *World) prepared(q QuerySpec, epoch uint64) (*core.Expr, *core.Descriptor, error) {
 	if err := w.checkN(q.N); err != nil {
 		return nil, nil, err

@@ -245,12 +245,12 @@ type ruleIndex struct {
 	// expression of the operation (see RuleSet.idProps), precomputed so
 	// the memo's duplicate lookups do not build them per call.
 	idProps [][]core.PropID
-	// names, shared and args are the most slots, Shared and Args entries
-	// of any rule's frame: the size every binding the engine lends a
-	// rule's hooks is reserved at (RuleSet.newBinding); arity is the
-	// most inputs of any operation, the size of a costing frame's slices
+	// names and args are the most slots and Args entries of any rule's
+	// frame: the size every binding the engine lends a rule's hooks is
+	// reserved at (RuleSet.newBinding); arity is the most inputs of any
+	// operation, the size of a costing frame's slices
 	// (RuleSet.newCostFrame).
-	names, shared, args, arity int
+	names, args, arity int
 	// series holds, by ledger row, the metric series names recordRun
 	// flushes the row's counts under, built here once per rule set.
 	series []ruleSeries
@@ -259,7 +259,7 @@ type ruleIndex struct {
 // fit widens the index's binding size to cover f (nil covers nothing).
 func (ix *ruleIndex) fit(f *core.Frame) {
 	if f != nil {
-		ix.names, ix.shared, ix.args = max(ix.names, len(f.Names)), max(ix.shared, len(f.Shared)), max(ix.args, f.Args)
+		ix.names, ix.args = max(ix.names, len(f.Names)), max(ix.args, f.Args)
 	}
 }
 
@@ -393,7 +393,7 @@ func (rs *RuleSet) newBinding() *core.Binding {
 	ix := rs.index()
 	b := core.NewBinding(rs.Algebra.Props)
 	b.Scratch = true
-	b.Reserve(ix.names, ix.shared, ix.args)
+	b.Reserve(ix.names, ix.args)
 	return b
 }
 

@@ -70,8 +70,8 @@ type Optimizer struct {
 	OnEvent func(Event)
 	// Rendering is the rendering slot of the cache entry that stands
 	// behind the plan the last OptimizeContext returned — the entry a hit
-	// or a shared flight was served from, or this run published; nil when no entry does (no cache, a degraded or failed
-	// run). See Rendering.
+	// or a shared flight was served from, or this run published; nil when
+	// no entry does (no cache, a degraded or failed run). See Rendering.
 	Rendering *Rendering
 
 	// fire is the firing state reused by every rule application, and
@@ -457,10 +457,10 @@ func (x *explorer) run() error {
 
 // applyTrans fires one transformation rule on one expression for every
 // binding involving at least one expression stamped at or after since
-// (0 enumerates everything). One binding, laid out by the rule's frame, serves all applications: the
-// matcher overwrites its LHS slots match by match (shared read-only with
-// the memo), and each firing starts by taking back the RHS descriptors
-// the previous firing's actions created. The rule's tally row counts the
+// (0 enumerates everything). One binding, laid out by the rule's frame,
+// serves all applications: the matcher overwrites its LHS slots match by
+// match (shared read-only with the memo), and each firing starts by
+// taking back the RHS descriptors the previous firing's actions created. The rule's tally row counts the
 // matches and firings, and the stopwatch runs for it until the next rule
 // starts. A firing of a rule whose right side keeps left-side identities
 // (TransRule.Keeps) that finds its right side in the memo already, the
