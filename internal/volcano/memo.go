@@ -434,12 +434,7 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 	self := m.selfHash(op, "", d)
 	h := m.exprHash(self, canon)
 	if e := m.lookup(h, op, "", d, canon); e != nil {
-		eg := m.Find(e.group)
-		if target >= 0 && m.Find(target) != eg {
-			m.merge(m.Find(target), eg)
-			return m.Find(eg), true
-		}
-		return eg, false
+		return m.settle(m.Find(e.group), target)
 	}
 	var g *Group
 	if target >= 0 {
@@ -467,6 +462,17 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 	copy(e.Kids, canon)
 	m.adopt(e, g, h)
 	return g.ID, true
+}
+
+// settle places an expression the memo holds in group eg under target:
+// a target in another group merges into eg. It returns eg's canonical
+// group and whether anything changed.
+func (m *Memo) settle(eg, target GroupID) (GroupID, bool) {
+	if target >= 0 && m.Find(target) != eg {
+		m.merge(m.Find(target), eg)
+		return m.Find(eg), true
+	}
+	return eg, false
 }
 
 // merge unions two canonical groups, keeping a's identity.
