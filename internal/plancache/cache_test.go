@@ -33,7 +33,7 @@ func TestGetPut(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
+func TestEvictionAtCapacity(t *testing.T) {
 	c := New[int](1)
 	c.Put(key(1, "a"), 1)
 	c.Put(key(2, "b"), 2)
@@ -43,9 +43,9 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestLRUPromotion(t *testing.T) {
-	// Two entries in a cache of capacity 2: touching the older one
-	// must make the other the eviction victim.
+func TestUsePromotes(t *testing.T) {
+	// Two entries of one weight in a cache of capacity 2: touching the
+	// older one must make the other the eviction victim.
 	c := New[int](2)
 	c.Put(key(1, "a"), 1)
 	c.Put(key(2, "b"), 2)
@@ -58,6 +58,77 @@ func TestLRUPromotion(t *testing.T) {
 	}
 	if _, ok := c.Get(key(2, "b")); ok {
 		t.Fatal("least-recently-used entry b survived")
+	}
+}
+
+// has reports whether k is cached without counting or promoting a use.
+func (c *Cache[V]) has(k Key) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.items[k]
+	return ok
+}
+
+// weighed is a value that knows its cost to the cache.
+type weighed uint64
+
+func (w weighed) Weight() uint64 { return uint64(w) }
+
+// TestCostlyEntrySurvivesCheapChurn: an entry a thousand times as
+// costly as the rest is not evicted by ten cache-fulls of cheap keys
+// each written once — an LRU would drop it after four.
+func TestCostlyEntrySurvivesCheapChurn(t *testing.T) {
+	const capacity = 4
+	c := New[weighed](capacity)
+	costly := key(0, "costly")
+	c.Put(costly, 1000)
+	for i := 1; i <= 10*capacity; i++ {
+		c.Put(key(uint64(i), fmt.Sprintf("cheap%d", i)), 1)
+	}
+	if _, ok := c.Get(costly); !ok {
+		t.Fatal("costly entry evicted by one-shot cheap puts")
+	}
+	if st := c.Snapshot(); st.Entries != capacity || st.Evictions != 10*capacity+1-capacity {
+		t.Fatalf("stats = %+v; want %d entries, %d evictions", st, capacity, 10*capacity+1-capacity)
+	}
+}
+
+// TestIdleCostlyEntryAgesOut: a costly entry that stops being used is
+// evicted after a bounded number of puts of other keys, so no entry
+// holds its slot for good. It outlives ten cache-fulls of cheap keys,
+// which its cost and uses buy it, and is gone within capacity × uses ×
+// cost puts: each victim raises the floor new entries start from.
+func TestIdleCostlyEntryAgesOut(t *testing.T) {
+	const (
+		capacity = 4
+		cost     = 100
+		uses     = 3
+		bound    = capacity * uses * cost
+	)
+	c := New[weighed](capacity)
+	costly := key(0, "costly")
+	c.Put(costly, cost)
+	for i := 1; i < uses; i++ {
+		if _, ok := c.Get(costly); !ok {
+			t.Fatal("costly entry missing")
+		}
+	}
+	gone := 0
+	for i := 1; i <= bound && gone == 0; i++ {
+		c.Put(key(uint64(i), fmt.Sprintf("cheap%d", i)), 1)
+		if n := c.Len(); n > capacity {
+			t.Fatalf("%d entries over a capacity of %d", n, capacity)
+		}
+		if !c.has(costly) {
+			gone = i
+		}
+	}
+	t.Logf("idle costly entry evicted after %d puts", gone)
+	if gone == 0 {
+		t.Fatalf("idle costly entry still cached after %d puts of other keys", bound)
+	}
+	if gone <= 10*capacity {
+		t.Fatalf("costly entry evicted after %d puts, before %d cheap ones", gone, 10*capacity)
 	}
 }
 
@@ -75,6 +146,22 @@ func TestEpochInvalidation(t *testing.T) {
 	}
 	if c.Epoch() != 1 {
 		t.Fatalf("epoch = %d, want 1", c.Epoch())
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("%d entries after Invalidate, want 0", n)
+	}
+	// A flight begun before the Invalidate hands its value to its
+	// followers but stores nothing.
+	c.Put(k2, 1)
+	old := Key{Fingerprint: 8, Canon: "r", Epoch: c.Epoch()}
+	lead, f := c.Acquire(old), c.Acquire(old)
+	c.Invalidate()
+	lead.Complete(43, true)
+	if v, ok, err := f.Wait(context.Background()); v != 43 || !ok || err != nil {
+		t.Fatalf("follower of a pre-Invalidate flight = %d, %v, %v; want 43, true, nil", v, ok, err)
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("%d entries after a pre-Invalidate flight completed, want 0", n)
 	}
 }
 
@@ -249,11 +336,11 @@ func TestConcurrentMixedLoad(t *testing.T) {
 	}
 }
 
-// TestExactLRU: the capacity is one budget over every key, whatever
-// the keys' fingerprints. 32 keys sharing one fingerprint all fit a
-// 32-entry cache, and the 33rd Put evicts the least recently used of
-// them: the oldest key was just read, so the second-oldest goes.
-func TestExactLRU(t *testing.T) {
+// TestExactBudget: the capacity is one budget over every key, whatever
+// the keys' fingerprints. 32 keys of one weight sharing one fingerprint
+// all fit a 32-entry cache, and the 33rd Put evicts the least recently
+// used of them: the oldest key was just read, so the second-oldest goes.
+func TestExactBudget(t *testing.T) {
 	const capacity = 32
 	c := New[int](capacity)
 	k := func(i int) Key { return key(0xfeed, fmt.Sprintf("q%d", i)) }

@@ -12,10 +12,14 @@ import (
 
 // epochVal tags a cached value with the epoch and canon of the key it
 // was written under, so readers can detect a stale or cross-key serve.
+// Its cost varies by key, so evictions weigh entries unequally.
 type epochVal struct {
 	epoch uint64
 	canon string
+	cost  uint64
 }
+
+func (v epochVal) Weight() uint64 { return v.cost }
 
 // TestEpochInvalidationStress (run with -race): Get/Put/Acquire/Wait
 // traffic from many goroutines races an invalidator that bumps the
@@ -23,10 +27,11 @@ type epochVal struct {
 // whether from Get, an Acquire hit, or a follower adopting a leader's
 // result — only ever returns a value written under the exact epoch and
 // canon of the requesting key. An entry from before an Invalidate must
-// never satisfy a key built after it.
+// never satisfy a key built after it. Keys cost 1 to 301, so the
+// eviction order mixes recency, use counts and costs.
 func TestEpochInvalidationStress(t *testing.T) {
 	const (
-		capacity = 64
+		capacity = 16
 		workers  = 8
 		keys     = 32
 		iters    = 5000
@@ -59,6 +64,7 @@ func TestEpochInvalidationStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				kidx := rng.Intn(keys)
 				canon := fmt.Sprintf("q%d", kidx)
+				cost := uint64(1 + kidx%4*100)
 				// The key is built from the epoch as read now — exactly
 				// the engine's protocol. The invalidator may bump the
 				// epoch at any point after this line.
@@ -76,7 +82,7 @@ func TestEpochInvalidationStress(t *testing.T) {
 						check(v)
 					}
 				case 1:
-					c.Put(k, epochVal{epoch: e, canon: canon})
+					c.Put(k, epochVal{epoch: e, canon: canon, cost: cost})
 				default:
 					a := c.Acquire(k)
 					switch {
@@ -85,7 +91,7 @@ func TestEpochInvalidationStress(t *testing.T) {
 					case a.Leader:
 						// Occasionally decline to share, as a degraded
 						// search would.
-						a.Complete(epochVal{epoch: e, canon: canon}, rng.Intn(4) != 0)
+						a.Complete(epochVal{epoch: e, canon: canon, cost: cost}, rng.Intn(4) != 0)
 					default:
 						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 						v, ok, err := a.Wait(ctx)
@@ -112,11 +118,12 @@ func TestEpochInvalidationStress(t *testing.T) {
 	if served.Load() == 0 {
 		t.Fatal("stress produced no hits at all; the schedule is not exercising the cache")
 	}
-	if n := c.Len(); n > capacity+16 {
+	if n := c.Len(); n > capacity {
 		t.Errorf("cache holds %d entries, capacity %d", n, capacity)
 	}
 	snap := c.Snapshot()
-	if snap.Hits == 0 || snap.Misses == 0 || snap.Puts == 0 {
+	t.Logf("counters: %+v", snap)
+	if snap.Hits == 0 || snap.Misses == 0 || snap.Puts == 0 || snap.Evictions == 0 {
 		t.Errorf("counters did not move: %+v", snap)
 	}
 }

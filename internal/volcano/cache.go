@@ -10,10 +10,13 @@ import (
 )
 
 // PlanCache is the engine-facing handle of the cross-query plan cache:
-// an LRU of extracted winner plans keyed by canonical query
-// fingerprint, required physical properties, budget class, rule-set
-// scope, and cache epoch, with singleflight collapsing of concurrent
-// misses (see internal/plancache for the storage layer).
+// extracted winner plans keyed by canonical query fingerprint, required
+// physical properties, budget class, rule-set scope, and cache epoch,
+// with singleflight collapsing of concurrent misses (see
+// internal/plancache for the storage layer). When full it evicts the
+// plan that is cheapest to search again, weighted by its uses: each
+// entry weighs the trans_rule firings plus costed plans of the cold
+// search that produced it (cachedPlan.Weight).
 //
 // One PlanCache may be shared by any number of concurrent optimizers. A
 // nil *PlanCache is the disabled cache: it leaves the engine
@@ -47,10 +50,10 @@ func (pc *PlanCache) Len() int {
 	return pc.c.Len()
 }
 
-// Invalidate starts a new cache generation; call it when the catalog
-// backing the rule set changes in place. (A freshly built RuleSet needs
-// no invalidation — every instance has its own scope.) It returns the
-// new epoch.
+// Invalidate starts a new cache generation and drops every cached plan;
+// call it when the catalog backing the rule set changes in place. (A
+// freshly built RuleSet needs no invalidation — every instance has its
+// own scope.) It returns the new epoch.
 func (pc *PlanCache) Invalidate() uint64 {
 	if pc == nil {
 		return 0
@@ -122,10 +125,17 @@ type cachedPlan struct {
 	exprs     int
 	merges    int
 	memoBytes int64
+	// work is the cold run's search work, its trans_rule firings plus
+	// costed plans: what a miss on the entry would do again. It tracks
+	// the search's time at about a microsecond a unit, without a clock.
+	work uint64
 	// render is the entry's rendering slot, handed to every run the
 	// entry answers (Optimizer.Rendering).
 	render *Rendering
 }
+
+// Weight is the entry's cost to the cache's eviction policy.
+func (cp *cachedPlan) Weight() uint64 { return cp.work }
 
 // RemoteEntry is a cache entry's payload in exported form: the winner
 // plan plus the cold-run shape statistics a hit reports. It is what the
@@ -152,7 +162,11 @@ func (o *Optimizer) publishable(plan *core.Expr) cachedPlan {
 		exprs:     o.Stats.Exprs,
 		merges:    o.Stats.Merges,
 		memoBytes: o.Stats.MemoBytes,
+		work:      uint64(o.Stats.CostedPlans),
 		render:    new(Rendering),
+	}
+	for _, n := range o.Stats.TransFired {
+		cp.work += uint64(n)
 	}
 	o.Rendering = cp.render
 	return cp

@@ -245,6 +245,9 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 		t.Fatal("no hit before invalidation")
 	}
 	pc.Invalidate()
+	if n := pc.Len(); n != 0 {
+		t.Fatalf("%d plans cached after Invalidate, want 0", n)
+	}
 	if _, s := optCached(t, w, q, pc); s.CacheHits != 0 || s.CacheMisses != 1 {
 		t.Fatal("stale entry served after Invalidate")
 	}
