@@ -51,9 +51,11 @@ bench-test:
 # per-rule timing (on): the on/off ratio is the price of the observer and
 # its stopwatch, and of ExecPlans, the exec_plans workload's six plans
 # compiled and run on 4096-row tables: the executor's time, bytes and
-# objects per run. Full runs: `go test -bench=. -benchmem`.
+# objects per run, and of ChurnReplay, serve_churn's request cycle
+# replayed through a 32-entry plan cache: the cache layer's search work
+# per request and hit rate. Full runs: `go test -bench=. -benchmem`.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges|SearchCold|ObsGuard|ExecPlans' -benchmem -benchtime 3x .
+	$(GO) test -run 'XXX' -bench 'Fig1[01234]|ExploreMerges|SearchCold|ObsGuard|ExecPlans|ChurnReplay' -benchmem -benchtime 3x .
 
 # Rule-correctness guard: the per-rule differential verifier must give
 # every trans_rule of every served rule set a "verified" verdict, and
