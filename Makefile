@@ -80,12 +80,13 @@ rulecheck-guard:
 # Seed corpora live under testdata/fuzz/; crashers are gitignored until
 # promoted.
 FUZZTIME ?= 30s
+FUZZ_TARGETS = FuzzParse:./internal/prairielang FuzzFingerprint:. FuzzCacheEntry:./internal/wire \
+	FuzzOptimizeRequest:./internal/server FuzzAttrKernels:./internal/core
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) ./internal/prairielang
-	$(GO) test -run '^$$' -fuzz '^FuzzFingerprint$$' -fuzztime $(FUZZTIME) .
-	$(GO) test -run '^$$' -fuzz '^FuzzCacheEntry$$' -fuzztime $(FUZZTIME) ./internal/wire
-	$(GO) test -run '^$$' -fuzz '^FuzzOptimizeRequest$$' -fuzztime $(FUZZTIME) ./internal/server
-	$(GO) test -run '^$$' -fuzz '^FuzzAttrKernels$$' -fuzztime $(FUZZTIME) ./internal/core
+	@for tp in $(FUZZ_TARGETS); do \
+		echo "== $${tp%%:*}"; \
+		$(GO) test -run '^$$' -fuzz "^$${tp%%:*}\$$" -fuzztime $(FUZZTIME) "$${tp#*:}" || exit 1; \
+	done
 
 # Statement-coverage gate: one run of the suite writes the profile, then
 # a per-package summary and a hard floor on the total

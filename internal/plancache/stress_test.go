@@ -22,39 +22,27 @@ type epochVal struct {
 func (v epochVal) Weight() uint64 { return v.cost }
 
 // TestEpochInvalidationStress (run with -race): Get/Put/Acquire/Wait
-// traffic from many goroutines races an invalidator that bumps the
-// epoch continuously. The invariant under all interleavings: a hit —
-// whether from Get, an Acquire hit, or a follower adopting a leader's
-// result — only ever returns a value written under the exact epoch and
-// canon of the requesting key. An entry from before an Invalidate must
-// never satisfy a key built after it. Keys cost 1 to 301, so the
-// eviction order mixes recency, use counts and costs.
+// traffic from many goroutines, each of which invalidates the cache on
+// every invalEvery-th of its operations, between building its key and
+// using it, so the epoch moves under the other goroutines' keys and
+// under its own. The invariant under all interleavings: a hit — whether
+// from Get, an Acquire hit, or a follower adopting a leader's result —
+// only ever returns a value written under the exact epoch and canon of
+// the requesting key. An entry from before an Invalidate must never
+// satisfy a key built after it, and a Put under an old key stores
+// nothing. Keys cost 1 to 301, so the eviction order mixes recency, use
+// counts and costs.
 func TestEpochInvalidationStress(t *testing.T) {
 	const (
-		capacity = 16
-		workers  = 8
-		keys     = 32
-		iters    = 5000
+		capacity   = 16
+		workers    = 8
+		keys       = 32
+		iters      = 5000
+		invalEvery = 200
 	)
 	c := New[epochVal](capacity)
 
-	stop := make(chan struct{})
-	var inval sync.WaitGroup
-	inval.Add(1)
-	go func() {
-		defer inval.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.Invalidate()
-			time.Sleep(20 * time.Microsecond)
-		}
-	}()
-
-	var stale, served atomic.Int64
+	var stale, served, puts atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -70,6 +58,9 @@ func TestEpochInvalidationStress(t *testing.T) {
 				// epoch at any point after this line.
 				e := c.Epoch()
 				k := Key{Fingerprint: uint64(kidx), Canon: canon, Epoch: e}
+				if i%invalEvery == invalEvery-1 {
+					c.Invalidate()
+				}
 				check := func(v epochVal) {
 					served.Add(1)
 					if v.epoch != e || v.canon != canon {
@@ -82,6 +73,7 @@ func TestEpochInvalidationStress(t *testing.T) {
 						check(v)
 					}
 				case 1:
+					puts.Add(1)
 					c.Put(k, epochVal{epoch: e, canon: canon, cost: cost})
 				default:
 					a := c.Acquire(k)
@@ -91,7 +83,11 @@ func TestEpochInvalidationStress(t *testing.T) {
 					case a.Leader:
 						// Occasionally decline to share, as a degraded
 						// search would.
-						a.Complete(epochVal{epoch: e, canon: canon, cost: cost}, rng.Intn(4) != 0)
+						share := rng.Intn(4) != 0
+						if share {
+							puts.Add(1)
+						}
+						a.Complete(epochVal{epoch: e, canon: canon, cost: cost}, share)
 					default:
 						ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 						v, ok, err := a.Wait(ctx)
@@ -109,8 +105,6 @@ func TestEpochInvalidationStress(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	close(stop)
-	inval.Wait()
 
 	if got := stale.Load(); got != 0 {
 		t.Fatalf("%d stale or cross-key values served (of %d hits)", got, served.Load())
@@ -125,5 +119,11 @@ func TestEpochInvalidationStress(t *testing.T) {
 	t.Logf("counters: %+v", snap)
 	if snap.Hits == 0 || snap.Misses == 0 || snap.Puts == 0 || snap.Evictions == 0 {
 		t.Errorf("counters did not move: %+v", snap)
+	}
+	if want := uint64(workers * (iters / invalEvery)); snap.Epoch < want {
+		t.Errorf("epoch %d after the run, want at least %d invalidations", snap.Epoch, want)
+	}
+	if snap.Puts >= puts.Load() {
+		t.Errorf("%d of %d Puts stored: none under an old epoch was dropped", snap.Puts, puts.Load())
 	}
 }

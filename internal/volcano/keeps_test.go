@@ -91,3 +91,41 @@ func TestValidateKeeps(t *testing.T) {
 		}
 	}
 }
+
+// TestKeepingFiringMergesWithoutAppl: the query joins R1 with R2 twice,
+// once in each order, in two groups. join_commute declaring keeps finds
+// its right side on the first of them in the other group and merges the
+// two without running Appl, reaching the same memo, plan and merges as
+// without keeps.
+func TestKeepingFiringMergesWithoutAppl(t *testing.T) {
+	w := newTestWorld()
+	r1 := func() *core.Expr { return w.retOf(w.leaf("R1", 8, core.A("R1", "a"), core.A("R1", "b"))) }
+	r2 := func() *core.Expr { return w.retOf(w.leaf("R2", 4, core.A("R2", "a"), core.A("R2", "b"))) }
+	on := core.EqAttr(core.A("R1", "a"), core.A("R2", "a"))
+	run := func(keeps []core.Keep) (*Optimizer, string, int) {
+		appl := 0
+		o := NewOptimizer(withKeeps(w, keeps, &appl))
+		q := w.joinOf(w.joinOf(r1(), r2(), on), w.joinOf(r2(), r1(), on), core.EqAttr(core.A("R1", "b"), core.A("R2", "b")))
+		p, err := o.Optimize(q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		searched := appl
+		if err := o.CheckClosed(); err != nil {
+			t.Fatal(err)
+		}
+		return o, p.String(), searched
+	}
+	full, fplan, fappl := run(nil)
+	kept, kplan, kappl := run([]core.Keep{{RHS: "D4", LHS: "D3"}})
+	if full.Memo.Dump() != kept.Memo.Dump() || fplan != kplan || full.Stats.Merges != kept.Stats.Merges {
+		t.Errorf("keeps changed the search: %d merges, %s\n%s\nwithout keeps %d merges, %s\n%s",
+			kept.Stats.Merges, kplan, kept.Memo.Dump(), full.Stats.Merges, fplan, full.Memo.Dump())
+	}
+	if full.Stats.Merges != 1 || full.Stats.TransNew["join_commute"] != 1 {
+		t.Fatalf("join_commute: %d merges, %d firings new; want one firing, the merge", full.Stats.Merges, full.Stats.TransNew["join_commute"])
+	}
+	if fired := full.Stats.TransFired["join_commute"]; fappl != fired || kappl != 0 {
+		t.Errorf("join_commute ran Appl %d times with keeps and %d without; it fired %d times, one merge and the rest no-ops", kappl, fappl, fired)
+	}
+}

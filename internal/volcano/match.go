@@ -6,37 +6,15 @@ import (
 
 // firing is the state one transformation firing runs in, reused across
 // all firings: the binding the rule's hooks see, the groups bound to the
-// pattern variables (groupUnbound if unset), and the rule's Rest while
-// the firing still owes it, with its RestRoot. A firing on a tree (the
+// pattern variables (groupUnbound if unset), and whether the firing
+// still owes its rule's Appl and Rest (buildRHS). A firing on a tree (the
 // tree phase and single-rule application, normalize.go) binds nodes
-// instead of groups, by match step. held lists the right-side nodes
-// the identity probe (Memo.holds) found and their groups, so buildRHS
-// takes them instead of looking them up again; a probe finding more than
-// len(held) records the first ones.
+// instead of groups, by match step.
 type firing struct {
-	b        *core.Binding
-	vars     []GroupID
-	rest     core.Action
-	restRoot []core.PropID
-	nodes    []*core.Expr
-	held     [4]heldNode
-	nheld    int
-}
-
-// heldNode is a right-side node the probe found in group g.
-type heldNode struct {
-	p *core.PatNode
-	g GroupID
-}
-
-// found returns the group this firing's probe found p in.
-func (f *firing) found(p *core.PatNode) (GroupID, bool) {
-	for _, h := range f.held[:f.nheld] {
-		if h.p == p {
-			return h.g, true
-		}
-	}
-	return 0, false
+	b          *core.Binding
+	vars       []GroupID
+	appl, rest bool
+	nodes      []*core.Expr
 }
 
 // firing returns the optimizer's firing state, making it and the matcher
@@ -171,74 +149,64 @@ func (x *matcher) next() bool {
 // fresh reports whether the binding next just delivered is fresh.
 func (x *matcher) fresh() bool { return x.frames[len(x.steps)-1].fresh }
 
-// holds reports whether the memo already holds the right side te's
-// firing would build on the matcher's binding, its root in group target.
-// Every right-side node keeps the identity properties of a left-side
-// node of its operator (transEntry.keeps), so each is looked up, inputs
-// first, under the matched expression's cached self hash and by its
-// descriptor, before any action runs. A node it does not find, or a root
-// in another group (a merge), leaves the firing to Appl and buildRHS,
-// which takes the nodes found so far (firing.held) as they are.
-func (m *Memo) holds(te *transEntry, x *matcher, f *firing, target GroupID) bool {
-	g, ok := m.holdsNode(te.rhs, te.keeps, x, f)
-	return ok && g == target
+// buildRHS interns the right-hand side of te's firing on the matcher's
+// binding, inputs first, its root in group target; a group an interior
+// node founds lies as far below target as the node nests in the pattern.
+// Variable leaves resolve to their bound groups. While the firing owes
+// Appl, a node that keeps a left-side node's identity (transEntry.keeps)
+// is looked up under that node's cached self hash and descriptor, and
+// one the memo holds is settled under its target with no action run.
+// The first node that is not so found runs Appl; it and every node after
+// it are looked up by the descriptor the actions filled into the
+// binding. The first one the memo does not hold runs Rest — or, if it is
+// the root, takes RestRoot from target's representative (TransRule) —
+// and is interned with a copy of its descriptor.
+func (m *Memo) buildRHS(te *transEntry, x *matcher, target GroupID) {
+	m.buildRHSNode(te, x, te.rhs, target, m.groups[target].depth)
 }
 
-func (m *Memo) holdsNode(p *core.PatNode, keeps []int, x *matcher, f *firing) (GroupID, bool) {
-	if p.IsVar() {
-		return f.vars[p.Var], true
-	}
-	var buf [4]GroupID
-	kids := buf[:0]
-	for _, kp := range p.Kids {
-		g, ok := m.holdsNode(kp, keeps, x, f)
-		if !ok {
-			return 0, false
-		}
-		kids = append(kids, m.Find(g))
-	}
-	src := x.frames[keeps[p.Slot]].e
-	e := m.lookup(m.exprHash(src.selfHash, kids), p.Op, "", src.D, kids)
-	if e == nil {
-		return 0, false
-	}
-	g := m.Find(e.group)
-	if f.nheld < len(f.held) {
-		f.held[f.nheld] = heldNode{p, g}
-		f.nheld++
-	}
-	return g, true
-}
-
-// buildRHS interns the right-hand side of a fired transformation rule.
-// Variable leaves resolve to their bound groups; interior nodes take the
-// descriptors the rule's actions filled into the binding. target is the
-// group the root is inserted into; a group an interior node founds lies
-// as far below target as the node nests in the pattern. A node the
-// firing's probe found (firing.found) is not looked up again: it and
-// its inputs exist.
-func (m *Memo) buildRHS(p *core.PatNode, f *firing, target GroupID) {
-	m.buildRHSNode(p, f, target, m.groups[target].depth)
-}
-
-func (m *Memo) buildRHSNode(p *core.PatNode, f *firing, target GroupID, depth int) GroupID {
+func (m *Memo) buildRHSNode(te *transEntry, x *matcher, p *core.PatNode, target GroupID, depth int) GroupID {
+	f := x.f
 	if p.IsVar() {
 		// Descriptor names on RHS variable leaves carry required-property
 		// information in Prairie I-rules; in the purely logical space of
 		// trans_rules they have no effect.
-		return f.vars[p.Var]
-	}
-	if g, ok := f.found(p); ok {
-		g, _ = m.settle(m.Find(g), target)
-		return g
+		return m.Find(f.vars[p.Var])
 	}
 	var buf [4]GroupID
 	kids := buf[:0]
 	for _, kp := range p.Kids {
-		kids = append(kids, m.buildRHSNode(kp, f, -1, depth+1))
+		kids = append(kids, m.buildRHSNode(te, x, kp, -1, depth+1))
 	}
-	// The binding's descriptor is scratch: intern completes and clones it
+	if f.appl {
+		if te.keeps != nil {
+			src := x.frames[te.keeps[p.Slot]].e
+			if e := m.lookup(m.exprHash(src.selfHash, kids), p.Op, "", src.D, kids); e != nil {
+				g, _ := m.settle(m.Find(e.group), target)
+				return g
+			}
+		}
+		f.appl = false
+		if te.rule.Appl != nil {
+			te.rule.Appl(f.b)
+		}
+	}
+	// The binding's descriptor is scratch: it is completed and cloned
 	// only if the expression is new.
-	g, _ := m.intern(p.Op, f.b.Slot(p.Slot), kids, target, f, depth)
-	return g
+	d := f.b.Slot(p.Slot)
+	self := m.selfHash(p.Op, "", d)
+	h := m.exprHash(self, kids)
+	if e := m.lookup(h, p.Op, "", d, kids); e != nil {
+		g, _ := m.settle(m.Find(e.group), target)
+		return g
+	}
+	if f.rest && target < 0 {
+		te.rule.Rest(f.b)
+	}
+	d = m.descs.Clone(d)
+	if f.rest && target >= 0 { // the root alone is new
+		d.CopyOn(m.Group(target).rep, te.rule.RestRoot)
+	}
+	f.rest = false
+	return m.add(p.Op, d, self, h, kids, target, depth)
 }

@@ -413,19 +413,12 @@ func (m *Memo) newExpr() *LExpr { return &core.Take(&m.exprArena, 1, exprChunk)[
 // equivalent. InsertExpr reports the expression's canonical group and
 // whether the memo changed.
 func (m *Memo) InsertExpr(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID) (GroupID, bool) {
-	return m.intern(op, d, kids, target, nil, 0)
+	return m.intern(op, d, kids, target, 0)
 }
 
-// intern is InsertExpr; for a rule firing, f is its state and d one of
-// its binding's scratch descriptors, complete as far as op's identity
-// goes. Only when the expression turns out to be new is d cloned and
-// completed, so a duplicate — most rule firings rediscover a known
-// expression — computes and allocates nothing. A new right-side root
-// whose deferred actions are still owed (no node below it was new) joins
-// target, whose representative holds what those actions would write on
-// it (TransRule.RestRoot); any other new node runs them. depth is the
-// depth of the group a targetless new expression founds.
-func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, f *firing, depth int) (GroupID, bool) {
+// intern is InsertExpr; depth is the depth of the group a targetless new
+// expression founds.
+func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, target GroupID, depth int) (GroupID, bool) {
 	var buf [4]GroupID
 	canon := buf[:0]
 	for _, k := range kids {
@@ -436,37 +429,31 @@ func (m *Memo) intern(op *core.Operation, d *core.Descriptor, kids []GroupID, ta
 	if e := m.lookup(h, op, "", d, canon); e != nil {
 		return m.settle(m.Find(e.group), target)
 	}
+	return m.add(op, d, self, h, canon, target, depth), true
+}
+
+// add interns a new expression of op over the canonical groups kids,
+// with descriptor d, self hash self and key h: into target, or, for a
+// target of -1, into a new group at depth. It returns the group.
+func (m *Memo) add(op *core.Operation, d *core.Descriptor, self, h uint64, kids []GroupID, target GroupID, depth int) GroupID {
 	var g *Group
 	if target >= 0 {
 		g = m.groups[m.Find(target)]
-	}
-	if f != nil {
-		rest := f.rest
-		f.rest = nil
-		if g != nil && rest != nil { // the root alone is new
-			d = m.descs.Clone(d)
-			d.CopyOn(g.rep, f.restRoot)
-		} else {
-			if rest != nil {
-				rest(f.b)
-			}
-			d = m.descs.Clone(d)
-		}
-	}
-	if g == nil {
+	} else {
 		g = m.newGroup(d, depth)
 	}
 	e := m.newExpr()
 	e.Op, e.D, e.selfHash = op, d, self
-	e.Kids = core.Take(&m.kidArena, len(canon), kidChunk)
-	copy(e.Kids, canon)
+	e.Kids = core.Take(&m.kidArena, len(kids), kidChunk)
+	copy(e.Kids, kids)
 	m.adopt(e, g, h)
-	return g.ID, true
+	return g.ID
 }
 
 // settle places an expression the memo holds in group eg under target:
-// a target in another group merges into eg. It returns eg's canonical
-// group and whether anything changed.
+// a target in another group merges with eg. It returns the canonical
+// group of the two, read through Find (merge keeps the larger), and
+// whether anything changed.
 func (m *Memo) settle(eg, target GroupID) (GroupID, bool) {
 	if target >= 0 && m.Find(target) != eg {
 		m.merge(m.Find(target), eg)
@@ -475,7 +462,9 @@ func (m *Memo) settle(eg, target GroupID) (GroupID, bool) {
 	return eg, false
 }
 
-// merge unions two canonical groups, keeping a's identity.
+// merge unions two canonical groups. The group with more expressions
+// survives, whichever of a and b it is; callers read the survivor
+// through Find.
 func (m *Memo) merge(a, b GroupID) {
 	if a == b {
 		return
@@ -483,7 +472,7 @@ func (m *Memo) merge(a, b GroupID) {
 	m.merges++
 	m.numGroups--
 	ga, gb := m.groups[a], m.groups[b]
-	// Keep the group with more expressions to move less.
+	// Keep the group with more expressions, to move less.
 	if len(gb.Exprs) > len(ga.Exprs) {
 		ga, gb = gb, ga
 		a, b = b, a
@@ -580,7 +569,7 @@ func (m *Memo) insertAt(e *core.Expr, depth int) GroupID {
 	for i, k := range e.Kids {
 		kids[i] = m.insertAt(k, depth+1)
 	}
-	g, _ := m.intern(e.Op, e.D, kids, -1, nil, depth)
+	g, _ := m.intern(e.Op, e.D, kids, -1, depth)
 	return g
 }
 

@@ -42,10 +42,10 @@ import (
 // Keeps may name, for a right-hand-side node, the left-hand-side node of
 // the same operator whose identity properties Appl copies into it. When
 // every node of the right side has an entry, the engine looks the right
-// side up bottom-up by the matched expressions' identities before Appl
-// runs, and a firing that finds its root in the matched expression's
-// group — a firing that would change nothing — runs neither Appl nor
-// the interning.
+// side up inputs first by the matched expressions' identities and runs
+// Appl only at the first node the memo does not hold: a firing whose
+// whole right side the memo holds runs no action, and changes nothing
+// or, its root found in another group, merges the two groups.
 type TransRule struct {
 	Name string
 	// Origin records where the rule came from — a source position for
@@ -208,7 +208,7 @@ const maxTransDepth = 2
 // left side flattened into the matcher's steps). keeps maps a right-side
 // node's slot to the matcher step of the left-side node it keeps the
 // identity of (TransRule.Keeps); it is nil unless every right-side node
-// has one, and the firing then probes the memo first (Memo.holds).
+// has one, and buildRHS then looks nodes up by it until Appl runs.
 type transEntry struct {
 	rule    *TransRule
 	row     int

@@ -460,12 +460,12 @@ func (x *explorer) run() error {
 // (0 enumerates everything). One binding, laid out by the rule's frame,
 // serves all applications: the matcher overwrites its LHS slots match by
 // match (shared read-only with the memo), and each firing starts by
-// taking back the RHS descriptors the previous firing's actions created. The rule's tally row counts the
-// matches and firings, and the stopwatch runs for it until the next rule
-// starts. A firing of a rule whose right side keeps left-side identities
-// (TransRule.Keeps) that finds its right side in the memo already, the
-// root in the matched expression's group, stops there: Appl and
-// buildRHS would change nothing.
+// taking back the RHS descriptors the previous firing's actions created.
+// The rule's tally row counts the matches and firings, and the stopwatch
+// runs for it until the next rule starts. A firing owes Appl and Rest
+// until buildRHS runs them: a rule whose right side keeps left-side
+// identities (TransRule.Keeps) runs neither when the memo holds that
+// right side already.
 func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 	m, rule, f := o.Memo, te.rule, o.firing()
 	t := o.start(te.row)
@@ -487,17 +487,9 @@ func (o *Optimizer) applyTrans(te *transEntry, e *LExpr, since uint64) {
 		if o.OnEvent != nil {
 			o.emit(EventTransFired, rule.Name, m.Find(e.group), e.String(), 0)
 		}
-		target := m.Find(e.group)
-		f.nheld = 0 // forget the previous firing's probe
-		if te.keeps != nil && m.holds(te, o.match, f, target) {
-			continue
-		}
-		if rule.Appl != nil {
-			rule.Appl(b)
-		}
-		f.rest, f.restRoot = rule.Rest, rule.RestRoot
+		f.appl, f.rest = true, rule.Rest != nil
 		interned, merges := m.interned, m.merges
-		m.buildRHS(te.rhs, f, target)
+		m.buildRHS(te, o.match, m.Find(e.group))
 		if m.interned != interned || m.merges != merges {
 			t.new++
 		}
