@@ -78,13 +78,16 @@ rulecheck-guard:
 # (linear Union, two-set tests, two-predicate splits, the associativity
 # test) to the code they replaced, seeded with Union's aliasing symbols.
 # Seed corpora live under testdata/fuzz/; crashers are gitignored until
-# promoted.
+# promoted. go test -fuzz exits 0 on a name that matches no fuzz test,
+# so each target must first be listed by go test -list.
 FUZZTIME ?= 30s
 FUZZ_TARGETS = FuzzParse:./internal/prairielang FuzzFingerprint:. FuzzCacheEntry:./internal/wire \
 	FuzzOptimizeRequest:./internal/server FuzzAttrKernels:./internal/core
 fuzz-smoke:
 	@for tp in $(FUZZ_TARGETS); do \
 		echo "== $${tp%%:*}"; \
+		$(GO) test -list "^$${tp%%:*}\$$" "$${tp#*:}" | grep -qx "$${tp%%:*}" || \
+			{ echo "fuzz-smoke: no fuzz test $${tp%%:*} in $${tp#*:}"; exit 1; }; \
 		$(GO) test -run '^$$' -fuzz "^$${tp%%:*}\$$" -fuzztime $(FUZZTIME) "$${tp#*:}" || exit 1; \
 	done
 

@@ -487,24 +487,26 @@ func TestExecPlansMatchNaive(t *testing.T) {
 
 // TestExecAllocCeiling guards what one compile-and-run of each
 // exec_plans plan allocates, which repeats to a few objects: a row is
-// 16-byte pointer-free cells carved from its operator's arena, so the
-// objects are chunks, hash indexes and slices of row views — not rows.
-// Ceilings about 15% above the measured counts keep a per-row allocation
-// from coming back (two slices per joined row made E1/n8 54 902 objects
-// and 83 MB).
+// 16-byte pointer-free cells carved from its operator's arena, and the
+// slices of row views and hash chains operators drain into come from
+// free pools, so the objects are the operators, the chunks the Result
+// keeps and its one slice of row views — not rows. Ceilings about 15%
+// above the measured counts keep a per-row allocation from coming back
+// (two slices per joined row made E1/n8 54 902 objects and 83 MB).
 //
-// What a run allocates depends on the executor's process-wide pool of
-// row chunks, which earlier plans and tests leave filled, so each plan is
-// priced from a stated one: the pool emptied (emptyChunkPool), then one
-// warm-up run of the plan itself, which hands back its scratch chunks.
-// Every measured run then finds those and makes the chunks its Result
-// keeps: what the plan costs run after run, as BenchmarkExecPlans reads
-// it, and the most any pool state makes a warmed-up run allocate.
+// What a run allocates depends on the executor's process-wide pools of
+// row chunks, views and chains, which earlier plans and tests leave
+// filled, so each plan is priced from a stated one: the chunk pool
+// emptied (emptyChunkPool), then one warm-up run of the plan itself,
+// which hands back its scratch chunks and buffers. Every measured run
+// then finds those and makes the chunks its Result keeps: what the plan
+// costs run after run, as BenchmarkExecPlans reads it, and the most any
+// pool state makes a warmed-up run allocate.
 func TestExecAllocCeiling(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	db, props, specs, _, plans := execPlans(t, 4096)
 	for i, c := range []struct{ allocs, bytes float64 }{
-		{58, 556_000}, {126, 3_148_000}, {260, 14_540_000}, {66, 574_000}, {83, 709_000}, {34, 3_100},
+		{29, 480_000}, {59, 2_529_000}, {149, 11_718_000}, {38, 478_000}, {53, 632_000}, {29, 3_010},
 	} {
 		emptyChunkPool(t, db, props, plans[2])
 		allocs, bytes := allocsPerRun(func() { execOnce(t, db, props, plans[i]) })

@@ -220,11 +220,19 @@ type HashIndex struct {
 // NewHashIndex indexes ordinals 0..n-1 by hash(i); every chain lists its
 // ordinals in ascending order.
 func NewHashIndex(n int, hash func(i int) uint64) HashIndex {
+	return NewHashIndexIn(nil, nil, n, hash)
+}
+
+// NewHashIndexIn is NewHashIndex building its chains in slots and next
+// where their capacity allows (what they hold is overwritten) and in new
+// arrays where it does not; Chains returns the arrays it used.
+func NewHashIndexIn(slots, next []int32, n int, hash func(i int) uint64) HashIndex {
 	size := 1
 	for size < 2*n {
 		size <<= 1
 	}
-	ix := HashIndex{slots: make([]int32, size), next: make([]int32, n)}
+	ix := HashIndex{slots: resize(slots, size), next: resize(next, n)}
+	clear(ix.slots)
 	for i := n - 1; i >= 0; i-- {
 		s := &ix.slots[hash(i)&uint64(size-1)]
 		ix.next[i] = *s
@@ -232,6 +240,18 @@ func NewHashIndex(n int, hash func(i int) uint64) HashIndex {
 	}
 	return ix
 }
+
+// resize returns a of length n, reallocated if its capacity is short.
+func resize(a []int32, n int) []int32 {
+	if cap(a) < n {
+		return make([]int32, n)
+	}
+	return a[:n]
+}
+
+// Chains returns the index's two arrays, for a caller that recycles them
+// into a later NewHashIndexIn once the index is no longer read.
+func (ix HashIndex) Chains() (slots, next []int32) { return ix.slots, ix.next }
 
 // First returns the first ordinal of h's chain, -1 if it is empty.
 func (ix HashIndex) First(h uint64) int { return int(ix.slots[h&uint64(len(ix.slots)-1)]) - 1 }

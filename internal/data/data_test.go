@@ -322,6 +322,39 @@ func TestHashIndexChains(t *testing.T) {
 	}
 }
 
+// TestHashIndexInGivenStorage: an index built into arrays that hold
+// garbage chains exactly as a fresh one does, uses the arrays when they
+// are long enough and new ones when they are not.
+func TestHashIndexInGivenStorage(t *testing.T) {
+	keys := []uint64{7, 3, 7, 11, 3, 7, 1 << 40}
+	hash := func(i int) uint64 { return keys[i] }
+	want := NewHashIndex(len(keys), hash)
+	garbage := func(n int) []int32 {
+		a := make([]int32, n)
+		for i := range a {
+			a[i] = 0x5e171e1
+		}
+		return a
+	}
+	slots, next := garbage(64), garbage(64)
+	ix := NewHashIndexIn(slots[:3], next[:0], len(keys), hash)
+	gotSlots, gotNext := ix.Chains()
+	if &gotSlots[0] != &slots[0] || &gotNext[0] != &next[0] {
+		t.Error("index did not build in the given arrays")
+	}
+	for _, k := range append(keys, 5) {
+		for i, j := ix.First(k), want.First(k); i >= 0 || j >= 0; i, j = ix.Next(i), want.Next(j) {
+			if i != j {
+				t.Fatalf("chain of %d reads %d, fresh index %d", k, i, j)
+			}
+		}
+	}
+	short := NewHashIndexIn(garbage(1), nil, len(keys), hash)
+	if s, n := short.Chains(); len(s) != 16 || len(n) != len(keys) {
+		t.Errorf("short storage gave chains of %d and %d, want 16 and %d", len(s), len(n), len(keys))
+	}
+}
+
 // TestRowByID: the ordinal test serves tables whose ids are their row
 // ordinals (no id index is built), the id index the others, where the
 // first row of a repeated id wins; pointers to nobody find nothing.

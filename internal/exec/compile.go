@@ -51,12 +51,8 @@ func (c *Compiler) build(node *core.Expr) (Iterator, error) {
 		return buildFilter(c, node)
 	case "Project":
 		return buildProject(c, node)
-	case "Nested_loops":
-		return buildNestedLoops(c, node)
-	case "Hash_join":
-		return buildHashJoin(c, node)
-	case "Merge_join":
-		return buildMergeJoin(c, node)
+	case "Nested_loops", "Hash_join", "Merge_join":
+		return buildJoin(c, node)
 	case "Pointer_join", "Materialize":
 		// Pointer_join is the batched pointer-dereference MAT
 		// algorithm: same semantics as Materialize, different cost
@@ -86,56 +82,83 @@ func (c *Compiler) Compile(plan *core.Expr) (Iterator, error) {
 	if err != nil {
 		return nil, err
 	}
-	eachArena(it, true, markScratch)
+	eachMem(it, true, markScratch)
 	return compiled{it, c.DB.Pool()}, nil
 }
 
-// eachArena calls f on the arena of every row-building operator in the
-// tree under it, with whether those rows reach the consumer of it. They
-// do through operators that pass rows on as they are — Filter, Null,
-// Merge_sort (it permutes views), the ExecStats shims — down to the
-// first operator that builds rows; that one copies its inputs' cells,
-// so below it nothing reaches. Scans hand out the table's own rows.
-func eachArena(it Iterator, reaches bool, f func(a *arena, reaches bool)) {
+// runMem points at what one operator holds of the free pools for a run:
+// its arena, the views it drains an input into, a hash join's chains;
+// nil where it has none.
+type runMem struct {
+	arena *arena
+	views *[]data.Tuple
+	index *data.HashIndex
+}
+
+// eachMem calls f on the memory of every operator in the tree under it
+// that builds rows or drains an input, with whether rows built there
+// reach the consumer of it. They do through operators that pass rows on
+// as they are — Filter, Null, Merge_sort (it permutes views), the
+// ExecStats shims — down to the first operator that builds rows; that
+// one copies its inputs' cells, so below it nothing reaches. Scans hand
+// out the table's own rows.
+func eachMem(it Iterator, reaches bool, f func(m runMem, reaches bool)) {
 	switch x := it.(type) {
 	case *statsIter:
-		eachArena(x.in, reaches, f)
+		eachMem(x.in, reaches, f)
 	case *filterIter:
-		eachArena(x.in, reaches, f)
+		eachMem(x.in, reaches, f)
 	case *nullIter:
-		eachArena(x.in, reaches, f)
+		eachMem(x.in, reaches, f)
 	case *sortIter:
-		eachArena(x.in, reaches, f)
+		f(runMem{views: &x.rows}, reaches)
+		eachMem(x.in, reaches, f)
 	case *projectIter:
-		f(&x.mem, reaches)
-		eachArena(x.in, false, f)
+		f(runMem{arena: &x.mem}, reaches)
+		eachMem(x.in, false, f)
 	case *unnestIter:
-		f(&x.mem, reaches)
-		eachArena(x.in, false, f)
+		f(runMem{arena: &x.mem}, reaches)
+		eachMem(x.in, false, f)
 	case *matIter:
-		f(&x.mem, reaches)
-		eachArena(x.in, false, f)
+		f(runMem{arena: &x.mem}, reaches)
+		eachMem(x.in, false, f)
 	case *nlJoinIter:
-		f(&x.st.mem, reaches)
-		eachArena(x.l, false, f)
-		eachArena(x.r, false, f)
+		f(runMem{arena: &x.st.mem, views: &x.inner}, reaches)
+		eachMem(x.l, false, f)
+		eachMem(x.r, false, f)
 	case *hashJoinIter:
-		f(&x.st.mem, reaches)
-		eachArena(x.l, false, f)
-		eachArena(x.r, false, f)
+		f(runMem{&x.st.mem, &x.build, &x.index}, reaches)
+		eachMem(x.l, false, f)
+		eachMem(x.r, false, f)
 	case *mergeJoinIter:
-		f(&x.st.mem, reaches)
-		eachArena(x.l, false, f)
-		eachArena(x.r, false, f)
+		f(runMem{arena: &x.st.mem}, reaches)
+		eachMem(x.l, false, f)
+		eachMem(x.r, false, f)
 	}
 }
 
-func markScratch(a *arena, reaches bool) { a.scratch = !reaches }
+func markScratch(m runMem, reaches bool) {
+	if m.arena != nil {
+		m.arena.scratch = !reaches
+	}
+}
 
-// releaseScratch runs once Run's final Close has returned: a hash join's
+// releaseMem runs once Run's final Close has returned: a hash join's
 // build rows, say, live in its right input's arena until then, past that
-// input's own Close.
-func releaseScratch(a *arena, _ bool) { a.release() }
+// input's own Close. Views and chains go back whether or not rows reach:
+// no Result aliases them (Run copies the views it keeps).
+func releaseMem(m runMem, _ bool) {
+	m.arena.release()
+	if m.views != nil {
+		clear(*m.views)
+		views.give(*m.views)
+		*m.views = nil
+	}
+	if m.index != nil {
+		chains.give(m.index.Chains())
+		*m.index = data.HashIndex{}
+	}
+}
 
 // compile builds one operator and, through its builder, its inputs.
 func (c *Compiler) compile(plan *core.Expr) (Iterator, error) {
@@ -148,7 +171,7 @@ func (c *Compiler) compile(plan *core.Expr) (Iterator, error) {
 	// Stats collection: register this operator before building its
 	// inputs (so parents precede children in the report), build the
 	// subtree with curParent pointing here, then interpose the counting
-	// shim. The shim forwards RowHint, so pre-sizing is unaffected.
+	// shim.
 	si := c.Stats.register(plan.Op.Name, c.curParent)
 	saved := c.curParent
 	c.curParent = si.id + 1
@@ -224,39 +247,25 @@ func buildProject(c *Compiler, node *core.Expr) (Iterator, error) {
 	return &projectIter{in: in, attrs: node.D.AttrList(c.P.PA)}, nil
 }
 
-func (c *Compiler) joinInputs(node *core.Expr) (l, r Iterator, pred *core.Pred, err error) {
-	if l, err = c.compile(node.Kids[0]); err != nil {
-		return
-	}
-	if r, err = c.compile(node.Kids[1]); err != nil {
-		return
-	}
-	pred = c.pred(node.D, c.P.JP)
-	return
-}
-
-func buildNestedLoops(c *Compiler, node *core.Expr) (Iterator, error) {
-	l, r, pred, err := c.joinInputs(node)
+// buildJoin compiles both inputs and builds the join algorithm the node
+// names.
+func buildJoin(c *Compiler, node *core.Expr) (Iterator, error) {
+	l, err := c.compile(node.Kids[0])
 	if err != nil {
 		return nil, err
 	}
-	return &nlJoinIter{l: l, r: r, pool: c.DB.Pool(), pred: pred}, nil
-}
-
-func buildHashJoin(c *Compiler, node *core.Expr) (Iterator, error) {
-	l, r, pred, err := c.joinInputs(node)
+	r, err := c.compile(node.Kids[1])
 	if err != nil {
 		return nil, err
 	}
-	return &hashJoinIter{l: l, r: r, pool: c.DB.Pool(), pred: pred}, nil
-}
-
-func buildMergeJoin(c *Compiler, node *core.Expr) (Iterator, error) {
-	l, r, pred, err := c.joinInputs(node)
-	if err != nil {
-		return nil, err
+	pool, pred := c.DB.Pool(), c.pred(node.D, c.P.JP)
+	switch node.Op.Name {
+	case "Nested_loops":
+		return &nlJoinIter{l: l, r: r, pool: pool, pred: pred}, nil
+	case "Hash_join":
+		return &hashJoinIter{l: l, r: r, pool: pool, pred: pred}, nil
 	}
-	return &mergeJoinIter{l: l, r: r, pool: c.DB.Pool(), pred: pred}, nil
+	return &mergeJoinIter{l: l, r: r, pool: pool, pred: pred}, nil
 }
 
 func buildMergeSort(c *Compiler, node *core.Expr) (Iterator, error) {
@@ -327,10 +336,6 @@ type matIter struct {
 }
 
 func (m *matIter) Schema() data.Schema { return m.out }
-
-// RowHint passes through the input's bound: a pointer chase appends
-// columns and only drops rows (dangling pointers).
-func (m *matIter) RowHint() (int, bool) { return rowHint(m.in) }
 
 func (m *matIter) Open() error {
 	if err := m.in.Open(); err != nil {

@@ -33,21 +33,6 @@ type Iterator interface {
 	Close() error
 }
 
-// rowHinter is an optional Iterator refinement: operators that know (an
-// upper bound on) their output cardinality report it so consumers can
-// pre-size hash tables. Hints are advisory and never affect results.
-type rowHinter interface {
-	RowHint() (int, bool)
-}
-
-// rowHint queries an iterator's cardinality hint, if it offers one.
-func rowHint(it Iterator) (int, bool) {
-	if h, ok := it.(rowHinter); ok {
-		return h.RowHint()
-	}
-	return 0, false
-}
-
 // Result is a fully drained stream.
 type Result struct {
 	Schema data.Schema
@@ -62,7 +47,7 @@ type Result struct {
 // scan. A row handed out keeps its bits until Run returns, across
 // re-Opens too (the arena goes on, it does not rewind), and a Result
 // row forever: Compile marks scratch the arenas whose rows cannot reach
-// the root's consumer (eachArena), and only a Run over the compiled plan
+// the root's consumer (eachMem), and only a Run over the compiled plan
 // hands their chunks back, once its final Close has returned.
 type arena struct {
 	free    []data.Datum // unused tail of the current chunk
@@ -103,19 +88,19 @@ func (a *arena) grow(n int) {
 		a.free = make([]data.Datum, max(a.size, n))
 		return
 	}
-	a.free = chunks.take()
+	a.free = chunks.take(maxChunk)
 	if a.scratch {
 		a.taken = append(a.taken, a.free)
 	}
 }
 
 // release hands a scratch arena's chunks back to the pool and empties
-// it; the next row starts a new chunk.
+// it; the next row starts a new chunk. A nil arena has none.
 func (a *arena) release() {
-	if !a.scratch {
+	if a == nil || !a.scratch {
 		return
 	}
-	chunks.give(a.taken)
+	chunks.give(a.taken...)
 	clear(a.taken)
 	a.free, a.size, a.taken = nil, 0, a.taken[:0]
 }
@@ -128,46 +113,58 @@ func (a *arena) concat(l, r data.Tuple) data.Tuple {
 	return t
 }
 
-// chunks is the process-wide free pool of maxChunk-cell chunks: every
-// arena takes its full-size chunks here, and Run hands back those of
-// the scratch arenas. A mutex-guarded stack allocates nothing once its
-// slice has grown (a sync.Pool rebuilds its per-P chains after every
-// collection), and it holds at most maxPooled chunks — 32 MiB of
-// cells; a chunk handed back past that is left to the collector.
-var chunks chunkPool
+// The process-wide free pools Run hands a run's memory back to: arenas
+// take their full-size chunks from chunks, drains their views from
+// views, hash joins their chains from chains. The bounds are 32 MiB of
+// cells (256 chunks), 6 MiB of views and 4 MiB of chains.
+var (
+	chunks = freeList[data.Datum]{limit: 256 * maxChunk}
+	views  = freeList[data.Tuple]{limit: 1 << 18}
+	chains = freeList[int32]{limit: 1 << 20}
+)
 
-const maxPooled = 256
-
-type chunkPool struct {
-	mu   sync.Mutex
-	free [][]data.Datum
+// freeList is a free pool of buffers: a mutex-guarded stack, which
+// allocates nothing once its slice has grown (a sync.Pool rebuilds its
+// per-P chains after every collection). It holds at most limit elements
+// of capacity; a buffer handed back past that is left to the collector.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	free  [][]T
+	held  int // capacity of the buffers in free
+	limit int
 }
 
-// take pops a pooled chunk, not zeroed, or makes a new one.
-func (p *chunkPool) take() []data.Datum {
+// take pops a pooled buffer of capacity n or more and returns it at
+// length n, not zeroed; or it makes one.
+func (p *freeList[T]) take(n int) []T {
 	p.mu.Lock()
-	if n := len(p.free); n > 0 {
-		c := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
+	if k := len(p.free); k > 0 && cap(p.free[k-1]) >= n {
+		b := p.free[k-1]
+		p.free[k-1], p.free, p.held = nil, p.free[:k-1], p.held-cap(b)
 		p.mu.Unlock()
-		return c
+		return b[:n]
 	}
 	p.mu.Unlock()
-	return make([]data.Datum, maxChunk)
+	return make([]T, n)
 }
 
-// give pushes chunks up to the pool's bound.
-func (p *chunkPool) give(cs [][]data.Datum) {
+// give pushes buffers while they fit the bound.
+func (p *freeList[T]) give(bs ...[]T) {
 	p.mu.Lock()
-	p.free = append(p.free, cs[:min(len(cs), maxPooled-len(p.free))]...)
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	for _, b := range bs {
+		if cap(b) > 0 && p.held+cap(b) <= p.limit {
+			p.free = append(p.free, b)
+			p.held += cap(b)
+		}
+	}
 }
 
 // Run drains an iterator. The iterator is closed whether Open, Next, or
 // the drain fails, and a Close error surfaces instead of being
 // discarded (unless an earlier error already won). For a compiled plan,
-// Run then hands the scratch arenas' chunks back to the free pool.
+// Run then hands the arenas' buffers and the scratch arenas' chunks back
+// to the free pools.
 func Run(it Iterator) (res *Result, err error) {
 	c, isCompiled := it.(compiled)
 	defer func() {
@@ -175,7 +172,7 @@ func Run(it Iterator) (res *Result, err error) {
 			res, err = nil, cerr
 		}
 		if isCompiled {
-			eachArena(c.Iterator, true, releaseScratch)
+			eachMem(c.Iterator, true, releaseMem)
 		}
 	}()
 	if beforeRun != nil {
@@ -188,23 +185,44 @@ func Run(it Iterator) (res *Result, err error) {
 	if isCompiled {
 		res.Pool = c.pool
 	}
-	if res.Rows, err = readAll(it, nil); err != nil {
+	if res.Rows, err = gather(it); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // beforeRun, when set, runs as Run begins; the package's tests set it to
-// fill the free pool with sentinel cells.
+// fill the free pools with sentinels.
 var beforeRun func()
 
-// readAll appends the rest of an open stream to rows. Holding the rows
-// is safe: a row keeps its bits until Run returns.
-func readAll(it Iterator, rows []data.Tuple) ([]data.Tuple, error) {
+// gather reads the rest of an open stream into a pooled view buffer and
+// returns a copy at its exact length, nil for an empty stream.
+func gather(it Iterator) (rows []data.Tuple, err error) {
+	var buf []data.Tuple
+	if err = drain(it, &buf); err == nil && len(buf) > 0 {
+		rows = make([]data.Tuple, len(buf))
+		copy(rows, buf)
+	}
+	clear(buf)
+	views.give(buf)
+	return rows, err
+}
+
+// drain reads the rest of an open stream into *buf, a buffer of views
+// taken from the free pool on the first drain and reused after; the last
+// drain's views are cleared, so it holds views only up to its length.
+// Holding the rows is safe: a row keeps its bits until Run returns.
+func drain(it Iterator, buf *[]data.Tuple) error {
+	if *buf == nil {
+		*buf = views.take(0)
+	}
+	clear(*buf)
+	rows := (*buf)[:0]
 	for {
 		t, ok, err := it.Next()
 		if err != nil || !ok {
-			return rows, err
+			*buf = rows
+			return err
 		}
 		rows = append(rows, t)
 	}
@@ -225,24 +243,12 @@ type scanIter struct {
 	byIndex core.Attr // zero: plain file scan
 	rows    []data.Tuple
 	pos     int
-	opened  bool
 }
 
 func (s *scanIter) Schema() data.Schema { return s.tab.Schema }
 
-// RowHint is exact once the scan is open (the selection has been
-// applied) and an upper bound — the stored table's cardinality —
-// before.
-func (s *scanIter) RowHint() (int, bool) {
-	if s.opened {
-		return len(s.rows), true
-	}
-	return len(s.tab.Rows), true
-}
-
 func (s *scanIter) Open() error {
 	s.pos = 0
-	s.opened = true
 	indexed := s.byIndex != (core.Attr{})
 	if !indexed && s.sel.IsTrue() {
 		s.rows = s.tab.Rows
@@ -328,9 +334,6 @@ func (f *filterIter) Open() error {
 	return nil
 }
 
-// RowHint passes through the input's bound: a filter only removes rows.
-func (f *filterIter) RowHint() (int, bool) { return rowHint(f.in) }
-
 func (f *filterIter) Next() (data.Tuple, bool, error) {
 	for {
 		t, ok, err := f.in.Next()
@@ -388,9 +391,6 @@ func (p *projectIter) Next() (data.Tuple, bool, error) {
 
 func (p *projectIter) Close() error { return p.in.Close() }
 
-// RowHint: projection is row-preserving.
-func (p *projectIter) RowHint() (int, bool) { return rowHint(p.in) }
-
 // nullIter is the Null algorithm: a pure pass-through.
 type nullIter struct{ in Iterator }
 
@@ -398,7 +398,6 @@ func (n *nullIter) Schema() data.Schema             { return n.in.Schema() }
 func (n *nullIter) Open() error                     { return n.in.Open() }
 func (n *nullIter) Next() (data.Tuple, bool, error) { return n.in.Next() }
 func (n *nullIter) Close() error                    { return n.in.Close() }
-func (n *nullIter) RowHint() (int, bool)            { return rowHint(n.in) }
 
 // ---------------------------------------------------------------------------
 // Sort
@@ -414,14 +413,6 @@ type sortIter struct {
 
 func (s *sortIter) Schema() data.Schema { return s.in.Schema() }
 
-// RowHint: sorting is row-preserving; exact once drained.
-func (s *sortIter) RowHint() (int, bool) {
-	if !s.inOpen && s.rows != nil {
-		return len(s.rows), true
-	}
-	return rowHint(s.in)
-}
-
 func (s *sortIter) Open() error {
 	if err := s.in.Open(); err != nil {
 		return err
@@ -436,8 +427,7 @@ func (s *sortIter) Open() error {
 		}
 		cols[i] = c
 	}
-	var err error
-	if s.rows, err = readAll(s.in, nil); err != nil {
+	if err := drain(s.in, &s.rows); err != nil {
 		return err
 	}
 	// The sort is a pipeline breaker: the input is fully consumed, so

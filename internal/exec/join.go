@@ -54,17 +54,15 @@ func (s *joinState) close(l, r Iterator) error {
 	return err
 }
 
-// drain reads the whole right input and closes it. The rows stay where
-// their producer put them: the slice holds views, and a join's hash
-// chains or inner loop hold ordinals into it.
-func (s *joinState) drain(r Iterator) ([]data.Tuple, error) {
-	size, _ := rowHint(r)
-	rows, err := readAll(r, make([]data.Tuple, 0, size))
-	if err != nil {
-		return nil, err
+// drain reads the whole right input into *buf and closes it. The rows
+// stay where their producer put them: the buffer holds views, and a
+// join's hash chains or inner loop hold ordinals into it.
+func (s *joinState) drain(r Iterator, buf *[]data.Tuple) error {
+	if err := drain(r, buf); err != nil {
+		return err
 	}
 	s.rOpen = false
-	return rows, r.Close()
+	return r.Close()
 }
 
 // emit tests the predicate on the pair and only then spends an output
@@ -96,9 +94,8 @@ func (j *nlJoinIter) Open() (err error) {
 	if err = j.st.open(j.l, j.r, j.pred); err != nil {
 		return err
 	}
-	j.inner, err = j.st.drain(j.r)
 	j.cur, j.pos = nil, 0
-	return err
+	return j.st.drain(j.r, &j.inner)
 }
 
 func (j *nlJoinIter) Next() (data.Tuple, bool, error) {
@@ -147,10 +144,16 @@ func (j *hashJoinIter) Open() (err error) {
 	if j.lCol, j.rCol, err = equiCols("hash", j.pred, j.l.Schema(), j.r.Schema()); err != nil {
 		return err
 	}
-	if j.build, err = j.st.drain(j.r); err != nil {
+	if err = j.st.drain(j.r, &j.build); err != nil {
 		return err
 	}
-	j.index = data.NewHashIndex(len(j.build), func(i int) uint64 { return j.build[i][j.rCol].Hash() })
+	// The chains, like the build rows, come from the free pool on the
+	// first Open and are reused on a re-Open.
+	slots, next := j.index.Chains()
+	if slots == nil {
+		slots, next = chains.take(0), chains.take(0)
+	}
+	j.index = data.NewHashIndexIn(slots, next, len(j.build), func(i int) uint64 { return j.build[i][j.rCol].Hash() })
 	j.cur, j.match = nil, -1
 	return nil
 }

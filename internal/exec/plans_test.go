@@ -131,16 +131,17 @@ func TestSixPlansConcurrentlyMatchNaive(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRunRecyclesScratchChunks: a Run hands its scratch arenas' chunks
-// back and the next Run takes them instead of allocating. From an empty
-// pool, the third run of a plan allocates little beyond its Result's
-// own cells (row views, hash chains, the Result arena's doubling
+// TestRunRecyclesScratchChunks: a Run hands its scratch arenas' chunks,
+// its slices of row views and its hash chains back, and the next Run
+// takes them instead of allocating. From empty pools, the third run of a
+// plan allocates little beyond its Result's own cells (the Result's
+// slice of row views, the operators, the Result arena's doubling
 // chunks); that is the most it allocates, since a fuller pool also
 // serves some of the Result's chunks. Without recycling E1/n8 reads
 // 11.3 MB here.
 func TestRunRecyclesScratchChunks(t *testing.T) {
 	db, props, specs, _, plans := sixPlans(t, 4096)
-	for i, ceiling := range []int64{180_000, 850_000, 3_300_000, 135_000, 140_000, 4_000} {
+	for i, ceiling := range []int64{95_000, 202_000, 416_000, 33_000, 58_000, 3_000} {
 		exec.EmptyPool()
 		for range 2 {
 			if _, err := runPlan(db, props, plans[i]); err != nil {
@@ -164,4 +165,65 @@ func TestRunRecyclesScratchChunks(t *testing.T) {
 			t.Errorf("%v: a run allocates %d bytes beyond its Result's cells, ceiling %d", specs[i], beyond, ceiling)
 		}
 	}
+}
+
+// TestResultRowsArePrivate: Run gathers the root's rows in a pooled
+// buffer of views and hands it back; the Result keeps a copy. After
+// each run, Result.Rows shares no backing array with any buffer the
+// view pool holds, whatever the root: a sort's or a join's drained
+// views, or a pass-through of the scan.
+func TestResultRowsArePrivate(t *testing.T) {
+	db, props, specs, _, plans := sixPlans(t, 1024)
+	for range 2 {
+		for i, plan := range plans {
+			res, err := runPlan(db, props, plan)
+			if err != nil {
+				t.Fatalf("%v: %v", specs[i], err)
+			}
+			if exec.SharesPooledViews(res.Rows) {
+				t.Errorf("%v: Result.Rows aliases a pooled view buffer", specs[i])
+			}
+			if len(res.Rows) > 0 && len(res.Rows) != cap(res.Rows) {
+				t.Errorf("%v: Result.Rows has length %d, capacity %d", specs[i], len(res.Rows), cap(res.Rows))
+			}
+		}
+	}
+}
+
+// TestPoolsStayBounded: after repeated E1/n8 runs, serial and from two
+// goroutines, every free list holds no more than its bound, and its own
+// count of what it holds is the buffers' capacities summed.
+func TestPoolsStayBounded(t *testing.T) {
+	db, props, specs, _, plans := sixPlans(t, 4096)
+	big := plans[2]
+	check := func(when string) {
+		t.Helper()
+		for _, u := range exec.PoolsInUse() {
+			t.Logf("%s: %s holds %d buffers, %d of %d elements", when, u.Name, u.Buffers, u.Held, u.Limit)
+			if u.Held != u.Sum || u.Held > u.Limit {
+				t.Errorf("%s: %s counts %d elements, holds %d, bound %d", when, u.Name, u.Held, u.Sum, u.Limit)
+			}
+		}
+	}
+	for range 4 {
+		if _, err := runPlan(db, props, big); err != nil {
+			t.Fatalf("%v: %v", specs[2], err)
+		}
+	}
+	check("serial")
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 3 {
+				if _, err := runPlan(db, props, big); err != nil {
+					t.Errorf("%v: %v", specs[2], err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	check("concurrent")
 }

@@ -404,3 +404,25 @@ func TestStringConstantsDoNotGrowThePool(t *testing.T) {
 	}()
 	pool.Str("durian")
 }
+
+// TestFreeListBound: a free list keeps what it is given up to its
+// bound in elements of capacity and drops the rest; take hands back the
+// last buffer in at the length asked for, or makes one when that buffer
+// is too short or the list is empty.
+func TestFreeListBound(t *testing.T) {
+	p := freeList[int32]{limit: 10}
+	p.give(make([]int32, 4), make([]int32, 0), make([]int32, 2, 5), make([]int32, 3))
+	if len(p.free) != 2 || p.held != 9 {
+		t.Fatalf("holds %d buffers, %d elements; want 2 and 9", len(p.free), p.held)
+	}
+	if b := p.take(6); len(b) != 6 || p.held != 9 {
+		t.Errorf("took len %d cap %d, %d left; want a new buffer of 6 and 9 left", len(b), cap(b), p.held)
+	}
+	if b := p.take(0); len(b) != 0 || cap(b) != 5 || p.held != 4 {
+		t.Errorf("took len %d cap %d, %d left; want 0, 5 and 4", len(b), cap(b), p.held)
+	}
+	p.take(0)
+	if b := p.take(3); len(b) != 3 || p.held != 0 {
+		t.Errorf("empty list gave len %d, holds %d", len(b), p.held)
+	}
+}

@@ -62,8 +62,7 @@ func (st *ExecStats) RootRows() int64 {
 }
 
 // statsIter wraps one operator with counting and timing. It forwards
-// RowHint so pre-sizing still sees through it, and forwards Close
-// untouched so the close-discipline invariant is unaffected.
+// Close untouched so the close-discipline invariant is unaffected.
 type statsIter struct {
 	in     Iterator
 	op     string
@@ -76,8 +75,6 @@ type statsIter struct {
 }
 
 func (s *statsIter) Schema() data.Schema { return s.in.Schema() }
-
-func (s *statsIter) RowHint() (int, bool) { return rowHint(s.in) }
 
 func (s *statsIter) Open() error {
 	start := time.Now()

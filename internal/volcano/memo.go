@@ -228,7 +228,7 @@ func (m *Memo) Interned() int { return m.interned }
 
 // Groups iterates the canonical groups in id order.
 func (m *Memo) Groups() []*Group {
-	var out []*Group
+	out := make([]*Group, 0, m.numGroups)
 	for i := range m.groups {
 		if m.Find(GroupID(i)) == GroupID(i) {
 			out = append(out, m.groups[i])
